@@ -1,9 +1,9 @@
 GO ?= go
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: ci vet lint lint-teeth build examples test scenario-check bench-smoke bench bench-json fmt-check profile fuzz-smoke serve-smoke cover
+.PHONY: ci vet lint lint-teeth build examples test scenario-check bench-smoke bench-check bench bench-json fmt-check profile fuzz-smoke serve-smoke cover experiments-golden
 
-ci: vet lint lint-teeth build examples test scenario-check bench-smoke fuzz-smoke serve-smoke
+ci: vet lint lint-teeth build examples test scenario-check bench-smoke bench-check fuzz-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -44,6 +44,22 @@ scenario-check:
 # zero-alloc steady state via -benchmem) without the cost of full timing.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SimulatorThroughput|ShardedThroughput|FacadeSmallNetwork' -benchtime 1x -benchmem .
+
+# bench/ is a module of its own, so the root build, vet and test never
+# compile it: vet and test it here so that removing an API the benchmark
+# calls fails CI, not the next benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Regenerate internal/experiments/testdata/golden from the CLI after an
+# intended behaviour change (TestExperimentsMatchGolden compares against
+# these byte for byte): one file per `=== name ===` section of `all`, which
+# prints exactly what `ispnsim <name>` does, cut at the wall-clock footer.
+# Review the diff before committing it.
+experiments-golden:
+	$(GO) run ./cmd/ispnsim -duration 30 -seed 7 all | awk -v dir=internal/experiments/testdata/golden \
+		'/^=== .* ===$$/ { out = dir "/" $$2 ".txt"; printf "" > out; cut = 0; next } \
+		 /wall clock/ { cut = 1 } !cut { print > out }'
 
 # Full benchmark suite over every table/figure/ablation.
 bench:

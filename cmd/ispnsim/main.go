@@ -12,8 +12,8 @@
 //	ispnsim scenarios [dir]
 //	ispnsim [-addr host:port] serve [dir]
 //
-// where <experiment> is one of: table1, table2, table3, figure1, all,
-// ablation-isolation, ablation-hops, admission, playback, discard.
+// where <experiment> is `all` or a name from experiments.Catalogue (run
+// ispnsim without arguments for the list).
 package main
 
 import (
@@ -63,33 +63,8 @@ var verbs = []verbInfo{
 		"docs/SERVE.md"},
 }
 
-// experimentInfo pairs an experiment name with its summary; the list is the
-// display and execution order for `all` (paper order, then extensions).
-type experimentInfo struct {
-	name    string
-	summary string
-}
-
-var experimentList = []experimentInfo{
-	{"figure1", "paper Figure 1: topology and flow layout"},
-	{"table1", "paper Table 1: WFQ vs FIFO on one link"},
-	{"table2", "paper Table 2: WFQ vs FIFO vs FIFO+ over 1-4 hops"},
-	{"table3", "paper Table 3: unified scheduler, all service classes"},
-	{"ablation-isolation", "Section 5: isolation vs sharing with one bursty flow"},
-	{"ablation-hops", "Section 6: jitter growth with path length (1-8 hops)"},
-	{"admission", "Section 9: measurement-based vs worst-case admission"},
-	{"playback", "Sections 2-3: adaptive vs rigid play-back points"},
-	{"discard", "Section 10: jitter-offset-driven late discard"},
-	{"compare", "extension: the full scheduling zoo on one workload"},
-	{"sweep", "extension: delay vs utilization curve per discipline"},
-	{"dist", "extension: full delay distributions (ASCII histogram)"},
-	{"churn", "extension: dynamic call churn through admission control"},
-	{"mixed", "extension: partial FIFO+ rollout over the Table-2 chain"},
-	{"failover", "extension: link failure with vs without failure-aware reroute"},
-	{"cache", "extension: route-cache eviction schemes under hot-spot churn"},
-}
-
-// buildUsage renders the help text from the verb and experiment tables.
+// buildUsage renders the help text from the verb table and the experiment
+// catalogue.
 func buildUsage() string {
 	var b strings.Builder
 	b.WriteString("usage: ispnsim [flags] <verb> [args]\n")
@@ -114,8 +89,8 @@ func buildUsage() string {
 		}
 	}
 	b.WriteString("\nexperiments (also: all = every row below):\n")
-	for _, e := range experimentList {
-		fmt.Fprintf(&b, "  %-21s %s\n", e.name, e.summary)
+	for _, e := range experiments.Catalogue {
+		fmt.Fprintf(&b, "  %-21s %s\n", e.Name, e.Summary)
 	}
 	b.WriteString("\nflags:\n")
 	return b.String()
@@ -303,113 +278,25 @@ func main() {
 	}
 	cfg := experiments.RunConfig{Duration: *duration, Seed: *seed, Shards: *shards}
 
-	run := func(name string, fn func() string) {
-		start := time.Now()
-		out := fn()
-		fmt.Println(out)
-		fmt.Printf("[%s: %.1fs wall clock, %.0fs simulated, seed %d]\n\n",
-			name, time.Since(start).Seconds(), *duration, *seed)
-	}
-
-	experimentsByName := map[string]func(){
-		"figure1": func() {
-			fmt.Println(experiments.Figure1Diagram())
-			if err := experiments.ValidateFigure1(); err != nil {
-				fmt.Fprintln(os.Stderr, "layout INVALID:", err)
-				os.Exit(1)
-			}
-			fmt.Println("\n22 flows: 12 x 1 hop, 4 x 2 hops, 4 x 3 hops, 2 x 4 hops;")
-			fmt.Println("every inter-switch link carries exactly 10 flows (validated).")
-		},
-		"table1": func() {
-			run("table1", func() string { return experiments.FormatTable1(experiments.Table1(cfg)) })
-		},
-		"table2": func() {
-			run("table2", func() string { return experiments.FormatTable2(experiments.Table2(cfg)) })
-		},
-		"table3": func() {
-			run("table3", func() string { return experiments.FormatTable3(experiments.Table3(cfg)) })
-		},
-		"ablation-isolation": func() {
-			run("ablation-isolation", func() string {
-				return experiments.FormatIsolation(experiments.AblationIsolation(cfg))
-			})
-		},
-		"ablation-hops": func() {
-			run("ablation-hops", func() string {
-				return experiments.FormatHops(experiments.AblationHops(cfg, 8))
-			})
-		},
-		"admission": func() {
-			run("admission", func() string {
-				return experiments.FormatAdmission(experiments.AblationAdmission(cfg, 150))
-			})
-		},
-		"playback": func() {
-			run("playback", func() string {
-				return experiments.FormatPlayback(experiments.AblationPlayback(cfg))
-			})
-		},
-		"discard": func() {
-			run("discard", func() string {
-				return experiments.FormatDiscard(experiments.AblationDiscard(cfg, nil))
-			})
-		},
-		"compare": func() {
-			run("compare", func() string {
-				return experiments.FormatComparison(experiments.CompareDisciplines(cfg))
-			})
-		},
-		"sweep": func() {
-			run("sweep", func() string {
-				return experiments.FormatSweep(experiments.SweepLoad(cfg, nil, nil), nil)
-			})
-		},
-		"churn": func() {
-			run("churn", func() string {
-				return experiments.FormatChurn(experiments.ChurnStress(cfg))
-			})
-		},
-		"mixed": func() {
-			run("mixed", func() string {
-				return experiments.FormatMixed(experiments.MixedDeployment(cfg))
-			})
-		},
-		"failover": func() {
-			run("failover", func() string {
-				return experiments.FormatFailover(experiments.Failover(cfg))
-			})
-		},
-		"cache": func() {
-			run("cache", func() string {
-				return experiments.FormatCacheShowdown(experiments.CacheShowdown(cfg))
-			})
-		},
-		"dist": func() {
-			run("dist", func() string {
-				var b string
-				for _, d := range []experiments.Discipline{experiments.DiscWFQ, experiments.DiscFIFO} {
-					h := experiments.DelayDistribution(d, cfg)
-					b += fmt.Sprintf("aggregate delay distribution, %s (Table-1 workload):\n%s\n",
-						d, h.Render(1000, "ms"))
-				}
-				return b
-			})
-		},
-	}
-	name := flag.Arg(0)
-	if name == "all" {
-		for _, e := range experimentList {
-			fmt.Printf("=== %s ===\n", e.name)
-			experimentsByName[e.name]()
+	name, ran := flag.Arg(0), false
+	for _, e := range experiments.Catalogue {
+		if name != "all" && name != e.Name {
+			continue
 		}
-		return
+		if name == "all" {
+			fmt.Printf("=== %s ===\n", e.Name)
+		}
+		start := time.Now()
+		fmt.Println(e.Run(cfg))
+		if !e.Static {
+			fmt.Printf("[%s: %.1fs wall clock, %.0fs simulated, seed %d]\n\n",
+				e.Name, time.Since(start).Seconds(), *duration, *seed)
+		}
+		ran = true
 	}
-	fn, ok := experimentsByName[name]
-	if !ok {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 		usage()
 		os.Exit(2)
 	}
-	fn()
 }

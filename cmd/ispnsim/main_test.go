@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"ispn/internal/experiments"
 )
 
 // TestUsageVerbsSortedAndComplete pins the generated usage text: every verb
@@ -84,17 +86,17 @@ func TestVerbsHaveLiveDocsAnchors(t *testing.T) {
 func TestUsageExperimentsComplete(t *testing.T) {
 	u := buildUsage()
 	last := -1
-	for _, e := range experimentList {
-		idx := strings.Index(u, "\n  "+e.name+" ")
+	for _, e := range experiments.Catalogue {
+		idx := strings.Index(u, "\n  "+e.Name+" ")
 		if idx < 0 {
-			t.Fatalf("usage lacks experiment %q", e.name)
+			t.Fatalf("usage lacks experiment %q", e.Name)
 		}
 		if idx < last {
-			t.Errorf("experiment %q out of table order in usage", e.name)
+			t.Errorf("experiment %q out of table order in usage", e.Name)
 		}
 		last = idx
-		if !strings.Contains(u, e.summary) {
-			t.Errorf("usage lacks summary for %q", e.name)
+		if !strings.Contains(u, e.Summary) {
+			t.Errorf("usage lacks summary for %q", e.Name)
 		}
 	}
 }

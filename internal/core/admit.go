@@ -56,12 +56,3 @@ func (n *Network) admitPredicted(pt *topology.Port, spec PredictedSpec, class in
 	}
 	return n.controller(pt).AdmitPredictedOwned(n.eng.Now(), spec.TokenRate, spec.BucketBits, class, token)
 }
-
-// notePredicted and unnotePredicted exist so that admitted-but-unmeasured
-// declared rates are visible to subsequent admission decisions; the
-// controller's ledger handles this internally on successful admission, so
-// there is nothing extra to do when admission control is enabled, and
-// nothing at all when it is disabled.
-func (n *Network) notePredicted(ports []*topology.Port, spec PredictedSpec) {}
-
-func (n *Network) unnotePredicted(ports []*topology.Port, f *Flow) {}

@@ -63,16 +63,9 @@ func (n *Network) InternPath(path []string) PathID {
 	return id
 }
 
-// PathByID returns the interned hop sequence. The slice is shared — callers
-// must not mutate it.
-func (n *Network) PathByID(id PathID) []string { return n.intern.paths[id] }
-
 // pathPortsByID returns the cached output ports along an interned path.
 // Shared slice; do not mutate.
 func (n *Network) pathPortsByID(id PathID) []*topology.Port { return n.intern.ports[id] }
 
 // portsOf returns a flow's output ports from the intern cache.
 func (n *Network) portsOf(f *Flow) []*topology.Port { return n.intern.ports[f.PathID] }
-
-// NumPaths returns how many distinct paths have been interned.
-func (n *Network) NumPaths() int { return len(n.intern.paths) }

@@ -862,7 +862,6 @@ func (n *Network) RequestPredictedClass(id uint32, path []string, class uint8, s
 			}
 		}
 	}
-	n.notePredicted(ports, spec)
 	f := &Flow{
 		ID:           id,
 		PathID:       pid,

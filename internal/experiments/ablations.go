@@ -7,9 +7,7 @@ import (
 	"ispn/internal/core"
 	"ispn/internal/packet"
 	"ispn/internal/playback"
-	"ispn/internal/sim"
 	"ispn/internal/source"
-	"ispn/internal/stats"
 	"ispn/internal/topology"
 )
 
@@ -27,54 +25,21 @@ type IsolationRow struct {
 // AblationIsolation runs the Table-1 setup with flow 1's burst size tripled.
 func AblationIsolation(cfg RunConfig) []IsolationRow {
 	cfg.fill()
-	flows := SingleLinkFlows(10)
-	nodes := []string{"A", "B"}
 	ds := []Discipline{DiscWFQ, DiscFIFO}
 	rows := make([]IsolationRow, len(ds))
 	ForEach(len(ds), func(di int) {
-		d := ds[di]
-		eng := sim.New()
-		topo := topology.NewNetwork(eng)
-		for _, n := range nodes {
-			topo.AddNode(n)
-		}
-		topo.AddLink("A", "B", newScheduler(d, flows), LinkRate, 0)
-		rec := map[uint32]*stats.Recorder{}
-		for _, f := range flows {
-			f := f
-			topo.InstallRoute(f.ID, f.Path)
-			r := stats.NewRecorder()
-			rec[f.ID] = r
-			fixed := topo.FixedDelay(f.Path, PacketBits)
-			topo.Node("B").SetSink(f.ID, func(p *packet.Packet) {
-				q := eng.Now() - p.CreatedAt - fixed
-				if q < 0 {
-					q = 0
-				}
-				r.Add(q)
-			})
-			burst := MeanBurst
-			if f.ID == 1 {
-				burst = 3 * MeanBurst // the ill-behaved client
+		w := singleLink(10, "iso", uniform(ds[di]))
+		w.burst = func(id uint32) float64 {
+			if id == 1 {
+				return 3 * MeanBurst // the ill-behaved client
 			}
-			src := source.NewPoliced(source.NewMarkov(source.MarkovConfig{
-				FlowID: f.ID, Class: packet.Predicted, SizeBits: PacketBits,
-				PeakRate: PeakFactor * AvgRate, AvgRate: AvgRate, Burst: burst,
-				RNG: sim.DeriveRNG(cfg.Seed, fmt.Sprintf("iso-%d", f.ID)),
-			}), AvgRate, BucketSize)
-			source.AttachPool(src, topo.Pool())
-			ingress := topo.Node("A")
-			src.Start(eng, func(p *packet.Packet) { ingress.Inject(p) })
+			return MeanBurst
 		}
-		eng.RunUntil(cfg.Duration)
-		others := newMergedRecorder()
-		for _, f := range flows[1:] {
-			others.absorb(rec[f.ID])
-		}
+		run := w.run(cfg)
 		rows[di] = IsolationRow{
-			Scheduler: d,
-			Burster:   toDelayStats(rec[1]),
-			Others:    others.stats(),
+			Scheduler: ds[di],
+			Burster:   toDelayStats(run.rec[1]),
+			Others:    mergeRecorders(run, w.flows[1:]),
 		}
 	})
 	return rows
@@ -136,7 +101,8 @@ func AblationHops(cfg RunConfig, maxHops int) []HopsRow {
 				id++
 			}
 		}
-		run := runPlain(d, nodes, links, flows, cfg)
+		w := rawWorld{nodes: nodes, links: links, flows: flows, stream: "markov", sched: uniform(d)}
+		run := w.run(cfg)
 		results[h-1][job%len(disciplines)] = toDelayStats(run.rec[1]).P999
 	})
 	rows := make([]HopsRow, maxHops)
@@ -410,58 +376,21 @@ func AblationDiscard(cfg RunConfig, thresholdsMS []float64) []DiscardRow {
 	if len(thresholdsMS) == 0 {
 		thresholdsMS = []float64{0, 40, 20, 10}
 	}
-	flows := Figure1Flows()
 	rows := make([]DiscardRow, len(thresholdsMS))
 	ForEach(len(thresholdsMS), func(ti int) {
 		th := thresholdsMS[ti]
-		eng := sim.New()
-		topo := topology.NewNetwork(eng)
-		for _, nd := range Figure1Nodes() {
-			topo.AddNode(nd)
-		}
-		var ports []*topology.Port
-		for _, lk := range Figure1Links() {
-			p := topo.AddLink(lk[0], lk[1], newScheduler(DiscFIFOPlus, nil), LinkRate, 0)
-			p.DiscardOffset = th / UnitMS
-			ports = append(ports, p)
-		}
-		rec := stats.NewRecorder()
-		var delivered int64
-		for _, f := range flows {
-			f := f
-			topo.InstallRoute(f.ID, f.Path)
-			fixed := topo.FixedDelay(f.Path, PacketBits)
-			last := topo.Node(f.Path[len(f.Path)-1])
-			last.SetSink(f.ID, func(p *packet.Packet) {
-				if f.ID != F401 {
-					return
-				}
-				q := eng.Now() - p.CreatedAt - fixed
-				if q < 0 {
-					q = 0
-				}
-				rec.Add(q)
-				delivered++
-			})
-			src := source.NewPoliced(source.NewMarkov(source.MarkovConfig{
-				FlowID: f.ID, Class: packet.Predicted, SizeBits: PacketBits,
-				PeakRate: PeakFactor * AvgRate, AvgRate: AvgRate, Burst: MeanBurst,
-				RNG: sim.DeriveRNG(cfg.Seed, fmt.Sprintf("disc-%d", f.ID)),
-			}), AvgRate, BucketSize)
-			source.AttachPool(src, topo.Pool())
-			ingress := topo.Node(f.Path[0])
-			src.Start(eng, func(p *packet.Packet) { ingress.Inject(p) })
-		}
-		eng.RunUntil(cfg.Duration)
+		w := figure1Chain("disc", uniform(DiscFIFOPlus))
+		w.port = func(p *topology.Port) { p.DiscardOffset = th / UnitMS }
+		run := w.run(cfg)
 		var discarded int64
-		for _, p := range ports {
-			discarded += p.Discarded()
+		for _, lk := range w.links {
+			discarded += run.topo.Node(lk[0]).Port(lk[1]).Discarded()
 		}
-		s := toDelayStats(rec)
+		s := toDelayStats(run.rec[F401])
 		rows[ti] = DiscardRow{
 			ThresholdMS: th,
 			Discarded:   discarded,
-			Delivered:   delivered,
+			Delivered:   int64(s.N),
 			P999:        s.P999,
 			Max:         s.Max,
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"ispn/internal/routing"
-	"ispn/internal/scenario"
 )
 
 // The cache showdown: DEC-TR-592's eviction-scheme comparison replayed on
@@ -60,15 +59,7 @@ func CacheShowdown(cfg RunConfig) []CacheCell {
 	ForEach(len(cells), func(i int) {
 		cell := &cells[i]
 		src := cacheScenarioSrc(cell.Scheme, cfg.Duration, cfg.Seed)
-		f, err := scenario.Parse("cache-cell.ispn", []byte(src))
-		if err != nil {
-			panic(err) // a malformed template is a bug, not an input error
-		}
-		sim, err := scenario.Compile(f, scenario.Options{Shards: cfg.Shards})
-		if err != nil {
-			panic(err)
-		}
-		rep := sim.Run()
+		rep := runCell("cache-cell.ispn", src, cfg.Shards)
 		rc := rep.RouteCache
 		cell.Size = rc.Size
 		cell.Hits = rc.Hits

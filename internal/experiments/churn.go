@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"ispn/internal/scenario"
 )
 
 // The churn stress experiment: a dumbbell bottleneck under a Poisson
@@ -83,15 +81,7 @@ func ChurnStressGrid(cfg RunConfig, everyMS []float64) []ChurnCell {
 	ForEach(len(cells), func(i int) {
 		cell := &cells[i]
 		src := churnScenarioSrc(cell.EveryMS, cell.Admission, cfg.Duration, cfg.Seed)
-		f, err := scenario.Parse("churn-cell.ispn", []byte(src))
-		if err != nil {
-			panic(err) // a malformed template is a bug, not an input error
-		}
-		sim, err := scenario.Compile(f, scenario.Options{Shards: cfg.Shards})
-		if err != nil {
-			panic(err)
-		}
-		rep := sim.Run()
+		rep := runCell("churn-cell.ispn", src, cfg.Shards)
 		ch := rep.Churns[0]
 		cell.Arrivals = ch.Arrivals
 		cell.Admitted = ch.Admitted

@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"ispn/internal/packet"
 	"ispn/internal/sched"
-	"ispn/internal/sim"
-	"ispn/internal/source"
-	"ispn/internal/stats"
-	"ispn/internal/topology"
 )
 
 // ComparisonRow is one discipline's aggregate result on the shared-link
@@ -33,39 +28,26 @@ type ComparisonRow struct {
 // mean delay with tightly clustered per-hop delays.
 func CompareDisciplines(cfg RunConfig) []ComparisonRow {
 	cfg.fill()
-	flows := SingleLinkFlows(10)
 	specs := []struct {
 		name string
 		wc   bool
-		mk   func() sched.Scheduler
+		mk   linkScheduler
 	}{
-		{"FIFO", true, func() sched.Scheduler { return sched.NewFIFO() }},
-		{"FIFO+", true, func() sched.Scheduler { return sched.NewFIFOPlus(0) }},
-		{"WFQ", true, func() sched.Scheduler {
-			w := sched.NewWFQ(LinkRate)
-			for _, f := range flows {
-				w.AddFlow(f.ID, LinkRate/float64(len(flows)))
-			}
-			return w
-		}},
-		{"VirtualClock", true, func() sched.Scheduler {
-			v := sched.NewVirtualClock()
-			for _, f := range flows {
-				v.AddFlow(f.ID, LinkRate/float64(len(flows)))
-			}
-			return v
-		}},
-		{"Delay-EDD", true, func() sched.Scheduler {
+		{"FIFO", true, uniform(DiscFIFO)},
+		{"FIFO+", true, uniform(DiscFIFOPlus)},
+		{"WFQ", true, uniform(DiscWFQ)},
+		{"VirtualClock", true, uniform(DiscVC)},
+		{"Delay-EDD", true, func(_, _ string, flowsHere []FlowPath) sched.Scheduler {
 			e := sched.NewDelayEDD()
-			for _, f := range flows {
+			for _, f := range flowsHere {
 				// Peak rate 2A, local budget comparable to the
 				// observed FIFO tail.
 				e.AddFlow(f.ID, PeakFactor*AvgRate, 0.030)
 			}
 			return e
 		}},
-		{"DRR", true, func() sched.Scheduler { return sched.NewDRR(PacketBits, true) }},
-		{"Stop-and-Go", false, func() sched.Scheduler {
+		{"DRR", true, uniform(DiscRR)},
+		{"Stop-and-Go", false, func(string, string, []FlowPath) sched.Scheduler {
 			// Frame of 10 packet times.
 			return sched.NewStopAndGo(0.010)
 		}},
@@ -73,43 +55,12 @@ func CompareDisciplines(cfg RunConfig) []ComparisonRow {
 	rows := make([]ComparisonRow, len(specs))
 	ForEach(len(specs), func(si int) {
 		spec := specs[si]
-		eng := sim.New()
-		topo := topology.NewNetwork(eng)
-		topo.AddNode("A")
-		topo.AddNode("B")
-		topo.AddLink("A", "B", spec.mk(), LinkRate, 0)
-		rec := map[uint32]*stats.Recorder{}
-		for _, f := range flows {
-			f := f
-			topo.InstallRoute(f.ID, f.Path)
-			r := stats.NewRecorder()
-			rec[f.ID] = r
-			fixed := topo.FixedDelay(f.Path, PacketBits)
-			topo.Node("B").SetSink(f.ID, func(p *packet.Packet) {
-				q := eng.Now() - p.CreatedAt - fixed
-				if q < 0 {
-					q = 0
-				}
-				r.Add(q)
-			})
-			src := source.NewPoliced(source.NewMarkov(source.MarkovConfig{
-				FlowID: f.ID, Class: packet.Predicted, SizeBits: PacketBits,
-				PeakRate: PeakFactor * AvgRate, AvgRate: AvgRate, Burst: MeanBurst,
-				RNG: sim.DeriveRNG(cfg.Seed, fmt.Sprintf("cmp-%d", f.ID)),
-			}), AvgRate, BucketSize)
-			source.AttachPool(src, topo.Pool())
-			ingress := topo.Node("A")
-			src.Start(eng, func(p *packet.Packet) { ingress.Inject(p) })
-		}
-		eng.RunUntil(cfg.Duration)
-		agg := newMergedRecorder()
-		for _, f := range flows {
-			agg.absorb(rec[f.ID])
-		}
+		w := singleLink(10, "cmp", spec.mk)
+		run := w.run(cfg)
 		rows[si] = ComparisonRow{
 			Name:           spec.name,
-			Aggregate:      agg.stats(),
-			Sample:         toDelayStats(rec[1]),
+			Aggregate:      mergeRecorders(run, w.flows),
+			Sample:         toDelayStats(run.rec[1]),
 			WorkConserving: spec.wc,
 		}
 	})

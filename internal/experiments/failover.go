@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"ispn/internal/scenario"
 )
 
 // The failover experiment: what a link failure costs each of the paper's
@@ -86,15 +84,7 @@ func Failover(cfg RunConfig) []FailoverRow {
 	ForEach(len(rows), func(i int) {
 		reroute := i == 1
 		src := failoverScenarioSrc(reroute, cfg.Duration, cfg.Seed)
-		f, err := scenario.Parse("failover-cell.ispn", []byte(src))
-		if err != nil {
-			panic(err) // a malformed template is a bug, not an input error
-		}
-		sim, err := scenario.Compile(f, scenario.Options{Shards: cfg.Shards})
-		if err != nil {
-			panic(err)
-		}
-		rep := sim.Run()
+		rep := runCell("failover-cell.ispn", src, cfg.Shards)
 		row := FailoverRow{Reroute: reroute}
 		for _, fr := range rep.Flows {
 			row.Flows = append(row.Flows, FailoverFlow{

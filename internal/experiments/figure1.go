@@ -1,9 +1,10 @@
 // Package experiments contains one runner per table and figure of the
-// paper's evaluation, plus the ablation studies listed in DESIGN.md. Each
-// runner builds its workload from scratch, runs the simulator, and returns
-// rows shaped like the paper's tables. Delays are reported in the paper's
-// unit: one packet transmission time (1 ms for 1000-bit packets on 1 Mbit/s
-// links).
+// paper's evaluation, plus the ablation studies listed in DESIGN.md, all
+// registered in Catalogue. Each runner builds its world one of three ways —
+// raw ports (rawWorld), a core.Network, or generated .ispn cells (runCell)
+// — runs the simulator, and returns rows shaped like the paper's tables.
+// Delays are reported in the paper's unit: one packet transmission time
+// (1 ms for 1000-bit packets on 1 Mbit/s links).
 //
 // The package also hosts the parallel harness every multi-simulation
 // workload shares: ForEach fans independent sub-simulations across a

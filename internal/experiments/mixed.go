@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"ispn/internal/sched"
 )
 
 // MixedDeployment is the incremental-rollout study the per-link profile
@@ -34,7 +36,6 @@ type MixedRow struct {
 // single cell and parallelism comes from the sweep itself.
 func MixedDeployment(cfg RunConfig) []MixedRow {
 	cfg.fill()
-	flows := Figure1Flows()
 	links := Figure1Links()
 	samples := Table2SampleFlows()
 	rows := make([]MixedRow, len(links)+1)
@@ -43,13 +44,16 @@ func MixedDeployment(cfg RunConfig) []MixedRow {
 		for i := 0; i < k; i++ {
 			upgraded[links[i]] = true
 		}
-		per := func(from, to string) Discipline {
+		// A uniform choice goes through exactly Table 2's code path, so
+		// the sweep's endpoints reproduce its FIFO and FIFO+ rows bit for
+		// bit.
+		run := figure1Chain("markov", func(from, to string, flowsHere []FlowPath) sched.Scheduler {
+			d := DiscFIFO
 			if upgraded[[2]string{from, to}] {
-				return DiscFIFOPlus
+				d = DiscFIFOPlus
 			}
-			return DiscFIFO
-		}
-		run := runMixed(per, Figure1Nodes(), links, flows, cfg)
+			return newScheduler(d, flowsHere)
+		}).run(cfg)
 		row := MixedRow{UpgradedHops: k, Fraction: float64(k) / float64(len(links))}
 		for i, id := range samples {
 			row.PerPath[i] = toDelayStats(run.rec[id])

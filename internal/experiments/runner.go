@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ispn/internal/packet"
+	"ispn/internal/scenario"
 	"ispn/internal/sched"
 	"ispn/internal/sim"
 	"ispn/internal/source"
@@ -62,13 +63,61 @@ func toDelayStats(r *stats.Recorder) DelayStats {
 	}
 }
 
-// plainRun is a single simulation with one scheduling discipline on every
-// link and the paper's Markov sources on every flow.
+// rawWorld is the one way the scheduler-level studies (Tables 1-2, the
+// ablations on sharing, compare, sweep, dist, mixed) build a world: bare
+// topology ports with a chosen scheduler per link, and on every flow the
+// paper's Appendix workload — a two-state Markov source policed by an
+// (A, 50) token bucket at the host. These stay off the scenario compiler
+// because equal-share WFQ over a full link and Stop-and-Go have no .ispn
+// spelling, and the compiler's RNG stream names would change every
+// published number.
+type rawWorld struct {
+	nodes []string
+	links [][2]string
+	flows []FlowPath
+	// stream prefixes the sources' RNG stream names ("<stream>-<flow id>").
+	stream string
+	sched  linkScheduler
+	// burst overrides a flow's mean burst size (nil = MeanBurst for all).
+	burst func(id uint32) float64
+	// port, when set, sees every port right after it is built.
+	port func(*topology.Port)
+	// deliver, when set, receives every delivered packet's queueing delay
+	// in place of the per-flow recorders.
+	deliver func(id uint32, q float64)
+}
+
+// linkScheduler builds the scheduler of link from->to, given the flows that
+// cross it.
+type linkScheduler func(from, to string, flowsHere []FlowPath) sched.Scheduler
+
+// uniform puts discipline d on every link.
+func uniform(d Discipline) linkScheduler {
+	return func(_, _ string, flowsHere []FlowPath) sched.Scheduler { return newScheduler(d, flowsHere) }
+}
+
+// singleLink is the Table-1 layout: n identical flows over one link A -> B.
+func singleLink(n int, stream string, mk linkScheduler) rawWorld {
+	return rawWorld{
+		nodes: []string{"A", "B"}, links: [][2]string{{"A", "B"}}, flows: SingleLinkFlows(n),
+		stream: stream, sched: mk,
+	}
+}
+
+// figure1Chain is the Table-2 layout: the 22 flows over the Figure-1 chain.
+func figure1Chain(stream string, mk linkScheduler) rawWorld {
+	return rawWorld{
+		nodes: Figure1Nodes(), links: Figure1Links(), flows: Figure1Flows(),
+		stream: stream, sched: mk,
+	}
+}
+
+// plainRun is a finished rawWorld simulation: the topology (for port
+// counters) and, unless the world had its own deliver hook, each flow's
+// queueing-delay recorder.
 type plainRun struct {
-	eng   *sim.Engine
-	topo  *topology.Network
-	rec   map[uint32]*stats.Recorder
-	fixed map[uint32]float64
+	topo *topology.Network
+	rec  map[uint32]*stats.Recorder
 }
 
 // newScheduler builds a scheduler of the given discipline for one link.
@@ -101,56 +150,52 @@ func newScheduler(d Discipline, flowsHere []FlowPath) sched.Scheduler {
 	}
 }
 
-// runPlain simulates flows over the given node/link layout under discipline
-// d and returns per-flow queueing delay recorders.
-func runPlain(d Discipline, nodes []string, links [][2]string, flows []FlowPath, cfg RunConfig) *plainRun {
-	return runMixed(func(string, string) Discipline { return d }, nodes, links, flows, cfg)
-}
-
-// runMixed is runPlain with a per-link discipline choice — the heterogeneous
-// deployment runner. A uniform choice goes through exactly the same code
-// path as runPlain, so mixed sweeps whose endpoints are uniform reproduce
-// the uniform tables bit for bit.
-func runMixed(per func(from, to string) Discipline, nodes []string, links [][2]string, flows []FlowPath, cfg RunConfig) *plainRun {
+// run simulates the world for cfg.Duration.
+func (w rawWorld) run(cfg RunConfig) *plainRun {
 	cfg.fill()
 	eng := sim.New()
 	topo := topology.NewNetwork(eng)
-	for _, n := range nodes {
+	for _, n := range w.nodes {
 		topo.AddNode(n)
 	}
-	for _, lk := range links {
-		topo.AddLink(lk[0], lk[1], newScheduler(per(lk[0], lk[1]), FlowsOnLink(flows, lk[0], lk[1])), LinkRate, 0)
+	for _, lk := range w.links {
+		p := topo.AddLink(lk[0], lk[1], w.sched(lk[0], lk[1], FlowsOnLink(w.flows, lk[0], lk[1])), LinkRate, 0)
+		if w.port != nil {
+			w.port(p)
+		}
 	}
-	run := &plainRun{
-		eng:   eng,
-		topo:  topo,
-		rec:   make(map[uint32]*stats.Recorder),
-		fixed: make(map[uint32]float64),
-	}
+	run := &plainRun{topo: topo, rec: make(map[uint32]*stats.Recorder)}
 	// Grow-once sample storage: each flow delivers ~AvgRate packets/s.
 	expected := int(cfg.Duration*AvgRate) + 64
-	for _, f := range flows {
-		f := f
-		topo.InstallRoute(f.ID, f.Path)
-		rec := stats.NewRecorderSize(expected)
-		run.rec[f.ID] = rec
-		run.fixed[f.ID] = topo.FixedDelay(f.Path, PacketBits)
-		last := topo.Node(f.Path[len(f.Path)-1])
-		last.SetSink(f.ID, func(p *packet.Packet) {
-			q := eng.Now() - p.CreatedAt - run.fixed[f.ID]
+	for _, f := range w.flows {
+		id := f.ID
+		topo.InstallRoute(id, f.Path)
+		deliver := w.deliver
+		if deliver == nil {
+			rec := stats.NewRecorderSize(expected)
+			run.rec[id] = rec
+			deliver = func(_ uint32, q float64) { rec.Add(q) }
+		}
+		fixed := topo.FixedDelay(f.Path, PacketBits)
+		topo.Node(f.Path[len(f.Path)-1]).SetSink(id, func(p *packet.Packet) {
+			q := eng.Now() - p.CreatedAt - fixed
 			if q < 0 {
 				q = 0
 			}
-			rec.Add(q)
+			deliver(id, q)
 		})
+		burst := MeanBurst
+		if w.burst != nil {
+			burst = w.burst(id)
+		}
 		src := source.NewPoliced(source.NewMarkov(source.MarkovConfig{
-			FlowID:   f.ID,
+			FlowID:   id,
 			Class:    packet.Predicted,
 			SizeBits: PacketBits,
 			PeakRate: PeakFactor * AvgRate,
 			AvgRate:  AvgRate,
-			Burst:    MeanBurst,
-			RNG:      sim.DeriveRNG(cfg.Seed, fmt.Sprintf("markov-%d", f.ID)),
+			Burst:    burst,
+			RNG:      sim.DeriveRNG(cfg.Seed, fmt.Sprintf("%s-%d", w.stream, id)),
 		}), AvgRate, BucketSize)
 		source.AttachPool(src, topo.Pool())
 		ingress := topo.Node(f.Path[0])
@@ -160,7 +205,32 @@ func runMixed(per func(from, to string) Discipline, nodes []string, links [][2]s
 	return run
 }
 
+// mergeRecorders unions the flows' sample sets, so the aggregate percentile
+// is computed across flows.
+func mergeRecorders(run *plainRun, flows []FlowPath) DelayStats {
+	merged := stats.NewRecorder()
+	for _, f := range flows {
+		merged.Absorb(run.rec[f.ID])
+	}
+	return toDelayStats(merged)
+}
+
 // utilization returns the lifetime utilization of link from->to.
 func (r *plainRun) utilization(from, to string, dur float64) float64 {
 	return r.topo.Node(from).Port(to).TotalUtilization(dur)
+}
+
+// runCell parses, compiles and runs one generated .ispn cell — the one way
+// the control-plane studies (churn, failover, cache) build a world, so each
+// exercises the same code path as `ispnsim run` on a library file.
+func runCell(name, src string, shards int) *scenario.Report {
+	f, err := scenario.Parse(name, []byte(src))
+	if err != nil {
+		panic(err) // a malformed template is a bug, not an input error
+	}
+	cell, err := scenario.Compile(f, scenario.Options{Shards: shards})
+	if err != nil {
+		panic(err)
+	}
+	return cell.Run()
 }

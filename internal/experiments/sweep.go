@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"ispn/internal/packet"
-	"ispn/internal/sim"
-	"ispn/internal/source"
 	"ispn/internal/stats"
-	"ispn/internal/topology"
 )
 
 // SweepPoint is one offered-load level of the utilization sweep.
@@ -44,10 +40,10 @@ func SweepLoad(cfg RunConfig, flowCounts []int, disciplines []Discipline) []Swee
 	}
 	ForEach(len(flowCounts)*len(disciplines), func(job int) {
 		fi, di := job/len(disciplines), job%len(disciplines)
-		flows := SingleLinkFlows(flowCounts[fi])
-		run := runPlain(disciplines[di], []string{"A", "B"}, [][2]string{{"A", "B"}}, flows, cfg)
+		w := singleLink(flowCounts[fi], "markov", uniform(disciplines[di]))
+		run := w.run(cfg)
 		grid[fi][di] = cell{
-			agg:  mergeRecorders(run, flows),
+			agg:  mergeRecorders(run, w.flows),
 			util: run.utilization("A", "B", cfg.Duration),
 		}
 	})
@@ -95,33 +91,9 @@ func FormatSweep(points []SweepPoint, disciplines []Discipline) string {
 // summary rows, rendered by `ispnsim dist`.
 func DelayDistribution(d Discipline, cfg RunConfig) *stats.Histogram {
 	cfg.fill()
-	flows := SingleLinkFlows(10)
-	eng := sim.New()
-	topo := topology.NewNetwork(eng)
-	topo.AddNode("A")
-	topo.AddNode("B")
-	topo.AddLink("A", "B", newScheduler(d, flows), LinkRate, 0)
 	h := stats.NewDelayHistogram()
-	for _, f := range flows {
-		f := f
-		topo.InstallRoute(f.ID, f.Path)
-		fixed := topo.FixedDelay(f.Path, PacketBits)
-		topo.Node("B").SetSink(f.ID, func(p *packet.Packet) {
-			q := eng.Now() - p.CreatedAt - fixed
-			if q < 0 {
-				q = 0
-			}
-			h.Add(q)
-		})
-		src := source.NewPoliced(source.NewMarkov(source.MarkovConfig{
-			FlowID: f.ID, Class: packet.Predicted, SizeBits: PacketBits,
-			PeakRate: PeakFactor * AvgRate, AvgRate: AvgRate, Burst: MeanBurst,
-			RNG: sim.DeriveRNG(cfg.Seed, fmt.Sprintf("dist-%d", f.ID)),
-		}), AvgRate, BucketSize)
-		source.AttachPool(src, topo.Pool())
-		ingress := topo.Node("A")
-		src.Start(eng, func(p *packet.Packet) { ingress.Inject(p) })
-	}
-	eng.RunUntil(cfg.Duration)
+	w := singleLink(10, "dist", uniform(d))
+	w.deliver = func(_ uint32, q float64) { h.Add(q) }
+	w.run(cfg)
 	return h
 }

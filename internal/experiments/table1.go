@@ -22,33 +22,19 @@ type Table1Row struct {
 // across the aggregate instead of isolating each burst onto its sender.
 func Table1(cfg RunConfig) []Table1Row {
 	cfg.fill()
-	flows := SingleLinkFlows(10)
-	nodes := []string{"A", "B"}
-	links := [][2]string{{"A", "B"}}
 	ds := []Discipline{DiscWFQ, DiscFIFO}
 	rows := make([]Table1Row, len(ds))
 	ForEach(len(ds), func(i int) {
-		d := ds[i]
-		run := runPlain(d, nodes, links, flows, cfg)
+		w := singleLink(10, "markov", uniform(ds[i]))
+		run := w.run(cfg)
 		rows[i] = Table1Row{
-			Scheduler:   d,
-			Sample:      toDelayStats(run.rec[flows[0].ID]),
-			AllFlows:    mergeRecorders(run, flows),
+			Scheduler:   ds[i],
+			Sample:      toDelayStats(run.rec[w.flows[0].ID]),
+			AllFlows:    mergeRecorders(run, w.flows),
 			Utilization: run.utilization("A", "B", cfg.Duration),
 		}
 	})
 	return rows
-}
-
-func mergeRecorders(run *plainRun, flows []FlowPath) DelayStats {
-	// Aggregate by re-adding all samples into one recorder via the
-	// count-weighted union of summary stats — we need the percentile, so
-	// merge sample sets directly.
-	merged := newMergedRecorder()
-	for _, f := range flows {
-		merged.absorb(run.rec[f.ID])
-	}
-	return merged.stats()
 }
 
 // FormatTable1 renders rows the way the paper prints Table 1.

@@ -37,13 +37,11 @@ func Table2Single(d Discipline, cfg RunConfig) Table2Row {
 // the (independent, seed-deterministic) simulations across workers.
 func tableOverFigure1(cfg RunConfig, ds []Discipline) []Table2Row {
 	cfg.fill()
-	flows := Figure1Flows()
 	samples := Table2SampleFlows()
 	rows := make([]Table2Row, len(ds))
 	ForEach(len(ds), func(i int) {
-		d := ds[i]
-		run := runPlain(d, Figure1Nodes(), Figure1Links(), flows, cfg)
-		row := Table2Row{Scheduler: d}
+		run := figure1Chain("markov", uniform(ds[i])).run(cfg)
+		row := Table2Row{Scheduler: ds[i]}
 		for k, id := range samples {
 			row.PerPath[k] = toDelayStats(run.rec[id])
 		}

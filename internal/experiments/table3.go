@@ -7,6 +7,7 @@ import (
 	"ispn/internal/core"
 	"ispn/internal/packet"
 	"ispn/internal/source"
+	"ispn/internal/stats"
 	"ispn/internal/tcp"
 )
 
@@ -215,20 +216,20 @@ func Table3(cfg RunConfig) Table3Result {
 		res.Rows = append(res.Rows, row)
 	}
 	for _, kind := range []ServiceKind{GuaranteedPeak, GuaranteedAvg, PredictedHigh, PredictedLow} {
-		merged := newMergedRecorder()
+		merged := stats.NewRecorder()
 		total := 0
 		for id, k := range assignment {
 			if k == kind {
 				total += flows[id].Meter().Count()
 			}
 		}
-		merged.r.Reserve(total)
+		merged.Reserve(total)
 		for id, k := range assignment {
 			if k == kind {
-				merged.absorb(flows[id].Meter())
+				merged.Absorb(flows[id].Meter())
 			}
 		}
-		res.ByKind[kind] = merged.stats()
+		res.ByKind[kind] = toDelayStats(merged)
 	}
 
 	var tcpDrops, tcpSent int64

@@ -281,9 +281,6 @@ func (s *Sim) Start() {
 	}
 }
 
-// Started reports whether Start has run.
-func (s *Sim) Started() bool { return s.started }
-
 // Now returns the simulation clock in seconds.
 func (s *Sim) Now() float64 { return s.Net.Engine().Now() }
 

@@ -49,9 +49,6 @@ func NewPriority(levels []Scheduler, classify func(*packet.Packet) int) *Priorit
 // Level exposes the sub-scheduler at level i (for measurement hooks).
 func (pr *Priority) Level(i int) Scheduler { return pr.levels[i] }
 
-// NumLevels returns the number of priority levels.
-func (pr *Priority) NumLevels() int { return len(pr.levels) }
-
 // Enqueue implements Scheduler.
 func (pr *Priority) Enqueue(p *packet.Packet, now float64) {
 	l := pr.classify(p)

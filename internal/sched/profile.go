@@ -300,13 +300,14 @@ type rateScheduler interface {
 	EnqueueFallback(p *packet.Packet, now float64)
 }
 
-// isoPipeline is an isolation-only discipline as a port pipeline: guaranteed
-// flows are isolated at their clock rates exactly as in the unified
-// scheduler, but the leftover pseudo flow 0 is one plain queue — no priority
-// classes, no FIFO+. The "circuits only" end of the deployment spectrum (a
-// WAN core that sells reservations but has not deployed predicted service).
-// The wfq kind puts virtual-time WFQ underneath; the virtualclock kind puts
-// Zhang's real-time per-flow clocks underneath.
+// isoPipeline is the isolation half of every reserving pipeline: guaranteed
+// flows are isolated at their clock rates and pseudo flow 0 takes the
+// leftover µ − Σ r_α. Unified embeds it with the priority stack as flow 0's
+// child. On its own, flow 0 is one plain queue — no priority classes, no
+// FIFO+: the "circuits only" end of the deployment spectrum (a WAN core that
+// sells reservations but has not deployed predicted service). The wfq kind
+// puts virtual-time WFQ underneath; the virtualclock kind puts Zhang's
+// real-time per-flow clocks underneath.
 type isoPipeline struct {
 	rateScheduler
 	prof     Profile
@@ -331,6 +332,9 @@ func newVCPipeline(p Profile, linkRate float64) Pipeline {
 func (w *isoPipeline) Profile() Profile         { return w.prof }
 func (w *isoPipeline) SupportsGuaranteed() bool { return true }
 
+// AddGuaranteed registers a guaranteed flow with clock rate r (bits/second)
+// and shrinks flow 0's share accordingly. It panics if the link would be
+// oversubscribed (Σ r_α >= µ leaves nothing for flow 0).
 func (w *isoPipeline) AddGuaranteed(id uint32, rate float64) {
 	if w.reserved+rate >= w.linkRate {
 		panic(fmt.Sprintf("sched: guaranteed reservations %.0f+%.0f would exhaust link rate %.0f",
@@ -341,6 +345,12 @@ func (w *isoPipeline) AddGuaranteed(id uint32, rate float64) {
 	w.SetRate(Flow0ID, w.linkRate-w.reserved)
 }
 
+// RemoveGuaranteed unregisters a guaranteed flow and returns its share to
+// flow 0. A backlogged flow (mid-run departure) keeps draining at its old
+// clock rate and unregisters itself once empty; its share returns to flow 0
+// immediately, so the link is transiently oversubscribed in clock rates —
+// WFQ virtual time tolerates that, and the backlog is bounded by the
+// departing flow's token bucket.
 func (w *isoPipeline) RemoveGuaranteed(id uint32) {
 	rate := w.Rate(id)
 	if rate == 0 {
@@ -382,9 +392,12 @@ func (w *isoPipeline) SetLinkRate(rate, now float64) {
 
 func (w *isoPipeline) ClassDelayEstimate(class int, now float64) float64 { return 0 }
 
-// Enqueue routes guaranteed packets to their own clocked flow and everything
-// else to flow 0, demoting the residue of departed guaranteed flows like the
-// unified scheduler does.
+// Enqueue routes guaranteed packets to their own clocked flow by flow id;
+// everything else lands in flow 0 directly (no per-flow lookup — only
+// guaranteed flows are ever registered with the rate scheduler). A guaranteed
+// packet whose reservation is gone — the tail of a departed flow still in
+// flight from upstream hops — is demoted into flow 0: the hard commitment
+// ended with the reservation, but the residue is still delivered.
 func (w *isoPipeline) Enqueue(p *packet.Packet, now float64) {
 	if p.Class == packet.Guaranteed && w.Rate(p.FlowID) != 0 {
 		w.rateScheduler.Enqueue(p, now)

@@ -40,9 +40,6 @@ func NewRegulator(inner Scheduler) *Regulator {
 	return &Regulator{inner: inner, held: queue.NewDeadlineQueue()}
 }
 
-// Inner returns the wrapped scheduler.
-func (r *Regulator) Inner() Scheduler { return r.inner }
-
 // Enqueue implements Scheduler. Early packets are held; on-time or late
 // packets pass straight through.
 func (r *Regulator) Enqueue(p *packet.Packet, now float64) {

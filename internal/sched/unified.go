@@ -1,11 +1,5 @@
 package sched
 
-import (
-	"fmt"
-
-	"ispn/internal/packet"
-)
-
 // Flow0ID is the reserved flow id of the pseudo WFQ flow that carries all
 // predicted-service and datagram traffic in the unified scheduler.
 const Flow0ID = ^uint32(0)
@@ -42,22 +36,14 @@ type UnifiedConfig struct {
 //     traffic occupies a final, lowest priority level (plain FIFO).
 //
 // This realizes the paper's central design: isolation (WFQ) around sharing
-// (priority + FIFO+).
+// (priority + FIFO+). The isolation half — reservations, flow 0's leftover
+// share, routing guaranteed packets to their clocked flow and demoting the
+// residue of departed ones — is isoPipeline's, shared with the wfq and
+// virtualclock kinds; Unified adds the sharing stack as flow 0's child.
 type Unified struct {
-	*WFQ
-	cfg      UnifiedConfig
-	prof     Profile // set when built through the pipeline registry
-	prio     *Priority
-	levels   []Scheduler
-	reserved float64 // Σ guaranteed clock rates
+	isoPipeline
+	levels []Scheduler
 }
-
-// Profile returns the profile the pipeline registry built this scheduler
-// from (the zero Profile when constructed directly via NewUnified).
-func (u *Unified) Profile() Profile { return u.prof }
-
-// SupportsGuaranteed reports that WFQ isolation is available.
-func (u *Unified) SupportsGuaranteed() bool { return true }
 
 // NewUnified builds a unified scheduler for one output port.
 func NewUnified(cfg UnifiedConfig) *Unified {
@@ -88,69 +74,11 @@ func NewUnified(cfg UnifiedConfig) *Unified {
 	w := NewWFQ(cfg.LinkRate)
 	w.AddFlowScheduler(Flow0ID, cfg.LinkRate, prio)
 	w.SetFallback(Flow0ID)
-	return &Unified{WFQ: w, cfg: cfg, prio: prio, levels: levels}
-}
-
-// AddGuaranteed registers a guaranteed flow with clock rate r (bits/second)
-// and shrinks flow 0's share accordingly. It panics if the link would be
-// oversubscribed (Σ r_α >= µ leaves nothing for flow 0).
-func (u *Unified) AddGuaranteed(id uint32, rate float64) {
-	if u.reserved+rate >= u.cfg.LinkRate {
-		panic(fmt.Sprintf("sched: guaranteed reservations %.0f+%.0f would exhaust link rate %.0f",
-			u.reserved, rate, u.cfg.LinkRate))
+	return &Unified{
+		isoPipeline: isoPipeline{rateScheduler: w, linkRate: cfg.LinkRate},
+		levels:      levels,
 	}
-	u.WFQ.AddFlow(id, rate)
-	u.reserved += rate
-	u.WFQ.SetRate(Flow0ID, u.cfg.LinkRate-u.reserved)
 }
-
-// RemoveGuaranteed unregisters a guaranteed flow and returns its share to
-// flow 0. A backlogged flow (mid-run departure) keeps draining at its old
-// clock rate and unregisters itself once empty; its share returns to flow 0
-// immediately, so the link is transiently oversubscribed in clock rates —
-// WFQ virtual time tolerates that, and the backlog is bounded by the
-// departing flow's token bucket.
-func (u *Unified) RemoveGuaranteed(id uint32) {
-	rate := u.WFQ.Rate(id)
-	if rate == 0 {
-		return
-	}
-	u.WFQ.RemoveFlow(id)
-	u.reserved -= rate
-	u.WFQ.SetRate(Flow0ID, u.cfg.LinkRate-u.reserved)
-}
-
-// SetGuaranteedRate renegotiates a guaranteed flow's clock rate in place,
-// adjusting flow 0's leftover share. It panics if the flow is unknown or the
-// new reservation total would exhaust the link.
-func (u *Unified) SetGuaranteedRate(id uint32, rate float64) {
-	old := u.WFQ.Rate(id)
-	if old == 0 {
-		panic(fmt.Sprintf("sched: SetGuaranteedRate on unreserved flow %d", id))
-	}
-	if u.reserved-old+rate >= u.cfg.LinkRate {
-		panic(fmt.Sprintf("sched: renegotiated reservations %.0f would exhaust link rate %.0f",
-			u.reserved-old+rate, u.cfg.LinkRate))
-	}
-	u.WFQ.SetRate(id, rate)
-	u.reserved += rate - old
-	u.WFQ.SetRate(Flow0ID, u.cfg.LinkRate-u.reserved)
-}
-
-// SetLinkRate reconfigures the output link bandwidth mid-run (scenario link
-// events). Existing reservations are preserved; flow 0 absorbs the
-// difference. It panics unless the new rate still exceeds the reserved sum.
-func (u *Unified) SetLinkRate(rate, now float64) {
-	if rate <= u.reserved {
-		panic(fmt.Sprintf("sched: link rate %.0f below reserved %.0f", rate, u.reserved))
-	}
-	u.cfg.LinkRate = rate
-	u.WFQ.SetLinkRate(rate, now)
-	u.WFQ.SetRate(Flow0ID, rate-u.reserved)
-}
-
-// Reserved returns the sum of guaranteed clock rates at this port.
-func (u *Unified) Reserved() float64 { return u.reserved }
 
 // PredictedClass returns the scheduler of predicted class i (0 = highest),
 // for measurement hooks; the returned value is a *FIFOPlus unless the
@@ -165,21 +93,6 @@ func (u *Unified) ClassDelayEstimate(i int, now float64) float64 {
 		return fp.RecentMaxDelay(now)
 	}
 	return 0
-}
-
-// Enqueue implements Scheduler: guaranteed packets are routed to their own
-// WFQ flow by flow id; everything else lands in flow 0 directly (no per-flow
-// lookup — only guaranteed flows are ever registered with the WFQ layer).
-// A guaranteed packet whose reservation is gone — the tail of a departed
-// flow still in flight from upstream hops — is demoted into flow 0 (it
-// lands in the top predicted class): the hard commitment ended with the
-// reservation, but the residue is still delivered.
-func (u *Unified) Enqueue(p *packet.Packet, now float64) {
-	if p.Class == packet.Guaranteed && u.WFQ.Rate(p.FlowID) != 0 {
-		u.WFQ.Enqueue(p, now)
-		return
-	}
-	u.WFQ.EnqueueFallback(p, now)
 }
 
 var _ Scheduler = (*Unified)(nil)

@@ -76,14 +76,14 @@ func TestUnifiedReservedAccounting(t *testing.T) {
 	if u.Reserved() != 5e5 {
 		t.Fatalf("Reserved = %v, want 5e5", u.Reserved())
 	}
-	if got := u.WFQ.Rate(Flow0ID); math.Abs(got-5e5) > 1e-9 {
+	if got := u.Rate(Flow0ID); math.Abs(got-5e5) > 1e-9 {
 		t.Fatalf("flow 0 rate = %v, want 5e5", got)
 	}
 	u.RemoveGuaranteed(1)
 	if u.Reserved() != 3e5 {
 		t.Fatalf("Reserved after remove = %v, want 3e5", u.Reserved())
 	}
-	if got := u.WFQ.Rate(Flow0ID); math.Abs(got-7e5) > 1e-9 {
+	if got := u.Rate(Flow0ID); math.Abs(got-7e5) > 1e-9 {
 		t.Fatalf("flow 0 rate after remove = %v, want 7e5", got)
 	}
 	u.RemoveGuaranteed(99) // unknown: no-op
@@ -122,11 +122,11 @@ func TestUnifiedSetLinkAndGuaranteedRate(t *testing.T) {
 	if u.Reserved() != 4e5 {
 		t.Fatalf("Reserved = %v after renegotiation, want 4e5", u.Reserved())
 	}
-	if got := u.WFQ.Rate(Flow0ID); got != 6e5 {
+	if got := u.Rate(Flow0ID); got != 6e5 {
 		t.Fatalf("flow 0 rate = %v, want 6e5", got)
 	}
 	u.SetLinkRate(8e5, 0)
-	if got := u.WFQ.Rate(Flow0ID); got != 4e5 {
+	if got := u.Rate(Flow0ID); got != 4e5 {
 		t.Fatalf("flow 0 rate after link change = %v, want 4e5", got)
 	}
 	defer func() {

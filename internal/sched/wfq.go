@@ -263,9 +263,6 @@ func (w *WFQ) Peek() *packet.Packet {
 // Len implements Scheduler.
 func (w *WFQ) Len() int { return w.n }
 
-// VirtualTime exposes the current virtual time (for tests).
-func (w *WFQ) VirtualTime() float64 { return w.vt }
-
 var _ Scheduler = (*WFQ)(nil)
 
 // NewFairQueueing returns WFQ configured as the original (unweighted) Fair

@@ -2,8 +2,8 @@
 // two-state Markov sources: a geometrically distributed burst of packets
 // emitted at peak rate P, then an exponentially distributed idle period with
 // mean I, giving average rate A with 1/A = I/B + 1/P (Appendix). The package
-// adds the other arrival processes scenarios need — constant-bit-rate (CBR),
-// Poisson, and recorded-trace replay — behind the same Source interface.
+// adds the other arrival processes scenarios need — constant-bit-rate (CBR)
+// and Poisson — behind the same Source interface.
 // Any source can be policed at the edge by a token-bucket filter (Policed),
 // with nonconforming packets dropped — exactly the paper's (A, 50) source
 // filter, and the scenario format's TokenBucket element.

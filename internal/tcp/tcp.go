@@ -199,9 +199,6 @@ func (c *Connection) Stop() {
 // Stats returns a copy of the connection statistics.
 func (c *Connection) Stats() Stats { return c.stats }
 
-// Cwnd returns the current congestion window in segments.
-func (c *Connection) Cwnd() float64 { return c.cwnd }
-
 // RTO returns the current retransmission timeout.
 func (c *Connection) RTO() float64 { return c.rto }
 

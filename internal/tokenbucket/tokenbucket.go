@@ -36,9 +36,6 @@ func New(rate, depth float64) *Bucket {
 // Rate returns the token fill rate.
 func (b *Bucket) Rate() float64 { return b.rate }
 
-// Depth returns the bucket depth.
-func (b *Bucket) Depth() float64 { return b.depth }
-
 // Tokens returns the token level at time now.
 func (b *Bucket) Tokens(now float64) float64 {
 	b.refill(now)

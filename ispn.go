@@ -156,10 +156,6 @@ type (
 	CBRConfig = source.CBRConfig
 	// PoissonConfig parameterizes a Poisson source.
 	PoissonConfig = source.PoissonConfig
-	// ReplayConfig parameterizes a recorded-arrival replay source.
-	ReplayConfig = source.ReplayConfig
-	// ReplayItem is one packet of a recorded arrival process.
-	ReplayItem = source.ReplayItem
 )
 
 // NewMarkovSource builds the paper's two-state Markov on/off source.
@@ -170,9 +166,6 @@ func NewCBRSource(cfg CBRConfig) *source.CBR { return source.NewCBR(cfg) }
 
 // NewPoissonSource builds a Poisson source.
 func NewPoissonSource(cfg PoissonConfig) *source.Poisson { return source.NewPoisson(cfg) }
-
-// NewReplaySource re-emits a recorded arrival process.
-func NewReplaySource(cfg ReplayConfig) *source.Replay { return source.NewReplay(cfg) }
 
 // NewPolicedSource wraps src with a source-side token bucket (rate in
 // packets/second, depth in packets), dropping nonconforming packets — the
