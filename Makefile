@@ -1,7 +1,6 @@
 GO ?= go
-SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: ci vet lint lint-teeth build examples test scenario-check bench-smoke bench-check bench bench-json fmt-check profile fuzz-smoke serve-smoke cover experiments-golden
+.PHONY: ci vet lint lint-teeth build examples test scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover experiments-golden
 
 ci: vet lint lint-teeth build examples test scenario-check bench-smoke bench-check fuzz-smoke serve-smoke
 
@@ -40,10 +39,12 @@ test:
 scenario-check:
 	$(GO) run ./cmd/ispnsim check scenarios/*.ispn
 
-# One-iteration benchmark smoke run: catches harness regressions (and the
-# zero-alloc steady state via -benchmem) without the cost of full timing.
+# One-iteration benchmark smoke run: catches harness regressions without the
+# cost of full timing. MillionFlows fails itself above 200 resident
+# bytes/flow; the zero-alloc steady state is gated under `test`
+# (TestFacadeSteadyStateAllocs). Timing lives in bench/ (see bench/README.md).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SimulatorThroughput|ShardedThroughput|FacadeSmallNetwork' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'SimulatorThroughput|ShardedThroughput|FacadeSmallNetwork|MillionFlows' -benchtime 1x -benchmem .
 
 # bench/ is a module of its own, so the root build, vet and test never
 # compile it: vet and test it here so that removing an API the benchmark
@@ -65,27 +66,9 @@ experiments-golden:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Tier-1 benchmark trajectory for CI: run the headline benchmarks (raw
-# throughput, zero-alloc facade steady state, heterogeneous per-link
-# pipelines) at a fixed iteration count, emit BENCH_<sha>.json (ns/op,
-# B/op, allocs/op), and
-# fail if the zero-alloc facade path regresses above 0 allocs/op. 20
-# iterations keep the wall clock low while amortizing the recorder's
-# occasional sample-storage growth out of the integer allocs/op report.
-# The bench run lands in a temp file first (not a pipe) so a failing
-# benchmark fails the target instead of vanishing behind benchjson's status.
-bench-json:
-	@$(GO) test -run '^$$' -bench 'SimulatorThroughput|ShardedThroughput|FacadeSmallNetwork|MixedDeployment|Failover|MillionFlows|CacheShowdown' \
-		-benchtime 20x -benchmem . > BENCH.out \
-		|| { cat BENCH.out; rm -f BENCH.out; exit 1; }
-	@$(GO) run ./cmd/benchjson -sha $(SHA) -out BENCH_$(SHA).json \
-		-gate-zero-allocs FacadeSmallNetwork \
-		-gate-metric-max 'MillionFlows:bytes/flow:200' < BENCH.out \
-		|| { rm -f BENCH.out; exit 1; }
-	@rm -f BENCH.out
-
-# CPU + heap profile of a representative sharded scenario run; shard
-# imbalance and barrier overhead show up as coordinator/runtime frames.
+# CPU + heap profile of the scenario library run as four event heaps in
+# lockstep windows (one goroutine): window bookkeeping shows up as
+# sim.(*Coordinator).Run frames next to the per-packet layers.
 # Inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
 profile:
 	$(GO) run ./cmd/ispnsim -shards 4 -cpuprofile cpu.pprof -memprofile mem.pprof \

@@ -250,7 +250,7 @@ func main() {
 	seed := flag.Int64("seed", 1992, "random seed (scenarios: overrides the file's Run seed)")
 	horizon := flag.Float64("horizon", 0, "scenario horizon override in simulated seconds (0 = the file's Run horizon)")
 	parallel := flag.Int("parallel", 0, "worker count for independent sub-simulations (0 = GOMAXPROCS, 1 = sequential; results are identical either way)")
-	shards := flag.Int("shards", 0, "shard one simulation across this many parallel engines (0 = sequential; scenarios: overrides the file's Net shards; reports are bit-identical)")
+	shards := flag.Int("shards", 0, "split one simulation into this many event heaps advanced in lockstep windows (single-threaded, not a speed-up; 0 = one heap; scenarios: overrides the file's Net shards; reports are bit-identical)")
 	check := flag.Bool("check", false, "run scenarios under the invariant oracle (adds an invariants section to each report)")
 	n := flag.Int("n", 100, "fuzz: number of random worlds to generate and check")
 	corpus := flag.String("corpus", "testdata/fuzz", "fuzz: directory receiving minimized failing repros")

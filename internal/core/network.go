@@ -593,7 +593,7 @@ func (f *Flow) SetCheckTap(fn func(p *packet.Packet, queueing float64)) { f.chec
 func (f *Flow) IngressEngine() *sim.Engine { return f.eng }
 
 // IngressPool returns the packet free list the flow's sources should draw
-// from (the ingress shard's pool).
+// from (the network's one pool, sharded or not).
 func (f *Flow) IngressPool() *packet.Pool { return f.ingress.Pool() }
 
 // EgressEngine returns the engine of the flow's last switch, whose clock
@@ -880,12 +880,8 @@ func (n *Network) RequestPredictedClass(id uint32, path []string, class uint8, s
 	return f, nil
 }
 
-// classFor returns the lowest-priority (cheapest) class whose advertised
-// bound still meets the delay target, or -1.
-func (n *Network) classFor(path []string, target float64) int {
-	return n.classForPorts(n.topo.PathPorts(path), target)
-}
-
+// classForPorts returns the lowest-priority (cheapest) class whose
+// advertised bound still meets the delay target, or -1.
 func (n *Network) classForPorts(ports []*topology.Port, target float64) int {
 	for class := n.pathClasses(ports) - 1; class >= 0; class-- {
 		if n.advertisedBound(ports, class) <= target {

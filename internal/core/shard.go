@@ -7,11 +7,12 @@ import (
 	"ispn/internal/sim"
 )
 
-// PartitionSpec describes how to split the network across parallel shards.
-// The partition is computed deterministically from the topology in node
-// creation order, so a fixed spec on a fixed topology always yields the
-// same assignment — the precondition for sharded runs being bit-identical
-// to sequential ones.
+// PartitionSpec describes how to split the network into shards: groups of
+// switches that each get their own event heap, advanced in lockstep windows
+// on one goroutine (see sim.Coordinator). The partition is computed
+// deterministically from the topology in node creation order, so a fixed
+// spec on a fixed topology always yields the same assignment — the
+// precondition for sharded runs being bit-identical to sequential ones.
 type PartitionSpec struct {
 	// Shards is the number of partitions (>= 1).
 	Shards int
@@ -26,9 +27,9 @@ type PartitionSpec struct {
 	Pins map[string]int
 }
 
-// SetShards partitions the network for parallel execution. Call it after
-// the topology (switches and links) is built and before any flow, source or
-// transport endpoint is created: those capture per-node engines and pools.
+// SetShards partitions the network into shards. Call it after the topology
+// (switches and links) is built and before any flow, source or transport
+// endpoint is created: those capture per-node engines.
 //
 // The partitioner unions nodes that cannot be separated — endpoints of
 // zero-propagation-delay links (a cross-shard link needs positive delay to
@@ -172,7 +173,7 @@ func (n *Network) SetShards(spec PartitionSpec) error {
 	for i, sh := range n.topo.Shards() {
 		engines[i] = sh.Engine()
 	}
-	n.coord = sim.NewCoordinator(n.eng, engines, n.topo.Lookahead(), n.topo.FlushCross)
+	n.coord = sim.NewCoordinator(n.eng, engines, n.topo.Lookahead)
 	return nil
 }
 

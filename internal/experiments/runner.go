@@ -32,10 +32,10 @@ type RunConfig struct {
 	// Seed drives every random stream of the run.
 	Seed int64
 	// Shards partitions each scenario-based simulation across that many
-	// parallel engines (0 or 1 = sequential). Reports are bit-identical
-	// either way; raw-topology experiments whose links all have zero
-	// propagation delay (the Figure-1 chain) have no shard boundary to
-	// cut and ignore it.
+	// event heaps advanced in lockstep windows (0 = one heap). Reports are
+	// bit-identical either way; raw-topology experiments whose links all
+	// have zero propagation delay (the Figure-1 chain) have no shard
+	// boundary to cut and ignore it.
 	Shards int
 }
 

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"ispn/internal/core"
 	"ispn/internal/packet"
@@ -85,9 +84,7 @@ type Oracle struct {
 	cfg   Config
 	armed bool
 
-	// vs deduplicates violations; the mutex serializes reports from shard
-	// goroutines (delivery taps run on each flow's egress engine).
-	mu sync.Mutex
+	// vs deduplicates violations.
 	vs map[string]*Violation
 
 	flows        []*flowState
@@ -214,7 +211,7 @@ func (o *Oracle) Sweep(now float64) {
 // Settled reports whether the network has gone quiet: every queue empty and
 // every packet back in a free list. The post-horizon drain polls it.
 func (o *Oracle) Settled() bool {
-	gets, puts := o.poolCounts()
+	gets, puts, _ := o.net.Pool().Stats()
 	if gets != puts {
 		return false
 	}
@@ -230,7 +227,7 @@ func (o *Oracle) Settled() bool {
 // has quiesced (sources stopped, post-horizon drain done): a packet still
 // legitimately in flight would count as leaked.
 func (o *Oracle) CheckLeaks(now float64) {
-	gets, puts := o.poolCounts()
+	gets, puts, _ := o.net.Pool().Stats()
 	if gets != puts {
 		o.record(CheckLeak, "packet.Pool", now, fmt.Sprintf(
 			"%d packet(s) unaccounted for (%d gets, %d puts)", gets-puts, gets, puts))
@@ -241,21 +238,6 @@ func (o *Oracle) CheckLeaks(now float64) {
 				fmt.Sprintf("%d packet(s) still queued after drain", n))
 		}
 	}
-}
-
-// poolCounts sums get/put counters across every free list in play. Sharding
-// adopts packets between per-shard pools, so individual pools do not
-// balance — only the sum does.
-func (o *Oracle) poolCounts() (gets, puts int64) {
-	topo := o.net.Topology()
-	g, p, _ := topo.Pool().Stats()
-	gets, puts = g, p
-	for _, sh := range topo.Shards() {
-		g, p, _ := sh.Pool().Stats()
-		gets += g
-		puts += p
-	}
-	return gets, puts
 }
 
 // Totals summarizes the run: call after it completes. Violations are sorted
@@ -278,8 +260,6 @@ func (o *Oracle) Totals() Totals {
 }
 
 func (o *Oracle) record(checker, subject string, now float64, detail string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	key := checker + "|" + subject
 	v := o.vs[key]
 	if v == nil {
@@ -289,9 +269,8 @@ func (o *Oracle) record(checker, subject string, now float64, detail string) {
 	v.Count++
 }
 
-// flowState is the per-flow bound checker. All fields except the violation
-// map (reached through o.record) are touched only by the flow's egress
-// engine goroutine, so no lock is needed on the delivery fast path.
+// flowState is the per-flow bound checker, fed by the delivery tap on the
+// flow's egress engine.
 type flowState struct {
 	o       *Oracle
 	f       *core.Flow

@@ -121,6 +121,47 @@ func TestLeakDetection(t *testing.T) {
 	}
 }
 
+// TestShardedFloodReusesOnePool: a one-way flood across a shard boundary
+// frees every packet on the far side of the link. With the one shared pool
+// those frees feed the sender's next Get, so fresh allocation stops after
+// warm-up and the leak check balances on that pool alone.
+func TestShardedFloodReusesOnePool(t *testing.T) {
+	n := core.New(core.Config{Seed: 5, LinkRate: 1e6})
+	n.AddSwitch("A")
+	n.AddSwitch("B")
+	n.ConnectWith("A", "B", 1e6, 0.005, nil)
+	if err := n.SetShards(core.PartitionSpec{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if n.ShardOf("A") == n.ShardOf("B") {
+		t.Fatal("A and B share a shard; the flood would not cross")
+	}
+	f, err := n.AddDatagramFlow(1, []string{"A", "B"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := source.NewCBR(source.CBRConfig{FlowID: 1, Class: packet.Datagram, SizeBits: 1000, Rate: 900, RNG: n.RNG("flood")})
+	source.AttachPool(src, f.IngressPool())
+	src.Start(f.IngressEngine(), func(p *packet.Packet) { f.Inject(p) })
+	o := Attach(n, Config{})
+	o.Arm(4)
+	n.Run(2)
+	_, _, warm := n.Pool().Stats()
+	n.Run(4)
+	gets, _, news := n.Pool().Stats()
+	if news != warm {
+		t.Errorf("fresh allocations grew from %d to %d after warm-up (%d gets)", warm, news, gets)
+	}
+	if f.Delivered() < 3000 {
+		t.Fatalf("only %d packets crossed; the flood did not run", f.Delivered())
+	}
+	drain(t, n, o, []source.Source{src})
+	o.CheckLeaks(n.Engine().Now())
+	if tot := o.Totals(); tot.Failed() {
+		t.Fatalf("sharded flood reported violations: %v", tot.Violations)
+	}
+}
+
 func TestRateCutDoesNotFireCapacity(t *testing.T) {
 	// A live rate cut can leave existing reservations above the new
 	// reservable share; that is the operator's doing, not admission's,

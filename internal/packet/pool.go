@@ -1,7 +1,8 @@
 package packet
 
-// Pool is a single-threaded free list of Packet structs, one per simulation
-// engine, so steady-state simulation allocates zero packets: every packet a
+// Pool is a single-threaded free list of Packet structs, one per network
+// (shared by every shard of a sharded run), so steady-state simulation
+// allocates zero packets: every packet a
 // source generates is one a sink or drop site released earlier.
 //
 // # Ownership rules
@@ -65,47 +66,6 @@ func (pl *Pool) Put(p *Packet) {
 // Stats reports pool traffic: total Gets, Puts, and fresh allocations. In a
 // leak-free steady state news stops growing.
 func (pl *Pool) Stats() (gets, puts, news int64) { return pl.gets, pl.puts, pl.news }
-
-// Adopt transfers ownership of an in-flight packet to this pool, so its
-// eventual Release lands here instead of in the pool it was drawn from.
-// The sharded engine calls it at barriers when a packet crosses a shard
-// boundary: after adoption every Release of the packet is local to the
-// receiving shard, which is what keeps pool free lists single-threaded.
-// Safe on nil and on unpooled packets (they stay unpooled).
-func (pl *Pool) Adopt(p *Packet) {
-	if p == nil || p.origin == nil || p.origin == pl {
-		return
-	}
-	p.origin = pl
-}
-
-// FreeLen returns the number of packets on the free list.
-func (pl *Pool) FreeLen() int { return len(pl.free) }
-
-// TransferFree moves up to n packets from this pool's free list to dst and
-// returns how many moved. The sharded engine uses it at barriers to
-// rebalance: a packet adopted across a boundary is eventually freed on the
-// receiving shard, so unidirectional cross-shard traffic would otherwise
-// drain the sender's free list forever and force fresh allocations.
-// Free-list membership never affects simulation results (Get zeroes and
-// re-stamps every packet), so rebalancing is invisible to determinism.
-func (pl *Pool) TransferFree(dst *Pool, n int) int {
-	if dst == nil || dst == pl || n <= 0 {
-		return 0
-	}
-	if n > len(pl.free) {
-		n = len(pl.free)
-	}
-	k := len(pl.free) - n
-	for _, p := range pl.free[k:] {
-		dst.free = append(dst.free, p)
-	}
-	for i := k; i < len(pl.free); i++ {
-		pl.free[i] = nil
-	}
-	pl.free = pl.free[:k]
-	return n
-}
 
 // Release returns p to the pool it came from, if any. It is the universal
 // drop-site/delivery hook: safe on nil and on packets allocated outside any

@@ -27,8 +27,9 @@ type Options struct {
 	// positive.
 	Horizon float64
 	// Shards overrides the file's Net shards count when positive, splitting
-	// the network across that many parallel engines. Reports are
-	// bit-identical whatever the value.
+	// the network across that many event heaps advanced in lockstep
+	// windows (single-threaded). Reports are bit-identical whatever the
+	// value.
 	Shards int
 	// Trace overrides the file's Run trace interval (simulated seconds)
 	// when positive, turning on per-interval trace rows for scenarios that
@@ -111,8 +112,8 @@ type Sim struct {
 	Percentiles []float64
 	Flows       []*SimFlow
 	TCPs        []*SimTCP
-	// Shards is the effective engine count of this compile (0 = the
-	// classic sequential engine).
+	// Shards is the effective event-heap count of this compile (0 = the
+	// classic one-heap engine).
 	Shards int
 
 	starts []func()
@@ -351,7 +352,7 @@ func (s *Sim) quiesce() {
 		t.Conn.Stop()
 	}
 	// Bounded drain rounds: each extends simulated time, which flushes
-	// queues, cross-shard buffers and in-flight transmissions. A clean run
+	// queues and in-flight transmissions. A clean run
 	// settles in a round or two; a leak never settles and is reported.
 	for i := 0; i < 40 && !s.oracle.Settled(); i++ {
 		s.Net.Run(0.5)
@@ -555,7 +556,7 @@ func (c *compiler) compile() *Sim {
 		}
 	}
 
-	// Pass 4.5: partition the network for parallel execution — after the
+	// Pass 4.5: partition the network into shards — after the
 	// topology is final, before any flow or connection captures a per-node
 	// engine. Every TCP declaration contributes a Together constraint (a
 	// connection's endpoints must share a shard); Switch(shard N) pins are

@@ -196,8 +196,7 @@ type Pipeline interface {
 // given link rate.
 type Builder func(p Profile, linkRate float64) Pipeline
 
-// pipelines is the kind registry. Built-in kinds are registered below;
-// RegisterPipeline accepts new ones.
+// pipelines is the fixed table of pipeline kinds.
 var pipelines = map[string]Builder{
 	KindUnified:      newUnifiedPipeline,
 	KindWFQ:          newWFQPipeline,
@@ -209,16 +208,7 @@ var pipelines = map[string]Builder{
 	},
 }
 
-// RegisterPipeline adds (or replaces) a named pipeline builder. It panics on
-// an empty name or nil builder.
-func RegisterPipeline(kind string, b Builder) {
-	if kind == "" || b == nil {
-		panic("sched: RegisterPipeline needs a kind name and a builder")
-	}
-	pipelines[kind] = b
-}
-
-// PipelineKinds returns the registered kind names, sorted.
+// PipelineKinds returns the kind names, sorted.
 func PipelineKinds() []string {
 	out := make([]string, 0, len(pipelines))
 	for k := range pipelines {

@@ -63,21 +63,15 @@ func TestRunUntilBefore(t *testing.T) {
 
 // xworld is a miniature two-node world used to run one workload both
 // sequentially and sharded. Each logical node logs its events to its own
-// slice (a shard worker may only touch its own state mid-window) and sends
-// timestamped messages to the other node with a fixed propagation delay.
+// slice and sends timestamped messages to the other node with a fixed
+// propagation delay, scheduling the arrival straight into the peer's engine
+// the way a remote port does.
 type xworld struct {
 	engA, engB *Engine // the same engine in sequential mode
 	logA, logB []string
 	logC       []string // control-engine log
 
 	lookahead float64
-	// buffered cross sends (sharded mode only): flushed at barriers.
-	toB, toA []xmsg
-}
-
-type xmsg struct {
-	t     float64
-	label string
 }
 
 func (w *xworld) noteA(label string) {
@@ -88,23 +82,15 @@ func (w *xworld) noteB(label string) {
 }
 
 // build schedules the workload: periodic ticks on both nodes, each tick
-// sending to the peer; control ticks interleave at coinciding timestamps.
-func (w *xworld) build(ctrl *Engine, sharded bool) {
+// sending to the peer; control ticks interleave at coinciding timestamps,
+// and the one at 0.5 shortens the propagation delay (a coordinator that
+// kept the old, wider lookahead would deliver the later sends late).
+func (w *xworld) build(ctrl *Engine) {
 	sendAB := func(label string) {
-		at := w.engA.Now() + w.lookahead
-		if sharded {
-			w.toB = append(w.toB, xmsg{t: at, label: label})
-		} else {
-			w.engB.AtCallKeyed(at, KeyDelivery+0, func(a any) { w.noteB("recv " + a.(string)) }, label)
-		}
+		w.engB.AtCallKeyed(w.engA.Now()+w.lookahead, KeyDelivery+0, func(a any) { w.noteB("recv " + a.(string)) }, label)
 	}
 	sendBA := func(label string) {
-		at := w.engB.Now() + w.lookahead
-		if sharded {
-			w.toA = append(w.toA, xmsg{t: at, label: label})
-		} else {
-			w.engA.AtCallKeyed(at, KeyDelivery+1, func(a any) { w.noteA("recv " + a.(string)) }, label)
-		}
+		w.engA.AtCallKeyed(w.engB.Now()+w.lookahead, KeyDelivery+1, func(a any) { w.noteA("recv " + a.(string)) }, label)
 	}
 	var tickA, tickB func()
 	tickA = func() {
@@ -127,28 +113,14 @@ func (w *xworld) build(ctrl *Engine, sharded bool) {
 		at := at
 		ctrl.AtControl(at, func() { w.logC = append(w.logC, fmt.Sprintf("%.4f ctrl", at)) })
 	}
-}
-
-// flush injects buffered cross sends, port order A->B then B->A, matching
-// the keys the sequential build uses.
-func (w *xworld) flush() {
-	for _, m := range w.toB {
-		m := m
-		w.engB.AtCallKeyed(m.t, KeyDelivery+0, func(a any) { w.noteB("recv " + a.(string)) }, m.label)
-	}
-	w.toB = w.toB[:0]
-	for _, m := range w.toA {
-		m := m
-		w.engA.AtCallKeyed(m.t, KeyDelivery+1, func(a any) { w.noteA("recv " + a.(string)) }, m.label)
-	}
-	w.toA = w.toA[:0]
+	ctrl.AtControl(0.5, func() { w.lookahead = 0.02 })
 }
 
 // runSequential runs the workload on one engine to the horizon.
 func runSequential(horizon float64) *xworld {
 	eng := New()
 	w := &xworld{engA: eng, engB: eng, lookahead: 0.05}
-	w.build(eng, false)
+	w.build(eng)
 	eng.RunUntil(horizon)
 	return w
 }
@@ -158,8 +130,8 @@ func runSequential(horizon float64) *xworld {
 func runSharded(segments ...float64) *xworld {
 	ctrl := New()
 	w := &xworld{engA: New(), engB: New(), lookahead: 0.05}
-	w.build(ctrl, true)
-	coord := NewCoordinator(ctrl, []*Engine{w.engA, w.engB}, w.lookahead, w.flush)
+	w.build(ctrl)
+	coord := NewCoordinator(ctrl, []*Engine{w.engA, w.engB}, func() float64 { return w.lookahead })
 	for _, to := range segments {
 		coord.Run(to)
 	}
@@ -188,7 +160,7 @@ func TestCoordinatorMatchesSequential(t *testing.T) {
 }
 
 // TestCoordinatorSegmentedRun: Run(0.6) then Run(1.2) equals one Run(1.2) —
-// cross-shard sends buffered across the segment boundary are not lost.
+// cross-shard sends in flight across the segment boundary are not lost.
 func TestCoordinatorSegmentedRun(t *testing.T) {
 	one := runSharded(1.2)
 	two := runSharded(0.6, 1.2)
@@ -202,14 +174,14 @@ func TestCoordinatorSegmentedRun(t *testing.T) {
 }
 
 // TestCoordinatorLookaheadGuard: a non-positive lookahead would make windows
-// zero-width; the constructor refuses it outright.
+// zero-width; the run refuses it at the barrier instead of spinning.
 func TestCoordinatorLookaheadGuard(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero lookahead did not panic")
 		}
 	}()
-	NewCoordinator(New(), []*Engine{New()}, 0, nil)
+	NewCoordinator(New(), []*Engine{New()}, func() float64 { return 0 }).Run(1)
 }
 
 // TestCoordinatorInfiniteLookahead: with no cross-shard links the lookahead
@@ -220,7 +192,7 @@ func TestCoordinatorInfiniteLookahead(t *testing.T) {
 	var got []string
 	shard.At(0.5, func() { got = append(got, "data") })
 	ctrl.AtControl(0.5, func() { got = append(got, "ctrl") })
-	coord := NewCoordinator(ctrl, []*Engine{shard}, math.Inf(1), nil)
+	coord := NewCoordinator(ctrl, []*Engine{shard}, func() float64 { return math.Inf(1) })
 	coord.Run(1.0)
 	if fmt.Sprint(got) != "[ctrl data]" {
 		t.Fatalf("order = %v, want [ctrl data]", got)

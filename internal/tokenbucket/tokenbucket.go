@@ -139,45 +139,3 @@ func MinDepth(rate float64, times, sizes []float64) float64 {
 	}
 	return need
 }
-
-// Leaky is a fluid leaky bucket shaper of rate r: bits drain at a constant
-// rate and excess queues. The paper uses it to motivate the Parekh–Gallager
-// bound: a flow shaped through a leaky bucket of its clock rate sees all its
-// queueing at the shaper.
-type Leaky struct {
-	rate    float64
-	backlog float64
-	last    float64
-}
-
-// NewLeaky returns a shaper draining at the given rate.
-func NewLeaky(rate float64) *Leaky {
-	if rate <= 0 {
-		panic("tokenbucket: leaky rate must be positive")
-	}
-	return &Leaky{rate: rate}
-}
-
-// Arrive adds size units at time now and returns the delay the last bit of
-// this arrival experiences in the shaper.
-func (l *Leaky) Arrive(now, size float64) float64 {
-	l.drain(now)
-	l.backlog += size
-	return l.backlog / l.rate
-}
-
-// Backlog returns the queued fluid at time now.
-func (l *Leaky) Backlog(now float64) float64 {
-	l.drain(now)
-	return l.backlog
-}
-
-func (l *Leaky) drain(now float64) {
-	if now > l.last {
-		l.backlog -= (now - l.last) * l.rate
-		if l.backlog < 0 {
-			l.backlog = 0
-		}
-		l.last = now
-	}
-}

@@ -222,32 +222,10 @@ func geometric(rng *rand.Rand, mean float64) int {
 	return n
 }
 
-func TestLeakyDelayBound(t *testing.T) {
-	// A burst of b units into a leaky bucket of rate r delays the last
-	// bit by b/r — the intuition behind the Parekh-Gallager bound.
-	l := NewLeaky(10)
-	d := l.Arrive(0, 50)
-	if math.Abs(d-5) > 1e-12 {
-		t.Fatalf("delay = %v, want 5 (= b/r)", d)
-	}
-}
-
-func TestLeakyDrains(t *testing.T) {
-	l := NewLeaky(10)
-	l.Arrive(0, 50)
-	if got := l.Backlog(2); math.Abs(got-30) > 1e-12 {
-		t.Fatalf("Backlog(2) = %v, want 30", got)
-	}
-	if got := l.Backlog(100); got != 0 {
-		t.Fatalf("Backlog(100) = %v, want 0", got)
-	}
-}
-
 func TestConstructorPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { New(0, 1) },
 		func() { New(1, 0) },
-		func() { NewLeaky(0) },
 	} {
 		func() {
 			defer func() {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -50,7 +51,8 @@ func TestConfigureShardsValidation(t *testing.T) {
 }
 
 // TestConfigureShardsWiring checks the partition bookkeeping: per-shard
-// engines and pools, remote marking, and the lookahead.
+// engines over the network's one pool, remote marking, and a lookahead that
+// follows the cross-shard delays.
 func TestConfigureShardsWiring(t *testing.T) {
 	eng := sim.New()
 	n := NewNetwork(eng)
@@ -76,8 +78,8 @@ func TestConfigureShardsWiring(t *testing.T) {
 	if a.Engine() == eng || c.Engine() == eng {
 		t.Error("a shard reuses the control engine")
 	}
-	if a.Pool() != b.Pool() || a.Pool() == c.Pool() {
-		t.Error("shard pools mis-assigned")
+	if a.Pool() != n.Pool() || c.Pool() != n.Pool() || n.Shards()[1].Pool() != n.Pool() {
+		t.Error("a shard does not share the network's pool")
 	}
 	if a.ShardIndex() != 0 || c.ShardIndex() != 1 {
 		t.Errorf("shard indices = %d/%d, want 0/1", a.ShardIndex(), c.ShardIndex())
@@ -88,68 +90,63 @@ func TestConfigureShardsWiring(t *testing.T) {
 			t.Errorf("port %s remote = %v, want %v", pt.Name(), pt.Remote(), wantRemote)
 		}
 	}
-	// Lowering a cross-shard delay below the lookahead would break the
-	// conservative window; SetPropDelay must refuse.
-	for _, pt := range n.Ports() {
-		if pt.Remote() && pt.PropDelay() > 0.004 {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("SetPropDelay below lookahead on a remote port did not panic")
-					}
-				}()
-				pt.SetPropDelay(0.001)
-			}()
-		}
+	// A delay change on a cross-shard link moves the lookahead with it, in
+	// both directions; one on a local link does not.
+	c.Port("B").SetPropDelay(0.001)
+	if got := n.Lookahead(); got != 0.001 {
+		t.Errorf("lookahead after lowering C->B = %v, want 0.001", got)
+	}
+	c.Port("B").SetPropDelay(0.02)
+	if got := n.Lookahead(); got != 0.004 {
+		t.Errorf("lookahead after raising C->B = %v, want 0.004", got)
+	}
+	a.Port("B").SetPropDelay(0.0005)
+	if got := n.Lookahead(); got != 0.004 {
+		t.Errorf("lookahead after a local delay change = %v, want 0.004", got)
 	}
 }
 
-// TestFlushCrossDelivery: buffered cross-shard sends drain at a flush into
-// the destination engine with delivery ordering, and the packet is adopted
-// by the destination pool (its release refills the remote free list, with a
-// free packet transferred back to keep pools balanced).
-func TestFlushCrossDelivery(t *testing.T) {
+// TestRemoteDelivery: a remote port schedules its packet on the destination
+// shard's engine, at transmit-complete + propagation delay and with the
+// port's delivery key, and the release lands in the one shared pool.
+func TestRemoteDelivery(t *testing.T) {
 	ctrl := sim.New()
 	n := NewNetwork(ctrl)
 	n.AddNode("A")
 	n.AddNode("B")
-	n.AddLink("A", "B", sched.NewFIFO(), 1e6, 0.005)
+	n.AddLink("B", "A", sched.NewFIFO(), 1e6, 0.005)
+	pt := n.AddLink("A", "B", sched.NewFIFO(), 1e6, 0.005) // Index 1
 	if err := n.ConfigureShards([]int{0, 1}, 2); err != nil {
 		t.Fatalf("ConfigureShards: %v", err)
 	}
 	n.InstallRoute(7, []string{"A", "B"})
-	var got int
-	var at []float64
-	dst := n.Node("B")
-	dst.SetSink(7, func(p *packet.Packet) {
-		got++
-		at = append(at, dst.Engine().Now())
-	})
-	srcPool := n.Node("A").Pool()
-	p := srcPool.Get()
+	src, dst := n.Node("A"), n.Node("B")
+	var order []string
+	dst.SetSink(7, func(p *packet.Packet) { order = append(order, "deliver") })
+	p := n.Pool().Get()
 	p.FlowID = 7
 	p.Size = 1000
-	n.Inject("A", p)
-
-	// Drive the shards by hand: A transmits (1 ms on 1 Mb/s), buffers the
-	// send; a flush then injects the delivery at 1 ms + 5 ms into B.
-	coord := sim.NewCoordinator(ctrl, []*sim.Engine{n.Node("A").Engine(), dst.Engine()}, n.Lookahead(), n.FlushCross)
-	coord.Run(0.01)
-	if got != 1 {
-		t.Fatalf("delivered %d packets, want 1", got)
+	src.Inject(p)
+	// A transmits for 1 ms on 1 Mb/s; at transmit-complete the delivery
+	// must already sit in B's heap, 5 ms out, before B has run at all.
+	src.Engine().RunUntil(0.001)
+	if a, b := src.Engine().Pending(), dst.Engine().Pending(); a != 0 || b != 1 {
+		t.Fatalf("after the send: %d event(s) on the sending engine, %d on the destination, want 0 and 1", a, b)
 	}
-	if math.Abs(at[0]-0.006) > 1e-12 {
-		t.Errorf("delivery at %v, want 0.006", at[0])
+	at := dst.Engine().NextEventTime()
+	if math.Abs(at-0.006) > 1e-12 {
+		t.Errorf("delivery scheduled for %v, want 0.006", at)
 	}
-	// Adoption: the topology released the packet after the sink returned,
-	// and the release must have landed in B's pool, not A's.
-	if _, puts, _ := dst.Pool().Stats(); puts != 1 {
-		t.Errorf("destination pool puts = %d, want 1 (packet adopted on crossing)", puts)
+	// Same-instant neighbours on the destination engine with the keys just
+	// below and above the port's: the delivery must fire between them.
+	key := sim.KeyDelivery + uint32(pt.Index())
+	dst.Engine().AtCallKeyed(at, key+1, func(any) { order = append(order, "after") }, nil)
+	dst.Engine().AtCallKeyed(at, key-1, func(any) { order = append(order, "before") }, nil)
+	sim.NewCoordinator(ctrl, []*sim.Engine{src.Engine(), dst.Engine()}, n.Lookahead).Run(0.01)
+	if fmt.Sprint(order) != "[before deliver after]" {
+		t.Errorf("same-instant order = %v, want [before deliver after]", order)
 	}
-	if _, puts, _ := srcPool.Stats(); puts != 0 {
-		t.Errorf("source pool puts = %d, want 0", puts)
-	}
-	if dst.Pool().FreeLen() != 1 {
-		t.Errorf("destination free list = %d, want 1", dst.Pool().FreeLen())
+	if gets, puts, _ := n.Pool().Stats(); gets != 1 || puts != 1 {
+		t.Errorf("pool gets/puts = %d/%d, want 1/1", gets, puts)
 	}
 }

@@ -27,7 +27,7 @@ type Sink func(p *packet.Packet)
 // Network is a collection of nodes and directed links driven by one engine —
 // or, after ConfigureShards, by one engine per shard plus the original
 // engine acting as the control engine (timeline verbs, churn, trace
-// sampling), synchronized by a sim.Coordinator.
+// sampling), advanced in lockstep windows by a sim.Coordinator.
 type Network struct {
 	eng   *sim.Engine
 	pool  *packet.Pool
@@ -36,7 +36,6 @@ type Network struct {
 	ports []*Port // every port, in creation order (= Port.Index order)
 
 	shards    []*Shard
-	xports    []*Port // cross-shard ports, in Index order
 	lookahead float64 // min cross-shard propagation delay (+Inf if none)
 }
 
@@ -63,7 +62,6 @@ func (n *Network) AddNode(name string) *Node {
 		name:  name,
 		net:   n,
 		eng:   n.eng,
-		pool:  n.pool,
 		ports: make(map[string]*Port),
 		next:  make(map[uint32]*Port),
 		sinks: make(map[uint32]Sink),
@@ -204,8 +202,7 @@ const directTableMax = 1 << 16
 type Node struct {
 	name      string
 	net       *Network
-	eng       *sim.Engine  // the engine this node's events run on (its shard's)
-	pool      *packet.Pool // the free list this node's traffic draws from
+	eng       *sim.Engine // the engine this node's events run on (its shard's)
 	shard     int
 	ports     map[string]*Port
 	portOrder []*Port
@@ -228,9 +225,9 @@ func (nd *Node) Name() string { return nd.name }
 // must use this engine, not the network's.
 func (nd *Node) Engine() *sim.Engine { return nd.eng }
 
-// Pool returns the packet free list for traffic injected at this node (the
-// owning shard's pool after ConfigureShards).
-func (nd *Node) Pool() *packet.Pool { return nd.pool }
+// Pool returns the packet free list for traffic injected at this node: the
+// network's one pool, sharded or not.
+func (nd *Node) Pool() *packet.Pool { return nd.net.pool }
 
 // ShardIndex returns the shard owning this node (0 when unsharded).
 func (nd *Node) ShardIndex() int { return nd.shard }
@@ -327,13 +324,6 @@ type Port struct {
 	busy       bool
 	retryArmed bool // a wake-up is scheduled for a non-work-conserving scheduler
 	remote     bool // link crosses a shard boundary (set by ConfigureShards)
-
-	// xq buffers packets bound for a remote shard: onTxDone appends
-	// (arrival time, packet) here instead of scheduling the delivery, and
-	// the coordinator's barrier flush drains it into the destination
-	// shard's engine. The slice is reused across barriers, so the steady
-	// state allocates nothing.
-	xq []xentry
 
 	// txDone/deliver are the prebound transmit-complete and
 	// propagation-arrival event callbacks (see AddLink).
@@ -445,19 +435,18 @@ func (pt *Port) SetBandwidth(r float64) {
 func (pt *Port) PropDelay() float64 { return pt.propDelay }
 
 // SetPropDelay changes the propagation delay mid-run; packets already on the
-// wire keep the old delay. On a link that crosses a shard boundary the new
-// delay must stay at or above the partition's lookahead — the coordinator's
-// window width was fixed from the minimum cross-shard delay at partition
-// time, and a shorter delay could deliver into a window already running.
+// wire keep the old delay. On a link that crosses a shard boundary it also
+// re-derives the partition's lookahead. In a sharded run delays change only
+// at barriers (control events), and the coordinator reads the lookahead
+// after them, so the next window is already sized for the new delay.
 func (pt *Port) SetPropDelay(d float64) {
 	if d < 0 {
 		panic("topology: propagation delay must be non-negative")
 	}
-	if pt.remote && d < pt.node.net.lookahead {
-		panic(fmt.Sprintf("topology: cross-shard link %s propagation delay %.9gs below shard lookahead %.9gs",
-			pt.name, d, pt.node.net.lookahead))
-	}
 	pt.propDelay = d
+	if pt.remote {
+		pt.node.net.deriveLookahead()
+	}
 }
 
 // Remote reports whether the link crosses a shard boundary.
@@ -689,35 +678,26 @@ func (pt *Port) transmitNext() {
 // Propagation deliveries are keyed by the port index (sim.KeyDelivery +
 // Index) in sharded AND sequential mode, so same-instant deliveries fire in
 // global port order regardless of which engine scheduled them — the
-// tie-break that makes sharded runs bit-identical. A remote port cannot
-// touch the destination shard's engine mid-window; it buffers the delivery
-// in xq for the coordinator's barrier flush instead.
+// tie-break that makes sharded runs bit-identical. A remote port schedules
+// the delivery on the destination shard's engine: the arrival lies at or
+// beyond the end of the current window (propDelay >= lookahead), so it is
+// never in the receiver's past.
 func (pt *Port) onTxDone(arg any) {
 	p := arg.(*packet.Packet)
 	p.Hops++
-	if pt.remote {
-		pt.xq = append(pt.xq, xentry{t: pt.node.eng.Now() + pt.propDelay, p: p})
-	} else if pt.propDelay > 0 {
-		eng := pt.node.eng
-		eng.AtCallKeyed(eng.Now()+pt.propDelay, sim.KeyDelivery+uint32(pt.index), pt.deliver, p)
+	if pt.propDelay > 0 {
+		pt.dst.eng.AtCallKeyed(pt.node.eng.Now()+pt.propDelay, sim.KeyDelivery+uint32(pt.index), pt.deliver, p)
 	} else {
 		pt.dst.receive(p)
 	}
 	pt.transmitNext()
 }
 
-// xentry is one buffered cross-shard delivery: the packet and its arrival
-// time at the far end.
-type xentry struct {
-	t float64
-	p *packet.Packet
-}
-
 // --- sharding ---------------------------------------------------------------
 
 // Shard is one partition of a sharded network: a set of nodes sharing one
-// event loop and one packet free list. Shards are created by
-// ConfigureShards; a sim.Coordinator advances them in lockstep windows.
+// event heap. Shards are created by ConfigureShards; a sim.Coordinator
+// advances them in lockstep windows.
 type Shard struct {
 	index int
 	eng   *sim.Engine
@@ -727,27 +707,28 @@ type Shard struct {
 // Index returns the shard's position.
 func (s *Shard) Index() int { return s.index }
 
-// Engine returns the shard's event loop.
+// Engine returns the shard's engine.
 func (s *Shard) Engine() *sim.Engine { return s.eng }
 
-// Pool returns the shard's packet free list.
+// Pool returns the packet free list the shard's nodes draw from — the
+// network's one pool, which every shard shares.
 func (s *Shard) Pool() *packet.Pool { return s.pool }
 
 // ConfigureShards partitions the network: assign maps each node (in
 // creation order, matching Nodes()) to a shard in [0, nshards). Every node
-// in a shard is re-pointed at the shard's fresh engine and packet pool; the
-// network's original engine becomes the control engine (Engine() still
-// returns it), on which timeline verbs, churn and trace sampling run
-// between shard windows. Links whose endpoints land in different shards
-// become remote ports; each must have a positive propagation delay — the
-// minimum over them is the partition's conservative lookahead, returned by
-// Lookahead(). A zero-delay cross-shard link is a configuration error (it
-// would force a zero-width synchronization window, i.e. a deadlock), so it
-// is diagnosed here rather than discovered as a hang.
+// in a shard is re-pointed at the shard's fresh engine; the network's
+// original engine becomes the control engine (Engine() still returns it),
+// on which timeline verbs, churn and trace sampling run between shard
+// windows. Links whose endpoints land in different shards become remote
+// ports; each must have a positive propagation delay — the minimum over
+// them is the partition's conservative lookahead, returned by Lookahead().
+// A zero-delay cross-shard link is a configuration error (it would force a
+// zero-width synchronization window), so it is diagnosed here rather than
+// discovered as a hang.
 //
 // Call it after the topology is built and before any flow state, source or
-// transport endpoint captures a node's engine or pool. It may be called at
-// most once.
+// transport endpoint captures a node's engine. It may be called at most
+// once.
 func (n *Network) ConfigureShards(assign []int, nshards int) error {
 	if n.shards != nil {
 		return fmt.Errorf("topology: network already sharded")
@@ -765,16 +746,12 @@ func (n *Network) ConfigureShards(assign []int, nshards int) error {
 	}
 	shards := make([]*Shard, nshards)
 	for i := range shards {
-		shards[i] = &Shard{index: i, eng: sim.New(), pool: packet.NewPool()}
+		shards[i] = &Shard{index: i, eng: sim.New(), pool: n.pool}
 	}
 	for i, nd := range n.order {
-		sh := shards[assign[i]]
-		nd.shard = sh.index
-		nd.eng = sh.eng
-		nd.pool = sh.pool
+		nd.shard = assign[i]
+		nd.eng = shards[assign[i]].eng
 	}
-	lookahead := math.Inf(1)
-	var xports []*Port
 	for _, pt := range n.ports {
 		if pt.node.shard == pt.dst.shard {
 			continue
@@ -784,15 +761,21 @@ func (n *Network) ConfigureShards(assign []int, nshards int) error {
 				pt.name, pt.node.shard, pt.dst.shard)
 		}
 		pt.remote = true
-		xports = append(xports, pt)
-		if pt.propDelay < lookahead {
-			lookahead = pt.propDelay
-		}
 	}
 	n.shards = shards
-	n.xports = xports
-	n.lookahead = lookahead
+	n.deriveLookahead()
 	return nil
+}
+
+// deriveLookahead recomputes the minimum propagation delay over the
+// cross-shard links.
+func (n *Network) deriveLookahead() {
+	n.lookahead = math.Inf(1)
+	for _, pt := range n.ports {
+		if pt.remote && pt.propDelay < n.lookahead {
+			n.lookahead = pt.propDelay
+		}
+	}
 }
 
 // Sharded reports whether ConfigureShards has been applied.
@@ -808,34 +791,4 @@ func (n *Network) Lookahead() float64 {
 		return math.Inf(1)
 	}
 	return n.lookahead
-}
-
-// FlushCross drains every remote port's buffered deliveries into the
-// destination shards' engines. The coordinator calls it at each barrier,
-// with every worker parked and all clocks equal, so it is single-threaded.
-//
-// Determinism: ports drain in Index order and each queue in send order, and
-// the delivery events carry the port-index ordering key, so same-instant
-// arrivals sort identically to the sequential engine no matter which shard
-// sent them or which barrier injected them. Each packet is adopted by the
-// destination shard's pool (its eventual release becomes shard-local), and
-// the same number of free packets flows back to the sender's pool so
-// one-way cross-shard traffic cannot drain a pool into endless fresh
-// allocation. Pool membership never affects results, only allocation.
-func (n *Network) FlushCross() {
-	for _, pt := range n.xports {
-		if len(pt.xq) == 0 {
-			continue
-		}
-		dst := pt.dst
-		key := sim.KeyDelivery + uint32(pt.index)
-		for i := range pt.xq {
-			e := &pt.xq[i]
-			dst.pool.Adopt(e.p)
-			dst.eng.AtCallKeyed(e.t, key, pt.deliver, e.p)
-			e.p = nil
-		}
-		dst.pool.TransferFree(pt.node.pool, len(pt.xq))
-		pt.xq = pt.xq[:0]
-	}
 }

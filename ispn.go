@@ -74,10 +74,11 @@ type (
 	// Network.SetRouting): automatic reroute on FailLink, path policy
 	// (shortest/spread) and link cost (hops/delay/load).
 	RoutingConfig = core.RoutingConfig
-	// PartitionSpec configures sharded parallel execution (pass to
-	// Network.SetShards before creating flows): shard count, Together
-	// constraints and per-switch pins. A sharded run is bit-identical to
-	// the sequential engine on the same assignment.
+	// PartitionSpec configures a sharded run (pass to Network.SetShards
+	// before creating flows): shard count, Together constraints and
+	// per-switch pins. A sharded run advances one event heap per shard in
+	// lockstep windows on the calling goroutine, bit-identically to the
+	// one-heap engine.
 	PartitionSpec = core.PartitionSpec
 	// Profile is a per-port scheduling profile: discipline kind, sharing
 	// mode, class targets, datagram quota and FIFO+ gain. Pass one to
@@ -106,8 +107,7 @@ const (
 	PolicySpread   = core.PolicySpread
 )
 
-// Per-port pipeline kinds for Profile.Kind (see sched.PipelineKinds for the
-// live registry, which RegisterPipeline can extend).
+// Per-port pipeline kinds for Profile.Kind.
 const (
 	KindUnified      = sched.KindUnified
 	KindWFQ          = sched.KindWFQ
