@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: ci vet lint lint-teeth build examples test scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover experiments-golden
 
-ci: vet lint lint-teeth build examples test scenario-check bench-smoke bench-check fuzz-smoke serve-smoke
+ci: fmt-check vet lint lint-teeth build examples test scenario-check bench-smoke bench-check fuzz-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...

@@ -345,7 +345,9 @@ func (s *Sim) quiesce() {
 	}
 	for _, ch := range s.churns {
 		for _, src := range ch.srcs {
-			source.StopSource(src)
+			if src != nil {
+				source.StopSource(src)
+			}
 		}
 	}
 	for _, t := range s.TCPs {

@@ -489,7 +489,7 @@ type churnRun struct {
 
 	arrivals, admitted, rejected, departed int64
 	flows                                  []*core.Flow
-	srcs                                   []source.Source // every source ever spawned (quiesce stops them)
+	srcs                                   []source.Source // one slot per admitted call, nil once it has departed (quiesce stops the rest)
 }
 
 // churnDecl compiles a Churn element.
@@ -671,11 +671,13 @@ func (ch *churnRun) doArrival(s *Sim) {
 		src = source.NewPoisson(source.PoissonConfig{SizeBits: ch.size, Rate: ch.pps, RNG: srng})
 	}
 	source.AttachPool(src, f.IngressPool())
+	slot := len(ch.srcs)
 	ch.srcs = append(ch.srcs, src)
 	src.Start(f.IngressEngine(), func(p *packet.Packet) { f.Inject(p) })
 	commits := ch.service != "Datagram"
 	eng.AtControl(now+holdFor, func() {
 		source.StopSource(src)
+		ch.srcs[slot] = nil // a departed call's source and stream are garbage from here on
 		s.Net.Release(id)
 		ch.departed++
 		if commits {

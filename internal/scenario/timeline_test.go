@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -352,6 +354,31 @@ func TestChurnRunsAndIsDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a.Format(), "churn") {
 		t.Errorf("Format lacks the churn section:\n%s", a.Format())
+	}
+}
+
+// A churn holds on to the sources of calls in progress only: a departed
+// call's slot is cleared, so a long session does not keep one source and one
+// random stream per call ever admitted. The report (pinned here as produced
+// before slots were cleared) does not move, with the oracle's post-horizon
+// quiesce walking the cleared slots.
+func TestChurnDropsDepartedSources(t *testing.T) {
+	s := mustCompile(t, churnScenario, Options{Check: true})
+	s.StepTo(s.Horizon)
+	ch := s.churns[0]
+	live := int64(0)
+	for _, src := range ch.srcs {
+		if src != nil {
+			live++
+		}
+	}
+	if ch.departed == 0 || live != ch.admitted-ch.departed {
+		t.Errorf("%d sources retained at the horizon, want %d admitted - %d departed", live, ch.admitted, ch.departed)
+	}
+	out := s.Finish().Format()
+	const want = "f38b921d0bfe7d9963d22407d0026101a2a3355afe1bd4f53126166ee5edc1c3"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want {
+		t.Errorf("churn report changed (sha256 %s, want %s):\n%s", got, want, out)
 	}
 }
 

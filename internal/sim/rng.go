@@ -10,13 +10,22 @@ import (
 // stochastic component should own its own stream, derived from a base seed
 // and a component name, so that adding a component never perturbs the random
 // numbers seen by the others.
+//
+// The stream for a seed is exactly math/rand's rand.New(rand.NewSource(seed))
+// and is frozen: goldens and reports depend on it. It is produced lazily (see
+// lazySource), so a stream that draws a handful of values costs a handful of
+// multiplies, not a 607-word seeding.
 type RNG struct {
-	r *rand.Rand
+	r    *rand.Rand // over lazy until the stream promotes itself, then over a math/rand source
+	lazy lazySource
 }
 
 // NewRNG returns a stream seeded directly with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := &RNG{}
+	g.lazy = lazySource{owner: g, x0: reduceSeed(seed)}
+	g.r = rand.New(&g.lazy)
+	return g
 }
 
 // DeriveRNG returns a stream whose seed mixes base with name via FNV-1a, so
