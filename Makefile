@@ -41,10 +41,11 @@ scenario-check:
 
 # One-iteration benchmark smoke run: catches harness regressions without the
 # cost of full timing. MillionFlows fails itself above 200 resident
-# bytes/flow; the zero-alloc steady state is gated under `test`
-# (TestFacadeSteadyStateAllocs). Timing lives in bench/ (see bench/README.md).
+# bytes/flow; the zero-alloc steady state and the per-call allocation budget
+# are gated under `test` (TestFacadeSteadyStateAllocs, internal/core's
+# TestCallSetupAllocation). Timing lives in bench/ (see bench/README.md).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SimulatorThroughput|ShardedThroughput|FacadeSmallNetwork|MillionFlows' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'SimulatorThroughput|ShardedThroughput|FacadeSmallNetwork|MillionFlows|CallChurn' -benchtime 1x -benchmem .
 
 # bench/ is a module of its own, so the root build, vet and test never
 # compile it: vet and test it here so that removing an API the benchmark

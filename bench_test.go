@@ -341,6 +341,57 @@ func BenchmarkMillionFlows(b *testing.B) {
 	runtime.KeepAlive(handles)
 }
 
+// BenchmarkCallChurn times call set-up and tear-down, the control-plane cycle
+// of the churn workloads: on a 64-node ring with a chord of 8 at every node,
+// admission control on and a 16-entry LRU route cache, each operation looks
+// the route up, requests predicted service under a flow id that only ever
+// rises, and releases it. bytes/call is what one cycle allocates; it must not
+// depend on how many ids have been issued (internal/core's
+// TestCallSetupAllocation gates it).
+func BenchmarkCallChurn(b *testing.B) {
+	const nodes, chord = 64, 8
+	name := func(i int) string { return fmt.Sprintf("n%d", i%nodes+1) }
+	net := ispn.New(ispn.Config{Seed: 1992, LinkRate: 100e6, PropDelay: 0.001, AdmissionControl: true})
+	for i := 0; i < nodes; i++ {
+		net.AddSwitch(name(i))
+	}
+	for i := 0; i < nodes; i++ {
+		net.ConnectDuplex(name(i), name(i+1))
+		net.ConnectDuplex(name(i), name(i+chord))
+	}
+	if err := net.SetRouting(ispn.RoutingConfig{Auto: true}); err != nil {
+		b.Fatal(err)
+	}
+	cache, err := routing.NewCache(routing.CacheLRU, 16, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net.SetRouteCache(cache)
+	spec := ispn.PredictedSpec{TokenRate: 32e3, BucketBits: 10e3, Delay: 0.7}
+	id := uint32(0)
+	call := func() {
+		id++
+		path := net.LookupRoute(name(0), name(3+int(id)%16*3))
+		if _, err := net.RequestPredictedClass(id, path, uint8(id%2), spec); err != nil {
+			b.Fatalf("call %d refused: %v", id, err)
+		}
+		net.Release(id)
+	}
+	for i := 0; i < 1000; i++ {
+		call()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N), "bytes/call")
+}
+
 // BenchmarkCacheShowdown times the DEC-TR-592 route-cache comparison (all
 // four eviction schemes on the identical hot-spot churn) and publishes the
 // per-scheme hit rates to the CI artifact; the run fails if the expected

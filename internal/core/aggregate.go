@@ -20,9 +20,7 @@ package core
 // callers who ablate with round-robin sharing should request plain flows.
 //
 // Carrier flow ids are allocated from the top half of the id space
-// (carrierIDBase upward) so they never collide with caller-chosen ids; the
-// few carriers in a run land in the topology's map-backed route table, which
-// is exactly what that fallback is for.
+// (carrierIDBase upward) so they never collide with caller-chosen ids.
 
 import (
 	"fmt"
@@ -219,6 +217,7 @@ func (m Member) Inject(p *packet.Packet) bool {
 	p.FlowID = c.ID
 	p.Class = c.Class
 	p.Priority = c.Priority
+	p.Route = c.route
 	c.ingress.Inject(p)
 	return true
 }

@@ -202,9 +202,9 @@ func New(cfg Config) *Network {
 // Engine exposes the simulation engine.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// Pool exposes the per-engine packet free list (see packet.Pool for the
-// ownership rules). Attach it to sources so steady-state runs allocate no
-// packets.
+// Pool exposes the network's one packet free list, shared by every shard of
+// a sharded run (see packet.Pool for the ownership rules). Attach it to
+// sources so steady-state runs allocate no packets.
 func (n *Network) Pool() *packet.Pool { return n.topo.Pool() }
 
 // Topology exposes the underlying topology.
@@ -497,8 +497,9 @@ type Flow struct {
 	Priority uint8
 
 	net        *Network
-	ingress    *topology.Node // resolved first switch, per-packet fast path
-	eng        *sim.Engine    // the ingress switch's engine (its shard's)
+	ingress    *topology.Node  // resolved first switch, per-packet fast path
+	route      *topology.Route // forwarding state, stamped into every packet
+	eng        *sim.Engine     // the ingress switch's engine (its shard's)
 	fixedDelay float64
 	policer    *tokenbucket.Bucket
 	policerCnt stats.Counter
@@ -621,17 +622,30 @@ func (f *Flow) Inject(p *packet.Packet) bool {
 	p.FlowID = f.ID
 	p.Class = f.Class
 	p.Priority = f.Priority
+	p.Route = f.route
 	f.ingress.Inject(p)
 	return true
 }
 
-func (n *Network) registerFlow(f *Flow) {
-	path := f.Path()
-	n.topo.InstallRoute(f.ID, path)
-	f.ingress = n.topo.Node(path[0])
+// routeAlong installs (or, for a reroute, moves) the flow's route along its
+// interned path and refreshes the state derived from it, returning the
+// path's last switch.
+func (n *Network) routeAlong(f *Flow) (last *topology.Node) {
+	ports := n.portsOf(f)
+	if len(ports) > 0 {
+		f.ingress, last = ports[0].From(), ports[len(ports)-1].To()
+	} else {
+		f.ingress = n.topo.Node(f.Path()[0])
+		last = f.ingress
+	}
+	f.route = n.topo.InstallRouteAlong(f.ID, f.ingress, ports)
 	f.eng = f.ingress.Engine()
-	f.fixedDelay = n.topo.FixedDelay(path, n.cfg.MaxPacketBits)
-	last := n.topo.Node(path[len(path)-1])
+	f.fixedDelay = topology.FixedDelayAlong(ports, n.cfg.MaxPacketBits)
+	return last
+}
+
+func (n *Network) registerFlow(f *Flow) {
+	last := n.routeAlong(f)
 	// Delivery timestamps come off the last switch's engine: under
 	// sharding the network engine's clock sits at the previous barrier
 	// while the egress shard's clock is the packet's true arrival time.
@@ -907,12 +921,16 @@ func (n *Network) AddDatagramFlow(id uint32, path []string) (*Flow, error) {
 	return f, nil
 }
 
-// Release removes a flow's reservations and releases its admission-control
-// capacity (a departure). Guaranteed backlog still queued at a hop drains at
-// the old clock rate before the WFQ registration disappears, and in-flight
-// packets are still delivered to the flow's sink — the routing state stays
-// so the tail of the flow is not stranded. Releasing an unknown id is a
-// no-op. Flow ids are not reused.
+// Release removes a flow's reservations, releases its admission-control
+// capacity and forgets its route (a departure): afterwards the network holds
+// nothing for the flow, at any switch. Guaranteed backlog still queued at a
+// hop drains at the old clock rate before the WFQ registration disappears,
+// and packets in flight are still delivered to the flow's sink, because each
+// carries the route itself — the route, the sink and the Flow behind it are
+// garbage once the last of them is recycled (and the caller drops the Flow).
+// The id is free for a new request; packets of the departed flow keep
+// reaching the departed flow's sink, not the newcomer's. Releasing an
+// unknown id is a no-op.
 func (n *Network) Release(id uint32) {
 	f, ok := n.flows[id]
 	if !ok {
@@ -930,6 +948,7 @@ func (n *Network) Release(id uint32) {
 		// warmup are already gone and release as a no-op.
 		n.releaseLedger(ports, f.ledgerTokens)
 	}
+	n.topo.RemoveRoute(id)
 	delete(n.flows, id)
 }
 

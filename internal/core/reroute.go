@@ -322,13 +322,10 @@ func (n *Network) rerouteFlow(f *Flow, ch *chooser) (moved bool, err error) {
 			n.pipe(pt).AddGuaranteed(f.ID, f.gspec.ClockRate)
 		}
 	}
-	n.topo.InstallRoute(f.ID, newPath)
-	f.PathID = newPID
-	f.ingress = n.topo.Node(newPath[0])
 	// Reroutes keep the flow's endpoints, so under sharding the ingress
-	// engine is unchanged; reassigning keeps the invariant explicit.
-	f.eng = f.ingress.Engine()
-	f.fixedDelay = n.topo.FixedDelay(newPath, n.cfg.MaxPacketBits)
+	// engine is unchanged, and the terminal keeps its sink.
+	f.PathID = newPID
+	n.routeAlong(f)
 	switch f.Class {
 	case packet.Guaranteed:
 		f.bound = n.pgBound(f.gspec, newPorts)

@@ -305,3 +305,59 @@ func TestRerouteDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("nondeterministic reroute: %v (%d/%d) vs %v (%d/%d)", p1, r1, x1, p2, r2, x2)
 	}
 }
+
+// TestRerouteSplitsPacketsInFlight: a reroute changes the flow's route in
+// place, so where a packet is when the link fails decides its fate. S0 -> S1
+// is fast and S1 is where the old path (via S2) and the detour (via B)
+// diverge. When S2 -> S3 fails, packets still upstream of S1 take the detour
+// from there and are delivered; packets already queued on the abandoned
+// branch S1 -> S2 keep going the old way and are dropped at the failed port;
+// the one S2 -> S3 was serializing still arrives.
+func TestRerouteSplitsPacketsInFlight(t *testing.T) {
+	n := New(Config{LinkRate: 1e6})
+	for _, s := range []string{"S0", "S1", "S2", "S3", "B"} {
+		n.AddSwitch(s)
+	}
+	if _, err := n.ConnectWith("S0", "S1", 10e6, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range [][2]string{{"S1", "S2"}, {"S2", "S3"}, {"S1", "B"}, {"B", "S3"}} {
+		n.Connect(pr[0], pr[1])
+	}
+	if err := n.SetRouting(RoutingConfig{Auto: true}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := n.AddDatagramFlow(1, []string{"S0", "S1", "S2", "S3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inject := func(k int) {
+		for i := 0; i < k; i++ {
+			p := n.Pool().Get()
+			p.Size = 1000
+			f.Inject(p)
+		}
+	}
+	// 0.1 ms per packet into S1, 1 ms per packet out of it: at 1.5 ms the
+	// first packet is on the wire S2 -> S3, the second on S1 -> S2 with the
+	// third and fourth queued behind it.
+	inject(4)
+	n.Run(0.00145)
+	inject(2) // one on the wire S0 -> S1, one queued behind it
+	n.Run(0.00005)
+	if err := n.FailLink("S2", "S3"); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"S0", "S1", "B", "S3"}; !reflect.DeepEqual(f.Path(), want) {
+		t.Fatalf("path after failure %v, want %v", f.Path(), want)
+	}
+	n.Run(1)
+	failed, detour := n.topo.Node("S2").Port("S3"), n.topo.Node("S1").Port("B")
+	if f.Delivered() != 3 || detour.TxPackets() != 2 || failed.Counter().Dropped != 3 {
+		t.Fatalf("delivered %d (want 3: one ahead of the failure, two over the detour), %d over the detour (want 2), %d dropped at the failed port (want 3)",
+			f.Delivered(), detour.TxPackets(), failed.Counter().Dropped)
+	}
+	if gets, puts, _ := n.Pool().Stats(); gets != puts {
+		t.Fatalf("pool: %d gets, %d puts", gets, puts)
+	}
+}

@@ -1,12 +1,13 @@
-// Package packet defines the packet model shared by every subsystem, along
-// with the binary wire format for the ISPN header proposed by the paper
-// (Section 12 proposes that the FIFO+ jitter-offset control field "be defined
-// as part of the packet header").
+// Package packet defines the packet model shared by every subsystem: the
+// service class and priority a packet travels under, the FIFO+ jitter-offset
+// field the paper proposes "be defined as part of the packet header"
+// (Section 12), and the simulator's own bookkeeping (timestamps, the hop
+// count, the flow's route, scheduler scratch).
 //
-// Packets on the simulator fast path are recycled through a per-engine
-// [Pool] rather than garbage collected; see the Pool documentation for the
-// ownership rules (who allocates, who releases, and the obligations of
-// every drop site).
+// Packets on the simulator fast path are recycled through the network's one
+// [Pool] (shared by every shard of a sharded run) rather than garbage
+// collected; see the Pool documentation for the ownership rules (who
+// allocates, who releases, and the obligations of every drop site).
 package packet
 
 import "fmt"
@@ -41,14 +42,22 @@ func (c Class) String() string {
 // Packet is one packet in flight. Sizes are in bits, matching the paper's
 // units (1000-bit packets on 1 Mbit/s links give 1 ms transmission time).
 type Packet struct {
+	// FlowID, Class, Priority and Hops share one word, which keeps the
+	// struct at 96 bytes with Route in it.
 	FlowID uint32
-	Seq    uint64
-	Size   int // bits
 	Class  Class
 	// Priority is the predicted-service priority level at the current
 	// switch: 0 is the highest real-time class; datagram traffic sits
 	// below every predicted class regardless of this value.
 	Priority uint8
+	// Hops counts inter-switch links traversed so far (it wraps at 256).
+	// Besides being a statistic it is the cursor into Route: on the path
+	// the route was installed over, the switch a packet is at is the
+	// route's hop number Hops.
+	Hops uint8
+
+	Seq  uint64
+	Size int // bits
 
 	// CreatedAt is the generation time at the source.
 	CreatedAt float64
@@ -61,11 +70,18 @@ type Packet struct {
 	// computing ArrivedAt-JitterOffset recovers when the packet "should
 	// have" arrived under average service.
 	JitterOffset float64
-	// Hops counts inter-switch links traversed so far.
-	Hops uint8
+
+	// Route is the flow's forwarding state, a *topology.Route (typed any
+	// because topology imports this package). Whoever builds the packet may
+	// stamp it — core.Flow.Inject, aggregation members and TCP endpoints
+	// do; a packet that leaves it nil is looked up by FlowID at the first
+	// switch it enters, which stamps it. The packet keeps the route alive:
+	// a flow released while its packets are in flight still has them
+	// delivered.
+	Route any
 
 	// Tag is scratch space for schedulers (WFQ virtual finish time,
-	// deadline keys). It is not part of the wire format.
+	// deadline keys).
 	Tag float64
 
 	// Payload carries transport-layer state (e.g. *tcp.Segment). It is
@@ -73,7 +89,7 @@ type Packet struct {
 	Payload any
 
 	// origin is the Pool the packet was drawn from (nil for packets
-	// allocated outside any pool). Not part of the wire format.
+	// allocated outside any pool).
 	origin *Pool
 }
 

@@ -107,9 +107,10 @@ type Graph struct {
 	net  *topology.Network
 	cost Cost
 
-	// idx/nodes map node names to dense ids in creation order; rebuilt
-	// only when the topology grows (len(net.Nodes()) is the staleness
-	// check — nodes are never removed).
+	// idx/nodes map node names to dense ids in creation order — the ids
+	// are topology.Node.Index, so only the two endpoint names of a search
+	// go through idx; rebuilt only when the topology grows
+	// (len(net.Nodes()) is the staleness check — nodes are never removed).
 	idx   map[string]int
 	nodes []*topology.Node
 
@@ -191,7 +192,7 @@ func (g *Graph) ShortestPath(from, to string, now float64, avoid map[*topology.P
 			if pt.Down() || avoid[pt] {
 				continue
 			}
-			v := idx[pt.To().Name()]
+			v := pt.To().Index()
 			if done[v] {
 				continue
 			}

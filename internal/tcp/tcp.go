@@ -70,8 +70,10 @@ type Connection struct {
 	cfg Config
 	net *topology.Network
 	eng *sim.Engine
-	// Ingress nodes of the data and ACK paths, resolved once.
+	// Ingress nodes and routes of the data and ACK paths, resolved once;
+	// every segment and ACK is stamped with its route.
 	dataIngress, ackIngress *topology.Node
+	dataRoute, ackRoute     *topology.Route
 
 	// Sender state.
 	sndUna  uint64  // lowest unacknowledged segment
@@ -167,8 +169,8 @@ func NewConnection(net *topology.Network, cfg Config) *Connection {
 	c.oooWin = make([]uint64, winSize)
 	c.winMask = winSize - 1
 	c.timeoutFn = c.onTimeout
-	net.InstallRoute(cfg.DataFlowID, cfg.Path)
-	net.InstallRoute(cfg.AckFlowID, cfg.ReversePath)
+	c.dataRoute = net.InstallRoute(cfg.DataFlowID, cfg.Path)
+	c.ackRoute = net.InstallRoute(cfg.AckFlowID, cfg.ReversePath)
 	c.dataIngress = net.Node(cfg.Path[0])
 	c.ackIngress = net.Node(cfg.ReversePath[0])
 	dst := net.Node(cfg.Path[len(cfg.Path)-1])
@@ -262,6 +264,7 @@ func (c *Connection) sendSegment(seq uint64, isRexmit bool) {
 	p.Priority = c.cfg.Priority
 	p.CreatedAt = c.eng.Now()
 	p.Payload = seg
+	p.Route = c.dataRoute
 	c.stats.SegmentsSent++
 	rec := &c.txWin[seq&c.winMask]
 	if isRexmit {
@@ -432,5 +435,6 @@ func (c *Connection) onData(p *packet.Packet) {
 	ackPkt.Class = packet.Datagram
 	ackPkt.CreatedAt = c.eng.Now()
 	ackPkt.Payload = ackSeg
+	ackPkt.Route = c.ackRoute
 	c.ackIngress.Inject(ackPkt)
 }

@@ -35,13 +35,23 @@ type Network struct {
 	order []*Node // deterministic iteration
 	ports []*Port // every port, in creation order (= Port.Index order)
 
+	// routes holds the forwarding state, one Route per flow that has one
+	// installed; RemoveRoute deletes the entry (see Route for what keeps
+	// the object itself alive).
+	routes map[uint32]*Route
+
 	shards    []*Shard
 	lookahead float64 // min cross-shard propagation delay (+Inf if none)
 }
 
 // NewNetwork returns an empty network on the given engine.
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{eng: eng, pool: packet.NewPool(), nodes: make(map[string]*Node)}
+	return &Network{
+		eng:    eng,
+		pool:   packet.NewPool(),
+		nodes:  make(map[string]*Node),
+		routes: make(map[uint32]*Route),
+	}
 }
 
 // Engine returns the simulation engine.
@@ -60,11 +70,10 @@ func (n *Network) AddNode(name string) *Node {
 	}
 	nd := &Node{
 		name:  name,
+		index: len(n.order),
 		net:   n,
 		eng:   n.eng,
 		ports: make(map[string]*Port),
-		next:  make(map[uint32]*Port),
-		sinks: make(map[uint32]Sink),
 	}
 	n.nodes[name] = nd
 	n.order = append(n.order, nd)
@@ -126,35 +135,124 @@ func (n *Network) AddLink(from, to string, s sched.Scheduler, bandwidth, propDel
 	return p
 }
 
+// Route is the forwarding state of one flow: its hops in path order, each
+// naming a switch, the output port the flow leaves it by (nil where the flow
+// terminates) and the sink registered there. The network keeps one Route per
+// flow id until RemoveRoute, and every packet of the flow carries it in
+// packet.Packet.Route, so a packet already in the network when the route is
+// removed still finds its way: the object lives until the last packet
+// holding it is recycled.
+//
+// A switch appears in at most one hop. Packet.Hops — links traversed so far
+// — is the cursor: on the path the route was installed over it is exactly
+// the index of the switch the packet is at, and find scans the handful of
+// hops when it is not (a packet injected mid-path, or one that was in flight
+// when the flow was rerouted).
+type Route struct {
+	hops []hop
+}
+
+type hop struct {
+	at   *Node
+	out  *Port
+	sink Sink
+}
+
+// find returns the index of the route's hop at nd, trying the cursor
+// position first, or -1 when the route has never visited nd.
+func (r *Route) find(nd *Node, cursor int) int {
+	if cursor < len(r.hops) && r.hops[cursor].at == nd {
+		return cursor
+	}
+	for i := range r.hops {
+		if r.hops[i].at == nd {
+			return i
+		}
+	}
+	return -1
+}
+
+// hopFor returns the index of the route's hop at nd, appending an empty one
+// if the route has never visited nd.
+func (r *Route) hopFor(nd *Node) int {
+	i := r.find(nd, len(r.hops))
+	if i < 0 {
+		i = len(r.hops)
+		r.hops = append(r.hops, hop{at: nd})
+	}
+	return i
+}
+
 // InstallRoute installs the path (a list of node names, first = ingress) for
 // a flow: each node forwards to the next, and the last node delivers to the
-// flow's sink. Every consecutive pair must be linked.
-func (n *Network) InstallRoute(flowID uint32, path []string) {
+// flow's sink. Every consecutive pair must be linked. It returns the flow's
+// Route, which callers that build their own packets stamp into
+// packet.Packet.Route to spare the ingress switch a lookup by flow id.
+func (n *Network) InstallRoute(flowID uint32, path []string) *Route {
 	if len(path) == 0 {
 		panic("topology: empty route")
 	}
-	for i := 0; i < len(path)-1; i++ {
-		nd, ok := n.nodes[path[i]]
-		if !ok {
-			panic(fmt.Sprintf("topology: unknown node %q in route", path[i]))
-		}
-		port, ok := nd.ports[path[i+1]]
-		if !ok {
-			panic(fmt.Sprintf("topology: no link %s->%s for route", path[i], path[i+1]))
-		}
-		nd.setNext(flowID, port)
+	ingress, ok := n.nodes[path[0]]
+	if !ok {
+		panic(fmt.Sprintf("topology: unknown node %q in route", path[0]))
 	}
-	// Terminal node: ensure no stale onward route.
-	last := n.nodes[path[len(path)-1]]
-	if last == nil {
-		panic(fmt.Sprintf("topology: unknown node %q in route", path[len(path)-1]))
-	}
-	last.setNext(flowID, nil)
+	return n.InstallRouteAlong(flowID, ingress, n.PathPorts(path))
 }
+
+// InstallRouteAlong is InstallRoute for a caller that has already resolved
+// the path: the flow enters at ingress and leaves each switch by the next of
+// ports (empty for a flow that terminates where it enters).
+//
+// Installing over a flow's existing route changes that Route in place, so
+// packets already carrying it see the change: every switch on the new path
+// gets its new output port and moves to the front in path order, the new
+// terminal's port is cleared, and a switch only the old path visited keeps
+// its hop, stale port included. A packet queued upstream of a switch both
+// paths share therefore follows the new next hop from there, while one
+// already on the abandoned branch keeps going the old way — into the failed
+// link, when a failure caused the reroute. Sinks stay where SetSink put
+// them.
+func (n *Network) InstallRouteAlong(flowID uint32, ingress *Node, ports []*Port) *Route {
+	r := n.routes[flowID]
+	if r == nil {
+		r = &Route{hops: make([]hop, 0, len(ports)+1)}
+		n.routes[flowID] = r
+	}
+	// hops[:placed] are the switches of the new path so far, in path order.
+	at, placed := ingress, 0
+	for i := 0; i <= len(ports); i++ {
+		var out *Port
+		if i < len(ports) {
+			out = ports[i]
+			if out.node != at {
+				panic(fmt.Sprintf("topology: route for flow %d leaves %s by %s", flowID, at.name, out.name))
+			}
+		}
+		j := r.hopFor(at)
+		r.hops[j].out = out
+		if j >= placed {
+			r.hops[placed], r.hops[j] = r.hops[j], r.hops[placed]
+			placed++
+		} // else the path loops back to a switch: the last visit's port wins
+		if out != nil {
+			at = out.dst
+		}
+	}
+	return r
+}
+
+// RemoveRoute forgets a flow's forwarding state (a departure). Packets of the
+// flow already in the network carry the Route themselves and are forwarded
+// and delivered as before; a packet that names the flow only by id after
+// this finds no route. Removing an unknown id is a no-op.
+func (n *Network) RemoveRoute(flowID uint32) { delete(n.routes, flowID) }
 
 // PathPorts returns the output ports along a path, in order.
 func (n *Network) PathPorts(path []string) []*Port {
-	var ports []*Port
+	if len(path) < 2 {
+		return nil
+	}
+	ports := make([]*Port, 0, len(path)-1)
 	for i := 0; i < len(path)-1; i++ {
 		nd := n.nodes[path[i]]
 		if nd == nil {
@@ -174,8 +272,13 @@ func (n *Network) PathPorts(path []string) []*Port {
 // propagation. Queueing delay of a delivered packet is total delay minus
 // this.
 func (n *Network) FixedDelay(path []string, sizeBits int) float64 {
+	return FixedDelayAlong(n.PathPorts(path), sizeBits)
+}
+
+// FixedDelayAlong is FixedDelay over already resolved output ports.
+func FixedDelayAlong(ports []*Port, sizeBits int) float64 {
 	fixed := 0.0
-	for _, p := range n.PathPorts(path) {
+	for _, p := range ports {
 		fixed += float64(sizeBits)/p.bandwidth + p.propDelay
 	}
 	return fixed
@@ -193,31 +296,25 @@ func (n *Network) Inject(node string, p *packet.Packet) {
 	nd.receive(p)
 }
 
-// directTableMax bounds the flow ids served by the direct-indexed routing
-// tables on the forwarding fast path; ids at or above it fall back to the
-// maps (which remain the source of truth for every id).
-const directTableMax = 1 << 16
-
-// Node is a switch.
+// Node is a switch. It holds no per-flow state: what a flow does here is a
+// hop of the flow's Route.
 type Node struct {
 	name      string
+	index     int
 	net       *Network
 	eng       *sim.Engine // the engine this node's events run on (its shard's)
 	shard     int
 	ports     map[string]*Port
 	portOrder []*Port
-	next      map[uint32]*Port // flow id -> output port
-	sinks     map[uint32]Sink
 	defSink   Sink
-
-	// nextTab/sinkTab mirror next/sinks for flow ids below directTableMax:
-	// per-hop forwarding is two slice indexes instead of two map probes.
-	nextTab []*Port
-	sinkTab []Sink
 }
 
 // Name returns the node's name.
 func (nd *Node) Name() string { return nd.name }
+
+// Index is the node's dense id: its position in network creation order
+// (Nodes()[Index()] is the node), the sibling of Port.Index.
+func (nd *Node) Index() int { return nd.index }
 
 // Engine returns the engine this node's events run on: the network engine
 // normally, the owning shard's engine after ConfigureShards. Anything that
@@ -240,32 +337,12 @@ func (nd *Node) Ports() []*Port { return nd.portOrder }
 
 // SetSink registers the consumer for a flow terminating at this node.
 func (nd *Node) SetSink(flowID uint32, s Sink) {
-	nd.sinks[flowID] = s
-	if flowID < directTableMax {
-		nd.sinkTab = growTo(nd.sinkTab, flowID)
-		nd.sinkTab[flowID] = s
+	r := nd.net.routes[flowID]
+	if r == nil {
+		r = &Route{}
+		nd.net.routes[flowID] = r
 	}
-}
-
-// setNext installs (or, with a nil port, clears) the onward route for a flow.
-func (nd *Node) setNext(flowID uint32, pt *Port) {
-	if pt == nil {
-		delete(nd.next, flowID)
-	} else {
-		nd.next[flowID] = pt
-	}
-	if flowID < directTableMax {
-		nd.nextTab = growTo(nd.nextTab, flowID)
-		nd.nextTab[flowID] = pt
-	}
-}
-
-// growTo pads t with zero entries so index id is addressable.
-func growTo[T any](t []T, id uint32) []T {
-	for uint32(len(t)) <= id {
-		t = append(t, *new(T))
-	}
-	return t
+	r.hops[r.hopFor(nd)].sink = s
 }
 
 // SetDefaultSink registers a consumer for packets with no onward route and
@@ -276,27 +353,26 @@ func (nd *Node) SetDefaultSink(s Sink) { nd.defSink = s }
 // Network.Inject for callers that resolved the ingress node at setup.
 func (nd *Node) Inject(p *packet.Packet) { nd.receive(p) }
 
-// receive routes or delivers a packet arriving at this node. Delivered
-// packets are released back to the pool after the sink returns, so sinks
-// must not retain them.
+// receive routes or delivers a packet arriving at this node. A packet that
+// names its flow only by id picks up the flow's Route here, once, at its
+// ingress. Delivered packets are released back to the pool after the sink
+// returns, so sinks must not retain them.
 func (nd *Node) receive(p *packet.Packet) {
-	id := p.FlowID
-	if id < uint32(len(nd.nextTab)) {
-		if port := nd.nextTab[id]; port != nil {
-			port.enqueue(p)
-			return
-		}
-	} else if id >= directTableMax {
-		if port, ok := nd.next[id]; ok {
-			port.enqueue(p)
-			return
+	r, _ := p.Route.(*Route)
+	if r == nil {
+		if r = nd.net.routes[p.FlowID]; r != nil {
+			p.Route = r
 		}
 	}
 	var s Sink
-	if id < uint32(len(nd.sinkTab)) {
-		s = nd.sinkTab[id]
-	} else if id >= directTableMax {
-		s = nd.sinks[id]
+	if r != nil {
+		if i := r.find(nd, int(p.Hops)); i >= 0 {
+			if out := r.hops[i].out; out != nil {
+				out.enqueue(p)
+				return
+			}
+			s = r.hops[i].sink
+		}
 	}
 	if s == nil {
 		s = nd.defSink
