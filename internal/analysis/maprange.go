@@ -20,6 +20,7 @@ var mapRangePackages = []string{
 	"ispn/internal/topology",
 	"ispn/internal/admission",
 	"ispn/internal/invariant",
+	"ispn/internal/experiments",
 }
 
 // MapRange flags `range` statements over map types in the deterministic

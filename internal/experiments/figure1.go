@@ -149,7 +149,7 @@ func ValidateFigure1() error {
 	for _, f := range fs {
 		byLen[f.Hops()]++
 	}
-	want := map[int]int{1: 12, 2: 4, 3: 4, 4: 2}
+	want := [...]int{1: 12, 2: 4, 3: 4, 4: 2}
 	for l, w := range want {
 		if byLen[l] != w {
 			return fmt.Errorf("experiments: %d flows of length %d, want %d", byLen[l], l, w)

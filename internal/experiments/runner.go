@@ -165,14 +165,12 @@ func (w rawWorld) run(cfg RunConfig) *plainRun {
 		}
 	}
 	run := &plainRun{topo: topo, rec: make(map[uint32]*stats.Recorder)}
-	// Grow-once sample storage: each flow delivers ~AvgRate packets/s.
-	expected := int(cfg.Duration*AvgRate) + 64
 	for _, f := range w.flows {
 		id := f.ID
 		topo.InstallRoute(id, f.Path)
 		deliver := w.deliver
 		if deliver == nil {
-			rec := stats.NewRecorderSize(expected)
+			rec := stats.NewRecorder()
 			run.rec[id] = rec
 			deliver = func(_ uint32, q float64) { rec.Add(q) }
 		}

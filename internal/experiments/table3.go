@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"ispn/internal/core"
@@ -151,8 +153,6 @@ func Table3(cfg RunConfig) Table3Result {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: admitting flow %d: %v", fp.ID, err))
 		}
-		// Grow-once sample storage for the expected delivery count.
-		fl.Meter().Reserve(int(cfg.Duration*AvgRate) + 64)
 		flows[fp.ID] = fl
 
 		src := source.NewMarkov(source.MarkovConfig{
@@ -215,17 +215,12 @@ func Table3(cfg RunConfig) Table3Result {
 		}
 		res.Rows = append(res.Rows, row)
 	}
+	// Absorb adds float sums, so the merge order is fixed: ascending flow id.
+	ids := slices.Sorted(maps.Keys(assignment))
 	for _, kind := range []ServiceKind{GuaranteedPeak, GuaranteedAvg, PredictedHigh, PredictedLow} {
 		merged := stats.NewRecorder()
-		total := 0
-		for id, k := range assignment {
-			if k == kind {
-				total += flows[id].Meter().Count()
-			}
-		}
-		merged.Reserve(total)
-		for id, k := range assignment {
-			if k == kind {
+		for _, id := range ids {
+			if assignment[id] == kind {
 				merged.Absorb(flows[id].Meter())
 			}
 		}

@@ -8,54 +8,76 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"slices"
+	"sort"
+)
+
+// chunkLen is the length of every chunk of samples but the first, which
+// grows up to it; a full chunk is never copied or reallocated.
+const (
+	chunkShift = 12
+	chunkLen   = 1 << chunkShift
 )
 
 // Recorder accumulates a sample set and answers exact order statistics.
-// It keeps every sample; a 10-minute paper run is ~50k samples per flow,
-// which is cheap. For unbounded runs use P2Quantile instead.
+// It keeps every sample — the paper's Table 3 world holds millions — in
+// chunks, so storage costs what it holds: a dozen samples occupy a dozen
+// samples, 400 k occupy 400 k x 8 B, and growing leaves no garbage beyond
+// the first chunk's regrowths. For unbounded runs use P2Quantile instead.
 //
-// Percentile queries sort incrementally: the recorder tracks how much of
-// the sample slice is already sorted, so a batch of quantile queries after
-// a batch of adds sorts only the new tail and merges it into the sorted
-// prefix, instead of re-sorting the full set every time.
+// Percentile selects the wanted rank in place instead of sorting, and
+// remembers the ranks placed since the last Add/Absorb, so a report's
+// 0.50/0.99/0.999 each search only between their already-placed neighbours.
 type Recorder struct {
-	samples []float64
-	sortedN int       // samples[:sortedN] is sorted
-	scratch []float64 // merge buffer, reused across batches
-	sum     float64
-	sumsq   float64
-	max     float64
-	min     float64
+	chunks [][]float64 // len == cap each; sample i is chunks[i>>chunkShift][i&(chunkLen-1)]
+	tail   []float64   // the last chunk up to its last sample, so Add reads no chunk table
+	n      int
+	placed []int // -1, the ranks placed (see selectRank) since samples were last added, n
+	sum    float64
+	sumsq  float64
+	max    float64
+	min    float64
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{min: math.Inf(1), max: math.Inf(-1)}
+func NewRecorder() *Recorder { return &Recorder{min: math.Inf(1), max: math.Inf(-1)} }
+
+// NewRecorderSize is NewRecorder: chunked storage has nothing to presize.
+// It survives only because bench/probes.go calls it and bench/ is frozen;
+// the next [benchmark] PR should switch that call and delete this.
+func NewRecorderSize(int) *Recorder { return NewRecorder() }
+
+// ref addresses sample i; at reads it.
+func (r *Recorder) ref(i int) *float64 { return &r.chunks[i>>chunkShift][i&(chunkLen-1)] }
+func (r *Recorder) at(i int) float64   { return *r.ref(i) }
+
+func (r *Recorder) swap(i, j int) {
+	a, b := r.ref(i), r.ref(j)
+	*a, *b = *b, *a
 }
 
-// NewRecorderSize returns an empty recorder with storage preallocated for
-// capHint samples, so a run of known length (expected packet count) grows
-// the sample slice exactly once.
-func NewRecorderSize(capHint int) *Recorder {
-	r := NewRecorder()
-	if capHint > 0 {
-		r.samples = make([]float64, 0, capHint)
+// grow makes room in a full tail: the first chunk grows as an appended slice
+// does, up to chunkLen; after that the full chunk stays where it is and a new
+// one is started.
+func (r *Recorder) grow() {
+	if k := len(r.tail); k < chunkLen {
+		t := slices.Grow(r.tail, 1)
+		r.tail = t[:k:min(cap(t), chunkLen)]
+		r.chunks = append(r.chunks[:0], r.tail[:cap(r.tail)])
+		return
 	}
-	return r
-}
-
-// Reserve grows sample storage so at least n total samples fit without
-// reallocation.
-func (r *Recorder) Reserve(n int) {
-	if extra := n - cap(r.samples); extra > 0 {
-		r.samples = slices.Grow(r.samples, n-len(r.samples))
-	}
+	r.tail = make([]float64, 0, chunkLen)
+	r.chunks = append(r.chunks, r.tail[:chunkLen])
 }
 
 // Add records one sample.
 func (r *Recorder) Add(x float64) {
-	r.samples = append(r.samples, x)
+	if len(r.tail) == cap(r.tail) {
+		r.grow()
+	}
+	r.tail = append(r.tail, x) // into the room made: never reallocates
+	r.n++
 	r.sum += x
 	r.sumsq += x * x
 	if x > r.max {
@@ -66,43 +88,35 @@ func (r *Recorder) Add(x float64) {
 	}
 }
 
-// Absorb merges every sample of src into r in one bulk append (recorders
-// are merged when aggregating per-flow statistics into per-class or
-// per-experiment views). src is unchanged.
+// Absorb merges every sample of src into r (recorders are merged when
+// aggregating per-flow statistics into per-class or per-experiment views).
+// The sums are added as sums, so the result depends on the order of the
+// merges, not of the samples. src is unchanged.
 func (r *Recorder) Absorb(src *Recorder) {
-	if src == nil || len(src.samples) == 0 {
+	if src == nil {
 		return
 	}
-	r.samples = append(r.samples, src.samples...)
-	r.sum += src.sum
-	r.sumsq += src.sumsq
-	if src.max > r.max {
-		r.max = src.max
+	sum, sumsq := r.sum+src.sum, r.sumsq+src.sumsq
+	for i, n := 0, src.n; i < n; i++ {
+		r.Add(src.at(i))
 	}
-	if src.min < r.min {
-		r.min = src.min
-	}
+	r.sum, r.sumsq = sum, sumsq
 }
 
 // Count returns the number of samples.
-func (r *Recorder) Count() int { return len(r.samples) }
-
-// Samples exposes the backing sample slice (order unspecified once
-// Percentile has been called). Callers must not mutate it; it is provided
-// so recorders can be merged without copying.
-func (r *Recorder) Samples() []float64 { return r.samples }
+func (r *Recorder) Count() int { return r.n }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (r *Recorder) Mean() float64 {
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		return 0
 	}
-	return r.sum / float64(len(r.samples))
+	return r.sum / float64(r.n)
 }
 
 // Max returns the largest sample, or 0 with no samples.
 func (r *Recorder) Max() float64 {
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		return 0
 	}
 	return r.max
@@ -110,7 +124,7 @@ func (r *Recorder) Max() float64 {
 
 // Min returns the smallest sample, or 0 with no samples.
 func (r *Recorder) Min() float64 {
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		return 0
 	}
 	return r.min
@@ -118,105 +132,90 @@ func (r *Recorder) Min() float64 {
 
 // Stddev returns the population standard deviation.
 func (r *Recorder) Stddev() float64 {
-	n := float64(len(r.samples))
+	n := float64(r.n)
 	if n == 0 {
 		return 0
 	}
 	m := r.sum / n
-	v := r.sumsq/n - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// ensureSorted sorts the unsorted tail appended since the last quantile
-// batch and merges it into the sorted prefix.
-func (r *Recorder) ensureSorted() {
-	n := len(r.samples)
-	if r.sortedN >= n {
-		return
-	}
-	tail := r.samples[r.sortedN:]
-	slices.Sort(tail)
-	// Fast path: the whole tail lands at or above the prefix maximum.
-	if r.sortedN == 0 || tail[0] >= r.samples[r.sortedN-1] {
-		r.sortedN = n
-		return
-	}
-	// Merge prefix and tail through the scratch buffer.
-	if cap(r.scratch) < n {
-		r.scratch = make([]float64, n)
-	}
-	s := r.scratch[:n]
-	copy(s, r.samples)
-	a, b := s[:r.sortedN], s[r.sortedN:]
-	i, j := 0, 0
-	for k := 0; k < n; k++ {
-		if j >= len(b) || (i < len(a) && a[i] <= b[j]) {
-			r.samples[k] = a[i]
-			i++
-		} else {
-			r.samples[k] = b[j]
-			j++
-		}
-	}
-	r.sortedN = n
+	return math.Sqrt(max(r.sumsq/n-m*m, 0))
 }
 
 // Percentile returns the exact p-quantile (0 <= p <= 1) using the
-// nearest-rank method on the sorted samples. With no samples it returns 0.
+// nearest-rank method. With no samples it returns 0. It reorders samples.
 func (r *Recorder) Percentile(p float64) float64 {
-	n := len(r.samples)
-	if n == 0 {
+	n := r.n
+	switch {
+	case n == 0:
 		return 0
+	case p <= 0:
+		return r.min
+	case p >= 1:
+		return r.max
 	}
-	r.ensureSorted()
-	if p <= 0 {
-		return r.samples[0]
+	rank := min(max(int(math.Ceil(p*float64(n)))-1, 0), n-1)
+	if len(r.placed) == 0 || r.placed[len(r.placed)-1] != n {
+		r.placed = append(r.placed[:0], -1, n) // samples were added: nothing is placed
 	}
-	if p >= 1 {
-		return r.samples[n-1]
+	at, found := slices.BinarySearch(r.placed, rank)
+	if !found {
+		r.selectRank(r.placed[at-1]+1, r.placed[at]-1, rank)
+		r.placed = slices.Insert(r.placed, at, rank)
 	}
-	rank := int(math.Ceil(p*float64(n))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= n {
-		rank = n - 1
-	}
-	return r.samples[rank]
+	return r.at(rank)
 }
 
-// Welford is a streaming mean/variance accumulator (Welford's algorithm),
-// for contexts where keeping samples is too expensive.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add records one sample.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Count returns the number of samples.
-func (w *Welford) Count() int64 { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return 0
+// selectRank permutes samples lo..hi until rank k is placed — holds its
+// sorted value, nothing larger to its left, nothing smaller to its right:
+// quickselect with a median-of-three pivot and Hoare partition, then a sort
+// of what is left (an insertion sort, at that size) below 16 samples — or
+// after 2*log2(len) passes, so no input is quadratic. For the tests'
+// comparison budget it returns the samples visited: a pass compares each of
+// its span with the pivot once, and the sort is charged 2*len*log2(len).
+func (r *Recorder) selectRank(lo, hi, k int) (visits int) {
+	for depth := 2 * bits.Len(uint(hi-lo)); hi-lo >= 16 && depth > 0; depth-- {
+		visits += hi - lo + 1
+		mid := int(uint(lo+hi) >> 1)
+		if r.at(mid) < r.at(lo) {
+			r.swap(mid, lo)
+		}
+		if r.at(hi) < r.at(mid) {
+			r.swap(hi, mid)
+			if r.at(mid) < r.at(lo) {
+				r.swap(mid, lo)
+			}
+		}
+		// Neither scan needs a bound: lo and hi, then every swapped pair,
+		// stop it (a NaN stops both), and each swap moves i and j inward.
+		pivot, i, j := r.at(mid), lo+1, hi-1
+		for {
+			for r.at(i) < pivot {
+				i++
+			}
+			for r.at(j) > pivot {
+				j--
+			}
+			if i >= j {
+				break
+			}
+			r.swap(i, j)
+			i, j = i+1, j-1
+		}
+		if k <= j { // i is j+1, or j on an equal of the pivot: lo..j <= pivot <= i..hi
+			hi = j
+		} else {
+			lo = i
+		}
 	}
-	return w.m2 / float64(w.n)
+	sort.Sort(span{r, lo, hi - lo + 1})
+	return visits + 2*(hi-lo+1)*bits.Len(uint(hi-lo))
 }
 
-// Stddev returns the running population standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
+// span is samples lo..lo+n-1 of r as a sort.Interface.
+type span struct {
+	r     *Recorder
+	lo, n int
+}
+
+func (s span) Len() int           { return s.n }
+func (s span) Less(i, j int) bool { return s.r.at(s.lo+i) < s.r.at(s.lo+j) }
+func (s span) Swap(i, j int)      { s.r.swap(s.lo+i, s.lo+j) }
