@@ -40,10 +40,10 @@ scenario-check:
 	$(GO) run ./cmd/ispnsim check scenarios/*.ispn
 
 # One-iteration benchmark smoke run: catches harness regressions without the
-# cost of full timing. MillionFlows fails itself above 200 resident
-# bytes/flow; the zero-alloc steady state and the per-call allocation budget
-# are gated under `test` (TestFacadeSteadyStateAllocs, internal/core's
-# TestCallSetupAllocation). The second line runs internal/stats' recorder
+# cost of full timing. MillionFlows fails itself above 64 resident
+# bytes/flow or on any allocation in its admit+release cycle; the zero-alloc
+# steady state and the per-call allocation budget are gated under `test`
+# (TestFacadeSteadyStateAllocs, internal/core's TestCallSetupAllocation). The second line runs internal/stats' recorder
 # benchmarks (one Add; a report's three ranks of 1 M samples); the recorder's
 # byte budgets are tests there. Timing lives in bench/ (see bench/README.md).
 bench-smoke:

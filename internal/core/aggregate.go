@@ -9,9 +9,10 @@ package core
 // (ν̂ sees bits, not flow ids) and per-hop class targets are identical. What
 // must stay per-member is exactly what the paper keeps at the edge — the
 // (r, b) enforcement of Section 8 and the admission bookkeeping of Section 9 —
-// and that is what a memberSlot holds: an inline token bucket and a warmup-
-// ledger token, ~48 bytes instead of a registered Flow with its route entry,
-// sink, and recorder.
+// and that is what a member costs: a 32-byte memberSlot (the inline token
+// bucket) plus, only on a network with admission control, an 8-byte warmup-
+// ledger token in the aggregate's ledger column — instead of a registered
+// Flow with its route entry, sink, and recorder.
 //
 // Caveat: under SharingRoundRobin the intra-class scheduler serves *flows*
 // round-robin, so members folded into one carrier share a single round-robin
@@ -40,17 +41,16 @@ type aggKey struct {
 	class uint8
 }
 
-// memberSlot is the entire per-member state: an inline token bucket (the
-// Section 8 edge enforcement), the warmup-ledger token of the member's
-// admission, and the declared parameters needed to hand capacity back on
-// release. Slots are recycled through a free list.
+// memberSlot is a member's inline token bucket (the Section 8 edge
+// enforcement); rate and depth are also what Release hands back. 32 bytes,
+// pointer-free: two to a cache line, never straddling one. A free slot is the
+// zero slot and a live one has rate != 0 (PredictedSpec.Validate refuses
+// r <= 0). Slots are recycled through a free list.
 type memberSlot struct {
 	rate   float64 // token rate r (bits/s)
 	depth  float64 // bucket depth b (bits)
 	tokens float64
 	last   float64 // last refill time
-	ledger uint64  // warmup-ledger token (0 when admission was off)
-	active bool
 }
 
 // Aggregate is one carrier flow plus its member slots.
@@ -59,13 +59,18 @@ type Aggregate struct {
 	key     aggKey
 	carrier *Flow
 	members []memberSlot
+	// ledgers holds the members' warmup-ledger tokens, indexed like members;
+	// nil until a non-zero token is stored (never, with admission off).
+	ledgers []uint64
 	free    []int32 // recycled member indices
 	live    int
 	total   float64 // running sum of member token rates
 }
 
 // Member is a caller's handle on one aggregated predicted flow. The zero
-// Member is invalid; handles stay valid until Release.
+// Member is invalid. A handle dies at Release: the slot carries no generation
+// counter (it has no spare byte for one), so once the slot is claimed again a
+// stale handle addresses the new member.
 type Member struct {
 	agg *Aggregate
 	idx int32
@@ -128,8 +133,12 @@ func (n *Network) RequestPredictedMember(path []string, class uint8, spec Predic
 		depth:  spec.BucketBits,
 		tokens: spec.BucketBits, // buckets start full, like tokenbucket.New
 		last:   a.carrier.eng.Now(),
-		ledger: token,
-		active: true,
+	}
+	if token != 0 {
+		if int(idx) >= len(a.ledgers) { // the column trails the slots until a token needs it
+			a.ledgers = append(a.ledgers, make([]uint64, len(a.members)-len(a.ledgers))...)
+		}
+		a.ledgers[idx] = token
 	}
 	a.live++
 	a.total += spec.TokenRate
@@ -226,29 +235,25 @@ func (m Member) Inject(p *packet.Packet) bool {
 // the aggregate) — delivery counts, delays and bounds are aggregate-level.
 func (m Member) Flow() *Flow { return m.agg.carrier }
 
-// Rate returns the member's declared token rate, or 0 after Release.
-func (m Member) Rate() float64 {
-	s := &m.agg.members[m.idx]
-	if !s.active {
-		return 0
-	}
-	return s.rate
-}
+// Rate returns the member's declared token rate, or 0 once released.
+func (m Member) Rate() float64 { return m.agg.members[m.idx].rate }
 
 // Release departs the member: its warmup-ledger claim is handed back, its
 // declared rate and bucket leave the carrier's aggregate spec, and its slot
 // is recycled. The last member's departure releases the carrier flow itself.
-// Releasing twice is a no-op.
+// Releasing twice in a row is a no-op, but only until the slot is claimed
+// again: from then on the stale handle releases the new member.
 func (m Member) Release() {
 	a := m.agg
 	s := &a.members[m.idx]
-	if !s.active {
+	if s.rate == 0 {
 		return
 	}
 	n := a.net
 	c := a.carrier
-	if s.ledger != 0 {
-		n.releaseLedger(n.portsOf(c), []uint64{s.ledger})
+	if int(m.idx) < len(a.ledgers) && a.ledgers[m.idx] != 0 {
+		n.releaseLedger(n.portsOf(c), []uint64{a.ledgers[m.idx]})
+		a.ledgers[m.idx] = 0
 	}
 	a.total -= s.rate
 	c.pspec.BucketBits -= s.depth
@@ -294,9 +299,7 @@ func (a *Aggregate) DeclaredTotal() float64 { return a.total }
 func (a *Aggregate) MemberRateSum() float64 {
 	sum := 0.0
 	for i := range a.members {
-		if a.members[i].active {
-			sum += a.members[i].rate
-		}
+		sum += a.members[i].rate // a free slot adds +0
 	}
 	return sum
 }

@@ -15,11 +15,7 @@ package core
 // SetLink mutates port objects in place, so a cached []*topology.Port can
 // never go stale.
 
-import (
-	"strings"
-
-	"ispn/internal/topology"
-)
+import "ispn/internal/topology"
 
 // PathID names one interned hop sequence. The zero id is the first path
 // interned, not a sentinel — a Flow always holds a valid id.
@@ -30,6 +26,7 @@ type pathTable struct {
 	ids   map[string]PathID
 	paths [][]string
 	ports [][]*topology.Port
+	key   []byte // scratch for InternPath's NUL-joined probe key
 }
 
 // InternPath returns the id of the given hop sequence, interning it (and
@@ -40,24 +37,21 @@ func (n *Network) InternPath(path []string) PathID {
 	if n.intern.ids == nil {
 		n.intern.ids = make(map[string]PathID)
 	}
-	var b strings.Builder
-	size := 0
-	for _, s := range path {
-		size += len(s) + 1
-	}
-	b.Grow(size)
+	b := n.intern.key[:0]
 	for i, s := range path {
 		if i > 0 {
-			b.WriteByte(0)
+			b = append(b, 0)
 		}
-		b.WriteString(s)
+		b = append(b, s...)
 	}
-	key := b.String()
-	if id, ok := n.intern.ids[key]; ok {
+	n.intern.key = b
+	// ids[string(b)] probes without copying b; the key string is only
+	// materialised when the path is new.
+	if id, ok := n.intern.ids[string(b)]; ok {
 		return id
 	}
 	id := PathID(len(n.intern.paths))
-	n.intern.ids[key] = id
+	n.intern.ids[string(b)] = id
 	n.intern.paths = append(n.intern.paths, append([]string(nil), path...))
 	n.intern.ports = append(n.intern.ports, n.topo.PathPorts(path))
 	return id

@@ -333,25 +333,30 @@ func (s *Sim) TraceInterval() float64 {
 	return s.trace.dt
 }
 
-// TraceRows returns the completed trace intervals with index >= from — the
-// same rows, computed the same way, that the final report prints, so a
-// streamed trace concatenates to exactly the report's trace section. An
-// interval is complete once the clock reaches its end.
-func (s *Sim) TraceRows(from int) []TraceRow {
+// TraceDone returns how many trace intervals are complete (0 without a
+// trace): an interval is complete once the clock reaches its end.
+func (s *Sim) TraceDone() int {
 	tr := s.trace
 	if tr == nil {
-		return nil
+		return 0
 	}
 	done := int(s.Now()/tr.dt + 1e-9)
 	if done > tr.nfull {
 		done = tr.nfull
 	}
+	return done
+}
+
+// TraceRows returns the completed trace intervals with index >= from — the
+// same rows, computed the same way, that the final report prints, so a
+// streamed trace concatenates to exactly the report's trace section.
+func (s *Sim) TraceRows(from int) []TraceRow {
 	if from < 0 {
 		from = 0
 	}
 	var rows []TraceRow
-	for k := from; k < done; k++ {
-		rows = append(rows, tr.row(k))
+	for k, done := from, s.TraceDone(); k < done; k++ {
+		rows = append(rows, s.trace.row(k))
 	}
 	return rows
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"ispn/internal/scenario"
 )
@@ -16,10 +15,6 @@ import (
 // maxBodyBytes bounds request bodies (scenario source and event blocks are
 // small text files; a megabyte is generous).
 const maxBodyBytes = 1 << 20
-
-// tracePoll is how often /trace rechecks a live session for new completed
-// intervals.
-const tracePoll = 50 * time.Millisecond
 
 // Handler returns the control-plane API (see docs/SERVE.md for the
 // reference):
@@ -417,7 +412,8 @@ func handleTrace(w http.ResponseWriter, r *http.Request, s *session) {
 	for {
 		var rows []scenario.TraceRow
 		var finished bool
-		if err := s.do(func() { rows = s.sim.TraceRows(from); finished = s.finished }); err != nil {
+		var news <-chan struct{} // closed when there are rows past these, or the run finished
+		if err := s.do(func() { rows = s.sim.TraceRows(from); finished = s.finished; news = s.news }); err != nil {
 			return // session deleted mid-stream
 		}
 		for _, row := range rows {
@@ -453,7 +449,7 @@ func handleTrace(w http.ResponseWriter, r *http.Request, s *session) {
 			// Deleted: emit whatever had completed; the loop above already
 			// did, so just stop.
 			return
-		case <-time.After(tracePoll):
+		case <-news:
 		}
 	}
 }

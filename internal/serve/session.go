@@ -12,6 +12,7 @@ package serve
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"ispn/internal/scenario"
@@ -45,10 +46,13 @@ type session struct {
 	cmds chan func()   // handler closures, executed between steps
 	quit chan struct{} // closed by the manager: stop now
 	done chan struct{} // closed by the loop on exit
+	dos  atomic.Int64  // commands submitted through do (tests count wake-ups)
 
 	// Loop-owned state.
 	paused    bool
 	finished  bool
+	news      chan struct{} // closed and replaced when trace rows complete or the run finishes
+	traced    int           // completed trace intervals already announced on news
 	report    *scenario.Report
 	injected  int       // engine events scheduled through /events
 	injectSeq int       // numbers injection sources for diagnostics
@@ -68,6 +72,7 @@ func newSession(id, name string, sim *scenario.Sim, pace float64, check, paused 
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 		paused:  paused,
+		news:    make(chan struct{}),
 	}
 	s.baseWall = s.created
 	go s.loop()
@@ -77,6 +82,7 @@ func newSession(id, name string, sim *scenario.Sim, pace float64, check, paused 
 // do runs fn on the session goroutine, between simulation steps, and waits
 // for it. It fails only when the session has shut down.
 func (s *session) do(fn func()) error {
+	s.dos.Add(1)
 	ack := make(chan struct{})
 	select {
 	case s.cmds <- func() { fn(); close(ack) }:
@@ -141,8 +147,18 @@ func (s *session) loop() {
 		s.sim.StepTo(target)
 		if s.sim.Done() {
 			s.finish()
+		} else if d := s.sim.TraceDone(); d > s.traced {
+			s.traced = d
+			s.announce()
 		}
 	}
+}
+
+// announce wakes every trace stream: each picked news up in the same command
+// that read its rows, so none can miss the close.
+func (s *session) announce() {
+	close(s.news)
+	s.news = make(chan struct{})
 }
 
 // finish freezes the final report. Idempotent.
@@ -152,6 +168,7 @@ func (s *session) finish() {
 	}
 	s.report = s.sim.Finish()
 	s.finished = true
+	s.announce()
 }
 
 // setPaused pauses or resumes; resuming rebases the pacing clock so paused

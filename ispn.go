@@ -62,7 +62,8 @@ type (
 	Flow = core.Flow
 	// Member is a lightweight handle on one predicted flow inside an
 	// aggregate (Network.RequestPredictedMember): flows that share a
-	// (class, path) ride one carrier Flow, each with its own policer.
+	// (class, path) ride one carrier Flow, each with its own policer. A
+	// handle dies at Release: drop it, its slot goes to the next member.
 	Member = core.Member
 	// GuaranteedSpec is the guaranteed-service request (clock rate r).
 	GuaranteedSpec = core.GuaranteedSpec
