@@ -45,10 +45,13 @@ scenario-check:
 # steady state and the per-call allocation budget are gated under `test`
 # (TestFacadeSteadyStateAllocs, internal/core's TestCallSetupAllocation). The second line runs internal/stats' recorder
 # benchmarks (one Add; a report's three ranks of 1 M samples); the recorder's
-# byte budgets are tests there. Timing lives in bench/ (see bench/README.md).
+# byte budgets are tests there. The third line runs the rate schedulers over
+# the shared flow table; each fails itself if a warmed-up enqueue+dequeue
+# cycle allocates. Timing lives in bench/ (see bench/README.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SimulatorThroughput|ShardedThroughput|FacadeSmallNetwork|MillionFlows|CallChurn' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'RecorderAdd|RecorderPercentiles' -benchtime 1x -benchmem ./internal/stats
+	$(GO) test -run '^$$' -bench 'WFQEnqueueDequeue|VirtualClockEnqueueDequeue|UnifiedEnqueueDequeue' -benchtime 1x -benchmem ./internal/sched
 
 # bench/ is a module of its own, so the root build, vet and test never
 # compile it: vet and test it here so that removing an API the benchmark

@@ -1,22 +1,18 @@
 // Command ispnvet runs the repo's custom determinism/ownership analyzers
-// (internal/analysis, catalog in docs/ANALYSIS.md) over Go packages.
+// (internal/analysis, catalog in docs/ANALYSIS.md) over Go packages, as a
+// go vet tool:
 //
-// It speaks two protocols:
+//	go vet -vettool=$(pwd)/bin/ispnvet ./...
 //
-//	ispnvet [-json] [packages...]     # standalone: loads packages itself
-//	go vet -vettool=$(pwd)/bin/ispnvet ./...   # unitchecker protocol
-//
-// As a vettool it implements the cmd/go unit-checking contract: -V=full
-// prints a version for the build cache, -flags advertises no extra flags,
-// and a *.cfg argument analyzes one package from the JSON configuration go
-// vet supplies (export data for imports, so no re-typechecking of
-// dependencies). Diagnostics print as file:line:col: message [analyzer];
-// any finding makes the exit status nonzero and fails `make lint`.
+// It implements the cmd/go unit-checking contract: -V=full prints a version
+// for the build cache, -flags advertises no extra flags, and a *.cfg
+// argument analyzes one package from the JSON configuration go vet supplies
+// (export data for imports, so no re-typechecking of dependencies).
+// Diagnostics print as file:line:col: message [analyzer]; any finding makes
+// the exit status nonzero and fails `make lint`.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -44,46 +40,9 @@ func main() {
 			return
 		}
 	}
-
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array (CI artifact mode)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ispnvet [-json] [packages]\n       go vet -vettool=<path-to-ispnvet> [packages]\n\nanalyzers:\n")
-		for _, a := range analysis.Analyzers {
-			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
-		}
-		flag.PrintDefaults()
+	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=<path-to-ispnvet> [packages]\n\nanalyzers:\n")
+	for _, a := range analysis.Analyzers {
+		fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
 	}
-	flag.Parse()
-
-	pkgs, err := analysis.Load(".", flag.Args())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ispnvet:", err)
-		os.Exit(1)
-	}
-	diags, err := analysis.RunPackages(pkgs, analysis.Analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ispnvet:", err)
-		os.Exit(1)
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(os.Stderr, "ispnvet:", err)
-			os.Exit(1)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
-	}
-	if len(diags) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "ispnvet: %d finding(s)\n", len(diags))
-		}
-		os.Exit(2)
-	}
+	os.Exit(2)
 }

@@ -98,7 +98,7 @@ func unitMain(cfgPath string) {
 		fatalf("%v", err)
 	}
 	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", d.Pos, d.Message, d.Analyzer)
+		fmt.Fprintln(os.Stderr, d)
 	}
 	if len(diags) > 0 {
 		os.Exit(2)

@@ -37,9 +37,16 @@ type Controller struct {
 	rt         *stats.RateMeter // measured real-time bits
 	classDelay func(class int, now float64) float64
 
-	warmup float64 // how long a declared rate stays in the ledger
 	ledger []ledgerEntry
 }
+
+// The measurement constants: Section 9 leaves them to the implementation,
+// and one controller per link shares them.
+const (
+	measureWindow = 1.0 // ν̂ averaging window, seconds
+	measureKeep   = 10  // windows the ν̂ peak is taken over
+	warmup        = 3.0 // seconds a declared rate stays in the ledger before measurement takes over
+)
 
 type ledgerEntry struct {
 	rate    float64
@@ -63,13 +70,6 @@ type Config struct {
 	// ClassDelay returns the measured conservative class delay d̂_j; nil
 	// means "no measurement yet" (0 is assumed).
 	ClassDelay func(class int, now float64) float64
-	// MeasureWindow is the ν̂ averaging window in seconds (0 = 1s), and
-	// MeasureKeep how many windows the peak is taken over (0 = 10).
-	MeasureWindow float64
-	MeasureKeep   int
-	// Warmup is how long a newly admitted flow's declared rate is
-	// counted into ν̂ before measurement takes over (0 = 3s).
-	Warmup float64
 }
 
 // New builds a Controller.
@@ -86,22 +86,12 @@ func New(cfg Config) *Controller {
 	if len(cfg.ClassTargets) == 0 {
 		panic("admission: need at least one class target")
 	}
-	if cfg.MeasureWindow == 0 {
-		cfg.MeasureWindow = 1.0
-	}
-	if cfg.MeasureKeep == 0 {
-		cfg.MeasureKeep = 10
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 3.0
-	}
 	return &Controller{
 		mu:         cfg.LinkRate,
 		quota:      cfg.Quota,
 		targets:    append([]float64(nil), cfg.ClassTargets...),
-		rt:         stats.NewRateMeter(cfg.MeasureWindow, cfg.MeasureKeep),
+		rt:         stats.NewRateMeter(measureWindow, measureKeep),
 		classDelay: cfg.ClassDelay,
-		warmup:     cfg.Warmup,
 	}
 }
 
@@ -163,7 +153,7 @@ func (c *Controller) SetClassTargets(targets []float64) {
 // without running the admission tests — the renegotiation-decrease path uses
 // it to re-cover a flow at its new, smaller rate.
 func (c *Controller) Declare(now, rate float64, owner uint64) {
-	c.ledger = append(c.ledger, ledgerEntry{rate: rate, expires: now + c.warmup, owner: owner})
+	c.ledger = append(c.ledger, ledgerEntry{rate: rate, expires: now + warmup, owner: owner})
 }
 
 // ReleaseOwner drops every still-warming ledger entry of the given owner —
@@ -171,7 +161,7 @@ func (c *Controller) Declare(now, rate float64, owner uint64) {
 // its declared rate against ν̂ immediately. A flow that outlived its warmup
 // has no entries left and releases as a no-op: its share of ν̂ is measured,
 // and decays out of the peak windows on its own once the traffic stops.
-// Anonymous entries (owner 0, the plain Admit* variants) are not releasable.
+// Anonymous entries (owner 0) are not releasable.
 func (c *Controller) ReleaseOwner(now float64, owner uint64) {
 	if owner == 0 {
 		return
@@ -185,66 +175,76 @@ func (c *Controller) ReleaseOwner(now float64, owner uint64) {
 	c.ledger = kept
 }
 
-// ErrRejected is returned (wrapped) when a request fails the criteria.
+// ErrRejected is returned (wrapped) when a request fails the criteria. It
+// carries the numbers of the failed test rather than a rendered message, so
+// a refusal costs one small allocation and Error builds the text only when
+// somebody reads it (churn worlds refuse thousands of calls unread).
 type ErrRejected struct {
 	Criterion int // 1 or 2
 	Class     int // class j that failed criterion 2 (criterion 1: -1)
-	Detail    string
+
+	R, Nu     float64 // the declared rate r and the measured ν̂
+	Quota, Mu float64 // the real-time cap q and the link rate µ
+	// Criterion 2 only: the declared bucket b, and class j's target Dⱼ
+	// and measured delay d̂ⱼ.
+	B, Target, Delay float64
 }
 
 // Error implements error.
 func (e *ErrRejected) Error() string {
-	return fmt.Sprintf("admission rejected (criterion %d, class %d): %s", e.Criterion, e.Class, e.Detail)
-}
-
-// AdmitGuaranteed tests a guaranteed request of clock rate r at time now and
-// on success records the declared rate in the ledger (anonymously; callers
-// that later release capacity should use AdmitGuaranteedOwned).
-func (c *Controller) AdmitGuaranteed(now, r float64) error {
-	return c.AdmitGuaranteedOwned(now, r, 0)
-}
-
-// AdmitGuaranteedOwned is AdmitGuaranteed with the ledger entry tagged by
-// owner, so ReleaseOwner can later drop exactly this flow's claim.
-func (c *Controller) AdmitGuaranteedOwned(now, r float64, owner uint64) error {
-	nu := c.Utilization(now)
-	if r+nu >= c.quota*c.mu {
-		return &ErrRejected{Criterion: 1, Class: -1,
-			Detail: fmt.Sprintf("r=%.0f + ν̂=%.0f >= %.2f·µ=%.0f", r, nu, c.quota, c.quota*c.mu)}
+	var detail string
+	if e.Criterion == 1 {
+		detail = fmt.Sprintf("r=%.0f + ν̂=%.0f >= %.2f·µ=%.0f", e.R, e.Nu, e.Quota, e.Quota*e.Mu)
+	} else {
+		spare := e.Mu - e.Nu - e.R
+		detail = fmt.Sprintf("b=%.0f >= (D=%.4f − d̂=%.4f)·(µ−ν̂−r=%.0f) = %.0f",
+			e.B, e.Target, e.Delay, spare, (e.Target-e.Delay)*spare)
 	}
-	c.ledger = append(c.ledger, ledgerEntry{rate: r, expires: now + c.warmup, owner: owner})
+	return fmt.Sprintf("admission rejected (criterion %d, class %d): %s", e.Criterion, e.Class, detail)
+}
+
+// criterion1 measures ν̂ and tests r against the datagram quota — the part
+// of the decision guaranteed and predicted requests share.
+func (c *Controller) criterion1(now, r float64) (nu float64, rej *ErrRejected) {
+	nu = c.Utilization(now)
+	if r+nu >= c.quota*c.mu {
+		rej = &ErrRejected{Criterion: 1, Class: -1, R: r, Nu: nu, Quota: c.quota, Mu: c.mu}
+	}
+	return nu, rej
+}
+
+// AdmitGuaranteedOwned tests a guaranteed request of clock rate r at time
+// now and on success records the declared rate in the ledger, tagged by
+// owner so ReleaseOwner can later drop exactly this flow's claim (owner 0:
+// anonymous, never released).
+func (c *Controller) AdmitGuaranteedOwned(now, r float64, owner uint64) error {
+	if _, rej := c.criterion1(now, r); rej != nil {
+		return rej
+	}
+	c.Declare(now, r, owner)
 	return nil
 }
 
-// AdmitPredicted tests a predicted request (r, b) into class at time now and
-// on success records the declared rate (anonymously).
-func (c *Controller) AdmitPredicted(now, r, b float64, class int) error {
-	return c.AdmitPredictedOwned(now, r, b, class, 0)
-}
-
-// AdmitPredictedOwned is AdmitPredicted with the ledger entry tagged by
-// owner.
+// AdmitPredictedOwned tests a predicted request (r, b) into class at time
+// now and on success records the declared rate, tagged by owner.
 func (c *Controller) AdmitPredictedOwned(now, r, b float64, class int, owner uint64) error {
 	if class < 0 || class >= len(c.targets) {
 		return fmt.Errorf("admission: class %d out of range", class)
 	}
-	nu := c.Utilization(now)
-	if r+nu >= c.quota*c.mu {
-		return &ErrRejected{Criterion: 1, Class: -1,
-			Detail: fmt.Sprintf("r=%.0f + ν̂=%.0f >= %.2f·µ=%.0f", r, nu, c.quota, c.quota*c.mu)}
+	nu, rej := c.criterion1(now, r)
+	if rej != nil {
+		return rej
 	}
 	for j := class; j < len(c.targets); j++ {
 		dj := 0.0
 		if c.classDelay != nil {
 			dj = c.classDelay(j, now)
 		}
-		room := (c.targets[j] - dj) * (c.mu - nu - r)
-		if b >= room {
-			return &ErrRejected{Criterion: 2, Class: j,
-				Detail: fmt.Sprintf("b=%.0f >= (D=%.4f − d̂=%.4f)·(µ−ν̂−r=%.0f) = %.0f",
-					b, c.targets[j], dj, c.mu-nu-r, room)}
+		if b >= (c.targets[j]-dj)*(c.mu-nu-r) {
+			return &ErrRejected{Criterion: 2, Class: j, R: r, Nu: nu, Quota: c.quota, Mu: c.mu,
+				B: b, Target: c.targets[j], Delay: dj}
 		}
 	}
-	c.ledger = append(c.ledger, ledgerEntry{rate: r, expires: now + c.warmup, owner: owner})
+	c.Declare(now, r, owner)
 	return nil
 }

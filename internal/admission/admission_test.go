@@ -19,14 +19,14 @@ func TestAdmitIntoIdleLink(t *testing.T) {
 	c := newCtl(nil)
 	// Class 0 has target 32 ms: on an idle link the room is
 	// 0.032·9e5 = 28800 bits, so a 20000-bit bucket fits.
-	if err := c.AdmitPredicted(0, 1e5, 2e4, 0); err != nil {
+	if err := c.AdmitPredictedOwned(0, 1e5, 2e4, 0, 0); err != nil {
 		t.Fatalf("idle link rejected a modest flow: %v", err)
 	}
 	// The low class (target 320 ms) takes a much deeper bucket.
-	if err := c.AdmitPredicted(0, 1e5, 2e5, 1); err != nil {
+	if err := c.AdmitPredictedOwned(0, 1e5, 2e5, 1, 0); err != nil {
 		t.Fatalf("idle link rejected a deep-bucket low-class flow: %v", err)
 	}
-	if err := c.AdmitGuaranteed(10, 2e5); err != nil {
+	if err := c.AdmitGuaranteedOwned(10, 2e5, 0); err != nil {
 		t.Fatalf("idle link rejected a guaranteed flow: %v", err)
 	}
 }
@@ -34,7 +34,7 @@ func TestAdmitIntoIdleLink(t *testing.T) {
 func TestCriterion1DatagramQuota(t *testing.T) {
 	c := newCtl(nil)
 	// 0.9 * 1e6 = 900k. A 950k request must fail even on an idle link.
-	err := c.AdmitGuaranteed(0, 9.5e5)
+	err := c.AdmitGuaranteedOwned(0, 9.5e5, 0)
 	var rej *ErrRejected
 	if !errors.As(err, &rej) || rej.Criterion != 1 {
 		t.Fatalf("err = %v, want criterion-1 rejection", err)
@@ -49,13 +49,13 @@ func TestCriterion1CountsMeasuredUtilization(t *testing.T) {
 		c.ObserveTransmit(&packet.Packet{Size: 600, Class: packet.Predicted}, now)
 	}
 	// ν̂ ~ 600k, so a 400k request breaks r + ν̂ < 900k.
-	err := c.AdmitGuaranteed(15, 4e5)
+	err := c.AdmitGuaranteedOwned(15, 4e5, 0)
 	var rej *ErrRejected
 	if !errors.As(err, &rej) || rej.Criterion != 1 {
 		t.Fatalf("err = %v, want criterion-1 rejection", err)
 	}
 	// A 200k request still fits.
-	if err := c.AdmitGuaranteed(15, 2e5); err != nil {
+	if err := c.AdmitGuaranteedOwned(15, 2e5, 0); err != nil {
 		t.Fatalf("200k request rejected: %v", err)
 	}
 }
@@ -66,7 +66,7 @@ func TestDatagramTrafficDoesNotCountTowardNuHat(t *testing.T) {
 		now := float64(i) * 0.001
 		c.ObserveTransmit(&packet.Packet{Size: 900, Class: packet.Datagram}, now)
 	}
-	if err := c.AdmitGuaranteed(15, 8e5); err != nil {
+	if err := c.AdmitGuaranteedOwned(15, 8e5, 0); err != nil {
 		t.Fatalf("datagram load should not block real-time admission: %v", err)
 	}
 }
@@ -81,13 +81,13 @@ func TestCriterion2BucketTooDeep(t *testing.T) {
 		return 0
 	})
 	// Room for class 0: (0.032-0.030)*(1e6-0-1e5) = 0.002*9e5 = 1800 bits.
-	err := c.AdmitPredicted(0, 1e5, 5e4, 0)
+	err := c.AdmitPredictedOwned(0, 1e5, 5e4, 0, 0)
 	var rej *ErrRejected
 	if !errors.As(err, &rej) || rej.Criterion != 2 || rej.Class != 0 {
 		t.Fatalf("err = %v, want criterion-2 rejection for class 0", err)
 	}
 	// A tiny bucket fits.
-	if err := c.AdmitPredicted(0, 1e5, 1000, 0); err != nil {
+	if err := c.AdmitPredictedOwned(0, 1e5, 1000, 0, 0); err != nil {
 		t.Fatalf("tiny bucket rejected: %v", err)
 	}
 }
@@ -103,7 +103,7 @@ func TestCriterion2ChecksLowerClassesToo(t *testing.T) {
 	})
 	// b=20000 passes class 0's own room ((0.032)(9e5) = 28800) but not
 	// class 1's ((0.32-0.319)(9e5) = 900).
-	err := c.AdmitPredicted(0, 1e5, 2e4, 0)
+	err := c.AdmitPredictedOwned(0, 1e5, 2e4, 0, 0)
 	var rej *ErrRejected
 	if !errors.As(err, &rej) || rej.Criterion != 2 || rej.Class != 1 {
 		t.Fatalf("err = %v, want criterion-2 rejection for class 1", err)
@@ -119,7 +119,7 @@ func TestLowClassAdmissionIgnoresHigherClassDelays(t *testing.T) {
 		}
 		return 0
 	})
-	if err := c.AdmitPredicted(0, 1e5, 5e4, 1); err != nil {
+	if err := c.AdmitPredictedOwned(0, 1e5, 5e4, 1, 0); err != nil {
 		t.Fatalf("class-1 admission blocked by class-0 delay: %v", err)
 	}
 }
@@ -131,7 +131,7 @@ func TestLedgerMakesBackToBackAdmissionsConservative(t *testing.T) {
 	// after 4 (4*200k < 900k, 5th would hit 1000k >= 900k).
 	admitted := 0
 	for i := 0; i < 8; i++ {
-		if err := c.AdmitGuaranteed(0.1*float64(i), 2e5); err == nil {
+		if err := c.AdmitGuaranteedOwned(0.1*float64(i), 2e5, 0); err == nil {
 			admitted++
 		}
 	}
@@ -142,16 +142,16 @@ func TestLedgerMakesBackToBackAdmissionsConservative(t *testing.T) {
 
 func TestLedgerExpires(t *testing.T) {
 	c := newCtl(nil)
-	if err := c.AdmitGuaranteed(0, 8e5); err != nil {
+	if err := c.AdmitGuaranteedOwned(0, 8e5, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Immediately, the declared 800k blocks everything.
-	if err := c.AdmitGuaranteed(0.1, 2e5); err == nil {
+	if err := c.AdmitGuaranteedOwned(0.1, 2e5, 0); err == nil {
 		t.Fatal("ledger did not block immediate second admission")
 	}
 	// After warmup (3s) with no measured traffic (the flow never actually
 	// sent), capacity frees up again.
-	if err := c.AdmitGuaranteed(10, 2e5); err != nil {
+	if err := c.AdmitGuaranteedOwned(10, 2e5, 0); err != nil {
 		t.Fatalf("expired ledger still blocking: %v", err)
 	}
 }
@@ -161,7 +161,7 @@ func TestUtilizationCombinesMeasurementAndLedger(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		c.ObserveTransmit(&packet.Packet{Size: 300, Class: packet.Guaranteed}, float64(i)*0.001)
 	}
-	if err := c.AdmitGuaranteed(5, 1e5); err != nil {
+	if err := c.AdmitGuaranteedOwned(5, 1e5, 0); err != nil {
 		t.Fatal(err)
 	}
 	nu := c.Utilization(5)
@@ -172,7 +172,7 @@ func TestUtilizationCombinesMeasurementAndLedger(t *testing.T) {
 
 func TestInvalidClass(t *testing.T) {
 	c := newCtl(nil)
-	if err := c.AdmitPredicted(0, 1e5, 1e3, 7); err == nil {
+	if err := c.AdmitPredictedOwned(0, 1e5, 1e3, 7, 0); err == nil {
 		t.Fatal("out-of-range class accepted")
 	}
 }
@@ -201,12 +201,12 @@ func TestReleaseFreesWarmingLedgerEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The declared 800k blocks a 200k follow-up while it warms up...
-	if err := c.AdmitGuaranteed(0.1, 2e5); err == nil {
+	if err := c.AdmitGuaranteedOwned(0.1, 2e5, 0); err == nil {
 		t.Fatal("ledger did not block the follow-up")
 	}
 	// ...but a departure before warmup expiry frees it immediately.
 	c.ReleaseOwner(0.2, 7)
-	if err := c.AdmitGuaranteed(0.3, 2e5); err != nil {
+	if err := c.AdmitGuaranteedOwned(0.3, 2e5, 0); err != nil {
 		t.Fatalf("released capacity still blocking: %v", err)
 	}
 	// Releasing an owner with no entries left (already expired, or never
@@ -243,5 +243,45 @@ func TestReleaseOwnerDoesNotCannibalizeOtherFlows(t *testing.T) {
 	c.ReleaseOwner(5.1, 0)
 	if got := c.Utilization(5.2); got < 3e5 {
 		t.Fatalf("owner-0 release removed an owned entry: ν̂ = %v", got)
+	}
+}
+
+// TestRejectionMessagePinned pins ErrRejected's text: the numbers are kept
+// and the message is built in Error, and it must read exactly as it did when
+// it was rendered at refusal time (these literals were printed by that code).
+func TestRejectionMessagePinned(t *testing.T) {
+	c := New(Config{LinkRate: 1.5e6, Quota: 0.85, ClassTargets: []float64{0.032, 0.32},
+		ClassDelay: func(class int, now float64) float64 { return 0.0123456 * float64(class+1) }})
+	for i := 0; i < 4000; i++ {
+		c.ObserveTransmit(&packet.Packet{Size: 333, Class: packet.Predicted}, float64(i)*0.001)
+	}
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{c.AdmitGuaranteedOwned(4, 1.1e6, 0),
+			"admission rejected (criterion 1, class -1): r=1100000 + ν̂=333000 >= 0.85·µ=1275000"},
+		{c.AdmitPredictedOwned(4, 1.23456e5, 5e4, 0, 0),
+			"admission rejected (criterion 2, class 0): b=50000 >= (D=0.0320 − d̂=0.0123)·(µ−ν̂−r=1043544) = 20510"},
+		{c.AdmitPredictedOwned(4, 1.23456e5, 3.1e5, 1, 0),
+			"admission rejected (criterion 2, class 1): b=310000 >= (D=0.3200 − d̂=0.0247)·(µ−ν̂−r=1043544) = 308168"},
+	} {
+		if tc.err == nil || tc.err.Error() != tc.want {
+			t.Errorf("refusal reads\n  %v\nwant\n  %s", tc.err, tc.want)
+		}
+	}
+}
+
+// A refusal allocates its ErrRejected and nothing else: no message is
+// rendered unless Error is called.
+func TestRefusalAllocatesOneStruct(t *testing.T) {
+	c := newCtl(func(int, float64) float64 { return 0.031 })
+	c.Utilization(0) // the ledger slice is allocated by now, if ever
+	if n := testing.AllocsPerRun(100, func() {
+		if c.AdmitPredictedOwned(0, 1e5, 5e4, 0, 1) == nil {
+			t.Fatal("deep bucket admitted")
+		}
+	}); n > 1 {
+		t.Fatalf("a refused AdmitPredictedOwned allocates %v times, want at most 1", n)
 	}
 }

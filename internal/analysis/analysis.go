@@ -64,9 +64,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // A Diagnostic is one finding, positioned for file:line:col rendering.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"pos"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -233,7 +233,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // SortDiagnostics orders findings by file, line, column, analyzer — the
-// stable order both output modes print.
+// stable order they print in.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -268,12 +268,4 @@ func pathIn(importPath string, pkgs []string) bool {
 func isIspnInternal(importPath string) bool {
 	return strings.HasPrefix(importPath, "ispn/internal/") ||
 		strings.Contains(importPath, "/ispn/internal/")
-}
-
-// lastSegments returns the trailing n path segments, for suffix scoping.
-func trimToInternal(importPath string) string {
-	if i := strings.Index(importPath, "ispn/internal/"); i >= 0 {
-		return importPath[i:]
-	}
-	return importPath
 }

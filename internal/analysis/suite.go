@@ -9,18 +9,3 @@ var Analyzers = []*Analyzer{
 	ReportNil,
 	WallClock,
 }
-
-// RunPackages loads nothing itself: it applies the given analyzers to every
-// already-loaded package and returns all findings in stable order.
-func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var all []Diagnostic
-	for _, pkg := range pkgs {
-		diags, err := RunPackage(pkg, analyzers)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, diags...)
-	}
-	SortDiagnostics(all)
-	return all, nil
-}

@@ -101,6 +101,43 @@ func TestMidRunDepartureDrains(t *testing.T) {
 	}
 }
 
+// TestReleaseThenRequestSameIDWhileDraining holds Release to its word — "the
+// id is free for a new request" — in the window where the departed flow's
+// backlog still holds its scheduler registration at a hop: the second request
+// succeeds, the old tail reaches the old flow's sink, the newcomer's packets
+// the newcomer's, and every packet goes back to the pool.
+func TestReleaseThenRequestSameIDWhileDraining(t *testing.T) {
+	n := newChain(t, false)
+	path := []string{"A", "B", "C"}
+	inject := func(f *Flow, k int) {
+		for i := 0; i < k; i++ {
+			p := n.Pool().Get()
+			p.Size = 1000
+			if !f.Inject(p) {
+				t.Fatal("conforming packet refused at the edge")
+			}
+		}
+	}
+	old, err := n.RequestGuaranteed(5, path, GuaranteedSpec{ClockRate: 1e5, BucketBits: 5e4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inject(old, 3) // one on the wire, two queued at A->B
+	n.Release(5)
+	fresh, err := n.RequestGuaranteed(5, path, GuaranteedSpec{ClockRate: 3e5, BucketBits: 5e4})
+	if err != nil {
+		t.Fatalf("id 5 not reusable while its old backlog drains: %v", err)
+	}
+	inject(fresh, 2)
+	n.Run(1)
+	if old.Delivered() != 3 || fresh.Delivered() != 2 {
+		t.Fatalf("delivered old %d / new %d, want 3 / 2", old.Delivered(), fresh.Delivered())
+	}
+	if gets, puts, _ := n.Pool().Stats(); gets != puts {
+		t.Fatalf("packet leak: %d gets, %d puts", gets, puts)
+	}
+}
+
 // Release with admission control on: the warmup ledger entry is handed back,
 // so a follow-up request inside the warmup window is admitted.
 func TestReleaseReturnsAdmissionLedger(t *testing.T) {

@@ -29,17 +29,39 @@ func benchPackets(n int) []*packet.Packet {
 	return ps
 }
 
-func benchCycle(b *testing.B, s Scheduler) {
+// benchCycle times one enqueue (and, past 64 queued, one dequeue) per
+// iteration, after enough untimed cycles that every ring and heap has grown
+// to its steady size. It returns the cycle for benchCycleNoAllocs.
+func benchCycle(b *testing.B, s Scheduler) (cycle func()) {
 	ps := benchPackets(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	now := 0.0
-	for i := 0; i < b.N; i++ {
+	now, i := 0.0, 0
+	cycle = func() {
 		now += 0.001
 		s.Enqueue(ps[i%1024], now)
+		i++
 		if s.Len() > 64 {
 			s.Dequeue(now)
 		}
+	}
+	for k := 0; k < 4096; k++ {
+		cycle()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		cycle()
+	}
+	return cycle
+}
+
+// benchCycleNoAllocs is benchCycle for the rate schedulers, whose steady
+// state must not allocate: the benchmark fails itself if a warmed-up cycle
+// does. `make bench-smoke` runs these three at 1x for this check alone.
+func benchCycleNoAllocs(b *testing.B, s Scheduler) {
+	cycle := benchCycle(b, s)
+	b.StopTimer()
+	if a := testing.AllocsPerRun(1000, cycle); a != 0 {
+		b.Fatalf("a steady-state enqueue+dequeue cycle allocates %v times, want 0", a)
 	}
 }
 
@@ -56,7 +78,7 @@ func BenchmarkWFQEnqueueDequeue(b *testing.B) {
 	for f := 0; f < 10; f++ {
 		w.AddFlow(uint32(f), 1e5)
 	}
-	benchCycle(b, w)
+	benchCycleNoAllocs(b, w)
 }
 
 func BenchmarkVirtualClockEnqueueDequeue(b *testing.B) {
@@ -64,19 +86,19 @@ func BenchmarkVirtualClockEnqueueDequeue(b *testing.B) {
 	for f := 0; f < 10; f++ {
 		v.AddFlow(uint32(f), 1e5)
 	}
-	benchCycle(b, v)
+	benchCycleNoAllocs(b, v)
 }
 
 func BenchmarkDRREnqueueDequeue(b *testing.B) { benchCycle(b, NewDRR(1000, true)) }
 
 func BenchmarkUnifiedEnqueueDequeue(b *testing.B) {
-	u := NewUnified(UnifiedConfig{LinkRate: 1e6, PredictedClasses: 2})
+	u := NewUnified(Profile{}.Normalize(), 1e6)
 	// Flows 0-9 exist as predicted traffic via the fallback; add three
 	// guaranteed reservations like a Table-3 link.
 	u.AddGuaranteed(100, 1.7e5)
 	u.AddGuaranteed(101, 1.7e5)
 	u.AddGuaranteed(102, 0.85e5)
-	benchCycle(b, u)
+	benchCycleNoAllocs(b, u)
 }
 
 func BenchmarkRegulatorEnqueueDequeue(b *testing.B) {

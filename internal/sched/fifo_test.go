@@ -100,10 +100,10 @@ func TestPriorityClampsOutOfRangeLevels(t *testing.T) {
 	// Predicted packet with absurd priority header must land in the
 	// lowest predicted class (level 1 here = K-1), not the datagram one.
 	pr.Enqueue(pktClass(1, 0, 1000, packet.Predicted, 200), 0)
-	if pr.Level(1).Len() != 1 {
+	if pr.levels[1].Len() != 1 {
 		t.Fatal("overflow priority was not clamped to the lowest predicted class")
 	}
-	if pr.Level(2).Len() != 0 {
+	if pr.levels[2].Len() != 0 {
 		t.Fatal("predicted packet leaked into the datagram class")
 	}
 }

@@ -84,9 +84,6 @@ func (f *FIFOPlus) Peek() *packet.Packet { return f.q.Peek() }
 // Len implements Scheduler.
 func (f *FIFOPlus) Len() int { return f.q.Len() }
 
-// AverageDelay returns the current class-average queueing delay at this hop.
-func (f *FIFOPlus) AverageDelay() float64 { return f.avg.Value() }
-
 // RecentMaxDelay returns a conservative (recent-windows maximum) estimate of
 // the class delay at this hop, the d̂ input to admission control.
 func (f *FIFOPlus) RecentMaxDelay(now float64) float64 { return f.maxDelay.Max(now) }

@@ -51,8 +51,8 @@ func TestFIFOPlusFirstPacketGetsZeroDeviation(t *testing.T) {
 	if math.Abs(out.JitterOffset) > 1e-12 {
 		t.Fatalf("first packet offset = %v, want 0", out.JitterOffset)
 	}
-	if math.Abs(f.AverageDelay()-0.5) > 1e-12 {
-		t.Fatalf("AverageDelay = %v, want 0.5", f.AverageDelay())
+	if math.Abs(f.avg.Value()-0.5) > 1e-12 {
+		t.Fatalf("class average = %v, want 0.5", f.avg.Value())
 	}
 }
 

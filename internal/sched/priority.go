@@ -46,9 +46,6 @@ func NewPriority(levels []Scheduler, classify func(*packet.Packet) int) *Priorit
 	return &Priority{levels: levels, counts: make([]int, len(levels)), classify: classify}
 }
 
-// Level exposes the sub-scheduler at level i (for measurement hooks).
-func (pr *Priority) Level(i int) Scheduler { return pr.levels[i] }
-
 // Enqueue implements Scheduler.
 func (pr *Priority) Enqueue(p *packet.Packet, now float64) {
 	l := pr.classify(p)

@@ -192,13 +192,10 @@ type Pipeline interface {
 	ClassDelayEstimate(class int, now float64) float64
 }
 
-// Builder constructs a pipeline from a normalized profile for a port of the
-// given link rate.
-type Builder func(p Profile, linkRate float64) Pipeline
-
-// pipelines is the fixed table of pipeline kinds.
-var pipelines = map[string]Builder{
-	KindUnified:      newUnifiedPipeline,
+// pipelines is the fixed table of pipeline kinds: each entry constructs a
+// pipeline from a normalized profile for a port of the given link rate.
+var pipelines = map[string]func(p Profile, linkRate float64) Pipeline{
+	KindUnified:      func(p Profile, linkRate float64) Pipeline { return NewUnified(p, linkRate) },
 	KindWFQ:          newWFQPipeline,
 	KindFIFO:         func(p Profile, _ float64) Pipeline { return &plainPipeline{Scheduler: NewFIFO(), prof: p} },
 	KindFIFOPlus:     newFIFOPlusPipeline,
@@ -231,20 +228,6 @@ func NewPipeline(prof Profile, linkRate float64) (Pipeline, error) {
 		return nil, err
 	}
 	return pipelines[prof.Kind](prof, linkRate), nil
-}
-
-// newUnifiedPipeline builds the paper's Section 7 scheduler from a profile.
-func newUnifiedPipeline(p Profile, linkRate float64) Pipeline {
-	u := NewUnified(UnifiedConfig{
-		LinkRate:         linkRate,
-		PredictedClasses: p.Classes(),
-		FIFOPlusGain:     p.FIFOPlusGain,
-		PlainFIFO:        p.Sharing == SharingFIFO,
-		RoundRobin:       p.Sharing == SharingRoundRobin,
-		MaxPacketBits:    p.MaxPacketBits,
-	})
-	u.prof = p
-	return u
 }
 
 func newFIFOPlusPipeline(p Profile, _ float64) Pipeline {
@@ -287,7 +270,9 @@ type rateScheduler interface {
 	RemoveFlow(id uint32)
 	SetRate(id uint32, rate float64)
 	Rate(id uint32) float64
-	EnqueueFallback(p *packet.Packet, now float64)
+	// enqueueOn stamps p by the discipline's rule and queues it on f, a
+	// flow of the scheduler's table.
+	enqueueOn(f *rateFlow, p *packet.Packet, now float64)
 }
 
 // isoPipeline is the isolation half of every reserving pipeline: guaranteed
@@ -300,6 +285,7 @@ type rateScheduler interface {
 // real-time per-flow clocks underneath.
 type isoPipeline struct {
 	rateScheduler
+	table    *rateTable // the rate scheduler's flow table: Enqueue resolves a packet's flow here
 	prof     Profile
 	linkRate float64
 	reserved float64
@@ -309,14 +295,14 @@ func newWFQPipeline(p Profile, linkRate float64) Pipeline {
 	w := NewWFQ(linkRate)
 	w.AddFlowScheduler(Flow0ID, linkRate, NewFIFO())
 	w.SetFallback(Flow0ID)
-	return &isoPipeline{rateScheduler: w, prof: p, linkRate: linkRate}
+	return &isoPipeline{rateScheduler: w, table: &w.rateTable, prof: p, linkRate: linkRate}
 }
 
 func newVCPipeline(p Profile, linkRate float64) Pipeline {
 	v := NewVirtualClock()
 	v.AddFlow(Flow0ID, linkRate)
 	v.SetFallback(Flow0ID)
-	return &isoPipeline{rateScheduler: v, prof: p, linkRate: linkRate}
+	return &isoPipeline{rateScheduler: v, table: &v.rateTable, prof: p, linkRate: linkRate}
 }
 
 func (w *isoPipeline) Profile() Profile         { return w.prof }
@@ -382,18 +368,22 @@ func (w *isoPipeline) SetLinkRate(rate, now float64) {
 
 func (w *isoPipeline) ClassDelayEstimate(class int, now float64) float64 { return 0 }
 
-// Enqueue routes guaranteed packets to their own clocked flow by flow id;
-// everything else lands in flow 0 directly (no per-flow lookup — only
-// guaranteed flows are ever registered with the rate scheduler). A guaranteed
-// packet whose reservation is gone — the tail of a departed flow still in
-// flight from upstream hops — is demoted into flow 0: the hard commitment
-// ended with the reservation, but the residue is still delivered.
+// Enqueue routes guaranteed packets to their own clocked flow by flow id —
+// one probe of the table's id map; everything else lands in flow 0 directly
+// (no per-flow lookup — only guaranteed flows are ever registered with the
+// rate scheduler). A guaranteed packet whose reservation is gone — the tail
+// of a departed flow still in flight from upstream hops — is demoted into
+// flow 0: the hard commitment ended with the reservation, but the residue is
+// still delivered.
 func (w *isoPipeline) Enqueue(p *packet.Packet, now float64) {
-	if p.Class == packet.Guaranteed && w.Rate(p.FlowID) != 0 {
-		w.rateScheduler.Enqueue(p, now)
-		return
+	var f *rateFlow
+	if p.Class == packet.Guaranteed {
+		f = w.table.byID[p.FlowID]
 	}
-	w.EnqueueFallback(p, now)
+	if f == nil {
+		f = w.table.fallbackFlow(p)
+	}
+	w.enqueueOn(f, p, now)
 }
 
 var (

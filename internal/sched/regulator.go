@@ -79,9 +79,6 @@ func (r *Regulator) Peek() *packet.Packet { return r.inner.Peek() }
 // Len implements Scheduler (held + released).
 func (r *Regulator) Len() int { return r.held.Len() + r.inner.Len() }
 
-// Held returns the number of packets currently being delayed.
-func (r *Regulator) Held() int { return r.held.Len() }
-
 // NextEligible implements NonWorkConserving.
 func (r *Regulator) NextEligible(now float64) float64 {
 	if r.inner.Len() > 0 {

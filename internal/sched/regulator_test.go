@@ -11,7 +11,7 @@ func TestRegulatorPassesOnTimePackets(t *testing.T) {
 	p.ArrivedAt = 5.0
 	p.JitterOffset = 0 // exactly on schedule
 	r.Enqueue(p, 5.0)
-	if r.Held() != 0 {
+	if r.held.Len() != 0 {
 		t.Fatal("on-time packet was held")
 	}
 	if got := r.Dequeue(5.0); got != p {
@@ -25,7 +25,7 @@ func TestRegulatorPassesLatePackets(t *testing.T) {
 	p.ArrivedAt = 5.0
 	p.JitterOffset = 0.020 // 20 ms late (unlucky upstream)
 	r.Enqueue(p, 5.0)
-	if r.Held() != 0 {
+	if r.held.Len() != 0 {
 		t.Fatal("late packet was held")
 	}
 }
@@ -36,8 +36,8 @@ func TestRegulatorHoldsEarlyPackets(t *testing.T) {
 	p.ArrivedAt = 5.0
 	p.JitterOffset = -0.030 // 30 ms early: expected at 5.030
 	r.Enqueue(p, 5.0)
-	if r.Held() != 1 || r.Len() != 1 {
-		t.Fatalf("Held/Len = %d/%d, want 1/1", r.Held(), r.Len())
+	if r.held.Len() != 1 || r.Len() != 1 {
+		t.Fatalf("Held/Len = %d/%d, want 1/1", r.held.Len(), r.Len())
 	}
 	if got := r.Dequeue(5.010); got != nil {
 		t.Fatal("held packet released too early")

@@ -12,7 +12,23 @@
 //   - Unified — the paper's Section 7 scheduler: WFQ isolation between
 //     guaranteed flows and a pseudo "flow 0" holding the priority-ordered
 //     FIFO+ classes plus datagram traffic.
-//   - VirtualClock and DRR — related-work baselines used in ablations.
+//   - VirtualClock, DRR, DelayEDD, StopAndGo and Regulator — the Section
+//     10–11 related-work baselines used in ablations and comparisons.
+//
+// WFQ and VirtualClock are one structure with two stamp rules. The shared
+// rateTable holds the flows in registration order, the id map, the fallback
+// flow, a per-flow FIFO of tags beside a child scheduler, and the service
+// rule: smallest head tag first, ties to the flow registered first; a flow
+// removed with a backlog drains before its registration goes, and re-adding
+// its id meanwhile revives it. Each discipline adds only how an arriving
+// packet of size L on a flow of rate r is stamped:
+//
+//	WFQ           F = max(V, F_prev) + L/r    V: virtual time, advancing at µ / Σ_backlogged r
+//	VirtualClock  VC = max(now, VC) + L/r     a per-flow clock in real time
+//
+// Profile names a port's discipline and NewPipeline builds it; the reserving
+// kinds (unified, wfq, virtualclock) share isoPipeline's bookkeeping over
+// whichever rate scheduler is underneath.
 //
 // All schedulers are single-goroutine simulation objects: the discrete-event
 // engine serializes access, so they carry no locks.

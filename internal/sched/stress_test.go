@@ -44,8 +44,7 @@ func allSchedulers() map[string]func() Scheduler {
 			return e
 		},
 		"Unified": func() Scheduler {
-			u := NewUnified(UnifiedConfig{LinkRate: 1e6, PredictedClasses: 2})
-			return u
+			return NewUnified(Profile{}.Normalize(), 1e6)
 		},
 		"Regulator":   func() Scheduler { return NewRegulator(NewFIFO()) },
 		"Stop-and-Go": func() Scheduler { return NewStopAndGo(0.010) },

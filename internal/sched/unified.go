@@ -4,29 +4,6 @@ package sched
 // predicted-service and datagram traffic in the unified scheduler.
 const Flow0ID = ^uint32(0)
 
-// UnifiedConfig configures the Section 7 unified scheduler at one output
-// port.
-type UnifiedConfig struct {
-	// LinkRate is the output link bandwidth in bits/second.
-	LinkRate float64
-	// PredictedClasses is K, the number of strict-priority predicted
-	// service classes above the datagram class.
-	PredictedClasses int
-	// FIFOPlusGain is the EWMA gain of the per-class average delay
-	// (0 = DefaultFIFOPlusGain).
-	FIFOPlusGain float64
-	// PlainFIFO replaces FIFO+ with plain FIFO inside each predicted
-	// class (single-hop configurations and ablations).
-	PlainFIFO bool
-	// RoundRobin replaces FIFO+ with per-flow round robin inside each
-	// predicted class — the Jacobson–Floyd sharing alternative discussed
-	// in Section 11 (ablation).
-	RoundRobin bool
-	// MaxPacketBits sizes the round-robin quantum; only used with
-	// RoundRobin. 0 means 1000 bits (the paper's packet size).
-	MaxPacketBits int
-}
-
 // Unified is the paper's unified scheduling algorithm (Section 7):
 //
 //   - every guaranteed flow α is a WFQ flow with clock rate r_α;
@@ -45,45 +22,41 @@ type Unified struct {
 	levels []Scheduler
 }
 
-// NewUnified builds a unified scheduler for one output port.
-func NewUnified(cfg UnifiedConfig) *Unified {
-	if cfg.LinkRate <= 0 {
+// NewUnified builds the unified scheduler a normalized profile describes,
+// for an output port of the given link rate (bits/second): one predicted
+// class per class target, each running the profile's sharing discipline
+// (FIFO+ by default; plain FIFO and the Section 11 per-flow round robin are
+// the ablations).
+func NewUnified(p Profile, linkRate float64) *Unified {
+	if linkRate <= 0 {
 		panic("sched: Unified link rate must be positive")
 	}
-	if cfg.PredictedClasses < 1 {
+	k := p.Classes()
+	if k < 1 {
 		panic("sched: Unified needs at least one predicted class")
 	}
-	levels := make([]Scheduler, cfg.PredictedClasses+1)
-	for i := 0; i < cfg.PredictedClasses; i++ {
-		switch {
-		case cfg.PlainFIFO:
+	levels := make([]Scheduler, k+1)
+	for i := 0; i < k; i++ {
+		switch p.Sharing {
+		case SharingFIFO:
 			levels[i] = NewFIFO()
-		case cfg.RoundRobin:
-			q := cfg.MaxPacketBits
-			if q == 0 {
-				q = 1000
-			}
-			levels[i] = NewDRR(float64(q), true)
+		case SharingRoundRobin:
+			levels[i] = NewDRR(float64(p.MaxPacketBits), true)
 		default:
-			levels[i] = NewFIFOPlus(cfg.FIFOPlusGain)
+			levels[i] = NewFIFOPlus(p.FIFOPlusGain)
 		}
 	}
-	levels[cfg.PredictedClasses] = NewFIFO() // datagram
+	levels[k] = NewFIFO() // datagram
 	prio := NewPriority(levels, ClassifyByHeader(len(levels)))
 
-	w := NewWFQ(cfg.LinkRate)
-	w.AddFlowScheduler(Flow0ID, cfg.LinkRate, prio)
+	w := NewWFQ(linkRate)
+	w.AddFlowScheduler(Flow0ID, linkRate, prio)
 	w.SetFallback(Flow0ID)
 	return &Unified{
-		isoPipeline: isoPipeline{rateScheduler: w, linkRate: cfg.LinkRate},
+		isoPipeline: isoPipeline{rateScheduler: w, table: &w.rateTable, prof: p, linkRate: linkRate},
 		levels:      levels,
 	}
 }
-
-// PredictedClass returns the scheduler of predicted class i (0 = highest),
-// for measurement hooks; the returned value is a *FIFOPlus unless the
-// configuration replaced it.
-func (u *Unified) PredictedClass(i int) Scheduler { return u.levels[i] }
 
 // ClassDelayEstimate returns the conservative measured delay d̂ᵢ of predicted
 // class i at this port, used by admission control. It returns 0 when the

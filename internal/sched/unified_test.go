@@ -7,8 +7,10 @@ import (
 	"ispn/internal/packet"
 )
 
+// newTestUnified builds the paper's default port (two predicted classes,
+// FIFO+ sharing) on a 1 Mb/s link.
 func newTestUnified() *Unified {
-	return NewUnified(UnifiedConfig{LinkRate: 1e6, PredictedClasses: 2})
+	return NewUnified(Profile{}.Normalize(), 1e6)
 }
 
 func TestUnifiedGuaranteedIsolatedFromPredictedFlood(t *testing.T) {
@@ -139,16 +141,16 @@ func TestUnifiedSetLinkAndGuaranteedRate(t *testing.T) {
 
 func TestUnifiedPredictedClassSchedulers(t *testing.T) {
 	u := newTestUnified()
-	if _, ok := u.PredictedClass(0).(*FIFOPlus); !ok {
+	if _, ok := u.levels[0].(*FIFOPlus); !ok {
 		t.Fatal("predicted class 0 is not FIFO+ by default")
 	}
-	uf := NewUnified(UnifiedConfig{LinkRate: 1e6, PredictedClasses: 2, PlainFIFO: true})
-	if _, ok := uf.PredictedClass(0).(*FIFO); !ok {
-		t.Fatal("PlainFIFO config did not install FIFO")
+	uf := NewUnified(Profile{Sharing: SharingFIFO}.Normalize(), 1e6)
+	if _, ok := uf.levels[0].(*FIFO); !ok {
+		t.Fatal("fifo sharing did not install FIFO")
 	}
-	ur := NewUnified(UnifiedConfig{LinkRate: 1e6, PredictedClasses: 2, RoundRobin: true})
-	if _, ok := ur.PredictedClass(0).(*DRR); !ok {
-		t.Fatal("RoundRobin config did not install DRR")
+	ur := NewUnified(Profile{Sharing: SharingRoundRobin}.Normalize(), 1e6)
+	if _, ok := ur.levels[0].(*DRR); !ok {
+		t.Fatal("rr sharing did not install DRR")
 	}
 }
 
@@ -162,9 +164,9 @@ func TestUnifiedClassDelayEstimate(t *testing.T) {
 		t.Fatalf("ClassDelayEstimate = %v, want 0.010", got)
 	}
 	// Non-measuring ablation variant returns 0.
-	uf := NewUnified(UnifiedConfig{LinkRate: 1e6, PredictedClasses: 1, PlainFIFO: true})
+	uf := NewUnified(Profile{Sharing: SharingFIFO, ClassTargets: []float64{0.032}}.Normalize(), 1e6)
 	if uf.ClassDelayEstimate(0, 1) != 0 {
-		t.Fatal("PlainFIFO ClassDelayEstimate should be 0")
+		t.Fatal("fifo sharing ClassDelayEstimate should be 0")
 	}
 }
 
@@ -172,7 +174,7 @@ func TestUnifiedJitterShifting(t *testing.T) {
 	// Priority shifts jitter downward: with a bursty high class and a
 	// smooth low class, the low class's delay spread should exceed the
 	// high class's.
-	u := NewUnified(UnifiedConfig{LinkRate: 1e6, PredictedClasses: 2})
+	u := newTestUnified()
 	var arr []arrival
 	seq := uint64(0)
 	// High class: bursts of 5 packets every 10 ms.
@@ -209,17 +211,20 @@ func TestUnifiedJitterShifting(t *testing.T) {
 }
 
 func TestUnifiedConfigValidation(t *testing.T) {
-	for _, cfg := range []UnifiedConfig{
-		{LinkRate: 0, PredictedClasses: 1},
-		{LinkRate: 1e6, PredictedClasses: 0},
+	for _, c := range []struct {
+		prof     Profile
+		linkRate float64
+	}{
+		{Profile{}.Normalize(), 0},
+		{Profile{}, 1e6}, // not normalized: no class targets, so no predicted class
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("config %+v did not panic", cfg)
+					t.Errorf("profile %+v at link rate %v did not panic", c.prof, c.linkRate)
 				}
 			}()
-			NewUnified(cfg)
+			NewUnified(c.prof, c.linkRate)
 		}()
 	}
 }

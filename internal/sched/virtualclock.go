@@ -1,153 +1,49 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 
 	"ispn/internal/packet"
-	"ispn/internal/queue"
 )
 
 // VirtualClock implements Zhang's VirtualClock discipline (reference [26] of
 // the paper), a baseline with an "extremely similar underlying packet
-// scheduling algorithm" to WFQ but with per-flow clocks that advance in real
-// time rather than virtual time: each flow keeps a clock
-// VC = max(now, VC) + size/r, packets are stamped with VC, and the smallest
-// stamp is served first.
+// scheduling algorithm" to WFQ — here, the same rateTable — but with
+// per-flow clocks that advance in real time rather than virtual time: each
+// flow keeps a clock VC = max(now, VC) + size/r, packets are stamped with
+// VC, and the smallest stamp is served first.
 type VirtualClock struct {
-	flows    []*vcFlow
-	byID     map[uint32]*vcFlow
-	fallback *vcFlow // flow for unregistered ids, optional
-	n        int
-}
-
-type vcFlow struct {
-	id      uint32
-	rate    float64
-	clock   float64
-	tags    queue.FloatRing
-	q       queue.Ring
-	closing bool // unregister once the backlog drains (RemoveFlow mid-run)
+	rateTable
 }
 
 // NewVirtualClock returns an empty VirtualClock scheduler.
 func NewVirtualClock() *VirtualClock {
-	return &VirtualClock{byID: make(map[uint32]*vcFlow)}
+	return &VirtualClock{rateTable: newRateTable()}
 }
 
-// AddFlow registers a flow with the given clock rate (bits/second).
+// AddFlow registers a flow with the given clock rate (bits/second), served
+// FIFO within the flow. It panics if the rate is not positive or the id is
+// registered and live; an id still draining after RemoveFlow is revived at
+// the new rate.
 func (v *VirtualClock) AddFlow(id uint32, rate float64) {
-	if rate <= 0 {
-		panic("sched: VirtualClock flow rate must be positive")
+	if v.add(id, rate, NewFIFO()) {
+		v.SetRate(id, rate)
 	}
-	if _, dup := v.byID[id]; dup {
-		panic(fmt.Sprintf("sched: VirtualClock flow %d already registered", id))
-	}
-	f := &vcFlow{id: id, rate: rate}
-	v.flows = append(v.flows, f)
-	v.byID[id] = f
-}
-
-// SetFallback directs packets of unregistered flow ids to the flow
-// registered under fallbackID (the per-port pipeline's pseudo flow 0).
-func (v *VirtualClock) SetFallback(fallbackID uint32) {
-	f, ok := v.byID[fallbackID]
-	if !ok {
-		panic("sched: VirtualClock fallback flow not registered")
-	}
-	v.fallback = f
 }
 
 // SetRate changes a flow's clock rate; packets already stamped keep their
 // tags (the per-flow clock just advances at the new rate from now on).
-func (v *VirtualClock) SetRate(id uint32, rate float64) {
-	if rate <= 0 {
-		panic("sched: VirtualClock flow rate must be positive")
-	}
-	f, ok := v.byID[id]
-	if !ok {
-		panic("sched: VirtualClock SetRate on unknown flow")
-	}
-	f.rate = rate
-}
-
-// Rate returns the clock rate of flow id (0 if unknown).
-func (v *VirtualClock) Rate(id uint32) float64 {
-	if f, ok := v.byID[id]; ok {
-		return f.rate
-	}
-	return 0
-}
-
-// RemoveFlow unregisters a flow. An empty flow is dropped immediately; a
-// backlogged flow keeps draining at its clock rate and unregisters itself
-// after its last dequeue (mirroring WFQ's mid-run departure semantics).
-func (v *VirtualClock) RemoveFlow(id uint32) {
-	f, ok := v.byID[id]
-	if !ok {
-		return
-	}
-	if f.tags.Len() > 0 {
-		f.closing = true
-		return
-	}
-	v.unregister(f)
-}
-
-func (v *VirtualClock) unregister(f *vcFlow) {
-	delete(v.byID, f.id)
-	for i, g := range v.flows {
-		if g == f {
-			v.flows = append(v.flows[:i], v.flows[i+1:]...)
-			break
-		}
-	}
-	if v.fallback == f {
-		v.fallback = nil
-	}
-}
+func (v *VirtualClock) SetRate(id uint32, rate float64) { v.setRate(id, rate) }
 
 // Enqueue implements Scheduler.
 func (v *VirtualClock) Enqueue(p *packet.Packet, now float64) {
-	f, ok := v.byID[p.FlowID]
-	if !ok {
-		if v.fallback == nil {
-			panic(fmt.Sprintf("sched: VirtualClock packet for unknown flow %d", p.FlowID))
-		}
-		f = v.fallback
-	}
-	v.enqueueOn(f, p, now)
+	v.enqueueOn(v.flowOf(p), p, now)
 }
 
-// EnqueueFallback enqueues p directly on the fallback flow, skipping the
-// per-flow map lookup.
-func (v *VirtualClock) EnqueueFallback(p *packet.Packet, now float64) {
-	if v.fallback == nil {
-		panic("sched: VirtualClock EnqueueFallback without a fallback flow")
-	}
-	v.enqueueOn(v.fallback, p, now)
-}
-
-func (v *VirtualClock) enqueueOn(f *vcFlow, p *packet.Packet, now float64) {
-	f.clock = math.Max(now, f.clock) + float64(p.Size)/f.rate
-	f.tags.Push(f.clock)
-	f.q.Push(p)
-	v.n++
-}
-
-func (v *VirtualClock) pick() *vcFlow {
-	var best *vcFlow
-	bestTag := math.Inf(1)
-	for _, f := range v.flows {
-		if f.tags.Len() == 0 {
-			continue
-		}
-		if t := f.tags.Peek(); t < bestTag {
-			bestTag = t
-			best = f
-		}
-	}
-	return best
+// enqueueOn advances f's clock by p, stamps p with it and queues it on f, a
+// flow of v's table.
+func (v *VirtualClock) enqueueOn(f *rateFlow, p *packet.Packet, now float64) {
+	v.push(f, math.Max(now, f.last)+float64(p.Size)/f.rate, p, now)
 }
 
 // Dequeue implements Scheduler.
@@ -155,25 +51,8 @@ func (v *VirtualClock) Dequeue(now float64) *packet.Packet {
 	if v.n == 0 {
 		return nil
 	}
-	f := v.pick()
-	f.tags.Pop()
-	v.n--
-	p := f.q.Pop()
-	if f.tags.Len() == 0 && f.closing {
-		v.unregister(f)
-	}
+	_, p := v.pop(now)
 	return p
 }
-
-// Peek implements Scheduler.
-func (v *VirtualClock) Peek() *packet.Packet {
-	if v.n == 0 {
-		return nil
-	}
-	return v.pick().q.Peek()
-}
-
-// Len implements Scheduler.
-func (v *VirtualClock) Len() int { return v.n }
 
 var _ Scheduler = (*VirtualClock)(nil)

@@ -54,8 +54,8 @@ func TestVirtualClockPunishesFormerIdler(t *testing.T) {
 		v.Enqueue(pkt(1, uint64(i), 1000), 0)
 	}
 	f := v.byID[1]
-	if math.Abs(f.clock-0.2) > 1e-9 {
-		t.Fatalf("VC clock = %v, want 0.2", f.clock)
+	if math.Abs(f.last-0.2) > 1e-9 {
+		t.Fatalf("VC clock = %v, want 0.2", f.last)
 	}
 }
 

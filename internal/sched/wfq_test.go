@@ -302,15 +302,6 @@ func TestWFQEmpty(t *testing.T) {
 	}
 }
 
-func TestNewFairQueueingEqualShares(t *testing.T) {
-	w := NewFairQueueing(1e6, []uint32{1, 2, 3, 4})
-	for _, id := range []uint32{1, 2, 3, 4} {
-		if got := w.Rate(id); math.Abs(got-2.5e5) > 1e-9 {
-			t.Fatalf("flow %d rate = %v, want 2.5e5", id, got)
-		}
-	}
-}
-
 func TestWFQInvalidArgsPanic(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewWFQ(0) },

@@ -283,11 +283,26 @@ func (e *Engine) Run() { e.RunUntil(math.Inf(1)) }
 
 // RunUntil executes events with time <= t, then advances the clock to t
 // (unless the run was stopped early or the horizon is infinite).
-func (e *Engine) RunUntil(t float64) {
+func (e *Engine) RunUntil(t float64) { e.runThrough(t, t) }
+
+// RunUntilBefore executes events with time strictly less than t, then
+// advances the clock to t. It is the shard-window primitive: a shard
+// granted the half-open window [now, t) runs exactly the events it owns in
+// that window, leaving time-t events for after the barrier (where control
+// events and cross-shard deliveries at t are sequenced first).
+func (e *Engine) RunUntilBefore(t float64) {
+	// Event times are floats, so "before t" is "through the float just
+	// below t": one loop serves both forms.
+	e.runThrough(math.Nextafter(t, math.Inf(-1)), t)
+}
+
+// runThrough executes events with time <= through, then advances the clock
+// to t >= through (unless the run was stopped early or t is infinite).
+func (e *Engine) runThrough(through, t float64) {
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
 		top := e.heap[0]
-		if top.time > t {
+		if top.time > through {
 			break
 		}
 		// Pop the root in place.
@@ -305,43 +320,6 @@ func (e *Engine) RunUntil(t float64) {
 		// Copy the callback out and recycle before invoking: the
 		// callback may schedule (reusing this node) or Cancel its own
 		// now-stale handle, both of which are safe.
-		n := e.nodeAt(top.ni)
-		fn, call, arg := n.fn, n.call, n.arg
-		e.recycle(n)
-		if fn != nil {
-			fn()
-		} else {
-			call(arg)
-		}
-	}
-	if !e.stopped && !math.IsInf(t, 1) && t > e.now {
-		e.now = t
-	}
-}
-
-// RunUntilBefore executes events with time strictly less than t, then
-// advances the clock to t. It is the shard-window primitive: a shard
-// granted the half-open window [now, t) runs exactly the events it owns in
-// that window, leaving time-t events for after the barrier (where control
-// events and cross-shard deliveries at t are sequenced first).
-func (e *Engine) RunUntilBefore(t float64) {
-	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		top := e.heap[0]
-		if top.time >= t {
-			break
-		}
-		h := e.heap
-		last := len(h) - 1
-		h[0] = h[last]
-		e.heap = h[:last]
-		if last > 1 {
-			e.siftDown(0)
-		}
-		if top.time > e.now {
-			e.now = top.time
-		}
-		e.processed++
 		n := e.nodeAt(top.ni)
 		fn, call, arg := n.fn, n.call, n.arg
 		e.recycle(n)

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -73,34 +72,6 @@ func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
 	return lo, lo * h.growth
 }
 
-// Quantile returns an estimate of the q-quantile from the buckets (the
-// upper bound of the bucket containing the rank, linearly interpolated).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(h.total)))
-	if rank < 1 {
-		rank = 1
-	}
-	seen := h.under
-	if rank <= seen {
-		return h.min
-	}
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if seen+c >= rank {
-			lo, hi := h.BucketBounds(i)
-			frac := float64(rank-seen) / float64(c)
-			return lo + frac*(hi-lo)
-		}
-		seen += c
-	}
-	return h.maxSeen
-}
-
 // Render draws an ASCII bar chart of the non-empty bucket range, with
 // values scaled by unit (e.g. 1000 for milliseconds) and labelled with
 // unitName.
@@ -139,37 +110,4 @@ func (h *Histogram) Render(unit float64, unitName string) string {
 			lo*unit, hi*unit, unitName, h.counts[i], strings.Repeat("#", bar))
 	}
 	return b.String()
-}
-
-// Merge folds other into h. Both histograms must have identical bucket
-// geometry.
-func (h *Histogram) Merge(other *Histogram) {
-	if h.min != other.min || h.growth != other.growth || len(h.counts) != len(other.counts) {
-		panic("stats: merging histograms with different geometry")
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.under += other.under
-	h.total += other.total
-	h.sum += other.sum
-	if other.maxSeen > h.maxSeen {
-		h.maxSeen = other.maxSeen
-	}
-}
-
-// FromSamples builds a delay histogram from raw samples.
-func FromSamples(samples []float64) *Histogram {
-	h := NewDelayHistogram()
-	for _, s := range samples {
-		h.Add(s)
-	}
-	return h
-}
-
-// sortedCopy is a test helper used by quantile cross-checks.
-func sortedCopy(xs []float64) []float64 {
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	return c
 }

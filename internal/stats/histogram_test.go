@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -36,45 +35,14 @@ func TestHistogramBucketBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileAgainstExact(t *testing.T) {
-	h := NewDelayHistogram()
-	r := NewRecorder()
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 100000; i++ {
-		x := rng.ExpFloat64() * 0.01
-		h.Add(x)
-		r.Add(x)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		exact := r.Percentile(q)
-		got := h.Quantile(q)
-		// Log buckets with growth sqrt(2): at most ~41% relative error,
-		// typically far less.
-		if got < exact/1.5 || got > exact*1.5 {
-			t.Fatalf("q=%v: histogram %v vs exact %v", q, got, exact)
-		}
-	}
-}
-
-func TestHistogramQuantileEdgeCases(t *testing.T) {
-	h := NewDelayHistogram()
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
-	}
-	h.Add(0.00001) // underflow
-	if got := h.Quantile(0.5); got != h.min {
-		t.Fatalf("all-underflow quantile = %v, want min", got)
-	}
-}
-
 func TestHistogramOverflowClamped(t *testing.T) {
 	h := NewHistogram(1, 2, 4) // covers [1, 16)
 	h.Add(1e9)
 	if h.Count() != 1 {
 		t.Fatal("overflow sample lost")
 	}
-	if q := h.Quantile(1.0); q > 16 {
-		t.Fatalf("overflow quantile %v outside last bucket", q)
+	if got := h.counts[len(h.counts)-1]; got != 1 {
+		t.Fatalf("last bucket holds %d, want the clamped overflow sample", got)
 	}
 }
 
@@ -99,31 +67,6 @@ func TestHistogramRender(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewDelayHistogram()
-	b := NewDelayHistogram()
-	for i := 0; i < 50; i++ {
-		a.Add(0.001)
-		b.Add(0.010)
-	}
-	a.Merge(b)
-	if a.Count() != 100 {
-		t.Fatalf("merged Count = %d", a.Count())
-	}
-	if a.Max() != 0.010 {
-		t.Fatalf("merged Max = %v", a.Max())
-	}
-}
-
-func TestHistogramMergeGeometryMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on geometry mismatch")
-		}
-	}()
-	NewHistogram(1, 2, 4).Merge(NewHistogram(1, 2, 8))
-}
-
 func TestHistogramConstructorPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewHistogram(0, 2, 4) },
@@ -138,20 +81,5 @@ func TestHistogramConstructorPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestFromSamples(t *testing.T) {
-	h := FromSamples([]float64{0.001, 0.002, 0.004})
-	if h.Count() != 3 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-}
-
-func TestSortedCopyDoesNotMutate(t *testing.T) {
-	in := []float64{3, 1, 2}
-	out := sortedCopy(in)
-	if in[0] != 3 || out[0] != 1 {
-		t.Fatal("sortedCopy mutated input or did not sort")
 	}
 }

@@ -15,7 +15,7 @@ func TestGuaranteedPacketAdmittedThroughFullBuffer(t *testing.T) {
 	n := NewNetwork(eng)
 	n.AddNode("A")
 	n.AddNode("B")
-	u := sched.NewUnified(sched.UnifiedConfig{LinkRate: 1e6, PredictedClasses: 1})
+	u := sched.NewUnified(sched.Profile{ClassTargets: []float64{0.032}}.Normalize(), 1e6)
 	u.AddGuaranteed(1, 1e5)
 	port := n.AddLink("A", "B", u, 1e6, 0)
 	port.SetBufferLimit(5)
@@ -52,7 +52,7 @@ func TestGuaranteedClassBounded(t *testing.T) {
 	n := NewNetwork(eng)
 	n.AddNode("A")
 	n.AddNode("B")
-	u := sched.NewUnified(sched.UnifiedConfig{LinkRate: 1e6, PredictedClasses: 1})
+	u := sched.NewUnified(sched.Profile{ClassTargets: []float64{0.032}}.Normalize(), 1e6)
 	u.AddGuaranteed(1, 1e5)
 	port := n.AddLink("A", "B", u, 1e6, 0)
 	port.SetBufferLimit(5)

@@ -444,11 +444,31 @@ func (pt *Port) To() *Node { return pt.dst }
 // Scheduler returns the port's scheduler.
 func (pt *Port) Scheduler() sched.Scheduler { return pt.sched }
 
+// drainOne takes the scheduler's next packet for a drain (a scheduler swap,
+// a link failure), including one that a non-work-conserving scheduler
+// (Regulator, StopAndGo) is holding for a future eligibility time: its clock
+// is stepped to the next-eligible instant so the held packet surfaces. It
+// returns nil when the scheduler is empty, or when it refuses to surface the
+// rest (Len/Dequeue/NextEligible disagreeing — a contract violation).
+func (pt *Port) drainOne(now float64) *packet.Packet {
+	if pt.sched.Len() == 0 {
+		return nil
+	}
+	if p := pt.sched.Dequeue(now); p != nil {
+		return p
+	}
+	if nwc, ok := pt.sched.(sched.NonWorkConserving); ok {
+		if t := nwc.NextEligible(now); !math.IsInf(t, 1) {
+			return pt.sched.Dequeue(t)
+		}
+	}
+	return nil
+}
+
 // SetScheduler replaces the port's scheduler mid-run (a live profile swap),
 // migrating the queued backlog into the new scheduler in the old one's
-// service order. A non-work-conserving scheduler holding ineligible packets
-// is drained by stepping its clock to each next-eligible time — the swap
-// re-times service anyway, so releasing held packets early is the least
+// service order. A non-work-conserving scheduler's held packets are released
+// early (drainOne) — the swap re-times service anyway, so that is the least
 // surprising outcome. Anything it still refuses to surface is written off
 // as buffer drops (the queue-length accounting is corrected, the packets
 // themselves are unreachable through the Scheduler interface). The caller
@@ -456,21 +476,7 @@ func (pt *Port) Scheduler() sched.Scheduler { return pt.sched }
 // the new scheduler before the swap.
 func (pt *Port) SetScheduler(s sched.Scheduler) {
 	now := pt.node.eng.Now()
-	for pt.sched.Len() > 0 {
-		p := pt.sched.Dequeue(now)
-		if p == nil {
-			nwc, ok := pt.sched.(sched.NonWorkConserving)
-			if !ok {
-				break // Len/Dequeue disagree; give up on the remainder
-			}
-			t := nwc.NextEligible(now)
-			if math.IsInf(t, 1) {
-				break
-			}
-			if p = pt.sched.Dequeue(t); p == nil {
-				break
-			}
-		}
+	for p := pt.drainOne(now); p != nil; p = pt.drainOne(now) {
 		s.Enqueue(p, now)
 	}
 	if stranded := pt.sched.Len(); stranded > 0 {
@@ -554,30 +560,13 @@ func (pt *Port) SetDown(down bool) {
 }
 
 // flush drops every queued packet (link failure), including packets a
-// non-work-conserving scheduler (Regulator, StopAndGo) is holding for a
-// future eligibility time: the drain steps the scheduler's clock to each
-// next-eligible instant so held packets surface, are counted as failure
-// drops, and return to the pool instead of leaking. A scheduler that still
-// refuses to surface packets (Len/Dequeue/NextEligible disagreeing — a
-// contract violation) keeps them queued: the occupancy mirrors stay
-// consistent with Len(), and the restore re-arm serves the remainder.
+// non-work-conserving scheduler is holding (drainOne): they are counted as
+// failure drops and return to the pool instead of leaking. A scheduler that
+// still refuses to surface packets keeps them queued: the occupancy mirrors
+// stay consistent with Len(), and the restore re-arm serves the remainder.
 func (pt *Port) flush() {
 	now := pt.node.eng.Now()
-	for pt.sched.Len() > 0 {
-		p := pt.sched.Dequeue(now)
-		if p == nil {
-			nwc, ok := pt.sched.(sched.NonWorkConserving)
-			if !ok {
-				break // Len/Dequeue disagree; give up on the remainder
-			}
-			t := nwc.NextEligible(now)
-			if math.IsInf(t, 1) {
-				break
-			}
-			if p = pt.sched.Dequeue(t); p == nil {
-				break
-			}
-		}
+	for p := pt.drainOne(now); p != nil; p = pt.drainOne(now) {
 		pt.qlen--
 		if int(p.Class) < len(pt.lenByClass) {
 			pt.lenByClass[p.Class]--
