@@ -38,16 +38,16 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 // BenchmarkFigure1 regenerates the Figure-1 configuration: it validates the
-// 22-flow layout and pushes the Table-2 workload through the chain once
-// under FIFO (the cheapest discipline), measuring simulator throughput.
+// 22-flow layout and pushes the Table-2 workload through the chain,
+// measuring simulator throughput.
 func BenchmarkFigure1(b *testing.B) {
 	b.ReportAllocs()
 	if err := experiments.ValidateFigure1(); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table2Single(experiments.DiscFIFO, benchCfg(i))
-		if rows.PerPath[3].N == 0 {
+		fifo := experiments.Table2(benchCfg(i))[1]
+		if fifo.PerPath[3].N == 0 {
 			b.Fatal("no packets crossed the chain")
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -79,7 +80,8 @@ func TestMidRunDepartureDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := source.NewCBR(source.CBRConfig{SizeBits: 1000, Rate: 200, RNG: sim.DeriveRNG(7, "cbr")})
-	src.Start(n.Engine(), func(p *packet.Packet) { f.Inject(p) })
+	generated := 0
+	src.Start(n.Engine(), func(p *packet.Packet) { generated++; f.Inject(p) })
 	n.Run(5)
 	src.Stop()
 	n.Release(1)
@@ -88,7 +90,7 @@ func TestMidRunDepartureDrains(t *testing.T) {
 	if delivered == 0 {
 		t.Fatal("no packets delivered before departure")
 	}
-	if got := src.Generated(); got >= 1001 {
+	if got := generated; got >= 1001 {
 		t.Fatalf("stopped source kept generating: %d packets", got)
 	}
 	// The freed share is immediately reusable at full size.
@@ -135,6 +137,52 @@ func TestReleaseThenRequestSameIDWhileDraining(t *testing.T) {
 	}
 	if gets, puts, _ := n.Pool().Stats(); gets != puts {
 		t.Fatalf("packet leak: %d gets, %d puts", gets, puts)
+	}
+}
+
+// A guaranteed path that crosses one directed link twice is refused whole. A
+// link holds one clock rate per flow, so the second visit used to pass the
+// quota check and then panic in the scheduler's flow table ("flow 2 already
+// registered") — reachable from a scenario file and from POST /events. The
+// refusal names the link and leaves no reservation or ledger entry behind.
+func TestGuaranteedLoopedPathRefused(t *testing.T) {
+	spec := GuaranteedSpec{ClockRate: 1e5, BucketBits: 5e4}
+	for _, admit := range []bool{false, true} {
+		n := New(Config{Seed: 7, AdmissionControl: admit})
+		n.AddSwitch("A")
+		n.AddSwitch("B")
+		n.ConnectDuplex("A", "B")
+		// A resident flow, so the state to preserve is not all zeros.
+		if _, err := n.RequestGuaranteed(1, []string{"A", "B"}, spec); err != nil {
+			t.Fatal(err)
+		}
+		snapshot := func() (out [][2]float64) {
+			for _, nd := range n.Topology().Nodes() {
+				for _, pt := range nd.Ports() {
+					nu := 0.0
+					if c := n.admit[pt.Index()]; c != nil {
+						nu = c.Utilization(n.Engine().Now())
+					}
+					out = append(out, [2]float64{n.Pipeline(pt).Reserved(), nu})
+				}
+			}
+			return out
+		}
+		before := snapshot()
+		_, err := n.RequestGuaranteed(2, []string{"A", "B", "A", "B"}, spec)
+		if err == nil || !strings.Contains(err.Error(), "crosses link A->B twice") {
+			t.Fatalf("admission %v: looped path not refused by name: %v", admit, err)
+		}
+		if n.Flow(2) != nil {
+			t.Fatalf("admission %v: refused flow is registered", admit)
+		}
+		if after := snapshot(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("admission %v: refusal moved (Reserved, ν̂) per port from %v to %v", admit, before, after)
+		}
+		// Visiting a switch twice over distinct links reserves once per link.
+		if _, err := n.RequestGuaranteed(3, []string{"A", "B", "A"}, spec); err != nil {
+			t.Fatalf("admission %v: A -> B -> A refused: %v", admit, err)
+		}
 	}
 }
 

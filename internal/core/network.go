@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"ispn/internal/admission"
 	"ispn/internal/packet"
@@ -463,13 +465,6 @@ func (n *Network) ConnectDuplex(a, b string) {
 	n.Connect(b, a)
 }
 
-// Unified returns the unified scheduler on a port, or nil when the port's
-// profile built a different pipeline kind.
-func (n *Network) Unified(p *topology.Port) *sched.Unified {
-	u, _ := n.pipe(p).(*sched.Unified)
-	return u
-}
-
 // Run advances the simulation by d seconds — on the single engine, or,
 // after SetShards, through the shard coordinator (whose control clock is
 // the network engine's, so Engine().Now() stays the run's reference time in
@@ -710,18 +705,14 @@ func sumOrScale(vals func(i int) float64, k int) float64 {
 	return sum
 }
 
-// AdvertisedPredictedBound is the a priori bound quoted to a predicted flow
-// of the given class over a path: the sum of the per-switch class targets
+// advertisedBound is the a priori bound quoted to a predicted flow of the
+// given class over a path: the sum of the per-switch class targets
 // Dᵢ along the path (Section 7: "the network should not attempt to
 // characterize or control the service to great precision, and thus should
 // just use the sum of the Dᵢ's as the advertised bound"). With per-port
 // profiles each hop contributes its own target; a hop with fewer classes
 // contributes its lowest-priority target (the same clamp its classifier
 // applies to the packet header).
-func (n *Network) AdvertisedPredictedBound(path []string, class int) float64 {
-	return n.advertisedBound(n.topo.PathPorts(path), class)
-}
-
 func (n *Network) advertisedBound(ports []*topology.Port, class int) float64 {
 	return sumOrScale(func(i int) float64 {
 		return n.profs[ports[i].Index()].TargetFor(class)
@@ -789,6 +780,14 @@ func (n *Network) RequestGuaranteed(id uint32, path []string, spec GuaranteedSpe
 	ports := n.pathPortsByID(pid)
 	if len(ports) == 0 {
 		return nil, fmt.Errorf("core: guaranteed flow needs at least one link")
+	}
+	// A link holds one clock rate per flow, so a path that loops back over
+	// a link has no reservation to make at its second visit.
+	for i, pt := range ports {
+		if slices.Contains(ports[:i], pt) {
+			return nil, fmt.Errorf("core: guaranteed path %s crosses link %s twice; a flow reserves one clock rate per link",
+				strings.Join(path, " -> "), pt.Name())
+		}
 	}
 	// Admission: never let reservations invade the datagram quota. A
 	// failure at a later hop rolls back the ledger entries already

@@ -106,11 +106,11 @@ func TestHeterogeneousBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0.064 + 0.032
-	if got := n.AdvertisedPredictedBound([]string{"A", "B", "C"}, 0); got != want {
+	if got := n.advertisedBound(n.topo.PathPorts([]string{"A", "B", "C"}), 0); got != want {
 		t.Errorf("heterogeneous class-0 bound = %v, want %v", got, want)
 	}
 	// A homogeneous path still matches the closed-form hops*target.
-	if got := n.AdvertisedPredictedBound([]string{"B", "C"}, 1); got != 0.32 {
+	if got := n.advertisedBound(n.topo.PathPorts([]string{"B", "C"}), 1); got != 0.32 {
 		t.Errorf("homogeneous class-1 bound = %v, want 0.32", got)
 	}
 	// Guaranteed flow: per-hop packetization term uses downstream hops.
@@ -151,8 +151,8 @@ func TestSetLinkProfileCarriesReservations(t *testing.T) {
 	if res := n.Pipeline(pt).Reserved(); res != 300_000 {
 		t.Fatalf("post-swap reserved = %v, want 300000", res)
 	}
-	if n.Unified(pt) != nil {
-		t.Fatal("Unified() should be nil on a wfq pipeline")
+	if _, unified := n.Pipeline(pt).(*sched.Unified); unified {
+		t.Fatal("the swapped link still runs a unified pipeline")
 	}
 	if p, _ := n.LinkProfile("A", "B"); p.Kind != sched.KindWFQ {
 		t.Fatalf("LinkProfile kind = %q, want wfq", p.Kind)

@@ -64,7 +64,7 @@ func (rc RoutingConfig) normalize() (RoutingConfig, error) {
 	if rc.Cost == "" {
 		rc.Cost = routing.CostNameHops
 	}
-	if _, err := routing.CostByName(rc.Cost, 1000); err != nil {
+	if _, err := routing.CostByName(rc.Cost, nil); err != nil {
 		return rc, err
 	}
 	if rc.Paths == 0 {
@@ -155,16 +155,10 @@ func (n *Network) graph() *routing.Graph {
 	if n.routeGraph != nil {
 		return n.routeGraph
 	}
-	perPort := func(pt *topology.Port) int { return n.profs[pt.Index()].MaxPacketBits }
-	var cost routing.Cost
-	switch n.Routing().Cost {
-	case routing.CostNameDelay:
-		cost = routing.CostDelayPer(perPort)
-	case routing.CostNameLoad:
-		cost = routing.CostLoadPer(perPort)
-	default:
-		cost = routing.CostHops
-	}
+	// normalize validated the name, so the error is nil.
+	cost, _ := routing.CostByName(n.Routing().Cost, func(pt *topology.Port) int {
+		return n.profs[pt.Index()].MaxPacketBits
+	})
 	n.routeGraph = routing.NewGraph(n.topo, cost)
 	return n.routeGraph
 }

@@ -15,8 +15,8 @@ func TestMixedDeploymentEndpoints(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("got %d rollout rows, want 5", len(rows))
 	}
-	fifo := Table2Single(DiscFIFO, cfg)
-	fifoPlus := Table2Single(DiscFIFOPlus, cfg)
+	table2 := Table2(cfg)
+	fifo, fifoPlus := table2[1], table2[2]
 	if rows[0].PerPath != fifo.PerPath {
 		t.Errorf("0%% rollout differs from Table 2 FIFO:\nmixed: %#v\ntable: %#v", rows[0].PerPath, fifo.PerPath)
 	}

@@ -130,7 +130,7 @@ func newScheduler(d Discipline, flowsHere []FlowPath) sched.Scheduler {
 	case DiscFIFOPlus:
 		return sched.NewFIFOPlus(0)
 	case DiscRR:
-		return sched.NewDRR(PacketBits, true)
+		return sched.NewDRR(PacketBits)
 	case DiscWFQ:
 		w := sched.NewWFQ(LinkRate)
 		share := LinkRate / float64(len(flowsHere))

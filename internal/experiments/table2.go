@@ -23,19 +23,10 @@ func Table2SampleFlows() [4]uint32 { return [4]uint32{F101, F201, F301, F401} }
 // flows, under WFQ (equal clock rates), FIFO, and FIFO+. The paper's claim:
 // mean delays are comparable everywhere, 99.9th-percentile delay grows with
 // path length under all three, but much more slowly under FIFO+ because the
-// jitter-offset field correlates sharing across hops.
+// jitter-offset field correlates sharing across hops. The (independent,
+// seed-deterministic) simulations, one per discipline, fan across workers.
 func Table2(cfg RunConfig) []Table2Row {
-	return tableOverFigure1(cfg, []Discipline{DiscWFQ, DiscFIFO, DiscFIFOPlus})
-}
-
-// Table2Single runs the Table-2 workload under one discipline only.
-func Table2Single(d Discipline, cfg RunConfig) Table2Row {
-	return tableOverFigure1(cfg, []Discipline{d})[0]
-}
-
-// tableOverFigure1 runs the Table-2 workload under each discipline, fanning
-// the (independent, seed-deterministic) simulations across workers.
-func tableOverFigure1(cfg RunConfig, ds []Discipline) []Table2Row {
+	ds := []Discipline{DiscWFQ, DiscFIFO, DiscFIFOPlus}
 	cfg.fill()
 	samples := Table2SampleFlows()
 	rows := make([]Table2Row, len(ds))

@@ -75,9 +75,6 @@ type Totals struct {
 	Violations []Violation
 }
 
-// Failed reports whether any checker fired.
-func (t *Totals) Failed() bool { return len(t.Violations) > 0 }
-
 // Oracle watches one network. Attach wires it in; Arm schedules the sweeps.
 type Oracle struct {
 	net   *core.Network

@@ -57,7 +57,7 @@ func TestCleanRunNoViolations(t *testing.T) {
 	drain(t, n, o, srcs)
 	o.CheckLeaks(n.Engine().Now())
 	tot := o.Totals()
-	if tot.Failed() {
+	if len(tot.Violations) > 0 {
 		t.Fatalf("clean run reported violations: %v", tot.Violations)
 	}
 	if tot.Deliveries == 0 {
@@ -81,7 +81,7 @@ func TestBoundScaleHasTeeth(t *testing.T) {
 	n.Run(10)
 	drain(t, n, o, srcs)
 	tot := o.Totals()
-	if !tot.Failed() {
+	if len(tot.Violations) == 0 {
 		t.Fatal("BoundScale=1e-6 produced no violations")
 	}
 	found := false
@@ -157,7 +157,7 @@ func TestShardedFloodReusesOnePool(t *testing.T) {
 	}
 	drain(t, n, o, []source.Source{src})
 	o.CheckLeaks(n.Engine().Now())
-	if tot := o.Totals(); tot.Failed() {
+	if tot := o.Totals(); len(tot.Violations) > 0 {
 		t.Fatalf("sharded flood reported violations: %v", tot.Violations)
 	}
 }
@@ -182,7 +182,7 @@ func TestRateCutDoesNotFireCapacity(t *testing.T) {
 	// Reserved 800k now exceeds the 765k reservable share, but it did
 	// not grow — the cut is tolerated.
 	o.Sweep(1)
-	if tot := o.Totals(); tot.Failed() {
+	if tot := o.Totals(); len(tot.Violations) > 0 {
 		t.Fatalf("rate cut flagged as a capacity violation: %v", tot.Violations)
 	}
 	// Simulate an admission bug: make the same over-the-line ledger look
@@ -220,7 +220,7 @@ func TestAggregateConsistency(t *testing.T) {
 	o.Sweep(0)
 	members[2].Release()
 	o.Sweep(1) // join/leave bookkeeping must still balance
-	if tot := o.Totals(); tot.Failed() {
+	if tot := o.Totals(); len(tot.Violations) > 0 {
 		t.Fatalf("consistent aggregate flagged: %v", tot.Violations)
 	}
 	aggs := n.Aggregates()

@@ -98,12 +98,6 @@ type Packet struct {
 // every upstream hop.
 func (p *Packet) ExpectedArrival() float64 { return p.ArrivedAt - p.JitterOffset }
 
-// TransmissionTime returns the serialization delay of the packet on a link of
-// the given bandwidth (bits per second).
-func (p *Packet) TransmissionTime(bandwidth float64) float64 {
-	return float64(p.Size) / bandwidth
-}
-
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt{flow=%d seq=%d %s prio=%d size=%db}", p.FlowID, p.Seq, p.Class, p.Priority, p.Size)
 }

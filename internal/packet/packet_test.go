@@ -1,7 +1,6 @@
 package packet
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -17,14 +16,6 @@ func TestClassString(t *testing.T) {
 		if got := c.String(); got != want {
 			t.Errorf("Class(%d).String() = %q, want %q", c, got, want)
 		}
-	}
-}
-
-func TestTransmissionTime(t *testing.T) {
-	p := &Packet{Size: 1000}
-	// The paper's unit: 1000-bit packet on a 1 Mbit/s link is 1 ms.
-	if got := p.TransmissionTime(1e6); math.Abs(got-0.001) > 1e-12 {
-		t.Fatalf("TransmissionTime = %v, want 0.001", got)
 	}
 }
 

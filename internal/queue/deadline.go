@@ -97,14 +97,6 @@ func (q *DeadlineQueue) Pop() *packet.Packet {
 	return p
 }
 
-// Peek returns the packet with the smallest deadline without removing it.
-func (q *DeadlineQueue) Peek() *packet.Packet {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0].p
-}
-
 // PeekKey returns the smallest deadline key. It panics if the queue is empty.
 func (q *DeadlineQueue) PeekKey() float64 {
 	if len(q.h) == 0 {

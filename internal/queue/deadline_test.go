@@ -42,21 +42,6 @@ func TestDeadlineEqualKeysAreFIFO(t *testing.T) {
 	}
 }
 
-func TestDeadlinePeek(t *testing.T) {
-	q := NewDeadlineQueue()
-	if q.Peek() != nil {
-		t.Fatal("Peek of empty queue should be nil")
-	}
-	q.Push(mkPkt(1), 2)
-	q.Push(mkPkt(2), 1)
-	if q.Peek().Seq != 2 {
-		t.Fatal("Peek should return smallest-deadline packet")
-	}
-	if q.Len() != 2 {
-		t.Fatal("Peek must not remove")
-	}
-}
-
 func TestDeadlinePeekKeyEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -33,9 +33,9 @@ type Cost func(pt *topology.Port, now float64) float64
 // CostHops prices every link at 1: shortest path = fewest hops.
 func CostHops(*topology.Port, float64) float64 { return 1 }
 
-// PerPortBits resolves the packet size used in a port's transmission term;
-// the *Per cost variants take one so heterogeneous deployments can price
-// each hop with its own profile's maximum packet size.
+// PerPortBits resolves the packet size used in a port's transmission term,
+// so heterogeneous deployments can price each hop with its own profile's
+// maximum packet size.
 type PerPortBits func(pt *topology.Port) int
 
 // CostDelayPer prices a link at its fixed per-packet latency:
@@ -45,11 +45,6 @@ func CostDelayPer(bits PerPortBits) Cost {
 	return func(pt *topology.Port, _ float64) float64 {
 		return float64(bits(pt))/pt.Bandwidth() + pt.PropDelay()
 	}
-}
-
-// CostDelay is CostDelayPer with one uniform maximum packet size.
-func CostDelay(maxPacketBits int) Cost {
-	return CostDelayPer(func(*topology.Port) int { return maxPacketBits })
 }
 
 // CostLoadPer is CostDelayPer inflated by recent utilization — an
@@ -71,11 +66,6 @@ func CostLoadPer(bits PerPortBits) Cost {
 	}
 }
 
-// CostLoad is CostLoadPer with one uniform maximum packet size.
-func CostLoad(maxPacketBits int) Cost {
-	return CostLoadPer(func(*topology.Port) int { return maxPacketBits })
-}
-
 // Cost function names as the scenario grammar spells them.
 const (
 	CostNameHops  = "hops"
@@ -83,16 +73,17 @@ const (
 	CostNameLoad  = "load"
 )
 
-// CostByName resolves a named cost function; maxPacketBits parameterizes the
-// transmission term of the delay-based costs.
-func CostByName(name string, maxPacketBits int) (Cost, error) {
+// CostByName resolves a named cost function; bits parameterizes the
+// transmission term of the delay-based costs (a caller that only validates a
+// name may pass nil).
+func CostByName(name string, bits PerPortBits) (Cost, error) {
 	switch name {
 	case CostNameHops, "":
 		return CostHops, nil
 	case CostNameDelay:
-		return CostDelay(maxPacketBits), nil
+		return CostDelayPer(bits), nil
 	case CostNameLoad:
-		return CostLoad(maxPacketBits), nil
+		return CostLoadPer(bits), nil
 	}
 	return nil, fmt.Errorf("routing: unknown cost %q (costs: hops, delay, load)", name)
 }

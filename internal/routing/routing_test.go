@@ -10,6 +10,9 @@ import (
 	"ispn/internal/topology"
 )
 
+// kilobit prices every port's transmission term with the paper's packet.
+func kilobit(*topology.Port) int { return 1000 }
+
 // diamond builds A -> B -> D (fast, short) and A -> C -> D (detour), plus a
 // long chain A -> X -> Y -> D.
 func diamond(t *testing.T) *topology.Network {
@@ -49,7 +52,7 @@ func TestShortestPathByHops(t *testing.T) {
 
 func TestShortestPathByDelayPrefersFastLinks(t *testing.T) {
 	n := diamond(t)
-	g := NewGraph(n, CostDelay(1000))
+	g := NewGraph(n, CostDelayPer(kilobit))
 	path, _ := g.ShortestPath("A", "D", 0, nil)
 	// Via C costs 20 ms of propagation; the 3-hop chain costs 3 ms + 3 tx.
 	want := []string{"A", "B", "D"}
@@ -129,7 +132,7 @@ func TestAlternatePaths(t *testing.T) {
 
 func TestCostLoadAvoidsBusyLink(t *testing.T) {
 	n := diamond(t)
-	g := NewGraph(n, CostLoad(1000))
+	g := NewGraph(n, CostLoadPer(kilobit))
 	// With no load, the fast 2-hop path wins despite the tie with A->C->D
 	// on hop count (it has 10x less propagation).
 	path, _ := g.ShortestPath("A", "D", 0, nil)
@@ -139,7 +142,7 @@ func TestCostLoadAvoidsBusyLink(t *testing.T) {
 	// Drive ~90% utilization through A->B for 2 simulated seconds; the
 	// load-sensitive cost must then route away from it while the plain
 	// delay cost would not.
-	eng := n.Engine()
+	eng := n.Node("A").Engine()
 	n.InstallRoute(7, []string{"A", "B"})
 	n.Node("B").SetSink(7, func(p *packet.Packet) {})
 	for i := 0; i < 1800; i++ {
@@ -159,7 +162,7 @@ func TestCostLoadAvoidsBusyLink(t *testing.T) {
 	if reflect.DeepEqual(path, []string{"A", "B", "D"}) {
 		t.Fatalf("load-sensitive cost still routes over the saturated link: %v", path)
 	}
-	if dp, _ := NewGraph(n, CostDelay(1000)).ShortestPath("A", "D", now, nil); !reflect.DeepEqual(dp, []string{"A", "B", "D"}) {
+	if dp, _ := NewGraph(n, CostDelayPer(kilobit)).ShortestPath("A", "D", now, nil); !reflect.DeepEqual(dp, []string{"A", "B", "D"}) {
 		t.Fatalf("load-blind delay cost changed its path: %v", dp)
 	}
 }

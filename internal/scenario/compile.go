@@ -158,10 +158,10 @@ type Sim struct {
 // arrivals, renegotiations). Compile-time flows are unconditional and do not
 // count; datagram flows make no commitment and do not count either.
 type AdmissionTotals struct {
-	Requested int64
-	Admitted  int64
-	Rejected  int64
-	Departed  int64
+	Requested int64 `json:"requested"`
+	Admitted  int64 `json:"admitted"`
+	Rejected  int64 `json:"rejected"`
+	Departed  int64 `json:"departed"`
 }
 
 // hasTimeline reports whether the scenario has any dynamic behavior.

@@ -100,44 +100,48 @@ type ChurnReport struct {
 	MaxMS     float64
 }
 
-// TraceRow is one full trace interval.
+// TraceRow is one full trace interval. The JSON tags here and on FlowReport,
+// LinkSnapshot and AdmissionTotals are the control plane's wire format
+// (docs/SERVE.md): serve encodes these types as they are.
 type TraceRow struct {
-	Start, End float64
-	Delivered  int64
-	MeanMS     float64
-	MaxMS      float64
-	Admitted   int64
-	Rejected   int64
-	Departed   int64
-	Util       float64 // aggregate link utilization over the interval
+	Interval  int     `json:"interval"` // index: the row covers [Interval·dt, (Interval+1)·dt)
+	Start     float64 `json:"start"`
+	End       float64 `json:"end"`
+	Delivered int64   `json:"delivered"`
+	MeanMS    float64 `json:"mean_ms"`
+	MaxMS     float64 `json:"max_ms"`
+	Admitted  int64   `json:"admitted"`
+	Rejected  int64   `json:"rejected"`
+	Departed  int64   `json:"departed"`
+	Util      float64 `json:"util"` // aggregate link utilization over the interval
 }
 
 // FlowReport summarizes one flow.
 type FlowReport struct {
-	Name    string
-	Service string // "guaranteed", "predicted/«class»", "datagram"
-	Hops    int
+	Name    string `json:"name"`
+	Service string `json:"service"` // "guaranteed", "predicted/«class»", "datagram"
+	Hops    int    `json:"hops"`
 	// ArriveS is the simulated time the flow was requested (0 = at start).
 	// Rejected marks a timeline request refused by admission (Reason says
 	// why); Departed marks a flow removed before the horizon.
-	ArriveS  float64
-	Rejected bool
-	Reason   string
-	Departed bool
+	ArriveS  float64 `json:"arrive_s"`
+	Rejected bool    `json:"rejected,omitempty"`
+	Reason   string  `json:"reason,omitempty"`
+	Departed bool    `json:"departed,omitempty"`
 	// Delivered counts packets that reached the sink; EdgeDropped counts
 	// packets refused entry by token-bucket policing.
-	Delivered   int64
-	EdgeDropped int64
+	Delivered   int64 `json:"delivered"`
+	EdgeDropped int64 `json:"edge_dropped"`
 	// Reroutes counts the flow's successful path moves; RerouteRefusals
 	// counts attempts admission turned down (the flow kept its old path).
-	Reroutes        int64
-	RerouteRefusals int64
+	Reroutes        int64 `json:"reroutes,omitempty"`
+	RerouteRefusals int64 `json:"reroute_refusals,omitempty"`
 	// BoundMS is the a priori delay bound advertised to the flow
 	// (negative for datagram flows, which get no commitment).
-	BoundMS float64
-	MeanMS  float64
-	PctMS   []float64 // one entry per Report.Percentiles
-	MaxMS   float64
+	BoundMS float64   `json:"bound_ms"`
+	MeanMS  float64   `json:"mean_ms"`
+	PctMS   []float64 `json:"pct_ms"` // one entry per Report.Percentiles
+	MaxMS   float64   `json:"max_ms"`
 }
 
 // TCPReport summarizes one TCP connection.
@@ -294,20 +298,20 @@ func (s *Sim) FlowReports() []FlowReport {
 // Unlike the report's link table it includes links that have not carried
 // traffic yet — a live view must show the whole topology.
 type LinkSnapshot struct {
-	Name        string
-	Sched       string
-	Down        bool
-	Utilization float64 // lifetime fraction of capacity so far
-	QueueLen    int
-	TxPackets   int64
-	Drops       int64
+	Name        string  `json:"name"`
+	Sched       string  `json:"sched"`
+	Down        bool    `json:"down,omitempty"`
+	Utilization float64 `json:"utilization"` // lifetime fraction of capacity so far
+	QueueLen    int     `json:"queue_len"`
+	TxPackets   int64   `json:"tx_packets"`
+	Drops       int64   `json:"drops"`
 }
 
 // LinkSnapshots returns the live state of every link, in the deterministic
 // node/port registration order the report uses.
 func (s *Sim) LinkSnapshots() []LinkSnapshot {
 	now := s.Now()
-	var out []LinkSnapshot
+	out := []LinkSnapshot{} // non-nil: a topology without links is [] on the wire, not null
 	for _, nd := range s.Net.Topology().Nodes() {
 		for _, pt := range nd.Ports() {
 			out = append(out, LinkSnapshot{

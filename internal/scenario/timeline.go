@@ -737,6 +737,7 @@ func newTraceRec(dt, horizon float64) *traceRec {
 func (tr *traceRec) row(k int) TraceRow {
 	d := tr.delayBin(k)
 	row := TraceRow{
+		Interval:  k,
 		Start:     float64(k) * tr.dt,
 		End:       float64(k+1) * tr.dt,
 		Delivered: d.N,

@@ -30,6 +30,30 @@ at 2.5s { remove big }
 at 3s   { late :: Guaranteed(rate 500kbps, path A -> B) }
 `
 
+// A guaranteed path that crosses a link twice used to pass the per-hop quota
+// check and panic in the scheduler's flow table, killing `ispnsim run` (and,
+// injected over POST /events, a serve process). It is a diagnostic at compile
+// time and a rejected arrival at event time; the minimised source is also a
+// FuzzCompileScenario seed.
+func TestLoopedGuaranteedPath(t *testing.T) {
+	const world = "run :: Run(horizon 2s)\nA, B :: Switch\nA <-> B\n"
+	const decl = "c :: Guaranteed(rate 100kbps, bucket 50kbit, path A -> B -> A -> B)"
+
+	_, err := compileSrc(t, world+decl+"\n", Options{})
+	if err == nil || !strings.HasPrefix(err.Error(), "test.ispn:4:6: ") || !strings.Contains(err.Error(), "crosses link A->B twice") {
+		t.Fatalf("static declaration: want a positioned diagnostic naming the link, got %v", err)
+	}
+
+	sim := mustCompile(t, world+"at 1s { "+decl+" }\n", Options{})
+	rep := sim.Run()
+	if len(rep.Flows) != 1 || !rep.Flows[0].Rejected || !strings.Contains(rep.Flows[0].Reason, "crosses link A->B twice") {
+		t.Fatalf("at-block declaration: want one rejected flow with the reason, got %+v", rep.Flows)
+	}
+	if sim.Now() != 2 || rep.Admission == nil || *rep.Admission != (AdmissionTotals{Requested: 1, Rejected: 1}) {
+		t.Fatalf("run stopped at %vs with admission %+v, want the 2s horizon and 1 requested / 1 rejected", sim.Now(), rep.Admission)
+	}
+}
+
 func TestTimelineCapacityRelease(t *testing.T) {
 	rep := runSrc(t, capacityReleaseScenario)
 	if rep.Admission == nil {

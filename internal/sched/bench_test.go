@@ -89,7 +89,7 @@ func BenchmarkVirtualClockEnqueueDequeue(b *testing.B) {
 	benchCycleNoAllocs(b, v)
 }
 
-func BenchmarkDRREnqueueDequeue(b *testing.B) { benchCycle(b, NewDRR(1000, true)) }
+func BenchmarkDRREnqueueDequeue(b *testing.B) { benchCycle(b, NewDRR(1000)) }
 
 func BenchmarkUnifiedEnqueueDequeue(b *testing.B) {
 	u := NewUnified(Profile{}.Normalize(), 1e6)
@@ -99,10 +99,6 @@ func BenchmarkUnifiedEnqueueDequeue(b *testing.B) {
 	u.AddGuaranteed(101, 1.7e5)
 	u.AddGuaranteed(102, 0.85e5)
 	benchCycleNoAllocs(b, u)
-}
-
-func BenchmarkRegulatorEnqueueDequeue(b *testing.B) {
-	benchCycle(b, NewRegulator(NewFIFO()))
 }
 
 func BenchmarkGPSSimulate(b *testing.B) {

@@ -14,11 +14,9 @@ import (
 // and quantum = packet size it degenerates to plain packet round robin.
 type DRR struct {
 	quantum float64 // bits added to a flow's deficit per round
-	flows   []*drrFlow
 	byID    map[uint32]*drrFlow
 	active  []*drrFlow // round-robin list of backlogged flows
 	n       int
-	autoAdd bool
 }
 
 type drrFlow struct {
@@ -30,14 +28,13 @@ type drrFlow struct {
 }
 
 // NewDRR returns a deficit-round-robin scheduler with the given quantum in
-// bits. If autoAdd is true, flows are registered on first packet arrival
-// (convenient when DRR serves an open-ended aggregate inside a priority
-// class).
-func NewDRR(quantum float64, autoAdd bool) *DRR {
+// bits. A flow is registered on its first packet's arrival: DRR serves an
+// open-ended aggregate inside a priority class.
+func NewDRR(quantum float64) *DRR {
 	if quantum <= 0 {
 		panic("sched: DRR quantum must be positive")
 	}
-	return &DRR{quantum: quantum, byID: make(map[uint32]*drrFlow), autoAdd: autoAdd}
+	return &DRR{quantum: quantum, byID: make(map[uint32]*drrFlow)}
 }
 
 // AddFlow registers a flow.
@@ -45,18 +42,13 @@ func (d *DRR) AddFlow(id uint32) {
 	if _, dup := d.byID[id]; dup {
 		panic(fmt.Sprintf("sched: DRR flow %d already registered", id))
 	}
-	f := &drrFlow{id: id}
-	d.flows = append(d.flows, f)
-	d.byID[id] = f
+	d.byID[id] = &drrFlow{id: id}
 }
 
 // Enqueue implements Scheduler.
 func (d *DRR) Enqueue(p *packet.Packet, _ float64) {
 	f, ok := d.byID[p.FlowID]
 	if !ok {
-		if !d.autoAdd {
-			panic(fmt.Sprintf("sched: DRR packet for unknown flow %d", p.FlowID))
-		}
 		d.AddFlow(p.FlowID)
 		f = d.byID[p.FlowID]
 	}
@@ -98,41 +90,6 @@ func (d *DRR) Dequeue(now float64) *packet.Packet {
 		// Deficit exhausted for this round: rotate to the next flow.
 		f.credited = false
 		d.active = append(d.active[1:], f)
-	}
-}
-
-// Peek implements Scheduler. It returns the packet that the next Dequeue
-// would yield without mutating deficits.
-func (d *DRR) Peek() *packet.Packet {
-	if d.n == 0 {
-		return nil
-	}
-	// Dry-run the deficit walk on copied state: same credit and rotation
-	// rules as Dequeue, no mutation. Terminates because every rotation
-	// grants at least one quantum to the head flow.
-	type shadow struct {
-		idx      int
-		deficit  float64
-		credited bool
-	}
-	walk := make([]shadow, len(d.active))
-	for i, f := range d.active {
-		walk[i] = shadow{idx: i, deficit: f.deficit, credited: f.credited}
-	}
-	for {
-		s := &walk[0]
-		head := d.active[s.idx].q.Peek()
-		if !s.credited {
-			s.deficit += d.quantum
-			s.credited = true
-		}
-		if s.deficit >= float64(head.Size) {
-			return head
-		}
-		s.credited = false
-		first := walk[0]
-		copy(walk, walk[1:])
-		walk[len(walk)-1] = first
 	}
 }
 

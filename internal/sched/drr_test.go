@@ -6,7 +6,7 @@ import (
 
 func TestDRRRoundRobinUniformPackets(t *testing.T) {
 	// With quantum == packet size, DRR is plain packet round robin.
-	d := NewDRR(1000, false)
+	d := NewDRR(1000)
 	d.AddFlow(1)
 	d.AddFlow(2)
 	for i := 0; i < 6; i++ {
@@ -29,7 +29,7 @@ func TestDRRRoundRobinUniformPackets(t *testing.T) {
 func TestDRRFairnessWithMixedSizes(t *testing.T) {
 	// Flow 1 sends 500-bit packets, flow 2 sends 1500-bit packets; over a
 	// full backlog both should receive roughly equal bits.
-	d := NewDRR(1000, false)
+	d := NewDRR(1000)
 	d.AddFlow(1)
 	d.AddFlow(2)
 	for i := 0; i < 300; i++ {
@@ -53,7 +53,7 @@ func TestDRRFairnessWithMixedSizes(t *testing.T) {
 }
 
 func TestDRRAutoAdd(t *testing.T) {
-	d := NewDRR(1000, true)
+	d := NewDRR(1000)
 	d.Enqueue(pkt(9, 0, 1000), 0)
 	if d.Len() != 1 {
 		t.Fatal("autoAdd failed")
@@ -63,22 +63,13 @@ func TestDRRAutoAdd(t *testing.T) {
 	}
 }
 
-func TestDRRUnknownFlowPanicsWithoutAutoAdd(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown flow did not panic")
-		}
-	}()
-	NewDRR(1000, false).Enqueue(pkt(1, 0, 1000), 0)
-}
-
 func TestDRRDuplicateFlowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate AddFlow did not panic")
 		}
 	}()
-	d := NewDRR(1000, false)
+	d := NewDRR(1000)
 	d.AddFlow(1)
 	d.AddFlow(1)
 }
@@ -86,7 +77,7 @@ func TestDRRDuplicateFlowPanics(t *testing.T) {
 func TestDRRLargePacketNeedsMultipleRounds(t *testing.T) {
 	// Quantum 100, packet 1000: the flow must wait ~10 rounds but still
 	// be served eventually (no livelock).
-	d := NewDRR(100, false)
+	d := NewDRR(100)
 	d.AddFlow(1)
 	d.AddFlow(2)
 	d.Enqueue(pkt(1, 0, 1000), 0)
@@ -102,20 +93,9 @@ func TestDRRLargePacketNeedsMultipleRounds(t *testing.T) {
 }
 
 func TestDRREmpty(t *testing.T) {
-	d := NewDRR(1000, true)
-	if d.Dequeue(0) != nil || d.Peek() != nil || d.Len() != 0 {
+	d := NewDRR(1000)
+	if d.Dequeue(0) != nil || d.Len() != 0 {
 		t.Fatal("empty DRR misbehaves")
-	}
-}
-
-func TestDRRPeekNonEmpty(t *testing.T) {
-	d := NewDRR(1000, true)
-	d.Enqueue(pkt(1, 5, 1000), 0)
-	if p := d.Peek(); p == nil || p.Seq != 5 {
-		t.Fatalf("Peek = %v", p)
-	}
-	if d.Len() != 1 {
-		t.Fatal("Peek consumed the packet")
 	}
 }
 
@@ -125,5 +105,5 @@ func TestDRRBadQuantumPanics(t *testing.T) {
 			t.Fatal("no panic for bad quantum")
 		}
 	}()
-	NewDRR(0, false)
+	NewDRR(0)
 }

@@ -66,9 +66,6 @@ func (e *DelayEDD) Enqueue(p *packet.Packet, now float64) {
 // Dequeue implements Scheduler.
 func (e *DelayEDD) Dequeue(_ float64) *packet.Packet { return e.q.Pop() }
 
-// Peek implements Scheduler.
-func (e *DelayEDD) Peek() *packet.Packet { return e.q.Peek() }
-
 // Len implements Scheduler.
 func (e *DelayEDD) Len() int { return e.q.Len() }
 

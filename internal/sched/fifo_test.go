@@ -14,9 +14,6 @@ func TestFIFOOrder(t *testing.T) {
 	if f.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", f.Len())
 	}
-	if f.Peek().Seq != 0 {
-		t.Fatal("Peek should return first packet")
-	}
 	for i := uint64(0); i < 5; i++ {
 		if p := f.Dequeue(0); p.Seq != i {
 			t.Fatalf("Dequeue seq %d, want %d", p.Seq, i)
@@ -24,9 +21,6 @@ func TestFIFOOrder(t *testing.T) {
 	}
 	if f.Dequeue(0) != nil {
 		t.Fatal("Dequeue of empty FIFO should be nil")
-	}
-	if f.Peek() != nil {
-		t.Fatal("Peek of empty FIFO should be nil")
 	}
 }
 
@@ -83,15 +77,15 @@ func TestPriorityHigherClassPreempts(t *testing.T) {
 	}
 }
 
-func TestPriorityPeekMatchesDequeue(t *testing.T) {
+func TestPriorityDequeuesHigherLevelFirst(t *testing.T) {
 	pr := NewPriority([]Scheduler{NewFIFO(), NewFIFO()}, nil)
 	pr.Enqueue(pktClass(1, 7, 1000, packet.Datagram, 0), 0)
 	pr.Enqueue(pktClass(2, 8, 1000, packet.Predicted, 0), 0)
-	if pr.Peek().Seq != 8 {
-		t.Fatal("Peek should return the high-priority packet")
-	}
 	if got := pr.Dequeue(0); got.Seq != 8 {
-		t.Fatal("Dequeue disagrees with Peek")
+		t.Fatal("the later, higher-priority packet should leave first")
+	}
+	if got := pr.Dequeue(0); got.Seq != 7 || pr.Len() != 0 {
+		t.Fatal("the datagram packet should follow and leave the scheduler empty")
 	}
 }
 
@@ -110,7 +104,7 @@ func TestPriorityClampsOutOfRangeLevels(t *testing.T) {
 
 func TestPriorityEmpty(t *testing.T) {
 	pr := NewPriority([]Scheduler{NewFIFO()}, nil)
-	if pr.Dequeue(0) != nil || pr.Peek() != nil || pr.Len() != 0 {
+	if pr.Dequeue(0) != nil || pr.Len() != 0 {
 		t.Fatal("empty priority scheduler misbehaves")
 	}
 }

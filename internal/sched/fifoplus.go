@@ -78,9 +78,6 @@ func (f *FIFOPlus) Dequeue(now float64) *packet.Packet {
 	return p
 }
 
-// Peek implements Scheduler.
-func (f *FIFOPlus) Peek() *packet.Packet { return f.q.Peek() }
-
 // Len implements Scheduler.
 func (f *FIFOPlus) Len() int { return f.q.Len() }
 

@@ -105,7 +105,7 @@ func TestFIFOPlusZeroDelayClamped(t *testing.T) {
 
 func TestFIFOPlusEmpty(t *testing.T) {
 	f := NewFIFOPlus(0)
-	if f.Dequeue(0) != nil || f.Peek() != nil || f.Len() != 0 {
+	if f.Dequeue(0) != nil || f.Len() != 0 {
 		t.Fatal("empty FIFO+ misbehaves")
 	}
 }

@@ -72,16 +72,6 @@ func (pr *Priority) Dequeue(now float64) *packet.Packet {
 	return nil
 }
 
-// Peek implements Scheduler.
-func (pr *Priority) Peek() *packet.Packet {
-	for l, c := range pr.counts {
-		if c > 0 {
-			return pr.levels[l].Peek()
-		}
-	}
-	return nil
-}
-
 // Len implements Scheduler.
 func (pr *Priority) Len() int { return pr.n }
 

@@ -171,9 +171,6 @@ func (p Profile) Validate() error {
 // deployment really does lose the hard commitment at un-upgraded hops.
 type Pipeline interface {
 	Scheduler
-	// Profile returns the (normalized) profile the pipeline was built
-	// from.
-	Profile() Profile
 	// SupportsGuaranteed reports whether the pipeline can reserve
 	// per-flow clock rates.
 	SupportsGuaranteed() bool
@@ -201,7 +198,7 @@ var pipelines = map[string]func(p Profile, linkRate float64) Pipeline{
 	KindFIFOPlus:     newFIFOPlusPipeline,
 	KindVirtualClock: newVCPipeline,
 	KindDRR: func(p Profile, _ float64) Pipeline {
-		return &plainPipeline{Scheduler: NewDRR(float64(p.MaxPacketBits), true), prof: p}
+		return &plainPipeline{Scheduler: NewDRR(float64(p.MaxPacketBits)), prof: p}
 	},
 }
 
@@ -244,7 +241,6 @@ type plainPipeline struct {
 	fp   *FIFOPlus // non-nil for the fifoplus kind
 }
 
-func (p *plainPipeline) Profile() Profile         { return p.prof }
 func (p *plainPipeline) SupportsGuaranteed() bool { return false }
 func (p *plainPipeline) AddGuaranteed(id uint32, rate float64) {
 	panic(fmt.Sprintf("sched: %s pipeline cannot reserve clock rates", p.prof.Kind))
@@ -286,26 +282,24 @@ type rateScheduler interface {
 type isoPipeline struct {
 	rateScheduler
 	table    *rateTable // the rate scheduler's flow table: Enqueue resolves a packet's flow here
-	prof     Profile
 	linkRate float64
 	reserved float64
 }
 
-func newWFQPipeline(p Profile, linkRate float64) Pipeline {
+func newWFQPipeline(_ Profile, linkRate float64) Pipeline {
 	w := NewWFQ(linkRate)
 	w.AddFlowScheduler(Flow0ID, linkRate, NewFIFO())
 	w.SetFallback(Flow0ID)
-	return &isoPipeline{rateScheduler: w, table: &w.rateTable, prof: p, linkRate: linkRate}
+	return &isoPipeline{rateScheduler: w, table: &w.rateTable, linkRate: linkRate}
 }
 
-func newVCPipeline(p Profile, linkRate float64) Pipeline {
+func newVCPipeline(_ Profile, linkRate float64) Pipeline {
 	v := NewVirtualClock()
 	v.AddFlow(Flow0ID, linkRate)
 	v.SetFallback(Flow0ID)
-	return &isoPipeline{rateScheduler: v, table: &v.rateTable, prof: p, linkRate: linkRate}
+	return &isoPipeline{rateScheduler: v, table: &v.rateTable, linkRate: linkRate}
 }
 
-func (w *isoPipeline) Profile() Profile         { return w.prof }
 func (w *isoPipeline) SupportsGuaranteed() bool { return true }
 
 // AddGuaranteed registers a guaranteed flow with clock rate r (bits/second)

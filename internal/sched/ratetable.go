@@ -182,13 +182,5 @@ func (t *rateTable) pop(now float64) (*rateFlow, *packet.Packet) {
 	return f, p
 }
 
-// Peek implements Scheduler.
-func (t *rateTable) Peek() *packet.Packet {
-	if t.n == 0 {
-		return nil
-	}
-	return t.pick().child.Peek()
-}
-
 // Len implements Scheduler.
 func (t *rateTable) Len() int { return t.n }

@@ -96,7 +96,7 @@ func TestDelayEDDValidation(t *testing.T) {
 
 func TestDelayEDDEmpty(t *testing.T) {
 	e := NewDelayEDD()
-	if e.Dequeue(0) != nil || e.Peek() != nil || e.Len() != 0 {
+	if e.Dequeue(0) != nil || e.Len() != 0 {
 		t.Fatal("empty DelayEDD misbehaves")
 	}
 }
@@ -141,18 +141,15 @@ func TestStopAndGoFrameBatching(t *testing.T) {
 	}
 }
 
-func TestStopAndGoLenAndPeek(t *testing.T) {
+func TestStopAndGoLen(t *testing.T) {
 	s := NewStopAndGo(0.010)
 	s.Enqueue(pkt(1, 0, 1000), 0.001)
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if s.Peek() != nil {
-		t.Fatal("Peek should hide held packets")
+	if s.Len() != 1 || s.eligible.Len() != 0 {
+		t.Fatalf("Len = %d with %d eligible, want 1 held", s.Len(), s.eligible.Len())
 	}
 	s.promote(0.010)
-	if s.Peek() == nil {
-		t.Fatal("Peek should see eligible packets")
+	if s.Len() != 1 || s.eligible.Len() != 1 {
+		t.Fatalf("Len = %d with %d eligible after the frame boundary, want 1 eligible", s.Len(), s.eligible.Len())
 	}
 }
 

@@ -12,8 +12,8 @@
 //   - Unified — the paper's Section 7 scheduler: WFQ isolation between
 //     guaranteed flows and a pseudo "flow 0" holding the priority-ordered
 //     FIFO+ classes plus datagram traffic.
-//   - VirtualClock, DRR, DelayEDD, StopAndGo and Regulator — the Section
-//     10–11 related-work baselines used in ablations and comparisons.
+//   - VirtualClock, DRR, DelayEDD and StopAndGo — the Section 10–11
+//     related-work baselines used in ablations and comparisons.
 //
 // WFQ and VirtualClock are one structure with two stamp rules. The shared
 // rateTable holds the flows in registration order, the id map, the fallback
@@ -40,6 +40,12 @@ import (
 )
 
 // Scheduler selects the order in which queued packets leave an output port.
+// It is exactly what topology.Port calls: the paper (Sections 4–7) asks one
+// thing of a switch's scheduler — which packet leaves next — and Dequeue
+// answers it. There is no Peek: no port, pipeline or experiment looked
+// before it took, and a dry run that must agree with Dequeue is a second
+// copy of every discipline's service rule (DRR's deficit walk, the rate
+// table's tag scan) to keep in step with the first.
 // Enqueue and Dequeue take the current simulated time because several
 // disciplines (WFQ virtual time, FIFO+ averages) are time-dependent.
 type Scheduler interface {
@@ -49,8 +55,6 @@ type Scheduler interface {
 	// Dequeue removes and returns the next packet to transmit, or nil if
 	// the scheduler is empty.
 	Dequeue(now float64) *packet.Packet
-	// Peek returns the packet Dequeue would return, without removing it.
-	Peek() *packet.Packet
 	// Len returns the number of queued packets.
 	Len() int
 }
@@ -70,9 +74,6 @@ func (f *FIFO) Enqueue(p *packet.Packet, _ float64) { f.q.Push(p) }
 
 // Dequeue implements Scheduler.
 func (f *FIFO) Dequeue(_ float64) *packet.Packet { return f.q.Pop() }
-
-// Peek implements Scheduler.
-func (f *FIFO) Peek() *packet.Packet { return f.q.Peek() }
 
 // Len implements Scheduler.
 func (f *FIFO) Len() int { return f.q.Len() }

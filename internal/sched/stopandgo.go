@@ -7,6 +7,17 @@ import (
 	"ispn/internal/queue"
 )
 
+// NonWorkConserving is implemented by schedulers that may hold queued
+// packets until a future time (Stop-and-Go here; Jitter-EDD and the Section
+// 10 "buffer early packets inside the network" service are of the kind). A
+// port whose scheduler returns nil from Dequeue while Len() > 0 consults
+// NextEligible to know when to try again.
+type NonWorkConserving interface {
+	// NextEligible returns the earliest time at which Dequeue can yield
+	// a packet, or +Inf if the queue is empty.
+	NextEligible(now float64) float64
+}
+
 // StopAndGo implements Golestani's Stop-and-Go queueing (the paper's
 // references [8, 9]), the canonical framing discipline: time is divided into
 // frames of length T, and a packet arriving during frame k becomes eligible
@@ -55,9 +66,6 @@ func (s *StopAndGo) Dequeue(now float64) *packet.Packet {
 	s.promote(now)
 	return s.eligible.Pop()
 }
-
-// Peek implements Scheduler (eligible packets only).
-func (s *StopAndGo) Peek() *packet.Packet { return s.eligible.Peek() }
 
 // Len implements Scheduler.
 func (s *StopAndGo) Len() int { return s.eligible.Len() + s.pending.Len() }

@@ -41,7 +41,7 @@ func NewUnified(p Profile, linkRate float64) *Unified {
 		case SharingFIFO:
 			levels[i] = NewFIFO()
 		case SharingRoundRobin:
-			levels[i] = NewDRR(float64(p.MaxPacketBits), true)
+			levels[i] = NewDRR(float64(p.MaxPacketBits))
 		default:
 			levels[i] = NewFIFOPlus(p.FIFOPlusGain)
 		}
@@ -53,7 +53,7 @@ func NewUnified(p Profile, linkRate float64) *Unified {
 	w.AddFlowScheduler(Flow0ID, linkRate, prio)
 	w.SetFallback(Flow0ID)
 	return &Unified{
-		isoPipeline: isoPipeline{rateScheduler: w, table: &w.rateTable, prof: p, linkRate: linkRate},
+		isoPipeline: isoPipeline{rateScheduler: w, table: &w.rateTable, linkRate: linkRate},
 		levels:      levels,
 	}
 }

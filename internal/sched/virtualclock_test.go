@@ -83,22 +83,7 @@ func TestVirtualClockDuplicatePanics(t *testing.T) {
 func TestVirtualClockEmpty(t *testing.T) {
 	v := NewVirtualClock()
 	v.AddFlow(1, 1e5)
-	if v.Dequeue(0) != nil || v.Peek() != nil || v.Len() != 0 {
+	if v.Dequeue(0) != nil || v.Len() != 0 {
 		t.Fatal("empty VirtualClock misbehaves")
-	}
-}
-
-func TestVirtualClockPeekAgreesWithDequeue(t *testing.T) {
-	v := NewVirtualClock()
-	v.AddFlow(1, 3e5)
-	v.AddFlow(2, 7e5)
-	v.Enqueue(pkt(1, 0, 1000), 0)
-	v.Enqueue(pkt(2, 1, 1000), 0)
-	v.Enqueue(pkt(1, 2, 1000), 0)
-	for v.Len() > 0 {
-		want := v.Peek()
-		if got := v.Dequeue(0.01); got != want {
-			t.Fatalf("Peek %v != Dequeue %v", want, got)
-		}
 	}
 }

@@ -274,30 +274,10 @@ func TestWFQSetRate(t *testing.T) {
 	}
 }
 
-func TestWFQPeekAgreesWithDequeue(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	w := NewWFQ(1e6)
-	w.AddFlow(1, 3e5)
-	w.AddFlow(2, 7e5)
-	now := 0.0
-	for i := 0; i < 200; i++ {
-		now += rng.Float64() * 0.001
-		if rng.Intn(2) == 0 || w.Len() == 0 {
-			w.Enqueue(pkt(uint32(1+rng.Intn(2)), uint64(i), 1000), now)
-		} else {
-			want := w.Peek()
-			got := w.Dequeue(now)
-			if got != want {
-				t.Fatalf("Peek %v != Dequeue %v", want, got)
-			}
-		}
-	}
-}
-
 func TestWFQEmpty(t *testing.T) {
 	w := NewWFQ(1e6)
 	w.AddFlow(1, 1e6)
-	if w.Dequeue(0) != nil || w.Peek() != nil || w.Len() != 0 {
+	if w.Dequeue(0) != nil || w.Len() != 0 {
 		t.Fatal("empty WFQ misbehaves")
 	}
 }

@@ -61,97 +61,6 @@ type createBody struct {
 	Paused   bool    `json:"paused,omitempty"`
 }
 
-type statusBody struct {
-	ID       string  `json:"id"`
-	Scenario string  `json:"scenario"`
-	Status   string  `json:"status"`
-	SimTime  float64 `json:"sim_time"`
-	Horizon  float64 `json:"horizon"`
-	Seed     int64   `json:"seed"`
-	Shards   int     `json:"shards"`
-	Pace     float64 `json:"pace"`
-	Check    bool    `json:"check"`
-	TraceDt  float64 `json:"trace_interval"`
-	WallMS   int64   `json:"wall_ms"`
-	Injected int     `json:"events_injected"`
-
-	Admission *admissionBody `json:"admission,omitempty"`
-}
-
-type admissionBody struct {
-	Requested int64 `json:"requested"`
-	Admitted  int64 `json:"admitted"`
-	Rejected  int64 `json:"rejected"`
-	Departed  int64 `json:"departed"`
-}
-
-type flowBody struct {
-	Name            string    `json:"name"`
-	Service         string    `json:"service"`
-	Hops            int       `json:"hops"`
-	ArriveS         float64   `json:"arrive_s"`
-	Rejected        bool      `json:"rejected,omitempty"`
-	Reason          string    `json:"reason,omitempty"`
-	Departed        bool      `json:"departed,omitempty"`
-	Delivered       int64     `json:"delivered"`
-	EdgeDropped     int64     `json:"edge_dropped"`
-	Reroutes        int64     `json:"reroutes,omitempty"`
-	RerouteRefusals int64     `json:"reroute_refusals,omitempty"`
-	BoundMS         float64   `json:"bound_ms"`
-	MeanMS          float64   `json:"mean_ms"`
-	PctMS           []float64 `json:"pct_ms"`
-	MaxMS           float64   `json:"max_ms"`
-}
-
-type linkBody struct {
-	Name        string  `json:"name"`
-	Sched       string  `json:"sched"`
-	Down        bool    `json:"down,omitempty"`
-	Utilization float64 `json:"utilization"`
-	QueueLen    int     `json:"queue_len"`
-	TxPackets   int64   `json:"tx_packets"`
-	Drops       int64   `json:"drops"`
-}
-
-type traceRowBody struct {
-	Interval  int     `json:"interval"`
-	Start     float64 `json:"start"`
-	End       float64 `json:"end"`
-	Delivered int64   `json:"delivered"`
-	MeanMS    float64 `json:"mean_ms"`
-	MaxMS     float64 `json:"max_ms"`
-	Admitted  int64   `json:"admitted"`
-	Rejected  int64   `json:"rejected"`
-	Departed  int64   `json:"departed"`
-	Util      float64 `json:"util"`
-}
-
-func statusOf(st status) statusBody {
-	b := statusBody{
-		ID:       st.ID,
-		Scenario: st.Scenario,
-		Status:   st.State,
-		SimTime:  st.SimTime,
-		Horizon:  st.Horizon,
-		Seed:     st.Seed,
-		Shards:   st.Shards,
-		Pace:     st.Pace,
-		Check:    st.Check,
-		TraceDt:  st.TraceDt,
-		WallMS:   st.WallMS,
-		Injected: st.Injected,
-	}
-	if st.Adm != (scenario.AdmissionTotals{}) {
-		b.Admission = &admissionBody{
-			Requested: st.Adm.Requested,
-			Admitted:  st.Adm.Admitted,
-			Rejected:  st.Adm.Rejected,
-			Departed:  st.Adm.Departed,
-		}
-	}
-	return b
-}
-
 // --- helpers ----------------------------------------------------------------
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -217,15 +126,15 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, statusOf(st))
+	writeJSON(w, http.StatusCreated, st)
 }
 
 func (m *Manager) handleList(w http.ResponseWriter, r *http.Request) {
-	out := []statusBody{}
+	out := []status{}
 	for _, s := range m.List() {
 		var st status
 		if s.do(func() { st = s.status() }) == nil {
-			out = append(out, statusOf(st))
+			out = append(out, st)
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"sessions": out})
@@ -246,7 +155,7 @@ func handleStatus(w http.ResponseWriter, r *http.Request, s *session) {
 		writeError(w, http.StatusGone, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, statusOf(st))
+	writeJSON(w, http.StatusOK, st)
 }
 
 func handleAction(w http.ResponseWriter, r *http.Request, s *session) {
@@ -278,7 +187,7 @@ func handleAction(w http.ResponseWriter, r *http.Request, s *session) {
 	}
 	switch body.Action {
 	case "pause", "resume", "finish":
-		writeJSON(w, http.StatusOK, statusOf(st))
+		writeJSON(w, http.StatusOK, st)
 	default:
 		writeError(w, http.StatusBadRequest, "unknown action %q (pause, resume, finish)", body.Action)
 	}
@@ -292,27 +201,7 @@ func handleFlows(w http.ResponseWriter, r *http.Request, s *session) {
 		writeError(w, http.StatusGone, "%v", err)
 		return
 	}
-	out := make([]flowBody, 0, len(flows))
-	for _, f := range flows {
-		out = append(out, flowBody{
-			Name:            f.Name,
-			Service:         f.Service,
-			Hops:            f.Hops,
-			ArriveS:         f.ArriveS,
-			Rejected:        f.Rejected,
-			Reason:          f.Reason,
-			Departed:        f.Departed,
-			Delivered:       f.Delivered,
-			EdgeDropped:     f.EdgeDropped,
-			Reroutes:        f.Reroutes,
-			RerouteRefusals: f.RerouteRefusals,
-			BoundMS:         f.BoundMS,
-			MeanMS:          f.MeanMS,
-			PctMS:           f.PctMS,
-			MaxMS:           f.MaxMS,
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"sim_time": now, "percentiles": pcts, "flows": out})
+	writeJSON(w, http.StatusOK, map[string]any{"sim_time": now, "percentiles": pcts, "flows": flows})
 }
 
 func handleLinks(w http.ResponseWriter, r *http.Request, s *session) {
@@ -322,19 +211,7 @@ func handleLinks(w http.ResponseWriter, r *http.Request, s *session) {
 		writeError(w, http.StatusGone, "%v", err)
 		return
 	}
-	out := make([]linkBody, 0, len(links))
-	for _, l := range links {
-		out = append(out, linkBody{
-			Name:        l.Name,
-			Sched:       l.Sched,
-			Down:        l.Down,
-			Utilization: l.Utilization,
-			QueueLen:    l.QueueLen,
-			TxPackets:   l.TxPackets,
-			Drops:       l.Drops,
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"sim_time": now, "links": out})
+	writeJSON(w, http.StatusOK, map[string]any{"sim_time": now, "links": links})
 }
 
 // handleEvents injects timeline events: the body is plain .ispn text holding
@@ -417,25 +294,14 @@ func handleTrace(w http.ResponseWriter, r *http.Request, s *session) {
 			return // session deleted mid-stream
 		}
 		for _, row := range rows {
-			b, _ := json.Marshal(traceRowBody{
-				Interval:  from,
-				Start:     row.Start,
-				End:       row.End,
-				Delivered: row.Delivered,
-				MeanMS:    row.MeanMS,
-				MaxMS:     row.MaxMS,
-				Admitted:  row.Admitted,
-				Rejected:  row.Rejected,
-				Departed:  row.Departed,
-				Util:      row.Util,
-			})
+			b, _ := json.Marshal(row)
 			if sse {
 				fmt.Fprintf(w, "data: %s\n\n", b)
 			} else {
 				fmt.Fprintf(w, "%s\n", b)
 			}
-			from++
 		}
+		from += len(rows)
 		if len(rows) > 0 && flusher != nil {
 			flusher.Flush()
 		}

@@ -123,12 +123,12 @@ func text(t *testing.T, url string) (int, string) {
 func TestSessionLifecycle(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	var st statusBody
+	var st status
 	if code := call(t, "POST", ts.URL+"/sessions",
 		createBody{Source: smallSrc, Name: "small", Paused: true}, &st); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
-	if st.ID != "s1" || st.Status != "paused" || st.Scenario != "small" {
+	if st.ID != "s1" || st.State != "paused" || st.Scenario != "small" {
 		t.Fatalf("create status = %+v", st)
 	}
 	if st.Horizon != 2 || st.Seed != 3 || st.TraceDt != 1 {
@@ -151,7 +151,7 @@ func TestSessionLifecycle(t *testing.T) {
 		map[string]string{"action": "finish"}, &st); code != http.StatusOK {
 		t.Fatalf("finish: %d", code)
 	}
-	if st.Status != "done" || st.SimTime != 2 {
+	if st.State != "done" || st.SimTime != 2 {
 		t.Fatalf("after finish: %+v", st)
 	}
 
@@ -195,7 +195,7 @@ func TestCreateValidation(t *testing.T) {
 
 func TestCreateFromLibrary(t *testing.T) {
 	ts, _ := newTestServer(t)
-	var st statusBody
+	var st status
 	if code := call(t, "POST", ts.URL+"/sessions",
 		createBody{Scenario: "failover", Horizon: 5}, &st); code != http.StatusCreated {
 		t.Fatalf("create from library: %d", code)
@@ -212,14 +212,14 @@ func TestCreateFromLibrary(t *testing.T) {
 
 func TestLiveFlowsAndLinks(t *testing.T) {
 	ts, _ := newTestServer(t)
-	var st statusBody
+	var st status
 	call(t, "POST", ts.URL+"/sessions", createBody{Source: smallSrc, Paused: true}, &st)
 	id := st.ID
 	call(t, "POST", ts.URL+"/sessions/"+id, map[string]string{"action": "finish"}, &st)
 
 	var flows struct {
-		SimTime float64    `json:"sim_time"`
-		Flows   []flowBody `json:"flows"`
+		SimTime float64               `json:"sim_time"`
+		Flows   []scenario.FlowReport `json:"flows"`
 	}
 	if code := call(t, "GET", ts.URL+"/sessions/"+id+"/flows", nil, &flows); code != http.StatusOK {
 		t.Fatalf("flows: %d", code)
@@ -229,8 +229,8 @@ func TestLiveFlowsAndLinks(t *testing.T) {
 	}
 
 	var links struct {
-		SimTime float64    `json:"sim_time"`
-		Links   []linkBody `json:"links"`
+		SimTime float64                 `json:"sim_time"`
+		Links   []scenario.LinkSnapshot `json:"links"`
 	}
 	if code := call(t, "GET", ts.URL+"/sessions/"+id+"/links", nil, &links); code != http.StatusOK {
 		t.Fatalf("links: %d", code)
@@ -255,7 +255,7 @@ func TestLiveFlowsAndLinks(t *testing.T) {
 // rolls back completely (the next good one still works).
 func TestInjectDiagnostics(t *testing.T) {
 	ts, _ := newTestServer(t)
-	var st statusBody
+	var st status
 	call(t, "POST", ts.URL+"/sessions", createBody{Source: identBase, Name: "diag", Paused: true}, &st)
 	id := st.ID
 	url := ts.URL + "/sessions/" + id + "/events"
@@ -296,7 +296,7 @@ func TestInjectDiagnostics(t *testing.T) {
 	// A paced session (2 simulated seconds per wall second) runs slowly
 	// enough to pause mid-flight; an event before the live clock must be
 	// refused with a clock-position diagnostic.
-	var st2 statusBody
+	var st2 status
 	call(t, "POST", ts.URL+"/sessions", createBody{Source: identBase, Name: "paced", Pace: 2}, &st2)
 	waitSimTime(t, ts.URL, st2.ID, 4)
 	call(t, "POST", ts.URL+"/sessions/"+st2.ID, map[string]string{"action": "pause"}, nil)
@@ -316,14 +316,64 @@ func TestInjectDiagnostics(t *testing.T) {
 	}
 }
 
+// TestLoopedPathInjectionIsARejection injects a guaranteed arrival whose path
+// crosses A->B twice. That request used to panic in the scheduler's flow
+// table on the session goroutine — which has no recover, so one POST took
+// down the process and every session in it. It must be an ordinary rejected
+// flow: the session runs on to its horizon and its neighbour's report is
+// the batch run's, byte for byte.
+func TestLoopedPathInjectionIsARejection(t *testing.T) {
+	const src = "run :: Run(seed 5, horizon 2s)\nA, B :: Switch\nA <-> B\n" +
+		"d :: Datagram(path A -> B)\nc :: CBR(rate 50pps, size 1000bit)\nc -> d\n"
+	f, err := scenario.Parse("loop.ispn", []byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := scenario.Compile(f, scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := sim.Run().Format()
+
+	ts, _ := newTestServer(t)
+	var victim, neighbour status
+	for _, st := range []*status{&victim, &neighbour} {
+		if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: src, Name: "loop", Paused: true}, st); code != http.StatusCreated {
+			t.Fatalf("create: %d", code)
+		}
+	}
+	if code := call(t, "POST", ts.URL+"/sessions/"+victim.ID+"/events",
+		"at 1s { c2 :: Guaranteed(rate 100kbps, bucket 50kbit, path A -> B -> A -> B) }", nil); code != http.StatusOK {
+		t.Fatalf("inject: %d", code)
+	}
+	for _, st := range []*status{&victim, &neighbour} {
+		if code := call(t, "POST", ts.URL+"/sessions/"+st.ID, map[string]string{"action": "finish"}, st); code != http.StatusOK || st.State != "done" {
+			t.Fatalf("finish %s: %d, state %q", st.ID, code, st.State)
+		}
+	}
+	if adm := victim.Admission; adm == nil || *adm != (scenario.AdmissionTotals{Requested: 1, Rejected: 1}) {
+		t.Fatalf("victim admission = %+v, want 1 requested / 1 rejected", adm)
+	}
+	var flows struct {
+		Flows []scenario.FlowReport `json:"flows"`
+	}
+	call(t, "GET", ts.URL+"/sessions/"+victim.ID+"/flows", nil, &flows)
+	if n := len(flows.Flows); n != 2 || !flows.Flows[1].Rejected || !strings.Contains(flows.Flows[1].Reason, "crosses link A->B twice") {
+		t.Fatalf("victim flows = %+v, want c2 rejected with the reason", flows.Flows)
+	}
+	if code, served := text(t, ts.URL+"/sessions/"+neighbour.ID+"/report"); code != http.StatusOK || served != batch {
+		t.Errorf("neighbour report (%d) differs from batch: %s", code, firstDiff(batch, served))
+	}
+}
+
 // waitSimTime polls status until the simulation clock reaches tmin.
 func waitSimTime(t *testing.T, base, id string, tmin float64) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		var st statusBody
+		var st status
 		call(t, "GET", base+"/sessions/"+id, nil, &st)
-		if st.SimTime >= tmin || st.Status == "done" {
+		if st.SimTime >= tmin || st.State == "done" {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -352,7 +402,7 @@ func TestServedInjectionMatchesBatch(t *testing.T) {
 				t.Fatalf("batch run lost the injected-arrival flow:\n%s", batch)
 			}
 
-			var st statusBody
+			var st status
 			if code := call(t, "POST", ts.URL+"/sessions",
 				createBody{Source: identBase, Name: "ident", Shards: shards, Paused: true}, &st); code != http.StatusCreated {
 				t.Fatalf("create: %d", code)
@@ -395,7 +445,7 @@ func TestSteppedFreeRunMatchesBatch(t *testing.T) {
 	batch := sim.Run().Format()
 
 	ts, _ := newTestServer(t)
-	var st statusBody
+	var st status
 	call(t, "POST", ts.URL+"/sessions",
 		createBody{Source: identBase, Name: "ident", Shards: 2, Paused: true}, &st)
 	id := st.ID
@@ -408,7 +458,7 @@ func TestSteppedFreeRunMatchesBatch(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		call(t, "GET", ts.URL+"/sessions/"+id, nil, &st)
-		if st.Status == "done" {
+		if st.State == "done" {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -431,7 +481,7 @@ func TestConcurrentSessions(t *testing.T) {
 	ids := make([]string, len(seeds))
 	for i, seed := range seeds {
 		s := seed
-		var st statusBody
+		var st status
 		if code := call(t, "POST", ts.URL+"/sessions",
 			createBody{Source: identBase, Name: "conc", Seed: &s}, &st); code != http.StatusCreated {
 			t.Fatalf("create seed %d: %d", seed, code)
@@ -441,7 +491,7 @@ func TestConcurrentSessions(t *testing.T) {
 	done := make(chan string, len(ids))
 	for _, id := range ids {
 		go func(id string) {
-			var st statusBody
+			var st status
 			call(t, "POST", ts.URL+"/sessions/"+id, map[string]string{"action": "finish"}, &st)
 			_, rep := text(t, ts.URL+"/sessions/"+id+"/report")
 			done <- rep
@@ -460,7 +510,7 @@ func TestConcurrentSessions(t *testing.T) {
 		}
 	}
 	var list struct {
-		Sessions []statusBody `json:"sessions"`
+		Sessions []status `json:"sessions"`
 	}
 	call(t, "GET", ts.URL+"/sessions", nil, &list)
 	if len(list.Sessions) != len(seeds) {
@@ -472,7 +522,7 @@ func TestConcurrentSessions(t *testing.T) {
 // completion, checking the rows are the report's trace rows in order.
 func TestTraceStream(t *testing.T) {
 	ts, _ := newTestServer(t)
-	var st statusBody
+	var st status
 	call(t, "POST", ts.URL+"/sessions", createBody{Source: identBase, Name: "traced"}, &st)
 	id := st.ID
 
@@ -484,10 +534,10 @@ func TestTraceStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("content type %q", ct)
 	}
-	var rows []traceRowBody
+	var rows []scenario.TraceRow
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var row traceRowBody
+		var row scenario.TraceRow
 		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -524,7 +574,7 @@ func TestTraceStream(t *testing.T) {
 func TestTraceRequiresInterval(t *testing.T) {
 	ts, _ := newTestServer(t)
 	src := strings.Replace(smallSrc, ", trace 1s", "", 1)
-	var st statusBody
+	var st status
 	call(t, "POST", ts.URL+"/sessions", createBody{Source: src, Paused: true}, &st)
 	code, body := text(t, ts.URL+"/sessions/"+st.ID+"/trace")
 	if code != http.StatusConflict || !strings.Contains(body, "no trace") {
@@ -532,7 +582,7 @@ func TestTraceRequiresInterval(t *testing.T) {
 	}
 
 	// The trace option turns rows on for a scenario that never asked.
-	var st2 statusBody
+	var st2 status
 	call(t, "POST", ts.URL+"/sessions", createBody{Source: src, Trace: 1, Paused: true}, &st2)
 	if st2.TraceDt != 1 {
 		t.Fatalf("trace override ignored: %+v", st2)
@@ -546,7 +596,7 @@ func TestSessionCap(t *testing.T) {
 	defer ts.Close()
 	defer m.Close()
 
-	var st statusBody
+	var st status
 	if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: smallSrc, Paused: true}, &st); code != http.StatusCreated {
 		t.Fatalf("first create: %d", code)
 	}
@@ -563,7 +613,7 @@ func TestSessionCap(t *testing.T) {
 // the report's invariants section with zero violations.
 func TestCheckedSession(t *testing.T) {
 	ts, _ := newTestServer(t)
-	var st statusBody
+	var st status
 	call(t, "POST", ts.URL+"/sessions", createBody{Source: smallSrc, Check: true, Paused: true}, &st)
 	if !st.Check {
 		t.Fatalf("check flag lost: %+v", st)

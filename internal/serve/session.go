@@ -186,19 +186,21 @@ func (s *session) setPaused(p bool) {
 
 // status is a loop-owned snapshot for the handlers.
 type status struct {
-	ID       string
-	Scenario string
-	State    string // "paused" | "running" | "done"
-	SimTime  float64
-	Horizon  float64
-	Seed     int64
-	Shards   int
-	Pace     float64
-	Check    bool
-	TraceDt  float64
-	WallMS   int64
-	Injected int
-	Adm      scenario.AdmissionTotals
+	ID       string  `json:"id"`
+	Scenario string  `json:"scenario"`
+	State    string  `json:"status"` // "paused" | "running" | "done"
+	SimTime  float64 `json:"sim_time"`
+	Horizon  float64 `json:"horizon"`
+	Seed     int64   `json:"seed"`
+	Shards   int     `json:"shards"`
+	Pace     float64 `json:"pace"`
+	Check    bool    `json:"check"`
+	TraceDt  float64 `json:"trace_interval"`
+	WallMS   int64   `json:"wall_ms"`
+	Injected int     `json:"events_injected"`
+
+	// Admission is nil until a runtime request has been counted.
+	Admission *scenario.AdmissionTotals `json:"admission,omitempty"`
 }
 
 func (s *session) status() status {
@@ -215,7 +217,9 @@ func (s *session) status() status {
 		TraceDt:  s.sim.TraceInterval(),
 		WallMS:   time.Since(s.created).Milliseconds(),
 		Injected: s.injected,
-		Adm:      s.sim.Admission(),
+	}
+	if adm := s.sim.Admission(); adm != (scenario.AdmissionTotals{}) {
+		st.Admission = &adm
 	}
 	switch {
 	case s.finished:

@@ -8,12 +8,14 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"ispn/internal/scenario"
 )
 
 // streamed is what one /trace stream delivered: its rows, when each was read
 // and when the body hit EOF.
 type streamed struct {
-	rows []traceRowBody
+	rows []scenario.TraceRow
 	at   []time.Time
 	eof  time.Time
 	err  error
@@ -26,7 +28,7 @@ type streamed struct {
 func openStream(t *testing.T, ts *httptest.Server, m *Manager, body createBody) (*session, <-chan streamed) {
 	t.Helper()
 	body.Paused = true
-	var st statusBody
+	var st status
 	if code := call(t, "POST", ts.URL+"/sessions", body, &st); code != http.StatusCreated {
 		t.Fatalf("create: code %d", code)
 	}
@@ -44,7 +46,7 @@ func openStream(t *testing.T, ts *httptest.Server, m *Manager, body createBody) 
 		defer resp.Body.Close()
 		sc := bufio.NewScanner(resp.Body)
 		for sc.Scan() {
-			var row traceRowBody
+			var row scenario.TraceRow
 			if got.err = json.Unmarshal(sc.Bytes(), &row); got.err != nil {
 				return
 			}
@@ -90,9 +92,9 @@ func TestTraceStreamEndsWithSession(t *testing.T) {
 		call(t, "POST", url, map[string]string{"action": "resume"}, nil)
 		var done time.Time
 		for deadline := time.Now().Add(30 * time.Second); done.IsZero(); {
-			var st statusBody
+			var st status
 			call(t, "GET", url, nil, &st)
-			if st.Status == "done" {
+			if st.State == "done" {
 				done = time.Now()
 			} else if time.Now().After(deadline) {
 				t.Fatalf("session %s never finished", s.id)
@@ -137,10 +139,10 @@ func TestTraceStreamEndsWithSession(t *testing.T) {
 func TestFinishActionEndsTraceStream(t *testing.T) {
 	ts, m := newTestServer(t)
 	s, out := openStream(t, ts, m, createBody{Source: identBase})
-	var st statusBody
+	var st status
 	call(t, "POST", ts.URL+"/sessions/"+s.id, map[string]string{"action": "finish"}, &st)
-	if st.Status != "done" {
-		t.Fatalf("finish left the session %q", st.Status)
+	if st.State != "done" {
+		t.Fatalf("finish left the session %q", st.State)
 	}
 	got := await(t, out)
 	if len(got.rows) != 4 {

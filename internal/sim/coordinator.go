@@ -48,9 +48,6 @@ func NewCoordinator(ctrl *Engine, shards []*Engine, lookahead func() float64) *C
 	return &Coordinator{ctrl: ctrl, shards: shards, lookahead: lookahead}
 }
 
-// Now returns the control engine's clock.
-func (c *Coordinator) Now() float64 { return c.ctrl.Now() }
-
 // Run advances the simulation to time "to" (inclusive, like
 // Engine.RunUntil): all shard clocks and the control clock end at "to", so
 // runs can be resumed segment by segment.

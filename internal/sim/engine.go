@@ -95,16 +95,6 @@ type Event struct {
 	gen uint32
 }
 
-// Time returns the simulated time at which the event will fire, or NaN if
-// the handle is stale (the event already fired or was cancelled and its
-// node was recycled).
-func (e Event) Time() float64 {
-	if e.n == nil || e.n.gen != e.gen {
-		return math.NaN()
-	}
-	return e.n.time
-}
-
 // Cancelled reports whether the event has been cancelled or has already
 // fired (including the zero Event).
 func (e Event) Cancelled() bool {

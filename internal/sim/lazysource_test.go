@@ -15,11 +15,13 @@ func stdRNG(seed int64) *RNG {
 
 // drawMixed draws one value from g by the method k selects, as a comparable
 // bit pattern. Perm is rare (k = 22 mod 23) because one call consumes n
-// source outputs.
+// source outputs. Perm and NormFloat64 are rand.Rand methods RNG does not
+// wrap; they are drawn from g.r so the source is exercised under every
+// consumption pattern rand.Rand has.
 func drawMixed(g *RNG, k int) uint64 {
 	if k%23 == 22 {
 		h := uint64(0)
-		for _, v := range g.Perm(5 + k%11) {
+		for _, v := range g.r.Perm(5 + k%11) {
 			h = h*31 + uint64(v)
 		}
 		return h
@@ -36,7 +38,7 @@ func drawMixed(g *RNG, k int) uint64 {
 	case 4:
 		return uint64(g.Geometric(7))
 	default:
-		return math.Float64bits(g.Norm(1, 3))
+		return math.Float64bits(g.r.NormFloat64()*3 + 1)
 	}
 }
 

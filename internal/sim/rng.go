@@ -73,11 +73,3 @@ func (g *RNG) Geometric(mean float64) int {
 	}
 	return n
 }
-
-// Norm returns a normally distributed value.
-func (g *RNG) Norm(mean, stddev float64) float64 {
-	return g.r.NormFloat64()*stddev + mean
-}
-
-// Perm returns a pseudo-random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -123,34 +123,3 @@ func TestIntnRange(t *testing.T) {
 		}
 	}
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	g := NewRNG(6)
-	p := g.Perm(20)
-	seen := make(map[int]bool)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestNormMoments(t *testing.T) {
-	g := NewRNG(7)
-	const n = 200000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := g.Norm(10, 2)
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean-10) > 0.05 {
-		t.Fatalf("Norm mean = %v, want ~10", mean)
-	}
-	if math.Abs(variance-4) > 0.2 {
-		t.Fatalf("Norm variance = %v, want ~4", variance)
-	}
-}

@@ -25,8 +25,6 @@ type Source interface {
 	// Start begins generation on the engine; packets are handed to
 	// inject with CreatedAt set.
 	Start(eng *sim.Engine, inject Inject)
-	// Generated returns how many packets have been generated so far.
-	Generated() int64
 }
 
 // Stopper is implemented by sources that can be silenced mid-run. The
@@ -66,14 +64,13 @@ func AttachPool(src Source, pl *packet.Pool) {
 
 // common carries the fields every generator shares.
 type common struct {
-	flowID    uint32
-	class     packet.Class
-	priority  uint8
-	sizeBits  int
-	seq       uint64
-	generated int64
-	pool      *packet.Pool
-	stopped   bool
+	flowID   uint32
+	class    packet.Class
+	priority uint8
+	sizeBits int
+	seq      uint64
+	pool     *packet.Pool
+	stopped  bool
 }
 
 // SetPool implements PoolUser.
@@ -96,11 +93,8 @@ func (c *common) newPacket(now float64) *packet.Packet {
 	p.Priority = c.priority
 	p.CreatedAt = now
 	c.seq++
-	c.generated++
 	return p
 }
-
-func (c *common) Generated() int64 { return c.generated }
 
 // MarkovConfig parameterizes a two-state Markov on/off source.
 type MarkovConfig struct {
@@ -148,9 +142,6 @@ func NewMarkov(cfg MarkovConfig) *Markov {
 		rng:    cfg.RNG,
 	}
 }
-
-// MeanIdle returns the mean idle period I.
-func (m *Markov) MeanIdle() float64 { return m.idle }
 
 // Start implements Source. The source begins in an idle period.
 //
@@ -310,9 +301,6 @@ func (f *Policed) Start(eng *sim.Engine, inject Inject) {
 		inject(p)
 	})
 }
-
-// Generated implements Source (packets generated upstream of the filter).
-func (f *Policed) Generated() int64 { return f.inner.Generated() }
 
 // Stats returns total generated and dropped packet counts at the filter.
 func (f *Policed) Stats() stats.Counter { return f.counter }

@@ -32,17 +32,14 @@ func TestMarkovAverageRate(t *testing.T) {
 	if math.Abs(rate-85) > 2 {
 		t.Fatalf("average rate = %v pkt/s, want ~85", rate)
 	}
-	if src.Generated() != int64(n) {
-		t.Fatalf("Generated = %d, want %d", src.Generated(), n)
-	}
 }
 
 func TestMarkovMeanIdle(t *testing.T) {
 	// I = B(1/A - 1/P) = 5*(1/85 - 1/170) = 5/170.
 	src := NewMarkov(markovCfg(1))
 	want := 5.0 / 170.0
-	if math.Abs(src.MeanIdle()-want) > 1e-12 {
-		t.Fatalf("MeanIdle = %v, want %v", src.MeanIdle(), want)
+	if math.Abs(src.idle-want) > 1e-12 {
+		t.Fatalf("mean idle = %v, want %v", src.idle, want)
 	}
 }
 

@@ -11,13 +11,12 @@ import (
 // buckets spans several orders of magnitude — delay distributions in this
 // system stretch from sub-millisecond to hundreds of milliseconds.
 type Histogram struct {
-	min     float64
-	growth  float64
-	counts  []int64
-	under   int64 // values below min
-	total   int64
-	sum     float64
-	maxSeen float64
+	min    float64
+	growth float64
+	counts []int64
+	under  int64 // values below min
+	total  int64
+	sum    float64
 }
 
 // NewHistogram builds a histogram with buckets of the given count starting
@@ -38,9 +37,6 @@ func NewDelayHistogram() *Histogram { return NewHistogram(1e-4, 1.41421356237309
 func (h *Histogram) Add(x float64) {
 	h.total++
 	h.sum += x
-	if x > h.maxSeen {
-		h.maxSeen = x
-	}
 	if x < h.min {
 		h.under++
 		return
@@ -62,9 +58,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return h.sum / float64(h.total)
 }
-
-// Max returns the largest recorded value.
-func (h *Histogram) Max() float64 { return h.maxSeen }
 
 // BucketBounds returns the lower bound of bucket i.
 func (h *Histogram) BucketBounds(i int) (lo, hi float64) {

@@ -35,7 +35,6 @@ type Recorder struct {
 	n      int
 	placed []int // -1, the ranks placed (see selectRank) since samples were last added, n
 	sum    float64
-	sumsq  float64
 	max    float64
 	min    float64
 }
@@ -79,7 +78,6 @@ func (r *Recorder) Add(x float64) {
 	r.tail = append(r.tail, x) // into the room made: never reallocates
 	r.n++
 	r.sum += x
-	r.sumsq += x * x
 	if x > r.max {
 		r.max = x
 	}
@@ -90,17 +88,17 @@ func (r *Recorder) Add(x float64) {
 
 // Absorb merges every sample of src into r (recorders are merged when
 // aggregating per-flow statistics into per-class or per-experiment views).
-// The sums are added as sums, so the result depends on the order of the
+// The sum is added as a sum, so the result depends on the order of the
 // merges, not of the samples. src is unchanged.
 func (r *Recorder) Absorb(src *Recorder) {
 	if src == nil {
 		return
 	}
-	sum, sumsq := r.sum+src.sum, r.sumsq+src.sumsq
+	sum := r.sum + src.sum
 	for i, n := 0, src.n; i < n; i++ {
 		r.Add(src.at(i))
 	}
-	r.sum, r.sumsq = sum, sumsq
+	r.sum = sum
 }
 
 // Count returns the number of samples.
@@ -120,24 +118,6 @@ func (r *Recorder) Max() float64 {
 		return 0
 	}
 	return r.max
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (r *Recorder) Min() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.min
-}
-
-// Stddev returns the population standard deviation.
-func (r *Recorder) Stddev() float64 {
-	n := float64(r.n)
-	if n == 0 {
-		return 0
-	}
-	m := r.sum / n
-	return math.Sqrt(max(r.sumsq/n-m*m, 0))
 }
 
 // Percentile returns the exact p-quantile (0 <= p <= 1) using the

@@ -35,9 +35,6 @@ func NewTimeSeries(dt float64) *TimeSeries {
 	return &TimeSeries{dt: dt}
 }
 
-// Interval returns the bin width in seconds.
-func (ts *TimeSeries) Interval() float64 { return ts.dt }
-
 // Add records sample v at time t. Negative times land in bin 0.
 func (ts *TimeSeries) Add(t, v float64) {
 	i := 0
@@ -54,9 +51,6 @@ func (ts *TimeSeries) Add(t, v float64) {
 		b.Max = v
 	}
 }
-
-// NumBins returns the index of the last bin that received a sample, plus one.
-func (ts *TimeSeries) NumBins() int { return len(ts.bins) }
 
 // Bin returns the aggregate of interval i ([i*dt, (i+1)*dt)); intervals
 // beyond the last sample read as empty.

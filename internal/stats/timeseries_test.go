@@ -7,8 +7,8 @@ func TestTimeSeriesBinning(t *testing.T) {
 	ts.Add(0.1, 2)
 	ts.Add(0.9, 4)
 	ts.Add(2.5, 10)
-	if got := ts.NumBins(); got != 3 {
-		t.Fatalf("NumBins = %d, want 3", got)
+	if got := len(ts.bins); got != 3 {
+		t.Fatalf("%d bins, want 3", got)
 	}
 	b0 := ts.Bin(0)
 	if b0.N != 2 || b0.Sum != 6 || b0.Max != 4 {

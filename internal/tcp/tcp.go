@@ -201,9 +201,6 @@ func (c *Connection) Stop() {
 // Stats returns a copy of the connection statistics.
 func (c *Connection) Stats() Stats { return c.stats }
 
-// RTO returns the current retransmission timeout.
-func (c *Connection) RTO() float64 { return c.rto }
-
 // Delivered returns in-order segments delivered to the receiving
 // application.
 func (c *Connection) Delivered() int64 { return c.stats.Delivered }

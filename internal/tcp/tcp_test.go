@@ -168,11 +168,11 @@ func TestTCPRTTEstimatorConverges(t *testing.T) {
 	eng.RunUntil(10)
 	// RTO should have adapted well below the 1s initial value on an
 	// uncongested ~1-2ms RTT path, bounded below by MinRTO.
-	if c.RTO() > 0.5 {
-		t.Fatalf("RTO = %v, estimator did not converge", c.RTO())
+	if c.rto > 0.5 {
+		t.Fatalf("RTO = %v, estimator did not converge", c.rto)
 	}
-	if c.RTO() < 0.2 {
-		t.Fatalf("RTO = %v below MinRTO", c.RTO())
+	if c.rto < 0.2 {
+		t.Fatalf("RTO = %v below MinRTO", c.rto)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // Regression tests for link failure and restore around non-work-conserving
-// schedulers: a failure must surface and drop the packets a Regulator or
-// Stop-and-Go scheduler is holding for a future eligibility time (they used
+// schedulers: a failure must surface and drop the packets a Stop-and-Go
+// scheduler is holding for a future eligibility time (they used
 // to strand inside the scheduler, leaking from the pool and desyncing the
 // port's occupancy mirror), and a restore must re-arm transmission when any
 // backlog survived the outage.
@@ -24,48 +24,6 @@ func failNet(eng *sim.Engine, s sched.Scheduler, delivered *int) *Network {
 	n.InstallRoute(1, []string{"A", "B"})
 	n.Node("B").SetSink(1, func(p *packet.Packet) { *delivered++ })
 	return n
-}
-
-// pooledEarly draws a pooled packet that the Regulator will hold for
-// `early` seconds after injection.
-func pooledEarly(n *Network, early float64) *packet.Packet {
-	p := n.Pool().Get()
-	p.FlowID = 1
-	p.Size = 1000
-	p.JitterOffset = -early
-	return p
-}
-
-func TestFailDropsRegulatorHeldPackets(t *testing.T) {
-	eng := sim.New()
-	delivered := 0
-	n := failNet(eng, sched.NewRegulator(sched.NewFIFO()), &delivered)
-	pt := n.Node("A").Port("B")
-
-	// Three packets held until t=0.5, failure at t=0.1: all three are in
-	// the regulator's held queue, invisible to a plain Dequeue(now).
-	for i := 0; i < 3; i++ {
-		n.Inject("A", pooledEarly(n, 0.5))
-	}
-	eng.Schedule(0.1, func() { pt.SetDown(true) })
-	eng.RunUntil(1.0)
-
-	if delivered != 0 {
-		t.Fatalf("delivered %d packets across a failed link", delivered)
-	}
-	if got := pt.Counter().Dropped; got != 3 {
-		t.Fatalf("failure dropped %d packets, want 3 (held packets must count as drops)", got)
-	}
-	if l := pt.Scheduler().Len(); l != 0 {
-		t.Fatalf("%d packets still stranded in the scheduler after flush", l)
-	}
-	if pt.qlen != 0 {
-		t.Fatalf("qlen mirror desynced: %d, want 0", pt.qlen)
-	}
-	gets, puts, _ := n.Pool().Stats()
-	if gets != puts {
-		t.Fatalf("pool leak: %d gets vs %d puts", gets, puts)
-	}
 }
 
 func TestFailDropsStopAndGoHeldPackets(t *testing.T) {
@@ -102,19 +60,21 @@ func TestFailDropsStopAndGoHeldPackets(t *testing.T) {
 func TestRestoreResumesServiceAfterFailure(t *testing.T) {
 	eng := sim.New()
 	delivered := 0
-	n := failNet(eng, sched.NewRegulator(sched.NewFIFO()), &delivered)
+	// 0.5 s frames: a packet arriving in [0, 0.5) is held until t=0.5.
+	n := failNet(eng, sched.NewStopAndGo(0.5), &delivered)
 	pt := n.Node("A").Port("B")
-
-	n.Inject("A", pooledEarly(n, 0.5)) // held until 0.5
-	eng.Schedule(0.1, func() { pt.SetDown(true) })
-	eng.Schedule(0.2, func() { pt.SetDown(false) })
-	// Fresh traffic after restore must flow normally.
-	eng.Schedule(0.3, func() {
+	inject := func() {
 		p := n.Pool().Get()
 		p.FlowID = 1
 		p.Size = 1000
 		n.Inject("A", p)
-	})
+	}
+
+	inject() // held until 0.5
+	eng.Schedule(0.1, func() { pt.SetDown(true) })
+	eng.Schedule(0.2, func() { pt.SetDown(false) })
+	// Fresh traffic after restore must flow normally.
+	eng.Schedule(0.3, inject)
 	eng.RunUntil(1.0)
 
 	if delivered != 1 {

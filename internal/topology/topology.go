@@ -54,9 +54,6 @@ func NewNetwork(eng *sim.Engine) *Network {
 	}
 }
 
-// Engine returns the simulation engine.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
 // Pool returns the network's packet free list. Sources and transport
 // endpoints allocate from it; the network releases delivered and dropped
 // packets back into it (see the packet.Pool ownership rules). Packets
@@ -764,13 +761,9 @@ func (pt *Port) onTxDone(arg any) {
 // event heap. Shards are created by ConfigureShards; a sim.Coordinator
 // advances them in lockstep windows.
 type Shard struct {
-	index int
-	eng   *sim.Engine
-	pool  *packet.Pool
+	eng  *sim.Engine
+	pool *packet.Pool
 }
-
-// Index returns the shard's position.
-func (s *Shard) Index() int { return s.index }
 
 // Engine returns the shard's engine.
 func (s *Shard) Engine() *sim.Engine { return s.eng }
@@ -811,7 +804,7 @@ func (n *Network) ConfigureShards(assign []int, nshards int) error {
 	}
 	shards := make([]*Shard, nshards)
 	for i := range shards {
-		shards[i] = &Shard{index: i, eng: sim.New(), pool: n.pool}
+		shards[i] = &Shard{eng: sim.New(), pool: n.pool}
 	}
 	for i, nd := range n.order {
 		nd.shard = assign[i]
