@@ -109,8 +109,7 @@ func scenarioOptions(seed int64, horizon float64, shards int, check bool) scenar
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "seed":
-			opts.Seed = seed
-			opts.SeedSet = true
+			opts.Seed = &seed
 		case "horizon":
 			opts.Horizon = horizon
 		case "shards":

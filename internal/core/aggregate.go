@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ispn/internal/packet"
 	"ispn/internal/tokenbucket"
@@ -114,15 +115,9 @@ func (n *Network) RequestPredictedMember(path []string, class uint8, spec Predic
 		// admitted on the hops their traffic will actually cross.
 		admitPorts = n.portsOf(a.carrier)
 	}
-	var token uint64
-	if n.cfg.AdmissionControl {
-		token = n.nextLedgerToken()
-		for i, pt := range admitPorts {
-			if err := n.admitPredicted(pt, spec, int(class), token); err != nil {
-				n.rollbackLedger(admitPorts[:i], token)
-				return Member{}, err
-			}
-		}
+	token, err := n.admitAlong(admitPorts, spec.demand(int(class)))
+	if err != nil {
+		return Member{}, err
 	}
 	if a == nil {
 		a = n.newAggregate(key, spec)
@@ -252,7 +247,7 @@ func (m Member) Release() {
 	n := a.net
 	c := a.carrier
 	if int(m.idx) < len(a.ledgers) && a.ledgers[m.idx] != 0 {
-		n.releaseLedger(n.portsOf(c), []uint64{a.ledgers[m.idx]})
+		n.releaseLedger(n.portsOf(c), a.ledgers[m.idx])
 		a.ledgers[m.idx] = 0
 	}
 	a.total -= s.rate
@@ -264,12 +259,7 @@ func (m Member) Release() {
 		a.total = 0
 		n.Release(c.ID)
 		delete(n.aggs, a.key)
-		for i, x := range n.aggOrder {
-			if x == a {
-				n.aggOrder = append(n.aggOrder[:i], n.aggOrder[i+1:]...)
-				break
-			}
-		}
+		n.aggOrder = slices.DeleteFunc(n.aggOrder, func(x *Aggregate) bool { return x == a })
 		return
 	}
 	c.declaredRate = a.total

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"ispn/internal/admission"
@@ -55,8 +55,6 @@ type Config struct {
 	// MaxPacketBits is the largest packet (paper: 1000); used in bound
 	// computation.
 	MaxPacketBits int
-	// FIFOPlusGain tunes the FIFO+ class-average EWMA.
-	FIFOPlusGain float64
 	// Sharing selects the intra-class sharing discipline (ablations).
 	Sharing SharingMode
 	// AdmissionControl enables the Section 9 measurement-based admission
@@ -132,7 +130,6 @@ func (c *Config) profile() sched.Profile {
 		Sharing:       c.Sharing,
 		ClassTargets:  c.ClassTargets,
 		DatagramQuota: c.DatagramQuota,
-		FIFOPlusGain:  c.FIFOPlusGain,
 		MaxPacketBits: c.MaxPacketBits,
 	}.Normalize()
 }
@@ -152,9 +149,9 @@ type Network struct {
 	profs []sched.Profile         // port index -> effective profile
 	admit []*admission.Controller // port index -> controller (nil until used)
 	flows map[uint32]*Flow
-	// ledgerSeq numbers admission operations; each successful request or
-	// renegotiation tags its warmup-ledger entries with one token, so
-	// releases touch exactly the entries that operation created.
+	// ledgerSeq numbers admission operations; each one tags its warmup-
+	// ledger entries with one token, so releases touch exactly the entries
+	// that operation created (see admitAlong).
 	ledgerSeq uint64
 
 	// Failure-aware rerouting (see reroute.go). routingSet distinguishes
@@ -389,11 +386,8 @@ func (n *Network) SetLinkProfile(from, to string, prof sched.Profile) error {
 			if f.Class != packet.Guaranteed {
 				continue
 			}
-			for _, fp := range n.portsOf(f) {
-				if fp == pt {
-					pipe.AddGuaranteed(f.ID, f.gspec.ClockRate)
-					break
-				}
+			if slices.Contains(n.portsOf(f), pt) {
+				pipe.AddGuaranteed(f.ID, f.gspec.ClockRate)
 			}
 		}
 	}
@@ -411,14 +405,9 @@ func (n *Network) SetLinkProfile(from, to string, prof sched.Profile) error {
 // flowsByID returns the live flows sorted by id (deterministic iteration
 // over the flows map).
 func (n *Network) flowsByID() []*Flow {
-	ids := make([]uint32, 0, len(n.flows))
-	for id := range n.flows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]*Flow, len(ids))
-	for i, id := range ids {
-		out[i] = n.flows[id]
+	out := make([]*Flow, 0, len(n.flows))
+	for _, id := range slices.Sorted(maps.Keys(n.flows)) {
+		out = append(out, n.flows[id])
 	}
 	return out
 }
@@ -504,10 +493,8 @@ type Flow struct {
 	bound      float64
 	// declaredRate is the flow's current declared rate (guaranteed clock
 	// rate or predicted token rate). ledgerTokens lists the admission
-	// operations (initial request plus renegotiations) whose warmup-ledger
-	// entries belong to this flow, so Release hands back exactly this
-	// flow's still-warming claims and never another flow's equal-rate
-	// entry.
+	// operations (initial request, renegotiations, reroutes) whose warmup-
+	// ledger entries belong to this flow (see claim).
 	declaredRate float64
 	ledgerTokens []uint64
 	pspec        PredictedSpec // predicted flows: current spec (renegotiation)
@@ -773,13 +760,9 @@ func (n *Network) RequestGuaranteed(id uint32, path []string, spec GuaranteedSpe
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if _, dup := n.flows[id]; dup {
-		return nil, fmt.Errorf("core: flow %d already exists", id)
-	}
-	pid := n.InternPath(path)
-	ports := n.pathPortsByID(pid)
-	if len(ports) == 0 {
-		return nil, fmt.Errorf("core: guaranteed flow needs at least one link")
+	pid, ports, err := n.flowPath(id, path, packet.Guaranteed)
+	if err != nil {
+		return nil, err
 	}
 	// A link holds one clock rate per flow, so a path that loops back over
 	// a link has no reservation to make at its second visit.
@@ -789,21 +772,10 @@ func (n *Network) RequestGuaranteed(id uint32, path []string, spec GuaranteedSpe
 				strings.Join(path, " -> "), pt.Name())
 		}
 	}
-	// Admission: never let reservations invade the datagram quota. A
-	// failure at a later hop rolls back the ledger entries already
-	// committed at earlier hops, so a refused request charges nothing.
-	token := n.nextLedgerToken()
-	for i, pt := range ports {
-		if err := n.checkReserve(pt, spec.ClockRate); err != nil {
-			n.rollbackLedger(ports[:i], token)
-			return nil, err
-		}
-		if n.cfg.AdmissionControl {
-			if err := n.admitGuaranteed(pt, spec.ClockRate, token); err != nil {
-				n.rollbackLedger(ports[:i], token)
-				return nil, err
-			}
-		}
+	// Admission: never let reservations invade the datagram quota.
+	token, err := n.admitAlong(ports, demand{class: packet.Guaranteed, rate: spec.ClockRate})
+	if err != nil {
+		return nil, err
 	}
 	for _, pt := range ports {
 		n.pipe(pt).AddGuaranteed(id, spec.ClockRate)
@@ -817,11 +789,24 @@ func (n *Network) RequestGuaranteed(id uint32, path []string, spec GuaranteedSpe
 		declaredRate: spec.ClockRate,
 		gspec:        spec,
 	}
-	if n.cfg.AdmissionControl {
-		f.ledgerTokens = []uint64{token}
-	}
+	f.claim(token)
 	n.registerFlow(f)
 	return f, nil
+}
+
+// flowPath is the prologue every flow request shares: the id must be free
+// and the path is interned; a guaranteed or predicted flow needs at least
+// one link to make its commitment on.
+func (n *Network) flowPath(id uint32, path []string, class packet.Class) (PathID, []*topology.Port, error) {
+	if _, dup := n.flows[id]; dup {
+		return 0, nil, fmt.Errorf("core: flow %d already exists", id)
+	}
+	pid := n.InternPath(path)
+	ports := n.pathPortsByID(pid)
+	if len(ports) == 0 && class != packet.Datagram {
+		return 0, nil, fmt.Errorf("core: %v flow needs at least one link", class)
+	}
+	return pid, ports, nil
 }
 
 // RequestPredicted asks for predicted service along path. The requested
@@ -829,66 +814,51 @@ func (n *Network) RequestGuaranteed(id uint32, path []string, spec GuaranteedSpe
 // (most delayed-bounded) class whose advertised bound over this path does
 // not exceed D. Edge policing to (r, b) is armed on the returned flow.
 func (n *Network) RequestPredicted(id uint32, path []string, spec PredictedSpec) (*Flow, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if _, dup := n.flows[id]; dup {
-		return nil, fmt.Errorf("core: flow %d already exists", id)
-	}
-	ports := n.topo.PathPorts(path)
-	if len(ports) == 0 {
-		return nil, fmt.Errorf("core: predicted flow needs at least one link")
-	}
-	class := n.classForPorts(ports, spec.Delay)
-	if class < 0 {
-		worst := n.pathClasses(ports) - 1
-		return nil, fmt.Errorf("core: no predicted class can meet delay target %v over %d hops (largest advertised %v)",
-			spec.Delay, len(path)-1, n.advertisedBound(ports, worst))
-	}
-	return n.RequestPredictedClass(id, path, uint8(class), spec)
+	return n.requestPredicted(id, path, -1, spec)
 }
 
 // RequestPredictedClass pins the flow to an explicit priority class,
 // matching the paper's Table 3 setup where flows are assigned to
 // Predicted-High / Predicted-Low directly.
 func (n *Network) RequestPredictedClass(id uint32, path []string, class uint8, spec PredictedSpec) (*Flow, error) {
+	return n.requestPredicted(id, path, int(class), spec)
+}
+
+// requestPredicted is both predicted requests; class -1 selects the class
+// from the spec's delay target.
+func (n *Network) requestPredicted(id uint32, path []string, class int, spec PredictedSpec) (*Flow, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if _, dup := n.flows[id]; dup {
-		return nil, fmt.Errorf("core: flow %d already exists", id)
+	pid, ports, err := n.flowPath(id, path, packet.Predicted)
+	if err != nil {
+		return nil, err
 	}
-	pid := n.InternPath(path)
-	ports := n.pathPortsByID(pid)
-	if len(ports) == 0 {
-		return nil, fmt.Errorf("core: predicted flow needs at least one link")
-	}
-	if k := n.pathClasses(ports); int(class) >= k {
+	if class < 0 {
+		if class = n.classForPorts(ports, spec.Delay); class < 0 {
+			worst := n.pathClasses(ports) - 1
+			return nil, fmt.Errorf("core: no predicted class can meet delay target %v over %d hops (largest advertised %v)",
+				spec.Delay, len(path)-1, n.advertisedBound(ports, worst))
+		}
+	} else if k := n.pathClasses(ports); class >= k {
 		return nil, fmt.Errorf("core: class %d out of range (%d classes on this path)", class, k)
 	}
-	token := n.nextLedgerToken()
-	if n.cfg.AdmissionControl {
-		for i, pt := range ports {
-			if err := n.admitPredicted(pt, spec, int(class), token); err != nil {
-				n.rollbackLedger(ports[:i], token)
-				return nil, err
-			}
-		}
+	token, err := n.admitAlong(ports, spec.demand(class))
+	if err != nil {
+		return nil, err
 	}
 	f := &Flow{
 		ID:           id,
 		PathID:       pid,
 		Class:        packet.Predicted,
-		Priority:     class,
+		Priority:     uint8(class),
 		net:          n,
 		policer:      tokenbucket.New(spec.TokenRate, spec.BucketBits),
-		bound:        n.advertisedBound(ports, int(class)),
+		bound:        n.advertisedBound(ports, class),
 		declaredRate: spec.TokenRate,
 		pspec:        spec,
 	}
-	if n.cfg.AdmissionControl {
-		f.ledgerTokens = []uint64{token}
-	}
+	f.claim(token)
 	n.registerFlow(f)
 	return f, nil
 }
@@ -906,12 +876,13 @@ func (n *Network) classForPorts(ports []*topology.Port, target float64) int {
 
 // AddDatagramFlow installs a best-effort flow (no commitment, no policing).
 func (n *Network) AddDatagramFlow(id uint32, path []string) (*Flow, error) {
-	if _, dup := n.flows[id]; dup {
-		return nil, fmt.Errorf("core: flow %d already exists", id)
+	pid, _, err := n.flowPath(id, path, packet.Datagram)
+	if err != nil {
+		return nil, err
 	}
 	f := &Flow{
 		ID:     id,
-		PathID: n.InternPath(path),
+		PathID: pid,
 		Class:  packet.Datagram,
 		net:    n,
 		bound:  -1,
@@ -941,57 +912,10 @@ func (n *Network) Release(id uint32) {
 			n.pipe(pt).RemoveGuaranteed(id)
 		}
 	}
-	if f.Class != packet.Datagram {
-		// Hand this flow's ledger claims (initial request plus any
-		// renegotiations) back to each hop; entries that outlived their
-		// warmup are already gone and release as a no-op.
-		n.releaseLedger(ports, f.ledgerTokens)
-	}
+	// Hand this flow's ledger claims back to each hop.
+	n.releaseLedger(ports, f.ledgerTokens...)
 	n.topo.RemoveRoute(id)
 	delete(n.flows, id)
-}
-
-// nextLedgerToken numbers an admission operation.
-func (n *Network) nextLedgerToken() uint64 {
-	n.ledgerSeq++
-	return n.ledgerSeq
-}
-
-// rollbackLedger releases one operation's admission ledger entries from each
-// port — the undo path when a multi-hop request or renegotiation fails at a
-// later hop after earlier hops already committed.
-func (n *Network) rollbackLedger(ports []*topology.Port, token uint64) {
-	n.releaseLedger(ports, []uint64{token})
-}
-
-// releaseLedger drops every still-warming ledger entry of the given
-// operations from each port's controller.
-func (n *Network) releaseLedger(ports []*topology.Port, tokens []uint64) {
-	now := n.eng.Now()
-	for _, pt := range ports {
-		if c := n.admit[pt.Index()]; c != nil {
-			for _, tok := range tokens {
-				c.ReleaseOwner(now, tok)
-			}
-		}
-	}
-}
-
-// reledger replaces a flow's warmup-ledger claims with a single fresh entry
-// at newRate on every hop — the renegotiation-decrease path. Without the
-// fresh entry a just-admitted, never-measured flow would vanish from ν̂
-// entirely; with it the flow is covered at exactly its new declared rate
-// (and a later increase adds only its delta, so shrink-then-grow sums to
-// the new total instead of double-charging).
-func (n *Network) reledger(ports []*topology.Port, f *Flow, newRate float64, token uint64) {
-	n.releaseLedger(ports, f.ledgerTokens)
-	now := n.eng.Now()
-	for _, pt := range ports {
-		if c := n.admit[pt.Index()]; c != nil {
-			c.Declare(now, newRate, token)
-		}
-	}
-	f.ledgerTokens = []uint64{token}
 }
 
 // RenegotiateGuaranteed changes an existing guaranteed flow's spec in place:
@@ -1012,26 +936,15 @@ func (n *Network) RenegotiateGuaranteed(id uint32, spec GuaranteedSpec) error {
 		return fmt.Errorf("core: flow %d is not guaranteed", id)
 	}
 	ports := n.portsOf(f)
-	delta := spec.ClockRate - f.gspec.ClockRate
-	token := n.nextLedgerToken()
-	if delta > 0 {
-		for i, pt := range ports {
-			if err := n.checkReserve(pt, delta); err != nil {
-				n.rollbackLedger(ports[:i], token)
-				return err
-			}
-			if n.cfg.AdmissionControl {
-				if err := n.admitGuaranteed(pt, delta, token); err != nil {
-					n.rollbackLedger(ports[:i], token)
-					return err
-				}
-			}
+	switch delta := spec.ClockRate - f.gspec.ClockRate; {
+	case delta > 0:
+		token, err := n.admitAlong(ports, demand{class: packet.Guaranteed, rate: delta})
+		if err != nil {
+			return err
 		}
-		if n.cfg.AdmissionControl {
-			f.ledgerTokens = append(f.ledgerTokens, token)
-		}
-	} else if delta < 0 && n.cfg.AdmissionControl {
-		n.reledger(ports, f, spec.ClockRate, token)
+		f.claim(token)
+	case delta < 0:
+		n.reledger(ports, f, spec.ClockRate)
 	}
 	for _, pt := range ports {
 		n.pipe(pt).SetGuaranteedRate(id, spec.ClockRate)
@@ -1067,25 +980,17 @@ func (n *Network) RenegotiatePredicted(id uint32, spec PredictedSpec) error {
 	}
 	ports := n.portsOf(f)
 	delta := spec.TokenRate - f.pspec.TokenRate
-	if n.cfg.AdmissionControl {
-		if delta > 0 || spec.BucketBits > f.pspec.BucketBits {
-			token := n.nextLedgerToken()
-			probe := spec
-			probe.TokenRate = 0
-			if delta > 0 {
-				probe.TokenRate = delta
-			}
-			for i, pt := range ports {
-				if err := n.admitPredicted(pt, probe, int(f.Priority), token); err != nil {
-					n.rollbackLedger(ports[:i], token)
-					return err
-				}
-			}
-			f.ledgerTokens = append(f.ledgerTokens, token)
+	if delta > 0 || spec.BucketBits > f.pspec.BucketBits {
+		probe := spec
+		probe.TokenRate = max(delta, 0)
+		token, err := n.admitAlong(ports, probe.demand(int(f.Priority)))
+		if err != nil {
+			return err
 		}
-		if delta < 0 {
-			n.reledger(ports, f, spec.TokenRate, n.nextLedgerToken())
-		}
+		f.claim(token)
+	}
+	if delta < 0 {
+		n.reledger(ports, f, spec.TokenRate)
 	}
 	f.pspec = spec
 	f.declaredRate = spec.TokenRate

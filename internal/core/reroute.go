@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ispn/internal/packet"
 	"ispn/internal/routing"
@@ -208,18 +209,6 @@ func (c *chooser) pathFor(f *Flow) []string {
 	return p
 }
 
-func samePath(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // portsNotIn returns the ports of list that do not appear in other,
 // preserving order.
 func portsNotIn(list, other []*topology.Port) []*topology.Port {
@@ -262,7 +251,7 @@ func (n *Network) rerouteFlow(f *Flow, ch *chooser) (moved bool, err error) {
 		n.rerouteRefusals++
 		return false, fmt.Errorf("core: flow %d: no alternate path %s -> %s", f.ID, oldPath[0], oldPath[len(oldPath)-1])
 	}
-	if samePath(newPath, oldPath) {
+	if slices.Equal(newPath, oldPath) {
 		return false, nil
 	}
 	oldPorts := n.portsOf(f)
@@ -272,42 +261,22 @@ func (n *Network) rerouteFlow(f *Flow, ch *chooser) (moved bool, err error) {
 	dropped := portsNotIn(oldPorts, newPorts)
 
 	// Phase 1 — admit on the added hops only; nothing is released yet, so
-	// a refusal rolls back to exactly the pre-call state.
-	token := n.nextLedgerToken()
-	refuse := func(committed []*topology.Port, cause error) (bool, error) {
-		n.rollbackLedger(committed, token)
+	// a refusal leaves exactly the pre-call state.
+	d := demand{class: f.Class, rate: f.gspec.ClockRate}
+	if f.Class == packet.Predicted {
+		d = f.pspec.demand(int(f.Priority))
+	}
+	token, err := n.admitAlong(added, d)
+	if err != nil {
 		f.rerouteRefused++
 		n.rerouteRefusals++
-		return false, fmt.Errorf("core: reroute flow %d via %v refused: %w", f.ID, newPath, cause)
-	}
-	switch f.Class {
-	case packet.Guaranteed:
-		for i, pt := range added {
-			if err := n.checkReserve(pt, f.gspec.ClockRate); err != nil {
-				return refuse(added[:i], err)
-			}
-			if n.cfg.AdmissionControl {
-				if err := n.admitGuaranteed(pt, f.gspec.ClockRate, token); err != nil {
-					return refuse(added[:i], err)
-				}
-			}
-		}
-	case packet.Predicted:
-		if n.cfg.AdmissionControl {
-			for i, pt := range added {
-				if err := n.admitPredicted(pt, f.pspec, int(f.Priority), token); err != nil {
-					return refuse(added[:i], err)
-				}
-			}
-		}
+		return false, fmt.Errorf("core: reroute flow %d via %v refused: %w", f.ID, newPath, err)
 	}
 
 	// Phase 2 — commit: move reservations and ledger claims, install the
 	// route, refresh the flow's path-derived state.
-	if f.Class != packet.Datagram && n.cfg.AdmissionControl {
-		n.releaseLedger(dropped, f.ledgerTokens)
-		f.ledgerTokens = append(f.ledgerTokens, token)
-	}
+	n.releaseLedger(dropped, f.ledgerTokens...)
+	f.claim(token)
 	if f.Class == packet.Guaranteed {
 		for _, pt := range dropped {
 			n.pipe(pt).RemoveGuaranteed(f.ID)
@@ -348,14 +317,7 @@ func (n *Network) RerouteAround(from, to string) (rerouted, refused int, err err
 func (n *Network) rerouteAroundPort(pt *topology.Port) (rerouted, refused int) {
 	ch := n.newChooser()
 	for _, f := range n.flowsByID() {
-		crosses := false
-		for _, fp := range n.portsOf(f) {
-			if fp == pt {
-				crosses = true
-				break
-			}
-		}
-		if !crosses {
+		if !slices.Contains(n.portsOf(f), pt) {
 			continue
 		}
 		switch moved, err := n.rerouteFlow(f, ch); {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ispn/internal/routing"
@@ -114,7 +115,7 @@ func TestRouteCacheNeverServesStaleRoutes(t *testing.T) {
 	fresh := n.LookupRoute("S1", "S4")
 	n.SetRouteCache(c)
 	cached := n.LookupRoute("S1", "S4")
-	if !samePath(fresh, cached) {
+	if !slices.Equal(fresh, cached) {
 		t.Fatalf("cached %v != fresh %v", cached, fresh)
 	}
 }

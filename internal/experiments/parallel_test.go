@@ -48,7 +48,8 @@ func TestParallelScenariosMatchSequential(t *testing.T) {
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("scenario library not found: %v (%d files)", err, len(paths))
 	}
-	opts := scenario.Options{Seed: 424242, Horizon: 3}
+	seed := int64(424242)
+	opts := scenario.Options{Seed: &seed, Horizon: 3}
 
 	prev := SetParallelism(1)
 	defer SetParallelism(prev)

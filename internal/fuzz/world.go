@@ -16,6 +16,7 @@ package fuzz
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -213,7 +214,7 @@ func (w *World) genChurn(rng *sim.RNG) {
 		c.Service, c.PPS = "datagram", 64
 	}
 	c.Paths = append(c.Paths, w.Topo.Paths[rng.Intn(len(w.Topo.Paths))])
-	if p := w.Topo.Paths[rng.Intn(len(w.Topo.Paths))]; !samePath(p, c.Paths[0]) {
+	if p := w.Topo.Paths[rng.Intn(len(w.Topo.Paths))]; !slices.Equal(p, c.Paths[0]) {
 		c.Paths = append(c.Paths, p)
 	}
 	w.Churn = c
@@ -278,18 +279,6 @@ func (w *World) genEvents(rng *sim.RNG) {
 		}
 	}
 	sort.SliceStable(w.Events, func(i, j int) bool { return w.Events[i].At < w.Events[j].At })
-}
-
-func samePath(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone deep-copies the world so the minimizer can mutate candidates.

@@ -44,10 +44,11 @@ const (
 	CheckLeak         = "pool-leak"
 )
 
+// sweepInterval is the period of the oracle's sweeps, in simulated seconds.
+const sweepInterval = 1.0
+
 // Config adjusts the oracle.
 type Config struct {
-	// Interval is the sweep period in simulated seconds (default 1).
-	Interval float64
 	// BoundScale scales every delay bound before comparison (default 1).
 	// Harness tests set a tiny value to prove the oracle has teeth.
 	BoundScale float64
@@ -93,9 +94,6 @@ type Oracle struct {
 // every flow admitted later gets a delivery-time bound check. Call before
 // traffic starts; then Arm to schedule the sweeps.
 func Attach(net *core.Network, cfg Config) *Oracle {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 1
-	}
 	if cfg.BoundScale == 0 {
 		cfg.BoundScale = 1
 	}
@@ -122,12 +120,12 @@ func (o *Oracle) Arm(horizon float64) {
 	tick = func() {
 		o.Sweep(eng.Now())
 		k++
-		if t := float64(k) * o.cfg.Interval; t < horizon {
+		if t := float64(k) * sweepInterval; t < horizon {
 			eng.AtControl(t, tick)
 		}
 	}
-	if o.cfg.Interval < horizon {
-		eng.AtControl(o.cfg.Interval, tick)
+	if sweepInterval < horizon {
+		eng.AtControl(sweepInterval, tick)
 	}
 	eng.AtControl(horizon, func() { o.Sweep(eng.Now()) })
 }

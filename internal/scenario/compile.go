@@ -15,14 +15,10 @@ import (
 
 // Options adjusts a compile without editing the file.
 type Options struct {
-	// Seed overrides the file's Run seed when nonzero (or whenever
-	// SeedSet says so). The seed feeds every random stream, including
-	// seeded topology generators.
-	Seed int64
-	// SeedSet forces the Seed override even for the value 0, which the
-	// zero-sentinel convention above cannot express (the CLI uses this
-	// so `-seed 0` means seed 0).
-	SeedSet bool
+	// Seed, when non-nil, overrides the file's Run seed (a pointer, so
+	// `-seed 0` means seed 0). The seed feeds every random stream,
+	// including seeded topology generators.
+	Seed *int64
 	// Horizon overrides the file's Run horizon (simulated seconds) when
 	// positive.
 	Horizon float64
@@ -255,19 +251,7 @@ func (s *Sim) Start() {
 		return
 	}
 	s.started = true
-	// Timeline events are control events: on a sharded network they run at
-	// inter-window barriers on the control engine; sequentially the control
-	// key makes them sort before same-time data events — the same order.
-	eng := s.Net.Engine()
-	for _, ev := range s.events {
-		ev := ev
-		eng.AtControl(ev.at, func() {
-			if s.draining {
-				return // a -horizon override left this event past the end
-			}
-			ev.fn(s)
-		})
-	}
+	s.arm(s.events)
 	for _, ch := range s.churns {
 		ch.schedule(s)
 	}
@@ -279,6 +263,23 @@ func (s *Sim) Start() {
 	}
 	for _, fn := range s.starts {
 		fn()
+	}
+}
+
+// arm schedules timeline events — Start's whole timeline, or what an
+// injection adds to a running one. They are control events: on a sharded
+// network they run at inter-window barriers on the control engine;
+// sequentially the control key makes them sort before same-time data events
+// — the same order.
+func (s *Sim) arm(events []simEvent) {
+	eng := s.Net.Engine()
+	for _, ev := range events {
+		eng.AtControl(ev.at, func() {
+			if s.draining {
+				return // a -horizon override left this event past the end
+			}
+			ev.fn(s)
+		})
 	}
 }
 
@@ -416,18 +417,7 @@ func (c *compiler) compile() *Sim {
 
 	// Pass 1: register every declared name and locate Net/Run. Event-block
 	// declarations share the namespace (a timeline flow can be removed or
-	// renewed by name like any other), but only traffic elements may be
-	// declared inside a block — topology and config are static.
-	register := func(d *Decl) bool {
-		for _, n := range d.Names {
-			if prev, dup := c.decls[n.Text]; dup {
-				c.failf(n.Pos, "name %q already declared as %s at line %d", n.Text, prev.Kind, prev.Names[0].Pos.Line)
-				return false
-			}
-			c.decls[n.Text] = d
-		}
-		return true
-	}
+	// renewed by name like any other); see registerArrivals.
 	var netDecl, runDecl, rerouteDecl, cacheDecl *Decl
 	for _, d := range c.file.Decls {
 		cls, known := kindClass[d.Kind]
@@ -439,7 +429,7 @@ func (c *compiler) compile() *Sim {
 			c.failf(d.Names[1].Pos, "%s takes exactly one name", d.Kind)
 			return nil
 		}
-		if !register(d) {
+		if !c.register(d) {
 			return nil
 		}
 		switch d.Kind {
@@ -469,30 +459,8 @@ func (c *compiler) compile() *Sim {
 			cacheDecl = d
 		}
 	}
-	for _, b := range c.file.Events {
-		for _, st := range b.Stmts {
-			if st.Decl == nil {
-				continue
-			}
-			d := st.Decl
-			cls, known := kindClass[d.Kind]
-			if !known {
-				c.failf(d.KindPos, "unknown element kind %q (kinds: %s)", d.Kind, joinWords(kindNames()))
-				return nil
-			}
-			switch cls {
-			case classFlow, classTCP, classSource, classFilter:
-			default:
-				c.failf(d.KindPos, "%s cannot be declared inside an at block (only flows, TCP connections, sources and TokenBucket filters arrive mid-run)", d.Kind)
-				return nil
-			}
-			if !register(d) {
-				return nil
-			}
-			for _, n := range d.Names {
-				c.dynNames[n.Text] = true
-			}
-		}
+	if !c.registerArrivals(c.file.Events) {
+		return nil
 	}
 
 	// Pass 2: run knobs, then the network itself.
@@ -641,6 +609,53 @@ func (c *compiler) compile() *Sim {
 	return c.out
 }
 
+// register adds d's names to the one namespace the file's declarations and
+// its at blocks share.
+func (c *compiler) register(d *Decl) bool {
+	for _, n := range d.Names {
+		if prev, dup := c.decls[n.Text]; dup {
+			c.failf(n.Pos, "name %q already declared as %s at line %d", n.Text, prev.Kind, prev.Names[0].Pos.Line)
+			return false
+		}
+		c.decls[n.Text] = d
+	}
+	return true
+}
+
+// registerArrivals is pass 1 for at blocks, a file's own or an injection's:
+// every element a block declares is registered and marked as arriving
+// mid-run, which puts each use of it under the arrival-time rule
+// (elementAvailable). Only traffic elements may arrive — topology and config
+// are static.
+func (c *compiler) registerArrivals(blocks []*EventBlock) bool {
+	for _, b := range blocks {
+		for _, st := range b.Stmts {
+			d := st.Decl
+			if d == nil {
+				continue
+			}
+			cls, known := kindClass[d.Kind]
+			if !known {
+				c.failf(d.KindPos, "unknown element kind %q (kinds: %s)", d.Kind, joinWords(kindNames()))
+				return false
+			}
+			switch cls {
+			case classFlow, classTCP, classSource, classFilter:
+			default:
+				c.failf(d.KindPos, "%s cannot be declared inside an at block (only flows, TCP connections, sources and TokenBucket filters arrive mid-run)", d.Kind)
+				return false
+			}
+			if !c.register(d) {
+				return false
+			}
+			for _, n := range d.Names {
+				c.dynNames[n.Text] = true
+			}
+		}
+	}
+	return true
+}
+
 // effectiveShards resolves the shard count: the Options override wins, then
 // the file's Net shards argument; 0 means unsharded (the classic engine).
 func (c *compiler) effectiveShards() int {
@@ -682,8 +697,8 @@ func (c *compiler) runKnobs(d *Decl) {
 			c.failf(d.KindPos, "trace interval must be positive, got %v", c.traceDt)
 		}
 	}
-	if c.opts.SeedSet || c.opts.Seed != 0 {
-		c.seed = c.opts.Seed
+	if c.opts.Seed != nil {
+		c.seed = *c.opts.Seed
 	}
 	c.fileHorizon = c.horizon
 	if c.opts.Horizon > 0 {
@@ -910,28 +925,51 @@ func (c *compiler) linkChain(ch *Chain) {
 	}
 }
 
-// elementAvailable checks that an element referenced by a chain already
-// exists at the chain's time: event-declared elements come into existence at
-// their block's time, so a static chain may not use them at all and an event
-// chain may not use them earlier.
-func (c *compiler) elementAvailable(n Name, kind string, at float64, dynamic bool) bool {
+// elementAvailable is the arrival-time rule: an element declared in an at
+// block exists from that block's time on, so a static statement may not use
+// it at all and a statement at time at (dynamic) may not use it earlier. stmt
+// names the using statement ("event", or a verb); compiled is false for a flow
+// whose declaration has not compiled yet — statements compile in file order.
+func (c *compiler) elementAvailable(n Name, kind string, at float64, dynamic, compiled bool, stmt string) bool {
 	if !c.dynNames[n.Text] {
 		return true
 	}
 	if !dynamic {
-		c.failf(n.Pos, "%s %q arrives inside an at block; attach it inside that at block", kind, n.Text)
+		obj := "it"
+		if kind == "flow" {
+			obj = "its traffic"
+		}
+		c.failf(n.Pos, "%s %q arrives inside an at block; attach %s inside that at block", kind, n.Text, obj)
 		return false
 	}
 	t, ok := c.declAt[n.Text]
-	if !ok {
+	if !ok || !compiled {
 		c.failf(n.Pos, "%s %q is declared in a later at block; statements compile in file order, so move that block earlier", kind, n.Text)
 		return false
 	}
 	if t > at {
-		c.failf(n.Pos, "%s %q does not arrive until %vs (this event is at %vs)", kind, n.Text, t, at)
+		c.failf(n.Pos, "%s %q does not arrive until %vs (this %s is at %vs)", kind, n.Text, t, stmt, at)
 		return false
 	}
 	return true
+}
+
+// flowAt resolves the flow a statement at time at names, as it stands then:
+// the tail of an attachment chain (verb "") or the target of a timeline verb.
+func (c *compiler) flowAt(n Name, at float64, dynamic bool, verb string) *SimFlow {
+	wanted, context, stmt := "a Guaranteed/Predicted/Datagram flow", "at the end of an attachment", "event"
+	if verb != "" {
+		wanted, context, stmt = "a flow", "in a "+verb, verb
+	}
+	if d, ok := c.decls[n.Text]; !ok || kindClass[d.Kind] != classFlow {
+		c.what(n, wanted, context)
+		return nil
+	}
+	sf := c.flows[n.Text]
+	if !c.elementAvailable(n, "flow", at, dynamic, sf != nil, stmt) {
+		return nil
+	}
+	return sf
 }
 
 // what reports a name that is not what the context needs, saying what it
@@ -1125,28 +1163,11 @@ func (c *compiler) attachChain(ch *Chain, at float64, dynamic bool) {
 		c.what(head, "a traffic source or switch", "at the head of a chain")
 		return
 	}
-	if !c.elementAvailable(head, srcDecl.Kind, at, dynamic) {
+	if !c.elementAvailable(head, srcDecl.Kind, at, dynamic, true, "event") {
 		return
 	}
-	last := ch.Ends[len(ch.Ends)-1]
-	flow, ok := c.flows[last.Text]
-	if !ok {
-		// A declared flow missing from c.flows is an at-block arrival
-		// that has not been compiled yet (timeline blocks compile after
-		// static chains, in file order).
-		if d, isDecl := c.decls[last.Text]; isDecl && kindClass[d.Kind] == classFlow {
-			if dynamic {
-				c.failf(last.Pos, "flow %q is declared in a later at block; statements compile in file order, so move that block earlier", last.Text)
-			} else {
-				c.failf(last.Pos, "flow %q arrives inside an at block; attach its traffic inside that at block", last.Text)
-			}
-			return
-		}
-		c.what(last, "a Guaranteed/Predicted/Datagram flow", "at the end of an attachment")
-		return
-	}
-	if dynamic && flow.dynamic && flow.At > at {
-		c.failf(last.Pos, "flow %q does not arrive until %vs (this event is at %vs)", last.Text, flow.At, at)
+	flow := c.flowAt(ch.Ends[len(ch.Ends)-1], at, dynamic, "")
+	if flow == nil {
 		return
 	}
 	// Middle elements must be TokenBucket filters, each used once.
@@ -1160,7 +1181,7 @@ func (c *compiler) attachChain(ch *Chain, at float64, dynamic bool) {
 			c.what(mid, "a TokenBucket", "in the middle of an attachment")
 			return
 		}
-		if !c.elementAvailable(mid, fd.Kind, at, dynamic) {
+		if !c.elementAvailable(mid, fd.Kind, at, dynamic, true, "event") {
 			return
 		}
 		if c.attached[mid.Text] > 0 {
@@ -1243,53 +1264,39 @@ func (c *compiler) buildSource(d *Decl, n Name, flow *SimFlow) source.Source {
 }
 
 // startSource defers the actual Start into Sim.Run — for a static chain via
-// the start list, for a timeline chain via an event that fires only if the
-// flow was admitted (and not yet removed).
+// the start list, for a timeline chain via an event at the block's time. One
+// closure serves both: it starts the source only if the flow was admitted
+// (and not yet removed), since only then do its ingress engine and pool exist.
 func (c *compiler) startSource(src source.Source, d *Decl, flow *SimFlow, at float64, dynamic bool) {
 	a := c.argsOf(d)
 	startAt := a.duration("start", -1, 0)
 	flow.sources = append(flow.sources, src)
-	if dynamic {
-		// The flow (and so its ingress engine and pool) exists only if
-		// admission said yes at event time.
-		c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
-			if flow.Flow == nil || flow.removed {
-				return
-			}
-			f := flow.Flow
-			source.AttachPool(src, f.IngressPool())
-			eng := f.IngressEngine()
-			begin := func() {
-				if s.draining {
-					return
-				}
-				src.Start(eng, func(p *packet.Packet) { f.Inject(p) })
-			}
-			if startAt > at {
-				//ispnvet:allow keyedevents: scheduled from inside an already-keyed at-block, which fires at the same point in sequential and sharded runs, so the insertion-sequence tiebreak matches
-				eng.At(startAt, begin)
-			} else {
-				begin()
-			}
-		}})
-		return
-	}
-	f := flow.Flow
-	source.AttachPool(src, f.IngressPool())
-	eng := f.IngressEngine()
-	out := c.out
-	begin := func() {
-		if out.draining {
+	start := func(s *Sim) {
+		if flow.Flow == nil || flow.removed {
 			return
 		}
-		src.Start(eng, func(p *packet.Packet) { f.Inject(p) })
+		f := flow.Flow
+		source.AttachPool(src, f.IngressPool())
+		eng := f.IngressEngine()
+		begin := func() {
+			if s.draining {
+				return
+			}
+			src.Start(eng, func(p *packet.Packet) { f.Inject(p) })
+		}
+		if startAt > at {
+			//ispnvet:allow keyedevents: scheduled from Start in fixed compile order before the run begins, or from inside an already-keyed at-block, which fires at the same point in sequential and sharded runs; either way the insertion-sequence tiebreak matches
+			eng.At(startAt, begin)
+		} else {
+			begin()
+		}
 	}
-	if startAt > 0 {
-		//ispnvet:allow keyedevents: start events are registered in fixed compile order before the run begins, so the insertion-sequence tiebreak is identical in sequential and sharded modes
-		c.out.starts = append(c.out.starts, func() { eng.At(startAt, begin) })
-	} else {
-		c.out.starts = append(c.out.starts, begin)
+	if dynamic {
+		c.out.events = append(c.out.events, simEvent{at: at, fn: start})
+		return
 	}
+	out := c.out
+	c.out.starts = append(c.out.starts, func() { start(out) })
 }
 
 // FlowByName returns the compiled flow with the given scenario name, or nil.

@@ -65,12 +65,16 @@ func TestCompileDeterministic(t *testing.T) {
 }
 
 func TestCompileOptionsOverride(t *testing.T) {
-	s := mustCompile(t, tinyScenario, Options{Seed: 99, Horizon: 2})
+	seed, zero := int64(99), int64(0)
+	s := mustCompile(t, tinyScenario, Options{Seed: &seed, Horizon: 2})
 	if s.Seed != 99 || s.Horizon != 2 {
 		t.Errorf("override ignored: seed %d horizon %v", s.Seed, s.Horizon)
 	}
+	if s := mustCompile(t, tinyScenario, Options{Seed: &zero}); s.Seed != 0 {
+		t.Errorf("seed 0 override ignored: seed %d", s.Seed)
+	}
 	base := mustCompile(t, tinyScenario, Options{Horizon: 2}).Run()
-	reseeded := mustCompile(t, tinyScenario, Options{Seed: 99, Horizon: 2}).Run()
+	reseeded := mustCompile(t, tinyScenario, Options{Seed: &seed, Horizon: 2}).Run()
 	if base.Format() == reseeded.Format() {
 		t.Error("different seeds produced identical runs")
 	}

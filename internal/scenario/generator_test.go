@@ -66,7 +66,8 @@ func TestRandomGeneratorSeededAndConnected(t *testing.T) {
 	if a != b {
 		t.Errorf("same seed produced different random topologies:\n%s\n---\n%s", a, b)
 	}
-	c := topoSignature(mustCompile(t, src, Options{Seed: 77}))
+	seed := int64(77)
+	c := topoSignature(mustCompile(t, src, Options{Seed: &seed}))
 	if a == c {
 		t.Error("different seeds produced the same chords (possible, but wildly unlikely)")
 	}

@@ -10,6 +10,8 @@ package scenario
 // scenario. An injection after Start schedules straight onto the control
 // engine, where it fires at a shard barrier like every other timeline event.
 
+import "maps"
+
 // InjectEvents parses src — which may contain only `at` blocks — and
 // compiles every block into the running scenario. name labels diagnostics
 // (it need not exist on disk). On success it returns the number of engine
@@ -35,13 +37,14 @@ func (s *Sim) InjectEvents(name string, src []byte) (int, error) {
 // inject compiles f's event blocks against the live Sim. The compiler's
 // symbol tables still hold the whole scenario, so injected statements see
 // every declared switch, link and flow; new traffic elements the blocks
-// declare are registered like pass-1 would have. All compiler and Sim
-// mutations are rolled back on error.
+// declare are registered by the same pass 1 a file's own blocks go through.
+// All compiler and Sim mutations are rolled back on error.
 func (c *compiler) inject(s *Sim, f *File) (int, error) {
 	// Point diagnostics at the injected source, validate against the
 	// session's effective horizon (Options may have overridden the file's),
 	// and — once the clock is running — refuse events in the past.
 	savedFile, savedHorizon, savedMinAt := c.file, c.fileHorizon, c.minAt
+	defer func() { c.file, c.fileHorizon, c.minAt = savedFile, savedHorizon, savedMinAt }()
 	savedNextID := c.nextID
 	c.file = f
 	c.fileHorizon = s.Horizon
@@ -55,21 +58,30 @@ func (c *compiler) inject(s *Sim, f *File) (int, error) {
 	// Snapshot everything the block compilers may touch, for rollback.
 	nEvents, nStarts := len(s.events), len(s.starts)
 	nFlows, nTCPs := len(s.Flows), len(s.TCPs)
-	var newNames []string
-	savedAttached := make(map[string]int, len(c.attached))
-	for k, v := range c.attached {
-		savedAttached[k] = v
-	}
+	savedAttached := maps.Clone(c.attached)
 
-	restore := func() {
-		c.file, c.fileHorizon, c.minAt = savedFile, savedHorizon, savedMinAt
+	if c.registerArrivals(f.Events) {
+		for _, b := range f.Events {
+			if !c.ok() {
+				break
+			}
+			c.eventBlock(b)
+		}
 	}
-	rollback := func() {
-		for _, n := range newNames {
-			delete(c.decls, n)
-			delete(c.dynNames, n)
-			delete(c.declAt, n)
-			delete(c.flows, n)
+	if err := c.err; err != nil {
+		// Roll back: forget the names this injection registered (a name it
+		// failed to register still belongs to its earlier declaration), and
+		// everything its blocks appended.
+		c.err = nil
+		for _, d := range c.allDecls() { // c.file is f: the injected block declarations
+			for _, n := range d.Names {
+				if c.decls[n.Text] == d {
+					delete(c.decls, n.Text)
+					delete(c.dynNames, n.Text)
+					delete(c.declAt, n.Text)
+					delete(c.flows, n.Text)
+				}
+			}
 		}
 		s.events = s.events[:nEvents]
 		s.starts = s.starts[:nStarts]
@@ -77,79 +89,21 @@ func (c *compiler) inject(s *Sim, f *File) (int, error) {
 		s.TCPs = s.TCPs[:nTCPs]
 		c.attached = savedAttached
 		c.nextID = savedNextID
-	}
-
-	// Pass-1 equivalent for the injected blocks: register declared names
-	// (only traffic elements may arrive mid-run), then compile each block.
-	for _, b := range f.Events {
-		for _, st := range b.Stmts {
-			if st.Decl == nil {
-				continue
-			}
-			d := st.Decl
-			cls, known := kindClass[d.Kind]
-			if !known {
-				c.failf(d.KindPos, "unknown element kind %q (kinds: %s)", d.Kind, joinWords(kindNames()))
-			}
-			switch cls {
-			case classFlow, classTCP, classSource, classFilter:
-			default:
-				c.failf(d.KindPos, "%s cannot be declared inside an at block (only flows, TCP connections, sources and TokenBucket filters arrive mid-run)", d.Kind)
-			}
-			for _, n := range d.Names {
-				if !c.ok() {
-					break
-				}
-				if prev, dup := c.decls[n.Text]; dup {
-					c.failf(n.Pos, "name %q already declared as %s", n.Text, prev.Kind)
-					break
-				}
-				c.decls[n.Text] = d
-				c.dynNames[n.Text] = true
-				newNames = append(newNames, n.Text)
-			}
-		}
-	}
-	for _, b := range f.Events {
-		if !c.ok() {
-			break
-		}
-		c.eventBlock(b)
-	}
-	if !c.ok() {
-		err := c.err
-		c.err = nil
-		rollback()
-		restore()
 		return 0, err
 	}
-	restore()
 	s.nextID = c.nextID
-
-	added := len(s.events) - nEvents
-	if !s.started {
-		// Not running yet: the new events sit in s.events behind the file's
-		// own, and Start will schedule them all in order — identical to a
-		// batch compile of the file with these blocks appended.
-		return added + (len(s.starts) - nStarts), nil
+	if s.started {
+		// Running: arm the new events now, and run the new deferred starts —
+		// TCP arrivals append closures that schedule their connection's Start
+		// at an absolute future time, so invoking them immediately is exactly
+		// what Start would have done. Not running yet: the new events sit in
+		// s.events behind the file's own, and Start will schedule them all in
+		// order — identical to a batch compile of the file with these blocks
+		// appended.
+		s.arm(s.events[nEvents:])
+		for _, fn := range s.starts[nStarts:] {
+			fn()
+		}
 	}
-	// Running: schedule the new events on the control engine now (the same
-	// wrapper Start uses), and run the new deferred starts — TCP arrivals
-	// append closures that schedule their connection's Start at an absolute
-	// future time, so invoking them immediately is exactly what Start would
-	// have done.
-	eng := s.Net.Engine()
-	for _, ev := range s.events[nEvents:] {
-		ev := ev
-		eng.AtControl(ev.at, func() {
-			if s.draining {
-				return
-			}
-			ev.fn(s)
-		})
-	}
-	for _, fn := range s.starts[nStarts:] {
-		fn()
-	}
-	return added + (len(s.starts) - nStarts), nil
+	return len(s.events) - nEvents + len(s.starts) - nStarts, nil
 }

@@ -137,27 +137,55 @@ func (c *compiler) linkEvent(ch *Chain, at float64) {
 		c.failf(ch.Ends[0].Pos, "link event changes nothing (give rate, delay, and/or profile arguments)")
 		return
 	}
-	pairs := c.chainPairs(ch.Ends, ch.Duplex, "in a link event")
+	c.onLinks(ch.Ends, ch.Duplex, "in a link event", at, func(n *core.Network, from, to string) error {
+		if rate != 0 || delay != 0 {
+			if err := n.SetLink(from, to, rate, delay); err != nil {
+				return err
+			}
+		}
+		if !patch.any() {
+			return nil
+		}
+		base, err := n.LinkProfile(from, to)
+		if err != nil {
+			return err
+		}
+		return n.SetLinkProfile(from, to, patch.apply(base))
+	})
+}
+
+// onLinks is the runner the four link verbs share — Link(...) events, fail,
+// restore and the link form of reroute: at time at it applies op to every
+// link pair the chain names, and a refusal becomes a timeline warning while
+// the remaining pairs still run.
+func (c *compiler) onLinks(ends []Name, duplex []bool, context string, at float64, op func(n *core.Network, from, to string) error) {
+	pairs := c.chainPairs(ends, duplex, context)
 	if pairs == nil {
 		return
 	}
 	c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
 		for _, pr := range pairs {
-			if rate != 0 || delay != 0 {
-				if err := s.Net.SetLink(pr[0], pr[1], rate, delay); err != nil {
-					s.warnf("at %vs: %v", at, err)
-					continue
-				}
+			if err := op(s.Net, pr[0], pr[1]); err != nil {
+				s.warnf("at %vs: %v", at, err)
 			}
-			if patch.any() {
-				base, err := s.Net.LinkProfile(pr[0], pr[1])
-				if err == nil {
-					err = s.Net.SetLinkProfile(pr[0], pr[1], patch.apply(base))
-				}
-				if err != nil {
-					s.warnf("at %vs: %v", at, err)
-				}
-			}
+		}
+	}})
+}
+
+// onFlows resolves every flow a verb names and, at time at, applies fn to
+// each.
+func (c *compiler) onFlows(op *EventOp, at float64, fn func(s *Sim, sf *SimFlow)) {
+	var targets []*SimFlow
+	for _, n := range op.Names {
+		sf := c.flowAt(n, at, true, op.Verb)
+		if sf == nil {
+			return
+		}
+		targets = append(targets, sf)
+	}
+	c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
+		for _, sf := range targets {
+			fn(s, sf)
 		}
 	}})
 }
@@ -196,43 +224,11 @@ func (c *compiler) chainPairs(ends []Name, duplex []bool, context string) [][2]s
 func (c *compiler) eventOp(op *EventOp, at float64) {
 	switch op.Verb {
 	case "remove":
-		var targets []*SimFlow
-		for _, n := range op.Names {
-			sf, ok := c.flows[n.Text]
-			if !ok {
-				c.what(n, "a flow", "in a remove")
-				return
-			}
-			if sf.dynamic && sf.At > at {
-				c.failf(n.Pos, "flow %q does not arrive until %vs (this remove is at %vs)", n.Text, sf.At, at)
-				return
-			}
-			targets = append(targets, sf)
-		}
-		c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
-			for _, sf := range targets {
-				s.removeFlow(sf)
-			}
-		}})
-	case "fail", "restore":
-		pairs := c.chainPairs(op.Names, op.Duplex, "in a "+op.Verb)
-		if pairs == nil {
-			return
-		}
-		down := op.Verb == "fail"
-		c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
-			for _, pr := range pairs {
-				var err error
-				if down {
-					err = s.Net.FailLink(pr[0], pr[1])
-				} else {
-					err = s.Net.RestoreLink(pr[0], pr[1])
-				}
-				if err != nil {
-					s.warnf("at %vs: %v", at, err)
-				}
-			}
-		}})
+		c.onFlows(op, at, (*Sim).removeFlow)
+	case "fail":
+		c.onLinks(op.Names, op.Duplex, "in a fail", at, (*core.Network).FailLink)
+	case "restore":
+		c.onLinks(op.Names, op.Duplex, "in a restore", at, (*core.Network).RestoreLink)
 	case "reroute":
 		if !c.out.routingOn {
 			c.failf(op.VerbPos, "reroute needs routing enabled (add Net(routing auto) or a Reroute element)")
@@ -240,55 +236,28 @@ func (c *compiler) eventOp(op *EventOp, at float64) {
 		}
 		if len(op.Duplex) > 0 {
 			// Link form: reroute every flow crossing the link(s).
-			pairs := c.chainPairs(op.Names, op.Duplex, "in a reroute")
-			if pairs == nil {
-				return
-			}
-			c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
-				for _, pr := range pairs {
-					if _, _, err := s.Net.RerouteAround(pr[0], pr[1]); err != nil {
-						s.warnf("at %vs: %v", at, err)
-					}
-				}
-			}})
+			c.onLinks(op.Names, op.Duplex, "in a reroute", at, func(n *core.Network, from, to string) error {
+				_, _, err := n.RerouteAround(from, to)
+				return err
+			})
 			return
 		}
-		var targets []*SimFlow
-		for _, n := range op.Names {
-			sf, ok := c.flows[n.Text]
-			if !ok {
-				c.what(n, "a flow", "in a reroute")
+		c.onFlows(op, at, func(s *Sim, sf *SimFlow) {
+			if sf.Flow == nil || sf.removed {
 				return
 			}
-			if sf.dynamic && sf.At > at {
-				c.failf(n.Pos, "flow %q does not arrive until %vs (this reroute is at %vs)", n.Text, sf.At, at)
-				return
+			if err := s.Net.RerouteFlow(sf.Flow.ID); err != nil {
+				s.warnf("at %vs: %v", at, err)
 			}
-			targets = append(targets, sf)
-		}
-		c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
-			for _, sf := range targets {
-				if sf.Flow == nil || sf.removed {
-					continue
-				}
-				if err := s.Net.RerouteFlow(sf.Flow.ID); err != nil {
-					s.warnf("at %vs: %v", at, err)
-				}
-			}
-		}})
+		})
 	case "renew":
 		n := op.Names[0]
-		sf, ok := c.flows[n.Text]
-		if !ok {
-			c.what(n, "a flow", "in a renew")
-			return
-		}
-		if sf.Kind == "Datagram" {
+		if d := c.decls[n.Text]; d != nil && d.Kind == "Datagram" {
 			c.failf(n.Pos, "datagram flow %q has no spec to renew", n.Text)
 			return
 		}
-		if sf.dynamic && sf.At > at {
-			c.failf(n.Pos, "flow %q does not arrive until %vs (this renew is at %vs)", n.Text, sf.At, at)
+		sf := c.flowAt(n, at, true, "renew")
+		if sf == nil {
 			return
 		}
 		a := c.argsOf(&Decl{Kind: "renew", KindPos: op.VerbPos, Args: op.Args})

@@ -299,6 +299,24 @@ func TestTimelineCompileErrors(t *testing.T) {
 		{"renew a datagram",
 			"A, B :: Switch\nA -> B\nd :: Datagram(path A -> B)\nat 1s { renew d (rate 5kbps) }\n",
 			"no spec to renew"},
+		// A verb naming a flow that has not compiled yet — declared in a
+		// later block, or further down its own — gets the attachment's
+		// diagnostic, not "is a Datagram, not a flow".
+		{"remove of a flow from a later block",
+			"A, B :: Switch\nA -> B\nat 2s { remove f }\nat 5s { f :: Datagram(path A -> B) }\n",
+			`flow "f" is declared in a later at block; statements compile in file order`},
+		{"renew of a flow from a later block",
+			"A, B :: Switch\nA -> B\nat 2s { renew g (rate 200kbps) }\nat 5s { g :: Guaranteed(rate 100kbps, path A -> B) }\n",
+			`flow "g" is declared in a later at block; statements compile in file order`},
+		{"reroute of a flow from a later block",
+			"net :: Net(routing auto)\nA, B :: Switch\nA -> B\nat 2s { reroute f }\nat 5s { f :: Datagram(path A -> B) }\n",
+			`flow "f" is declared in a later at block; statements compile in file order`},
+		{"renew before the flow's declaration in its block",
+			"A, B :: Switch\nA -> B\nat 2s {\n    renew g (rate 200kbps)\n    g :: Guaranteed(rate 100kbps, path A -> B)\n}\n",
+			`flow "g" is declared in a later at block; statements compile in file order`},
+		{"remove before the flow's declaration in its block",
+			"A, B :: Switch\nA -> B\nat 2s {\n    remove f\n    f :: Predicted(rate 50kbps, path A -> B)\n}\n",
+			`flow "f" is declared in a later at block; statements compile in file order`},
 		{"churn without a path",
 			"A, B :: Switch\nA -> B\nc :: Churn(every 1s, hold 5s, rate 10kbps, pps 10pps)\n",
 			"needs a path"},

@@ -97,16 +97,13 @@ func (m *Manager) Create(req CreateRequest) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := scenario.Options{
+	sim, err := scenario.Compile(f, scenario.Options{
+		Seed:    req.Seed,
 		Horizon: req.Horizon,
 		Shards:  req.Shards,
 		Trace:   req.Trace,
 		Check:   req.Check,
-	}
-	if req.Seed != nil {
-		opts.Seed, opts.SeedSet = *req.Seed, true
-	}
-	sim, err := scenario.Compile(f, opts)
+	})
 	if err != nil {
 		return nil, err
 	}
