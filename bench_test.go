@@ -105,8 +105,8 @@ func BenchmarkAblationHops(b *testing.B) {
 		rows := experiments.AblationHops(benchCfg(i), 4)
 		if i == b.N-1 {
 			last := rows[len(rows)-1]
-			b.ReportMetric(last.P999[experiments.DiscFIFO], "FIFO-4hop-p999-ms")
-			b.ReportMetric(last.P999[experiments.DiscFIFOPlus], "FIFO+-4hop-p999-ms")
+			b.ReportMetric(last.P999["FIFO"], "FIFO-4hop-p999-ms")
+			b.ReportMetric(last.P999["FIFO+"], "FIFO+-4hop-p999-ms")
 		}
 	}
 }

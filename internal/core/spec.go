@@ -87,8 +87,9 @@ func PGBound(bucketBits, rateBits float64, hops int, maxPktBits float64) float64
 // which adds the per-hop non-preemption term Lmax/µ the paper's printed
 // bounds omit: a packet arriving at a busy server must wait for the packet
 // in service even if its own finish tag is smaller. Measured worst-case
-// delays in a saturated network sit between PGBound and this value; our
-// simulations hit it to within a packet time (see EXPERIMENTS.md).
+// delays in a saturated network can sit between PGBound and this value:
+// Table 3 prints both beside each guaranteed row's max
+// (internal/experiments/testdata/golden/table3.txt).
 func PGBoundPacketized(bucketBits, rateBits float64, hops int, maxPktBits, linkRate float64) float64 {
 	if hops < 1 || rateBits <= 0 || linkRate <= 0 {
 		return math.Inf(1)

@@ -8,7 +8,6 @@ import (
 	"ispn/internal/packet"
 	"ispn/internal/playback"
 	"ispn/internal/source"
-	"ispn/internal/topology"
 )
 
 // --- Ablation A (Section 5): isolation vs sharing --------------------------
@@ -17,7 +16,7 @@ import (
 // well-behaved peers fare under a discipline: under WFQ the burster absorbs
 // its own jitter; under FIFO the jitter is spread over everyone.
 type IsolationRow struct {
-	Scheduler Discipline
+	Scheduler string
 	Burster   DelayStats
 	Others    DelayStats
 }
@@ -25,21 +24,17 @@ type IsolationRow struct {
 // AblationIsolation runs the Table-1 setup with flow 1's burst size tripled.
 func AblationIsolation(cfg RunConfig) []IsolationRow {
 	cfg.fill()
-	ds := []Discipline{DiscWFQ, DiscFIFO}
+	ds := []discipline{wfq, fifo}
 	rows := make([]IsolationRow, len(ds))
 	ForEach(len(ds), func(di int) {
-		w := singleLink(10, "iso", uniform(ds[di]))
-		w.burst = func(id uint32) float64 {
-			if id == 1 {
-				return 3 * MeanBurst // the ill-behaved client
-			}
-			return MeanBurst
-		}
-		run := w.run(cfg)
+		w := singleLink(10, ds[di])
+		w.burst = map[uint32]float64{1: 3 * MeanBurst} // flow 1 is the ill-behaved client
+		s := w.compile(cfg)
+		s.Run()
 		rows[di] = IsolationRow{
-			Scheduler: ds[di],
-			Burster:   toDelayStats(run.rec[1]),
-			Others:    mergeRecorders(run, w.flows[1:]),
+			Scheduler: ds[di].name,
+			Burster:   toDelayStats(meter(s, 1)),
+			Others:    mergeRecorders(s, w.flows[1:]),
 		}
 	})
 	return rows
@@ -60,11 +55,14 @@ func FormatIsolation(rows []IsolationRow) string {
 // --- Ablation B (Section 6): jitter growth with hop count ------------------
 
 // HopsRow gives the 99.9th-percentile delay of the longest-path flow on a
-// chain of h hops, for each sharing discipline.
+// chain of h hops, for each sharing discipline (keyed by name).
 type HopsRow struct {
 	Hops int
-	P999 map[Discipline]float64
+	P999 map[string]float64
 }
+
+// hopsDisciplines are ablation B's columns.
+var hopsDisciplines = []discipline{fifo, fifoPlus, drr}
 
 // AblationHops sweeps chain length 1..maxHops. Each link carries 10 flows:
 // one end-to-end flow plus per-link local flows, mirroring the Figure-1
@@ -74,44 +72,35 @@ func AblationHops(cfg RunConfig, maxHops int) []HopsRow {
 	if maxHops < 1 {
 		maxHops = 4
 	}
-	disciplines := []Discipline{DiscFIFO, DiscFIFOPlus, DiscRR}
+	ds := hopsDisciplines
 	// Fan the full (chain length x discipline) grid of independent
 	// simulations across workers; each job writes its own result slot.
-	results := make([][]float64, maxHops)
-	for i := range results {
-		results[i] = make([]float64, len(disciplines))
-	}
-	ForEach(maxHops*len(disciplines), func(job int) {
-		h := job/len(disciplines) + 1
-		d := disciplines[job%len(disciplines)]
-		nodes := make([]string, h+1)
-		for i := range nodes {
-			nodes[i] = fmt.Sprintf("N%d", i+1)
-		}
+	results := make([]float64, maxHops*len(ds))
+	ForEach(len(results), func(job int) {
+		// Flow 1 travels end to end over N1..N(h+1); 9 local flows per link.
+		h := job/len(ds) + 1
+		nodes, flows := []string{"N1"}, []FlowPath{{ID: 1}}
 		var links [][2]string
-		for i := 0; i < h; i++ {
-			links = append(links, [2]string{nodes[i], nodes[i+1]})
-		}
-		// Flow 1 travels end to end; 9 local flows per link.
-		flows := []FlowPath{{ID: 1, Path: nodes}}
-		id := uint32(2)
-		for i := 0; i < h; i++ {
+		var discs []discipline
+		for i := 1; i <= h; i++ {
+			nodes = append(nodes, fmt.Sprintf("N%d", i+1))
+			lk := [2]string{nodes[i-1], nodes[i]}
+			links, discs = append(links, lk), append(discs, ds[job%len(ds)])
 			for k := 0; k < 9; k++ {
-				flows = append(flows, FlowPath{ID: id, Path: []string{nodes[i], nodes[i+1]}})
-				id++
+				flows = append(flows, FlowPath{ID: uint32(len(flows) + 1), Path: lk[:]})
 			}
 		}
-		w := rawWorld{nodes: nodes, links: links, flows: flows, stream: "markov", sched: uniform(d)}
-		run := w.run(cfg)
-		results[h-1][job%len(disciplines)] = toDelayStats(run.rec[1]).P999
+		flows[0].Path = nodes
+		s := world{nodes: nodes, links: links, discs: discs, flows: flows}.compile(cfg)
+		s.Run()
+		results[job] = toDelayStats(meter(s, 1)).P999
 	})
 	rows := make([]HopsRow, maxHops)
-	for h := 1; h <= maxHops; h++ {
-		row := HopsRow{Hops: h, P999: map[Discipline]float64{}}
-		for di, d := range disciplines {
-			row.P999[d] = results[h-1][di]
+	for h := range rows {
+		rows[h] = HopsRow{Hops: h + 1, P999: map[string]float64{}}
+		for di, d := range ds {
+			rows[h].P999[d.name] = results[h*len(ds)+di]
 		}
-		rows[h-1] = row
 	}
 	return rows
 }
@@ -120,10 +109,10 @@ func AblationHops(cfg RunConfig, maxHops int) []HopsRow {
 func FormatHops(rows []HopsRow) string {
 	var b strings.Builder
 	b.WriteString("Ablation B: end-to-end 99.9th-percentile delay vs path length\n")
-	fmt.Fprintf(&b, "%5s %10s %10s %10s\n", "hops", "FIFO", "FIFO+", "RR")
+	ds := hopsDisciplines
+	fmt.Fprintf(&b, "%5s %10s %10s %10s\n", "hops", ds[0].name, ds[1].name, ds[2].name)
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%5d %10.2f %10.2f %10.2f\n",
-			r.Hops, r.P999[DiscFIFO], r.P999[DiscFIFOPlus], r.P999[DiscRR])
+		fmt.Fprintf(&b, "%5d %10.2f %10.2f %10.2f\n", r.Hops, r.P999[ds[0].name], r.P999[ds[1].name], r.P999[ds[2].name])
 	}
 	return b.String()
 }
@@ -332,17 +321,10 @@ func AblationPlayback(cfg RunConfig) PlaybackResult {
 		APrioriBoundMS:  bound * UnitMS,
 		RigidPointMS:    rigid.Point() * UnitMS,
 		AdaptivePointMS: adaptive.MeanPoint() * UnitMS,
-		RigidLossRate:   float64(rigid.Losses()) / float64(max64(rigid.Total(), 1)),
-		AdaptLossRate:   float64(adaptive.Losses()) / float64(max64(adaptive.Total(), 1)),
+		RigidLossRate:   float64(rigid.Losses()) / float64(max(rigid.Total(), 1)),
+		AdaptLossRate:   float64(adaptive.Losses()) / float64(max(adaptive.Total(), 1)),
 		Delay:           toDelayStats(watched.Meter()),
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FormatPlayback renders ablation D.
@@ -379,20 +361,23 @@ func AblationDiscard(cfg RunConfig, thresholdsMS []float64) []DiscardRow {
 	rows := make([]DiscardRow, len(thresholdsMS))
 	ForEach(len(thresholdsMS), func(ti int) {
 		th := thresholdsMS[ti]
-		w := figure1Chain("disc", uniform(DiscFIFOPlus))
-		w.port = func(p *topology.Port) { p.DiscardOffset = th / UnitMS }
-		run := w.run(cfg)
+		w := figure1Chain(fifoPlus)
+		s := w.compile(cfg)
+		for _, lk := range w.links {
+			port(s, lk[0], lk[1]).DiscardOffset = th / UnitMS
+		}
+		s.Run()
 		var discarded int64
 		for _, lk := range w.links {
-			discarded += run.topo.Node(lk[0]).Port(lk[1]).Discarded()
+			discarded += port(s, lk[0], lk[1]).Discarded()
 		}
-		s := toDelayStats(run.rec[F401])
+		d := toDelayStats(meter(s, F401))
 		rows[ti] = DiscardRow{
 			ThresholdMS: th,
 			Discarded:   discarded,
-			Delivered:   int64(s.N),
-			P999:        s.P999,
-			Max:         s.Max,
+			Delivered:   int64(d.N),
+			P999:        d.P999,
+			Max:         d.Max,
 		}
 	})
 	return rows

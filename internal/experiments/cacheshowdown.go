@@ -59,7 +59,7 @@ func CacheShowdown(cfg RunConfig) []CacheCell {
 	ForEach(len(cells), func(i int) {
 		cell := &cells[i]
 		src := cacheScenarioSrc(cell.Scheme, cfg.Duration, cfg.Seed)
-		rep := runCell("cache-cell.ispn", src, cfg.Shards)
+		rep := compileCell("cache-cell.ispn", src, cfg.options()).Run()
 		rc := rep.RouteCache
 		cell.Size = rc.Size
 		cell.Hits = rc.Hits

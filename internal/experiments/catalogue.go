@@ -45,13 +45,13 @@ var Catalogue = []Experiment{
 	{Name: "compare", Summary: "extension: the full scheduling zoo on one workload",
 		Run: func(cfg RunConfig) string { return FormatComparison(CompareDisciplines(cfg)) }},
 	{Name: "sweep", Summary: "extension: delay vs utilization curve per discipline",
-		Run: func(cfg RunConfig) string { return FormatSweep(SweepLoad(cfg, nil, nil), nil) }},
+		Run: func(cfg RunConfig) string { return FormatSweep(SweepLoad(cfg, nil)) }},
 	{Name: "dist", Summary: "extension: full delay distributions (ASCII histogram)",
 		Run: func(cfg RunConfig) string {
 			var b string
-			for _, d := range []Discipline{DiscWFQ, DiscFIFO} {
+			for i, h := range DelayDistribution(cfg) {
 				b += fmt.Sprintf("aggregate delay distribution, %s (Table-1 workload):\n%s\n",
-					d, DelayDistribution(d, cfg).Render(1000, "ms"))
+					distDisciplines[i].name, h.Render(1000, "ms"))
 			}
 			return b
 		}},

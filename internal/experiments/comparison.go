@@ -14,7 +14,8 @@ type ComparisonRow struct {
 	Aggregate DelayStats
 	// Sample is flow 1's own statistics.
 	Sample DelayStats
-	// WorkConserving is false for the framing/regulating disciplines.
+	// WorkConserving is false for a discipline whose port scheduler may
+	// hold packets (sched.NonWorkConserving): the framing one.
 	WorkConserving bool
 }
 
@@ -28,40 +29,18 @@ type ComparisonRow struct {
 // mean delay with tightly clustered per-hop delays.
 func CompareDisciplines(cfg RunConfig) []ComparisonRow {
 	cfg.fill()
-	specs := []struct {
-		name string
-		wc   bool
-		mk   linkScheduler
-	}{
-		{"FIFO", true, uniform(DiscFIFO)},
-		{"FIFO+", true, uniform(DiscFIFOPlus)},
-		{"WFQ", true, uniform(DiscWFQ)},
-		{"VirtualClock", true, uniform(DiscVC)},
-		{"Delay-EDD", true, func(_, _ string, flowsHere []FlowPath) sched.Scheduler {
-			e := sched.NewDelayEDD()
-			for _, f := range flowsHere {
-				// Peak rate 2A, local budget comparable to the
-				// observed FIFO tail.
-				e.AddFlow(f.ID, PeakFactor*AvgRate, 0.030)
-			}
-			return e
-		}},
-		{"DRR", true, uniform(DiscRR)},
-		{"Stop-and-Go", false, func(string, string, []FlowPath) sched.Scheduler {
-			// Frame of 10 packet times.
-			return sched.NewStopAndGo(0.010)
-		}},
-	}
-	rows := make([]ComparisonRow, len(specs))
-	ForEach(len(specs), func(si int) {
-		spec := specs[si]
-		w := singleLink(10, "cmp", spec.mk)
-		run := w.run(cfg)
-		rows[si] = ComparisonRow{
-			Name:           spec.name,
-			Aggregate:      mergeRecorders(run, w.flows),
-			Sample:         toDelayStats(run.rec[1]),
-			WorkConserving: spec.wc,
+	ds := []discipline{fifo, fifoPlus, wfq, vclock, edd, drr, stopAndGo}
+	rows := make([]ComparisonRow, len(ds))
+	ForEach(len(ds), func(i int) {
+		w := singleLink(10, ds[i])
+		s := w.compile(cfg)
+		s.Run()
+		_, holds := port(s, "A", "B").Scheduler().(sched.NonWorkConserving)
+		rows[i] = ComparisonRow{
+			Name:           ds[i].name,
+			Aggregate:      mergeRecorders(s, w.flows),
+			Sample:         toDelayStats(meter(s, 1)),
+			WorkConserving: !holds,
 		}
 	})
 	return rows

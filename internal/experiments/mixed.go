@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"ispn/internal/sched"
 )
 
 // MixedDeployment is the incremental-rollout study the per-link profile
@@ -15,9 +13,9 @@ import (
 // The workload is exactly Table 2's: the Figure-1 chain of four links, 22
 // Markov flows, samples reported per path length. The sweep upgrades the
 // links one at a time in traffic direction (L1 first); row k has the first
-// k links running FIFO+ and the rest plain FIFO. Row 0 is therefore the
-// Table-2 FIFO column and row 4 the FIFO+ column, bit for bit — the
-// endpoints are the calibration that the mixed rows interpolate between.
+// k links running FIFO+ and the rest plain FIFO. Rows 0 and 4 generate
+// exactly Table 2's FIFO and FIFO+ cells, so they reproduce those rows bit
+// for bit — the calibration that the mixed rows interpolate between.
 
 // MixedRow is one rollout point: k of the chain's links run FIFO+.
 type MixedRow struct {
@@ -31,34 +29,18 @@ type MixedRow struct {
 
 // MixedDeployment sweeps the FIFO+ rollout fraction over the Figure-1
 // chain, fanning the independent simulations across workers. The chain's
-// links all have zero propagation delay, so there is no cross-shard
-// boundary with positive lookahead to cut: cfg.Shards cannot subdivide a
+// links all have zero propagation delay, so cfg.Shards cannot subdivide a
 // single cell and parallelism comes from the sweep itself.
 func MixedDeployment(cfg RunConfig) []MixedRow {
 	cfg.fill()
-	links := Figure1Links()
-	samples := Table2SampleFlows()
-	rows := make([]MixedRow, len(links)+1)
+	links := len(Figure1Links())
+	rows := make([]MixedRow, links+1)
 	ForEach(len(rows), func(k int) {
-		upgraded := make(map[[2]string]bool, k)
-		for i := 0; i < k; i++ {
-			upgraded[links[i]] = true
+		w := figure1Chain(fifo)
+		for i := range k {
+			w.discs[i] = fifoPlus
 		}
-		// A uniform choice goes through exactly Table 2's code path, so
-		// the sweep's endpoints reproduce its FIFO and FIFO+ rows bit for
-		// bit.
-		run := figure1Chain("markov", func(from, to string, flowsHere []FlowPath) sched.Scheduler {
-			d := DiscFIFO
-			if upgraded[[2]string{from, to}] {
-				d = DiscFIFOPlus
-			}
-			return newScheduler(d, flowsHere)
-		}).run(cfg)
-		row := MixedRow{UpgradedHops: k, Fraction: float64(k) / float64(len(links))}
-		for i, id := range samples {
-			row.PerPath[i] = toDelayStats(run.rec[id])
-		}
-		rows[k] = row
+		rows[k] = MixedRow{UpgradedHops: k, Fraction: float64(k) / float64(links), PerPath: chainSamples(cfg, w)}
 	})
 	return rows
 }

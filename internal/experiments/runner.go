@@ -2,27 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
 
-	"ispn/internal/packet"
 	"ispn/internal/scenario"
-	"ispn/internal/sched"
-	"ispn/internal/sim"
-	"ispn/internal/source"
 	"ispn/internal/stats"
 	"ispn/internal/topology"
-)
-
-// Discipline selects the per-link scheduler for the plain (non-unified)
-// experiments of Tables 1 and 2 and the ablations.
-type Discipline string
-
-// The disciplines compared in the paper and ablations.
-const (
-	DiscFIFO     Discipline = "FIFO"
-	DiscWFQ      Discipline = "WFQ"
-	DiscFIFOPlus Discipline = "FIFO+"
-	DiscRR       Discipline = "RR"
-	DiscVC       Discipline = "VirtualClock"
 )
 
 // RunConfig controls an experiment run.
@@ -31,13 +18,17 @@ type RunConfig struct {
 	Duration float64
 	// Seed drives every random stream of the run.
 	Seed int64
-	// Shards partitions each scenario-based simulation across that many
-	// event heaps advanced in lockstep windows (0 = one heap). Reports are
-	// bit-identical either way; raw-topology experiments whose links all
-	// have zero propagation delay (the Figure-1 chain) have no shard
-	// boundary to cut and ignore it.
+	// Shards partitions every world the scenario compiler builds across that
+	// many event heaps advanced in lockstep windows (0 = one heap). Reports
+	// are bit-identical either way; a world whose links all have zero
+	// propagation delay (every single-link study and the Figure-1 chain)
+	// has no shard boundary to cut and runs on one of the heaps. Table 3,
+	// admission and playback build a core.Network directly and ignore it.
 	Shards int
 }
+
+// options are the compiler options of a cell run under c.
+func (c RunConfig) options() scenario.Options { return scenario.Options{Shards: c.Shards} }
 
 func (c *RunConfig) fill() {
 	if c.Duration == 0 {
@@ -63,172 +54,126 @@ func toDelayStats(r *stats.Recorder) DelayStats {
 	}
 }
 
-// rawWorld is the one way the scheduler-level studies (Tables 1-2, the
-// ablations on sharing, compare, sweep, dist, mixed) build a world: bare
-// topology ports with a chosen scheduler per link, and on every flow the
-// paper's Appendix workload — a two-state Markov source policed by an
-// (A, 50) token bucket at the host. These stay off the scenario compiler
-// because equal-share WFQ over a full link and Stop-and-Go have no .ispn
-// spelling, and the compiler's RNG stream names would change every
-// published number.
-type rawWorld struct {
+// discipline is one scheduling discipline of the scheduler studies: its name
+// as the tables print it and the Link arguments that put it on a link. A
+// reserving discipline isolates each flow at its own clock rate, so its
+// world declares every flow Guaranteed and gives the flows the whole link
+// (quota 0%).
+type discipline struct {
+	name       string
+	link       string
+	guaranteed bool
+}
+
+var (
+	fifo     = discipline{name: "FIFO", link: "sched fifo"}
+	fifoPlus = discipline{name: "FIFO+", link: "sched fifoplus"}
+	wfq      = discipline{name: "WFQ", link: "sched wfq, quota 0%", guaranteed: true}
+	vclock   = discipline{name: "VirtualClock", link: "sched virtualclock, quota 0%", guaranteed: true}
+	drr      = discipline{name: "DRR", link: "sched drr"}
+	// Delay-EDD's local budget is comparable to the observed FIFO tail;
+	// Stop-and-Go's frame is 10 packet times.
+	edd       = discipline{name: "Delay-EDD", link: "sched edd, targets [30ms]"}
+	stopAndGo = discipline{name: "Stop-and-Go", link: "sched stopandgo, targets [10ms]"}
+)
+
+// world is one scheduler study's layout, generated as a .ispn cell: link i
+// runs discs[i], and every flow carries the paper's Appendix workload, a
+// two-state Markov source (mean burst burst[id] packets, MeanBurst when
+// absent) policed to (A, 50) — by the network edge on a Predicted flow, by a
+// TokenBucket at the host in front of a Guaranteed one. Flow <id> is named
+// f<id> and its source m<id>, so its random stream is src:m<id>. A
+// reserving discipline runs on every link of its world.
+type world struct {
 	nodes []string
 	links [][2]string
+	discs []discipline
 	flows []FlowPath
-	// stream prefixes the sources' RNG stream names ("<stream>-<flow id>").
-	stream string
-	sched  linkScheduler
-	// burst overrides a flow's mean burst size (nil = MeanBurst for all).
-	burst func(id uint32) float64
-	// port, when set, sees every port right after it is built.
-	port func(*topology.Port)
-	// deliver, when set, receives every delivered packet's queueing delay
-	// in place of the per-flow recorders.
-	deliver func(id uint32, q float64)
+	burst map[uint32]float64
 }
 
-// linkScheduler builds the scheduler of link from->to, given the flows that
-// cross it.
-type linkScheduler func(from, to string, flowsHere []FlowPath) sched.Scheduler
-
-// uniform puts discipline d on every link.
-func uniform(d Discipline) linkScheduler {
-	return func(_, _ string, flowsHere []FlowPath) sched.Scheduler { return newScheduler(d, flowsHere) }
+// singleLink is the Table-1 layout: n identical flows over one link A -> B
+// running d.
+func singleLink(n int, d discipline) world {
+	return world{nodes: []string{"A", "B"}, links: [][2]string{{"A", "B"}}, discs: []discipline{d}, flows: SingleLinkFlows(n)}
 }
 
-// singleLink is the Table-1 layout: n identical flows over one link A -> B.
-func singleLink(n int, stream string, mk linkScheduler) rawWorld {
-	return rawWorld{
-		nodes: []string{"A", "B"}, links: [][2]string{{"A", "B"}}, flows: SingleLinkFlows(n),
-		stream: stream, sched: mk,
+// figure1Chain is the Table-2 layout: the 22 flows over the Figure-1 chain,
+// every link running d.
+func figure1Chain(d discipline) world {
+	links := Figure1Links()
+	return world{nodes: Figure1Nodes(), links: links, discs: slices.Repeat([]discipline{d}, len(links)), flows: Figure1Flows()}
+}
+
+// source generates the world's scenario text.
+func (w world) source(cfg RunConfig) string {
+	var b strings.Builder
+	// Plain decimals only: the grammar reads no exponent (%g gives 1e+06).
+	fmt.Fprintf(&b, "net :: Net(rate %.0fbps)\nrun :: Run(seed %d, horizon %ss)\n%s :: Switch\n",
+		LinkRate, cfg.Seed, strconv.FormatFloat(cfg.Duration, 'f', -1, 64), strings.Join(w.nodes, ", "))
+	busiest := 0
+	for i, lk := range w.links {
+		fmt.Fprintf(&b, "%s -> %s :: Link(%s)\n", lk[0], lk[1], w.discs[i].link)
+		busiest = max(busiest, len(FlowsOnLink(w.flows, lk[0], lk[1])))
 	}
-}
-
-// figure1Chain is the Table-2 layout: the 22 flows over the Figure-1 chain.
-func figure1Chain(stream string, mk linkScheduler) rawWorld {
-	return rawWorld{
-		nodes: Figure1Nodes(), links: Figure1Links(), flows: Figure1Flows(),
-		stream: stream, sched: mk,
-	}
-}
-
-// plainRun is a finished rawWorld simulation: the topology (for port
-// counters) and, unless the world had its own deliver hook, each flow's
-// queueing-delay recorder.
-type plainRun struct {
-	topo *topology.Network
-	rec  map[uint32]*stats.Recorder
-}
-
-// newScheduler builds a scheduler of the given discipline for one link.
-// WFQ uses equal clock rates across the link's flows, as the paper does in
-// Tables 1 and 2.
-func newScheduler(d Discipline, flowsHere []FlowPath) sched.Scheduler {
-	switch d {
-	case DiscFIFO:
-		return sched.NewFIFO()
-	case DiscFIFOPlus:
-		return sched.NewFIFOPlus(0)
-	case DiscRR:
-		return sched.NewDRR(PacketBits)
-	case DiscWFQ:
-		w := sched.NewWFQ(LinkRate)
-		share := LinkRate / float64(len(flowsHere))
-		for _, f := range flowsHere {
-			w.AddFlow(f.ID, share)
-		}
-		return w
-	case DiscVC:
-		v := sched.NewVirtualClock()
-		share := LinkRate / float64(len(flowsHere))
-		for _, f := range flowsHere {
-			v.AddFlow(f.ID, share)
-		}
-		return v
-	default:
-		panic(fmt.Sprintf("experiments: unknown discipline %q", d))
-	}
-}
-
-// run simulates the world for cfg.Duration.
-func (w rawWorld) run(cfg RunConfig) *plainRun {
-	cfg.fill()
-	eng := sim.New()
-	topo := topology.NewNetwork(eng)
-	for _, n := range w.nodes {
-		topo.AddNode(n)
-	}
-	for _, lk := range w.links {
-		p := topo.AddLink(lk[0], lk[1], w.sched(lk[0], lk[1], FlowsOnLink(w.flows, lk[0], lk[1])), LinkRate, 0)
-		if w.port != nil {
-			w.port(p)
-		}
-	}
-	run := &plainRun{topo: topo, rec: make(map[uint32]*stats.Recorder)}
+	// Equal shares as close to µ/n as a link admits: reservations must
+	// stay below µ.
+	share := math.Ceil(LinkRate/float64(busiest)) - 1
 	for _, f := range w.flows {
-		id := f.ID
-		topo.InstallRoute(id, f.Path)
-		deliver := w.deliver
-		if deliver == nil {
-			rec := stats.NewRecorder()
-			run.rec[id] = rec
-			deliver = func(_ uint32, q float64) { rec.Add(q) }
-		}
-		fixed := topo.FixedDelay(f.Path, PacketBits)
-		topo.Node(f.Path[len(f.Path)-1]).SetSink(id, func(p *packet.Packet) {
-			q := eng.Now() - p.CreatedAt - fixed
-			if q < 0 {
-				q = 0
-			}
-			deliver(id, q)
-		})
 		burst := MeanBurst
-		if w.burst != nil {
-			burst = w.burst(id)
+		if b, ok := w.burst[f.ID]; ok {
+			burst = b
 		}
-		src := source.NewPoliced(source.NewMarkov(source.MarkovConfig{
-			FlowID:   id,
-			Class:    packet.Predicted,
-			SizeBits: PacketBits,
-			PeakRate: PeakFactor * AvgRate,
-			AvgRate:  AvgRate,
-			Burst:    burst,
-			RNG:      sim.DeriveRNG(cfg.Seed, fmt.Sprintf("%s-%d", w.stream, id)),
-		}), AvgRate, BucketSize)
-		source.AttachPool(src, topo.Pool())
-		ingress := topo.Node(f.Path[0])
-		src.Start(eng, func(p *packet.Packet) { ingress.Inject(p) })
+		fmt.Fprintf(&b, "m%d :: Markov(peak %gpps, avg %gpps, burst %g, size %dbit)\n",
+			f.ID, PeakFactor*AvgRate, AvgRate, burst, PacketBits)
+		path := strings.Join(f.Path, " -> ")
+		if w.discs[0].guaranteed {
+			fmt.Fprintf(&b, "f%d :: Guaranteed(rate %.0fbps, bucket %gbit, path %s)\n", f.ID, share, BucketSize*PacketBits, path)
+			fmt.Fprintf(&b, "tb%d :: TokenBucket(rate %gpps, depth %g)\nm%d -> tb%d -> f%d\n", f.ID, AvgRate, BucketSize, f.ID, f.ID, f.ID)
+		} else {
+			fmt.Fprintf(&b, "f%d :: Predicted(rate %.0fbps, bucket %gbit, path %s)\nm%d -> f%d\n",
+				f.ID, AvgRate*PacketBits, BucketSize*PacketBits, path, f.ID, f.ID)
+		}
 	}
-	eng.RunUntil(cfg.Duration)
-	return run
+	return b.String()
+}
+
+// compile builds the world for cfg, ready to Run.
+func (w world) compile(cfg RunConfig) *scenario.Sim {
+	return compileCell("world.ispn", w.source(cfg), cfg.options())
+}
+
+// meter returns flow id's queueing-delay recorder in a compiled world.
+func meter(s *scenario.Sim, id uint32) *stats.Recorder {
+	return s.FlowByName(fmt.Sprintf("f%d", id)).Flow.Meter()
+}
+
+// port returns the output port of link from -> to in a compiled world.
+func port(s *scenario.Sim, from, to string) *topology.Port {
+	return s.Net.Topology().Node(from).Port(to)
 }
 
 // mergeRecorders unions the flows' sample sets, so the aggregate percentile
 // is computed across flows.
-func mergeRecorders(run *plainRun, flows []FlowPath) DelayStats {
+func mergeRecorders(s *scenario.Sim, flows []FlowPath) DelayStats {
 	merged := stats.NewRecorder()
 	for _, f := range flows {
-		merged.Absorb(run.rec[f.ID])
+		merged.Absorb(meter(s, f.ID))
 	}
 	return toDelayStats(merged)
 }
 
-// utilization returns the lifetime utilization of link from->to.
-func (r *plainRun) utilization(from, to string, dur float64) float64 {
-	return r.topo.Node(from).Port(to).TotalUtilization(dur)
-}
-
-// runCell parses, compiles and runs one generated .ispn cell — the one way
-// the control-plane studies (churn, failover, cache) build a world, so each
-// exercises the same code path as `ispnsim run` on a library file.
-func runCell(name, src string, shards int) *scenario.Report {
+// compileCell parses and compiles one generated .ispn cell — the one way
+// every study but Table 3, admission and playback builds its world, so each
+// exercises the code path of `ispnsim run` on a library file.
+func compileCell(name, src string, opts scenario.Options) *scenario.Sim {
 	f, err := scenario.Parse(name, []byte(src))
 	if err != nil {
 		panic(err) // a malformed template is a bug, not an input error
 	}
-	cell, err := scenario.Compile(f, scenario.Options{Shards: shards})
+	cell, err := scenario.Compile(f, opts)
 	if err != nil {
 		panic(err)
 	}
-	return cell.Run()
+	return cell
 }

@@ -9,7 +9,7 @@ import (
 // queueing delay of a sample flow (in packet transmission times) under one
 // scheduling discipline on a single 83.5%-utilized link.
 type Table1Row struct {
-	Scheduler   Discipline
+	Scheduler   string
 	Sample      DelayStats
 	AllFlows    DelayStats // aggregate over all 10 flows (the paper notes per-flow data are similar)
 	Utilization float64
@@ -22,16 +22,17 @@ type Table1Row struct {
 // across the aggregate instead of isolating each burst onto its sender.
 func Table1(cfg RunConfig) []Table1Row {
 	cfg.fill()
-	ds := []Discipline{DiscWFQ, DiscFIFO}
+	ds := []discipline{wfq, fifo}
 	rows := make([]Table1Row, len(ds))
 	ForEach(len(ds), func(i int) {
-		w := singleLink(10, "markov", uniform(ds[i]))
-		run := w.run(cfg)
+		w := singleLink(10, ds[i])
+		s := w.compile(cfg)
+		s.Run()
 		rows[i] = Table1Row{
-			Scheduler:   ds[i],
-			Sample:      toDelayStats(run.rec[w.flows[0].ID]),
-			AllFlows:    mergeRecorders(run, w.flows),
-			Utilization: run.utilization("A", "B", cfg.Duration),
+			Scheduler:   ds[i].name,
+			Sample:      toDelayStats(meter(s, w.flows[0].ID)),
+			AllFlows:    mergeRecorders(s, w.flows),
+			Utilization: port(s, "A", "B").TotalUtilization(cfg.Duration),
 		}
 	})
 	return rows

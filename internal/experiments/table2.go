@@ -9,7 +9,7 @@ import (
 // mean and 99.9th-percentile queueing delay for one sample flow of each path
 // length over the Figure-1 network.
 type Table2Row struct {
-	Scheduler Discipline
+	Scheduler string
 	// PerPath[k] is the sample flow of path length k+1.
 	PerPath [4]DelayStats
 }
@@ -26,19 +26,25 @@ func Table2SampleFlows() [4]uint32 { return [4]uint32{F101, F201, F301, F401} }
 // jitter-offset field correlates sharing across hops. The (independent,
 // seed-deterministic) simulations, one per discipline, fan across workers.
 func Table2(cfg RunConfig) []Table2Row {
-	ds := []Discipline{DiscWFQ, DiscFIFO, DiscFIFOPlus}
 	cfg.fill()
-	samples := Table2SampleFlows()
+	ds := []discipline{wfq, fifo, fifoPlus}
 	rows := make([]Table2Row, len(ds))
 	ForEach(len(ds), func(i int) {
-		run := figure1Chain("markov", uniform(ds[i])).run(cfg)
-		row := Table2Row{Scheduler: ds[i]}
-		for k, id := range samples {
-			row.PerPath[k] = toDelayStats(run.rec[id])
-		}
-		rows[i] = row
+		rows[i] = Table2Row{Scheduler: ds[i].name, PerPath: chainSamples(cfg, figure1Chain(ds[i]))}
 	})
 	return rows
+}
+
+// chainSamples runs w, a Figure-1 chain, and returns the sample flow of each
+// path length.
+func chainSamples(cfg RunConfig, w world) [4]DelayStats {
+	s := w.compile(cfg)
+	s.Run()
+	var out [4]DelayStats
+	for k, id := range Table2SampleFlows() {
+		out[k] = toDelayStats(meter(s, id))
+	}
+	return out
 }
 
 // FormatTable2 renders rows like the paper's Table 2.

@@ -6,9 +6,9 @@ import (
 )
 
 // The table tests run shortened (but still substantial) versions of the
-// paper's 600-second experiments and assert the qualitative claims — the
-// orderings and magnitudes the paper's argument rests on — rather than its
-// exact sampled values.
+// paper's 600-second experiments and assert their shape — row layout,
+// magnitudes, utilization — rather than exact sampled values. The orderings
+// the paper's argument rests on are claims_test.go's, checked at every seed.
 
 func TestTable1Shape(t *testing.T) {
 	rows := Table1(RunConfig{Duration: 180, Seed: 7})
@@ -16,7 +16,7 @@ func TestTable1Shape(t *testing.T) {
 		t.Fatalf("%d rows, want 2", len(rows))
 	}
 	wfq, fifo := rows[0], rows[1]
-	if wfq.Scheduler != DiscWFQ || fifo.Scheduler != DiscFIFO {
+	if wfq.Scheduler != "WFQ" || fifo.Scheduler != "FIFO" {
 		t.Fatalf("row order %v/%v", wfq.Scheduler, fifo.Scheduler)
 	}
 	// Means nearly identical (paper: 3.16 vs 3.17).
@@ -44,11 +44,11 @@ func TestTable2Shape(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("%d rows, want 3", len(rows))
 	}
-	byDisc := map[Discipline]Table2Row{}
+	byDisc := map[string]Table2Row{}
 	for _, r := range rows {
 		byDisc[r.Scheduler] = r
 	}
-	for _, d := range []Discipline{DiscWFQ, DiscFIFO, DiscFIFOPlus} {
+	for _, d := range []string{"WFQ", "FIFO", "FIFO+"} {
 		r, ok := byDisc[d]
 		if !ok {
 			t.Fatalf("missing %s row", d)
@@ -59,18 +59,6 @@ func TestTable2Shape(t *testing.T) {
 				t.Fatalf("%s mean not increasing with path length: %+v", d, r.PerPath)
 			}
 		}
-	}
-	// The paper's headline: at path length 4, FIFO+ has the smallest
-	// 99.9th percentile, and its growth from 1 hop to 4 hops is the
-	// smallest of the three.
-	p4 := func(d Discipline) float64 { return byDisc[d].PerPath[3].P999 }
-	if !(p4(DiscFIFOPlus) < p4(DiscFIFO) && p4(DiscFIFOPlus) < p4(DiscWFQ)) {
-		t.Fatalf("FIFO+ p999 at 4 hops (%.1f) not below FIFO (%.1f) and WFQ (%.1f)",
-			p4(DiscFIFOPlus), p4(DiscFIFO), p4(DiscWFQ))
-	}
-	growth := func(d Discipline) float64 { return byDisc[d].PerPath[3].P999 - byDisc[d].PerPath[0].P999 }
-	if !(growth(DiscFIFOPlus) < growth(DiscFIFO)) {
-		t.Fatalf("FIFO+ jitter growth %.1f not below FIFO %.1f", growth(DiscFIFOPlus), growth(DiscFIFO))
 	}
 }
 

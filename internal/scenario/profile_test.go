@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestLinkProfileDiagnostics(t *testing.T) {
 			src: `a, b :: Switch
 a -> b :: Link(sched weird)`,
 			wantPos:  "2:22",
-			wantText: "must be one of: drr, fifo, fifoplus, unified, virtualclock, wfq",
+			wantText: "must be one of: drr, edd, fifo, fifoplus, stopandgo, unified, virtualclock, wfq",
 		},
 		{
 			name: "quota wrong dimension",
@@ -100,7 +101,7 @@ c :: CBR(rate 10pps)
 c -> d
 at 2s { a -> b :: Link(sched nope) }`,
 			wantPos:  "7:30",
-			wantText: "must be one of: drr, fifo, fifoplus, unified, virtualclock, wfq",
+			wantText: "must be one of: drr, edd, fifo, fifoplus, stopandgo, unified, virtualclock, wfq",
 		},
 	}
 	for _, tc := range cases {
@@ -220,5 +221,78 @@ s -> g`
 	_, err := compileSrc(t, src, Options{})
 	if err == nil || !strings.Contains(err.Error(), "cannot reserve a clock rate") {
 		t.Fatalf("guaranteed across a FIFO hop: err = %v, want reservation refusal", err)
+	}
+}
+
+// TestRelatedWorkKinds compiles the two related-work pipeline kinds, whose one
+// per-hop parameter is the first class target (Delay-EDD's local budget,
+// Stop-and-Go's frame), runs predicted traffic through each, and checks that
+// a guaranteed flow across either is refused with the link named.
+func TestRelatedWorkKinds(t *testing.T) {
+	for _, tc := range []struct {
+		link, kind string
+		target     float64
+	}{
+		{"sched edd, targets [30ms]", sched.KindEDD, 0.030},
+		{"sched stopandgo, targets [10ms]", sched.KindStopAndGo, 0.010},
+	} {
+		src := `
+a, b :: Switch
+a -> b :: Link(` + tc.link + `)
+f :: Predicted(rate 85kbps, path a -> b)
+m :: Markov(peak 170pps, avg 85pps)
+m -> f
+r :: Run(horizon 2s)`
+		s, err := compileSrc(t, src, Options{})
+		if err != nil {
+			t.Fatalf("%s: compile: %v", tc.kind, err)
+		}
+		if p, _ := s.Net.LinkProfile("a", "b"); p.Kind != tc.kind || p.ClassTargets[0] != tc.target {
+			t.Errorf("%s: a->b profile = %+v, want kind %s with target %v", tc.kind, p, tc.kind, tc.target)
+		}
+		if rep := s.Run(); rep.Flows[0].Delivered == 0 {
+			t.Errorf("%s: delivered nothing", tc.kind)
+		}
+		_, err = compileSrc(t, strings.Replace(src, "Predicted", "Guaranteed", 1), Options{})
+		if want := "link a->b runs a " + tc.kind + " pipeline and cannot reserve a clock rate"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: guaranteed flow: err = %v, want %q", tc.kind, err, want)
+		}
+	}
+}
+
+// TestStopAndGoAdvertisesTwoFrames runs admitted predicted flows across a
+// Stop-and-Go link under the invariant oracle. A packet waits out the rest of
+// its arrival frame and then queues behind the frame's other arrivals, so the
+// hop's delay runs past one frame T but stays within 2T: the advertised bound
+// must be 2T, and the oracle must find every delivery inside it.
+func TestStopAndGoAdvertisesTwoFrames(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`net :: Net(rate 1Mbps, admission on)
+a, b :: Switch
+a -> b :: Link(sched stopandgo, targets [10ms])
+run :: Run(seed 3, horizon 10s)
+`)
+	for i := range 14 {
+		fmt.Fprintf(&b, "f%d :: Predicted(rate 55kbps, bucket 2kbit, path a -> b)\nc%d :: Poisson(rate 50pps)\nc%d -> f%d\n", i, i, i, i)
+	}
+	s := mustCompile(t, b.String(), Options{Check: true})
+	for _, f := range s.Flows {
+		if got := f.Flow.Bound(); got != 0.020 {
+			t.Fatalf("%s advertised %v, want two 10 ms frames", f.Name, got)
+		}
+	}
+	rep := s.Run()
+	worst := 0.0
+	for _, f := range s.Flows {
+		worst = max(worst, f.Flow.Meter().Max())
+	}
+	if worst <= 0.011 {
+		t.Fatalf("worst queueing %.2f ms never passed one frame plus a packet: the test proves nothing", worst*1e3)
+	}
+	if rep.Check == nil || rep.Check.Deliveries == 0 {
+		t.Fatal("the oracle checked no delivery")
+	}
+	for _, v := range rep.Check.Violations {
+		t.Error(v)
 	}
 }

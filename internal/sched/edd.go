@@ -1,70 +1,62 @@
 package sched
 
 import (
-	"fmt"
-	"math"
-
 	"ispn/internal/packet"
 	"ispn/internal/queue"
 )
 
 // DelayEDD is the Delay-EDD (earliest-due-date) discipline of Ferrari and
 // Verma (the paper's reference [7]), one of the related-work guaranteed
-// schemes: each flow α negotiates a per-switch local delay budget d_α, an
-// arriving packet is stamped with deadline
+// schemes: the switch promises every flow a local delay budget d, an
+// arriving packet of flow α is stamped with deadline
 //
-//	D = max(now, lastDeadline + 1/peakRate) + d_α
+//	D = max(now, lastDeadline_α + s) + d
 //
 // and packets are served earliest deadline first. The max term regenerates
-// the deadline sequence at the flow's declared peak spacing, so a source
-// exceeding its peak rate pushes its own deadlines into the future
-// (isolation via deadline assignment rather than via service shares, the
-// contrast Section 11 draws with WFQ).
+// each flow's deadline sequence at the peak spacing s, so a source exceeding
+// that peak pushes its own deadlines into the future (isolation via deadline
+// assignment rather than via service shares, the contrast Section 11 draws
+// with WFQ). The budget and spacing are the port's, not per flow: the edd
+// pipeline takes d from its profile's first class target and s as one
+// maximum packet's transmission time, so flows need no registration.
 type DelayEDD struct {
-	q     *queue.DeadlineQueue
-	flows map[uint32]*eddFlow
+	q       *queue.DeadlineQueue
+	spacing float64            // s, seconds between one flow's deadline credits
+	budget  float64            // d, the local delay bound at this switch
+	last    map[uint32]float64 // per flow: its latest deadline minus the budget
 }
 
-type eddFlow struct {
-	minSpacing   float64 // 1/peak rate, seconds between deadline credits
-	budget       float64 // local delay bound d at this switch
-	lastDeadline float64 // start of the most recent deadline, minus budget
-}
-
-// NewDelayEDD returns an empty Delay-EDD scheduler.
-func NewDelayEDD() *DelayEDD {
-	return &DelayEDD{q: queue.NewDeadlineQueue(), flows: make(map[uint32]*eddFlow)}
-}
-
-// AddFlow registers a flow with its declared peak rate (packets/second) and
-// local delay budget (seconds).
-func (e *DelayEDD) AddFlow(id uint32, peakRate, budget float64) {
-	if peakRate <= 0 || budget <= 0 {
-		panic("sched: DelayEDD needs positive peak rate and budget")
+// NewDelayEDD returns an empty Delay-EDD scheduler with peak spacing and
+// local delay budget in seconds.
+func NewDelayEDD(spacing, budget float64) *DelayEDD {
+	if spacing <= 0 || budget <= 0 {
+		panic("sched: DelayEDD needs positive peak spacing and budget")
 	}
-	if _, dup := e.flows[id]; dup {
-		panic(fmt.Sprintf("sched: DelayEDD flow %d already registered", id))
-	}
-	e.flows[id] = &eddFlow{minSpacing: 1 / peakRate, budget: budget, lastDeadline: math.Inf(-1)}
+	return &DelayEDD{q: queue.NewDeadlineQueue(), spacing: spacing, budget: budget, last: make(map[uint32]float64)}
 }
 
 // Enqueue implements Scheduler.
 func (e *DelayEDD) Enqueue(p *packet.Packet, now float64) {
-	f, ok := e.flows[p.FlowID]
-	if !ok {
-		panic(fmt.Sprintf("sched: DelayEDD packet for unknown flow %d", p.FlowID))
-	}
 	start := now
-	if t := f.lastDeadline + f.minSpacing; t > start {
-		start = t
+	if last, seen := e.last[p.FlowID]; seen && last+e.spacing > start {
+		start = last + e.spacing
 	}
-	f.lastDeadline = start
-	p.Tag = start + f.budget
+	e.last[p.FlowID] = start
+	p.Tag = start + e.budget
 	e.q.Push(p, p.Tag)
 }
 
-// Dequeue implements Scheduler.
-func (e *DelayEDD) Dequeue(_ float64) *packet.Packet { return e.q.Pop() }
+// Dequeue implements Scheduler. It forgets the served packet's flow once that
+// flow's next deadline credit is due (last + s <= now): any later packet of it
+// would start at its own arrival anyway, so the table keeps only flows whose
+// credits still run ahead of the clock.
+func (e *DelayEDD) Dequeue(now float64) *packet.Packet {
+	p := e.q.Pop()
+	if p != nil && e.last[p.FlowID]+e.spacing <= now {
+		delete(e.last, p.FlowID)
+	}
+	return p
+}
 
 // Len implements Scheduler.
 func (e *DelayEDD) Len() int { return e.q.Len() }

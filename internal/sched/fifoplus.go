@@ -9,10 +9,11 @@ import (
 // DefaultFIFOPlusGain is the EWMA gain used for the per-hop class-average
 // delay when none is specified. The offset field encodes how *lucky* a
 // packet was relative to the class baseline, so the baseline must be stable
-// on the timescale of many bursts: a gain sweep over the Table-2 workload
-// (see EXPERIMENTS.md) shows 99.9th-percentile delay on 4-hop paths
-// improving monotonically as the gain shrinks, saturating near 3e-4
-// (a time constant of a few seconds at the paper's packet rates).
+// on the timescale of many bursts. Sweeping the `gain` Link argument of
+// Table 2's FIFO+ cell (seeds 1-8, 180 s) moves the mean 4-hop 99.9th
+// percentile 51.3 → 46.4 → 44.2 → 43.3 → 42.8 ms for gains 1e-2, 3e-3, 1e-3,
+// 3e-4, 1e-4: it improves as the gain shrinks and saturates near 3e-4, a
+// time constant of a few seconds at the paper's packet rates.
 const DefaultFIFOPlusGain = 3e-4
 
 // FIFOPlus implements the paper's FIFO+ discipline (Section 6) for one

@@ -51,6 +51,8 @@ const (
 	KindFIFOPlus     = "fifoplus"
 	KindVirtualClock = "virtualclock"
 	KindDRR          = "drr"
+	KindEDD          = "edd"
+	KindStopAndGo    = "stopandgo"
 )
 
 // NoDatagramQuota is the DatagramQuota sentinel meaning "reserve nothing for
@@ -79,7 +81,10 @@ type Profile struct {
 	// ClassTargets are the per-hop a priori delay targets Dᵢ of each
 	// predicted class, in seconds, highest priority first; their length
 	// is the port's predicted class count. Empty selects the paper's
-	// widely spaced defaults (32 ms, 320 ms).
+	// widely spaced defaults (32 ms, 320 ms). The edd and stopandgo kinds
+	// read the first as their one per-hop parameter: Delay-EDD's local
+	// delay budget, Stop-and-Go's frame length (TargetFor charges a
+	// stopandgo hop two frames).
 	ClassTargets []float64
 	// DatagramQuota is the fraction of the link reserved for datagram
 	// traffic: 0 means the paper's default (0.10), NoDatagramQuota (any
@@ -129,8 +134,13 @@ func (p Profile) Quota() float64 {
 // TargetFor returns the per-hop delay target of the given predicted class,
 // clamping out-of-range classes to the lowest-priority one — the same clamp
 // the priority classifier applies to the packet header, so bound math and
-// forwarding agree at ports with fewer classes than the flow requested.
+// forwarding agree at ports with fewer classes than the flow requested. A
+// stopandgo port holds a packet to the end of its arrival frame and sends it
+// within the next, so every class's target there is two frames.
 func (p Profile) TargetFor(class int) float64 {
+	if p.Kind == KindStopAndGo {
+		return 2 * p.ClassTargets[0]
+	}
 	if class < 0 {
 		class = 0
 	}
@@ -200,6 +210,16 @@ var pipelines = map[string]func(p Profile, linkRate float64) Pipeline{
 	KindDRR: func(p Profile, _ float64) Pipeline {
 		return &plainPipeline{Scheduler: NewDRR(float64(p.MaxPacketBits)), prof: p}
 	},
+	KindEDD: func(p Profile, linkRate float64) Pipeline {
+		// Peak spacing: one maximum packet at the rate the port was built
+		// with. Like every plain pipeline it ignores SetLinkRate, so the
+		// spacing stays put under a mid-run bandwidth change.
+		return &plainPipeline{Scheduler: NewDelayEDD(float64(p.MaxPacketBits)/linkRate, p.ClassTargets[0]), prof: p}
+	},
+	KindStopAndGo: func(p Profile, _ float64) Pipeline {
+		s := NewStopAndGo(p.ClassTargets[0])
+		return &framedPipeline{plainPipeline{Scheduler: s, prof: p}, s}
+	},
 }
 
 // PipelineKinds returns the kind names, sorted.
@@ -232,9 +252,10 @@ func newFIFOPlusPipeline(p Profile, _ float64) Pipeline {
 	return &plainPipeline{Scheduler: fp, prof: p, fp: fp}
 }
 
-// plainPipeline wraps a classless scheduler (FIFO, FIFO+, DRR) as a port
-// pipeline: every packet shares the one queue, no clock rates can be
-// reserved, and only FIFO+ contributes a class delay measurement.
+// plainPipeline wraps a classless scheduler (FIFO, FIFO+, DRR, Delay-EDD,
+// Stop-and-Go) as a port pipeline: every packet shares the one scheduler, no
+// clock rates can be reserved, and only FIFO+ contributes a class delay
+// measurement.
 type plainPipeline struct {
 	Scheduler
 	prof Profile
@@ -256,6 +277,14 @@ func (p *plainPipeline) ClassDelayEstimate(class int, now float64) float64 {
 		return p.fp.RecentMaxDelay(now)
 	}
 	return 0
+}
+
+// framedPipeline is the stopandgo kind: a plainPipeline whose Stop-and-Go
+// scheduler holds packets until their frame ends, so it also tells the port
+// when the next one becomes eligible.
+type framedPipeline struct {
+	plainPipeline
+	*StopAndGo
 }
 
 // rateScheduler is the per-flow clock-rate surface WFQ and VirtualClock
@@ -384,4 +413,6 @@ var (
 	_ Pipeline = (*Unified)(nil)
 	_ Pipeline = (*plainPipeline)(nil)
 	_ Pipeline = (*isoPipeline)(nil)
+
+	_ NonWorkConserving = (*framedPipeline)(nil)
 )

@@ -8,25 +8,23 @@ import (
 // --- Delay-EDD -------------------------------------------------------------
 
 func TestDelayEDDServesByDeadline(t *testing.T) {
-	e := NewDelayEDD()
-	e.AddFlow(1, 100, 0.050) // tight budget
-	e.AddFlow(2, 100, 0.200) // loose budget
-	// Flow 2's packet arrives first but has the later deadline.
+	e := NewDelayEDD(0.010, 0.050)
+	// Flow 2 bursts two packets at t=0: the second's deadline regenerates
+	// one spacing later (0.060), behind flow 1's later arrival (0.051).
 	e.Enqueue(pkt(2, 0, 1000), 0)
-	e.Enqueue(pkt(1, 1, 1000), 0.001)
-	if got := e.Dequeue(0.002); got.Seq != 1 {
-		t.Fatal("tight-budget packet should be served first")
-	}
-	if got := e.Dequeue(0.002); got.Seq != 0 {
-		t.Fatal("second packet lost")
+	e.Enqueue(pkt(2, 1, 1000), 0)
+	e.Enqueue(pkt(1, 2, 1000), 0.001)
+	for _, want := range []uint64{0, 2, 1} {
+		if got := e.Dequeue(0.002); got.Seq != want {
+			t.Fatalf("served seq %d, want %d", got.Seq, want)
+		}
 	}
 }
 
 func TestDelayEDDDeadlineRegeneration(t *testing.T) {
-	// A flow sending faster than its declared peak has its deadlines
-	// pushed out at the declared spacing — the isolation mechanism.
-	e := NewDelayEDD()
-	e.AddFlow(1, 100, 0.010) // declared peak 100 pkt/s -> 10 ms spacing
+	// A flow sending faster than the peak spacing has its deadlines pushed
+	// out at that spacing — the isolation mechanism.
+	e := NewDelayEDD(0.010, 0.010) // peak 100 pkt/s -> 10 ms spacing
 	for i := 0; i < 5; i++ {
 		e.Enqueue(pkt(1, uint64(i), 1000), 0) // burst at t=0
 	}
@@ -41,12 +39,29 @@ func TestDelayEDDDeadlineRegeneration(t *testing.T) {
 	}
 }
 
+func TestDelayEDDForgetsLapsedFlows(t *testing.T) {
+	e := NewDelayEDD(0.010, 0.010)
+	e.Enqueue(pkt(1, 0, 1000), 0)
+	e.Enqueue(pkt(1, 1, 1000), 0) // credit regenerates to start 0.010
+	e.Dequeue(0.001)
+	if _, kept := e.last[1]; !kept {
+		t.Fatal("flow 1 forgotten while its next credit (0.020) is still ahead")
+	}
+	e.Dequeue(0.020)
+	if len(e.last) != 0 {
+		t.Fatalf("flow table %v after flow 1's credits lapsed, want empty", e.last)
+	}
+	// A forgotten flow starts afresh at its arrival, as it would have anyway.
+	e.Enqueue(pkt(1, 2, 1000), 0.025)
+	if p := e.Dequeue(0.025); p.Tag != 0.035 {
+		t.Fatalf("deadline %v, want 0.035", p.Tag)
+	}
+}
+
 func TestDelayEDDIsolationOnLink(t *testing.T) {
 	// A conforming flow keeps its per-hop budget even when another flow
 	// misbehaves wildly.
-	e := NewDelayEDD()
-	e.AddFlow(1, 200, 0.008)
-	e.AddFlow(2, 200, 0.008)
+	e := NewDelayEDD(1/200.0, 0.008)
 	var arr []arrival
 	// Flow 1: conforming, 200 pkt/s.
 	for i := 0; i < 100; i++ {
@@ -75,13 +90,9 @@ func TestDelayEDDIsolationOnLink(t *testing.T) {
 }
 
 func TestDelayEDDValidation(t *testing.T) {
-	e := NewDelayEDD()
-	e.AddFlow(1, 100, 0.01)
 	for _, f := range []func(){
-		func() { e.AddFlow(1, 100, 0.01) },
-		func() { e.AddFlow(2, 0, 0.01) },
-		func() { e.AddFlow(3, 100, 0) },
-		func() { e.Enqueue(pkt(9, 0, 1000), 0) },
+		func() { NewDelayEDD(0, 0.01) },
+		func() { NewDelayEDD(0.01, 0) },
 	} {
 		func() {
 			defer func() {
@@ -95,7 +106,7 @@ func TestDelayEDDValidation(t *testing.T) {
 }
 
 func TestDelayEDDEmpty(t *testing.T) {
-	e := NewDelayEDD()
+	e := NewDelayEDD(0.01, 0.01)
 	if e.Dequeue(0) != nil || e.Len() != 0 {
 		t.Fatal("empty DelayEDD misbehaves")
 	}

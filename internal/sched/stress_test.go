@@ -34,19 +34,26 @@ func allSchedulers() map[string]func() Scheduler {
 			}
 			return v
 		},
-		"DRR": func() Scheduler { return NewDRR(1000) },
-		"Delay-EDD": func() Scheduler {
-			e := NewDelayEDD()
-			for f := 0; f < 4; f++ {
-				e.AddFlow(uint32(f), 200, 0.01)
-			}
-			return e
-		},
+		"DRR":       func() Scheduler { return NewDRR(1000) },
+		"Delay-EDD": func() Scheduler { return NewDelayEDD(1/200.0, 0.01) },
 		"Unified": func() Scheduler {
 			return NewUnified(Profile{}.Normalize(), 1e6)
 		},
 		"Stop-and-Go": func() Scheduler { return NewStopAndGo(0.010) },
+		// The two related-work pipeline kinds, as a port runs them.
+		"edd pipeline":       func() Scheduler { return mustPipeline(KindEDD, 0.030) },
+		"stopandgo pipeline": func() Scheduler { return mustPipeline(KindStopAndGo, 0.010) },
 	}
+}
+
+// mustPipeline builds a 1 Mbit/s pipeline of the given kind whose one
+// class target is target.
+func mustPipeline(kind string, target float64) Pipeline {
+	p, err := NewPipeline(Profile{Kind: kind, ClassTargets: []float64{target}}, 1e6)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // schedulerNames returns the stress-matrix names in sorted order so the

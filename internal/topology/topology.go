@@ -264,15 +264,10 @@ func (n *Network) PathPorts(path []string) []*Port {
 	return ports
 }
 
-// FixedDelay returns the constant (non-queueing) delay a packet of sizeBits
-// experiences along path: per-hop store-and-forward transmission plus
-// propagation. Queueing delay of a delivered packet is total delay minus
-// this.
-func (n *Network) FixedDelay(path []string, sizeBits int) float64 {
-	return FixedDelayAlong(n.PathPorts(path), sizeBits)
-}
-
-// FixedDelayAlong is FixedDelay over already resolved output ports.
+// FixedDelayAlong returns the constant (non-queueing) delay a packet of
+// sizeBits experiences across ports: per-hop store-and-forward transmission
+// plus propagation. Queueing delay of a delivered packet is total delay
+// minus this.
 func FixedDelayAlong(ports []*Port, sizeBits int) float64 {
 	fixed := 0.0
 	for _, p := range ports {

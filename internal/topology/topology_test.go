@@ -60,9 +60,9 @@ func TestMultiHopFixedDelay(t *testing.T) {
 	n.Node("S5").SetSink(1, func(p *packet.Packet) { at = eng.Now() })
 	n.Inject("S1", mk(1, 0))
 	eng.Run()
-	want := n.FixedDelay(path, 1000) // 4*(1ms + 2ms) = 12ms
+	want := FixedDelayAlong(n.PathPorts(path), 1000) // 4*(1ms + 2ms) = 12ms
 	if math.Abs(want-0.012) > 1e-12 {
-		t.Fatalf("FixedDelay = %v, want 0.012", want)
+		t.Fatalf("FixedDelayAlong = %v, want 0.012", want)
 	}
 	if math.Abs(at-want) > 1e-12 {
 		t.Fatalf("uncongested delivery at %v, want %v (fixed delay only)", at, want)
