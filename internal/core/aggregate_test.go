@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ispn/internal/packet"
+	"ispn/internal/sim"
 	"ispn/internal/source"
 )
 
@@ -141,7 +142,7 @@ func TestAggregateCarriesTraffic(t *testing.T) {
 		t.Fatalf("carrier bound %v != plain flow bound %v", m.Flow().Bound(), plain.Bound())
 	}
 	src := source.NewCBR(source.CBRConfig{
-		FlowID: m.Flow().ID, SizeBits: 1000, Rate: 80, RNG: n.RNG("agg"),
+		FlowID: m.Flow().ID, SizeBits: 1000, Rate: 80, RNG: sim.DeriveRNG(n.Config().Seed, "agg"),
 	})
 	src.Start(n.Engine(), func(p *packet.Packet) { m.Inject(p) })
 	n.Run(5)

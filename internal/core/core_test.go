@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ispn/internal/packet"
+	"ispn/internal/sim"
 	"ispn/internal/source"
 )
 
@@ -117,7 +118,7 @@ func TestGuaranteedDelayWithinPGBound(t *testing.T) {
 	}
 	gsrc := source.NewPoliced(source.NewMarkov(source.MarkovConfig{
 		FlowID: 1, SizeBits: 1000, PeakRate: 2 * A, AvgRate: A, Burst: 5,
-		RNG: n.RNG("g"),
+		RNG: sim.DeriveRNG(n.Config().Seed, "g"),
 	}), 2*A, 1) // (P, 1): conforms to the peak-rate bucket the bound assumes
 	gsrc.Start(n.Engine(), func(p *packet.Packet) { g.Inject(p) })
 
@@ -131,7 +132,7 @@ func TestGuaranteedDelayWithinPGBound(t *testing.T) {
 		}
 		src := source.NewMarkov(source.MarkovConfig{
 			FlowID: id, SizeBits: 1000, PeakRate: 2 * A, AvgRate: A, Burst: 5,
-			RNG: n.RNG(f.Path()[0] + string(rune('a'+i))),
+			RNG: sim.DeriveRNG(n.Config().Seed, f.Path()[0]+string(rune('a'+i))),
 		})
 		src.Start(n.Engine(), func(p *packet.Packet) { f.Inject(p) })
 	}
@@ -158,7 +159,7 @@ func TestPredictedEdgePolicingDrops(t *testing.T) {
 	}
 	src := source.NewMarkov(source.MarkovConfig{
 		FlowID: 1, SizeBits: 1000, PeakRate: 170, AvgRate: 85, Burst: 5,
-		RNG: n.RNG("m"),
+		RNG: sim.DeriveRNG(n.Config().Seed, "m"),
 	})
 	src.Start(n.Engine(), func(p *packet.Packet) { f.Inject(p) })
 	n.Run(600)

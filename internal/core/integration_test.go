@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ispn/internal/packet"
+	"ispn/internal/sim"
 	"ispn/internal/source"
 )
 
@@ -51,7 +52,7 @@ func TestPacketConservation(t *testing.T) {
 		books[id] = bk
 		src := source.NewMarkov(source.MarkovConfig{
 			FlowID: id, SizeBits: 1000, PeakRate: 170, AvgRate: 85, Burst: 5,
-			RNG: n.RNG(fmt.Sprintf("cons-%d", id)),
+			RNG: sim.DeriveRNG(n.Config().Seed, fmt.Sprintf("cons-%d", id)),
 		})
 		src.Start(n.Engine(), func(p *packet.Packet) {
 			if fl.Inject(p) {
@@ -107,7 +108,7 @@ func TestGuaranteedIsolationUnderFlood(t *testing.T) {
 			}
 			src := source.NewPoisson(source.PoissonConfig{
 				FlowID: id, SizeBits: 1000, Rate: 1000,
-				RNG: n.RNG(fmt.Sprintf("flood-%d", id)),
+				RNG: sim.DeriveRNG(n.Config().Seed, fmt.Sprintf("flood-%d", id)),
 			})
 			src.Start(n.Engine(), func(p *packet.Packet) { fl.Inject(p) })
 			id++
@@ -136,7 +137,7 @@ func TestPredictedClassOrderingEndToEnd(t *testing.T) {
 		}
 		src := source.NewMarkov(source.MarkovConfig{
 			FlowID: id, SizeBits: 1000, PeakRate: 170, AvgRate: 85, Burst: 5,
-			RNG: n.RNG(fmt.Sprintf("ord-%d", id)),
+			RNG: sim.DeriveRNG(n.Config().Seed, fmt.Sprintf("ord-%d", id)),
 		})
 		src.Start(n.Engine(), func(p *packet.Packet) { fl.Inject(p) })
 		return fl

@@ -216,9 +216,6 @@ func (n *Network) Config() Config { return n.cfg }
 // ConnectWith is given none — the network config, seen as a profile.
 func (n *Network) DefaultProfile() sched.Profile { return n.def }
 
-// RNG derives a deterministic named random stream from the network seed.
-func (n *Network) RNG(name string) *sim.RNG { return sim.DeriveRNG(n.cfg.Seed, name) }
-
 // AddSwitch adds a switch.
 func (n *Network) AddSwitch(name string) { n.topo.AddNode(name) }
 

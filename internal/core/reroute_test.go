@@ -7,6 +7,7 @@ import (
 
 	"ispn/internal/packet"
 	"ispn/internal/sched"
+	"ispn/internal/sim"
 	"ispn/internal/source"
 )
 
@@ -71,7 +72,7 @@ func TestAutoRerouteMovesGuaranteedFlow(t *testing.T) {
 		t.Fatalf("bound %v after reroute, want %v", f.Bound(), want)
 	}
 	// Traffic injected after the failure is delivered over the detour.
-	src := source.NewCBR(source.CBRConfig{SizeBits: 1000, Rate: 100, RNG: n.RNG("src")})
+	src := source.NewCBR(source.CBRConfig{SizeBits: 1000, Rate: 100, RNG: sim.DeriveRNG(n.Config().Seed, "src")})
 	source.AttachPool(src, n.Pool())
 	src.Start(n.Engine(), func(p *packet.Packet) { f.Inject(p) })
 	n.Run(2)
@@ -139,7 +140,7 @@ func TestGuaranteedRerouteRefusedAtFIFOHop(t *testing.T) {
 	if err := n.RestoreLink("S1", "S2"); err != nil {
 		t.Fatal(err)
 	}
-	src := source.NewCBR(source.CBRConfig{SizeBits: 1000, Rate: 100, RNG: n.RNG("src")})
+	src := source.NewCBR(source.CBRConfig{SizeBits: 1000, Rate: 100, RNG: sim.DeriveRNG(n.Config().Seed, "src")})
 	source.AttachPool(src, n.Pool())
 	src.Start(n.Engine(), func(p *packet.Packet) { f.Inject(p) })
 	n.Run(2)

@@ -1,13 +1,15 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"ispn/internal/core"
 	"ispn/internal/packet"
 	"ispn/internal/playback"
-	"ispn/internal/source"
+	"ispn/internal/sim"
 )
 
 // --- Ablation A (Section 5): isolation vs sharing --------------------------
@@ -33,7 +35,7 @@ func AblationIsolation(cfg RunConfig) []IsolationRow {
 		s.Run()
 		rows[di] = IsolationRow{
 			Scheduler: ds[di].name,
-			Burster:   toDelayStats(meter(s, 1)),
+			Burster:   toDelayStats(cellFlow(s, 1).Meter()),
 			Others:    mergeRecorders(s, w.flows[1:]),
 		}
 	})
@@ -93,7 +95,7 @@ func AblationHops(cfg RunConfig, maxHops int) []HopsRow {
 		flows[0].Path = nodes
 		s := world{nodes: nodes, links: links, discs: discs, flows: flows}.compile(cfg)
 		s.Run()
-		results[job] = toDelayStats(meter(s, 1)).P999
+		results[job] = toDelayStats(cellFlow(s, 1).Meter()).P999
 	})
 	rows := make([]HopsRow, maxHops)
 	for h := range rows {
@@ -146,96 +148,84 @@ func AblationAdmission(cfg RunConfig, offered int) []AdmissionResult {
 	return out
 }
 
-func runAdmissionPolicy(cfg RunConfig, offered int, policy string) AdmissionResult {
-	classTarget := 0.25 // generous per-switch target for the single class
-	n := core.New(core.Config{
-		LinkRate:         LinkRate,
-		PredictedClasses: 1,
-		ClassTargets:     []float64{classTarget},
-		AdmissionControl: policy == "measurement",
-		Seed:             cfg.Seed,
-	})
-	n.AddSwitch("A")
-	n.AddSwitch("B")
-	port := n.Connect("A", "B")
-	res := AdmissionResult{Policy: policy, Offered: offered}
-	var rtBits float64
-	prev := port.OnTransmit
-	port.OnTransmit = func(p *packet.Packet, now float64) {
-		if prev != nil {
-			prev(p, now)
-		}
-		if p.Class != packet.Datagram {
-			rtBits += float64(p.Size)
-		}
+// admissionTarget is the single class's generous per-switch delay target.
+const admissionTarget = 0.25
+
+// admissionSource generates one policy's cell: offered predicted flows
+// f100, f101, … on one link A -> B, each arriving in an at block at the time
+// the admission-arrivals stream draws and departing after a 30 s + Exp(30 s)
+// hold. The measurement policy lets the §9 controller admit them. Worst-case
+// admission never measures, so its peak-rate ledger runs here, over the
+// arrivals and departures in time order (an arrival before a departure at the
+// same instant, as the timeline fires them), and the cell declares only the
+// flows it admits.
+func admissionSource(cfg RunConfig, offered int, policy string) string {
+	type call struct {
+		id          uint32
+		start, stop float64
 	}
-
-	eng := n.Engine()
-	rng := n.RNG("admission-arrivals")
-	var misses, delivered int64
-	peakWorst := 0.0 // worst-case ledger for the peak-rate policy
-
+	rng := sim.DeriveRNG(cfg.Seed, "admission-arrivals")
 	arrivalGap := cfg.Duration / float64(offered+1)
-	for i := 0; i < offered; i++ {
-		i := i
-		start := arrivalGap * float64(i+1) * (0.5 + rng.Float64())
-		if start > cfg.Duration*0.95 {
-			start = cfg.Duration * 0.95
-		}
+	calls := make([]call, offered)
+	for i := range calls {
+		start := min(arrivalGap*float64(i+1)*(0.5+rng.Float64()), cfg.Duration*0.95)
 		hold := 30 + rng.Exp(30)
-		eng.AtControl(start, func() {
-			id := uint32(100 + i)
-			spec := core.PredictedSpec{
-				TokenRate:  AvgRate * PacketBits,
-				BucketBits: 20 * PacketBits,
-				Delay:      classTarget,
-				Loss:       0.01,
-			}
-			if policy == "worst-case" {
-				// Admit on declared peak rate, never measured.
-				if peakWorst+PeakFactor*AvgRate*PacketBits > 0.9*LinkRate {
-					return
-				}
-				peakWorst += PeakFactor * AvgRate * PacketBits
-			}
-			fl, err := n.RequestPredictedClass(id, []string{"A", "B"}, 0, spec)
-			if err != nil {
-				return
-			}
-			res.Admitted++
-			fl.Tap(func(p *packet.Packet, q float64) {
-				delivered++
-				if q > classTarget {
-					misses++
-				}
-			})
-			src := source.NewMarkov(source.MarkovConfig{
-				FlowID: id, SizeBits: PacketBits,
-				PeakRate: PeakFactor * AvgRate, AvgRate: AvgRate, Burst: MeanBurst,
-				RNG: n.RNG(fmt.Sprintf("adm-%d", i)),
-			})
-			source.AttachPool(src, n.Pool())
-			stop := eng.Now() + hold
-			src.Start(eng, func(p *packet.Packet) {
-				if eng.Now() < stop {
-					fl.Inject(p)
-				} else {
-					packet.Release(p)
-				}
-			})
-			eng.AtControl(stop, func() {
-				if policy == "worst-case" {
-					peakWorst -= PeakFactor * AvgRate * PacketBits
-				}
-				n.Release(id)
-			})
-		})
+		calls[i] = call{uint32(100 + i), start, start + hold}
 	}
-	n.Run(cfg.Duration)
-	res.RealTimeUtil = rtBits / (LinkRate * cfg.Duration)
-	res.DelayTargetMisses = misses
-	res.Delivered = delivered
-	return res
+	admission := "on"
+	if policy == "worst-case" {
+		admission = "off"
+		peak := PeakFactor * AvgRate * PacketBits
+		byStart := slices.Clone(calls)
+		slices.SortStableFunc(byStart, func(a, b call) int { return cmp.Compare(a.start, b.start) })
+		var stops []float64 // departure times of the calls on the ledger
+		admitted := map[uint32]bool{}
+		for _, c := range byStart {
+			stops = slices.DeleteFunc(stops, func(t float64) bool { return t < c.start })
+			if float64(len(stops)+1)*peak <= 0.9*LinkRate {
+				stops = append(stops, c.stop)
+				admitted[c.id] = true
+			}
+		}
+		calls = slices.DeleteFunc(calls, func(c call) bool { return !admitted[c.id] })
+	}
+	var b strings.Builder
+	header(&b, cfg, fmt.Sprintf(", classes 1, targets [%ss], admission %s", secs(admissionTarget), admission), []string{"A", "B"})
+	b.WriteString("A -> B\n")
+	spec := fmt.Sprintf("rate %.0fbps, bucket %dbit, delay %ss, loss 1%%, class 0", AvgRate*PacketBits, 20*PacketBits, secs(admissionTarget))
+	for _, c := range calls {
+		fmt.Fprintf(&b, "at %ss {\n", secs(c.start))
+		markovFlow(&b, FlowPath{ID: c.id, Path: []string{"A", "B"}}, MeanBurst, "Predicted", spec)
+		b.WriteString("}\n")
+	}
+	for _, c := range calls {
+		if c.stop <= cfg.Duration {
+			fmt.Fprintf(&b, "at %ss { remove f%d }\n", secs(c.stop), c.id)
+		}
+	}
+	return b.String()
+}
+
+func runAdmissionPolicy(cfg RunConfig, offered int, policy string) AdmissionResult {
+	s := compileCell("admission.ispn", admissionSource(cfg, offered, policy), cfg.options())
+	var misses, delivered int64
+	s.Net.SetFlowHook(func(f *core.Flow) {
+		f.Tap(func(_ *packet.Packet, q float64) {
+			delivered++
+			if q > admissionTarget {
+				misses++
+			}
+		})
+	})
+	s.Run()
+	return AdmissionResult{
+		Policy:            policy,
+		Offered:           offered,
+		Admitted:          int(s.Admission().Admitted),
+		RealTimeUtil:      float64(port(s, "A", "B").TxBits()) / (LinkRate * cfg.Duration), // no datagrams
+		DelayTargetMisses: misses,
+		Delivered:         delivered,
+	}
 }
 
 // FormatAdmission renders ablation C.
@@ -267,56 +257,30 @@ type PlaybackResult struct {
 	Delay           DelayStats
 }
 
-// AblationPlayback runs the Figure-1 predicted workload and attaches a rigid
-// and an adaptive play-back client to the length-4 predicted flow.
+// playbackSource generates playback's cell: the Figure-1 workload with every
+// flow predicted in class 0.
+func playbackSource(cfg RunConfig) string {
+	return figure1Cell(cfg, "->", func(uint32) ServiceKind { return PredictedHigh })
+}
+
+// AblationPlayback runs playback's cell and attaches a rigid and an adaptive
+// play-back client to the length-4 flow.
 func AblationPlayback(cfg RunConfig) PlaybackResult {
 	cfg.fill()
-	n := core.New(core.Config{
-		LinkRate:         LinkRate,
-		PredictedClasses: 2,
-		ClassTargets:     []float64{0.032, 0.32},
-		Seed:             cfg.Seed,
-	})
-	for _, name := range Figure1Nodes() {
-		n.AddSwitch(name)
-	}
-	for _, lk := range Figure1Links() {
-		n.Connect(lk[0], lk[1])
-	}
-	var watched *core.Flow
-	for _, fp := range Figure1Flows() {
-		class := uint8(0)
-		fl, err := n.RequestPredictedClass(fp.ID, fp.Path, class, core.PredictedSpec{
-			TokenRate:  AvgRate * PacketBits,
-			BucketBits: BucketSize * PacketBits,
-			Delay:      1, Loss: 0.01,
-		})
-		if err != nil {
-			panic(err)
-		}
-		if fp.ID == F401 {
-			watched = fl
-		}
-		src := source.NewMarkov(source.MarkovConfig{
-			FlowID: fp.ID, SizeBits: PacketBits,
-			PeakRate: PeakFactor * AvgRate, AvgRate: AvgRate, Burst: MeanBurst,
-			RNG: n.RNG(fmt.Sprintf("pb-%d", fp.ID)),
-		})
-		source.AttachPool(src, n.Pool())
-		src.Start(n.Engine(), func(p *packet.Packet) { fl.Inject(p) })
-	}
+	s := compileCell("playback.ispn", playbackSource(cfg), cfg.options())
+	watched := cellFlow(s, F401)
 	bound := watched.Bound()
 	rigid := playback.NewRigid(bound)
 	adaptive := playback.NewAdaptive(playback.AdaptiveConfig{
 		InitialPoint: bound,
 		TargetLoss:   0.001,
 	})
-	watched.Tap(func(p *packet.Packet, q float64) {
-		now := n.Engine().Now()
-		rigid.Deliver(now, q)
-		adaptive.Deliver(now, q)
+	eng := watched.EgressEngine()
+	watched.Tap(func(_ *packet.Packet, q float64) {
+		rigid.Deliver(eng.Now(), q)
+		adaptive.Deliver(eng.Now(), q)
 	})
-	n.Run(cfg.Duration)
+	s.Run()
 	return PlaybackResult{
 		APrioriBoundMS:  bound * UnitMS,
 		RigidPointMS:    rigid.Point() * UnitMS,
@@ -371,7 +335,7 @@ func AblationDiscard(cfg RunConfig, thresholdsMS []float64) []DiscardRow {
 		for _, lk := range w.links {
 			discarded += port(s, lk[0], lk[1]).Discarded()
 		}
-		d := toDelayStats(meter(s, F401))
+		d := toDelayStats(cellFlow(s, F401).Meter())
 		rows[ti] = DiscardRow{
 			ThresholdMS: th,
 			Discarded:   discarded,

@@ -19,6 +19,16 @@ import (
 // neighbours' aggregate: it is below at seed 7 at 30 s, and on the streams
 // the raw-port worlds used before the scenario compiler built them, at seed 4
 // at 120 s. TestAblationIsolationShape pins it at one long run instead.
+//
+// Two more are not claimed because they fail today. Table 3's guaranteed
+// packets do not all sit within the packetised Parekh-Gallager bound
+// (core.PGBoundPacketized): the 2-hop Guaranteed-Peak flow's max crosses it
+// in 13 of the 16 runs, by up to 0.82 ms (14.58 against 13.76 at seed 6).
+// That is WFQ's virtual time counting real rather than fluid backlog
+// (ROADMAP item 2), and TestTable3Shape holds those rows to the bound plus
+// one packet time until it is fixed. Nor does §2's adaptive client meet its
+// 0.1% loss target: over seeds 1-8 it loses up to 0.84% at 30 s and up to
+// 0.20% at 180 s.
 
 var claimSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
 
@@ -50,6 +60,56 @@ var claims = []struct {
 		}
 		if !(growth(plus) < growth(fifo)) {
 			return fmt.Errorf("FIFO+ p99.9 growth over 1-4 hops %.2f not below FIFO's %.2f", growth(plus), growth(fifo))
+		}
+		return nil
+	}},
+	{"T3", func(cfg RunConfig) error {
+		// The unified scheduler: a clock rate at the peak buys far less
+		// delay than one at the average, and priority separates the
+		// predicted classes.
+		r := Table3(cfg)
+		peak, avg := r.ByKind[GuaranteedPeak], r.ByKind[GuaranteedAvg]
+		if !(peak.P999 < avg.P999 && peak.Mean < avg.Mean) {
+			return fmt.Errorf("Guaranteed-Peak p99.9/mean %.2f/%.2f not below Guaranteed-Avg's %.2f/%.2f", peak.P999, peak.Mean, avg.P999, avg.Mean)
+		}
+		if high, low := r.ByKind[PredictedHigh], r.ByKind[PredictedLow]; !(high.P999 < low.P999) {
+			return fmt.Errorf("Predicted-High p99.9 %.2f not below Predicted-Low's %.2f", high.P999, low.P999)
+		}
+		// Datagram traffic absorbs the slack without costing real-time
+		// traffic a packet.
+		for i, u := range r.LinkUtil {
+			if u < 0.975 {
+				return fmt.Errorf("link L%d utilization %.4f below 97.5%%", i+1, u)
+			}
+		}
+		if r.RealTimeDropped != 0 {
+			return fmt.Errorf("%d real-time packets dropped", r.RealTimeDropped)
+		}
+		return nil
+	}},
+	{"sec9-admission", func(cfg RunConfig) error {
+		// Measuring the load admits more than declared peaks do, and the
+		// admitted flows still meet their target.
+		rows := AblationAdmission(cfg, 150)
+		label := func(r AdmissionResult) string { return r.Policy }
+		m, w := find(rows, label, "measurement"), find(rows, label, "worst-case")
+		if !(m.Admitted > w.Admitted) {
+			return fmt.Errorf("measurement admitted %d, not more than worst-case's %d", m.Admitted, w.Admitted)
+		}
+		if m.DelayTargetMisses != 0 {
+			return fmt.Errorf("measurement-admitted flows missed the target %d times", m.DelayTargetMisses)
+		}
+		return nil
+	}},
+	{"sec2-playback", func(cfg RunConfig) error {
+		// Adapting the play-back point to the delays seen beats holding it at
+		// the a priori bound.
+		r := AblationPlayback(cfg)
+		if !(r.AdaptivePointMS < 0.5*r.RigidPointMS) {
+			return fmt.Errorf("adaptive point %.2f ms not below half the rigid point %.2f ms", r.AdaptivePointMS, r.RigidPointMS)
+		}
+		if r.RigidLossRate != 0 {
+			return fmt.Errorf("rigid client lost %.4f%% at the a priori bound", 100*r.RigidLossRate)
 		}
 		return nil
 	}},

@@ -39,7 +39,7 @@ func CompareDisciplines(cfg RunConfig) []ComparisonRow {
 		rows[i] = ComparisonRow{
 			Name:           ds[i].name,
 			Aggregate:      mergeRecorders(s, w.flows),
-			Sample:         toDelayStats(meter(s, 1)),
+			Sample:         toDelayStats(cellFlow(s, 1).Meter()),
 			WorkConserving: !holds,
 		}
 	})

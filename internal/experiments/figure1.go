@@ -1,9 +1,8 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation, plus the ablation studies listed in DESIGN.md, all
-// registered in Catalogue. Each runner builds its world one of two ways — a
-// generated .ispn cell (compileCell) or, for Table 3, admission and
-// playback, a core.Network — runs the simulator, and returns rows shaped
-// like the paper's tables.
+// registered in Catalogue. Each runner generates its world as a .ispn cell,
+// compiles it (compileCell), runs the simulator, and returns rows shaped like
+// the paper's tables.
 // Delays are reported in the paper's unit: one packet transmission time
 // (1 ms for 1000-bit packets on 1 Mbit/s links).
 //

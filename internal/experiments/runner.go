@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ispn/internal/core"
 	"ispn/internal/scenario"
 	"ispn/internal/stats"
 	"ispn/internal/topology"
@@ -18,12 +19,11 @@ type RunConfig struct {
 	Duration float64
 	// Seed drives every random stream of the run.
 	Seed int64
-	// Shards partitions every world the scenario compiler builds across that
-	// many event heaps advanced in lockstep windows (0 = one heap). Reports
-	// are bit-identical either way; a world whose links all have zero
-	// propagation delay (every single-link study and the Figure-1 chain)
-	// has no shard boundary to cut and runs on one of the heaps. Table 3,
-	// admission and playback build a core.Network directly and ignore it.
+	// Shards partitions every world across that many event heaps advanced
+	// in lockstep windows (0 = one heap). Reports are bit-identical either
+	// way; a world whose links all have zero propagation delay (every
+	// single-link study and the Figure-1 chain) has no shard boundary to cut
+	// and runs on one of the heaps.
 	Shards int
 }
 
@@ -108,9 +108,7 @@ func figure1Chain(d discipline) world {
 // source generates the world's scenario text.
 func (w world) source(cfg RunConfig) string {
 	var b strings.Builder
-	// Plain decimals only: the grammar reads no exponent (%g gives 1e+06).
-	fmt.Fprintf(&b, "net :: Net(rate %.0fbps)\nrun :: Run(seed %d, horizon %ss)\n%s :: Switch\n",
-		LinkRate, cfg.Seed, strconv.FormatFloat(cfg.Duration, 'f', -1, 64), strings.Join(w.nodes, ", "))
+	header(&b, cfg, "", w.nodes)
 	busiest := 0
 	for i, lk := range w.links {
 		fmt.Fprintf(&b, "%s -> %s :: Link(%s)\n", lk[0], lk[1], w.discs[i].link)
@@ -124,15 +122,10 @@ func (w world) source(cfg RunConfig) string {
 		if b, ok := w.burst[f.ID]; ok {
 			burst = b
 		}
-		fmt.Fprintf(&b, "m%d :: Markov(peak %gpps, avg %gpps, burst %g, size %dbit)\n",
-			f.ID, PeakFactor*AvgRate, AvgRate, burst, PacketBits)
-		path := strings.Join(f.Path, " -> ")
 		if w.discs[0].guaranteed {
-			fmt.Fprintf(&b, "f%d :: Guaranteed(rate %.0fbps, bucket %gbit, path %s)\n", f.ID, share, BucketSize*PacketBits, path)
-			fmt.Fprintf(&b, "tb%d :: TokenBucket(rate %gpps, depth %g)\nm%d -> tb%d -> f%d\n", f.ID, AvgRate, BucketSize, f.ID, f.ID, f.ID)
+			markovFlow(&b, f, burst, "Guaranteed", fmt.Sprintf("rate %.0fbps, bucket %gbit", share, BucketSize*PacketBits))
 		} else {
-			fmt.Fprintf(&b, "f%d :: Predicted(rate %.0fbps, bucket %gbit, path %s)\nm%d -> f%d\n",
-				f.ID, AvgRate*PacketBits, BucketSize*PacketBits, path, f.ID, f.ID)
+			markovFlow(&b, f, burst, "Predicted", fmt.Sprintf("rate %.0fbps, bucket %gbit", AvgRate*PacketBits, BucketSize*PacketBits))
 		}
 	}
 	return b.String()
@@ -143,9 +136,34 @@ func (w world) compile(cfg RunConfig) *scenario.Sim {
 	return compileCell("world.ispn", w.source(cfg), cfg.options())
 }
 
-// meter returns flow id's queueing-delay recorder in a compiled world.
-func meter(s *scenario.Sim, id uint32) *stats.Recorder {
-	return s.FlowByName(fmt.Sprintf("f%d", id)).Flow.Meter()
+// header writes a cell's Net, Run and Switch declarations; net holds the Net
+// arguments after the rate.
+func header(b *strings.Builder, cfg RunConfig, net string, nodes []string) {
+	fmt.Fprintf(b, "net :: Net(rate %.0fbps%s)\nrun :: Run(seed %d, horizon %ss)\n%s :: Switch\n",
+		LinkRate, net, cfg.Seed, secs(cfg.Duration), strings.Join(nodes, ", "))
+}
+
+// secs spells t seconds so the grammar reads back exactly t: plain decimals,
+// since it reads no exponent (%g gives 1e+06).
+func secs(t float64) string { return strconv.FormatFloat(t, 'f', -1, 64) }
+
+// markovFlow writes flow f as f<id> :: kind(args, path …), fed by the
+// Appendix workload: a two-state Markov source m<id> of mean burst burst,
+// through the host (A, 50) filter tb<id> when the flow is Guaranteed (a
+// Predicted flow is policed by the network edge).
+func markovFlow(b *strings.Builder, f FlowPath, burst float64, kind, args string) {
+	fmt.Fprintf(b, "m%d :: Markov(peak %gpps, avg %gpps, burst %g, size %dbit)\n", f.ID, PeakFactor*AvgRate, AvgRate, burst, PacketBits)
+	fmt.Fprintf(b, "f%d :: %s(%s, path %s)\n", f.ID, kind, args, strings.Join(f.Path, " -> "))
+	if kind == "Guaranteed" {
+		fmt.Fprintf(b, "tb%d :: TokenBucket(rate %gpps, depth %g)\nm%d -> tb%d -> f%d\n", f.ID, AvgRate, BucketSize, f.ID, f.ID, f.ID)
+	} else {
+		fmt.Fprintf(b, "m%d -> f%d\n", f.ID, f.ID)
+	}
+}
+
+// cellFlow returns flow id, declared f<id>, of a compiled cell.
+func cellFlow(s *scenario.Sim, id uint32) *core.Flow {
+	return s.FlowByName(fmt.Sprintf("f%d", id)).Flow
 }
 
 // port returns the output port of link from -> to in a compiled world.
@@ -158,14 +176,14 @@ func port(s *scenario.Sim, from, to string) *topology.Port {
 func mergeRecorders(s *scenario.Sim, flows []FlowPath) DelayStats {
 	merged := stats.NewRecorder()
 	for _, f := range flows {
-		merged.Absorb(meter(s, f.ID))
+		merged.Absorb(cellFlow(s, f.ID).Meter())
 	}
 	return toDelayStats(merged)
 }
 
 // compileCell parses and compiles one generated .ispn cell — the one way
-// every study but Table 3, admission and playback builds its world, so each
-// exercises the code path of `ispnsim run` on a library file.
+// every study builds its world, so each exercises the code path of `ispnsim
+// run` on a library file.
 func compileCell(name, src string, opts scenario.Options) *scenario.Sim {
 	f, err := scenario.Parse(name, []byte(src))
 	if err != nil {

@@ -30,7 +30,7 @@ func Table1(cfg RunConfig) []Table1Row {
 		s.Run()
 		rows[i] = Table1Row{
 			Scheduler:   ds[i].name,
-			Sample:      toDelayStats(meter(s, w.flows[0].ID)),
+			Sample:      toDelayStats(cellFlow(s, w.flows[0].ID).Meter()),
 			AllFlows:    mergeRecorders(s, w.flows),
 			Utilization: port(s, "A", "B").TotalUtilization(cfg.Duration),
 		}

@@ -42,7 +42,7 @@ func chainSamples(cfg RunConfig, w world) [4]DelayStats {
 	s.Run()
 	var out [4]DelayStats
 	for k, id := range Table2SampleFlows() {
-		out[k] = toDelayStats(meter(s, id))
+		out[k] = toDelayStats(cellFlow(s, id).Meter())
 	}
 	return out
 }

@@ -8,9 +8,7 @@ import (
 
 	"ispn/internal/core"
 	"ispn/internal/packet"
-	"ispn/internal/source"
 	"ispn/internal/stats"
-	"ispn/internal/tcp"
 )
 
 // ServiceKind labels the four real-time service assignments of Table 3.
@@ -80,6 +78,49 @@ type Table3Result struct {
 	TCPGoodputBits [2]float64
 }
 
+// decl spells the kind as a flow declaration: its element kind and the
+// arguments before the path.
+func (k ServiceKind) decl() (kind, args string) {
+	switch k {
+	case GuaranteedPeak:
+		// b(P) = one packet for an on/off source at peak P.
+		return "Guaranteed", fmt.Sprintf("rate %.0fbps, bucket %dbit", PeakFactor*AvgRate*PacketBits, PacketBits)
+	case GuaranteedAvg:
+		return "Guaranteed", fmt.Sprintf("rate %.0fbps, bucket %gbit", AvgRate*PacketBits, BucketSize*PacketBits) // the (A, 50) filter
+	}
+	class := 0
+	if k == PredictedLow {
+		class = 1
+	}
+	return "Predicted", fmt.Sprintf("rate %.0fbps, bucket %gbit, delay 1s, loss 1%%, class %d", AvgRate*PacketBits, BucketSize*PacketBits, class)
+}
+
+// figure1Cell generates the Figure-1 chain under the unified scheduler as a
+// .ispn cell: each link declared with arrow ("<->" adds the reverse direction
+// right after it), and each flow carrying the Appendix workload at the
+// service kind(id) assigns it.
+func figure1Cell(cfg RunConfig, arrow string, kind func(id uint32) ServiceKind) string {
+	var b strings.Builder
+	header(&b, cfg, "", Figure1Nodes())
+	for _, lk := range Figure1Links() {
+		fmt.Fprintf(&b, "%s %s %s\n", lk[0], arrow, lk[1])
+	}
+	for _, f := range Figure1Flows() {
+		k, args := kind(f.ID).decl()
+		markovFlow(&b, f, MeanBurst, k, args)
+	}
+	return b.String()
+}
+
+// table3Source generates Table 3's cell: every flow at its Table3Assignment
+// kind, plus two greedy TCP connections, one per pair of links, whose ACKs
+// return over the reverse links.
+func table3Source(cfg RunConfig) string {
+	assignment := Table3Assignment()
+	return figure1Cell(cfg, "<->", func(id uint32) ServiceKind { return assignment[id] }) +
+		fmt.Sprintf("t1 :: TCP(path S1 -> S2 -> S3, segment %dbit)\nt2 :: TCP(path S3 -> S4 -> S5, segment %dbit)\n", PacketBits, PacketBits)
+}
+
 // Table3 reproduces the paper's Table 3: the Figure-1 network under the
 // unified scheduler with 5 guaranteed flows (3 at peak clock rate, 2 at
 // average), 17 predicted flows (7 high-priority, 10 low), and two datagram
@@ -90,128 +131,31 @@ type Table3Result struct {
 // ~83.5% of it real-time; and the datagram traffic suffers only ~0.1% drops.
 func Table3(cfg RunConfig) Table3Result {
 	cfg.fill()
-	peakRate := PeakFactor * AvgRate * PacketBits // 170 kbit/s
-	avgRate := AvgRate * PacketBits               // 85 kbit/s
-
-	n := core.New(core.Config{
-		LinkRate:         LinkRate,
-		PredictedClasses: 2,
-		MaxPacketBits:    PacketBits,
-		Seed:             cfg.Seed,
-	})
-	for _, name := range Figure1Nodes() {
-		n.AddSwitch(name)
-	}
-	for _, lk := range Figure1Links() {
-		n.Connect(lk[0], lk[1])
-		n.Connect(lk[1], lk[0]) // reverse direction carries TCP ACKs
-	}
-
+	s := compileCell("table3.ispn", table3Source(cfg), cfg.options())
 	// Per-link real-time bit accounting via the transmit hook.
 	var rtBits [4]float64
 	for i, lk := range Figure1Links() {
-		i := i
-		port := n.Topology().Node(lk[0]).Port(lk[1])
-		port.OnTransmit = func(p *packet.Packet, now float64) {
+		pt := port(s, lk[0], lk[1])
+		prev := pt.OnTransmit
+		pt.OnTransmit = func(p *packet.Packet, now float64) {
+			if prev != nil {
+				prev(p, now)
+			}
 			if p.Class != packet.Datagram {
 				rtBits[i] += float64(p.Size)
 			}
 		}
 	}
+	s.Run()
 
 	assignment := Table3Assignment()
-	flows := make(map[uint32]*core.Flow)
-	for _, fp := range Figure1Flows() {
-		kind := assignment[fp.ID]
-		var fl *core.Flow
-		var err error
-		switch kind {
-		case GuaranteedPeak:
-			fl, err = n.RequestGuaranteed(fp.ID, fp.Path, core.GuaranteedSpec{
-				ClockRate:  peakRate,
-				BucketBits: PacketBits, // b(P) = one packet for an on/off source at peak P
-			})
-		case GuaranteedAvg:
-			fl, err = n.RequestGuaranteed(fp.ID, fp.Path, core.GuaranteedSpec{
-				ClockRate:  avgRate,
-				BucketBits: BucketSize * PacketBits, // the (A, 50) filter
-			})
-		case PredictedHigh, PredictedLow:
-			class := uint8(0)
-			if kind == PredictedLow {
-				class = 1
-			}
-			fl, err = n.RequestPredictedClass(fp.ID, fp.Path, class, core.PredictedSpec{
-				TokenRate:  avgRate,
-				BucketBits: BucketSize * PacketBits,
-				Delay:      1,
-				Loss:       0.01,
-			})
-		default:
-			panic(fmt.Sprintf("experiments: flow %d missing from Table 3 assignment", fp.ID))
-		}
-		if err != nil {
-			panic(fmt.Sprintf("experiments: admitting flow %d: %v", fp.ID, err))
-		}
-		flows[fp.ID] = fl
-
-		src := source.NewMarkov(source.MarkovConfig{
-			FlowID:   fp.ID,
-			SizeBits: PacketBits,
-			PeakRate: PeakFactor * AvgRate,
-			AvgRate:  AvgRate,
-			Burst:    MeanBurst,
-			RNG:      n.RNG(fmt.Sprintf("markov-%d", fp.ID)),
-		})
-		source.AttachPool(src, n.Pool())
-		inject := func(p *packet.Packet) { fl.Inject(p) }
-		if kind == GuaranteedPeak || kind == GuaranteedAvg {
-			// Guaranteed flows make no traffic commitment to the
-			// network; the paper still polices every source with
-			// the (A, 50) filter at the host.
-			pol := source.NewPoliced(src, AvgRate, BucketSize)
-			pol.Start(n.Engine(), inject)
-		} else {
-			// Predicted flows are policed by the network edge
-			// (fl.Inject enforces the declared token bucket).
-			src.Start(n.Engine(), inject)
-		}
-	}
-
-	// Two greedy TCP connections, one per pair of links.
-	tcp1 := tcp.NewConnection(n.Topology(), tcp.Config{
-		DataFlowID: 900, AckFlowID: 901,
-		Path:        []string{"S1", "S2", "S3"},
-		ReversePath: []string{"S3", "S2", "S1"},
-		SegmentBits: PacketBits,
-	})
-	tcp2 := tcp.NewConnection(n.Topology(), tcp.Config{
-		DataFlowID: 902, AckFlowID: 903,
-		Path:        []string{"S3", "S4", "S5"},
-		ReversePath: []string{"S5", "S4", "S3"},
-		SegmentBits: PacketBits,
-	})
-	tcp1.Start()
-	tcp2.Start()
-
-	n.Run(cfg.Duration)
-
 	res := Table3Result{ByKind: make(map[ServiceKind]DelayStats)}
 	for _, id := range Table3SampleFlows() {
-		fl := flows[id]
-		row := Table3Row{
-			Kind:    assignment[id],
-			FlowID:  id,
-			PathLen: fl.Hops(),
-			Stats:   toDelayStats(fl.Meter()),
-		}
-		switch assignment[id] {
-		case GuaranteedPeak:
+		fl := cellFlow(s, id)
+		row := Table3Row{Kind: assignment[id], FlowID: id, PathLen: fl.Hops(), Stats: toDelayStats(fl.Meter())}
+		if spec := fl.GuaranteedSpec(); spec.ClockRate > 0 {
 			row.PGBound = fl.Bound() * UnitMS
-			row.PGBoundFull = core.PGBoundPacketized(PacketBits, peakRate, fl.Hops(), PacketBits, LinkRate) * UnitMS
-		case GuaranteedAvg:
-			row.PGBound = fl.Bound() * UnitMS
-			row.PGBoundFull = core.PGBoundPacketized(BucketSize*PacketBits, avgRate, fl.Hops(), PacketBits, LinkRate) * UnitMS
+			row.PGBoundFull = core.PGBoundPacketized(spec.BucketBits, spec.ClockRate, row.PathLen, PacketBits, LinkRate) * UnitMS
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -221,7 +165,7 @@ func Table3(cfg RunConfig) Table3Result {
 		merged := stats.NewRecorder()
 		for _, id := range ids {
 			if assignment[id] == kind {
-				merged.Absorb(flows[id].Meter())
+				merged.Absorb(cellFlow(s, id).Meter())
 			}
 		}
 		res.ByKind[kind] = toDelayStats(merged)
@@ -229,18 +173,19 @@ func Table3(cfg RunConfig) Table3Result {
 
 	var tcpDrops, tcpSent int64
 	for i, lk := range Figure1Links() {
-		port := n.Topology().Node(lk[0]).Port(lk[1])
-		res.LinkUtil[i] = port.TotalUtilization(cfg.Duration)
+		pt := port(s, lk[0], lk[1])
+		res.LinkUtil[i] = pt.TotalUtilization(cfg.Duration)
 		res.RealTimeUtil[i] = rtBits[i] / (LinkRate * cfg.Duration)
-		tcpDrops += port.DropsByClass(packet.Datagram)
-		res.RealTimeDropped += port.DropsByClass(packet.Guaranteed) + port.DropsByClass(packet.Predicted)
+		tcpDrops += pt.DropsByClass(packet.Datagram)
+		res.RealTimeDropped += pt.DropsByClass(packet.Guaranteed) + pt.DropsByClass(packet.Predicted)
 	}
-	tcpSent = tcp1.Stats().SegmentsSent + tcp2.Stats().SegmentsSent
+	for i, t := range s.TCPs {
+		tcpSent += t.Conn.Stats().SegmentsSent
+		res.TCPGoodputBits[i] = t.Conn.ThroughputBits(cfg.Duration)
+	}
 	if tcpSent > 0 {
 		res.DatagramDropRate = float64(tcpDrops) / float64(tcpSent)
 	}
-	res.TCPGoodputBits[0] = tcp1.ThroughputBits(cfg.Duration)
-	res.TCPGoodputBits[1] = tcp2.ThroughputBits(cfg.Duration)
 	return res
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"ispn/internal/core"
 	"ispn/internal/packet"
+	"ispn/internal/sim"
 	"ispn/internal/source"
 )
 
@@ -23,14 +24,14 @@ func loadedNet(t *testing.T) (*core.Network, []source.Source) {
 		t.Fatal(err)
 	}
 	gsrc := source.NewCBR(source.CBRConfig{
-		FlowID: 1, SizeBits: 1000, Rate: 160, RNG: n.RNG("g"), // 160 kbit/s < 200 kbit/s clock
+		FlowID: 1, SizeBits: 1000, Rate: 160, RNG: sim.DeriveRNG(n.Config().Seed, "g"), // 160 kbit/s < 200 kbit/s clock
 	})
 	d, err := n.AddDatagramFlow(2, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dsrc := source.NewPoisson(source.PoissonConfig{
-		FlowID: 2, Class: packet.Datagram, SizeBits: 1000, Rate: 400, RNG: n.RNG("d"),
+		FlowID: 2, Class: packet.Datagram, SizeBits: 1000, Rate: 400, RNG: sim.DeriveRNG(n.Config().Seed, "d"),
 	})
 	gsrc.Start(n.Engine(), func(p *packet.Packet) { g.Inject(p) })
 	dsrc.Start(n.Engine(), func(p *packet.Packet) { d.Inject(p) })
@@ -140,7 +141,7 @@ func TestShardedFloodReusesOnePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := source.NewCBR(source.CBRConfig{FlowID: 1, Class: packet.Datagram, SizeBits: 1000, Rate: 900, RNG: n.RNG("flood")})
+	src := source.NewCBR(source.CBRConfig{FlowID: 1, Class: packet.Datagram, SizeBits: 1000, Rate: 900, RNG: sim.DeriveRNG(n.Config().Seed, "flood")})
 	source.AttachPool(src, f.IngressPool())
 	src.Start(f.IngressEngine(), func(p *packet.Packet) { f.Inject(p) })
 	o := Attach(n, Config{})

@@ -149,8 +149,8 @@ func (a *argSet) fraction(name string, posIdx int, def float64) float64 {
 	return a.dimensioned(name, posIdx, dimFraction, def)
 }
 
-// plain returns a unitless numeric argument (EWMA gains and similar bare
-// coefficients).
+// plain returns a unitless numeric argument (Churn's Zipf locality and
+// similar bare coefficients).
 func (a *argSet) plain(name string, posIdx int, def float64) float64 {
 	return a.dimensioned(name, posIdx, dimNone, def)
 }

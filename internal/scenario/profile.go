@@ -16,7 +16,7 @@ import (
 // time (renew-style: give only what changes).
 
 // linkArgNames is the accepted Link argument set, in documentation order.
-var linkArgNames = []string{"rate", "delay", "sched", "sharing", "classes", "targets", "quota", "gain"}
+var linkArgNames = []string{"rate", "delay", "sched", "sharing", "classes", "targets", "quota"}
 
 // profPatch is a partial scheduling profile: the Link arguments that were
 // actually written, ready to be applied over a base profile.
@@ -27,13 +27,11 @@ type profPatch struct {
 	targets    []float64
 	quota      float64
 	quotaSet   bool
-	gain       float64
-	gainSet    bool
 }
 
 // any reports whether the patch changes anything.
 func (p profPatch) any() bool {
-	return p.kind != "" || p.sharingSet || len(p.targets) > 0 || p.quotaSet || p.gainSet
+	return p.kind != "" || p.sharingSet || len(p.targets) > 0 || p.quotaSet
 }
 
 // apply overlays the patch on base and returns the resulting profile.
@@ -50,9 +48,6 @@ func (p profPatch) apply(base sched.Profile) sched.Profile {
 	}
 	if p.quotaSet {
 		out.DatagramQuota = p.quota
-	}
-	if p.gainSet {
-		out.FIFOPlusGain = p.gain
 	}
 	return out.Normalize()
 }
@@ -76,8 +71,7 @@ func sharingMode(a *argSet) (sched.Sharing, bool) {
 // set, validating each with the argument's position: the discipline name
 // against the sched pipeline registry, targets as positive durations, the
 // quota as a fraction below 1 (an explicit 0 means "no datagram
-// reservation"), the gain as a number in (0,1), and a classes count against
-// the targets list length.
+// reservation"), and a classes count against the targets list length.
 func (c *compiler) linkProfile(a *argSet) profPatch {
 	var p profPatch
 	p.kind = a.enum("sched", "", sched.PipelineKinds()...)
@@ -100,14 +94,6 @@ func (c *compiler) linkProfile(a *argSet) profPatch {
 		if p.quota == 0 {
 			// An explicit zero is expressible: no datagram reservation.
 			p.quota = sched.NoDatagramQuota
-		}
-	}
-	if pos, ok := a.given("gain", -1); ok {
-		p.gain = a.plain("gain", -1, 0)
-		p.gainSet = true
-		if p.gain <= 0 || p.gain >= 1 {
-			c.failf(pos, "gain must be in (0, 1), got %v", p.gain)
-			return p
 		}
 	}
 	if pos, ok := a.given("classes", -1); ok {

@@ -57,25 +57,18 @@ a -> b :: Link(classes 3)`,
 			wantText: "classes needs a matching targets list",
 		},
 		{
+			name: "classes wrong dimension",
+			src: `a, b :: Switch
+a -> b :: Link(classes 2ms, targets [32ms, 320ms])`,
+			wantPos:  "2:24",
+			wantText: `argument "classes" must be a bare number`,
+		},
+		{
 			name: "unknown sharing",
 			src: `a, b :: Switch
 a -> b :: Link(sharing lifo)`,
 			wantPos:  "2:24",
 			wantText: "must be one of: fifoplus, fifo, rr",
-		},
-		{
-			name: "gain out of range",
-			src: `a, b :: Switch
-a -> b :: Link(gain 2)`,
-			wantPos:  "2:21",
-			wantText: "gain must be in (0, 1)",
-		},
-		{
-			name: "gain wrong dimension",
-			src: `a, b :: Switch
-a -> b :: Link(gain 3ms)`,
-			wantPos:  "2:21",
-			wantText: `argument "gain" must be a bare number`,
 		},
 		{
 			name: "quota out of range",
@@ -128,7 +121,7 @@ func TestLinkProfileCompile(t *testing.T) {
 a, b, c, d :: Switch
 a -> b :: Link(sharing fifo)
 b -> c :: Link(rate 1Mbps, sched wfq, quota 0%)
-c -> d :: Link(sched fifoplus, gain 0.001)
+c -> d :: Link(sched fifoplus)
 f :: Datagram(path a -> b -> c -> d)
 s :: CBR(rate 50pps)
 s -> f
@@ -150,8 +143,8 @@ r :: Run(horizon 2s)`
 	if p := prof("b", "c"); p.Kind != sched.KindWFQ || p.Quota() != 0 {
 		t.Errorf("b->c profile = %+v, want wfq with zero quota", p)
 	}
-	if p := prof("c", "d"); p.Kind != sched.KindFIFOPlus || p.FIFOPlusGain != 0.001 {
-		t.Errorf("c->d profile = %+v, want fifoplus gain 0.001", p)
+	if p := prof("c", "d"); p.Kind != sched.KindFIFOPlus {
+		t.Errorf("c->d profile = %+v, want fifoplus", p)
 	}
 	rep := s.Run()
 	if rep.Flows[0].Delivered == 0 {

@@ -117,7 +117,7 @@ func (c *compiler) eventBlock(b *EventBlock) {
 // linkEvent compiles a switch->switch chain inside an at block: it modifies
 // existing links (rate, delay, and/or the scheduling profile) rather than
 // creating new ones — the topology itself is static. Profile arguments
-// (sched/sharing/targets/quota/gain) become a live pipeline swap, merged
+// (sched/sharing/targets/quota) become a live pipeline swap, merged
 // over the link's *current* profile at event time, so an event names only
 // what changes — the incremental-deployment upgrade of a single hop.
 func (c *compiler) linkEvent(ch *Chain, at float64) {

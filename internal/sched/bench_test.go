@@ -67,10 +67,10 @@ func benchCycleNoAllocs(b *testing.B, s Scheduler) {
 
 func BenchmarkFIFOEnqueueDequeue(b *testing.B) { benchCycle(b, NewFIFO()) }
 
-func BenchmarkFIFOPlusEnqueueDequeue(b *testing.B) { benchCycle(b, NewFIFOPlus(0)) }
+func BenchmarkFIFOPlusEnqueueDequeue(b *testing.B) { benchCycle(b, NewFIFOPlus()) }
 
 func BenchmarkPriorityEnqueueDequeue(b *testing.B) {
-	benchCycle(b, NewPriority([]Scheduler{NewFIFOPlus(0), NewFIFOPlus(0), NewFIFO()}, nil))
+	benchCycle(b, NewPriority([]Scheduler{NewFIFOPlus(), NewFIFOPlus(), NewFIFO()}, nil))
 }
 
 func BenchmarkWFQEnqueueDequeue(b *testing.B) {

@@ -6,15 +6,14 @@ import (
 	"ispn/internal/stats"
 )
 
-// DefaultFIFOPlusGain is the EWMA gain used for the per-hop class-average
-// delay when none is specified. The offset field encodes how *lucky* a
-// packet was relative to the class baseline, so the baseline must be stable
-// on the timescale of many bursts. Sweeping the `gain` Link argument of
-// Table 2's FIFO+ cell (seeds 1-8, 180 s) moves the mean 4-hop 99.9th
-// percentile 51.3 → 46.4 → 44.2 → 43.3 → 42.8 ms for gains 1e-2, 3e-3, 1e-3,
-// 3e-4, 1e-4: it improves as the gain shrinks and saturates near 3e-4, a
-// time constant of a few seconds at the paper's packet rates.
-const DefaultFIFOPlusGain = 3e-4
+// fifoPlusGain is the EWMA gain of the per-hop class-average delay. The
+// offset field encodes how *lucky* a packet was relative to the class
+// baseline, so the baseline must be stable on the timescale of many bursts.
+// Sweeping the gain of Table 2's FIFO+ cell (seeds 1-8, 180 s) moves the mean
+// 4-hop 99.9th percentile 51.3 → 46.4 → 44.2 → 43.3 → 42.8 ms for gains
+// 1e-2, 3e-3, 1e-3, 3e-4, 1e-4: it improves as the gain shrinks and saturates
+// near 3e-4, a time constant of a few seconds at the paper's packet rates.
+const fifoPlusGain = 3e-4
 
 // FIFOPlus implements the paper's FIFO+ discipline (Section 6) for one
 // priority class at one switch.
@@ -36,15 +35,11 @@ type FIFOPlus struct {
 	maxDelay *stats.WindowedMax
 }
 
-// NewFIFOPlus returns a FIFO+ scheduler with the given class-average EWMA
-// gain (0 means DefaultFIFOPlusGain).
-func NewFIFOPlus(gain float64) *FIFOPlus {
-	if gain == 0 {
-		gain = DefaultFIFOPlusGain
-	}
+// NewFIFOPlus returns an empty FIFO+ scheduler.
+func NewFIFOPlus() *FIFOPlus {
 	return &FIFOPlus{
 		q:        queue.NewDeadlineQueue(),
-		avg:      stats.NewEWMA(gain),
+		avg:      stats.NewEWMA(fifoPlusGain),
 		maxDelay: stats.NewWindowedMax(1.0, 30),
 	}
 }

@@ -3,12 +3,14 @@ package sched
 import (
 	"math"
 	"testing"
+
+	"ispn/internal/stats"
 )
 
 func TestFIFOPlusDegeneratestoFIFOWithZeroOffsets(t *testing.T) {
 	// With no upstream offsets, expected arrival == actual arrival, so
 	// FIFO+ must serve in plain FIFO order.
-	f := NewFIFOPlus(0)
+	f := NewFIFOPlus()
 	for i := uint64(0); i < 10; i++ {
 		p := pkt(1, i, 1000)
 		p.ArrivedAt = float64(i) * 0.001
@@ -22,7 +24,7 @@ func TestFIFOPlusDegeneratestoFIFOWithZeroOffsets(t *testing.T) {
 }
 
 func TestFIFOPlusOrdersByExpectedArrival(t *testing.T) {
-	f := NewFIFOPlus(0)
+	f := NewFIFOPlus()
 	// Packet A arrived first but had below-average delays upstream
 	// (negative offset): it is expected later.
 	a := pkt(1, 1, 1000)
@@ -43,7 +45,7 @@ func TestFIFOPlusOrdersByExpectedArrival(t *testing.T) {
 }
 
 func TestFIFOPlusFirstPacketGetsZeroDeviation(t *testing.T) {
-	f := NewFIFOPlus(0)
+	f := NewFIFOPlus()
 	p := pkt(1, 0, 1000)
 	p.ArrivedAt = 1.0
 	f.Enqueue(p, 1.0)
@@ -57,7 +59,8 @@ func TestFIFOPlusFirstPacketGetsZeroDeviation(t *testing.T) {
 }
 
 func TestFIFOPlusOffsetAccumulates(t *testing.T) {
-	f := NewFIFOPlus(1.0) // gain 1: average tracks the last delay exactly
+	f := NewFIFOPlus()
+	f.avg = stats.NewEWMA(1) // gain 1: average tracks the last delay exactly
 	// First packet establishes average 0.1.
 	p1 := pkt(1, 1, 1000)
 	p1.ArrivedAt = 0
@@ -76,7 +79,8 @@ func TestFIFOPlusOffsetAccumulates(t *testing.T) {
 }
 
 func TestFIFOPlusNegativeDeviationReducesOffset(t *testing.T) {
-	f := NewFIFOPlus(1.0)
+	f := NewFIFOPlus()
+	f.avg = stats.NewEWMA(1)
 	p1 := pkt(1, 1, 1000)
 	p1.ArrivedAt = 0
 	f.Enqueue(p1, 0)
@@ -91,7 +95,7 @@ func TestFIFOPlusNegativeDeviationReducesOffset(t *testing.T) {
 }
 
 func TestFIFOPlusZeroDelayClamped(t *testing.T) {
-	f := NewFIFOPlus(0)
+	f := NewFIFOPlus()
 	p := pkt(1, 0, 1000)
 	p.ArrivedAt = 5.0
 	f.Enqueue(p, 5.0)
@@ -104,14 +108,14 @@ func TestFIFOPlusZeroDelayClamped(t *testing.T) {
 }
 
 func TestFIFOPlusEmpty(t *testing.T) {
-	f := NewFIFOPlus(0)
+	f := NewFIFOPlus()
 	if f.Dequeue(0) != nil || f.Len() != 0 {
 		t.Fatal("empty FIFO+ misbehaves")
 	}
 }
 
 func TestFIFOPlusRecentMaxDelay(t *testing.T) {
-	f := NewFIFOPlus(0)
+	f := NewFIFOPlus()
 	p := pkt(1, 0, 1000)
 	p.ArrivedAt = 0
 	f.Enqueue(p, 0)
@@ -174,7 +178,7 @@ func TestFIFOPlusTwoHopJitterReduction(t *testing.T) {
 	_ = spread
 
 	outFIFO := runLink(NewFIFO(), 1e6, mkStream())
-	outPlus := runLink(NewFIFOPlus(0), 1e6, mkStream())
+	outPlus := runLink(NewFIFOPlus(), 1e6, mkStream())
 
 	// Compare end-to-end-style spread: deviation-corrected completion.
 	sFIFO := spread(outFIFO, true)

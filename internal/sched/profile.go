@@ -68,9 +68,9 @@ const DefaultDatagramQuota = 0.10
 
 // Profile describes the scheduling pipeline of one output port: the
 // discipline kind, the intra-class sharing mode (unified pipelines), the
-// per-hop predicted class delay targets, the datagram reservation, and the
-// FIFO+ class-average gain. The zero value of every field selects the
-// paper's default, so Profile{} is the paper's unified scheduler.
+// per-hop predicted class delay targets, and the datagram reservation. The
+// zero value of every field selects the paper's default, so Profile{} is the
+// paper's unified scheduler.
 type Profile struct {
 	// Kind names the pipeline builder ("" = KindUnified). See
 	// PipelineKinds for the registered set.
@@ -90,9 +90,6 @@ type Profile struct {
 	// traffic: 0 means the paper's default (0.10), NoDatagramQuota (any
 	// negative value) means no reservation at all.
 	DatagramQuota float64
-	// FIFOPlusGain tunes the FIFO+ class-average EWMA (0 =
-	// DefaultFIFOPlusGain).
-	FIFOPlusGain float64
 	// MaxPacketBits is the largest packet, used for DRR quanta and the
 	// per-hop packetization term of the Parekh–Gallager bound (0 = 1000,
 	// the paper's packet size).
@@ -151,7 +148,7 @@ func (p Profile) TargetFor(class int) float64 {
 }
 
 // Validate reports whether the normalized profile is buildable: a registered
-// kind, positive class targets, a quota below 1, a positive gain.
+// kind, positive class targets, a quota below 1.
 func (p Profile) Validate() error {
 	if _, ok := pipelines[p.Kind]; !ok {
 		return fmt.Errorf("sched: unknown pipeline kind %q (kinds: %s)", p.Kind, kindList())
@@ -163,9 +160,6 @@ func (p Profile) Validate() error {
 	}
 	if p.DatagramQuota >= 1 {
 		return fmt.Errorf("sched: datagram quota must be below 1, got %v", p.DatagramQuota)
-	}
-	if p.FIFOPlusGain < 0 || p.FIFOPlusGain >= 1 {
-		return fmt.Errorf("sched: FIFO+ gain must be in [0,1), got %v", p.FIFOPlusGain)
 	}
 	if p.MaxPacketBits < 0 {
 		return fmt.Errorf("sched: max packet size must be positive, got %v", p.MaxPacketBits)
@@ -248,7 +242,7 @@ func NewPipeline(prof Profile, linkRate float64) (Pipeline, error) {
 }
 
 func newFIFOPlusPipeline(p Profile, _ float64) Pipeline {
-	fp := NewFIFOPlus(p.FIFOPlusGain)
+	fp := NewFIFOPlus()
 	return &plainPipeline{Scheduler: fp, prof: p, fp: fp}
 }
 

@@ -16,9 +16,9 @@ import (
 func allSchedulers() map[string]func() Scheduler {
 	return map[string]func() Scheduler{
 		"FIFO":  func() Scheduler { return NewFIFO() },
-		"FIFO+": func() Scheduler { return NewFIFOPlus(0) },
+		"FIFO+": func() Scheduler { return NewFIFOPlus() },
 		"Priority": func() Scheduler {
-			return NewPriority([]Scheduler{NewFIFOPlus(0), NewFIFOPlus(0), NewFIFO()}, nil)
+			return NewPriority([]Scheduler{NewFIFOPlus(), NewFIFOPlus(), NewFIFO()}, nil)
 		},
 		"WFQ": func() Scheduler {
 			w := NewWFQ(1e6)

@@ -43,7 +43,7 @@ func NewUnified(p Profile, linkRate float64) *Unified {
 		case SharingRoundRobin:
 			levels[i] = NewDRR(float64(p.MaxPacketBits))
 		default:
-			levels[i] = NewFIFOPlus(p.FIFOPlusGain)
+			levels[i] = NewFIFOPlus()
 		}
 	}
 	levels[k] = NewFIFO() // datagram

@@ -82,7 +82,7 @@ type (
 	// one-heap engine.
 	PartitionSpec = core.PartitionSpec
 	// Profile is a per-port scheduling profile: discipline kind, sharing
-	// mode, class targets, datagram quota and FIFO+ gain. Pass one to
+	// mode, class targets and datagram quota. Pass one to
 	// Network.ConnectWith to deploy heterogeneous pipelines link by link.
 	Profile = sched.Profile
 	// Packet is the simulated packet.
