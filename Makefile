@@ -69,11 +69,14 @@ scenario-check:
 # benchmarks (one Add; a report's three ranks of 1 M samples); the recorder's
 # byte budgets are tests there. The third line runs the rate schedulers over
 # the shared flow table; each fails itself if a warmed-up enqueue+dequeue
-# cycle allocates. Timing lives in bench/ (see bench/README.md).
+# cycle allocates. The fourth runs internal/sim's hold model (fire one event,
+# schedule one) at three heap sizes; it fails itself if a warmed-up op
+# allocates. Timing lives in bench/ (see bench/README.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SimulatorThroughput|ShardedThroughput|FacadeSmallNetwork|MillionFlows|CallChurn' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'RecorderAdd|RecorderPercentiles' -benchtime 1x -benchmem ./internal/stats
 	$(GO) test -run '^$$' -bench 'WFQEnqueueDequeue|VirtualClockEnqueueDequeue|UnifiedEnqueueDequeue' -benchtime 1x -benchmem ./internal/sched
+	$(GO) test -run '^$$' -bench 'Hold' -benchtime 1x -benchmem ./internal/sim
 
 # bench/ is a module of its own, so the root build, vet and test never
 # compile it: vet and test it here so that removing an API the benchmark
@@ -105,13 +108,15 @@ profile:
 	@echo "wrote cpu.pprof and mem.pprof"
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing over the .ispn
-# lexer/parser and compiler, then a randomized scenario fuzz run — every
+# lexer/parser and compiler and over the event engine's firing order against
+# a sorted-slice model, then a randomized scenario fuzz run — every
 # world simulated sequentially and sharded under the invariant oracle with
 # byte-identical reports required (see docs/TESTING.md). The nightly CI job
 # runs the same harnesses much longer.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzCompileScenario -fuzztime 5s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 5s ./internal/sim
 	$(GO) run ./cmd/ispnsim -n 50 -seed 1 fuzz
 
 # Control-plane smoke: start a real `ispnsim serve`, drive a failover

@@ -10,17 +10,25 @@
 //
 // The fast path is allocation-free and pointer-free in steady state: the
 // pending queue is an index-based 4-ary min-heap of plain-value entries
-// (time, seq, node index) — sift operations move 24-byte values with no
+// (time bits, seq, node index) — sift operations move 24-byte values with no
 // interface boxing, no pointer chasing per comparison, and no GC write
-// barriers. Callback state lives in engine-owned nodes allocated in stable
-// blocks and recycled through a free list, and the prebound
-// ScheduleCall/AtCall form lets hot callers (one event per packet
+// barriers. Comparisons are branch-free: times are kept as their IEEE-754
+// bits, which order like the times themselves on the engine's domain
+// (non-negative, not NaN), so (time, seq) compares as one 128-bit
+// subtraction whose borrow is the answer, and siftDown picks the least of
+// four children with index arithmetic rather than jumps. Firing an event
+// leaves a hole at the root that the callback's first schedule fills and
+// sifts down once ("replace-top"), so the common fire-and-reschedule step
+// costs one sift instead of two. Callback state lives in engine-owned nodes
+// allocated in stable blocks and recycled through a free list, and the
+// prebound ScheduleCall/AtCall form lets hot callers (one event per packet
 // transmission) schedule without constructing a closure.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // node carries an event's callback state. Nodes live in fixed blocks (their
@@ -31,7 +39,6 @@ type node struct {
 	fn      func()    // closure form (Schedule/At)
 	call    func(any) // prebound form (ScheduleCall/AtCall)
 	arg     any
-	time    float64
 	ni      uint32 // this node's stable index
 	gen     uint32
 	pending bool
@@ -41,6 +48,11 @@ type node struct {
 // deliberately contains no pointers, so heap maintenance never pays a GC
 // write barrier and comparisons stay within the heap's own cache lines.
 //
+// tbits is math.Float64bits of the event time. insert admits only times
+// >= +0 that are not NaN, and on that domain the bit patterns order as
+// unsigned integers exactly as the times do (+Inf included), so (tbits, seq)
+// is one 128-bit key.
+//
 // seq is a composite tie-break: the top 24 bits hold the event's ordering
 // key and the low 40 bits an insertion counter, so same-time events fire
 // control first, then data-path events, then propagation deliveries in
@@ -48,16 +60,18 @@ type node struct {
 // same-instant ordering independent of *which engine* inserted the event,
 // which is what lets a sharded run replay the sequential order exactly.
 type entry struct {
-	time float64
-	seq  uint64
-	ni   uint32
+	tbits uint64
+	seq   uint64
+	ni    uint32
 }
 
-func entryLess(a, b entry) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.seq < b.seq
+// lessMask returns all ones if a orders before b and zero otherwise: the
+// borrow out of the 128-bit subtraction (a.tbits:a.seq) - (b.tbits:b.seq),
+// negated into a mask. No branch depends on the data.
+func lessMask(a, b *entry) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.tbits, b.tbits, borrow)
+	return -borrow
 }
 
 // Ordering keys for same-time tie-breaks. Every event carries a key; at one
@@ -104,9 +118,12 @@ func (e Event) Cancelled() bool {
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // ready to use.
 type Engine struct {
-	now       float64
-	seq       uint64
-	heap      []entry // 4-ary min-heap by (time, seq)
+	now  float64
+	seq  uint64
+	heap []entry // 4-ary min-heap by (time, seq)
+	// hole reports that heap[0] is vacant: runThrough popped the root and
+	// left the slot for the callback's first insert (see fill).
+	hole      bool
 	free      []*node // recycled nodes
 	blocks    []*[nodeBlockSize]node
 	stopped   bool
@@ -123,7 +140,12 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int {
+	if e.hole {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}
 
 // Schedule arranges for fn to run delay seconds from now. A negative delay is
 // treated as zero. It panics on NaN delays, which always indicate a
@@ -139,7 +161,7 @@ func (e *Engine) Schedule(delay float64, fn func()) Event {
 }
 
 // At arranges for fn to run at absolute time t. Times before the current
-// clock are clamped to now.
+// clock are clamped to now; a NaN time panics.
 func (e *Engine) At(t float64, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event function")
@@ -179,7 +201,8 @@ func (e *Engine) ScheduleCall(delay float64, call func(any), arg any) {
 	e.AtCall(e.now+delay, call, arg)
 }
 
-// AtCall is ScheduleCall with an absolute time, clamped to now.
+// AtCall is ScheduleCall with an absolute time, clamped to now; a NaN time
+// panics.
 func (e *Engine) AtCall(t float64, call func(any), arg any) {
 	e.AtCallKeyed(t, KeyData, call, arg)
 }
@@ -203,9 +226,16 @@ func (e *Engine) nodeAt(ni uint32) *node {
 
 // insert takes a node from the free list (growing the slab if needed),
 // stamps it and pushes its heap entry keyed by (time, key, insertion
-// counter).
+// counter). A time not after the clock is clamped to it, which also maps -0
+// onto the (non-negative) clock and keeps every tbits in the domain where
+// bit order is time order; NaN panics. If runThrough left a hole at the
+// root, the entry takes it and sifts down; otherwise it is appended and
+// sifts up.
 func (e *Engine) insert(t float64, key uint32) *node {
-	if t < e.now {
+	if !(t > e.now) {
+		if math.IsNaN(t) {
+			panic("sim: NaN event time")
+		}
 		t = e.now
 	}
 	if key > maxKey {
@@ -227,11 +257,17 @@ func (e *Engine) insert(t float64, key uint32) *node {
 	n := e.free[k]
 	e.free[k] = nil
 	e.free = e.free[:k]
-	n.time = t
 	n.pending = true
-	e.heap = append(e.heap, entry{time: t, seq: uint64(key)<<seqBits | e.seq, ni: n.ni})
+	it := entry{tbits: math.Float64bits(t), seq: uint64(key)<<seqBits | e.seq, ni: n.ni}
 	e.seq++
-	e.siftUp(len(e.heap) - 1)
+	if e.hole {
+		e.hole = false
+		e.heap[0] = it
+		e.siftDown(0)
+	} else {
+		e.heap = append(e.heap, it)
+		e.siftUp(len(e.heap) - 1)
+	}
 	return n
 }
 
@@ -249,12 +285,14 @@ func (e *Engine) recycle(n *node) {
 // already cancelled event is a no-op. It costs a linear scan of the pending
 // queue (which stays small — sources and busy ports each keep one event in
 // flight), a deliberate trade: fire-path sifts carry no per-node back
-// pointers to maintain.
+// pointers to maintain. Called from a callback that has not scheduled yet,
+// it first closes the root hole the firing event left.
 func (e *Engine) Cancel(ev Event) {
 	n := ev.n
 	if n == nil || n.gen != ev.gen || !n.pending {
 		return
 	}
+	e.fill()
 	for i := range e.heap {
 		if e.heap[i].ni == n.ni {
 			e.removeAt(i)
@@ -290,21 +328,21 @@ func (e *Engine) RunUntilBefore(t float64) {
 // to t >= through (unless the run was stopped early or t is infinite).
 func (e *Engine) runThrough(through, t float64) {
 	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		top := e.heap[0]
-		if top.time > through {
+	for !e.stopped {
+		e.fill()
+		if len(e.heap) == 0 {
 			break
 		}
-		// Pop the root in place.
-		h := e.heap
-		last := len(h) - 1
-		h[0] = h[last]
-		e.heap = h[:last]
-		if last > 1 {
-			e.siftDown(0)
+		top := e.heap[0]
+		tt := math.Float64frombits(top.tbits)
+		if tt > through {
+			break
 		}
-		if top.time > e.now {
-			e.now = top.time
+		// Pop the root by vacating it: the callback's first insert fills
+		// the hole, and fill closes one left unused.
+		e.hole = true
+		if tt > e.now {
+			e.now = tt
 		}
 		e.processed++
 		// Copy the callback out and recycle before invoking: the
@@ -319,6 +357,7 @@ func (e *Engine) runThrough(through, t float64) {
 			call(arg)
 		}
 	}
+	e.fill()
 	if !e.stopped && !math.IsInf(t, 1) && t > e.now {
 		e.now = t
 	}
@@ -327,18 +366,35 @@ func (e *Engine) runThrough(through, t float64) {
 // NextEventTime returns the time of the earliest pending event, or +Inf
 // with an empty queue. The shard coordinator uses it to bound each window.
 func (e *Engine) NextEventTime() float64 {
+	e.fill()
 	if len(e.heap) == 0 {
 		return math.Inf(1)
 	}
-	return e.heap[0].time
+	return math.Float64frombits(e.heap[0].tbits)
 }
 
 // String summarizes engine state, for debugging.
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now=%.6fs pending=%d processed=%d}", e.now, len(e.heap), e.processed)
+	return fmt.Sprintf("sim.Engine{now=%.6fs pending=%d processed=%d}", e.now, e.Pending(), e.processed)
 }
 
 // --- 4-ary heap of value entries -------------------------------------------
+
+// fill closes a hole left at the root by runThrough's pop: the last entry
+// moves into it and sifts down.
+func (e *Engine) fill() {
+	if !e.hole {
+		return
+	}
+	e.hole = false
+	h := e.heap
+	last := len(h) - 1
+	h[0] = h[last]
+	e.heap = h[:last]
+	if last > 1 {
+		e.siftDown(0)
+	}
+}
 
 // removeAt deletes the entry at heap index i.
 func (e *Engine) removeAt(i int) {
@@ -360,7 +416,7 @@ func (e *Engine) siftUp(i int) {
 	it := h[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !entryLess(it, h[parent]) {
+		if lessMask(&it, &h[parent]) == 0 {
 			break
 		}
 		h[i] = h[parent]
@@ -370,7 +426,10 @@ func (e *Engine) siftUp(i int) {
 }
 
 // siftDown restores the heap below index i and reports whether the entry
-// moved.
+// moved. A full family of four children is reduced to its least member by
+// two pairwise masks and a final one, selecting indices arithmetically; only
+// the test of whether the entry goes lower branches. The partial family at
+// the last level keeps a loop.
 func (e *Engine) siftDown(i int) bool {
 	h := e.heap
 	count := len(h)
@@ -378,16 +437,26 @@ func (e *Engine) siftDown(i int) bool {
 	i0 := i
 	for {
 		first := i<<2 + 1
-		if first >= count {
+		var best int
+		if first+3 < count {
+			c := h[first : first+4 : first+4]
+			m := lessMask(&c[1], &c[0])
+			a := first + int(m&1)
+			m = lessMask(&c[3], &c[2])
+			b := first + 2 + int(m&1)
+			m = lessMask(&h[b], &h[a])
+			best = a ^ (a^b)&int(m)
+		} else if first < count {
+			best = first
+			for c := first + 1; c < count; c++ {
+				if lessMask(&h[c], &h[best]) != 0 {
+					best = c
+				}
+			}
+		} else {
 			break
 		}
-		best := first
-		for c := first + 1; c < first+4 && c < count; c++ {
-			if entryLess(h[c], h[best]) {
-				best = c
-			}
-		}
-		if !entryLess(h[best], it) {
+		if lessMask(&h[best], &it) == 0 {
 			break
 		}
 		h[i] = h[best]

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -223,6 +226,67 @@ func TestNaNDelayPanics(t *testing.T) {
 	New().Schedule(math.NaN(), func() {})
 }
 
+// An absolute NaN time is as much a simulation bug as a NaN delay: every
+// entry point panics and leaves the queue untouched, rather than filing the
+// event somewhere arbitrary in the order.
+func TestNaNTimePanics(t *testing.T) {
+	nop := func(any) {}
+	for _, c := range []struct {
+		name string
+		at   func(e *Engine)
+	}{
+		{"At", func(e *Engine) { e.At(math.NaN(), func() {}) }},
+		{"AtControl", func(e *Engine) { e.AtControl(math.NaN(), func() {}) }},
+		{"AtCall", func(e *Engine) { e.AtCall(math.NaN(), nop, nil) }},
+		{"AtCallKeyed", func(e *Engine) { e.AtCallKeyed(math.NaN(), KeyDelivery, nop, nil) }},
+	} {
+		name, at := c.name, c.at
+		e := New()
+		e.At(1, func() {})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(NaN) did not panic", name)
+				}
+			}()
+			at(e)
+		}()
+		if e.Pending() != 1 || e.NextEventTime() != 1 {
+			t.Errorf("%s(NaN) left Pending() = %d, NextEventTime() = %v; want 1, 1", name, e.Pending(), e.NextEventTime())
+		}
+	}
+}
+
+// -0 is below no clock but is not the clock either: it is clamped to now, so
+// it fires on the clock in insertion order with everything else due then
+// (its raw bits would sort after every other time), and NextEventTime never
+// reports a negative zero.
+func TestNegativeZeroTimeClampsToClock(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	e := New()
+	var got []string
+	e.At(5, func() { got = append(got, "5") })
+	e.At(negZero, func() { got = append(got, "-0") })
+	e.At(0, func() { got = append(got, "0") })
+	if next := e.NextEventTime(); next != 0 || math.Signbit(next) {
+		t.Fatalf("NextEventTime() = %v (signbit %v), want +0", next, math.Signbit(next))
+	}
+	e.At(2, func() {
+		e.At(negZero, func() {
+			got = append(got, "-0@"+strconv.FormatFloat(e.Now(), 'g', -1, 64))
+		})
+		e.At(2, func() { got = append(got, "2") })
+	})
+	e.Run()
+	want := "[-0 0 -0@2 2 5]"
+	if s := fmt.Sprint(got); s != want {
+		t.Fatalf("fired %s, want %s", s, want)
+	}
+	if math.Signbit(e.Now()) {
+		t.Fatal("clock went negative")
+	}
+}
+
 func TestNilFuncPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -345,16 +409,48 @@ func BenchmarkScheduleFire(b *testing.B) {
 	}
 }
 
-func BenchmarkScheduleCallFire(b *testing.B) {
-	e := New()
-	b.ReportAllocs()
-	var tick func(any)
-	tick = func(arg any) {
-		e.ScheduleCall(0.001, tick, arg)
-	}
-	e.ScheduleCall(0, tick, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunUntil(e.Now() + 0.001)
+// BenchmarkHold is the classic hold model of a pending-event set: with n
+// events pending, each op fires the earliest and schedules one replacement
+// an exponential delay later, so the queue size stays n. The sizes are
+// chain_batch's and mesh_sharded's median pending counts and a
+// million_members-scale heap. The delays are drawn up front so the op times
+// the engine alone. The benchmark fails itself if a warmed-up op allocates;
+// `make bench-smoke` runs it at 1x for that check.
+func BenchmarkHold(b *testing.B) {
+	for _, n := range []int{32, 350, 2000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			delays := make([]float64, 4096)
+			for i := range delays {
+				delays[i] = rng.ExpFloat64()
+			}
+			e := New()
+			k := 0
+			var hold func(any)
+			hold = func(any) {
+				e.ScheduleCall(delays[k%len(delays)], hold, nil)
+				k++
+				e.Stop()
+			}
+			for i := 0; i < n; i++ {
+				e.ScheduleCall(delays[i%len(delays)], hold, nil)
+			}
+			step := e.Run
+			for i := 0; i < 4*n; i++ {
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.StopTimer()
+			if a := testing.AllocsPerRun(1000, step); a != 0 {
+				b.Fatalf("a steady-state hold op allocates %v times, want 0", a)
+			}
+			if e.Pending() != n {
+				b.Fatalf("Pending() = %d, want %d", e.Pending(), n)
+			}
+		})
 	}
 }
