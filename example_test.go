@@ -12,8 +12,8 @@ import (
 // measured delays sit far below it — the predicted-service bet.
 func Example() {
 	net := ispn.New(ispn.Config{
-		Seed:         42,
-		ClassTargets: []float64{0.100, 1.0},
+		Seed:    42,
+		Profile: ispn.Profile{ClassTargets: []float64{0.100, 1.0}},
 	})
 	net.AddSwitch("A")
 	net.AddSwitch("B")

@@ -25,8 +25,7 @@ const (
 func main() {
 	target := 0.25 // per-switch class delay target, seconds
 	net := ispn.New(ispn.Config{
-		PredictedClasses: 1,
-		ClassTargets:     []float64{target},
+		Profile:          ispn.Profile{ClassTargets: []float64{target}},
 		AdmissionControl: true,
 		Seed:             seed,
 	})

@@ -17,7 +17,7 @@ func main() {
 		Seed: 42,
 		// Per-switch a priori delay targets of the two predicted
 		// classes: 100 ms and 1 s.
-		ClassTargets: []float64{0.100, 1.0},
+		Profile: ispn.Profile{ClassTargets: []float64{0.100, 1.0}},
 	})
 	net.AddSwitch("A")
 	net.AddSwitch("B")

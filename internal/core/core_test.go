@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ispn/internal/packet"
+	"ispn/internal/sched"
 	"ispn/internal/sim"
 	"ispn/internal/source"
 )
@@ -217,7 +218,7 @@ func TestPredictedClassSelectionByDelay(t *testing.T) {
 func TestAdmissionControlEndToEnd(t *testing.T) {
 	// With admission control on, an unloaded link accepts a first flow
 	// and rejects a pile-up of declared rates.
-	n := twoSwitch(Config{AdmissionControl: true, ClassTargets: []float64{0.1, 1.0}})
+	n := twoSwitch(Config{AdmissionControl: true, Profile: sched.Profile{ClassTargets: []float64{0.1, 1.0}}})
 	accepted := 0
 	for i := 0; i < 10; i++ {
 		_, err := n.RequestGuaranteed(uint32(1+i), []string{"S1", "S2"}, GuaranteedSpec{ClockRate: 2e5})
@@ -265,24 +266,34 @@ func TestFlowTap(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	n := New(Config{})
 	cfg := n.Config()
-	if cfg.LinkRate != 1e6 || cfg.PredictedClasses != 2 ||
-		cfg.BufferPackets != 200 || cfg.MaxPacketBits != 1000 ||
-		cfg.DatagramQuota != 0.10 || len(cfg.ClassTargets) != 2 {
+	if cfg.LinkRate != 1e6 || cfg.Profile.Kind != sched.KindUnified ||
+		cfg.BufferPackets != 200 || cfg.Profile.MaxPacketBits != 1000 ||
+		cfg.Profile.DatagramQuota != 0.10 || len(cfg.Profile.ClassTargets) != 2 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 	// Targets are widely spaced (order of magnitude).
-	if cfg.ClassTargets[1] < 5*cfg.ClassTargets[0] {
-		t.Fatalf("class targets not widely spaced: %v", cfg.ClassTargets)
+	if cfg.Profile.ClassTargets[1] < 5*cfg.Profile.ClassTargets[0] {
+		t.Fatalf("class targets not widely spaced: %v", cfg.Profile.ClassTargets)
 	}
 }
 
-func TestMismatchedClassTargetsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched ClassTargets did not panic")
-		}
-	}()
-	New(Config{PredictedClasses: 3, ClassTargets: []float64{0.1}})
+// TestInvalidProfilePanics: New validates the default profile once, so an
+// unbuildable one is a bug at construction, not at the first link.
+func TestInvalidProfilePanics(t *testing.T) {
+	for _, p := range []sched.Profile{
+		{ClassTargets: []float64{0.1, 0}},
+		{Kind: "weird"},
+		{DatagramQuota: 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("profile %+v did not panic", p)
+				}
+			}()
+			New(Config{Profile: p})
+		}()
+	}
 }
 
 func TestReleaseUnknownFlowIsNoop(t *testing.T) {

@@ -16,122 +16,29 @@ import (
 	"ispn/internal/topology"
 )
 
-// NoDatagramQuota is the Config.DatagramQuota (and sched.Profile) sentinel
-// meaning "reserve nothing for datagram traffic". The zero value means "use
-// the paper's default" (0.10), so an explicit zero-quota network needs this
-// sentinel — any negative value works, this constant is the documented
-// spelling.
-const NoDatagramQuota = sched.NoDatagramQuota
-
-// Config parameterizes an ISPN network. It doubles as the *default per-port
-// scheduling profile*: every link created without an explicit profile runs
-// the pipeline these fields describe, and ConnectWith can override any of it
-// per link (heterogeneous deployments).
-//
-// Zero-value handling: a zero field selects the paper's default, which makes
-// "explicitly zero" inexpressible for two knobs. DatagramQuota has the
-// NoDatagramQuota sentinel for "no datagram reservation"; LinkRate has no
-// sentinel because a zero-rate link is meaningless (negative values panic
-// rather than being silently replaced).
+// Config parameterizes an ISPN network. A zero field selects the paper's
+// default. LinkRate has no "explicitly zero": a zero-rate link is
+// meaningless, and a negative rate panics rather than being replaced.
 type Config struct {
 	// LinkRate is the inter-switch link bandwidth in bits/second
 	// (paper: 1 Mbit/s). 0 selects the default; negative values panic.
 	LinkRate float64
-	// Discipline is the default per-port pipeline kind (sched.KindUnified
-	// when empty; see sched.PipelineKinds for the registry).
-	Discipline string
-	// PredictedClasses is K, the number of predicted-service priority
-	// classes (paper's Table 3 uses 2).
-	PredictedClasses int
-	// ClassTargets is the per-switch a priori delay bound Dᵢ of each
-	// predicted class, in seconds; the advertised bound for a path is
-	// the sum over its hops. Must have PredictedClasses entries. The
-	// paper wants these "widely spaced" (an order of magnitude apart).
-	ClassTargets []float64
 	// BufferPackets is the per-port buffer (paper: 200).
 	BufferPackets int
 	// PropDelay is the per-link propagation delay (paper: effectively 0).
 	PropDelay float64
-	// MaxPacketBits is the largest packet (paper: 1000); used in bound
-	// computation.
-	MaxPacketBits int
-	// Sharing selects the intra-class sharing discipline (ablations).
-	Sharing SharingMode
 	// AdmissionControl enables the Section 9 measurement-based admission
 	// test on Request* calls. When false, requests are only checked
 	// against the hard 90% reservation quota.
 	AdmissionControl bool
-	// DatagramQuota is the fraction of each link reserved for datagram
-	// traffic: 0 means the paper's default (0.10), NoDatagramQuota means
-	// no reservation at all.
-	DatagramQuota float64
 	// Seed drives all randomness derived from this network.
 	Seed int64
-}
-
-// SharingMode selects the sharing discipline inside each predicted class.
-// It is sched.Sharing; the core aliases keep the historical names.
-type SharingMode = sched.Sharing
-
-const (
-	// SharingFIFOPlus is the paper's design (FIFO+).
-	SharingFIFOPlus = sched.SharingFIFOPlus
-	// SharingFIFO is plain FIFO (no cross-hop correlation).
-	SharingFIFO = sched.SharingFIFO
-	// SharingRoundRobin is per-flow round robin (the Jacobson–Floyd
-	// alternative).
-	SharingRoundRobin = sched.SharingRoundRobin
-)
-
-func (c *Config) fillDefaults() {
-	if c.LinkRate < 0 {
-		panic(fmt.Sprintf("core: LinkRate must be positive, got %v", c.LinkRate))
-	}
-	if c.LinkRate == 0 {
-		c.LinkRate = 1e6
-	}
-	if c.PredictedClasses == 0 {
-		c.PredictedClasses = 2
-	}
-	if c.BufferPackets == 0 {
-		c.BufferPackets = topology.DefaultBufferPackets
-	}
-	if c.MaxPacketBits == 0 {
-		c.MaxPacketBits = 1000
-	}
-	// DatagramQuota: zero means the paper's default; NoDatagramQuota (any
-	// negative value) is kept as-is and interpreted as quota 0 everywhere
-	// via sched.Profile.Quota.
-	if c.DatagramQuota == 0 {
-		c.DatagramQuota = sched.DefaultDatagramQuota
-	}
-	if c.DatagramQuota >= 1 {
-		panic(fmt.Sprintf("core: DatagramQuota must be below 1, got %v", c.DatagramQuota))
-	}
-	if len(c.ClassTargets) == 0 {
-		// Widely spaced targets, an order of magnitude apart.
-		c.ClassTargets = make([]float64, c.PredictedClasses)
-		d := 0.032
-		for i := range c.ClassTargets {
-			c.ClassTargets[i] = d
-			d *= 10
-		}
-	}
-	if len(c.ClassTargets) != c.PredictedClasses {
-		panic("core: ClassTargets must match PredictedClasses")
-	}
-}
-
-// profile derives the default per-port scheduling profile from the filled
-// config.
-func (c *Config) profile() sched.Profile {
-	return sched.Profile{
-		Kind:          c.Discipline,
-		Sharing:       c.Sharing,
-		ClassTargets:  c.ClassTargets,
-		DatagramQuota: c.DatagramQuota,
-		MaxPacketBits: c.MaxPacketBits,
-	}.Normalize()
+	// Profile is the default per-port scheduling profile: every link
+	// created without one of its own runs the pipeline it describes, and
+	// ConnectWith can override it per link (heterogeneous deployments).
+	// sched.Profile.Normalize says what each zero field means; New
+	// normalizes and validates it once.
+	sched.Profile
 }
 
 // Network is an ISPN: a topology whose every output port runs a scheduling
@@ -142,7 +49,6 @@ func (c *Config) profile() sched.Profile {
 // results.
 type Network struct {
 	cfg   Config
-	def   sched.Profile // default per-port profile, derived from cfg
 	eng   *sim.Engine
 	topo  *topology.Network
 	pipes []sched.Pipeline        // port index -> pipeline
@@ -154,11 +60,9 @@ type Network struct {
 	// that operation created (see admitAlong).
 	ledgerSeq uint64
 
-	// Failure-aware rerouting (see reroute.go). routingSet distinguishes
-	// "never configured" from an explicit zero config; the counters total
-	// successful reroutes and refusals across all flows.
+	// Failure-aware rerouting (see reroute.go): the normalized config, and
+	// successful reroutes and refusals totalled across all flows.
 	routing         RoutingConfig
-	routingSet      bool
 	reroutes        int64
 	rerouteRefusals int64
 
@@ -185,16 +89,30 @@ type Network struct {
 	carrierSeq uint32
 }
 
-// New creates an empty ISPN.
+// New creates an empty ISPN. It panics on a negative LinkRate or an
+// unbuildable Profile: programmatic construction treats them as bugs.
 func New(cfg Config) *Network {
-	cfg.fillDefaults()
+	if cfg.LinkRate < 0 {
+		panic(fmt.Sprintf("core: LinkRate must be positive, got %v", cfg.LinkRate))
+	}
+	if cfg.LinkRate == 0 {
+		cfg.LinkRate = 1e6
+	}
+	if cfg.BufferPackets == 0 {
+		cfg.BufferPackets = topology.DefaultBufferPackets
+	}
+	cfg.Profile = cfg.Profile.Normalize()
+	if err := cfg.Profile.Validate(); err != nil {
+		panic(fmt.Sprintf("core: %v", err))
+	}
+	rc, _ := RoutingConfig{}.normalize()
 	eng := sim.New()
 	return &Network{
-		cfg:   cfg,
-		def:   cfg.profile(),
-		eng:   eng,
-		topo:  topology.NewNetwork(eng),
-		flows: make(map[uint32]*Flow),
+		cfg:     cfg,
+		eng:     eng,
+		topo:    topology.NewNetwork(eng),
+		flows:   make(map[uint32]*Flow),
+		routing: rc,
 	}
 }
 
@@ -209,12 +127,9 @@ func (n *Network) Pool() *packet.Pool { return n.topo.Pool() }
 // Topology exposes the underlying topology.
 func (n *Network) Topology() *topology.Network { return n.topo }
 
-// Config returns the network configuration (defaults filled).
+// Config returns the network configuration (defaults filled; its Profile
+// is what links get when ConnectWith is given none).
 func (n *Network) Config() Config { return n.cfg }
-
-// DefaultProfile returns the per-port scheduling profile links get when
-// ConnectWith is given none — the network config, seen as a profile.
-func (n *Network) DefaultProfile() sched.Profile { return n.def }
 
 // AddSwitch adds a switch.
 func (n *Network) AddSwitch(name string) { n.topo.AddNode(name) }
@@ -258,7 +173,7 @@ func (n *Network) ConnectWith(from, to string, rate, propDelay float64, prof *sc
 	if src.Port(to) != nil {
 		return nil, fmt.Errorf("core: duplicate link %s->%s", from, to)
 	}
-	effective := n.def
+	effective := n.cfg.Profile
 	if prof != nil {
 		effective = prof.Normalize()
 	}

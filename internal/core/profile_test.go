@@ -12,7 +12,7 @@ import (
 // admits reservations past the default 90% cap (the zero-value footgun fix:
 // quota 0 used to be silently replaced with 0.10).
 func TestNoDatagramQuotaSentinel(t *testing.T) {
-	n := New(Config{DatagramQuota: NoDatagramQuota})
+	n := New(Config{Profile: sched.Profile{DatagramQuota: sched.NoDatagramQuota}})
 	n.AddSwitch("A")
 	n.AddSwitch("B")
 	n.Connect("A", "B")

@@ -87,7 +87,6 @@ func (n *Network) SetRouting(rc RoutingConfig) error {
 		return err
 	}
 	n.routing = norm
-	n.routingSet = true
 	n.routeGraph = nil
 	n.invalidateRoutes()
 	return nil
@@ -133,13 +132,7 @@ func (n *Network) LookupRoute(from, to string) []string {
 
 // Routing returns the active routing configuration (normalized; Auto false
 // when SetRouting was never called).
-func (n *Network) Routing() RoutingConfig {
-	if !n.routingSet {
-		rc, _ := RoutingConfig{}.normalize()
-		return rc
-	}
-	return n.routing
-}
+func (n *Network) Routing() RoutingConfig { return n.routing }
 
 // RerouteTotals returns network-wide reroute and refusal counts.
 func (n *Network) RerouteTotals() (reroutes, refusals int64) {

@@ -100,7 +100,7 @@ func TestRouteCacheNeverServesStaleRoutes(t *testing.T) {
 	// A profile swap changes the max packet size feeding the delay cost;
 	// whatever the route, the cache must be dropped.
 	before := c.Stats().Invalidations
-	prof := n.DefaultProfile()
+	prof := n.Config().Profile
 	prof.MaxPacketBits = 2000
 	if err := n.SetLinkProfile("S1", "S2", prof); err != nil {
 		t.Fatal(err)

@@ -40,21 +40,12 @@ type Options struct {
 	// CheckBoundScale scales the delay bounds the oracle enforces (0 = 1,
 	// the real bounds). Harness tests shrink it to prove the checks bite.
 	CheckBoundScale float64
-	// ForceCacheScheme installs a destination-locality route cache even when
-	// the file declares none, without growing the report — the byte-identity
-	// harness uses it to prove cached runs report exactly what uncached runs
-	// do. Ignored when the file has its own RouteCache element. Accepts the
-	// routing.CacheSchemes names; ForceCacheSize is the entry count (0 =
-	// DefaultCacheSize).
-	ForceCacheScheme string
-	ForceCacheSize   int
 }
 
 // Defaults a scenario starts from when its file leaves a knob unset.
 const (
 	DefaultSeed      = 1992 // the paper's year
 	DefaultHorizon   = 60.0 // seconds
-	DefaultLinkRate  = 1e6  // bits/s
 	DefaultPktBits   = 1000 // bits
 	DefaultBucketPkt = 50   // token bucket depth in packets (the paper's 50)
 	DefaultCacheSize = 64   // RouteCache entries when the element names no size
@@ -142,12 +133,6 @@ type Sim struct {
 	// routing argument or a Reroute element), so the report prints the
 	// routing section even when no reroute ever fired.
 	routingOn bool
-
-	// cacheOn records that the *file* declared a RouteCache element — only
-	// then does the report print the cache section. A cache forced through
-	// Options leaves it false, so forced runs stay byte-identical to plain
-	// ones.
-	cacheOn bool
 }
 
 // AdmissionTotals counts runtime service requests (scripted events, churn
@@ -485,8 +470,8 @@ func (c *compiler) compile() *Sim {
 	if c.traceDt > 0 {
 		c.out.trace = newTraceRec(c.traceDt, c.horizon)
 	}
-	c.routingSetup(rerouteDecl)
-	c.cacheSetup(cacheDecl)
+	c.setupRouting(rerouteDecl)
+	c.setupCache(cacheDecl)
 	if !c.ok() {
 		return nil
 	}
@@ -709,6 +694,10 @@ func (c *compiler) runKnobs(d *Decl) {
 	}
 }
 
+// netArgNames is the accepted Net argument set, in documentation order: the
+// network knobs, then the profile arguments Link shares.
+var netArgNames = append([]string{"rate", "buffer", "maxpkt", "propdelay", "admission", "routing", "shards"}, profileArgNames...)
+
 func (c *compiler) netConfig(d *Decl) core.Config {
 	cfg := core.Config{Seed: c.seed}
 	if d == nil {
@@ -716,17 +705,10 @@ func (c *compiler) netConfig(d *Decl) core.Config {
 	}
 	a := c.argsOf(d)
 	cfg.LinkRate = a.bitrate("rate", 0, 0)
-	cfg.Discipline = a.enum("sched", "", sched.PipelineKinds()...)
-	cfg.PredictedClasses = a.count("classes", -1, 0)
-	cfg.ClassTargets = a.durList("targets", nil)
 	cfg.BufferPackets = a.count("buffer", -1, 0)
-	cfg.DatagramQuota = a.fraction("quota", -1, 0)
-	cfg.MaxPacketBits = a.count("maxpkt", -1, 0)
+	maxpkt := a.count("maxpkt", -1, 0)
 	cfg.PropDelay = a.duration("propdelay", -1, 0)
 	cfg.AdmissionControl = a.boolean("admission", false)
-	if s, ok := sharingMode(a); ok {
-		cfg.Sharing = s
-	}
 	c.netRouting = a.enum("routing", "", "static", "auto")
 	c.shards = a.count("shards", -1, 0)
 	if pos, ok := a.given("shards", -1); ok {
@@ -735,53 +717,34 @@ func (c *compiler) netConfig(d *Decl) core.Config {
 			c.failf(pos, "Net shards must be at least 1, got %d", c.shards)
 		}
 	}
-	a.finish("rate", "sched", "classes", "targets", "buffer", "quota", "maxpkt", "propdelay", "admission", "sharing", "routing", "shards")
-	// An explicit zero quota is expressible (no datagram reservation);
-	// core.Config spells it with the NoDatagramQuota sentinel because its
-	// zero value means "use the default".
-	if pos, ok := a.given("quota", -1); ok {
-		switch {
-		case cfg.DatagramQuota < 0 || cfg.DatagramQuota >= 1:
-			c.failf(pos, "Net quota must be a fraction in [0, 1), got %v", cfg.DatagramQuota)
-		case cfg.DatagramQuota == 0:
-			cfg.DatagramQuota = core.NoDatagramQuota
-		}
-	}
-	// For the remaining knobs core.Config treats zero as "use the
-	// default", so an explicit zero in the file would be silently
-	// replaced — reject it instead.
+	cfg.Profile = c.profileOver(c.linkProfile(a), sched.Profile{MaxPacketBits: maxpkt})
+	a.finish(netArgNames...)
+	// core.Config treats a zero as "use the default", so an explicit zero
+	// in the file would be silently replaced — reject it instead.
 	for _, z := range []struct {
 		name   string
 		posIdx int
 		val    float64
 	}{
 		{"rate", 0, cfg.LinkRate},
-		{"classes", -1, float64(cfg.PredictedClasses)},
 		{"buffer", -1, float64(cfg.BufferPackets)},
-		{"maxpkt", -1, float64(cfg.MaxPacketBits)},
+		{"maxpkt", -1, float64(maxpkt)},
 	} {
 		if pos, ok := a.given(z.name, z.posIdx); ok && z.val == 0 {
 			c.failf(pos, "Net %s must be positive (omit the argument for the default)", z.name)
 		}
 	}
-	if cfg.PredictedClasses != 0 && len(cfg.ClassTargets) != 0 &&
-		len(cfg.ClassTargets) != cfg.PredictedClasses {
-		c.failf(d.KindPos, "Net targets lists %d delays but classes is %d", len(cfg.ClassTargets), cfg.PredictedClasses)
-	}
-	if cfg.PredictedClasses == 0 && len(cfg.ClassTargets) != 0 {
-		cfg.PredictedClasses = len(cfg.ClassTargets)
-	}
 	return cfg
 }
 
-// routingSetup configures failure-aware rerouting from the Net "routing"
+// setupRouting configures failure-aware rerouting from the Net "routing"
 // argument and the optional Reroute element. `Net(routing auto)` alone turns
 // on automatic rerouting with the defaults (shortest path by hops); a
 // Reroute element refines policy/cost/paths and itself implies auto unless
 // it says `auto off` (an explicit Reroute auto argument also overrides the
 // Net shorthand). Scenarios with neither leave routing untouched, so static
 // reports stay bit-identical.
-func (c *compiler) routingSetup(d *Decl) {
+func (c *compiler) setupRouting(d *Decl) {
 	rc := core.RoutingConfig{Auto: c.netRouting == "auto"}
 	if d == nil && c.netRouting == "" {
 		return
@@ -812,57 +775,31 @@ func (c *compiler) routingSetup(d *Decl) {
 	c.out.routingOn = true
 }
 
-// cacheSetup installs the destination-locality route cache. A RouteCache
-// element declares one for the scenario — its eviction scheme, its size, and
-// a cache section in the report. The Options force-cache knobs install one
-// silently instead (no report section), and are ignored when the file has its
-// own element: the file's declaration is part of the scenario's meaning.
-// Either way the cache only accelerates — the core invalidates it on every
+// setupCache installs the destination-locality route cache a RouteCache
+// element declares: its eviction scheme, its size, and a cache section in the
+// report. The cache only accelerates — the core invalidates it on every
 // routing-relevant event, so cached and uncached runs are byte-identical.
-func (c *compiler) cacheSetup(d *Decl) {
+func (c *compiler) setupCache(d *Decl) {
+	if d == nil || !c.ok() {
+		return
+	}
+	a := c.argsOf(d)
+	scheme := a.enum("scheme", routing.CacheLRU, routing.CacheSchemes...)
+	size := a.count("size", -1, DefaultCacheSize)
+	a.finish("scheme", "size")
 	if !c.ok() {
 		return
 	}
-	scheme, size := c.opts.ForceCacheScheme, c.opts.ForceCacheSize
-	if d != nil {
-		a := c.argsOf(d)
-		scheme = a.enum("scheme", routing.CacheLRU, routing.CacheSchemes...)
-		size = a.count("size", -1, DefaultCacheSize)
-		a.finish("scheme", "size")
-		if !c.ok() {
-			return
-		}
-		if size < 1 {
-			c.failf(d.KindPos, "RouteCache size must be at least 1, got %d", size)
-			return
-		}
-		c.out.cacheOn = true
-	}
-	if scheme == "" {
-		return
-	}
 	if size < 1 {
-		size = DefaultCacheSize
+		c.failf(d.KindPos, "RouteCache size must be at least 1, got %d", size)
+		return
 	}
 	cache, err := routing.NewCache(scheme, size, sim.DeriveRNG(c.seed, "routecache"))
 	if err != nil {
-		pos := Pos{}
-		if d != nil {
-			pos = d.KindPos
-		}
-		c.failf(pos, "%v", err)
+		c.failf(d.KindPos, "%v", err)
 		return
 	}
 	c.net.SetRouteCache(cache)
-}
-
-// defaultLinkRate is the rate links take when neither the link nor Net names
-// one.
-func (c *compiler) defaultLinkRate() float64 {
-	if r := c.net.Config().LinkRate; r > 0 {
-		return r
-	}
-	return DefaultLinkRate
 }
 
 func (c *compiler) addSwitch(name string, pos Pos) {
@@ -893,19 +830,16 @@ func (c *compiler) isLinkChain(ch *Chain) bool {
 }
 
 func (c *compiler) linkChain(ch *Chain) {
-	rate := c.defaultLinkRate()
-	delay := c.net.Config().PropDelay
+	cfg := c.net.Config()
+	rate, delay := cfg.LinkRate, cfg.PropDelay
 	var prof *sched.Profile
 	if len(ch.Attrs) > 0 {
 		a := c.argsOf(&Decl{Kind: "Link", KindPos: ch.Ends[0].Pos, Args: ch.Attrs})
 		rate = a.bitrate("rate", 0, rate)
 		delay = a.duration("delay", 1, delay)
-		patch := c.linkProfile(a)
+		p := c.profileOver(c.linkProfile(a), cfg.Profile)
 		a.finish(linkArgNames...)
-		if patch.any() {
-			p := patch.apply(c.net.DefaultProfile())
-			prof = &p
-		}
+		prof = &p
 	}
 	for i := 0; i < len(ch.Ends)-1; i++ {
 		from, to := ch.Ends[i], ch.Ends[i+1]

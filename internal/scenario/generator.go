@@ -19,7 +19,7 @@ import (
 func (c *compiler) generate(d *Decl) {
 	name := d.Names[0]
 	a := c.argsOf(d)
-	rate := a.bitrate("rate", -1, c.defaultLinkRate())
+	rate := a.bitrate("rate", -1, c.net.Config().LinkRate)
 	delay := a.duration("delay", -1, c.net.Config().PropDelay)
 	sub := func(role string) string { return name.Text + "." + role }
 	duplex := func(x, y string) {

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+
 	"ispn/internal/sched"
 )
 
@@ -10,15 +12,19 @@ import (
 //	core1 -> core2 :: Link(rate 1Mbps, sched wfq)
 //	s3 -> s4 :: Link(sharing fifo, targets [32ms, 320ms], quota 5%)
 //
-// Static links build their pipeline from the network default profile with
-// the given fields overridden; inside an at block the same arguments become
-// a live profile swap, merged over the link's *current* profile at event
-// time (renew-style: give only what changes).
+// Net takes the same profile arguments, applied over sched.Profile{}: that is
+// the network default profile. Static links build their pipeline from it
+// with the given fields overridden; inside an at block the same arguments
+// become a live profile swap, merged over the link's *current* profile at
+// event time (renew-style: give only what changes).
+
+// profileArgNames are the scheduling-profile arguments Net and Link share.
+var profileArgNames = []string{"sched", "sharing", "classes", "targets", "quota"}
 
 // linkArgNames is the accepted Link argument set, in documentation order.
-var linkArgNames = []string{"rate", "delay", "sched", "sharing", "classes", "targets", "quota"}
+var linkArgNames = append([]string{"rate", "delay"}, profileArgNames...)
 
-// profPatch is a partial scheduling profile: the Link arguments that were
+// profPatch is a partial scheduling profile: the profile arguments that were
 // actually written, ready to be applied over a base profile.
 type profPatch struct {
 	kind       string
@@ -27,6 +33,12 @@ type profPatch struct {
 	targets    []float64
 	quota      float64
 	quotaSet   bool
+	// classes, when classesSet, is a declared class count that apply
+	// checks against the base's targets (a written targets list is checked
+	// against it at once).
+	classes    int
+	classesSet bool
+	classesPos Pos
 }
 
 // any reports whether the patch changes anything.
@@ -34,8 +46,10 @@ func (p profPatch) any() bool {
 	return p.kind != "" || p.sharingSet || len(p.targets) > 0 || p.quotaSet
 }
 
-// apply overlays the patch on base and returns the resulting profile.
-func (p profPatch) apply(base sched.Profile) sched.Profile {
+// apply overlays the patch on base and returns the resulting normalized
+// profile, or an error when a declared classes count does not match its
+// targets.
+func (p profPatch) apply(base sched.Profile) (sched.Profile, error) {
 	out := base
 	if p.kind != "" {
 		out.Kind = p.kind
@@ -49,33 +63,32 @@ func (p profPatch) apply(base sched.Profile) sched.Profile {
 	if p.quotaSet {
 		out.DatagramQuota = p.quota
 	}
-	return out.Normalize()
+	out = out.Normalize()
+	if p.classesSet && p.classes != out.Classes() {
+		return out, fmt.Errorf("classes needs a matching targets list: classes is %d, the profile has %d targets", p.classes, out.Classes())
+	}
+	return out, nil
 }
 
-// sharingMode consumes the "sharing" argument (Net and Link share the
-// spelling), reporting whether it was given at all.
-func sharingMode(a *argSet) (sched.Sharing, bool) {
-	if _, ok := a.given("sharing", -1); !ok {
-		return sched.SharingFIFOPlus, false
-	}
-	switch a.enum("sharing", "fifoplus", "fifoplus", "fifo", "rr") {
-	case "fifo":
-		return sched.SharingFIFO, true
-	case "rr":
-		return sched.SharingRoundRobin, true
-	}
-	return sched.SharingFIFOPlus, true
-}
-
-// linkProfile consumes the scheduling-profile arguments of a Link argument
-// set, validating each with the argument's position: the discipline name
-// against the sched pipeline registry, targets as positive durations, the
-// quota as a fraction below 1 (an explicit 0 means "no datagram
-// reservation"), and a classes count against the targets list length.
+// linkProfile consumes the scheduling-profile arguments of a Net or Link
+// argument set, validating each with the argument's position: the
+// discipline name against the sched pipeline registry, the sharing mode,
+// targets as positive durations, the quota as a fraction below 1 (an
+// explicit 0 means "no datagram reservation"), and a classes count against
+// a written targets list. classes never generates targets; without a
+// targets list apply checks it against the base profile's.
 func (c *compiler) linkProfile(a *argSet) profPatch {
 	var p profPatch
 	p.kind = a.enum("sched", "", sched.PipelineKinds()...)
-	p.sharing, p.sharingSet = sharingMode(a)
+	if _, ok := a.given("sharing", -1); ok {
+		p.sharingSet = true
+		switch a.enum("sharing", "fifoplus", "fifoplus", "fifo", "rr") {
+		case "fifo":
+			p.sharing = sched.SharingFIFO
+		case "rr":
+			p.sharing = sched.SharingRoundRobin
+		}
+	}
 	targetsPos, targetsGiven := a.given("targets", -1)
 	p.targets = a.durList("targets", nil)
 	for _, d := range p.targets {
@@ -98,14 +111,21 @@ func (c *compiler) linkProfile(a *argSet) profPatch {
 	}
 	if pos, ok := a.given("classes", -1); ok {
 		classes := a.count("classes", -1, 0)
-		if !targetsGiven {
-			c.failf(pos, "classes needs a matching targets list (targets [32ms, 320ms])")
-			return p
-		}
-		if classes != len(p.targets) {
+		if targetsGiven && classes != len(p.targets) {
 			c.failf(targetsPos, "targets lists %d delays but classes is %d", len(p.targets), classes)
 			return p
 		}
+		p.classes, p.classesSet, p.classesPos = classes, true, pos
 	}
 	return p
+}
+
+// profileOver applies a compile-time patch (Net's, or a static link's) over
+// base, reporting a classes mismatch at the classes argument.
+func (c *compiler) profileOver(p profPatch, base sched.Profile) sched.Profile {
+	out, err := p.apply(base)
+	if err != nil {
+		c.failf(p.classesPos, "%v", err)
+	}
+	return out
 }

@@ -2,15 +2,16 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ispn/internal/sched"
 )
 
-// TestLinkProfileDiagnostics asserts that malformed Link(...) scheduling
-// profile arguments are rejected with the exact file:line:col of the
-// offending token — wrong unit dimensions, unknown discipline names, and
+// TestLinkProfileDiagnostics asserts that malformed Net(...) and Link(...)
+// scheduling profile arguments are rejected with the exact file:line:col of
+// the offending token — wrong unit dimensions, unknown discipline names, and
 // targets/classes mismatches included.
 func TestLinkProfileDiagnostics(t *testing.T) {
 	cases := []struct {
@@ -95,6 +96,43 @@ c -> d
 at 2s { a -> b :: Link(sched nope) }`,
 			wantPos:  "7:30",
 			wantText: "must be one of: drr, edd, fifo, fifoplus, stopandgo, unified, virtualclock, wfq",
+		},
+		// Net reads its profile arguments through the same parser as Link.
+		{
+			name: "Net zero target",
+			src: `n :: Net(targets [0ms])
+a, b :: Switch
+a -> b`,
+			wantPos:  "1:18",
+			wantText: "targets must be positive delays",
+		},
+		{
+			name:     "Net zero target without links",
+			src:      `n :: Net(targets [0ms])`,
+			wantPos:  "1:18",
+			wantText: "targets must be positive delays",
+		},
+		{
+			name:     "Net targets classes mismatch",
+			src:      `n :: Net(classes 3, targets [1ms, 2ms])`,
+			wantPos:  "1:29",
+			wantText: "targets lists 2 delays but classes is 3",
+		},
+		{
+			name:     "Net classes without targets",
+			src:      `n :: Net(classes 3)`,
+			wantPos:  "1:18",
+			wantText: "classes needs a matching targets list: classes is 3, the profile has 2 targets",
+		},
+		{
+			// classes 2 checks out on a 2-class hop; the next diagnostic is
+			// the flow asking for a third class.
+			name: "Link classes matching the hop",
+			src: `a, b :: Switch
+a -> b :: Link(classes 2)
+f :: Predicted(rate 85kbps, class 2, path a -> b)`,
+			wantPos:  "3:6",
+			wantText: "class 2 out of range (2 classes on this path)",
 		},
 	}
 	for _, tc := range cases {
@@ -287,5 +325,63 @@ run :: Run(seed 3, horizon 10s)
 	}
 	for _, v := range rep.Check.Violations {
 		t.Error(v)
+	}
+}
+
+// TestNetProfileIsDefaultLink: Net's profile arguments are the default
+// Link(...). A plain link under Net(args) and Link(args) under a bare Net
+// get the same port profile and print the same report.
+func TestNetProfileIsDefaultLink(t *testing.T) {
+	const body = `
+a, b :: Switch
+a -> b%s
+g :: Guaranteed(rate 100kbps, path a -> b)
+f :: Predicted(rate 85kbps, path a -> b)
+d :: Datagram(path a -> b)
+gs :: CBR(rate 90pps)
+fs :: Markov(peak 170pps, avg 85pps)
+ds :: Poisson(rate 700pps)
+gs -> g
+fs -> f
+ds -> d
+r :: Run(seed 5, horizon 3s)
+`
+	for _, args := range []string{
+		"sched wfq",
+		"sched virtualclock, quota 0%",
+		"sharing rr",
+		"sharing fifo, quota 25%",
+		"targets [10ms, 100ms, 1s]",
+		"classes 2",
+		"classes 1, targets [50ms]",
+	} {
+		viaNet := mustCompile(t, "n :: Net("+args+")"+fmt.Sprintf(body, ""), Options{})
+		viaLink := mustCompile(t, "n :: Net"+fmt.Sprintf(body, " :: Link("+args+")"), Options{})
+		pt := func(s *Sim) sched.Profile { return s.Net.ProfileAt(s.Net.Topology().Node("a").Port("b")) }
+		if p, q := pt(viaNet), pt(viaLink); !reflect.DeepEqual(p, q) {
+			t.Errorf("%s: Net profile %+v, Link profile %+v", args, p, q)
+		}
+		if a, b := viaNet.Run().Format(), viaLink.Run().Format(); a != b {
+			t.Errorf("%s: reports differ: %s", args, firstDiff(a, b))
+		}
+	}
+}
+
+// TestLinkEventClassesCheckedAtEventTime: an at-block classes count without
+// targets is checked against the link's profile when the event fires, and a
+// mismatch is a warning that leaves the profile alone.
+func TestLinkEventClassesCheckedAtEventTime(t *testing.T) {
+	s := mustCompile(t, `
+a, b :: Switch
+a -> b :: Link(targets [10ms, 100ms, 1s])
+r :: Run(horizon 2s)
+at 1s { a -> b :: Link(classes 2, sharing fifo) }`, Options{})
+	rep := s.Run()
+	want := "at 1s: link a->b: classes needs a matching targets list: classes is 2, the profile has 3 targets"
+	if len(rep.Warnings) != 1 || rep.Warnings[0] != want {
+		t.Fatalf("warnings = %q, want [%q]", rep.Warnings, want)
+	}
+	if p, _ := s.Net.LinkProfile("a", "b"); p.Sharing != sched.SharingFIFOPlus {
+		t.Errorf("refused swap changed sharing to %v", p.Sharing)
 	}
 }

@@ -229,17 +229,15 @@ func (s *Sim) buildReport() *Report {
 		re, ref := s.Net.RerouteTotals()
 		r.Routing = &RoutingTotals{Reroutes: re, Refusals: ref}
 	}
-	if s.cacheOn {
-		if c := s.Net.RouteCache(); c != nil {
-			st := c.Stats()
-			r.RouteCache = &RouteCacheReport{
-				Scheme:        c.Scheme(),
-				Size:          c.Size(),
-				Hits:          st.Hits,
-				Misses:        st.Misses,
-				Evictions:     st.Evictions,
-				Invalidations: st.Invalidations,
-			}
+	if c := s.Net.RouteCache(); c != nil {
+		st := c.Stats()
+		r.RouteCache = &RouteCacheReport{
+			Scheme:        c.Scheme(),
+			Size:          c.Size(),
+			Hits:          st.Hits,
+			Misses:        st.Misses,
+			Evictions:     st.Evictions,
+			Invalidations: st.Invalidations,
 		}
 	}
 	if tr := s.trace; tr != nil {

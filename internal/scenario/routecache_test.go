@@ -143,11 +143,12 @@ at 25s { restore site.hub -> site.leaf2 }
 	}
 }
 
-// TestCachedRunsAreByteIdentical is the tentpole's correctness contract at
-// the scenario level: for every shipped scenario, a run with a force-installed
-// route cache must produce the byte-identical report of the plain run —
-// sequentially and sharded. The forced cache prints nothing; it may only
-// change how fast routes are computed, never which routes.
+// TestCachedRunsAreByteIdentical is the route cache's correctness contract
+// at the scenario level: for every shipped scenario, a run with a RouteCache
+// declaration appended must report, cache section aside, exactly what the
+// uncached run does — sequentially and sharded. The cache may only change
+// how fast routes are computed, never which routes. A file's own RouteCache
+// line is dropped from both runs.
 func TestCachedRunsAreByteIdentical(t *testing.T) {
 	entries, err := os.ReadDir(libraryDir)
 	if err != nil {
@@ -157,16 +158,27 @@ func TestCachedRunsAreByteIdentical(t *testing.T) {
 		if !strings.HasSuffix(e.Name(), ".ispn") {
 			continue
 		}
-		path := filepath.Join(libraryDir, e.Name())
+		data, err := os.ReadFile(filepath.Join(libraryDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plain strings.Builder
+		for _, line := range strings.SplitAfter(string(data), "\n") {
+			if !strings.Contains(line, ":: RouteCache") {
+				plain.WriteString(line)
+			}
+		}
+		run := func(t *testing.T, src string, shards int) string {
+			rep := mustCompile(t, src, Options{Horizon: 3, Shards: shards}).Run()
+			rep.RouteCache = nil
+			return rep.Format()
+		}
 		t.Run(e.Name(), func(t *testing.T) {
 			t.Parallel()
 			for _, shards := range []int{1, 4} {
-				base := runReport(t, path, Options{Horizon: 3, Shards: shards})
+				base := run(t, plain.String(), shards)
 				for _, scheme := range []string{"lru", "direct"} {
-					got := runReport(t, path, Options{
-						Horizon: 3, Shards: shards,
-						ForceCacheScheme: scheme, ForceCacheSize: 16,
-					})
+					got := run(t, plain.String()+"\nforced :: RouteCache(scheme "+scheme+", size 16)\n", shards)
 					if got != base {
 						t.Errorf("shards=%d scheme=%s: cached report differs: %s",
 							shards, scheme, firstDiff(base, got))

@@ -150,7 +150,11 @@ func (c *compiler) linkEvent(ch *Chain, at float64) {
 		if err != nil {
 			return err
 		}
-		return n.SetLinkProfile(from, to, patch.apply(base))
+		prof, err := patch.apply(base)
+		if err != nil {
+			return fmt.Errorf("link %s->%s: %v", from, to, err)
+		}
+		return n.SetLinkProfile(from, to, prof)
 	})
 }
 

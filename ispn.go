@@ -22,20 +22,9 @@
 // flows and a pseudo "flow 0" carrying the strict-priority FIFO+ classes
 // plus datagram traffic.
 //
-// # Quick start
-//
-//	net := ispn.New(ispn.Config{LinkRate: 1e6, PredictedClasses: 2})
-//	net.AddSwitch("A")
-//	net.AddSwitch("B")
-//	net.Connect("A", "B")
-//	flow, err := net.RequestPredicted(1, []string{"A", "B"}, ispn.PredictedSpec{
-//		TokenRate: 85_000, BucketBits: 50_000, Delay: 0.1, Loss: 0.01,
-//	})
-//	// attach a source to flow.Inject, run, read flow.Meter()
-//	net.Run(60)
-//
-// See examples/ for runnable scenarios and internal/experiments for the
-// reproduction of the paper's Tables 1-3.
+// The package Example (example_test.go) is a compiled, output-checked quick
+// start. See examples/ for runnable scenarios and internal/experiments for
+// the reproduction of the paper's Tables 1-3.
 package ispn
 
 import (
@@ -53,8 +42,8 @@ import (
 
 // Core architecture types.
 type (
-	// Config parameterizes a network (link rate, predicted classes,
-	// class delay targets, admission control, ...).
+	// Config parameterizes a network (link rate, admission control, the
+	// default per-port Profile, ...).
 	Config = core.Config
 	// Network is an ISPN instance.
 	Network = core.Network
@@ -70,7 +59,7 @@ type (
 	// PredictedSpec is the predicted-service request (r, b, D, L).
 	PredictedSpec = core.PredictedSpec
 	// SharingMode selects the intra-class sharing discipline.
-	SharingMode = core.SharingMode
+	SharingMode = sched.Sharing
 	// RoutingConfig configures failure-aware rerouting (pass to
 	// Network.SetRouting): automatic reroute on FailLink, path policy
 	// (shortest/spread) and link cost (hops/delay/load).
@@ -97,9 +86,9 @@ type (
 
 // Sharing modes (ablations; the paper's design is SharingFIFOPlus).
 const (
-	SharingFIFOPlus = core.SharingFIFOPlus
-	SharingFIFO     = core.SharingFIFO
-	SharingRR       = core.SharingRoundRobin
+	SharingFIFOPlus = sched.SharingFIFOPlus
+	SharingFIFO     = sched.SharingFIFO
+	SharingRR       = sched.SharingRoundRobin
 )
 
 // Routing policies for RoutingConfig.Policy.
@@ -118,10 +107,10 @@ const (
 	KindDRR          = sched.KindDRR
 )
 
-// NoDatagramQuota is the Config/Profile DatagramQuota sentinel meaning
-// "reserve nothing for datagram traffic" (the zero value means "use the
-// paper's default 10%").
-const NoDatagramQuota = core.NoDatagramQuota
+// NoDatagramQuota is the Profile.DatagramQuota sentinel meaning "reserve
+// nothing for datagram traffic" (the zero value means "use the paper's
+// default 10%").
+const NoDatagramQuota = sched.NoDatagramQuota
 
 // PipelineKinds returns the registered per-port pipeline kind names.
 func PipelineKinds() []string { return sched.PipelineKinds() }
@@ -133,7 +122,7 @@ const (
 	Datagram   = packet.Datagram
 )
 
-// New creates a network whose links all run the unified scheduler.
+// New creates a network whose links run cfg.Profile (unified by default).
 func New(cfg Config) *Network { return core.New(cfg) }
 
 // PGBound is the Parekh-Gallager queueing-delay bound as the paper prints
