@@ -28,7 +28,7 @@ var mapRangePackages = []string{
 // independent and allowed without annotation:
 //
 //   - collect-then-sort: every statement in the body is an append (the
-//     sortedKeys idiom — gather keys, sort outside the loop);
+//     invariant Oracle.Totals idiom — gather keys, sort outside the loop);
 //   - map clear: the body only deletes the iterated key from the ranged map;
 //   - keyed fill: the body is exactly dst[k] = expr with k the range key —
 //     distinct keys make the writes commute (expr must be call-free);
@@ -65,7 +65,7 @@ func runMapRange(pass *Pass) error {
 			if orderIndependentBody(pass, rs) {
 				return true
 			}
-			pass.Reportf(rs.Pos(), "range over map %s iterates in nondeterministic order; collect and sort the keys first (see core.sortedKeys), or justify with //ispnvet:allow maprange: <why>", types.ExprString(rs.X))
+			pass.Reportf(rs.Pos(), "range over map %s iterates in nondeterministic order; collect and sort the keys first (see invariant.(*Oracle).Totals), or justify with //ispnvet:allow maprange: <why>", types.ExprString(rs.X))
 			return true
 		})
 	}

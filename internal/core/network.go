@@ -706,12 +706,17 @@ func (n *Network) RequestGuaranteed(id uint32, path []string, spec GuaranteedSpe
 	return f, nil
 }
 
-// flowPath is the prologue every flow request shares: the id must be free
-// and the path is interned; a guaranteed or predicted flow needs at least
-// one link to make its commitment on.
+// flowPath is the prologue every flow request shares: the id must be free,
+// the path must name at least its ingress switch (a destination lookup that
+// found no route hands in an empty one), and the path is interned; a
+// guaranteed or predicted flow needs at least one link to make its
+// commitment on.
 func (n *Network) flowPath(id uint32, path []string, class packet.Class) (PathID, []*topology.Port, error) {
 	if _, dup := n.flows[id]; dup {
 		return 0, nil, fmt.Errorf("core: flow %d already exists", id)
+	}
+	if len(path) == 0 {
+		return 0, nil, fmt.Errorf("core: %v flow needs a path", class)
 	}
 	pid := n.InternPath(path)
 	ports := n.pathPortsByID(pid)

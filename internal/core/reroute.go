@@ -31,48 +31,22 @@ import (
 // quota/admission test, and any flow is refused when no alternate path
 // exists. Per-flow and network counters record both outcomes for reports.
 
-// Routing policies: how a new path is chosen among candidates.
-const (
-	// PolicyShortest always takes the minimum-cost path.
-	PolicyShortest = "shortest"
-	// PolicySpread enumerates up to RoutingConfig.Paths alternates and
-	// assigns flows to them round-robin by flow id, spreading rerouted
-	// load instead of stampeding the single shortest detour.
-	PolicySpread = "spread"
-)
-
 // RoutingConfig configures the reroute subsystem.
 type RoutingConfig struct {
 	// Auto reroutes every affected flow when FailLink takes a link down.
 	// Without it, RerouteFlow/RerouteAround still work on demand.
 	Auto bool
-	// Policy is PolicyShortest ("" selects it) or PolicySpread.
-	Policy string
-	// Cost names the link cost: "hops" ("" selects it), "delay", or
-	// "load" (see routing.CostByName).
+	// Cost names the link cost a new path minimizes: "hops" ("" selects
+	// it) or "delay" (see routing.CostByName).
 	Cost string
-	// Paths bounds the alternates PolicySpread considers (0 = 4).
-	Paths int
 }
 
 func (rc RoutingConfig) normalize() (RoutingConfig, error) {
-	if rc.Policy == "" {
-		rc.Policy = PolicyShortest
-	}
-	if rc.Policy != PolicyShortest && rc.Policy != PolicySpread {
-		return rc, fmt.Errorf("core: unknown routing policy %q (policies: shortest, spread)", rc.Policy)
-	}
 	if rc.Cost == "" {
 		rc.Cost = routing.CostNameHops
 	}
 	if _, err := routing.CostByName(rc.Cost, nil); err != nil {
 		return rc, err
-	}
-	if rc.Paths == 0 {
-		rc.Paths = 4
-	}
-	if rc.Paths < 1 {
-		return rc, fmt.Errorf("core: routing paths must be positive, got %d", rc.Paths)
 	}
 	return rc, nil
 }
@@ -96,8 +70,7 @@ func (n *Network) SetRouting(rc RoutingConfig) error {
 // route cache in front of shortest-path computation. The core invalidates it
 // on every event that can change a shortest path — FailLink, RestoreLink,
 // SetLink, SetLinkProfile, SetRouting, new links — so cached and uncached
-// runs stay byte-identical. Load-cost lookups bypass the cache: that cost
-// moves with traffic, not with events.
+// runs stay byte-identical.
 func (n *Network) SetRouteCache(c *routing.Cache) { n.routeCache = c }
 
 // RouteCache returns the installed route cache, or nil.
@@ -118,7 +91,7 @@ func (n *Network) invalidateRoutes() {
 // destination-addressed traffic onto paths.
 func (n *Network) LookupRoute(from, to string) []string {
 	cost := n.Routing().Cost
-	if n.routeCache == nil || cost == routing.CostNameLoad {
+	if n.routeCache == nil {
 		p, _ := n.graph().ShortestPath(from, to, n.eng.Now(), nil)
 		return p
 	}
@@ -141,8 +114,8 @@ func (n *Network) RerouteTotals() (reroutes, refusals int64) {
 
 // graph returns the persistent routing view for the active cost function,
 // building it on first use (SetRouting drops it, since the cost may change).
-// The delay and load costs price each hop with its own profile's maximum
-// packet size, matching the per-port sums the bound math uses; paths are
+// The delay cost prices each hop with its own profile's maximum packet
+// size, matching the per-port sums the bound math uses; paths are
 // still computed against the live topology at call time, so the graph
 // survives topology events.
 func (n *Network) graph() *routing.Graph {
@@ -159,41 +132,21 @@ func (n *Network) graph() *routing.Graph {
 
 // chooser computes new paths for one reroute sweep, caching per (src, dst):
 // a sweep happens at one simulated instant on a topology that does not
-// change between its flows, so flows sharing endpoints reuse one Dijkstra
-// (spread: one alternates enumeration, still picking per flow id).
+// change between its flows, so flows sharing endpoints reuse one Dijkstra.
 type chooser struct {
 	n        *Network
-	g        *routing.Graph
-	now      float64
-	shortest map[[2]string][]string   // nil value = cached "no path"
-	alts     map[[2]string][][]string // nil value = cached "no path"
+	shortest map[[2]string][]string // nil value = cached "no path"
 }
 
 func (n *Network) newChooser() *chooser {
-	return &chooser{
-		n:        n,
-		g:        n.graph(),
-		now:      n.eng.Now(),
-		shortest: make(map[[2]string][]string),
-		alts:     make(map[[2]string][][]string),
-	}
+	return &chooser{n: n, shortest: make(map[[2]string][]string)}
 }
 
-// pathFor picks the flow's new path under the active policy, or nil.
+// pathFor picks the flow's new path — the shortest under the active cost —
+// or nil.
 func (c *chooser) pathFor(f *Flow) []string {
 	p := f.Path()
 	key := [2]string{p[0], p[len(p)-1]}
-	if c.n.Routing().Policy == PolicySpread {
-		alts, ok := c.alts[key]
-		if !ok {
-			alts = c.g.AlternatePaths(key[0], key[1], c.n.Routing().Paths, c.now)
-			c.alts[key] = alts
-		}
-		if len(alts) == 0 {
-			return nil
-		}
-		return alts[int(f.ID)%len(alts)]
-	}
 	p, ok := c.shortest[key]
 	if !ok {
 		p = c.n.LookupRoute(key[0], key[1])
@@ -218,12 +171,12 @@ func portsNotIn(list, other []*topology.Port) []*topology.Port {
 	return out
 }
 
-// RerouteFlow recomputes the path of one flow under the active routing
-// policy and, if the new path clears admission on every hop it adds, moves
-// the flow onto it. A refusal (no path, or an added hop that cannot honor
-// the flow's spec) leaves the flow untouched on its old path and is counted
-// on the flow and the network. Rerouting a flow onto its current path is a
-// no-op counted as neither.
+// RerouteFlow recomputes the shortest path of one flow under the active
+// routing cost and, if the new path clears admission on every hop it adds,
+// moves the flow onto it. A refusal (no path, or an added hop that cannot
+// honor the flow's spec) leaves the flow untouched on its old path and is
+// counted on the flow and the network. Rerouting a flow onto its current
+// path is a no-op counted as neither.
 func (n *Network) RerouteFlow(id uint32) error {
 	f, ok := n.flows[id]
 	if !ok {

@@ -218,58 +218,14 @@ func TestRerouteRefusalRollsBackLedger(t *testing.T) {
 	}
 }
 
-func TestSpreadPolicyDistributesFlows(t *testing.T) {
-	// Two equal-cost detours around the failure: spread must not put
-	// every flow on the same one.
-	n := New(Config{LinkRate: 1e6})
-	for _, s := range []string{"S1", "S2", "B1", "B2"} {
-		n.AddSwitch(s)
-	}
-	n.Connect("S1", "S2")
-	n.Connect("S1", "B1")
-	n.Connect("B1", "S2")
-	n.Connect("S1", "B2")
-	n.Connect("B2", "S2")
-	if err := n.SetRouting(RoutingConfig{Auto: true, Policy: PolicySpread}); err != nil {
-		t.Fatal(err)
-	}
-	var flows []*Flow
-	for id := uint32(1); id <= 4; id++ {
-		f, err := n.AddDatagramFlow(id, []string{"S1", "S2"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		flows = append(flows, f)
-	}
-	if err := n.FailLink("S1", "S2"); err != nil {
-		t.Fatal(err)
-	}
-	used := map[string]int{}
-	for _, f := range flows {
-		if len(f.Path()) != 3 {
-			t.Fatalf("flow %d path %v, want a 3-node detour", f.ID, f.Path())
-		}
-		used[f.Path()[1]]++
-	}
-	if len(used) != 2 {
-		t.Fatalf("spread used detours %v, want both", used)
-	}
-}
-
 func TestSetRoutingValidates(t *testing.T) {
 	n := New(Config{})
-	if err := n.SetRouting(RoutingConfig{Policy: "fastest"}); err == nil {
-		t.Fatal("bad policy accepted")
-	}
 	if err := n.SetRouting(RoutingConfig{Cost: "vibes"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown cost") {
 		t.Fatalf("bad cost accepted: %v", err)
 	}
-	if err := n.SetRouting(RoutingConfig{Paths: -1}); err == nil {
-		t.Fatal("negative paths accepted")
-	}
 	rc := n.Routing()
-	if rc.Policy != PolicyShortest || rc.Cost != "hops" || rc.Paths != 4 || rc.Auto {
+	if rc.Cost != "hops" || rc.Auto {
 		t.Fatalf("defaults wrong: %+v", rc)
 	}
 }
@@ -279,7 +235,7 @@ func TestRerouteDeterministicAcrossRuns(t *testing.T) {
 	// flow on identical paths with identical counters.
 	run := func() ([][]string, int64, int64) {
 		n := diamondNet(Config{LinkRate: 1e6, AdmissionControl: true}, nil)
-		if err := n.SetRouting(RoutingConfig{Auto: true, Policy: PolicySpread, Cost: "delay"}); err != nil {
+		if err := n.SetRouting(RoutingConfig{Auto: true, Cost: "delay"}); err != nil {
 			t.Fatal(err)
 		}
 		var flows []*Flow

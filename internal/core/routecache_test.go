@@ -119,20 +119,3 @@ func TestRouteCacheNeverServesStaleRoutes(t *testing.T) {
 		t.Fatalf("cached %v != fresh %v", cached, fresh)
 	}
 }
-
-func TestRouteCacheBypassedForLoadCost(t *testing.T) {
-	// The load cost changes with traffic, not with events, so caching it
-	// would serve stale answers between invalidations: the core must route
-	// those lookups straight to Dijkstra.
-	n := diamond(Config{Seed: 1})
-	if err := n.SetRouting(RoutingConfig{Cost: routing.CostNameLoad}); err != nil {
-		t.Fatal(err)
-	}
-	c := mustCache(t, routing.CacheLRU, 8)
-	n.SetRouteCache(c)
-	n.LookupRoute("S1", "S4")
-	n.LookupRoute("S1", "S4")
-	if st := c.Stats(); st.Hits+st.Misses != 0 {
-		t.Fatalf("load-cost lookups touched the cache: %+v", st)
-	}
-}

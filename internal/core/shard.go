@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"ispn/internal/sim"
 )
@@ -20,11 +19,6 @@ type PartitionSpec struct {
 	// endpoints of a transport connection whose state machine must run on
 	// one engine. Pairs are applied in order.
 	Together [][2]string
-	// Pins force named nodes onto specific shards (a scenario/domain
-	// annotation). Nodes connected by zero-delay links always travel
-	// together, so pinning two such nodes to different shards is a
-	// configuration error, not a request.
-	Pins map[string]int
 }
 
 // SetShards partitions the network into shards. Call it after the topology
@@ -34,10 +28,9 @@ type PartitionSpec struct {
 // The partitioner unions nodes that cannot be separated — endpoints of
 // zero-propagation-delay links (a cross-shard link needs positive delay to
 // serve as conservative lookahead) and explicit Together pairs — then
-// assigns the resulting components to shards: pinned components go to their
-// pinned shard, the rest greedily to the least-loaded shard, walking
-// components in node-creation order. The assignment, and therefore the
-// simulation result, is a pure function of topology and spec.
+// assigns the resulting components greedily to the least-loaded shard,
+// walking components in node-creation order. The assignment, and therefore
+// the simulation result, is a pure function of topology and spec.
 //
 // After SetShards, Run advances the simulation through a sim.Coordinator
 // (even with one shard, so a one-shard run measures the same machinery),
@@ -107,30 +100,9 @@ func (n *Network) SetShards(spec PartitionSpec) error {
 		union(a, b)
 	}
 
-	// Component pins: every pinned node in a component must agree.
-	compPin := make(map[int]int)    // component root -> pinned shard
-	pinNode := make(map[int]string) // component root -> node that pinned it
-	for _, name := range sortedKeys(spec.Pins) {
-		shard := spec.Pins[name]
-		i, ok := index[name]
-		if !ok {
-			return fmt.Errorf("core: pin references unknown switch %q", name)
-		}
-		if shard < 0 || shard >= spec.Shards {
-			return fmt.Errorf("core: switch %q pinned to shard %d, want [0,%d)", name, shard, spec.Shards)
-		}
-		root := find(i)
-		if prev, dup := compPin[root]; dup && prev != shard {
-			return fmt.Errorf("core: switches %q (shard %d) and %q (shard %d) are joined by zero-delay links or Together constraints and cannot land on different shards",
-				pinNode[root], prev, name, shard)
-		}
-		compPin[root] = shard
-		pinNode[root] = name
-	}
-
-	// Pack components onto shards: pinned first, the rest greedily onto
-	// the least-loaded shard, in creation order of each component's
-	// earliest node (= its root, by the union rule above).
+	// Pack components greedily onto the least-loaded shard, in creation
+	// order of each component's earliest node (= its root, by the union
+	// rule above).
 	var roots []int
 	compSize := make(map[int]int)
 	for i := range nodes {
@@ -143,15 +115,6 @@ func (n *Network) SetShards(spec PartitionSpec) error {
 	load := make([]int, spec.Shards)
 	compShard := make(map[int]int, len(roots))
 	for _, r := range roots {
-		if s, pinned := compPin[r]; pinned {
-			compShard[r] = s
-			load[s] += compSize[r]
-		}
-	}
-	for _, r := range roots {
-		if _, pinned := compPin[r]; pinned {
-			continue
-		}
 		best := 0
 		for s := 1; s < spec.Shards; s++ {
 			if load[s] < load[best] {
@@ -175,16 +138,6 @@ func (n *Network) SetShards(spec PartitionSpec) error {
 	}
 	n.coord = sim.NewCoordinator(n.eng, engines, n.topo.Lookahead)
 	return nil
-}
-
-// sortedKeys returns map keys in sorted order (deterministic iteration).
-func sortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Sharded reports whether SetShards has been applied.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"ispn/internal/packet"
@@ -48,35 +47,17 @@ func TestSetShardsPartition(t *testing.T) {
 	}
 }
 
-// TestSetShardsTogetherAndPins: Together fuses the clusters onto one shard;
-// a pin then directs the fused component.
-func TestSetShardsTogetherAndPins(t *testing.T) {
+// TestSetShardsTogether: Together fuses the two clusters onto one shard,
+// although the link between them has a delay.
+func TestSetShardsTogether(t *testing.T) {
 	n := clusterNet()
-	err := n.SetShards(PartitionSpec{
-		Shards:   2,
-		Together: [][2]string{{"A", "D"}},
-		Pins:     map[string]int{"C": 1},
-	})
-	if err != nil {
+	if err := n.SetShards(PartitionSpec{Shards: 2, Together: [][2]string{{"A", "D"}}}); err != nil {
 		t.Fatalf("SetShards: %v", err)
 	}
-	for _, s := range []string{"A", "B", "C", "D"} {
-		if got := n.ShardOf(s); got != 1 {
-			t.Errorf("ShardOf(%s) = %d, want 1 (fused and pinned)", s, got)
+	for _, s := range []string{"B", "C", "D"} {
+		if n.ShardOf(s) != n.ShardOf("A") {
+			t.Errorf("ShardOf(%s) = %d, ShardOf(A) = %d: fused clusters split", s, n.ShardOf(s), n.ShardOf("A"))
 		}
-	}
-}
-
-// TestSetShardsPinConflict: pinning two inseparable nodes apart is a
-// diagnostic, not a silent merge.
-func TestSetShardsPinConflict(t *testing.T) {
-	n := clusterNet()
-	err := n.SetShards(PartitionSpec{Shards: 2, Pins: map[string]int{"A": 0, "B": 1}})
-	if err == nil {
-		t.Fatal("conflicting pins accepted")
-	}
-	if !strings.Contains(err.Error(), "cannot land on different shards") {
-		t.Errorf("diagnostic unclear: %v", err)
 	}
 }
 
@@ -84,12 +65,6 @@ func TestSetShardsPinConflict(t *testing.T) {
 func TestSetShardsGuards(t *testing.T) {
 	if err := clusterNet().SetShards(PartitionSpec{Shards: 0}); err == nil {
 		t.Error("0 shards accepted")
-	}
-	if err := clusterNet().SetShards(PartitionSpec{Shards: 2, Pins: map[string]int{"nope": 0}}); err == nil {
-		t.Error("unknown pin accepted")
-	}
-	if err := clusterNet().SetShards(PartitionSpec{Shards: 2, Pins: map[string]int{"A": 7}}); err == nil {
-		t.Error("out-of-range pin accepted")
 	}
 	if err := clusterNet().SetShards(PartitionSpec{Shards: 2, Together: [][2]string{{"A", "nope"}}}); err == nil {
 		t.Error("unknown Together endpoint accepted")

@@ -118,7 +118,7 @@ func figure1Cell(cfg RunConfig, arrow string, kind func(id uint32) ServiceKind) 
 func table3Source(cfg RunConfig) string {
 	assignment := Table3Assignment()
 	return figure1Cell(cfg, "<->", func(id uint32) ServiceKind { return assignment[id] }) +
-		fmt.Sprintf("t1 :: TCP(path S1 -> S2 -> S3, segment %dbit)\nt2 :: TCP(path S3 -> S4 -> S5, segment %dbit)\n", PacketBits, PacketBits)
+		"t1 :: TCP(path S1 -> S2 -> S3)\nt2 :: TCP(path S3 -> S4 -> S5)\n"
 }
 
 // Table3 reproduces the paper's Table 3: the Figure-1 network under the

@@ -26,10 +26,6 @@ type Config struct {
 	// Shards overrides the sharded leg's engine count (0 = derive 2..4
 	// from the case seed).
 	Shards int
-	// BoundScale relaxes or tightens every delay bound the oracle
-	// enforces (0 = 1, the real bounds). The harness's own teeth test
-	// shrinks it to prove a weakened invariant is caught.
-	BoundScale float64
 	// Dir, when non-empty, receives a minimized .ispn repro for every
 	// failing case.
 	Dir string
@@ -60,43 +56,51 @@ type Summary struct {
 func (cfg Config) Run() (*Summary, error) {
 	sum := &Summary{}
 	for i := 0; i < cfg.N; i++ {
-		caseSeed := cfg.Seed + int64(i)
-		w := NewWorld(caseSeed)
+		w := NewWorld(cfg.Seed + int64(i))
 		err := cfg.runCase(w)
 		sum.Cases++
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, errInadmissible) {
+		switch {
+		case err == nil:
+		case errors.Is(err, errInadmissible):
 			sum.Skipped++
-			continue
-		}
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "case seed %d FAILED: %v\n", caseSeed, err)
-			fmt.Fprintf(cfg.Log, "  minimizing…\n")
-		}
-		min, minErr := cfg.Minimize(w)
-		f := Failure{Seed: caseSeed, Reason: minErr.Error(), Source: min.Render()}
-		if cfg.Dir != "" {
-			if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		default:
+			f, err := cfg.fail(w, err)
+			if err != nil {
 				return sum, err
 			}
-			f.Path = filepath.Join(cfg.Dir, fmt.Sprintf("seed%d.ispn", caseSeed))
-			if err := os.WriteFile(f.Path, f.Source, 0o644); err != nil {
-				return sum, err
-			}
-		}
-		sum.Failures = append(sum.Failures, f)
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "  minimized to %d flow(s), %d event(s): %v\n",
-				len(min.Flows), len(min.Events), minErr)
-			if f.Path != "" {
-				fmt.Fprintf(cfg.Log, "  repro written to %s\n", f.Path)
-			}
-			fmt.Fprintf(cfg.Log, "  replay: ispnsim fuzz -n 1 -seed %d\n", caseSeed)
+			sum.Failures = append(sum.Failures, f)
 		}
 	}
 	return sum, nil
+}
+
+// fail minimizes a world that failed with err and, with Config.Dir set,
+// writes the repro to the corpus; the error is that write's.
+func (cfg Config) fail(w *World, err error) (Failure, error) {
+	if cfg.Log != nil {
+		fmt.Fprintf(cfg.Log, "case seed %d FAILED: %v\n", w.Seed, err)
+		fmt.Fprintf(cfg.Log, "  minimizing…\n")
+	}
+	min, minErr := cfg.Minimize(w)
+	f := Failure{Seed: w.Seed, Reason: minErr.Error(), Source: min.Render()}
+	if cfg.Dir != "" {
+		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+			return f, err
+		}
+		f.Path = filepath.Join(cfg.Dir, fmt.Sprintf("seed%d.ispn", w.Seed))
+		if err := os.WriteFile(f.Path, f.Source, 0o644); err != nil {
+			return f, err
+		}
+	}
+	if cfg.Log != nil {
+		fmt.Fprintf(cfg.Log, "  minimized to %d flow(s), %d event(s): %v\n",
+			len(min.Flows), len(min.Events), minErr)
+		if f.Path != "" {
+			fmt.Fprintf(cfg.Log, "  repro written to %s\n", f.Path)
+		}
+		fmt.Fprintf(cfg.Log, "  replay: ispnsim fuzz -n 1 -seed %d\n", w.Seed)
+	}
+	return f, nil
 }
 
 // shardsFor picks the sharded leg's engine count for a world.
@@ -118,9 +122,7 @@ func (cfg Config) runCase(w *World) error {
 		if err != nil {
 			return nil, fmt.Errorf("generator produced an unparsable world: %w", err)
 		}
-		s, err := scenario.Compile(f, scenario.Options{
-			Check: true, CheckBoundScale: cfg.BoundScale, Shards: shards,
-		})
+		s, err := scenario.Compile(f, scenario.Options{Check: true, Shards: shards})
 		if err != nil {
 			if strings.Contains(err.Error(), "rejected") {
 				return nil, fmt.Errorf("%w: %v", errInadmissible, err)

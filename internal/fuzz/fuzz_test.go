@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"ispn/internal/invariant"
+	"ispn/internal/scenario"
 )
 
 func TestWorldRenderDeterministic(t *testing.T) {
@@ -54,25 +58,38 @@ func TestFuzzRunSmall(t *testing.T) {
 	}
 }
 
+// plant adds a real violation to a generated world: a guaranteed flow with a
+// one-packet bucket on the first pooled path, fed at twice the 1 Mbit/s
+// line rate, 40 times its clock rate. Guaranteed flows are not policed, so
+// its backlog grows until the buffer caps it, and its delay passes the
+// Parekh-Gallager bound of a one-packet bucket by far.
+func plant(w *World) *World {
+	w.Flows = append(w.Flows, Flow{
+		Name: "planted", Kind: "Guaranteed", RateKbps: 50, BucketKb: 1,
+		Path: w.Topo.Paths[0], Src: Source{Kind: "cbr", PPS: 2000},
+	})
+	return w
+}
+
 func TestTeethAndMinimization(t *testing.T) {
-	// Weakening the bounds must make the harness fail, minimize the
-	// case, write a replayable corpus file, and keep failing on replay.
+	// A planted violation must make the harness fail, minimize the case,
+	// write a corpus file, and keep failing when that file is replayed.
 	// A harness that cannot fail proves nothing when it passes.
-	dir := t.TempDir()
-	cfg := Config{N: 10, Seed: 1, BoundScale: 0.01, Dir: dir}
-	sum, err := cfg.Run()
+	w := plant(NewWorld(1))
+	cfg := Config{Dir: t.TempDir()}
+	err := cfg.runCase(w)
+	if err == nil || !strings.Contains(err.Error(), invariant.CheckPGBound) {
+		t.Fatalf("planted over-rate guaranteed flow: runCase = %v, want a %s failure", err, invariant.CheckPGBound)
+	}
+	f, err := cfg.fail(w, err)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Failures) == 0 {
-		t.Fatal("BoundScale=0.01 over 10 worlds produced no failures")
-	}
-	f := sum.Failures[0]
-	if !strings.Contains(f.Reason, "bound") {
+	if !strings.Contains(f.Reason, invariant.CheckPGBound) {
 		t.Fatalf("unexpected failure reason: %s", f.Reason)
 	}
-	if f.Path == "" {
-		t.Fatal("no corpus file written")
+	if filepath.Base(f.Path) != "seed1.ispn" {
+		t.Fatalf("corpus file named %q, want seed1.ispn", f.Path)
 	}
 	got, err := os.ReadFile(f.Path)
 	if err != nil {
@@ -81,42 +98,42 @@ func TestTeethAndMinimization(t *testing.T) {
 	if !bytes.Equal(got, f.Source) {
 		t.Fatal("corpus file does not match the minimized source")
 	}
-	if filepath.Base(f.Path) != "seed1.ispn" {
-		t.Fatalf("corpus file named %s, want seed1.ispn", filepath.Base(f.Path))
-	}
-	// The minimized world is itself a World-independent .ispn; replaying
-	// the same seed must reproduce the failure deterministically.
-	again, err := Config{N: 1, Seed: f.Seed, BoundScale: 0.01}.Run()
+	// The corpus file is a self-contained .ispn: run alone under the
+	// oracle, it must fail the same way.
+	file, err := scenario.Parse(f.Path, got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again.Failures) != 1 {
-		t.Fatalf("replay of seed %d did not fail", f.Seed)
+	s, err := scenario.Compile(file, scenario.Options{Check: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := s.Run(); !rep.Check.Failed() || rep.Check.Violations[0].Checker != invariant.CheckPGBound {
+		t.Fatalf("replayed corpus file: violations %v, want a %s failure", rep.Check.Violations, invariant.CheckPGBound)
 	}
 }
 
 func TestMinimizeShrinks(t *testing.T) {
-	cfg := Config{BoundScale: 0.01}
+	var cfg Config
 	var w *World
 	for seed := int64(1); seed <= 20; seed++ {
-		c := NewWorld(seed)
-		if cfg.runCase(c) != nil && (len(c.Flows) > 2 || len(c.Events) > 0) {
-			w = c
+		if c := NewWorld(seed); len(c.Flows) > 2 && len(c.Events) > 0 {
+			w = plant(c)
 			break
 		}
 	}
 	if w == nil {
-		t.Skip("no shrinkable failing world in the first 20 seeds")
+		t.Fatal("no world with several flows and events in the first 20 seeds")
 	}
 	before := len(w.Flows) + len(w.Events)
 	min, err := cfg.Minimize(w)
 	if err == nil {
 		t.Fatal("minimized world no longer fails")
 	}
-	if after := len(min.Flows) + len(min.Events); after > before {
-		t.Fatalf("minimizer grew the world: %d -> %d parts", before, after)
+	if after := len(min.Flows) + len(min.Events); after >= before {
+		t.Fatalf("minimizer did not shrink the world: %d -> %d parts", before, after)
 	}
-	if len(min.Flows) == 0 {
-		t.Fatal("minimizer removed every flow")
+	if !slices.ContainsFunc(min.Flows, func(f Flow) bool { return f.Name == "planted" }) {
+		t.Fatalf("minimizer dropped the planted flow and still reports %v", err)
 	}
 }

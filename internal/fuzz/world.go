@@ -419,7 +419,4 @@ func (w *World) renderFlow(b *strings.Builder, f Flow, indent string) {
 }
 
 // secs renders a time without trailing zeros (7, 2.5).
-func secs(v float64) string {
-	s := fmt.Sprintf("%g", v)
-	return s
-}
+func secs(v float64) string { return fmt.Sprintf("%g", v) }

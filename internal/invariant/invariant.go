@@ -47,13 +47,6 @@ const (
 // sweepInterval is the period of the oracle's sweeps, in simulated seconds.
 const sweepInterval = 1.0
 
-// Config adjusts the oracle.
-type Config struct {
-	// BoundScale scales every delay bound before comparison (default 1).
-	// Harness tests set a tiny value to prove the oracle has teeth.
-	BoundScale float64
-}
-
 // Violation is one broken invariant, deduplicated per (checker, subject):
 // Time and Detail describe the first occurrence, Count totals them all.
 type Violation struct {
@@ -79,7 +72,6 @@ type Totals struct {
 // Oracle watches one network. Attach wires it in; Arm schedules the sweeps.
 type Oracle struct {
 	net   *core.Network
-	cfg   Config
 	armed bool
 
 	// vs deduplicates violations.
@@ -93,11 +85,8 @@ type Oracle struct {
 // Attach wires the oracle into a network: every flow already admitted and
 // every flow admitted later gets a delivery-time bound check. Call before
 // traffic starts; then Arm to schedule the sweeps.
-func Attach(net *core.Network, cfg Config) *Oracle {
-	if cfg.BoundScale == 0 {
-		cfg.BoundScale = 1
-	}
-	o := &Oracle{net: net, cfg: cfg, vs: make(map[string]*Violation)}
+func Attach(net *core.Network) *Oracle {
+	o := &Oracle{net: net, vs: make(map[string]*Violation)}
 	net.SetFlowHook(o.watchFlow)
 	for _, f := range net.Flows() {
 		o.watchFlow(f)
@@ -305,7 +294,7 @@ func (o *Oracle) watchFlow(f *core.Flow) {
 func (fs *flowState) refresh() {
 	fs.bound = fs.f.Bound()
 	fs.rerouted = fs.f.Rerouted()
-	fs.limit = (fs.bound+fs.o.slack(fs.f))*fs.o.cfg.BoundScale + 1e-9*(1+fs.bound)
+	fs.limit = fs.bound + fs.o.slack(fs.f) + 1e-9*(1+fs.bound)
 }
 
 // slack is the non-preemption allowance added to every advertised bound:

@@ -10,9 +10,10 @@ import (
 	"ispn/internal/source"
 )
 
-// loadedNet builds S1 -> S2 with a conforming guaranteed CBR flow and
-// datagram cross-traffic, so delivery-time checks see real queueing.
-func loadedNet(t *testing.T) (*core.Network, []source.Source) {
+// loadedNet builds S1 -> S2 with a guaranteed CBR flow of gpps 1000-bit
+// packets per second on a 200 kbit/s clock rate, and datagram cross-traffic,
+// so delivery-time checks see real queueing.
+func loadedNet(t *testing.T, gpps float64) (*core.Network, []source.Source) {
 	t.Helper()
 	n := core.New(core.Config{Seed: 7})
 	n.AddSwitch("S1")
@@ -24,7 +25,7 @@ func loadedNet(t *testing.T) (*core.Network, []source.Source) {
 		t.Fatal(err)
 	}
 	gsrc := source.NewCBR(source.CBRConfig{
-		FlowID: 1, SizeBits: 1000, Rate: 160, RNG: sim.DeriveRNG(n.Config().Seed, "g"), // 160 kbit/s < 200 kbit/s clock
+		FlowID: 1, SizeBits: 1000, Rate: gpps, RNG: sim.DeriveRNG(n.Config().Seed, "g"),
 	})
 	d, err := n.AddDatagramFlow(2, path)
 	if err != nil {
@@ -51,8 +52,8 @@ func drain(t *testing.T, n *core.Network, o *Oracle, srcs []source.Source) {
 }
 
 func TestCleanRunNoViolations(t *testing.T) {
-	n, srcs := loadedNet(t)
-	o := Attach(n, Config{})
+	n, srcs := loadedNet(t, 160) // conforming: 160 kbit/s under the clock
+	o := Attach(n)
 	o.Arm(10)
 	n.Run(10)
 	drain(t, n, o, srcs)
@@ -73,17 +74,20 @@ func TestCleanRunNoViolations(t *testing.T) {
 }
 
 func TestBoundScaleHasTeeth(t *testing.T) {
-	// Shrinking every bound by 10^6 must turn ordinary queueing (one
-	// packet's transmission time) into violations; a harness that stays
-	// green here would also stay green over a broken scheduler.
-	n, srcs := loadedNet(t)
-	o := Attach(n, Config{BoundScale: 1e-6})
+	// A real violation: guaranteed flows are not policed, so a source at
+	// 700 kbit/s on a 200 kbit/s clock rate, with 400 kbit/s of datagram
+	// traffic beside it, overruns the 1 Mbit/s link. Its backlog grows
+	// until the buffer caps it, and its delay passes the Parekh-Gallager
+	// bound (250 ms for b = 50 kbit). An oracle that stays green here would
+	// also stay green over a broken scheduler.
+	n, srcs := loadedNet(t, 700)
+	o := Attach(n)
 	o.Arm(10)
 	n.Run(10)
 	drain(t, n, o, srcs)
 	tot := o.Totals()
 	if len(tot.Violations) == 0 {
-		t.Fatal("BoundScale=1e-6 produced no violations")
+		t.Fatal("an over-rate guaranteed source produced no violations")
 	}
 	found := false
 	for _, v := range tot.Violations {
@@ -100,8 +104,8 @@ func TestBoundScaleHasTeeth(t *testing.T) {
 }
 
 func TestLeakDetection(t *testing.T) {
-	n, srcs := loadedNet(t)
-	o := Attach(n, Config{})
+	n, srcs := loadedNet(t, 160)
+	o := Attach(n)
 	o.Arm(5)
 	n.Run(5)
 	drain(t, n, o, srcs)
@@ -144,7 +148,7 @@ func TestShardedFloodReusesOnePool(t *testing.T) {
 	src := source.NewCBR(source.CBRConfig{FlowID: 1, Class: packet.Datagram, SizeBits: 1000, Rate: 900, RNG: sim.DeriveRNG(n.Config().Seed, "flood")})
 	source.AttachPool(src, f.IngressPool())
 	src.Start(f.IngressEngine(), func(p *packet.Packet) { f.Inject(p) })
-	o := Attach(n, Config{})
+	o := Attach(n)
 	o.Arm(4)
 	n.Run(2)
 	_, _, warm := n.Pool().Stats()
@@ -175,7 +179,7 @@ func TestRateCutDoesNotFireCapacity(t *testing.T) {
 		core.GuaranteedSpec{ClockRate: 8e5}); err != nil {
 		t.Fatal(err)
 	}
-	o := Attach(n, Config{})
+	o := Attach(n)
 	o.Sweep(0) // baseline: 800k reserved, 900k reservable — fine
 	if err := n.SetLink("S1", "S2", 8.5e5, 0); err != nil {
 		t.Fatal(err)
@@ -217,7 +221,7 @@ func TestAggregateConsistency(t *testing.T) {
 		}
 		members = append(members, m)
 	}
-	o := Attach(n, Config{})
+	o := Attach(n)
 	o.Sweep(0)
 	members[2].Release()
 	o.Sweep(1) // join/leave bookkeeping must still balance

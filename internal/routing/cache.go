@@ -13,11 +13,9 @@ package routing
 // freshly computed one. Entries are keyed by (src, dst, cost-kind) and the
 // owner (core.Network) invalidates the whole cache on every event that can
 // change a shortest path — link failure, restore, reconfiguration, profile
-// swap, routing-config change. Load-sensitive costs change with traffic
-// rather than with events, so the core never routes "load"-cost lookups
-// through a cache. Under those rules cached and uncached runs produce
-// byte-identical reports, which the scenario test suite enforces on every
-// shipped scenario.
+// swap, routing-config change. Under that rule cached and uncached runs
+// produce byte-identical reports, which the scenario test suite enforces on
+// every shipped scenario.
 
 import (
 	"fmt"

@@ -1,27 +1,23 @@
 // Package routing computes paths over a topology.Network: a graph view with
-// pluggable link costs, deterministic Dijkstra shortest paths, and
-// k-alternate path enumeration. Failed links (Port.Down) are never part of a
-// computed path, which is the whole point — the core uses this package to
-// recompute routes around a failure and re-run admission along the new path.
+// pluggable link costs and deterministic Dijkstra shortest paths. Failed
+// links (Port.Down) are never part of a computed path, which is the whole
+// point — the core uses this package to recompute routes around a failure
+// and re-run admission along the new path.
 //
 // Determinism is load-bearing: experiment reports must be bit-identical
 // whatever worker pool runs them, so every tie in the search breaks by node
 // creation order (the same order topology.Network.Nodes returns), never by
 // map iteration.
 //
-// The cost functions follow the classic trade-offs of dynamic routing in
-// integrated-services networks: hop count (stable, load-blind), propagation
-// plus transmission delay (favors fast links), and load-sensitive delay in
-// the spirit of DEC-TR-506's congestion-aware link costs (avoids busy links,
-// at the price of potential oscillation — which is why it is a choice, not
-// the default).
+// Both cost functions are load-blind: hop count, and propagation plus
+// transmission delay (favors fast links). A path changes only when the
+// topology or its link parameters do, which is what lets the route cache
+// invalidate on events alone.
 package routing
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"ispn/internal/topology"
 )
@@ -47,51 +43,29 @@ func CostDelayPer(bits PerPortBits) Cost {
 	}
 }
 
-// CostLoadPer is CostDelayPer inflated by recent utilization — an
-// M/M/1-style 1/(1-ρ) factor on the fixed latency, with ρ clamped below 1
-// so a saturated link is very expensive but never infinitely so (it may
-// still be the only way through). This is the load-sensitive cost of
-// DEC-TR-506 lineage.
-func CostLoadPer(bits PerPortBits) Cost {
-	fixed := CostDelayPer(bits)
-	return func(pt *topology.Port, now float64) float64 {
-		rho := pt.Utilization(now)
-		if rho > 0.95 {
-			rho = 0.95
-		}
-		if rho < 0 {
-			rho = 0
-		}
-		return fixed(pt, now) / (1 - rho)
-	}
-}
-
 // Cost function names as the scenario grammar spells them.
 const (
 	CostNameHops  = "hops"
 	CostNameDelay = "delay"
-	CostNameLoad  = "load"
 )
 
 // CostByName resolves a named cost function; bits parameterizes the
-// transmission term of the delay-based costs (a caller that only validates a
-// name may pass nil).
+// transmission term of the delay cost (a caller that only validates a name
+// may pass nil).
 func CostByName(name string, bits PerPortBits) (Cost, error) {
 	switch name {
 	case CostNameHops, "":
 		return CostHops, nil
 	case CostNameDelay:
 		return CostDelayPer(bits), nil
-	case CostNameLoad:
-		return CostLoadPer(bits), nil
 	}
-	return nil, fmt.Errorf("routing: unknown cost %q (costs: hops, delay, load)", name)
+	return nil, fmt.Errorf("routing: unknown cost %q (costs: hops, delay)", name)
 }
 
 // Graph is a routing view over a topology: the node index and search
 // scratch are built once and reused across calls, while paths are still
-// computed against the live topology (current Down flags, current
-// utilization) at call time. A Graph is not safe for concurrent use — every
+// computed against the live topology (current Down flags, rates and delays)
+// at call time. A Graph is not safe for concurrent use — every
 // caller in the simulator runs path computations on the control plane, one
 // at a time.
 type Graph struct {
@@ -209,93 +183,4 @@ func (g *Graph) ShortestPath(from, to string, now float64, avoid map[*topology.P
 		path[len(rev)-1-i] = nodes[v].Name()
 	}
 	return path, true
-}
-
-// AlternatePaths enumerates up to k loop-free paths from -> to, cheapest
-// first: the shortest path, then for each of its links the shortest path
-// with that link additionally excluded (the first round of Yen's algorithm —
-// enough diversity to spread flows around a bottleneck without the full
-// spur-node machinery). Duplicates collapse; failed links are always
-// excluded. Returns nil when no path exists at all.
-func (g *Graph) AlternatePaths(from, to string, k int, now float64) [][]string {
-	if k < 1 {
-		k = 1
-	}
-	best, ok := g.ShortestPath(from, to, now, nil)
-	if !ok {
-		return nil
-	}
-	type cand struct {
-		path []string
-		cost float64
-	}
-	seen := map[string]bool{pathKey(best): true}
-	cands := []cand{{best, g.PathCost(best, now)}}
-	ports := g.pathPorts(best)
-	for _, excl := range ports {
-		p, ok := g.ShortestPath(from, to, now, map[*topology.Port]bool{excl: true})
-		if !ok || seen[pathKey(p)] {
-			continue
-		}
-		seen[pathKey(p)] = true
-		cands = append(cands, cand{p, g.PathCost(p, now)})
-	}
-	// Cheapest first; cost ties break lexicographically on the node
-	// sequence so the order never depends on enumeration accidents.
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		return pathKey(cands[i].path) < pathKey(cands[j].path)
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([][]string, len(cands))
-	for i, c := range cands {
-		out[i] = c.path
-	}
-	return out
-}
-
-// PathCost sums the cost of a path's links at time now.
-func (g *Graph) PathCost(path []string, now float64) float64 {
-	sum := 0.0
-	for _, pt := range g.pathPorts(path) {
-		sum += g.cost(pt, now)
-	}
-	return sum
-}
-
-// pathPorts resolves the output ports along a path of node names.
-func (g *Graph) pathPorts(path []string) []*topology.Port {
-	var ports []*topology.Port
-	for i := 0; i < len(path)-1; i++ {
-		nd := g.net.Node(path[i])
-		if nd == nil {
-			return nil
-		}
-		pt := nd.Port(path[i+1])
-		if pt == nil {
-			return nil
-		}
-		ports = append(ports, pt)
-	}
-	return ports
-}
-
-func pathKey(path []string) string {
-	n := 0
-	for _, s := range path {
-		n += len(s) + 1
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, s := range path {
-		if i > 0 {
-			b.WriteByte(0)
-		}
-		b.WriteString(s)
-	}
-	return b.String()
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ispn/internal/packet"
 	"ispn/internal/sched"
 	"ispn/internal/sim"
 	"ispn/internal/topology"
@@ -97,72 +96,5 @@ func TestShortestPathUnknownEndpoint(t *testing.T) {
 	}
 	if p, ok := g.ShortestPath("A", "A", 0, nil); !ok || len(p) != 1 {
 		t.Fatalf("self path %v, %v", p, ok)
-	}
-}
-
-func TestAlternatePaths(t *testing.T) {
-	n := diamond(t)
-	g := NewGraph(n, CostHops)
-	paths := g.AlternatePaths("A", "D", 4, 0)
-	if len(paths) < 2 {
-		t.Fatalf("got %d alternates, want >= 2: %v", len(paths), paths)
-	}
-	if !reflect.DeepEqual(paths[0], []string{"A", "B", "D"}) {
-		t.Fatalf("cheapest alternate %v, want A B D", paths[0])
-	}
-	// Every alternate must be loop-free and distinct.
-	seen := map[string]bool{}
-	for _, p := range paths {
-		key := pathKey(p)
-		if seen[key] {
-			t.Fatalf("duplicate alternate %v", p)
-		}
-		seen[key] = true
-	}
-	// A failed link never appears in any alternate.
-	n.Node("A").Port("B").SetDown(true)
-	for _, p := range g.AlternatePaths("A", "D", 4, 0) {
-		for i := 0; i < len(p)-1; i++ {
-			if p[i] == "A" && p[i+1] == "B" {
-				t.Fatalf("alternate %v crosses the failed link", p)
-			}
-		}
-	}
-}
-
-func TestCostLoadAvoidsBusyLink(t *testing.T) {
-	n := diamond(t)
-	g := NewGraph(n, CostLoadPer(kilobit))
-	// With no load, the fast 2-hop path wins despite the tie with A->C->D
-	// on hop count (it has 10x less propagation).
-	path, _ := g.ShortestPath("A", "D", 0, nil)
-	if !reflect.DeepEqual(path, []string{"A", "B", "D"}) {
-		t.Fatalf("unloaded path %v, want A B D", path)
-	}
-	// Drive ~90% utilization through A->B for 2 simulated seconds; the
-	// load-sensitive cost must then route away from it while the plain
-	// delay cost would not.
-	eng := n.Node("A").Engine()
-	n.InstallRoute(7, []string{"A", "B"})
-	n.Node("B").SetSink(7, func(p *packet.Packet) {})
-	for i := 0; i < 1800; i++ {
-		eng.AtControl(float64(i)/900.0, func() {
-			q := n.Pool().Get()
-			q.FlowID = 7
-			q.Size = 1000
-			n.Inject("A", q)
-		})
-	}
-	eng.RunUntil(2.0)
-	now := eng.Now()
-	if u := n.Node("A").Port("B").Utilization(now); u < 0.8 {
-		t.Fatalf("setup: A->B utilization %v, want ~0.9", u)
-	}
-	path, _ = g.ShortestPath("A", "D", now, nil)
-	if reflect.DeepEqual(path, []string{"A", "B", "D"}) {
-		t.Fatalf("load-sensitive cost still routes over the saturated link: %v", path)
-	}
-	if dp, _ := NewGraph(n, CostDelayPer(kilobit)).ShortestPath("A", "D", now, nil); !reflect.DeepEqual(dp, []string{"A", "B", "D"}) {
-		t.Fatalf("load-blind delay cost changed its path: %v", dp)
 	}
 }

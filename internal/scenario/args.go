@@ -61,8 +61,12 @@ func (a *argSet) finish(known ...string) {
 			continue
 		}
 		if !ok[arg.Name] {
+			accepted := joinWords(known)
+			if accepted == "" {
+				accepted = "none"
+			}
 			a.c.failf(arg.NamePos, "%s has no argument %q (accepted: %s)",
-				a.decl.Kind, arg.Name, joinWords(known))
+				a.decl.Kind, arg.Name, accepted)
 			return
 		}
 		if seen[arg.Name] {

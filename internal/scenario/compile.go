@@ -37,9 +37,6 @@ type Options struct {
 	// The report grows an "invariants" section (and only then — unchecked
 	// reports are byte-for-byte what they always were).
 	Check bool
-	// CheckBoundScale scales the delay bounds the oracle enforces (0 = 1,
-	// the real bounds). Harness tests shrink it to prove the checks bite.
-	CheckBoundScale float64
 }
 
 // Defaults a scenario starts from when its file leaves a knob unset.
@@ -362,7 +359,6 @@ type compiler struct {
 	net        *core.Network
 	shards     int              // the Net "shards" argument (0 = unsharded)
 	shardsPos  Pos              // where shards was requested, for diagnostics
-	pins       map[string]int   // Switch(shard N) partition pins
 	netRouting string           // the Net "routing" argument: "", "static" or "auto"
 	decls      map[string]*Decl // element name -> declaring decl
 	switches   map[string]bool  // includes generator-produced names
@@ -396,7 +392,6 @@ func (c *compiler) compile() *Sim {
 	c.attached = make(map[string]int)
 	c.dynNames = make(map[string]bool)
 	c.declAt = make(map[string]float64)
-	c.pins = make(map[string]int)
 	c.flows = make(map[string]*SimFlow)
 	c.nextID = 1
 
@@ -465,7 +460,7 @@ func (c *compiler) compile() *Sim {
 	if c.opts.Check {
 		// Attach before any flow exists so compile-time flows are watched
 		// from their first packet.
-		c.out.oracle = invariant.Attach(c.net, invariant.Config{BoundScale: c.opts.CheckBoundScale})
+		c.out.oracle = invariant.Attach(c.net)
 	}
 	if c.traceDt > 0 {
 		c.out.trace = newTraceRec(c.traceDt, c.horizon)
@@ -486,13 +481,7 @@ func (c *compiler) compile() *Sim {
 			for _, n := range d.Names {
 				c.addSwitch(n.Text, n.Pos)
 			}
-			a := c.argsOf(d)
-			if pin := a.count("shard", -1, -1); pin >= 0 {
-				for _, n := range d.Names {
-					c.pins[n.Text] = pin
-				}
-			}
-			a.finish("shard")
+			c.argsOf(d).finish()
 		case classGenerator:
 			c.generate(d)
 		}
@@ -514,9 +503,8 @@ func (c *compiler) compile() *Sim {
 	// Pass 4.5: partition the network into shards — after the
 	// topology is final, before any flow or connection captures a per-node
 	// engine. Every TCP declaration contributes a Together constraint (a
-	// connection's endpoints must share a shard); Switch(shard N) pins are
-	// applied as given. Unknown path names are skipped here — the TCP pass
-	// diagnoses them with a proper position.
+	// connection's endpoints must share a shard). Unknown path names are
+	// skipped here — the TCP pass diagnoses them with a proper position.
 	if shards := c.effectiveShards(); shards > 0 {
 		var together [][2]string
 		for _, d := range c.allDecls() {
@@ -531,7 +519,7 @@ func (c *compiler) compile() *Sim {
 				together = append(together, [2]string{p[0].Text, p[len(p)-1].Text})
 			}
 		}
-		err := c.net.SetShards(core.PartitionSpec{Shards: shards, Together: together, Pins: c.pins})
+		err := c.net.SetShards(core.PartitionSpec{Shards: shards, Together: together})
 		if err != nil {
 			c.failf(c.shardsPos, "%v", err)
 			return nil
@@ -696,7 +684,7 @@ func (c *compiler) runKnobs(d *Decl) {
 
 // netArgNames is the accepted Net argument set, in documentation order: the
 // network knobs, then the profile arguments Link shares.
-var netArgNames = append([]string{"rate", "buffer", "maxpkt", "propdelay", "admission", "routing", "shards"}, profileArgNames...)
+var netArgNames = append([]string{"rate", "buffer", "propdelay", "admission", "routing", "shards"}, profileArgNames...)
 
 func (c *compiler) netConfig(d *Decl) core.Config {
 	cfg := core.Config{Seed: c.seed}
@@ -706,7 +694,6 @@ func (c *compiler) netConfig(d *Decl) core.Config {
 	a := c.argsOf(d)
 	cfg.LinkRate = a.bitrate("rate", 0, 0)
 	cfg.BufferPackets = a.count("buffer", -1, 0)
-	maxpkt := a.count("maxpkt", -1, 0)
 	cfg.PropDelay = a.duration("propdelay", -1, 0)
 	cfg.AdmissionControl = a.boolean("admission", false)
 	c.netRouting = a.enum("routing", "", "static", "auto")
@@ -717,7 +704,7 @@ func (c *compiler) netConfig(d *Decl) core.Config {
 			c.failf(pos, "Net shards must be at least 1, got %d", c.shards)
 		}
 	}
-	cfg.Profile = c.profileOver(c.linkProfile(a), sched.Profile{MaxPacketBits: maxpkt})
+	cfg.Profile = c.profileOver(c.linkProfile(a), sched.Profile{})
 	a.finish(netArgNames...)
 	// core.Config treats a zero as "use the default", so an explicit zero
 	// in the file would be silently replaced — reject it instead.
@@ -728,7 +715,6 @@ func (c *compiler) netConfig(d *Decl) core.Config {
 	}{
 		{"rate", 0, cfg.LinkRate},
 		{"buffer", -1, float64(cfg.BufferPackets)},
-		{"maxpkt", -1, float64(maxpkt)},
 	} {
 		if pos, ok := a.given(z.name, z.posIdx); ok && z.val == 0 {
 			c.failf(pos, "Net %s must be positive (omit the argument for the default)", z.name)
@@ -737,29 +723,24 @@ func (c *compiler) netConfig(d *Decl) core.Config {
 	return cfg
 }
 
+// rerouteArgNames is the accepted Reroute argument set.
+var rerouteArgNames = []string{"cost"}
+
 // setupRouting configures failure-aware rerouting from the Net "routing"
 // argument and the optional Reroute element. `Net(routing auto)` alone turns
-// on automatic rerouting with the defaults (shortest path by hops); a
-// Reroute element refines policy/cost/paths and itself implies auto unless
-// it says `auto off` (an explicit Reroute auto argument also overrides the
-// Net shorthand). Scenarios with neither leave routing untouched, so static
-// reports stay bit-identical.
+// on automatic rerouting with the default cost (shortest path by hops); a
+// Reroute element names the cost and itself implies auto unless the file
+// says `Net(routing static)`, which leaves only the reroute verb. Scenarios
+// with neither leave routing untouched, so static reports stay bit-identical.
 func (c *compiler) setupRouting(d *Decl) {
-	rc := core.RoutingConfig{Auto: c.netRouting == "auto"}
 	if d == nil && c.netRouting == "" {
 		return
 	}
+	rc := core.RoutingConfig{Auto: c.netRouting != "static"}
 	if d != nil {
 		a := c.argsOf(d)
-		rc.Policy = a.enum("policy", "", core.PolicyShortest, core.PolicySpread)
-		rc.Cost = a.enum("cost", "", "hops", "delay", "load")
-		rc.Paths = a.count("paths", -1, 0)
-		auto := true
-		if c.netRouting != "" {
-			auto = c.netRouting == "auto"
-		}
-		rc.Auto = a.boolean("auto", auto)
-		a.finish("policy", "cost", "paths", "auto")
+		rc.Cost = a.enum("cost", "", routing.CostNameHops, routing.CostNameDelay)
+		a.finish(rerouteArgNames...)
 		if !c.ok() {
 			return
 		}
@@ -1009,60 +990,44 @@ func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 	}
 }
 
+// tcpArgNames is the accepted TCP argument set, in documentation order.
+var tcpArgNames = []string{"path", "start"}
+
 // tcpDecl compiles a TCP declaration; at > 0 (an at-block arrival) floors
-// the connection's start time at the event time.
+// the connection's start time at the event time. ACKs return along the
+// reverse of the path.
 func (c *compiler) tcpDecl(d *Decl, at float64) {
 	a := c.argsOf(d)
 	fwd := a.path("path", true)
-	var nodes []string
+	var nodes, back []string
 	if c.ok() {
 		nodes = c.pathNodes(fwd)
 	}
-	var back []string
-	if rev := a.path("back", false); rev != nil {
-		back = c.pathNodes(rev)
-		// ACKs must return from the receiver to the sender, whatever
-		// route they take.
-		if back != nil && nodes != nil &&
-			(back[0] != nodes[len(nodes)-1] || back[len(back)-1] != nodes[0]) {
-			c.failf(rev[0].Pos, "back path must run from %s to %s (got %s to %s)",
-				nodes[len(nodes)-1], nodes[0], back[0], back[len(back)-1])
-			return
-		}
-	} else if nodes != nil {
+	if nodes != nil {
 		back = make([]string, len(nodes))
 		for i, s := range nodes {
 			back[len(nodes)-1-i] = s
 		}
 		for i := 0; i < len(back)-1; i++ {
 			if !c.links[[2]string{back[i], back[i+1]}] {
-				c.failf(d.KindPos, "TCP ACKs need a reverse link %s -> %s; declare it (or the whole path with <->), or give an explicit back path",
+				c.failf(d.KindPos, "TCP ACKs need a reverse link %s -> %s; declare it (or the whole path with <->)",
 					back[i], back[i+1])
 				return
 			}
 		}
 	}
-	cfg := tcp.Config{
-		SegmentBits: int(a.bits("segment", -1, 0)),
-		AckBits:     int(a.bits("ack", -1, 0)),
-		MaxCwnd:     float64(a.count("maxcwnd", -1, 0)),
-		MinRTO:      a.duration("minrto", -1, 0),
-	}
 	startAt := a.duration("start", -1, 0)
 	if startAt < at {
 		startAt = at
 	}
-	a.finish("path", "back", "segment", "ack", "maxcwnd", "minrto", "start")
+	a.finish(tcpArgNames...)
 	for _, n := range d.Names {
 		if !c.ok() {
 			return
 		}
-		cc := cfg
-		cc.DataFlowID = c.allocID()
-		cc.AckFlowID = c.allocID()
-		cc.Path = nodes
-		cc.ReversePath = back
-		conn := tcp.NewConnection(c.net.Topology(), cc)
+		conn := tcp.NewConnection(c.net.Topology(), tcp.Config{
+			DataFlowID: c.allocID(), AckFlowID: c.allocID(), Path: nodes, ReversePath: back,
+		})
 		st := &SimTCP{Name: n.Text, Conn: conn, StartAt: startAt}
 		c.out.TCPs = append(c.out.TCPs, st)
 		// The connection's whole state machine runs on the data-ingress

@@ -179,11 +179,7 @@ f :: Predicted(rate 85kbps, bucket 50kbit, class 7, path a -> b)`, "rejected"},
 		{"excess positional", "a, b :: Switch(42)", "at most 0 positional"},
 		{"duplicate named arg", "a, b :: Switch\na -> b\nd :: Datagram(path a -> b)\ns :: CBR(rate 10pps, rate 9pps)\ns -> d", "given twice"},
 		{"named and positional", "a, b :: Switch\na -> b\nd :: Datagram(path a -> b)\ns :: CBR(5pps, rate 10pps)\ns -> d", "already given by name"},
-		{"disconnected back path", `
-a, b, x, y :: Switch
-a -> b
-x -> y
-w :: TCP(path a -> b, back x -> y)`, "back path must run from b to a"},
+		{"switch argument", "a :: Switch(shard 1)", `Switch has no argument "shard" (accepted: none)`},
 	}
 	for _, tc := range cases {
 		_, err := compileSrc(t, tc.src, Options{})

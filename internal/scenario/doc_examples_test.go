@@ -43,9 +43,9 @@ func TestScenarioDocExamplesCompile(t *testing.T) {
 	}
 }
 
-// TestScenarioDocArgTables keeps docs/SCENARIO.md's Net and Link argument
-// tables in step with the compiler: each lists exactly the argument names
-// the compiler accepts, in the order it documents them.
+// TestScenarioDocArgTables keeps docs/SCENARIO.md's Net, Reroute, Link and
+// TCP argument tables in step with the compiler: each lists exactly the
+// argument names the compiler accepts, in the order it documents them.
 func TestScenarioDocArgTables(t *testing.T) {
 	data, err := os.ReadFile("../../docs/SCENARIO.md")
 	if err != nil {
@@ -78,7 +78,9 @@ func TestScenarioDocArgTables(t *testing.T) {
 		want    []string
 	}{
 		{"**`Net(...)`**", netArgNames},
+		{"**`Reroute(...)`**", rerouteArgNames},
 		{"#### Per-link scheduling profiles", linkArgNames},
+		{"**`TCP(...)`**", tcpArgNames},
 	} {
 		if got := table(tc.heading); !slices.Equal(got, tc.want) {
 			t.Errorf("%s table lists %v, the compiler accepts %v", tc.heading, got, tc.want)

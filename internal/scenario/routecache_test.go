@@ -81,10 +81,10 @@ func TestRouteCacheAndLocalityCompileErrors(t *testing.T) {
 			"net :: Net(rate 1Mbps)\nA, B :: Switch\nA <-> B\nch :: Churn(every 1s, hold 2s, rate 32kbps, pps 32pps, from A)\n",
 			"needs both from"},
 		{"locality without destinations",
-			"net :: Net(rate 1Mbps)\nA, B :: Switch\nA <-> B\nch :: Churn(every 1s, hold 2s, rate 32kbps, pps 32pps, locality 2, path A -> B)\n",
+			"net :: Net(rate 1Mbps)\nA, B :: Switch\nA <-> B\nch :: Churn(every 1s, hold 2s, rate 32kbps, pps 32pps, locality 2, paths [A -> B])\n",
 			"not both"},
 		{"path and from",
-			"net :: Net(rate 1Mbps)\nA, B :: Switch\nA <-> B\nch :: Churn(every 1s, hold 2s, rate 32kbps, pps 32pps, path A -> B, from A, to [B])\n",
+			"net :: Net(rate 1Mbps)\nA, B :: Switch\nA <-> B\nch :: Churn(every 1s, hold 2s, rate 32kbps, pps 32pps, paths [A -> B], from A, to [B])\n",
 			"not both"},
 		{"destination is origin",
 			"net :: Net(rate 1Mbps)\nA, B :: Switch\nA <-> B\nch :: Churn(every 1s, hold 2s, rate 32kbps, pps 32pps, from A, to [A])\n",

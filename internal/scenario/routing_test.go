@@ -60,12 +60,12 @@ func TestScenarioNoRerouteBaselineBlackholes(t *testing.T) {
 
 func TestScenarioRerouteElementAndVerb(t *testing.T) {
 	rep := runSrc(t, `
-net :: Net(rate 1Mbps)
+net :: Net(rate 1Mbps, routing static)
 run :: Run(seed 3, horizon 10s)
 s1, s2, s3, b :: Switch
 s1 -> s2 -> s3
 s1 -> b -> s3
-rr :: Reroute(policy spread, cost delay, paths 3, auto off)
+rr :: Reroute(cost delay)
 
 d :: Datagram(path s1 -> s2 -> s3)
 bg :: Poisson(rate 100pps, size 1000bit)
@@ -78,9 +78,9 @@ at 5s { reroute s2 -> s3 }
 	if rep.Routing == nil {
 		t.Fatal("Reroute element did not enable the routing section")
 	}
-	// auto off: the failure alone must not reroute; the explicit verb at
-	// 3s does (and the 5s link-form reroute moves it off s2->s3, a no-op
-	// since it already left that link).
+	// routing static: the failure alone must not reroute; the explicit
+	// verb at 3s does (and the 5s link-form reroute moves it off s2->s3,
+	// a no-op since it already left that link).
 	if rep.Routing.Reroutes != 1 {
 		t.Fatalf("routing totals %+v, want exactly the scripted reroute", *rep.Routing)
 	}
@@ -122,12 +122,12 @@ func TestRoutingDiagnostics(t *testing.T) {
 		{
 			"bad policy",
 			"rr :: Reroute(policy fastest)\nA, B :: Switch\nA -> B",
-			`"policy" must be one of: shortest, spread`,
+			`Reroute has no argument "policy" (accepted: cost)`,
 		},
 		{
 			"bad cost",
 			"rr :: Reroute(cost vibes)\nA, B :: Switch\nA -> B",
-			`"cost" must be one of: hops, delay, load`,
+			`"cost" must be one of: hops, delay`,
 		},
 		{
 			"unknown argument",

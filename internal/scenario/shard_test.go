@@ -174,60 +174,6 @@ c -> d
 	}
 }
 
-// TestShardPinsAndConflicts covers Switch(shard N) pins: honoring a valid
-// pin, and the diagnostic (not a deadlock or a silent merge) when zero-delay
-// links join nodes pinned apart.
-func TestShardPinsAndConflicts(t *testing.T) {
-	const pinned = `
-net :: Net(rate 1Mbps, shards 2)
-run :: Run(horizon 1s)
-A :: Switch(shard 1)
-B :: Switch(shard 0)
-A <-> B :: Link(delay 1ms)
-d :: Datagram(path A -> B)
-c :: CBR(rate 50pps)
-c -> d
-`
-	f, err := Parse("pins.ispn", []byte(pinned))
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	s, err := Compile(f, Options{})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	if got := s.Net.ShardOf("A"); got != 1 {
-		t.Errorf("A pinned to shard 1, landed on %d", got)
-	}
-	if got := s.Net.ShardOf("B"); got != 0 {
-		t.Errorf("B pinned to shard 0, landed on %d", got)
-	}
-
-	// A zero-delay link fuses its endpoints; pinning them apart must be a
-	// compile-time diagnostic.
-	const conflict = `
-net :: Net(rate 1Mbps, shards 2)
-run :: Run(horizon 1s)
-A :: Switch(shard 0)
-B :: Switch(shard 1)
-A <-> B
-d :: Datagram(path A -> B)
-c :: CBR(rate 50pps)
-c -> d
-`
-	f2, err := Parse("conflict.ispn", []byte(conflict))
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	_, err = Compile(f2, Options{})
-	if err == nil {
-		t.Fatal("conflicting pins across a zero-delay link compiled without error")
-	}
-	if !strings.Contains(err.Error(), "cannot land on different shards") {
-		t.Errorf("conflict diagnostic unclear: %v", err)
-	}
-}
-
 // TestShardOptionValidation rejects a nonsensical shards count in the file.
 func TestShardOptionValidation(t *testing.T) {
 	const src = `
@@ -258,7 +204,7 @@ A, B, C, D :: Switch
 A <-> B :: Link(delay 2ms)
 B <-> C :: Link(delay 2ms)
 C <-> D :: Link(delay 2ms)
-bulk :: TCP(path A -> B -> C -> D, segment 8000bit)
+bulk :: TCP(path A -> B -> C -> D)
 back :: Datagram(path D -> C -> B -> A)
 c :: CBR(rate 20pps)
 c -> back

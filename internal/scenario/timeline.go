@@ -449,7 +449,7 @@ type churnRun struct {
 	until   float64 // 0 = horizon
 	paths   [][]string
 
-	// Destination-locality mode (from/to/locality instead of path/paths):
+	// Destination-locality mode (from/to/locality instead of paths):
 	// arrivals originate at from and pick a destination from dests with
 	// Zipf-skewed probability P(k) ∝ 1/(k+1)^locality over the list in file
 	// order; the route is resolved at arrival time through the network's
@@ -484,14 +484,13 @@ func (c *compiler) churnDecl(d *Decl) {
 	bucket := a.bits("bucket", -1, DefaultBucketPkt*DefaultPktBits)
 	delay := a.duration("delay", -1, 0.5)
 	loss := a.fraction("loss", -1, 0.01)
-	single := a.path("path", false)
 	pathLists := a.pathList("paths")
 	from, fromGiven := a.identName("from")
 	dests := a.nameList("to")
 	locality := a.plain("locality", -1, 1)
 	localityPos, localityGiven := a.given("locality", -1)
 	a.finish("every", "hold", "service", "rate", "bucket", "delay", "loss", "class",
-		"src", "pps", "size", "start", "until", "path", "paths", "from", "to", "locality")
+		"src", "pps", "size", "start", "until", "paths", "from", "to", "locality")
 	if !c.ok() {
 		return
 	}
@@ -521,14 +520,11 @@ func (c *compiler) churnDecl(d *Decl) {
 		c.failf(d.KindPos, "Churn requires a positive per-flow packet rate (pps 64pps)")
 		return
 	}
-	if single != nil {
-		pathLists = append(pathLists, single)
-	}
-	// Two routing modes: explicit paths (path/paths) or destination
-	// locality (from/to/locality), never both.
+	// Two routing modes: explicit paths or destination locality
+	// (from/to/locality), never both.
 	destMode := fromGiven || dests != nil || localityGiven
 	if destMode && len(pathLists) > 0 {
-		c.failf(d.KindPos, "Churn takes either explicit paths (path/paths) or destination locality (from/to), not both")
+		c.failf(d.KindPos, "Churn takes either explicit paths or destination locality (from/to), not both")
 		return
 	}
 	if destMode {
@@ -568,7 +564,7 @@ func (c *compiler) churnDecl(d *Decl) {
 		return
 	}
 	if len(pathLists) == 0 {
-		c.failf(d.KindPos, "Churn needs a path (path A -> B), a pool (paths [A -> B, A -> C]), or destination locality (from A, to [B, C])")
+		c.failf(d.KindPos, "Churn needs a path pool (paths [A -> B, A -> C]) or destination locality (from A, to [B, C])")
 		return
 	}
 	for _, p := range pathLists {

@@ -225,6 +225,26 @@ at 10s { renew f (rate 160kbps, bucket 50kbit) }
 			},
 		},
 		{
+			// A datagram churn arrival whose destination has no route is
+			// refused like any other, not handed to the network as an
+			// empty path (which panicked the run).
+			name: "datagram churn to an unreachable destination",
+			src: `
+net :: Net(rate 1Mbps)
+run :: Run(seed 1, horizon 10s)
+A, B :: Switch
+A -> B
+calls :: Churn(every 1s, hold 2s, service datagram, pps 10pps, size 1000bit, from A, to [B])
+at 2s { fail A -> B }
+`,
+			want: func(t *testing.T, rep *Report) {
+				ch := rep.Churns[0]
+				if ch.Rejected == 0 || ch.Admitted+ch.Rejected != ch.Arrivals {
+					t.Errorf("churn %+v: want every arrival after the failure refused", ch)
+				}
+			},
+		},
+		{
 			// A link event reconfigures rate mid-run; the trace knob
 			// reports per-interval utilization curves around it.
 			name: "link event with trace",
@@ -321,7 +341,7 @@ func TestTimelineCompileErrors(t *testing.T) {
 			"A, B :: Switch\nA -> B\nc :: Churn(every 1s, hold 5s, rate 10kbps, pps 10pps)\n",
 			"needs a path"},
 		{"churn without arrivals",
-			"A, B :: Switch\nA -> B\nc :: Churn(hold 5s, rate 10kbps, pps 10pps, path A -> B)\n",
+			"A, B :: Switch\nA -> B\nc :: Churn(hold 5s, rate 10kbps, pps 10pps, paths [A -> B])\n",
 			"positive mean inter-arrival"},
 	}
 	for _, tc := range cases {
@@ -433,7 +453,7 @@ run :: Run(seed 7, horizon 30s)
 A, B, C :: Switch
 A -> B; B -> C
 calls :: Churn(every 400ms, hold 2s, service guaranteed, rate 50kbps,
-               pps 50pps, size 1000bit, src poisson, path A -> B -> C)
+               pps 50pps, size 1000bit, src poisson, paths [A -> B -> C])
 `)
 	ch := rep.Churns[0]
 	if ch.Admitted == 0 || ch.Departed == 0 {

@@ -21,7 +21,7 @@ import (
 // the network.
 const identBase = `net :: Net(rate 1Mbps, classes 2, targets [32ms, 320ms], admission on, routing auto)
 run :: Run(seed 7, horizon 8s, trace 2s)
-rr :: Reroute(policy shortest, cost delay)
+rr :: Reroute(cost delay)
 
 A, B, C, D, E :: Switch
 A -> B :: Link(delay 2ms)

@@ -82,33 +82,6 @@ func (m *RateMeter) roll(now float64) {
 	}
 }
 
-// Reset discards every retained window and restarts measurement at now —
-// the meter forgets its history. Callers use it when the quantity the rate
-// is compared against changes discontinuously (a live link-bandwidth
-// change): windows measured under the old regime would mis-report for a
-// full keep·window span otherwise.
-func (m *RateMeter) Reset(now float64) {
-	m.recent = m.recent[:0]
-	m.current = 0
-	m.start = now
-}
-
-// Rate returns the mean rate over the retained windows at time now.
-func (m *RateMeter) Rate(now float64) float64 {
-	m.roll(now)
-	if len(m.recent) == 0 {
-		if now <= m.start {
-			return 0
-		}
-		return m.current / (now - m.start)
-	}
-	sum := 0.0
-	for _, r := range m.recent {
-		sum += r
-	}
-	return sum / float64(len(m.recent))
-}
-
 // PeakRate returns the maximum per-window rate over the retained windows —
 // the "consistently conservative" utilization estimate ν̂ used by admission
 // control.

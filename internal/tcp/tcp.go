@@ -6,7 +6,8 @@
 // role — greedy, ACK-clocked, loss-responsive — matters here.
 //
 // Segments are counted in whole packets (one segment = one simulated packet),
-// which matches the paper's uniform 1000-bit packets.
+// which matches the paper's uniform 1000-bit packets. The connection's sizes
+// and timer floor are the constants below; no workload needs them to vary.
 package tcp
 
 import (
@@ -25,6 +26,13 @@ type Segment struct {
 	IsAck bool
 }
 
+const (
+	segmentBits = 1000  // data packet size, the paper's
+	ackBits     = 320   // ACK packet size (40 bytes)
+	maxCwnd     = 64    // congestion window cap in segments (receiver window)
+	minRTO      = 0.200 // retransmit timer floor, seconds
+)
+
 // Config parameterizes one TCP connection.
 type Config struct {
 	// DataFlowID identifies data segments; AckFlowID identifies the
@@ -33,18 +41,6 @@ type Config struct {
 	DataFlowID, AckFlowID uint32
 	// Path is the forward route (node names); ReversePath carries ACKs.
 	Path, ReversePath []string
-	// SegmentBits is the data packet size (default 1000, the paper's).
-	SegmentBits int
-	// AckBits is the ACK packet size (default 320 bits = 40 bytes).
-	AckBits int
-	// MaxCwnd caps the congestion window in segments (receiver window);
-	// default 64.
-	MaxCwnd float64
-	// MinRTO is the retransmit timer floor in seconds; default 200 ms.
-	MinRTO float64
-	// Priority is the datagram priority field (unused by the unified
-	// scheduler, which classifies datagram traffic by class).
-	Priority uint8
 }
 
 // Stats summarizes a connection's behaviour.
@@ -94,7 +90,7 @@ type Connection struct {
 	// the window (entries are tagged with seq+1, so a slot is only
 	// meaningful for the segment it was written for): no map traffic on
 	// the per-segment fast path. The live seq range is bounded by the
-	// congestion window, so a ring of >= 4*MaxCwnd slots never collides.
+	// congestion window, so a ring of >= 4*maxCwnd slots never collides.
 	txWin   []txRec
 	oooWin  []uint64 // tag seq+1 at slot seq&mask; 0 = not received
 	winMask uint64
@@ -116,18 +112,6 @@ type Connection struct {
 // NewConnection wires a connection into the network: routes for both
 // directions are installed and sinks registered. Call Start to begin.
 func NewConnection(net *topology.Network, cfg Config) *Connection {
-	if cfg.SegmentBits == 0 {
-		cfg.SegmentBits = 1000
-	}
-	if cfg.AckBits == 0 {
-		cfg.AckBits = 320
-	}
-	if cfg.MaxCwnd == 0 {
-		cfg.MaxCwnd = 64
-	}
-	if cfg.MinRTO == 0 {
-		cfg.MinRTO = 0.200
-	}
 	if len(cfg.Path) < 2 || len(cfg.ReversePath) < 2 {
 		panic("tcp: need forward and reverse paths")
 	}
@@ -157,14 +141,11 @@ func NewConnection(net *topology.Network, cfg Config) *Connection {
 		net:   net,
 		eng:   ingress.Engine(),
 		cwnd:  1,
-		ssthr: cfg.MaxCwnd,
+		ssthr: maxCwnd,
 		rto:   1.0,
 		pool:  ingress.Pool(),
 	}
-	winSize := uint64(256)
-	for winSize < 4*uint64(cfg.MaxCwnd) {
-		winSize *= 2
-	}
+	const winSize = 256 // >= 4*maxCwnd, a power of two
 	c.txWin = make([]txRec, winSize)
 	c.oooWin = make([]uint64, winSize)
 	c.winMask = winSize - 1
@@ -210,7 +191,7 @@ func (c *Connection) ThroughputBits(elapsed float64) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(c.stats.Delivered) * float64(c.cfg.SegmentBits) / elapsed
+	return float64(c.stats.Delivered) * segmentBits / elapsed
 }
 
 // --- sender ---
@@ -219,7 +200,7 @@ func (c *Connection) trySend() {
 	if c.stopped {
 		return
 	}
-	for float64(c.sndNext-c.sndUna) < math.Min(c.cwnd, c.cfg.MaxCwnd) {
+	for float64(c.sndNext-c.sndUna) < math.Min(c.cwnd, maxCwnd) {
 		// After an RTO pulls sndNext back (go-back-N), resent
 		// segments are retransmissions for Karn's rule.
 		c.sendSegment(c.sndNext, c.sndNext < c.maxSent)
@@ -256,9 +237,8 @@ func (c *Connection) sendSegment(seq uint64, isRexmit bool) {
 	p := c.pool.Get()
 	p.FlowID = c.cfg.DataFlowID
 	p.Seq = seq
-	p.Size = c.cfg.SegmentBits
+	p.Size = segmentBits
 	p.Class = packet.Datagram
-	p.Priority = c.cfg.Priority
 	p.CreatedAt = c.eng.Now()
 	p.Payload = seg
 	p.Route = c.dataRoute
@@ -331,7 +311,7 @@ func (c *Connection) onAck(p *packet.Packet) {
 		c.dupAcks = 0
 		// New data acknowledged: clear any exponential backoff.
 		if c.srtt > 0 {
-			c.rto = math.Max(c.srtt+4*c.rttvar, c.cfg.MinRTO)
+			c.rto = math.Max(c.srtt+4*c.rttvar, minRTO)
 		}
 		if c.inFR {
 			if ack >= c.recover {
@@ -394,7 +374,7 @@ func (c *Connection) sampleRTT(ack uint64) {
 		}
 		c.rttvar += (d - c.rttvar) / 4
 	}
-	c.rto = math.Max(c.srtt+4*c.rttvar, c.cfg.MinRTO)
+	c.rto = math.Max(c.srtt+4*c.rttvar, minRTO)
 }
 
 // --- receiver ---
@@ -428,7 +408,7 @@ func (c *Connection) onData(p *packet.Packet) {
 	ackPkt := c.pool.Get()
 	ackPkt.FlowID = c.cfg.AckFlowID
 	ackPkt.Seq = dataSeq
-	ackPkt.Size = c.cfg.AckBits
+	ackPkt.Size = ackBits
 	ackPkt.Class = packet.Datagram
 	ackPkt.CreatedAt = c.eng.Now()
 	ackPkt.Payload = ackSeg

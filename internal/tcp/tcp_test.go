@@ -119,21 +119,34 @@ func TestTCPSharesLinkFairly(t *testing.T) {
 }
 
 func TestTCPRespectsMaxCwnd(t *testing.T) {
+	// 100 Mbit/s with 10 ms each way: the bandwidth-delay product is
+	// about 2000 segments, far above the window cap, so only the cap
+	// bounds what is in flight.
 	eng := sim.New()
-	names := []string{"A", "B"}
-	n := buildDuplex(eng, names, 1e8) // fast link so cwnd would explode
-	rev := []string{"B", "A"}
-	c := NewConnection(n, Config{DataFlowID: 1, AckFlowID: 2, Path: names,
-		ReversePath: rev, MaxCwnd: 4})
+	n := topology.NewNetwork(eng)
+	n.AddNode("A")
+	n.AddNode("B")
+	n.AddLink("A", "B", sched.NewFIFO(), 1e8, 0.010)
+	n.AddLink("B", "A", sched.NewFIFO(), 1e8, 0.010)
+	c := newConn(n, []string{"A", "B"})
 	c.Start()
+	peak := uint64(0)
+	var sample func()
+	sample = func() {
+		peak = max(peak, c.sndNext-c.sndUna)
+		eng.Schedule(0.001, sample)
+	}
+	eng.Schedule(0, sample)
 	eng.RunUntil(5)
-	// In-flight never exceeds MaxCwnd, so deliveries are bounded by
-	// 4 segments per RTT; mostly we check no runaway.
 	if c.Stats().Retransmits != 0 {
 		t.Fatalf("clean path with window cap retransmitted: %+v", c.Stats())
 	}
-	if got := float64(c.sndNext - c.sndUna); got > 4 {
-		t.Fatalf("in flight %v > MaxCwnd 4", got)
+	if peak != maxCwnd {
+		t.Fatalf("peak in flight %d segments, want the cap of %d", peak, maxCwnd)
+	}
+	// One window per ~20 ms round trip, not the link rate.
+	if got := c.ThroughputBits(5); got > 1.1*maxCwnd*segmentBits/0.020 {
+		t.Fatalf("throughput %.0f bit/s exceeds a %d-segment window per round trip", got, maxCwnd)
 	}
 }
 
@@ -167,12 +180,12 @@ func TestTCPRTTEstimatorConverges(t *testing.T) {
 	c.Start()
 	eng.RunUntil(10)
 	// RTO should have adapted well below the 1s initial value on an
-	// uncongested ~1-2ms RTT path, bounded below by MinRTO.
+	// uncongested ~1-2ms RTT path, bounded below by minRTO.
 	if c.rto > 0.5 {
 		t.Fatalf("RTO = %v, estimator did not converge", c.rto)
 	}
 	if c.rto < 0.2 {
-		t.Fatalf("RTO = %v below MinRTO", c.rto)
+		t.Fatalf("RTO = %v below minRTO", c.rto)
 	}
 }
 

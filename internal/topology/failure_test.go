@@ -110,49 +110,3 @@ func TestRestoreRearmsStrandedBacklog(t *testing.T) {
 		t.Fatalf("stranded backlog not delivered after restore (delivered %d)", delivered)
 	}
 }
-
-func TestUtilizationResetsOnBandwidthChange(t *testing.T) {
-	eng := sim.New()
-	delivered := 0
-	n := failNet(eng, sched.NewFIFO(), &delivered)
-	pt := n.Node("A").Port("B")
-
-	// ~0.9 utilization for 2 s: 900 kbit/s of 1000-bit packets on 1 Mbit/s.
-	for i := 0; i < 1800; i++ {
-		at := float64(i) / 900.0
-		eng.Schedule(at, func() {
-			p := n.Pool().Get()
-			p.FlowID = 1
-			p.Size = 1000
-			n.Inject("A", p)
-		})
-	}
-	eng.RunUntil(2.0)
-	if u := pt.Utilization(eng.Now()); u < 0.8 || u > 1.0 {
-		t.Fatalf("pre-change utilization %v, want ~0.9", u)
-	}
-
-	// Cut the link to 300 kbit/s. The old windows measured 900 kbit/s;
-	// dividing them by the new bandwidth would report 300% utilization
-	// for a full measurement span.
-	pt.SetBandwidth(3e5)
-	if u := pt.Utilization(eng.Now()); u != 0 {
-		t.Fatalf("utilization %v immediately after a rate change, want 0 (measurement restarts)", u)
-	}
-
-	// New traffic at ~150 kbit/s: utilization must converge to ~0.5 of
-	// the new rate, not a stale fraction of the old one.
-	for i := 0; i < 300; i++ {
-		at := float64(i) / 150.0 // delay from now (t=2)
-		eng.Schedule(at, func() {
-			p := n.Pool().Get()
-			p.FlowID = 1
-			p.Size = 1000
-			n.Inject("A", p)
-		})
-	}
-	eng.RunUntil(4.5)
-	if u := pt.Utilization(eng.Now()); u < 0.3 || u > 0.7 {
-		t.Fatalf("post-change utilization %v, want ~0.5 of the new rate", u)
-	}
-}

@@ -118,7 +118,6 @@ func (n *Network) AddLink(from, to string, s sched.Scheduler, bandwidth, propDel
 		bandwidth: bandwidth,
 		propDelay: propDelay,
 		limit:     DefaultBufferPackets,
-		util:      stats.NewRateMeter(1.0, 60),
 	}
 	n.ports = append(n.ports, p)
 	// Prebound event callbacks: the transmit-complete event is the hottest
@@ -415,7 +414,6 @@ type Port struct {
 	discarded    int64         // late discards (DiscardOffset)
 	txBits       int64
 	txPkts       int64 // packets that started transmission (incl. in flight)
-	util         *stats.RateMeter
 }
 
 // Name returns "from->to".
@@ -491,16 +489,10 @@ func (pt *Port) SetBufferLimit(n int) { pt.limit = n }
 // SetBandwidth changes the link rate mid-run. The packet currently being
 // serialized (if any) finishes at the old rate; the next transmission uses
 // the new one. Callers that precomputed fixed delays from the old rate (the
-// per-flow queueing-delay normalization) keep their setup-time value. The
-// utilization measurement window restarts: windows accumulated at the old
-// rate divided by the new bandwidth would mis-report Utilization (a rate cut
-// could even read above 100%) for a full measurement span.
+// per-flow queueing-delay normalization) keep their setup-time value.
 func (pt *Port) SetBandwidth(r float64) {
 	if r <= 0 {
 		panic("topology: bandwidth must be positive")
-	}
-	if r != pt.bandwidth {
-		pt.util.Reset(pt.node.eng.Now())
 	}
 	pt.bandwidth = r
 }
@@ -584,12 +576,6 @@ func (pt *Port) DropsByClass(c packet.Class) int64 {
 
 // Discarded returns the number of late discards (DiscardOffset policy).
 func (pt *Port) Discarded() int64 { return pt.discarded }
-
-// Utilization returns the fraction of link capacity used over the recent
-// measurement windows.
-func (pt *Port) Utilization(now float64) float64 {
-	return pt.util.Rate(now) / pt.bandwidth
-}
 
 // TxBits returns lifetime transmitted bits (per-interval utilization curves
 // difference successive readings).
@@ -722,7 +708,6 @@ func (pt *Port) transmitNext() {
 	tx := float64(p.Size) / pt.bandwidth
 	pt.txBits += int64(p.Size)
 	pt.txPkts++
-	pt.util.Add(now, float64(p.Size))
 	if pt.OnTransmit != nil {
 		pt.OnTransmit(p, now)
 	}

@@ -61,14 +61,13 @@ type (
 	// SharingMode selects the intra-class sharing discipline.
 	SharingMode = sched.Sharing
 	// RoutingConfig configures failure-aware rerouting (pass to
-	// Network.SetRouting): automatic reroute on FailLink, path policy
-	// (shortest/spread) and link cost (hops/delay/load).
+	// Network.SetRouting): automatic reroute on FailLink, and the link
+	// cost (hops/delay) shortest paths minimize.
 	RoutingConfig = core.RoutingConfig
 	// PartitionSpec configures a sharded run (pass to Network.SetShards
-	// before creating flows): shard count, Together constraints and
-	// per-switch pins. A sharded run advances one event heap per shard in
-	// lockstep windows on the calling goroutine, bit-identically to the
-	// one-heap engine.
+	// before creating flows): shard count and Together constraints. A
+	// sharded run advances one event heap per shard in lockstep windows on
+	// the calling goroutine, bit-identically to the one-heap engine.
 	PartitionSpec = core.PartitionSpec
 	// Profile is a per-port scheduling profile: discipline kind, sharing
 	// mode, class targets and datagram quota. Pass one to
@@ -89,12 +88,6 @@ const (
 	SharingFIFOPlus = sched.SharingFIFOPlus
 	SharingFIFO     = sched.SharingFIFO
 	SharingRR       = sched.SharingRoundRobin
-)
-
-// Routing policies for RoutingConfig.Policy.
-const (
-	PolicyShortest = core.PolicyShortest
-	PolicySpread   = core.PolicySpread
 )
 
 // Per-port pipeline kinds for Profile.Kind.
