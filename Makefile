@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-teeth build unlinked unlinked-teeth examples test claims scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover experiments-golden
+.PHONY: ci vet lint lint-teeth build unlinked unlinked-teeth unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover experiments-golden
 
 ci: fmt-check vet lint lint-teeth build unlinked unlinked-teeth examples test claims scenario-check bench-smoke bench-check fuzz-smoke serve-smoke
 
@@ -41,6 +41,21 @@ unlinked:
 # (about 7 s warm).
 unlinked-teeth:
 	./scripts/unlinked-teeth.sh
+
+# The workload census: build ispnsim, the examples and the bench binary with
+# coverage, run the workload set (scenario library, every experiment, fuzz,
+# the five bench workloads, the examples), and list every function that never
+# ran and scripts/unreached.allow does not explain; their count is held to the
+# ceiling the allow file records, and a stale entry fails (docs/TESTING.md).
+# About 30 s on the 2-vCPU host with a warm build cache.
+unreached:
+	./scripts/unreached.sh
+
+# Prove the census has teeth: plant a Churn argument no workload writes and an
+# allow entry for a function every workload runs in a copy, and require both
+# to be named (about 35 s).
+unreached-teeth:
+	./scripts/unreached-teeth.sh
 
 # Build every runnable example explicitly (they are also covered by build,
 # but this target keeps them honest if the module layout changes).

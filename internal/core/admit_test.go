@@ -13,20 +13,22 @@ import (
 	"ispn/internal/sched"
 )
 
-// admissionOpsDigest is what TestAdmissionOperationsPinned folded at the
-// commit that still wrote the §9 admission loop once per operation (seven
-// loops); the one transaction in admit.go must reproduce it bit for bit.
-const admissionOpsDigest = "c43bf143b5d5bf3b095700cce69b6fcd29f7eaab4b0915faf6b96b6f9dc497b1"
+// admissionOpsDigest is what TestAdmissionOperationsPinned folds against the
+// admission code as it stood before predicted renegotiation was removed, which
+// in turn reproduced the commit that still wrote the §9 admission loop once
+// per operation (seven loops) bit for bit; the one transaction in admit.go
+// must keep reproducing it.
+const admissionOpsDigest = "726d105782e119a1e80fd5198ee6a8d24f79fd93023560f1064df468abac6096"
 
 // TestAdmissionOperationsPinned drives seeded service operations of every
-// kind — the three requests, aggregated members admitted and released, both
-// renegotiations up and down, releases, and reroutes after link failures —
-// over a small mesh with tight, uneven quotas, so refusals land at every hop
-// index and rollbacks have earlier hops to undo. The clock advances between
-// operations so warm-up ledger entries expire. After each operation it folds
-// the operation, its error text, and every port's reservation and ν̂ into one
-// sha256. Ledger token values are not folded: they are an implementation
-// detail the transaction is free to renumber.
+// kind — the three requests, aggregated members admitted and released,
+// guaranteed renegotiations up and down, releases, and reroutes after link
+// failures — over a small mesh with tight, uneven quotas, so refusals land at
+// every hop index and rollbacks have earlier hops to undo. The clock advances
+// between operations so warm-up ledger entries expire. After each operation
+// it folds the operation, its error text, and every port's reservation and ν̂
+// into one sha256. Ledger token values are not folded: they are an
+// implementation detail the transaction is free to renumber.
 //
 // Mutation check: dropping the rollback inside the transaction (the release
 // of the earlier hops' entries on a refusal) changes the digest.
@@ -184,17 +186,6 @@ func admissionOperations(t *testing.T, h hash.Hash, admit bool) {
 			spec.ClockRate *= 0.4 + 1.4*r.Float64()
 			op = fmt.Sprintf("renegotiate-guaranteed %d %v", f.ID, spec)
 			err = n.RenegotiateGuaranteed(f.ID, spec)
-		case k < 76:
-			f := pick(packet.Predicted, false)
-			if f == nil {
-				continue
-			}
-			spec := f.PredictedSpec()
-			spec.TokenRate *= 0.4 + 1.4*r.Float64()
-			spec.BucketBits *= 0.5 + r.Float64()
-			spec.Delay = 0 // a partial spec keeps the flow's target
-			op = fmt.Sprintf("renegotiate-predicted %d %v", f.ID, spec)
-			err = n.RenegotiatePredicted(f.ID, spec)
 		case k < 88:
 			f := pick(packet.Datagram, false)
 			if f == nil {
@@ -212,7 +203,7 @@ func admissionOperations(t *testing.T, h hash.Hash, admit bool) {
 			for _, f := range n.Flows() {
 				for _, fp := range n.portsOf(f) {
 					if fp == pt {
-						rerr := n.RerouteFlow(f.ID)
+						_, rerr := n.rerouteFlow(f, n.newChooser())
 						op += fmt.Sprintf(" reroute %d: %v", f.ID, rerr)
 						break
 					}
@@ -221,7 +212,7 @@ func admissionOperations(t *testing.T, h hash.Hash, admit bool) {
 		default:
 			if f := pick(packet.Datagram, true); f != nil && r.Intn(2) == 0 {
 				op = fmt.Sprintf("reroute %d", f.ID)
-				err = n.RerouteFlow(f.ID)
+				_, err = n.rerouteFlow(f, n.newChooser())
 				break
 			}
 			l := links[r.Intn(len(links))]

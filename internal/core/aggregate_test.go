@@ -33,7 +33,7 @@ func TestAggregateSharesOneCarrier(t *testing.T) {
 	if got := c.DeclaredRate(); got != 2e4 {
 		t.Fatalf("carrier declares %v bits/s, want the member sum 2e4", got)
 	}
-	if got := c.PredictedSpec().BucketBits; got != 2e4 {
+	if got := c.pspec.BucketBits; got != 2e4 {
 		t.Fatalf("carrier bucket %v bits, want the member sum 2e4", got)
 	}
 	// A different class on the same path is a different aggregate.

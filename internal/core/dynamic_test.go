@@ -210,17 +210,20 @@ func TestSetLinkAndFailRestore(t *testing.T) {
 	if _, err := n.RequestGuaranteed(1, path, GuaranteedSpec{ClockRate: 3e5, BucketBits: 5e4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.SetLink("A", "B", 2e5, 0); err == nil {
+	if err := n.SetLink("A", "B", 2e5); err == nil {
 		t.Fatal("rate below reservations accepted")
 	}
-	if err := n.SetLink("A", "B", 2e6, 0.010); err != nil {
+	if err := n.SetLink("A", "B", 0); err == nil {
+		t.Fatal("zero rate accepted")
+	}
+	if err := n.SetLink("A", "B", 2e6); err != nil {
 		t.Fatalf("SetLink: %v", err)
 	}
 	pt, _ := n.port("A", "B")
-	if pt.Bandwidth() != 2e6 || pt.PropDelay() != 0.010 {
-		t.Fatalf("link not reconfigured: %v bits/s, %vs", pt.Bandwidth(), pt.PropDelay())
+	if pt.Bandwidth() != 2e6 {
+		t.Fatalf("link not reconfigured: %v bits/s", pt.Bandwidth())
 	}
-	if err := n.SetLink("A", "X", 1e6, 0); err == nil {
+	if err := n.SetLink("A", "X", 1e6); err == nil {
 		t.Fatal("SetLink on unknown link did not error")
 	}
 	if err := n.FailLink("B", "C"); err != nil {
@@ -297,6 +300,8 @@ func TestRenegotiateGuaranteed(t *testing.T) {
 	}
 }
 
+// TestRenegotiatePredicted: a predicted flow has no clock rate to change, so
+// renegotiation refuses it and leaves its spec, class and policer alone.
 func TestRenegotiatePredicted(t *testing.T) {
 	n := newChain(t, false)
 	path := []string{"A", "B", "C"}
@@ -304,21 +309,13 @@ func TestRenegotiatePredicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	class := f.Priority
-	if err := n.RenegotiatePredicted(1, PredictedSpec{TokenRate: 1.7e5, BucketBits: 6e4, Loss: 0.01}); err != nil {
-		t.Fatalf("renegotiate: %v", err)
+	class, policer := f.Priority, f.policer
+	err = n.RenegotiateGuaranteed(1, GuaranteedSpec{ClockRate: 1.7e5, BucketBits: 6e4})
+	if err == nil || !strings.Contains(err.Error(), "not guaranteed") {
+		t.Fatalf("renegotiating a predicted flow: err = %v, want a refusal", err)
 	}
-	if f.Priority != class {
-		t.Fatal("renegotiation moved the flow to another class")
-	}
-	if f.declaredRate != 1.7e5 {
-		t.Fatalf("declared rate = %v, want 1.7e5", f.declaredRate)
-	}
-	if err := n.RenegotiatePredicted(99, PredictedSpec{TokenRate: 1e5, BucketBits: 1e4}); err == nil {
-		t.Fatal("renegotiating unknown flow did not error")
-	}
-	if err := n.RenegotiatePredicted(1, PredictedSpec{TokenRate: -1, BucketBits: 1e4}); err == nil {
-		t.Fatal("invalid spec accepted")
+	if f.Priority != class || f.policer != policer || f.declaredRate != 8.5e4 {
+		t.Fatalf("refused renegotiation changed the flow: class %d, rate %v", f.Priority, f.declaredRate)
 	}
 }
 
@@ -334,7 +331,7 @@ func TestSetLinkUpdatesAdmissionRate(t *testing.T) {
 	if _, err := n.RequestGuaranteed(1, path, GuaranteedSpec{ClockRate: 1e5, BucketBits: 5e4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.SetLink("A", "B", 1e6, 0); err != nil {
+	if err := n.SetLink("A", "B", 1e6); err != nil {
 		t.Fatal(err)
 	}
 	// 800k fits 90% of 10M easily but not 90% of 1M on top of the 100k.
@@ -403,45 +400,5 @@ func TestRenegotiateShrinkReplacesLedger(t *testing.T) {
 	// a stale 800k entry would have blocked it.
 	if _, err := n.RequestGuaranteed(2, path, GuaranteedSpec{ClockRate: 6e5, BucketBits: 5e4}); err != nil {
 		t.Fatalf("shrunk flow still charges its old rate: %v", err)
-	}
-}
-
-// Growing only the bucket is still a bigger commitment: criterion 2 bounds
-// burst depth against class delay headroom and must be re-tested.
-func TestRenegotiateBucketGrowthIsTested(t *testing.T) {
-	n := newChain(t, true)
-	path := []string{"A", "B", "C"}
-	f, err := n.RequestPredicted(1, path, PredictedSpec{TokenRate: 8.5e4, BucketBits: 5e4, Delay: 1.0, Loss: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same rate, vastly deeper bucket: (D=0.32)(µ−ν̂) ≈ 262kbit of room,
-	// so a 5Mbit bucket must be refused and the old spec kept.
-	err = n.RenegotiatePredicted(1, PredictedSpec{TokenRate: 8.5e4, BucketBits: 5e6, Loss: 0.01})
-	if err == nil {
-		t.Fatal("unbounded bucket growth passed without an admission test")
-	}
-	if f.PredictedSpec().BucketBits != 5e4 {
-		t.Fatalf("failed renegotiation mutated the bucket: %v", f.PredictedSpec().BucketBits)
-	}
-	// A modest growth fits and is accepted.
-	if err := n.RenegotiatePredicted(1, PredictedSpec{TokenRate: 8.5e4, BucketBits: 8e4, Loss: 0.01}); err != nil {
-		t.Fatalf("modest bucket growth refused: %v", err)
-	}
-}
-
-// A partial renegotiation (Delay unset) must keep the flow's negotiated
-// delay target readable, not a placeholder.
-func TestRenegotiatePredictedKeepsDelayTarget(t *testing.T) {
-	n := newChain(t, false)
-	f, err := n.RequestPredicted(1, []string{"A", "B", "C"}, PredictedSpec{TokenRate: 8.5e4, BucketBits: 5e4, Delay: 0.7, Loss: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.RenegotiatePredicted(1, PredictedSpec{TokenRate: 1e5, BucketBits: 5e4}); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.PredictedSpec().Delay; got != 0.7 {
-		t.Fatalf("stored delay target = %v after partial renegotiation, want 0.7", got)
 	}
 }

@@ -224,39 +224,31 @@ func (n *Network) port(from, to string) (*topology.Port, error) {
 	return nil, fmt.Errorf("core: no link %s->%s", from, to)
 }
 
-// SetLink reconfigures a link's bandwidth and/or propagation delay mid-run
-// (zero leaves the respective knob unchanged). The new rate must exceed the
-// link's guaranteed reservations; the packet currently being serialized
-// finishes at the old rate. Note that per-flow queueing-delay normalization
-// uses the rates seen at flow setup, so delay reports of flows that straddle
-// a rate change are measured against their setup-time fixed delay.
-func (n *Network) SetLink(from, to string, rate, propDelay float64) error {
+// SetLink changes a link's bandwidth mid-run; its propagation delay is fixed
+// when the link is created. The new rate must exceed the link's guaranteed
+// reservations; the packet currently being serialized finishes at the old
+// rate. Note that per-flow queueing-delay normalization uses the rates seen
+// at flow setup, so delay reports of flows that straddle a rate change are
+// measured against their setup-time fixed delay.
+func (n *Network) SetLink(from, to string, rate float64) error {
 	pt, err := n.port(from, to)
 	if err != nil {
 		return err
 	}
-	if rate != 0 {
-		if rate < 0 {
-			return fmt.Errorf("core: link %s->%s rate must be positive, got %v", from, to, rate)
-		}
-		pipe := n.pipe(pt)
-		if res := pipe.Reserved(); rate <= res {
-			return fmt.Errorf("core: link %s->%s rate %v bits/s does not cover %v bits/s of guaranteed reservations",
-				from, to, rate, res)
-		}
-		pipe.SetLinkRate(rate, n.eng.Now())
-		pt.SetBandwidth(rate)
-		if c := n.admit[pt.Index()]; c != nil {
-			c.SetLinkRate(rate)
-		}
+	if rate <= 0 {
+		return fmt.Errorf("core: link %s->%s rate must be positive, got %v", from, to, rate)
 	}
-	if propDelay != 0 {
-		if propDelay < 0 {
-			return fmt.Errorf("core: link %s->%s propagation delay must be non-negative, got %v", from, to, propDelay)
-		}
-		pt.SetPropDelay(propDelay)
+	pipe := n.pipe(pt)
+	if res := pipe.Reserved(); rate <= res {
+		return fmt.Errorf("core: link %s->%s rate %v bits/s does not cover %v bits/s of guaranteed reservations",
+			from, to, rate, res)
 	}
-	n.invalidateRoutes() // rate and delay feed the delay/load costs
+	pipe.SetLinkRate(rate, n.eng.Now())
+	pt.SetBandwidth(rate)
+	if c := n.admit[pt.Index()]; c != nil {
+		c.SetLinkRate(rate)
+	}
+	n.invalidateRoutes() // the rate feeds the delay cost
 	return nil
 }
 
@@ -347,8 +339,8 @@ func (n *Network) FailLink(from, to string) error {
 
 // RestoreLink brings a failed link back with its configured rate and delay.
 // Rerouted flows stay on their detours — the subsystem reacts to failures,
-// it does not re-optimize on recovery (call RerouteFlow to move a flow
-// back explicitly).
+// it does not re-optimize on recovery (RerouteAround a link of the detour
+// moves its flows back explicitly).
 func (n *Network) RestoreLink(from, to string) error {
 	pt, err := n.port(from, to)
 	if err != nil {
@@ -409,7 +401,7 @@ type Flow struct {
 	// ledger entries belong to this flow (see claim).
 	declaredRate float64
 	ledgerTokens []uint64
-	pspec        PredictedSpec // predicted flows: current spec (renegotiation)
+	pspec        PredictedSpec // predicted flows: the spec a reroute re-admits
 	gspec        GuaranteedSpec
 
 	// rerouted counts successful path moves; rerouteRefused counts
@@ -469,10 +461,6 @@ func (f *Flow) RerouteRefused() int64 { return f.rerouteRefused }
 // GuaranteedSpec returns the current spec of a guaranteed flow (zero value
 // otherwise); renegotiation merges partial updates into it.
 func (f *Flow) GuaranteedSpec() GuaranteedSpec { return f.gspec }
-
-// PredictedSpec returns the current spec of a predicted flow (zero value
-// otherwise).
-func (f *Flow) PredictedSpec() PredictedSpec { return f.pspec }
 
 // Tap registers a callback invoked at the sink with each delivered packet
 // and its end-to-end queueing delay (adaptive playback clients hook here).
@@ -869,48 +857,5 @@ func (n *Network) RenegotiateGuaranteed(id uint32, spec GuaranteedSpec) error {
 	f.gspec = spec
 	f.declaredRate = spec.ClockRate
 	f.bound = n.pgBound(spec, ports)
-	return nil
-}
-
-// RenegotiatePredicted changes an existing predicted flow's (r, b) in place.
-// The flow keeps its priority class. Any growth of the commitment — token
-// rate or bucket depth — is re-tested against admission (with the rate
-// delta only, since the flow's current traffic is already inside the
-// measured ν̂, but with the full new bucket, since criterion 2 bounds burst
-// depth against class delay headroom). On success the edge policer is
-// replaced with a fresh bucket at the new parameters.
-func (n *Network) RenegotiatePredicted(id uint32, spec PredictedSpec) error {
-	f, ok := n.flows[id]
-	if !ok {
-		return fmt.Errorf("core: flow %d does not exist", id)
-	}
-	if f.Class != packet.Predicted {
-		return fmt.Errorf("core: flow %d is not predicted", id)
-	}
-	if spec.Delay == 0 {
-		// Renegotiation keeps the class, so a delay target is optional;
-		// a partial spec keeps the flow's current one.
-		spec.Delay = f.pspec.Delay
-	}
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	ports := n.portsOf(f)
-	delta := spec.TokenRate - f.pspec.TokenRate
-	if delta > 0 || spec.BucketBits > f.pspec.BucketBits {
-		probe := spec
-		probe.TokenRate = max(delta, 0)
-		token, err := n.admitAlong(ports, probe.demand(int(f.Priority)))
-		if err != nil {
-			return err
-		}
-		f.claim(token)
-	}
-	if delta < 0 {
-		n.reledger(ports, f, spec.TokenRate)
-	}
-	f.pspec = spec
-	f.declaredRate = spec.TokenRate
-	f.policer = tokenbucket.New(spec.TokenRate, spec.BucketBits)
 	return nil
 }

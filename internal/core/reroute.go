@@ -34,7 +34,7 @@ import (
 // RoutingConfig configures the reroute subsystem.
 type RoutingConfig struct {
 	// Auto reroutes every affected flow when FailLink takes a link down.
-	// Without it, RerouteFlow/RerouteAround still work on demand.
+	// Without it, RerouteAround still works on demand.
 	Auto bool
 	// Cost names the link cost a new path minimizes: "hops" ("" selects
 	// it) or "delay" (see routing.CostByName).
@@ -171,24 +171,13 @@ func portsNotIn(list, other []*topology.Port) []*topology.Port {
 	return out
 }
 
-// RerouteFlow recomputes the shortest path of one flow under the active
+// rerouteFlow recomputes the shortest path of one flow under the active
 // routing cost and, if the new path clears admission on every hop it adds,
 // moves the flow onto it. A refusal (no path, or an added hop that cannot
 // honor the flow's spec) leaves the flow untouched on its old path and is
-// counted on the flow and the network. Rerouting a flow onto its current
-// path is a no-op counted as neither.
-func (n *Network) RerouteFlow(id uint32) error {
-	f, ok := n.flows[id]
-	if !ok {
-		return fmt.Errorf("core: flow %d does not exist", id)
-	}
-	_, err := n.rerouteFlow(f, n.newChooser())
-	return err
-}
-
-// rerouteFlow attempts one reroute; moved reports whether the flow actually
-// changed path (a flow already on its best path is neither moved nor
-// refused).
+// counted on the flow and the network. moved reports whether the flow
+// actually changed path (a flow already on its best path is neither moved
+// nor refused).
 func (n *Network) rerouteFlow(f *Flow, ch *chooser) (moved bool, err error) {
 	oldPath := f.Path()
 	newPath := ch.pathFor(f)

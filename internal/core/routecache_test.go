@@ -90,7 +90,7 @@ func TestRouteCacheNeverServesStaleRoutes(t *testing.T) {
 	if p := n.LookupRoute("S1", "S4"); p[1] != "S2" {
 		t.Fatalf("delay-cost lookup = %v, want via S2 at equal rates", p)
 	}
-	if err := n.SetLink("S2", "S4", 1e4, 0); err != nil { // 100x slower
+	if err := n.SetLink("S2", "S4", 1e4); err != nil { // 100x slower
 		t.Fatal(err)
 	}
 	if p := n.LookupRoute("S1", "S4"); p[1] != "S3" {

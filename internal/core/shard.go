@@ -136,7 +136,7 @@ func (n *Network) SetShards(spec PartitionSpec) error {
 	for i, sh := range n.topo.Shards() {
 		engines[i] = sh.Engine()
 	}
-	n.coord = sim.NewCoordinator(n.eng, engines, n.topo.Lookahead)
+	n.coord = sim.NewCoordinator(n.eng, engines, n.topo.Lookahead())
 	return nil
 }
 

@@ -181,7 +181,7 @@ func TestRateCutDoesNotFireCapacity(t *testing.T) {
 	}
 	o := Attach(n)
 	o.Sweep(0) // baseline: 800k reserved, 900k reservable — fine
-	if err := n.SetLink("S1", "S2", 8.5e5, 0); err != nil {
+	if err := n.SetLink("S1", "S2", 8.5e5); err != nil {
 		t.Fatal(err)
 	}
 	// Reserved 800k now exceeds the 765k reservable share, but it did

@@ -48,12 +48,13 @@ type EventStmt struct {
 //	remove f1, f2        flow departure: stop sources, release reservations
 //	fail A -> B          take each link of the chain down
 //	restore A -> B       bring each link of the chain back up
-//	renew f (args)       renegotiate a flow's spec in place
+//	reroute A -> B       move every flow crossing the chain's links
+//	renew f (rate R)     change a guaranteed flow's clock rate in place
 type EventOp struct {
 	Verb    string
 	VerbPos Pos
-	Names   []Name // remove/renew targets, or fail/restore chain endpoints
-	Duplex  []bool // fail/restore: whether the arrow between Names[i] and Names[i+1] was "<->"
+	Names   []Name // remove/renew targets, or fail/restore/reroute chain endpoints
+	Duplex  []bool // fail/restore/reroute: whether the arrow between Names[i] and Names[i+1] was "<->"
 	Args    []Arg  // renew only
 }
 

@@ -481,7 +481,7 @@ func (c *compiler) compile() *Sim {
 			for _, n := range d.Names {
 				c.addSwitch(n.Text, n.Pos)
 			}
-			c.argsOf(d).finish()
+			c.argsOf(d).finish(switchArgNames...)
 		case classGenerator:
 			c.generate(d)
 		}
@@ -652,6 +652,9 @@ func (c *compiler) allDecls() []*Decl {
 	return out
 }
 
+// runArgNames is the accepted Run argument set, in documentation order.
+var runArgNames = []string{"seed", "horizon", "percentiles", "trace"}
+
 func (c *compiler) runKnobs(d *Decl) {
 	c.seed = DefaultSeed
 	c.horizon = DefaultHorizon
@@ -662,7 +665,7 @@ func (c *compiler) runKnobs(d *Decl) {
 		c.horizon = a.duration("horizon", 1, DefaultHorizon)
 		c.percentiles = a.fracList("percentiles", DefaultPercentiles)
 		c.traceDt = a.duration("trace", -1, 0)
-		a.finish("seed", "horizon", "percentiles", "trace")
+		a.finish(runArgNames...)
 		if c.horizon <= 0 {
 			c.failf(d.KindPos, "horizon must be positive, got %v", c.horizon)
 		}
@@ -756,6 +759,9 @@ func (c *compiler) setupRouting(d *Decl) {
 	c.out.routingOn = true
 }
 
+// routeCacheArgNames is the accepted RouteCache argument set.
+var routeCacheArgNames = []string{"scheme", "size"}
+
 // setupCache installs the destination-locality route cache a RouteCache
 // element declares: its eviction scheme, its size, and a cache section in the
 // report. The cache only accelerates — the core invalidates it on every
@@ -767,7 +773,7 @@ func (c *compiler) setupCache(d *Decl) {
 	a := c.argsOf(d)
 	scheme := a.enum("scheme", routing.CacheLRU, routing.CacheSchemes...)
 	size := a.count("size", -1, DefaultCacheSize)
-	a.finish("scheme", "size")
+	a.finish(routeCacheArgNames...)
 	if !c.ok() {
 		return
 	}
@@ -782,6 +788,9 @@ func (c *compiler) setupCache(d *Decl) {
 	}
 	c.net.SetRouteCache(cache)
 }
+
+// switchArgNames is the accepted Switch argument set: none.
+var switchArgNames []string
 
 func (c *compiler) addSwitch(name string, pos Pos) {
 	if c.switches[name] {
@@ -923,6 +932,14 @@ func (c *compiler) allocID() uint32 {
 	return id
 }
 
+// flowArgNames is the accepted argument set of each flow kind, in
+// documentation order.
+var flowArgNames = map[string][]string{
+	"Guaranteed": {"path", "rate", "bucket"},
+	"Predicted":  {"path", "rate", "bucket", "delay", "loss", "class"},
+	"Datagram":   {"path"},
+}
+
 // flowDecl compiles a flow declaration. With dynamic false the request
 // happens now and a rejection is a compile error (a static scenario that
 // cannot be admitted is malformed). With dynamic true the request is
@@ -949,7 +966,6 @@ func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 				ClockRate:  a.bitrate("rate", -1, 0),
 				BucketBits: a.bits("bucket", -1, DefaultBucketPkt*DefaultPktBits),
 			}
-			a.finish("path", "rate", "bucket")
 		case "Predicted":
 			req.p = core.PredictedSpec{
 				TokenRate:  a.bitrate("rate", -1, 0),
@@ -958,10 +974,8 @@ func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 				Loss:       a.fraction("loss", -1, 0.01),
 			}
 			req.class = a.count("class", -1, -1)
-			a.finish("path", "rate", "bucket", "delay", "loss", "class")
-		case "Datagram":
-			a.finish("path")
 		}
+		a.finish(flowArgNames[d.Kind]...)
 		if !c.ok() {
 			return
 		}
@@ -1042,6 +1056,9 @@ func (c *compiler) tcpDecl(d *Decl, at float64) {
 	}
 }
 
+// tokenBucketArgNames is the accepted TokenBucket argument set.
+var tokenBucketArgNames = []string{"rate", "depth"}
+
 // attachChain wires source -> [TokenBucket ->]* flow. With dynamic true the
 // chain lives in an at block: the source is built now but started at event
 // time — and only if the flow was actually admitted.
@@ -1091,7 +1108,7 @@ func (c *compiler) attachChain(ch *Chain, at float64, dynamic bool) {
 		a := c.argsOf(fd)
 		rate := a.pktRate("rate", 0, 0)
 		depth := float64(a.count("depth", 1, DefaultBucketPkt))
-		a.finish("rate", "depth")
+		a.finish(tokenBucketArgNames...)
 		if rate <= 0 {
 			c.failf(fd.KindPos, "TokenBucket requires a positive rate (packets/s)")
 			return
@@ -1108,6 +1125,14 @@ func (c *compiler) attachChain(ch *Chain, at float64, dynamic bool) {
 	c.startSource(src, srcDecl, flow, at, dynamic)
 }
 
+// sourceArgNames is the accepted argument set of each source kind, in
+// documentation order.
+var sourceArgNames = map[string][]string{
+	"Markov":  {"peak", "avg", "burst", "size", "start"},
+	"CBR":     {"rate", "size", "start"},
+	"Poisson": {"rate", "size", "start"},
+}
+
 // buildSource constructs the generator for one attachment. Class and
 // priority are stamped by Flow.Inject, so the source only needs rates and
 // sizes.
@@ -1119,47 +1144,32 @@ func (c *compiler) buildSource(d *Decl, n Name, flow *SimFlow) source.Source {
 		c.failf(d.KindPos, "%s requires a positive packet size, got %d bits", d.Kind, size)
 		return nil
 	}
-	var src source.Source
+	var peak, avg, burst, rate float64
+	if d.Kind == "Markov" {
+		peak, avg, burst = a.pktRate("peak", -1, 0), a.pktRate("avg", -1, 0), float64(a.count("burst", -1, 5))
+	} else {
+		rate = a.pktRate("rate", 0, 0)
+	}
+	a.finish(sourceArgNames[d.Kind]...)
+	switch {
+	case !c.ok():
+		return nil
+	case d.Kind == "Markov" && (avg <= 0 || peak <= avg):
+		c.failf(d.KindPos, "Markov needs 0 < avg < peak (got avg %v, peak %v)", avg, peak)
+		return nil
+	case d.Kind != "Markov" && rate <= 0:
+		c.failf(d.KindPos, "%s requires a positive rate (packets/s)", d.Kind)
+		return nil
+	}
 	switch d.Kind {
 	case "Markov":
-		peak := a.pktRate("peak", -1, 0)
-		avg := a.pktRate("avg", -1, 0)
-		burst := float64(a.count("burst", -1, 5))
-		a.finish("peak", "avg", "burst", "size", "start")
-		if !c.ok() {
-			return nil
-		}
-		if avg <= 0 || peak <= avg {
-			c.failf(d.KindPos, "Markov needs 0 < avg < peak (got avg %v, peak %v)", avg, peak)
-			return nil
-		}
-		src = source.NewMarkov(source.MarkovConfig{
+		return source.NewMarkov(source.MarkovConfig{
 			SizeBits: size, PeakRate: peak, AvgRate: avg, Burst: burst, RNG: rng,
 		})
 	case "CBR":
-		rate := a.pktRate("rate", 0, 0)
-		a.finish("rate", "size", "start")
-		if !c.ok() {
-			return nil
-		}
-		if rate <= 0 {
-			c.failf(d.KindPos, "CBR requires a positive rate (packets/s)")
-			return nil
-		}
-		src = source.NewCBR(source.CBRConfig{SizeBits: size, Rate: rate, RNG: rng})
-	case "Poisson":
-		rate := a.pktRate("rate", 0, 0)
-		a.finish("rate", "size", "start")
-		if !c.ok() {
-			return nil
-		}
-		if rate <= 0 {
-			c.failf(d.KindPos, "Poisson requires a positive rate (packets/s)")
-			return nil
-		}
-		src = source.NewPoisson(source.PoissonConfig{SizeBits: size, Rate: rate, RNG: rng})
+		return source.NewCBR(source.CBRConfig{SizeBits: size, Rate: rate, RNG: rng})
 	}
-	return src
+	return source.NewPoisson(source.PoissonConfig{SizeBits: size, Rate: rate, RNG: rng})
 }
 
 // startSource defers the actual Start into Sim.Run — for a static chain via

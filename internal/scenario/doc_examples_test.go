@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -43,46 +45,83 @@ func TestScenarioDocExamplesCompile(t *testing.T) {
 	}
 }
 
-// TestScenarioDocArgTables keeps docs/SCENARIO.md's Net, Reroute, Link and
-// TCP argument tables in step with the compiler: each lists exactly the
-// argument names the compiler accepts, in the order it documents them.
+// TestScenarioDocArgTables keeps every element table in docs/SCENARIO.md in
+// step with the compiler: an argument table lists exactly the argument names
+// the compiler accepts, in the order it documents them, and a kind table
+// (generators, sources) lists exactly the kinds, each with its arguments.
 func TestScenarioDocArgTables(t *testing.T) {
 	data, err := os.ReadFile("../../docs/SCENARIO.md")
 	if err != nil {
 		t.Fatalf("read docs/SCENARIO.md: %v", err)
 	}
 	doc := string(data)
-	// table returns the first-column names of the first table after the
+	// rows returns the cells of the body rows of the first table after the
 	// heading line.
-	table := func(heading string) []string {
+	rows := func(heading string) [][]string {
 		i := strings.Index(doc, heading)
 		if i < 0 {
 			t.Fatalf("docs/SCENARIO.md has no %q", heading)
 		}
-		var names []string
+		var out [][]string
 		for _, line := range strings.Split(doc[i:], "\n")[1:] {
 			if !strings.HasPrefix(line, "|") {
-				if len(names) > 0 {
+				if len(out) > 0 {
 					break
 				}
 				continue
 			}
-			if cells := strings.Split(line, "`"); len(cells) > 2 && strings.HasPrefix(line, "| `") {
-				names = append(names, cells[1])
+			if strings.HasPrefix(line, "| `") {
+				out = append(out, strings.Split(line, "|")[1:])
 			}
 		}
-		return names
+		return out
+	}
+	// names returns the backquoted names of a cell, skipping the defaults
+	// in parentheses.
+	paren := regexp.MustCompile(`\([^)]*\)`)
+	names := func(cell string) []string {
+		parts := strings.Split(paren.ReplaceAllString(cell, ""), "`")
+		var out []string
+		for i := 1; i < len(parts); i += 2 {
+			out = append(out, parts[i])
+		}
+		return out
 	}
 	for _, tc := range []struct {
 		heading string
 		want    []string
 	}{
 		{"**`Net(...)`**", netArgNames},
+		{"**`Run(...)`**", runArgNames},
 		{"**`Reroute(...)`**", rerouteArgNames},
+		{"**`RouteCache(...)`**", routeCacheArgNames},
 		{"#### Per-link scheduling profiles", linkArgNames},
+		{"**`Guaranteed(...)`**", flowArgNames["Guaranteed"]},
+		{"**`Predicted(...)`**", flowArgNames["Predicted"]},
 		{"**`TCP(...)`**", tcpArgNames},
+		{"**`TokenBucket(...)`**", tokenBucketArgNames},
+		{"### `Churn(...)`", churnArgNames},
 	} {
-		if got := table(tc.heading); !slices.Equal(got, tc.want) {
+		var got []string
+		for _, r := range rows(tc.heading) {
+			got = append(got, names(r[0])...)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s table lists %v, the compiler accepts %v", tc.heading, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		heading string
+		want    map[string][]string
+	}{
+		{"Topology **generators**", generatorArgNames},
+		{"### Traffic sources", sourceArgNames},
+	} {
+		got := map[string][]string{}
+		for _, r := range rows(tc.heading) {
+			got[names(r[0])[0]] = names(r[1])
+		}
+		if !maps.EqualFunc(got, tc.want, slices.Equal[[]string]) {
 			t.Errorf("%s table lists %v, the compiler accepts %v", tc.heading, got, tc.want)
 		}
 	}

@@ -16,6 +16,15 @@ import (
 // draws its extra edges from a stream derived from (run seed, element
 // name), so a given (file, seed) pair always produces the same topology.
 
+// generatorArgNames is the accepted argument set of each generator kind, in
+// documentation order.
+var generatorArgNames = map[string][]string{
+	"Star":       {"leaves", "rate", "delay"},
+	"Dumbbell":   {"left", "right", "access", "bottleneck", "rate", "delay"},
+	"ParkingLot": {"hops", "rate", "delay"},
+	"Random":     {"nodes", "degree", "rate", "delay"},
+}
+
 func (c *compiler) generate(d *Decl) {
 	name := d.Names[0]
 	a := c.argsOf(d)
@@ -29,7 +38,7 @@ func (c *compiler) generate(d *Decl) {
 	switch d.Kind {
 	case "Star":
 		leaves := a.count("leaves", 0, 4)
-		a.finish("leaves", "rate", "delay")
+		a.finish(generatorArgNames[d.Kind]...)
 		if leaves < 1 {
 			c.failf(d.KindPos, "Star needs at least one leaf")
 			return
@@ -47,7 +56,7 @@ func (c *compiler) generate(d *Decl) {
 		right := a.count("right", 1, 2)
 		access := a.bitrate("access", -1, rate)
 		bottleneck := a.bitrate("bottleneck", -1, rate)
-		a.finish("left", "right", "access", "bottleneck", "rate", "delay")
+		a.finish(generatorArgNames[d.Kind]...)
 		if left < 1 || right < 1 {
 			c.failf(d.KindPos, "Dumbbell needs at least one switch on each side")
 			return
@@ -72,7 +81,7 @@ func (c *compiler) generate(d *Decl) {
 
 	case "ParkingLot":
 		hops := a.count("hops", 0, 4)
-		a.finish("hops", "rate", "delay")
+		a.finish(generatorArgNames[d.Kind]...)
 		if hops < 1 {
 			c.failf(d.KindPos, "ParkingLot needs at least one hop")
 			return
@@ -90,7 +99,7 @@ func (c *compiler) generate(d *Decl) {
 	case "Random":
 		nodes := a.count("nodes", 0, 8)
 		degree := a.count("degree", 1, 3)
-		a.finish("nodes", "degree", "rate", "delay")
+		a.finish(generatorArgNames[d.Kind]...)
 		if nodes < 3 {
 			c.failf(d.KindPos, "Random needs at least 3 nodes")
 			return

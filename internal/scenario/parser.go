@@ -187,7 +187,7 @@ func (p *parser) eventStmt(b *EventBlock) {
 			op.Names = append(op.Names, p.name())
 		}
 		b.Stmts = append(b.Stmts, EventStmt{Op: op})
-	case "fail", "restore":
+	case "fail", "restore", "reroute":
 		t := p.advance()
 		op := &EventOp{Verb: t.text, VerbPos: t.pos, Names: []Name{p.name()}}
 		if p.tok.kind != tokArrow && p.tok.kind != tokDuplex {
@@ -205,24 +205,6 @@ func (p *parser) eventStmt(b *EventBlock) {
 		op := &EventOp{Verb: "renew", VerbPos: t.pos, Names: []Name{p.name()}}
 		p.expect(tokLParen, "after the renew target")
 		op.Args = p.args()
-		b.Stmts = append(b.Stmts, EventStmt{Op: op})
-	case "reroute":
-		// Two forms: "reroute f1, f2" moves named flows; "reroute A -> B"
-		// moves every flow crossing the link(s).
-		t := p.advance()
-		op := &EventOp{Verb: "reroute", VerbPos: t.pos, Names: []Name{p.name()}}
-		if p.tok.kind == tokArrow || p.tok.kind == tokDuplex {
-			for p.tok.kind == tokArrow || p.tok.kind == tokDuplex {
-				op.Duplex = append(op.Duplex, p.tok.kind == tokDuplex)
-				p.advance()
-				op.Names = append(op.Names, p.name())
-			}
-		} else {
-			for p.tok.kind == tokComma {
-				p.advance()
-				op.Names = append(op.Names, p.name())
-			}
-		}
 		b.Stmts = append(b.Stmts, EventStmt{Op: op})
 	default:
 		first := p.name()

@@ -72,15 +72,15 @@ bg :: Poisson(rate 100pps, size 1000bit)
 bg -> d
 
 at 2s { fail s1 -> s2 }
-at 3s { reroute d }
+at 3s { reroute s1 -> s2 }
 at 5s { reroute s2 -> s3 }
 `)
 	if rep.Routing == nil {
 		t.Fatal("Reroute element did not enable the routing section")
 	}
 	// routing static: the failure alone must not reroute; the explicit
-	// verb at 3s does (and the 5s link-form reroute moves it off s2->s3,
-	// a no-op since it already left that link).
+	// verb at 3s does (and the 5s reroute of s2->s3 is a no-op, since the
+	// flow already left that link).
 	if rep.Routing.Reroutes != 1 {
 		t.Fatalf("routing totals %+v, want exactly the scripted reroute", *rep.Routing)
 	}
@@ -141,13 +141,13 @@ func TestRoutingDiagnostics(t *testing.T) {
 		},
 		{
 			"reroute verb without routing",
-			"A, B :: Switch\nA -> B\nd :: Datagram(path A -> B)\nbg :: Poisson(rate 1pps)\nbg -> d\nat 1s { reroute d }",
+			"A, B :: Switch\nA -> B\nd :: Datagram(path A -> B)\nbg :: Poisson(rate 1pps)\nbg -> d\nat 1s { reroute A -> B }",
 			"reroute needs routing enabled",
 		},
 		{
 			"reroute of a non-flow",
-			"net :: Net(routing auto)\nA, B :: Switch\nA -> B\nd :: Datagram(path A -> B)\nbg :: Poisson(rate 1pps)\nbg -> d\nat 1s { reroute bg }",
-			`"bg" is a Poisson, not a flow`,
+			"net :: Net(routing auto)\nA, B :: Switch\nA -> B\nd :: Datagram(path A -> B)\nbg :: Poisson(rate 1pps)\nbg -> d\nat 1s { reroute bg -> d }",
+			`"bg" is a Poisson, not a switch in a reroute`,
 		},
 		{
 			"reroute of an unknown link",
@@ -186,7 +186,7 @@ s1 -> b -> s3
 d :: Datagram(path s1 -> s2 -> s3)
 bg :: Poisson(rate 200pps, size 1000bit)
 bg -> d
-at 2s { fail s1 -> s2; reroute d }
+at 2s { fail s1 -> s2; reroute s1 -> s2 }
 `
 	a := runSrc(t, src).Format()
 	b := runSrc(t, src).Format()

@@ -99,53 +99,6 @@ cw -> west
 	}
 }
 
-// TestShardedLinkDelayChange: an at-block may shorten a cross-shard link's
-// delay below the lookahead the partition started with. The window rule
-// follows the new delay from that barrier on, so the run reaches its horizon
-// with the sequential report — east's arrivals at B move 4 ms earlier at
-// 1 s, which shifts both flows' queueing on the shared B -> C hop.
-func TestShardedLinkDelayChange(t *testing.T) {
-	const src = `
-net :: Net(rate 1Mbps, classes 2)
-run :: Run(horizon 2s, trace 0.5s)
-A, B, C :: Switch
-A <-> B :: Link(delay 5ms)
-B <-> C
-east :: Datagram(path A -> B -> C)
-local :: Datagram(path B -> C)
-ce :: CBR(rate 400pps, size 1000bit)
-cl :: Poisson(rate 500pps, size 1000bit)
-ce -> east
-cl -> local
-at 1s { A -> B :: Link(delay 1ms) }
-`
-	f, err := Parse("delaychange.ispn", []byte(src))
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	compileRun := func(shards int) string {
-		s, err := Compile(f, Options{Shards: shards})
-		if err != nil {
-			t.Fatalf("compile (shards %d): %v", shards, err)
-		}
-		if shards > 1 && s.Net.ShardOf("A") == s.Net.ShardOf("B") {
-			t.Fatalf("shards %d: A and B share a shard; the changed link does not cross", shards)
-		}
-		rep := s.Run().Format()
-		if !s.Done() {
-			t.Fatalf("shards %d: run stopped at %vs, short of its horizon", shards, s.Now())
-		}
-		if shards > 1 && s.Net.Lookahead() != 0.001 {
-			t.Errorf("shards %d: lookahead after the change = %v, want 0.001", shards, s.Net.Lookahead())
-		}
-		return rep
-	}
-	base := compileRun(0)
-	if got := compileRun(2); got != base {
-		t.Errorf("shards=2 report differs from sequential: %s", firstDiff(base, got))
-	}
-}
-
 // TestShardNetArgument checks the file-side spelling: Net(shards N) shards
 // the network with no Options override, and the Options override wins.
 func TestShardNetArgument(t *testing.T) {

@@ -3,15 +3,16 @@ package scenario
 // The timeline subsystem: compilation and runtime of "at <time> { ... }"
 // event blocks and Churn flow-arrival processes. Scenarios stop being
 // static — flows arrive mid-run through admission control, depart and
-// release their reservations, renegotiate specs, and links change rate or
-// fail — while determinism holds: every statement compiles to one engine
-// event (ties broken by insertion order = file order) and every random
-// stream derives from (seed, element name).
+// release their reservations, renegotiate clock rates, and links change rate
+// or profile, fail and reroute — while determinism holds: every statement
+// compiles to one engine event (ties broken by insertion order = file order)
+// and every random stream derives from (seed, element name).
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"ispn/internal/core"
 	"ispn/internal/packet"
@@ -114,32 +115,35 @@ func (c *compiler) eventBlock(b *EventBlock) {
 	}
 }
 
+// linkEventArgNames is the accepted argument set of a Link(...) inside an
+// at block: Link's, less the propagation delay, which is fixed at compile.
+var linkEventArgNames = append([]string{"rate"}, profileArgNames...)
+
 // linkEvent compiles a switch->switch chain inside an at block: it modifies
-// existing links (rate, delay, and/or the scheduling profile) rather than
-// creating new ones — the topology itself is static. Profile arguments
+// existing links (rate and/or the scheduling profile) rather than creating
+// new ones — the topology itself is static. Profile arguments
 // (sched/sharing/targets/quota) become a live pipeline swap, merged
 // over the link's *current* profile at event time, so an event names only
 // what changes — the incremental-deployment upgrade of a single hop.
 func (c *compiler) linkEvent(ch *Chain, at float64) {
 	if len(ch.Attrs) == 0 {
-		c.failf(ch.Ends[0].Pos, "a link chain in an at block must carry :: Link(rate ..., delay ..., sched ...) — topology cannot grow mid-run")
+		c.failf(ch.Ends[0].Pos, "a link chain in an at block must carry :: Link(rate ..., sched ...) — topology cannot grow mid-run")
 		return
 	}
 	a := c.argsOf(&Decl{Kind: "Link", KindPos: ch.Ends[0].Pos, Args: ch.Attrs})
 	rate := a.bitrate("rate", 0, 0)
-	delay := a.duration("delay", 1, 0)
 	patch := c.linkProfile(a)
-	a.finish(linkArgNames...)
+	a.finish(linkEventArgNames...)
 	if !c.ok() {
 		return
 	}
-	if rate == 0 && delay == 0 && !patch.any() {
-		c.failf(ch.Ends[0].Pos, "link event changes nothing (give rate, delay, and/or profile arguments)")
+	if rate == 0 && !patch.any() {
+		c.failf(ch.Ends[0].Pos, "link event changes nothing (give rate and/or profile arguments)")
 		return
 	}
 	c.onLinks(ch.Ends, ch.Duplex, "in a link event", at, func(n *core.Network, from, to string) error {
-		if rate != 0 || delay != 0 {
-			if err := n.SetLink(from, to, rate, delay); err != nil {
+		if rate != 0 {
+			if err := n.SetLink(from, to, rate); err != nil {
 				return err
 			}
 		}
@@ -159,7 +163,7 @@ func (c *compiler) linkEvent(ch *Chain, at float64) {
 }
 
 // onLinks is the runner the four link verbs share — Link(...) events, fail,
-// restore and the link form of reroute: at time at it applies op to every
+// restore and reroute: at time at it applies op to every
 // link pair the chain names, and a refusal becomes a timeline warning while
 // the remaining pairs still run.
 func (c *compiler) onLinks(ends []Name, duplex []bool, context string, at float64, op func(n *core.Network, from, to string) error) {
@@ -238,26 +242,15 @@ func (c *compiler) eventOp(op *EventOp, at float64) {
 			c.failf(op.VerbPos, "reroute needs routing enabled (add Net(routing auto) or a Reroute element)")
 			return
 		}
-		if len(op.Duplex) > 0 {
-			// Link form: reroute every flow crossing the link(s).
-			c.onLinks(op.Names, op.Duplex, "in a reroute", at, func(n *core.Network, from, to string) error {
-				_, _, err := n.RerouteAround(from, to)
-				return err
-			})
-			return
-		}
-		c.onFlows(op, at, func(s *Sim, sf *SimFlow) {
-			if sf.Flow == nil || sf.removed {
-				return
-			}
-			if err := s.Net.RerouteFlow(sf.Flow.ID); err != nil {
-				s.warnf("at %vs: %v", at, err)
-			}
+		// Every flow crossing the link(s) moves to its shortest path.
+		c.onLinks(op.Names, op.Duplex, "in a reroute", at, func(n *core.Network, from, to string) error {
+			_, _, err := n.RerouteAround(from, to)
+			return err
 		})
 	case "renew":
 		n := op.Names[0]
-		if d := c.decls[n.Text]; d != nil && d.Kind == "Datagram" {
-			c.failf(n.Pos, "datagram flow %q has no spec to renew", n.Text)
+		if d := c.decls[n.Text]; d != nil && (d.Kind == "Predicted" || d.Kind == "Datagram") {
+			c.failf(n.Pos, "%s flow %q has no clock rate to renew", strings.ToLower(d.Kind), n.Text)
 			return
 		}
 		sf := c.flowAt(n, at, true, "renew")
@@ -266,17 +259,16 @@ func (c *compiler) eventOp(op *EventOp, at float64) {
 		}
 		a := c.argsOf(&Decl{Kind: "renew", KindPos: op.VerbPos, Args: op.Args})
 		rate := a.bitrate("rate", -1, 0)
-		bucket := a.bits("bucket", -1, 0)
-		a.finish("rate", "bucket")
+		a.finish(renewArgNames...)
 		if !c.ok() {
 			return
 		}
-		if rate == 0 && bucket == 0 {
-			c.failf(op.VerbPos, "renew changes nothing (give rate and/or bucket)")
+		if rate == 0 {
+			c.failf(op.VerbPos, "renew changes nothing (give a rate)")
 			return
 		}
 		c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
-			s.renewFlow(sf, rate, bucket)
+			s.renewFlow(sf, rate)
 		}})
 	default:
 		c.failf(op.VerbPos, "unknown event verb %q", op.Verb)
@@ -336,36 +328,20 @@ func (s *Sim) removeFlow(sf *SimFlow) {
 	}
 }
 
-// renewFlow executes a spec renegotiation, merging the given knobs (0 =
-// keep) into the flow's current spec. A refusal counts as a rejected
-// request; the old spec stays in force.
-func (s *Sim) renewFlow(sf *SimFlow, rate, bucket float64) {
+// renewArgNames is the accepted renew argument set.
+var renewArgNames = []string{"rate"}
+
+// renewFlow changes a guaranteed flow's clock rate. A refusal counts as a
+// rejected request; the old rate stays in force.
+func (s *Sim) renewFlow(sf *SimFlow, rate float64) {
 	if sf.Flow == nil || sf.removed {
 		return
 	}
 	now := s.Net.Engine().Now()
 	s.adm.Requested++
-	var err error
-	if sf.Kind == "Guaranteed" {
-		spec := sf.Flow.GuaranteedSpec()
-		if rate > 0 {
-			spec.ClockRate = rate
-		}
-		if bucket > 0 {
-			spec.BucketBits = bucket
-		}
-		err = s.Net.RenegotiateGuaranteed(sf.Flow.ID, spec)
-	} else {
-		spec := sf.Flow.PredictedSpec()
-		if rate > 0 {
-			spec.TokenRate = rate
-		}
-		if bucket > 0 {
-			spec.BucketBits = bucket
-		}
-		err = s.Net.RenegotiatePredicted(sf.Flow.ID, spec)
-	}
-	if err != nil {
+	spec := sf.Flow.GuaranteedSpec()
+	spec.ClockRate = rate
+	if err := s.Net.RenegotiateGuaranteed(sf.Flow.ID, spec); err != nil {
 		s.noteAdmission(now, false)
 		s.warnf("at %vs: renew %s: %v", now, sf.Name, err)
 		return
@@ -438,15 +414,11 @@ type churnRun struct {
 	name    string
 	every   float64 // mean inter-arrival, seconds
 	hold    float64 // mean holding time, seconds
-	service string  // Guaranteed / Predicted / Datagram
-	g       core.GuaranteedSpec
+	service string  // Predicted / Datagram
 	p       core.PredictedSpec
-	class   int
 	srcKind string // cbr / poisson
 	pps     float64
 	size    int
-	start   float64
-	until   float64 // 0 = horizon
 	paths   [][]string
 
 	// Destination-locality mode (from/to/locality instead of paths):
@@ -465,6 +437,10 @@ type churnRun struct {
 	srcs                                   []source.Source // one slot per admitted call, nil once it has departed (quiesce stops the rest)
 }
 
+// churnArgNames is the accepted Churn argument set, in documentation order.
+var churnArgNames = []string{"every", "hold", "service", "rate", "bucket", "delay",
+	"pps", "size", "src", "paths", "from", "to", "locality"}
+
 // churnDecl compiles a Churn element.
 func (c *compiler) churnDecl(d *Decl) {
 	a := c.argsOf(d)
@@ -472,36 +448,30 @@ func (c *compiler) churnDecl(d *Decl) {
 		name:    d.Names[0].Text,
 		every:   a.duration("every", -1, 0),
 		hold:    a.duration("hold", -1, 0),
-		service: a.enum("service", "predicted", "guaranteed", "predicted", "datagram"),
-		class:   a.count("class", -1, -1),
+		service: a.enum("service", "predicted", "predicted", "datagram"),
 		srcKind: a.enum("src", "poisson", "poisson", "cbr"),
 		pps:     a.pktRate("pps", -1, 0),
 		size:    int(a.bits("size", -1, DefaultPktBits)),
-		start:   a.duration("start", -1, 0),
-		until:   a.duration("until", -1, 0),
 	}
 	rate := a.bitrate("rate", -1, 0)
-	bucket := a.bits("bucket", -1, DefaultBucketPkt*DefaultPktBits)
-	delay := a.duration("delay", -1, 0.5)
-	loss := a.fraction("loss", -1, 0.01)
+	ch.p = core.PredictedSpec{
+		TokenRate:  rate,
+		BucketBits: a.bits("bucket", -1, DefaultBucketPkt*DefaultPktBits),
+		Delay:      a.duration("delay", -1, 0.5),
+		Loss:       0.01,
+	}
 	pathLists := a.pathList("paths")
 	from, fromGiven := a.identName("from")
 	dests := a.nameList("to")
 	locality := a.plain("locality", -1, 1)
 	localityPos, localityGiven := a.given("locality", -1)
-	a.finish("every", "hold", "service", "rate", "bucket", "delay", "loss", "class",
-		"src", "pps", "size", "start", "until", "paths", "from", "to", "locality")
+	a.finish(churnArgNames...)
 	if !c.ok() {
 		return
 	}
-	switch ch.service {
-	case "guaranteed":
-		ch.service = "Guaranteed"
-		ch.g = core.GuaranteedSpec{ClockRate: rate, BucketBits: bucket}
-	case "predicted":
+	if ch.service == "predicted" {
 		ch.service = "Predicted"
-		ch.p = core.PredictedSpec{TokenRate: rate, BucketBits: bucket, Delay: delay, Loss: loss}
-	default:
+	} else {
 		ch.service = "Datagram"
 	}
 	if ch.every <= 0 {
@@ -512,8 +482,8 @@ func (c *compiler) churnDecl(d *Decl) {
 		c.failf(d.KindPos, "Churn requires a positive mean holding time (hold 10s)")
 		return
 	}
-	if ch.service != "Datagram" && rate <= 0 {
-		c.failf(d.KindPos, "Churn %s flows need a positive per-flow rate", ch.service)
+	if ch.service == "Predicted" && rate <= 0 {
+		c.failf(d.KindPos, "Churn Predicted flows need a positive per-flow rate")
 		return
 	}
 	if ch.pps <= 0 {
@@ -580,23 +550,19 @@ func (c *compiler) churnDecl(d *Decl) {
 // schedule arms the arrival process on the engine.
 func (ch *churnRun) schedule(s *Sim) {
 	ch.rng = sim.DeriveRNG(s.Seed, "churn:"+ch.name)
-	until := ch.until
-	if until <= 0 || until > s.Horizon {
-		until = s.Horizon
-	}
 	// Arrivals are control events: admission, source attachment and
 	// departure scheduling all run between shard windows (and in the same
 	// relative order sequentially, thanks to the control key).
 	eng := s.Net.Engine()
 	var arrive func()
 	arrive = func() {
-		if eng.Now() > until || s.draining {
+		if eng.Now() > s.Horizon || s.draining {
 			return
 		}
 		ch.doArrival(s)
 		eng.AtControl(eng.Now()+ch.rng.Exp(ch.every), arrive)
 	}
-	eng.AtControl(ch.start+ch.rng.Exp(ch.every), arrive)
+	eng.AtControl(ch.rng.Exp(ch.every), arrive)
 }
 
 // doArrival admits (or not) one churn flow, attaches its source, and
@@ -623,7 +589,7 @@ func (ch *churnRun) doArrival(s *Sim) {
 	}
 	holdFor := ch.rng.Exp(ch.hold)
 	id := s.allocID()
-	req := &flowReq{kind: ch.service, id: id, nodes: path, g: ch.g, p: ch.p, class: ch.class}
+	req := &flowReq{kind: ch.service, id: id, nodes: path, p: ch.p, class: -1}
 	f, err := s.issueRequest(req)
 	if err != nil {
 		ch.rejected++

@@ -192,39 +192,6 @@ at 20s { restore B -> C }
 			},
 		},
 		{
-			// Renegotiation: growing a predicted flow's token rate stops
-			// the edge policer from dropping a doubled source.
-			name: "renew lifts the edge policer",
-			src: `
-net :: Net(rate 1Mbps)
-run :: Run(seed 1, horizon 20s)
-A, B :: Switch
-A -> B
-f :: Predicted(rate 40kbps, bucket 10kbit, delay 500ms, path A -> B)
-cam :: CBR(rate 80pps, size 1000bit)
-cam -> f
-at 10s { renew f (rate 160kbps, bucket 50kbit) }
-`,
-			want: func(t *testing.T, rep *Report) {
-				fr := rep.Flows[0]
-				// First 10s: 80 pps against a 40 pps policer drops ~half
-				// (~400). After the renew nothing more is dropped, so the
-				// total stays well under what 20s of policing would show.
-				if fr.EdgeDropped < 200 || fr.EdgeDropped > 550 {
-					t.Errorf("EdgeDropped = %d, want ~400 (policing only before the renew)", fr.EdgeDropped)
-				}
-				if rep.Admission == nil {
-					t.Fatal("report has no admission section")
-				}
-				if rep.Admission.Admitted != 1 {
-					t.Errorf("renew not counted as admitted: %+v", *rep.Admission)
-				}
-				if len(rep.Warnings) != 0 {
-					t.Errorf("unexpected warnings: %v", rep.Warnings)
-				}
-			},
-		},
-		{
 			// A datagram churn arrival whose destination has no route is
 			// refused like any other, not handed to the network as an
 			// empty path (which panicked the run).
@@ -281,7 +248,7 @@ at 10s { A -> B :: Link(rate 400kbps) }
 	}
 }
 
-// Compile-time diagnostics for malformed timelines.
+// Parse- and compile-time diagnostics for malformed timelines.
 func TestTimelineCompileErrors(t *testing.T) {
 	cases := []struct {
 		name, src, want string
@@ -318,7 +285,22 @@ func TestTimelineCompileErrors(t *testing.T) {
 			"beyond the 10s horizon"},
 		{"renew a datagram",
 			"A, B :: Switch\nA -> B\nd :: Datagram(path A -> B)\nat 1s { renew d (rate 5kbps) }\n",
-			"no spec to renew"},
+			`datagram flow "d" has no clock rate to renew`},
+		// Forms the language no longer has: renew changes only a guaranteed
+		// clock rate, reroute takes only links, a link's delay is fixed at
+		// compile, and Churn has no arrival window.
+		{"renew a predicted flow",
+			"A, B :: Switch\nA -> B\np :: Predicted(rate 50kbps, path A -> B)\nat 1s { renew p (rate 60kbps) }\n",
+			`predicted flow "p" has no clock rate to renew`},
+		{"renew a bucket",
+			"A, B :: Switch\nA -> B\ng :: Guaranteed(rate 100kbps, path A -> B)\nat 1s { renew g (bucket 60kbit) }\n",
+			`renew has no argument "bucket" (accepted: rate)`},
+		{"link delay event",
+			"A, B :: Switch\nA -> B\nat 1s { A -> B :: Link(delay 1ms) }\n",
+			`Link has no argument "delay"`},
+		{"churn arrival window",
+			"A, B :: Switch\nA -> B\nc :: Churn(every 1s, hold 5s, rate 10kbps, pps 10pps, paths [A -> B], until 30s)\n",
+			`Churn has no argument "until"`},
 		// A verb naming a flow that has not compiled yet — declared in a
 		// later block, or further down its own — gets the attachment's
 		// diagnostic, not "is a Datagram, not a flow".
@@ -330,7 +312,7 @@ func TestTimelineCompileErrors(t *testing.T) {
 			`flow "g" is declared in a later at block; statements compile in file order`},
 		{"reroute of a flow from a later block",
 			"net :: Net(routing auto)\nA, B :: Switch\nA -> B\nat 2s { reroute f }\nat 5s { f :: Datagram(path A -> B) }\n",
-			`flow "f" is declared in a later at block; statements compile in file order`},
+			"reroute needs a link (A -> B or A <-> B)"},
 		{"renew before the flow's declaration in its block",
 			"A, B :: Switch\nA -> B\nat 2s {\n    renew g (rate 200kbps)\n    g :: Guaranteed(rate 100kbps, path A -> B)\n}\n",
 			`flow "g" is declared in a later at block; statements compile in file order`},
@@ -349,7 +331,10 @@ func TestTimelineCompileErrors(t *testing.T) {
 			continue
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := compileSrc(t, tc.src, Options{})
+			f, err := Parse("test.ispn", []byte(tc.src))
+			if err == nil {
+				_, err = Compile(f, Options{})
+			}
 			if err == nil {
 				t.Fatalf("compiled without error, want %q", tc.want)
 			}
@@ -445,19 +430,19 @@ func TestChurnDropsDepartedSources(t *testing.T) {
 }
 
 // A departed flow's ids are never reused and its tail packets are not
-// stranded: exercised by a heavy churn of short-lived guaranteed circuits.
-func TestChurnGuaranteedTeardown(t *testing.T) {
+// stranded: exercised by a heavy churn of short-lived calls.
+func TestChurnTeardown(t *testing.T) {
 	rep := runSrc(t, `
 net :: Net(rate 1Mbps)
 run :: Run(seed 7, horizon 30s)
 A, B, C :: Switch
 A -> B; B -> C
-calls :: Churn(every 400ms, hold 2s, service guaranteed, rate 50kbps,
+calls :: Churn(every 400ms, hold 2s, rate 50kbps,
                pps 50pps, size 1000bit, src poisson, paths [A -> B -> C])
 `)
 	ch := rep.Churns[0]
 	if ch.Admitted == 0 || ch.Departed == 0 {
-		t.Fatalf("churn did not cycle guaranteed flows: %+v", ch)
+		t.Fatalf("churn did not cycle its calls: %+v", ch)
 	}
 	if ch.Delivered == 0 {
 		t.Fatal("no deliveries")

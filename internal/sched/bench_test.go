@@ -70,7 +70,7 @@ func BenchmarkFIFOEnqueueDequeue(b *testing.B) { benchCycle(b, NewFIFO()) }
 func BenchmarkFIFOPlusEnqueueDequeue(b *testing.B) { benchCycle(b, NewFIFOPlus()) }
 
 func BenchmarkPriorityEnqueueDequeue(b *testing.B) {
-	benchCycle(b, NewPriority([]Scheduler{NewFIFOPlus(), NewFIFOPlus(), NewFIFO()}, nil))
+	benchCycle(b, NewPriority([]Scheduler{NewFIFOPlus(), NewFIFOPlus(), NewFIFO()}))
 }
 
 func BenchmarkWFQEnqueueDequeue(b *testing.B) {

@@ -43,7 +43,7 @@ func TestFIFOIsWorkConservingOnLink(t *testing.T) {
 }
 
 func TestPriorityStrictOrdering(t *testing.T) {
-	pr := NewPriority([]Scheduler{NewFIFO(), NewFIFO(), NewFIFO()}, nil)
+	pr := NewPriority([]Scheduler{NewFIFO(), NewFIFO(), NewFIFO()})
 	// Interleave: datagram, low predicted, high predicted.
 	pr.Enqueue(pktClass(1, 0, 1000, packet.Datagram, 0), 0)
 	pr.Enqueue(pktClass(2, 1, 1000, packet.Predicted, 1), 0)
@@ -62,7 +62,7 @@ func TestPriorityStrictOrdering(t *testing.T) {
 func TestPriorityHigherClassPreempts(t *testing.T) {
 	// A continuously backlogged high class starves the low class (strict
 	// priority), which is exactly the paper's jitter-shifting behavior.
-	pr := NewPriority([]Scheduler{NewFIFO(), NewFIFO()}, nil)
+	pr := NewPriority([]Scheduler{NewFIFO(), NewFIFO()})
 	var arr []arrival
 	for i := 0; i < 20; i++ {
 		arr = append(arr, arrival{t: 0, p: pktClass(1, uint64(i), 1000, packet.Predicted, 0)})
@@ -78,7 +78,7 @@ func TestPriorityHigherClassPreempts(t *testing.T) {
 }
 
 func TestPriorityDequeuesHigherLevelFirst(t *testing.T) {
-	pr := NewPriority([]Scheduler{NewFIFO(), NewFIFO()}, nil)
+	pr := NewPriority([]Scheduler{NewFIFO(), NewFIFO()})
 	pr.Enqueue(pktClass(1, 7, 1000, packet.Datagram, 0), 0)
 	pr.Enqueue(pktClass(2, 8, 1000, packet.Predicted, 0), 0)
 	if got := pr.Dequeue(0); got.Seq != 8 {
@@ -90,7 +90,7 @@ func TestPriorityDequeuesHigherLevelFirst(t *testing.T) {
 }
 
 func TestPriorityClampsOutOfRangeLevels(t *testing.T) {
-	pr := NewPriority([]Scheduler{NewFIFO(), NewFIFO(), NewFIFO()}, nil)
+	pr := NewPriority([]Scheduler{NewFIFO(), NewFIFO(), NewFIFO()})
 	// Predicted packet with absurd priority header must land in the
 	// lowest predicted class (level 1 here = K-1), not the datagram one.
 	pr.Enqueue(pktClass(1, 0, 1000, packet.Predicted, 200), 0)
@@ -103,7 +103,7 @@ func TestPriorityClampsOutOfRangeLevels(t *testing.T) {
 }
 
 func TestPriorityEmpty(t *testing.T) {
-	pr := NewPriority([]Scheduler{NewFIFO()}, nil)
+	pr := NewPriority([]Scheduler{NewFIFO()})
 	if pr.Dequeue(0) != nil || pr.Len() != 0 {
 		t.Fatal("empty priority scheduler misbehaves")
 	}
@@ -115,7 +115,7 @@ func TestPriorityNoLevelsPanics(t *testing.T) {
 			t.Fatal("NewPriority with no levels did not panic")
 		}
 	}()
-	NewPriority(nil, nil)
+	NewPriority(nil)
 }
 
 func TestClassifyByHeaderSingleLevel(t *testing.T) {

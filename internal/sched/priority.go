@@ -34,27 +34,17 @@ func ClassifyByHeader(levels int) func(*packet.Packet) int {
 }
 
 // NewPriority returns a strict-priority scheduler over the given levels
-// (level 0 highest). classify maps each packet to a level; out-of-range
-// results are clamped. If classify is nil, ClassifyByHeader is used.
-func NewPriority(levels []Scheduler, classify func(*packet.Packet) int) *Priority {
+// (level 0 highest) that places each packet by ClassifyByHeader.
+func NewPriority(levels []Scheduler) *Priority {
 	if len(levels) == 0 {
 		panic("sched: Priority needs at least one level")
 	}
-	if classify == nil {
-		classify = ClassifyByHeader(len(levels))
-	}
-	return &Priority{levels: levels, counts: make([]int, len(levels)), classify: classify}
+	return &Priority{levels: levels, counts: make([]int, len(levels)), classify: ClassifyByHeader(len(levels))}
 }
 
 // Enqueue implements Scheduler.
 func (pr *Priority) Enqueue(p *packet.Packet, now float64) {
 	l := pr.classify(p)
-	if l < 0 {
-		l = 0
-	}
-	if l >= len(pr.levels) {
-		l = len(pr.levels) - 1
-	}
 	pr.levels[l].Enqueue(p, now)
 	pr.counts[l]++
 	pr.n++

@@ -18,7 +18,7 @@ func allSchedulers() map[string]func() Scheduler {
 		"FIFO":  func() Scheduler { return NewFIFO() },
 		"FIFO+": func() Scheduler { return NewFIFOPlus() },
 		"Priority": func() Scheduler {
-			return NewPriority([]Scheduler{NewFIFOPlus(), NewFIFOPlus(), NewFIFO()}, nil)
+			return NewPriority([]Scheduler{NewFIFOPlus(), NewFIFOPlus(), NewFIFO()})
 		},
 		"WFQ": func() Scheduler {
 			w := NewWFQ(1e6)

@@ -47,7 +47,7 @@ func NewUnified(p Profile, linkRate float64) *Unified {
 		}
 	}
 	levels[k] = NewFIFO() // datagram
-	prio := NewPriority(levels, ClassifyByHeader(len(levels)))
+	prio := NewPriority(levels)
 
 	w := NewWFQ(linkRate)
 	w.AddFlowScheduler(Flow0ID, linkRate, prio)

@@ -49,8 +49,8 @@ at 3s {
   drip -> late
 }
 at 5s { restore B -> C }
-at 6s { renew conf (rate 60kbps) }
-at 7s { reroute circuit }
+at 6s { renew circuit (rate 150kbps) }
+at 7s { reroute B -> E }
 `
 
 // smallSrc is a minimal fast scenario for lifecycle tests.
@@ -268,7 +268,7 @@ func TestInjectDiagnostics(t *testing.T) {
 		{"beyond horizon", "at 99s { fail B -> C }", "beyond the 8s horizon"},
 		{"no such link", "at 1s { fail A -> D }", "no link A -> D is declared"},
 		{"top-level decl", "x :: Switch", "may contain only at blocks"},
-		{"empty renew", "at 1s { renew conf () }", "renew changes nothing"},
+		{"empty renew", "at 1s { renew circuit () }", "renew changes nothing"},
 	}
 	for i, tc := range bad {
 		var e map[string]string

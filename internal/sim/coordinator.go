@@ -34,17 +34,19 @@ import "math"
 type Coordinator struct {
 	ctrl   *Engine
 	shards []*Engine
-	// lookahead reports the minimum cross-shard propagation delay: +Inf
-	// when the partition has no cross-shard links (windows then stretch to
-	// the next control event). It is read at every barrier, after the
-	// barrier's control events, because a control event may change a
-	// cross-shard link's delay.
-	lookahead func() float64
+	// lookahead is the minimum cross-shard propagation delay, fixed with
+	// the partition: +Inf when no link crosses shards (windows then stretch
+	// to the next control event).
+	lookahead float64
 }
 
 // NewCoordinator builds a coordinator over the given shard engines. ctrl is
-// the control engine (its clock is the run's reference clock).
-func NewCoordinator(ctrl *Engine, shards []*Engine, lookahead func() float64) *Coordinator {
+// the control engine (its clock is the run's reference clock). It panics on
+// a non-positive lookahead, which would make every window zero-width.
+func NewCoordinator(ctrl *Engine, shards []*Engine, lookahead float64) *Coordinator {
+	if lookahead <= 0 {
+		panic("sim: coordinator lookahead must be positive")
+	}
 	return &Coordinator{ctrl: ctrl, shards: shards, lookahead: lookahead}
 }
 
@@ -60,17 +62,13 @@ func (c *Coordinator) Run(to float64) {
 		// shard clock equals the control clock here, and control precedes
 		// data at one instant in the sequential order too).
 		c.ctrl.RunUntil(c.ctrl.Now())
-		L := c.lookahead()
-		if L <= 0 {
-			panic("sim: coordinator lookahead must be positive")
-		}
 		m := math.Inf(1)
 		for _, eng := range c.shards {
 			if t := eng.NextEventTime(); t < m {
 				m = t
 			}
 		}
-		W := math.Min(c.ctrl.NextEventTime(), m+L)
+		W := math.Min(c.ctrl.NextEventTime(), m+c.lookahead)
 		if W >= to {
 			// Final step: strict windows to the horizon, one more
 			// barrier for control events at the horizon itself, then an

@@ -82,9 +82,8 @@ func (w *xworld) noteB(label string) {
 }
 
 // build schedules the workload: periodic ticks on both nodes, each tick
-// sending to the peer; control ticks interleave at coinciding timestamps,
-// and the one at 0.5 shortens the propagation delay (a coordinator that
-// kept the old, wider lookahead would deliver the later sends late).
+// sending to the peer, and control ticks interleaved at coinciding
+// timestamps.
 func (w *xworld) build(ctrl *Engine) {
 	sendAB := func(label string) {
 		w.engB.AtCallKeyed(w.engA.Now()+w.lookahead, KeyDelivery+0, func(a any) { w.noteB("recv " + a.(string)) }, label)
@@ -113,7 +112,6 @@ func (w *xworld) build(ctrl *Engine) {
 		at := at
 		ctrl.AtControl(at, func() { w.logC = append(w.logC, fmt.Sprintf("%.4f ctrl", at)) })
 	}
-	ctrl.AtControl(0.5, func() { w.lookahead = 0.02 })
 }
 
 // runSequential runs the workload on one engine to the horizon.
@@ -131,7 +129,7 @@ func runSharded(segments ...float64) *xworld {
 	ctrl := New()
 	w := &xworld{engA: New(), engB: New(), lookahead: 0.05}
 	w.build(ctrl)
-	coord := NewCoordinator(ctrl, []*Engine{w.engA, w.engB}, func() float64 { return w.lookahead })
+	coord := NewCoordinator(ctrl, []*Engine{w.engA, w.engB}, w.lookahead)
 	for _, to := range segments {
 		coord.Run(to)
 	}
@@ -174,14 +172,14 @@ func TestCoordinatorSegmentedRun(t *testing.T) {
 }
 
 // TestCoordinatorLookaheadGuard: a non-positive lookahead would make windows
-// zero-width; the run refuses it at the barrier instead of spinning.
+// zero-width; the coordinator refuses it instead of spinning.
 func TestCoordinatorLookaheadGuard(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero lookahead did not panic")
 		}
 	}()
-	NewCoordinator(New(), []*Engine{New()}, func() float64 { return 0 }).Run(1)
+	NewCoordinator(New(), []*Engine{New()}, 0).Run(1)
 }
 
 // TestCoordinatorInfiniteLookahead: with no cross-shard links the lookahead
@@ -192,7 +190,7 @@ func TestCoordinatorInfiniteLookahead(t *testing.T) {
 	var got []string
 	shard.At(0.5, func() { got = append(got, "data") })
 	ctrl.AtControl(0.5, func() { got = append(got, "ctrl") })
-	coord := NewCoordinator(ctrl, []*Engine{shard}, func() float64 { return math.Inf(1) })
+	coord := NewCoordinator(ctrl, []*Engine{shard}, math.Inf(1))
 	coord.Run(1.0)
 	if fmt.Sprint(got) != "[ctrl data]" {
 		t.Fatalf("order = %v, want [ctrl data]", got)

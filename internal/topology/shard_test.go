@@ -51,8 +51,8 @@ func TestConfigureShardsValidation(t *testing.T) {
 }
 
 // TestConfigureShardsWiring checks the partition bookkeeping: per-shard
-// engines over the network's one pool, remote marking, and a lookahead that
-// follows the cross-shard delays.
+// engines over the network's one pool, remote marking, and the smallest
+// cross-shard delay as the lookahead.
 func TestConfigureShardsWiring(t *testing.T) {
 	eng := sim.New()
 	n := NewNetwork(eng)
@@ -89,20 +89,6 @@ func TestConfigureShardsWiring(t *testing.T) {
 		if pt.Remote() != wantRemote {
 			t.Errorf("port %s remote = %v, want %v", pt.Name(), pt.Remote(), wantRemote)
 		}
-	}
-	// A delay change on a cross-shard link moves the lookahead with it, in
-	// both directions; one on a local link does not.
-	c.Port("B").SetPropDelay(0.001)
-	if got := n.Lookahead(); got != 0.001 {
-		t.Errorf("lookahead after lowering C->B = %v, want 0.001", got)
-	}
-	c.Port("B").SetPropDelay(0.02)
-	if got := n.Lookahead(); got != 0.004 {
-		t.Errorf("lookahead after raising C->B = %v, want 0.004", got)
-	}
-	a.Port("B").SetPropDelay(0.0005)
-	if got := n.Lookahead(); got != 0.004 {
-		t.Errorf("lookahead after a local delay change = %v, want 0.004", got)
 	}
 }
 
@@ -142,7 +128,7 @@ func TestRemoteDelivery(t *testing.T) {
 	key := sim.KeyDelivery + uint32(pt.Index())
 	dst.Engine().AtCallKeyed(at, key+1, func(any) { order = append(order, "after") }, nil)
 	dst.Engine().AtCallKeyed(at, key-1, func(any) { order = append(order, "before") }, nil)
-	sim.NewCoordinator(ctrl, []*sim.Engine{src.Engine(), dst.Engine()}, n.Lookahead).Run(0.01)
+	sim.NewCoordinator(ctrl, []*sim.Engine{src.Engine(), dst.Engine()}, n.Lookahead()).Run(0.01)
 	if fmt.Sprint(order) != "[before deliver after]" {
 		t.Errorf("same-instant order = %v, want [before deliver after]", order)
 	}

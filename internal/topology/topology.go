@@ -500,21 +500,6 @@ func (pt *Port) SetBandwidth(r float64) {
 // PropDelay returns the link's propagation delay in seconds.
 func (pt *Port) PropDelay() float64 { return pt.propDelay }
 
-// SetPropDelay changes the propagation delay mid-run; packets already on the
-// wire keep the old delay. On a link that crosses a shard boundary it also
-// re-derives the partition's lookahead. In a sharded run delays change only
-// at barriers (control events), and the coordinator reads the lookahead
-// after them, so the next window is already sized for the new delay.
-func (pt *Port) SetPropDelay(d float64) {
-	if d < 0 {
-		panic("topology: propagation delay must be non-negative")
-	}
-	pt.propDelay = d
-	if pt.remote {
-		pt.node.net.deriveLookahead()
-	}
-}
-
 // Remote reports whether the link crosses a shard boundary.
 func (pt *Port) Remote() bool { return pt.remote }
 
@@ -790,6 +775,7 @@ func (n *Network) ConfigureShards(assign []int, nshards int) error {
 		nd.shard = assign[i]
 		nd.eng = shards[assign[i]].eng
 	}
+	n.lookahead = math.Inf(1)
 	for _, pt := range n.ports {
 		if pt.node.shard == pt.dst.shard {
 			continue
@@ -799,21 +785,10 @@ func (n *Network) ConfigureShards(assign []int, nshards int) error {
 				pt.name, pt.node.shard, pt.dst.shard)
 		}
 		pt.remote = true
+		n.lookahead = min(n.lookahead, pt.propDelay)
 	}
 	n.shards = shards
-	n.deriveLookahead()
 	return nil
-}
-
-// deriveLookahead recomputes the minimum propagation delay over the
-// cross-shard links.
-func (n *Network) deriveLookahead() {
-	n.lookahead = math.Inf(1)
-	for _, pt := range n.ports {
-		if pt.remote && pt.propDelay < n.lookahead {
-			n.lookahead = pt.propDelay
-		}
-	}
 }
 
 // Sharded reports whether ConfigureShards has been applied.
