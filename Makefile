@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-teeth build unlinked unlinked-teeth unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover experiments-golden
+.PHONY: ci vet lint lint-teeth build unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover experiments-golden
 
-ci: fmt-check vet lint lint-teeth build unlinked unlinked-teeth examples test claims scenario-check bench-smoke bench-check fuzz-smoke serve-smoke
+ci: fmt-check vet lint lint-teeth build unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check fuzz-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -26,34 +26,20 @@ lint-teeth:
 build:
 	$(GO) build ./...
 
-# Fail on dead code: build the eight shipped entry points (cmd/ispnsim,
-# cmd/ispnvet, the five examples, the bench binary) without inlining and
-# require every function declared in a non-test, non-main package to be
-# linked into one of them or listed, with the test or role that needs it, in
-# scripts/unlinked.allow; a stale allow entry fails too (docs/TESTING.md).
-# On the 2-vCPU host: 44 s with an empty build cache (the uninlined standard
-# library is most of it), 3-5 s after that.
-unlinked:
-	./scripts/unlinked.sh
-
-# Prove the unlinked gate has teeth: plant an uncalled exported method and an
-# allow entry for a linked function in a copy, and require both to be named
-# (about 7 s warm).
-unlinked-teeth:
-	./scripts/unlinked-teeth.sh
-
-# The workload census: build ispnsim, the examples and the bench binary with
-# coverage, run the workload set (scenario library, every experiment, fuzz,
-# the five bench workloads, the examples), and list every function that never
-# ran and scripts/unreached.allow does not explain; their count is held to the
-# ceiling the allow file records, and a stale entry fails (docs/TESTING.md).
-# About 30 s on the 2-vCPU host with a warm build cache.
+# The dead-code gate, a workload census: build ispnsim, ispnvet, the examples
+# and the bench binary with coverage, run the workload set (scenario library,
+# every experiment, fuzz, serve-smoke, go vet with ispnvet, the five bench
+# workloads, the examples), and fail on any function that never ran, or that
+# scripts/listfuncs declares and no binary carries, unless
+# scripts/unreached.allow explains it; a stale entry fails too
+# (docs/TESTING.md). About 40 s on the 2-vCPU host with a warm build cache.
 unreached:
 	./scripts/unreached.sh
 
-# Prove the census has teeth: plant a Churn argument no workload writes and an
-# allow entry for a function every workload runs in a copy, and require both
-# to be named (about 35 s).
+# Prove the census has teeth: plant three functions no workload runs (a Churn
+# argument's effect, an uncalled method, a package no binary imports) and an
+# allow entry for a function every workload runs in a copy, and require all
+# four to be named (about 45 s).
 unreached-teeth:
 	./scripts/unreached-teeth.sh
 

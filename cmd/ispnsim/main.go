@@ -5,10 +5,10 @@
 //
 // Usage:
 //
-//	ispnsim [-duration s] [-seed n] [-parallel n] [-shards n] <experiment>
+//	ispnsim [-duration s] [-seed n] [-parallel n] <experiment>
 //	ispnsim [-seed n] [-horizon s] [-shards n] [-check] [-cpuprofile f] [-memprofile f] run <file.ispn>...
 //	ispnsim [-seed n] check <file.ispn>...
-//	ispnsim [-n cases] [-seed n] [-shards n] [-corpus dir] fuzz
+//	ispnsim [-n cases] [-seed n] [-corpus dir] fuzz
 //	ispnsim scenarios [dir]
 //	ispnsim [-addr host:port] serve [dir]
 //
@@ -49,7 +49,7 @@ var verbs = []verbInfo{
 	{"check", "<file.ispn>...", "-seed -horizon -shards",
 		"parse and validate scenario files without running",
 		"docs/SCENARIO.md"},
-	{"fuzz", "", "-n -seed -shards -corpus",
+	{"fuzz", "", "-n -seed -corpus",
 		"generate -n random worlds, run each sequentially and sharded\nunder the invariant oracle, minimize failures",
 		"docs/TESTING.md"},
 	{"run", "<file.ispn>...", "-seed -horizon -shards -check -parallel -cpuprofile -memprofile",
@@ -156,12 +156,12 @@ func scenarioMain(name string, args []string, seed int64, horizon float64, shard
 		fmt.Printf("%d scenario(s) OK\n", len(args))
 	case "fuzz":
 		if len(args) != 0 {
-			fmt.Fprintln(os.Stderr, "ispnsim fuzz: takes no arguments (use -n, -seed, -shards, -corpus)")
+			fmt.Fprintln(os.Stderr, "ispnsim fuzz: takes no arguments (use -n, -seed, -corpus)")
 			os.Exit(2)
 		}
 		start := time.Now()
 		sum, err := fuzz.Config{
-			N: ff.n, Seed: seed, Shards: shards, Dir: ff.corpus, Log: os.Stdout,
+			N: ff.n, Seed: seed, Dir: ff.corpus, Log: os.Stdout,
 		}.Run()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -249,7 +249,7 @@ func main() {
 	seed := flag.Int64("seed", 1992, "random seed (scenarios: overrides the file's Run seed)")
 	horizon := flag.Float64("horizon", 0, "scenario horizon override in simulated seconds (0 = the file's Run horizon)")
 	parallel := flag.Int("parallel", 0, "worker count for independent sub-simulations (0 = GOMAXPROCS, 1 = sequential; results are identical either way)")
-	shards := flag.Int("shards", 0, "split one simulation into this many event heaps advanced in lockstep windows (single-threaded, not a speed-up; 0 = one heap; scenarios: overrides the file's Net shards; reports are bit-identical)")
+	shards := flag.Int("shards", 0, "run/check: split each scenario into this many event heaps advanced in lockstep windows (single-threaded, not a speed-up; overrides the file's Net shards; reports are bit-identical)")
 	check := flag.Bool("check", false, "run scenarios under the invariant oracle (adds an invariants section to each report)")
 	n := flag.Int("n", 100, "fuzz: number of random worlds to generate and check")
 	corpus := flag.String("corpus", "testdata/fuzz", "fuzz: directory receiving minimized failing repros")
@@ -275,7 +275,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	cfg := experiments.RunConfig{Duration: *duration, Seed: *seed, Shards: *shards}
+	cfg := experiments.RunConfig{Duration: *duration, Seed: *seed}
 
 	name, ran := flag.Arg(0), false
 	for _, e := range experiments.Catalogue {

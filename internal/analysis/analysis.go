@@ -252,7 +252,7 @@ func SortDiagnostics(diags []Diagnostic) {
 
 // pathIn reports whether importPath is exactly one of the given packages.
 // Analyzers use it to scope rules: path matching is done against the slash
-// suffix so analysistest fixtures (rooted at a testdata GOPATH) behave like
+// suffix so the test fixtures (rooted at a testdata GOPATH) behave like
 // the real tree.
 func pathIn(importPath string, pkgs []string) bool {
 	for _, p := range pkgs {

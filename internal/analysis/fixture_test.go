@@ -1,10 +1,4 @@
-// Package analysistest runs ispnvet analyzers over golden test packages, in
-// the style of golang.org/x/tools/go/analysis/analysistest: fixture sources
-// live under testdata/src/<importpath>/ and carry `// want "regexp"`
-// comments on the lines where a diagnostic is expected. Fixtures can stub
-// repo packages (e.g. testdata/src/ispn/internal/packet) because analyzers
-// match types by name and import-path suffix.
-package analysistest
+package analysis_test
 
 import (
 	"fmt"
@@ -22,12 +16,21 @@ import (
 	"ispn/internal/analysis"
 )
 
-// Run loads each fixture package path rooted at testdata/src, applies the
-// analyzer (through the same allow-annotation machinery the real driver
-// uses), and compares the diagnostics against the fixtures' want comments.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
+// The analyzer tests run over golden fixture packages, in the style of
+// golang.org/x/tools/go/analysis/analysistest: fixture sources live under
+// testdata/src/<importpath>/ and carry `// want "regexp"` comments on the
+// lines where a diagnostic is expected. Fixtures can stub repo packages
+// (e.g. testdata/src/ispn/internal/packet) because analyzers match types by
+// name and import-path suffix.
+const fixtureRoot = "testdata/src"
+
+// checkFixtures loads each fixture package path rooted at testdata/src,
+// applies the analyzer (through the same allow-annotation machinery the real
+// driver uses), and compares the diagnostics against the fixtures' want
+// comments.
+func checkFixtures(t *testing.T, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
-	ld := newLoader(testdata)
+	ld := newLoader()
 	for _, path := range paths {
 		pkg, err := ld.load(path)
 		if err != nil {
@@ -41,12 +44,13 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	}
 }
 
-// Load type-checks one fixture package rooted at testdata/src, for tests
-// that assert on raw diagnostics instead of want comments (e.g. the allow
-// hygiene rules, whose fixtures contain deliberately malformed annotations).
-func Load(t *testing.T, testdata, path string) *analysis.Package {
+// loadFixture type-checks one fixture package rooted at testdata/src, for
+// tests that assert on raw diagnostics instead of want comments (e.g. the
+// allow hygiene rules, whose fixtures contain deliberately malformed
+// annotations).
+func loadFixture(t *testing.T, path string) *analysis.Package {
 	t.Helper()
-	pkg, err := newLoader(testdata).load(path)
+	pkg, err := newLoader().load(path)
 	if err != nil {
 		t.Fatalf("loading %s: %v", path, err)
 	}
@@ -110,16 +114,14 @@ func checkWants(t *testing.T, fset *token.FileSet, pkg *analysis.Package, diags 
 // loader resolves fixture imports below testdata/src first and falls back
 // to the from-source standard-library importer.
 type loader struct {
-	root    string
 	fset    *token.FileSet
 	std     types.Importer
 	checked map[string]*analysis.Package
 }
 
-func newLoader(testdata string) *loader {
+func newLoader() *loader {
 	fset := token.NewFileSet()
 	return &loader{
-		root:    filepath.Join(testdata, "src"),
 		fset:    fset,
 		std:     importer.ForCompiler(fset, "source", nil),
 		checked: map[string]*analysis.Package{},
@@ -130,7 +132,7 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if dir := filepath.Join(ld.root, filepath.FromSlash(path)); isDir(dir) {
+	if st, err := os.Stat(filepath.Join(fixtureRoot, filepath.FromSlash(path))); err == nil && st.IsDir() {
 		pkg, err := ld.load(path)
 		if err != nil {
 			return nil, err
@@ -144,7 +146,7 @@ func (ld *loader) load(path string) (*analysis.Package, error) {
 	if pkg, ok := ld.checked[path]; ok {
 		return pkg, nil
 	}
-	dir := filepath.Join(ld.root, filepath.FromSlash(path))
+	dir := filepath.Join(fixtureRoot, filepath.FromSlash(path))
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -179,9 +181,4 @@ func (ld *loader) load(path string) (*analysis.Package, error) {
 	}
 	ld.checked[path] = pkg
 	return pkg, nil
-}
-
-func isDir(dir string) bool {
-	st, err := os.Stat(dir)
-	return err == nil && st.IsDir()
 }

@@ -71,7 +71,7 @@ func runKeyedEvents(pass *Pass) error {
 }
 
 // isEngineMethod reports whether sel selects a method on sim.Engine (by
-// name and package-path suffix, so analysistest fixtures stubbing
+// name and package-path suffix, so the test fixtures stubbing
 // ispn/internal/sim behave like the real package).
 func isEngineMethod(pass *Pass, sel *ast.SelectorExpr) bool {
 	s, ok := pass.Info.Selections[sel]

@@ -7,7 +7,7 @@ import (
 )
 
 // Package is one loaded, type-checked analysis unit, as the two loaders
-// build it: cmd/ispnvet from the unit go vet hands it, analysistest from a
+// build it: cmd/ispnvet from the unit go vet hands it, the analyzer tests from a
 // fixture directory. In-package test files are checked together with the
 // package proper (the same build unit `go test` compiles); go vet presents an
 // external _test package as its own unit, whose Path still reports the

@@ -5,38 +5,37 @@ import (
 	"testing"
 
 	"ispn/internal/analysis"
-	"ispn/internal/analysis/analysistest"
 )
 
 func TestMapRange(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.MapRange,
+	checkFixtures(t, analysis.MapRange,
 		"a/ispn/internal/core",
 		"a/ispn/internal/metrics",
 	)
 }
 
 func TestWallClock(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.WallClock,
+	checkFixtures(t, analysis.WallClock,
 		"b/ispn/internal/core",
 		"b/ispn/internal/serve",
 	)
 }
 
 func TestKeyedEvents(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.KeyedEvents,
+	checkFixtures(t, analysis.KeyedEvents,
 		"c/ispn/internal/scenario",
 		"c/ispn/internal/topology",
 	)
 }
 
 func TestPoolOwnership(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.PoolOwnership,
+	checkFixtures(t, analysis.PoolOwnership,
 		"d/ispn/internal/sched",
 	)
 }
 
 func TestReportNil(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.ReportNil,
+	checkFixtures(t, analysis.ReportNil,
 		"e/ispn/internal/scenario",
 	)
 }
@@ -46,7 +45,7 @@ func TestReportNil(t *testing.T) {
 // or suppressing nothing is a finding in its own right, while a justified
 // annotation over a real violation silences exactly that violation.
 func TestAllowHygiene(t *testing.T) {
-	pkg := analysistest.Load(t, "testdata", "hygiene/ispn/internal/core")
+	pkg := loadFixture(t, "hygiene/ispn/internal/core")
 	diags, err := analysis.RunPackage(pkg, analysis.Analyzers)
 	if err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-// Package packet is an analysistest stub: poolownership matches Pool and
+// Package packet is a test fixture stub: poolownership matches Pool and
 // Packet by type name and the internal/packet import-path suffix.
 package packet
 

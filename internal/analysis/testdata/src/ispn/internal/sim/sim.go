@@ -1,4 +1,4 @@
-// Package sim is an analysistest stub: analyzers match sim.Engine by type
+// Package sim is a test fixture stub: analyzers match sim.Engine by type
 // name and the internal/sim import-path suffix, so this skeleton stands in
 // for the real engine.
 package sim

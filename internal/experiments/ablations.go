@@ -207,7 +207,7 @@ func admissionSource(cfg RunConfig, offered int, policy string) string {
 }
 
 func runAdmissionPolicy(cfg RunConfig, offered int, policy string) AdmissionResult {
-	s := compileCell("admission.ispn", admissionSource(cfg, offered, policy), cfg.options())
+	s := compileCell("admission.ispn", admissionSource(cfg, offered, policy))
 	var misses, delivered int64
 	s.Net.SetFlowHook(func(f *core.Flow) {
 		f.Tap(func(_ *packet.Packet, q float64) {
@@ -267,7 +267,7 @@ func playbackSource(cfg RunConfig) string {
 // play-back client to the length-4 flow.
 func AblationPlayback(cfg RunConfig) PlaybackResult {
 	cfg.fill()
-	s := compileCell("playback.ispn", playbackSource(cfg), cfg.options())
+	s := compileCell("playback.ispn", playbackSource(cfg))
 	watched := cellFlow(s, F401)
 	bound := watched.Bound()
 	rigid := playback.NewRigid(bound)

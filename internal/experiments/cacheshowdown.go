@@ -59,7 +59,7 @@ func CacheShowdown(cfg RunConfig) []CacheCell {
 	ForEach(len(cells), func(i int) {
 		cell := &cells[i]
 		src := cacheScenarioSrc(cell.Scheme, cfg.Duration, cfg.Seed)
-		rep := compileCell("cache-cell.ispn", src, cfg.options()).Run()
+		rep := compileCell("cache-cell.ispn", src).Run()
 		rc := rep.RouteCache
 		cell.Size = rc.Size
 		cell.Hits = rc.Hits

@@ -81,7 +81,7 @@ func ChurnStressGrid(cfg RunConfig, everyMS []float64) []ChurnCell {
 	ForEach(len(cells), func(i int) {
 		cell := &cells[i]
 		src := churnScenarioSrc(cell.EveryMS, cell.Admission, cfg.Duration, cfg.Seed)
-		rep := compileCell("churn-cell.ispn", src, cfg.options()).Run()
+		rep := compileCell("churn-cell.ispn", src).Run()
 		ch := rep.Churns[0]
 		cell.Arrivals = ch.Arrivals
 		cell.Admitted = ch.Admitted

@@ -84,7 +84,7 @@ func Failover(cfg RunConfig) []FailoverRow {
 	ForEach(len(rows), func(i int) {
 		reroute := i == 1
 		src := failoverScenarioSrc(reroute, cfg.Duration, cfg.Seed)
-		rep := compileCell("failover-cell.ispn", src, cfg.options()).Run()
+		rep := compileCell("failover-cell.ispn", src).Run()
 		row := FailoverRow{Reroute: reroute}
 		for _, fr := range rep.Flows {
 			row.Flows = append(row.Flows, FailoverFlow{

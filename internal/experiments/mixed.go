@@ -28,9 +28,8 @@ type MixedRow struct {
 }
 
 // MixedDeployment sweeps the FIFO+ rollout fraction over the Figure-1
-// chain, fanning the independent simulations across workers. The chain's
-// links all have zero propagation delay, so cfg.Shards cannot subdivide a
-// single cell and parallelism comes from the sweep itself.
+// chain, fanning the independent simulations across workers: parallelism
+// comes from the sweep itself.
 func MixedDeployment(cfg RunConfig) []MixedRow {
 	cfg.fill()
 	links := len(Figure1Links())

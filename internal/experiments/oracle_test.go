@@ -50,7 +50,16 @@ func TestPaperCellsHoldInvariants(t *testing.T) {
 	ForEach(len(cells)*len(claimSeeds), func(job int) {
 		c, seed := cells[job/len(claimSeeds)], claimSeeds[job%len(claimSeeds)]
 		where := fmt.Sprintf("%s, seed %d", c.name, seed)
-		s := compileCell("cell.ispn", c.source(RunConfig{Duration: 30, Seed: seed}), scenario.Options{Check: true})
+		f, err := scenario.Parse("cell.ispn", []byte(c.source(RunConfig{Duration: 30, Seed: seed})))
+		if err != nil {
+			t.Errorf("%s: %v", where, err)
+			return
+		}
+		s, err := scenario.Compile(f, scenario.Options{Check: true})
+		if err != nil {
+			t.Errorf("%s: %v", where, err)
+			return
+		}
 		chk := s.Run().Check
 		if c.checked && chk.Deliveries == 0 {
 			t.Errorf("%s: no delivery was checked against its bound", where)

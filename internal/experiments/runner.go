@@ -19,16 +19,7 @@ type RunConfig struct {
 	Duration float64
 	// Seed drives every random stream of the run.
 	Seed int64
-	// Shards partitions every world across that many event heaps advanced
-	// in lockstep windows (0 = one heap). Reports are bit-identical either
-	// way; a world whose links all have zero propagation delay (every
-	// single-link study and the Figure-1 chain) has no shard boundary to cut
-	// and runs on one of the heaps.
-	Shards int
 }
-
-// options are the compiler options of a cell run under c.
-func (c RunConfig) options() scenario.Options { return scenario.Options{Shards: c.Shards} }
 
 func (c *RunConfig) fill() {
 	if c.Duration == 0 {
@@ -133,7 +124,7 @@ func (w world) source(cfg RunConfig) string {
 
 // compile builds the world for cfg, ready to Run.
 func (w world) compile(cfg RunConfig) *scenario.Sim {
-	return compileCell("world.ispn", w.source(cfg), cfg.options())
+	return compileCell("world.ispn", w.source(cfg))
 }
 
 // header writes a cell's Net, Run and Switch declarations; net holds the Net
@@ -184,12 +175,12 @@ func mergeRecorders(s *scenario.Sim, flows []FlowPath) DelayStats {
 // compileCell parses and compiles one generated .ispn cell — the one way
 // every study builds its world, so each exercises the code path of `ispnsim
 // run` on a library file.
-func compileCell(name, src string, opts scenario.Options) *scenario.Sim {
+func compileCell(name, src string) *scenario.Sim {
 	f, err := scenario.Parse(name, []byte(src))
 	if err != nil {
 		panic(err) // a malformed template is a bug, not an input error
 	}
-	cell, err := scenario.Compile(f, opts)
+	cell, err := scenario.Compile(f, scenario.Options{})
 	if err != nil {
 		panic(err)
 	}

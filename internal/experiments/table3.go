@@ -131,7 +131,7 @@ func table3Source(cfg RunConfig) string {
 // ~83.5% of it real-time; and the datagram traffic suffers only ~0.1% drops.
 func Table3(cfg RunConfig) Table3Result {
 	cfg.fill()
-	s := compileCell("table3.ispn", table3Source(cfg), cfg.options())
+	s := compileCell("table3.ispn", table3Source(cfg))
 	// Per-link real-time bit accounting via the transmit hook.
 	var rtBits [4]float64
 	for i, lk := range Figure1Links() {

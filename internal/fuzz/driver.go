@@ -23,9 +23,6 @@ type Config struct {
 	// Seed is the base seed; case i uses Seed+i, so any failing case
 	// replays alone with `-n 1 -seed <case seed>`.
 	Seed int64
-	// Shards overrides the sharded leg's engine count (0 = derive 2..4
-	// from the case seed).
-	Shards int
 	// Dir, when non-empty, receives a minimized .ispn repro for every
 	// failing case.
 	Dir string
@@ -103,17 +100,10 @@ func (cfg Config) fail(w *World, err error) (Failure, error) {
 	return f, nil
 }
 
-// shardsFor picks the sharded leg's engine count for a world.
-func (cfg Config) shardsFor(w *World) int {
-	if cfg.Shards > 0 {
-		return cfg.Shards
-	}
-	return 2 + int(w.Seed%3) // 2..4
-}
-
 // runCase renders, compiles and runs one world twice — sequentially and
-// with 2-4 engines — checking the invariant oracle on both and requiring
-// byte-identical reports. Nil means the case passed.
+// with 2-4 engines, the count derived from the case seed — checking the
+// invariant oracle on both and requiring byte-identical reports. Nil means
+// the case passed.
 func (cfg Config) runCase(w *World) error {
 	src := w.Render()
 	name := fmt.Sprintf("fuzz-seed%d", w.Seed)
@@ -138,7 +128,7 @@ func (cfg Config) runCase(w *World) error {
 	if seq.Check.Failed() {
 		return fmt.Errorf("sequential: %s", seq.Check.Violations[0])
 	}
-	shards := cfg.shardsFor(w)
+	shards := 2 + int(w.Seed%3)
 	shd, err := run(shards)
 	if err != nil {
 		return err

@@ -119,11 +119,11 @@ func TestPriorityNoLevelsPanics(t *testing.T) {
 }
 
 func TestClassifyByHeaderSingleLevel(t *testing.T) {
-	c := ClassifyByHeader(1)
-	if got := c(pktClass(1, 0, 1, packet.Predicted, 5)); got != 0 {
-		t.Fatalf("classify = %d, want 0", got)
+	pr := NewPriority([]Scheduler{NewFIFO()})
+	if got := pr.level(pktClass(1, 0, 1, packet.Predicted, 5)); got != 0 {
+		t.Fatalf("level = %d, want 0", got)
 	}
-	if got := c(pktClass(1, 0, 1, packet.Datagram, 0)); got != 0 {
-		t.Fatalf("classify = %d, want 0", got)
+	if got := pr.level(pktClass(1, 0, 1, packet.Datagram, 0)); got != 0 {
+		t.Fatalf("level = %d, want 0", got)
 	}
 }

@@ -8,43 +8,35 @@ import "ispn/internal/packet"
 // onto lower ones and ultimately onto datagram traffic ("the next class sees
 // as a baseline of operation the aggregate jitter of the higher class").
 type Priority struct {
-	levels   []Scheduler
-	counts   []int // per-level occupancy, avoiding interface Len() calls
-	classify func(*packet.Packet) int
-	n        int
-}
-
-// ClassifyByHeader maps a packet to a priority level the way the unified
-// scheduler does: datagram traffic always goes to the lowest level; predicted
-// packets go to the level in their Priority header field (clamped).
-func ClassifyByHeader(levels int) func(*packet.Packet) int {
-	return func(p *packet.Packet) int {
-		if p.Class == packet.Datagram {
-			return levels - 1
-		}
-		l := int(p.Priority)
-		if l >= levels-1 {
-			l = levels - 2
-			if l < 0 {
-				l = 0
-			}
-		}
-		return l
-	}
+	levels []Scheduler
+	counts []int // per-level occupancy, avoiding interface Len() calls
+	n      int
 }
 
 // NewPriority returns a strict-priority scheduler over the given levels
-// (level 0 highest) that places each packet by ClassifyByHeader.
+// (level 0 highest) that places each packet by its header (see level).
 func NewPriority(levels []Scheduler) *Priority {
 	if len(levels) == 0 {
 		panic("sched: Priority needs at least one level")
 	}
-	return &Priority{levels: levels, counts: make([]int, len(levels)), classify: ClassifyByHeader(len(levels))}
+	return &Priority{levels: levels, counts: make([]int, len(levels))}
+}
+
+// level maps a packet to a priority level the way the unified scheduler
+// does: datagram traffic always goes to the lowest level; predicted packets
+// go to the level in their Priority header field, clamped to the lowest
+// predicted level.
+func (pr *Priority) level(p *packet.Packet) int {
+	last := len(pr.levels) - 1
+	if p.Class == packet.Datagram {
+		return last
+	}
+	return max(min(int(p.Priority), last-1), 0)
 }
 
 // Enqueue implements Scheduler.
 func (pr *Priority) Enqueue(p *packet.Packet, now float64) {
-	l := pr.classify(p)
+	l := pr.level(p)
 	pr.levels[l].Enqueue(p, now)
 	pr.counts[l]++
 	pr.n++

@@ -3,8 +3,9 @@
 // the way `go tool nm` spells a linked symbol with its type arguments
 // stripped, then where it is declared:
 // "ispn/internal/sched.(*FIFO).Enqueue internal/sched/sched.go:71".
-// scripts/unlinked.sh subtracts what the shipped binaries link from this
-// list; what is left has no production caller.
+// scripts/unreached.sh counts every function on this list that no
+// coverage-built binary carries as never run, so a package no binary imports
+// cannot hide from the census.
 package main
 
 import (

@@ -1,10 +1,11 @@
 #!/bin/sh
 # serve-smoke: end-to-end drill of the live control plane (docs/SERVE.md,
-# docs/OPERATIONS.md). Builds ispnsim, starts `serve` on an ephemeral port,
-# creates a session from the scenario library, injects an outage over HTTP,
+# docs/OPERATIONS.md). Builds ispnsim (or uses the binary $ISPNSIM names),
+# starts `serve` on an ephemeral port, creates two sessions from the scenario
+# library, checks /healthz and the session list, injects an outage over HTTP,
 # runs to the horizon, asserts the trace stream and report came back, and
 # verifies clean SIGINT shutdown. Run via `make serve-smoke` (part of
-# `make ci`).
+# `make ci`); scripts/unreached.sh runs it with a coverage build.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -17,8 +18,9 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-$GO build -o "$tmp/ispnsim" ./cmd/ispnsim
-"$tmp/ispnsim" -addr localhost:0 serve scenarios >"$tmp/serve.log" 2>&1 &
+sim=${ISPNSIM:-$tmp/ispnsim}
+[ -n "${ISPNSIM:-}" ] || $GO build -o "$sim" ./cmd/ispnsim
+"$sim" -addr localhost:0 serve scenarios >"$tmp/serve.log" 2>&1 &
 pid=$!
 
 # The readiness line prints only after the socket is bound.
@@ -34,11 +36,17 @@ until grep -q 'listening on' "$tmp/serve.log"; do
 done
 base=$(sed -n 's|.*listening on \(http://[^ ]*\).*|\1|p' "$tmp/serve.log")
 
-# Create a paused failover session, script an extra outage, run to the end.
-curl -sf -X POST "$base/sessions" \
-    -d '{"scenario": "failover", "paused": true}' >"$tmp/create.json"
-grep -q '"id": "s1"' "$tmp/create.json"
+# Two paused failover sessions: the list orders them, the health check
+# counts them.
+for id in s1 s2; do
+    curl -sf -X POST "$base/sessions" \
+        -d '{"scenario": "failover", "paused": true}' >"$tmp/create.json"
+    grep -q "\"id\": \"$id\"" "$tmp/create.json"
+done
+curl -sf "$base/sessions" | tr -d ' \n' | grep -q '"id":"s1".*"id":"s2"'
+curl -sf "$base/healthz" | grep -q '"sessions": 2'
 
+# Script an extra outage into s1 and run it to the end.
 curl -sf -X POST "$base/sessions/s1/events" --data-binary @- <<'EOF' >"$tmp/inject.json"
 at 55s { fail s4 -> s5 }
 at 65s { restore s4 -> s5 }

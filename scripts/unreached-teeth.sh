@@ -1,11 +1,12 @@
 #!/bin/sh
 # unreached-teeth.sh — prove `make unreached` actually fails.
 #
-# Copies the repo into a scratch tree, plants a Churn argument no workload
-# writes, with its effect in a helper of its own, and an allow entry for a
-# function every workload runs, and requires scripts/unreached.sh to exit
-# nonzero naming the helper as unexplained (one above the ceiling) and the
-# entry as stale.
+# Copies the repo into a scratch tree and plants three functions no workload
+# runs — the effect of a Churn argument no workload writes, in a helper of its
+# own; an exported method nothing calls in internal/queue; a function in a
+# package no binary imports — plus an allow entry for a function every
+# workload runs. scripts/unreached.sh must exit nonzero naming each function
+# as unexplained, exactly three unexplained in all, and the entry as stale.
 set -eu
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -26,23 +27,39 @@ if ! grep -q 'zzUnreachedTeeth(ch)' "$tmp/internal/scenario/timeline.go"; then
 	echo "unreached-teeth: FAIL — could not plant the argument: churnDecl no longer ends with a.finish(churnArgNames...)" >&2
 	exit 1
 fi
+cat > "$tmp/internal/queue/zz_unreached_teeth_seeded.go" <<'GO'
+package queue
+
+// ZzUnreachedTeeth is seeded by scripts/unreached-teeth.sh: an exported
+// method with no caller, which the census must report.
+func (r *Ring) ZzUnreachedTeeth() int { return r.Len() }
+GO
+mkdir "$tmp/internal/zzorphan"
+cat > "$tmp/internal/zzorphan/orphan.go" <<'GO'
+// Package zzorphan is seeded by scripts/unreached-teeth.sh: no binary
+// imports it, so only the declared-function list can report Orphan.
+package zzorphan
+
+func Orphan() int { return 1 }
+GO
 echo 'ispn/internal/scenario.Parse guard: seeded by unreached-teeth.sh, every workload parses' >> "$tmp/scripts/unreached.allow"
 
 out="$tmp/unreached.out"
 if "$tmp/scripts/unreached.sh" "$tmp" >"$out" 2>&1; then
-	echo "unreached-teeth: FAIL — the seeded argument and stale allow entry were not rejected" >&2
+	echo "unreached-teeth: FAIL — the seeded functions and stale allow entry were not rejected" >&2
 	cat "$out" >&2
 	exit 1
 fi
-ceiling="$(awk '$1 == "ceiling:" { print $2 }' "$root/scripts/unreached.allow")"
 for want in \
 	'^unreached: unexplained: ispn/internal/scenario\.zzUnreachedTeeth ' \
+	'^unreached: unexplained: ispn/internal/queue\.(\*Ring)\.ZzUnreachedTeeth ' \
+	'^unreached: unexplained: ispn/internal/zzorphan\.Orphan ' \
 	'^unreached: stale: ispn/internal/scenario\.Parse ' \
-	"^unreached: $((ceiling + 1)) unexplained functions, above the ceiling of $ceiling:"; do
+	'^unreached: .* never ran: [0-9]* explained, 3 unexplained;'; do
 	if ! grep -q "$want" "$out"; then
 		echo "unreached-teeth: FAIL — the report lacks a line matching $want:" >&2
 		cat "$out" >&2
 		exit 1
 	fi
 done
-echo "unreached-teeth: OK — seeded argument's helper named, seeded allow entry called stale"
+echo "unreached-teeth: OK — the three seeded functions named, the seeded allow entry called stale"

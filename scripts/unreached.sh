@@ -1,26 +1,28 @@
 #!/bin/sh
-# unreached.sh — list the functions no workload executes.
+# unreached.sh — the dead-code gate: fail on any function no workload executes.
 #
-# Builds cmd/ispnsim, the five examples and the bench binary with every
-# package of the module instrumented for coverage (-cover -coverpkg=ispn/...)
-# and runs the workload set under one GOCOVERDIR:
+# Builds cmd/ispnsim, cmd/ispnvet, the five examples and the bench binary
+# with every package of the module instrumented for coverage
+# (-cover -coverpkg=ispn/...) and runs the workload set under one GOCOVERDIR:
 #
 #   - the scenario library: run (one worker), run -check, check, and the
 #     `scenarios` listing;
 #   - every catalogue experiment (`all`) at -duration 30;
 #   - ispnsim fuzz -n 200;
+#   - scripts/serve-smoke.sh against the covered ispnsim;
+#   - go vet -vettool=<the covered ispnvet> ./...;
 #   - one repeat of each of the bench binary's five workloads (-child run);
 #   - the five examples.
 #
 # It merges the counters with `go tool covdata` and lists every function of a
-# non-test file outside bench/ that never ran, spelled the way
-# scripts/unlinked.allow spells a symbol (a main package by its import path).
+# non-test file outside bench/ that never ran: a function of a covered binary
+# with no count, and a function scripts/listfuncs declares that no covered
+# binary carries, so a package nothing imports cannot hide. A symbol is
+# spelled the way `go tool nm` spells it (a main package by its import path).
 # scripts/unreached.allow explains some of them, one "symbol category: reason"
 # per line, the category being one of diagnostic, guard, probe, facade,
 # reference, interface or fuzz-failure. What no entry explains is
-# unexplained: the report lists it, and the run fails when the unexplained
-# count differs from the ceiling the allow file records ("ceiling: N") — above
-# it, prune the function or explain it; below it, lower the ceiling. An allow
+# unexplained and fails the run: delete the function, or explain it. An allow
 # entry whose function ran, is not declared, or gives no known category is
 # stale and fails the run too.
 #
@@ -36,7 +38,7 @@ start=$(date +%s)
 
 cd "$root"
 module="$(awk '$1 == "module" { print $2; exit }' go.mod)"
-$GO build -cover -coverpkg="$module/..." -o "$tmp/bin/" ./cmd/ispnsim ./examples/...
+$GO build -cover -coverpkg="$module/..." -o "$tmp/bin/" ./cmd/... ./examples/...
 (cd bench && $GO build -cover -coverpkg="$module/..." -o "$tmp/bin/bench" .)
 
 mkdir -p "$tmp/raw" "$tmp/merged" "$tmp/bench"
@@ -56,6 +58,8 @@ workload "$sim" check scenarios/*.ispn
 workload "$sim" scenarios
 workload "$sim" -duration 30 all
 workload "$sim" -n 200 -corpus "$tmp/corpus" fuzz
+workload env ISPNSIM="$sim" ./scripts/serve-smoke.sh
+workload $GO vet -vettool="$tmp/bin/ispnvet" ./...
 for w in chain_batch mesh_sharded churn_control million_members serve_live; do
 	workload "$tmp/bin/bench" -child run -workload "$w" -out "$tmp/bench/$w.json"
 done
@@ -73,22 +77,28 @@ share="$(awk -v b="$module/bench/" 'NR > 1 && index($1, b) != 1 {
 	END { printf "%.1f", 100 * run / total }' "$tmp/profile.txt")"
 
 # Per function: "ispn/internal/core/network.go:233: *Network.SetLink 0.0%"
-# becomes "ispn/internal/core.(*Network).SetLink internal/core/network.go:233".
+# becomes "ispn/internal/core.(*Network).SetLink internal/core/network.go:233",
+# then every declared function no covered binary carries joins as never run.
 $GO tool covdata func -i="$tmp/merged" |
 	awk -v m="$module" -v b="$module/bench/" '$1 != "total" && index($1, b) != 1 {
 		file = $1; sub(/:[0-9]+:$/, "", file); line = $1; sub(/:$/, "", line)
 		pkg = file; sub(/\/[^\/]*$/, "", pkg)
 		name = $2; if (name ~ /^\*/) { sub(/^\*/, "", name); sub(/\./, ").", name); name = "(*" name }
 		sub("^" m "/", "", line)
-		print pkg "." name, line, $3 }' | sort -u >"$tmp/funcs"
+		print pkg "." name, line, $3 }' | sort -u >"$tmp/covered"
+$GO run ./scripts/listfuncs "$root" "$module" >"$tmp/declared"
+awk 'FILENAME == ARGV[1] { print; carried[$1]; next } !($1 in carried) { print $1, $2, "0.0%" }' \
+	"$tmp/covered" "$tmp/declared" | sort >"$tmp/funcs"
 awk '$3 == "0.0%" { print $1, $2 }' "$tmp/funcs" >"$tmp/zero"
-sed -e 's/[[:space:]]*#.*//' -e '/^[[:space:]]*$/d' "$allow" >"$tmp/allow.all"
-ceiling="$(awk '$1 == "ceiling:" { print $2 }' "$tmp/allow.all")"
-grep -v '^ceiling:' "$tmp/allow.all" | sort >"$tmp/allow"
+sed -e 's/[[:space:]]*#.*//' -e '/^[[:space:]]*$/d' "$allow" | sort >"$tmp/allow"
 
 fail=0
 awk 'FILENAME == ARGV[1] { allowed[$1]; next } !($1 in allowed)' "$tmp/allow" "$tmp/zero" >"$tmp/unexplained"
-sed 's/^/unreached: unexplained: /' "$tmp/unexplained"
+if [ -s "$tmp/unexplained" ]; then
+	echo "unreached: no workload runs these; delete them, or explain them in scripts/unreached.allow:" >&2
+	sed 's/^/unreached: unexplained: /' "$tmp/unexplained" >&2
+	fail=1
+fi
 awk 'FILENAME == ARGV[1] { zero[$1]; next }
 	!($1 in zero) || $2 !~ /^(diagnostic|guard|probe|facade|reference|interface|fuzz-failure):$/ || NF < 3' \
 	"$tmp/zero" "$tmp/allow" >"$tmp/stale"
@@ -98,15 +108,5 @@ if [ -s "$tmp/stale" ]; then
 	fail=1
 fi
 n="$(wc -l <"$tmp/unexplained" | tr -d ' ')"
-if [ -z "$ceiling" ]; then
-	echo "unreached: scripts/unreached.allow records no \"ceiling: N\" line" >&2
-	fail=1
-elif [ "$n" -gt "$ceiling" ]; then
-	echo "unreached: $n unexplained functions, above the ceiling of $ceiling: delete what no workload runs, or explain it in scripts/unreached.allow" >&2
-	fail=1
-elif [ "$n" -lt "$ceiling" ]; then
-	echo "unreached: $n unexplained functions, below the ceiling of $ceiling: lower the ceiling in scripts/unreached.allow to $n" >&2
-	fail=1
-fi
-echo "unreached: $(wc -l <"$tmp/funcs" | tr -d ' ') functions, $share% of statements executed, $(wc -l <"$tmp/zero" | tr -d ' ') never ran: $(($(wc -l <"$tmp/zero") - n)) explained, $n unexplained (ceiling ${ceiling:-none}); $(($(date +%s) - start)) s"
+echo "unreached: $(wc -l <"$tmp/funcs" | tr -d ' ') functions, $share% of statements executed, $(wc -l <"$tmp/zero" | tr -d ' ') never ran: $(($(wc -l <"$tmp/zero") - n)) explained, $n unexplained; $(($(date +%s) - start)) s"
 exit "$fail"
