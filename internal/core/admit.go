@@ -20,7 +20,7 @@ func (n *Network) controller(pt *topology.Port) *admission.Controller {
 	if c := n.admit[idx]; c != nil {
 		return c
 	}
-	prof := n.profs[idx]
+	prof := n.pipes[idx].Profile()
 	c := admission.New(admission.Config{
 		LinkRate:     pt.Bandwidth(),
 		Quota:        1 - prof.Quota(),
@@ -54,7 +54,7 @@ func (n *Network) admitPredicted(pt *topology.Port, d demand, token uint64) erro
 	// A hop with fewer classes serves the flow in its lowest predicted
 	// class; admit it there.
 	class := d.priority
-	if k := n.profs[pt.Index()].Classes(); class >= k {
+	if k := n.Pipeline(pt).Profile().Classes(); class >= k {
 		class = k - 1
 	}
 	return n.controller(pt).AdmitPredictedOwned(n.eng.Now(), d.rate, d.bucket, class, token)

@@ -51,8 +51,7 @@ type Network struct {
 	cfg   Config
 	eng   *sim.Engine
 	topo  *topology.Network
-	pipes []sched.Pipeline        // port index -> pipeline
-	profs []sched.Profile         // port index -> effective profile
+	pipes []*sched.Pipeline       // port index -> pipeline, which carries its effective profile
 	admit []*admission.Controller // port index -> controller (nil until used)
 	flows map[uint32]*Flow
 	// ledgerSeq numbers admission operations; each one tags its warmup-
@@ -175,7 +174,7 @@ func (n *Network) ConnectWith(from, to string, rate, propDelay float64, prof *sc
 	}
 	effective := n.cfg.Profile
 	if prof != nil {
-		effective = prof.Normalize()
+		effective = *prof
 	}
 	pipe, err := sched.NewPipeline(effective, rate)
 	if err != nil {
@@ -190,20 +189,14 @@ func (n *Network) ConnectWith(from, to string, rate, propDelay float64, prof *sc
 	port := n.topo.AddLink(from, to, pipe, rate, propDelay)
 	port.SetBufferLimit(n.cfg.BufferPackets)
 	n.pipes = append(n.pipes, pipe)
-	n.profs = append(n.profs, effective)
 	n.admit = append(n.admit, nil)
 	n.invalidateRoutes() // a new link may shorten cached routes
 	return port, nil
 }
 
-// pipe returns the pipeline at a port.
-func (n *Network) pipe(pt *topology.Port) sched.Pipeline { return n.pipes[pt.Index()] }
-
-// Pipeline returns the scheduling pipeline running at a port.
-func (n *Network) Pipeline(pt *topology.Port) sched.Pipeline { return n.pipe(pt) }
-
-// ProfileAt returns the effective (normalized) scheduling profile of a port.
-func (n *Network) ProfileAt(pt *topology.Port) sched.Profile { return n.profs[pt.Index()] }
+// Pipeline returns the scheduling pipeline running at a port; its Profile is
+// the port's effective (normalized) profile.
+func (n *Network) Pipeline(pt *topology.Port) *sched.Pipeline { return n.pipes[pt.Index()] }
 
 // LinkProfile returns the effective profile of the link from -> to.
 func (n *Network) LinkProfile(from, to string) (sched.Profile, error) {
@@ -211,7 +204,7 @@ func (n *Network) LinkProfile(from, to string) (sched.Profile, error) {
 	if err != nil {
 		return sched.Profile{}, err
 	}
-	return n.profs[pt.Index()], nil
+	return n.Pipeline(pt).Profile(), nil
 }
 
 // port resolves a directed link, or reports it unknown.
@@ -238,7 +231,7 @@ func (n *Network) SetLink(from, to string, rate float64) error {
 	if rate <= 0 {
 		return fmt.Errorf("core: link %s->%s rate must be positive, got %v", from, to, rate)
 	}
-	pipe := n.pipe(pt)
+	pipe := n.Pipeline(pt)
 	if res := pipe.Reserved(); rate <= res {
 		return fmt.Errorf("core: link %s->%s rate %v bits/s does not cover %v bits/s of guaranteed reservations",
 			from, to, rate, res)
@@ -267,11 +260,11 @@ func (n *Network) SetLinkProfile(from, to string, prof sched.Profile) error {
 		return err
 	}
 	idx := pt.Index()
-	prof = prof.Normalize()
 	pipe, err := sched.NewPipeline(prof, pt.Bandwidth())
 	if err != nil {
 		return fmt.Errorf("core: link %s->%s: %v", from, to, err)
 	}
+	prof = pipe.Profile()
 	old := n.pipes[idx]
 	if res := old.Reserved(); res > 0 {
 		if !pipe.SupportsGuaranteed() {
@@ -297,7 +290,6 @@ func (n *Network) SetLinkProfile(from, to string, prof sched.Profile) error {
 	}
 	pt.SetScheduler(pipe)
 	n.pipes[idx] = pipe
-	n.profs[idx] = prof
 	if c := n.admit[idx]; c != nil {
 		c.SetQuota(1 - prof.Quota())
 		c.SetClassTargets(prof.ClassTargets)
@@ -602,7 +594,7 @@ func sumOrScale(vals func(i int) float64, k int) float64 {
 // applies to the packet header).
 func (n *Network) advertisedBound(ports []*topology.Port, class int) float64 {
 	return sumOrScale(func(i int) float64 {
-		return n.profs[ports[i].Index()].TargetFor(class)
+		return n.Pipeline(ports[i]).Profile().TargetFor(class)
 	}, len(ports))
 }
 
@@ -612,7 +604,7 @@ func (n *Network) advertisedBound(ports []*topology.Port, class int) float64 {
 func (n *Network) pathClasses(ports []*topology.Port) int {
 	k := 0
 	for _, pt := range ports {
-		if c := n.profs[pt.Index()].Classes(); c > k {
+		if c := n.Pipeline(pt).Profile().Classes(); c > k {
 			k = c
 		}
 	}
@@ -624,7 +616,7 @@ func (n *Network) pathClasses(ports []*topology.Port) int {
 // size to the packetization term: D = b/r + (Σ_{k≥2} Lmaxₖ)/r.
 func (n *Network) pgBound(spec GuaranteedSpec, ports []*topology.Port) float64 {
 	sumL := sumOrScale(func(i int) float64 {
-		return float64(n.profs[ports[i+1].Index()].MaxPacketBits)
+		return float64(n.Pipeline(ports[i+1]).Profile().MaxPacketBits)
 	}, len(ports)-1)
 	return spec.BucketBits/spec.ClockRate + sumL/spec.ClockRate
 }
@@ -632,17 +624,17 @@ func (n *Network) pgBound(spec GuaranteedSpec, ports []*topology.Port) float64 {
 // reserveLimit is the clock-rate capacity of a port: its bandwidth minus
 // the datagram quota of its profile.
 func (n *Network) reserveLimit(pt *topology.Port) float64 {
-	return (1 - n.profs[pt.Index()].Quota()) * pt.Bandwidth()
+	return (1 - n.Pipeline(pt).Profile().Quota()) * pt.Bandwidth()
 }
 
 // checkReserve verifies that adding rate to a port's reservations respects
 // its datagram quota and leaves flow 0 alive (with a zero quota the whole
 // link is reservable up to, but never including, the full bandwidth).
 func (n *Network) checkReserve(pt *topology.Port, rate float64) error {
-	pipe := n.pipe(pt)
+	pipe := n.Pipeline(pt)
 	if !pipe.SupportsGuaranteed() {
 		return fmt.Errorf("core: link %s runs a %s pipeline and cannot reserve a clock rate",
-			pt.Name(), n.profs[pt.Index()].Kind)
+			pt.Name(), pipe.Profile().Kind)
 	}
 	after := pipe.Reserved() + rate
 	if after > n.reserveLimit(pt) || after >= pt.Bandwidth() {
@@ -678,7 +670,7 @@ func (n *Network) RequestGuaranteed(id uint32, path []string, spec GuaranteedSpe
 		return nil, err
 	}
 	for _, pt := range ports {
-		n.pipe(pt).AddGuaranteed(id, spec.ClockRate)
+		n.Pipeline(pt).AddGuaranteed(id, spec.ClockRate)
 	}
 	f := &Flow{
 		ID:           id,
@@ -814,7 +806,7 @@ func (n *Network) Release(id uint32) {
 	ports := n.portsOf(f)
 	if f.Class == packet.Guaranteed {
 		for _, pt := range ports {
-			n.pipe(pt).RemoveGuaranteed(id)
+			n.Pipeline(pt).RemoveGuaranteed(id)
 		}
 	}
 	// Hand this flow's ledger claims back to each hop.
@@ -852,7 +844,7 @@ func (n *Network) RenegotiateGuaranteed(id uint32, spec GuaranteedSpec) error {
 		n.reledger(ports, f, spec.ClockRate)
 	}
 	for _, pt := range ports {
-		n.pipe(pt).SetGuaranteedRate(id, spec.ClockRate)
+		n.Pipeline(pt).SetGuaranteedRate(id, spec.ClockRate)
 	}
 	f.gspec = spec
 	f.declaredRate = spec.ClockRate

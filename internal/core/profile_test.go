@@ -151,7 +151,7 @@ func TestSetLinkProfileCarriesReservations(t *testing.T) {
 	if res := n.Pipeline(pt).Reserved(); res != 300_000 {
 		t.Fatalf("post-swap reserved = %v, want 300000", res)
 	}
-	if _, unified := n.Pipeline(pt).(*sched.Unified); unified {
+	if n.Pipeline(pt).Profile().Kind == sched.KindUnified {
 		t.Fatal("the swapped link still runs a unified pipeline")
 	}
 	if p, _ := n.LinkProfile("A", "B"); p.Kind != sched.KindWFQ {

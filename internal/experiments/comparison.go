@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"ispn/internal/sched"
 )
 
 // ComparisonRow is one discipline's aggregate result on the shared-link
@@ -14,8 +12,8 @@ type ComparisonRow struct {
 	Aggregate DelayStats
 	// Sample is flow 1's own statistics.
 	Sample DelayStats
-	// WorkConserving is false for a discipline whose port scheduler may
-	// hold packets (sched.NonWorkConserving): the framing one.
+	// WorkConserving is false for a discipline whose port pipeline may
+	// hold packets: the framing one.
 	WorkConserving bool
 }
 
@@ -35,12 +33,11 @@ func CompareDisciplines(cfg RunConfig) []ComparisonRow {
 		w := singleLink(10, ds[i])
 		s := w.compile(cfg)
 		s.Run()
-		_, holds := port(s, "A", "B").Scheduler().(sched.NonWorkConserving)
 		rows[i] = ComparisonRow{
 			Name:           ds[i].name,
 			Aggregate:      mergeRecorders(s, w.flows),
 			Sample:         toDelayStats(cellFlow(s, 1).Meter()),
-			WorkConserving: !holds,
+			WorkConserving: s.Net.Pipeline(port(s, "A", "B")).WorkConserving(),
 		}
 	})
 	return rows

@@ -161,12 +161,13 @@ func (o *Oracle) Sweep(now float64) {
 		// quota line — that is the operator's doing, not admission's — so
 		// the quota check only fires when reservations *grew* while over.
 		i := pt.Index()
-		res := o.net.Pipeline(pt).Reserved()
+		pipe := o.net.Pipeline(pt)
+		res := pipe.Reserved()
 		bw := pt.Bandwidth()
 		if res >= bw {
 			o.record(CheckCapacity, pt.Name(), now, fmt.Sprintf(
 				"reserved %.0f bit/s >= link rate %.0f bit/s", res, bw))
-		} else if limit := (1 - o.net.ProfileAt(pt).Quota()) * bw; res > limit*(1+1e-9)+1e-9 &&
+		} else if limit := (1 - pipe.Profile().Quota()) * bw; res > limit*(1+1e-9)+1e-9 &&
 			res > o.prevReserved[i]+1e-9 {
 			o.record(CheckCapacity, pt.Name(), now, fmt.Sprintf(
 				"admission grew reservations to %.0f bit/s, past the %.0f bit/s reservable share", res, limit))

@@ -193,7 +193,7 @@ func (s *Sim) buildReport() *Report {
 			}
 			r.Links = append(r.Links, LinkReport{
 				Name:        pt.Name(),
-				Sched:       schedName(s.Net.ProfileAt(pt)),
+				Sched:       schedName(s.Net.Pipeline(pt).Profile()),
 				Utilization: pt.TotalUtilization(s.Horizon),
 				Drops:       ctr.Dropped,
 			})
@@ -314,7 +314,7 @@ func (s *Sim) LinkSnapshots() []LinkSnapshot {
 		for _, pt := range nd.Ports() {
 			out = append(out, LinkSnapshot{
 				Name:        pt.Name(),
-				Sched:       schedName(s.Net.ProfileAt(pt)),
+				Sched:       schedName(s.Net.Pipeline(pt).Profile()),
 				Down:        pt.Down(),
 				Utilization: pt.TotalUtilization(now),
 				QueueLen:    pt.QueueLen(),

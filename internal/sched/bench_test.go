@@ -92,7 +92,7 @@ func BenchmarkVirtualClockEnqueueDequeue(b *testing.B) {
 func BenchmarkDRREnqueueDequeue(b *testing.B) { benchCycle(b, NewDRR(1000)) }
 
 func BenchmarkUnifiedEnqueueDequeue(b *testing.B) {
-	u := NewUnified(Profile{}.Normalize(), 1e6)
+	u := mustPipeline(Profile{})
 	// Flows 0-9 exist as predicted traffic via the fallback; add three
 	// guaranteed reservations like a Table-3 link.
 	u.AddGuaranteed(100, 1.7e5)

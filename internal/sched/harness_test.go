@@ -65,6 +65,26 @@ func runLink(s Scheduler, mu float64, arrivals []arrival) []delivery {
 	return out
 }
 
+// mustPipeline builds the 1 Mbit/s pipeline prof describes.
+func mustPipeline(prof Profile) *Pipeline {
+	pl, err := NewPipeline(prof, 1e6)
+	if err != nil {
+		panic(err)
+	}
+	return pl
+}
+
+// holds reports whether s may hold queued packets past now: a
+// non-work-conserving scheduler, or a pipeline of such a kind (every
+// pipeline answers NextEligible).
+func holds(s Scheduler) bool {
+	if pl, ok := s.(*Pipeline); ok {
+		return !pl.WorkConserving()
+	}
+	_, ok := s.(NonWorkConserving)
+	return ok
+}
+
 func pkt(flow uint32, seq uint64, size int) *packet.Packet {
 	return &packet.Packet{FlowID: flow, Seq: seq, Size: size}
 }

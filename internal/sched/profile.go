@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -12,10 +13,10 @@ import (
 // network-global discipline, every output port carries a Profile describing
 // the pipeline it runs — the unit of deployment the paper's incremental
 // rollout story needs (FIFO+'s cross-hop jitter sharing only pays off where
-// it is actually deployed). A registry of named builders turns a Profile
-// into a Pipeline for a single port; the network core drives reservations,
-// admission and bound math through the Pipeline interface without knowing
-// which discipline is behind it.
+// it is actually deployed). A table of named builders turns a Profile into
+// the Pipeline of a single port; the network core drives reservations,
+// admission and bound math through that one type without knowing which
+// discipline is behind it.
 
 // Sharing selects the sharing discipline inside each predicted class of a
 // unified pipeline.
@@ -167,53 +168,91 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// Pipeline is the port-level scheduling stack the network core drives: the
-// Scheduler the port dequeues from, plus the reservation and measurement
-// hooks the service interface needs. Disciplines that cannot isolate
-// per-flow clock rates (FIFO, FIFO+, DRR) report SupportsGuaranteed false
-// and the core refuses guaranteed requests crossing them — an incremental
-// deployment really does lose the hard commitment at un-upgraded hops.
-type Pipeline interface {
-	Scheduler
-	// SupportsGuaranteed reports whether the pipeline can reserve
-	// per-flow clock rates.
-	SupportsGuaranteed() bool
-	// AddGuaranteed reserves a clock rate for a flow; RemoveGuaranteed
-	// and SetGuaranteedRate manage it. They panic on pipelines where
-	// SupportsGuaranteed is false (the core checks first).
-	AddGuaranteed(id uint32, rate float64)
-	RemoveGuaranteed(id uint32)
-	SetGuaranteedRate(id uint32, rate float64)
-	// Reserved is the sum of guaranteed clock rates (0 when unsupported).
-	Reserved() float64
-	// SetLinkRate tracks a mid-run link bandwidth change.
-	SetLinkRate(rate, now float64)
-	// ClassDelayEstimate is the conservative measured delay d̂ᵢ of
-	// predicted class i (0 when the pipeline does not measure it).
-	ClassDelayEstimate(class int, now float64) float64
+// Pipeline is the scheduling stack of one output port, built from a Profile
+// by NewPipeline: the Scheduler the port dequeues from, plus the reservation
+// and measurement hooks the service interface needs. Every kind is this one
+// type; a kind is only what its builder puts in the fields.
+//
+// The reserving kinds (unified, wfq, virtualclock) put a rate scheduler
+// under the port: guaranteed flows are isolated at their clock rates and
+// pseudo flow 0 takes the leftover µ − Σ r_α. The unified kind makes the
+// Section 7 sharing stack flow 0's child (see unifiedStack). The wfq kind's
+// flow 0 is one plain queue — no priority classes, no FIFO+: the "circuits
+// only" end of the deployment spectrum, a WAN core that sells reservations
+// but has not deployed predicted service. The virtualclock kind puts
+// Zhang's real-time per-flow clocks underneath instead of virtual time.
+//
+// The classless kinds (fifo, fifoplus, drr, edd, stopandgo) serve every
+// packet from one scheduler and cannot reserve clock rates:
+// SupportsGuaranteed is false, and the core refuses guaranteed requests
+// crossing them — an incremental deployment really does lose the hard
+// commitment at un-upgraded hops.
+type Pipeline struct {
+	prof  Profile
+	queue Scheduler // what the port serves: the rate scheduler, or the one classless scheduler
+	// rates is the rate scheduler and table its flow table, where Enqueue
+	// resolves a guaranteed packet's flow; both nil on a classless kind.
+	rates    rateScheduler
+	table    *rateTable
+	linkRate float64
+	reserved float64 // Σ r_α
+	// measured is the FIFO+ queue of each predicted class, nil where the
+	// class's sharing does not measure its delay.
+	measured []*FIFOPlus
 }
 
-// pipelines is the fixed table of pipeline kinds: each entry constructs a
-// pipeline from a normalized profile for a port of the given link rate.
-var pipelines = map[string]func(p Profile, linkRate float64) Pipeline{
-	KindUnified:      func(p Profile, linkRate float64) Pipeline { return NewUnified(p, linkRate) },
-	KindWFQ:          newWFQPipeline,
-	KindFIFO:         func(p Profile, _ float64) Pipeline { return &plainPipeline{Scheduler: NewFIFO(), prof: p} },
-	KindFIFOPlus:     newFIFOPlusPipeline,
-	KindVirtualClock: newVCPipeline,
-	KindDRR: func(p Profile, _ float64) Pipeline {
-		return &plainPipeline{Scheduler: NewDRR(float64(p.MaxPacketBits)), prof: p}
+// rateScheduler is what the pipeline needs of WFQ and VirtualClock beyond
+// their shared flow table: registering a flow and changing its rate (WFQ
+// keeps its backlogged-rate sum in step), and stamping a packet by the
+// discipline's rule.
+type rateScheduler interface {
+	Scheduler
+	AddFlow(id uint32, rate float64)
+	SetRate(id uint32, rate float64)
+	// enqueueOn stamps p by the discipline's rule and queues it on f, a
+	// flow of the scheduler's table.
+	enqueueOn(f *rateFlow, p *packet.Packet, now float64)
+}
+
+// pipelines is the fixed table of pipeline kinds: each entry fills in a
+// pipeline whose normalized profile and link rate are set.
+var pipelines = map[string]func(pl *Pipeline){
+	KindUnified: func(pl *Pipeline) {
+		w := NewWFQ(pl.linkRate)
+		w.AddFlowScheduler(Flow0ID, pl.linkRate, pl.unifiedStack())
+		pl.reserving(w, &w.rateTable)
 	},
-	KindEDD: func(p Profile, linkRate float64) Pipeline {
+	KindWFQ: func(pl *Pipeline) {
+		w := NewWFQ(pl.linkRate)
+		w.AddFlowScheduler(Flow0ID, pl.linkRate, NewFIFO())
+		pl.reserving(w, &w.rateTable)
+	},
+	KindVirtualClock: func(pl *Pipeline) {
+		v := NewVirtualClock()
+		v.AddFlow(Flow0ID, pl.linkRate)
+		pl.reserving(v, &v.rateTable)
+	},
+	KindFIFO: func(pl *Pipeline) { pl.queue = NewFIFO() },
+	KindFIFOPlus: func(pl *Pipeline) {
+		fp := NewFIFOPlus()
+		pl.queue, pl.measured = fp, []*FIFOPlus{fp}
+	},
+	KindDRR: func(pl *Pipeline) { pl.queue = NewDRR(float64(pl.prof.MaxPacketBits)) },
+	KindEDD: func(pl *Pipeline) {
 		// Peak spacing: one maximum packet at the rate the port was built
-		// with. Like every plain pipeline it ignores SetLinkRate, so the
-		// spacing stays put under a mid-run bandwidth change.
-		return &plainPipeline{Scheduler: NewDelayEDD(float64(p.MaxPacketBits)/linkRate, p.ClassTargets[0]), prof: p}
+		// with. SetLinkRate leaves a classless queue alone, so the spacing
+		// stays put under a mid-run bandwidth change.
+		pl.queue = NewDelayEDD(float64(pl.prof.MaxPacketBits)/pl.linkRate, pl.prof.ClassTargets[0])
 	},
-	KindStopAndGo: func(p Profile, _ float64) Pipeline {
-		s := NewStopAndGo(p.ClassTargets[0])
-		return &framedPipeline{plainPipeline{Scheduler: s, prof: p}, s}
-	},
+	KindStopAndGo: func(pl *Pipeline) { pl.queue = NewStopAndGo(pl.prof.ClassTargets[0]) },
+}
+
+// reserving makes rs, whose flow table is t and whose flow 0 is registered
+// at the full link rate, the port's queue: flow 0 becomes the fallback for
+// every packet without a reservation.
+func (pl *Pipeline) reserving(rs rateScheduler, t *rateTable) {
+	t.SetFallback(Flow0ID)
+	pl.queue, pl.rates, pl.table = rs, rs, t
 }
 
 // PipelineKinds returns the kind names, sorted.
@@ -230,7 +269,7 @@ func kindList() string { return strings.Join(PipelineKinds(), ", ") }
 
 // NewPipeline normalizes and validates prof, then builds its pipeline for a
 // port of the given link rate.
-func NewPipeline(prof Profile, linkRate float64) (Pipeline, error) {
+func NewPipeline(prof Profile, linkRate float64) (*Pipeline, error) {
 	if linkRate <= 0 {
 		return nil, fmt.Errorf("sched: pipeline link rate must be positive, got %v", linkRate)
 	}
@@ -238,175 +277,161 @@ func NewPipeline(prof Profile, linkRate float64) (Pipeline, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	return pipelines[prof.Kind](prof, linkRate), nil
+	pl := &Pipeline{prof: prof, linkRate: linkRate}
+	pipelines[prof.Kind](pl)
+	return pl, nil
 }
 
-func newFIFOPlusPipeline(p Profile, _ float64) Pipeline {
-	fp := NewFIFOPlus()
-	return &plainPipeline{Scheduler: fp, prof: p, fp: fp}
+// Profile returns the normalized profile the pipeline was built from.
+func (pl *Pipeline) Profile() Profile { return pl.prof }
+
+// Enqueue implements Scheduler. On a reserving port a guaranteed packet goes
+// to its own clocked flow by flow id — one probe of the table's id map;
+// everything else lands in flow 0 directly (no per-flow lookup — only
+// guaranteed flows are ever registered with the rate scheduler). A
+// guaranteed packet whose reservation is gone — the tail of a departed flow
+// still in flight from upstream hops — is demoted into flow 0: the hard
+// commitment ended with the reservation, but the residue is still delivered.
+func (pl *Pipeline) Enqueue(p *packet.Packet, now float64) {
+	if pl.table == nil {
+		pl.queue.Enqueue(p, now)
+		return
+	}
+	var f *rateFlow
+	if p.Class == packet.Guaranteed {
+		f = pl.table.byID[p.FlowID]
+	}
+	if f == nil {
+		f = pl.table.fallbackFlow(p)
+	}
+	pl.rates.enqueueOn(f, p, now)
 }
 
-// plainPipeline wraps a classless scheduler (FIFO, FIFO+, DRR, Delay-EDD,
-// Stop-and-Go) as a port pipeline: every packet shares the one scheduler, no
-// clock rates can be reserved, and only FIFO+ contributes a class delay
-// measurement.
-type plainPipeline struct {
-	Scheduler
-	prof Profile
-	fp   *FIFOPlus // non-nil for the fifoplus kind
+// Dequeue implements Scheduler.
+func (pl *Pipeline) Dequeue(now float64) *packet.Packet { return pl.queue.Dequeue(now) }
+
+// Len implements Scheduler.
+func (pl *Pipeline) Len() int { return pl.queue.Len() }
+
+// NextEligible implements NonWorkConserving: on the stopandgo kind, the
+// instant its queue's next packet becomes eligible; on every other kind a
+// queued packet is eligible now.
+func (pl *Pipeline) NextEligible(now float64) float64 {
+	if nwc, ok := pl.queue.(NonWorkConserving); ok {
+		return nwc.NextEligible(now)
+	}
+	if pl.queue.Len() > 0 {
+		return now
+	}
+	return math.Inf(1)
 }
 
-func (p *plainPipeline) SupportsGuaranteed() bool { return false }
-func (p *plainPipeline) AddGuaranteed(id uint32, rate float64) {
-	panic(fmt.Sprintf("sched: %s pipeline cannot reserve clock rates", p.prof.Kind))
+// WorkConserving reports whether the port never idles with a backlog: false
+// only for the stopandgo kind, which holds a packet until its frame ends.
+func (pl *Pipeline) WorkConserving() bool {
+	_, holds := pl.queue.(NonWorkConserving)
+	return !holds
 }
-func (p *plainPipeline) RemoveGuaranteed(id uint32) {}
-func (p *plainPipeline) SetGuaranteedRate(id uint32, rate float64) {
-	panic(fmt.Sprintf("sched: %s pipeline cannot reserve clock rates", p.prof.Kind))
+
+// SupportsGuaranteed reports whether the pipeline can reserve per-flow clock
+// rates.
+func (pl *Pipeline) SupportsGuaranteed() bool { return pl.rates != nil }
+
+// AddGuaranteed registers a guaranteed flow with clock rate r (bits/second)
+// and shrinks flow 0's share accordingly. It panics on a classless pipeline,
+// or if the link would be oversubscribed (Σ r_α >= µ leaves nothing for
+// flow 0); the core checks both first.
+func (pl *Pipeline) AddGuaranteed(id uint32, rate float64) {
+	if pl.rates == nil {
+		panic(fmt.Sprintf("sched: %s pipeline cannot reserve clock rates", pl.prof.Kind))
+	}
+	if pl.reserved+rate >= pl.linkRate {
+		panic(fmt.Sprintf("sched: guaranteed reservations %.0f+%.0f would exhaust link rate %.0f",
+			pl.reserved, rate, pl.linkRate))
+	}
+	pl.rates.AddFlow(id, rate)
+	pl.reserved += rate
+	pl.rates.SetRate(Flow0ID, pl.linkRate-pl.reserved)
 }
-func (p *plainPipeline) Reserved() float64             { return 0 }
-func (p *plainPipeline) SetLinkRate(rate, now float64) {}
-func (p *plainPipeline) ClassDelayEstimate(class int, now float64) float64 {
-	if p.fp != nil {
-		return p.fp.RecentMaxDelay(now)
+
+// RemoveGuaranteed unregisters a guaranteed flow and returns its share to
+// flow 0; a flow without a reservation here is a no-op. A backlogged flow
+// (mid-run departure) keeps draining at its old clock rate and unregisters
+// itself once empty; its share returns to flow 0 immediately, so the link is
+// transiently oversubscribed in clock rates — WFQ virtual time tolerates
+// that, and the backlog is bounded by the departing flow's token bucket.
+func (pl *Pipeline) RemoveGuaranteed(id uint32) {
+	rate := pl.clockRate(id)
+	if rate == 0 {
+		return
+	}
+	pl.table.RemoveFlow(id)
+	pl.reserved -= rate
+	pl.rates.SetRate(Flow0ID, pl.linkRate-pl.reserved)
+}
+
+// SetGuaranteedRate changes a reserved flow's clock rate. It panics on a
+// flow without a reservation here, or if the link would be oversubscribed.
+func (pl *Pipeline) SetGuaranteedRate(id uint32, rate float64) {
+	old := pl.clockRate(id)
+	if old == 0 {
+		panic(fmt.Sprintf("sched: SetGuaranteedRate on unreserved flow %d", id))
+	}
+	if pl.reserved-old+rate >= pl.linkRate {
+		panic(fmt.Sprintf("sched: renegotiated reservations %.0f would exhaust link rate %.0f",
+			pl.reserved-old+rate, pl.linkRate))
+	}
+	pl.rates.SetRate(id, rate)
+	pl.reserved += rate - old
+	pl.rates.SetRate(Flow0ID, pl.linkRate-pl.reserved)
+}
+
+// clockRate returns the clock rate of flow id at this port (under Flow0ID,
+// flow 0's leftover share), or 0 if it holds none.
+func (pl *Pipeline) clockRate(id uint32) float64 {
+	if pl.table == nil {
+		return 0
+	}
+	return pl.table.Rate(id)
+}
+
+// Reserved is the sum of guaranteed clock rates (0 on a classless kind).
+func (pl *Pipeline) Reserved() float64 { return pl.reserved }
+
+// SetLinkRate tracks a mid-run link bandwidth change. On a reserving kind,
+// WFQ's virtual time follows µ from now on and flow 0's share becomes the
+// new leftover; it panics if the rate does not cover the reservations. A
+// classless queue keeps what it was built with.
+func (pl *Pipeline) SetLinkRate(rate, now float64) {
+	if pl.rates == nil {
+		return
+	}
+	if rate <= pl.reserved {
+		panic(fmt.Sprintf("sched: link rate %.0f below reserved %.0f", rate, pl.reserved))
+	}
+	pl.linkRate = rate
+	// Real-time clocks (VirtualClock) only need flow 0's share adjusted.
+	if w, ok := pl.rates.(*WFQ); ok {
+		w.SetLinkRate(rate, now)
+	}
+	pl.rates.SetRate(Flow0ID, rate-pl.reserved)
+}
+
+// ClassDelayEstimate is the conservative measured delay d̂ᵢ of predicted
+// class i, the admission-control input: the recent maximum delay its FIFO+
+// queue saw (a fifoplus port answers every class from its one queue), or 0
+// where the class does not run FIFO+.
+func (pl *Pipeline) ClassDelayEstimate(class int, now float64) float64 {
+	if len(pl.measured) == 0 {
+		return 0
+	}
+	if fp := pl.measured[min(class, len(pl.measured)-1)]; fp != nil {
+		return fp.RecentMaxDelay(now)
 	}
 	return 0
 }
 
-// framedPipeline is the stopandgo kind: a plainPipeline whose Stop-and-Go
-// scheduler holds packets until their frame ends, so it also tells the port
-// when the next one becomes eligible.
-type framedPipeline struct {
-	plainPipeline
-	*StopAndGo
-}
-
-// rateScheduler is the per-flow clock-rate surface WFQ and VirtualClock
-// share; isoPipeline builds the reservation bookkeeping on top of it once.
-type rateScheduler interface {
-	Scheduler
-	AddFlow(id uint32, rate float64)
-	RemoveFlow(id uint32)
-	SetRate(id uint32, rate float64)
-	Rate(id uint32) float64
-	// enqueueOn stamps p by the discipline's rule and queues it on f, a
-	// flow of the scheduler's table.
-	enqueueOn(f *rateFlow, p *packet.Packet, now float64)
-}
-
-// isoPipeline is the isolation half of every reserving pipeline: guaranteed
-// flows are isolated at their clock rates and pseudo flow 0 takes the
-// leftover µ − Σ r_α. Unified embeds it with the priority stack as flow 0's
-// child. On its own, flow 0 is one plain queue — no priority classes, no
-// FIFO+: the "circuits only" end of the deployment spectrum (a WAN core that
-// sells reservations but has not deployed predicted service). The wfq kind
-// puts virtual-time WFQ underneath; the virtualclock kind puts Zhang's
-// real-time per-flow clocks underneath.
-type isoPipeline struct {
-	rateScheduler
-	table    *rateTable // the rate scheduler's flow table: Enqueue resolves a packet's flow here
-	linkRate float64
-	reserved float64
-}
-
-func newWFQPipeline(_ Profile, linkRate float64) Pipeline {
-	w := NewWFQ(linkRate)
-	w.AddFlowScheduler(Flow0ID, linkRate, NewFIFO())
-	w.SetFallback(Flow0ID)
-	return &isoPipeline{rateScheduler: w, table: &w.rateTable, linkRate: linkRate}
-}
-
-func newVCPipeline(_ Profile, linkRate float64) Pipeline {
-	v := NewVirtualClock()
-	v.AddFlow(Flow0ID, linkRate)
-	v.SetFallback(Flow0ID)
-	return &isoPipeline{rateScheduler: v, table: &v.rateTable, linkRate: linkRate}
-}
-
-func (w *isoPipeline) SupportsGuaranteed() bool { return true }
-
-// AddGuaranteed registers a guaranteed flow with clock rate r (bits/second)
-// and shrinks flow 0's share accordingly. It panics if the link would be
-// oversubscribed (Σ r_α >= µ leaves nothing for flow 0).
-func (w *isoPipeline) AddGuaranteed(id uint32, rate float64) {
-	if w.reserved+rate >= w.linkRate {
-		panic(fmt.Sprintf("sched: guaranteed reservations %.0f+%.0f would exhaust link rate %.0f",
-			w.reserved, rate, w.linkRate))
-	}
-	w.AddFlow(id, rate)
-	w.reserved += rate
-	w.SetRate(Flow0ID, w.linkRate-w.reserved)
-}
-
-// RemoveGuaranteed unregisters a guaranteed flow and returns its share to
-// flow 0. A backlogged flow (mid-run departure) keeps draining at its old
-// clock rate and unregisters itself once empty; its share returns to flow 0
-// immediately, so the link is transiently oversubscribed in clock rates —
-// WFQ virtual time tolerates that, and the backlog is bounded by the
-// departing flow's token bucket.
-func (w *isoPipeline) RemoveGuaranteed(id uint32) {
-	rate := w.Rate(id)
-	if rate == 0 {
-		return
-	}
-	w.RemoveFlow(id)
-	w.reserved -= rate
-	w.SetRate(Flow0ID, w.linkRate-w.reserved)
-}
-
-func (w *isoPipeline) SetGuaranteedRate(id uint32, rate float64) {
-	old := w.Rate(id)
-	if old == 0 {
-		panic(fmt.Sprintf("sched: SetGuaranteedRate on unreserved flow %d", id))
-	}
-	if w.reserved-old+rate >= w.linkRate {
-		panic(fmt.Sprintf("sched: renegotiated reservations %.0f would exhaust link rate %.0f",
-			w.reserved-old+rate, w.linkRate))
-	}
-	w.SetRate(id, rate)
-	w.reserved += rate - old
-	w.SetRate(Flow0ID, w.linkRate-w.reserved)
-}
-
-func (w *isoPipeline) Reserved() float64 { return w.reserved }
-
-func (w *isoPipeline) SetLinkRate(rate, now float64) {
-	if rate <= w.reserved {
-		panic(fmt.Sprintf("sched: link rate %.0f below reserved %.0f", rate, w.reserved))
-	}
-	w.linkRate = rate
-	// Virtual-time disciplines track µ; real-time clocks (VirtualClock)
-	// only need flow 0's share adjusted.
-	if lr, ok := w.rateScheduler.(interface{ SetLinkRate(rate, now float64) }); ok {
-		lr.SetLinkRate(rate, now)
-	}
-	w.SetRate(Flow0ID, rate-w.reserved)
-}
-
-func (w *isoPipeline) ClassDelayEstimate(class int, now float64) float64 { return 0 }
-
-// Enqueue routes guaranteed packets to their own clocked flow by flow id —
-// one probe of the table's id map; everything else lands in flow 0 directly
-// (no per-flow lookup — only guaranteed flows are ever registered with the
-// rate scheduler). A guaranteed packet whose reservation is gone — the tail
-// of a departed flow still in flight from upstream hops — is demoted into
-// flow 0: the hard commitment ended with the reservation, but the residue is
-// still delivered.
-func (w *isoPipeline) Enqueue(p *packet.Packet, now float64) {
-	var f *rateFlow
-	if p.Class == packet.Guaranteed {
-		f = w.table.byID[p.FlowID]
-	}
-	if f == nil {
-		f = w.table.fallbackFlow(p)
-	}
-	w.enqueueOn(f, p, now)
-}
-
 var (
-	_ Pipeline = (*Unified)(nil)
-	_ Pipeline = (*plainPipeline)(nil)
-	_ Pipeline = (*isoPipeline)(nil)
-
-	_ NonWorkConserving = (*framedPipeline)(nil)
+	_ Scheduler         = (*Pipeline)(nil)
+	_ NonWorkConserving = (*Pipeline)(nil)
 )

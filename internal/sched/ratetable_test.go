@@ -273,8 +273,7 @@ func TestReAddWhileDrainingRevives(t *testing.T) {
 			if got := pl.Reserved(); got != 3e5 {
 				t.Fatalf("Reserved = %v after re-adding at 3e5", got)
 			}
-			rs := pl.(interface{ Rate(uint32) float64 })
-			if r5, r0 := rs.Rate(5), rs.Rate(Flow0ID); r5 != 3e5 || r0 != 7e5 {
+			if r5, r0 := pl.clockRate(5), pl.clockRate(Flow0ID); r5 != 3e5 || r0 != 7e5 {
 				t.Fatalf("rates after revival: flow 5 = %v, flow 0 = %v; want 3e5 and 7e5", r5, r0)
 			}
 			pl.Enqueue(pktClass(5, 3, 1000, packet.Guaranteed, 0), 0)
@@ -284,12 +283,12 @@ func TestReAddWhileDrainingRevives(t *testing.T) {
 				}
 			}
 			// The revived flow outlives its old tail: it is live, not closing.
-			if got := rs.Rate(5); got != 3e5 {
+			if got := pl.clockRate(5); got != 3e5 {
 				t.Fatalf("flow 5 rate = %v once drained, want it still registered at 3e5", got)
 			}
 			pl.RemoveGuaranteed(5)
-			if rs.Rate(5) != 0 || pl.Reserved() != 0 {
-				t.Fatalf("after final removal: rate %v, reserved %v", rs.Rate(5), pl.Reserved())
+			if pl.clockRate(5) != 0 || pl.Reserved() != 0 {
+				t.Fatalf("after final removal: rate %v, reserved %v", pl.clockRate(5), pl.Reserved())
 			}
 		})
 	}

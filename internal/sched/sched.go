@@ -9,9 +9,9 @@
 //     datagram traffic (Section 7).
 //   - WFQ — weighted fair queueing (Section 4): the isolation discipline
 //     that delivers guaranteed service with Parekh–Gallager bounds.
-//   - Unified — the paper's Section 7 scheduler: WFQ isolation between
-//     guaranteed flows and a pseudo "flow 0" holding the priority-ordered
-//     FIFO+ classes plus datagram traffic.
+//   - the unified pipeline — the paper's Section 7 scheduler: WFQ isolation
+//     between guaranteed flows and a pseudo "flow 0" holding the
+//     priority-ordered FIFO+ classes plus datagram traffic.
 //   - VirtualClock, DRR, DelayEDD and StopAndGo — the Section 10–11
 //     related-work baselines used in ablations and comparisons.
 //
@@ -26,9 +26,10 @@
 //	WFQ           F = max(V, F_prev) + L/r    V: virtual time, advancing at µ / Σ_backlogged r
 //	VirtualClock  VC = max(now, VC) + L/r     a per-flow clock in real time
 //
-// Profile names a port's discipline and NewPipeline builds it; the reserving
-// kinds (unified, wfq, virtualclock) share isoPipeline's bookkeeping over
-// whichever rate scheduler is underneath.
+// Profile names a port's discipline and NewPipeline builds it. Every kind is
+// one Pipeline type: the reserving kinds (unified, wfq, virtualclock) fill in
+// its rate scheduler and share its reservation bookkeeping, the classless
+// kinds fill in one scheduler.
 //
 // All schedulers are single-goroutine simulation objects: the discrete-event
 // engine serializes access, so they carry no locks.

@@ -34,26 +34,18 @@ func allSchedulers() map[string]func() Scheduler {
 			}
 			return v
 		},
-		"DRR":       func() Scheduler { return NewDRR(1000) },
-		"Delay-EDD": func() Scheduler { return NewDelayEDD(1/200.0, 0.01) },
-		"Unified": func() Scheduler {
-			return NewUnified(Profile{}.Normalize(), 1e6)
-		},
+		"DRR":         func() Scheduler { return NewDRR(1000) },
+		"Delay-EDD":   func() Scheduler { return NewDelayEDD(1/200.0, 0.01) },
+		"Unified":     func() Scheduler { return mustPipeline(Profile{}) },
 		"Stop-and-Go": func() Scheduler { return NewStopAndGo(0.010) },
 		// The two related-work pipeline kinds, as a port runs them.
-		"edd pipeline":       func() Scheduler { return mustPipeline(KindEDD, 0.030) },
-		"stopandgo pipeline": func() Scheduler { return mustPipeline(KindStopAndGo, 0.010) },
+		"edd pipeline": func() Scheduler {
+			return mustPipeline(Profile{Kind: KindEDD, ClassTargets: []float64{0.030}})
+		},
+		"stopandgo pipeline": func() Scheduler {
+			return mustPipeline(Profile{Kind: KindStopAndGo, ClassTargets: []float64{0.010}})
+		},
 	}
-}
-
-// mustPipeline builds a 1 Mbit/s pipeline of the given kind whose one
-// class target is target.
-func mustPipeline(kind string, target float64) Pipeline {
-	p, err := NewPipeline(Profile{Kind: kind, ClassTargets: []float64{target}}, 1e6)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // schedulerNames returns the stress-matrix names in sorted order so the
@@ -74,10 +66,7 @@ func TestSchedulerConservationStress(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			s := mk()
-			nonWC := false
-			if _, ok := s.(NonWorkConserving); ok {
-				nonWC = true
-			}
+			nonWC := holds(s)
 			seen := map[uint64]int{}
 			enq, deq := 0, 0
 			now := 0.0
@@ -93,12 +82,6 @@ func TestSchedulerConservationStress(t *testing.T) {
 						Priority:     uint8(rng.Intn(2)),
 						ArrivedAt:    now,
 						JitterOffset: (rng.Float64() - 0.5) * 0.01,
-					}
-					// Unified panics on unreserved guaranteed
-					// packets by design; stress it with the
-					// other classes.
-					if name == "Unified" && p.Class == packet.Guaranteed {
-						p.Class = packet.Predicted
 					}
 					seq++
 					lenBefore := s.Len()
@@ -160,7 +143,7 @@ func TestWorkConservationInvariant(t *testing.T) {
 	for _, name := range schedulerNames(all) {
 		mk := all[name]
 		s := mk()
-		if _, ok := s.(NonWorkConserving); ok {
+		if holds(s) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"ispn/internal/packet"
@@ -9,8 +11,11 @@ import (
 
 // newTestUnified builds the paper's default port (two predicted classes,
 // FIFO+ sharing) on a 1 Mb/s link.
-func newTestUnified() *Unified {
-	return NewUnified(Profile{}.Normalize(), 1e6)
+func newTestUnified() *Pipeline { return mustPipeline(Profile{}) }
+
+// levels returns the priority levels under a unified pipeline's flow 0.
+func levels(pl *Pipeline) []Scheduler {
+	return pl.table.byID[Flow0ID].child.(*Priority).levels
 }
 
 func TestUnifiedGuaranteedIsolatedFromPredictedFlood(t *testing.T) {
@@ -78,14 +83,14 @@ func TestUnifiedReservedAccounting(t *testing.T) {
 	if u.Reserved() != 5e5 {
 		t.Fatalf("Reserved = %v, want 5e5", u.Reserved())
 	}
-	if got := u.Rate(Flow0ID); math.Abs(got-5e5) > 1e-9 {
+	if got := u.clockRate(Flow0ID); math.Abs(got-5e5) > 1e-9 {
 		t.Fatalf("flow 0 rate = %v, want 5e5", got)
 	}
 	u.RemoveGuaranteed(1)
 	if u.Reserved() != 3e5 {
 		t.Fatalf("Reserved after remove = %v, want 3e5", u.Reserved())
 	}
-	if got := u.Rate(Flow0ID); math.Abs(got-7e5) > 1e-9 {
+	if got := u.clockRate(Flow0ID); math.Abs(got-7e5) > 1e-9 {
 		t.Fatalf("flow 0 rate after remove = %v, want 7e5", got)
 	}
 	u.RemoveGuaranteed(99) // unknown: no-op
@@ -124,11 +129,11 @@ func TestUnifiedSetLinkAndGuaranteedRate(t *testing.T) {
 	if u.Reserved() != 4e5 {
 		t.Fatalf("Reserved = %v after renegotiation, want 4e5", u.Reserved())
 	}
-	if got := u.Rate(Flow0ID); got != 6e5 {
+	if got := u.clockRate(Flow0ID); got != 6e5 {
 		t.Fatalf("flow 0 rate = %v, want 6e5", got)
 	}
 	u.SetLinkRate(8e5, 0)
-	if got := u.Rate(Flow0ID); got != 4e5 {
+	if got := u.clockRate(Flow0ID); got != 4e5 {
 		t.Fatalf("flow 0 rate after link change = %v, want 4e5", got)
 	}
 	defer func() {
@@ -141,15 +146,15 @@ func TestUnifiedSetLinkAndGuaranteedRate(t *testing.T) {
 
 func TestUnifiedPredictedClassSchedulers(t *testing.T) {
 	u := newTestUnified()
-	if _, ok := u.levels[0].(*FIFOPlus); !ok {
+	if _, ok := levels(u)[0].(*FIFOPlus); !ok {
 		t.Fatal("predicted class 0 is not FIFO+ by default")
 	}
-	uf := NewUnified(Profile{Sharing: SharingFIFO}.Normalize(), 1e6)
-	if _, ok := uf.levels[0].(*FIFO); !ok {
+	uf := mustPipeline(Profile{Sharing: SharingFIFO})
+	if _, ok := levels(uf)[0].(*FIFO); !ok {
 		t.Fatal("fifo sharing did not install FIFO")
 	}
-	ur := NewUnified(Profile{Sharing: SharingRoundRobin}.Normalize(), 1e6)
-	if _, ok := ur.levels[0].(*DRR); !ok {
+	ur := mustPipeline(Profile{Sharing: SharingRoundRobin})
+	if _, ok := levels(ur)[0].(*DRR); !ok {
 		t.Fatal("rr sharing did not install DRR")
 	}
 }
@@ -164,7 +169,7 @@ func TestUnifiedClassDelayEstimate(t *testing.T) {
 		t.Fatalf("ClassDelayEstimate = %v, want 0.010", got)
 	}
 	// Non-measuring ablation variant returns 0.
-	uf := NewUnified(Profile{Sharing: SharingFIFO, ClassTargets: []float64{0.032}}.Normalize(), 1e6)
+	uf := mustPipeline(Profile{Sharing: SharingFIFO, ClassTargets: []float64{0.032}})
 	if uf.ClassDelayEstimate(0, 1) != 0 {
 		t.Fatal("fifo sharing ClassDelayEstimate should be 0")
 	}
@@ -215,16 +220,57 @@ func TestUnifiedConfigValidation(t *testing.T) {
 		prof     Profile
 		linkRate float64
 	}{
-		{Profile{}.Normalize(), 0},
-		{Profile{}, 1e6}, // not normalized: no class targets, so no predicted class
+		{Profile{}, 0},
+		{Profile{ClassTargets: []float64{0.032, 0}}, 1e6}, // a class target must be positive
 	} {
-		func() {
+		if _, err := NewPipeline(c.prof, c.linkRate); err == nil {
+			t.Errorf("profile %+v at link rate %v built a pipeline", c.prof, c.linkRate)
+		}
+	}
+}
+
+// TestPipelineKinds pins what the one Pipeline type answers for every kind:
+// only the reserving kinds take clock rates, only stopandgo holds packets,
+// and a classless kind refuses a reservation but releases nothing quietly.
+func TestPipelineKinds(t *testing.T) {
+	reserving := map[string]bool{KindUnified: true, KindWFQ: true, KindVirtualClock: true}
+	for _, kind := range PipelineKinds() {
+		t.Run(kind, func(t *testing.T) {
+			pl := mustPipeline(Profile{Kind: kind})
+			if pl.Profile().Kind != kind {
+				t.Fatalf("Profile().Kind = %q", pl.Profile().Kind)
+			}
+			if pl.SupportsGuaranteed() != reserving[kind] {
+				t.Fatalf("SupportsGuaranteed = %v", pl.SupportsGuaranteed())
+			}
+			if pl.WorkConserving() != (kind != KindStopAndGo) {
+				t.Fatalf("WorkConserving = %v", pl.WorkConserving())
+			}
+			if !math.IsInf(pl.NextEligible(0), 1) {
+				t.Fatalf("empty NextEligible = %v, want +Inf", pl.NextEligible(0))
+			}
+			pl.Enqueue(pktClass(1, 0, 1000, packet.Predicted, 0), 0.003)
+			want := 0.003
+			if kind == KindStopAndGo {
+				want = 0.032 // the end of the arrival frame, the first class target
+			}
+			if got := pl.NextEligible(0.003); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("NextEligible = %v with one packet queued, want %v", got, want)
+			}
+			if reserving[kind] {
+				return
+			}
+			pl.RemoveGuaranteed(1) // nothing reserved: a no-op
+			pl.SetLinkRate(2e6, 0)
+			if pl.Reserved() != 0 || pl.clockRate(1) != 0 {
+				t.Fatalf("classless kind reserves %v", pl.Reserved())
+			}
 			defer func() {
-				if recover() == nil {
-					t.Errorf("profile %+v at link rate %v did not panic", c.prof, c.linkRate)
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "cannot reserve clock rates") {
+					t.Fatalf("AddGuaranteed on a classless kind: recovered %v", r)
 				}
 			}()
-			NewUnified(c.prof, c.linkRate)
-		}()
+			pl.AddGuaranteed(1, 1e5)
+		})
 	}
 }
