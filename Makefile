@@ -91,7 +91,7 @@ bench-check:
 # prints exactly what `ispnsim <name>` does, cut at the wall-clock footer.
 # Review the diff before committing it.
 experiments-golden:
-	$(GO) run ./cmd/ispnsim -duration 30 -seed 7 all | awk -v dir=internal/experiments/testdata/golden \
+	$(GO) run ./cmd/ispnsim -horizon 30 -seed 7 all | awk -v dir=internal/experiments/testdata/golden \
 		'/^=== .* ===$$/ { out = dir "/" $$2 ".txt"; printf "" > out; cut = 0; next } \
 		 /wall clock/ { cut = 1 } !cut { print > out }'
 

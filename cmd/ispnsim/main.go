@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ispnsim [-duration s] [-seed n] [-parallel n] <experiment>
+//	ispnsim [-horizon s] [-seed n] [-parallel n] <experiment>
 //	ispnsim [-seed n] [-horizon s] [-shards n] [-check] [-cpuprofile f] [-memprofile f] run <file.ispn>...
 //	ispnsim [-seed n] check <file.ispn>...
 //	ispnsim [-n cases] [-seed n] [-corpus dir] fuzz
@@ -17,6 +17,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -245,9 +246,8 @@ func startProfiles(cpuPath, memPath string) func() {
 }
 
 func main() {
-	duration := flag.Float64("duration", 600, "simulated seconds per run (paper: 600)")
 	seed := flag.Int64("seed", 1992, "random seed (scenarios: overrides the file's Run seed)")
-	horizon := flag.Float64("horizon", 0, "scenario horizon override in simulated seconds (0 = the file's Run horizon)")
+	horizon := flag.Float64("horizon", 0, "simulated seconds: per experiment run (0 = the paper's 600), or a scenario horizon override (0 = the file's Run horizon)")
 	parallel := flag.Int("parallel", 0, "worker count for independent sub-simulations (0 = GOMAXPROCS, 1 = sequential; results are identical either way)")
 	shards := flag.Int("shards", 0, "run/check: split each scenario into this many event heaps advanced in lockstep windows (single-threaded, not a speed-up; overrides the file's Net shards; reports are bit-identical)")
 	check := flag.Bool("check", false, "run scenarios under the invariant oracle (adds an invariants section to each report)")
@@ -275,7 +275,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	cfg := experiments.RunConfig{Duration: *duration, Seed: *seed}
+	cfg := experiments.RunConfig{Duration: cmp.Or(*horizon, experiments.PaperDuration), Seed: *seed}
 
 	name, ran := flag.Arg(0), false
 	for _, e := range experiments.Catalogue {
@@ -289,7 +289,7 @@ func main() {
 		fmt.Println(e.Run(cfg))
 		if !e.Static {
 			fmt.Printf("[%s: %.1fs wall clock, %.0fs simulated, seed %d]\n\n",
-				e.Name, time.Since(start).Seconds(), *duration, *seed)
+				e.Name, time.Since(start).Seconds(), cfg.Duration, *seed)
 		}
 		ran = true
 	}

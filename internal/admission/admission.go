@@ -96,7 +96,7 @@ func New(cfg Config) *Controller {
 }
 
 // ObserveTransmit feeds the utilization measurement; wire it to the port's
-// OnTransmit hook. Only real-time (guaranteed + predicted) traffic counts
+// OnTransmit observer. Only real-time (guaranteed + predicted) traffic counts
 // toward ν̂.
 func (c *Controller) ObserveTransmit(p *packet.Packet, now float64) {
 	if p.Class == packet.Datagram {

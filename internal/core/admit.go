@@ -31,17 +31,7 @@ func (n *Network) controller(pt *topology.Port) *admission.Controller {
 			return n.pipes[idx].ClassDelayEstimate(class, now)
 		},
 	})
-	// Chain rather than replace: experiments attach their own accounting
-	// to the same hook.
-	prev := pt.OnTransmit
-	if prev == nil {
-		pt.OnTransmit = c.ObserveTransmit
-	} else {
-		pt.OnTransmit = func(p *packet.Packet, now float64) {
-			prev(p, now)
-			c.ObserveTransmit(p, now)
-		}
-	}
+	pt.OnTransmit(c.ObserveTransmit)
 	n.admit[idx] = c
 	return c
 }

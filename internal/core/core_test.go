@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ispn/internal/packet"
@@ -260,6 +261,37 @@ func TestFlowTap(t *testing.T) {
 	}
 	if n.Flow(1) != f {
 		t.Fatal("Flow lookup failed")
+	}
+}
+
+// TestObserversAppend: every hook is a list, so a second observer of a flow's
+// registration, its deliveries or a port's transmissions never displaces the
+// first, and observers run in the order they were added.
+func TestObserversAppend(t *testing.T) {
+	n := twoSwitch(Config{})
+	var got []string
+	note := func(s string) { got = append(got, s) }
+	pt := n.pathPortsByID(n.InternPath([]string{"S1", "S2"}))[0]
+	pt.OnTransmit(func(*packet.Packet, float64) { note("tx1") })
+	pt.OnTransmit(func(*packet.Packet, float64) { note("tx2") })
+	n.OnFlow(func(f *Flow) {
+		note("flow1")
+		f.Tap(func(*packet.Packet, float64) { note("tap1") })
+	})
+	n.OnFlow(func(f *Flow) {
+		note("flow2")
+		f.Tap(func(*packet.Packet, float64) { note("tap2") })
+	})
+	f, err := n.AddDatagramFlow(1, []string{"S1", "S2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Tap(func(*packet.Packet, float64) { note("tap3") })
+	f.Inject(&packet.Packet{Size: 1000})
+	n.Run(1)
+	want := []string{"flow1", "flow2", "tx1", "tx2", "tap1", "tap2", "tap3"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("observers fired %v, want %v", got, want)
 	}
 }
 

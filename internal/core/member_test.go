@@ -53,15 +53,15 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 		{TokenRate: 2e5, BucketBits: 3000, Delay: 0.1},
 		{TokenRate: 1e5, BucketBits: 1500, Delay: 0.1},
 	}
-	// Mirror each port's real-time rate measurement: hooks installed before
-	// the admission controller chain onto them, so at the end ν̂ minus the
+	// Mirror each port's real-time rate measurement: a transmit observer
+	// sees what the admission controller's sees, so at the end ν̂ minus the
 	// mirror's reading is exactly what the warmup ledger still holds.
 	ports := n.pathPortsByID(n.InternPath(keys[2].path))
 	mirrors := make(map[*topology.Port]*stats.RateMeter)
 	for _, pt := range ports {
 		m := stats.NewRateMeter(1.0, 10) // admission.New's defaults
 		mirrors[pt] = m
-		pt.OnTransmit = func(p *packet.Packet, now float64) { m.Add(now, float64(p.Size)) }
+		pt.OnTransmit(func(p *packet.Packet, now float64) { m.Add(now, float64(p.Size)) })
 	}
 
 	type agg struct {

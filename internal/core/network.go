@@ -69,10 +69,10 @@ type Network struct {
 	// classic single-engine run.
 	coord *sim.Coordinator
 
-	// flowHook, when set, observes every flow as it is registered
-	// (admission already passed). The invariant oracle attaches here; nil
-	// costs registerFlow a single pointer compare.
-	flowHook func(*Flow)
+	// flowHooks observe every flow as it is registered (admission already
+	// passed), in the order they were added. The invariant oracle attaches
+	// here.
+	flowHooks []func(*Flow)
 
 	// intern stores every distinct path once; flows hold PathIDs into it
 	// (see intern.go).
@@ -385,7 +385,7 @@ type Flow struct {
 	policerCnt stats.Counter
 	meter      *stats.Recorder
 	delivered  int64
-	sinkTap    func(p *packet.Packet, queueing float64)
+	taps       []func(p *packet.Packet, queueing float64) // delivery observers, in Tap order
 	bound      float64
 	// declaredRate is the flow's current declared rate (guaranteed clock
 	// rate or predicted token rate). ledgerTokens lists the admission
@@ -401,12 +401,6 @@ type Flow struct {
 	// kept its old path and reservations).
 	rerouted       int64
 	rerouteRefused int64
-
-	// checkTap, when set, observes every delivery before the user-facing
-	// sinkTap — the invariant oracle's per-packet hook. Separate from
-	// sinkTap so enabling checks never displaces a playback client or
-	// trace series.
-	checkTap func(p *packet.Packet, queueing float64)
 }
 
 // Path returns the flow's hop sequence — the interned slice, shared by
@@ -454,13 +448,11 @@ func (f *Flow) RerouteRefused() int64 { return f.rerouteRefused }
 // otherwise); renegotiation merges partial updates into it.
 func (f *Flow) GuaranteedSpec() GuaranteedSpec { return f.gspec }
 
-// Tap registers a callback invoked at the sink with each delivered packet
-// and its end-to-end queueing delay (adaptive playback clients hook here).
-func (f *Flow) Tap(fn func(p *packet.Packet, queueing float64)) { f.sinkTap = fn }
-
-// SetCheckTap registers the invariant oracle's delivery observer, invoked
-// before the flow's Tap. Like Tap, the callback must not retain the packet.
-func (f *Flow) SetCheckTap(fn func(p *packet.Packet, queueing float64)) { f.checkTap = fn }
+// Tap adds a callback invoked at the sink with each delivered packet and its
+// end-to-end queueing delay (adaptive playback clients, trace series and the
+// invariant oracle hook here). Callbacks run in the order they were added and
+// must not retain the packet.
+func (f *Flow) Tap(fn func(p *packet.Packet, queueing float64)) { f.taps = append(f.taps, fn) }
 
 // IngressEngine returns the engine of the flow's first switch — the engine
 // the flow's sources must run on. Equal to the network engine when
@@ -534,24 +526,21 @@ func (n *Network) registerFlow(f *Flow) {
 		}
 		f.meter.Add(q)
 		f.delivered++
-		if f.checkTap != nil {
-			f.checkTap(p, q)
-		}
-		if f.sinkTap != nil {
-			f.sinkTap(p, q)
+		for _, tap := range f.taps {
+			tap(p, q)
 		}
 	})
 	n.flows[f.ID] = f
-	if n.flowHook != nil {
-		n.flowHook(f)
+	for _, hook := range n.flowHooks {
+		hook(f)
 	}
 }
 
-// SetFlowHook registers an observer called with every flow at registration
-// time (after admission, before any packet flows). The invariant oracle
-// uses it to arm per-flow delivery checks; flows that already exist are not
+// OnFlow adds an observer called with every flow at registration time
+// (after admission, before any packet flows). The invariant oracle uses it
+// to arm per-flow delivery checks; flows that already exist are not
 // replayed, so attach observers before creating flows.
-func (n *Network) SetFlowHook(fn func(*Flow)) { n.flowHook = fn }
+func (n *Network) OnFlow(fn func(*Flow)) { n.flowHooks = append(n.flowHooks, fn) }
 
 // Flows returns the live flows sorted by id — a deterministic snapshot for
 // sweeps and checkers (the internal map must never dictate an order).

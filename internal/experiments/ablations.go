@@ -209,7 +209,7 @@ func admissionSource(cfg RunConfig, offered int, policy string) string {
 func runAdmissionPolicy(cfg RunConfig, offered int, policy string) AdmissionResult {
 	s := compileCell("admission.ispn", admissionSource(cfg, offered, policy))
 	var misses, delivered int64
-	s.Net.SetFlowHook(func(f *core.Flow) {
+	s.Net.OnFlow(func(f *core.Flow) {
 		f.Tap(func(_ *packet.Packet, q float64) {
 			delivered++
 			if q > admissionTarget {

@@ -8,7 +8,7 @@ import (
 
 // TestExperimentsMatchGolden pins every catalogue entry's formatted output
 // byte for byte at Duration 30, Seed 7. The files under testdata/golden are
-// what `ispnsim -duration 30 -seed 7 <name>` prints with the wall-clock
+// what `ispnsim -horizon 30 -seed 7 <name>` prints with the wall-clock
 // footer removed; `make experiments-golden` regenerates them after an
 // intended behaviour change.
 func TestExperimentsMatchGolden(t *testing.T) {

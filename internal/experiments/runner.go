@@ -15,15 +15,18 @@ import (
 
 // RunConfig controls an experiment run.
 type RunConfig struct {
-	// Duration is simulated seconds (paper: 600).
+	// Duration is simulated seconds (0 = PaperDuration).
 	Duration float64
 	// Seed drives every random stream of the run.
 	Seed int64
 }
 
+// PaperDuration is the simulated seconds of every run in the paper.
+const PaperDuration = 600
+
 func (c *RunConfig) fill() {
 	if c.Duration == 0 {
-		c.Duration = 600
+		c.Duration = PaperDuration
 	}
 }
 

@@ -136,15 +136,11 @@ func Table3(cfg RunConfig) Table3Result {
 	var rtBits [4]float64
 	for i, lk := range Figure1Links() {
 		pt := port(s, lk[0], lk[1])
-		prev := pt.OnTransmit
-		pt.OnTransmit = func(p *packet.Packet, now float64) {
-			if prev != nil {
-				prev(p, now)
-			}
+		pt.OnTransmit(func(p *packet.Packet, now float64) {
 			if p.Class != packet.Datagram {
 				rtBits[i] += float64(p.Size)
 			}
-		}
+		})
 	}
 	s.Run()
 

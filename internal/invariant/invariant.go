@@ -87,7 +87,7 @@ type Oracle struct {
 // traffic starts; then Arm to schedule the sweeps.
 func Attach(net *core.Network) *Oracle {
 	o := &Oracle{net: net, vs: make(map[string]*Violation)}
-	net.SetFlowHook(o.watchFlow)
+	net.OnFlow(o.watchFlow)
 	for _, f := range net.Flows() {
 		o.watchFlow(f)
 	}
@@ -289,7 +289,7 @@ func (o *Oracle) watchFlow(f *core.Flow) {
 	fs := &flowState{o: o, f: f, checker: checker, eng: f.EgressEngine()}
 	fs.refresh()
 	o.flows = append(o.flows, fs)
-	f.SetCheckTap(fs.onDelivery)
+	f.Tap(fs.onDelivery)
 }
 
 func (fs *flowState) refresh() {

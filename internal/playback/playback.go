@@ -74,7 +74,7 @@ type Adaptive struct {
 	point    float64
 	losses   int64
 	total    int64
-	history  *stats.Recorder // play-back point over time (sampled)
+	pointSum float64 // sum of the play-back point after each delivery
 }
 
 // AdaptiveConfig parameterizes an adaptive client.
@@ -109,7 +109,6 @@ func NewAdaptive(cfg AdaptiveConfig) *Adaptive {
 		margin:   cfg.Margin,
 		minPoint: cfg.MinPoint,
 		point:    cfg.InitialPoint,
-		history:  stats.NewRecorder(),
 	}
 }
 
@@ -130,7 +129,7 @@ func (a *Adaptive) Deliver(_, delay float64) bool {
 		}
 		a.point = p
 	}
-	a.history.Add(a.point)
+	a.pointSum += a.point
 	return ok
 }
 
@@ -145,4 +144,4 @@ func (a *Adaptive) Total() int64 { return a.total }
 
 // MeanPoint returns the time-average play-back point the client used — the
 // application-performance metric the paper argues adaptive clients improve.
-func (a *Adaptive) MeanPoint() float64 { return a.history.Mean() }
+func (a *Adaptive) MeanPoint() float64 { return a.pointSum / float64(max(a.total, 1)) }

@@ -3,53 +3,29 @@ package scenario
 import "math"
 
 // argSet gives the compiler typed, dimension-checked access to a
-// declaration's arguments. Every getter records the first error it hits in
-// the compiler (with the argument's position) and returns the default, so a
-// compile pass reports the earliest diagnostic rather than panicking.
+// declaration's arguments, which are always named. Every getter records the
+// first error it hits in the compiler (with the argument's position) and
+// returns the default, so a compile pass reports the earliest diagnostic
+// rather than panicking.
 type argSet struct {
 	c    *compiler
 	decl *Decl
-	pos  []Value  // positional arguments in order
-	slot []string // argument name each positional slot can stand in for
 }
 
-func (c *compiler) argsOf(d *Decl) *argSet {
-	a := &argSet{c: c, decl: d}
-	for _, arg := range d.Args {
-		if arg.Name == "" {
-			a.pos = append(a.pos, arg.Value)
-		}
-	}
-	return a
-}
+func (c *compiler) argsOf(d *Decl) *argSet { return &argSet{c: c, decl: d} }
 
-// lookup finds a named argument, falling back to the positional argument at
-// index posIdx (or none when posIdx < 0). Giving the same argument both ways
-// is an error, not a silent shadow.
-func (a *argSet) lookup(name string, posIdx int) (Value, bool) {
-	if posIdx >= 0 {
-		for len(a.slot) <= posIdx {
-			a.slot = append(a.slot, "")
-		}
-		a.slot[posIdx] = name
-	}
+// lookup finds a named argument.
+func (a *argSet) lookup(name string) (Value, bool) {
 	for _, arg := range a.decl.Args {
 		if arg.Name == name {
-			if posIdx >= 0 && posIdx < len(a.pos) {
-				a.c.failf(a.pos[posIdx].Pos, "argument %q is already given by name", name)
-			}
 			return arg.Value, true
 		}
-	}
-	if posIdx >= 0 && posIdx < len(a.pos) {
-		return a.pos[posIdx], true
 	}
 	return Value{}, false
 }
 
-// finish rejects unknown and duplicate named arguments and excess
-// positional ones; known lists the accepted keys in documentation order.
-// Call it after every getter, so the positional slots are declared.
+// finish rejects unknown and duplicate arguments; known lists the accepted
+// keys in documentation order.
 func (a *argSet) finish(known ...string) {
 	ok := make(map[string]bool, len(known))
 	for _, k := range known {
@@ -57,9 +33,6 @@ func (a *argSet) finish(known ...string) {
 	}
 	seen := make(map[string]bool, len(a.decl.Args))
 	for _, arg := range a.decl.Args {
-		if arg.Name == "" {
-			continue
-		}
 		if !ok[arg.Name] {
 			accepted := joinWords(known)
 			if accepted == "" {
@@ -75,10 +48,6 @@ func (a *argSet) finish(known ...string) {
 		}
 		seen[arg.Name] = true
 	}
-	if len(a.pos) > len(a.slot) {
-		a.c.failf(a.pos[len(a.slot)].Pos, "%s takes at most %d positional argument(s), got %d",
-			a.decl.Kind, len(a.slot), len(a.pos))
-	}
 }
 
 func joinWords(ws []string) string {
@@ -92,18 +61,11 @@ func joinWords(ws []string) string {
 	return out
 }
 
-// given reports whether the argument was written in the file (by name or in
-// positional slot posIdx) and where, without consuming it.
-func (a *argSet) given(name string, posIdx int) (Pos, bool) {
-	for _, arg := range a.decl.Args {
-		if arg.Name == name {
-			return arg.Value.Pos, true
-		}
-	}
-	if posIdx >= 0 && posIdx < len(a.pos) {
-		return a.pos[posIdx].Pos, true
-	}
-	return Pos{}, false
+// given reports whether the argument was written in the file and where,
+// without consuming it.
+func (a *argSet) given(name string) (Pos, bool) {
+	v, ok := a.lookup(name)
+	return v.Pos, ok
 }
 
 // number converts a NumberVal to the wanted dimension. Bare numbers are
@@ -125,42 +87,42 @@ func (a *argSet) number(v Value, want dimension, name string) float64 {
 	return v.Num * u.mult
 }
 
-func (a *argSet) dimensioned(name string, posIdx int, want dimension, def float64) float64 {
-	v, ok := a.lookup(name, posIdx)
+func (a *argSet) dimensioned(name string, want dimension, def float64) float64 {
+	v, ok := a.lookup(name)
 	if !ok {
 		return def
 	}
 	return a.number(v, want, name)
 }
 
-func (a *argSet) bitrate(name string, posIdx int, def float64) float64 {
-	return a.dimensioned(name, posIdx, dimBitrate, def)
+func (a *argSet) bitrate(name string, def float64) float64 {
+	return a.dimensioned(name, dimBitrate, def)
 }
 
-func (a *argSet) bits(name string, posIdx int, def float64) float64 {
-	return a.dimensioned(name, posIdx, dimBits, def)
+func (a *argSet) bits(name string, def float64) float64 {
+	return a.dimensioned(name, dimBits, def)
 }
 
-func (a *argSet) duration(name string, posIdx int, def float64) float64 {
-	return a.dimensioned(name, posIdx, dimTime, def)
+func (a *argSet) duration(name string, def float64) float64 {
+	return a.dimensioned(name, dimTime, def)
 }
 
-func (a *argSet) pktRate(name string, posIdx int, def float64) float64 {
-	return a.dimensioned(name, posIdx, dimPktRate, def)
+func (a *argSet) pktRate(name string, def float64) float64 {
+	return a.dimensioned(name, dimPktRate, def)
 }
 
-func (a *argSet) fraction(name string, posIdx int, def float64) float64 {
-	return a.dimensioned(name, posIdx, dimFraction, def)
+func (a *argSet) fraction(name string, def float64) float64 {
+	return a.dimensioned(name, dimFraction, def)
 }
 
 // plain returns a unitless numeric argument (Churn's Zipf locality and
 // similar bare coefficients).
-func (a *argSet) plain(name string, posIdx int, def float64) float64 {
-	return a.dimensioned(name, posIdx, dimNone, def)
+func (a *argSet) plain(name string, def float64) float64 {
+	return a.dimensioned(name, dimNone, def)
 }
 
-func (a *argSet) count(name string, posIdx int, def int) int {
-	v, ok := a.lookup(name, posIdx)
+func (a *argSet) count(name string, def int) int {
+	v, ok := a.lookup(name)
 	if !ok {
 		return def
 	}
@@ -173,7 +135,7 @@ func (a *argSet) count(name string, posIdx int, def int) int {
 }
 
 func (a *argSet) boolean(name string, def bool) bool {
-	v, ok := a.lookup(name, -1)
+	v, ok := a.lookup(name)
 	if !ok {
 		return def
 	}
@@ -190,7 +152,7 @@ func (a *argSet) boolean(name string, def bool) bool {
 }
 
 func (a *argSet) enum(name string, def string, allowed ...string) string {
-	v, ok := a.lookup(name, -1)
+	v, ok := a.lookup(name)
 	if !ok {
 		return def
 	}
@@ -208,7 +170,7 @@ func (a *argSet) enum(name string, def string, allowed ...string) string {
 // path returns a route argument as node names. Required paths that are
 // missing are reported at the declaration's kind position.
 func (a *argSet) path(name string, required bool) []Name {
-	v, ok := a.lookup(name, -1)
+	v, ok := a.lookup(name)
 	if !ok {
 		if required {
 			a.c.failf(a.decl.KindPos, "%s requires a %q argument (e.g. %s A -> B)",
@@ -231,7 +193,7 @@ func (a *argSet) path(name string, required bool) []Name {
 // identName returns a bare-identifier argument as a Name (used for churn
 // destination endpoints, where a single switch — not a path — is meant).
 func (a *argSet) identName(name string) (Name, bool) {
-	v, ok := a.lookup(name, -1)
+	v, ok := a.lookup(name)
 	if !ok {
 		return Name{}, false
 	}
@@ -245,7 +207,7 @@ func (a *argSet) identName(name string) (Name, bool) {
 // nameList returns a list argument of bare identifiers (used for churn
 // destination pools).
 func (a *argSet) nameList(name string) []Name {
-	v, ok := a.lookup(name, -1)
+	v, ok := a.lookup(name)
 	if !ok {
 		return nil
 	}
@@ -266,7 +228,7 @@ func (a *argSet) nameList(name string) []Name {
 
 // pathList returns a list argument of paths (used for churn route pools).
 func (a *argSet) pathList(name string) [][]Name {
-	v, ok := a.lookup(name, -1)
+	v, ok := a.lookup(name)
 	if !ok {
 		return nil
 	}
@@ -287,7 +249,7 @@ func (a *argSet) pathList(name string) [][]Name {
 
 // fracList returns a list argument of fractions (used for percentiles).
 func (a *argSet) fracList(name string, def []float64) []float64 {
-	v, ok := a.lookup(name, -1)
+	v, ok := a.lookup(name)
 	if !ok {
 		return def
 	}
@@ -312,7 +274,7 @@ func (a *argSet) fracList(name string, def []float64) []float64 {
 
 // durList returns a list argument of durations (used for class targets).
 func (a *argSet) durList(name string, def []float64) []float64 {
-	v, ok := a.lookup(name, -1)
+	v, ok := a.lookup(name)
 	if !ok {
 		return def
 	}

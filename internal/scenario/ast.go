@@ -82,9 +82,9 @@ type Chain struct {
 	Attrs  []Arg
 }
 
-// Arg is one argument: "key value" or a positional bare value.
+// Arg is one "key value" argument.
 type Arg struct {
-	Name    string // "" for positional
+	Name    string
 	NamePos Pos
 	Value   Value
 }
@@ -95,8 +95,7 @@ type ValueKind int
 // Value kinds.
 const (
 	NumberVal ValueKind = iota // 85, 50kbit, 99.9%
-	StringVal                  // "…"
-	IdentVal                   // fifo+, on, S1
+	IdentVal                   // fifoplus, on, S1
 	ListVal                    // [v, v, …]
 	PathVal                    // S1 -> S2 -> S3
 )
@@ -108,7 +107,7 @@ type Value struct {
 
 	Num  float64 // NumberVal: magnitude (unit not yet applied)
 	Unit string  // NumberVal: source unit ("" bare, "%" percent, "ms", "kbps", …)
-	Str  string  // StringVal / IdentVal
+	Str  string  // IdentVal
 	List []Value // ListVal
 	Path []Name  // PathVal endpoints, ≥ 2
 }

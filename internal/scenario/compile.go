@@ -507,7 +507,7 @@ func (c *compiler) compile() *Sim {
 	// skipped here — the TCP pass diagnoses them with a proper position.
 	if shards := c.effectiveShards(); shards > 0 {
 		var together [][2]string
-		for _, d := range c.allDecls() {
+		for _, d := range c.file.Decls {
 			if kindClass[d.Kind] != classTCP {
 				continue
 			}
@@ -537,7 +537,7 @@ func (c *compiler) compile() *Sim {
 		case classFlow:
 			c.flowDecl(d, 0, false)
 		case classTCP:
-			c.tcpDecl(d, 0)
+			c.tcpDecl(d)
 		case classChurn:
 			c.churnDecl(d)
 		}
@@ -598,8 +598,8 @@ func (c *compiler) register(d *Decl) bool {
 // registerArrivals is pass 1 for at blocks, a file's own or an injection's:
 // every element a block declares is registered and marked as arriving
 // mid-run, which puts each use of it under the arrival-time rule
-// (elementAvailable). Only traffic elements may arrive — topology and config
-// are static.
+// (elementAvailable). Only flows, sources and filters may arrive — topology,
+// config and TCP connections are static.
 func (c *compiler) registerArrivals(blocks []*EventBlock) bool {
 	for _, b := range blocks {
 		for _, st := range b.Stmts {
@@ -613,9 +613,9 @@ func (c *compiler) registerArrivals(blocks []*EventBlock) bool {
 				return false
 			}
 			switch cls {
-			case classFlow, classTCP, classSource, classFilter:
+			case classFlow, classSource, classFilter:
 			default:
-				c.failf(d.KindPos, "%s cannot be declared inside an at block (only flows, TCP connections, sources and TokenBucket filters arrive mid-run)", d.Kind)
+				c.failf(d.KindPos, "%s cannot be declared inside an at block (only flows, sources and TokenBucket filters arrive mid-run)", d.Kind)
 				return false
 			}
 			if !c.register(d) {
@@ -661,10 +661,10 @@ func (c *compiler) runKnobs(d *Decl) {
 	c.percentiles = DefaultPercentiles
 	if d != nil {
 		a := c.argsOf(d)
-		c.seed = int64(a.count("seed", 0, int(DefaultSeed)))
-		c.horizon = a.duration("horizon", 1, DefaultHorizon)
+		c.seed = int64(a.count("seed", int(DefaultSeed)))
+		c.horizon = a.duration("horizon", DefaultHorizon)
 		c.percentiles = a.fracList("percentiles", DefaultPercentiles)
-		c.traceDt = a.duration("trace", -1, 0)
+		c.traceDt = a.duration("trace", 0)
 		a.finish(runArgNames...)
 		if c.horizon <= 0 {
 			c.failf(d.KindPos, "horizon must be positive, got %v", c.horizon)
@@ -695,13 +695,13 @@ func (c *compiler) netConfig(d *Decl) core.Config {
 		return cfg
 	}
 	a := c.argsOf(d)
-	cfg.LinkRate = a.bitrate("rate", 0, 0)
-	cfg.BufferPackets = a.count("buffer", -1, 0)
-	cfg.PropDelay = a.duration("propdelay", -1, 0)
+	cfg.LinkRate = a.bitrate("rate", 0)
+	cfg.BufferPackets = a.count("buffer", 0)
+	cfg.PropDelay = a.duration("propdelay", 0)
 	cfg.AdmissionControl = a.boolean("admission", false)
 	c.netRouting = a.enum("routing", "", "static", "auto")
-	c.shards = a.count("shards", -1, 0)
-	if pos, ok := a.given("shards", -1); ok {
+	c.shards = a.count("shards", 0)
+	if pos, ok := a.given("shards"); ok {
 		c.shardsPos = pos
 		if c.shards < 1 {
 			c.failf(pos, "Net shards must be at least 1, got %d", c.shards)
@@ -712,14 +712,13 @@ func (c *compiler) netConfig(d *Decl) core.Config {
 	// core.Config treats a zero as "use the default", so an explicit zero
 	// in the file would be silently replaced — reject it instead.
 	for _, z := range []struct {
-		name   string
-		posIdx int
-		val    float64
+		name string
+		val  float64
 	}{
-		{"rate", 0, cfg.LinkRate},
-		{"buffer", -1, float64(cfg.BufferPackets)},
+		{"rate", cfg.LinkRate},
+		{"buffer", float64(cfg.BufferPackets)},
 	} {
-		if pos, ok := a.given(z.name, z.posIdx); ok && z.val == 0 {
+		if pos, ok := a.given(z.name); ok && z.val == 0 {
 			c.failf(pos, "Net %s must be positive (omit the argument for the default)", z.name)
 		}
 	}
@@ -772,7 +771,7 @@ func (c *compiler) setupCache(d *Decl) {
 	}
 	a := c.argsOf(d)
 	scheme := a.enum("scheme", routing.CacheLRU, routing.CacheSchemes...)
-	size := a.count("size", -1, DefaultCacheSize)
+	size := a.count("size", DefaultCacheSize)
 	a.finish(routeCacheArgNames...)
 	if !c.ok() {
 		return
@@ -825,8 +824,8 @@ func (c *compiler) linkChain(ch *Chain) {
 	var prof *sched.Profile
 	if len(ch.Attrs) > 0 {
 		a := c.argsOf(&Decl{Kind: "Link", KindPos: ch.Ends[0].Pos, Args: ch.Attrs})
-		rate = a.bitrate("rate", 0, rate)
-		delay = a.duration("delay", 1, delay)
+		rate = a.bitrate("rate", rate)
+		delay = a.duration("delay", delay)
 		p := c.profileOver(c.linkProfile(a), cfg.Profile)
 		a.finish(linkArgNames...)
 		prof = &p
@@ -963,17 +962,17 @@ func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 		switch d.Kind {
 		case "Guaranteed":
 			req.g = core.GuaranteedSpec{
-				ClockRate:  a.bitrate("rate", -1, 0),
-				BucketBits: a.bits("bucket", -1, DefaultBucketPkt*DefaultPktBits),
+				ClockRate:  a.bitrate("rate", 0),
+				BucketBits: a.bits("bucket", DefaultBucketPkt*DefaultPktBits),
 			}
 		case "Predicted":
 			req.p = core.PredictedSpec{
-				TokenRate:  a.bitrate("rate", -1, 0),
-				BucketBits: a.bits("bucket", -1, DefaultBucketPkt*DefaultPktBits),
-				Delay:      a.duration("delay", -1, 0.5),
-				Loss:       a.fraction("loss", -1, 0.01),
+				TokenRate:  a.bitrate("rate", 0),
+				BucketBits: a.bits("bucket", DefaultBucketPkt*DefaultPktBits),
+				Delay:      a.duration("delay", 0.5),
+				Loss:       a.fraction("loss", 0.01),
 			}
-			req.class = a.count("class", -1, -1)
+			req.class = a.count("class", -1)
 		}
 		a.finish(flowArgNames[d.Kind]...)
 		if !c.ok() {
@@ -1007,10 +1006,9 @@ func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 // tcpArgNames is the accepted TCP argument set, in documentation order.
 var tcpArgNames = []string{"path", "start"}
 
-// tcpDecl compiles a TCP declaration; at > 0 (an at-block arrival) floors
-// the connection's start time at the event time. ACKs return along the
-// reverse of the path.
-func (c *compiler) tcpDecl(d *Decl, at float64) {
+// tcpDecl compiles a TCP declaration. ACKs return along the reverse of the
+// path.
+func (c *compiler) tcpDecl(d *Decl) {
 	a := c.argsOf(d)
 	fwd := a.path("path", true)
 	var nodes, back []string
@@ -1030,10 +1028,7 @@ func (c *compiler) tcpDecl(d *Decl, at float64) {
 			}
 		}
 	}
-	startAt := a.duration("start", -1, 0)
-	if startAt < at {
-		startAt = at
-	}
+	startAt := a.duration("start", 0)
 	a.finish(tcpArgNames...)
 	for _, n := range d.Names {
 		if !c.ok() {
@@ -1106,8 +1101,8 @@ func (c *compiler) attachChain(ch *Chain, at float64, dynamic bool) {
 		}
 		c.attached[mid.Text]++
 		a := c.argsOf(fd)
-		rate := a.pktRate("rate", 0, 0)
-		depth := float64(a.count("depth", 1, DefaultBucketPkt))
+		rate := a.pktRate("rate", 0)
+		depth := float64(a.count("depth", DefaultBucketPkt))
 		a.finish(tokenBucketArgNames...)
 		if rate <= 0 {
 			c.failf(fd.KindPos, "TokenBucket requires a positive rate (packets/s)")
@@ -1139,16 +1134,16 @@ var sourceArgNames = map[string][]string{
 func (c *compiler) buildSource(d *Decl, n Name, flow *SimFlow) source.Source {
 	a := c.argsOf(d)
 	rng := sim.DeriveRNG(c.seed, "src:"+n.Text)
-	size := int(a.bits("size", -1, DefaultPktBits))
+	size := int(a.bits("size", DefaultPktBits))
 	if size <= 0 {
 		c.failf(d.KindPos, "%s requires a positive packet size, got %d bits", d.Kind, size)
 		return nil
 	}
 	var peak, avg, burst, rate float64
 	if d.Kind == "Markov" {
-		peak, avg, burst = a.pktRate("peak", -1, 0), a.pktRate("avg", -1, 0), float64(a.count("burst", -1, 5))
+		peak, avg, burst = a.pktRate("peak", 0), a.pktRate("avg", 0), float64(a.count("burst", 5))
 	} else {
-		rate = a.pktRate("rate", 0, 0)
+		rate = a.pktRate("rate", 0)
 	}
 	a.finish(sourceArgNames[d.Kind]...)
 	switch {
@@ -1178,7 +1173,7 @@ func (c *compiler) buildSource(d *Decl, n Name, flow *SimFlow) source.Source {
 // (and not yet removed), since only then do its ingress engine and pool exist.
 func (c *compiler) startSource(src source.Source, d *Decl, flow *SimFlow, at float64, dynamic bool) {
 	a := c.argsOf(d)
-	startAt := a.duration("start", -1, 0)
+	startAt := a.duration("start", 0)
 	flow.sources = append(flow.sources, src)
 	start := func(s *Sim) {
 		if flow.Flow == nil || flow.removed {

@@ -152,34 +152,34 @@ func TestCompileErrors(t *testing.T) {
 		name     string
 		src      string
 		wantText string
+		wantPos  string // "line:col"
 	}{
-		{"unknown kind", "x :: Widget(3)", "unknown element kind"},
-		{"duplicate name", "a :: Switch\na :: Switch", "already declared"},
-		{"duplicate net", "n1 :: Net\nn2 :: Net", "duplicate Net"},
-		{"unknown arg", "n :: Net(speed 1Mbps)", `no argument "speed"`},
-		{"wrong dimension", "n :: Net(rate 5s)", "must be a bit rate"},
-		{"unknown switch in link", "a :: Switch\na -> b", `unknown name "b"`},
-		{"duplicate link", "a, b :: Switch\na -> b\na -> b", "duplicate link"},
-		{"path without link", "a, b :: Switch\nf :: Datagram(path a -> b)", "needs a link"},
-		{"missing path", "a, b :: Switch\na -> b\nf :: Datagram", `requires a "path"`},
-		{"unattached source", tinyScenario + "\nlonely :: CBR(rate 5pps)", "never attached"},
+		{"unknown kind", "x :: Widget", "unknown element kind", "1:6"},
+		{"duplicate name", "a :: Switch\na :: Switch", "already declared", "2:1"},
+		{"duplicate net", "n1 :: Net\nn2 :: Net", "duplicate Net", "2:7"},
+		{"unknown arg", "n :: Net(speed 1Mbps)", `no argument "speed"`, "1:10"},
+		{"wrong dimension", "n :: Net(rate 5s)", "must be a bit rate", "1:15"},
+		{"unknown switch in link", "a :: Switch\na -> b", `unknown name "b"`, "2:6"},
+		{"duplicate link", "a, b :: Switch\na -> b\na -> b", "duplicate link", "3:1"},
+		{"path without link", "a, b :: Switch\nf :: Datagram(path a -> b)", "needs a link", "2:20"},
+		{"missing path", "a, b :: Switch\na -> b\nf :: Datagram", `requires a "path"`, "3:6"},
+		{"unattached source", tinyScenario + "\nlonely :: CBR(rate 5pps)", "never attached", "10:1"},
 		{"source reuse", tinyScenario + `
 g :: Datagram(path A -> B)
-m -> g`, "already attached"},
-		{"flow as chain head", tinyScenario + "\nf -> f", "not a traffic source"},
+m -> g`, "already attached", "11:1"},
+		{"flow as chain head", tinyScenario + "\nf -> f", "not a traffic source", "10:1"},
 		{"class out of range", `
 a, b :: Switch
 a -> b
-f :: Predicted(rate 85kbps, bucket 50kbit, class 7, path a -> b)`, "rejected"},
-		{"percentile range", "r :: Run(percentiles [200%])", "must be in"},
-		{"bad sharing", "n :: Net(sharing lifo)", "one of: fifoplus, fifo, rr"},
-		{"targets mismatch", "n :: Net(classes 3, targets [32ms])", "lists 1 delays but classes is 3"},
-		{"quota out of range", "n :: Net(quota 150%)", "must be a fraction in [0, 1)"},
-		{"explicit zero buffer", "n :: Net(buffer 0)", "must be positive (omit the argument"},
-		{"excess positional", "a, b :: Switch(42)", "at most 0 positional"},
-		{"duplicate named arg", "a, b :: Switch\na -> b\nd :: Datagram(path a -> b)\ns :: CBR(rate 10pps, rate 9pps)\ns -> d", "given twice"},
-		{"named and positional", "a, b :: Switch\na -> b\nd :: Datagram(path a -> b)\ns :: CBR(5pps, rate 10pps)\ns -> d", "already given by name"},
-		{"switch argument", "a :: Switch(shard 1)", `Switch has no argument "shard" (accepted: none)`},
+f :: Predicted(rate 85kbps, bucket 50kbit, class 7, path a -> b)`, "rejected", "4:6"},
+		{"percentile range", "r :: Run(percentiles [200%])", "must be in", "1:23"},
+		{"bad sharing", "n :: Net(sharing lifo)", "one of: fifoplus, fifo, rr", "1:18"},
+		{"targets mismatch", "n :: Net(classes 3, targets [32ms])", "lists 1 delays but classes is 3", "1:29"},
+		{"quota out of range", "n :: Net(quota 150%)", "must be a fraction in [0, 1)", "1:16"},
+		{"explicit zero buffer", "n :: Net(buffer 0)", "must be positive (omit the argument", "1:17"},
+		{"duplicate named arg", "a, b :: Switch\na -> b\nd :: Datagram(path a -> b)\ns :: CBR(rate 10pps, rate 9pps)\ns -> d", "given twice", "4:22"},
+		{"switch argument", "a :: Switch(shard 1)", `Switch has no argument "shard" (accepted: none)`, "1:13"},
+		{"TCP arriving mid-run", "A, B :: Switch\nA <-> B\nat 1s { w :: TCP(path A -> B) }", "TCP cannot be declared inside an at block", "3:14"},
 	}
 	for _, tc := range cases {
 		_, err := compileSrc(t, tc.src, Options{})
@@ -190,8 +190,8 @@ f :: Predicted(rate 85kbps, bucket 50kbit, class 7, path a -> b)`, "rejected"},
 		if !strings.Contains(err.Error(), tc.wantText) {
 			t.Errorf("%s: error = %q, want substring %q", tc.name, err.Error(), tc.wantText)
 		}
-		if !strings.HasPrefix(err.Error(), "test.ispn:") {
-			t.Errorf("%s: error %q lacks file:line:col prefix", tc.name, err.Error())
+		if !strings.HasPrefix(err.Error(), "test.ispn:"+tc.wantPos+":") {
+			t.Errorf("%s: error %q lacks file:line:col prefix test.ispn:%s:", tc.name, err.Error(), tc.wantPos)
 		}
 	}
 }

@@ -28,8 +28,8 @@ var generatorArgNames = map[string][]string{
 func (c *compiler) generate(d *Decl) {
 	name := d.Names[0]
 	a := c.argsOf(d)
-	rate := a.bitrate("rate", -1, c.net.Config().LinkRate)
-	delay := a.duration("delay", -1, c.net.Config().PropDelay)
+	rate := a.bitrate("rate", c.net.Config().LinkRate)
+	delay := a.duration("delay", c.net.Config().PropDelay)
 	sub := func(role string) string { return name.Text + "." + role }
 	duplex := func(x, y string) {
 		c.addLink(x, y, rate, delay, nil, name.Pos)
@@ -37,7 +37,7 @@ func (c *compiler) generate(d *Decl) {
 	}
 	switch d.Kind {
 	case "Star":
-		leaves := a.count("leaves", 0, 4)
+		leaves := a.count("leaves", 4)
 		a.finish(generatorArgNames[d.Kind]...)
 		if leaves < 1 {
 			c.failf(d.KindPos, "Star needs at least one leaf")
@@ -52,10 +52,10 @@ func (c *compiler) generate(d *Decl) {
 		}
 
 	case "Dumbbell":
-		left := a.count("left", 0, 2)
-		right := a.count("right", 1, 2)
-		access := a.bitrate("access", -1, rate)
-		bottleneck := a.bitrate("bottleneck", -1, rate)
+		left := a.count("left", 2)
+		right := a.count("right", 2)
+		access := a.bitrate("access", rate)
+		bottleneck := a.bitrate("bottleneck", rate)
 		a.finish(generatorArgNames[d.Kind]...)
 		if left < 1 || right < 1 {
 			c.failf(d.KindPos, "Dumbbell needs at least one switch on each side")
@@ -80,7 +80,7 @@ func (c *compiler) generate(d *Decl) {
 		}
 
 	case "ParkingLot":
-		hops := a.count("hops", 0, 4)
+		hops := a.count("hops", 4)
 		a.finish(generatorArgNames[d.Kind]...)
 		if hops < 1 {
 			c.failf(d.KindPos, "ParkingLot needs at least one hop")
@@ -97,8 +97,8 @@ func (c *compiler) generate(d *Decl) {
 		}
 
 	case "Random":
-		nodes := a.count("nodes", 0, 8)
-		degree := a.count("degree", 1, 3)
+		nodes := a.count("nodes", 8)
+		degree := a.count("degree", 3)
 		a.finish(generatorArgNames[d.Kind]...)
 		if nodes < 3 {
 			c.failf(d.KindPos, "Random needs at least 3 nodes")

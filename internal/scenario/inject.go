@@ -56,8 +56,7 @@ func (c *compiler) inject(s *Sim, f *File) (int, error) {
 	c.nextID = s.nextID
 
 	// Snapshot everything the block compilers may touch, for rollback.
-	nEvents, nStarts := len(s.events), len(s.starts)
-	nFlows, nTCPs := len(s.Flows), len(s.TCPs)
+	nEvents, nFlows := len(s.events), len(s.Flows)
 	savedAttached := maps.Clone(c.attached)
 
 	if c.registerArrivals(f.Events) {
@@ -84,26 +83,18 @@ func (c *compiler) inject(s *Sim, f *File) (int, error) {
 			}
 		}
 		s.events = s.events[:nEvents]
-		s.starts = s.starts[:nStarts]
 		s.Flows = s.Flows[:nFlows]
-		s.TCPs = s.TCPs[:nTCPs]
 		c.attached = savedAttached
 		c.nextID = savedNextID
 		return 0, err
 	}
 	s.nextID = c.nextID
 	if s.started {
-		// Running: arm the new events now, and run the new deferred starts —
-		// TCP arrivals append closures that schedule their connection's Start
-		// at an absolute future time, so invoking them immediately is exactly
-		// what Start would have done. Not running yet: the new events sit in
-		// s.events behind the file's own, and Start will schedule them all in
-		// order — identical to a batch compile of the file with these blocks
-		// appended.
+		// Running: arm the new events now. Not running yet: the new events
+		// sit in s.events behind the file's own, and Start will schedule them
+		// all in order — identical to a batch compile of the file with these
+		// blocks appended.
 		s.arm(s.events[nEvents:])
-		for _, fn := range s.starts[nStarts:] {
-			fn()
-		}
 	}
-	return len(s.events) - nEvents + len(s.starts) - nStarts, nil
+	return len(s.events) - nEvents, nil
 }

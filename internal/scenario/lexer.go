@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// lexer turns scenario source into tokens. Comments run from '#' or "//" to
-// end of line; the comment block at the very top of the file (before any
+// lexer turns scenario source into tokens. Comments run from '#' to end of
+// line; the comment block at the very top of the file (before any
 // token) is collected as the scenario's description.
 type lexer struct {
 	file string
@@ -58,19 +58,9 @@ func isIdentStart(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// isIdentCont reports whether c continues an identifier. '-' continues one
-// only when the following byte also could (so "a->b" lexes as ident, arrow,
-// ident while "parking-lot" stays one name), and '.' joins generator-scoped
-// switch names like "db.l1".
-func (lx *lexer) isIdentCont(c byte, next byte) bool {
-	if isIdentStart(c) || isDigit(c) || c == '.' {
-		return true
-	}
-	if c == '-' {
-		return isIdentStart(next) || isDigit(next)
-	}
-	return false
-}
+// isIdentCont reports whether c continues an identifier; '.' joins
+// generator-scoped switch names like "db.l1".
+func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) || c == '.' }
 
 // skipSpace consumes whitespace and comments, accumulating the leading
 // description block.
@@ -80,17 +70,14 @@ func (lx *lexer) skipSpace() {
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
 			lx.advance()
-		case c == '#' || (c == '/' && lx.peekByteAt(1) == '/'):
+		case c == '#':
 			start := lx.off
-			if c == '/' {
-				lx.advance()
-			}
 			lx.advance()
 			for lx.off < len(lx.src) && lx.peekByte() != '\n' {
 				lx.advance()
 			}
 			if !lx.sawToken {
-				line := strings.TrimLeft(lx.src[start:lx.off], "#/")
+				line := strings.TrimLeft(lx.src[start:lx.off], "#")
 				lx.desc = append(lx.desc, strings.TrimPrefix(line, " "))
 			}
 		default:
@@ -113,7 +100,7 @@ func (lx *lexer) next() token {
 	case isIdentStart(c):
 		start := lx.off
 		lx.advance()
-		for lx.off < len(lx.src) && lx.isIdentCont(lx.peekByte(), lx.peekByteAt(1)) {
+		for lx.off < len(lx.src) && isIdentCont(lx.peekByte()) {
 			lx.advance()
 		}
 		return token{kind: tokIdent, pos: pos, text: lx.src[start:lx.off]}
@@ -129,19 +116,6 @@ func (lx *lexer) next() token {
 			return token{kind: tokEOF, pos: pos}
 		}
 		return token{kind: tokNumber, pos: pos, num: n, text: text}
-	case c == '"':
-		lx.advance()
-		start := lx.off
-		for lx.off < len(lx.src) && lx.peekByte() != '"' && lx.peekByte() != '\n' {
-			lx.advance()
-		}
-		if lx.peekByte() != '"' {
-			lx.err = errf(lx.file, pos, "unterminated string")
-			return token{kind: tokEOF, pos: pos}
-		}
-		text := lx.src[start:lx.off]
-		lx.advance()
-		return token{kind: tokString, pos: pos, text: text}
 	case c == ':':
 		if lx.peekByteAt(1) == ':' {
 			lx.advance()
@@ -156,7 +130,7 @@ func (lx *lexer) next() token {
 			lx.advance()
 			return token{kind: tokArrow, pos: pos}
 		}
-		lx.err = errf(lx.file, pos, `unexpected "-" (links use "->")`)
+		lx.err = errf(lx.file, pos, `unexpected "-" (links use "->"; names may not contain "-")`)
 		return token{kind: tokEOF, pos: pos}
 	case c == '<':
 		if lx.peekByteAt(1) == '-' && lx.peekByteAt(2) == '>' {

@@ -295,18 +295,10 @@ func (p *parser) args() []Arg {
 	return out
 }
 
-// arg parses "key value" or a positional value. An identifier is a key when
-// a value follows it; otherwise it is itself an (ident or path) value.
+// arg parses "key value": every argument is named.
 func (p *parser) arg() Arg {
-	if p.tok.kind == tokIdent {
-		key := p.tok
-		switch p.peekKind() {
-		case tokNumber, tokString, tokLBrack, tokIdent:
-			p.advance()
-			return Arg{Name: key.text, NamePos: key.pos, Value: p.value()}
-		}
-	}
-	return Arg{Value: p.value()}
+	key := p.expect(tokIdent, "(an argument name) in argument list")
+	return Arg{Name: key.text, NamePos: key.pos, Value: p.value()}
 }
 
 // peekKind returns the kind of the token after the current one.
@@ -331,9 +323,6 @@ func (p *parser) value() Value {
 			}
 		}
 		return v
-	case tokString:
-		t := p.advance()
-		return Value{Pos: t.pos, Kind: StringVal, Str: t.text}
 	case tokIdent:
 		t := p.advance()
 		if p.tok.kind == tokArrow || p.tok.kind == tokDuplex {

@@ -83,14 +83,11 @@ src -> flow
 	}
 }
 
-func TestParseDottedAndHyphenatedNames(t *testing.T) {
+func TestParseDottedNames(t *testing.T) {
 	f := mustParse(t, `
 db :: Dumbbell(left 1, right 1)
-long-haul :: TCP(path db.l1 -> db.a -> db.b -> db.r1)
+long_haul :: TCP(path db.l1 -> db.a -> db.b -> db.r1)
 `)
-	if f.Decls[1].Names[0].Text != "long-haul" {
-		t.Errorf("hyphenated name = %q", f.Decls[1].Names[0].Text)
-	}
 	var path Value
 	for _, a := range f.Decls[1].Args {
 		if a.Name == "path" {
@@ -112,15 +109,21 @@ func TestParseErrors(t *testing.T) {
 	}{
 		{"net ::", "1:7", "element kind"},
 		{"net :: Net(rate 1Mbps", "1:22", `expected "," or ")"`},
-		{"a :: Net(5 @)", "1:12", "unexpected character"},
+		{"a :: Net(rate 5 @)", "1:17", "unexpected character"},
 		{"a -> ", "1:6", "identifier"},
 		{"a <- b", "1:3", `duplex links use "<->"`},
 		{"a : b", "1:3", `declarations use "::"`},
-		{`a :: Net("unterminated`, "1:10", "unterminated string"},
+		{`a :: Net("x")`, "1:10", `unexpected character "\""`},
 		{"a.b :: Switch", "1:1", "may not contain '.'"},
 		{"a -> b :: Queue(3)", "1:11", "annotated with Link"},
 		{"net :: Net(targets [32ms, )", "1:27", "expected a value"},
 		{"42 :: Switch", "1:1", "expected a declaration or link"},
+		// Arguments are always named; '#' is the only comment; names take
+		// no '-'.
+		{"a, b :: Switch(42)", "1:16", "(an argument name) in argument list, found number 42"},
+		{"s :: CBR(5pps, rate 10pps)", "1:10", "(an argument name) in argument list, found number 5"},
+		{"a :: Switch\n// a note", "2:1", `unexpected character "/"`},
+		{"long-haul :: Switch", "1:5", `names may not contain "-"`},
 	}
 	for _, tc := range cases {
 		_, err := Parse("bad.ispn", []byte(tc.src))

@@ -80,7 +80,7 @@ func (p profPatch) apply(base sched.Profile) (sched.Profile, error) {
 func (c *compiler) linkProfile(a *argSet) profPatch {
 	var p profPatch
 	p.kind = a.enum("sched", "", sched.PipelineKinds()...)
-	if _, ok := a.given("sharing", -1); ok {
+	if _, ok := a.given("sharing"); ok {
 		p.sharingSet = true
 		switch a.enum("sharing", "fifoplus", "fifoplus", "fifo", "rr") {
 		case "fifo":
@@ -89,7 +89,7 @@ func (c *compiler) linkProfile(a *argSet) profPatch {
 			p.sharing = sched.SharingRoundRobin
 		}
 	}
-	targetsPos, targetsGiven := a.given("targets", -1)
+	targetsPos, targetsGiven := a.given("targets")
 	p.targets = a.durList("targets", nil)
 	for _, d := range p.targets {
 		if d <= 0 {
@@ -97,8 +97,8 @@ func (c *compiler) linkProfile(a *argSet) profPatch {
 			return p
 		}
 	}
-	if pos, ok := a.given("quota", -1); ok {
-		p.quota = a.fraction("quota", -1, 0)
+	if pos, ok := a.given("quota"); ok {
+		p.quota = a.fraction("quota", 0)
 		p.quotaSet = true
 		if p.quota < 0 || p.quota >= 1 {
 			c.failf(pos, "quota must be a fraction in [0, 1), got %v", p.quota)
@@ -109,8 +109,8 @@ func (c *compiler) linkProfile(a *argSet) profPatch {
 			p.quota = sched.NoDatagramQuota
 		}
 	}
-	if pos, ok := a.given("classes", -1); ok {
-		classes := a.count("classes", -1, 0)
+	if pos, ok := a.given("classes"); ok {
+		classes := a.count("classes", 0)
 		if targetsGiven && classes != len(p.targets) {
 			c.failf(targetsPos, "targets lists %d delays but classes is %d", len(p.targets), classes)
 			return p

@@ -58,7 +58,7 @@ func (r *flowReq) issue(net *core.Network) (*core.Flow, error) {
 // eventBlock lowers one "at" block: every statement becomes one simEvent at
 // the block's time.
 func (c *compiler) eventBlock(b *EventBlock) {
-	at := c.argsOf(&Decl{Kind: "at", KindPos: b.AtPos, Args: []Arg{{Name: "at", Value: b.At}}}).duration("at", -1, -1)
+	at := c.argsOf(&Decl{Kind: "at", KindPos: b.AtPos, Args: []Arg{{Name: "at", Value: b.At}}}).duration("at", -1)
 	if !c.ok() {
 		return
 	}
@@ -98,8 +98,6 @@ func (c *compiler) eventBlock(b *EventBlock) {
 			switch kindClass[st.Decl.Kind] {
 			case classFlow:
 				c.flowDecl(st.Decl, at, true)
-			case classTCP:
-				c.tcpDecl(st.Decl, at)
 			case classSource, classFilter:
 				// Built when an attachment chain uses them.
 			}
@@ -131,7 +129,7 @@ func (c *compiler) linkEvent(ch *Chain, at float64) {
 		return
 	}
 	a := c.argsOf(&Decl{Kind: "Link", KindPos: ch.Ends[0].Pos, Args: ch.Attrs})
-	rate := a.bitrate("rate", 0, 0)
+	rate := a.bitrate("rate", 0)
 	patch := c.linkProfile(a)
 	a.finish(linkEventArgNames...)
 	if !c.ok() {
@@ -258,7 +256,7 @@ func (c *compiler) eventOp(op *EventOp, at float64) {
 			return
 		}
 		a := c.argsOf(&Decl{Kind: "renew", KindPos: op.VerbPos, Args: op.Args})
-		rate := a.bitrate("rate", -1, 0)
+		rate := a.bitrate("rate", 0)
 		a.finish(renewArgNames...)
 		if !c.ok() {
 			return
@@ -446,25 +444,25 @@ func (c *compiler) churnDecl(d *Decl) {
 	a := c.argsOf(d)
 	ch := &churnRun{
 		name:    d.Names[0].Text,
-		every:   a.duration("every", -1, 0),
-		hold:    a.duration("hold", -1, 0),
+		every:   a.duration("every", 0),
+		hold:    a.duration("hold", 0),
 		service: a.enum("service", "predicted", "predicted", "datagram"),
 		srcKind: a.enum("src", "poisson", "poisson", "cbr"),
-		pps:     a.pktRate("pps", -1, 0),
-		size:    int(a.bits("size", -1, DefaultPktBits)),
+		pps:     a.pktRate("pps", 0),
+		size:    int(a.bits("size", DefaultPktBits)),
 	}
-	rate := a.bitrate("rate", -1, 0)
+	rate := a.bitrate("rate", 0)
 	ch.p = core.PredictedSpec{
 		TokenRate:  rate,
-		BucketBits: a.bits("bucket", -1, DefaultBucketPkt*DefaultPktBits),
-		Delay:      a.duration("delay", -1, 0.5),
+		BucketBits: a.bits("bucket", DefaultBucketPkt*DefaultPktBits),
+		Delay:      a.duration("delay", 0.5),
 		Loss:       0.01,
 	}
 	pathLists := a.pathList("paths")
 	from, fromGiven := a.identName("from")
 	dests := a.nameList("to")
-	locality := a.plain("locality", -1, 1)
-	localityPos, localityGiven := a.given("locality", -1)
+	locality := a.plain("locality", 1)
+	localityPos, localityGiven := a.given("locality")
 	a.finish(churnArgNames...)
 	if !c.ok() {
 		return

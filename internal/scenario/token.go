@@ -30,7 +30,6 @@ const (
 	tokEOF tokKind = iota
 	tokIdent
 	tokNumber
-	tokString
 	tokDoubleColon // ::
 	tokArrow       // ->
 	tokDuplex      // <->
@@ -53,8 +52,6 @@ func (k tokKind) String() string {
 		return "identifier"
 	case tokNumber:
 		return "number"
-	case tokString:
-		return "string"
 	case tokDoubleColon:
 		return `"::"`
 	case tokArrow:
@@ -86,7 +83,7 @@ func (k tokKind) String() string {
 type token struct {
 	kind tokKind
 	pos  Pos
-	text string  // identifier or string body
+	text string  // identifier
 	num  float64 // number value
 }
 
@@ -96,8 +93,6 @@ func (t token) describe() string {
 		return fmt.Sprintf("%q", t.text)
 	case tokNumber:
 		return fmt.Sprintf("number %v", t.num)
-	case tokString:
-		return fmt.Sprintf("string %q", t.text)
 	default:
 		return t.kind.String()
 	}

@@ -366,6 +366,51 @@ func TestLoopedPathInjectionIsARejection(t *testing.T) {
 	}
 }
 
+// TestCrossShardTCPInjectionIsRefused injects a TCP connection whose
+// endpoints the 4-shard partition put on different shards. That used to
+// panic in tcp.NewConnection on the session goroutine and kill the process.
+// A TCP connection is declared only at the top level, so the injection is a
+// positioned 422 and a neighbour session still finishes byte-identically to
+// the batch run.
+func TestCrossShardTCPInjectionIsRefused(t *testing.T) {
+	const src = "run :: Run(seed 5, horizon 2s)\nA, B, C, D :: Switch\n" +
+		"A <-> B :: Link(delay 2ms)\nB <-> C :: Link(delay 2ms)\nC <-> D :: Link(delay 2ms)\n" +
+		"d :: Datagram(path A -> B -> C -> D)\nc :: CBR(rate 50pps, size 1000bit)\nc -> d\n"
+	f, err := scenario.Parse("tcp.ispn", []byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := scenario.Compile(f, scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := sim.Run().Format()
+
+	ts, _ := newTestServer(t)
+	var victim, neighbour status
+	for _, st := range []*status{&victim, &neighbour} {
+		if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: src, Name: "tcp", Shards: 4, Paused: true}, st); code != http.StatusCreated {
+			t.Fatalf("create: %d", code)
+		}
+	}
+	var e map[string]string
+	if code := call(t, "POST", ts.URL+"/sessions/"+victim.ID+"/events",
+		"at 1s { w :: TCP(path A -> B -> C -> D) }", &e); code != http.StatusUnprocessableEntity {
+		t.Fatalf("inject: status %d, error %q", code, e["error"])
+	}
+	if want := victim.ID + "-inject-1.ispn:1:14: TCP cannot be declared inside an at block"; !strings.Contains(e["error"], want) {
+		t.Errorf("inject error %q, want %q", e["error"], want)
+	}
+	for _, st := range []*status{&victim, &neighbour} {
+		if code := call(t, "POST", ts.URL+"/sessions/"+st.ID, map[string]string{"action": "finish"}, st); code != http.StatusOK || st.State != "done" {
+			t.Fatalf("finish %s: %d, state %q", st.ID, code, st.State)
+		}
+	}
+	if code, served := text(t, ts.URL+"/sessions/"+neighbour.ID+"/report"); code != http.StatusOK || served != batch {
+		t.Errorf("neighbour report (%d) differs from batch: %s", code, firstDiff(batch, served))
+	}
+}
+
 // waitSimTime polls status until the simulation clock reaches tmin.
 func waitSimTime(t *testing.T, base, id string, tmin float64) {
 	t.Helper()

@@ -403,21 +403,21 @@ type Port struct {
 	// FIFO+ header field.
 	DiscardOffset float64
 
-	// OnTransmit, if set, is called when a packet begins transmission —
-	// the measurement hook admission control and per-class accounting
-	// attach to.
-	OnTransmit func(p *packet.Packet, now float64)
-
-	counter      stats.Counter // enqueue attempts / buffer drops
-	dropsByClass [3]int64      // buffer drops per service class
-	lenByClass   [3]int        // current occupancy per service class
-	discarded    int64         // late discards (DiscardOffset)
+	onTx         []func(*packet.Packet, float64) // OnTransmit's observers, in order
+	counter      stats.Counter                   // enqueue attempts / buffer drops
+	dropsByClass [3]int64                        // buffer drops per service class
+	lenByClass   [3]int                          // current occupancy per service class
+	discarded    int64                           // late discards (DiscardOffset)
 	txBits       int64
 	txPkts       int64 // packets that started transmission (incl. in flight)
 }
 
 // Name returns "from->to".
 func (pt *Port) Name() string { return pt.name }
+
+// OnTransmit adds an observer, run after the earlier ones, of each packet
+// that begins transmission: admission control and accounting hook here.
+func (pt *Port) OnTransmit(fn func(*packet.Packet, float64)) { pt.onTx = append(pt.onTx, fn) }
 
 // Index is the port's dense id: its position in network creation order.
 // Per-port state (schedulers, admission controllers, profiles) indexes
@@ -693,8 +693,8 @@ func (pt *Port) transmitNext() {
 	tx := float64(p.Size) / pt.bandwidth
 	pt.txBits += int64(p.Size)
 	pt.txPkts++
-	if pt.OnTransmit != nil {
-		pt.OnTransmit(p, now)
+	for _, fn := range pt.onTx {
+		fn(p, now)
 	}
 	eng.ScheduleCall(tx, pt.txDone, p)
 }

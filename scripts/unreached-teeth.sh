@@ -22,7 +22,7 @@ package scenario
 // Churn argument no workload writes, which the census must report.
 func zzUnreachedTeeth(ch *churnRun) { ch.pps *= 2 }
 GO
-sed -i 's/^\ta\.finish(churnArgNames\.\.\.)$/\tif _, ok := a.given("zzteeth", -1); ok { zzUnreachedTeeth(ch) }; a.finish(append(churnArgNames, "zzteeth")...)/' "$tmp/internal/scenario/timeline.go"
+sed -i 's/^\ta\.finish(churnArgNames\.\.\.)$/\tif _, ok := a.given("zzteeth"); ok { zzUnreachedTeeth(ch) }; a.finish(append(churnArgNames, "zzteeth")...)/' "$tmp/internal/scenario/timeline.go"
 if ! grep -q 'zzUnreachedTeeth(ch)' "$tmp/internal/scenario/timeline.go"; then
 	echo "unreached-teeth: FAIL — could not plant the argument: churnDecl no longer ends with a.finish(churnArgNames...)" >&2
 	exit 1

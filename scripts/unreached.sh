@@ -7,7 +7,7 @@
 #
 #   - the scenario library: run (one worker), run -check, check, and the
 #     `scenarios` listing;
-#   - every catalogue experiment (`all`) at -duration 30;
+#   - every catalogue experiment (`all`) at -horizon 30;
 #   - ispnsim fuzz -n 200;
 #   - scripts/serve-smoke.sh against the covered ispnsim;
 #   - go vet -vettool=<the covered ispnvet> ./...;
@@ -56,7 +56,7 @@ workload "$sim" -parallel 1 run scenarios/*.ispn
 workload "$sim" -check run scenarios/*.ispn
 workload "$sim" check scenarios/*.ispn
 workload "$sim" scenarios
-workload "$sim" -duration 30 all
+workload "$sim" -horizon 30 all
 workload "$sim" -n 200 -corpus "$tmp/corpus" fuzz
 workload env ISPNSIM="$sim" ./scripts/serve-smoke.sh
 workload $GO vet -vettool="$tmp/bin/ispnvet" ./...
