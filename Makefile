@@ -78,6 +78,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'RecorderAdd|RecorderPercentiles' -benchtime 1x -benchmem ./internal/stats
 	$(GO) test -run '^$$' -bench 'WFQEnqueueDequeue|VirtualClockEnqueueDequeue|UnifiedEnqueueDequeue' -benchtime 1x -benchmem ./internal/sched
 	$(GO) test -run '^$$' -bench 'Hold' -benchtime 1x -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench 'AdmitRelease' -benchtime 1x -benchmem ./internal/admission
+	$(GO) test -run '^$$' -bench 'ShortestPath' -benchtime 1x -benchmem ./internal/routing
 
 # bench/ is a module of its own, so the root build, vet and test never
 # compile it: vet and test it here so that removing an API the benchmark

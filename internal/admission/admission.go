@@ -19,10 +19,20 @@
 // flows enter the computation through measurement. Because measurement lags
 // admission, freshly admitted flows contribute their declared rate to ν̂
 // until the measurement has had time to see them (the ledger below).
+//
+// The ledger costs what it touches. Every entry expires warmup after it is
+// declared and owners are handed out rising, so entries are appended in
+// expiry order and in owner order: expiry pops the head, a release finds
+// the owner by binary search and marks its entry, and ν̂ reads a
+// running sum whenever that sum is exactly the left fold the definition
+// spells out (Utilization).
 package admission
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"sort"
 
 	"ispn/internal/packet"
 	"ispn/internal/stats"
@@ -37,7 +47,16 @@ type Controller struct {
 	rt         *stats.RateMeter // measured real-time bits
 	classDelay func(class int, now float64) float64
 
-	ledger []ledgerEntry
+	// ledger[head:] holds the declared rates still counted, oldest first:
+	// sorted by expiry and, anonymous entries aside, by owner. Released
+	// entries stay in place, marked, until they reach either end.
+	ledger    []ledgerEntry
+	head      int
+	lastOwner uint64 // the last non-zero owner declared
+	// sumHi:sumLo is the exact sum of the counted rates that are integers
+	// in [0, 2⁵³); inexact counts the others (see exact).
+	sumLo, sumHi uint64
+	inexact      int
 }
 
 // The measurement constants: Section 9 leaves them to the implementation,
@@ -49,7 +68,9 @@ const (
 )
 
 type ledgerEntry struct {
-	rate    float64
+	rate float64
+	// expires is -Inf once the entry is released: a release expires it
+	// early, so every test of "still warming" reads expires > now.
 	expires float64
 	// owner distinguishes whose declared rate this is, so releasing one
 	// flow's capacity can never cannibalize another flow's still-warming
@@ -107,17 +128,66 @@ func (c *Controller) ObserveTransmit(p *packet.Packet, now float64) {
 
 // Utilization returns ν̂ at time now: the conservative measured real-time
 // rate plus the declared rates still in the warmup ledger, in bits/second.
+//
+// ν̂ is defined as the left fold peak + r₁ + r₂ + … over the warming entries
+// in ledger order. When the peak and every warming rate are integers below
+// 2⁵³ and so is their total, every partial sum of that fold is exact, so
+// peak plus the running sum is the fold bit for bit; otherwise the fold
+// runs as written.
 func (c *Controller) Utilization(now float64) float64 {
+	for c.head < len(c.ledger) && c.ledger[c.head].expires <= now {
+		if e := c.ledger[c.head]; !released(e) {
+			c.uncount(e.rate)
+		}
+		c.head++
+	}
 	nu := c.rt.PeakRate(now)
-	kept := c.ledger[:0]
-	for _, e := range c.ledger {
+	if c.inexact == 0 && c.sumHi == 0 && c.sumLo < exactLimit && exact(nu) {
+		if sum := nu + float64(c.sumLo); sum < exactLimit {
+			return sum
+		}
+	}
+	for _, e := range c.ledger[c.head:] {
 		if e.expires > now {
-			kept = append(kept, e)
 			nu += e.rate
 		}
 	}
-	c.ledger = kept
 	return nu
+}
+
+// exactLimit is 2⁵³: every integer below it is a float64, so adding two of
+// them whose sum is also below it rounds nothing.
+const exactLimit = 1 << 53
+
+// exact reports whether x is an integer in [0, 2⁵³) (and not -0), the
+// addends the running sum may stand in for.
+func exact(x float64) bool {
+	return !math.Signbit(x) && x < exactLimit && x == float64(int64(x))
+}
+
+// released reports whether ReleaseOwner has marked e.
+func released(e ledgerEntry) bool { return math.IsInf(e.expires, -1) }
+
+// count adds a rate that starts being counted to the running sum.
+func (c *Controller) count(rate float64) {
+	if !exact(rate) {
+		c.inexact++
+		return
+	}
+	var carry uint64
+	c.sumLo, carry = bits.Add64(c.sumLo, uint64(rate), 0)
+	c.sumHi += carry
+}
+
+// uncount takes a rate that stops being counted out of the running sum.
+func (c *Controller) uncount(rate float64) {
+	if !exact(rate) {
+		c.inexact--
+		return
+	}
+	var borrow uint64
+	c.sumLo, borrow = bits.Sub64(c.sumLo, uint64(rate), 0)
+	c.sumHi -= borrow
 }
 
 // SetLinkRate updates µ after a mid-run link reconfiguration, so admission
@@ -151,9 +221,28 @@ func (c *Controller) SetClassTargets(targets []float64) {
 
 // Declare inserts a ledger entry for an already-authorized declared rate
 // without running the admission tests — the renegotiation-decrease path uses
-// it to re-cover a flow at its new, smaller rate.
+// it to re-cover a flow at its new, smaller rate. Entries must arrive in
+// expiry order, and a non-zero owner may not be lower than the last one
+// declared; Declare panics otherwise.
 func (c *Controller) Declare(now, rate float64, owner uint64) {
-	c.ledger = append(c.ledger, ledgerEntry{rate: rate, expires: now + warmup, owner: owner})
+	expires := now + warmup
+	if n := len(c.ledger); n > c.head && expires < c.ledger[n-1].expires {
+		panic("admission: ledger entry declared out of time order")
+	}
+	if owner != 0 {
+		if owner < c.lastOwner {
+			panic("admission: ledger owner declared out of order")
+		}
+		c.lastOwner = owner
+	}
+	// An empty ledger starts over at the front, and a full one whose dead
+	// head is at least half of it slides down instead of growing, which
+	// bounds the copying by the entries popped.
+	if n := len(c.ledger); c.head == n || n == cap(c.ledger) && 2*c.head >= n {
+		c.ledger, c.head = c.ledger[:copy(c.ledger, c.ledger[c.head:])], 0
+	}
+	c.ledger = append(c.ledger, ledgerEntry{rate: rate, expires: expires, owner: owner})
+	c.count(rate)
 }
 
 // ReleaseOwner drops every still-warming ledger entry of the given owner —
@@ -166,13 +255,33 @@ func (c *Controller) ReleaseOwner(now float64, owner uint64) {
 	if owner == 0 {
 		return
 	}
-	kept := c.ledger[:0]
-	for _, e := range c.ledger {
-		if e.owner != owner {
-			kept = append(kept, e)
+	live := c.ledger[c.head:]
+	// The first non-zero owner at or after i rises with i, so the owner's
+	// first entry is the first i where it reaches owner.
+	i := sort.Search(len(live), func(i int) bool {
+		for ; i < len(live); i++ {
+			if o := live[i].owner; o != 0 {
+				return o >= owner
+			}
+		}
+		return true
+	})
+	for ; i < len(live) && (live[i].owner == owner || live[i].owner == 0); i++ {
+		if e := &live[i]; e.owner == owner && !released(*e) {
+			c.uncount(e.rate)
+			e.expires = math.Inf(-1)
 		}
 	}
-	c.ledger = kept
+	// Trim released entries off both ends, so a rolled-back operation
+	// leaves the ledger as it found it.
+	n := len(c.ledger)
+	for n > c.head && released(c.ledger[n-1]) {
+		n--
+	}
+	c.ledger = c.ledger[:n]
+	for c.head < n && released(c.ledger[c.head]) {
+		c.head++
+	}
 }
 
 // ErrRejected is returned (wrapped) when a request fails the criteria. It

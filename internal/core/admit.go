@@ -13,7 +13,11 @@ import (
 // profile (quota, class targets), so heterogeneous deployments admit
 // against the policy actually running at each hop. Every service operation
 // is admitted by one transaction, admitAlong; its ledger token is kept by
-// Flow.claim and handed back by releaseLedger or reledger.
+// Flow.claim and handed back by releaseLedger or reledger. Tokens come from
+// the one rising ledgerSeq and every entry warms up for the same time, so
+// each controller's ledger stays sorted by owner and by expiry, which its
+// searches rely on (admission.Controller.Declare panics on a token issued
+// out of order).
 
 func (n *Network) controller(pt *topology.Port) *admission.Controller {
 	idx := pt.Index()
@@ -70,10 +74,11 @@ func (s PredictedSpec) demand(class int) demand {
 // then pass criterion 1; a predicted demand must pass criteria 1–2 in its
 // class. Each hop that admits records the declared rate in its warm-up ledger
 // under one fresh token, and the first refusal hands the earlier hops'
-// entries back, so a refused operation charges nothing anywhere. On success
-// it returns the token, or 0 when nothing was recorded. With admission
-// control off only a guaranteed reservation is checked: a predicted (or
-// datagram) demand touches no port.
+// entries back — each the newest in its ledger, trimmed off the end — so a
+// refused operation charges nothing anywhere. On success it returns the
+// token, or 0 when nothing was recorded. With admission control off only a
+// guaranteed reservation is checked: a predicted (or datagram) demand
+// touches no port.
 func (n *Network) admitAlong(ports []*topology.Port, d demand) (uint64, error) {
 	var token uint64
 	switch {

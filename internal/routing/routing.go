@@ -79,11 +79,64 @@ type Graph struct {
 	idx   map[string]int
 	nodes []*topology.Node
 
-	// Dijkstra scratch, sized to the node count and reused so repeated
-	// path computations (reroute sweeps, cache misses) allocate nothing.
-	dist []float64
-	prev []int
-	done []bool
+	// Dijkstra scratch, reused so repeated path computations (reroute
+	// sweeps, cache misses) allocate only the path they return: dist,
+	// prev and done are sized to the node count, the frontier grows to
+	// the largest search's pushes.
+	dist     []float64
+	prev     []int
+	done     []bool
+	frontier []frontierEntry
+}
+
+// frontierEntry is a node pushed onto the search frontier at distance dist.
+// A node is pushed again each time its distance drops; the stale, larger
+// entries are skipped when they surface (lazy deletion).
+type frontierEntry struct {
+	dist float64
+	node int
+}
+
+// before orders the frontier: lower distance first, then lower node index —
+// the node a linear scan for the minimum with a strict < would pick.
+func (a frontierEntry) before(b frontierEntry) bool {
+	return a.dist < b.dist || a.dist == b.dist && a.node < b.node
+}
+
+// push adds e to the binary min-heap h.
+func push(h []frontierEntry, e frontierEntry) []frontierEntry {
+	h = append(h, e)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
+}
+
+// pop removes and returns the minimum of the non-empty binary min-heap h.
+func pop(h []frontierEntry) (frontierEntry, []frontierEntry) {
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < n && h[l].before(h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < n && h[r].before(h[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	return top, h
 }
 
 // NewGraph builds a graph over net with the given cost (nil = CostHops).
@@ -140,16 +193,19 @@ func (g *Graph) ShortestPath(from, to string, now float64, avoid map[*topology.P
 		done[i] = false
 	}
 	dist[src] = 0
-	// O(V^2) scan: simulated topologies are tens of nodes, and a linear
-	// scan with index tie-breaks is trivially deterministic.
-	for {
-		u, best := -1, math.Inf(1)
-		for i := range nodes {
-			if !done[i] && dist[i] < best {
-				u, best = i, dist[i]
-			}
+	// Binary-heap Dijkstra, O(E log V). The heap yields the unsettled node
+	// of lowest (distance, index), and relaxation keeps the first
+	// predecessor to reach the lowest distance, so ties break by creation
+	// order and every path is reproducible.
+	h := push(g.frontier[:0], frontierEntry{0, src})
+	for len(h) > 0 {
+		var top frontierEntry
+		top, h = pop(h)
+		u := top.node
+		if done[u] {
+			continue // a stale entry: u settled at a lower distance
 		}
-		if u < 0 || u == dst {
+		if u == dst {
 			break
 		}
 		done[u] = true
@@ -168,19 +224,22 @@ func (g *Graph) ShortestPath(from, to string, now float64, avoid map[*topology.P
 			if d := dist[u] + c; d < dist[v] {
 				dist[v] = d
 				prev[v] = u
+				h = push(h, frontierEntry{d, v})
 			}
 		}
 	}
+	g.frontier = h
 	if math.IsInf(dist[dst], 1) {
 		return nil, false
 	}
-	var rev []int
+	n := 0
 	for v := dst; v >= 0; v = prev[v] {
-		rev = append(rev, v)
+		n++
 	}
-	path := make([]string, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = nodes[v].Name()
+	path := make([]string, n)
+	for v := dst; v >= 0; v = prev[v] {
+		n--
+		path[n] = nodes[v].Name()
 	}
 	return path, true
 }
