@@ -112,9 +112,13 @@ func (n *Network) admitAlong(ports []*topology.Port, d demand) (uint64, error) {
 // Release hands back exactly this flow's still-warming entries and never
 // another flow's equal-rate one. Token 0 recorded nothing and is not kept.
 func (f *Flow) claim(token uint64) {
-	if token != 0 {
-		f.ledgerTokens = append(f.ledgerTokens, token)
+	if token == 0 {
+		return
 	}
+	if f.ledgerTokens == nil {
+		f.ledgerTokens = f.firstToken[:0]
+	}
+	f.ledgerTokens = append(f.ledgerTokens, token)
 }
 
 // releaseLedger drops every still-warming ledger entry of the given
@@ -149,5 +153,6 @@ func (n *Network) reledger(ports []*topology.Port, f *Flow, newRate float64) {
 			c.Declare(now, newRate, n.ledgerSeq)
 		}
 	}
-	f.ledgerTokens = append(f.ledgerTokens[:0], n.ledgerSeq)
+	f.ledgerTokens = f.ledgerTokens[:0]
+	f.claim(n.ledgerSeq)
 }

@@ -221,7 +221,7 @@ func (m Member) Inject(p *packet.Packet) bool {
 	p.FlowID = c.ID
 	p.Class = c.Class
 	p.Priority = c.Priority
-	p.Route = c.route
+	p.Route = &c.route
 	c.ingress.Inject(p)
 	return true
 }

@@ -56,9 +56,10 @@ func churnCall(t testing.TB, n *Network, id uint32) *Flow {
 }
 
 // TestReleaseForgetsRoute: after Release the network holds nothing for the
-// departed call — no route at any switch, no sink, and so no Flow, policer or
-// recorder behind it — while a packet in flight at that moment is still
-// delivered, because it carries the route itself.
+// departed call — no route at any switch and so no Flow, which holds the
+// route, the policer and the meter — while a packet in flight at that moment
+// is still delivered and metered, because it carries the route, a pointer
+// into the Flow.
 func TestReleaseForgetsRoute(t *testing.T) {
 	t.Run("in flight", func(t *testing.T) {
 		n := newChain(t, false)
@@ -76,6 +77,9 @@ func TestReleaseForgetsRoute(t *testing.T) {
 		n.Run(1)
 		if got := f.Delivered() - atRelease; got != 3 {
 			t.Fatalf("%d of the 3 packets in flight at release were delivered", got)
+		}
+		if got := f.Meter().Count(); got != 3 {
+			t.Fatalf("the departed flow's meter holds %d delays, want 3", got)
 		}
 		if gets, puts, _ := n.Pool().Stats(); gets != puts {
 			t.Fatalf("pool: %d gets, %d puts", gets, puts)
@@ -138,9 +142,10 @@ func TestReleaseForgetsRoute(t *testing.T) {
 // TestCallSetupAllocation keeps call set-up cheap: what one request+release
 // cycle allocates must not depend on how many ids have been issued. The
 // per-node tables this replaced cost 2.5 KB per cycle at 5 000 ids, rising
-// with the id; a route per flow costs 0.5 KB.
+// with the id; a call is now one 576-byte Flow, route and all, and the budget
+// is that plus a quarter.
 func TestCallSetupAllocation(t *testing.T) {
-	const calls, budget = 5000, 1000
+	const calls, budget = 5000, 725
 	n := churnRing(t)
 	for id := uint32(1); id <= 100; id++ {
 		churnCall(t, n, id)

@@ -366,33 +366,39 @@ func (n *Network) Run(d float64) {
 // guaranteed) are in place, edge policing (if predicted) is armed, and a
 // meter records end-to-end queueing delays at the sink.
 //
-// Per-flow state is deliberately lean: the hop sequence lives once in the
-// network's intern table (PathID names it), and the delay recorder is
-// allocated lazily on first delivery, so a flow that has not carried
-// traffic yet costs tens of bytes beyond the struct itself.
+// A call is one allocation: the Flow holds its policer, its meter, its first
+// ledger token and its route (hop storage included) by value, and is itself
+// the receiver at its sink, so admitting a flow costs the struct and nothing
+// else. The hop sequence lives once in the network's intern table (PathID
+// names it). Packets carry the route, a pointer into the Flow, so a released
+// flow stays alive exactly until its last packet in flight is delivered.
 type Flow struct {
 	ID       uint32
 	PathID   PathID
 	Class    packet.Class
 	Priority uint8
+	policed  bool // predicted flows police at the edge; carriers police per member
 
 	net        *Network
-	ingress    *topology.Node  // resolved first switch, per-packet fast path
-	route      *topology.Route // forwarding state, stamped into every packet
-	eng        *sim.Engine     // the ingress switch's engine (its shard's)
+	ingress    *topology.Node // resolved first switch, per-packet fast path
+	eng        *sim.Engine    // the ingress switch's engine (its shard's)
+	sinkEng    *sim.Engine    // the last switch's engine, which timestamps deliveries
 	fixedDelay float64
-	policer    *tokenbucket.Bucket
+	policer    tokenbucket.Bucket
 	policerCnt stats.Counter
-	meter      *stats.Recorder
+	meter      stats.Recorder
+	meterTo    DelayMeter // when set, deliveries are metered here instead (MeterInto)
 	delivered  int64
 	taps       []func(p *packet.Packet, queueing float64) // delivery observers, in Tap order
 	bound      float64
 	// declaredRate is the flow's current declared rate (guaranteed clock
 	// rate or predicted token rate). ledgerTokens lists the admission
 	// operations (initial request, renegotiations, reroutes) whose warmup-
-	// ledger entries belong to this flow (see claim).
+	// ledger entries belong to this flow (see claim); the first is stored
+	// in firstToken.
 	declaredRate float64
 	ledgerTokens []uint64
+	firstToken   [1]uint64
 	pspec        PredictedSpec // predicted flows: the spec a reroute re-admits
 	gspec        GuaranteedSpec
 
@@ -401,7 +407,13 @@ type Flow struct {
 	// kept its old path and reservations).
 	rerouted       int64
 	rerouteRefused int64
+
+	route topology.Route // forwarding state, stamped into every packet (never copied: it points into itself)
 }
+
+// A DelayMeter takes a flow's end-to-end queueing delays, one per delivered
+// packet, in delivery order; *stats.Recorder is one.
+type DelayMeter interface{ Add(queueing float64) }
 
 // Path returns the flow's hop sequence — the interned slice, shared by
 // every flow on this route. Callers must not mutate it.
@@ -415,16 +427,14 @@ func (f *Flow) Hops() int { return len(f.Path()) - 1 }
 // targets for predicted flows, and +Inf for datagram flows.
 func (f *Flow) Bound() float64 { return f.bound }
 
-// Meter returns the recorder of end-to-end queueing delays (seconds).
-// Recorders are allocated lazily — on first delivery, or here on first
-// inspection — so idle flows never pay for one; an empty recorder reports
-// the same zeros a flow with no deliveries always did.
-func (f *Flow) Meter() *stats.Recorder {
-	if f.meter == nil {
-		f.meter = stats.NewRecorder()
-	}
-	return f.meter
-}
+// Meter returns the recorder of end-to-end queueing delays (seconds). It
+// stays empty for a flow whose delays MeterInto sends elsewhere.
+func (f *Flow) Meter() *stats.Recorder { return &f.meter }
+
+// MeterInto sends the queueing delays of the flow's deliveries from now on to
+// m instead of its own Meter — a caller that keeps the delays beyond the
+// flow's life (a churn call's row) does so without keeping the Flow.
+func (f *Flow) MeterInto(m DelayMeter) { f.meterTo = m }
 
 // Delivered returns packets delivered to the sink.
 func (f *Flow) Delivered() int64 { return f.delivered }
@@ -475,7 +485,7 @@ func (f *Flow) EgressEngine() *sim.Engine {
 // the network. Sources use this as their Inject target.
 func (f *Flow) Inject(p *packet.Packet) bool {
 	now := f.eng.Now()
-	if f.policer != nil {
+	if f.policed {
 		f.policerCnt.Total++
 		if !f.policer.Take(now, float64(p.Size)) {
 			// The paper drops or tags nonconforming packets at the
@@ -488,9 +498,33 @@ func (f *Flow) Inject(p *packet.Packet) bool {
 	p.FlowID = f.ID
 	p.Class = f.Class
 	p.Priority = f.Priority
-	p.Route = f.route
+	p.Route = &f.route
 	f.ingress.Inject(p)
 	return true
+}
+
+// flowSink is a Flow as the topology.Receiver at its last switch.
+type flowSink Flow
+
+// Deliver meters a packet that reached the flow's last switch and runs the
+// taps. Delivery timestamps come off the last switch's engine: under
+// sharding the network engine's clock sits at the previous barrier while the
+// egress shard's clock is the packet's true arrival time.
+func (s *flowSink) Deliver(p *packet.Packet) {
+	f := (*Flow)(s)
+	q := f.sinkEng.Now() - p.CreatedAt - f.fixedDelay
+	if q < 0 {
+		q = 0
+	}
+	if f.meterTo != nil {
+		f.meterTo.Add(q)
+	} else {
+		f.meter.Add(q)
+	}
+	f.delivered++
+	for _, tap := range f.taps {
+		tap(p, q)
+	}
 }
 
 // routeAlong installs (or, for a reroute, moves) the flow's route along its
@@ -504,7 +538,7 @@ func (n *Network) routeAlong(f *Flow) (last *topology.Node) {
 		f.ingress = n.topo.Node(f.Path()[0])
 		last = f.ingress
 	}
-	f.route = n.topo.InstallRouteAlong(f.ID, f.ingress, ports)
+	n.topo.InstallRouteAlong(&f.route, f.ID, f.ingress, ports)
 	f.eng = f.ingress.Engine()
 	f.fixedDelay = topology.FixedDelayAlong(ports, n.cfg.MaxPacketBits)
 	return last
@@ -512,24 +546,8 @@ func (n *Network) routeAlong(f *Flow) (last *topology.Node) {
 
 func (n *Network) registerFlow(f *Flow) {
 	last := n.routeAlong(f)
-	// Delivery timestamps come off the last switch's engine: under
-	// sharding the network engine's clock sits at the previous barrier
-	// while the egress shard's clock is the packet's true arrival time.
-	sinkEng := last.Engine()
-	last.SetSink(f.ID, func(p *packet.Packet) {
-		q := sinkEng.Now() - p.CreatedAt - f.fixedDelay
-		if q < 0 {
-			q = 0
-		}
-		if f.meter == nil {
-			f.meter = stats.NewRecorder()
-		}
-		f.meter.Add(q)
-		f.delivered++
-		for _, tap := range f.taps {
-			tap(p, q)
-		}
-	})
+	f.sinkEng = last.Engine()
+	last.SetReceiver(f.ID, (*flowSink)(f))
 	n.flows[f.ID] = f
 	for _, hook := range n.flowHooks {
 		hook(f)
@@ -739,7 +757,8 @@ func (n *Network) requestPredicted(id uint32, path []string, class int, spec Pre
 		Class:        packet.Predicted,
 		Priority:     uint8(class),
 		net:          n,
-		policer:      tokenbucket.New(spec.TokenRate, spec.BucketBits),
+		policed:      true,
+		policer:      tokenbucket.Make(spec.TokenRate, spec.BucketBits),
 		bound:        n.advertisedBound(ports, class),
 		declaredRate: spec.TokenRate,
 		pspec:        spec,
@@ -781,12 +800,12 @@ func (n *Network) AddDatagramFlow(id uint32, path []string) (*Flow, error) {
 // capacity and forgets its route (a departure): afterwards the network holds
 // nothing for the flow, at any switch. Guaranteed backlog still queued at a
 // hop drains at the old clock rate before the WFQ registration disappears,
-// and packets in flight are still delivered to the flow's sink, because each
-// carries the route itself — the route, the sink and the Flow behind it are
-// garbage once the last of them is recycled (and the caller drops the Flow).
-// The id is free for a new request; packets of the departed flow keep
-// reaching the departed flow's sink, not the newcomer's. Releasing an
-// unknown id is a no-op.
+// and packets in flight are still delivered to the flow, metered and tapped,
+// because each carries the route — which lives inside the Flow, so the Flow
+// (route, policer and meter with it) is garbage once the last of them is
+// recycled and the caller drops it. The id is free for a new request;
+// packets of the departed flow keep reaching the departed Flow, not the
+// newcomer. Releasing an unknown id is a no-op.
 func (n *Network) Release(id uint32) {
 	f, ok := n.flows[id]
 	if !ok {

@@ -158,13 +158,9 @@ func (c *chooser) pathFor(f *Flow) []string {
 // portsNotIn returns the ports of list that do not appear in other,
 // preserving order.
 func portsNotIn(list, other []*topology.Port) []*topology.Port {
-	in := make(map[int]bool, len(other))
-	for _, pt := range other {
-		in[pt.Index()] = true
-	}
 	var out []*topology.Port
 	for _, pt := range list {
-		if !in[pt.Index()] {
+		if !slices.Contains(other, pt) {
 			out = append(out, pt)
 		}
 	}

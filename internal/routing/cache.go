@@ -197,10 +197,14 @@ func (c *Cache) Insert(from, to, cost string, path []string) {
 		}
 		return
 	}
+	// A full cache reuses its victim's entry: a miss allocates nothing.
+	var e *cacheEntry
 	if len(c.entries) >= c.size {
-		c.evict()
+		e = c.evict()
+	} else {
+		e = new(cacheEntry)
 	}
-	e := &cacheEntry{key: key, path: path}
+	*e = cacheEntry{key: key, path: path}
 	c.entries[key] = e
 	switch c.scheme {
 	case CacheLRU, CacheFIFO:
@@ -231,25 +235,27 @@ func (c *Cache) Invalidate() {
 	}
 }
 
-// evict removes one victim per the scheme (associative schemes only).
-func (c *Cache) evict() {
+// evict removes one victim per the scheme (associative schemes only) and
+// returns its entry.
+func (c *Cache) evict() *cacheEntry {
 	c.stats.Evictions++
+	var v *cacheEntry
 	switch c.scheme {
 	case CacheLRU, CacheFIFO:
 		// LRU's list is maintained by recency, FIFO's by insertion; either
 		// way the tail is the victim.
-		v := c.tail
+		v = c.tail
 		c.unlink(v)
-		delete(c.entries, v.key)
 	case CacheRandom:
 		i := c.rng.Intn(len(c.keys))
-		v := c.keys[i]
+		v = c.keys[i]
 		last := len(c.keys) - 1
 		c.keys[i] = c.keys[last]
 		c.keys[i].pos = i
 		c.keys = c.keys[:last]
-		delete(c.entries, v.key)
 	}
+	delete(c.entries, v.key)
+	return v
 }
 
 // slot maps a key to its direct-mapped slot. FNV-1a rather than

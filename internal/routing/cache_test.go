@@ -114,6 +114,39 @@ func TestCacheRandomEviction(t *testing.T) {
 	}
 }
 
+// A full associative cache reuses its victim's entry, so a miss allocates
+// nothing there; hits, misses and evictions count as before.
+func TestFullCacheInsertAllocatesNothing(t *testing.T) {
+	const size, dests = 4, 16
+	path := []string{"src", "dst"}
+	names := make([]string, dests)
+	for i := range names {
+		names[i] = fmt.Sprintf("d%d", i)
+	}
+	for _, scheme := range []string{CacheLRU, CacheFIFO, CacheRandom} {
+		c, err := NewCache(scheme, size, sim.DeriveRNG(1, "cache-test"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		miss := func() {
+			if _, ok := c.Lookup("src", names[i%dests], "hops"); !ok {
+				c.Insert("src", names[i%dests], "hops", path)
+			}
+			i++
+		}
+		for range 2 * dests {
+			miss()
+		}
+		if allocs := testing.AllocsPerRun(1000, miss); allocs != 0 {
+			t.Errorf("%s: a miss on a full cache allocates %v times, want 0", scheme, allocs)
+		}
+		if st := c.Stats(); c.Len() != size || st.Hits+st.Misses != int64(i) || st.Evictions != st.Misses-size {
+			t.Errorf("%s: %d entries, stats %+v after %d lookups", scheme, c.Len(), st, i)
+		}
+	}
+}
+
 func TestCacheInvalidate(t *testing.T) {
 	for _, scheme := range CacheSchemes {
 		c, err := NewCache(scheme, 8, sim.DeriveRNG(1, "cache-test"))

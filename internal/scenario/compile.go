@@ -327,10 +327,8 @@ func (s *Sim) quiesce() {
 		}
 	}
 	for _, ch := range s.churns {
-		for _, src := range ch.srcs {
-			if src != nil {
-				source.StopSource(src)
-			}
+		for _, call := range ch.live {
+			source.StopSource(call.src)
 		}
 	}
 	for _, t := range s.TCPs {

@@ -7,7 +7,6 @@ import (
 
 	"ispn/internal/invariant"
 	"ispn/internal/sched"
-	"ispn/internal/stats"
 )
 
 // Report is the result of one scenario run: a per-flow delay summary, TCP
@@ -200,26 +199,7 @@ func (s *Sim) buildReport() *Report {
 		}
 	}
 	for _, ch := range s.churns {
-		agg := stats.NewRecorder()
-		var delivered int64
-		for _, f := range ch.flows {
-			agg.Absorb(f.Meter())
-			delivered += f.Delivered()
-		}
-		cr := ChurnReport{
-			Name:      ch.name,
-			Arrivals:  ch.arrivals,
-			Admitted:  ch.admitted,
-			Rejected:  ch.rejected,
-			Departed:  ch.departed,
-			Delivered: delivered,
-			MeanMS:    agg.Mean() * 1e3,
-			MaxMS:     agg.Max() * 1e3,
-		}
-		for _, p := range s.Percentiles {
-			cr.PctMS = append(cr.PctMS, agg.Percentile(p)*1e3)
-		}
-		r.Churns = append(r.Churns, cr)
+		r.Churns = append(r.Churns, ch.report(s.Percentiles))
 	}
 	if s.hasTimeline() {
 		adm := s.adm

@@ -406,8 +406,12 @@ func (s *Sim) warnf(format string, args ...any) {
 // each holding an exponentially distributed time before departing. Every
 // arrival goes through admission control; rejected arrivals carry no
 // traffic. All randomness comes from one stream derived from (seed,
-// "churn:" + name), plus one derived stream per arrival for its source, so
-// runs are bit-identical whatever the worker pool does.
+// "churn:" + name), plus one derived stream per arrival k for its source,
+// named "churn:" + name + ":" + k, so runs are bit-identical whatever the
+// worker pool does.
+//
+// A call costs two allocations, its core.Flow and its churnCall, and a
+// departed call keeps only its callMeter: the churn row's inputs.
 type churnRun struct {
 	name    string
 	every   float64 // mean inter-arrival, seconds
@@ -428,11 +432,52 @@ type churnRun struct {
 	dests   []string
 	destCDF []float64 // cumulative Zipf weights, len(dests)
 
-	rng *sim.RNG
+	rng     *sim.RNG
+	streams sim.Family // seeds each call's source stream from its arrival number
 
 	arrivals, admitted, rejected, departed int64
-	flows                                  []*core.Flow
-	srcs                                   []source.Source // one slot per admitted call, nil once it has departed (quiesce stops the rest)
+
+	// The row's inputs: every admitted call's meter, in arrival order, in
+	// blocks that never move (flows point into them), and the delays of
+	// every delivered packet.
+	meters [][]callMeter
+	delays stats.Recorder
+
+	live   []*churnCall // calls not yet departed, in no particular order (quiesce stops their sources)
+	s      *Sim
+	depart func(any) // departCall, bound once
+}
+
+// meterBlock is how many calls' meters one block holds.
+const meterBlock = 512
+
+// callMeter is what a call keeps once it has departed: its flow meters into
+// it (core.Flow.MeterInto), so a packet in flight at departure still counts.
+// The report folds the calls' delay sums in arrival order, as merging their
+// recorders did; the samples go straight to the churn's one recorder, since
+// the maximum and the percentiles do not depend on their order.
+type callMeter struct {
+	sum float64 // the call's queueing delays, summed in delivery order
+	all *stats.Recorder
+}
+
+// Add implements core.DelayMeter.
+func (m *callMeter) Add(q float64) {
+	m.sum += q
+	m.all.Add(q)
+}
+
+// churnCall is an admitted call until it departs: its flow, and its source
+// and the source's random stream held by value. After the departure nothing
+// names it but its source's last pending tick, and nothing names its Flow
+// but the packets still in flight.
+type churnCall struct {
+	flow    *core.Flow
+	live    int           // index in churnRun.live
+	src     source.Source // &cbr or &poisson
+	cbr     source.CBR
+	poisson source.Poisson
+	rng     sim.RNG
 }
 
 // churnArgNames is the accepted Churn argument set, in documentation order.
@@ -548,6 +593,8 @@ func (c *compiler) churnDecl(d *Decl) {
 // schedule arms the arrival process on the engine.
 func (ch *churnRun) schedule(s *Sim) {
 	ch.rng = sim.DeriveRNG(s.Seed, "churn:"+ch.name)
+	ch.streams = churnStreams(s.Seed, ch.name)
+	ch.s, ch.depart = s, ch.departCall
 	// Arrivals are control events: admission, source attachment and
 	// departure scheduling all run between shard windows (and in the same
 	// relative order sequentially, thanks to the control key).
@@ -561,6 +608,12 @@ func (ch *churnRun) schedule(s *Sim) {
 		eng.AtControl(eng.Now()+ch.rng.Exp(ch.every), arrive)
 	}
 	eng.AtControl(ch.rng.Exp(ch.every), arrive)
+}
+
+// churnStreams derives the churn's per-call source streams: call k's is the
+// stream named "churn:" + name + ":" + k.
+func churnStreams(seed int64, name string) sim.Family {
+	return sim.NewFamily(seed, "churn:"+name+":")
 }
 
 // doArrival admits (or not) one churn flow, attaches its source, and
@@ -587,36 +640,86 @@ func (ch *churnRun) doArrival(s *Sim) {
 	}
 	holdFor := ch.rng.Exp(ch.hold)
 	id := s.allocID()
-	req := &flowReq{kind: ch.service, id: id, nodes: path, p: ch.p, class: -1}
-	f, err := s.issueRequest(req)
+	f, err := s.issueRequest(&flowReq{kind: ch.service, id: id, nodes: path, p: ch.p, class: -1})
 	if err != nil {
 		ch.rejected++
 		return
 	}
 	ch.admitted++
-	ch.flows = append(ch.flows, f)
+	f.MeterInto(ch.newMeter())
 
-	srng := sim.DeriveRNG(s.Seed, fmt.Sprintf("churn:%s:%d", ch.name, ch.arrivals))
-	var src source.Source
+	call := &churnCall{flow: f, live: len(ch.live)}
+	ch.live = append(ch.live, call)
+	call.rng.Init(ch.streams.SeedOf(ch.arrivals))
 	if ch.srcKind == "cbr" {
-		src = source.NewCBR(source.CBRConfig{SizeBits: ch.size, Rate: ch.pps, RNG: srng})
+		call.cbr.Init(source.CBRConfig{SizeBits: ch.size, Rate: ch.pps, RNG: &call.rng})
+		call.cbr.SetPool(f.IngressPool())
+		call.cbr.StartTo(f.IngressEngine(), f)
+		call.src = &call.cbr
 	} else {
-		src = source.NewPoisson(source.PoissonConfig{SizeBits: ch.size, Rate: ch.pps, RNG: srng})
+		call.poisson.Init(source.PoissonConfig{SizeBits: ch.size, Rate: ch.pps, RNG: &call.rng})
+		call.poisson.SetPool(f.IngressPool())
+		call.poisson.StartTo(f.IngressEngine(), f)
+		call.src = &call.poisson
 	}
-	source.AttachPool(src, f.IngressPool())
-	slot := len(ch.srcs)
-	ch.srcs = append(ch.srcs, src)
-	src.Start(f.IngressEngine(), func(p *packet.Packet) { f.Inject(p) })
-	commits := ch.service != "Datagram"
-	eng.AtControl(now+holdFor, func() {
-		source.StopSource(src)
-		ch.srcs[slot] = nil // a departed call's source and stream are garbage from here on
-		s.Net.Release(id)
-		ch.departed++
-		if commits {
-			s.noteDeparture(eng.Now())
+	eng.AtCallKeyed(now+holdFor, sim.KeyControl, ch.depart, call)
+}
+
+// departCall is a call's departure: its source stops, the network releases
+// it, and it leaves the live set.
+func (ch *churnRun) departCall(arg any) {
+	call := arg.(*churnCall)
+	source.StopSource(call.src)
+	last := ch.live[len(ch.live)-1]
+	ch.live[call.live], last.live = last, call.live
+	ch.live[len(ch.live)-1] = nil
+	ch.live = ch.live[:len(ch.live)-1]
+	ch.s.Net.Release(call.flow.ID)
+	ch.departed++
+	if ch.service != "Datagram" {
+		ch.s.noteDeparture(ch.s.Net.Engine().Now())
+	}
+}
+
+// report is the churn's row: what merging every admitted call's delay
+// recorder in arrival order gives — the calls' sums folded in that order, the
+// maximum and percentiles of all their samples, and as many deliveries as
+// samples.
+func (ch *churnRun) report(pcts []float64) ChurnReport {
+	sum := 0.0
+	for _, b := range ch.meters {
+		for i := range b {
+			sum += b[i].sum
 		}
-	})
+	}
+	mean, n := 0.0, ch.delays.Count()
+	if n > 0 {
+		mean = sum / float64(n)
+	}
+	cr := ChurnReport{
+		Name:      ch.name,
+		Arrivals:  ch.arrivals,
+		Admitted:  ch.admitted,
+		Rejected:  ch.rejected,
+		Departed:  ch.departed,
+		Delivered: int64(n),
+		MeanMS:    mean * 1e3,
+		MaxMS:     ch.delays.Max() * 1e3,
+	}
+	for _, p := range pcts {
+		cr.PctMS = append(cr.PctMS, ch.delays.Percentile(p)*1e3)
+	}
+	return cr
+}
+
+// newMeter returns the next admitted call's meter.
+func (ch *churnRun) newMeter() *callMeter {
+	if k := len(ch.meters); k == 0 || len(ch.meters[k-1]) == meterBlock {
+		ch.meters = append(ch.meters, make([]callMeter, 0, meterBlock))
+	}
+	b := &ch.meters[len(ch.meters)-1]
+	*b = append(*b, callMeter{all: &ch.delays})
+	return &(*b)[len(*b)-1]
 }
 
 // drawDest picks a destination index with probability proportional to its

@@ -404,21 +404,16 @@ func TestChurnRunsAndIsDeterministic(t *testing.T) {
 	}
 }
 
-// A churn holds on to the sources of calls in progress only: a departed
-// call's slot is cleared, so a long session does not keep one source and one
-// random stream per call ever admitted. The report (pinned here as produced
-// before slots were cleared) does not move, with the oracle's post-horizon
-// quiesce walking the cleared slots.
+// A churn holds on to the calls in progress only: a departed call leaves the
+// live set, so a long session does not keep one source and one random stream
+// per call ever admitted. The report (pinned here as produced before calls
+// were dropped) does not move, with the oracle's post-horizon quiesce
+// stopping the live calls' sources.
 func TestChurnDropsDepartedSources(t *testing.T) {
 	s := mustCompile(t, churnScenario, Options{Check: true})
 	s.StepTo(s.Horizon)
 	ch := s.churns[0]
-	live := int64(0)
-	for _, src := range ch.srcs {
-		if src != nil {
-			live++
-		}
-	}
+	live := int64(len(ch.live))
 	if ch.departed == 0 || live != ch.admitted-ch.departed {
 		t.Errorf("%d sources retained at the horizon, want %d admitted - %d departed", live, ch.admitted, ch.departed)
 	}

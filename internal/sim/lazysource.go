@@ -103,7 +103,7 @@ func (s *lazySource) Uint64() uint64 {
 		for i := 0; i < lazyDraws; i++ {
 			std.Int63()
 		}
-		s.owner.r = rand.New(std)
+		s.owner.r = *rand.New(std)
 		s.n++
 	}
 	// Reached on the promoting draw, and for the rest of a rand.Rand method

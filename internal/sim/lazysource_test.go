@@ -10,7 +10,7 @@ import (
 // stdRNG is the reference: the RNG methods over an eagerly seeded math/rand
 // source, which is what every RNG was before seeding became lazy.
 func stdRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	return &RNG{r: *rand.New(rand.NewSource(seed))}
 }
 
 // drawMixed draws one value from g by the method k selects, as a comparable

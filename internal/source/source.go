@@ -16,11 +16,26 @@ import (
 	"ispn/internal/tokenbucket"
 )
 
-// Inject delivers a generated packet into the network. ArrivedAt and
-// CreatedAt are set by the caller of the source machinery.
+// Target takes a started source's packets into the network; core's Flow is
+// one. It reports whether the packet entered (the source does not care).
+type Target interface {
+	Inject(p *packet.Packet) bool
+}
+
+// Inject is a Target as a function: it delivers a generated packet into the
+// network. ArrivedAt and CreatedAt are set by the caller of the source
+// machinery.
 type Inject func(p *packet.Packet)
 
-// Source generates packets once started.
+// Inject implements Target; it reports true.
+func (f Inject) Inject(p *packet.Packet) bool {
+	f(p)
+	return true
+}
+
+// Source generates packets once started. CBR and Poisson, the generators a
+// churn call runs, also have StartTo: Start for any Target, so a caller
+// holding a Flow needs no closure around it.
 type Source interface {
 	// Start begins generation on the engine; packets are handed to
 	// inject with CreatedAt set.
@@ -62,7 +77,10 @@ func AttachPool(src Source, pl *packet.Pool) {
 	}
 }
 
-// common carries the fields every generator shares.
+// common carries the fields every generator shares. A started generator
+// paces itself with a prebound engine callback (sim.Engine.ScheduleCall) whose
+// argument is the generator, so running one allocates nothing per packet and
+// starting one no closure.
 type common struct {
 	flowID   uint32
 	class    packet.Class
@@ -71,6 +89,8 @@ type common struct {
 	seq      uint64
 	pool     *packet.Pool
 	stopped  bool
+	eng      *sim.Engine // set when started
+	to       Target
 }
 
 // SetPool implements PoolUser.
@@ -96,6 +116,11 @@ func (c *common) newPacket(now float64) *packet.Packet {
 	return p
 }
 
+// emit hands the next packet, stamped now, to the target.
+func (c *common) emit() {
+	c.to.Inject(c.newPacket(c.eng.Now()))
+}
+
 // MarkovConfig parameterizes a two-state Markov on/off source.
 type MarkovConfig struct {
 	FlowID   uint32
@@ -111,10 +136,11 @@ type MarkovConfig struct {
 // Markov is the paper's two-state source.
 type Markov struct {
 	common
-	peak  float64
-	burst float64
-	idle  float64 // mean idle duration I = B(1/A - 1/P)
-	rng   *sim.RNG
+	peak      float64
+	burst     float64
+	idle      float64 // mean idle duration I = B(1/A - 1/P)
+	rng       *sim.RNG
+	remaining int // packets left in the current burst
 }
 
 // NewMarkov builds a Markov source. It panics unless 0 < AvgRate < PeakRate
@@ -144,30 +170,27 @@ func NewMarkov(cfg MarkovConfig) *Markov {
 }
 
 // Start implements Source. The source begins in an idle period.
-//
-// The burst position lives in a captured variable rather than a per-packet
-// closure, so a running source schedules through one reused callback and
-// the steady-state event loop allocates nothing.
 func (m *Markov) Start(eng *sim.Engine, inject Inject) {
-	remaining := 0
-	var tick func()
-	tick = func() {
-		if m.stopped {
-			return
-		}
-		if remaining == 0 {
-			// Start of a burst: draw its length.
-			remaining = m.rng.Geometric(m.burst)
-		}
-		inject(m.newPacket(eng.Now()))
-		remaining--
-		if remaining > 0 {
-			eng.Schedule(1/m.peak, tick)
-			return
-		}
-		eng.Schedule(1/m.peak+m.rng.Exp(m.idle), tick)
+	m.eng, m.to = eng, inject
+	eng.ScheduleCall(m.rng.Exp(m.idle), markovTick, m)
+}
+
+func markovTick(arg any) {
+	m := arg.(*Markov)
+	if m.stopped {
+		return
 	}
-	eng.Schedule(m.rng.Exp(m.idle), tick)
+	if m.remaining == 0 {
+		// Start of a burst: draw its length.
+		m.remaining = m.rng.Geometric(m.burst)
+	}
+	m.emit()
+	m.remaining--
+	if m.remaining > 0 {
+		m.eng.ScheduleCall(1/m.peak, markovTick, m)
+		return
+	}
+	m.eng.ScheduleCall(1/m.peak+m.rng.Exp(m.idle), markovTick, m)
 }
 
 // CBR emits fixed-size packets at a constant rate — the classic rigid
@@ -175,7 +198,6 @@ func (m *Markov) Start(eng *sim.Engine, inject Inject) {
 type CBR struct {
 	common
 	interval float64
-	jitter   float64 // optional uniform start-phase jitter
 	rng      *sim.RNG
 }
 
@@ -191,32 +213,44 @@ type CBRConfig struct {
 
 // NewCBR builds a CBR source.
 func NewCBR(cfg CBRConfig) *CBR {
+	c := new(CBR)
+	c.Init(cfg)
+	return c
+}
+
+// Init makes c, in place, the source NewCBR(cfg) builds — for a caller that
+// holds its source inside a larger struct.
+func (c *CBR) Init(cfg CBRConfig) {
 	if cfg.Rate <= 0 || cfg.SizeBits <= 0 {
 		panic("source: CBR needs positive rate and size")
 	}
-	c := &CBR{
+	*c = CBR{
 		common:   common{flowID: cfg.FlowID, class: cfg.Class, priority: cfg.Priority, sizeBits: cfg.SizeBits},
 		interval: 1 / cfg.Rate,
 		rng:      cfg.RNG,
 	}
-	return c
 }
 
 // Start implements Source.
-func (c *CBR) Start(eng *sim.Engine, inject Inject) {
+func (c *CBR) Start(eng *sim.Engine, inject Inject) { c.StartTo(eng, inject) }
+
+// StartTo is Start for any Target.
+func (c *CBR) StartTo(eng *sim.Engine, to Target) {
+	c.eng, c.to = eng, to
 	phase := 0.0
 	if c.rng != nil {
 		phase = c.rng.Float64() * c.interval
 	}
-	var tick func()
-	tick = func() {
-		if c.stopped {
-			return
-		}
-		inject(c.newPacket(eng.Now()))
-		eng.Schedule(c.interval, tick)
+	eng.ScheduleCall(phase, cbrTick, c)
+}
+
+func cbrTick(arg any) {
+	c := arg.(*CBR)
+	if c.stopped {
+		return
 	}
-	eng.Schedule(phase, tick)
+	c.emit()
+	c.eng.ScheduleCall(c.interval, cbrTick, c)
 }
 
 // Poisson emits fixed-size packets with exponential inter-arrival times —
@@ -239,10 +273,17 @@ type PoissonConfig struct {
 
 // NewPoisson builds a Poisson source.
 func NewPoisson(cfg PoissonConfig) *Poisson {
+	p := new(Poisson)
+	p.Init(cfg)
+	return p
+}
+
+// Init makes p, in place, the source NewPoisson(cfg) builds.
+func (p *Poisson) Init(cfg PoissonConfig) {
 	if cfg.Rate <= 0 || cfg.SizeBits <= 0 || cfg.RNG == nil {
 		panic("source: Poisson needs positive rate and size and an RNG")
 	}
-	return &Poisson{
+	*p = Poisson{
 		common: common{flowID: cfg.FlowID, class: cfg.Class, priority: cfg.Priority, sizeBits: cfg.SizeBits},
 		mean:   1 / cfg.Rate,
 		rng:    cfg.RNG,
@@ -250,16 +291,21 @@ func NewPoisson(cfg PoissonConfig) *Poisson {
 }
 
 // Start implements Source.
-func (p *Poisson) Start(eng *sim.Engine, inject Inject) {
-	var tick func()
-	tick = func() {
-		if p.stopped {
-			return
-		}
-		inject(p.newPacket(eng.Now()))
-		eng.Schedule(p.rng.Exp(p.mean), tick)
+func (p *Poisson) Start(eng *sim.Engine, inject Inject) { p.StartTo(eng, inject) }
+
+// StartTo is Start for any Target.
+func (p *Poisson) StartTo(eng *sim.Engine, to Target) {
+	p.eng, p.to = eng, to
+	eng.ScheduleCall(p.rng.Exp(p.mean), poissonTick, p)
+}
+
+func poissonTick(arg any) {
+	p := arg.(*Poisson)
+	if p.stopped {
+		return
 	}
-	eng.Schedule(p.rng.Exp(p.mean), tick)
+	p.emit()
+	p.eng.ScheduleCall(p.rng.Exp(p.mean), poissonTick, p)
 }
 
 // Policed wraps a source with an edge token-bucket filter: nonconforming

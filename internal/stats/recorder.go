@@ -29,6 +29,9 @@ const (
 // Percentile selects the wanted rank in place instead of sorting, and
 // remembers the ranks placed since the last Add/Absorb, so a report's
 // 0.50/0.99/0.999 each search only between their already-placed neighbours.
+//
+// The zero Recorder is empty and ready to use, so one can sit inside a larger
+// struct (a flow's meter) at no allocation until its first sample.
 type Recorder struct {
 	chunks [][]float64 // len == cap each; sample i is chunks[i>>chunkShift][i&(chunkLen-1)]
 	tail   []float64   // the last chunk up to its last sample, so Add reads no chunk table
@@ -36,11 +39,11 @@ type Recorder struct {
 	placed []int // -1, the ranks placed (see selectRank) since samples were last added, n
 	sum    float64
 	max    float64
-	min    float64
+	min    float64 // min and max are set by the first Add
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{min: math.Inf(1), max: math.Inf(-1)} }
+func NewRecorder() *Recorder { return new(Recorder) }
 
 // NewRecorderSize is NewRecorder: chunked storage has nothing to presize.
 // It survives only because bench/probes.go calls it and bench/ is frozen;
@@ -76,6 +79,9 @@ func (r *Recorder) Add(x float64) {
 		r.grow()
 	}
 	r.tail = append(r.tail, x) // into the room made: never reallocates
+	if r.n == 0 {
+		r.min, r.max = x, x
+	}
 	r.n++
 	r.sum += x
 	if x > r.max {

@@ -16,8 +16,9 @@ import "math"
 // aggregation) apply the exact same test as Bucket.Take.
 const Epsilon = 1e-12
 
-// Bucket is a token bucket filter. Create one with New; the bucket starts
-// full, matching the paper's recurrence n₀ = b.
+// Bucket is a token bucket filter. Create one with New, or with Make where it
+// sits inside a larger struct; the bucket starts full, matching the paper's
+// recurrence n₀ = b.
 type Bucket struct {
 	rate   float64 // tokens per second
 	depth  float64 // maximum tokens
@@ -27,10 +28,16 @@ type Bucket struct {
 
 // New returns a full bucket with the given rate (tokens/second) and depth.
 func New(rate, depth float64) *Bucket {
+	b := Make(rate, depth)
+	return &b
+}
+
+// Make is New by value.
+func Make(rate, depth float64) Bucket {
 	if rate <= 0 || depth <= 0 {
 		panic("tokenbucket: rate and depth must be positive")
 	}
-	return &Bucket{rate: rate, depth: depth, tokens: depth}
+	return Bucket{rate: rate, depth: depth, tokens: depth}
 }
 
 // Tokens returns the token level at time now.

@@ -21,8 +21,15 @@ import (
 // DefaultBufferPackets is the paper's switch buffer size.
 const DefaultBufferPackets = 200
 
-// Sink consumes a packet that has reached its final switch.
+// Receiver consumes the packets of a flow that has reached its final switch.
+// A Sink is one; so is core's Flow, which needs no closure to be one.
+type Receiver interface{ Deliver(p *packet.Packet) }
+
+// Sink is a function Receiver.
 type Sink func(p *packet.Packet)
+
+// Deliver implements Receiver.
+func (s Sink) Deliver(p *packet.Packet) { s(p) }
 
 // Network is a collection of nodes and directed links driven by one engine —
 // or, after ConfigureShards, by one engine per shard plus the original
@@ -132,12 +139,18 @@ func (n *Network) AddLink(from, to string, s sched.Scheduler, bandwidth, propDel
 }
 
 // Route is the forwarding state of one flow: its hops in path order, each
-// naming a switch, the output port the flow leaves it by (nil where the flow
-// terminates) and the sink registered there. The network keeps one Route per
-// flow id until RemoveRoute, and every packet of the flow carries it in
-// packet.Packet.Route, so a packet already in the network when the route is
-// removed still finds its way: the object lives until the last packet
+// naming a switch and the output port the flow leaves it by (nil where the
+// flow terminates), and the receivers registered at its switches. The
+// network keeps one Route per flow id until RemoveRoute, and every packet of
+// the flow carries it in packet.Packet.Route, so a packet already in the
+// network when the route is removed still finds its way: the object — and
+// whatever holds it, such as core's Flow — lives until the last packet
 // holding it is recycled.
+//
+// The first routeInline hops and the first receiver are stored inside the
+// Route, so a route that short costs no allocation beyond the struct, and
+// none at all when the caller embeds it (InstallRouteAlong). A Route points
+// into itself and must not be copied once it has a hop.
 //
 // A switch appears in at most one hop. Packet.Hops — links traversed so far
 // — is the cursor: on the path the route was installed over it is exactly
@@ -145,13 +158,36 @@ func (n *Network) AddLink(from, to string, s sched.Scheduler, bandwidth, propDel
 // hops when it is not (a packet injected mid-path, or one that was in flight
 // when the flow was rerouted).
 type Route struct {
-	hops []hop
+	hops   []hop
+	sinks  []routeSink // the receivers, usually one: at the switch the flow terminates
+	inline [routeInline]hop
+	sink   [1]routeSink
 }
 
+// routeSink is a receiver registered at one of the route's switches.
+type routeSink struct {
+	at *Node
+	s  Receiver
+}
+
+// sinkAt returns the receiver registered at nd, or nil.
+func (r *Route) sinkAt(nd *Node) Receiver {
+	for i := range r.sinks {
+		if r.sinks[i].at == nd {
+			return r.sinks[i].s
+		}
+	}
+	return nil
+}
+
+// routeInline is the hop storage a Route carries: switches, so a route of up
+// to routeInline-1 links. Every path of the benchmark churn's 64-node chordal
+// ring fits.
+const routeInline = 8
+
 type hop struct {
-	at   *Node
-	out  *Port
-	sink Sink
+	at  *Node
+	out *Port
 }
 
 // find returns the index of the route's hop at nd, trying the cursor
@@ -173,6 +209,9 @@ func (r *Route) find(nd *Node, cursor int) int {
 func (r *Route) hopFor(nd *Node) int {
 	i := r.find(nd, len(r.hops))
 	if i < 0 {
+		if r.hops == nil {
+			r.hops = r.inline[:0]
+		}
 		i = len(r.hops)
 		r.hops = append(r.hops, hop{at: nd})
 	}
@@ -192,12 +231,19 @@ func (n *Network) InstallRoute(flowID uint32, path []string) *Route {
 	if !ok {
 		panic(fmt.Sprintf("topology: unknown node %q in route", path[0]))
 	}
-	return n.InstallRouteAlong(flowID, ingress, n.PathPorts(path))
+	r := n.routes[flowID]
+	if r == nil {
+		r = new(Route)
+	}
+	n.InstallRouteAlong(r, flowID, ingress, n.PathPorts(path))
+	return r
 }
 
-// InstallRouteAlong is InstallRoute for a caller that has already resolved
-// the path: the flow enters at ingress and leaves each switch by the next of
-// ports (empty for a flow that terminates where it enters).
+// InstallRouteAlong is InstallRoute into a Route the caller owns, for a
+// caller that has already resolved the path: the flow enters at ingress and
+// leaves each switch by the next of ports (empty for a flow that terminates
+// where it enters). r becomes the flow's route; it panics if the flow has a
+// different one.
 //
 // Installing over a flow's existing route changes that Route in place, so
 // packets already carrying it see the change: every switch on the new path
@@ -208,11 +254,13 @@ func (n *Network) InstallRoute(flowID uint32, path []string) *Route {
 // already on the abandoned branch keeps going the old way — into the failed
 // link, when a failure caused the reroute. Sinks stay where SetSink put
 // them.
-func (n *Network) InstallRouteAlong(flowID uint32, ingress *Node, ports []*Port) *Route {
-	r := n.routes[flowID]
-	if r == nil {
-		r = &Route{hops: make([]hop, 0, len(ports)+1)}
+func (n *Network) InstallRouteAlong(r *Route, flowID uint32, ingress *Node, ports []*Port) {
+	switch old := n.routes[flowID]; old {
+	case r:
+	case nil:
 		n.routes[flowID] = r
+	default:
+		panic(fmt.Sprintf("topology: flow %d already has a route", flowID))
 	}
 	// hops[:placed] are the switches of the new path so far, in path order.
 	at, placed := ingress, 0
@@ -234,7 +282,6 @@ func (n *Network) InstallRouteAlong(flowID uint32, ingress *Node, ports []*Port)
 			at = out.dst
 		}
 	}
-	return r
 }
 
 // RemoveRoute forgets a flow's forwarding state (a departure). Packets of the
@@ -327,13 +374,26 @@ func (nd *Node) Port(to string) *Port { return nd.ports[to] }
 func (nd *Node) Ports() []*Port { return nd.portOrder }
 
 // SetSink registers the consumer for a flow terminating at this node.
-func (nd *Node) SetSink(flowID uint32, s Sink) {
+func (nd *Node) SetSink(flowID uint32, s Sink) { nd.SetReceiver(flowID, s) }
+
+// SetReceiver is SetSink for any Receiver.
+func (nd *Node) SetReceiver(flowID uint32, s Receiver) {
 	r := nd.net.routes[flowID]
 	if r == nil {
-		r = &Route{}
+		r = new(Route)
 		nd.net.routes[flowID] = r
 	}
-	r.hops[r.hopFor(nd)].sink = s
+	r.hopFor(nd)
+	for i := range r.sinks {
+		if r.sinks[i].at == nd {
+			r.sinks[i].s = s
+			return
+		}
+	}
+	if r.sinks == nil {
+		r.sinks = r.sink[:0]
+	}
+	r.sinks = append(r.sinks, routeSink{at: nd, s: s})
 }
 
 // SetDefaultSink registers a consumer for packets with no onward route and
@@ -355,23 +415,23 @@ func (nd *Node) receive(p *packet.Packet) {
 			p.Route = r
 		}
 	}
-	var s Sink
+	var s Receiver
 	if r != nil {
 		if i := r.find(nd, int(p.Hops)); i >= 0 {
 			if out := r.hops[i].out; out != nil {
 				out.enqueue(p)
 				return
 			}
-			s = r.hops[i].sink
+			s = r.sinkAt(nd)
 		}
 	}
-	if s == nil {
+	if s == nil && nd.defSink != nil {
 		s = nd.defSink
 	}
 	if s == nil {
 		panic(fmt.Sprintf("topology: packet for flow %d stranded at %s", p.FlowID, nd.name))
 	}
-	s(p)
+	s.Deliver(p)
 	packet.Release(p)
 }
 
