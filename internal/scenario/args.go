@@ -3,38 +3,41 @@ package scenario
 import "math"
 
 // argSet gives the compiler typed, dimension-checked access to a
-// declaration's arguments, which are always named. Every getter records the
-// first error it hits in the compiler (with the argument's position) and
-// returns the default, so a compile pass reports the earliest diagnostic
-// rather than panicking.
+// declaration's arguments, which are always named, under its row of the
+// element table. Every getter records the first error it hits in the
+// compiler (with the argument's position) and returns the default, so a
+// compile pass reports the earliest diagnostic rather than panicking.
 type argSet struct {
 	c    *compiler
 	decl *Decl
+	elem *element
 }
 
-func (c *compiler) argsOf(d *Decl) *argSet { return &argSet{c: c, decl: d} }
+// accepts reports whether the row lists the argument.
+func (a *argSet) accepts(name string) bool {
+	for _, k := range a.elem.args {
+		if k == name {
+			return true
+		}
+	}
+	return false
+}
 
-// lookup finds a named argument.
+// lookup finds a named argument the row accepts; finish reports the rest.
 func (a *argSet) lookup(name string) (Value, bool) {
 	for _, arg := range a.decl.Args {
-		if arg.Name == name {
+		if arg.Name == name && a.accepts(name) {
 			return arg.Value, true
 		}
 	}
 	return Value{}, false
 }
 
-// finish rejects unknown and duplicate arguments; known lists the accepted
-// keys in documentation order.
-func (a *argSet) finish(known ...string) {
-	ok := make(map[string]bool, len(known))
-	for _, k := range known {
-		ok[k] = true
-	}
-	seen := make(map[string]bool, len(a.decl.Args))
-	for _, arg := range a.decl.Args {
-		if !ok[arg.Name] {
-			accepted := joinWords(known)
+// finish rejects arguments the row does not accept, and duplicates.
+func (a *argSet) finish() {
+	for i, arg := range a.decl.Args {
+		if !a.accepts(arg.Name) {
+			accepted := joinWords(a.elem.args)
 			if accepted == "" {
 				accepted = "none"
 			}
@@ -42,11 +45,12 @@ func (a *argSet) finish(known ...string) {
 				a.decl.Kind, arg.Name, accepted)
 			return
 		}
-		if seen[arg.Name] {
-			a.c.failf(arg.NamePos, "argument %q given twice", arg.Name)
-			return
+		for _, prev := range a.decl.Args[:i] {
+			if prev.Name == arg.Name {
+				a.c.failf(arg.NamePos, "argument %q given twice", arg.Name)
+				return
+			}
 		}
-		seen[arg.Name] = true
 	}
 }
 
@@ -71,9 +75,9 @@ func (a *argSet) given(name string) (Pos, bool) {
 // number converts a NumberVal to the wanted dimension. Bare numbers are
 // accepted for every dimension (interpreted in its base unit: bits/s, bits,
 // seconds, packets/s, or a plain fraction).
-func (a *argSet) number(v Value, want dimension, name string) float64 {
+func (c *compiler) number(v Value, want dimension, name string) float64 {
 	if v.Kind != NumberVal {
-		a.c.failf(v.Pos, "argument %q must be %s", name, want)
+		c.failf(v.Pos, "argument %q must be %s", name, want)
 		return 0
 	}
 	if v.Unit == "" {
@@ -81,7 +85,7 @@ func (a *argSet) number(v Value, want dimension, name string) float64 {
 	}
 	u := units[v.Unit]
 	if u.dim != want && !(want == dimFraction && v.Unit == "%") {
-		a.c.failf(v.Pos, "argument %q must be %s, got %q", name, want, v.Unit)
+		c.failf(v.Pos, "argument %q must be %s, got %q", name, want, v.Unit)
 		return 0
 	}
 	return v.Num * u.mult
@@ -92,7 +96,7 @@ func (a *argSet) dimensioned(name string, want dimension, def float64) float64 {
 	if !ok {
 		return def
 	}
-	return a.number(v, want, name)
+	return a.c.number(v, want, name)
 }
 
 func (a *argSet) bitrate(name string, def float64) float64 {
@@ -126,7 +130,7 @@ func (a *argSet) count(name string, def int) int {
 	if !ok {
 		return def
 	}
-	n := a.number(v, dimNone, name)
+	n := a.c.number(v, dimNone, name)
 	if n != math.Trunc(n) || n < 0 {
 		a.c.failf(v.Pos, "argument %q must be a non-negative integer, got %v", name, n)
 		return def
@@ -259,7 +263,7 @@ func (a *argSet) fracList(name string, def []float64) []float64 {
 	}
 	out := make([]float64, 0, len(v.List))
 	for _, item := range v.List {
-		f := a.number(item, dimFraction, name)
+		f := a.c.number(item, dimFraction, name)
 		if f <= 0 || f >= 1 {
 			a.c.failf(item.Pos, "percentile must be in (0%%, 100%%), got %v", f)
 			return def
@@ -284,7 +288,7 @@ func (a *argSet) durList(name string, def []float64) []float64 {
 	}
 	out := make([]float64, 0, len(v.List))
 	for _, item := range v.List {
-		out = append(out, a.number(item, dimTime, name))
+		out = append(out, a.c.number(item, dimTime, name))
 	}
 	return out
 }

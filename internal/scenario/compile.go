@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"sort"
-
 	"ispn/internal/core"
 	"ispn/internal/invariant"
 	"ispn/internal/packet"
@@ -50,42 +48,6 @@ const (
 
 // DefaultPercentiles are reported when a Run declaration names none.
 var DefaultPercentiles = []float64{0.50, 0.99, 0.999}
-
-// elemClass buckets element kinds for chain resolution.
-type elemClass int
-
-const (
-	classConfig elemClass = iota // Net, Run
-	classSwitch
-	classGenerator
-	classFlow   // Guaranteed, Predicted, Datagram
-	classTCP    // TCP
-	classSource // Markov, CBR, Poisson
-	classFilter // TokenBucket
-	classChurn  // Churn (a flow-arrival process, not a single flow)
-)
-
-var kindClass = map[string]elemClass{
-	"Net": classConfig, "Run": classConfig, "Reroute": classConfig,
-	"RouteCache": classConfig,
-	"Switch":     classSwitch,
-	"Star":       classGenerator, "Dumbbell": classGenerator,
-	"ParkingLot": classGenerator, "Random": classGenerator,
-	"Guaranteed": classFlow, "Predicted": classFlow, "Datagram": classFlow,
-	"TCP":    classTCP,
-	"Markov": classSource, "CBR": classSource, "Poisson": classSource,
-	"TokenBucket": classFilter,
-	"Churn":       classChurn,
-}
-
-func kindNames() []string {
-	out := make([]string, 0, len(kindClass))
-	for k := range kindClass {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Sim is a compiled, runnable scenario.
 type Sim struct {
@@ -328,7 +290,7 @@ func (s *Sim) quiesce() {
 	}
 	for _, ch := range s.churns {
 		for _, call := range ch.live {
-			source.StopSource(call.src)
+			call.cbr.Stop()
 		}
 	}
 	for _, t := range s.TCPs {
@@ -393,48 +355,29 @@ func (c *compiler) compile() *Sim {
 	c.flows = make(map[string]*SimFlow)
 	c.nextID = 1
 
-	// Pass 1: register every declared name and locate Net/Run. Event-block
-	// declarations share the namespace (a timeline flow can be removed or
-	// renewed by name like any other); see registerArrivals.
-	var netDecl, runDecl, rerouteDecl, cacheDecl *Decl
+	// Pass 1: register every declared name and locate the configuration
+	// elements, at most one of each kind. Event-block declarations share the
+	// namespace (a timeline flow can be removed or renewed by name like any
+	// other); see registerArrivals.
+	config := map[string]*Decl{}
 	for _, d := range c.file.Decls {
-		cls, known := kindClass[d.Kind]
-		if !known {
-			c.failf(d.KindPos, "unknown element kind %q (kinds: %s)", d.Kind, joinWords(kindNames()))
+		e := c.elementOf(d)
+		if e == nil {
 			return nil
 		}
-		if (cls == classGenerator || cls == classChurn) && len(d.Names) != 1 {
+		if (e.class == classGenerator || e.class == classChurn) && len(d.Names) != 1 {
 			c.failf(d.Names[1].Pos, "%s takes exactly one name", d.Kind)
 			return nil
 		}
 		if !c.register(d) {
 			return nil
 		}
-		switch d.Kind {
-		case "Net":
-			if netDecl != nil {
-				c.failf(d.KindPos, "duplicate Net declaration (first at line %d)", netDecl.KindPos.Line)
+		if e.class == classConfig {
+			if first := config[d.Kind]; first != nil {
+				c.failf(d.KindPos, "duplicate %s declaration (first at line %d)", d.Kind, first.KindPos.Line)
 				return nil
 			}
-			netDecl = d
-		case "Run":
-			if runDecl != nil {
-				c.failf(d.KindPos, "duplicate Run declaration (first at line %d)", runDecl.KindPos.Line)
-				return nil
-			}
-			runDecl = d
-		case "Reroute":
-			if rerouteDecl != nil {
-				c.failf(d.KindPos, "duplicate Reroute declaration (first at line %d)", rerouteDecl.KindPos.Line)
-				return nil
-			}
-			rerouteDecl = d
-		case "RouteCache":
-			if cacheDecl != nil {
-				c.failf(d.KindPos, "duplicate RouteCache declaration (first at line %d)", cacheDecl.KindPos.Line)
-				return nil
-			}
-			cacheDecl = d
+			config[d.Kind] = d
 		}
 	}
 	if !c.registerArrivals(c.file.Events) {
@@ -442,8 +385,8 @@ func (c *compiler) compile() *Sim {
 	}
 
 	// Pass 2: run knobs, then the network itself.
-	c.runKnobs(runDecl)
-	cfg := c.netConfig(netDecl)
+	c.runKnobs(config["Run"])
+	cfg := c.netConfig(config["Net"])
 	if !c.ok() {
 		return nil
 	}
@@ -463,8 +406,8 @@ func (c *compiler) compile() *Sim {
 	if c.traceDt > 0 {
 		c.out.trace = newTraceRec(c.traceDt, c.horizon)
 	}
-	c.setupRouting(rerouteDecl)
-	c.setupCache(cacheDecl)
+	c.setupRouting(config["Reroute"])
+	c.setupCache(config["RouteCache"])
 	if !c.ok() {
 		return nil
 	}
@@ -474,12 +417,12 @@ func (c *compiler) compile() *Sim {
 		if !c.ok() {
 			return nil
 		}
-		switch kindClass[d.Kind] {
+		switch classOf(d.Kind) {
 		case classSwitch:
 			for _, n := range d.Names {
 				c.addSwitch(n.Text, n.Pos)
 			}
-			c.argsOf(d).finish(switchArgNames...)
+			c.argsOf(d).finish()
 		case classGenerator:
 			c.generate(d)
 		}
@@ -506,7 +449,7 @@ func (c *compiler) compile() *Sim {
 	if shards := c.effectiveShards(); shards > 0 {
 		var together [][2]string
 		for _, d := range c.file.Decls {
-			if kindClass[d.Kind] != classTCP {
+			if classOf(d.Kind) != classTCP {
 				continue
 			}
 			p := c.argsOf(d).path("path", false)
@@ -531,7 +474,7 @@ func (c *compiler) compile() *Sim {
 		if !c.ok() {
 			return nil
 		}
-		switch kindClass[d.Kind] {
+		switch classOf(d.Kind) {
 		case classFlow:
 			c.flowDecl(d, 0, false)
 		case classTCP:
@@ -561,7 +504,7 @@ func (c *compiler) compile() *Sim {
 
 	// Validator epilogue: every traffic element must be used.
 	for _, d := range c.allDecls() {
-		cls := kindClass[d.Kind]
+		cls := classOf(d.Kind)
 		if cls != classSource && cls != classFilter {
 			continue
 		}
@@ -605,12 +548,11 @@ func (c *compiler) registerArrivals(blocks []*EventBlock) bool {
 			if d == nil {
 				continue
 			}
-			cls, known := kindClass[d.Kind]
-			if !known {
-				c.failf(d.KindPos, "unknown element kind %q (kinds: %s)", d.Kind, joinWords(kindNames()))
+			e := c.elementOf(d)
+			if e == nil {
 				return false
 			}
-			switch cls {
+			switch e.class {
 			case classFlow, classSource, classFilter:
 			default:
 				c.failf(d.KindPos, "%s cannot be declared inside an at block (only flows, sources and TokenBucket filters arrive mid-run)", d.Kind)
@@ -650,9 +592,6 @@ func (c *compiler) allDecls() []*Decl {
 	return out
 }
 
-// runArgNames is the accepted Run argument set, in documentation order.
-var runArgNames = []string{"seed", "horizon", "percentiles", "trace"}
-
 func (c *compiler) runKnobs(d *Decl) {
 	c.seed = DefaultSeed
 	c.horizon = DefaultHorizon
@@ -663,7 +602,7 @@ func (c *compiler) runKnobs(d *Decl) {
 		c.horizon = a.duration("horizon", DefaultHorizon)
 		c.percentiles = a.fracList("percentiles", DefaultPercentiles)
 		c.traceDt = a.duration("trace", 0)
-		a.finish(runArgNames...)
+		a.finish()
 		if c.horizon <= 0 {
 			c.failf(d.KindPos, "horizon must be positive, got %v", c.horizon)
 		}
@@ -683,10 +622,6 @@ func (c *compiler) runKnobs(d *Decl) {
 	}
 }
 
-// netArgNames is the accepted Net argument set, in documentation order: the
-// network knobs, then the profile arguments Link shares.
-var netArgNames = append([]string{"rate", "buffer", "propdelay", "admission", "routing", "shards"}, profileArgNames...)
-
 func (c *compiler) netConfig(d *Decl) core.Config {
 	cfg := core.Config{Seed: c.seed}
 	if d == nil {
@@ -705,8 +640,20 @@ func (c *compiler) netConfig(d *Decl) core.Config {
 			c.failf(pos, "Net shards must be at least 1, got %d", c.shards)
 		}
 	}
-	cfg.Profile = c.profileOver(c.linkProfile(a), sched.Profile{})
-	a.finish(netArgNames...)
+	p := c.linkProfile(a)
+	cfg.Profile = p.apply(sched.Profile{})
+	// classes declares the network's class count: it is checked against the
+	// targets list, or the default one, and never generates targets.
+	if pos, ok := a.given("classes"); ok {
+		classes := a.count("classes", 0)
+		targetsPos, targetsGiven := a.given("targets")
+		if targetsGiven && classes != len(p.targets) {
+			c.failf(targetsPos, "targets lists %d delays but classes is %d", len(p.targets), classes)
+		} else if classes != cfg.Profile.Classes() {
+			c.failf(pos, "classes needs a matching targets list: classes is %d, the profile has %d targets", classes, cfg.Profile.Classes())
+		}
+	}
+	a.finish()
 	// core.Config treats a zero as "use the default", so an explicit zero
 	// in the file would be silently replaced — reject it instead.
 	for _, z := range []struct {
@@ -723,9 +670,6 @@ func (c *compiler) netConfig(d *Decl) core.Config {
 	return cfg
 }
 
-// rerouteArgNames is the accepted Reroute argument set.
-var rerouteArgNames = []string{"cost"}
-
 // setupRouting configures failure-aware rerouting from the Net "routing"
 // argument and the optional Reroute element. `Net(routing auto)` alone turns
 // on automatic rerouting with the default cost (shortest path by hops); a
@@ -740,7 +684,7 @@ func (c *compiler) setupRouting(d *Decl) {
 	if d != nil {
 		a := c.argsOf(d)
 		rc.Cost = a.enum("cost", "", routing.CostNameHops, routing.CostNameDelay)
-		a.finish(rerouteArgNames...)
+		a.finish()
 		if !c.ok() {
 			return
 		}
@@ -756,9 +700,6 @@ func (c *compiler) setupRouting(d *Decl) {
 	c.out.routingOn = true
 }
 
-// routeCacheArgNames is the accepted RouteCache argument set.
-var routeCacheArgNames = []string{"scheme", "size"}
-
 // setupCache installs the destination-locality route cache a RouteCache
 // element declares: its eviction scheme, its size, and a cache section in the
 // report. The cache only accelerates — the core invalidates it on every
@@ -770,7 +711,7 @@ func (c *compiler) setupCache(d *Decl) {
 	a := c.argsOf(d)
 	scheme := a.enum("scheme", routing.CacheLRU, routing.CacheSchemes...)
 	size := a.count("size", DefaultCacheSize)
-	a.finish(routeCacheArgNames...)
+	a.finish()
 	if !c.ok() {
 		return
 	}
@@ -785,9 +726,6 @@ func (c *compiler) setupCache(d *Decl) {
 	}
 	c.net.SetRouteCache(cache)
 }
-
-// switchArgNames is the accepted Switch argument set: none.
-var switchArgNames []string
 
 func (c *compiler) addSwitch(name string, pos Pos) {
 	if c.switches[name] {
@@ -821,11 +759,11 @@ func (c *compiler) linkChain(ch *Chain) {
 	rate, delay := cfg.LinkRate, cfg.PropDelay
 	var prof *sched.Profile
 	if len(ch.Attrs) > 0 {
-		a := c.argsOf(&Decl{Kind: "Link", KindPos: ch.Ends[0].Pos, Args: ch.Attrs})
+		a := c.attrsOf(classLink, ch.Ends[0].Pos, ch.Attrs)
 		rate = a.bitrate("rate", rate)
 		delay = a.duration("delay", delay)
-		p := c.profileOver(c.linkProfile(a), cfg.Profile)
-		a.finish(linkArgNames...)
+		p := c.linkProfile(a).apply(cfg.Profile)
+		a.finish()
 		prof = &p
 	}
 	for i := 0; i < len(ch.Ends)-1; i++ {
@@ -882,7 +820,7 @@ func (c *compiler) flowAt(n Name, at float64, dynamic bool, verb string) *SimFlo
 	if verb != "" {
 		wanted, context, stmt = "a flow", "in a "+verb, verb
 	}
-	if d, ok := c.decls[n.Text]; !ok || kindClass[d.Kind] != classFlow {
+	if d, ok := c.decls[n.Text]; !ok || classOf(d.Kind) != classFlow {
 		c.what(n, wanted, context)
 		return nil
 	}
@@ -929,14 +867,6 @@ func (c *compiler) allocID() uint32 {
 	return id
 }
 
-// flowArgNames is the accepted argument set of each flow kind, in
-// documentation order.
-var flowArgNames = map[string][]string{
-	"Guaranteed": {"path", "rate", "bucket"},
-	"Predicted":  {"path", "rate", "bucket", "delay", "loss", "class"},
-	"Datagram":   {"path"},
-}
-
 // flowDecl compiles a flow declaration. With dynamic false the request
 // happens now and a rejection is a compile error (a static scenario that
 // cannot be admitted is malformed). With dynamic true the request is
@@ -972,7 +902,7 @@ func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 			}
 			req.class = a.count("class", -1)
 		}
-		a.finish(flowArgNames[d.Kind]...)
+		a.finish()
 		if !c.ok() {
 			return
 		}
@@ -1001,9 +931,6 @@ func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 	}
 }
 
-// tcpArgNames is the accepted TCP argument set, in documentation order.
-var tcpArgNames = []string{"path", "start"}
-
 // tcpDecl compiles a TCP declaration. ACKs return along the reverse of the
 // path.
 func (c *compiler) tcpDecl(d *Decl) {
@@ -1027,7 +954,7 @@ func (c *compiler) tcpDecl(d *Decl) {
 		}
 	}
 	startAt := a.duration("start", 0)
-	a.finish(tcpArgNames...)
+	a.finish()
 	for _, n := range d.Names {
 		if !c.ok() {
 			return
@@ -1049,9 +976,6 @@ func (c *compiler) tcpDecl(d *Decl) {
 	}
 }
 
-// tokenBucketArgNames is the accepted TokenBucket argument set.
-var tokenBucketArgNames = []string{"rate", "depth"}
-
 // attachChain wires source -> [TokenBucket ->]* flow. With dynamic true the
 // chain lives in an at block: the source is built now but started at event
 // time — and only if the flow was actually admitted.
@@ -1068,7 +992,7 @@ func (c *compiler) attachChain(ch *Chain, at float64, dynamic bool) {
 	}
 	head := ch.Ends[0]
 	srcDecl, ok := c.decls[head.Text]
-	if !ok || kindClass[srcDecl.Kind] != classSource {
+	if !ok || classOf(srcDecl.Kind) != classSource {
 		c.what(head, "a traffic source or switch", "at the head of a chain")
 		return
 	}
@@ -1086,7 +1010,7 @@ func (c *compiler) attachChain(ch *Chain, at float64, dynamic bool) {
 	}
 	for _, mid := range ch.Ends[1 : len(ch.Ends)-1] {
 		fd, ok := c.decls[mid.Text]
-		if !ok || kindClass[fd.Kind] != classFilter {
+		if !ok || classOf(fd.Kind) != classFilter {
 			c.what(mid, "a TokenBucket", "in the middle of an attachment")
 			return
 		}
@@ -1101,9 +1025,17 @@ func (c *compiler) attachChain(ch *Chain, at float64, dynamic bool) {
 		a := c.argsOf(fd)
 		rate := a.pktRate("rate", 0)
 		depth := float64(a.count("depth", DefaultBucketPkt))
-		a.finish(tokenBucketArgNames...)
+		a.finish()
+		if !c.ok() {
+			return
+		}
 		if rate <= 0 {
 			c.failf(fd.KindPos, "TokenBucket requires a positive rate (packets/s)")
+			return
+		}
+		if depth == 0 {
+			pos, _ := a.given("depth")
+			c.failf(pos, "TokenBucket requires a depth of at least 1 packet")
 			return
 		}
 		pol := source.NewPoliced(src, rate, depth)
@@ -1116,14 +1048,6 @@ func (c *compiler) attachChain(ch *Chain, at float64, dynamic bool) {
 		return
 	}
 	c.startSource(src, srcDecl, flow, at, dynamic)
-}
-
-// sourceArgNames is the accepted argument set of each source kind, in
-// documentation order.
-var sourceArgNames = map[string][]string{
-	"Markov":  {"peak", "avg", "burst", "size", "start"},
-	"CBR":     {"rate", "size", "start"},
-	"Poisson": {"rate", "size", "start"},
 }
 
 // buildSource constructs the generator for one attachment. Class and
@@ -1143,12 +1067,16 @@ func (c *compiler) buildSource(d *Decl, n Name, flow *SimFlow) source.Source {
 	} else {
 		rate = a.pktRate("rate", 0)
 	}
-	a.finish(sourceArgNames[d.Kind]...)
+	a.finish()
 	switch {
 	case !c.ok():
 		return nil
 	case d.Kind == "Markov" && (avg <= 0 || peak <= avg):
 		c.failf(d.KindPos, "Markov needs 0 < avg < peak (got avg %v, peak %v)", avg, peak)
+		return nil
+	case d.Kind == "Markov" && burst < 1:
+		pos, _ := a.given("burst")
+		c.failf(pos, "Markov needs a mean burst of at least 1 packet")
 		return nil
 	case d.Kind != "Markov" && rate <= 0:
 		c.failf(d.KindPos, "%s requires a positive rate (packets/s)", d.Kind)

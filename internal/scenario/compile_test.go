@@ -173,7 +173,7 @@ a, b :: Switch
 a -> b
 f :: Predicted(rate 85kbps, bucket 50kbit, class 7, path a -> b)`, "rejected", "4:6"},
 		{"percentile range", "r :: Run(percentiles [200%])", "must be in", "1:23"},
-		{"bad sharing", "n :: Net(sharing lifo)", "one of: fifoplus, fifo, rr", "1:18"},
+		{"bad sharing", "a, b :: Switch\na -> b :: Link(sharing lifo)", "one of: fifoplus, fifo, rr", "2:24"},
 		{"targets mismatch", "n :: Net(classes 3, targets [32ms])", "lists 1 delays but classes is 3", "1:29"},
 		{"quota out of range", "n :: Net(quota 150%)", "must be a fraction in [0, 1)", "1:16"},
 		{"explicit zero buffer", "n :: Net(buffer 0)", "must be positive (omit the argument", "1:17"},
@@ -217,8 +217,7 @@ c -> g`
 
 func TestCompileSharingModes(t *testing.T) {
 	for _, mode := range []string{"fifoplus", "fifo", "rr"} {
-		src := strings.Replace(tinyScenario, "targets [32ms, 320ms]",
-			"targets [32ms, 320ms], sharing "+mode, 1)
+		src := strings.Replace(tinyScenario, "\nA -> B\n", "\nA -> B :: Link(sharing "+mode+")\n", 1)
 		if rep := mustCompile(t, src, Options{}).Run(); rep.Flows[0].Delivered == 0 {
 			t.Errorf("sharing %s: no packets delivered", mode)
 		}

@@ -42,9 +42,10 @@ func FuzzParseScenario(f *testing.F) {
 	})
 }
 
-// FuzzCompileScenario pushes parsed programs through semantic analysis and
-// network construction. Compile must reject bad programs with an error,
-// never a panic.
+// FuzzCompileScenario pushes parsed programs through semantic analysis,
+// network construction and half a simulated second. Compile must reject bad
+// programs with an error, and nothing may panic: a value that can only fail
+// mid-run (a Churn call's packet size) must fail at compile.
 func FuzzCompileScenario(f *testing.F) {
 	addLibrarySeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -69,8 +70,12 @@ func FuzzCompileScenario(f *testing.F) {
 			return
 		}
 		s, err := Compile(file, Options{Horizon: 0.5})
-		if err == nil && s == nil {
+		if err != nil {
+			return
+		}
+		if s == nil {
 			t.Fatal("nil sim with nil error")
 		}
+		s.Run()
 	})
 }

@@ -16,19 +16,10 @@ import (
 // draws its extra edges from a stream derived from (run seed, element
 // name), so a given (file, seed) pair always produces the same topology.
 
-// generatorArgNames is the accepted argument set of each generator kind, in
-// documentation order.
-var generatorArgNames = map[string][]string{
-	"Star":       {"leaves", "rate", "delay"},
-	"Dumbbell":   {"left", "right", "access", "bottleneck", "rate", "delay"},
-	"ParkingLot": {"hops", "rate", "delay"},
-	"Random":     {"nodes", "degree", "rate", "delay"},
-}
-
 func (c *compiler) generate(d *Decl) {
 	name := d.Names[0]
 	a := c.argsOf(d)
-	rate := a.bitrate("rate", c.net.Config().LinkRate)
+	rate := a.bitrate("rate", c.net.Config().LinkRate) // Dumbbell's row has none: access and bottleneck
 	delay := a.duration("delay", c.net.Config().PropDelay)
 	sub := func(role string) string { return name.Text + "." + role }
 	duplex := func(x, y string) {
@@ -38,7 +29,7 @@ func (c *compiler) generate(d *Decl) {
 	switch d.Kind {
 	case "Star":
 		leaves := a.count("leaves", 4)
-		a.finish(generatorArgNames[d.Kind]...)
+		a.finish()
 		if leaves < 1 {
 			c.failf(d.KindPos, "Star needs at least one leaf")
 			return
@@ -56,7 +47,7 @@ func (c *compiler) generate(d *Decl) {
 		right := a.count("right", 2)
 		access := a.bitrate("access", rate)
 		bottleneck := a.bitrate("bottleneck", rate)
-		a.finish(generatorArgNames[d.Kind]...)
+		a.finish()
 		if left < 1 || right < 1 {
 			c.failf(d.KindPos, "Dumbbell needs at least one switch on each side")
 			return
@@ -81,7 +72,7 @@ func (c *compiler) generate(d *Decl) {
 
 	case "ParkingLot":
 		hops := a.count("hops", 4)
-		a.finish(generatorArgNames[d.Kind]...)
+		a.finish()
 		if hops < 1 {
 			c.failf(d.KindPos, "ParkingLot needs at least one hop")
 			return
@@ -99,7 +90,7 @@ func (c *compiler) generate(d *Decl) {
 	case "Random":
 		nodes := a.count("nodes", 8)
 		degree := a.count("degree", 3)
-		a.finish(generatorArgNames[d.Kind]...)
+		a.finish()
 		if nodes < 3 {
 			c.failf(d.KindPos, "Random needs at least 3 nodes")
 			return

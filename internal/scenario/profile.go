@@ -1,10 +1,6 @@
 package scenario
 
-import (
-	"fmt"
-
-	"ispn/internal/sched"
-)
+import "ispn/internal/sched"
 
 // Per-link scheduling profiles in the .ispn grammar. A link chain (static or
 // inside an at block) may carry profile arguments next to rate/delay:
@@ -12,17 +8,11 @@ import (
 //	core1 -> core2 :: Link(rate 1Mbps, sched wfq)
 //	s3 -> s4 :: Link(sharing fifo, targets [32ms, 320ms], quota 5%)
 //
-// Net takes the same profile arguments, applied over sched.Profile{}: that is
-// the network default profile. Static links build their pipeline from it
-// with the given fields overridden; inside an at block the same arguments
-// become a live profile swap, merged over the link's *current* profile at
-// event time (renew-style: give only what changes).
-
-// profileArgNames are the scheduling-profile arguments Net and Link share.
-var profileArgNames = []string{"sched", "sharing", "classes", "targets", "quota"}
-
-// linkArgNames is the accepted Link argument set, in documentation order.
-var linkArgNames = append([]string{"rate", "delay"}, profileArgNames...)
+// Net's targets and quota, applied over sched.Profile{}, are the network
+// default profile. Static links build their pipeline from it with the given
+// fields overridden; inside an at block the same arguments become a live
+// profile swap, merged over the link's *current* profile at event time
+// (renew-style: give only what changes).
 
 // profPatch is a partial scheduling profile: the profile arguments that were
 // actually written, ready to be applied over a base profile.
@@ -33,12 +23,6 @@ type profPatch struct {
 	targets    []float64
 	quota      float64
 	quotaSet   bool
-	// classes, when classesSet, is a declared class count that apply
-	// checks against the base's targets (a written targets list is checked
-	// against it at once).
-	classes    int
-	classesSet bool
-	classesPos Pos
 }
 
 // any reports whether the patch changes anything.
@@ -47,9 +31,8 @@ func (p profPatch) any() bool {
 }
 
 // apply overlays the patch on base and returns the resulting normalized
-// profile, or an error when a declared classes count does not match its
-// targets.
-func (p profPatch) apply(base sched.Profile) (sched.Profile, error) {
+// profile.
+func (p profPatch) apply(base sched.Profile) sched.Profile {
 	out := base
 	if p.kind != "" {
 		out.Kind = p.kind
@@ -63,20 +46,14 @@ func (p profPatch) apply(base sched.Profile) (sched.Profile, error) {
 	if p.quotaSet {
 		out.DatagramQuota = p.quota
 	}
-	out = out.Normalize()
-	if p.classesSet && p.classes != out.Classes() {
-		return out, fmt.Errorf("classes needs a matching targets list: classes is %d, the profile has %d targets", p.classes, out.Classes())
-	}
-	return out, nil
+	return out.Normalize()
 }
 
 // linkProfile consumes the scheduling-profile arguments of a Net or Link
-// argument set, validating each with the argument's position: the
-// discipline name against the sched pipeline registry, the sharing mode,
-// targets as positive durations, the quota as a fraction below 1 (an
-// explicit 0 means "no datagram reservation"), and a classes count against
-// a written targets list. classes never generates targets; without a
-// targets list apply checks it against the base profile's.
+// argument set (those its row accepts), validating each with the argument's
+// position: the discipline name against the sched pipeline registry, the
+// sharing mode, targets as positive durations, and the quota as a fraction
+// below 1 (an explicit 0 means "no datagram reservation").
 func (c *compiler) linkProfile(a *argSet) profPatch {
 	var p profPatch
 	p.kind = a.enum("sched", "", sched.PipelineKinds()...)
@@ -89,7 +66,7 @@ func (c *compiler) linkProfile(a *argSet) profPatch {
 			p.sharing = sched.SharingRoundRobin
 		}
 	}
-	targetsPos, targetsGiven := a.given("targets")
+	targetsPos, _ := a.given("targets")
 	p.targets = a.durList("targets", nil)
 	for _, d := range p.targets {
 		if d <= 0 {
@@ -109,23 +86,5 @@ func (c *compiler) linkProfile(a *argSet) profPatch {
 			p.quota = sched.NoDatagramQuota
 		}
 	}
-	if pos, ok := a.given("classes"); ok {
-		classes := a.count("classes", 0)
-		if targetsGiven && classes != len(p.targets) {
-			c.failf(targetsPos, "targets lists %d delays but classes is %d", len(p.targets), classes)
-			return p
-		}
-		p.classes, p.classesSet, p.classesPos = classes, true, pos
-	}
 	return p
-}
-
-// profileOver applies a compile-time patch (Net's, or a static link's) over
-// base, reporting a classes mismatch at the classes argument.
-func (c *compiler) profileOver(p profPatch, base sched.Profile) sched.Profile {
-	out, err := p.apply(base)
-	if err != nil {
-		c.failf(p.classesPos, "%v", err)
-	}
-	return out
 }

@@ -44,27 +44,6 @@ a -> b :: Link(targets [32kbit, 320ms])`,
 			wantText: `argument "targets" must be a duration`,
 		},
 		{
-			name: "targets classes mismatch",
-			src: `a, b :: Switch
-a -> b :: Link(classes 3, targets [32ms, 320ms])`,
-			wantPos:  "2:35",
-			wantText: "targets lists 2 delays but classes is 3",
-		},
-		{
-			name: "classes without targets",
-			src: `a, b :: Switch
-a -> b :: Link(classes 3)`,
-			wantPos:  "2:24",
-			wantText: "classes needs a matching targets list",
-		},
-		{
-			name: "classes wrong dimension",
-			src: `a, b :: Switch
-a -> b :: Link(classes 2ms, targets [32ms, 320ms])`,
-			wantPos:  "2:24",
-			wantText: `argument "classes" must be a bare number`,
-		},
-		{
 			name: "unknown sharing",
 			src: `a, b :: Switch
 a -> b :: Link(sharing lifo)`,
@@ -123,16 +102,6 @@ a -> b`,
 			src:      `n :: Net(classes 3)`,
 			wantPos:  "1:18",
 			wantText: "classes needs a matching targets list: classes is 3, the profile has 2 targets",
-		},
-		{
-			// classes 2 checks out on a 2-class hop; the next diagnostic is
-			// the flow asking for a third class.
-			name: "Link classes matching the hop",
-			src: `a, b :: Switch
-a -> b :: Link(classes 2)
-f :: Predicted(rate 85kbps, class 2, path a -> b)`,
-			wantPos:  "3:6",
-			wantText: "class 2 out of range (2 classes on this path)",
 		},
 	}
 	for _, tc := range cases {
@@ -328,7 +297,7 @@ run :: Run(seed 3, horizon 10s)
 	}
 }
 
-// TestNetProfileIsDefaultLink: Net's profile arguments are the default
+// TestNetProfileIsDefaultLink: Net's targets and quota are the default
 // Link(...). A plain link under Net(args) and Link(args) under a bare Net
 // get the same port profile and print the same report.
 func TestNetProfileIsDefaultLink(t *testing.T) {
@@ -347,13 +316,9 @@ ds -> d
 r :: Run(seed 5, horizon 3s)
 `
 	for _, args := range []string{
-		"sched wfq",
-		"sched virtualclock, quota 0%",
-		"sharing rr",
-		"sharing fifo, quota 25%",
+		"quota 25%",
 		"targets [10ms, 100ms, 1s]",
-		"classes 2",
-		"classes 1, targets [50ms]",
+		"targets [50ms], quota 0%",
 	} {
 		viaNet := mustCompile(t, "n :: Net("+args+")"+fmt.Sprintf(body, ""), Options{})
 		viaLink := mustCompile(t, "n :: Net"+fmt.Sprintf(body, " :: Link("+args+")"), Options{})
@@ -364,24 +329,5 @@ r :: Run(seed 5, horizon 3s)
 		if a, b := viaNet.Run().Format(), viaLink.Run().Format(); a != b {
 			t.Errorf("%s: reports differ: %s", args, firstDiff(a, b))
 		}
-	}
-}
-
-// TestLinkEventClassesCheckedAtEventTime: an at-block classes count without
-// targets is checked against the link's profile when the event fires, and a
-// mismatch is a warning that leaves the profile alone.
-func TestLinkEventClassesCheckedAtEventTime(t *testing.T) {
-	s := mustCompile(t, `
-a, b :: Switch
-a -> b :: Link(targets [10ms, 100ms, 1s])
-r :: Run(horizon 2s)
-at 1s { a -> b :: Link(classes 2, sharing fifo) }`, Options{})
-	rep := s.Run()
-	want := "at 1s: link a->b: classes needs a matching targets list: classes is 2, the profile has 3 targets"
-	if len(rep.Warnings) != 1 || rep.Warnings[0] != want {
-		t.Fatalf("warnings = %q, want [%q]", rep.Warnings, want)
-	}
-	if p, _ := s.Net.LinkProfile("a", "b"); p.Sharing != sched.SharingFIFOPlus {
-		t.Errorf("refused swap changed sharing to %v", p.Sharing)
 	}
 }

@@ -58,7 +58,7 @@ func (r *flowReq) issue(net *core.Network) (*core.Flow, error) {
 // eventBlock lowers one "at" block: every statement becomes one simEvent at
 // the block's time.
 func (c *compiler) eventBlock(b *EventBlock) {
-	at := c.argsOf(&Decl{Kind: "at", KindPos: b.AtPos, Args: []Arg{{Name: "at", Value: b.At}}}).duration("at", -1)
+	at := c.number(b.At, dimTime, "at")
 	if !c.ok() {
 		return
 	}
@@ -95,12 +95,9 @@ func (c *compiler) eventBlock(b *EventBlock) {
 		}
 		switch {
 		case st.Decl != nil:
-			switch kindClass[st.Decl.Kind] {
-			case classFlow:
+			if classOf(st.Decl.Kind) == classFlow {
 				c.flowDecl(st.Decl, at, true)
-			case classSource, classFilter:
-				// Built when an attachment chain uses them.
-			}
+			} // sources and filters are built when a chain uses them
 		case st.Chain != nil:
 			if c.isLinkChain(st.Chain) {
 				c.linkEvent(st.Chain, at)
@@ -113,10 +110,6 @@ func (c *compiler) eventBlock(b *EventBlock) {
 	}
 }
 
-// linkEventArgNames is the accepted argument set of a Link(...) inside an
-// at block: Link's, less the propagation delay, which is fixed at compile.
-var linkEventArgNames = append([]string{"rate"}, profileArgNames...)
-
 // linkEvent compiles a switch->switch chain inside an at block: it modifies
 // existing links (rate and/or the scheduling profile) rather than creating
 // new ones — the topology itself is static. Profile arguments
@@ -128,10 +121,10 @@ func (c *compiler) linkEvent(ch *Chain, at float64) {
 		c.failf(ch.Ends[0].Pos, "a link chain in an at block must carry :: Link(rate ..., sched ...) — topology cannot grow mid-run")
 		return
 	}
-	a := c.argsOf(&Decl{Kind: "Link", KindPos: ch.Ends[0].Pos, Args: ch.Attrs})
+	a := c.attrsOf(classLinkEvent, ch.Ends[0].Pos, ch.Attrs)
 	rate := a.bitrate("rate", 0)
 	patch := c.linkProfile(a)
-	a.finish(linkEventArgNames...)
+	a.finish()
 	if !c.ok() {
 		return
 	}
@@ -152,11 +145,7 @@ func (c *compiler) linkEvent(ch *Chain, at float64) {
 		if err != nil {
 			return err
 		}
-		prof, err := patch.apply(base)
-		if err != nil {
-			return fmt.Errorf("link %s->%s: %v", from, to, err)
-		}
-		return n.SetLinkProfile(from, to, prof)
+		return n.SetLinkProfile(from, to, patch.apply(base))
 	})
 }
 
@@ -255,9 +244,9 @@ func (c *compiler) eventOp(op *EventOp, at float64) {
 		if sf == nil {
 			return
 		}
-		a := c.argsOf(&Decl{Kind: "renew", KindPos: op.VerbPos, Args: op.Args})
+		a := c.attrsOf(classRenew, op.VerbPos, op.Args)
 		rate := a.bitrate("rate", 0)
-		a.finish(renewArgNames...)
+		a.finish()
 		if !c.ok() {
 			return
 		}
@@ -325,9 +314,6 @@ func (s *Sim) removeFlow(sf *SimFlow) {
 		s.noteDeparture(s.Net.Engine().Now())
 	}
 }
-
-// renewArgNames is the accepted renew argument set.
-var renewArgNames = []string{"rate"}
 
 // renewFlow changes a guaranteed flow's clock rate. A refusal counts as a
 // rejected request; the old rate stays in force.
@@ -418,7 +404,6 @@ type churnRun struct {
 	hold    float64 // mean holding time, seconds
 	service string  // Predicted / Datagram
 	p       core.PredictedSpec
-	srcKind string // cbr / poisson
 	pps     float64
 	size    int
 	paths   [][]string
@@ -467,22 +452,16 @@ func (m *callMeter) Add(q float64) {
 	m.all.Add(q)
 }
 
-// churnCall is an admitted call until it departs: its flow, and its source
-// and the source's random stream held by value. After the departure nothing
-// names it but its source's last pending tick, and nothing names its Flow
-// but the packets still in flight.
+// churnCall is an admitted call until it departs: its flow, and its CBR
+// source and the source's random stream held by value. After the departure
+// nothing names it but its source's last pending tick, and nothing names its
+// Flow but the packets still in flight.
 type churnCall struct {
-	flow    *core.Flow
-	live    int           // index in churnRun.live
-	src     source.Source // &cbr or &poisson
-	cbr     source.CBR
-	poisson source.Poisson
-	rng     sim.RNG
+	flow *core.Flow
+	live int // index in churnRun.live
+	cbr  source.CBR
+	rng  sim.RNG
 }
-
-// churnArgNames is the accepted Churn argument set, in documentation order.
-var churnArgNames = []string{"every", "hold", "service", "rate", "bucket", "delay",
-	"pps", "size", "src", "paths", "from", "to", "locality"}
 
 // churnDecl compiles a Churn element.
 func (c *compiler) churnDecl(d *Decl) {
@@ -492,7 +471,6 @@ func (c *compiler) churnDecl(d *Decl) {
 		every:   a.duration("every", 0),
 		hold:    a.duration("hold", 0),
 		service: a.enum("service", "predicted", "predicted", "datagram"),
-		srcKind: a.enum("src", "poisson", "poisson", "cbr"),
 		pps:     a.pktRate("pps", 0),
 		size:    int(a.bits("size", DefaultPktBits)),
 	}
@@ -503,12 +481,13 @@ func (c *compiler) churnDecl(d *Decl) {
 		Delay:      a.duration("delay", 0.5),
 		Loss:       0.01,
 	}
+	a.enum("src", "cbr", "cbr") // each call's source: the one process a workload writes
 	pathLists := a.pathList("paths")
 	from, fromGiven := a.identName("from")
 	dests := a.nameList("to")
 	locality := a.plain("locality", 1)
 	localityPos, localityGiven := a.given("locality")
-	a.finish(churnArgNames...)
+	a.finish()
 	if !c.ok() {
 		return
 	}
@@ -531,6 +510,11 @@ func (c *compiler) churnDecl(d *Decl) {
 	}
 	if ch.pps <= 0 {
 		c.failf(d.KindPos, "Churn requires a positive per-flow packet rate (pps 64pps)")
+		return
+	}
+	if ch.size <= 0 {
+		pos, _ := a.given("size")
+		c.failf(pos, "Churn requires a positive packet size, got %d bits", ch.size)
 		return
 	}
 	// Two routing modes: explicit paths or destination locality
@@ -651,17 +635,9 @@ func (ch *churnRun) doArrival(s *Sim) {
 	call := &churnCall{flow: f, live: len(ch.live)}
 	ch.live = append(ch.live, call)
 	call.rng.Init(ch.streams.SeedOf(ch.arrivals))
-	if ch.srcKind == "cbr" {
-		call.cbr.Init(source.CBRConfig{SizeBits: ch.size, Rate: ch.pps, RNG: &call.rng})
-		call.cbr.SetPool(f.IngressPool())
-		call.cbr.StartTo(f.IngressEngine(), f)
-		call.src = &call.cbr
-	} else {
-		call.poisson.Init(source.PoissonConfig{SizeBits: ch.size, Rate: ch.pps, RNG: &call.rng})
-		call.poisson.SetPool(f.IngressPool())
-		call.poisson.StartTo(f.IngressEngine(), f)
-		call.src = &call.poisson
-	}
+	call.cbr.Init(source.CBRConfig{SizeBits: ch.size, Rate: ch.pps, RNG: &call.rng})
+	call.cbr.SetPool(f.IngressPool())
+	call.cbr.StartTo(f.IngressEngine(), f)
 	eng.AtCallKeyed(now+holdFor, sim.KeyControl, ch.depart, call)
 }
 
@@ -669,7 +645,7 @@ func (ch *churnRun) doArrival(s *Sim) {
 // it, and it leaves the live set.
 func (ch *churnRun) departCall(arg any) {
 	call := arg.(*churnCall)
-	source.StopSource(call.src)
+	call.cbr.Stop()
 	last := ch.live[len(ch.live)-1]
 	ch.live[call.live], last.live = last, call.live
 	ch.live[len(ch.live)-1] = nil

@@ -433,7 +433,7 @@ run :: Run(seed 7, horizon 30s)
 A, B, C :: Switch
 A -> B; B -> C
 calls :: Churn(every 400ms, hold 2s, rate 50kbps,
-               pps 50pps, size 1000bit, src poisson, paths [A -> B -> C])
+               pps 50pps, size 1000bit, src cbr, paths [A -> B -> C])
 `)
 	ch := rep.Churns[0]
 	if ch.Admitted == 0 || ch.Departed == 0 {

@@ -411,6 +411,49 @@ func TestCrossShardTCPInjectionIsRefused(t *testing.T) {
 	}
 }
 
+// TestZeroDepthTokenBucketInjectionIsRefused injects a TokenBucket of depth
+// 0. Compiling it used to panic in tokenbucket.New on the session actor,
+// which has no recover, and take the server down. It is a positioned 422
+// now: the session it was sent to runs on to its horizon as if nothing was
+// sent, and its neighbour's report is byte-identical to the batch run.
+func TestZeroDepthTokenBucketInjectionIsRefused(t *testing.T) {
+	f, err := scenario.Parse("tb.ispn", []byte(smallSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := scenario.Compile(f, scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := sim.Run().Format()
+
+	ts, _ := newTestServer(t)
+	var victim, neighbour status
+	for _, st := range []*status{&victim, &neighbour} {
+		if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: smallSrc, Name: "tb", Paused: true}, st); code != http.StatusCreated {
+			t.Fatalf("create: %d", code)
+		}
+	}
+	var e map[string]string
+	if code := call(t, "POST", ts.URL+"/sessions/"+victim.ID+"/events",
+		"at 1s {\n  c2 :: CBR(rate 10pps)\n  tb :: TokenBucket(rate 10pps, depth 0)\n  c2 -> tb -> d\n}", &e); code != http.StatusUnprocessableEntity {
+		t.Fatalf("inject: status %d, error %q", code, e["error"])
+	}
+	if want := victim.ID + "-inject-1.ispn:3:39: TokenBucket requires a depth of at least 1 packet"; !strings.Contains(e["error"], want) {
+		t.Errorf("inject error %q, want %q", e["error"], want)
+	}
+	call(t, "POST", ts.URL+"/sessions/"+victim.ID, map[string]string{"action": "resume"}, nil)
+	waitSimTime(t, ts.URL, victim.ID, 1)
+	for _, st := range []*status{&victim, &neighbour} {
+		if code := call(t, "POST", ts.URL+"/sessions/"+st.ID, map[string]string{"action": "finish"}, st); code != http.StatusOK || st.State != "done" {
+			t.Fatalf("finish %s: %d, state %q", st.ID, code, st.State)
+		}
+		if code, served := text(t, ts.URL+"/sessions/"+st.ID+"/report"); code != http.StatusOK || served != batch {
+			t.Errorf("session %s report (%d) differs from batch: %s", st.ID, code, firstDiff(batch, served))
+		}
+	}
+}
+
 // waitSimTime polls status until the simulation clock reaches tmin.
 func waitSimTime(t *testing.T, base, id string, tmin float64) {
 	t.Helper()

@@ -22,9 +22,15 @@ package scenario
 // Churn argument no workload writes, which the census must report.
 func zzUnreachedTeeth(ch *churnRun) { ch.pps *= 2 }
 GO
-sed -i 's/^\ta\.finish(churnArgNames\.\.\.)$/\tif _, ok := a.given("zzteeth"); ok { zzUnreachedTeeth(ch) }; a.finish(append(churnArgNames, "zzteeth")...)/' "$tmp/internal/scenario/timeline.go"
-if ! grep -q 'zzUnreachedTeeth(ch)' "$tmp/internal/scenario/timeline.go"; then
-	echo "unreached-teeth: FAIL — could not plant the argument: churnDecl no longer ends with a.finish(churnArgNames...)" >&2
+# The argument is planted the way a real one is added: a name in Churn's row
+# of the element table, and its effect where churnDecl reads the arguments.
+sed -i 's/"from", "to", "locality"}}/"from", "to", "locality", "zzteeth"}}/' "$tmp/internal/scenario/elements.go"
+churn="$(grep -l '^	a\.enum("src", ' "$tmp"/internal/scenario/*.go || true)"
+if [ -n "$churn" ]; then
+	sed -i '/^	a\.enum("src", /a\	if _, ok := a.given("zzteeth"); ok {\n\t\tzzUnreachedTeeth(ch)\n\t}' "$churn"
+fi
+if ! grep -q '"locality", "zzteeth"}}' "$tmp/internal/scenario/elements.go" || [ -z "$churn" ] || ! grep -q 'zzUnreachedTeeth(ch)' "$churn"; then
+	echo "unreached-teeth: FAIL — could not plant the argument: Churn's element row no longer ends with \"locality\"}}, or churnDecl no longer reads a.enum(\"src\", ...)" >&2
 	exit 1
 fi
 cat > "$tmp/internal/queue/zz_unreached_teeth_seeded.go" <<'GO'
