@@ -1,6 +1,9 @@
 package scenario
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // argSet gives the compiler typed, dimension-checked access to a
 // declaration's arguments, which are always named, under its row of the
@@ -13,20 +16,10 @@ type argSet struct {
 	elem *element
 }
 
-// accepts reports whether the row lists the argument.
-func (a *argSet) accepts(name string) bool {
-	for _, k := range a.elem.args {
-		if k == name {
-			return true
-		}
-	}
-	return false
-}
-
 // lookup finds a named argument the row accepts; finish reports the rest.
 func (a *argSet) lookup(name string) (Value, bool) {
 	for _, arg := range a.decl.Args {
-		if arg.Name == name && a.accepts(name) {
+		if arg.Name == name && slices.Contains(a.elem.args, name) {
 			return arg.Value, true
 		}
 	}
@@ -36,7 +29,7 @@ func (a *argSet) lookup(name string) (Value, bool) {
 // finish rejects arguments the row does not accept, and duplicates.
 func (a *argSet) finish() {
 	for i, arg := range a.decl.Args {
-		if !a.accepts(arg.Name) {
+		if !slices.Contains(a.elem.args, arg.Name) {
 			accepted := joinWords(a.elem.args)
 			if accepted == "" {
 				accepted = "none"

@@ -33,9 +33,9 @@ func (f Inject) Inject(p *packet.Packet) bool {
 	return true
 }
 
-// Source generates packets once started. CBR and Poisson, the generators a
-// churn call runs, also have StartTo: Start for any Target, so a caller
-// holding a Flow needs no closure around it.
+// Source generates packets once started. CBR, the generator a churn call
+// runs, also has StartTo: Start for any Target, so a caller holding a Flow
+// needs no closure around it.
 type Source interface {
 	// Start begins generation on the engine; packets are handed to
 	// inject with CreatedAt set.
@@ -273,17 +273,10 @@ type PoissonConfig struct {
 
 // NewPoisson builds a Poisson source.
 func NewPoisson(cfg PoissonConfig) *Poisson {
-	p := new(Poisson)
-	p.Init(cfg)
-	return p
-}
-
-// Init makes p, in place, the source NewPoisson(cfg) builds.
-func (p *Poisson) Init(cfg PoissonConfig) {
 	if cfg.Rate <= 0 || cfg.SizeBits <= 0 || cfg.RNG == nil {
 		panic("source: Poisson needs positive rate and size and an RNG")
 	}
-	*p = Poisson{
+	return &Poisson{
 		common: common{flowID: cfg.FlowID, class: cfg.Class, priority: cfg.Priority, sizeBits: cfg.SizeBits},
 		mean:   1 / cfg.Rate,
 		rng:    cfg.RNG,
@@ -291,11 +284,8 @@ func (p *Poisson) Init(cfg PoissonConfig) {
 }
 
 // Start implements Source.
-func (p *Poisson) Start(eng *sim.Engine, inject Inject) { p.StartTo(eng, inject) }
-
-// StartTo is Start for any Target.
-func (p *Poisson) StartTo(eng *sim.Engine, to Target) {
-	p.eng, p.to = eng, to
+func (p *Poisson) Start(eng *sim.Engine, inject Inject) {
+	p.eng, p.to = eng, inject
 	eng.ScheduleCall(p.rng.Exp(p.mean), poissonTick, p)
 }
 
