@@ -25,10 +25,12 @@ import "math"
 //     KeyControl orders before every data and delivery key at one instant.
 //
 // Window safety: at a barrier at time T every clock equals T. Let m be the
-// minimum next event time across shards. Any cross-shard send is issued by
-// an event at some time u >= m and arrives at u + d >= m + L, so every shard
-// may run its events in [T, W) with W = min(nextControl, m + L, horizon)
-// without ever receiving into its past — whichever order the shards run in.
+// minimum next event time across shards. A cross-shard send is issued when
+// a transmission starts, by an event at some time u >= m, and arrives after
+// the packet's transmission time and the link's delay, at u + tx + d >=
+// m + L, so every shard may run its events in [T, W) with
+// W = min(nextControl, m + L, horizon) without ever receiving into its past
+// — whichever order the shards run in.
 // Windows are half-open (RunUntilBefore), leaving time-W events for after
 // the barrier, where control events at W are sequenced first by key.
 type Coordinator struct {

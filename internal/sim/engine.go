@@ -21,8 +21,17 @@
 // sifts down once ("replace-top"), so the common fire-and-reschedule step
 // costs one sift instead of two. Callback state lives in engine-owned nodes
 // allocated in stable blocks and recycled through a free list, and the
-// prebound ScheduleCall/AtCall form lets hot callers (one event per packet
-// transmission) schedule without constructing a closure.
+// prebound ScheduleCall/AtCall form lets hot callers (an event per
+// packet-hop) schedule without constructing a closure.
+//
+// A reserved slot (Reserve) is a position in that order with nothing on the
+// heap: it costs no event unless it is claimed (Claim), and Reached answers
+// whether the run has passed it. A port on a delayed link reserves the
+// instant its wire goes free and claims it only if a packet queues behind
+// the one on the wire, so a delayed hop is one event (the delivery) and a
+// backlog adds the wire-free event. The firing loop keeps the furthest
+// position it has run through for Reached; keeping it is the only cost a
+// run without slots pays.
 package sim
 
 import (
@@ -115,12 +124,26 @@ func (e Event) Cancelled() bool {
 	return e.n == nil || e.n.gen != e.gen || !e.n.pending
 }
 
+// Slot is a position in the engine's order — (time, key, insertion
+// counter), the one an event scheduled at Reserve's call would get — with
+// nothing on the heap. The zero Slot is always reached.
+type Slot struct {
+	tbits uint64
+	seq   uint64
+}
+
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // ready to use.
 type Engine struct {
 	now  float64
 	seq  uint64
 	heap []entry // 4-ary min-heap by (time, seq)
+	// reached is the furthest position the engine has run through: the
+	// largest fired, or the boundary a RunUntil or RunUntilBefore reached
+	// (seq all ones: every position at that time). It is a running max, not
+	// the position last fired, because an event inserted at the current
+	// instant under a smaller key fires after later-keyed ones did.
+	reached Slot
 	// hole reports that heap[0] is vacant: runThrough popped the root and
 	// left the slot for the callback's first insert (see fill).
 	hole      bool
@@ -166,7 +189,7 @@ func (e *Engine) At(t float64, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	n := e.insert(t, KeyData)
+	n := e.insert(t, e.position(KeyData))
 	n.fn = fn
 	return Event{n: n, gen: n.gen}
 }
@@ -181,7 +204,7 @@ func (e *Engine) AtControl(t float64, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	n := e.insert(t, KeyControl)
+	n := e.insert(t, e.position(KeyControl))
 	n.fn = fn
 	return Event{n: n, gen: n.gen}
 }
@@ -214,7 +237,7 @@ func (e *Engine) AtCallKeyed(t float64, key uint32, call func(any), arg any) {
 	if call == nil {
 		panic("sim: nil event function")
 	}
-	n := e.insert(t, key)
+	n := e.insert(t, e.position(key))
 	n.call = call
 	n.arg = arg
 }
@@ -224,25 +247,33 @@ func (e *Engine) nodeAt(ni uint32) *node {
 	return &e.blocks[ni/nodeBlockSize][ni%nodeBlockSize]
 }
 
-// insert takes a node from the free list (growing the slab if needed),
-// stamps it and pushes its heap entry keyed by (time, key, insertion
-// counter). A time not after the clock is clamped to it, which also maps -0
-// onto the (non-negative) clock and keeps every tbits in the domain where
-// bit order is time order; NaN panics. If runThrough left a hole at the
-// root, the entry takes it and sifts down; otherwise it is appended and
-// sifts up.
-func (e *Engine) insert(t float64, key uint32) *node {
-	if !(t > e.now) {
-		if math.IsNaN(t) {
-			panic("sim: NaN event time")
-		}
-		t = e.now
-	}
+// position returns the composite tie-break for key — the key above the
+// insertion counter — and advances the counter.
+func (e *Engine) position(key uint32) uint64 {
 	if key > maxKey {
 		panic("sim: ordering key out of range")
 	}
 	if e.seq >= 1<<seqBits {
 		panic("sim: insertion counter exhausted")
+	}
+	seq := uint64(key)<<seqBits | e.seq
+	e.seq++
+	return seq
+}
+
+// insert takes a node from the free list (growing the slab if needed),
+// stamps it and pushes its heap entry keyed by (time, seq), seq a
+// composite tie-break from position. A time not after the clock is clamped
+// to it, which also maps -0 onto the (non-negative) clock and keeps every
+// tbits in the domain where bit order is time order; NaN panics. If
+// runThrough left a hole at the root, the entry takes it and sifts down;
+// otherwise it is appended and sifts up.
+func (e *Engine) insert(t float64, seq uint64) *node {
+	if !(t > e.now) {
+		if math.IsNaN(t) {
+			panic("sim: NaN event time")
+		}
+		t = e.now
 	}
 	if len(e.free) == 0 {
 		blk := new([nodeBlockSize]node)
@@ -258,8 +289,7 @@ func (e *Engine) insert(t float64, key uint32) *node {
 	e.free[k] = nil
 	e.free = e.free[:k]
 	n.pending = true
-	it := entry{tbits: math.Float64bits(t), seq: uint64(key)<<seqBits | e.seq, ni: n.ni}
-	e.seq++
+	it := entry{tbits: math.Float64bits(t), seq: seq, ni: n.ni}
 	if e.hole {
 		e.hole = false
 		e.heap[0] = it
@@ -269,6 +299,42 @@ func (e *Engine) insert(t float64, key uint32) *node {
 		e.siftUp(len(e.heap) - 1)
 	}
 	return n
+}
+
+// Reserve takes the position an event at time t with ordering key would
+// get if scheduled now, and puts nothing on the heap. t must lie after the
+// clock: a position at the current instant could already lie behind the
+// run, so Reached could not answer for it. It panics otherwise, and on NaN.
+func (e *Engine) Reserve(t float64, key uint32) Slot {
+	if !(t > e.now) {
+		panic("sim: reserved slot not after the clock")
+	}
+	return Slot{tbits: math.Float64bits(t), seq: e.position(key)}
+}
+
+// Reached reports whether the engine has run through s's position: it
+// fired an event at or after it, or a RunUntil or RunUntilBefore boundary
+// passed it. A Run that empties the heap reaches only the last event it
+// fired.
+func (e *Engine) Reached(s Slot) bool {
+	r := &e.reached
+	return s.tbits < r.tbits || s.tbits == r.tbits && s.seq <= r.seq
+}
+
+// Claim puts call(arg) on the heap at s's position, so it fires exactly where
+// an event scheduled at the Reserve would have. A slot is claimed at most
+// once, and not after it is reached (which panics). Like ScheduleCall, the
+// event has no handle.
+func (e *Engine) Claim(s Slot, call func(any), arg any) {
+	if call == nil {
+		panic("sim: nil event function")
+	}
+	if e.Reached(s) {
+		panic("sim: claiming a reached slot")
+	}
+	n := e.insert(math.Float64frombits(s.tbits), s.seq)
+	n.call = call
+	n.arg = arg
 }
 
 // recycle returns a node to the free list, invalidating outstanding handles.
@@ -341,8 +407,14 @@ func (e *Engine) runThrough(through, t float64) {
 		// Pop the root by vacating it: the callback's first insert fills
 		// the hole, and fill closes one left unused.
 		e.hole = true
+		// An event at the current instant may lie behind the furthest
+		// position run through: it was inserted under a smaller key
+		// (reached.tbits <= the clock's bits, so != is <).
 		if tt > e.now {
 			e.now = tt
+			e.reached = Slot{tbits: top.tbits, seq: top.seq}
+		} else if top.tbits != e.reached.tbits || top.seq > e.reached.seq {
+			e.reached = Slot{tbits: top.tbits, seq: top.seq}
 		}
 		e.processed++
 		// Copy the callback out and recycle before invoking: the
@@ -358,7 +430,15 @@ func (e *Engine) runThrough(through, t float64) {
 		}
 	}
 	e.fill()
-	if !e.stopped && !math.IsInf(t, 1) && t > e.now {
+	if e.stopped || math.IsInf(t, 1) {
+		return
+	}
+	// Every position through the boundary has been passed (Abs maps a -0
+	// boundary onto the +0 clock).
+	if through >= math.Float64frombits(e.reached.tbits) {
+		e.reached = Slot{tbits: math.Float64bits(math.Abs(through)), seq: math.MaxUint64}
+	}
+	if t > e.now {
 		e.now = t
 	}
 }

@@ -206,6 +206,68 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// A reserved slot is reached once the run passes its position, including by
+// a run boundary, and stays reached for a control event at the same instant
+// that fires afterwards — injected between steps, or scheduled by a later
+// event. The event that fires last is then before the slot in key order, so
+// the answer cannot come from the current event's position.
+func TestSlotReached(t *testing.T) {
+	e := New()
+	if !e.Reached(Slot{}) {
+		t.Fatal("the zero Slot is not reached")
+	}
+	s := e.Reserve(1, KeyData)
+	after := e.Reserve(1, KeyDelivery)
+	var got []bool
+	note := func() { got = append(got, e.Reached(s), e.Reached(after)) }
+	e.At(1, func() {
+		note()
+		e.AtControl(1, note) // fires next, behind this event in key order
+	})
+	e.RunUntilBefore(1)
+	note()
+	e.RunUntil(1)
+	note()
+	e.AtControl(1, note) // injected between steps
+	e.RunUntil(2)
+	want := []bool{false, false, true, false, true, false, true, true, true, true}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Reached = %v, want %v", got, want)
+	}
+	if e.Processed() != 3 || e.Pending() != 0 {
+		t.Fatalf("processed %d, pending %d: a slot is not an event", e.Processed(), e.Pending())
+	}
+}
+
+// A claimed slot fires at the reserved position: after an event scheduled
+// for the same instant and key before the reserve, before one scheduled
+// after it.
+func TestSlotClaimFiresInPlace(t *testing.T) {
+	e := New()
+	var got []string
+	e.At(1, func() { got = append(got, "before") })
+	s := e.Reserve(1, KeyData)
+	e.At(1, func() { got = append(got, "after") })
+	e.Claim(s, func(any) { got = append(got, "slot") }, nil)
+	e.Run()
+	if fmt.Sprint(got) != "[before slot after]" {
+		t.Fatalf("order %v", got)
+	}
+	mustPanic(t, "claim a reached slot", func() { e.Claim(s, func(any) {}, nil) })
+	mustPanic(t, "reserve at the clock", func() { e.Reserve(e.Now(), KeyData) })
+	mustPanic(t, "reserve at NaN", func() { e.Reserve(math.NaN(), KeyData) })
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
 func TestProcessedCount(t *testing.T) {
 	e := New()
 	for i := 0; i < 5; i++ {

@@ -10,12 +10,13 @@ import (
 )
 
 // The differential order test: a byte string decodes into a program of
-// schedules, cancels, reads and run windows, and the program runs once on an
-// Engine and once on sortedModel, a slice searched linearly for the least
-// (time, key, insertion index). The two logs — every firing with its clock,
-// every Pending/NextEventTime read, the clock after every window — must be
-// equal. The engine's order is a strict total order, so any correct priority
-// queue produces the model's log exactly.
+// schedules, cancels, reserved slots and their claims, reads and run windows,
+// and the program runs once on an Engine and once on sortedModel, a slice
+// searched linearly for the least (time, key, insertion index). The two logs
+// — every firing with its clock and every slot's Reached, every
+// Pending/NextEventTime read, the clock and every slot's Reached after every
+// window — must be equal. The engine's order is a strict total order, so any
+// correct priority queue produces the model's log exactly.
 
 // orderAPI is the surface a program drives: an Engine or the model.
 type orderAPI interface {
@@ -30,11 +31,17 @@ type orderAPI interface {
 	runUntil(t float64)
 	runUntilBefore(t float64)
 	stop()
+	// reserve takes a slot at absolute time t (after the clock) and
+	// returns its handle; slot handles count from 0 in reserve order.
+	reserve(t float64, key uint32) int
+	reached(h int) bool
+	claim(h int, fn func())
 }
 
 type engineAPI struct {
-	e   *Engine
-	evs []Event
+	e     *Engine
+	evs   []Event
+	slots []Slot
 }
 
 func (a *engineAPI) now() float64 { return a.e.Now() }
@@ -62,23 +69,35 @@ func (a *engineAPI) next() float64            { return a.e.NextEventTime() }
 func (a *engineAPI) runUntil(t float64)       { a.e.RunUntil(t) }
 func (a *engineAPI) runUntilBefore(t float64) { a.e.RunUntilBefore(t) }
 func (a *engineAPI) stop()                    { a.e.Stop() }
+func (a *engineAPI) reached(h int) bool       { return a.e.Reached(a.slots[h]) }
+func (a *engineAPI) claim(h int, fn func())   { a.e.Claim(a.slots[h], func(any) { fn() }, nil) }
+
+func (a *engineAPI) reserve(t float64, key uint32) int {
+	a.slots = append(a.slots, a.e.Reserve(t, key))
+	return len(a.slots) - 1
+}
 
 // sortedModel is the reference: the engine's documented semantics with the
-// pending set kept as an unordered slice.
+// pending set kept as an unordered slice. A reserved slot is an entry of
+// that slice that only records it fired; claiming it gives it a callback.
+// Pending and NextEventTime do not see unclaimed slots, and a run with no
+// horizon stops when only they remain: it reaches the last event it fires.
 type sortedModel struct {
-	clock   float64
-	ins     uint64
-	handles int
-	stopped bool
-	pend    []modelEvent
+	clock    float64
+	ins      uint64
+	handles  int
+	stopped  bool
+	pend     []modelEvent
+	reachedB []bool // per slot handle
 }
 
 type modelEvent struct {
-	t   float64
-	key uint32
-	ins uint64
-	h   int
-	fn  func()
+	t    float64
+	key  uint32
+	ins  uint64
+	h    int
+	slot int    // slot handle, or -1 for a scheduled event
+	fn   func() // nil for an unclaimed slot
 }
 
 func (m *sortedModel) now() float64 { return m.clock }
@@ -105,9 +124,29 @@ func (m *sortedModel) schedule(kind int, x float64, key uint32, fn func()) int {
 		h = m.handles
 		m.handles++
 	}
-	m.pend = append(m.pend, modelEvent{t: t, key: key, ins: m.ins, h: h, fn: fn})
+	m.pend = append(m.pend, modelEvent{t: t, key: key, ins: m.ins, h: h, slot: -1, fn: fn})
 	m.ins++
 	return h
+}
+
+func (m *sortedModel) reserve(t float64, key uint32) int {
+	h := len(m.reachedB)
+	m.reachedB = append(m.reachedB, false)
+	m.pend = append(m.pend, modelEvent{t: t, key: key, ins: m.ins, h: -1, slot: h})
+	m.ins++
+	return h
+}
+
+func (m *sortedModel) reached(h int) bool { return m.reachedB[h] }
+
+func (m *sortedModel) claim(h int, fn func()) {
+	for i := range m.pend {
+		if m.pend[i].slot == h {
+			m.pend[i].fn = fn
+			return
+		}
+	}
+	panic("model: claiming a reached slot")
 }
 
 func (m *sortedModel) cancel(h int) {
@@ -119,13 +158,24 @@ func (m *sortedModel) cancel(h int) {
 	}
 }
 
-func (m *sortedModel) pending() int { return len(m.pend) }
+func (m *sortedModel) pending() int {
+	n := 0
+	for _, ev := range m.pend {
+		if ev.fn != nil {
+			n++
+		}
+	}
+	return n
+}
 
-// least returns the index of the first event in (time, key, insertion)
-// order, or -1.
-func (m *sortedModel) least() int {
+// least returns the index of the first entry in (time, key, insertion)
+// order — an unclaimed slot only if slots is set — or -1.
+func (m *sortedModel) least(slots bool) int {
 	best := -1
 	for i, ev := range m.pend {
+		if ev.fn == nil && !slots {
+			continue
+		}
 		if best < 0 {
 			best = i
 			continue
@@ -139,7 +189,7 @@ func (m *sortedModel) least() int {
 }
 
 func (m *sortedModel) next() float64 {
-	if i := m.least(); i >= 0 {
+	if i := m.least(false); i >= 0 {
 		return m.pend[i].t
 	}
 	return math.Inf(1)
@@ -148,12 +198,18 @@ func (m *sortedModel) next() float64 {
 func (m *sortedModel) runThrough(through, t float64) {
 	m.stopped = false
 	for !m.stopped {
-		i := m.least()
-		if i < 0 || m.pend[i].t > through {
+		i := m.least(true)
+		if i < 0 || m.pend[i].t > through || math.IsInf(through, 1) && m.pending() == 0 {
 			break
 		}
 		ev := m.pend[i]
 		m.pend = append(m.pend[:i], m.pend[i+1:]...)
+		if ev.slot >= 0 {
+			m.reachedB[ev.slot] = true
+		}
+		if ev.fn == nil {
+			continue
+		}
 		m.clock = math.Max(m.clock, ev.t)
 		ev.fn()
 	}
@@ -176,8 +232,9 @@ type orderProgram struct {
 	data    []byte
 	pos     int
 	api     orderAPI
-	handles []int // every cancel handle issued: pending, fired, cancelled
-	serial  int   // events scheduled so far (the budget)
+	handles []int  // every cancel handle issued: pending, fired, cancelled
+	claimed []bool // per slot handle
+	serial  int    // events scheduled or claimed so far (the budget)
 	log     strings.Builder
 }
 
@@ -228,11 +285,50 @@ func (p *orderProgram) scheduleOne() {
 	}
 }
 
-// fire is every event's callback: log the firing, then act on one byte —
-// read Pending/NextEventTime, cancel a handle (its own, or any issued),
-// schedule 0, 1 or 2 events, and perhaps Stop.
+// slotOne decodes one slot operation: reserve a slot a little after the
+// clock, or claim one the program has not claimed and the run has not
+// reached.
+func (p *orderProgram) slotOne() {
+	b := p.next()
+	if b&1 == 0 || len(p.claimed) == 0 {
+		d := 0.25 * float64(1+b>>4&3)
+		if b>>6 == 3 {
+			d = 0.1
+		}
+		p.api.reserve(p.api.now()+d, orderKeys[int(b>>1&7)%len(orderKeys)])
+		p.claimed = append(p.claimed, false)
+		return
+	}
+	h := int(b>>1) % len(p.claimed)
+	if p.claimed[h] || p.api.reached(h) || p.serial >= orderBudget {
+		return
+	}
+	p.claimed[h] = true
+	id := p.serial
+	p.serial++
+	p.api.claim(h, func() { p.fire(id, -1) })
+}
+
+// slotsReached logs Reached for every slot, in handle order.
+func (p *orderProgram) slotsReached() {
+	var b strings.Builder
+	for h := range p.claimed {
+		if p.api.reached(h) {
+			b.WriteByte('1')
+		} else {
+			b.WriteByte('0')
+		}
+	}
+	p.logf("r%s", b.String())
+}
+
+// fire is every event's callback: log the firing and every slot's Reached,
+// then act on one byte — read Pending/NextEventTime, cancel a handle (its
+// own, or any issued), schedule 0, 1 or 2 events, and perhaps reserve or
+// claim a slot, or Stop.
 func (p *orderProgram) fire(id, self int) {
 	p.logf("f%d@%s", id, ftoa(p.api.now()))
+	p.slotsReached()
 	c := p.next()
 	children := int(c % 3)
 	if p.serial+children > orderBudget {
@@ -254,7 +350,10 @@ func (p *orderProgram) fire(id, self int) {
 	if observe {
 		p.observe()
 	}
-	if c>>5 == 7 {
+	switch c >> 5 {
+	case 6:
+		p.slotOne()
+	case 7:
 		p.api.stop()
 	}
 }
@@ -290,9 +389,11 @@ func ftoa(f float64) string {
 func (p *orderProgram) run() string {
 	for p.pos < len(p.data) {
 		b := p.next()
-		switch b % 7 {
+		switch b % 9 {
 		case 0, 1, 2:
 			p.scheduleOne()
+		case 7, 8:
+			p.slotOne()
 		case 3:
 			p.cancelOne(-1)
 		case 4:
@@ -303,6 +404,7 @@ func (p *orderProgram) run() string {
 			p.api.runUntil(math.Inf(1))
 		}
 		p.logf("top %s", ftoa(p.api.now()))
+		p.slotsReached()
 		p.observe()
 	}
 	// Drain: Stop may have cut a run short, and the budget bounds the
@@ -311,6 +413,7 @@ func (p *orderProgram) run() string {
 		p.api.runUntil(math.Inf(1))
 	}
 	p.logf("end %s", ftoa(p.api.now()))
+	p.slotsReached()
 	return p.log.String()
 }
 

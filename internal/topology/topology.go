@@ -127,12 +127,13 @@ func (n *Network) AddLink(from, to string, s sched.Scheduler, bandwidth, propDel
 		limit:     DefaultBufferPackets,
 	}
 	n.ports = append(n.ports, p)
-	// Prebound event callbacks: the transmit-complete event is the hottest
-	// event in any run (one per packet-hop), so it is scheduled through
-	// the engine's closure-free ScheduleCall path with these two handlers
-	// allocated once per port.
+	// Prebound event callbacks: a packet-hop is one event — the
+	// transmit-complete on a zero-delay link, the delivery on a delayed
+	// one — so they are scheduled through the engine's closure-free
+	// ScheduleCall path with these handlers allocated once per port.
 	p.txDone = p.onTxDone
 	p.deliver = func(arg any) { p.dst.receive(arg.(*packet.Packet)) }
+	p.retry = p.onRetry
 	src.ports[to] = p
 	src.portOrder = append(src.portOrder, p)
 	return p
@@ -437,6 +438,21 @@ func (nd *Node) receive(p *packet.Packet) {
 
 // Port is the output side of a directed link: a scheduler, a buffer limit
 // and a transmitter.
+//
+// A link is a fixed delay line, so a packet's arrival at the far end is
+// known when its transmission starts: a port on a delayed link schedules the
+// delivery then, and the instant its wire goes free is only a reserved slot
+// in the engine's order (sim.Engine.Reserve). The slot becomes the
+// wire-free event — which starts the next transmission — only if a packet
+// is queued behind the one on the wire: at once if the queue is non-empty
+// when the transmission starts, or when a packet is enqueued before the run
+// reaches the slot (sim.Engine.Claim). Otherwise no event runs, and the
+// port is idle from the slot's instant on. A delayed hop is one event; a
+// backlog adds the wire-free event. The slot holds the position a wire-free
+// event scheduled at the transmission start would have, so same-instant
+// order does not depend on whether it is claimed. A zero-delay port keeps
+// one combined transmit-complete event that hands the packet over and
+// starts the next.
 type Port struct {
 	name       string
 	index      int
@@ -447,15 +463,22 @@ type Port struct {
 	propDelay  float64
 	down       bool
 	limit      int
-	qlen       int // mirrors sched.Len(), avoiding interface calls per packet
-	busy       bool
+	qlen       int  // mirrors sched.Len(), avoiding interface calls per packet
 	retryArmed bool // a wake-up is scheduled for a non-work-conserving scheduler
 	remote     bool // link crosses a shard boundary (set by ConfigureShards)
 
-	// txDone/deliver are the prebound transmit-complete and
-	// propagation-arrival event callbacks (see AddLink).
+	// txArmed reports that the transmit-complete (zero-delay) or wire-free
+	// event is on the heap; wire is the delayed port's wire-free slot,
+	// which keeps the port busy until the run reaches it (see busy).
+	txArmed bool
+	wire    sim.Slot
+
+	// txDone/deliver/retry are the prebound transmit-complete (or
+	// wire-free), propagation-arrival and eligibility-retry event
+	// callbacks (see AddLink).
 	txDone  func(any)
 	deliver func(any)
+	retry   func(any)
 
 	// DiscardOffset, if positive, drops packets whose accumulated
 	// jitter offset exceeds it at dequeue time — the Section 10 "late
@@ -583,7 +606,7 @@ func (pt *Port) SetDown(down bool) {
 		pt.flush()
 		return
 	}
-	if !pt.busy && pt.sched.Len() > 0 {
+	if !pt.busy() && pt.sched.Len() > 0 {
 		pt.transmitNext()
 	}
 }
@@ -656,7 +679,8 @@ func (pt *Port) TotalUtilization(now float64) float64 {
 }
 
 func (pt *Port) enqueue(p *packet.Packet) {
-	now := pt.node.eng.Now()
+	eng := pt.node.eng
+	now := eng.Now()
 	pt.counter.Total++
 	if pt.down {
 		pt.counter.Dropped++
@@ -690,10 +714,21 @@ func (pt *Port) enqueue(p *packet.Packet) {
 	pt.qlen++
 	p.ArrivedAt = now
 	pt.sched.Enqueue(p, now)
-	if !pt.busy {
+	switch {
+	case pt.txArmed:
+		// The wire-free event will send it.
+	case !eng.Reached(pt.wire):
+		// The first packet queued behind the one on the wire: the
+		// wire-free instant becomes an event.
+		pt.txArmed = true
+		eng.Claim(pt.wire, pt.txDone, nil)
+	default:
 		pt.transmitNext()
 	}
 }
+
+// busy reports whether a packet is still being serialized onto the link.
+func (pt *Port) busy() bool { return pt.txArmed || !pt.node.eng.Reached(pt.wire) }
 
 // scheduleRetry arms a wake-up for schedulers that hold packets (see
 // sched.NonWorkConserving): the scheduler is non-empty but nothing is
@@ -711,21 +746,26 @@ func (pt *Port) scheduleRetry(now float64) {
 		return
 	}
 	pt.retryArmed = true
-	//ispnvet:allow keyedevents: port-local self-tick on the port's own engine at the scheduler's eligibility instant; converting to a keyed or relative form would perturb the published timing of non-work-conserving schedules
-	pt.node.eng.At(t, func() {
-		pt.retryArmed = false
-		if !pt.busy {
-			pt.transmitNext()
-		}
-	})
+	pt.node.eng.AtCallKeyed(t, sim.KeyData, pt.retry, nil)
 }
 
+// onRetry is the eligibility wake-up scheduleRetry arms.
+func (pt *Port) onRetry(any) {
+	pt.retryArmed = false
+	if !pt.busy() {
+		pt.transmitNext()
+	}
+}
+
+// transmitNext starts the next transmission on an idle port: the scheduler's
+// next packet goes on the wire, and the port arranges to be woken when the
+// wire goes free — by its transmit-complete event on a zero-delay link, and
+// on a delayed one by the wire-free slot (see Port).
 func (pt *Port) transmitNext() {
 	if pt.down {
 		// A retry event armed before the failure (or a scheduler swap
 		// while down) must not put packets on a dead wire; restore
 		// re-arms service.
-		pt.busy = false
 		return
 	}
 	eng := pt.node.eng
@@ -734,7 +774,6 @@ func (pt *Port) transmitNext() {
 	for {
 		p = pt.sched.Dequeue(now)
 		if p == nil {
-			pt.busy = false
 			pt.scheduleRetry(now)
 			return
 		}
@@ -749,32 +788,48 @@ func (pt *Port) transmitNext() {
 		}
 		break
 	}
-	pt.busy = true
 	tx := float64(p.Size) / pt.bandwidth
 	pt.txBits += int64(p.Size)
 	pt.txPkts++
 	for _, fn := range pt.onTx {
 		fn(p, now)
 	}
-	eng.ScheduleCall(tx, pt.txDone, p)
+	if pt.propDelay <= 0 {
+		pt.txArmed = true
+		eng.ScheduleCall(tx, pt.txDone, p)
+		return
+	}
+	// The packet is on the wire: its last bit leaves at free and reaches
+	// the far end the propagation delay later.
+	//
+	// Propagation deliveries are keyed by the port index (sim.KeyDelivery
+	// + Index) in sharded AND sequential mode, so same-instant deliveries
+	// fire in global port order regardless of which engine scheduled them
+	// — the tie-break that makes sharded runs bit-identical. A remote port
+	// schedules the delivery on the destination shard's engine: the arrival
+	// lies at or beyond the end of the current window (tx + propDelay >=
+	// lookahead), so it is never in the receiver's past.
+	p.Hops++
+	free := now + tx
+	pt.dst.eng.AtCallKeyed(free+pt.propDelay, sim.KeyDelivery+uint32(pt.index), pt.deliver, p)
+	if pt.qlen > 0 || !(free > now) {
+		// A backlog waits for the wire, or a zero-length transmission
+		// frees it at this instant (a slot must lie after the clock).
+		pt.txArmed = true
+		eng.ScheduleCall(tx, pt.txDone, nil)
+		return
+	}
+	pt.wire = eng.Reserve(free, sim.KeyData)
 }
 
-// onTxDone fires when a packet finishes serialization onto the link: hand
-// it to the far end (after propagation, if any) and start the next one.
-//
-// Propagation deliveries are keyed by the port index (sim.KeyDelivery +
-// Index) in sharded AND sequential mode, so same-instant deliveries fire in
-// global port order regardless of which engine scheduled them — the
-// tie-break that makes sharded runs bit-identical. A remote port schedules
-// the delivery on the destination shard's engine: the arrival lies at or
-// beyond the end of the current window (propDelay >= lookahead), so it is
-// never in the receiver's past.
+// onTxDone fires when the wire goes free: on a zero-delay link it carries
+// the packet, which reaches the far end now; on a delayed one the packet's
+// delivery is already scheduled (transmitNext) and arg is nil. Either way
+// it starts the next transmission.
 func (pt *Port) onTxDone(arg any) {
-	p := arg.(*packet.Packet)
-	p.Hops++
-	if pt.propDelay > 0 {
-		pt.dst.eng.AtCallKeyed(pt.node.eng.Now()+pt.propDelay, sim.KeyDelivery+uint32(pt.index), pt.deliver, p)
-	} else {
+	pt.txArmed = false
+	if p, ok := arg.(*packet.Packet); ok {
+		p.Hops++
 		pt.dst.receive(p)
 	}
 	pt.transmitNext()
