@@ -28,18 +28,21 @@ build:
 
 # The dead-code gate, a workload census: build ispnsim, ispnvet, the examples
 # and the bench binary with coverage, run the workload set (scenario library,
-# every experiment, fuzz, serve-smoke, go vet with ispnvet, the five bench
-# workloads, the examples), and fail on any function that never ran, or that
-# scripts/listfuncs declares and no binary carries, unless
-# scripts/unreached.allow explains it; a stale entry fails too
-# (docs/TESTING.md). About 40 s on the 2-vCPU host with a warm build cache.
+# sequential and sharded, every experiment, fuzz, serve-smoke, go vet with
+# ispnvet, the five bench workloads, the examples), and fail on any function
+# that never ran, or that scripts/listfuncs declares and no binary carries,
+# unless scripts/unreached.allow explains it, and on any block that never ran
+# inside a function that did, other than an error exit, unless
+# scripts/unreached.blocks explains it; a stale entry in either fails too
+# (docs/TESTING.md). About 46 s on the 2-vCPU host with a warm build cache.
 unreached:
 	./scripts/unreached.sh
 
 # Prove the census has teeth: plant three functions no workload runs (a Churn
-# argument's effect, an uncalled method, a package no binary imports) and an
-# allow entry for a function every workload runs in a copy, and require all
-# four to be named (about 45 s).
+# argument's effect, an uncalled method, a package no binary imports), an
+# allow entry for a function every workload runs, a branch no workload takes
+# in scenario.Parse and a blocks entry for a block every parse runs, in a
+# copy, and require all six to be named (about 50 s).
 unreached-teeth:
 	./scripts/unreached-teeth.sh
 

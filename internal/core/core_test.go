@@ -107,6 +107,26 @@ func TestDuplicateFlowIDRejected(t *testing.T) {
 	}
 }
 
+// TestReservedFlowIDRefused: sched.Flow0ID names the pseudo flow every port
+// registers, so a request for it is refused for every class before
+// admission runs, and claims nothing.
+func TestReservedFlowIDRefused(t *testing.T) {
+	n := twoSwitch(Config{})
+	path := []string{"S1", "S2"}
+	if _, err := n.RequestGuaranteed(sched.Flow0ID, path, GuaranteedSpec{ClockRate: 8e5}); err == nil {
+		t.Error("reserved id accepted for guaranteed")
+	}
+	if _, err := n.RequestPredictedClass(sched.Flow0ID, path, 0, PredictedSpec{TokenRate: 1e5, BucketBits: 1e4, Delay: 1}); err == nil {
+		t.Error("reserved id accepted for predicted")
+	}
+	if _, err := n.AddDatagramFlow(sched.Flow0ID, path); err == nil {
+		t.Error("reserved id accepted for datagram")
+	}
+	if _, err := n.RequestGuaranteed(1, path, GuaranteedSpec{ClockRate: 8e5}); err != nil {
+		t.Fatalf("after the refusals, the reservable rate is not all free: %v", err)
+	}
+}
+
 func TestGuaranteedDelayWithinPGBound(t *testing.T) {
 	// End-to-end: a policed Markov flow with clock rate = peak rate must
 	// see queueing delays below its P-G bound even with heavy predicted

@@ -547,7 +547,7 @@ func (n *Network) routeAlong(f *Flow) (last *topology.Node) {
 func (n *Network) registerFlow(f *Flow) {
 	last := n.routeAlong(f)
 	f.sinkEng = last.Engine()
-	last.SetReceiver(f.ID, (*flowSink)(f))
+	f.route.SetReceiver(last, (*flowSink)(f))
 	n.flows[f.ID] = f
 	for _, hook := range n.flowHooks {
 		hook(f)
@@ -693,12 +693,16 @@ func (n *Network) RequestGuaranteed(id uint32, path []string, spec GuaranteedSpe
 	return f, nil
 }
 
-// flowPath is the prologue every flow request shares: the id must be free,
-// the path must name at least its ingress switch (a destination lookup that
-// found no route hands in an empty one), and the path is interned; a
-// guaranteed or predicted flow needs at least one link to make its
-// commitment on.
+// flowPath is the prologue every flow request shares: the id must be free
+// and not the schedulers' own (sched.Flow0ID, the pseudo flow every port
+// registers), the path must name at least its ingress switch (a destination
+// lookup that found no route hands in an empty one), and the path is
+// interned; a guaranteed or predicted flow needs at least one link to make
+// its commitment on.
 func (n *Network) flowPath(id uint32, path []string, class packet.Class) (PathID, []*topology.Port, error) {
+	if id == sched.Flow0ID {
+		return 0, nil, fmt.Errorf("core: flow id %d is reserved for the pseudo flow of predicted and datagram traffic", id)
+	}
 	if _, dup := n.flows[id]; dup {
 		return 0, nil, fmt.Errorf("core: flow %d already exists", id)
 	}
@@ -797,7 +801,7 @@ func (n *Network) AddDatagramFlow(id uint32, path []string) (*Flow, error) {
 }
 
 // Release removes a flow's reservations, releases its admission-control
-// capacity and forgets its route (a departure): afterwards the network holds
+// capacity and forgets the flow (a departure): afterwards the network holds
 // nothing for the flow, at any switch. Guaranteed backlog still queued at a
 // hop drains at the old clock rate before the WFQ registration disappears,
 // and packets in flight are still delivered to the flow, metered and tapped,
@@ -819,7 +823,6 @@ func (n *Network) Release(id uint32) {
 	}
 	// Hand this flow's ledger claims back to each hop.
 	n.releaseLedger(ports, f.ledgerTokens...)
-	n.topo.RemoveRoute(id)
 	delete(n.flows, id)
 }
 

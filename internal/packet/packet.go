@@ -74,10 +74,10 @@ type Packet struct {
 	// Route is the flow's forwarding state, a *topology.Route (typed any
 	// because topology imports this package). Whoever builds the packet may
 	// stamp it — core.Flow.Inject, aggregation members and TCP endpoints
-	// do; a packet that leaves it nil is looked up by FlowID at the first
-	// switch it enters, which stamps it. The packet keeps the route alive:
-	// a flow released while its packets are in flight still has them
-	// delivered.
+	// do; a packet injected without one picks up the route
+	// topology.Network.InstallRoute installed for its FlowID, or is
+	// stranded. The packet keeps the route alive: a flow released while its
+	// packets are in flight still has them delivered.
 	Route any
 
 	// Tag is scratch space for schedulers (WFQ virtual finish time,

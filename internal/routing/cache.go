@@ -168,11 +168,13 @@ func (c *Cache) Lookup(from, to, cost string) ([]string, bool) {
 	return e.path, true
 }
 
-// Insert stores a freshly computed route, evicting per the scheme when full.
-// Inserting under a key already present replaces its path (and refreshes
-// recency for LRU). Nil paths ("no route") are never cached: on a partitioned
-// topology the negative answer is cheap to recompute and caching it would
-// complicate invalidation for no measurable gain.
+// Insert stores a freshly computed route after a Lookup miss for the same
+// key, evicting per the scheme when full; the key must not be present (the
+// insert-after-miss model the cache schemes assume, and the way
+// core.LookupRoute calls it, in the same event as the miss). Nil paths ("no
+// route") are never cached: on a partitioned topology the negative answer is
+// cheap to recompute and caching it would complicate invalidation for no
+// measurable gain.
 func (c *Cache) Insert(from, to, cost string, path []string) {
 	if path == nil {
 		return
@@ -188,13 +190,6 @@ func (c *Cache) Insert(from, to, cost string, path []string) {
 		}
 		e.key = key
 		e.path = path
-		return
-	}
-	if e, ok := c.entries[key]; ok {
-		e.path = path
-		if c.scheme == CacheLRU {
-			c.moveToFront(e)
-		}
 		return
 	}
 	// A full cache reuses its victim's entry: a miss allocates nothing.

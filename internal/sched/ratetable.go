@@ -120,9 +120,6 @@ func (t *rateTable) unregister(f *rateFlow) {
 			break
 		}
 	}
-	if t.fallback == f {
-		t.fallback = nil
-	}
 }
 
 // flowOf returns p's own flow, else the fallback.

@@ -126,10 +126,8 @@ func (s *session) loop() {
 		now := s.sim.Now()
 		target := s.sim.Horizon
 		if s.pace > 0 {
-			target = s.baseSim + s.pace*time.Since(s.baseWall).Seconds()
-			if lim := now + s.pace*wallQuantum; target > lim {
-				target = lim
-			}
+			// The wall clock's target, at most one quantum past now.
+			target = min(s.baseSim+s.pace*time.Since(s.baseWall).Seconds(), now+s.pace*wallQuantum)
 			if target <= now {
 				// Ahead of the wall clock: idle briefly, stay responsive.
 				select {

@@ -69,7 +69,7 @@ type Connection struct {
 	// Ingress nodes and routes of the data and ACK paths, resolved once;
 	// every segment and ACK is stamped with its route.
 	dataIngress, ackIngress *topology.Node
-	dataRoute, ackRoute     *topology.Route
+	dataRoute, ackRoute     topology.Route // stamped into every packet (never copied: each points into itself)
 
 	// Sender state.
 	sndUna  uint64  // lowest unacknowledged segment
@@ -150,14 +150,12 @@ func NewConnection(net *topology.Network, cfg Config) *Connection {
 	c.oooWin = make([]uint64, winSize)
 	c.winMask = winSize - 1
 	c.timeoutFn = c.onTimeout
-	c.dataRoute = net.InstallRoute(cfg.DataFlowID, cfg.Path)
-	c.ackRoute = net.InstallRoute(cfg.AckFlowID, cfg.ReversePath)
-	c.dataIngress = net.Node(cfg.Path[0])
+	c.dataIngress = ingress
 	c.ackIngress = net.Node(cfg.ReversePath[0])
-	dst := net.Node(cfg.Path[len(cfg.Path)-1])
-	dst.SetSink(cfg.DataFlowID, c.onData)
-	src := net.Node(cfg.ReversePath[len(cfg.ReversePath)-1])
-	src.SetSink(cfg.AckFlowID, c.onAck)
+	net.InstallRouteAlong(&c.dataRoute, cfg.DataFlowID, c.dataIngress, net.PathPorts(cfg.Path))
+	net.InstallRouteAlong(&c.ackRoute, cfg.AckFlowID, c.ackIngress, net.PathPorts(cfg.ReversePath))
+	c.dataRoute.SetReceiver(net.Node(cfg.Path[len(cfg.Path)-1]), topology.Sink(c.onData))
+	c.ackRoute.SetReceiver(net.Node(cfg.ReversePath[len(cfg.ReversePath)-1]), topology.Sink(c.onAck))
 	return c
 }
 
@@ -241,7 +239,7 @@ func (c *Connection) sendSegment(seq uint64, isRexmit bool) {
 	p.Class = packet.Datagram
 	p.CreatedAt = c.eng.Now()
 	p.Payload = seg
-	p.Route = c.dataRoute
+	p.Route = &c.dataRoute
 	c.stats.SegmentsSent++
 	rec := &c.txWin[seq&c.winMask]
 	if isRexmit {
@@ -412,6 +410,6 @@ func (c *Connection) onData(p *packet.Packet) {
 	ackPkt.Class = packet.Datagram
 	ackPkt.CreatedAt = c.eng.Now()
 	ackPkt.Payload = ackSeg
-	ackPkt.Route = c.ackRoute
+	ackPkt.Route = &c.ackRoute
 	c.ackIngress.Inject(ackPkt)
 }

@@ -227,7 +227,7 @@ func TestTCPIgnoresForeignPayload(t *testing.T) {
 	c := newConn(n, names)
 	c.Start()
 	// Inject a stray packet with the data flow id but no Segment payload.
-	n.Inject("A", &packet.Packet{FlowID: 1000, Size: 1000, Class: packet.Datagram})
+	n.Node("A").Inject(&packet.Packet{FlowID: 1000, Size: 1000, Class: packet.Datagram, Route: &c.dataRoute})
 	eng.RunUntil(1)
 	if c.Stats().Delivered == 0 {
 		t.Fatal("connection wedged by foreign packet")

@@ -22,17 +22,15 @@ func TestGuaranteedPacketAdmittedThroughFullBuffer(t *testing.T) {
 	u.AddGuaranteed(1, 1e5)
 	port := n.AddLink("A", "B", u, 1e6, 0)
 	port.SetBufferLimit(5)
-	n.InstallRoute(1, []string{"A", "B"})
-	n.InstallRoute(2, []string{"A", "B"})
 	var gotG, gotD int
-	n.Node("B").SetSink(1, func(p *packet.Packet) { gotG++ })
-	n.Node("B").SetSink(2, func(p *packet.Packet) { gotD++ })
+	g := routeTo(n, 1, []string{"A", "B"}, func(p *packet.Packet) { gotG++ })
+	d := routeTo(n, 2, []string{"A", "B"}, func(p *packet.Packet) { gotD++ })
 	// Fill the buffer with datagram packets.
 	for i := 0; i < 20; i++ {
-		n.Inject("A", &packet.Packet{FlowID: 2, Seq: uint64(i), Size: 1000, Class: packet.Datagram})
+		send(n, "A", d, &packet.Packet{FlowID: 2, Seq: uint64(i), Size: 1000, Class: packet.Datagram})
 	}
 	// A guaranteed packet still enters.
-	n.Inject("A", &packet.Packet{FlowID: 1, Seq: 100, Size: 1000, Class: packet.Guaranteed})
+	send(n, "A", g, &packet.Packet{FlowID: 1, Seq: 100, Size: 1000, Class: packet.Guaranteed})
 	eng.Run()
 	if gotG != 1 {
 		t.Fatalf("guaranteed packet dropped by a datagram-full buffer (delivered %d)", gotG)
@@ -62,11 +60,10 @@ func TestGuaranteedClassBounded(t *testing.T) {
 	u.AddGuaranteed(1, 1e5)
 	port := n.AddLink("A", "B", u, 1e6, 0)
 	port.SetBufferLimit(5)
-	n.InstallRoute(1, []string{"A", "B"})
 	got := 0
-	n.Node("B").SetSink(1, func(p *packet.Packet) { got++ })
+	r := routeTo(n, 1, []string{"A", "B"}, func(p *packet.Packet) { got++ })
 	for i := 0; i < 50; i++ {
-		n.Inject("A", &packet.Packet{FlowID: 1, Seq: uint64(i), Size: 1000, Class: packet.Guaranteed})
+		send(n, "A", r, &packet.Packet{FlowID: 1, Seq: uint64(i), Size: 1000, Class: packet.Guaranteed})
 	}
 	eng.Run()
 	if got != 6 { // 1 transmitting + 5 buffered

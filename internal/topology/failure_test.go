@@ -15,29 +15,28 @@ import (
 // port's occupancy mirror), and a restore must re-arm transmission when any
 // backlog survived the outage.
 
-// failNet builds A -> B with the given scheduler and a sink for flow 1.
-func failNet(eng *sim.Engine, s sched.Scheduler, delivered *int) *Network {
+// failNet builds A -> B with the given scheduler and a sink for flow 1,
+// and returns the network and flow 1's route.
+func failNet(eng *sim.Engine, s sched.Scheduler, delivered *int) (*Network, *Route) {
 	n := NewNetwork(eng)
 	n.AddNode("A")
 	n.AddNode("B")
 	n.AddLink("A", "B", s, 1e6, 0)
-	n.InstallRoute(1, []string{"A", "B"})
-	n.Node("B").SetSink(1, func(p *packet.Packet) { *delivered++ })
-	return n
+	return n, routeTo(n, 1, []string{"A", "B"}, func(p *packet.Packet) { *delivered++ })
 }
 
 func TestFailDropsStopAndGoHeldPackets(t *testing.T) {
 	eng := sim.New()
 	delivered := 0
 	// 1 s frames: packets arriving in [0,1) are not eligible until t=1.
-	n := failNet(eng, sched.NewStopAndGo(1.0), &delivered)
+	n, r := failNet(eng, sched.NewStopAndGo(1.0), &delivered)
 	pt := n.Node("A").Port("B")
 
 	for i := 0; i < 4; i++ {
 		p := n.Pool().Get()
 		p.FlowID = 1
 		p.Size = 1000
-		n.Inject("A", p)
+		send(n, "A", r, p)
 	}
 	eng.Schedule(0.5, func() { pt.SetDown(true) })
 	eng.RunUntil(2.0)
@@ -61,13 +60,13 @@ func TestRestoreResumesServiceAfterFailure(t *testing.T) {
 	eng := sim.New()
 	delivered := 0
 	// 0.5 s frames: a packet arriving in [0, 0.5) is held until t=0.5.
-	n := failNet(eng, sched.NewStopAndGo(0.5), &delivered)
+	n, r := failNet(eng, sched.NewStopAndGo(0.5), &delivered)
 	pt := n.Node("A").Port("B")
 	inject := func() {
 		p := n.Pool().Get()
 		p.FlowID = 1
 		p.Size = 1000
-		n.Inject("A", p)
+		send(n, "A", r, p)
 	}
 
 	inject() // held until 0.5
@@ -93,13 +92,14 @@ func TestRestoreRearmsStrandedBacklog(t *testing.T) {
 	// Model that by placing a packet behind the port's back.
 	eng := sim.New()
 	delivered := 0
-	n := failNet(eng, sched.NewFIFO(), &delivered)
+	n, r := failNet(eng, sched.NewFIFO(), &delivered)
 	pt := n.Node("A").Port("B")
 
 	pt.SetDown(true)
 	p := n.Pool().Get()
 	p.FlowID = 1
 	p.Size = 1000
+	p.Route = r
 	pt.sched.Enqueue(p, eng.Now())
 	pt.qlen++
 

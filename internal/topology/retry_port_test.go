@@ -18,12 +18,11 @@ func TestPortWakesUpForHeldPackets(t *testing.T) {
 	n.AddNode("A")
 	n.AddNode("B")
 	n.AddLink("A", "B", sched.NewStopAndGo(0.050), 1e6, 0)
-	n.InstallRoute(1, []string{"A", "B"})
 	var deliveredAt float64 = -1
-	n.Node("B").SetSink(1, func(p *packet.Packet) { deliveredAt = eng.Now() })
+	r := routeTo(n, 1, []string{"A", "B"}, func(p *packet.Packet) { deliveredAt = eng.Now() })
 
 	// Mid-frame: held until the frame boundary at t=0.050.
-	eng.Schedule(0.020, func() { n.Inject("A", &packet.Packet{FlowID: 1, Size: 1000}) })
+	eng.Schedule(0.020, func() { send(n, "A", r, &packet.Packet{FlowID: 1, Size: 1000}) })
 	eng.Run()
 	if deliveredAt < 0 {
 		t.Fatal("held packet never delivered: port did not wake up")
@@ -44,18 +43,17 @@ func TestPortStopAndGoServesEligibleAndHoldsFresh(t *testing.T) {
 	n.AddNode("A")
 	n.AddNode("B")
 	n.AddLink("A", "B", sched.NewStopAndGo(0.010), 1e6, 0)
-	n.InstallRoute(1, []string{"A", "B"})
 	type delivery struct {
 		seq uint64
 		at  float64
 	}
 	var got []delivery
-	n.Node("B").SetSink(1, func(p *packet.Packet) { got = append(got, delivery{p.Seq, eng.Now()}) })
+	r := routeTo(n, 1, []string{"A", "B"}, func(p *packet.Packet) { got = append(got, delivery{p.Seq, eng.Now()}) })
 
 	// Frame 0 arrival: eligible at 0.010, on the wire until 0.011.
-	eng.Schedule(0.005, func() { n.Inject("A", &packet.Packet{FlowID: 1, Seq: 1, Size: 1000}) })
+	eng.Schedule(0.005, func() { send(n, "A", r, &packet.Packet{FlowID: 1, Seq: 1, Size: 1000}) })
 	// Frame 1 arrival during that transmission: held until 0.020.
-	eng.Schedule(0.0105, func() { n.Inject("A", &packet.Packet{FlowID: 1, Seq: 2, Size: 1000}) })
+	eng.Schedule(0.0105, func() { send(n, "A", r, &packet.Packet{FlowID: 1, Seq: 2, Size: 1000}) })
 	eng.Run()
 	want := []delivery{{1, 0.011}, {2, 0.021}}
 	if len(got) != 2 || got[0].seq != 1 || got[1].seq != 2 ||
@@ -74,9 +72,8 @@ func TestPortRetryNotArmedForWorkConserving(t *testing.T) {
 	n.AddNode("A")
 	n.AddNode("B")
 	n.AddLink("A", "B", sched.NewFIFO(), 1e6, 0)
-	n.InstallRoute(1, []string{"A", "B"})
-	n.Node("B").SetSink(1, func(p *packet.Packet) {})
-	n.Inject("A", &packet.Packet{FlowID: 1, Size: 1000})
+	r := routeTo(n, 1, []string{"A", "B"}, func(p *packet.Packet) {})
+	send(n, "A", r, &packet.Packet{FlowID: 1, Size: 1000})
 	eng.Run()
 	if eng.Pending() != 0 {
 		t.Fatalf("%d stray events pending", eng.Pending())

@@ -105,14 +105,13 @@ func TestRemoteDelivery(t *testing.T) {
 	if err := n.ConfigureShards([]int{0, 1}, 2); err != nil {
 		t.Fatalf("ConfigureShards: %v", err)
 	}
-	n.InstallRoute(7, []string{"A", "B"})
 	src, dst := n.Node("A"), n.Node("B")
 	var order []string
-	dst.SetSink(7, func(p *packet.Packet) { order = append(order, "deliver") })
+	r := routeTo(n, 7, []string{"A", "B"}, func(p *packet.Packet) { order = append(order, "deliver") })
 	p := n.Pool().Get()
 	p.FlowID = 7
 	p.Size = 1000
-	src.Inject(p)
+	send(n, "A", r, p)
 	// A transmits for 1 ms on 1 Mb/s; at transmit-complete the delivery
 	// must already sit in B's heap, 5 ms out, before B has run at all.
 	src.Engine().RunUntil(0.001)

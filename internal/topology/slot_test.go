@@ -18,6 +18,7 @@ type slotRig struct {
 	eng *sim.Engine
 	n   *Network
 	pt  *Port
+	r   *Route
 	got []string
 }
 
@@ -32,8 +33,7 @@ func newSlotRig() *slotRig {
 	r.n.AddNode("A")
 	r.n.AddNode("B")
 	r.pt = r.n.AddLink("A", "B", sched.NewPriority([]sched.Scheduler{sched.NewFIFO(), sched.NewFIFO()}), slotRate, slotDelay)
-	r.n.InstallRoute(1, []string{"A", "B"})
-	r.n.Node("B").SetSink(1, func(p *packet.Packet) {
+	r.r = routeTo(r.n, 1, []string{"A", "B"}, func(p *packet.Packet) {
 		r.got = append(r.got, fmt.Sprintf("%d@%.4f", p.Seq, r.eng.Now()))
 	})
 	return r
@@ -47,7 +47,7 @@ func (r *slotRig) send(seq uint64, bits int, urgent bool) {
 	if urgent {
 		p.Class = packet.Predicted
 	}
-	r.n.Inject("A", p)
+	send(r.n, "A", r.r, p)
 }
 
 // at runs fn at time t as a data event (ordered after a slot reserved

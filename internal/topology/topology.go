@@ -42,10 +42,12 @@ type Network struct {
 	order []*Node // deterministic iteration
 	ports []*Port // every port, in creation order (= Port.Index order)
 
-	// routes holds the forwarding state, one Route per flow that has one
-	// installed; RemoveRoute deletes the entry (see Route for what keeps
-	// the object itself alive).
-	routes map[uint32]*Route
+	// byID holds the routes InstallRoute installed, by flow id, for packets
+	// that reach Node.Inject without a Route: bench's port probe
+	// (bench/probes.go) builds its packets that way. The simulator's flows
+	// and connections own their Routes (InstallRouteAlong) and stamp them
+	// into every packet, so none of them is kept here.
+	byID map[uint32]*Route
 
 	shards    []*Shard
 	lookahead float64 // min cross-shard propagation delay (+Inf if none)
@@ -54,10 +56,9 @@ type Network struct {
 // NewNetwork returns an empty network on the given engine.
 func NewNetwork(eng *sim.Engine) *Network {
 	return &Network{
-		eng:    eng,
-		pool:   packet.NewPool(),
-		nodes:  make(map[string]*Node),
-		routes: make(map[uint32]*Route),
+		eng:   eng,
+		pool:  packet.NewPool(),
+		nodes: make(map[string]*Node),
 	}
 }
 
@@ -141,12 +142,12 @@ func (n *Network) AddLink(from, to string, s sched.Scheduler, bandwidth, propDel
 
 // Route is the forwarding state of one flow: its hops in path order, each
 // naming a switch and the output port the flow leaves it by (nil where the
-// flow terminates), and the receivers registered at its switches. The
-// network keeps one Route per flow id until RemoveRoute, and every packet of
-// the flow carries it in packet.Packet.Route, so a packet already in the
-// network when the route is removed still finds its way: the object — and
-// whatever holds it, such as core's Flow — lives until the last packet
-// holding it is recycled.
+// flow terminates), and the receivers registered at its switches. It is the
+// only forwarding state there is: every packet of the flow carries it in
+// packet.Packet.Route, and a switch reads nothing else. The Route lives as
+// long as its owner — core's Flow, a TCP connection — and the packets
+// carrying it, so a packet still in the network after its flow departed is
+// forwarded and delivered as before.
 //
 // The first routeInline hops and the first receiver are stored inside the
 // Route, so a route that short costs no allocation beyond the struct, and
@@ -219,11 +220,11 @@ func (r *Route) hopFor(nd *Node) int {
 	return i
 }
 
-// InstallRoute installs the path (a list of node names, first = ingress) for
-// a flow: each node forwards to the next, and the last node delivers to the
-// flow's sink. Every consecutive pair must be linked. It returns the flow's
-// Route, which callers that build their own packets stamp into
-// packet.Packet.Route to spare the ingress switch a lookup by flow id.
+// InstallRoute returns a new Route along path (a list of node names, first =
+// ingress): each node forwards to the next. Every consecutive pair must be
+// linked. The route is also kept by flow id, so a packet injected without a
+// Route picks it up at Node.Inject, and Node.SetSink finds it; a later
+// InstallRoute for the id replaces it there.
 func (n *Network) InstallRoute(flowID uint32, path []string) *Route {
 	if len(path) == 0 {
 		panic("topology: empty route")
@@ -232,19 +233,19 @@ func (n *Network) InstallRoute(flowID uint32, path []string) *Route {
 	if !ok {
 		panic(fmt.Sprintf("topology: unknown node %q in route", path[0]))
 	}
-	r := n.routes[flowID]
-	if r == nil {
-		r = new(Route)
-	}
+	r := new(Route)
 	n.InstallRouteAlong(r, flowID, ingress, n.PathPorts(path))
+	if n.byID == nil {
+		n.byID = make(map[uint32]*Route)
+	}
+	n.byID[flowID] = r
 	return r
 }
 
-// InstallRouteAlong is InstallRoute into a Route the caller owns, for a
+// InstallRouteAlong installs a path into a Route the caller owns, for a
 // caller that has already resolved the path: the flow enters at ingress and
 // leaves each switch by the next of ports (empty for a flow that terminates
-// where it enters). r becomes the flow's route; it panics if the flow has a
-// different one.
+// where it enters). flowID only names the flow in a panic.
 //
 // Installing over a flow's existing route changes that Route in place, so
 // packets already carrying it see the change: every switch on the new path
@@ -253,16 +254,9 @@ func (n *Network) InstallRoute(flowID uint32, path []string) *Route {
 // its hop, stale port included. A packet queued upstream of a switch both
 // paths share therefore follows the new next hop from there, while one
 // already on the abandoned branch keeps going the old way — into the failed
-// link, when a failure caused the reroute. Sinks stay where SetSink put
-// them.
+// link, when a failure caused the reroute. Receivers stay where
+// SetReceiver put them.
 func (n *Network) InstallRouteAlong(r *Route, flowID uint32, ingress *Node, ports []*Port) {
-	switch old := n.routes[flowID]; old {
-	case r:
-	case nil:
-		n.routes[flowID] = r
-	default:
-		panic(fmt.Sprintf("topology: flow %d already has a route", flowID))
-	}
 	// hops[:placed] are the switches of the new path so far, in path order.
 	at, placed := ingress, 0
 	for i := 0; i <= len(ports); i++ {
@@ -285,11 +279,19 @@ func (n *Network) InstallRouteAlong(r *Route, flowID uint32, ingress *Node, port
 	}
 }
 
-// RemoveRoute forgets a flow's forwarding state (a departure). Packets of the
-// flow already in the network carry the Route themselves and are forwarded
-// and delivered as before; a packet that names the flow only by id after
-// this finds no route. Removing an unknown id is a no-op.
-func (n *Network) RemoveRoute(flowID uint32) { delete(n.routes, flowID) }
+// SetReceiver registers s as the consumer of the route's packets that reach
+// nd — normally the switch where the route ends. A switch takes one
+// receiver per route.
+func (r *Route) SetReceiver(nd *Node, s Receiver) {
+	if r.sinkAt(nd) != nil {
+		panic(fmt.Sprintf("topology: route already has a receiver at %s", nd.name))
+	}
+	r.hopFor(nd)
+	if r.sinks == nil {
+		r.sinks = r.sink[:0]
+	}
+	r.sinks = append(r.sinks, routeSink{at: nd, s: s})
+}
 
 // PathPorts returns the output ports along a path, in order.
 func (n *Network) PathPorts(path []string) []*Port {
@@ -323,18 +325,6 @@ func FixedDelayAlong(ports []*Port, sizeBits int) float64 {
 	return fixed
 }
 
-// Inject introduces a packet at the named node (the host-to-switch link is
-// infinitely fast in the paper's model). Per-packet callers should resolve
-// the node once and use Node.Inject instead of paying the name lookup each
-// time.
-func (n *Network) Inject(node string, p *packet.Packet) {
-	nd, ok := n.nodes[node]
-	if !ok {
-		panic(fmt.Sprintf("topology: inject at unknown node %q", node))
-	}
-	nd.receive(p)
-}
-
 // Node is a switch. It holds no per-flow state: what a flow does here is a
 // hop of the flow's Route.
 type Node struct {
@@ -345,7 +335,6 @@ type Node struct {
 	shard     int
 	ports     map[string]*Port
 	portOrder []*Port
-	defSink   Sink
 }
 
 // Name returns the node's name.
@@ -374,48 +363,31 @@ func (nd *Node) Port(to string) *Port { return nd.ports[to] }
 // Ports returns the node's output ports in creation order.
 func (nd *Node) Ports() []*Port { return nd.portOrder }
 
-// SetSink registers the consumer for a flow terminating at this node.
-func (nd *Node) SetSink(flowID uint32, s Sink) { nd.SetReceiver(flowID, s) }
-
-// SetReceiver is SetSink for any Receiver.
-func (nd *Node) SetReceiver(flowID uint32, s Receiver) {
-	r := nd.net.routes[flowID]
+// SetSink registers s for the packets of the flow InstallRoute routed by id
+// that reach this node.
+func (nd *Node) SetSink(flowID uint32, s Sink) {
+	r := nd.net.byID[flowID]
 	if r == nil {
-		r = new(Route)
-		nd.net.routes[flowID] = r
+		panic(fmt.Sprintf("topology: sink for flow %d, which InstallRoute never routed", flowID))
 	}
-	r.hopFor(nd)
-	for i := range r.sinks {
-		if r.sinks[i].at == nd {
-			r.sinks[i].s = s
-			return
-		}
-	}
-	if r.sinks == nil {
-		r.sinks = r.sink[:0]
-	}
-	r.sinks = append(r.sinks, routeSink{at: nd, s: s})
+	r.SetReceiver(nd, s)
 }
 
-// SetDefaultSink registers a consumer for packets with no onward route and
-// no per-flow sink.
-func (nd *Node) SetDefaultSink(s Sink) { nd.defSink = s }
+// Inject introduces a packet at this node, its ingress (the host-to-switch
+// link is infinitely fast in the paper's model). A packet without a Route
+// picks up the one InstallRoute installed for its flow id.
+func (nd *Node) Inject(p *packet.Packet) {
+	if p.Route == nil {
+		p.Route = nd.net.byID[p.FlowID] // a nil *Route when none: stranded
+	}
+	nd.receive(p)
+}
 
-// Inject introduces a packet at this node — the fast-path equivalent of
-// Network.Inject for callers that resolved the ingress node at setup.
-func (nd *Node) Inject(p *packet.Packet) { nd.receive(p) }
-
-// receive routes or delivers a packet arriving at this node. A packet that
-// names its flow only by id picks up the flow's Route here, once, at its
-// ingress. Delivered packets are released back to the pool after the sink
-// returns, so sinks must not retain them.
+// receive forwards or delivers a packet arriving at this node by the Route
+// it carries. Delivered packets are released back to the pool after the
+// receiver returns, so receivers must not retain them.
 func (nd *Node) receive(p *packet.Packet) {
 	r, _ := p.Route.(*Route)
-	if r == nil {
-		if r = nd.net.routes[p.FlowID]; r != nil {
-			p.Route = r
-		}
-	}
 	var s Receiver
 	if r != nil {
 		if i := r.find(nd, int(p.Hops)); i >= 0 {
@@ -425,9 +397,6 @@ func (nd *Node) receive(p *packet.Packet) {
 			}
 			s = r.sinkAt(nd)
 		}
-	}
-	if s == nil && nd.defSink != nil {
-		s = nd.defSink
 	}
 	if s == nil {
 		panic(fmt.Sprintf("topology: packet for flow %d stranded at %s", p.FlowID, nd.name))

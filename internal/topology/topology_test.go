@@ -27,17 +27,30 @@ func mk(flow uint32, seq uint64) *packet.Packet {
 	return &packet.Packet{FlowID: flow, Seq: seq, Size: 1000, CreatedAt: 0}
 }
 
+// routeTo installs flow id along path with sink at its last switch and
+// returns the Route the flow's packets carry.
+func routeTo(n *Network, id uint32, path []string, sink Sink) *Route {
+	r := n.InstallRoute(id, path)
+	r.SetReceiver(n.Node(path[len(path)-1]), sink)
+	return r
+}
+
+// send injects p at the named switch carrying r, as a flow's source does.
+func send(n *Network, at string, r *Route, p *packet.Packet) {
+	p.Route = r
+	n.Node(at).Inject(p)
+}
+
 func TestSingleHopDelivery(t *testing.T) {
 	eng := sim.New()
 	n := buildChain(eng, 2, 0)
-	n.InstallRoute(1, []string{"S1", "S2"})
 	var got []*packet.Packet
 	var at []float64
-	n.Node("S2").SetSink(1, func(p *packet.Packet) {
+	r := routeTo(n, 1, []string{"S1", "S2"}, func(p *packet.Packet) {
 		got = append(got, p)
 		at = append(at, eng.Now())
 	})
-	n.Inject("S1", mk(1, 0))
+	send(n, "S1", r, mk(1, 0))
 	eng.Run()
 	if len(got) != 1 {
 		t.Fatalf("delivered %d, want 1", len(got))
@@ -55,10 +68,9 @@ func TestMultiHopFixedDelay(t *testing.T) {
 	eng := sim.New()
 	n := buildChain(eng, 5, 0.002)
 	path := []string{"S1", "S2", "S3", "S4", "S5"}
-	n.InstallRoute(1, path)
 	var at float64
-	n.Node("S5").SetSink(1, func(p *packet.Packet) { at = eng.Now() })
-	n.Inject("S1", mk(1, 0))
+	r := routeTo(n, 1, path, func(p *packet.Packet) { at = eng.Now() })
+	send(n, "S1", r, mk(1, 0))
 	eng.Run()
 	want := FixedDelayAlong(n.PathPorts(path), 1000) // 4*(1ms + 2ms) = 12ms
 	if math.Abs(want-0.012) > 1e-12 {
@@ -72,12 +84,11 @@ func TestMultiHopFixedDelay(t *testing.T) {
 func TestQueueingDelayUnderContention(t *testing.T) {
 	eng := sim.New()
 	n := buildChain(eng, 2, 0)
-	n.InstallRoute(1, []string{"S1", "S2"})
 	var deliveries []float64
-	n.Node("S2").SetSink(1, func(p *packet.Packet) { deliveries = append(deliveries, eng.Now()) })
+	r := routeTo(n, 1, []string{"S1", "S2"}, func(p *packet.Packet) { deliveries = append(deliveries, eng.Now()) })
 	// 5 packets at t=0: each takes 1ms back-to-back.
 	for i := 0; i < 5; i++ {
-		n.Inject("S1", mk(1, uint64(i)))
+		send(n, "S1", r, mk(1, uint64(i)))
 	}
 	eng.Run()
 	for i, at := range deliveries {
@@ -93,12 +104,11 @@ func TestBufferOverflowDrops(t *testing.T) {
 	n := buildChain(eng, 2, 0)
 	port := n.Node("S1").Port("S2")
 	port.SetBufferLimit(10)
-	n.InstallRoute(1, []string{"S1", "S2"})
 	count := 0
-	n.Node("S2").SetSink(1, func(p *packet.Packet) { count++ })
+	r := routeTo(n, 1, []string{"S1", "S2"}, func(p *packet.Packet) { count++ })
 	// 1 in flight + 10 buffered = 11 accepted.
 	for i := 0; i < 50; i++ {
-		n.Inject("S1", mk(1, uint64(i)))
+		send(n, "S1", r, mk(1, uint64(i)))
 	}
 	eng.Run()
 	if count != 11 {
@@ -113,28 +123,35 @@ func TestBufferOverflowDrops(t *testing.T) {
 func TestRouteChangeTerminalNode(t *testing.T) {
 	eng := sim.New()
 	n := buildChain(eng, 3, 0)
-	n.InstallRoute(1, []string{"S1", "S2", "S3"})
+	r := n.InstallRoute(1, []string{"S1", "S2", "S3"})
 	// Re-route the flow to terminate at S2.
-	n.InstallRoute(1, []string{"S1", "S2"})
+	n.InstallRouteAlong(r, 1, n.Node("S1"), n.PathPorts([]string{"S1", "S2"}))
 	got := 0
-	n.Node("S2").SetSink(1, func(p *packet.Packet) { got++ })
-	n.Inject("S1", mk(1, 0))
+	r.SetReceiver(n.Node("S2"), Sink(func(p *packet.Packet) { got++ }))
+	send(n, "S1", r, mk(1, 0))
 	eng.Run()
 	if got != 1 {
 		t.Fatalf("delivered %d at S2, want 1", got)
 	}
 }
 
-func TestDefaultSink(t *testing.T) {
+// TestInstallRouteByID drives the flow-id convenience bench's port probe
+// (bench/probes.go) uses: a sink named by flow id, packets injected without
+// a Route, and a second InstallRoute for the id replacing the first.
+func TestInstallRouteByID(t *testing.T) {
 	eng := sim.New()
-	n := buildChain(eng, 2, 0)
-	n.InstallRoute(5, []string{"S1", "S2"})
-	got := 0
-	n.Node("S2").SetDefaultSink(func(p *packet.Packet) { got++ })
-	n.Inject("S1", mk(5, 0))
+	n := buildChain(eng, 3, 0)
+	n.InstallRoute(1, []string{"S1", "S2", "S3"})
+	got := map[string]int{}
+	n.Node("S3").SetSink(1, func(p *packet.Packet) { got["S3"]++ })
+	n.Node("S1").Inject(mk(1, 0))
 	eng.Run()
-	if got != 1 {
-		t.Fatal("default sink not used")
+	n.InstallRoute(1, []string{"S1", "S2"})
+	n.Node("S2").SetSink(1, func(p *packet.Packet) { got["S2"]++ })
+	n.Node("S1").Inject(mk(1, 1))
+	eng.Run()
+	if got["S3"] != 1 || got["S2"] != 1 {
+		t.Fatalf("deliveries %v, want one at S3, then one at S2", got)
 	}
 }
 
@@ -146,18 +163,17 @@ func TestStrandedPacketPanics(t *testing.T) {
 			t.Fatal("stranded packet did not panic")
 		}
 	}()
-	n.Inject("S1", mk(9, 0)) // no route, no sink
+	n.Node("S1").Inject(mk(9, 0)) // no route, no sink
 }
 
 func TestUtilizationMeter(t *testing.T) {
 	eng := sim.New()
 	n := buildChain(eng, 2, 0)
-	n.InstallRoute(1, []string{"S1", "S2"})
-	n.Node("S2").SetSink(1, func(p *packet.Packet) {})
+	r := routeTo(n, 1, []string{"S1", "S2"}, func(p *packet.Packet) {})
 	// Inject 500 packets spaced exactly at service rate: 100% for 0.5s.
 	for i := 0; i < 500; i++ {
 		i := i
-		eng.Schedule(float64(i)*0.001, func() { n.Inject("S1", mk(1, uint64(i))) })
+		eng.Schedule(float64(i)*0.001, func() { send(n, "S1", r, mk(1, uint64(i))) })
 	}
 	eng.Run()
 	port := n.Node("S1").Port("S2")
@@ -171,14 +187,13 @@ func TestDiscardOffsetDropsLatePackets(t *testing.T) {
 	n := buildChain(eng, 2, 0)
 	port := n.Node("S1").Port("S2")
 	port.DiscardOffset = 0.010
-	n.InstallRoute(1, []string{"S1", "S2"})
 	got := 0
-	n.Node("S2").SetSink(1, func(p *packet.Packet) { got++ })
+	r := routeTo(n, 1, []string{"S1", "S2"}, func(p *packet.Packet) { got++ })
 	late := mk(1, 0)
 	late.JitterOffset = 0.050 // very late per the FIFO+ header field
 	ok := mk(1, 1)
-	n.Inject("S1", late)
-	n.Inject("S1", ok)
+	send(n, "S1", r, late)
+	send(n, "S1", r, ok)
 	eng.Run()
 	if got != 1 {
 		t.Fatalf("delivered %d, want 1 (late packet discarded)", got)

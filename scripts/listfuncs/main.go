@@ -6,6 +6,13 @@
 // scripts/unreached.sh counts every function on this list that no
 // coverage-built binary carries as never run, so a package no binary imports
 // cannot hide from the census.
+//
+// With "blocks", it reads a merged `go tool covdata textfmt` profile instead
+// and prints the blocks the branch census gates on (see listBlocks).
+//
+// usage: listfuncs <module-root> <module-path>
+//
+//	listfuncs blocks <module-root> <module-path> <textfmt-profile> <allowlist>
 package main
 
 import (
@@ -21,11 +28,17 @@ import (
 )
 
 func main() {
-	if len(os.Args) != 3 {
-		fmt.Fprintln(os.Stderr, "usage: listfuncs <module-root> <module-path>")
+	var err error
+	switch a := os.Args[1:]; {
+	case len(a) == 2:
+		err = list(a[0], a[1])
+	case len(a) == 5 && a[0] == "blocks":
+		err = listBlocks(a[1], a[2], a[3], a[4])
+	default:
+		fmt.Fprintln(os.Stderr, "usage: listfuncs <module-root> <module-path>\n       listfuncs blocks <module-root> <module-path> <textfmt-profile> <allowlist>")
 		os.Exit(2)
 	}
-	if err := list(os.Args[1], os.Args[2]); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "listfuncs:", err)
 		os.Exit(1)
 	}

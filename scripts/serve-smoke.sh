@@ -3,8 +3,9 @@
 # docs/OPERATIONS.md). Builds ispnsim (or uses the binary $ISPNSIM names),
 # starts `serve` on an ephemeral port, creates two sessions from the scenario
 # library, checks /healthz and the session list, injects an outage over HTTP,
-# runs to the horizon, asserts the trace stream and report came back, and
-# verifies clean SIGINT shutdown. Run via `make serve-smoke` (part of
+# runs to the horizon, asserts the trace stream and report came back, runs a
+# paced session through pause and resume and streams its trace as SSE from
+# an offset, and verifies clean SIGINT shutdown. Run via `make serve-smoke` (part of
 # `make ci`); scripts/unreached.sh runs it with a coverage build.
 set -eu
 cd "$(dirname "$0")/.."
@@ -66,10 +67,30 @@ fi
 curl -sf "$base/sessions/s1/report" >"$tmp/report.txt"
 grep -q '^scenario failover:' "$tmp/report.txt"
 
+# A paced session with a trace interval of its own: pause it, resume it,
+# then stream its trace from interval 2 as server-sent events. The stream
+# ends when the session finishes; NDJSON then gives the total.
+curl -sf -X POST "$base/sessions" \
+    -d '{"scenario": "failover", "pace": 200, "trace": 20}' >"$tmp/paced.json"
+grep -q '"id": "s3"' "$tmp/paced.json"
+curl -sf -X POST "$base/sessions/s3" -d '{"action": "pause"}' |
+    grep -q '"status": "paused"'
+curl -sf -X POST "$base/sessions/s3" -d '{"action": "resume"}' |
+    grep -q '"status": "running"'
+curl -sfN -H 'Accept: text/event-stream' "$base/sessions/s3/trace?from=2" >"$tmp/sse.txt"
+total=$(curl -sfN "$base/sessions/s3/trace" | wc -l)
+events=$(grep -c '^data: {' "$tmp/sse.txt" || true)
+if [ "$total" -lt 3 ] || [ "$events" -ne $((total - 2)) ] ||
+    [ "$(grep -cv '^data: {' "$tmp/sse.txt")" -ne "$events" ]; then
+    echo "serve-smoke: SSE trace from 2 gave $events events of $total rows, want $((total - 2)), each a data: line and a blank line:" >&2
+    cat "$tmp/sse.txt" >&2
+    exit 1
+fi
+
 # Clean shutdown on SIGINT.
 kill -INT "$pid"
 wait "$pid"
 pid=
 grep -q 'shutting down' "$tmp/serve.log"
 
-echo "serve-smoke OK ($rows trace rows)"
+echo "serve-smoke OK ($rows trace rows; $events of $total as SSE from 2)"

@@ -1,16 +1,20 @@
 #!/bin/sh
-# unreached.sh — the dead-code gate: fail on any function no workload executes.
+# unreached.sh — the dead-code gate: fail on any function, or any branch of a
+# function that runs, that no workload executes.
 #
 # Builds cmd/ispnsim, cmd/ispnvet, the five examples and the bench binary
 # with every package of the module instrumented for coverage
 # (-cover -coverpkg=ispn/...) and runs the workload set under one GOCOVERDIR:
 #
-#   - the scenario library: run (one worker), run -check, check, and the
+#   - the scenario library: run (one worker), run -check, run -check with
+#     three shards and the seed and horizon overridden, check, and the
 #     `scenarios` listing;
 #   - every catalogue experiment (`all`) at -horizon 30;
 #   - ispnsim fuzz -n 200;
 #   - scripts/serve-smoke.sh against the covered ispnsim;
-#   - go vet -vettool=<the covered ispnvet> ./...;
+#   - go vet -vettool=<the covered ispnvet> ./..., and one dependency-only
+#     unit sent to it directly (whether go vet sends any depends on its
+#     build cache);
 #   - one repeat of each of the bench binary's five workloads (-child run);
 #   - the five examples.
 #
@@ -26,12 +30,28 @@
 # entry whose function ran, is not declared, or gives no known category is
 # stale and fails the run too.
 #
+# The branch census does the same for blocks: `listfuncs blocks` lists every
+# basic block of a non-test file outside bench/ that never ran although its
+# function did, and that does not end in an error exit (a panic, a return of
+# a non-nil error, an exit with a non-zero status, or a call to a function
+# unreached.allow calls a diagnostic). A block inside another that never ran
+# is that one's: only the outermost is listed. Its key is the function's
+# symbol and its guard in brackets — the if, case or for header, "else of"
+# the if's, the function literal's signature, or "after" the statement that
+# ended the block before it — whitespace-normalized, with #k on the k-th
+# identical guard of a function; no line numbers. scripts/unreached.blocks
+# keeps some, one "symbol [guard] category: reason" per line, with the
+# allowlist's categories and "pending: item N", a block waiting on the
+# workload ROADMAP item N names. An unexplained block fails the run, and so
+# does an entry whose block ran, no longer exists, or gives no category.
+#
 # usage: unreached.sh [module-root]   (default: the repo this script is in)
 set -eu
 
 GO="${GO:-go}"
 root="$(cd "${1:-$(dirname "$0")/..}" && pwd)"
 allow="$root/scripts/unreached.allow"
+blocks="$root/scripts/unreached.blocks"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 start=$(date +%s)
@@ -54,12 +74,17 @@ workload() {
 sim="$tmp/bin/ispnsim"
 workload "$sim" -parallel 1 run scenarios/*.ispn
 workload "$sim" -check run scenarios/*.ispn
+workload "$sim" -seed 7 -horizon 20 -check -shards 3 run scenarios/*.ispn
 workload "$sim" check scenarios/*.ispn
 workload "$sim" scenarios
 workload "$sim" -horizon 30 all
 workload "$sim" -n 200 -corpus "$tmp/corpus" fuzz
 workload env ISPNSIM="$sim" ./scripts/serve-smoke.sh
 workload $GO vet -vettool="$tmp/bin/ispnvet" ./...
+# go vet sends a dependency-only unit only for a package whose facts its
+# build cache lacks, so one is sent here whatever the cache holds.
+printf '{"ImportPath": "fmt", "VetxOnly": true, "VetxOutput": "%s"}\n' "$tmp/dep.vetx" >"$tmp/dep.cfg"
+workload "$tmp/bin/ispnvet" "$tmp/dep.cfg"
 for w in chain_batch mesh_sharded churn_control million_members serve_live; do
 	workload "$tmp/bin/bench" -child run -workload "$w" -out "$tmp/bench/$w.json"
 done
@@ -107,6 +132,37 @@ if [ -s "$tmp/stale" ]; then
 	sed 's/^/unreached: stale: /' "$tmp/stale" >&2
 	fail=1
 fi
+
+# The branch census: "symbol [guard] file:line" per listed block, the key
+# being all but the position; a kept entry's key ends at the "] " before its
+# category.
+$GO run ./scripts/listfuncs blocks "$root" "$module" "$tmp/profile.txt" "$allow" >"$tmp/blocklist"
+never="$(sed -n 's/^# \([0-9]*\) blocks never ran.*/\1/p' "$tmp/blocklist")"
+grep -v '^#' "$tmp/blocklist" >"$tmp/listed" || true
+sed -e '/^[[:space:]]*#/d' -e '/^[[:space:]]*$/d' "$blocks" >"$tmp/kept"
+awk 'function key(s) {
+		if (match(s, /\] (diagnostic|guard|probe|facade|reference|interface|fuzz-failure|pending: item [0-9]+): [^ ]/)) return substr(s, 1, RSTART)
+		return "" }
+	FILENAME == ARGV[1] { k = key($0); if (k != "") kept[k]; next }
+	{ k = $0; sub(/ [^ ]*$/, "", k); if (!(k in kept)) print }' "$tmp/kept" "$tmp/listed" >"$tmp/unexplained-blocks"
+if [ -s "$tmp/unexplained-blocks" ]; then
+	echo "unreached: no workload takes these branches; delete them, or explain them in scripts/unreached.blocks:" >&2
+	sed 's/^/unreached: unexplained block: /' "$tmp/unexplained-blocks" >&2
+	fail=1
+fi
+awk 'function key(s) {
+		if (match(s, /\] (diagnostic|guard|probe|facade|reference|interface|fuzz-failure|pending: item [0-9]+): [^ ]/)) return substr(s, 1, RSTART)
+		return "" }
+	FILENAME == ARGV[1] { k = $0; sub(/ [^ ]*$/, "", k); listed[k]; next }
+	{ k = key($0); if (k == "" || !(k in listed)) print }' "$tmp/listed" "$tmp/kept" >"$tmp/stale-blocks"
+if [ -s "$tmp/stale-blocks" ]; then
+	echo "unreached: scripts/unreached.blocks entries whose block ran, no longer exists, or gives no category and reason:" >&2
+	sed 's/^/unreached: stale block: /' "$tmp/stale-blocks" >&2
+	fail=1
+fi
+
 n="$(wc -l <"$tmp/unexplained" | tr -d ' ')"
-echo "unreached: $(wc -l <"$tmp/funcs" | tr -d ' ') functions, $share% of statements executed, $(wc -l <"$tmp/zero" | tr -d ' ') never ran: $(($(wc -l <"$tmp/zero") - n)) explained, $n unexplained; $(($(date +%s) - start)) s"
+nb="$(wc -l <"$tmp/unexplained-blocks" | tr -d ' ')"
+listed="$(wc -l <"$tmp/listed" | tr -d ' ')"
+echo "unreached: $(wc -l <"$tmp/funcs" | tr -d ' ') functions, $share% of statements executed, $(wc -l <"$tmp/zero" | tr -d ' ') never ran: $(($(wc -l <"$tmp/zero") - n)) explained, $n unexplained; $never blocks never ran, $listed listed: $((listed - nb)) explained, $nb unexplained; $(($(date +%s) - start)) s"
 exit "$fail"
