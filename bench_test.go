@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"ispn"
 	"ispn/internal/experiments"
@@ -277,7 +278,8 @@ func BenchmarkShardedThroughput(b *testing.B) {
 // state is one inline policer slot plus a 16-byte handle — the carrier
 // flows, schedulers and interned paths amortize to noise. The benchmark
 // reports resident bytes/flow (it fails itself above 64; `make bench-smoke`
-// runs it in CI) and times the admit+release cycle at full occupancy, which
+// runs it in CI) and ns/admit over the million admits (ungated), and times
+// the admit+release cycle at full occupancy, which
 // exercises the aggregate's free-slot reuse rather than ever-growing member
 // arrays and must not allocate.
 func BenchmarkMillionFlows(b *testing.B) {
@@ -308,6 +310,7 @@ func BenchmarkMillionFlows(b *testing.B) {
 	}
 	spec := ispn.PredictedSpec{TokenRate: 100, BucketBits: 1000, Delay: 0.5}
 	handles := make([]ispn.Member, 0, members)
+	start := time.Now()
 	for i := 0; i < members; i++ {
 		m, err := net.RequestPredictedMember(paths[i%len(paths)], uint8(i%2), spec)
 		if err != nil {
@@ -315,6 +318,7 @@ func BenchmarkMillionFlows(b *testing.B) {
 		}
 		handles = append(handles, m)
 	}
+	admitNs := float64(time.Since(start).Nanoseconds()) / members
 	if carriers := len(net.Flows()); carriers >= members/100 {
 		b.Fatalf("aggregation failed: %d carrier flows for %d members", carriers, members)
 	}
@@ -344,6 +348,7 @@ func BenchmarkMillionFlows(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(perFlow, "bytes/flow")
 	b.ReportMetric(float64(len(handles)), "flows")
+	b.ReportMetric(admitNs, "ns/admit")
 	if perFlow > 64 {
 		b.Fatalf("resident state is %.1f bytes/flow, budget is 64", perFlow)
 	}

@@ -48,7 +48,7 @@ func (n *Network) admitPredicted(pt *topology.Port, d demand, token uint64) erro
 	// A hop with fewer classes serves the flow in its lowest predicted
 	// class; admit it there.
 	class := d.priority
-	if k := n.Pipeline(pt).Profile().Classes(); class >= k {
+	if k := n.Pipeline(pt).Classes(); class >= k {
 		class = k - 1
 	}
 	return n.controller(pt).AdmitPredictedOwned(n.eng.Now(), d.rate, d.bucket, class, token)

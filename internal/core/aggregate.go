@@ -99,7 +99,10 @@ func (n *Network) RequestPredictedMember(path []string, class uint8, spec Predic
 	if err := spec.Validate(); err != nil {
 		return Member{}, err
 	}
-	pid := n.InternPath(path)
+	pid, err := n.InternPath(path)
+	if err != nil {
+		return Member{}, err
+	}
 	ports := n.pathPortsByID(pid)
 	if len(ports) == 0 {
 		return Member{}, fmt.Errorf("core: predicted flow needs at least one link")
@@ -108,7 +111,7 @@ func (n *Network) RequestPredictedMember(path []string, class uint8, spec Predic
 		return Member{}, fmt.Errorf("core: class %d out of range (%d classes on this path)", class, k)
 	}
 	key := aggKey{path: pid, class: class}
-	a := n.aggs[key]
+	a := n.aggregate(key)
 	admitPorts := ports
 	if a != nil {
 		// The carrier may have been rerouted since creation; new members are
@@ -171,12 +174,27 @@ func (n *Network) newAggregate(key aggKey, spec PredictedSpec) *Aggregate {
 	// No carrier policer: enforcement is per member, at the slots.
 	n.registerFlow(c)
 	a := &Aggregate{net: n, key: key, carrier: c}
-	if n.aggs == nil {
-		n.aggs = make(map[aggKey]*Aggregate)
+	for int(key.path) >= len(n.aggs) {
+		n.aggs = append(n.aggs, nil)
 	}
-	n.aggs[key] = a
+	row := n.aggs[key.path]
+	for int(key.class) >= len(row) {
+		row = append(row, nil)
+	}
+	row[key.class] = a
+	n.aggs[key.path] = row
 	n.aggOrder = append(n.aggOrder, a)
 	return a
+}
+
+// aggregate returns the live aggregate of a key, or nil.
+func (n *Network) aggregate(key aggKey) *Aggregate {
+	if int(key.path) < len(n.aggs) {
+		if row := n.aggs[key.path]; int(key.class) < len(row) {
+			return row[key.class]
+		}
+	}
+	return nil
 }
 
 // claimSlot returns a free member index, growing the slot slice as needed.
@@ -258,7 +276,7 @@ func (m Member) Release() {
 	if a.live == 0 {
 		a.total = 0
 		n.Release(c.ID)
-		delete(n.aggs, a.key)
+		n.aggs[a.key.path][a.key.class] = nil
 		n.aggOrder = slices.DeleteFunc(n.aggOrder, func(x *Aggregate) bool { return x == a })
 		return
 	}

@@ -291,7 +291,7 @@ func TestObserversAppend(t *testing.T) {
 	n := twoSwitch(Config{})
 	var got []string
 	note := func(s string) { got = append(got, s) }
-	pt := n.pathPortsByID(n.InternPath([]string{"S1", "S2"}))[0]
+	pt := n.pathPortsByID(internPath(t, n, []string{"S1", "S2"}))[0]
 	pt.OnTransmit(func(*packet.Packet, float64) { note("tx1") })
 	pt.OnTransmit(func(*packet.Packet, float64) { note("tx2") })
 	n.OnFlow(func(f *Flow) {

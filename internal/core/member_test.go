@@ -24,6 +24,16 @@ func memberChain(cfg Config) *Network {
 	return n
 }
 
+// internPath interns a path the test knows is good.
+func internPath(t testing.TB, n *Network, path []string) PathID {
+	t.Helper()
+	id, err := n.InternPath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 // TestMembersMatchTokenBuckets drives seeded admit / inject / release /
 // re-admit traffic over three aggregates and checks every observable against
 // a model that shares nothing with memberSlot: one tokenbucket.Bucket per
@@ -56,7 +66,7 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 	// Mirror each port's real-time rate measurement: a transmit observer
 	// sees what the admission controller's sees, so at the end ν̂ minus the
 	// mirror's reading is exactly what the warmup ledger still holds.
-	ports := n.pathPortsByID(n.InternPath(keys[2].path))
+	ports := n.pathPortsByID(internPath(t, n, keys[2].path))
 	mirrors := make(map[*topology.Port]*stats.RateMeter)
 	for _, pt := range ports {
 		m := stats.NewRateMeter(1.0, 10) // admission.New's defaults
@@ -77,9 +87,13 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 	aggs := make([]agg, len(keys))
 	model := make(map[Member]*member)
 	var live []Member
-	var conformed, policed, refused, reused int
+	var conformed, policed, refused, reused, recreated int
 
-	aggOf := func(k int) *Aggregate { return n.aggs[aggKey{n.InternPath(keys[k].path), keys[k].class}] }
+	// The aggregates column, probed directly: the key's cell, and the
+	// aggregate that last held it.
+	keyOf := func(k int) aggKey { return aggKey{internPath(t, n, keys[k].path), keys[k].class} }
+	aggOf := func(k int) *Aggregate { return n.aggregate(keyOf(k)) }
+	last := make([]*Aggregate, len(keys))
 	check := func(step, k int, h Member) {
 		t.Helper()
 		a, want := aggOf(k), aggs[k]
@@ -87,7 +101,34 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 			if a != nil {
 				t.Fatalf("step %d: aggregate %d survives its last member", step, k)
 			}
+			if key := keyOf(k); int(key.path) < len(n.aggs) && int(key.class) < len(n.aggs[key.path]) &&
+				n.aggs[key.path][key.class] != nil {
+				t.Fatalf("step %d: aggregate %d's cell outlives it", step, k)
+			}
 			return
+		}
+		if a != last[k] {
+			// Created again on a key an earlier aggregate held: a fresh
+			// aggregate with a fresh carrier, listed once.
+			if last[k] != nil {
+				if a.Carrier() == last[k].Carrier() {
+					t.Fatalf("step %d: aggregate %d re-created on its dead carrier", step, k)
+				}
+				recreated++
+			}
+			if a.key != keyOf(k) {
+				t.Fatalf("step %d: aggregate %d filed under key %+v, want %+v", step, k, a.key, keyOf(k))
+			}
+			listed := 0
+			for _, x := range n.Aggregates() {
+				if x == a {
+					listed++
+				}
+			}
+			if listed != 1 {
+				t.Fatalf("step %d: aggregate %d listed %d times", step, k, listed)
+			}
+			last[k] = a
 		}
 		if a != h.agg {
 			t.Fatalf("step %d: handle points outside aggregate %d", step, k)
@@ -183,6 +224,17 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 			check(step, k, h)
 		}
 		if step%1000 == 999 {
+			cells := 0
+			for _, row := range n.aggs {
+				for _, a := range row {
+					if a != nil {
+						cells++
+					}
+				}
+			}
+			if cells != len(n.Aggregates()) {
+				t.Fatalf("step %d: %d aggregate cells, %d live aggregates", step, cells, len(n.Aggregates()))
+			}
 			for _, a := range n.Aggregates() {
 				if a.MemberRateSum() != a.DeclaredTotal() {
 					t.Fatalf("step %d: member rates sum to %v, aggregate declares %v",
@@ -196,11 +248,11 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 			}
 		}
 	}
-	t.Logf("%d conformed, %d policed, %d refused, %d slot reuses, %d live at the end",
-		conformed, policed, refused, reused, len(live))
-	if conformed < steps/20 || policed < steps/20 || reused < steps/20 {
-		t.Fatalf("run too one-sided to prove anything: %d conformed, %d policed, %d slot reuses",
-			conformed, policed, reused)
+	t.Logf("%d conformed, %d policed, %d refused, %d slot reuses, %d aggregates re-created, %d live at the end",
+		conformed, policed, refused, reused, recreated, len(live))
+	if conformed < steps/20 || policed < steps/20 || reused < steps/20 || recreated < len(keys) {
+		t.Fatalf("run too one-sided to prove anything: %d conformed, %d policed, %d slot reuses, %d re-created",
+			conformed, policed, reused, recreated)
 	}
 
 	for _, h := range live {
@@ -286,29 +338,6 @@ func TestMemberCycleAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("release + re-admit at full occupancy allocates %v times, want 0", allocs)
-	}
-}
-
-func TestInternPathProbeAllocatesNothing(t *testing.T) {
-	n := memberChain(Config{Seed: 1})
-	known, fresh := []string{"S1", "S2", "S3"}, []string{"S2", "S3"}
-	id := n.InternPath(known)
-	if allocs := testing.AllocsPerRun(100, func() {
-		if got := n.InternPath(known); got != id {
-			t.Fatalf("known path re-interned as %d, was %d", got, id)
-		}
-	}); allocs != 0 {
-		t.Fatalf("probing a known path allocates %v times, want 0", allocs)
-	}
-	before := len(n.intern.paths)
-	id2 := n.InternPath(fresh)
-	if id2 == id || len(n.intern.paths) != before+1 || n.InternPath(fresh) != id2 || len(n.intern.paths) != before+1 {
-		t.Fatalf("new path interned as %d next to %d, table grew %d -> %d; want one new entry",
-			id2, id, before, len(n.intern.paths))
-	}
-	fresh[0] = "S1" // the table keeps its own copy of the key and the hops
-	if n.InternPath([]string{"S2", "S3"}) != id2 || n.InternPath(known) != id {
-		t.Fatal("interned ids moved after the caller reused its slice")
 	}
 }
 

@@ -81,7 +81,7 @@ type Network struct {
 	// Predicted-flow aggregation state (see aggregate.go) and the
 	// destination-locality route cache (see routecache wiring in
 	// reroute.go); both nil/empty until used.
-	aggs       map[aggKey]*Aggregate
+	aggs       [][]*Aggregate // by PathID, then class; nil where none is live
 	aggOrder   []*Aggregate
 	routeCache *routing.Cache
 	routeGraph *routing.Graph // persistent graph for the active cost
@@ -611,7 +611,7 @@ func (n *Network) advertisedBound(ports []*topology.Port, class int) float64 {
 func (n *Network) pathClasses(ports []*topology.Port) int {
 	k := 0
 	for _, pt := range ports {
-		if c := n.Pipeline(pt).Profile().Classes(); c > k {
+		if c := n.Pipeline(pt).Classes(); c > k {
 			k = c
 		}
 	}
@@ -709,7 +709,10 @@ func (n *Network) flowPath(id uint32, path []string, class packet.Class) (PathID
 	if len(path) == 0 {
 		return 0, nil, fmt.Errorf("core: %v flow needs a path", class)
 	}
-	pid := n.InternPath(path)
+	pid, err := n.InternPath(path)
+	if err != nil {
+		return 0, nil, err
+	}
 	ports := n.pathPortsByID(pid)
 	if len(ports) == 0 && class != packet.Datagram {
 		return 0, nil, fmt.Errorf("core: %v flow needs at least one link", class)

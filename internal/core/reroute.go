@@ -186,7 +186,10 @@ func (n *Network) rerouteFlow(f *Flow, ch *chooser) (moved bool, err error) {
 		return false, nil
 	}
 	oldPorts := n.portsOf(f)
-	newPID := n.InternPath(newPath)
+	newPID, err := n.InternPath(newPath)
+	if err != nil {
+		return false, err
+	}
 	newPorts := n.pathPortsByID(newPID)
 	added := portsNotIn(newPorts, oldPorts)
 	dropped := portsNotIn(oldPorts, newPorts)

@@ -285,6 +285,10 @@ func NewPipeline(prof Profile, linkRate float64) (*Pipeline, error) {
 // Profile returns the normalized profile the pipeline was built from.
 func (pl *Pipeline) Profile() Profile { return pl.prof }
 
+// Classes returns the number of predicted classes the pipeline serves, without
+// copying its profile.
+func (pl *Pipeline) Classes() int { return pl.prof.Classes() }
+
 // Enqueue implements Scheduler. On a reserving port a guaranteed packet goes
 // to its own clocked flow by flow id — one probe of the table's id map;
 // everything else lands in flow 0 directly (no per-flow lookup — only

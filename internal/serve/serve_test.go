@@ -454,6 +454,32 @@ func TestZeroDepthTokenBucketInjectionIsRefused(t *testing.T) {
 	}
 }
 
+// TestPacedSessionSleepsBetweenQuanta: a paced session steps one whole
+// quantum per wallQuantum of wall time and sleeps in between, instead of
+// chasing the wall clock in steps that end exactly where it stands.
+func TestPacedSessionSleepsBetweenQuanta(t *testing.T) {
+	ts, m := newTestServer(t)
+	var st status
+	call(t, "POST", ts.URL+"/sessions", createBody{Source: identBase, Pace: 1, Paused: true}, &st)
+	s := m.Get(st.ID)
+	resumed := time.Now()
+	call(t, "POST", ts.URL+"/sessions/"+st.ID, map[string]string{"action": "resume"}, nil)
+	time.Sleep(500 * time.Millisecond)
+	var steps int
+	var now float64
+	if err := s.do(func() { steps, now = s.steps, s.sim.Now() }); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(resumed).Seconds()
+	t.Logf("%d steps to sim time %.3fs in %.3fs of wall time", steps, now, wall)
+	if limit := int(wall/wallQuantum) + 2; steps > limit || steps < 3 {
+		t.Fatalf("paced session took %d steps in %.3fs of wall time, want 3 to %d", steps, wall, limit)
+	}
+	if now > wall {
+		t.Fatalf("paced session at sim time %.3fs ran ahead of %.3fs of wall time", now, wall)
+	}
+}
+
 // waitSimTime polls status until the simulation clock reaches tmin.
 func waitSimTime(t *testing.T, base, id string, tmin float64) {
 	t.Helper()

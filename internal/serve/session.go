@@ -19,11 +19,10 @@ import (
 )
 
 const (
-	// pollTick is how long a paced session ahead of schedule sleeps before
-	// rechecking the wall clock (still listening for commands meanwhile).
-	pollTick = 5 * time.Millisecond
-	// wallQuantum bounds one paced step to this much wall time of progress,
-	// so commands are serviced at least ~20 times per wall second.
+	// wallQuantum is one paced step's worth of wall time: a paced session
+	// steps pace·wallQuantum simulated seconds at a time, each once the wall
+	// clock reaches its end, so it steps ~20 times per wall second and
+	// sleeps in between (serving commands meanwhile).
 	wallQuantum = 0.05
 	// freeRunQuanta divides a free-running session's horizon into this many
 	// steps — command latency is one quantum of simulation.
@@ -56,6 +55,7 @@ type session struct {
 	report    *scenario.Report
 	injected  int       // engine events scheduled through /events
 	injectSeq int       // numbers injection sources for diagnostics
+	steps     int       // simulation steps taken (tests count them)
 	baseSim   float64   // pacing basis: sim clock ...
 	baseWall  time.Time // ... and wall clock at the last resume
 }
@@ -126,14 +126,16 @@ func (s *session) loop() {
 		now := s.sim.Now()
 		target := s.sim.Horizon
 		if s.pace > 0 {
-			// The wall clock's target, at most one quantum past now.
-			target = min(s.baseSim+s.pace*time.Since(s.baseWall).Seconds(), now+s.pace*wallQuantum)
-			if target <= now {
-				// Ahead of the wall clock: idle briefly, stay responsive.
+			// One whole quantum, taken once the wall clock reaches its end.
+			target = min(now+s.pace*wallQuantum, target)
+			due := s.baseWall.Add(time.Duration((target - s.baseSim) / s.pace * float64(time.Second)))
+			if wait := time.Until(due); wait > 0 {
+				// Ahead of the wall clock: sleep until it catches up, still
+				// serving commands.
 				select {
 				case fn := <-s.cmds:
 					fn()
-				case <-time.After(pollTick):
+				case <-time.After(wait):
 				case <-s.quit:
 					return
 				}
@@ -143,6 +145,7 @@ func (s *session) loop() {
 			target = now + q
 		}
 		s.sim.StepTo(target)
+		s.steps++
 		if s.sim.Done() {
 			s.finish()
 		} else if d := s.sim.TraceDone(); d > s.traced {

@@ -293,24 +293,39 @@ func (r *Route) SetReceiver(nd *Node, s Receiver) {
 	r.sinks = append(r.sinks, routeSink{at: nd, s: s})
 }
 
-// PathPorts returns the output ports along a path, in order.
+// PathPorts returns the output ports along a path, in order. An unknown node
+// or a missing link panics; ResolvePath reports it instead.
 func (n *Network) PathPorts(path []string) []*Port {
+	ports, err := n.ResolvePath(path)
+	if err != nil {
+		panic(err.Error())
+	}
+	return ports
+}
+
+// ResolvePath returns the output ports along a path, in order, or an error
+// naming the first unknown node or missing link. A path of one switch has no
+// ports, but its switch must exist.
+func (n *Network) ResolvePath(path []string) ([]*Port, error) {
+	if len(path) == 1 && n.nodes[path[0]] == nil {
+		return nil, fmt.Errorf("topology: unknown node %q", path[0])
+	}
 	if len(path) < 2 {
-		return nil
+		return nil, nil
 	}
 	ports := make([]*Port, 0, len(path)-1)
 	for i := 0; i < len(path)-1; i++ {
 		nd := n.nodes[path[i]]
 		if nd == nil {
-			panic(fmt.Sprintf("topology: unknown node %q", path[i]))
+			return nil, fmt.Errorf("topology: unknown node %q", path[i])
 		}
 		p := nd.ports[path[i+1]]
 		if p == nil {
-			panic(fmt.Sprintf("topology: no link %s->%s", path[i], path[i+1]))
+			return nil, fmt.Errorf("topology: no link %s->%s", path[i], path[i+1])
 		}
 		ports = append(ports, p)
 	}
-	return ports
+	return ports, nil
 }
 
 // FixedDelayAlong returns the constant (non-queueing) delay a packet of

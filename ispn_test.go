@@ -128,3 +128,54 @@ func TestFacadePGBoundValues(t *testing.T) {
 		t.Fatalf("PGBound = %.2f ms, want 588.24", got)
 	}
 }
+
+// TestFacadeBadPathIsAnError: every request form refuses a path through an
+// unknown switch or over a missing link with an error, and the network then
+// serves a good request as if the bad ones never came.
+func TestFacadeBadPathIsAnError(t *testing.T) {
+	net := ispn.New(ispn.Config{Seed: 9})
+	for _, s := range []string{"A", "B", "C"} {
+		net.AddSwitch(s)
+	}
+	net.Connect("A", "B")
+	g := ispn.GuaranteedSpec{ClockRate: 100_000}
+	p := ispn.PredictedSpec{TokenRate: 85_000, BucketBits: 50_000, Delay: 1}
+	forms := map[string]func(path []string) error{
+		"RequestGuaranteed": func(path []string) error {
+			_, err := net.RequestGuaranteed(1, path, g)
+			return err
+		},
+		"RequestPredicted": func(path []string) error {
+			_, err := net.RequestPredicted(1, path, p)
+			return err
+		},
+		"RequestPredictedClass": func(path []string) error {
+			_, err := net.RequestPredictedClass(1, path, 0, p)
+			return err
+		},
+		"RequestPredictedMember": func(path []string) error {
+			_, err := net.RequestPredictedMember(path, 0, p)
+			return err
+		},
+	}
+	for name, request := range forms {
+		for _, path := range [][]string{{"A", "nope"}, {"nope", "A"}, {"B", "A"}, {"A", "C"}} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s(%v) panicked: %v", name, path, r)
+					}
+				}()
+				if err := request(path); err == nil {
+					t.Errorf("%s(%v) succeeded, want an error", name, path)
+				}
+			}()
+		}
+	}
+	if len(net.Flows()) != 0 {
+		t.Fatalf("bad paths left %d flows behind", len(net.Flows()))
+	}
+	if _, err := net.RequestPredictedMember([]string{"A", "B"}, 0, p); err != nil {
+		t.Fatal(err)
+	}
+}
