@@ -114,7 +114,7 @@ profile:
 	@echo "wrote cpu.pprof and mem.pprof"
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing over the .ispn
-# lexer/parser and compiler and over the event engine's firing order against
+# lexer/parser, compiler and runtime injection and over the event engine's firing order against
 # a sorted-slice model, then a randomized scenario fuzz run — every
 # world simulated sequentially and sharded under the invariant oracle with
 # byte-identical reports required (see docs/TESTING.md). The nightly CI job
@@ -122,6 +122,7 @@ profile:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzCompileScenario -fuzztime 5s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzInjectEvents -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 5s ./internal/sim
 	$(GO) run ./cmd/ispnsim -n 50 -seed 1 fuzz
 
