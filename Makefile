@@ -114,11 +114,12 @@ profile:
 	@echo "wrote cpu.pprof and mem.pprof"
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing over the .ispn
-# lexer/parser, compiler and runtime injection and over the event engine's firing order against
-# a sorted-slice model, then a randomized scenario fuzz run — every
-# world simulated sequentially and sharded under the invariant oracle with
-# byte-identical reports required (see docs/TESTING.md). The nightly CI job
-# runs the same harnesses much longer.
+# lexer/parser, compiler and runtime injection (InjectEvents) and over the
+# event engine's firing order against a sorted-slice model, then a
+# randomized scenario fuzz run — every world simulated sequentially and
+# sharded under the invariant oracle with byte-identical reports required
+# (see docs/TESTING.md). The nightly CI job runs the same harnesses much
+# longer.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzCompileScenario -fuzztime 5s ./internal/scenario

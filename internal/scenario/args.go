@@ -7,9 +7,9 @@ import (
 
 // argSet gives the compiler typed, dimension-checked access to a
 // declaration's arguments, which are always named, under its row of the
-// element table. Every getter records the first error it hits in the
-// compiler (with the argument's position) and returns the default, so a
-// compile pass reports the earliest diagnostic rather than panicking.
+// element table. A getter returns the caller's default for an argument the
+// file leaves out; a malformed one ends the compile at the argument's
+// position (compiler.failf), so a getter that returns has a valid value.
 type argSet struct {
 	c    *compiler
 	decl *Decl
@@ -36,12 +36,10 @@ func (a *argSet) finish() {
 			}
 			a.c.failf(arg.NamePos, "%s has no argument %q (accepted: %s)",
 				a.decl.Kind, arg.Name, accepted)
-			return
 		}
 		for _, prev := range a.decl.Args[:i] {
 			if prev.Name == arg.Name {
 				a.c.failf(arg.NamePos, "argument %q given twice", arg.Name)
-				return
 			}
 		}
 	}
@@ -71,7 +69,6 @@ func (a *argSet) given(name string) (Pos, bool) {
 func (c *compiler) number(v Value, want dimension, name string) float64 {
 	if v.Kind != NumberVal {
 		c.failf(v.Pos, "argument %q must be %s", name, want)
-		return 0
 	}
 	if v.Unit == "" {
 		return v.Num
@@ -79,7 +76,6 @@ func (c *compiler) number(v Value, want dimension, name string) float64 {
 	u := units[v.Unit]
 	if u.dim != want && !(want == dimFraction && v.Unit == "%") {
 		c.failf(v.Pos, "argument %q must be %s, got %q", name, want, v.Unit)
-		return 0
 	}
 	return v.Num * u.mult
 }
@@ -126,7 +122,6 @@ func (a *argSet) count(name string, def int) int {
 	n := a.c.number(v, dimNone, name)
 	if n != math.Trunc(n) || n < 0 {
 		a.c.failf(v.Pos, "argument %q must be a non-negative integer, got %v", name, n)
-		return def
 	}
 	return int(n)
 }
@@ -145,7 +140,7 @@ func (a *argSet) boolean(name string, def bool) bool {
 		}
 	}
 	a.c.failf(v.Pos, "argument %q must be on/off", name)
-	return def
+	return false
 }
 
 func (a *argSet) enum(name string, def string, allowed ...string) string {
@@ -153,15 +148,10 @@ func (a *argSet) enum(name string, def string, allowed ...string) string {
 	if !ok {
 		return def
 	}
-	if v.Kind == IdentVal {
-		for _, s := range allowed {
-			if v.Str == s {
-				return s
-			}
-		}
+	if v.Kind != IdentVal || !slices.Contains(allowed, v.Str) {
+		a.c.failf(v.Pos, "argument %q must be one of: %s", name, joinWords(allowed))
 	}
-	a.c.failf(v.Pos, "argument %q must be one of: %s", name, joinWords(allowed))
-	return def
+	return v.Str
 }
 
 // path returns a route argument as node names. Required paths that are
@@ -177,14 +167,13 @@ func (a *argSet) path(name string, required bool) []Name {
 	}
 	switch v.Kind {
 	case PathVal:
-		return v.Path
 	case IdentVal:
 		// A single-switch "path" is meaningless (flows need ≥ 1 link).
 		a.c.failf(v.Pos, "argument %q needs at least two switches (A -> B)", name)
 	default:
 		a.c.failf(v.Pos, "argument %q must be a path (A -> B -> C)", name)
 	}
-	return nil
+	return v.Path
 }
 
 // identName returns a bare-identifier argument as a Name (used for churn
@@ -196,7 +185,6 @@ func (a *argSet) identName(name string) (Name, bool) {
 	}
 	if v.Kind != IdentVal {
 		a.c.failf(v.Pos, "argument %q must be a single switch name", name)
-		return Name{}, false
 	}
 	return Name{Text: v.Str, Pos: v.Pos}, true
 }
@@ -210,13 +198,11 @@ func (a *argSet) nameList(name string) []Name {
 	}
 	if v.Kind != ListVal {
 		a.c.failf(v.Pos, "argument %q must be a list of switch names like [B1, B2]", name)
-		return nil
 	}
 	out := make([]Name, 0, len(v.List))
 	for _, item := range v.List {
 		if item.Kind != IdentVal {
 			a.c.failf(item.Pos, "argument %q: each element must be a switch name", name)
-			return nil
 		}
 		out = append(out, Name{Text: item.Str, Pos: item.Pos})
 	}
@@ -231,13 +217,11 @@ func (a *argSet) pathList(name string) [][]Name {
 	}
 	if v.Kind != ListVal {
 		a.c.failf(v.Pos, "argument %q must be a list of paths like [A -> B, A -> C]", name)
-		return nil
 	}
 	out := make([][]Name, 0, len(v.List))
 	for _, item := range v.List {
 		if item.Kind != PathVal {
 			a.c.failf(item.Pos, "argument %q: each element must be a path (A -> B)", name)
-			return nil
 		}
 		out = append(out, item.Path)
 	}
@@ -252,14 +236,12 @@ func (a *argSet) fracList(name string, def []float64) []float64 {
 	}
 	if v.Kind != ListVal {
 		a.c.failf(v.Pos, "argument %q must be a list like [50%%, 99%%]", name)
-		return def
 	}
 	out := make([]float64, 0, len(v.List))
 	for _, item := range v.List {
 		f := a.c.number(item, dimFraction, name)
 		if f <= 0 || f >= 1 {
 			a.c.failf(item.Pos, "percentile must be in (0%%, 100%%), got %v", f)
-			return def
 		}
 		out = append(out, f)
 	}
@@ -277,7 +259,6 @@ func (a *argSet) durList(name string, def []float64) []float64 {
 	}
 	if v.Kind != ListVal {
 		a.c.failf(v.Pos, "argument %q must be a list like [32ms, 320ms]", name)
-		return def
 	}
 	out := make([]float64, 0, len(v.List))
 	for _, item := range v.List {

@@ -110,9 +110,6 @@ func (c *compiler) churnDecl(d *Decl) {
 	locality := a.plain("locality", 1)
 	localityPos, localityGiven := a.given("locality")
 	a.finish()
-	if !c.ok() {
-		return
-	}
 	if ch.service == "predicted" {
 		ch.service = "Predicted"
 	} else {
@@ -120,54 +117,43 @@ func (c *compiler) churnDecl(d *Decl) {
 	}
 	if ch.every <= 0 {
 		c.failf(d.KindPos, "Churn requires a positive mean inter-arrival (every 2s)")
-		return
 	}
 	if ch.hold <= 0 {
 		c.failf(d.KindPos, "Churn requires a positive mean holding time (hold 10s)")
-		return
 	}
 	if ch.service == "Predicted" && rate <= 0 {
 		c.failf(d.KindPos, "Churn Predicted flows need a positive per-flow rate")
-		return
 	}
 	if ch.pps <= 0 {
 		c.failf(d.KindPos, "Churn requires a positive per-flow packet rate (pps 64pps)")
-		return
 	}
 	if ch.size <= 0 {
 		pos, _ := a.given("size")
 		c.failf(pos, "Churn requires a positive packet size, got %d bits", ch.size)
-		return
 	}
 	// Two routing modes: explicit paths or destination locality
 	// (from/to/locality), never both.
 	destMode := fromGiven || dests != nil || localityGiven
 	if destMode && len(pathLists) > 0 {
 		c.failf(d.KindPos, "Churn takes either explicit paths or destination locality (from/to), not both")
-		return
 	}
 	if destMode {
 		if !fromGiven || len(dests) == 0 {
 			c.failf(d.KindPos, "Churn destination locality needs both from (a switch) and to (a list of switches)")
-			return
 		}
 		if locality < 0 {
 			c.failf(localityPos, "Churn locality must be non-negative, got %v", locality)
-			return
 		}
 		if !c.switches[from.Text] {
 			c.what(from, "a switch", "in a Churn from")
-			return
 		}
 		ch.from = from.Text
 		for _, n := range dests {
 			if !c.switches[n.Text] {
 				c.what(n, "a switch", "in a Churn to")
-				return
 			}
 			if n.Text == from.Text {
 				c.failf(n.Pos, "Churn destination %q is the origin itself", n.Text)
-				return
 			}
 			ch.dests = append(ch.dests, n.Text)
 		}
@@ -184,14 +170,9 @@ func (c *compiler) churnDecl(d *Decl) {
 	}
 	if len(pathLists) == 0 {
 		c.failf(d.KindPos, "Churn needs a path pool (paths [A -> B, A -> C]) or destination locality (from A, to [B, C])")
-		return
 	}
 	for _, p := range pathLists {
-		nodes := c.pathNodes(p)
-		if nodes == nil {
-			return
-		}
-		ch.paths = append(ch.paths, nodes)
+		ch.paths = append(ch.paths, c.pathNodes(p))
 	}
 	c.out.churns = append(c.out.churns, ch)
 }

@@ -148,13 +148,10 @@ type SimTCP struct {
 // Compile lowers a parsed file onto a fresh network. The returned Sim has
 // every switch, link, flow, and connection wired and every source armed;
 // call Run to simulate.
-func Compile(f *File, opts Options) (*Sim, error) {
+func Compile(f *File, opts Options) (_ *Sim, err error) {
+	defer catch(&err)
 	c := &compiler{file: f, opts: opts}
-	s := c.compile()
-	if c.err != nil {
-		return nil, c.err
-	}
-	return s, nil
+	return c.compile(), nil
 }
 
 // Load is ParseFile followed by Compile.
@@ -303,7 +300,6 @@ func (s *Sim) quiesce() {
 type compiler struct {
 	file *File
 	opts Options
-	err  *Error
 
 	seed        int64
 	horizon     float64
@@ -333,13 +329,11 @@ type compiler struct {
 	out *Sim
 }
 
+// failf stops the compile at a positioned error: it panics a bailout, which
+// Compile's (or the injection's) catch returns.
 func (c *compiler) failf(pos Pos, format string, args ...any) {
-	if c.err == nil {
-		c.err = errf(c.file.Path, pos, format, args...)
-	}
+	panic(bailout{errf(c.file.Path, pos, format, args...)})
 }
-
-func (c *compiler) ok() bool { return c.err == nil }
 
 func (c *compiler) compile() *Sim {
 	c.decls = make(map[string]*Decl)
@@ -358,34 +352,22 @@ func (c *compiler) compile() *Sim {
 	config := map[string]*Decl{}
 	for _, d := range c.file.Decls {
 		e := c.elementOf(d)
-		if e == nil {
-			return nil
-		}
 		if (e.class == classGenerator || e.class == classChurn) && len(d.Names) != 1 {
 			c.failf(d.Names[1].Pos, "%s takes exactly one name", d.Kind)
-			return nil
 		}
-		if !c.register(d) {
-			return nil
-		}
+		c.register(d)
 		if e.class == classConfig {
 			if first := config[d.Kind]; first != nil {
 				c.failf(d.KindPos, "duplicate %s declaration (first at line %d)", d.Kind, first.KindPos.Line)
-				return nil
 			}
 			config[d.Kind] = d
 		}
 	}
-	if !c.registerArrivals(c.file.Events) {
-		return nil
-	}
+	c.registerArrivals(c.file.Events)
 
 	// Pass 2: run knobs, then the network itself.
 	c.runKnobs(config["Run"])
 	cfg := c.netConfig(config["Net"])
-	if !c.ok() {
-		return nil
-	}
 	c.net = core.New(cfg)
 	c.out = &Sim{
 		File:        c.file,
@@ -404,15 +386,9 @@ func (c *compiler) compile() *Sim {
 	}
 	c.setupRouting(config["Reroute"])
 	c.setupCache(config["RouteCache"])
-	if !c.ok() {
-		return nil
-	}
 
 	// Pass 3: topology — switch declarations and generators, in order.
 	for _, d := range c.file.Decls {
-		if !c.ok() {
-			return nil
-		}
 		switch classOf(d.Kind) {
 		case classSwitch:
 			for _, n := range d.Names {
@@ -427,9 +403,6 @@ func (c *compiler) compile() *Sim {
 	// Pass 4: explicit links (chains whose endpoints are all switches).
 	var attachments []*Chain
 	for _, ch := range c.file.Chains {
-		if !c.ok() {
-			return nil
-		}
 		if c.isLinkChain(ch) {
 			c.linkChain(ch)
 		} else {
@@ -449,17 +422,12 @@ func (c *compiler) compile() *Sim {
 				continue
 			}
 			p := c.argsOf(d).path("path", false)
-			if !c.ok() {
-				return nil
-			}
 			if len(p) >= 2 && c.switches[p[0].Text] && c.switches[p[len(p)-1].Text] {
 				together = append(together, [2]string{p[0].Text, p[len(p)-1].Text})
 			}
 		}
-		err := c.net.SetShards(core.PartitionSpec{Shards: shards, Together: together})
-		if err != nil {
+		if err := c.net.SetShards(core.PartitionSpec{Shards: shards, Together: together}); err != nil {
 			c.failf(c.shardsPos, "%v", err)
-			return nil
 		}
 	}
 
@@ -467,9 +435,6 @@ func (c *compiler) compile() *Sim {
 	// order (ids are assigned sequentially, so reports and random streams
 	// are stable).
 	for _, d := range c.file.Decls {
-		if !c.ok() {
-			return nil
-		}
 		switch classOf(d.Kind) {
 		case classFlow:
 			c.flowDecl(d, 0, false)
@@ -482,9 +447,6 @@ func (c *compiler) compile() *Sim {
 
 	// Pass 6: attachment chains (source -> [TokenBucket ->] flow).
 	for _, ch := range attachments {
-		if !c.ok() {
-			return nil
-		}
 		c.attachChain(ch, 0, false)
 	}
 
@@ -492,9 +454,6 @@ func (c *compiler) compile() *Sim {
 	// becomes one engine event at the block's time, so same-timestamp
 	// blocks and statements fire in file order.
 	for _, b := range c.file.Events {
-		if !c.ok() {
-			return nil
-		}
 		c.eventBlock(b)
 	}
 
@@ -510,9 +469,6 @@ func (c *compiler) compile() *Sim {
 			}
 		}
 	}
-	if !c.ok() {
-		return nil
-	}
 	c.out.nextID = c.nextID
 	c.out.comp = c
 	c.out.Shards = c.effectiveShards()
@@ -521,15 +477,13 @@ func (c *compiler) compile() *Sim {
 
 // register adds d's names to the one namespace the file's declarations and
 // its at blocks share.
-func (c *compiler) register(d *Decl) bool {
+func (c *compiler) register(d *Decl) {
 	for _, n := range d.Names {
 		if prev, dup := c.decls[n.Text]; dup {
 			c.failf(n.Pos, "name %q already declared as %s at line %d", n.Text, prev.Kind, prev.Names[0].Pos.Line)
-			return false
 		}
 		c.decls[n.Text] = d
 	}
-	return true
 }
 
 // registerArrivals is pass 1 for at blocks, a file's own or an injection's:
@@ -537,32 +491,24 @@ func (c *compiler) register(d *Decl) bool {
 // mid-run, which puts each use of it under the arrival-time rule
 // (elementAvailable). Only flows, sources and filters may arrive — topology,
 // config and TCP connections are static.
-func (c *compiler) registerArrivals(blocks []*EventBlock) bool {
+func (c *compiler) registerArrivals(blocks []*EventBlock) {
 	for _, b := range blocks {
 		for _, st := range b.Stmts {
 			d := st.Decl
 			if d == nil {
 				continue
 			}
-			e := c.elementOf(d)
-			if e == nil {
-				return false
-			}
-			switch e.class {
+			switch c.elementOf(d).class {
 			case classFlow, classSource, classFilter:
 			default:
 				c.failf(d.KindPos, "%s cannot be declared inside an at block (only flows, sources and TokenBucket filters arrive mid-run)", d.Kind)
-				return false
 			}
-			if !c.register(d) {
-				return false
-			}
+			c.register(d)
 			for _, n := range d.Names {
 				c.dynNames[n.Text] = true
 			}
 		}
 	}
-	return true
 }
 
 // effectiveShards resolves the shard count: the Options override wins, then

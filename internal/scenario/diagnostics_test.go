@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -81,6 +83,41 @@ func TestMutatedDiagnosticsPinned(t *testing.T) {
 			}
 		}
 		t.Fatalf("%d lines, golden has %d", len(gl), len(wl))
+	}
+}
+
+// TestCatchPassesForeignPanicsThrough checks catch's contract: a bailout
+// comes back as its error, and any other panic — a bare *Error, a string, an
+// error, a runtime fault — propagates with its value unchanged, so a bug in
+// the front end stays a crash instead of becoming a diagnostic.
+func TestCatchPassesForeignPanicsThrough(t *testing.T) {
+	guarded := func(fn func()) (err error) {
+		defer catch(&err)
+		fn()
+		return nil
+	}
+	escaped := func(fn func()) (r any) {
+		defer func() { r = recover() }()
+		guarded(fn)
+		return nil
+	}
+	diag := errf("x.ispn", Pos{Line: 2, Col: 3}, "bad")
+	if err := guarded(func() { panic(bailout{diag}) }); err != diag {
+		t.Fatalf("bailout came back as %v, want %v", err, diag)
+	}
+	if err := guarded(func() {}); err != nil {
+		t.Fatalf("no panic came back as %v", err)
+	}
+	for _, foreign := range []any{diag, "a string", errors.New("an error")} {
+		if r := escaped(func() { panic(foreign) }); r != foreign {
+			t.Errorf("panic(%#v) escaped as %#v", foreign, r)
+		}
+	}
+	var m map[string]int
+	if r := escaped(func() { m["x"] = 1 }); r == nil {
+		t.Error("a runtime fault was swallowed")
+	} else if _, ok := r.(runtime.Error); !ok {
+		t.Errorf("a runtime fault escaped as %#v", r)
 	}
 }
 
@@ -162,7 +199,8 @@ func mutations(label, src string, n int) []mutation {
 	seen := map[string]bool{}
 	for _, loc := range mutTokenRE.FindAllStringIndex(src, -1) {
 		tk := mutToken{loc[0], loc[1], src[loc[0]:loc[1]]}
-		switch c := tk.text[0]; {
+		c := tk.text[0]
+		switch {
 		case c == '#':
 			continue
 		case c >= '0' && c <= '9':

@@ -85,8 +85,8 @@ func rowOf(class elemClass) *element {
 	return nil
 }
 
-// elementOf returns the row of d's kind, or reports an unknown kind at its
-// position and returns nil.
+// elementOf returns the row of d's kind; an unknown kind fails at its
+// position.
 func (c *compiler) elementOf(d *Decl) *element {
 	e := declared(d.Kind)
 	if e == nil {

@@ -8,14 +8,15 @@ import (
 	"ispn/internal/tcp"
 )
 
-// elementAvailable is the arrival-time rule: an element declared in an at
-// block exists from that block's time on, so a static statement may not use
-// it at all and a statement at time at (dynamic) may not use it earlier. stmt
-// names the using statement ("event", or a verb); compiled is false for a flow
-// whose declaration has not compiled yet — statements compile in file order.
-func (c *compiler) elementAvailable(n Name, kind string, at float64, dynamic, compiled bool, stmt string) bool {
+// elementAvailable enforces the arrival-time rule: an element declared in an
+// at block exists from that block's time on, so a static statement may not
+// use it at all and a statement at time at (dynamic) may not use it earlier.
+// stmt names the using statement ("event", or a verb); compiled is false for
+// a flow whose declaration has not compiled yet — statements compile in file
+// order.
+func (c *compiler) elementAvailable(n Name, kind string, at float64, dynamic, compiled bool, stmt string) {
 	if !c.dynNames[n.Text] {
-		return true
+		return
 	}
 	if !dynamic {
 		obj := "it"
@@ -23,18 +24,14 @@ func (c *compiler) elementAvailable(n Name, kind string, at float64, dynamic, co
 			obj = "its traffic"
 		}
 		c.failf(n.Pos, "%s %q arrives inside an at block; attach %s inside that at block", kind, n.Text, obj)
-		return false
 	}
 	t, ok := c.declAt[n.Text]
 	if !ok || !compiled {
 		c.failf(n.Pos, "%s %q is declared in a later at block; statements compile in file order, so move that block earlier", kind, n.Text)
-		return false
 	}
 	if t > at {
 		c.failf(n.Pos, "%s %q does not arrive until %vs (this %s is at %vs)", kind, n.Text, t, stmt, at)
-		return false
 	}
-	return true
 }
 
 // flowAt resolves the flow a statement at time at names, as it stands then:
@@ -46,16 +43,13 @@ func (c *compiler) flowAt(n Name, at float64, dynamic bool, verb string) *SimFlo
 	}
 	if d, ok := c.decls[n.Text]; !ok || classOf(d.Kind) != classFlow {
 		c.what(n, wanted, context)
-		return nil
 	}
 	sf := c.flows[n.Text]
-	if !c.elementAvailable(n, "flow", at, dynamic, sf != nil, stmt) {
-		return nil
-	}
+	c.elementAvailable(n, "flow", at, dynamic, sf != nil, stmt)
 	return sf
 }
 
-// what reports a name that is not what the context needs, saying what it
+// what fails on a name that is not what the context needs, saying what it
 // actually is.
 func (c *compiler) what(n Name, wanted, context string) {
 	if d, ok := c.decls[n.Text]; ok {
@@ -72,14 +66,12 @@ func (c *compiler) pathNodes(path []Name) []string {
 	for i, n := range path {
 		if !c.switches[n.Text] {
 			c.what(n, "a switch", "in a path")
-			return nil
 		}
 		nodes[i] = n.Text
 	}
 	for i := 0; i < len(nodes)-1; i++ {
 		if !c.links[[2]string{nodes[i], nodes[i+1]}] {
 			c.failf(path[i].Pos, "path needs a link %s -> %s, but none is declared", nodes[i], nodes[i+1])
-			return nil
 		}
 	}
 	return nodes
@@ -99,17 +91,10 @@ func (c *compiler) allocID() uint32 {
 // not an error.
 func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 	a := c.argsOf(d)
-	path := a.path("path", true)
-	var nodes []string
-	if c.ok() {
-		nodes = c.pathNodes(path)
-	}
+	nodes := c.pathNodes(a.path("path", true))
 	var reqs []*flowReq
 	var sfs []*SimFlow
 	for _, n := range d.Names {
-		if !c.ok() {
-			return
-		}
 		req := &flowReq{kind: d.Kind, id: c.allocID(), nodes: nodes, class: -1}
 		switch d.Kind {
 		case "Guaranteed":
@@ -127,9 +112,6 @@ func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 			req.class = a.count("class", -1)
 		}
 		a.finish()
-		if !c.ok() {
-			return
-		}
 		sf := &SimFlow{Name: n.Text, Kind: d.Kind, At: at, dynamic: dynamic}
 		c.flows[n.Text] = sf
 		c.out.Flows = append(c.out.Flows, sf)
@@ -148,7 +130,6 @@ func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 		f, err := reqs[i].issue(c.net)
 		if err != nil {
 			c.failf(d.KindPos, "%s %q rejected: %v", d.Kind, sf.Name, err)
-			return
 		}
 		sf.Flow = f
 		c.out.tapFlow(f)
@@ -159,30 +140,20 @@ func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 // path.
 func (c *compiler) tcpDecl(d *Decl) {
 	a := c.argsOf(d)
-	fwd := a.path("path", true)
-	var nodes, back []string
-	if c.ok() {
-		nodes = c.pathNodes(fwd)
+	nodes := c.pathNodes(a.path("path", true))
+	back := make([]string, len(nodes))
+	for i, s := range nodes {
+		back[len(nodes)-1-i] = s
 	}
-	if nodes != nil {
-		back = make([]string, len(nodes))
-		for i, s := range nodes {
-			back[len(nodes)-1-i] = s
-		}
-		for i := 0; i < len(back)-1; i++ {
-			if !c.links[[2]string{back[i], back[i+1]}] {
-				c.failf(d.KindPos, "TCP ACKs need a reverse link %s -> %s; declare it (or the whole path with <->)",
-					back[i], back[i+1])
-				return
-			}
+	for i := 0; i < len(back)-1; i++ {
+		if !c.links[[2]string{back[i], back[i+1]}] {
+			c.failf(d.KindPos, "TCP ACKs need a reverse link %s -> %s; declare it (or the whole path with <->)",
+				back[i], back[i+1])
 		}
 	}
 	startAt := a.duration("start", 0)
 	a.finish()
 	for _, n := range d.Names {
-		if !c.ok() {
-			return
-		}
 		conn := tcp.NewConnection(c.net.Topology(), tcp.Config{
 			DataFlowID: c.allocID(), AckFlowID: c.allocID(), Path: nodes, ReversePath: back,
 		})
@@ -207,60 +178,40 @@ func (c *compiler) attachChain(ch *Chain, at float64, dynamic bool) {
 	for i, dup := range ch.Duplex {
 		if dup {
 			c.failf(ch.Ends[i].Pos, `attachments are directional; use "->"`)
-			return
 		}
 	}
 	if len(ch.Attrs) > 0 {
 		c.failf(ch.Ends[0].Pos, "Link(...) attributes only apply to links between switches")
-		return
 	}
 	head := ch.Ends[0]
 	srcDecl, ok := c.decls[head.Text]
 	if !ok || classOf(srcDecl.Kind) != classSource {
 		c.what(head, "a traffic source or switch", "at the head of a chain")
-		return
 	}
-	if !c.elementAvailable(head, srcDecl.Kind, at, dynamic, true, "event") {
-		return
-	}
+	c.elementAvailable(head, srcDecl.Kind, at, dynamic, true, "event")
 	flow := c.flowAt(ch.Ends[len(ch.Ends)-1], at, dynamic, "")
-	if flow == nil {
-		return
-	}
 	// Middle elements must be TokenBucket filters, each used once.
 	src := c.buildSource(srcDecl, head, flow)
-	if !c.ok() {
-		return
-	}
 	for _, mid := range ch.Ends[1 : len(ch.Ends)-1] {
 		fd, ok := c.decls[mid.Text]
 		if !ok || classOf(fd.Kind) != classFilter {
 			c.what(mid, "a TokenBucket", "in the middle of an attachment")
-			return
 		}
-		if !c.elementAvailable(mid, fd.Kind, at, dynamic, true, "event") {
-			return
-		}
+		c.elementAvailable(mid, fd.Kind, at, dynamic, true, "event")
 		if c.attached[mid.Text] > 0 {
 			c.failf(mid.Pos, "TokenBucket %q is already in use; buckets hold state and serve one chain", mid.Text)
-			return
 		}
 		c.attached[mid.Text]++
 		a := c.argsOf(fd)
 		rate := a.pktRate("rate", 0)
 		depth := float64(a.count("depth", DefaultBucketPkt))
 		a.finish()
-		if !c.ok() {
-			return
-		}
 		if rate <= 0 {
 			c.failf(fd.KindPos, "TokenBucket requires a positive rate (packets/s)")
-			return
 		}
 		if depth == 0 {
 			pos, _ := a.given("depth")
 			c.failf(pos, "TokenBucket requires a depth of at least 1 packet")
-			return
 		}
 		pol := source.NewPoliced(src, rate, depth)
 		flow.filters = append(flow.filters, pol)
@@ -269,7 +220,6 @@ func (c *compiler) attachChain(ch *Chain, at float64, dynamic bool) {
 	c.attached[head.Text]++
 	if c.attached[head.Text] > 1 {
 		c.failf(head.Pos, "source %q is already attached; a source feeds one flow", head.Text)
-		return
 	}
 	c.startSource(src, srcDecl, flow, at, dynamic)
 }
@@ -283,7 +233,6 @@ func (c *compiler) buildSource(d *Decl, n Name, flow *SimFlow) source.Source {
 	size := int(a.bits("size", DefaultPktBits))
 	if size <= 0 {
 		c.failf(d.KindPos, "%s requires a positive packet size, got %d bits", d.Kind, size)
-		return nil
 	}
 	var peak, avg, burst, rate float64
 	if d.Kind == "Markov" {
@@ -293,18 +242,13 @@ func (c *compiler) buildSource(d *Decl, n Name, flow *SimFlow) source.Source {
 	}
 	a.finish()
 	switch {
-	case !c.ok():
-		return nil
 	case d.Kind == "Markov" && (avg <= 0 || peak <= avg):
 		c.failf(d.KindPos, "Markov needs 0 < avg < peak (got avg %v, peak %v)", avg, peak)
-		return nil
 	case d.Kind == "Markov" && burst < 1:
 		pos, _ := a.given("burst")
 		c.failf(pos, "Markov needs a mean burst of at least 1 packet")
-		return nil
 	case d.Kind != "Markov" && rate <= 0:
 		c.failf(d.KindPos, "%s requires a positive rate (packets/s)", d.Kind)
-		return nil
 	}
 	switch d.Kind {
 	case "Markov":

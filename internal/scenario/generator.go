@@ -32,7 +32,6 @@ func (c *compiler) generate(d *Decl) {
 		a.finish()
 		if leaves < 1 {
 			c.failf(d.KindPos, "Star needs at least one leaf")
-			return
 		}
 		hub := sub("hub")
 		c.addSwitch(hub, name.Pos)
@@ -50,7 +49,6 @@ func (c *compiler) generate(d *Decl) {
 		a.finish()
 		if left < 1 || right < 1 {
 			c.failf(d.KindPos, "Dumbbell needs at least one switch on each side")
-			return
 		}
 		ca, cb := sub("a"), sub("b")
 		c.addSwitch(ca, name.Pos)
@@ -75,7 +73,6 @@ func (c *compiler) generate(d *Decl) {
 		a.finish()
 		if hops < 1 {
 			c.failf(d.KindPos, "ParkingLot needs at least one hop")
-			return
 		}
 		prev := ""
 		for i := 1; i <= hops+1; i++ {
@@ -93,11 +90,9 @@ func (c *compiler) generate(d *Decl) {
 		a.finish()
 		if nodes < 3 {
 			c.failf(d.KindPos, "Random needs at least 3 nodes")
-			return
 		}
 		if degree < 2 {
 			c.failf(d.KindPos, "Random needs degree >= 2 (a ring)")
-			return
 		}
 		names := make([]string, nodes)
 		for i := range names {

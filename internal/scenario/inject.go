@@ -38,7 +38,7 @@ func (s *Sim) InjectEvents(name string, src []byte) (int, error) {
 // symbol tables still hold the whole scenario, so injected statements see
 // every declared switch, link and flow; new traffic elements the blocks
 // declare are registered by the same pass 1 a file's own blocks go through.
-// All compiler and Sim mutations are rolled back on error.
+// A refused injection is rolled back: every compiler and Sim mutation undone.
 func (c *compiler) inject(s *Sim, f *File) (int, error) {
 	// Point diagnostics at the injected source, validate against the
 	// session's effective horizon (Options may have overridden the file's),
@@ -59,19 +59,10 @@ func (c *compiler) inject(s *Sim, f *File) (int, error) {
 	nEvents, nFlows := len(s.events), len(s.Flows)
 	savedAttached := maps.Clone(c.attached)
 
-	if c.registerArrivals(f.Events) {
-		for _, b := range f.Events {
-			if !c.ok() {
-				break
-			}
-			c.eventBlock(b)
-		}
-	}
-	if err := c.err; err != nil {
+	if err := c.injectBlocks(f.Events); err != nil {
 		// Roll back: forget the names this injection registered (a name it
 		// failed to register still belongs to its earlier declaration), and
 		// everything its blocks appended.
-		c.err = nil
 		for _, d := range c.allDecls() { // c.file is f: the injected block declarations
 			for _, n := range d.Names {
 				if c.decls[n.Text] == d {
@@ -97,4 +88,15 @@ func (c *compiler) inject(s *Sim, f *File) (int, error) {
 		s.arm(s.events[nEvents:])
 	}
 	return len(s.events) - nEvents, nil
+}
+
+// injectBlocks is pass 1 and pass 7 for an injection's at blocks; the first
+// error ends it.
+func (c *compiler) injectBlocks(blocks []*EventBlock) (err error) {
+	defer catch(&err)
+	c.registerArrivals(blocks)
+	for _, b := range blocks {
+		c.eventBlock(b)
+	}
+	return nil
 }

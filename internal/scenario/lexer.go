@@ -17,7 +17,6 @@ type lexer struct {
 
 	sawToken bool     // a non-comment token has been produced
 	desc     []string // leading comment lines (the description block)
-	err      *Error
 }
 
 func newLexer(file, src string) *lexer {
@@ -86,12 +85,12 @@ func (lx *lexer) skipSpace() {
 	}
 }
 
-// next returns the next token, or a tokEOF. Lexical errors are recorded in
-// lx.err and surface as tokEOF so the parser stops.
+// next returns the next token, or a tokEOF at the end of the source. A
+// lexical error bails out (fail).
 func (lx *lexer) next() token {
 	lx.skipSpace()
 	pos := lx.pos()
-	if lx.off >= len(lx.src) || lx.err != nil {
+	if lx.off >= len(lx.src) {
 		return token{kind: tokEOF, pos: pos}
 	}
 	lx.sawToken = true
@@ -112,8 +111,7 @@ func (lx *lexer) next() token {
 		text := lx.src[start:lx.off]
 		n, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			lx.err = errf(lx.file, pos, "malformed number %q", text)
-			return token{kind: tokEOF, pos: pos}
+			lx.fail(pos, "malformed number %q", text)
 		}
 		return token{kind: tokNumber, pos: pos, num: n, text: text}
 	case c == ':':
@@ -122,16 +120,14 @@ func (lx *lexer) next() token {
 			lx.advance()
 			return token{kind: tokDoubleColon, pos: pos}
 		}
-		lx.err = errf(lx.file, pos, `unexpected ":" (declarations use "::")`)
-		return token{kind: tokEOF, pos: pos}
+		lx.fail(pos, `unexpected ":" (declarations use "::")`)
 	case c == '-':
 		if lx.peekByteAt(1) == '>' {
 			lx.advance()
 			lx.advance()
 			return token{kind: tokArrow, pos: pos}
 		}
-		lx.err = errf(lx.file, pos, `unexpected "-" (links use "->"; names may not contain "-")`)
-		return token{kind: tokEOF, pos: pos}
+		lx.fail(pos, `unexpected "-" (links use "->"; names may not contain "-")`)
 	case c == '<':
 		if lx.peekByteAt(1) == '-' && lx.peekByteAt(2) == '>' {
 			lx.advance()
@@ -139,8 +135,7 @@ func (lx *lexer) next() token {
 			lx.advance()
 			return token{kind: tokDuplex, pos: pos}
 		}
-		lx.err = errf(lx.file, pos, `unexpected "<" (duplex links use "<->")`)
-		return token{kind: tokEOF, pos: pos}
+		lx.fail(pos, `unexpected "<" (duplex links use "<->")`)
 	case c == '(':
 		lx.advance()
 		return token{kind: tokLParen, pos: pos}
@@ -169,8 +164,14 @@ func (lx *lexer) next() token {
 		lx.advance()
 		return token{kind: tokRBrace, pos: pos}
 	}
-	lx.err = errf(lx.file, pos, "unexpected character %q", string(c))
-	return token{kind: tokEOF, pos: pos}
+	lx.fail(pos, "unexpected character %q", string(c))
+	return token{}
+}
+
+// fail stops the lexer — and the parser reading it — at a positioned error:
+// it panics a bailout, which Parse's catch returns.
+func (lx *lexer) fail(pos Pos, format string, args ...any) {
+	panic(bailout{errf(lx.file, pos, format, args...)})
 }
 
 // description returns the leading comment block with trailing blank lines

@@ -57,23 +57,18 @@ func (d dimension) String() string {
 }
 
 // Parse parses scenario source. name labels diagnostics (conventionally the
-// file path); it is not required to exist on disk.
-func Parse(name string, src []byte) (*File, error) {
+// file path); it is not required to exist on disk. The first lexical or
+// parse error ends the parse.
+func Parse(name string, src []byte) (_ *File, err error) {
+	defer catch(&err)
 	p := &parser{lx: newLexer(name, string(src))}
 	p.tok = p.lx.next()
 	f := &File{
 		Path: name,
 		Name: strings.TrimSuffix(filepath.Base(name), ".ispn"),
 	}
-	for p.tok.kind != tokEOF && p.err == nil {
+	for p.tok.kind != tokEOF {
 		p.statement(f)
-	}
-	// A lexical error explains the parse error that follows it, so it wins.
-	if p.lx.err != nil {
-		p.err = p.lx.err
-	}
-	if p.err != nil {
-		return nil, p.err
 	}
 	f.Description = p.lx.description()
 	return f, nil
@@ -91,7 +86,6 @@ func ParseFile(path string) (*File, error) {
 type parser struct {
 	lx  *lexer
 	tok token
-	err *Error
 }
 
 func (p *parser) advance() token {
@@ -100,17 +94,14 @@ func (p *parser) advance() token {
 	return t
 }
 
+// fail stops the parse at a positioned error, as a lexical error does.
 func (p *parser) fail(pos Pos, format string, args ...any) {
-	if p.err == nil {
-		p.err = errf(p.lx.file, pos, format, args...)
-	}
-	p.tok = token{kind: tokEOF, pos: pos}
+	p.lx.fail(pos, format, args...)
 }
 
 func (p *parser) expect(k tokKind, context string) token {
 	if p.tok.kind != k {
 		p.fail(p.tok.pos, "expected %s %s, found %s", k, context, p.tok.describe())
-		return token{kind: k, pos: p.tok.pos}
 	}
 	return p.advance()
 }
@@ -124,7 +115,6 @@ func (p *parser) statement(f *File) {
 	}
 	if p.tok.kind != tokIdent {
 		p.fail(p.tok.pos, "expected a declaration or link, found %s", p.tok.describe())
-		return
 	}
 	if p.tok.text == "at" && p.peekKind() == tokNumber {
 		p.eventBlock(f)
@@ -135,9 +125,7 @@ func (p *parser) statement(f *File) {
 	case tokArrow, tokDuplex:
 		f.Chains = append(f.Chains, p.chain(first))
 	case tokDoubleColon, tokComma:
-		if d := p.decl(first); d != nil {
-			f.Decls = append(f.Decls, d)
-		}
+		f.Decls = append(f.Decls, p.decl(first))
 	default:
 		p.fail(p.tok.pos, `expected "::", "->", "<->" or "," after %q, found %s`, first.Text, p.tok.describe())
 	}
@@ -151,14 +139,13 @@ func (p *parser) eventBlock(f *File) {
 	atTok := p.advance()
 	b := &EventBlock{AtPos: atTok.pos, At: p.value()}
 	p.expect(tokLBrace, `after "at <time>"`)
-	for p.err == nil && p.tok.kind != tokRBrace {
+	for p.tok.kind != tokRBrace {
 		if p.tok.kind == tokSemi {
 			p.advance()
 			continue
 		}
 		if p.tok.kind == tokEOF {
 			p.fail(b.AtPos, `unterminated "at" block (missing "}")`)
-			return
 		}
 		p.eventStmt(b)
 	}
@@ -176,7 +163,6 @@ func (p *parser) eventBlock(f *File) {
 func (p *parser) eventStmt(b *EventBlock) {
 	if p.tok.kind != tokIdent {
 		p.fail(p.tok.pos, "expected an event statement, found %s", p.tok.describe())
-		return
 	}
 	switch p.tok.text {
 	case "remove":
@@ -192,7 +178,6 @@ func (p *parser) eventStmt(b *EventBlock) {
 		op := &EventOp{Verb: t.text, VerbPos: t.pos, Names: []Name{p.name()}}
 		if p.tok.kind != tokArrow && p.tok.kind != tokDuplex {
 			p.fail(p.tok.pos, `%s needs a link (A -> B or A <-> B), found %s`, op.Verb, p.tok.describe())
-			return
 		}
 		for p.tok.kind == tokArrow || p.tok.kind == tokDuplex {
 			op.Duplex = append(op.Duplex, p.tok.kind == tokDuplex)
@@ -212,9 +197,7 @@ func (p *parser) eventStmt(b *EventBlock) {
 		case tokArrow, tokDuplex:
 			b.Stmts = append(b.Stmts, EventStmt{Chain: p.chain(first)})
 		case tokDoubleColon, tokComma:
-			if d := p.decl(first); d != nil {
-				b.Stmts = append(b.Stmts, EventStmt{Decl: d})
-			}
+			b.Stmts = append(b.Stmts, EventStmt{Decl: p.decl(first)})
 		default:
 			p.fail(p.tok.pos, `expected "::", "->", "<->", "," or an event verb after %q, found %s`,
 				first.Text, p.tok.describe())
@@ -230,8 +213,7 @@ func (p *parser) name() Name {
 	return Name{Text: t.text, Pos: t.pos}
 }
 
-// decl parses "a[, b...] :: Kind[(args)]" with first already consumed. It
-// returns nil when a name is malformed.
+// decl parses "a[, b...] :: Kind[(args)]" with first already consumed.
 func (p *parser) decl(first Name) *Decl {
 	d := &Decl{Names: []Name{first}}
 	for p.tok.kind == tokComma {
@@ -248,7 +230,6 @@ func (p *parser) decl(first Name) *Decl {
 	for _, n := range d.Names {
 		if strings.Contains(n.Text, ".") {
 			p.fail(n.Pos, "declared name %q may not contain '.' (dotted names belong to topology generators)", n.Text)
-			return nil
 		}
 	}
 	return d
@@ -267,7 +248,6 @@ func (p *parser) chain(first Name) *Chain {
 		kind := p.expect(tokIdent, "after '::' on a link")
 		if kind.text != "Link" {
 			p.fail(kind.pos, "a chain can only be annotated with Link(...), found %q", kind.text)
-			return c
 		}
 		p.expect(tokLParen, "after Link")
 		c.Attrs = p.args()
@@ -278,7 +258,7 @@ func (p *parser) chain(first Name) *Chain {
 // args parses a ')'-terminated argument list, the '(' already consumed.
 func (p *parser) args() []Arg {
 	var out []Arg
-	for p.err == nil {
+	for {
 		if p.tok.kind == tokRParen {
 			p.advance()
 			return out
@@ -292,7 +272,6 @@ func (p *parser) args() []Arg {
 			p.fail(p.tok.pos, `expected "," or ")" in argument list, found %s`, p.tok.describe())
 		}
 	}
-	return out
 }
 
 // arg parses "key value": every argument is named.
@@ -301,7 +280,8 @@ func (p *parser) arg() Arg {
 	return Arg{Name: key.text, NamePos: key.pos, Value: p.value()}
 }
 
-// peekKind returns the kind of the token after the current one.
+// peekKind returns the kind of the token after the current one. A lexical
+// error there bails out now, as it would once that token is current.
 func (p *parser) peekKind() tokKind {
 	save := *p.lx
 	t := p.lx.next()
@@ -330,11 +310,9 @@ func (p *parser) value() Value {
 			for p.tok.kind == tokArrow || p.tok.kind == tokDuplex {
 				if p.tok.kind == tokDuplex {
 					p.fail(p.tok.pos, `paths are directional; use "->"`)
-					return Value{Pos: t.pos, Kind: PathVal, Path: path}
 				}
 				p.advance()
-				n := p.name()
-				path = append(path, n)
+				path = append(path, p.name())
 			}
 			return Value{Pos: t.pos, Kind: PathVal, Path: path}
 		}
@@ -342,7 +320,7 @@ func (p *parser) value() Value {
 	case tokLBrack:
 		t := p.advance()
 		v := Value{Pos: t.pos, Kind: ListVal}
-		for p.err == nil {
+		for {
 			if p.tok.kind == tokRBrack {
 				p.advance()
 				return v
@@ -356,8 +334,7 @@ func (p *parser) value() Value {
 				p.fail(p.tok.pos, `expected "," or "]" in list, found %s`, p.tok.describe())
 			}
 		}
-		return v
 	}
 	p.fail(p.tok.pos, "expected a value, found %s", p.tok.describe())
-	return Value{Pos: p.tok.pos}
+	return Value{}
 }

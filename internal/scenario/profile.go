@@ -71,7 +71,6 @@ func (c *compiler) linkProfile(a *argSet) profPatch {
 	for _, d := range p.targets {
 		if d <= 0 {
 			c.failf(targetsPos, "targets must be positive delays, got %v", d)
-			return p
 		}
 	}
 	if pos, ok := a.given("quota"); ok {
@@ -79,7 +78,6 @@ func (c *compiler) linkProfile(a *argSet) profPatch {
 		p.quotaSet = true
 		if p.quota < 0 || p.quota >= 1 {
 			c.failf(pos, "quota must be a fraction in [0, 1), got %v", p.quota)
-			return p
 		}
 		if p.quota == 0 {
 			// An explicit zero is expressible: no datagram reservation.

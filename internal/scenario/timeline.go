@@ -56,26 +56,20 @@ func (r *flowReq) issue(net *core.Network) (*core.Flow, error) {
 // the block's time.
 func (c *compiler) eventBlock(b *EventBlock) {
 	at := c.number(b.At, dimTime, "at")
-	if !c.ok() {
-		return
-	}
 	if at < 0 {
 		c.failf(b.AtPos, "at needs a non-negative time, got %v", at)
-		return
 	}
 	// Validate against the file's own horizon: a -horizon override that
 	// shortens the run must not turn a valid file into a compile error
 	// (the block then simply never fires).
 	if at > c.fileHorizon {
 		c.failf(b.AtPos, "at %vs is beyond the %vs horizon; the block would never fire", at, c.fileHorizon)
-		return
 	}
 	// Injection into a running simulation cannot rewrite the past: the
 	// serve control plane sets minAt to the live clock (batch compiles
 	// leave it 0, where the at >= 0 check above already holds).
 	if at < c.minAt {
 		c.failf(b.AtPos, "at %vs is in the past; the simulation clock is already at %vs", at, c.minAt)
-		return
 	}
 	// Every element this block declares exists from `at` on; record that
 	// before compiling the statements so same-block chains resolve.
@@ -87,9 +81,6 @@ func (c *compiler) eventBlock(b *EventBlock) {
 		}
 	}
 	for _, st := range b.Stmts {
-		if !c.ok() {
-			return
-		}
 		switch {
 		case st.Decl != nil:
 			if classOf(st.Decl.Kind) == classFlow {
@@ -116,18 +107,13 @@ func (c *compiler) eventBlock(b *EventBlock) {
 func (c *compiler) linkEvent(ch *Chain, at float64) {
 	if len(ch.Attrs) == 0 {
 		c.failf(ch.Ends[0].Pos, "a link chain in an at block must carry :: Link(rate ..., sched ...) — topology cannot grow mid-run")
-		return
 	}
 	a := c.attrsOf(classLinkEvent, ch.Ends[0].Pos, ch.Attrs)
 	rate := a.bitrate("rate", 0)
 	patch := c.linkProfile(a)
 	a.finish()
-	if !c.ok() {
-		return
-	}
 	if rate == 0 && !patch.any() {
 		c.failf(ch.Ends[0].Pos, "link event changes nothing (give rate and/or profile arguments)")
-		return
 	}
 	c.onLinks(ch.Ends, ch.Duplex, "in a link event", at, func(n *core.Network, from, to string) error {
 		if rate != 0 {
@@ -152,9 +138,6 @@ func (c *compiler) linkEvent(ch *Chain, at float64) {
 // the remaining pairs still run.
 func (c *compiler) onLinks(ends []Name, duplex []bool, context string, at float64, op func(n *core.Network, from, to string) error) {
 	pairs := c.chainPairs(ends, duplex, context)
-	if pairs == nil {
-		return
-	}
 	c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
 		for _, pr := range pairs {
 			if err := op(s.Net, pr[0], pr[1]); err != nil {
@@ -169,11 +152,7 @@ func (c *compiler) onLinks(ends []Name, duplex []bool, context string, at float6
 func (c *compiler) onFlows(op *EventOp, at float64, fn func(s *Sim, sf *SimFlow)) {
 	var targets []*SimFlow
 	for _, n := range op.Names {
-		sf := c.flowAt(n, at, true, op.Verb)
-		if sf == nil {
-			return
-		}
-		targets = append(targets, sf)
+		targets = append(targets, c.flowAt(n, at, true, op.Verb))
 	}
 	c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
 		for _, sf := range targets {
@@ -191,20 +170,17 @@ func (c *compiler) chainPairs(ends []Name, duplex []bool, context string) [][2]s
 		for _, n := range []Name{from, to} {
 			if !c.switches[n.Text] {
 				c.what(n, "a switch", context)
-				return nil
 			}
 		}
 		fwd := [2]string{from.Text, to.Text}
 		if !c.links[fwd] {
 			c.failf(from.Pos, "no link %s -> %s is declared", from.Text, to.Text)
-			return nil
 		}
 		pairs = append(pairs, fwd)
 		if duplex[i] {
 			rev := [2]string{to.Text, from.Text}
 			if !c.links[rev] {
 				c.failf(from.Pos, "no link %s -> %s is declared (the chain says <->)", to.Text, from.Text)
-				return nil
 			}
 			pairs = append(pairs, rev)
 		}
@@ -224,7 +200,6 @@ func (c *compiler) eventOp(op *EventOp, at float64) {
 	case "reroute":
 		if !c.out.routingOn {
 			c.failf(op.VerbPos, "reroute needs routing enabled (add Net(routing auto) or a Reroute element)")
-			return
 		}
 		// Every flow crossing the link(s) moves to its shortest path.
 		c.onLinks(op.Names, op.Duplex, "in a reroute", at, func(n *core.Network, from, to string) error {
@@ -235,21 +210,13 @@ func (c *compiler) eventOp(op *EventOp, at float64) {
 		n := op.Names[0]
 		if d := c.decls[n.Text]; d != nil && (d.Kind == "Predicted" || d.Kind == "Datagram") {
 			c.failf(n.Pos, "%s flow %q has no clock rate to renew", strings.ToLower(d.Kind), n.Text)
-			return
 		}
 		sf := c.flowAt(n, at, true, "renew")
-		if sf == nil {
-			return
-		}
 		a := c.attrsOf(classRenew, op.VerbPos, op.Args)
 		rate := a.bitrate("rate", 0)
 		a.finish()
-		if !c.ok() {
-			return
-		}
 		if rate == 0 {
 			c.failf(op.VerbPos, "renew changes nothing (give a rate)")
-			return
 		}
 		c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
 			s.renewFlow(sf, rate)

@@ -24,6 +24,27 @@ func errf(file string, pos Pos, format string, args ...any) *Error {
 	return &Error{File: file, Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+// bailout is how the lexer, the parser and the compiler stop at their first
+// error, as go/parser and text/template do: the error site (lexer.fail,
+// parser.fail, compiler.failf) panics one, and the entry point that deferred
+// catch — Parse, Compile, an injection's compile — returns its error.
+// Nothing runs past the first error, so nothing has to carry it forward.
+type bailout struct{ err *Error }
+
+// catch, deferred, turns a bailout back into the error its function returns.
+// Any other panic is a bug, not a diagnostic: catch re-panics it with its
+// value unchanged, so it stays the crash it is instead of becoming a
+// file:line:col message.
+func catch(err *error) {
+	switch r := recover().(type) {
+	case nil:
+	case bailout:
+		*err = r.err
+	default:
+		panic(r)
+	}
+}
+
 type tokKind int
 
 const (

@@ -100,9 +100,6 @@ func (c *compiler) setupRouting(d *Decl) {
 		a := c.argsOf(d)
 		rc.Cost = a.enum("cost", "", routing.CostNameHops, routing.CostNameDelay)
 		a.finish()
-		if !c.ok() {
-			return
-		}
 	}
 	if err := c.net.SetRouting(rc); err != nil {
 		pos := Pos{}
@@ -110,7 +107,6 @@ func (c *compiler) setupRouting(d *Decl) {
 			pos = d.KindPos
 		}
 		c.failf(pos, "%v", err)
-		return
 	}
 	c.out.routingOn = true
 }
@@ -120,24 +116,19 @@ func (c *compiler) setupRouting(d *Decl) {
 // report. The cache only accelerates — the core invalidates it on every
 // routing-relevant event, so cached and uncached runs are byte-identical.
 func (c *compiler) setupCache(d *Decl) {
-	if d == nil || !c.ok() {
+	if d == nil {
 		return
 	}
 	a := c.argsOf(d)
 	scheme := a.enum("scheme", routing.CacheLRU, routing.CacheSchemes...)
 	size := a.count("size", DefaultCacheSize)
 	a.finish()
-	if !c.ok() {
-		return
-	}
 	if size < 1 {
 		c.failf(d.KindPos, "RouteCache size must be at least 1, got %d", size)
-		return
 	}
 	cache, err := routing.NewCache(scheme, size, sim.DeriveRNG(c.seed, "routecache"))
 	if err != nil {
 		c.failf(d.KindPos, "%v", err)
-		return
 	}
 	c.net.SetRouteCache(cache)
 }
@@ -145,7 +136,6 @@ func (c *compiler) setupCache(d *Decl) {
 func (c *compiler) addSwitch(name string, pos Pos) {
 	if c.switches[name] {
 		c.failf(pos, "switch %q already exists", name)
-		return
 	}
 	c.switches[name] = true
 	c.net.AddSwitch(name)
@@ -155,7 +145,6 @@ func (c *compiler) addLink(from, to string, rate, delay float64, prof *sched.Pro
 	key := [2]string{from, to}
 	if c.links[key] {
 		c.failf(pos, "duplicate link %s -> %s", from, to)
-		return
 	}
 	c.links[key] = true
 	if _, err := c.net.ConnectWith(from, to, rate, delay, prof); err != nil {
@@ -186,11 +175,7 @@ func (c *compiler) linkChain(ch *Chain) {
 		for _, n := range []Name{from, to} {
 			if !c.switches[n.Text] {
 				c.what(n, "a switch", "in a link")
-				return
 			}
-		}
-		if !c.ok() {
-			return
 		}
 		c.addLink(from.Text, to.Text, rate, delay, prof, from.Pos)
 		if ch.Duplex[i] {
