@@ -3,7 +3,6 @@ package scenario
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -81,7 +80,7 @@ at 2s {
 			}
 
 			s = rollbackSession(t, started)
-			s.InjectEvents("inject.ispn", []byte(tc.src))
+			_, _ = s.InjectEvents("inject.ispn", []byte(tc.src)) // refused, as checked above
 			if _, err := s.InjectEvents("inject.ispn", []byte(rollbackValid)); err != nil {
 				t.Fatalf("%s (started %v): valid injection after the refusal: %v", tc.name, started, err)
 			}
@@ -146,7 +145,7 @@ func FuzzInjectEvents(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, src string, started bool) {
-		if len(src) > 4096 || strings.Count(src, "at") > 64 {
+		if len(src) > 4096 {
 			t.Skip("oversized input")
 		}
 		s, err := Compile(file, Options{})
