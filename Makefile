@@ -75,7 +75,9 @@ scenario-check:
 # the shared flow table; each fails itself if a warmed-up enqueue+dequeue
 # cycle allocates. The fourth runs internal/sim's hold model (fire one event,
 # schedule one) at three heap sizes; it fails itself if a warmed-up op
-# allocates. Timing lives in bench/ (see bench/README.md).
+# allocates. The last runs internal/scenario's setup of a mesh world (Parse,
+# then Compile+Start), whose B/op and allocs/op repeat from run to run; its
+# budgets are TestSetupAllocationBudget. Timing lives in bench/ (see bench/README.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SimulatorThroughput|ShardedThroughput|FacadeSmallNetwork|MillionFlows|CallChurn' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'RecorderAdd|RecorderPercentiles' -benchtime 1x -benchmem ./internal/stats
@@ -83,6 +85,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Hold' -benchtime 1x -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'AdmitRelease' -benchtime 1x -benchmem ./internal/admission
 	$(GO) test -run '^$$' -bench 'ShortestPath' -benchtime 1x -benchmem ./internal/routing
+	$(GO) test -run '^$$' -bench 'Setup' -benchtime 1x -benchmem ./internal/scenario
 
 # bench/ is a module of its own, so the root build, vet and test never
 # compile it: vet and test it here so that removing an API the benchmark

@@ -11,34 +11,37 @@ import (
 // file leaves out; a malformed one ends the compile at the argument's
 // position (compiler.failf), so a getter that returns has a valid value.
 type argSet struct {
-	c    *compiler
-	decl *Decl
-	elem *element
+	c       *compiler
+	args    []Arg
+	kind    string // the declaration's kind, for diagnostics
+	kindPos Pos
+	elem    *element
 }
 
 // lookup finds a named argument the row accepts; finish reports the rest.
-func (a *argSet) lookup(name string) (Value, bool) {
-	for _, arg := range a.decl.Args {
-		if arg.Name == name && slices.Contains(a.elem.args, name) {
-			return arg.Value, true
+func (a *argSet) lookup(name string) (*Value, bool) {
+	for i := range a.args {
+		if arg := &a.args[i]; arg.Name == name && slices.Contains(a.elem.args, name) {
+			return &arg.Value, true
 		}
 	}
-	return Value{}, false
+	return nil, false
 }
 
 // finish rejects arguments the row does not accept, and duplicates.
 func (a *argSet) finish() {
-	for i, arg := range a.decl.Args {
+	for i := range a.args {
+		arg := &a.args[i]
 		if !slices.Contains(a.elem.args, arg.Name) {
 			accepted := joinWords(a.elem.args)
 			if accepted == "" {
 				accepted = "none"
 			}
 			a.c.failf(arg.NamePos, "%s has no argument %q (accepted: %s)",
-				a.decl.Kind, arg.Name, accepted)
+				a.kind, arg.Name, accepted)
 		}
-		for _, prev := range a.decl.Args[:i] {
-			if prev.Name == arg.Name {
+		for j := range i {
+			if a.args[j].Name == arg.Name {
 				a.c.failf(arg.NamePos, "argument %q given twice", arg.Name)
 			}
 		}
@@ -59,14 +62,16 @@ func joinWords(ws []string) string {
 // given reports whether the argument was written in the file and where,
 // without consuming it.
 func (a *argSet) given(name string) (Pos, bool) {
-	v, ok := a.lookup(name)
-	return v.Pos, ok
+	if v, ok := a.lookup(name); ok {
+		return v.Pos, true
+	}
+	return Pos{}, false
 }
 
 // number converts a NumberVal to the wanted dimension. Bare numbers are
 // accepted for every dimension (interpreted in its base unit: bits/s, bits,
 // seconds, packets/s, or a plain fraction).
-func (c *compiler) number(v Value, want dimension, name string) float64 {
+func (c *compiler) number(v *Value, want dimension, name string) float64 {
 	if v.Kind != NumberVal {
 		c.failf(v.Pos, "argument %q must be %s", name, want)
 	}
@@ -114,6 +119,11 @@ func (a *argSet) plain(name string, def float64) float64 {
 	return a.dimensioned(name, dimNone, def)
 }
 
+// countLimit bounds the counts an argument may give: from 2^53 on a float64
+// no longer holds every integer, so the number read may not be the one
+// written (2^53 + 1 reads as 2^53), and a larger one wraps int.
+const countLimit = 1 << 53
+
 func (a *argSet) count(name string, def int) int {
 	v, ok := a.lookup(name)
 	if !ok {
@@ -122,6 +132,9 @@ func (a *argSet) count(name string, def int) int {
 	n := a.c.number(v, dimNone, name)
 	if n != math.Trunc(n) || n < 0 {
 		a.c.failf(v.Pos, "argument %q must be a non-negative integer, got %v", name, n)
+	}
+	if n >= countLimit {
+		a.c.failf(v.Pos, "argument %q must be below 2^53, got %v", name, n)
 	}
 	return int(n)
 }
@@ -160,8 +173,8 @@ func (a *argSet) path(name string, required bool) []Name {
 	v, ok := a.lookup(name)
 	if !ok {
 		if required {
-			a.c.failf(a.decl.KindPos, "%s requires a %q argument (e.g. %s A -> B)",
-				a.decl.Kind, name, name)
+			a.c.failf(a.kindPos, "%s requires a %q argument (e.g. %s A -> B)",
+				a.kind, name, name)
 		}
 		return nil
 	}
@@ -200,7 +213,8 @@ func (a *argSet) nameList(name string) []Name {
 		a.c.failf(v.Pos, "argument %q must be a list of switch names like [B1, B2]", name)
 	}
 	out := make([]Name, 0, len(v.List))
-	for _, item := range v.List {
+	for i := range v.List {
+		item := &v.List[i]
 		if item.Kind != IdentVal {
 			a.c.failf(item.Pos, "argument %q: each element must be a switch name", name)
 		}
@@ -219,7 +233,8 @@ func (a *argSet) pathList(name string) [][]Name {
 		a.c.failf(v.Pos, "argument %q must be a list of paths like [A -> B, A -> C]", name)
 	}
 	out := make([][]Name, 0, len(v.List))
-	for _, item := range v.List {
+	for i := range v.List {
+		item := &v.List[i]
 		if item.Kind != PathVal {
 			a.c.failf(item.Pos, "argument %q: each element must be a path (A -> B)", name)
 		}
@@ -238,7 +253,8 @@ func (a *argSet) fracList(name string, def []float64) []float64 {
 		a.c.failf(v.Pos, "argument %q must be a list like [50%%, 99%%]", name)
 	}
 	out := make([]float64, 0, len(v.List))
-	for _, item := range v.List {
+	for i := range v.List {
+		item := &v.List[i]
 		f := a.c.number(item, dimFraction, name)
 		if f <= 0 || f >= 1 {
 			a.c.failf(item.Pos, "percentile must be in (0%%, 100%%), got %v", f)
@@ -261,8 +277,8 @@ func (a *argSet) durList(name string, def []float64) []float64 {
 		a.c.failf(v.Pos, "argument %q must be a list like [32ms, 320ms]", name)
 	}
 	out := make([]float64, 0, len(v.List))
-	for _, item := range v.List {
-		out = append(out, a.c.number(item, dimTime, name))
+	for i := range v.List {
+		out = append(out, a.c.number(&v.List[i], dimTime, name))
 	}
 	return out
 }

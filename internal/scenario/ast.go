@@ -65,6 +65,8 @@ type Decl struct {
 	Kind    string
 	KindPos Pos
 	Args    []Arg
+
+	elem *element // Kind's row of the element table, resolved by the parser
 }
 
 // Name is an identifier with its position.

@@ -58,8 +58,13 @@ type Sim struct {
 	// classic one-heap engine).
 	Shards int
 
-	starts []func()
-	report *Report
+	// starts are the deferred starts of the TCP connections, then
+	// sourceStarts those of the static attachment chains: compile pass 5
+	// declares every connection before pass 6 attaches any source, so
+	// running the two lists in turn is compile order.
+	starts       []func()
+	sourceStarts []sourceStart
+	report       *Report
 
 	// comp is the compiler that produced this Sim, retained so timeline
 	// verbs can be compiled against the live scenario after the fact
@@ -201,6 +206,9 @@ func (s *Sim) Start() {
 	for _, fn := range s.starts {
 		fn()
 	}
+	for i := range s.sourceStarts {
+		s.sourceStarts[i].fire(s)
+	}
 }
 
 // arm schedules timeline events — Start's whole timeline, or what an
@@ -326,6 +334,16 @@ type compiler struct {
 	flows  map[string]*SimFlow
 	nextID uint32
 
+	// flowSlab and sourceSlab hold the file's flows and each flow's first
+	// source slot, sized from the declarations before they compile.
+	flowSlab   slab[SimFlow]
+	sourceSlab slab[source.Source]
+
+	// touched journals, per at-block attachment, the lengths its flow's
+	// filters and sources had before it, so a refused injection can
+	// truncate them back.
+	touched []flowLists
+
 	out *Sim
 }
 
@@ -336,13 +354,31 @@ func (c *compiler) failf(pos Pos, format string, args ...any) {
 }
 
 func (c *compiler) compile() *Sim {
-	c.decls = make(map[string]*Decl)
-	c.switches = make(map[string]bool)
+	// Size the symbol tables and the flow and source storage from the
+	// declarations.
+	var names, switches, flows, sources int
+	c.eachDecl(func(d *Decl) {
+		names += len(d.Names)
+		if e := d.row(); e != nil {
+			switch e.class {
+			case classSwitch:
+				switches += len(d.Names)
+			case classFlow:
+				flows += len(d.Names)
+			case classSource:
+				sources += len(d.Names)
+			}
+		}
+	})
+	c.decls = make(map[string]*Decl, names)
+	c.switches = make(map[string]bool, switches)
 	c.links = make(map[[2]string]bool)
-	c.attached = make(map[string]int)
+	c.attached = make(map[string]int, sources)
 	c.dynNames = make(map[string]bool)
 	c.declAt = make(map[string]float64)
-	c.flows = make(map[string]*SimFlow)
+	c.flows = make(map[string]*SimFlow, flows)
+	c.flowSlab.chunk = make([]SimFlow, flows)
+	c.sourceSlab.chunk = make([]source.Source, sources)
 	c.nextID = 1
 
 	// Pass 1: register every declared name and locate the configuration
@@ -370,11 +406,13 @@ func (c *compiler) compile() *Sim {
 	cfg := c.netConfig(config["Net"])
 	c.net = core.New(cfg)
 	c.out = &Sim{
-		File:        c.file,
-		Net:         c.net,
-		Seed:        c.seed,
-		Horizon:     c.horizon,
-		Percentiles: c.percentiles,
+		File:         c.file,
+		Net:          c.net,
+		Seed:         c.seed,
+		Horizon:      c.horizon,
+		Percentiles:  c.percentiles,
+		Flows:        make([]*SimFlow, 0, flows),
+		sourceStarts: make([]sourceStart, 0, sources),
 	}
 	if c.opts.Check {
 		// Attach before any flow exists so compile-time flows are watched
@@ -389,7 +427,7 @@ func (c *compiler) compile() *Sim {
 
 	// Pass 3: topology — switch declarations and generators, in order.
 	for _, d := range c.file.Decls {
-		switch classOf(d.Kind) {
+		switch d.class() {
 		case classSwitch:
 			for _, n := range d.Names {
 				c.addSwitch(n.Text, n.Pos)
@@ -401,7 +439,7 @@ func (c *compiler) compile() *Sim {
 	}
 
 	// Pass 4: explicit links (chains whose endpoints are all switches).
-	var attachments []*Chain
+	attachments := make([]*Chain, 0, len(c.file.Chains))
 	for _, ch := range c.file.Chains {
 		if c.isLinkChain(ch) {
 			c.linkChain(ch)
@@ -418,7 +456,7 @@ func (c *compiler) compile() *Sim {
 	if shards := c.effectiveShards(); shards > 0 {
 		var together [][2]string
 		for _, d := range c.file.Decls {
-			if classOf(d.Kind) != classTCP {
+			if d.class() != classTCP {
 				continue
 			}
 			p := c.argsOf(d).path("path", false)
@@ -435,7 +473,7 @@ func (c *compiler) compile() *Sim {
 	// order (ids are assigned sequentially, so reports and random streams
 	// are stable).
 	for _, d := range c.file.Decls {
-		switch classOf(d.Kind) {
+		switch d.class() {
 		case classFlow:
 			c.flowDecl(d, 0, false)
 		case classTCP:
@@ -458,17 +496,16 @@ func (c *compiler) compile() *Sim {
 	}
 
 	// Validator epilogue: every traffic element must be used.
-	for _, d := range c.allDecls() {
-		cls := classOf(d.Kind)
-		if cls != classSource && cls != classFilter {
-			continue
+	c.eachDecl(func(d *Decl) {
+		if cls := d.class(); cls != classSource && cls != classFilter {
+			return
 		}
 		for _, n := range d.Names {
 			if c.attached[n.Text] == 0 {
 				c.failf(n.Pos, "%s %q is never attached to a flow (add: %s -> someflow)", d.Kind, n.Text, n.Text)
 			}
 		}
-	}
+	})
 	c.out.nextID = c.nextID
 	c.out.comp = c
 	c.out.Shards = c.effectiveShards()
@@ -520,16 +557,17 @@ func (c *compiler) effectiveShards() int {
 	return c.shards
 }
 
-// allDecls returns every declaration — top-level and event-block — in file
-// order.
-func (c *compiler) allDecls() []*Decl {
-	out := append([]*Decl(nil), c.file.Decls...)
+// eachDecl calls fn on every declaration — top-level and event-block — in
+// file order.
+func (c *compiler) eachDecl(fn func(*Decl)) {
+	for _, d := range c.file.Decls {
+		fn(d)
+	}
 	for _, b := range c.file.Events {
 		for _, st := range b.Stmts {
 			if st.Decl != nil {
-				out = append(out, st.Decl)
+				fn(st.Decl)
 			}
 		}
 	}
-	return out
 }

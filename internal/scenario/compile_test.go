@@ -179,6 +179,12 @@ f :: Predicted(rate 85kbps, bucket 50kbit, class 7, path a -> b)`, "rejected", "
 		{"explicit zero buffer", "n :: Net(buffer 0)", "must be positive (omit the argument", "1:17"},
 		{"duplicate named arg", "a, b :: Switch\na -> b\nd :: Datagram(path a -> b)\ns :: CBR(rate 10pps, rate 9pps)\ns -> d", "given twice", "4:22"},
 		{"switch argument", "a :: Switch(shard 1)", `Switch has no argument "shard" (accepted: none)`, "1:13"},
+		// A count from 2^53 on is refused at its value, not wrapped; 2^53 + 1
+		// reads as 2^53.
+		{"buffer above 2^53", "n :: Net(rate 1Mbps, classes 2, targets [32ms, 320ms], buffer 99999999999999999999)", `argument "buffer" must be below 2^53, got 1e+20`, "1:63"},
+		{"classes above 2^53", "n :: Net(classes 99999999999999999999)", `argument "classes" must be below 2^53`, "1:18"},
+		{"burst above 2^53", "a, b :: Switch\na -> b\nd :: Datagram(path a -> b)\nm :: Markov(peak 170pps, avg 85pps, burst 99999999999999999999)\nm -> d", `argument "burst" must be below 2^53`, "4:43"},
+		{"seed above 2^53", "r :: Run(seed 9007199254740993)", `argument "seed" must be below 2^53, got 9.007199254740992e+15`, "1:15"},
 		{"TCP arriving mid-run", "A, B :: Switch\nA <-> B\nat 1s { w :: TCP(path A -> B) }", "TCP cannot be declared inside an at block", "3:14"},
 	}
 	for _, tc := range cases {

@@ -74,6 +74,16 @@ func declared(kind string) *element {
 	return nil
 }
 
+// row returns d's row of the element table, or nil for an unknown kind: the
+// row the parser resolved, or a lookup for a declaration built or edited by
+// hand.
+func (d *Decl) row() *element {
+	if e := d.elem; e != nil && e.kind == d.Kind {
+		return e
+	}
+	return declared(d.Kind)
+}
+
 // rowOf returns the row of a class with one row: classLink, classLinkEvent
 // or classRenew.
 func rowOf(class elemClass) *element {
@@ -88,7 +98,7 @@ func rowOf(class elemClass) *element {
 // elementOf returns the row of d's kind; an unknown kind fails at its
 // position.
 func (c *compiler) elementOf(d *Decl) *element {
-	e := declared(d.Kind)
+	e := d.row()
 	if e == nil {
 		var kinds []string
 		for _, e := range elements {
@@ -102,17 +112,17 @@ func (c *compiler) elementOf(d *Decl) *element {
 	return e
 }
 
-// classOf returns the class of a kind pass 1 has resolved.
-func classOf(kind string) elemClass { return declared(kind).class }
+// class returns the class of a declaration pass 1 has resolved.
+func (d *Decl) class() elemClass { return d.row().class }
 
 // argsOf gives typed access to a resolved declaration's arguments.
 func (c *compiler) argsOf(d *Decl) *argSet {
-	return &argSet{c: c, decl: d, elem: declared(d.Kind)}
+	return &argSet{c: c, args: d.Args, kind: d.Kind, kindPos: d.KindPos, elem: d.row()}
 }
 
 // attrsOf gives typed access to the arguments of a link chain's suffix
 // (classLink, classLinkEvent) or of a renew (classRenew), reported at pos.
 func (c *compiler) attrsOf(class elemClass, pos Pos, args []Arg) *argSet {
 	e := rowOf(class)
-	return &argSet{c: c, decl: &Decl{Kind: e.kind, KindPos: pos, Args: args}, elem: e}
+	return &argSet{c: c, args: args, kind: e.kind, kindPos: pos, elem: e}
 }

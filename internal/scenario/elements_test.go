@@ -105,3 +105,13 @@ func TestElementArgumentsNeverPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestEditedDeclarationUsesItsKind: the parser resolves a declaration's row
+// once, but a Kind edited after the parse is what the compiler goes by.
+func TestEditedDeclarationUsesItsKind(t *testing.T) {
+	f := mustParse(t, "s :: Switch")
+	f.Decls[0].Kind = "Widget"
+	if _, err := Compile(f, Options{}); err == nil || !strings.Contains(err.Error(), `unknown element kind "Widget"`) {
+		t.Errorf("compile of an edited kind = %v, want the unknown-kind error", err)
+	}
+}

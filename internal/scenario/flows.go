@@ -41,7 +41,7 @@ func (c *compiler) flowAt(n Name, at float64, dynamic bool, verb string) *SimFlo
 	if verb != "" {
 		wanted, context, stmt = "a flow", "in a "+verb, verb
 	}
-	if d, ok := c.decls[n.Text]; !ok || classOf(d.Kind) != classFlow {
+	if d, ok := c.decls[n.Text]; !ok || d.class() != classFlow {
 		c.what(n, wanted, context)
 	}
 	sf := c.flows[n.Text]
@@ -92,10 +92,13 @@ func (c *compiler) allocID() uint32 {
 func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 	a := c.argsOf(d)
 	nodes := c.pathNodes(a.path("path", true))
-	var reqs []*flowReq
+	var reqs []flowReq
 	var sfs []*SimFlow
-	for _, n := range d.Names {
-		req := &flowReq{kind: d.Kind, id: c.allocID(), nodes: nodes, class: -1}
+	if dynamic {
+		reqs, sfs = make([]flowReq, len(d.Names)), make([]*SimFlow, len(d.Names))
+	}
+	for i, n := range d.Names {
+		req := flowReq{kind: d.Kind, id: c.allocID(), nodes: nodes, class: -1}
 		switch d.Kind {
 		case "Guaranteed":
 			req.g = core.GuaranteedSpec{
@@ -112,27 +115,30 @@ func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 			req.class = a.count("class", -1)
 		}
 		a.finish()
-		sf := &SimFlow{Name: n.Text, Kind: d.Kind, At: at, dynamic: dynamic}
+		sf := one(&c.flowSlab)
+		*sf = SimFlow{Name: n.Text, Kind: d.Kind, At: at, dynamic: dynamic}
 		c.flows[n.Text] = sf
 		c.out.Flows = append(c.out.Flows, sf)
-		sfs = append(sfs, sf)
-		reqs = append(reqs, req)
-	}
-	if dynamic {
-		c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
-			for i, sf := range sfs {
-				s.requestFlow(sf, reqs[i])
-			}
-		}})
-		return
-	}
-	for i, sf := range sfs {
-		f, err := reqs[i].issue(c.net)
+		if dynamic {
+			reqs[i], sfs[i] = req, sf
+			continue
+		}
+		// Every name of the declaration has the same arguments, so issuing
+		// each as soon as it is read fails where issuing after the last
+		// would: at the first rejection, with the same ids handed out.
+		f, err := req.issue(c.net)
 		if err != nil {
 			c.failf(d.KindPos, "%s %q rejected: %v", d.Kind, sf.Name, err)
 		}
 		sf.Flow = f
 		c.out.tapFlow(f)
+	}
+	if dynamic {
+		c.out.events = append(c.out.events, simEvent{at: at, fn: func(s *Sim) {
+			for i, sf := range sfs {
+				s.requestFlow(sf, &reqs[i])
+			}
+		}})
 	}
 }
 
@@ -185,16 +191,23 @@ func (c *compiler) attachChain(ch *Chain, at float64, dynamic bool) {
 	}
 	head := ch.Ends[0]
 	srcDecl, ok := c.decls[head.Text]
-	if !ok || classOf(srcDecl.Kind) != classSource {
+	if !ok || srcDecl.class() != classSource {
 		c.what(head, "a traffic source or switch", "at the head of a chain")
 	}
 	c.elementAvailable(head, srcDecl.Kind, at, dynamic, true, "event")
 	flow := c.flowAt(ch.Ends[len(ch.Ends)-1], at, dynamic, "")
+	if dynamic {
+		// An injected attachment is always dynamic: journal what it
+		// appends to, for a refused injection to truncate back. (The
+		// file's own at blocks journal too; the first injection resets
+		// the journal.)
+		c.touched = append(c.touched, flowLists{flow, len(flow.filters), len(flow.sources)})
+	}
 	// Middle elements must be TokenBucket filters, each used once.
 	src := c.buildSource(srcDecl, head, flow)
 	for _, mid := range ch.Ends[1 : len(ch.Ends)-1] {
 		fd, ok := c.decls[mid.Text]
-		if !ok || classOf(fd.Kind) != classFilter {
+		if !ok || fd.class() != classFilter {
 			c.what(mid, "a TokenBucket", "in the middle of an attachment")
 		}
 		c.elementAvailable(mid, fd.Kind, at, dynamic, true, "event")
@@ -262,39 +275,54 @@ func (c *compiler) buildSource(d *Decl, n Name, flow *SimFlow) source.Source {
 }
 
 // startSource defers the actual Start into Sim.Run — for a static chain via
-// the start list, for a timeline chain via an event at the block's time. One
-// closure serves both: it starts the source only if the flow was admitted
-// (and not yet removed), since only then do its ingress engine and pool exist.
+// the Sim's source starts, for a timeline chain via an event at the block's
+// time.
 func (c *compiler) startSource(src source.Source, d *Decl, flow *SimFlow, at float64, dynamic bool) {
 	a := c.argsOf(d)
-	startAt := a.duration("start", 0)
-	flow.sources = append(flow.sources, src)
-	start := func(s *Sim) {
-		if flow.Flow == nil || flow.removed {
-			return
-		}
-		f := flow.Flow
-		source.AttachPool(src, f.IngressPool())
-		eng := f.IngressEngine()
-		begin := func() {
-			if s.draining {
-				return
-			}
-			src.Start(eng, func(p *packet.Packet) { f.Inject(p) })
-		}
-		if startAt > at {
-			//ispnvet:allow keyedevents: scheduled from Start in fixed compile order before the run begins, or from inside an already-keyed at-block, which fires at the same point in sequential and sharded runs; either way the insertion-sequence tiebreak matches
-			eng.At(startAt, begin)
-		} else {
-			begin()
-		}
+	st := sourceStart{src: src, flow: flow, at: at, startAt: a.duration("start", 0)}
+	if flow.sources == nil {
+		grow(&c.sourceSlab)
+		flow.sources = closeList(&c.sourceSlab)[:0]
 	}
+	flow.sources = append(flow.sources, src)
 	if dynamic {
-		c.out.events = append(c.out.events, simEvent{at: at, fn: start})
+		p := new(sourceStart)
+		*p = st
+		c.out.events = append(c.out.events, simEvent{at: at, fn: p.fire})
 		return
 	}
-	out := c.out
-	c.out.starts = append(c.out.starts, func() { start(out) })
+	c.out.sourceStarts = append(c.out.sourceStarts, st)
+}
+
+// sourceStart is one attachment's deferred start. It starts the source only
+// if the flow was admitted (and not yet removed), since only then do its
+// ingress engine and pool exist.
+type sourceStart struct {
+	src     source.Source
+	flow    *SimFlow
+	at      float64 // the attachment's block time; 0 for a static chain
+	startAt float64 // the source's start argument
+}
+
+func (st *sourceStart) fire(s *Sim) {
+	if st.flow.Flow == nil || st.flow.removed {
+		return
+	}
+	f, src := st.flow.Flow, st.src
+	source.AttachPool(src, f.IngressPool())
+	eng := f.IngressEngine()
+	begin := func() {
+		if s.draining {
+			return
+		}
+		src.Start(eng, func(p *packet.Packet) { f.Inject(p) })
+	}
+	if st.startAt > st.at {
+		//ispnvet:allow keyedevents: scheduled from Start in fixed compile order before the run begins, or from inside an already-keyed at-block, which fires at the same point in sequential and sharded runs; either way the insertion-sequence tiebreak matches
+		eng.At(st.startAt, begin)
+	} else {
+		begin()
+	}
 }
 
 // FlowByName returns the compiled flow with the given scenario name, or nil.

@@ -55,15 +55,18 @@ func (c *compiler) inject(s *Sim, f *File) (int, error) {
 	// compiler must pick up where the runtime left off — and hand back.
 	c.nextID = s.nextID
 
-	// Snapshot everything the block compilers may touch, for rollback.
+	// Snapshot everything the block compilers may touch, for rollback; the
+	// attachments journal the flows they append to.
 	nEvents, nFlows := len(s.events), len(s.Flows)
 	savedAttached := maps.Clone(c.attached)
+	clear(c.touched)
+	c.touched = c.touched[:0]
 
 	if err := c.injectBlocks(f.Events); err != nil {
 		// Roll back: forget the names this injection registered (a name it
 		// failed to register still belongs to its earlier declaration), and
 		// everything its blocks appended.
-		for _, d := range c.allDecls() { // c.file is f: the injected block declarations
+		c.eachDecl(func(d *Decl) { // c.file is f: the injected block declarations
 			for _, n := range d.Names {
 				if c.decls[n.Text] == d {
 					delete(c.decls, n.Text)
@@ -72,6 +75,13 @@ func (c *compiler) inject(s *Sim, f *File) (int, error) {
 					delete(c.flows, n.Text)
 				}
 			}
+		})
+		for i := len(c.touched) - 1; i >= 0; i-- {
+			t := c.touched[i]
+			clear(t.flow.filters[t.filters:])
+			clear(t.flow.sources[t.sources:])
+			t.flow.filters = t.flow.filters[:t.filters]
+			t.flow.sources = t.flow.sources[:t.sources]
 		}
 		s.events = s.events[:nEvents]
 		s.Flows = s.Flows[:nFlows]
@@ -88,6 +98,13 @@ func (c *compiler) inject(s *Sim, f *File) (int, error) {
 		s.arm(s.events[nEvents:])
 	}
 	return len(s.events) - nEvents, nil
+}
+
+// flowLists is the length of a flow's filters and sources before an
+// injected attachment appended to them.
+type flowLists struct {
+	flow             *SimFlow
+	filters, sources int
 }
 
 // injectBlocks is pass 1 and pass 7 for an injection's at blocks; the first

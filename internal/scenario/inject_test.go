@@ -31,10 +31,12 @@ at 3s { remove g }
 
 // TestRefusedInjectionRollsBack refuses an injection at each point it can
 // fail — the first block, a middle statement of a later block, a declaration
-// a later statement uses — before and after Start. A refusal must leave the
-// session exactly as it was: its report is the run with no injection, and a
-// valid injection reusing the refused names lands afterwards and gives the
-// report of a session that only ever saw that injection.
+// a later statement uses, an attachment to a static flow after another one
+// landed — before and after Start. A refusal must leave the session exactly
+// as it was: the static flow keeps its filters and sources, its report is
+// the run with no injection, and a valid injection reusing the refused names
+// lands afterwards and gives the report of a session that only ever saw that
+// injection.
 func TestRefusedInjectionRollsBack(t *testing.T) {
 	refused := []struct{ name, src, want string }{
 		{"first block", `
@@ -65,14 +67,28 @@ at 2s {
     tone -> g
 }
 `, `inject.ispn:4:68: Guaranteed has no argument "loss" (accepted: path, rate, bucket)`},
+		{"attachment to a static flow", `
+at 2s {
+    tone :: CBR(rate 50pps, size 1000bit)
+    tb :: TokenBucket(rate 50pps, depth 5)
+    tone -> f
+    src -> tb -> f
+}
+`, `inject.ispn:6:5: source "src" is already attached; a source feeds one flow`},
 	}
 	for _, started := range []bool{false, true} {
 		baseline := rollbackReport(t, started)
 		withValid := rollbackReport(t, started, rollbackValid)
 		for _, tc := range refused {
 			s := rollbackSession(t, started)
+			f := s.FlowByName("f")
+			filters, sources := len(f.filters), len(f.sources)
 			if _, err := s.InjectEvents("inject.ispn", []byte(tc.src)); err == nil || err.Error() != tc.want {
 				t.Fatalf("%s (started %v): err = %v, want %s", tc.name, started, err, tc.want)
+			}
+			if len(f.filters) != filters || len(f.sources) != sources {
+				t.Errorf("%s (started %v): static flow f has %d filters and %d sources after the refusal, want %d and %d",
+					tc.name, started, len(f.filters), len(f.sources), filters, sources)
 			}
 			if got := s.Finish().Format(); got != baseline {
 				t.Errorf("%s (started %v): report after the refusal differs from the run without it:\n%s\nwant:\n%s",

@@ -7,48 +7,32 @@ import (
 
 // lexer turns scenario source into tokens. Comments run from '#' to end of
 // line; the comment block at the very top of the file (before any
-// token) is collected as the scenario's description.
+// token) is collected as the scenario's description. Only line ends are
+// counted: a position's column is its byte offset from the start of its
+// line, plus one.
 type lexer struct {
-	file string
-	src  string
-	off  int
-	line int
-	col  int
+	file      string
+	src       string
+	off       int
+	line      int
+	lineStart int // offset of the first byte of the current line
 
 	sawToken bool     // a non-comment token has been produced
 	desc     []string // leading comment lines (the description block)
 }
 
 func newLexer(file, src string) *lexer {
-	return &lexer{file: file, src: src, line: 1, col: 1}
+	return &lexer{file: file, src: src, line: 1}
 }
 
-func (lx *lexer) pos() Pos { return Pos{Line: lx.line, Col: lx.col} }
+func (lx *lexer) pos() Pos { return Pos{Line: int32(lx.line), Col: int32(lx.off - lx.lineStart + 1)} }
 
-func (lx *lexer) peekByte() byte {
-	if lx.off >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.off]
-}
-
+// peekByteAt returns the byte k past the current one, or 0 past the end.
 func (lx *lexer) peekByteAt(k int) byte {
 	if lx.off+k >= len(lx.src) {
 		return 0
 	}
 	return lx.src[lx.off+k]
-}
-
-func (lx *lexer) advance() byte {
-	c := lx.src[lx.off]
-	lx.off++
-	if c == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
-	}
-	return c
 }
 
 func isIdentStart(c byte) bool {
@@ -65,15 +49,17 @@ func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) || c == '.'
 // description block.
 func (lx *lexer) skipSpace() {
 	for lx.off < len(lx.src) {
-		c := lx.peekByte()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance()
-		case c == '#':
+		switch lx.src[lx.off] {
+		case ' ', '\t', '\r':
+			lx.off++
+		case '\n':
+			lx.off++
+			lx.line++
+			lx.lineStart = lx.off
+		case '#':
 			start := lx.off
-			lx.advance()
-			for lx.off < len(lx.src) && lx.peekByte() != '\n' {
-				lx.advance()
+			for lx.off < len(lx.src) && lx.src[lx.off] != '\n' {
+				lx.off++
 			}
 			if !lx.sawToken {
 				line := strings.TrimLeft(lx.src[start:lx.off], "#")
@@ -85,87 +71,81 @@ func (lx *lexer) skipSpace() {
 	}
 }
 
-// next returns the next token, or a tokEOF at the end of the source. A
+// punct is the kind of each single-byte punctuation token (tokEOF: none).
+var punct = [256]tokKind{
+	'(': tokLParen, ')': tokRParen, '[': tokLBrack, ']': tokRBrack,
+	',': tokComma, ';': tokSemi, '%': tokPercent, '{': tokLBrace, '}': tokRBrace,
+}
+
+// next reads the next token into t — a tokEOF at the end of the source. A
 // lexical error bails out (fail).
-func (lx *lexer) next() token {
+func (lx *lexer) next(t *token) {
 	lx.skipSpace()
-	pos := lx.pos()
+	t.pos, t.text, t.num = lx.pos(), "", 0
 	if lx.off >= len(lx.src) {
-		return token{kind: tokEOF, pos: pos}
+		t.kind = tokEOF
+		return
 	}
 	lx.sawToken = true
-	c := lx.peekByte()
+	c := lx.src[lx.off]
 	switch {
 	case isIdentStart(c):
 		start := lx.off
-		lx.advance()
-		for lx.off < len(lx.src) && isIdentCont(lx.peekByte()) {
-			lx.advance()
+		lx.off++
+		for lx.off < len(lx.src) && isIdentCont(lx.src[lx.off]) {
+			lx.off++
 		}
-		return token{kind: tokIdent, pos: pos, text: lx.src[start:lx.off]}
+		t.kind, t.text = tokIdent, lx.src[start:lx.off]
+		return
 	case isDigit(c):
-		start := lx.off
-		for lx.off < len(lx.src) && (isDigit(lx.peekByte()) || lx.peekByte() == '.') {
-			lx.advance()
+		start, whole := lx.off, true
+		for lx.off < len(lx.src) && (isDigit(lx.src[lx.off]) || lx.src[lx.off] == '.') {
+			whole = whole && lx.src[lx.off] != '.'
+			lx.off++
 		}
-		text := lx.src[start:lx.off]
-		n, err := strconv.ParseFloat(text, 64)
+		t.kind, t.text = tokNumber, lx.src[start:lx.off]
+		if whole && len(t.text) <= 15 {
+			// Up to 15 digits are an exact float64; ParseFloat gives the same.
+			n := 0
+			for i := 0; i < len(t.text); i++ {
+				n = 10*n + int(t.text[i]-'0')
+			}
+			t.num = float64(n)
+			return
+		}
+		n, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			lx.fail(pos, "malformed number %q", text)
+			lx.fail(t.pos, "malformed number %q", t.text)
 		}
-		return token{kind: tokNumber, pos: pos, num: n, text: text}
+		t.num = n
+		return
 	case c == ':':
 		if lx.peekByteAt(1) == ':' {
-			lx.advance()
-			lx.advance()
-			return token{kind: tokDoubleColon, pos: pos}
+			lx.off += 2
+			t.kind = tokDoubleColon
+			return
 		}
-		lx.fail(pos, `unexpected ":" (declarations use "::")`)
+		lx.fail(t.pos, `unexpected ":" (declarations use "::")`)
 	case c == '-':
 		if lx.peekByteAt(1) == '>' {
-			lx.advance()
-			lx.advance()
-			return token{kind: tokArrow, pos: pos}
+			lx.off += 2
+			t.kind = tokArrow
+			return
 		}
-		lx.fail(pos, `unexpected "-" (links use "->"; names may not contain "-")`)
+		lx.fail(t.pos, `unexpected "-" (links use "->"; names may not contain "-")`)
 	case c == '<':
 		if lx.peekByteAt(1) == '-' && lx.peekByteAt(2) == '>' {
-			lx.advance()
-			lx.advance()
-			lx.advance()
-			return token{kind: tokDuplex, pos: pos}
+			lx.off += 3
+			t.kind = tokDuplex
+			return
 		}
-		lx.fail(pos, `unexpected "<" (duplex links use "<->")`)
-	case c == '(':
-		lx.advance()
-		return token{kind: tokLParen, pos: pos}
-	case c == ')':
-		lx.advance()
-		return token{kind: tokRParen, pos: pos}
-	case c == '[':
-		lx.advance()
-		return token{kind: tokLBrack, pos: pos}
-	case c == ']':
-		lx.advance()
-		return token{kind: tokRBrack, pos: pos}
-	case c == ',':
-		lx.advance()
-		return token{kind: tokComma, pos: pos}
-	case c == ';':
-		lx.advance()
-		return token{kind: tokSemi, pos: pos}
-	case c == '%':
-		lx.advance()
-		return token{kind: tokPercent, pos: pos}
-	case c == '{':
-		lx.advance()
-		return token{kind: tokLBrace, pos: pos}
-	case c == '}':
-		lx.advance()
-		return token{kind: tokRBrace, pos: pos}
+		lx.fail(t.pos, `unexpected "<" (duplex links use "<->")`)
+	case punct[c] != tokEOF:
+		lx.off++
+		t.kind = punct[c]
+		return
 	}
-	lx.fail(pos, "unexpected character %q", string(c))
-	return token{}
+	lx.fail(t.pos, "unexpected character %q", string(c))
 }
 
 // fail stops the lexer — and the parser reading it — at a positioned error:

@@ -62,7 +62,11 @@ func (d dimension) String() string {
 func Parse(name string, src []byte) (_ *File, err error) {
 	defer catch(&err)
 	p := &parser{lx: newLexer(name, string(src))}
-	p.tok = p.lx.next()
+	// Every argument follows a '(' or a ','. Their count, capped, sizes the
+	// argument slab's first chunk: a file's arguments, most of its AST,
+	// then share one allocation of about their size.
+	p.args.chunk = make([]Arg, min(strings.Count(p.lx.src, "(")+strings.Count(p.lx.src, ","), maxArgChunk))
+	p.advance()
 	f := &File{
 		Path: name,
 		Name: strings.TrimSuffix(filepath.Base(name), ".ispn"),
@@ -83,27 +87,87 @@ func ParseFile(path string) (*File, error) {
 	return Parse(path, src)
 }
 
+// parser reads tokens into the AST. A list the grammar repeats — a
+// declaration's names or arguments, a chain's ends and arrows, a path — is
+// read straight into a slab shared by every list of its type in the file,
+// each element written in place, and closed at its exact length: one
+// allocation serves many lists, and no list grows by doubling.
 type parser struct {
 	lx  *lexer
 	tok token
+
+	names  slab[Name]
+	args   slab[Arg]
+	duplex slab[bool]
+	decls  slab[Decl]
+	chains slab[Chain]
+	vals   []Value // scratch for list values, which may nest
 }
 
-func (p *parser) advance() token {
-	t := p.tok
-	p.tok = p.lx.next()
+// slab stores lists back to back in shared chunks — the parser's, and the
+// compiler's flows and source slots. The open list grows at the end of the
+// current chunk and moves to a fresh one when that is full; chunks start
+// small and double up to maxSlabChunk elements, so a small file (an injected
+// at block) allocates little and a large one few objects. No two lists of
+// one slab are ever open at once.
+type slab[T any] struct {
+	chunk      []T
+	start, end int // the open list is chunk[start:end]
+}
+
+const (
+	maxSlabChunk = 256
+	maxArgChunk  = 4096 // 512 kB of arguments
+)
+
+// grow appends a zeroed element to s's open list and returns it; the pointer
+// is good until the list's next element.
+func grow[T any](s *slab[T]) *T {
+	if s.end == len(s.chunk) {
+		n := s.end - s.start
+		chunk := make([]T, max(2*n, min(max(2*len(s.chunk), 8), maxSlabChunk)))
+		copy(chunk, s.chunk[s.start:s.end])
+		s.chunk, s.start, s.end = chunk, 0, n
+	}
+	s.end++
+	return &s.chunk[s.end-1]
+}
+
+// closeList returns s's open list at its length, with capacity to match: an
+// append to it reallocates rather than writing over the next list.
+func closeList[T any](s *slab[T]) []T {
+	out := s.chunk[s.start:s.end:s.end]
+	s.start = s.end
+	return out
+}
+
+// one returns a single zeroed element of s, for a value others point to.
+func one[T any](s *slab[T]) *T {
+	t := grow(s)
+	closeList(s)
 	return t
 }
+
+// advance moves to the next token.
+func (p *parser) advance() { p.lx.next(&p.tok) }
 
 // fail stops the parse at a positioned error, as a lexical error does.
 func (p *parser) fail(pos Pos, format string, args ...any) {
 	p.lx.fail(pos, format, args...)
 }
 
-func (p *parser) expect(k tokKind, context string) token {
+// expect fails unless the current token is of kind k; the caller reads the
+// token and advances past it.
+func (p *parser) expect(k tokKind, context string) {
 	if p.tok.kind != k {
 		p.fail(p.tok.pos, "expected %s %s, found %s", k, context, p.tok.describe())
 	}
-	return p.advance()
+}
+
+// skip expects a token of kind k and advances past it.
+func (p *parser) skip(k tokKind, context string) {
+	p.expect(k, context)
+	p.advance()
 }
 
 // statement parses one declaration, chain, or "at" event block (empty ";"
@@ -136,9 +200,10 @@ func (p *parser) statement(f *File) {
 
 // eventBlock parses `at <time> { event-statements }`, the "at" still current.
 func (p *parser) eventBlock(f *File) {
-	atTok := p.advance()
-	b := &EventBlock{AtPos: atTok.pos, At: p.value()}
-	p.expect(tokLBrace, `after "at <time>"`)
+	b := &EventBlock{AtPos: p.tok.pos}
+	p.advance()
+	p.value(&b.At)
+	p.skip(tokLBrace, `after "at <time>"`)
 	for p.tok.kind != tokRBrace {
 		if p.tok.kind == tokSemi {
 			p.advance()
@@ -149,7 +214,7 @@ func (p *parser) eventBlock(f *File) {
 		}
 		p.eventStmt(b)
 	}
-	p.expect(tokRBrace, `to close the "at" block`)
+	p.skip(tokRBrace, `to close the "at" block`)
 	f.Events = append(f.Events, b)
 	for p.tok.kind == tokSemi {
 		p.advance()
@@ -166,30 +231,31 @@ func (p *parser) eventStmt(b *EventBlock) {
 	}
 	switch p.tok.text {
 	case "remove":
-		t := p.advance()
-		op := &EventOp{Verb: "remove", VerbPos: t.pos, Names: []Name{p.name()}}
+		op := &EventOp{Verb: "remove", VerbPos: p.tok.pos}
+		p.advance()
+		*grow(&p.names) = p.name()
 		for p.tok.kind == tokComma {
 			p.advance()
-			op.Names = append(op.Names, p.name())
+			*grow(&p.names) = p.name()
 		}
+		op.Names = closeList(&p.names)
 		b.Stmts = append(b.Stmts, EventStmt{Op: op})
 	case "fail", "restore", "reroute":
-		t := p.advance()
-		op := &EventOp{Verb: t.text, VerbPos: t.pos, Names: []Name{p.name()}}
+		op := &EventOp{Verb: p.tok.text, VerbPos: p.tok.pos}
+		p.advance()
+		*grow(&p.names) = p.name()
 		if p.tok.kind != tokArrow && p.tok.kind != tokDuplex {
 			p.fail(p.tok.pos, `%s needs a link (A -> B or A <-> B), found %s`, op.Verb, p.tok.describe())
 		}
-		for p.tok.kind == tokArrow || p.tok.kind == tokDuplex {
-			op.Duplex = append(op.Duplex, p.tok.kind == tokDuplex)
-			p.advance()
-			op.Names = append(op.Names, p.name())
-		}
+		op.Names, op.Duplex = p.links()
 		b.Stmts = append(b.Stmts, EventStmt{Op: op})
 	case "renew":
-		t := p.advance()
-		op := &EventOp{Verb: "renew", VerbPos: t.pos, Names: []Name{p.name()}}
-		p.expect(tokLParen, "after the renew target")
-		op.Args = p.args()
+		op := &EventOp{Verb: "renew", VerbPos: p.tok.pos}
+		p.advance()
+		*grow(&p.names) = p.name()
+		op.Names = closeList(&p.names)
+		p.skip(tokLParen, "after the renew target")
+		op.Args = p.argList()
 		b.Stmts = append(b.Stmts, EventStmt{Op: op})
 	default:
 		first := p.name()
@@ -209,23 +275,41 @@ func (p *parser) eventStmt(b *EventBlock) {
 }
 
 func (p *parser) name() Name {
-	t := p.expect(tokIdent, "")
-	return Name{Text: t.text, Pos: t.pos}
+	p.expect(tokIdent, "")
+	n := Name{Text: p.tok.text, Pos: p.tok.pos}
+	p.advance()
+	return n
 }
 
-// decl parses "a[, b...] :: Kind[(args)]" with first already consumed.
+// links reads the arrows and names that follow the first end of a chain —
+// already on the open name list — and returns the ends and, per arrow,
+// whether it was "<->".
+func (p *parser) links() ([]Name, []bool) {
+	for p.tok.kind == tokArrow || p.tok.kind == tokDuplex {
+		*grow(&p.duplex) = p.tok.kind == tokDuplex
+		p.advance()
+		*grow(&p.names) = p.name()
+	}
+	return closeList(&p.names), closeList(&p.duplex)
+}
+
+// decl parses "a[, b...] :: Kind[(args)]" with first already consumed, and
+// resolves the kind's row of the element table once, here.
 func (p *parser) decl(first Name) *Decl {
-	d := &Decl{Names: []Name{first}}
+	d := one(&p.decls)
+	*grow(&p.names) = first
 	for p.tok.kind == tokComma {
 		p.advance()
-		d.Names = append(d.Names, p.name())
+		*grow(&p.names) = p.name()
 	}
-	p.expect(tokDoubleColon, `in declaration (name :: Kind)`)
-	kind := p.expect(tokIdent, "as element kind")
-	d.Kind, d.KindPos = kind.text, kind.pos
+	d.Names = closeList(&p.names)
+	p.skip(tokDoubleColon, `in declaration (name :: Kind)`)
+	p.expect(tokIdent, "as element kind")
+	d.Kind, d.KindPos, d.elem = p.tok.text, p.tok.pos, declared(p.tok.text)
+	p.advance()
 	if p.tok.kind == tokLParen {
 		p.advance()
-		d.Args = p.args()
+		d.Args = p.argList()
 	}
 	for _, n := range d.Names {
 		if strings.Contains(n.Text, ".") {
@@ -237,33 +321,35 @@ func (p *parser) decl(first Name) *Decl {
 
 // chain parses "A -> B [<-> C ...][:: Link(args)]" with A consumed.
 func (p *parser) chain(first Name) *Chain {
-	c := &Chain{Ends: []Name{first}}
-	for p.tok.kind == tokArrow || p.tok.kind == tokDuplex {
-		c.Duplex = append(c.Duplex, p.tok.kind == tokDuplex)
-		p.advance()
-		c.Ends = append(c.Ends, p.name())
-	}
+	c := one(&p.chains)
+	*grow(&p.names) = first
+	c.Ends, c.Duplex = p.links()
 	if p.tok.kind == tokDoubleColon {
 		p.advance()
-		kind := p.expect(tokIdent, "after '::' on a link")
-		if kind.text != "Link" {
-			p.fail(kind.pos, "a chain can only be annotated with Link(...), found %q", kind.text)
+		p.expect(tokIdent, "after '::' on a link")
+		if p.tok.text != "Link" {
+			p.fail(p.tok.pos, "a chain can only be annotated with Link(...), found %q", p.tok.text)
 		}
-		p.expect(tokLParen, "after Link")
-		c.Attrs = p.args()
+		p.advance()
+		p.skip(tokLParen, "after Link")
+		c.Attrs = p.argList()
 	}
 	return c
 }
 
-// args parses a ')'-terminated argument list, the '(' already consumed.
-func (p *parser) args() []Arg {
-	var out []Arg
+// argList parses a ')'-terminated argument list, the '(' already consumed.
+// Every argument is named ("key value").
+func (p *parser) argList() []Arg {
 	for {
 		if p.tok.kind == tokRParen {
 			p.advance()
-			return out
+			return closeList(&p.args)
 		}
-		out = append(out, p.arg())
+		p.expect(tokIdent, "(an argument name) in argument list")
+		a := grow(&p.args)
+		a.Name, a.NamePos = p.tok.text, p.tok.pos
+		p.advance()
+		p.value(&a.Value) // a value opens no argument list
 		switch p.tok.kind {
 		case tokComma:
 			p.advance()
@@ -274,58 +360,68 @@ func (p *parser) args() []Arg {
 	}
 }
 
-// arg parses "key value": every argument is named.
-func (p *parser) arg() Arg {
-	key := p.expect(tokIdent, "(an argument name) in argument list")
-	return Arg{Name: key.text, NamePos: key.pos, Value: p.value()}
-}
-
 // peekKind returns the kind of the token after the current one. A lexical
 // error there bails out now, as it would once that token is current.
 func (p *parser) peekKind() tokKind {
 	save := *p.lx
-	t := p.lx.next()
+	var t token
+	p.lx.next(&t)
 	*p.lx = save
 	return t.kind
 }
 
-func (p *parser) value() Value {
+// value parses one argument value into v.
+func (p *parser) value(v *Value) {
+	v.Pos = p.tok.pos
 	switch p.tok.kind {
 	case tokNumber:
-		t := p.advance()
-		v := Value{Pos: t.pos, Kind: NumberVal, Num: t.num}
+		v.Kind, v.Num = NumberVal, p.tok.num
+		p.advance()
 		if p.tok.kind == tokPercent {
 			p.advance()
 			v.Unit = "%"
 		} else if p.tok.kind == tokIdent {
 			if _, ok := units[p.tok.text]; ok {
-				v.Unit = p.advance().text
+				v.Unit = p.tok.text
+				p.advance()
 			}
 		}
-		return v
+		return
 	case tokIdent:
-		t := p.advance()
+		text := p.tok.text
+		p.advance()
 		if p.tok.kind == tokArrow || p.tok.kind == tokDuplex {
-			path := []Name{{Text: t.text, Pos: t.pos}}
+			*grow(&p.names) = Name{Text: text, Pos: v.Pos}
 			for p.tok.kind == tokArrow || p.tok.kind == tokDuplex {
 				if p.tok.kind == tokDuplex {
 					p.fail(p.tok.pos, `paths are directional; use "->"`)
 				}
 				p.advance()
-				path = append(path, p.name())
+				*grow(&p.names) = p.name()
 			}
-			return Value{Pos: t.pos, Kind: PathVal, Path: path}
+			v.Kind, v.Path = PathVal, closeList(&p.names)
+			return
 		}
-		return Value{Pos: t.pos, Kind: IdentVal, Str: t.text}
+		v.Kind, v.Str = IdentVal, text
+		return
 	case tokLBrack:
-		t := p.advance()
-		v := Value{Pos: t.pos, Kind: ListVal}
+		v.Kind = ListVal
+		p.advance()
+		base := len(p.vals)
 		for {
 			if p.tok.kind == tokRBrack {
 				p.advance()
-				return v
+				if len(p.vals) > base {
+					v.List = append([]Value(nil), p.vals[base:]...)
+					p.vals = p.vals[:base]
+				}
+				return
 			}
-			v.List = append(v.List, p.value())
+			// An item is parsed aside and then pushed: a nested list
+			// pushes items of its own, which may move the stack.
+			var item Value
+			p.value(&item)
+			p.vals = append(p.vals, item)
 			switch p.tok.kind {
 			case tokComma:
 				p.advance()
@@ -336,5 +432,4 @@ func (p *parser) value() Value {
 		}
 	}
 	p.fail(p.tok.pos, "expected a value, found %s", p.tok.describe())
-	return Value{}
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -144,5 +145,55 @@ func TestParseErrors(t *testing.T) {
 func TestParseFileMissing(t *testing.T) {
 	if _, err := ParseFile("/nonexistent/x.ispn"); err == nil {
 		t.Fatal("ParseFile on a missing file succeeded")
+	}
+}
+
+// TestLexerColumns pins token positions where counting columns is easy to
+// get wrong: a column is the byte offset from the start of the line plus
+// one, so a tab is one column and a CR before a line's LF is the line's last
+// column; a comment line and a declaration spanning lines count their line
+// ends like any other.
+func TestLexerColumns(t *testing.T) {
+	src := "a,\tb :: Switch\r\n" +
+		"# a comment, with a comma\r\n" +
+		"\tf :: Datagram(path a\r\n" +
+		"\t\t-> b)  # trailing\n" +
+		"x :: CBR(rate\t10pps)"
+	want := []string{
+		"a 1:1", ", 1:2", "b 1:4", ":: 1:6", "Switch 1:9",
+		"f 3:2", ":: 3:4", "Datagram 3:7", "( 3:15", "path 3:16", "a 3:21",
+		"-> 4:3", "b 4:6", ") 4:7",
+		"x 5:1", ":: 5:3", "CBR 5:6", "( 5:9", "rate 5:10", "10 5:15", "pps 5:17", ") 5:20",
+		"EOF 5:21",
+	}
+	lx := newLexer("cols.ispn", src)
+	var got []string
+	for {
+		var tok token
+		lx.next(&tok)
+		text := tok.text
+		switch tok.kind {
+		case tokEOF:
+			text = "EOF"
+		case tokIdent, tokNumber:
+		default:
+			text = strings.Trim(tok.kind.String(), `"`)
+		}
+		got = append(got, fmt.Sprintf("%s %d:%d", text, tok.pos.Line, tok.pos.Col))
+		if tok.kind == tokEOF {
+			break
+		}
+	}
+	if strings.Join(got, " | ") != strings.Join(want, " | ") {
+		t.Errorf("tokens:\n got %s\nwant %s", strings.Join(got, " | "), strings.Join(want, " | "))
+	}
+
+	// The same positions reach the AST and a compile diagnostic.
+	f := mustParse(t, src)
+	if hop := f.Decls[1].Args[0].Value.Path[1]; hop.Pos != (Pos{Line: 4, Col: 6}) {
+		t.Errorf("second path hop at %d:%d, want 4:6", hop.Pos.Line, hop.Pos.Col)
+	}
+	if _, err := Compile(f, Options{}); err == nil || !strings.HasPrefix(err.Error(), "test.ispn:3:21: path needs a link a -> b") {
+		t.Errorf("compile error = %v, want one at 3:21 for the missing link", err)
 	}
 }

@@ -55,7 +55,7 @@ func (r *flowReq) issue(net *core.Network) (*core.Flow, error) {
 // eventBlock lowers one "at" block: every statement becomes one simEvent at
 // the block's time.
 func (c *compiler) eventBlock(b *EventBlock) {
-	at := c.number(b.At, dimTime, "at")
+	at := c.number(&b.At, dimTime, "at")
 	if at < 0 {
 		c.failf(b.AtPos, "at needs a non-negative time, got %v", at)
 	}
@@ -83,7 +83,7 @@ func (c *compiler) eventBlock(b *EventBlock) {
 	for _, st := range b.Stmts {
 		switch {
 		case st.Decl != nil:
-			if classOf(st.Decl.Kind) == classFlow {
+			if st.Decl.class() == classFlow {
 				c.flowDecl(st.Decl, at, true)
 			} // sources and filters are built when a chain uses them
 		case st.Chain != nil:

@@ -2,9 +2,11 @@ package scenario
 
 import "fmt"
 
-// Pos is a 1-indexed position in a scenario file.
+// Pos is a 1-indexed position in a scenario file. Two int32s keep every
+// token, name and argument of the AST small; a position past 2^31 lines or
+// bytes into a line wraps.
 type Pos struct {
-	Line, Col int
+	Line, Col int32
 }
 
 // Error is a scenario-file diagnostic carrying the file name and position it
@@ -45,7 +47,7 @@ func catch(err *error) {
 	}
 }
 
-type tokKind int
+type tokKind uint8
 
 const (
 	tokEOF tokKind = iota
@@ -102,13 +104,13 @@ func (k tokKind) String() string {
 }
 
 type token struct {
-	kind tokKind
-	pos  Pos
-	text string  // identifier
+	text string  // identifier, or a number's digits
 	num  float64 // number value
+	pos  Pos
+	kind tokKind
 }
 
-func (t token) describe() string {
+func (t *token) describe() string {
 	switch t.kind {
 	case tokIdent:
 		return fmt.Sprintf("%q", t.text)
