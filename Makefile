@@ -76,8 +76,10 @@ scenario-check:
 # cycle allocates. The fourth runs internal/sim's hold model (fire one event,
 # schedule one) at three heap sizes; it fails itself if a warmed-up op
 # allocates. The last runs internal/scenario's setup of a mesh world (Parse,
-# then Compile+Start), whose B/op and allocs/op repeat from run to run; its
-# budgets are TestSetupAllocationBudget. Timing lives in bench/ (see bench/README.md).
+# then Compile+Start) and a whole setup of a churn world, whose B/op and
+# allocs/op repeat from run to run; their budgets are TestSetupAllocationBudget.
+# The last checks what one unified port costs to build (NewPipeline and
+# ConnectWith, TestPortAllocationBudget). Timing lives in bench/ (see bench/README.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SimulatorThroughput|ShardedThroughput|FacadeSmallNetwork|MillionFlows|CallChurn' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'RecorderAdd|RecorderPercentiles' -benchtime 1x -benchmem ./internal/stats
@@ -86,6 +88,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'AdmitRelease' -benchtime 1x -benchmem ./internal/admission
 	$(GO) test -run '^$$' -bench 'ShortestPath' -benchtime 1x -benchmem ./internal/routing
 	$(GO) test -run '^$$' -bench 'Setup' -benchtime 1x -benchmem ./internal/scenario
+	$(GO) test -count=1 -run 'TestPortAllocationBudget' ./internal/core
 
 # bench/ is a module of its own, so the root build, vet and test never
 # compile it: vet and test it here so that removing an API the benchmark

@@ -12,7 +12,8 @@ import (
 // It is an index-based 4-ary min-heap over value items: Push and Pop on the
 // FIFO+ fast path (one of each per packet-hop) allocate nothing beyond
 // amortized slice growth, unlike the container/heap realization whose
-// interface methods box every item.
+// interface methods box every item. The zero value is ready to use, so a
+// FIFO+ class holds its queue by value.
 type DeadlineQueue struct {
 	h   []dlItem
 	seq uint64

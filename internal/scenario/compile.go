@@ -322,8 +322,7 @@ type compiler struct {
 	netRouting string           // the Net "routing" argument: "", "static" or "auto"
 	decls      map[string]*Decl // element name -> declaring decl
 	switches   map[string]bool  // includes generator-produced names
-	links      map[[2]string]bool
-	attached   map[string]int // source/filter element name -> use count
+	attached   map[string]int   // source/filter element name -> use count
 	// dynNames marks every event-declared element (known from pass 1);
 	// declAt records each one's block time (filled as blocks compile, in
 	// file order). Together they let chains reject uses of an element
@@ -372,7 +371,6 @@ func (c *compiler) compile() *Sim {
 	})
 	c.decls = make(map[string]*Decl, names)
 	c.switches = make(map[string]bool, switches)
-	c.links = make(map[[2]string]bool)
 	c.attached = make(map[string]int, sources)
 	c.dynNames = make(map[string]bool)
 	c.declAt = make(map[string]float64)

@@ -70,7 +70,7 @@ func (c *compiler) pathNodes(path []Name) []string {
 		nodes[i] = n.Text
 	}
 	for i := 0; i < len(nodes)-1; i++ {
-		if !c.links[[2]string{nodes[i], nodes[i+1]}] {
+		if !c.hasLink(nodes[i], nodes[i+1]) {
 			c.failf(path[i].Pos, "path needs a link %s -> %s, but none is declared", nodes[i], nodes[i+1])
 		}
 	}
@@ -152,7 +152,7 @@ func (c *compiler) tcpDecl(d *Decl) {
 		back[len(nodes)-1-i] = s
 	}
 	for i := 0; i < len(back)-1; i++ {
-		if !c.links[[2]string{back[i], back[i+1]}] {
+		if !c.hasLink(back[i], back[i+1]) {
 			c.failf(d.KindPos, "TCP ACKs need a reverse link %s -> %s; declare it (or the whole path with <->)",
 				back[i], back[i+1])
 		}

@@ -111,7 +111,7 @@ func (c *compiler) generate(d *Decl) {
 		rng := sim.DeriveRNG(c.seed, "gen:"+name.Text)
 		for tries := 0; edges < want && tries < 64*nodes; tries++ {
 			i, j := rng.Intn(nodes), rng.Intn(nodes)
-			if i == j || c.links[[2]string{names[i], names[j]}] {
+			if i == j || c.hasLink(names[i], names[j]) {
 				continue
 			}
 			duplex(names[i], names[j])

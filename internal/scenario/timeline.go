@@ -173,13 +173,13 @@ func (c *compiler) chainPairs(ends []Name, duplex []bool, context string) [][2]s
 			}
 		}
 		fwd := [2]string{from.Text, to.Text}
-		if !c.links[fwd] {
+		if !c.hasLink(from.Text, to.Text) {
 			c.failf(from.Pos, "no link %s -> %s is declared", from.Text, to.Text)
 		}
 		pairs = append(pairs, fwd)
 		if duplex[i] {
 			rev := [2]string{to.Text, from.Text}
-			if !c.links[rev] {
+			if !c.hasLink(to.Text, from.Text) {
 				c.failf(from.Pos, "no link %s -> %s is declared (the chain says <->)", to.Text, from.Text)
 			}
 			pairs = append(pairs, rev)

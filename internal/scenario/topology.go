@@ -142,14 +142,19 @@ func (c *compiler) addSwitch(name string, pos Pos) {
 }
 
 func (c *compiler) addLink(from, to string, rate, delay float64, prof *sched.Profile, pos Pos) {
-	key := [2]string{from, to}
-	if c.links[key] {
+	if c.hasLink(from, to) {
 		c.failf(pos, "duplicate link %s -> %s", from, to)
 	}
-	c.links[key] = true
 	if _, err := c.net.ConnectWith(from, to, rate, delay, prof); err != nil {
 		c.failf(pos, "%v", err)
 	}
+}
+
+// hasLink reports whether a link from -> to is declared: the network's
+// topology holds every link the compiler added, and nothing else.
+func (c *compiler) hasLink(from, to string) bool {
+	nd := c.net.Topology().Node(from)
+	return nd != nil && nd.Port(to) != nil
 }
 
 // isLinkChain reports whether every endpoint of the chain is a switch

@@ -27,21 +27,30 @@ const fifoPlusGain = 3e-4
 // (positive offset) are scheduled as if they had arrived earlier, which
 // equalizes jitter across the aggregate over the whole path instead of per
 // hop, so the post-facto jitter bound stops growing with hop count.
+//
+// Its queue and meters are held by value, so the K classes of a port are one
+// []FIFOPlus.
 type FIFOPlus struct {
-	q   *queue.DeadlineQueue
-	avg *stats.EWMA
-	// measured tracks the class delay distribution at this hop for
+	q   queue.DeadlineQueue
+	avg stats.EWMA
+	// maxDelay tracks the class delay distribution at this hop for
 	// admission control (the d̂ of Section 9).
-	maxDelay *stats.WindowedMax
+	maxDelay stats.WindowedMax
 }
 
 // NewFIFOPlus returns an empty FIFO+ scheduler.
 func NewFIFOPlus() *FIFOPlus {
-	return &FIFOPlus{
-		q:        queue.NewDeadlineQueue(),
-		avg:      stats.NewEWMA(fifoPlusGain),
-		maxDelay: stats.NewWindowedMax(1.0, 30),
-	}
+	f := new(FIFOPlus)
+	f.init()
+	return f
+}
+
+// init makes a zero f an empty FIFO+ scheduler, as NewFIFOPlus does; a
+// port's pipeline runs it on each class of its []FIFOPlus. The zero queue is
+// ready; the meters take their parameters.
+func (f *FIFOPlus) init() {
+	f.avg.Init(fifoPlusGain)
+	f.maxDelay.Init(1.0, 30)
 }
 
 // Enqueue inserts p ordered by its expected arrival time: actual arrival

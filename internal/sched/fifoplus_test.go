@@ -3,8 +3,6 @@ package sched
 import (
 	"math"
 	"testing"
-
-	"ispn/internal/stats"
 )
 
 func TestFIFOPlusDegeneratestoFIFOWithZeroOffsets(t *testing.T) {
@@ -60,7 +58,7 @@ func TestFIFOPlusFirstPacketGetsZeroDeviation(t *testing.T) {
 
 func TestFIFOPlusOffsetAccumulates(t *testing.T) {
 	f := NewFIFOPlus()
-	f.avg = stats.NewEWMA(1) // gain 1: average tracks the last delay exactly
+	f.avg.Init(1) // gain 1: average tracks the last delay exactly
 	// First packet establishes average 0.1.
 	p1 := pkt(1, 1, 1000)
 	p1.ArrivedAt = 0
@@ -80,7 +78,7 @@ func TestFIFOPlusOffsetAccumulates(t *testing.T) {
 
 func TestFIFOPlusNegativeDeviationReducesOffset(t *testing.T) {
 	f := NewFIFOPlus()
-	f.avg = stats.NewEWMA(1)
+	f.avg.Init(1)
 	p1 := pkt(1, 1, 1000)
 	p1.ArrivedAt = 0
 	f.Enqueue(p1, 0)

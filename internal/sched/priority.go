@@ -16,10 +16,20 @@ type Priority struct {
 // NewPriority returns a strict-priority scheduler over the given levels
 // (level 0 highest) that places each packet by its header (see level).
 func NewPriority(levels []Scheduler) *Priority {
+	pr := new(Priority)
+	pr.init(levels, make([]int, len(levels)))
+	return pr
+}
+
+// init makes pr an empty scheduler over levels, counting each level's
+// occupancy in counts (zeroed, one per level), as NewPriority does; a
+// port's pipeline runs it on the Priority it holds by value, with both
+// slices cut from arrays of its own.
+func (pr *Priority) init(levels []Scheduler, counts []int) {
 	if len(levels) == 0 {
 		panic("sched: Priority needs at least one level")
 	}
-	return &Priority{levels: levels, counts: make([]int, len(levels))}
+	*pr = Priority{levels: levels, counts: counts}
 }
 
 // level maps a packet to a priority level the way the unified scheduler

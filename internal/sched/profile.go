@@ -85,7 +85,8 @@ type Profile struct {
 	// widely spaced defaults (32 ms, 320 ms). The edd and stopandgo kinds
 	// read the first as their one per-hop parameter: Delay-EDD's local
 	// delay budget, Stop-and-Go's frame length (TargetFor charges a
-	// stopandgo hop two frames).
+	// stopandgo hop two frames). Profiles share target slices, so they
+	// are read, never written in place.
 	ClassTargets []float64
 	// DatagramQuota is the fraction of the link reserved for datagram
 	// traffic: 0 means the paper's default (0.10), NoDatagramQuota (any
@@ -106,7 +107,7 @@ func (p Profile) Normalize() Profile {
 		p.Kind = KindUnified
 	}
 	if len(p.ClassTargets) == 0 {
-		p.ClassTargets = []float64{0.032, 0.32}
+		p.ClassTargets = defaultClassTargets[:]
 	}
 	if p.DatagramQuota == 0 {
 		p.DatagramQuota = DefaultDatagramQuota
@@ -116,6 +117,11 @@ func (p Profile) Normalize() Profile {
 	}
 	return p
 }
+
+// defaultClassTargets are the paper's two widely spaced predicted classes,
+// the targets of a profile that names none. Every such normalized profile
+// shares this array, which is why targets are never written in place.
+var defaultClassTargets = [2]float64{0.032, 0.32}
 
 // Classes returns the number of predicted classes the profile declares.
 func (p Profile) Classes() int { return len(p.ClassTargets) }
@@ -197,9 +203,25 @@ type Pipeline struct {
 	linkRate float64
 	reserved float64 // Σ r_α
 	// measured is the FIFO+ queue of each predicted class, nil where the
-	// class's sharing does not measure its delay.
-	measured []*FIFOPlus
+	// classes' sharing does not measure their delay.
+	measured []FIFOPlus
+
+	// The schedulers of the unified, wfq and fifo kinds are held here by
+	// value, so such a port's scheduler is one object plus its classes'
+	// []FIFOPlus: wfq is the rate scheduler, flow0 the unified kind's
+	// priority stack, fifo the unified kind's datagram level, the wfq
+	// kind's flow 0 and the fifo kind's whole queue. The stack's levels and
+	// counts are appended to levelBuf and countBuf, which hold the paper's
+	// two classes and datagram without allocating.
+	wfq      WFQ
+	flow0    Priority
+	fifo     FIFO
+	levelBuf [inlineLevels]Scheduler
+	countBuf [inlineLevels]int
 }
+
+// inlineLevels is how many priority levels a unified pipeline holds inline.
+const inlineLevels = len(defaultClassTargets) + 1
 
 // rateScheduler is what the pipeline needs of WFQ and VirtualClock beyond
 // their shared flow table: registering a flow and changing its rate (WFQ
@@ -218,24 +240,25 @@ type rateScheduler interface {
 // pipeline whose normalized profile and link rate are set.
 var pipelines = map[string]func(pl *Pipeline){
 	KindUnified: func(pl *Pipeline) {
-		w := NewWFQ(pl.linkRate)
-		w.AddFlowScheduler(Flow0ID, pl.linkRate, pl.unifiedStack())
-		pl.reserving(w, &w.rateTable)
+		pl.wfq.init(pl.linkRate)
+		pl.wfq.AddFlowScheduler(Flow0ID, pl.linkRate, pl.unifiedStack())
+		pl.reserving(&pl.wfq, &pl.wfq.rateTable)
 	},
 	KindWFQ: func(pl *Pipeline) {
-		w := NewWFQ(pl.linkRate)
-		w.AddFlowScheduler(Flow0ID, pl.linkRate, NewFIFO())
-		pl.reserving(w, &w.rateTable)
+		pl.wfq.init(pl.linkRate)
+		pl.wfq.AddFlowScheduler(Flow0ID, pl.linkRate, &pl.fifo)
+		pl.reserving(&pl.wfq, &pl.wfq.rateTable)
 	},
 	KindVirtualClock: func(pl *Pipeline) {
 		v := NewVirtualClock()
 		v.AddFlow(Flow0ID, pl.linkRate)
 		pl.reserving(v, &v.rateTable)
 	},
-	KindFIFO: func(pl *Pipeline) { pl.queue = NewFIFO() },
+	KindFIFO: func(pl *Pipeline) { pl.queue = &pl.fifo },
 	KindFIFOPlus: func(pl *Pipeline) {
-		fp := NewFIFOPlus()
-		pl.queue, pl.measured = fp, []*FIFOPlus{fp}
+		pl.measured = make([]FIFOPlus, 1)
+		pl.measured[0].init()
+		pl.queue = &pl.measured[0]
 	},
 	KindDRR: func(pl *Pipeline) { pl.queue = NewDRR(float64(pl.prof.MaxPacketBits)) },
 	KindEDD: func(pl *Pipeline) {
@@ -303,7 +326,7 @@ func (pl *Pipeline) Enqueue(p *packet.Packet, now float64) {
 	}
 	var f *rateFlow
 	if p.Class == packet.Guaranteed {
-		f = pl.table.byID[p.FlowID]
+		f = pl.table.get(p.FlowID)
 	}
 	if f == nil {
 		f = pl.table.fallbackFlow(p)
@@ -429,10 +452,7 @@ func (pl *Pipeline) ClassDelayEstimate(class int, now float64) float64 {
 	if len(pl.measured) == 0 {
 		return 0
 	}
-	if fp := pl.measured[min(class, len(pl.measured)-1)]; fp != nil {
-		return fp.RecentMaxDelay(now)
-	}
-	return 0
+	return pl.measured[min(class, len(pl.measured)-1)].RecentMaxDelay(now)
 }
 
 var (

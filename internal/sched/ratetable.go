@@ -21,10 +21,21 @@ import (
 // child yields. Bandwidth accounting is thus in arrival order while the
 // intra-flow order is the child's business.
 type rateTable struct {
-	flows    []*rateFlow          // registration order, for deterministic ties
-	byID     map[uint32]*rateFlow // flow id -> flow
-	fallback *rateFlow            // flow for unregistered ids (pseudo flow 0), optional
+	flows []*rateFlow // registration order, for deterministic ties
+	// byID maps the id of every registered flow but first's to its flow.
+	// It is made when the second flow registers: a port's pipeline
+	// registers only flow 0 until a guaranteed flow arrives, and reading a
+	// nil map finds nothing.
+	byID     map[uint32]*rateFlow
+	fallback *rateFlow // flow for unregistered ids (pseudo flow 0), optional
 	n        int
+	// first is the first flow ever registered, held inline (flow 0 on a
+	// port), and firstLive reports that it is still registered; flows
+	// starts on firstBuf. A table therefore points into itself and must
+	// not be copied once a flow is registered.
+	first     rateFlow
+	firstLive bool
+	firstBuf  [1]*rateFlow
 }
 
 type rateFlow struct {
@@ -36,8 +47,12 @@ type rateFlow struct {
 	closing bool // unregister once the backlog drains (RemoveFlow mid-run)
 }
 
-func newRateTable() rateTable {
-	return rateTable{byID: make(map[uint32]*rateFlow)}
+// get returns the registered flow id, or nil.
+func (t *rateTable) get(id uint32) *rateFlow {
+	if t.firstLive && t.first.id == id {
+		return &t.first
+	}
+	return t.byID[id]
 }
 
 // add registers a flow whose internal service order is child's. It panics if
@@ -49,16 +64,25 @@ func (t *rateTable) add(id uint32, rate float64, child Scheduler) (revived bool)
 	if rate <= 0 {
 		panic("sched: flow rate must be positive")
 	}
-	if f, dup := t.byID[id]; dup {
+	if f := t.get(id); f != nil {
 		if !f.closing {
 			panic(fmt.Sprintf("sched: flow %d already registered", id))
 		}
 		f.closing = false
 		return true
 	}
-	f := &rateFlow{id: id, rate: rate, child: child}
+	var f *rateFlow
+	if t.flows == nil {
+		f, t.firstLive, t.flows = &t.first, true, t.firstBuf[:0]
+	} else {
+		f = new(rateFlow)
+		if t.byID == nil {
+			t.byID = make(map[uint32]*rateFlow)
+		}
+		t.byID[id] = f
+	}
+	*f = rateFlow{id: id, rate: rate, child: child}
 	t.flows = append(t.flows, f)
-	t.byID[id] = f
 	return false
 }
 
@@ -66,8 +90,8 @@ func (t *rateTable) add(id uint32, rate float64, child Scheduler) (revived bool)
 // under fallbackID. The port pipelines route all predicted and datagram
 // traffic this way (pseudo flow 0).
 func (t *rateTable) SetFallback(fallbackID uint32) {
-	f, ok := t.byID[fallbackID]
-	if !ok {
+	f := t.get(fallbackID)
+	if f == nil {
 		panic("sched: fallback flow not registered")
 	}
 	t.fallback = f
@@ -79,8 +103,8 @@ func (t *rateTable) setRate(id uint32, rate float64) (f *rateFlow, old float64) 
 	if rate <= 0 {
 		panic("sched: flow rate must be positive")
 	}
-	f, ok := t.byID[id]
-	if !ok {
+	f = t.get(id)
+	if f == nil {
 		panic("sched: SetRate on unknown flow")
 	}
 	old, f.rate = f.rate, rate
@@ -89,7 +113,7 @@ func (t *rateTable) setRate(id uint32, rate float64) (f *rateFlow, old float64) 
 
 // Rate returns the clock rate of flow id (0 if unknown).
 func (t *rateTable) Rate(id uint32) float64 {
-	if f, ok := t.byID[id]; ok {
+	if f := t.get(id); f != nil {
 		return f.rate
 	}
 	return 0
@@ -101,8 +125,8 @@ func (t *rateTable) Rate(id uint32) float64 {
 // its last dequeue. Until then the id stays registered, so its in-flight
 // packets are still served in order.
 func (t *rateTable) RemoveFlow(id uint32) {
-	f, ok := t.byID[id]
-	if !ok {
+	f := t.get(id)
+	if f == nil {
 		return
 	}
 	if f.tags.Len() > 0 {
@@ -113,7 +137,11 @@ func (t *rateTable) RemoveFlow(id uint32) {
 }
 
 func (t *rateTable) unregister(f *rateFlow) {
-	delete(t.byID, f.id)
+	if f == &t.first {
+		t.firstLive = false
+	} else {
+		delete(t.byID, f.id)
+	}
 	for i, g := range t.flows {
 		if g == f {
 			t.flows = append(t.flows[:i], t.flows[i+1:]...)
@@ -124,7 +152,7 @@ func (t *rateTable) unregister(f *rateFlow) {
 
 // flowOf returns p's own flow, else the fallback.
 func (t *rateTable) flowOf(p *packet.Packet) *rateFlow {
-	if f, ok := t.byID[p.FlowID]; ok {
+	if f := t.get(p.FlowID); f != nil {
 		return f
 	}
 	return t.fallbackFlow(p)

@@ -20,23 +20,33 @@ const Flow0ID = ^uint32(0)
 // virtualclock kinds; the unified kind adds the stack built here as flow 0's
 // child: one predicted class per class target, each running the profile's
 // sharing discipline (FIFO+ by default; plain FIFO and the Section 11
-// per-flow round robin are the ablations). The pipeline keeps the FIFO+
-// queues to answer ClassDelayEstimate.
+// per-flow round robin are the ablations). The stack, its datagram FIFO and
+// its FIFO+ classes are the pipeline's own values (the classes one
+// []FIFOPlus), which it also reads to answer ClassDelayEstimate.
 func (pl *Pipeline) unifiedStack() Scheduler {
 	k := pl.prof.Classes()
-	levels := make([]Scheduler, k+1)
-	pl.measured = make([]*FIFOPlus, k)
-	for i := range k {
-		switch pl.prof.Sharing {
-		case SharingFIFO:
-			levels[i] = NewFIFO()
-		case SharingRoundRobin:
-			levels[i] = NewDRR(float64(pl.prof.MaxPacketBits))
-		default:
-			fp := NewFIFOPlus()
-			levels[i], pl.measured[i] = fp, fp
+	levels := pl.levelBuf[:0]
+	switch pl.prof.Sharing {
+	case SharingFIFO:
+		for range k {
+			levels = append(levels, NewFIFO())
+		}
+	case SharingRoundRobin:
+		for range k {
+			levels = append(levels, NewDRR(float64(pl.prof.MaxPacketBits)))
+		}
+	default:
+		pl.measured = make([]FIFOPlus, k)
+		for i := range pl.measured {
+			pl.measured[i].init()
+			levels = append(levels, &pl.measured[i])
 		}
 	}
-	levels[k] = NewFIFO() // datagram
-	return NewPriority(levels)
+	levels = append(levels, &pl.fifo) // datagram
+	counts := pl.countBuf[:0]
+	for range levels {
+		counts = append(counts, 0)
+	}
+	pl.flow0.init(levels, counts)
+	return &pl.flow0
 }

@@ -15,7 +15,7 @@ func newTestUnified() *Pipeline { return mustPipeline(Profile{}) }
 
 // levels returns the priority levels under a unified pipeline's flow 0.
 func levels(pl *Pipeline) []Scheduler {
-	return pl.table.byID[Flow0ID].child.(*Priority).levels
+	return pl.table.get(Flow0ID).child.(*Priority).levels
 }
 
 func TestUnifiedGuaranteedIsolatedFromPredictedFlood(t *testing.T) {

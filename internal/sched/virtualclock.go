@@ -17,9 +17,7 @@ type VirtualClock struct {
 }
 
 // NewVirtualClock returns an empty VirtualClock scheduler.
-func NewVirtualClock() *VirtualClock {
-	return &VirtualClock{rateTable: newRateTable()}
-}
+func NewVirtualClock() *VirtualClock { return &VirtualClock{} }
 
 // AddFlow registers a flow with the given clock rate (bits/second), served
 // FIFO within the flow. It panics if the rate is not positive or the id is

@@ -53,7 +53,7 @@ func TestVirtualClockPunishesFormerIdler(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		v.Enqueue(pkt(1, uint64(i), 1000), 0)
 	}
-	f := v.byID[1]
+	f := v.get(1)
 	if math.Abs(f.last-0.2) > 1e-9 {
 		t.Fatalf("VC clock = %v, want 0.2", f.last)
 	}

@@ -27,10 +27,18 @@ type WFQ struct {
 // NewWFQ returns an empty WFQ scheduler for a link of the given rate
 // (bits/second).
 func NewWFQ(linkRate float64) *WFQ {
+	w := new(WFQ)
+	w.init(linkRate)
+	return w
+}
+
+// init makes w an empty scheduler for a link of the given rate, as NewWFQ
+// does; a port's pipeline runs it on the WFQ it holds by value.
+func (w *WFQ) init(linkRate float64) {
 	if linkRate <= 0 {
 		panic("sched: WFQ link rate must be positive")
 	}
-	return &WFQ{rateTable: newRateTable(), linkRate: linkRate}
+	w.linkRate = linkRate
 }
 
 // AddFlow registers a flow with the given clock rate. Packets of the flow are

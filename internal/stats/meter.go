@@ -9,12 +9,13 @@ type EWMA struct {
 	init  bool
 }
 
-// NewEWMA returns an average with the given gain in (0, 1].
-func NewEWMA(gain float64) *EWMA {
+// Init makes e an empty average with the given gain in (0, 1]. An EWMA is
+// held by value: each FIFO+ class of a port holds one.
+func (e *EWMA) Init(gain float64) {
 	if gain <= 0 || gain > 1 {
 		panic("stats: EWMA gain must be in (0,1]")
 	}
-	return &EWMA{gain: gain}
+	*e = EWMA{gain: gain}
 }
 
 // Add folds in one observation. The first observation initializes the
@@ -40,10 +41,9 @@ func (e *EWMA) Initialized() bool { return e.init }
 // rather than a plain average, as Section 9 prescribes.
 type RateMeter struct {
 	window  float64
-	keep    int
 	start   float64
 	current float64
-	recent  []float64 // most recent completed windows, newest last
+	recent  windowRing // most recent completed windows' rates
 }
 
 // NewRateMeter returns a meter with the given window length (seconds) that
@@ -52,10 +52,7 @@ func NewRateMeter(window float64, keep int) *RateMeter {
 	if window <= 0 {
 		panic("stats: RateMeter window must be positive")
 	}
-	if keep < 1 {
-		keep = 1
-	}
-	return &RateMeter{window: window, keep: keep}
+	return &RateMeter{window: window, recent: newWindowRing(keep)}
 }
 
 // Add records amount (e.g. bits) at time now.
@@ -66,18 +63,15 @@ func (m *RateMeter) Add(now, amount float64) {
 
 func (m *RateMeter) roll(now float64) {
 	for now >= m.start+m.window {
-		m.recent = append(m.recent, m.current/m.window)
-		if len(m.recent) > m.keep {
-			m.recent = m.recent[1:]
-		}
+		m.recent.push(m.current / m.window)
 		m.current = 0
 		m.start += m.window
 		// Fast-forward across long idle gaps without recording dozens
 		// of empty windows. Everything retained predates the gap, so
 		// drop it.
-		if now-m.start > float64(m.keep+1)*m.window {
-			m.start = now - float64(m.keep)*m.window
-			m.recent = m.recent[:0]
+		if keep := m.recent.keep; now-m.start > float64(keep+1)*m.window {
+			m.start = now - float64(keep)*m.window
+			m.recent.clear()
 		}
 	}
 }
@@ -87,13 +81,8 @@ func (m *RateMeter) roll(now float64) {
 // control.
 func (m *RateMeter) PeakRate(now float64) float64 {
 	m.roll(now)
-	peak := 0.0
-	for _, r := range m.recent {
-		if r > peak {
-			peak = r
-		}
-	}
-	if len(m.recent) == 0 && now > m.start {
+	peak := m.recent.max()
+	if m.recent.n == 0 && now > m.start {
 		peak = m.current / (now - m.start)
 	}
 	return peak
@@ -104,23 +93,20 @@ func (m *RateMeter) PeakRate(now float64) float64 {
 // per-class maximal delay d̂ⱼ.
 type WindowedMax struct {
 	window float64
-	keep   int
 	start  float64
 	cur    float64
 	curSet bool
-	recent []float64
+	recent windowRing
 }
 
-// NewWindowedMax returns a tracker with the given window (seconds) retaining
-// keep completed windows.
-func NewWindowedMax(window float64, keep int) *WindowedMax {
+// Init makes w an empty tracker with the given window (seconds) retaining
+// keep completed windows. A tracker is held by value: each FIFO+ class of a
+// port holds one.
+func (w *WindowedMax) Init(window float64, keep int) {
 	if window <= 0 {
 		panic("stats: WindowedMax window must be positive")
 	}
-	if keep < 1 {
-		keep = 1
-	}
-	return &WindowedMax{window: window, keep: keep}
+	*w = WindowedMax{window: window, recent: newWindowRing(keep)}
 }
 
 // Add records one observation at time now.
@@ -135,16 +121,13 @@ func (w *WindowedMax) Add(now, x float64) {
 func (w *WindowedMax) roll(now float64) {
 	for now >= w.start+w.window {
 		// Push even empty windows so stale maxima age out.
-		w.recent = append(w.recent, w.cur)
-		if len(w.recent) > w.keep {
-			w.recent = w.recent[1:]
-		}
+		w.recent.push(w.cur)
 		w.cur = 0
 		w.curSet = false
 		w.start += w.window
-		if now-w.start > float64(w.keep+1)*w.window {
-			w.start = now - float64(w.keep)*w.window
-			w.recent = w.recent[:0]
+		if keep := w.recent.keep; now-w.start > float64(keep+1)*w.window {
+			w.start = now - float64(keep)*w.window
+			w.recent.clear()
 		}
 	}
 }
@@ -153,14 +136,59 @@ func (w *WindowedMax) roll(now float64) {
 // window at time now. Returns 0 if nothing has been observed recently.
 func (w *WindowedMax) Max(now float64) float64 {
 	w.roll(now)
+	m := w.recent.max()
+	if w.curSet && w.cur > m {
+		m = w.cur
+	}
+	return m
+}
+
+// windowRing holds the values of the keep most recent completed windows of
+// a meter in a fixed ring: a new window overwrites the oldest, so a meter
+// that rolls for the whole run allocates its ring once, at its first
+// completed window, and never again.
+type windowRing struct {
+	buf  []float64 // len keep once allocated
+	keep int
+	head int // oldest retained value, while the ring is full
+	n    int // values retained; while n < keep they are buf[:n]
+}
+
+func newWindowRing(keep int) windowRing {
+	if keep < 1 {
+		keep = 1
+	}
+	return windowRing{keep: keep}
+}
+
+// push retains v, dropping the oldest value if keep are retained.
+func (r *windowRing) push(v float64) {
+	if r.buf == nil {
+		r.buf = make([]float64, r.keep)
+	}
+	if r.n < r.keep {
+		r.buf[r.n] = v
+		r.n++
+		return
+	}
+	r.buf[r.head] = v
+	if r.head++; r.head == r.keep {
+		r.head = 0
+	}
+}
+
+// clear drops every retained value.
+func (r *windowRing) clear() { r.head, r.n = 0, 0 }
+
+// max returns the largest retained value, or 0 if none is above 0. The order
+// of the values does not matter to a maximum, so the ring is scanned as it
+// lies.
+func (r *windowRing) max() float64 {
 	m := 0.0
-	for _, v := range w.recent {
+	for _, v := range r.buf[:r.n] {
 		if v > m {
 			m = v
 		}
-	}
-	if w.curSet && w.cur > m {
-		m = w.cur
 	}
 	return m
 }

@@ -41,6 +41,8 @@ type Network struct {
 	nodes map[string]*Node
 	order []*Node // deterministic iteration
 	ports []*Port // every port, in creation order (= Port.Index order)
+	// portSlab is the block the next port is cut from (see newPort).
+	portSlab []Port
 
 	// byID holds the routes InstallRoute installed, by flow id, for packets
 	// that reach Node.Inject without a Route: bench's port probe
@@ -117,7 +119,8 @@ func (n *Network) AddLink(from, to string, s sched.Scheduler, bandwidth, propDel
 	if bandwidth <= 0 {
 		panic("topology: bandwidth must be positive")
 	}
-	p := &Port{
+	p := n.newPort()
+	*p = Port{
 		name:      from + "->" + to,
 		index:     len(n.ports),
 		node:      src,
@@ -128,16 +131,33 @@ func (n *Network) AddLink(from, to string, s sched.Scheduler, bandwidth, propDel
 		limit:     DefaultBufferPackets,
 	}
 	n.ports = append(n.ports, p)
-	// Prebound event callbacks: a packet-hop is one event — the
-	// transmit-complete on a zero-delay link, the delivery on a delayed
-	// one — so they are scheduled through the engine's closure-free
-	// ScheduleCall path with these handlers allocated once per port.
-	p.txDone = p.onTxDone
+	// A packet-hop is one event — the transmit-complete on a zero-delay
+	// link, the delivery on a delayed one — scheduled through the engine's
+	// closure-free ScheduleCall path. The delivery carries the packet and
+	// needs the far end, so it is the one handler bound once per port; the
+	// others are package functions taking the port (see portTxDone).
 	p.deliver = func(arg any) { p.dst.receive(arg.(*packet.Packet)) }
-	p.retry = p.onRetry
 	src.ports[to] = p
 	src.portOrder = append(src.portOrder, p)
 	return p
+}
+
+// Port blocks start at minPortBlock ports and double up to maxPortBlock.
+const (
+	minPortBlock = 4
+	maxPortBlock = 64
+)
+
+// newPort returns a zero Port cut from the network's current block, starting
+// a new block when it is used up. A block is never grown in place, so a
+// port's address is stable; like the engine's event node blocks, the blocks
+// turn one allocation per port into one per block.
+func (n *Network) newPort() *Port {
+	if len(n.portSlab) == cap(n.portSlab) {
+		n.portSlab = make([]Port, 0, min(max(2*cap(n.portSlab), minPortBlock), maxPortBlock))
+	}
+	n.portSlab = n.portSlab[:len(n.portSlab)+1]
+	return &n.portSlab[len(n.portSlab)-1]
 }
 
 // Route is the forwarding state of one flow: its hops in path order, each
@@ -456,13 +476,13 @@ type Port struct {
 	// which keeps the port busy until the run reaches it (see busy).
 	txArmed bool
 	wire    sim.Slot
+	// onWire is the packet a zero-delay port is serializing: its
+	// transmit-complete hands it to the far end.
+	onWire *packet.Packet
 
-	// txDone/deliver/retry are the prebound transmit-complete (or
-	// wire-free), propagation-arrival and eligibility-retry event
-	// callbacks (see AddLink).
-	txDone  func(any)
+	// deliver is the prebound propagation-arrival event callback (see
+	// AddLink).
 	deliver func(any)
-	retry   func(any)
 
 	// DiscardOffset, if positive, drops packets whose accumulated
 	// jitter offset exceeds it at dequeue time — the Section 10 "late
@@ -705,7 +725,7 @@ func (pt *Port) enqueue(p *packet.Packet) {
 		// The first packet queued behind the one on the wire: the
 		// wire-free instant becomes an event.
 		pt.txArmed = true
-		eng.Claim(pt.wire, pt.txDone, nil)
+		eng.Claim(pt.wire, portTxDone, pt)
 	default:
 		pt.transmitNext()
 	}
@@ -730,11 +750,12 @@ func (pt *Port) scheduleRetry(now float64) {
 		return
 	}
 	pt.retryArmed = true
-	pt.node.eng.AtCallKeyed(t, sim.KeyData, pt.retry, nil)
+	pt.node.eng.AtCallKeyed(t, sim.KeyData, portRetry, pt)
 }
 
-// onRetry is the eligibility wake-up scheduleRetry arms.
-func (pt *Port) onRetry(any) {
+// portRetry is the eligibility wake-up scheduleRetry arms for port arg.
+func portRetry(arg any) {
+	pt := arg.(*Port)
 	pt.retryArmed = false
 	if !pt.busy() {
 		pt.transmitNext()
@@ -780,7 +801,8 @@ func (pt *Port) transmitNext() {
 	}
 	if pt.propDelay <= 0 {
 		pt.txArmed = true
-		eng.ScheduleCall(tx, pt.txDone, p)
+		pt.onWire = p
+		eng.ScheduleCall(tx, portTxDone, pt)
 		return
 	}
 	// The packet is on the wire: its last bit leaves at free and reaches
@@ -800,19 +822,21 @@ func (pt *Port) transmitNext() {
 		// A backlog waits for the wire, or a zero-length transmission
 		// frees it at this instant (a slot must lie after the clock).
 		pt.txArmed = true
-		eng.ScheduleCall(tx, pt.txDone, nil)
+		eng.ScheduleCall(tx, portTxDone, pt)
 		return
 	}
 	pt.wire = eng.Reserve(free, sim.KeyData)
 }
 
-// onTxDone fires when the wire goes free: on a zero-delay link it carries
-// the packet, which reaches the far end now; on a delayed one the packet's
-// delivery is already scheduled (transmitNext) and arg is nil. Either way
-// it starts the next transmission.
-func (pt *Port) onTxDone(arg any) {
+// portTxDone fires when the wire of port arg goes free: on a zero-delay link
+// the packet it was serializing reaches the far end now; on a delayed one
+// the packet's delivery is already scheduled (transmitNext). Either way it
+// starts the next transmission.
+func portTxDone(arg any) {
+	pt := arg.(*Port)
 	pt.txArmed = false
-	if p, ok := arg.(*packet.Packet); ok {
+	if p := pt.onWire; p != nil {
+		pt.onWire = nil
 		p.Hops++
 		pt.dst.receive(p)
 	}
