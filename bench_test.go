@@ -247,8 +247,9 @@ func buildShardMesh(shards int, seed int64) (*ispn.Network, []*ispn.Flow) {
 // BenchmarkShardedThroughput runs the windowed multi-heap engine on the
 // generated cluster mesh at 1, 2 and 4 shards — same workload, same
 // (bit-identical) results, one event heap per shard, all on one goroutine.
-// The 1-shard case runs the same coordinator, so the ratio is the cost of
-// splitting the heap and narrowing the windows, not a speed-up.
+// The 1-shard case runs the same coordinator, so the ratio is what
+// splitting the heap and narrowing the windows costs or gains (ROADMAP
+// item 19).
 func BenchmarkShardedThroughput(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -249,7 +249,7 @@ func main() {
 	seed := flag.Int64("seed", 1992, "random seed (scenarios: overrides the file's Run seed)")
 	horizon := flag.Float64("horizon", 0, "simulated seconds: per experiment run (0 = the paper's 600), or a scenario horizon override (0 = the file's Run horizon)")
 	parallel := flag.Int("parallel", 0, "worker count for independent sub-simulations (0 = GOMAXPROCS, 1 = sequential; results are identical either way)")
-	shards := flag.Int("shards", 0, "run/check: split each scenario into this many event heaps advanced in lockstep windows (single-threaded, not a speed-up; overrides the file's Net shards; reports are bit-identical)")
+	shards := flag.Int("shards", 0, "run/check: split each scenario into this many event heaps advanced in lockstep windows (single-threaded; whether it is faster is ROADMAP item 19; overrides the file's Net shards; reports are bit-identical)")
 	check := flag.Bool("check", false, "run scenarios under the invariant oracle (adds an invariants section to each report)")
 	n := flag.Int("n", 100, "fuzz: number of random worlds to generate and check")
 	corpus := flag.String("corpus", "testdata/fuzz", "fuzz: directory receiving minimized failing repros")

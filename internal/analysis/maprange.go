@@ -29,7 +29,7 @@ var mapRangePackages = []string{
 //
 //   - collect-then-sort: every statement in the body is an append (the
 //     invariant Oracle.Totals idiom — gather keys, sort outside the loop);
-//   - map clear: the body only deletes the iterated key from the ranged map;
+//     an empty body is the degenerate case and observes nothing;
 //   - keyed fill: the body is exactly dst[k] = expr with k the range key —
 //     distinct keys make the writes commute (expr must be call-free);
 //   - integer reduce: every statement accumulates into integer variables
@@ -38,7 +38,8 @@ var mapRangePackages = []string{
 //
 // Anything else needs sorted iteration or an
 // `//ispnvet:allow maprange: <justification>` explaining why order cannot
-// reach simulation state or report bytes.
+// reach simulation state or report bytes. A loop that deletes every key is
+// flagged too: clear(m) says the same in one call.
 var MapRange = &Analyzer{
 	Name: "maprange",
 	Doc:  "flag nondeterministic map iteration in deterministic simulation packages",
@@ -74,13 +75,11 @@ func runMapRange(pass *Pass) error {
 
 // orderIndependentBody recognizes the sanctioned map-iteration idioms.
 func orderIndependentBody(pass *Pass, rs *ast.RangeStmt) bool {
-	if len(rs.Body.List) == 0 {
-		return true // an empty body observes nothing
-	}
-	return collectBody(rs) || clearBody(pass, rs) || keyedFillBody(rs) || reduceBody(pass, rs)
+	return collectBody(rs) || keyedFillBody(rs) || reduceBody(pass, rs)
 }
 
-// collectBody: every statement appends to a slice (collect-then-sort).
+// collectBody: every statement appends to a slice (collect-then-sort). An
+// empty body has no statement that is not an append.
 func collectBody(rs *ast.RangeStmt) bool {
 	for _, st := range rs.Body.List {
 		as, ok := st.(*ast.AssignStmt)
@@ -99,28 +98,6 @@ func collectBody(rs *ast.RangeStmt) bool {
 	return true
 }
 
-// clearBody: every statement is delete(m, k) on the ranged map.
-func clearBody(pass *Pass, rs *ast.RangeStmt) bool {
-	for _, st := range rs.Body.List {
-		es, ok := st.(*ast.ExprStmt)
-		if !ok {
-			return false
-		}
-		call, ok := es.X.(*ast.CallExpr)
-		if !ok || len(call.Args) != 2 {
-			return false
-		}
-		fn, ok := call.Fun.(*ast.Ident)
-		if !ok || fn.Name != "delete" {
-			return false
-		}
-		if types.ExprString(call.Args[0]) != types.ExprString(rs.X) {
-			return false
-		}
-	}
-	return true
-}
-
 // keyedFillBody: the body is exactly `dst[k] = expr` with k the range key —
 // each distinct key is written once, so the writes commute under any
 // iteration order. The RHS must be call-free: a call could observe or
@@ -130,19 +107,7 @@ func keyedFillBody(rs *ast.RangeStmt) bool {
 		return false
 	}
 	as, ok := rs.Body.List[0].(*ast.AssignStmt)
-	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-		return false
-	}
-	idx, ok := as.Lhs[0].(*ast.IndexExpr)
-	if !ok {
-		return false
-	}
-	k, ok := rs.Key.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	ki, ok := idx.Index.(*ast.Ident)
-	if !ok || ki.Name != k.Name || k.Name == "_" {
+	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || !indexedByKey(as.Lhs[0], rs.Key) {
 		return false
 	}
 	callFree := true
@@ -153,6 +118,13 @@ func keyedFillBody(rs *ast.RangeStmt) bool {
 		return callFree
 	})
 	return callFree
+}
+
+// indexedByKey reports whether e is dst[k] with k the named range key.
+func indexedByKey(e, key ast.Expr) bool {
+	idx, isIndex := e.(*ast.IndexExpr)
+	k, isKey := key.(*ast.Ident)
+	return isIndex && isKey && k.Name != "_" && types.ExprString(idx.Index) == k.Name
 }
 
 // reduceBody: every statement accumulates into an integer variable with +=

@@ -75,14 +75,7 @@ func checkPoolFunc(pass *Pass, fn *ast.FuncDecl) {
 					pass.Reportf(call.Pos(), "%s result is assigned to _: the packet leaks from its pool; Release it instead", what)
 					continue
 				}
-				obj := pass.Info.Defs[id]
-				if obj == nil {
-					obj = pass.Info.Uses[id]
-				}
-				if obj == nil {
-					continue
-				}
-				if !packetConsumed(pass, fn, parents, obj, id) {
+				if !packetConsumed(pass, fn, parents, pass.Info.ObjectOf(id), id) {
 					pass.Reportf(call.Pos(), "packet from %s is never released, forwarded, stored, or returned in %s; every ownership path must end in packet.Release, Pool.Put, or a handoff", what, fn.Name.Name)
 				}
 			}
@@ -146,12 +139,9 @@ func packetConsumed(pass *Pass, fn *ast.FuncDecl, parents map[ast.Node]ast.Node,
 					consumed = true
 				}
 			}
-		case *ast.ReturnStmt, *ast.CompositeLit, *ast.KeyValueExpr:
+		case *ast.ReturnStmt, *ast.CompositeLit, *ast.KeyValueExpr, *ast.SendStmt:
+			// A packet is never a channel, so in a send it is the value.
 			consumed = true
-		case *ast.SendStmt:
-			if unparen(p.Value) == ast.Expr(id) {
-				consumed = true
-			}
 		case *ast.AssignStmt:
 			for _, rhs := range p.Rhs {
 				if unparen(rhs) == ast.Expr(id) {
@@ -211,10 +201,6 @@ func namedTypeIs(t types.Type, name, pkgSuffix string) bool {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil &&
-		strings.HasSuffix(obj.Pkg().Path(), pkgSuffix)
+	return ok && named.Obj().Name() == name && named.Obj().Pkg() != nil &&
+		strings.HasSuffix(named.Obj().Pkg().Path(), pkgSuffix)
 }

@@ -18,7 +18,10 @@ import (
 // The analyzer tracks the common guard shapes: `if X != nil { ... }`
 // (including && chains and `if v := X; v != nil`), early exits
 // (`if X == nil { return }`, t.Fatal and friends), and aliases assigned
-// from a guarded expression.
+// from a guarded expression. Nothing else draws a fact: not `nil != X`, not
+// a panic, and not a guard or alias inside a bare block, a labeled
+// statement, a select or a switch's init statement, so a read only those
+// would guard is flagged.
 var ReportNil = &Analyzer{
 	Name: "reportnil",
 	Doc:  "require nil guards around optional report-section pointers in internal/scenario",
@@ -30,9 +33,6 @@ func runReportNil(pass *Pass) error {
 		return nil
 	}
 	sections := optionalSectionTypes(pass)
-	if len(sections) == 0 {
-		return nil
-	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -77,24 +77,17 @@ func optionalSectionTypes(pass *Pass) map[*types.TypeName]bool {
 }
 
 func isSectionType(expr ast.Expr, pass *Pass, sections map[*types.TypeName]bool) bool {
-	tv, ok := pass.Info.Types[expr]
-	if !ok {
-		return false
-	}
-	return sectionPointee(tv.Type, sections) != nil
+	return sectionPointee(pass.Info.TypeOf(expr), sections) != nil
 }
 
-// sectionPointee returns the section TypeName if t is a pointer to one.
+// sectionPointee returns the section TypeName if t is a pointer to one (t
+// may be nil: an expression without a type is no section).
 func sectionPointee(t types.Type, sections map[*types.TypeName]bool) *types.TypeName {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return nil
 	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return nil
-	}
-	if sections[named.Obj()] {
+	if named, ok := ptr.Elem().(*types.Named); ok && sections[named.Obj()] {
 		return named.Obj()
 	}
 	return nil
@@ -201,13 +194,11 @@ func (w *nilGuardWalker) cond(e ast.Expr, g guards) {
 }
 
 // stmt dispatches into nested statements, checking contained expressions.
+// Loops, switches and assignments thread guard facts; any other statement
+// has every selection inside it checked under the guards known before it,
+// so nothing it nests adds a fact.
 func (w *nilGuardWalker) stmt(st ast.Stmt, g guards) {
 	switch s := st.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		w.block(s.List, g)
-	case *ast.IfStmt:
-		w.ifStmt(s, g)
 	case *ast.ForStmt:
 		w.stmt(s.Init, g)
 		if s.Init != nil {
@@ -222,9 +213,6 @@ func (w *nilGuardWalker) stmt(st ast.Stmt, g guards) {
 		w.block(s.Body.List, g)
 	case *ast.SwitchStmt:
 		w.stmt(s.Init, g)
-		if s.Init != nil {
-			g = w.afterStmt(s.Init, g)
-		}
 		w.expr(s.Tag, g)
 		for _, c := range s.Body.List {
 			cc := c.(*ast.CaseClause)
@@ -241,22 +229,6 @@ func (w *nilGuardWalker) stmt(st ast.Stmt, g guards) {
 		for _, c := range s.Body.List {
 			w.block(c.(*ast.CaseClause).Body, g)
 		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cm := c.(*ast.CommClause)
-			w.stmt(cm.Comm, g)
-			w.block(cm.Body, g)
-		}
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, g)
-	case *ast.DeferStmt:
-		w.expr(s.Call, g)
-	case *ast.GoStmt:
-		w.expr(s.Call, g)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.expr(e, g)
-		}
 	case *ast.AssignStmt:
 		for _, e := range s.Rhs {
 			w.expr(e, g)
@@ -264,23 +236,8 @@ func (w *nilGuardWalker) stmt(st ast.Stmt, g guards) {
 		for _, e := range s.Lhs {
 			w.lhs(e, g)
 		}
-	case *ast.ExprStmt:
-		w.expr(s.X, g)
-	case *ast.SendStmt:
-		w.expr(s.Chan, g)
-		w.expr(s.Value, g)
-	case *ast.IncDecStmt:
-		w.expr(s.X, g)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.expr(v, g)
-					}
-				}
-			}
-		}
+	default:
+		w.expr(st, g)
 	}
 }
 
@@ -301,8 +258,9 @@ func (w *nilGuardWalker) lhs(e ast.Expr, g guards) {
 	}
 }
 
-// expr flags any selection through an unguarded optional-section pointer.
-func (w *nilGuardWalker) expr(e ast.Expr, g guards) {
+// expr flags any selection through an unguarded optional-section pointer
+// inside e, an expression or a statement.
+func (w *nilGuardWalker) expr(e ast.Node, g guards) {
 	if e == nil {
 		return
 	}
@@ -329,11 +287,7 @@ func (w *nilGuardWalker) expr(e ast.Expr, g guards) {
 // checkThrough reports sel if it selects through a pointer to an optional
 // section type that no dominating nil check covers.
 func (w *nilGuardWalker) checkThrough(sel *ast.SelectorExpr, g guards) {
-	tv, ok := w.pass.Info.Types[sel.X]
-	if !ok {
-		return
-	}
-	section := sectionPointee(tv.Type, w.sections)
+	section := sectionPointee(w.pass.Info.TypeOf(sel.X), w.sections)
 	if section == nil {
 		return
 	}
@@ -398,12 +352,11 @@ func nilFacts(cond ast.Expr) []string {
 }
 
 // nilComparand returns the printed non-nil side of a comparison with nil.
+// Only x == nil and x != nil count: nil == x draws no fact, so a read it
+// guards is flagged.
 func nilComparand(be *ast.BinaryExpr) string {
 	if isNilIdent(be.Y) {
 		return types.ExprString(unparen(be.X))
-	}
-	if isNilIdent(be.X) {
-		return types.ExprString(unparen(be.Y))
 	}
 	return ""
 }
@@ -414,7 +367,9 @@ func isNilIdent(e ast.Expr) bool {
 }
 
 // terminates reports whether a block always leaves the enclosing scope:
-// return, branch, panic, os.Exit, or a testing Fatal/Skip helper.
+// return, branch, os.Exit, or a testing Fatal/Skip helper. A block ending
+// in panic does not count, so a read after `if X == nil { panic(...) }` is
+// flagged.
 func terminates(b *ast.BlockStmt) bool {
 	if len(b.List) == 0 {
 		return false
@@ -423,17 +378,12 @@ func terminates(b *ast.BlockStmt) bool {
 	case *ast.ReturnStmt, *ast.BranchStmt:
 		return true
 	case *ast.ExprStmt:
-		call, ok := last.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			return fun.Name == "panic"
-		case *ast.SelectorExpr:
-			switch fun.Sel.Name {
-			case "Fatal", "Fatalf", "FailNow", "Skip", "Skipf", "SkipNow", "Exit", "Fail":
-				return true
+		if call, ok := last.X.(*ast.CallExpr); ok {
+			if fun, ok := call.Fun.(*ast.SelectorExpr); ok {
+				switch fun.Sel.Name {
+				case "Fatal", "Fatalf", "FailNow", "Skip", "Skipf", "SkipNow", "Exit", "Fail":
+					return true
+				}
 			}
 		}
 	}

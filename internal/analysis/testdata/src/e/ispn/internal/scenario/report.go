@@ -87,6 +87,49 @@ func callThroughGuard(r *Report) int {
 	return 0
 }
 
+// foldedStatements reads sections unguarded inside the statement kinds the
+// walker checks as a whole, under the guards known before the statement:
+// each read is still reported.
+func foldedStatements(r *Report, ch chan int, use func(int)) {
+	{
+		use(r.Admission.Requested) // want "reads through optional report section r.Admission"
+	}
+	{
+		if r.Routing.Reroutes > 0 { // want "reads through optional report section r.Routing"
+			use(0)
+		}
+	}
+	switch n := r.Admission.Admitted; { // want "reads through optional report section r.Admission"
+	case n > 0:
+	}
+	select {
+	case ch <- r.Routing.Reroutes: // want "reads through optional report section r.Routing"
+	default:
+	}
+loop:
+	for r.Admission.Requested > 0 { // want "reads through optional report section r.Admission"
+		break loop
+	}
+	go use(r.Admission.Requested) // want "reads through optional report section r.Admission"
+	ch <- r.Routing.Reroutes      // want "reads through optional report section r.Routing"
+}
+
+// panicExit and reversedCheck are guards the analyzer does not draw a fact
+// from: the reads below them are reported.
+func panicExit(r *Report) int {
+	if r.Admission == nil {
+		panic("no admission section")
+	}
+	return r.Admission.Requested // want "reads through optional report section r.Admission"
+}
+
+func reversedCheck(r *Report) int {
+	if nil == r.Routing {
+		return 0
+	}
+	return r.Routing.Reroutes // want "reads through optional report section r.Routing"
+}
+
 func allowed(r *Report) int {
 	//ispnvet:allow reportnil: fixture exercises the escape hatch; caller guarantees the section
 	return r.Admission.Requested

@@ -71,9 +71,6 @@ var hopsDisciplines = []discipline{fifo, fifoPlus, drr}
 // loading discipline.
 func AblationHops(cfg RunConfig, maxHops int) []HopsRow {
 	cfg.fill()
-	if maxHops < 1 {
-		maxHops = 4
-	}
 	ds := hopsDisciplines
 	// Fan the full (chain length x discipline) grid of independent
 	// simulations across workers; each job writes its own result slot.
@@ -137,9 +134,6 @@ type AdmissionResult struct {
 // measurement-based controller and (b) worst-case peak-rate admission.
 func AblationAdmission(cfg RunConfig, offered int) []AdmissionResult {
 	cfg.fill()
-	if offered == 0 {
-		offered = 40
-	}
 	policies := []string{"measurement", "worst-case"}
 	out := make([]AdmissionResult, len(policies))
 	ForEach(len(policies), func(i int) {

@@ -41,13 +41,7 @@ func Parallelism() int { return int(parallelism.Load()) }
 // simulations are; they share no engine). With parallelism 1, or n == 1,
 // the calls run inline in index order.
 func ForEach(n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	w := Parallelism()
-	if w > n {
-		w = n
-	}
+	w := min(Parallelism(), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

@@ -139,11 +139,8 @@ func pop(h []frontierEntry) (frontierEntry, []frontierEntry) {
 	return top, h
 }
 
-// NewGraph builds a graph over net with the given cost (nil = CostHops).
+// NewGraph builds a graph over net with the given cost.
 func NewGraph(net *topology.Network, cost Cost) *Graph {
-	if cost == nil {
-		cost = CostHops
-	}
 	g := &Graph{net: net, cost: cost}
 	g.rebuild()
 	return g

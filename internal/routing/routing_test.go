@@ -90,7 +90,7 @@ func TestShortestPathExcludesFailedLinks(t *testing.T) {
 
 func TestShortestPathUnknownEndpoint(t *testing.T) {
 	n := diamond(t)
-	g := NewGraph(n, nil)
+	g := NewGraph(n, CostHops)
 	if _, ok := g.ShortestPath("A", "nope", 0, nil); ok {
 		t.Fatal("path to unknown node")
 	}

@@ -145,13 +145,7 @@ func (p Profile) TargetFor(class int) float64 {
 	if p.Kind == KindStopAndGo {
 		return 2 * p.ClassTargets[0]
 	}
-	if class < 0 {
-		class = 0
-	}
-	if class >= len(p.ClassTargets) {
-		class = len(p.ClassTargets) - 1
-	}
-	return p.ClassTargets[class]
+	return p.ClassTargets[min(max(class, 0), len(p.ClassTargets)-1)]
 }
 
 // Validate reports whether the normalized profile is buildable: a registered

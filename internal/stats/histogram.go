@@ -72,13 +72,12 @@ func (h *Histogram) Render(unit float64, unitName string) string {
 	if h.total == 0 {
 		return "(no samples)\n"
 	}
-	first, last := -1, -1
+	// With every sample below min, first > last and no bucket is drawn.
+	first, last := len(h.counts), -1
 	var peak int64
 	for i, c := range h.counts {
 		if c > 0 {
-			if first < 0 {
-				first = i
-			}
+			first = min(first, i)
 			last = i
 			if c > peak {
 				peak = c
@@ -88,9 +87,6 @@ func (h *Histogram) Render(unit float64, unitName string) string {
 	var b strings.Builder
 	if h.under > 0 {
 		fmt.Fprintf(&b, "%11s < %8.3f %s  %7d\n", "", h.min*unit, unitName, h.under)
-	}
-	if first < 0 {
-		return b.String()
 	}
 	const width = 50
 	for i := first; i <= last; i++ {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -61,6 +62,12 @@ func TestHistogramRender(t *testing.T) {
 	}
 	if NewDelayHistogram().Render(1, "s") != "(no samples)\n" {
 		t.Fatal("empty render wrong")
+	}
+	under := NewDelayHistogram()
+	under.Add(0)
+	under.Add(1e-5)
+	if got, want := under.Render(1000, "ms"), fmt.Sprintf("%11s < %8.3f ms  %7d\n", "", 0.1, 2); got != want {
+		t.Fatalf("render of underflow only = %q, want %q", got, want)
 	}
 }
 

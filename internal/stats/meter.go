@@ -47,12 +47,12 @@ type RateMeter struct {
 }
 
 // NewRateMeter returns a meter with the given window length (seconds) that
-// retains the keep most recent completed windows.
+// retains the keep (at least 1) most recent completed windows.
 func NewRateMeter(window float64, keep int) *RateMeter {
 	if window <= 0 {
 		panic("stats: RateMeter window must be positive")
 	}
-	return &RateMeter{window: window, recent: newWindowRing(keep)}
+	return &RateMeter{window: window, recent: windowRing{keep: keep}}
 }
 
 // Add records amount (e.g. bits) at time now.
@@ -66,9 +66,11 @@ func (m *RateMeter) roll(now float64) {
 		m.recent.push(m.current / m.window)
 		m.current = 0
 		m.start += m.window
-		// Fast-forward across long idle gaps without recording dozens
-		// of empty windows. Everything retained predates the gap, so
-		// drop it.
+		// Fast-forward across a long idle gap to keep windows before
+		// now, dropping everything retained: it all predates the gap.
+		// The loop then records keep or keep−1 empty windows, as the
+		// float steps round, so the clear is what drops the last
+		// pre-gap window when only keep−1 follow.
 		if keep := m.recent.keep; now-m.start > float64(keep+1)*m.window {
 			m.start = now - float64(keep)*m.window
 			m.recent.clear()
@@ -100,13 +102,13 @@ type WindowedMax struct {
 }
 
 // Init makes w an empty tracker with the given window (seconds) retaining
-// keep completed windows. A tracker is held by value: each FIFO+ class of a
-// port holds one.
+// keep (at least 1) completed windows. A tracker is held by value: each
+// FIFO+ class of a port holds one.
 func (w *WindowedMax) Init(window float64, keep int) {
 	if window <= 0 {
 		panic("stats: WindowedMax window must be positive")
 	}
-	*w = WindowedMax{window: window, recent: newWindowRing(keep)}
+	*w = WindowedMax{window: window, recent: windowRing{keep: keep}}
 }
 
 // Add records one observation at time now.
@@ -152,13 +154,6 @@ type windowRing struct {
 	keep int
 	head int // oldest retained value, while the ring is full
 	n    int // values retained; while n < keep they are buf[:n]
-}
-
-func newWindowRing(keep int) windowRing {
-	if keep < 1 {
-		keep = 1
-	}
-	return windowRing{keep: keep}
 }
 
 // push retains v, dropping the oldest value if keep are retained.

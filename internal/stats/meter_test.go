@@ -255,17 +255,35 @@ func (w *sliceWindowedMax) Max(now float64) float64 {
 }
 
 // TestMetersMatchSliceModel drives the ring meters and the slice meters they
-// replaced with the same seeded streams — bursts of closely spaced
+// replaced with the same streams — a fixed one whose idle gap records one
+// empty window short of keep, then seeded bursts of closely spaced
 // observations, gaps inside the retained span, and idle gaps long enough to
 // take the fast-forward — and requires every PeakRate and Max to agree bit
 // for bit.
 func TestMetersMatchSliceModel(t *testing.T) {
+	// 0.1 s windows, keep 5: the gap to 1.25 s fast-forwards to 0.75 s,
+	// and five steps of 0.1 from there reach 1.2500000000000002, so only
+	// four empty windows are recorded. The clear is what drops the window
+	// of the Add at 0, which would otherwise read 10000 and 7.
+	m, sm := NewRateMeter(0.1, 5), &sliceRateMeter{window: 0.1, keep: 5}
+	w, sw := new(WindowedMax), &sliceWindowedMax{window: 0.1, keep: 5}
+	w.Init(0.1, 5)
+	m.Add(0, 1000)
+	sm.Add(0, 1000)
+	w.Add(0, 7)
+	sw.Add(0, 7)
+	if got, want := m.PeakRate(1.25), sm.PeakRate(1.25); got != want || got != 0 {
+		t.Fatalf("PeakRate after the gap = %v, slice model %v, want 0", got, want)
+	}
+	if got, want := w.Max(1.25), sw.Max(1.25); got != want || got != 0 {
+		t.Fatalf("Max after the gap = %v, slice model %v, want 0", got, want)
+	}
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		window := []float64{0.25, 1, 3}[r.Intn(3)]
-		keep := []int{0, 1, 3, 10, 30}[r.Intn(5)]
-		m, sm := NewRateMeter(window, keep), &sliceRateMeter{window: window, keep: max(keep, 1)}
-		w, sw := new(WindowedMax), &sliceWindowedMax{window: window, keep: max(keep, 1)}
+		keep := []int{1, 3, 10, 30}[r.Intn(4)]
+		m, sm := NewRateMeter(window, keep), &sliceRateMeter{window: window, keep: keep}
+		w, sw := new(WindowedMax), &sliceWindowedMax{window: window, keep: keep}
 		w.Init(window, keep)
 		now := 0.0
 		for i := 0; i < 5000; i++ {

@@ -38,8 +38,7 @@ type Recorder struct {
 	n      int
 	placed []int // -1, the ranks placed (see selectRank) since samples were last added, n
 	sum    float64
-	max    float64
-	min    float64 // min and max are set by the first Add
+	max    float64 // set by the first Add
 }
 
 // NewRecorder returns an empty recorder.
@@ -79,17 +78,11 @@ func (r *Recorder) Add(x float64) {
 		r.grow()
 	}
 	r.tail = append(r.tail, x) // into the room made: never reallocates
-	if r.n == 0 {
-		r.min, r.max = x, x
+	if r.n == 0 || x > r.max {
+		r.max = x
 	}
 	r.n++
 	r.sum += x
-	if x > r.max {
-		r.max = x
-	}
-	if x < r.min {
-		r.min = x
-	}
 }
 
 // Absorb merges every sample of src into r (recorders are merged when
@@ -130,13 +123,8 @@ func (r *Recorder) Max() float64 {
 // nearest-rank method. With no samples it returns 0. It reorders samples.
 func (r *Recorder) Percentile(p float64) float64 {
 	n := r.n
-	switch {
-	case n == 0:
+	if n == 0 {
 		return 0
-	case p <= 0:
-		return r.min
-	case p >= 1:
-		return r.max
 	}
 	rank := min(max(int(math.Ceil(p*float64(n)))-1, 0), n-1)
 	if len(r.placed) == 0 || r.placed[len(r.placed)-1] != n {

@@ -45,6 +45,10 @@
 # workload ROADMAP item N names. An unexplained block fails the run, and so
 # does an entry whose block ran, no longer exists, or gives no category.
 #
+# The last line sums up both censuses: functions and blocks never run,
+# explained and not, and the explained blocks per category ("pending: item
+# N" counted as pending).
+#
 # usage: unreached.sh [module-root]   (default: the repo this script is in)
 set -eu
 
@@ -164,5 +168,12 @@ fi
 n="$(wc -l <"$tmp/unexplained" | tr -d ' ')"
 nb="$(wc -l <"$tmp/unexplained-blocks" | tr -d ' ')"
 listed="$(wc -l <"$tmp/listed" | tr -d ' ')"
-echo "unreached: $(wc -l <"$tmp/funcs" | tr -d ' ') functions, $share% of statements executed, $(wc -l <"$tmp/zero" | tr -d ' ') never ran: $(($(wc -l <"$tmp/zero") - n)) explained, $n unexplained; $never blocks never ran, $listed listed: $((listed - nb)) explained, $nb unexplained; $(($(date +%s) - start)) s"
+# The explained blocks by category, most first ("pending: item N" counts as
+# pending): "145 guard, 34 diagnostic, ...".
+bycat="$(awk 'FILENAME == ARGV[1] { k = $0; sub(/ [^ ]*$/, "", k); listed[k]; next }
+	match($0, /\] (diagnostic|guard|probe|facade|reference|interface|fuzz-failure|pending: item [0-9]+): [^ ]/) {
+		if (!(substr($0, 1, RSTART) in listed)) next
+		c = substr($0, RSTART + 2); sub(/[: ].*/, "", c); n[c]++ }
+	END { for (c in n) print n[c], c }' "$tmp/listed" "$tmp/kept" | sort -k1,1nr -k2 | paste -sd, - | sed 's/,/, /g')"
+echo "unreached: $(wc -l <"$tmp/funcs" | tr -d ' ') functions, $share% of statements executed, $(wc -l <"$tmp/zero" | tr -d ' ') never ran: $(($(wc -l <"$tmp/zero") - n)) explained, $n unexplained; $never blocks never ran, $listed listed: $((listed - nb)) explained, $nb unexplained; explained blocks: ${bycat:-none}; $(($(date +%s) - start)) s"
 exit "$fail"
