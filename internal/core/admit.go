@@ -24,15 +24,15 @@ func (n *Network) controller(pt *topology.Port) *admission.Controller {
 	if c := n.admit[idx]; c != nil {
 		return c
 	}
-	prof := n.pipes[idx].Profile()
+	prof := pt.Pipeline().Profile()
 	c := admission.New(admission.Config{
 		LinkRate:     pt.Bandwidth(),
 		Quota:        1 - prof.Quota(),
 		ClassTargets: prof.ClassTargets,
 		ClassDelay: func(class int, now float64) float64 {
-			// Resolve the pipeline through the slice on every call, so a
+			// Resolve the pipeline through the port on every call, so a
 			// live profile swap rebinds the measurement automatically.
-			return n.pipes[idx].ClassDelayEstimate(class, now)
+			return pt.Pipeline().ClassDelayEstimate(class, now)
 		},
 	})
 	pt.OnTransmit(c.ObserveTransmit)
@@ -48,7 +48,7 @@ func (n *Network) admitPredicted(pt *topology.Port, d demand, token uint64) erro
 	// A hop with fewer classes serves the flow in its lowest predicted
 	// class; admit it there.
 	class := d.priority
-	if k := n.Pipeline(pt).Classes(); class >= k {
+	if k := pt.Pipeline().Classes(); class >= k {
 		class = k - 1
 	}
 	return n.controller(pt).AdmitPredictedOwned(n.eng.Now(), d.rate, d.bucket, class, token)

@@ -226,7 +226,7 @@ func admissionOperations(t *testing.T, h hash.Hash, admit bool) {
 		fmt.Fprintf(h, "%d %s: %v|", step, op, err)
 		now := n.Engine().Now()
 		for _, pt := range n.Topology().Ports() {
-			fold(n.Pipeline(pt).Reserved())
+			fold(pt.Pipeline().Reserved())
 			nu := -1.0
 			if c := n.admit[pt.Index()]; c != nil {
 				nu = c.Utilization(now)

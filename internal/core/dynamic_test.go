@@ -163,7 +163,7 @@ func TestGuaranteedLoopedPathRefused(t *testing.T) {
 					if c := n.admit[pt.Index()]; c != nil {
 						nu = c.Utilization(n.Engine().Now())
 					}
-					out = append(out, [2]float64{n.Pipeline(pt).Reserved(), nu})
+					out = append(out, [2]float64{pt.Pipeline().Reserved(), nu})
 				}
 			}
 			return out

@@ -64,7 +64,7 @@ func TestPacketConservation(t *testing.T) {
 	var inFlight int64
 	for _, nd := range n.Topology().Nodes() {
 		for _, pt := range nd.Ports() {
-			inFlight += int64(pt.Scheduler().Len())
+			inFlight += int64(pt.Pipeline().Len())
 			if pt.Counter().Dropped != 0 {
 				t.Fatalf("port %s dropped %d packets at modest load", pt.Name(), pt.Counter().Dropped)
 			}

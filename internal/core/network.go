@@ -41,17 +41,16 @@ type Config struct {
 	sched.Profile
 }
 
-// Network is an ISPN: a topology whose every output port runs a scheduling
+// Network is an ISPN: a topology whose every output port holds a scheduling
 // pipeline built from a per-port profile (the config's profile by default),
 // plus the bookkeeping that turns service requests into reservations,
-// enforcement and measurement. Per-port state is held in dense slices
-// indexed by topology.Port.Index, so no map iteration order can leak into
-// results.
+// enforcement and measurement. Per-port admission state is held in a dense
+// slice indexed by topology.Port.Index, so no map iteration order can leak
+// into results.
 type Network struct {
 	cfg   Config
 	eng   *sim.Engine
 	topo  *topology.Network
-	pipes []*sched.Pipeline       // port index -> pipeline, which carries its effective profile
 	admit []*admission.Controller // port index -> controller (nil until used)
 	flows map[uint32]*Flow
 	// ledgerSeq numbers admission operations; each one tags its warmup-
@@ -180,23 +179,18 @@ func (n *Network) ConnectWith(from, to string, rate, propDelay float64, prof *sc
 	if err != nil {
 		return nil, fmt.Errorf("core: link %s->%s: %v", from, to, err)
 	}
-	// The dense per-port slices are indexed by Port.Index, which counts
+	// The dense per-port slice is indexed by Port.Index, which counts
 	// every AddLink on the topology — links added behind the network's
 	// back would silently shift the correspondence.
-	if n.topo.NumPorts() != len(n.pipes) {
+	if n.topo.NumPorts() != len(n.admit) {
 		panic("core: topology ports were added outside ConnectWith; per-port state is indexed by creation order")
 	}
 	port := n.topo.AddLink(from, to, pipe, rate, propDelay)
 	port.SetBufferLimit(n.cfg.BufferPackets)
-	n.pipes = append(n.pipes, pipe)
 	n.admit = append(n.admit, nil)
 	n.invalidateRoutes() // a new link may shorten cached routes
 	return port, nil
 }
-
-// Pipeline returns the scheduling pipeline running at a port; its Profile is
-// the port's effective (normalized) profile.
-func (n *Network) Pipeline(pt *topology.Port) *sched.Pipeline { return n.pipes[pt.Index()] }
 
 // LinkProfile returns the effective profile of the link from -> to.
 func (n *Network) LinkProfile(from, to string) (sched.Profile, error) {
@@ -204,7 +198,7 @@ func (n *Network) LinkProfile(from, to string) (sched.Profile, error) {
 	if err != nil {
 		return sched.Profile{}, err
 	}
-	return n.Pipeline(pt).Profile(), nil
+	return pt.Pipeline().Profile(), nil
 }
 
 // port resolves a directed link, or reports it unknown.
@@ -231,12 +225,10 @@ func (n *Network) SetLink(from, to string, rate float64) error {
 	if rate <= 0 {
 		return fmt.Errorf("core: link %s->%s rate must be positive, got %v", from, to, rate)
 	}
-	pipe := n.Pipeline(pt)
-	if res := pipe.Reserved(); rate <= res {
+	if res := pt.Pipeline().Reserved(); rate <= res {
 		return fmt.Errorf("core: link %s->%s rate %v bits/s does not cover %v bits/s of guaranteed reservations",
 			from, to, rate, res)
 	}
-	pipe.SetLinkRate(rate, n.eng.Now())
 	pt.SetBandwidth(rate)
 	if c := n.admit[pt.Index()]; c != nil {
 		c.SetLinkRate(rate)
@@ -259,14 +251,12 @@ func (n *Network) SetLinkProfile(from, to string, prof sched.Profile) error {
 	if err != nil {
 		return err
 	}
-	idx := pt.Index()
 	pipe, err := sched.NewPipeline(prof, pt.Bandwidth())
 	if err != nil {
 		return fmt.Errorf("core: link %s->%s: %v", from, to, err)
 	}
 	prof = pipe.Profile()
-	old := n.pipes[idx]
-	if res := old.Reserved(); res > 0 {
+	if res := pt.Pipeline().Reserved(); res > 0 {
 		if !pipe.SupportsGuaranteed() {
 			return fmt.Errorf("core: link %s->%s carries %v bits/s of guaranteed reservations; a %s pipeline cannot honor them",
 				from, to, res, prof.Kind)
@@ -288,9 +278,8 @@ func (n *Network) SetLinkProfile(from, to string, prof sched.Profile) error {
 			}
 		}
 	}
-	pt.SetScheduler(pipe)
-	n.pipes[idx] = pipe
-	if c := n.admit[idx]; c != nil {
+	pt.SetPipeline(pipe)
+	if c := n.admit[pt.Index()]; c != nil {
 		c.SetQuota(1 - prof.Quota())
 		c.SetClassTargets(prof.ClassTargets)
 	}
@@ -601,7 +590,7 @@ func sumOrScale(vals func(i int) float64, k int) float64 {
 // applies to the packet header).
 func (n *Network) advertisedBound(ports []*topology.Port, class int) float64 {
 	return sumOrScale(func(i int) float64 {
-		return n.Pipeline(ports[i]).Profile().TargetFor(class)
+		return ports[i].Pipeline().Profile().TargetFor(class)
 	}, len(ports))
 }
 
@@ -611,7 +600,7 @@ func (n *Network) advertisedBound(ports []*topology.Port, class int) float64 {
 func (n *Network) pathClasses(ports []*topology.Port) int {
 	k := 0
 	for _, pt := range ports {
-		if c := n.Pipeline(pt).Classes(); c > k {
+		if c := pt.Pipeline().Classes(); c > k {
 			k = c
 		}
 	}
@@ -623,7 +612,7 @@ func (n *Network) pathClasses(ports []*topology.Port) int {
 // size to the packetization term: D = b/r + (Σ_{k≥2} Lmaxₖ)/r.
 func (n *Network) pgBound(spec GuaranteedSpec, ports []*topology.Port) float64 {
 	sumL := sumOrScale(func(i int) float64 {
-		return float64(n.Pipeline(ports[i+1]).Profile().MaxPacketBits)
+		return float64(ports[i+1].Pipeline().Profile().MaxPacketBits)
 	}, len(ports)-1)
 	return spec.BucketBits/spec.ClockRate + sumL/spec.ClockRate
 }
@@ -631,14 +620,14 @@ func (n *Network) pgBound(spec GuaranteedSpec, ports []*topology.Port) float64 {
 // reserveLimit is the clock-rate capacity of a port: its bandwidth minus
 // the datagram quota of its profile.
 func (n *Network) reserveLimit(pt *topology.Port) float64 {
-	return (1 - n.Pipeline(pt).Profile().Quota()) * pt.Bandwidth()
+	return (1 - pt.Pipeline().Profile().Quota()) * pt.Bandwidth()
 }
 
 // checkReserve verifies that adding rate to a port's reservations respects
 // its datagram quota and leaves flow 0 alive (with a zero quota the whole
 // link is reservable up to, but never including, the full bandwidth).
 func (n *Network) checkReserve(pt *topology.Port, rate float64) error {
-	pipe := n.Pipeline(pt)
+	pipe := pt.Pipeline()
 	if !pipe.SupportsGuaranteed() {
 		return fmt.Errorf("core: link %s runs a %s pipeline and cannot reserve a clock rate",
 			pt.Name(), pipe.Profile().Kind)
@@ -677,7 +666,7 @@ func (n *Network) RequestGuaranteed(id uint32, path []string, spec GuaranteedSpe
 		return nil, err
 	}
 	for _, pt := range ports {
-		n.Pipeline(pt).AddGuaranteed(id, spec.ClockRate)
+		pt.Pipeline().AddGuaranteed(id, spec.ClockRate)
 	}
 	f := &Flow{
 		ID:           id,
@@ -821,7 +810,7 @@ func (n *Network) Release(id uint32) {
 	ports := n.portsOf(f)
 	if f.Class == packet.Guaranteed {
 		for _, pt := range ports {
-			n.Pipeline(pt).RemoveGuaranteed(id)
+			pt.Pipeline().RemoveGuaranteed(id)
 		}
 	}
 	// Hand this flow's ledger claims back to each hop.
@@ -858,7 +847,7 @@ func (n *Network) RenegotiateGuaranteed(id uint32, spec GuaranteedSpec) error {
 		n.reledger(ports, f, spec.ClockRate)
 	}
 	for _, pt := range ports {
-		n.Pipeline(pt).SetGuaranteedRate(id, spec.ClockRate)
+		pt.Pipeline().SetGuaranteedRate(id, spec.ClockRate)
 	}
 	f.gspec = spec
 	f.declaredRate = spec.ClockRate

@@ -73,7 +73,7 @@ func TestPerLinkProfiles(t *testing.T) {
 	// The rejected request must not leave a dangling reservation on the
 	// wfq hop it passed first.
 	pt, _ := n.port("B", "C")
-	if res := n.Pipeline(pt).Reserved(); res != 100_000 {
+	if res := pt.Pipeline().Reserved(); res != 100_000 {
 		t.Fatalf("B->C reserved %v, want only flow 1's 100000", res)
 	}
 }
@@ -148,10 +148,10 @@ func TestSetLinkProfileCarriesReservations(t *testing.T) {
 	if err := n.SetLinkProfile("A", "B", sched.Profile{Kind: sched.KindWFQ}); err != nil {
 		t.Fatalf("swap to wfq: %v", err)
 	}
-	if res := n.Pipeline(pt).Reserved(); res != 300_000 {
+	if res := pt.Pipeline().Reserved(); res != 300_000 {
 		t.Fatalf("post-swap reserved = %v, want 300000", res)
 	}
-	if n.Pipeline(pt).Profile().Kind == sched.KindUnified {
+	if pt.Pipeline().Profile().Kind == sched.KindUnified {
 		t.Fatal("the swapped link still runs a unified pipeline")
 	}
 	if p, _ := n.LinkProfile("A", "B"); p.Kind != sched.KindWFQ {
@@ -161,11 +161,11 @@ func TestSetLinkProfileCarriesReservations(t *testing.T) {
 	if err := n.RenegotiateGuaranteed(1, GuaranteedSpec{ClockRate: 200_000}); err != nil {
 		t.Fatalf("renegotiate after swap: %v", err)
 	}
-	if res := n.Pipeline(pt).Reserved(); res != 200_000 {
+	if res := pt.Pipeline().Reserved(); res != 200_000 {
 		t.Fatalf("post-renegotiation reserved = %v", res)
 	}
 	n.Release(1)
-	if res := n.Pipeline(pt).Reserved(); res != 0 {
+	if res := pt.Pipeline().Reserved(); res != 0 {
 		t.Fatalf("post-release reserved = %v, want 0", res)
 	}
 }

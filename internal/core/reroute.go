@@ -124,7 +124,7 @@ func (n *Network) graph() *routing.Graph {
 	}
 	// normalize validated the name, so the error is nil.
 	cost, _ := routing.CostByName(n.Routing().Cost, func(pt *topology.Port) int {
-		return n.Pipeline(pt).Profile().MaxPacketBits
+		return pt.Pipeline().Profile().MaxPacketBits
 	})
 	n.routeGraph = routing.NewGraph(n.topo, cost)
 	return n.routeGraph
@@ -213,10 +213,10 @@ func (n *Network) rerouteFlow(f *Flow, ch *chooser) (moved bool, err error) {
 	f.claim(token)
 	if f.Class == packet.Guaranteed {
 		for _, pt := range dropped {
-			n.Pipeline(pt).RemoveGuaranteed(f.ID)
+			pt.Pipeline().RemoveGuaranteed(f.ID)
 		}
 		for _, pt := range added {
-			n.Pipeline(pt).AddGuaranteed(f.ID, f.gspec.ClockRate)
+			pt.Pipeline().AddGuaranteed(f.ID, f.gspec.ClockRate)
 		}
 	}
 	// Reroutes keep the flow's endpoints, so under sharding the ingress

@@ -58,11 +58,11 @@ func TestAutoRerouteMovesGuaranteedFlow(t *testing.T) {
 	}
 	// Reservations moved: the old surviving hop S2->S3 released its clock
 	// rate, every detour hop holds it.
-	if res := n.Pipeline(n.topo.Node("S2").Port("S3")).Reserved(); res != 0 {
+	if res := n.topo.Node("S2").Port("S3").Pipeline().Reserved(); res != 0 {
 		t.Fatalf("old hop still reserves %v bits/s", res)
 	}
 	for _, pr := range [][2]string{{"S1", "B"}, {"B", "B2"}, {"B2", "S3"}} {
-		if res := n.Pipeline(n.topo.Node(pr[0]).Port(pr[1])).Reserved(); res != spec.ClockRate {
+		if res := n.topo.Node(pr[0]).Port(pr[1]).Pipeline().Reserved(); res != spec.ClockRate {
 			t.Fatalf("detour hop %s->%s reserves %v, want %v", pr[0], pr[1], res, spec.ClockRate)
 		}
 	}
@@ -132,7 +132,7 @@ func TestGuaranteedRerouteRefusedAtFIFOHop(t *testing.T) {
 	}
 	// Old reservations intact on both old hops.
 	for _, pr := range [][2]string{{"S1", "S2"}, {"S2", "S3"}} {
-		if res := n.Pipeline(n.topo.Node(pr[0]).Port(pr[1])).Reserved(); res != spec.ClockRate {
+		if res := n.topo.Node(pr[0]).Port(pr[1]).Pipeline().Reserved(); res != spec.ClockRate {
 			t.Fatalf("old hop %s->%s reserves %v after refusal, want %v", pr[0], pr[1], res, spec.ClockRate)
 		}
 	}
@@ -213,7 +213,7 @@ func TestRerouteRefusalRollsBackLedger(t *testing.T) {
 	if nu := n.controller(n.topo.Node("S1").Port("B")).Utilization(now); nu != 0 {
 		t.Fatalf("refused reroute leaked a ledger entry at S1->B: ν̂ = %v", nu)
 	}
-	if res := n.Pipeline(n.topo.Node("S1").Port("B")).Reserved(); res != 0 {
+	if res := n.topo.Node("S1").Port("B").Pipeline().Reserved(); res != 0 {
 		t.Fatalf("refused reroute leaked a reservation at S1->B: %v", res)
 	}
 }

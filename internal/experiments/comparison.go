@@ -37,7 +37,7 @@ func CompareDisciplines(cfg RunConfig) []ComparisonRow {
 			Name:           ds[i].name,
 			Aggregate:      mergeRecorders(s, w.flows),
 			Sample:         toDelayStats(cellFlow(s, 1).Meter()),
-			WorkConserving: s.Net.Pipeline(port(s, "A", "B")).WorkConserving(),
+			WorkConserving: port(s, "A", "B").Pipeline().WorkConserving(),
 		}
 	})
 	return rows

@@ -131,9 +131,9 @@ func (o *Oracle) Sweep(now float64) {
 	for _, pt := range ports {
 		// Conservation: every packet ever enqueued is dropped, discarded,
 		// transmitted (possibly still on the wire) or still queued. The
-		// queue term asks the scheduler itself, not the port's mirror
+		// queue term asks the pipeline itself, not the port's mirror
 		// count, so a pipeline that loses or invents packets is caught.
-		slen := pt.Scheduler().Len()
+		slen := pt.Pipeline().Len()
 		c := pt.Counter()
 		if got := c.Dropped + pt.Discarded() + pt.TxPackets() + int64(slen); got != c.Total {
 			o.record(CheckConservation, pt.Name(), now, fmt.Sprintf(
@@ -141,7 +141,7 @@ func (o *Oracle) Sweep(now float64) {
 				c.Total, c.Dropped, pt.Discarded(), pt.TxPackets(), slen))
 		}
 		// Queue-length bookkeeping: the port's mirror count and its
-		// per-class split must agree with the scheduler.
+		// per-class split must agree with the pipeline.
 		if q := pt.QueueLen(); q != slen {
 			o.record(CheckQueueLens, pt.Name(), now,
 				fmt.Sprintf("port mirror %d != scheduler %d", q, slen))
@@ -161,7 +161,7 @@ func (o *Oracle) Sweep(now float64) {
 		// quota line — that is the operator's doing, not admission's — so
 		// the quota check only fires when reservations *grew* while over.
 		i := pt.Index()
-		pipe := o.net.Pipeline(pt)
+		pipe := pt.Pipeline()
 		res := pipe.Reserved()
 		bw := pt.Bandwidth()
 		if res >= bw {
@@ -201,7 +201,7 @@ func (o *Oracle) Settled() bool {
 		return false
 	}
 	for _, pt := range o.net.Topology().Ports() {
-		if pt.Scheduler().Len() != 0 {
+		if pt.Pipeline().Len() != 0 {
 			return false
 		}
 	}
@@ -218,7 +218,7 @@ func (o *Oracle) CheckLeaks(now float64) {
 			"%d packet(s) unaccounted for (%d gets, %d puts)", gets-puts, gets, puts))
 	}
 	for _, pt := range o.net.Topology().Ports() {
-		if n := pt.Scheduler().Len(); n != 0 {
+		if n := pt.Pipeline().Len(); n != 0 {
 			o.record(CheckLeak, pt.Name(), now,
 				fmt.Sprintf("%d packet(s) still queued after drain", n))
 		}

@@ -9,6 +9,15 @@ import (
 	"ispn/internal/topology"
 )
 
+// fifoPipe is a plain FIFO pipeline for a link of the given rate.
+func fifoPipe(rate float64) *sched.Pipeline {
+	pl, err := sched.NewPipeline(sched.Profile{Kind: sched.KindFIFO}, rate)
+	if err != nil {
+		panic(err)
+	}
+	return pl
+}
+
 // kilobit prices every port's transmission term with the paper's packet.
 func kilobit(*topology.Port) int { return 1000 }
 
@@ -22,7 +31,7 @@ func diamond(t *testing.T) *topology.Network {
 		n.AddNode(name)
 	}
 	link := func(from, to string, rate, prop float64) {
-		n.AddLink(from, to, sched.NewFIFO(), rate, prop)
+		n.AddLink(from, to, fifoPipe(rate), rate, prop)
 	}
 	link("A", "B", 1e6, 0.001)
 	link("B", "D", 1e6, 0.001)

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ispn/internal/sched"
 	"ispn/internal/sim"
 	"ispn/internal/topology"
 )
@@ -86,8 +85,8 @@ func chordalRing(n, chord int) *topology.Network {
 	}
 	duplex := func(a, b int) {
 		x, y := fmt.Sprintf("n%d", a%n+1), fmt.Sprintf("n%d", b%n+1)
-		net.AddLink(x, y, sched.NewFIFO(), 100e6, 0.001)
-		net.AddLink(y, x, sched.NewFIFO(), 100e6, 0.001)
+		net.AddLink(x, y, fifoPipe(100e6), 100e6, 0.001)
+		net.AddLink(y, x, fifoPipe(100e6), 100e6, 0.001)
 	}
 	for i := 0; i < n; i++ {
 		duplex(i, i+1)
@@ -113,8 +112,8 @@ func randomNet(rng *rand.Rand, n int) *topology.Network {
 			continue
 		}
 		linked[[2]int{a, b}] = true
-		net.AddLink(fmt.Sprintf("v%d", a), fmt.Sprintf("v%d", b), sched.NewFIFO(),
-			rates[rng.Intn(len(rates))], props[rng.Intn(len(props))])
+		rate := rates[rng.Intn(len(rates))]
+		net.AddLink(fmt.Sprintf("v%d", a), fmt.Sprintf("v%d", b), fifoPipe(rate), rate, props[rng.Intn(len(props))])
 	}
 	return net
 }
@@ -130,8 +129,8 @@ func fan(k int) *topology.Network {
 	net.AddNode("D")
 	for i := k - 1; i >= 0; i-- {
 		m := fmt.Sprintf("M%d", i)
-		net.AddLink("S", m, sched.NewFIFO(), 1e6, 0.001)
-		net.AddLink(m, "D", sched.NewFIFO(), 1e6, 0.001)
+		net.AddLink("S", m, fifoPipe(1e6), 1e6, 0.001)
+		net.AddLink(m, "D", fifoPipe(1e6), 1e6, 0.001)
 	}
 	return net
 }

@@ -322,7 +322,7 @@ r :: Run(seed 5, horizon 3s)
 	} {
 		viaNet := mustCompile(t, "n :: Net("+args+")"+fmt.Sprintf(body, ""), Options{})
 		viaLink := mustCompile(t, "n :: Net"+fmt.Sprintf(body, " :: Link("+args+")"), Options{})
-		pt := func(s *Sim) sched.Profile { return s.Net.Pipeline(s.Net.Topology().Node("a").Port("b")).Profile() }
+		pt := func(s *Sim) sched.Profile { return s.Net.Topology().Node("a").Port("b").Pipeline().Profile() }
 		if p, q := pt(viaNet), pt(viaLink); !reflect.DeepEqual(p, q) {
 			t.Errorf("%s: Net profile %+v, Link profile %+v", args, p, q)
 		}

@@ -192,7 +192,7 @@ func (s *Sim) buildReport() *Report {
 			}
 			r.Links = append(r.Links, LinkReport{
 				Name:        pt.Name(),
-				Sched:       schedName(s.Net.Pipeline(pt).Profile()),
+				Sched:       schedName(pt.Pipeline().Profile()),
 				Utilization: pt.TotalUtilization(s.Horizon),
 				Drops:       ctr.Dropped,
 			})
@@ -294,7 +294,7 @@ func (s *Sim) LinkSnapshots() []LinkSnapshot {
 		for _, pt := range nd.Ports() {
 			out = append(out, LinkSnapshot{
 				Name:        pt.Name(),
-				Sched:       schedName(s.Net.Pipeline(pt).Profile()),
+				Sched:       schedName(pt.Pipeline().Profile()),
 				Down:        pt.Down(),
 				Utilization: pt.TotalUtilization(now),
 				QueueLen:    pt.QueueLen(),

@@ -74,14 +74,13 @@ func mustPipeline(prof Profile) *Pipeline {
 	return pl
 }
 
-// holds reports whether s may hold queued packets past now: a
-// non-work-conserving scheduler, or a pipeline of such a kind (every
-// pipeline answers NextEligible).
+// holds reports whether s may hold queued packets past now: Stop-and-Go, or
+// a pipeline of that kind.
 func holds(s Scheduler) bool {
 	if pl, ok := s.(*Pipeline); ok {
 		return !pl.WorkConserving()
 	}
-	_, ok := s.(NonWorkConserving)
+	_, ok := s.(*StopAndGo)
 	return ok
 }
 
@@ -93,9 +92,9 @@ func pktClass(flow uint32, seq uint64, size int, class packet.Class, prio uint8)
 	return &packet.Packet{FlowID: flow, Seq: seq, Size: size, Class: class, Priority: prio}
 }
 
-// runLinkNWC is runLink with support for non-work-conserving schedulers:
-// when the scheduler holds packets, the clock jumps to NextEligible.
-func runLinkNWC(s Scheduler, mu float64, arrivals []arrival) []delivery {
+// runLinkNWC is runLink for the non-work-conserving Stop-and-Go: when the
+// scheduler holds packets, the clock jumps to NextEligible.
+func runLinkNWC(s *StopAndGo, mu float64, arrivals []arrival) []delivery {
 	var out []delivery
 	i := 0
 	now := 0.0
@@ -115,13 +114,7 @@ func runLinkNWC(s Scheduler, mu float64, arrivals []arrival) []delivery {
 				now = finish
 			} else {
 				// Everything held: advance to the next event.
-				t := math.Inf(1)
-				if nwc, ok := s.(NonWorkConserving); ok {
-					t = nwc.NextEligible(now)
-				}
-				if nextArr < t {
-					t = nextArr
-				}
+				t := min(s.NextEligible(now), nextArr)
 				if math.IsInf(t, 1) {
 					break
 				}

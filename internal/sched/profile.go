@@ -169,9 +169,10 @@ func (p Profile) Validate() error {
 }
 
 // Pipeline is the scheduling stack of one output port, built from a Profile
-// by NewPipeline: the Scheduler the port dequeues from, plus the reservation
-// and measurement hooks the service interface needs. Every kind is this one
-// type; a kind is only what its builder puts in the fields.
+// by NewPipeline and held by the port (topology.Port): the queue the port
+// serves, plus the reservation and measurement hooks the service interface
+// needs. Every kind is this one type; a kind is only what its builder puts
+// in the fields.
 //
 // The reserving kinds (unified, wfq, virtualclock) put a rate scheduler
 // under the port: guaranteed flows are isolated at their clock rates and
@@ -199,6 +200,9 @@ type Pipeline struct {
 	// measured is the FIFO+ queue of each predicted class, nil where the
 	// classes' sharing does not measure their delay.
 	measured []FIFOPlus
+	// hold is the stopandgo kind's queue, the one kind that holds a queued
+	// packet past now; nil on every other kind.
+	hold *StopAndGo
 
 	// The schedulers of the unified, wfq and fifo kinds are held here by
 	// value, so such a port's scheduler is one object plus its classes'
@@ -261,7 +265,10 @@ var pipelines = map[string]func(pl *Pipeline){
 		// stays put under a mid-run bandwidth change.
 		pl.queue = NewDelayEDD(float64(pl.prof.MaxPacketBits)/pl.linkRate, pl.prof.ClassTargets[0])
 	},
-	KindStopAndGo: func(pl *Pipeline) { pl.queue = NewStopAndGo(pl.prof.ClassTargets[0]) },
+	KindStopAndGo: func(pl *Pipeline) {
+		pl.hold = NewStopAndGo(pl.prof.ClassTargets[0])
+		pl.queue = pl.hold
+	},
 }
 
 // reserving makes rs, whose flow table is t and whose flow 0 is registered
@@ -334,12 +341,14 @@ func (pl *Pipeline) Dequeue(now float64) *packet.Packet { return pl.queue.Dequeu
 // Len implements Scheduler.
 func (pl *Pipeline) Len() int { return pl.queue.Len() }
 
-// NextEligible implements NonWorkConserving: on the stopandgo kind, the
+// NextEligible returns the earliest time at which Dequeue can yield a
+// packet, or +Inf if the pipeline is empty: on the stopandgo kind, the
 // instant its queue's next packet becomes eligible; on every other kind a
-// queued packet is eligible now.
+// queued packet is eligible now. A port asks it when Dequeue came back
+// empty with packets queued.
 func (pl *Pipeline) NextEligible(now float64) float64 {
-	if nwc, ok := pl.queue.(NonWorkConserving); ok {
-		return nwc.NextEligible(now)
+	if pl.hold != nil {
+		return pl.hold.NextEligible(now)
 	}
 	if pl.queue.Len() > 0 {
 		return now
@@ -349,10 +358,7 @@ func (pl *Pipeline) NextEligible(now float64) float64 {
 
 // WorkConserving reports whether the port never idles with a backlog: false
 // only for the stopandgo kind, which holds a packet until its frame ends.
-func (pl *Pipeline) WorkConserving() bool {
-	_, holds := pl.queue.(NonWorkConserving)
-	return !holds
-}
+func (pl *Pipeline) WorkConserving() bool { return pl.hold == nil }
 
 // SupportsGuaranteed reports whether the pipeline can reserve per-flow clock
 // rates.
@@ -449,7 +455,4 @@ func (pl *Pipeline) ClassDelayEstimate(class int, now float64) float64 {
 	return pl.measured[min(class, len(pl.measured)-1)].RecentMaxDelay(now)
 }
 
-var (
-	_ Scheduler         = (*Pipeline)(nil)
-	_ NonWorkConserving = (*Pipeline)(nil)
-)
+var _ Scheduler = (*Pipeline)(nil)

@@ -40,13 +40,14 @@ import (
 	"ispn/internal/queue"
 )
 
-// Scheduler selects the order in which queued packets leave an output port.
-// It is exactly what topology.Port calls: the paper (Sections 4–7) asks one
-// thing of a switch's scheduler — which packet leaves next — and Dequeue
-// answers it. There is no Peek: no port, pipeline or experiment looked
-// before it took, and a dry run that must agree with Dequeue is a second
-// copy of every discipline's service rule (DRR's deficit walk, the rate
-// table's tag scan) to keep in step with the first.
+// Scheduler selects the order in which queued packets leave: it is the
+// contract of a Pipeline's levels and flows (a port holds its Pipeline, which
+// is one too). The paper (Sections 4–7) asks one thing of a switch's
+// scheduler — which packet leaves next — and Dequeue answers it. There is
+// no Peek: no port, pipeline or experiment looked before it took, and a dry
+// run that must agree with Dequeue is a second copy of every discipline's
+// service rule (DRR's deficit walk, the rate table's tag scan) to keep in
+// step with the first.
 // Enqueue and Dequeue take the current simulated time because several
 // disciplines (WFQ virtual time, FIFO+ averages) are time-dependent.
 type Scheduler interface {

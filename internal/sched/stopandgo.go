@@ -7,17 +7,6 @@ import (
 	"ispn/internal/queue"
 )
 
-// NonWorkConserving is implemented by schedulers that may hold queued
-// packets until a future time (Stop-and-Go here; Jitter-EDD and the Section
-// 10 "buffer early packets inside the network" service are of the kind). A
-// port whose scheduler returns nil from Dequeue while Len() > 0 consults
-// NextEligible to know when to try again.
-type NonWorkConserving interface {
-	// NextEligible returns the earliest time at which Dequeue can yield
-	// a packet, or +Inf if the queue is empty.
-	NextEligible(now float64) float64
-}
-
 // StopAndGo implements Golestani's Stop-and-Go queueing (the paper's
 // references [8, 9]), the canonical framing discipline: time is divided into
 // frames of length T, and a packet arriving during frame k becomes eligible
@@ -70,7 +59,8 @@ func (s *StopAndGo) Dequeue(now float64) *packet.Packet {
 // Len implements Scheduler.
 func (s *StopAndGo) Len() int { return s.eligible.Len() + s.pending.Len() }
 
-// NextEligible implements NonWorkConserving.
+// NextEligible returns the earliest time at which Dequeue can yield a
+// packet, or +Inf if the queue is empty.
 func (s *StopAndGo) NextEligible(now float64) float64 {
 	if s.eligible.Len() > 0 {
 		return now
@@ -81,7 +71,4 @@ func (s *StopAndGo) NextEligible(now float64) float64 {
 	return math.Inf(1)
 }
 
-var (
-	_ Scheduler         = (*StopAndGo)(nil)
-	_ NonWorkConserving = (*StopAndGo)(nil)
-)
+var _ Scheduler = (*StopAndGo)(nil)

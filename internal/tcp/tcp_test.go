@@ -10,6 +10,15 @@ import (
 	"ispn/internal/topology"
 )
 
+// fifoPipe is a plain FIFO pipeline for a link of the given rate.
+func fifoPipe(rate float64) *sched.Pipeline {
+	pl, err := sched.NewPipeline(sched.Profile{Kind: sched.KindFIFO}, rate)
+	if err != nil {
+		panic(err)
+	}
+	return pl
+}
+
 // buildDuplex builds A -> B -> C with duplex 1 Mbit/s FIFO links.
 func buildDuplex(eng *sim.Engine, names []string, bw float64) *topology.Network {
 	n := topology.NewNetwork(eng)
@@ -17,8 +26,8 @@ func buildDuplex(eng *sim.Engine, names []string, bw float64) *topology.Network 
 		n.AddNode(name)
 	}
 	for i := 0; i < len(names)-1; i++ {
-		n.AddLink(names[i], names[i+1], sched.NewFIFO(), bw, 0)
-		n.AddLink(names[i+1], names[i], sched.NewFIFO(), bw, 0)
+		n.AddLink(names[i], names[i+1], fifoPipe(bw), bw, 0)
+		n.AddLink(names[i+1], names[i], fifoPipe(bw), bw, 0)
 	}
 	return n
 }
@@ -99,8 +108,8 @@ func TestTCPSharesLinkFairly(t *testing.T) {
 	for _, name := range []string{"A", "B"} {
 		n.AddNode(name)
 	}
-	n.AddLink("A", "B", sched.NewFIFO(), 1e6, 0)
-	n.AddLink("B", "A", sched.NewFIFO(), 1e6, 0)
+	n.AddLink("A", "B", fifoPipe(1e6), 1e6, 0)
+	n.AddLink("B", "A", fifoPipe(1e6), 1e6, 0)
 	c1 := NewConnection(n, Config{DataFlowID: 1, AckFlowID: 2,
 		Path: []string{"A", "B"}, ReversePath: []string{"B", "A"}})
 	c2 := NewConnection(n, Config{DataFlowID: 3, AckFlowID: 4,
@@ -126,8 +135,8 @@ func TestTCPRespectsMaxCwnd(t *testing.T) {
 	n := topology.NewNetwork(eng)
 	n.AddNode("A")
 	n.AddNode("B")
-	n.AddLink("A", "B", sched.NewFIFO(), 1e8, 0.010)
-	n.AddLink("B", "A", sched.NewFIFO(), 1e8, 0.010)
+	n.AddLink("A", "B", fifoPipe(1e8), 1e8, 0.010)
+	n.AddLink("B", "A", fifoPipe(1e8), 1e8, 0.010)
 	c := newConn(n, []string{"A", "B"})
 	c.Start()
 	peak := uint64(0)

@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"ispn/internal/packet"
-	"ispn/internal/sched"
 	"ispn/internal/sim"
 )
 
-// The port must wake itself up when its scheduler is non-work-conserving:
+// The port must wake itself up when its pipeline is non-work-conserving:
 // a held packet would otherwise strand forever because nothing new arrives
 // to trigger transmission.
 func TestPortWakesUpForHeldPackets(t *testing.T) {
@@ -17,7 +16,7 @@ func TestPortWakesUpForHeldPackets(t *testing.T) {
 	n := NewNetwork(eng)
 	n.AddNode("A")
 	n.AddNode("B")
-	n.AddLink("A", "B", sched.NewStopAndGo(0.050), 1e6, 0)
+	n.AddLink("A", "B", stopAndGoPipe(0.050, 1e6), 1e6, 0)
 	var deliveredAt float64 = -1
 	r := routeTo(n, 1, []string{"A", "B"}, func(p *packet.Packet) { deliveredAt = eng.Now() })
 
@@ -42,7 +41,7 @@ func TestPortStopAndGoServesEligibleAndHoldsFresh(t *testing.T) {
 	n := NewNetwork(eng)
 	n.AddNode("A")
 	n.AddNode("B")
-	n.AddLink("A", "B", sched.NewStopAndGo(0.010), 1e6, 0)
+	n.AddLink("A", "B", stopAndGoPipe(0.010, 1e6), 1e6, 0)
 	type delivery struct {
 		seq uint64
 		at  float64
@@ -71,7 +70,7 @@ func TestPortRetryNotArmedForWorkConserving(t *testing.T) {
 	n := NewNetwork(eng)
 	n.AddNode("A")
 	n.AddNode("B")
-	n.AddLink("A", "B", sched.NewFIFO(), 1e6, 0)
+	n.AddLink("A", "B", fifoPipe(1e6), 1e6, 0)
 	r := routeTo(n, 1, []string{"A", "B"}, func(p *packet.Packet) {})
 	send(n, "A", r, &packet.Packet{FlowID: 1, Size: 1000})
 	eng.Run()

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ispn/internal/packet"
-	"ispn/internal/sched"
 	"ispn/internal/sim"
 )
 
@@ -27,8 +26,8 @@ func TestRouteMatchesPerNodeTables(t *testing.T) {
 		n.AddNode(nodeName(i))
 	}
 	link := func(a, b int) {
-		n.AddLink(nodeName(a), nodeName(b), sched.NewFIFO(), 1e6, 0).SetDown(true)
-		n.AddLink(nodeName(b), nodeName(a), sched.NewFIFO(), 1e6, 0).SetDown(true)
+		n.AddLink(nodeName(a), nodeName(b), fifoPipe(1e6), 1e6, 0).SetDown(true)
+		n.AddLink(nodeName(b), nodeName(a), fifoPipe(1e6), 1e6, 0).SetDown(true)
 	}
 	for i := 1; i <= nodes; i++ {
 		link(i, i%nodes+1)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ispn/internal/packet"
-	"ispn/internal/sched"
 	"ispn/internal/sim"
 )
 
@@ -59,9 +58,9 @@ func TestConfigureShardsWiring(t *testing.T) {
 	for _, name := range []string{"A", "B", "C"} {
 		n.AddNode(name)
 	}
-	n.AddLink("A", "B", sched.NewFIFO(), 1e6, 0)     // same shard: zero delay fine
-	n.AddLink("B", "C", sched.NewFIFO(), 1e6, 0.004) // cross
-	n.AddLink("C", "B", sched.NewFIFO(), 1e6, 0.009) // cross, slower
+	n.AddLink("A", "B", fifoPipe(1e6), 1e6, 0)     // same shard: zero delay fine
+	n.AddLink("B", "C", fifoPipe(1e6), 1e6, 0.004) // cross
+	n.AddLink("C", "B", fifoPipe(1e6), 1e6, 0.009) // cross, slower
 	if err := n.ConfigureShards([]int{0, 0, 1}, 2); err != nil {
 		t.Fatalf("ConfigureShards: %v", err)
 	}
@@ -100,8 +99,8 @@ func TestRemoteDelivery(t *testing.T) {
 	n := NewNetwork(ctrl)
 	n.AddNode("A")
 	n.AddNode("B")
-	n.AddLink("B", "A", sched.NewFIFO(), 1e6, 0.005)
-	pt := n.AddLink("A", "B", sched.NewFIFO(), 1e6, 0.005) // Index 1
+	n.AddLink("B", "A", fifoPipe(1e6), 1e6, 0.005)
+	pt := n.AddLink("A", "B", fifoPipe(1e6), 1e6, 0.005) // Index 1
 	if err := n.ConfigureShards([]int{0, 1}, 2); err != nil {
 		t.Fatalf("ConfigureShards: %v", err)
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // slotRig is one delayed port, A -> B at 1 Mbit/s with 5 ms of propagation,
-// under strict priority (a predicted packet before a datagram), so the order
-// in which packets leave shows whether they waited for the wire-free instant
-// or found the port idle. A 1000-bit packet is on the wire for 1 ms.
+// under the unified pipeline (a predicted packet before a datagram), so the
+// order in which packets leave shows whether they waited for the wire-free
+// instant or found the port idle. A 1000-bit packet is on the wire for 1 ms.
 type slotRig struct {
 	eng *sim.Engine
 	n   *Network
@@ -32,7 +32,7 @@ func newSlotRig() *slotRig {
 	r.n = NewNetwork(r.eng)
 	r.n.AddNode("A")
 	r.n.AddNode("B")
-	r.pt = r.n.AddLink("A", "B", sched.NewPriority([]sched.Scheduler{sched.NewFIFO(), sched.NewFIFO()}), slotRate, slotDelay)
+	r.pt = r.n.AddLink("A", "B", newPipe(sched.Profile{}, slotRate), slotRate, slotDelay)
 	r.r = routeTo(r.n, 1, []string{"A", "B"}, func(p *packet.Packet) {
 		r.got = append(r.got, fmt.Sprintf("%d@%.4f", p.Seq, r.eng.Now()))
 	})
@@ -141,13 +141,13 @@ func TestDelayedPortSlots(t *testing.T) {
 	}, {
 		// A swap with the slot unclaimed migrates nothing; one after the
 		// slot is claimed migrates the waiting packet, which the claimed
-		// event then sends from the new scheduler.
+		// event then sends from the new pipeline.
 		name: "scheduler swaps while a slot is pending",
 		run: func(r *slotRig) {
 			r.at(0.1, func() { r.send(1, 1000, false) })
-			r.at(0.1004, func() { r.pt.SetScheduler(sched.NewFIFO()) })
+			r.at(0.1004, func() { r.pt.SetPipeline(fifoPipe(slotRate)) })
 			r.at(0.1006, func() { r.send(2, 1000, false) })
-			r.at(0.1008, func() { r.pt.SetScheduler(sched.NewFIFO()) })
+			r.at(0.1008, func() { r.pt.SetPipeline(fifoPipe(slotRate)) })
 			r.at(0.2, func() { r.send(3, 1000, false) })
 		},
 		want:   "1@0.1060 2@0.1070 3@0.2060",

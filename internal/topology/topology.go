@@ -1,8 +1,8 @@
 // Package topology models the simulated packet network: switches connected
 // by directed links, each outgoing link fronted by an output port that owns a
-// scheduler, a finite packet buffer (the paper's switches buffer 200
-// packets), and its own bandwidth and propagation delay — links need not be
-// homogeneous (scenario dumbbells hang fast access links off a slow
+// scheduling pipeline, a finite packet buffer (the paper's switches buffer
+// 200 packets), and its own bandwidth and propagation delay — links need not
+// be homogeneous (scenario dumbbells hang fast access links off a slow
 // bottleneck). Hosts attach over infinitely fast links, so traffic sources
 // inject directly at their first switch and flows terminate at per-flow
 // sinks on their last switch.
@@ -101,10 +101,10 @@ func (n *Network) Ports() []*Port { return n.ports }
 // NumPorts returns the number of ports created so far.
 func (n *Network) NumPorts() int { return len(n.ports) }
 
-// AddLink creates a directed link from -> to with the given scheduler,
-// bandwidth (bits/s) and propagation delay (seconds), and returns its output
-// port at the sending node.
-func (n *Network) AddLink(from, to string, s sched.Scheduler, bandwidth, propDelay float64) *Port {
+// AddLink creates a directed link from -> to with the given scheduling
+// pipeline, bandwidth (bits/s) and propagation delay (seconds), and returns
+// its output port at the sending node.
+func (n *Network) AddLink(from, to string, pl *sched.Pipeline, bandwidth, propDelay float64) *Port {
 	src, ok := n.nodes[from]
 	if !ok {
 		panic(fmt.Sprintf("topology: unknown node %q", from))
@@ -125,7 +125,7 @@ func (n *Network) AddLink(from, to string, s sched.Scheduler, bandwidth, propDel
 		index:     len(n.ports),
 		node:      src,
 		dst:       dst,
-		sched:     s,
+		pipe:      pl,
 		bandwidth: bandwidth,
 		propDelay: propDelay,
 		limit:     DefaultBufferPackets,
@@ -440,8 +440,8 @@ func (nd *Node) receive(p *packet.Packet) {
 	packet.Release(p)
 }
 
-// Port is the output side of a directed link: a scheduler, a buffer limit
-// and a transmitter.
+// Port is the output side of a directed link: a scheduling pipeline, a
+// buffer limit and a transmitter.
 //
 // A link is a fixed delay line, so a packet's arrival at the far end is
 // known when its transmission starts: a port on a delayed link schedules the
@@ -462,13 +462,13 @@ type Port struct {
 	index      int
 	node       *Node
 	dst        *Node
-	sched      sched.Scheduler
+	pipe       *sched.Pipeline
 	bandwidth  float64
 	propDelay  float64
 	down       bool
 	limit      int
-	qlen       int  // mirrors sched.Len(), avoiding interface calls per packet
-	retryArmed bool // a wake-up is scheduled for a non-work-conserving scheduler
+	qlen       int  // mirrors pipe.Len(), avoiding a call into the pipeline per packet
+	retryArmed bool // a wake-up is scheduled for a packet the pipeline holds
 	remote     bool // link crosses a shard boundary (set by ConfigureShards)
 
 	// txArmed reports that the transmit-complete (zero-delay) or wire-free
@@ -507,9 +507,9 @@ func (pt *Port) Name() string { return pt.name }
 func (pt *Port) OnTransmit(fn func(*packet.Packet, float64)) { pt.onTx = append(pt.onTx, fn) }
 
 // Index is the port's dense id: its position in network creation order.
-// Per-port state (schedulers, admission controllers, profiles) indexes
-// slices with it — no pointer-keyed maps, so no map iteration order can
-// leak into results.
+// Per-port state (admission controllers, the invariant oracle's readings)
+// indexes slices with it — no pointer-keyed maps, so no map iteration order
+// can leak into results.
 func (pt *Port) Index() int { return pt.index }
 
 // From returns the node that owns this output port (the link's sender).
@@ -518,53 +518,36 @@ func (pt *Port) From() *Node { return pt.node }
 // To returns the node at the far end of the link.
 func (pt *Port) To() *Node { return pt.dst }
 
-// Scheduler returns the port's scheduler.
-func (pt *Port) Scheduler() sched.Scheduler { return pt.sched }
+// Pipeline returns the port's scheduling pipeline; its Profile is the
+// port's effective (normalized) profile.
+func (pt *Port) Pipeline() *sched.Pipeline { return pt.pipe }
 
-// drainOne takes the scheduler's next packet for a drain (a scheduler swap,
-// a link failure), including one that a non-work-conserving scheduler
-// (Regulator, StopAndGo) is holding for a future eligibility time: its clock
-// is stepped to the next-eligible instant so the held packet surfaces. It
-// returns nil when the scheduler is empty, or when it refuses to surface the
-// rest (Len/Dequeue/NextEligible disagreeing — a contract violation).
+// drainOne takes the pipeline's next packet for a drain (a pipeline swap, a
+// link failure), including one a stopandgo pipeline is holding for a future
+// eligibility time: it is dequeued at its next-eligible instant so the held
+// packet surfaces. It returns nil when the pipeline is empty.
 func (pt *Port) drainOne(now float64) *packet.Packet {
-	if pt.sched.Len() == 0 {
+	if pt.pipe.Len() == 0 {
 		return nil
 	}
-	if p := pt.sched.Dequeue(now); p != nil {
+	if p := pt.pipe.Dequeue(now); p != nil {
 		return p
 	}
-	if nwc, ok := pt.sched.(sched.NonWorkConserving); ok {
-		if t := nwc.NextEligible(now); !math.IsInf(t, 1) {
-			return pt.sched.Dequeue(t)
-		}
-	}
-	return nil
+	return pt.pipe.Dequeue(pt.pipe.NextEligible(now))
 }
 
-// SetScheduler replaces the port's scheduler mid-run (a live profile swap),
-// migrating the queued backlog into the new scheduler in the old one's
-// service order. A non-work-conserving scheduler's held packets are released
-// early (drainOne) — the swap re-times service anyway, so that is the least
-// surprising outcome. Anything it still refuses to surface is written off
-// as buffer drops (the queue-length accounting is corrected, the packets
-// themselves are unreachable through the Scheduler interface). The caller
-// is responsible for re-registering any per-flow state (reservations) on
-// the new scheduler before the swap.
-func (pt *Port) SetScheduler(s sched.Scheduler) {
+// SetPipeline replaces the port's pipeline mid-run (a live profile swap),
+// migrating the queued backlog into the new pipeline in the old one's
+// service order. Packets a stopandgo pipeline holds are released early
+// (drainOne) — the swap re-times service anyway, so that is the least
+// surprising outcome. The caller is responsible for re-registering any
+// per-flow state (reservations) on the new pipeline before the swap.
+func (pt *Port) SetPipeline(pl *sched.Pipeline) {
 	now := pt.node.eng.Now()
 	for p := pt.drainOne(now); p != nil; p = pt.drainOne(now) {
-		s.Enqueue(p, now)
+		pl.Enqueue(p, now)
 	}
-	if stranded := pt.sched.Len(); stranded > 0 {
-		// Unreachable backlog: correct the port's occupancy so buffer
-		// admission is not permanently skewed, and count the loss. The
-		// per-class occupancy of packets a scheduler hides cannot be
-		// attributed.
-		pt.qlen -= stranded
-		pt.counter.Dropped += int64(stranded)
-	}
-	pt.sched = s
+	pt.pipe = pl
 }
 
 // Bandwidth returns the link rate in bits/second.
@@ -573,14 +556,17 @@ func (pt *Port) Bandwidth() float64 { return pt.bandwidth }
 // SetBufferLimit overrides the buffer size in packets.
 func (pt *Port) SetBufferLimit(n int) { pt.limit = n }
 
-// SetBandwidth changes the link rate mid-run. The packet currently being
-// serialized (if any) finishes at the old rate; the next transmission uses
-// the new one. Callers that precomputed fixed delays from the old rate (the
-// per-flow queueing-delay normalization) keep their setup-time value.
+// SetBandwidth changes the link rate mid-run, the port's and its pipeline's
+// (sched.Pipeline.SetLinkRate, which panics if r does not cover the
+// pipeline's reservations). The packet currently being serialized (if any)
+// finishes at the old rate; the next transmission uses the new one. Callers
+// that precomputed fixed delays from the old rate (the per-flow
+// queueing-delay normalization) keep their setup-time value.
 func (pt *Port) SetBandwidth(r float64) {
 	if r <= 0 {
 		panic("topology: bandwidth must be positive")
 	}
+	pt.pipe.SetLinkRate(r, pt.node.eng.Now())
 	pt.bandwidth = r
 }
 
@@ -597,10 +583,9 @@ func (pt *Port) Down() bool { return pt.down }
 // backlog (counted as buffer drops) and every subsequent arrival until the
 // link is restored; a packet mid-serialization still reaches the far end
 // (it was already committed to the wire). Restoring resumes normal service
-// with whatever rate/delay the port had, re-arming transmission if any
-// backlog survived the outage (e.g. a scheduler swap while down migrated
-// packets in): without the kick, survivors would sit stranded until the
-// next fresh enqueue happened to restart the port.
+// with whatever rate/delay the port had, re-arming transmission if the
+// pipeline holds a backlog: without the kick, it would sit stranded until
+// the next fresh enqueue happened to restart the port.
 func (pt *Port) SetDown(down bool) {
 	if pt.down == down {
 		return
@@ -610,16 +595,14 @@ func (pt *Port) SetDown(down bool) {
 		pt.flush()
 		return
 	}
-	if !pt.busy() && pt.sched.Len() > 0 {
+	if !pt.busy() && pt.pipe.Len() > 0 {
 		pt.transmitNext()
 	}
 }
 
 // flush drops every queued packet (link failure), including packets a
-// non-work-conserving scheduler is holding (drainOne): they are counted as
-// failure drops and return to the pool instead of leaking. A scheduler that
-// still refuses to surface packets keeps them queued: the occupancy mirrors
-// stay consistent with Len(), and the restore re-arm serves the remainder.
+// stopandgo pipeline is holding (drainOne): they are counted as failure
+// drops and return to the pool instead of leaking.
 func (pt *Port) flush() {
 	now := pt.node.eng.Now()
 	for p := pt.drainOne(now); p != nil; p = pt.drainOne(now) {
@@ -660,8 +643,8 @@ func (pt *Port) TxBits() int64 { return pt.txBits }
 func (pt *Port) TxPackets() int64 { return pt.txPkts }
 
 // QueueLen returns the port's queued-packet count — the occupancy mirror
-// buffer admission uses, which tracks the scheduler's Len() packet for
-// packet unless the scheduler breaks its contract (the invariant oracle
+// buffer admission uses, which tracks the pipeline's Len() packet for
+// packet unless the pipeline breaks its contract (the invariant oracle
 // checks exactly that).
 func (pt *Port) QueueLen() int { return pt.qlen }
 
@@ -717,7 +700,7 @@ func (pt *Port) enqueue(p *packet.Packet) {
 	}
 	pt.qlen++
 	p.ArrivedAt = now
-	pt.sched.Enqueue(p, now)
+	pt.pipe.Enqueue(p, now)
 	switch {
 	case pt.txArmed:
 		// The wire-free event will send it.
@@ -734,23 +717,15 @@ func (pt *Port) enqueue(p *packet.Packet) {
 // busy reports whether a packet is still being serialized onto the link.
 func (pt *Port) busy() bool { return pt.txArmed || !pt.node.eng.Reached(pt.wire) }
 
-// scheduleRetry arms a wake-up for schedulers that hold packets (see
-// sched.NonWorkConserving): the scheduler is non-empty but nothing is
-// eligible yet.
+// scheduleRetry arms a wake-up for a pipeline that holds packets (the
+// stopandgo kind): Dequeue came back empty, so if the pipeline is non-empty
+// nothing queued is eligible yet.
 func (pt *Port) scheduleRetry(now float64) {
-	if pt.retryArmed || pt.sched.Len() == 0 {
-		return
-	}
-	nwc, ok := pt.sched.(sched.NonWorkConserving)
-	if !ok {
-		return
-	}
-	t := nwc.NextEligible(now)
-	if math.IsInf(t, 1) {
+	if pt.retryArmed || pt.pipe.Len() == 0 {
 		return
 	}
 	pt.retryArmed = true
-	pt.node.eng.AtCallKeyed(t, sim.KeyData, portRetry, pt)
+	pt.node.eng.AtCallKeyed(pt.pipe.NextEligible(now), sim.KeyData, portRetry, pt)
 }
 
 // portRetry is the eligibility wake-up scheduleRetry arms for port arg.
@@ -762,13 +737,13 @@ func portRetry(arg any) {
 	}
 }
 
-// transmitNext starts the next transmission on an idle port: the scheduler's
+// transmitNext starts the next transmission on an idle port: the pipeline's
 // next packet goes on the wire, and the port arranges to be woken when the
 // wire goes free — by its transmit-complete event on a zero-delay link, and
 // on a delayed one by the wire-free slot (see Port).
 func (pt *Port) transmitNext() {
 	if pt.down {
-		// A retry event armed before the failure (or a scheduler swap
+		// A retry event armed before the failure (or a pipeline swap
 		// while down) must not put packets on a dead wire; restore
 		// re-arms service.
 		return
@@ -777,7 +752,7 @@ func (pt *Port) transmitNext() {
 	now := eng.Now()
 	var p *packet.Packet
 	for {
-		p = pt.sched.Dequeue(now)
+		p = pt.pipe.Dequeue(now)
 		if p == nil {
 			pt.scheduleRetry(now)
 			return

@@ -16,12 +16,31 @@ func buildChain(eng *sim.Engine, k int, prop float64) *Network {
 		n.AddNode(nodeName(i))
 	}
 	for i := 1; i < k; i++ {
-		n.AddLink(nodeName(i), nodeName(i+1), sched.NewFIFO(), 1e6, prop)
+		n.AddLink(nodeName(i), nodeName(i+1), fifoPipe(1e6), 1e6, prop)
 	}
 	return n
 }
 
 func nodeName(i int) string { return "S" + string(rune('0'+i)) }
+
+// newPipe builds the pipeline prof describes for a link of the given rate.
+func newPipe(prof sched.Profile, rate float64) *sched.Pipeline {
+	pl, err := sched.NewPipeline(prof, rate)
+	if err != nil {
+		panic(err)
+	}
+	return pl
+}
+
+// fifoPipe is a plain FIFO pipeline for a link of the given rate.
+func fifoPipe(rate float64) *sched.Pipeline {
+	return newPipe(sched.Profile{Kind: sched.KindFIFO}, rate)
+}
+
+// stopAndGoPipe is a Stop-and-Go pipeline of the given frame length.
+func stopAndGoPipe(frame, rate float64) *sched.Pipeline {
+	return newPipe(sched.Profile{Kind: sched.KindStopAndGo, ClassTargets: []float64{frame}}, rate)
+}
 
 func mk(flow uint32, seq uint64) *packet.Packet {
 	return &packet.Packet{FlowID: flow, Seq: seq, Size: 1000, CreatedAt: 0}
@@ -220,13 +239,13 @@ func TestDuplicateLinkPanics(t *testing.T) {
 	n := NewNetwork(eng)
 	n.AddNode("A")
 	n.AddNode("B")
-	n.AddLink("A", "B", sched.NewFIFO(), 1e6, 0)
+	n.AddLink("A", "B", fifoPipe(1e6), 1e6, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate link did not panic")
 		}
 	}()
-	n.AddLink("A", "B", sched.NewFIFO(), 1e6, 0)
+	n.AddLink("A", "B", fifoPipe(1e6), 1e6, 0)
 }
 
 func TestRouteValidation(t *testing.T) {
@@ -276,5 +295,5 @@ func TestBandwidthValidation(t *testing.T) {
 			t.Fatal("zero bandwidth did not panic")
 		}
 	}()
-	n.AddLink("A", "B", sched.NewFIFO(), 0, 0)
+	n.AddLink("A", "B", fifoPipe(1e6), 0, 0)
 }
