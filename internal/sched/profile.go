@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -200,9 +199,6 @@ type Pipeline struct {
 	// measured is the FIFO+ queue of each predicted class, nil where the
 	// classes' sharing does not measure their delay.
 	measured []FIFOPlus
-	// hold is the stopandgo kind's queue, the one kind that holds a queued
-	// packet past now; nil on every other kind.
-	hold *StopAndGo
 
 	// The schedulers of the unified, wfq and fifo kinds are held here by
 	// value, so such a port's scheduler is one object plus its classes'
@@ -265,10 +261,7 @@ var pipelines = map[string]func(pl *Pipeline){
 		// stays put under a mid-run bandwidth change.
 		pl.queue = NewDelayEDD(float64(pl.prof.MaxPacketBits)/pl.linkRate, pl.prof.ClassTargets[0])
 	},
-	KindStopAndGo: func(pl *Pipeline) {
-		pl.hold = NewStopAndGo(pl.prof.ClassTargets[0])
-		pl.queue = pl.hold
-	},
+	KindStopAndGo: func(pl *Pipeline) { pl.queue = NewStopAndGo(pl.prof.ClassTargets[0]) },
 }
 
 // reserving makes rs, whose flow table is t and whose flow 0 is registered
@@ -341,24 +334,20 @@ func (pl *Pipeline) Dequeue(now float64) *packet.Packet { return pl.queue.Dequeu
 // Len implements Scheduler.
 func (pl *Pipeline) Len() int { return pl.queue.Len() }
 
-// NextEligible returns the earliest time at which Dequeue can yield a
-// packet, or +Inf if the pipeline is empty: on the stopandgo kind, the
-// instant its queue's next packet becomes eligible; on every other kind a
-// queued packet is eligible now. A port asks it when Dequeue came back
-// empty with packets queued.
+// NextEligible returns the instant the stopandgo kind's next queued packet
+// becomes eligible, or +Inf if it holds none. A port asks it only when
+// Dequeue came back empty with packets queued, which only the stopandgo kind
+// does (WorkConserving is false); asked of any other kind it panics.
 func (pl *Pipeline) NextEligible(now float64) float64 {
-	if pl.hold != nil {
-		return pl.hold.NextEligible(now)
-	}
-	if pl.queue.Len() > 0 {
-		return now
-	}
-	return math.Inf(1)
+	return pl.queue.(*StopAndGo).NextEligible(now)
 }
 
 // WorkConserving reports whether the port never idles with a backlog: false
 // only for the stopandgo kind, which holds a packet until its frame ends.
-func (pl *Pipeline) WorkConserving() bool { return pl.hold == nil }
+func (pl *Pipeline) WorkConserving() bool {
+	_, holds := pl.queue.(*StopAndGo)
+	return !holds
+}
 
 // SupportsGuaranteed reports whether the pipeline can reserve per-flow clock
 // rates.

@@ -246,16 +246,26 @@ func TestPipelineKinds(t *testing.T) {
 			if pl.WorkConserving() != (kind != KindStopAndGo) {
 				t.Fatalf("WorkConserving = %v", pl.WorkConserving())
 			}
-			if !math.IsInf(pl.NextEligible(0), 1) {
-				t.Fatalf("empty NextEligible = %v, want +Inf", pl.NextEligible(0))
-			}
-			pl.Enqueue(pktClass(1, 0, 1000, packet.Predicted, 0), 0.003)
-			want := 0.003
+			p := pktClass(1, 0, 1000, packet.Predicted, 0)
 			if kind == KindStopAndGo {
-				want = 0.032 // the end of the arrival frame, the first class target
-			}
-			if got := pl.NextEligible(0.003); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("NextEligible = %v with one packet queued, want %v", got, want)
+				if !math.IsInf(pl.NextEligible(0), 1) {
+					t.Fatalf("empty NextEligible = %v, want +Inf", pl.NextEligible(0))
+				}
+				pl.Enqueue(p, 0.003)
+				// The end of the arrival frame, the first class target.
+				if got := pl.NextEligible(0.003); math.Abs(got-0.032) > 1e-12 {
+					t.Fatalf("NextEligible = %v with one packet queued, want 0.032", got)
+				}
+				if q := pl.Dequeue(0.003); q != nil {
+					t.Fatalf("Dequeue handed out a packet inside its frame")
+				}
+			} else {
+				// A work-conserving kind hands a queued packet out at once,
+				// so a port never asks it for NextEligible.
+				pl.Enqueue(p, 0.003)
+				if q := pl.Dequeue(0.003); q != p {
+					t.Fatalf("Dequeue = %v with one packet queued, want it", q)
+				}
 			}
 			if reserving[kind] {
 				return
