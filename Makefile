@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-teeth build unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover experiments-golden
+.PHONY: ci vet lint lint-teeth build unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover experiments-golden library-golden
 
 ci: fmt-check vet lint lint-teeth build unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check fuzz-smoke serve-smoke
 
@@ -105,6 +105,23 @@ experiments-golden:
 	$(GO) run ./cmd/ispnsim -horizon 30 -seed 7 all | awk -v dir=internal/experiments/testdata/golden \
 		'/^=== .* ===$$/ { out = dir "/" $$2 ".txt"; printf "" > out; cut = 0; next } \
 		 /wall clock/ { cut = 1 } !cut { print > out }'
+
+# Regenerate internal/scenario/testdata/library from the CLI after an intended
+# behaviour change (TestLibraryMatchesGolden compares against these byte for
+# byte): every scenarios/*.ispn file's report as written, <name>.txt, and
+# under the invariant oracle, <name>.check.txt, one file per report of
+# `ispnsim run`, cut at the wall-clock footer. Review the diff before
+# committing it.
+library_split = -v dir=internal/scenario/testdata/library \
+	'/^scenario [^ ]+: .* simulated, seed -?[0-9]+$$/ { name = $$2; sub(/:$$/, "", name); \
+	   out = dir "/" name ext; printf "" > out; cut = 0 } \
+	 /wall clock\]$$/ { cut = 1 } !cut { print > out }'
+
+library-golden:
+	rm -rf internal/scenario/testdata/library
+	mkdir -p internal/scenario/testdata/library
+	$(GO) run ./cmd/ispnsim run scenarios/*.ispn | awk -v ext=.txt $(library_split)
+	$(GO) run ./cmd/ispnsim -check run scenarios/*.ispn | awk -v ext=.check.txt $(library_split)
 
 # Full benchmark suite over every table/figure/ablation.
 bench:

@@ -2,11 +2,11 @@
 // golang.org/x/tools/go/analysis that mechanically enforces the coding
 // disciplines every repo guarantee rests on — sorted map iteration, named
 // sim.RNG streams instead of wall-clock or global-rand nondeterminism,
-// canonical same-instant event keys, packet.Pool release-on-every-path
-// ownership, and nil-guarded optional report sections (docs/ANALYSIS.md).
+// canonical same-instant event keys, and packet.Pool release-on-every-path
+// ownership (docs/ANALYSIS.md).
 //
 // The x/tools module is deliberately not a dependency (the repo has none);
-// the framework here covers the slice of its API the five ispnvet analyzers
+// the framework here covers the slice of its API the four ispnvet analyzers
 // need: an Analyzer with a Run function over a type-checked Pass, positioned
 // diagnostics, and an `//ispnvet:allow <analyzer>: <justification>` escape
 // hatch whose justification string is mandatory and whose staleness is

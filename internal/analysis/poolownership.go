@@ -63,7 +63,7 @@ func checkPoolFunc(pass *Pass, fn *ast.FuncDecl) {
 		case *ast.ExprStmt:
 			pass.Reportf(call.Pos(), "%s result is dropped: the packet leaks from its pool; Release it, forward it, or store it", what)
 		case *ast.AssignStmt:
-			if len(p.Rhs) != 1 || unparen(p.Rhs[0]) != ast.Expr(call) {
+			if len(p.Rhs) != 1 || ast.Unparen(p.Rhs[0]) != ast.Expr(call) {
 				return true // multi-value or nested; treat as consumed
 			}
 			for _, lhs := range p.Lhs {
@@ -135,7 +135,7 @@ func packetConsumed(pass *Pass, fn *ast.FuncDecl, parents map[ast.Node]ast.Node,
 		switch p := unparenParent(parents, id).(type) {
 		case *ast.CallExpr:
 			for _, arg := range p.Args {
-				if unparen(arg) == ast.Expr(id) {
+				if ast.Unparen(arg) == ast.Expr(id) {
 					consumed = true
 				}
 			}
@@ -144,7 +144,7 @@ func packetConsumed(pass *Pass, fn *ast.FuncDecl, parents map[ast.Node]ast.Node,
 			consumed = true
 		case *ast.AssignStmt:
 			for _, rhs := range p.Rhs {
-				if unparen(rhs) == ast.Expr(id) {
+				if ast.Unparen(rhs) == ast.Expr(id) {
 					consumed = true
 				}
 			}
@@ -181,16 +181,6 @@ func unparenParent(parents map[ast.Node]ast.Node, n ast.Node) ast.Node {
 			continue
 		}
 		return p
-	}
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		pe, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = pe.X
 	}
 }
 

@@ -6,6 +6,5 @@ var Analyzers = []*Analyzer{
 	KeyedEvents,
 	MapRange,
 	PoolOwnership,
-	ReportNil,
 	WallClock,
 }

@@ -34,12 +34,6 @@ func TestPoolOwnership(t *testing.T) {
 	)
 }
 
-func TestReportNil(t *testing.T) {
-	checkFixtures(t, analysis.ReportNil,
-		"e/ispn/internal/scenario",
-	)
-}
-
 // TestAllowHygiene pins the escape hatch's own rules: an annotation without
 // an analyzer name, naming an unknown analyzer, missing its justification,
 // or suppressing nothing is a finding in its own right, while a justified
@@ -70,10 +64,10 @@ func TestAllowHygiene(t *testing.T) {
 }
 
 // TestSuiteIsCompleteAndSorted pins the suite contents: docs/ANALYSIS.md
-// documents exactly these five, and //ispnvet:allow targets resolve against
+// documents exactly these four, and //ispnvet:allow targets resolve against
 // their names.
 func TestSuiteIsCompleteAndSorted(t *testing.T) {
-	want := []string{"keyedevents", "maprange", "poolownership", "reportnil", "wallclock"}
+	want := []string{"keyedevents", "maprange", "poolownership", "wallclock"}
 	if len(analysis.Analyzers) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(analysis.Analyzers), len(want))
 	}

@@ -139,21 +139,3 @@ func (n *Network) SetShards(spec PartitionSpec) error {
 	n.coord = sim.NewCoordinator(n.eng, engines, n.topo.Lookahead())
 	return nil
 }
-
-// Sharded reports whether SetShards has been applied.
-func (n *Network) Sharded() bool { return n.coord != nil }
-
-// ShardOf returns the shard index owning the named switch (0 when the
-// network is unsharded, -1 for an unknown switch).
-func (n *Network) ShardOf(name string) int {
-	nd := n.topo.Node(name)
-	if nd == nil {
-		return -1
-	}
-	return nd.ShardIndex()
-}
-
-// Lookahead returns the conservative lookahead of the current partition:
-// the minimum cross-shard link propagation delay (+Inf when no link
-// crosses a shard boundary, or before SetShards).
-func (n *Network) Lookahead() float64 { return n.topo.Lookahead() }

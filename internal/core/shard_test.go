@@ -32,17 +32,18 @@ func TestSetShardsPartition(t *testing.T) {
 	if err := n.SetShards(PartitionSpec{Shards: 2}); err != nil {
 		t.Fatalf("SetShards: %v", err)
 	}
-	if !n.Sharded() {
+	topo := n.Topology()
+	if !topo.Sharded() {
 		t.Fatal("network not sharded")
 	}
-	if n.ShardOf("A") != n.ShardOf("B") || n.ShardOf("C") != n.ShardOf("D") {
-		t.Errorf("zero-delay clusters split: A=%d B=%d C=%d D=%d",
-			n.ShardOf("A"), n.ShardOf("B"), n.ShardOf("C"), n.ShardOf("D"))
+	a, b, c, d := shardOf(n, "A"), shardOf(n, "B"), shardOf(n, "C"), shardOf(n, "D")
+	if a != b || c != d {
+		t.Errorf("zero-delay clusters split: A=%d B=%d C=%d D=%d", a, b, c, d)
 	}
-	if n.ShardOf("A") == n.ShardOf("C") {
+	if a == c {
 		t.Error("both clusters packed onto one shard with two available")
 	}
-	if got := n.Lookahead(); got != 0.005 {
+	if got := topo.Lookahead(); got != 0.005 {
 		t.Errorf("lookahead = %v, want 0.005", got)
 	}
 }
@@ -55,11 +56,14 @@ func TestSetShardsTogether(t *testing.T) {
 		t.Fatalf("SetShards: %v", err)
 	}
 	for _, s := range []string{"B", "C", "D"} {
-		if n.ShardOf(s) != n.ShardOf("A") {
-			t.Errorf("ShardOf(%s) = %d, ShardOf(A) = %d: fused clusters split", s, n.ShardOf(s), n.ShardOf("A"))
+		if shardOf(n, s) != shardOf(n, "A") {
+			t.Errorf("shard of %s = %d, shard of A = %d: fused clusters split", s, shardOf(n, s), shardOf(n, "A"))
 		}
 	}
 }
+
+// shardOf returns the index of the shard owning the named switch.
+func shardOf(n *Network, name string) int { return n.Topology().Node(name).ShardIndex() }
 
 // TestSetShardsGuards covers the ordering and validation rules.
 func TestSetShardsGuards(t *testing.T) {

@@ -138,7 +138,7 @@ func TestShardedFloodReusesOnePool(t *testing.T) {
 	if err := n.SetShards(core.PartitionSpec{Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if n.ShardOf("A") == n.ShardOf("B") {
+	if topo := n.Topology(); topo.Node("A").ShardIndex() == topo.Node("B").ShardIndex() {
 		t.Fatal("A and B share a shard; the flood would not cross")
 	}
 	f, err := n.AddDatagramFlow(1, []string{"A", "B"})

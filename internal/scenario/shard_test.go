@@ -19,13 +19,13 @@ func runReport(t *testing.T, path string, opts Options) string {
 	return s.Run().Format()
 }
 
-// firstDiff renders the first differing line of two reports for a readable
-// failure message.
+// firstDiff renders the first differing line of two reports, the expected
+// one first, for a readable failure message.
 func firstDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
 	for i := 0; i < len(al) && i < len(bl); i++ {
 		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d:\n  sequential: %q\n  sharded:    %q", i+1, al[i], bl[i])
+			return fmt.Sprintf("line %d:\n  want: %q\n  got:  %q", i+1, al[i], bl[i])
 		}
 	}
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
@@ -83,7 +83,7 @@ cw -> west
 		if err != nil {
 			t.Fatalf("compile (shards %d): %v", shards, err)
 		}
-		if shards > 1 && !s.Net.Sharded() {
+		if shards > 1 && !s.Net.Topology().Sharded() {
 			t.Fatalf("shards %d requested but network is not sharded", shards)
 		}
 		return s.Run().Format()
@@ -119,10 +119,11 @@ c -> d
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if !s.Net.Sharded() {
+	topo := s.Net.Topology()
+	if !topo.Sharded() {
 		t.Fatal("Net(shards 2) did not shard the network")
 	}
-	if s.Net.ShardOf("A") == s.Net.ShardOf("B") {
+	if topo.Node("A").ShardIndex() == topo.Node("B").ShardIndex() {
 		t.Error("two-component two-shard partition put A and B on one shard")
 	}
 }
@@ -172,7 +173,8 @@ c -> back
 			t.Fatalf("compile (shards %d): %v", shards, err)
 		}
 		if shards > 1 {
-			if a, d := s.Net.ShardOf("A"), s.Net.ShardOf("D"); a != d {
+			topo := s.Net.Topology()
+			if a, d := topo.Node("A").ShardIndex(), topo.Node("D").ShardIndex(); a != d {
 				t.Fatalf("TCP endpoints split across shards %d and %d", a, d)
 			}
 		}

@@ -85,31 +85,6 @@ func TestRestoreResumesServiceAfterFailure(t *testing.T) {
 	}
 }
 
-func TestRestoreRearmsStrandedBacklog(t *testing.T) {
-	// A restore must kick transmission when the pipeline is non-empty.
-	// The failure drains the pipeline and drops every arrival while down,
-	// so place a packet behind the port's back.
-	eng := sim.New()
-	delivered := 0
-	n, r := failNet(eng, fifoPipe(1e6), &delivered)
-	pt := n.Node("A").Port("B")
-
-	pt.SetDown(true)
-	p := n.Pool().Get()
-	p.FlowID = 1
-	p.Size = 1000
-	p.Route = r
-	pt.pipe.Enqueue(p, eng.Now())
-	pt.qlen++
-
-	eng.Schedule(0.1, func() { pt.SetDown(false) })
-	eng.RunUntil(1.0)
-
-	if delivered != 1 {
-		t.Fatalf("stranded backlog not delivered after restore (delivered %d)", delivered)
-	}
-}
-
 // TestEveryKindSwapAndFailure swaps a port's pipeline from every kind to
 // every kind under a mixed backlog, then fails and restores the link. Each
 // step must keep the port's conservation identity and its queue-length

@@ -583,9 +583,9 @@ func (pt *Port) Down() bool { return pt.down }
 // backlog (counted as buffer drops) and every subsequent arrival until the
 // link is restored; a packet mid-serialization still reaches the far end
 // (it was already committed to the wire). Restoring resumes normal service
-// with whatever rate/delay the port had, re-arming transmission if the
-// pipeline holds a backlog: without the kick, it would sit stranded until
-// the next fresh enqueue happened to restart the port.
+// with whatever rate/delay the port had. The port comes back empty — the
+// failure drained every kind and dropped every arrival while down — so
+// the next enqueue starts transmission.
 func (pt *Port) SetDown(down bool) {
 	if pt.down == down {
 		return
@@ -593,10 +593,6 @@ func (pt *Port) SetDown(down bool) {
 	pt.down = down
 	if down {
 		pt.flush()
-		return
-	}
-	if !pt.busy() && pt.pipe.Len() > 0 {
-		pt.transmitNext()
 	}
 }
 
@@ -744,8 +740,8 @@ func portRetry(arg any) {
 func (pt *Port) transmitNext() {
 	if pt.down {
 		// A retry event armed before the failure (or a pipeline swap
-		// while down) must not put packets on a dead wire; restore
-		// re-arms service.
+		// while down) must not put packets on a dead wire. The failure
+		// emptied the pipeline, so nothing waits for the restore.
 		return
 	}
 	eng := pt.node.eng
@@ -895,11 +891,6 @@ func (n *Network) Sharded() bool { return n.shards != nil }
 // Shards returns the partitions created by ConfigureShards (nil before).
 func (n *Network) Shards() []*Shard { return n.shards }
 
-// Lookahead returns the minimum cross-shard propagation delay (+Inf with no
-// cross-shard links, or before ConfigureShards).
-func (n *Network) Lookahead() float64 {
-	if n.shards == nil {
-		return math.Inf(1)
-	}
-	return n.lookahead
-}
+// Lookahead returns the minimum cross-shard propagation delay that
+// ConfigureShards found (+Inf with no cross-shard links).
+func (n *Network) Lookahead() float64 { return n.lookahead }
