@@ -61,7 +61,8 @@ claims:
 	$(GO) test -count=1 -run TestClaims ./internal/experiments
 
 # Parse and validate the whole scenario library without simulating; the
-# full parse+simulate round trip runs under test (TestLibraryParsesAndSimulates).
+# full parse+simulate round trip, byte-pinned, runs under test
+# (TestLibraryMatchesGolden).
 scenario-check:
 	$(GO) run ./cmd/ispnsim check scenarios/*.ispn
 
@@ -127,12 +128,11 @@ library-golden:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# CPU + heap profile of the scenario library run as four event heaps in
-# lockstep windows (one goroutine): window bookkeeping shows up as
-# sim.(*Coordinator).Run frames next to the per-packet layers.
+# CPU + heap profile of the scenario library run as written: each file
+# runs on one event heap unless it asks for shards itself.
 # Inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
 profile:
-	$(GO) run ./cmd/ispnsim -shards 4 -cpuprofile cpu.pprof -memprofile mem.pprof \
+	$(GO) run ./cmd/ispnsim -cpuprofile cpu.pprof -memprofile mem.pprof \
 		run scenarios/*.ispn
 	@echo "wrote cpu.pprof and mem.pprof"
 

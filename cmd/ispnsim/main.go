@@ -5,15 +5,16 @@
 //
 // Usage:
 //
-//	ispnsim [-horizon s] [-seed n] [-parallel n] <experiment>
-//	ispnsim [-seed n] [-horizon s] [-shards n] [-check] [-cpuprofile f] [-memprofile f] run <file.ispn>...
-//	ispnsim [-seed n] check <file.ispn>...
+//	ispnsim [-horizon s] [-seed n] <experiment>
+//	ispnsim [-seed n] [-horizon s] [-check] [-cpuprofile f] [-memprofile f] run <file.ispn>...
+//	ispnsim [-seed n] [-horizon s] check <file.ispn>...
 //	ispnsim [-n cases] [-seed n] [-corpus dir] fuzz
 //	ispnsim scenarios [dir]
 //	ispnsim [-addr host:port] serve [dir]
 //
 // where <experiment> is `all` or a name from experiments.Catalogue (run
-// ispnsim without arguments for the list).
+// ispnsim without arguments for the list). Independent simulations run on
+// GOMAXPROCS workers; a scenario's shard count is its file's Net(shards N).
 package main
 
 import (
@@ -47,13 +48,13 @@ type verbInfo struct {
 }
 
 var verbs = []verbInfo{
-	{"check", "<file.ispn>...", "-seed -horizon -shards",
+	{"check", "<file.ispn>...", "-seed -horizon",
 		"parse and validate scenario files without running",
 		"docs/SCENARIO.md"},
 	{"fuzz", "", "-n -seed -corpus",
 		"generate -n random worlds, run each sequentially and sharded\nunder the invariant oracle, minimize failures",
 		"docs/TESTING.md"},
-	{"run", "<file.ispn>...", "-seed -horizon -shards -check -parallel -cpuprofile -memprofile",
+	{"run", "<file.ispn>...", "-seed -horizon -check -cpuprofile -memprofile",
 		"simulate scenario files (in parallel when several)",
 		"docs/SCENARIO.md"},
 	{"scenarios", "[dir]", "",
@@ -103,9 +104,8 @@ func usage() {
 }
 
 // scenarioOptions translates explicitly set flags into compile overrides, so
-// a file's own Run(seed ..., horizon ...) and Net(shards ...) knobs win
-// unless the user asked.
-func scenarioOptions(seed int64, horizon float64, shards int, check bool) scenario.Options {
+// a file's own Run(seed ..., horizon ...) knobs win unless the user asked.
+func scenarioOptions(seed int64, horizon float64, check bool) scenario.Options {
 	opts := scenario.Options{Check: check}
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -113,8 +113,6 @@ func scenarioOptions(seed int64, horizon float64, shards int, check bool) scenar
 			opts.Seed = &seed
 		case "horizon":
 			opts.Horizon = horizon
-		case "shards":
-			opts.Shards = shards
 		}
 	})
 	return opts
@@ -128,7 +126,7 @@ type fuzzFlags struct {
 
 // scenarioMain handles the run/check/fuzz/scenarios/serve verbs; it returns
 // false when name is a classic experiment instead.
-func scenarioMain(name string, args []string, seed int64, horizon float64, shards int, check bool, ff fuzzFlags, addr string) bool {
+func scenarioMain(name string, args []string, seed int64, horizon float64, check bool, ff fuzzFlags, addr string) bool {
 	switch name {
 	case "run":
 		if len(args) == 0 {
@@ -136,7 +134,7 @@ func scenarioMain(name string, args []string, seed int64, horizon float64, shard
 			os.Exit(2)
 		}
 		start := time.Now()
-		results, err := experiments.RunScenarios(args, scenarioOptions(seed, horizon, shards, check))
+		results, err := experiments.RunScenarios(args, scenarioOptions(seed, horizon, check))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -150,7 +148,7 @@ func scenarioMain(name string, args []string, seed int64, horizon float64, shard
 			fmt.Fprintln(os.Stderr, "ispnsim check: need at least one .ispn file")
 			os.Exit(2)
 		}
-		if err := experiments.CheckScenarios(args, scenarioOptions(seed, horizon, shards, check)); err != nil {
+		if err := experiments.CheckScenarios(args, scenarioOptions(seed, horizon, check)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -248,8 +246,6 @@ func startProfiles(cpuPath, memPath string) func() {
 func main() {
 	seed := flag.Int64("seed", 1992, "random seed (scenarios: overrides the file's Run seed)")
 	horizon := flag.Float64("horizon", 0, "simulated seconds: per experiment run (0 = the paper's 600), or a scenario horizon override (0 = the file's Run horizon)")
-	parallel := flag.Int("parallel", 0, "worker count for independent sub-simulations (0 = GOMAXPROCS, 1 = sequential; results are identical either way)")
-	shards := flag.Int("shards", 0, "run/check: split each scenario into this many event heaps advanced in lockstep windows (single-threaded; whether it is faster is ROADMAP item 19; overrides the file's Net shards; reports are bit-identical)")
 	check := flag.Bool("check", false, "run scenarios under the invariant oracle (adds an invariants section to each report)")
 	n := flag.Int("n", 100, "fuzz: number of random worlds to generate and check")
 	corpus := flag.String("corpus", "testdata/fuzz", "fuzz: directory receiving minimized failing repros")
@@ -262,12 +258,9 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if *parallel > 0 {
-		experiments.SetParallelism(*parallel)
-	}
 	stopProfiles := startProfiles(*cpuprofile, *memprofile)
 	defer stopProfiles()
-	if scenarioMain(flag.Arg(0), flag.Args()[1:], *seed, *horizon, *shards, *check,
+	if scenarioMain(flag.Arg(0), flag.Args()[1:], *seed, *horizon, *check,
 		fuzzFlags{n: *n, corpus: *corpus}, *addr) {
 		return
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -56,11 +57,11 @@ func TestChurnStress(t *testing.T) {
 // The churn grid — timeline events, churn arrivals, departures, admission —
 // must be bit-identical fanned across workers and run sequentially.
 func TestChurnParallelMatchesSequential(t *testing.T) {
-	prev := SetParallelism(1)
+	prev := runtime.GOMAXPROCS(1)
 	seq := FormatChurn(testChurnGrid(t))
-	SetParallelism(4)
+	runtime.GOMAXPROCS(4)
 	par := FormatChurn(testChurnGrid(t))
-	SetParallelism(prev)
+	runtime.GOMAXPROCS(prev)
 	if seq != par {
 		t.Fatalf("parallel churn grid differs from sequential:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -55,11 +56,11 @@ func TestFailoverRerouteRestoresDelivery(t *testing.T) {
 
 func TestFailoverParallelMatchesSequential(t *testing.T) {
 	cfg := RunConfig{Duration: 15, Seed: 7}
-	prev := SetParallelism(1)
+	prev := runtime.GOMAXPROCS(1)
 	seq := Failover(cfg)
-	SetParallelism(4)
+	runtime.GOMAXPROCS(4)
 	par := Failover(cfg)
-	SetParallelism(prev)
+	runtime.GOMAXPROCS(prev)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel failover differs from sequential:\n%+v\nvs\n%+v", par, seq)
 	}

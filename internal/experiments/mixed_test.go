@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -40,11 +41,11 @@ func TestMixedDeploymentEndpoints(t *testing.T) {
 func TestMixedParallelMatchesSequential(t *testing.T) {
 	cfg := RunConfig{Duration: 8, Seed: 424242}
 
-	prev := SetParallelism(1)
-	defer SetParallelism(prev)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	seq := MixedDeployment(cfg)
 
-	SetParallelism(8)
+	runtime.GOMAXPROCS(8)
 	par := MixedDeployment(cfg)
 
 	if !reflect.DeepEqual(seq, par) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ispn/internal/scenario"
@@ -16,12 +17,12 @@ import (
 func TestParallelMatchesSequential(t *testing.T) {
 	cfg := RunConfig{Duration: 8, Seed: 424242}
 
-	prev := SetParallelism(1)
-	defer SetParallelism(prev)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	seqT2 := Table2(cfg)
 	seqHops := AblationHops(cfg, 3)
 
-	SetParallelism(8)
+	runtime.GOMAXPROCS(8)
 	parT2 := Table2(cfg)
 	parHops := AblationHops(cfg, 3)
 
@@ -51,14 +52,14 @@ func TestParallelScenariosMatchSequential(t *testing.T) {
 	seed := int64(424242)
 	opts := scenario.Options{Seed: &seed, Horizon: 3}
 
-	prev := SetParallelism(1)
-	defer SetParallelism(prev)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	seq, err := RunScenarios(paths, opts)
 	if err != nil {
 		t.Fatalf("sequential RunScenarios: %v", err)
 	}
 
-	SetParallelism(8)
+	runtime.GOMAXPROCS(8)
 	par, err := RunScenarios(paths, opts)
 	if err != nil {
 		t.Fatalf("parallel RunScenarios: %v", err)
@@ -85,8 +86,8 @@ func TestParallelScenariosMatchSequential(t *testing.T) {
 // goroutines).
 func TestParallelRunRepeatable(t *testing.T) {
 	cfg := RunConfig{Duration: 8, Seed: 7}
-	prev := SetParallelism(4)
-	defer SetParallelism(prev)
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
 	a := Table1(cfg)
 	b := Table1(cfg)
 	if !reflect.DeepEqual(a, b) {
@@ -95,8 +96,8 @@ func TestParallelRunRepeatable(t *testing.T) {
 }
 
 func TestForEachCoversAllIndices(t *testing.T) {
-	prev := SetParallelism(3)
-	defer SetParallelism(prev)
+	prev := runtime.GOMAXPROCS(3)
+	defer runtime.GOMAXPROCS(prev)
 	seen := make([]int32, 100)
 	ForEach(len(seen), func(i int) { seen[i]++ })
 	for i, n := range seen {

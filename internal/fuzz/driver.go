@@ -80,6 +80,9 @@ func (cfg Config) fail(w *World, err error) (Failure, error) {
 	}
 	min, minErr := cfg.Minimize(w)
 	f := Failure{Seed: w.Seed, Reason: minErr.Error(), Source: min.Render()}
+	if sharded, ok := minErr.(shardedFailure); ok {
+		f.Source = sharded.src
+	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return f, err
@@ -100,19 +103,27 @@ func (cfg Config) fail(w *World, err error) (Failure, error) {
 	return f, nil
 }
 
-// runCase renders, compiles and runs one world twice — sequentially and
-// with 2-4 engines, the count derived from the case seed — checking the
-// invariant oracle on both and requiring byte-identical reports. Nil means
-// the case passed.
+// shardedFailure is a failure only the sharded twin shows. Its repro is the
+// twin's text, Net line and all: the corpus file run alone shows a sharded
+// violation, and run beside its copy without the shards argument, a
+// divergence.
+type shardedFailure struct {
+	error
+	src []byte
+}
+
+// runCase renders one world twice — as generated, and as its sharded twin,
+// the same text with shards 2-4 (derived from the case seed) written into
+// its Net line — then compiles and runs both under the invariant oracle and
+// requires byte-identical reports. Nil means the case passed.
 func (cfg Config) runCase(w *World) error {
-	src := w.Render()
 	name := fmt.Sprintf("fuzz-seed%d", w.Seed)
-	run := func(shards int) (*scenario.Report, error) {
+	run := func(src []byte) (*scenario.Report, error) {
 		f, err := scenario.Parse(name, src)
 		if err != nil {
 			return nil, fmt.Errorf("generator produced an unparsable world: %w", err)
 		}
-		s, err := scenario.Compile(f, scenario.Options{Check: true, Shards: shards})
+		s, err := scenario.Compile(f, scenario.Options{Check: true})
 		if err != nil {
 			if strings.Contains(err.Error(), "rejected") {
 				return nil, fmt.Errorf("%w: %v", errInadmissible, err)
@@ -121,7 +132,7 @@ func (cfg Config) runCase(w *World) error {
 		}
 		return s.Run(), nil
 	}
-	seq, err := run(0)
+	seq, err := run(w.Render())
 	if err != nil {
 		return err
 	}
@@ -129,15 +140,16 @@ func (cfg Config) runCase(w *World) error {
 		return fmt.Errorf("sequential: %s", seq.Check.Violations[0])
 	}
 	shards := 2 + int(w.Seed%3)
-	shd, err := run(shards)
+	src := w.render(shards)
+	shd, err := run(src)
 	if err != nil {
-		return err
+		return shardedFailure{err, src}
 	}
 	if shd.Check.Failed() {
-		return fmt.Errorf("%d shards: %s", shards, shd.Check.Violations[0])
+		return shardedFailure{fmt.Errorf("%d shards: %s", shards, shd.Check.Violations[0]), src}
 	}
 	if a, b := seq.Format(), shd.Format(); a != b {
-		return fmt.Errorf("sequential and %d-shard reports diverge: %s", shards, firstDiff(a, b))
+		return shardedFailure{fmt.Errorf("sequential and %d-shard reports diverge: %s", shards, firstDiff(a, b)), src}
 	}
 	return nil
 }

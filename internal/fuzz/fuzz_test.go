@@ -58,6 +58,37 @@ func TestFuzzRunSmall(t *testing.T) {
 	}
 }
 
+// TestShardedTwinDiffersOnlyInNet: the sharded twin runCase compares each
+// world against is the world's own text with shards K in its Net line, and
+// that text really shards the network.
+func TestShardedTwinDiffersOnlyInNet(t *testing.T) {
+	w := NewWorld(5)
+	plain, twin := strings.Split(string(w.Render()), "\n"), strings.Split(string(w.render(3)), "\n")
+	if len(plain) != len(twin) {
+		t.Fatalf("twin has %d lines, the world %d", len(twin), len(plain))
+	}
+	for i := range plain {
+		want := plain[i]
+		if strings.HasPrefix(want, "net :: Net(") {
+			want = strings.TrimSuffix(want, ")") + ", shards 3)"
+		}
+		if twin[i] != want {
+			t.Errorf("line %d: twin %q, want %q", i+1, twin[i], want)
+		}
+	}
+	f, err := scenario.Parse("twin", w.render(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := scenario.Compile(f, scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Net.Topology().Sharded() || s.Shards != 3 {
+		t.Fatalf("twin compiled with %d shards, sharded %v; want 3", s.Shards, s.Net.Topology().Sharded())
+	}
+}
+
 // plant adds a real violation to a generated world: a guaranteed flow with a
 // one-packet bucket on the first pooled path, fed at twice the 1 Mbit/s
 // line rate, 40 times its clock rate. Guaranteed flows are not policed, so

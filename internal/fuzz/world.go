@@ -297,18 +297,24 @@ func (w *World) Clone() *World {
 // Render emits the world as .ispn source. The output is deterministic and
 // self-contained: committing it to the corpus reproduces the case without
 // the generator.
-func (w *World) Render() []byte {
+func (w *World) Render() []byte { return w.render(0) }
+
+// render emits the world with shards written into its Net line when
+// positive; nothing else in the text depends on it.
+func (w *World) render(shards int) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# fuzz world, case seed %d (replay: ispnsim fuzz -n 1 -seed %d)\n", w.Seed, w.Seed)
-	adm := ""
+	b.WriteString("net :: Net(rate 1Mbps, classes 2, targets [32ms, 320ms]")
 	if w.Admission {
-		adm = ", admission on"
+		b.WriteString(", admission on")
 	}
-	routing := ""
 	if w.Routing {
-		routing = ", routing auto"
+		b.WriteString(", routing auto")
 	}
-	fmt.Fprintf(&b, "net :: Net(rate 1Mbps, classes 2, targets [32ms, 320ms]%s%s)\n", adm, routing)
+	if shards > 0 {
+		fmt.Fprintf(&b, ", shards %d", shards)
+	}
+	b.WriteString(")\n")
 	fmt.Fprintf(&b, "run :: Run(seed %d, horizon %ss)\n\n", w.Seed, secs(w.Horizon))
 	switch w.Topo.Kind {
 	case "Star":

@@ -31,11 +31,7 @@ func TestLibraryInvariantsClean(t *testing.T) {
 			}
 			legs := []leg{{shards: 0}, {shards: 4}}
 			for i := range legs {
-				s, err := Load(path, Options{Check: true, Shards: legs[i].shards})
-				if err != nil {
-					t.Fatalf("shards=%d: %v", legs[i].shards, err)
-				}
-				r := s.Run()
+				r := loadSharded(t, path, legs[i].shards, Options{Check: true}).Run()
 				if r.Check == nil {
 					t.Fatalf("shards=%d: Check requested but report has no check section", legs[i].shards)
 				}

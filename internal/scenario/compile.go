@@ -16,11 +16,6 @@ type Options struct {
 	// Horizon overrides the file's Run horizon (simulated seconds) when
 	// positive.
 	Horizon float64
-	// Shards overrides the file's Net shards count when positive, splitting
-	// the network across that many event heaps advanced in lockstep
-	// windows (single-threaded). Reports are bit-identical whatever the
-	// value.
-	Shards int
 	// Trace overrides the file's Run trace interval (simulated seconds)
 	// when positive, turning on per-interval trace rows for scenarios that
 	// never asked for them — the serve control plane uses this so a live
@@ -54,8 +49,8 @@ type Sim struct {
 	Percentiles []float64
 	Flows       []*SimFlow
 	TCPs        []*SimTCP
-	// Shards is the effective event-heap count of this compile (0 = the
-	// classic one-heap engine).
+	// Shards is the file's Net shards count (0 = the classic one-heap
+	// engine).
 	Shards int
 
 	// starts are the deferred starts of the TCP connections, then
@@ -451,7 +446,7 @@ func (c *compiler) compile() *Sim {
 	// engine. Every TCP declaration contributes a Together constraint (a
 	// connection's endpoints must share a shard). Unknown path names are
 	// skipped here — the TCP pass diagnoses them with a proper position.
-	if shards := c.effectiveShards(); shards > 0 {
+	if c.shards > 0 {
 		var together [][2]string
 		for _, d := range c.file.Decls {
 			if d.class() != classTCP {
@@ -462,7 +457,7 @@ func (c *compiler) compile() *Sim {
 				together = append(together, [2]string{p[0].Text, p[len(p)-1].Text})
 			}
 		}
-		if err := c.net.SetShards(core.PartitionSpec{Shards: shards, Together: together}); err != nil {
+		if err := c.net.SetShards(core.PartitionSpec{Shards: c.shards, Together: together}); err != nil {
 			c.failf(c.shardsPos, "%v", err)
 		}
 	}
@@ -506,7 +501,7 @@ func (c *compiler) compile() *Sim {
 	})
 	c.out.nextID = c.nextID
 	c.out.comp = c
-	c.out.Shards = c.effectiveShards()
+	c.out.Shards = c.shards
 	return c.out
 }
 
@@ -544,15 +539,6 @@ func (c *compiler) registerArrivals(blocks []*EventBlock) {
 			}
 		}
 	}
-}
-
-// effectiveShards resolves the shard count: the Options override wins, then
-// the file's Net shards argument; 0 means unsharded (the classic engine).
-func (c *compiler) effectiveShards() int {
-	if c.opts.Shards > 0 {
-		return c.opts.Shards
-	}
-	return c.shards
 }
 
 // eachDecl calls fn on every declaration — top-level and event-block — in

@@ -10,58 +10,9 @@ import (
 // libraryDir is the shipped scenario library, relative to this package.
 const libraryDir = "../../scenarios"
 
-// TestLibraryParsesAndSimulates is the round-trip check `make ci` relies
-// on: every shipped .ispn file must parse, document itself, compile, and
-// survive a (shortened) simulation that delivers traffic.
-func TestLibraryParsesAndSimulates(t *testing.T) {
-	entries, err := os.ReadDir(libraryDir)
-	if err != nil {
-		t.Fatalf("scenario library missing: %v", err)
-	}
-	var files []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".ispn") {
-			files = append(files, filepath.Join(libraryDir, e.Name()))
-		}
-	}
-	if len(files) < 6 {
-		t.Fatalf("library has %d scenarios, want >= 6", len(files))
-	}
-	for _, path := range files {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			t.Parallel()
-			f, err := ParseFile(path)
-			if err != nil {
-				t.Fatalf("parse: %v", err)
-			}
-			if f.Description == "" {
-				t.Error("library scenario has no description comment block")
-			}
-			s, err := Compile(f, Options{Horizon: 3})
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			rep := s.Run()
-			delivered := int64(0)
-			for _, fr := range rep.Flows {
-				delivered += fr.Delivered
-			}
-			for _, tr := range rep.TCPs {
-				delivered += tr.Delivered
-			}
-			if delivered == 0 {
-				t.Errorf("scenario delivered no traffic in 3 simulated seconds:\n%s", rep.Format())
-			}
-			if !strings.Contains(rep.Format(), "scenario "+f.Name) {
-				t.Errorf("report header lacks scenario name:\n%s", rep.Format())
-			}
-		})
-	}
-}
-
 // TestLibraryMatchesGolden pins every shipped scenario's report byte for
-// byte, run as written and again under the invariant oracle. The files under
+// byte, run as written and again under the invariant oracle, and requires
+// each file to open with a description comment block. The files under
 // testdata/library are what `ispnsim run` and `ispnsim -check run` print for
 // each scenario, <name>.txt and <name>.check.txt, cut at the wall-clock
 // footer; `make library-golden` regenerates them after an intended behaviour
@@ -79,9 +30,13 @@ func TestLibraryMatchesGolden(t *testing.T) {
 		pinned[name+".txt"], pinned[name+".check.txt"] = true, true
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
+			s := loadSharded(t, path, 0, Options{})
+			if s.File.Description == "" {
+				t.Error("library scenario has no description comment block")
+			}
 			// The CLI prints each report with Println.
-			plain := runReport(t, path, Options{}) + "\n"
-			checked := runReport(t, path, Options{Check: true}) + "\n"
+			plain := s.Run().Format() + "\n"
+			checked := loadSharded(t, path, 0, Options{Check: true}).Run().Format() + "\n"
 			for _, run := range []struct{ golden, got string }{{name + ".txt", plain}, {name + ".check.txt", checked}} {
 				want, err := os.ReadFile(filepath.Join(goldenDir, run.golden))
 				if err != nil {

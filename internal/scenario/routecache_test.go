@@ -169,7 +169,15 @@ func TestCachedRunsAreByteIdentical(t *testing.T) {
 			}
 		}
 		run := func(t *testing.T, src string, shards int) string {
-			rep := mustCompile(t, src, Options{Horizon: 3, Shards: shards}).Run()
+			f, err := Parse("test.ispn", []byte(src))
+			if err != nil {
+				t.Fatalf("Parse: %v", err)
+			}
+			s, err := Compile(withShards(t, f, shards), Options{Horizon: 3})
+			if err != nil {
+				t.Fatalf("Compile: %v", err)
+			}
+			rep := s.Run()
 			rep.RouteCache = nil
 			return rep.Format()
 		}

@@ -4,19 +4,53 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// runReport compiles and runs one scenario file and returns the formatted
-// report — the byte-level artifact the bit-identity contract is defined on.
-func runReport(t *testing.T, path string, opts Options) string {
+// withShards returns f as a file that asks for n shards reads: shards n
+// written into its Net declaration, or a Net(shards n) declared first
+// where f has none. n 0 returns f; f itself is never changed.
+func withShards(t *testing.T, f *File, n int) *File {
 	t.Helper()
-	s, err := Load(path, opts)
-	if err != nil {
-		t.Fatalf("%s (shards %d): %v", filepath.Base(path), opts.Shards, err)
+	if n == 0 {
+		return f
 	}
-	return s.Run().Format()
+	g, err := Parse("shards.ispn", fmt.Appendf(nil, "net :: Net(shards %d)\n", n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := *f
+	out.Decls = slices.Clone(f.Decls)
+	for i, d := range out.Decls {
+		if d.Kind == "Net" {
+			net := *d
+			net.Args = append(slices.Clip(d.Args), g.Decls[0].Args...)
+			out.Decls[i] = &net
+			return &out
+		}
+	}
+	out.Decls = slices.Insert(out.Decls, 0, g.Decls[0])
+	return &out
+}
+
+// loadSharded parses one scenario file, writes shards n into it
+// (withShards; n 0 loads it as written) and compiles it.
+func loadSharded(t *testing.T, path string, n int, opts Options) *Sim {
+	t.Helper()
+	f, err := ParseFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v", filepath.Base(path), err)
+	}
+	s, err := Compile(withShards(t, f, n), opts)
+	if err != nil {
+		t.Fatalf("%s (shards %d): %v", filepath.Base(path), n, err)
+	}
+	if n > 0 && !s.Net.Topology().Sharded() {
+		t.Fatalf("%s: shards %d written but the network is not sharded", filepath.Base(path), n)
+	}
+	return s
 }
 
 // firstDiff renders the first differing line of two reports, the expected
@@ -47,9 +81,11 @@ func TestShardedBitIdentity(t *testing.T) {
 		path := filepath.Join(libraryDir, e.Name())
 		t.Run(e.Name(), func(t *testing.T) {
 			t.Parallel()
-			base := runReport(t, path, Options{Horizon: 3})
+			// The formatted report is the byte-level artifact the
+			// bit-identity contract is defined on.
+			base := loadSharded(t, path, 0, Options{Horizon: 3}).Run().Format()
 			for n := 2; n <= 4; n++ {
-				if got := runReport(t, path, Options{Horizon: 3, Shards: n}); got != base {
+				if got := loadSharded(t, path, n, Options{Horizon: 3}).Run().Format(); got != base {
 					t.Errorf("shards=%d report differs from sequential: %s", n, firstDiff(base, got))
 				}
 			}
@@ -79,7 +115,7 @@ cw -> west
 		t.Fatalf("parse: %v", err)
 	}
 	compileRun := func(shards int) string {
-		s, err := Compile(f, Options{Shards: shards})
+		s, err := Compile(withShards(t, f, shards), Options{})
 		if err != nil {
 			t.Fatalf("compile (shards %d): %v", shards, err)
 		}
@@ -100,7 +136,7 @@ cw -> west
 }
 
 // TestShardNetArgument checks the file-side spelling: Net(shards N) shards
-// the network with no Options override, and the Options override wins.
+// the network.
 func TestShardNetArgument(t *testing.T) {
 	const src = `
 net :: Net(rate 1Mbps, shards 2)
@@ -168,7 +204,7 @@ c -> back
 		t.Fatalf("parse: %v", err)
 	}
 	base := func(shards int) string {
-		s, err := Compile(f, Options{Shards: shards})
+		s, err := Compile(withShards(t, f, shards), Options{})
 		if err != nil {
 			t.Fatalf("compile (shards %d): %v", shards, err)
 		}

@@ -54,7 +54,6 @@ type createBody struct {
 	Name     string  `json:"name,omitempty"`
 	Seed     *int64  `json:"seed,omitempty"`
 	Horizon  float64 `json:"horizon,omitempty"`
-	Shards   int     `json:"shards,omitempty"`
 	Trace    float64 `json:"trace,omitempty"`
 	Check    bool    `json:"check,omitempty"`
 	Pace     float64 `json:"pace,omitempty"`
@@ -107,7 +106,6 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 		Name:     body.Name,
 		Seed:     body.Seed,
 		Horizon:  body.Horizon,
-		Shards:   body.Shards,
 		Trace:    body.Trace,
 		Check:    body.Check,
 		Pace:     body.Pace,

@@ -54,7 +54,6 @@ type CreateRequest struct {
 
 	Seed    *int64  // override the file's Run seed (nil = file's own)
 	Horizon float64 // override the file's Run horizon when positive
-	Shards  int     // shard across this many engines when positive
 	Trace   float64 // trace interval override (seconds) when positive
 	Check   bool    // attach the invariant oracle
 
@@ -100,7 +99,6 @@ func (m *Manager) Create(req CreateRequest) (*session, error) {
 	sim, err := scenario.Compile(f, scenario.Options{
 		Seed:    req.Seed,
 		Horizon: req.Horizon,
-		Shards:  req.Shards,
 		Trace:   req.Trace,
 		Check:   req.Check,
 	})

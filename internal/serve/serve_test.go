@@ -63,6 +63,16 @@ c :: CBR(rate 50pps, size 1000bit)
 c -> d
 `
 
+// withShards writes shards n into src's Net line, which must close the
+// first line of src; n 0 returns src as written.
+func withShards(src string, n int) string {
+	if n == 0 {
+		return src
+	}
+	net, rest, _ := strings.Cut(src, ")\n")
+	return fmt.Sprintf("%s, shards %d)\n%s", net, n, rest)
+}
+
 func newTestServer(t *testing.T) (*httptest.Server, *Manager) {
 	t.Helper()
 	m := NewManager(Config{ScenarioDir: "../../scenarios"})
@@ -125,13 +135,13 @@ func TestSessionLifecycle(t *testing.T) {
 
 	var st status
 	if code := call(t, "POST", ts.URL+"/sessions",
-		createBody{Source: smallSrc, Name: "small", Paused: true}, &st); code != http.StatusCreated {
+		createBody{Source: withShards(smallSrc, 4), Name: "small", Paused: true}, &st); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	if st.ID != "s1" || st.State != "paused" || st.Scenario != "small" {
 		t.Fatalf("create status = %+v", st)
 	}
-	if st.Horizon != 2 || st.Seed != 3 || st.TraceDt != 1 {
+	if st.Horizon != 2 || st.Seed != 3 || st.TraceDt != 1 || st.Shards != 4 {
 		t.Fatalf("file knobs not reflected: %+v", st)
 	}
 
@@ -175,20 +185,23 @@ func TestCreateValidation(t *testing.T) {
 		name string
 		body any
 		want int
+		says string // part of the error message, when it matters
 	}{
-		{"no input", createBody{}, http.StatusUnprocessableEntity},
-		{"both inputs", createBody{Scenario: "failover", Source: smallSrc}, http.StatusUnprocessableEntity},
-		{"path traversal", createBody{Scenario: "../failover"}, http.StatusUnprocessableEntity},
-		{"unknown field", map[string]any{"sauce": smallSrc}, http.StatusBadRequest},
-		{"bad source", createBody{Source: "net :: Nut()"}, http.StatusUnprocessableEntity},
-		{"negative pace", createBody{Source: smallSrc, Pace: -1}, http.StatusUnprocessableEntity},
+		{"no input", createBody{}, http.StatusUnprocessableEntity, ""},
+		{"both inputs", createBody{Scenario: "failover", Source: smallSrc}, http.StatusUnprocessableEntity, ""},
+		{"path traversal", createBody{Scenario: "../failover"}, http.StatusUnprocessableEntity, ""},
+		{"unknown field", map[string]any{"sauce": smallSrc}, http.StatusBadRequest, `unknown field "sauce"`},
+		// The shard count is the source's Net(shards N) and nothing else.
+		{"shards field", map[string]any{"source": smallSrc, "shards": 2}, http.StatusBadRequest, `unknown field "shards"`},
+		{"bad source", createBody{Source: "net :: Nut()"}, http.StatusUnprocessableEntity, ""},
+		{"negative pace", createBody{Source: smallSrc, Pace: -1}, http.StatusUnprocessableEntity, ""},
 	}
 	for _, tc := range cases {
 		var e map[string]string
 		if code := call(t, "POST", ts.URL+"/sessions", tc.body, &e); code != tc.want {
 			t.Errorf("%s: status %d (want %d), error %q", tc.name, code, tc.want, e["error"])
-		} else if e["error"] == "" {
-			t.Errorf("%s: no error message", tc.name)
+		} else if e["error"] == "" || !strings.Contains(e["error"], tc.says) {
+			t.Errorf("%s: error %q, want one that says %q", tc.name, e["error"], tc.says)
 		}
 	}
 }
@@ -389,7 +402,7 @@ func TestCrossShardTCPInjectionIsRefused(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var victim, neighbour status
 	for _, st := range []*status{&victim, &neighbour} {
-		if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: src, Name: "tcp", Shards: 4, Paused: true}, st); code != http.StatusCreated {
+		if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: "net :: Net(shards 4)\n" + src, Name: "tcp", Paused: true}, st); code != http.StatusCreated {
 			t.Fatalf("create: %d", code)
 		}
 	}
@@ -503,11 +516,12 @@ func TestServedInjectionMatchesBatch(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for _, shards := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			f, err := scenario.Parse("ident.ispn", []byte(identBase+identEvents))
+			base := withShards(identBase, shards)
+			f, err := scenario.Parse("ident.ispn", []byte(base+identEvents))
 			if err != nil {
 				t.Fatalf("parse batch: %v", err)
 			}
-			sim, err := scenario.Compile(f, scenario.Options{Shards: shards})
+			sim, err := scenario.Compile(f, scenario.Options{})
 			if err != nil {
 				t.Fatalf("compile batch: %v", err)
 			}
@@ -518,7 +532,7 @@ func TestServedInjectionMatchesBatch(t *testing.T) {
 
 			var st status
 			if code := call(t, "POST", ts.URL+"/sessions",
-				createBody{Source: identBase, Name: "ident", Shards: shards, Paused: true}, &st); code != http.StatusCreated {
+				createBody{Source: base, Name: "ident", Paused: true}, &st); code != http.StatusCreated {
 				t.Fatalf("create: %d", code)
 			}
 			id := st.ID
@@ -548,11 +562,12 @@ func TestServedInjectionMatchesBatch(t *testing.T) {
 // session loop's incremental StepTo quanta (resume + poll) instead of one
 // shot, proving the actor's segmented execution is equally bit-identical.
 func TestSteppedFreeRunMatchesBatch(t *testing.T) {
-	f, err := scenario.Parse("ident.ispn", []byte(identBase+identEvents))
+	base := withShards(identBase, 2)
+	f, err := scenario.Parse("ident.ispn", []byte(base+identEvents))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	sim, err := scenario.Compile(f, scenario.Options{Shards: 2})
+	sim, err := scenario.Compile(f, scenario.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -561,7 +576,7 @@ func TestSteppedFreeRunMatchesBatch(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var st status
 	call(t, "POST", ts.URL+"/sessions",
-		createBody{Source: identBase, Name: "ident", Shards: 2, Paused: true}, &st)
+		createBody{Source: base, Name: "ident", Paused: true}, &st)
 	id := st.ID
 	if code := call(t, "POST", ts.URL+"/sessions/"+id+"/events", identEvents, nil); code != http.StatusOK {
 		t.Fatalf("inject: %d", code)
