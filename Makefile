@@ -71,8 +71,10 @@ scenario-check:
 # bytes/flow or on any allocation in its admit+release cycle; the zero-alloc
 # steady state and the per-call allocation budget are gated under `test`
 # (TestFacadeSteadyStateAllocs, internal/core's TestCallSetupAllocation). The second line runs internal/stats' recorder
-# benchmarks (one Add; a report's three ranks of 1 M samples); the recorder's
-# byte budgets are tests there. The third line runs the rate schedulers over
+# benchmarks (one Add; a report's three ranks of 1 M samples; a live reader's
+# steady round, which fails itself if it visits more samples than the
+# read-cost budget or allocates beyond its scratch); the recorder's byte
+# budgets are tests there. The third line runs the rate schedulers over
 # the shared flow table; each fails itself if a warmed-up enqueue+dequeue
 # cycle allocates. The fourth runs internal/sim's hold model (fire one event,
 # schedule one) at three heap sizes; it fails itself if a warmed-up op
@@ -83,7 +85,7 @@ scenario-check:
 # ConnectWith, TestPortAllocationBudget). Timing lives in bench/ (see bench/README.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SimulatorThroughput|ShardedThroughput|FacadeSmallNetwork|MillionFlows|CallChurn' -benchtime 1x -benchmem .
-	$(GO) test -run '^$$' -bench 'RecorderAdd|RecorderPercentiles' -benchtime 1x -benchmem ./internal/stats
+	$(GO) test -run '^$$' -bench 'RecorderAdd|RecorderPercentiles|RecorderLiveReads' -benchtime 1x -benchmem ./internal/stats
 	$(GO) test -run '^$$' -bench 'WFQEnqueueDequeue|VirtualClockEnqueueDequeue|UnifiedEnqueueDequeue' -benchtime 1x -benchmem ./internal/sched
 	$(GO) test -run '^$$' -bench 'Hold' -benchtime 1x -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'AdmitRelease' -benchtime 1x -benchmem ./internal/admission

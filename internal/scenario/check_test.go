@@ -11,7 +11,9 @@ import (
 // invariant oracle, sequentially and with four engines, and requires a
 // clean verdict from both plus identical check counts: the oracle's sweeps
 // are control events, so a sharded run must check exactly what the
-// sequential run checks.
+// sequential run checks. A file whose links carry no delay runs both legs
+// with one written in (crossShard), so that its sharded leg spreads it
+// over the shards.
 func TestLibraryInvariantsClean(t *testing.T) {
 	entries, err := os.ReadDir(libraryDir)
 	if err != nil {
@@ -29,9 +31,10 @@ func TestLibraryInvariantsClean(t *testing.T) {
 				deliveries int64
 				sweeps     int64
 			}
+			f := crossShard(t, parseLibrary(t, path))
 			legs := []leg{{shards: 0}, {shards: 4}}
 			for i := range legs {
-				r := loadSharded(t, path, legs[i].shards, Options{Check: true}).Run()
+				r := loadSharded(t, f, legs[i].shards, Options{Check: true}).Run()
 				if r.Check == nil {
 					t.Fatalf("shards=%d: Check requested but report has no check section", legs[i].shards)
 				}

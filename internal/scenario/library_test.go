@@ -30,13 +30,14 @@ func TestLibraryMatchesGolden(t *testing.T) {
 		pinned[name+".txt"], pinned[name+".check.txt"] = true, true
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			s := loadSharded(t, path, 0, Options{})
+			f := parseLibrary(t, path)
+			s := loadSharded(t, f, 0, Options{})
 			if s.File.Description == "" {
 				t.Error("library scenario has no description comment block")
 			}
 			// The CLI prints each report with Println.
 			plain := s.Run().Format() + "\n"
-			checked := loadSharded(t, path, 0, Options{Check: true}).Run().Format() + "\n"
+			checked := loadSharded(t, f, 0, Options{Check: true}).Run().Format() + "\n"
 			for _, run := range []struct{ golden, got string }{{name + ".txt", plain}, {name + ".check.txt", checked}} {
 				want, err := os.ReadFile(filepath.Join(goldenDir, run.golden))
 				if err != nil {

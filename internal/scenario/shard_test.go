@@ -9,15 +9,11 @@ import (
 	"testing"
 )
 
-// withShards returns f as a file that asks for n shards reads: shards n
-// written into its Net declaration, or a Net(shards n) declared first
-// where f has none. n 0 returns f; f itself is never changed.
-func withShards(t *testing.T, f *File, n int) *File {
+// withNetArg returns f with arg written into its Net declaration, or a
+// Net(arg) declared first where f has none; f itself is never changed.
+func withNetArg(t *testing.T, f *File, arg string) *File {
 	t.Helper()
-	if n == 0 {
-		return f
-	}
-	g, err := Parse("shards.ispn", fmt.Appendf(nil, "net :: Net(shards %d)\n", n))
+	g, err := Parse("net.ispn", fmt.Appendf(nil, "net :: Net(%s)\n", arg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,20 +31,70 @@ func withShards(t *testing.T, f *File, n int) *File {
 	return &out
 }
 
-// loadSharded parses one scenario file, writes shards n into it
-// (withShards; n 0 loads it as written) and compiles it.
-func loadSharded(t *testing.T, path string, n int, opts Options) *Sim {
+// withShards returns f as a file that asks for n shards reads: shards n
+// written into its Net declaration (withNetArg). n 0 returns f.
+func withShards(t *testing.T, f *File, n int) *File {
+	t.Helper()
+	if n == 0 {
+		return f
+	}
+	return withNetArg(t, f, fmt.Sprintf("shards %d", n))
+}
+
+// withPropDelay returns f with propdelay 1ms written into its Net
+// declaration (withNetArg): every link that names no delay of its own
+// then carries 1 ms of propagation, which the partitioner can cut.
+func withPropDelay(t *testing.T, f *File) *File {
+	t.Helper()
+	return withNetArg(t, f, "propdelay 1ms")
+}
+
+// parseLibrary parses one scenario file of the library.
+func parseLibrary(t *testing.T, path string) *File {
 	t.Helper()
 	f, err := ParseFile(path)
 	if err != nil {
 		t.Fatalf("%s: %v", filepath.Base(path), err)
 	}
+	return f
+}
+
+// populatedShards is how many shards of s's network hold a node.
+func populatedShards(s *Sim) int {
+	held := map[int]bool{}
+	for _, nd := range s.Net.Topology().Nodes() {
+		held[nd.ShardIndex()] = true
+	}
+	return len(held)
+}
+
+// crossShard returns f if two shards of it hold nodes, else f with a
+// propagation delay written in (withPropDelay): links with no delay give
+// the partitioner nothing to cut, so such a file shards onto one engine
+// and its sharded runs never carry a packet across shards.
+func crossShard(t *testing.T, f *File) *File {
+	t.Helper()
+	s, err := Compile(withShards(t, f, 2), Options{})
+	if err != nil {
+		t.Fatalf("%s (shards 2): %v", f.Name, err)
+	}
+	if populatedShards(s) >= 2 {
+		return f
+	}
+	return withPropDelay(t, f)
+}
+
+// loadSharded writes shards n into f (withShards; n 0 compiles it as
+// written) and compiles it; with n > 0 it fails unless at least two shards
+// hold a node.
+func loadSharded(t *testing.T, f *File, n int, opts Options) *Sim {
+	t.Helper()
 	s, err := Compile(withShards(t, f, n), opts)
 	if err != nil {
-		t.Fatalf("%s (shards %d): %v", filepath.Base(path), n, err)
+		t.Fatalf("%s (shards %d): %v", f.Name, n, err)
 	}
-	if n > 0 && !s.Net.Topology().Sharded() {
-		t.Fatalf("%s: shards %d written but the network is not sharded", filepath.Base(path), n)
+	if held := populatedShards(s); n > 0 && held < 2 {
+		t.Fatalf("%s: shards %d written but %d shard holds a node", f.Name, n, held)
 	}
 	return s
 }
@@ -68,7 +114,9 @@ func firstDiff(a, b string) string {
 // TestShardedBitIdentity is the contract of the sharded engine: for every
 // shipped scenario, running the partitioned network on 2..4 parallel engines
 // must produce the byte-identical report of the sequential run — same
-// deliveries, same delays, same admission decisions, same trace rows.
+// deliveries, same delays, same admission decisions, same trace rows. A
+// file whose links carry no delay runs, in every leg, with one written in
+// (crossShard), so that its sharded legs spread it over the shards.
 func TestShardedBitIdentity(t *testing.T) {
 	entries, err := os.ReadDir(libraryDir)
 	if err != nil {
@@ -83,9 +131,10 @@ func TestShardedBitIdentity(t *testing.T) {
 			t.Parallel()
 			// The formatted report is the byte-level artifact the
 			// bit-identity contract is defined on.
-			base := loadSharded(t, path, 0, Options{Horizon: 3}).Run().Format()
+			f := crossShard(t, parseLibrary(t, path))
+			base := loadSharded(t, f, 0, Options{Horizon: 3}).Run().Format()
 			for n := 2; n <= 4; n++ {
-				if got := loadSharded(t, path, n, Options{Horizon: 3}).Run().Format(); got != base {
+				if got := loadSharded(t, f, n, Options{Horizon: 3}).Run().Format(); got != base {
 					t.Errorf("shards=%d report differs from sequential: %s", n, firstDiff(base, got))
 				}
 			}

@@ -162,7 +162,11 @@ var rankShapes = []struct {
 	}},
 }
 
-var rankSizes = []int{1, 15, 16, 17, chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 7}
+// rankSizes straddle the insertion-sort cutoff and chunk boundaries: the
+// first chunk's, and those of 4 and 12 chunks (the sizes this test used
+// when a chunk held 4096 samples).
+var rankSizes = []int{1, 15, 16, 17, chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 7,
+	4*chunkLen - 1, 4 * chunkLen, 4*chunkLen + 1, 12*chunkLen + 7}
 
 // Every rank of a recorder, asked in shuffled order so each answer is
 // selected between ranks placed by earlier ones, matches sort-then-index;
@@ -410,5 +414,212 @@ func BenchmarkRecorderPercentiles(b *testing.B) {
 		r := recorderOf(xs)
 		b.StartTimer()
 		percentileSink = r.Percentile(0.50) + r.Percentile(0.99) + r.Percentile(0.999)
+	}
+}
+
+// liveStreams are the read-cost contract's streams: what round t (1..40)
+// adds, given the smallest sample so far. The contract's bound holds for the
+// first three; outrun is the most a rank can move, each round's samples
+// above every earlier one, so that the median keeps moving half a round's
+// samples up, past any guard a bounded round can place.
+var liveStreams = []struct {
+	name   string
+	outrun bool
+	next   func(rng *rand.Rand, t int, min float64) float64
+}{
+	{"stationary", false, func(rng *rand.Rand, _ int, _ float64) float64 { return rng.ExpFloat64() }},
+	{"rising", false, func(rng *rand.Rand, t int, _ float64) float64 { return rng.ExpFloat64() + 0.01*float64(t) }},
+	{"below-minimum", false, func(rng *rand.Rand, t int, min float64) float64 {
+		if t == 20 {
+			return min - 1 - rng.Float64()
+		}
+		return rng.ExpFloat64()
+	}},
+	{"outrun", true, func(rng *rand.Rand, t int, _ float64) float64 { return 100 + float64(t) + rng.Float64() }},
+}
+
+// mergeSorted merges sorted xs into sorted all, in place from the back.
+func mergeSorted(all, xs []float64) []float64 {
+	i, j := len(all)-1, len(xs)-1
+	all = append(all, xs...)
+	for k := len(all) - 1; j >= 0; k-- {
+		if i >= 0 && all[i] > xs[j] {
+			all[k], i = all[i], i-1
+		} else {
+			all[k], j = xs[j], j-1
+		}
+	}
+	return all
+}
+
+// liveReadPs are the ranks a report reads.
+var liveReadPs = [...]float64{0.5, 0.99, 0.999}
+
+// liveBudget is what one round of the read-cost contract may visit.
+func liveBudget(m int) int { return 32*m + 65536 }
+
+// TestRecorderLiveReadsCostWhatWasAdded is the read-cost contract of a
+// live reader: a recorder of n samples read at 0.5, 0.99 and 0.999, then 40
+// rounds each adding m samples and reading the same ranks. From the second
+// round on a round visits at most 32·m + 65 536 samples — selectRank's
+// count plus absorb's — at n = 2²⁰ and 2²², where a round that re-selected
+// from scratch would visit several times n; every answer is sort-then-index,
+// and the placed-rank list never passes 64 entries. On the outrun stream a
+// round may instead cut one segment between answered ranks again — at most
+// 2·n visits, and never within five rounds of the last such cut.
+func TestRecorderLiveReadsCostWhatWasAdded(t *testing.T) {
+	const m, rounds = 4096, 40
+	for _, n := range []int{1 << 20, 1 << 22} {
+		for _, st := range liveStreams {
+			t.Run(fmt.Sprintf("%s/%d", st.name, n), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(n)))
+				r := NewRecorder()
+				all := make([]float64, n, n+rounds*m)
+				for i := range all {
+					all[i] = rng.ExpFloat64()
+					r.Add(all[i])
+				}
+				slices.Sort(all)
+				for _, p := range liveReadPs {
+					r.Percentile(p)
+				}
+				xs := make([]float64, m)
+				per := make([]int, 0, rounds)
+				lastCut := -rounds
+				for round := 1; round <= rounds; round++ {
+					for i := range xs {
+						xs[i] = st.next(rng, round, all[0])
+						r.Add(xs[i])
+					}
+					slices.Sort(xs)
+					all = mergeSorted(all, xs)
+					visits := 0
+					for _, p := range liveReadPs {
+						got, v := r.read(p)
+						visits += v
+						if want := nearestRank(all, p); got != want {
+							t.Fatalf("round %d: Percentile(%v) = %v, want %v", round, p, got, want)
+						}
+					}
+					per = append(per, visits)
+					if len(r.placed) > maxPlaced {
+						t.Fatalf("round %d: %d placed ranks", round, len(r.placed))
+					}
+					if round == 1 || visits <= liveBudget(m) {
+						continue
+					}
+					if !st.outrun || visits > 2*n || round-lastCut < 5 {
+						t.Errorf("round %d visited %d samples, budget %d", round, visits, liveBudget(m))
+					}
+					lastCut = round
+				}
+				t.Logf("visits per round: %v", per)
+			})
+		}
+	}
+}
+
+// Storage costs what it holds: past the first chunk the chunks' capacity
+// is at most one chunk more than the count; up to a chunk the first slice
+// has the capacity an appended slice has, but never more than a chunk.
+func TestRecorderSlackBounded(t *testing.T) {
+	check := func(r *Recorder, appended []float64) {
+		t.Helper()
+		n := r.Count()
+		if n > chunkLen {
+			held := 0
+			for _, c := range r.chunks {
+				held += cap(c)
+			}
+			if held > n+chunkLen {
+				t.Fatalf("%d samples occupy chunks of %d, want <= %d", n, held, n+chunkLen)
+			}
+			return
+		}
+		if got, want := cap(r.chunks[0]), min(cap(appended), chunkLen); got != want {
+			t.Fatalf("%d samples: first slice capacity %d, want %d", n, got, want)
+		}
+	}
+	r := NewRecorder()
+	var appended []float64
+	for i := 0; i < 3*chunkLen; i++ {
+		r.Add(float64(i))
+		appended = append(appended, float64(i))
+		check(r, appended)
+	}
+	for _, n := range []int{626, 8200, 60_000} {
+		r, appended := NewRecorder(), []float64(nil)
+		for i := 0; i < n; i++ {
+			r.Add(float64(i))
+			appended = append(appended, float64(i))
+		}
+		check(r, appended)
+	}
+}
+
+// One operation is one steady round of the read-cost contract's stationary
+// stream at n = 2²⁰: the reads of 0.5, 0.99 and 0.999 after m = 4096 Adds
+// (untimed), absorb included; a fresh recorder every 256 rounds bounds the
+// benchmark's own memory. It fails itself if a round visits more than the
+// contract's budget, or if the reads allocate more than the absorb's
+// scratch, 8·m bytes, per round.
+func BenchmarkRecorderLiveReads(b *testing.B) {
+	const n, m = 1 << 20, 4096
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 1<<16)
+	for i := range xs {
+		xs[i] = rng.ExpFloat64()
+	}
+	var r *Recorder
+	next := 0
+	round := func() (visits int) {
+		for range m {
+			r.Add(xs[next&(len(xs)-1)])
+			next++
+		}
+		for _, p := range liveReadPs {
+			_, v := r.read(p)
+			visits += v
+		}
+		return visits
+	}
+	var before, after runtime.MemStats
+	var alloc uint64
+	worst := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%256 == 0 {
+			r = NewRecorder()
+			for range n - m {
+				r.Add(rng.ExpFloat64())
+			}
+			round() // the first read
+			round() // the first absorb: guards placed across the run so far
+		}
+		for range m {
+			r.Add(xs[next&(len(xs)-1)])
+			next++
+		}
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		visits := 0
+		for _, p := range liveReadPs {
+			_, v := r.read(p)
+			visits += v
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		alloc += after.TotalAlloc - before.TotalAlloc
+		worst = max(worst, visits)
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(worst), "max-visits/round")
+	if worst > liveBudget(m) {
+		b.Fatalf("a round visited %d samples, budget %d", worst, liveBudget(m))
+	}
+	if per := alloc / uint64(b.N); per > 8*m {
+		b.Fatalf("reads allocated %d B per round, want <= %d (the absorb's scratch)", per, 8*m)
 	}
 }
