@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -54,4 +55,39 @@ func TestEventsPerHop(t *testing.T) {
 	if events != 622919 {
 		t.Errorf("figure1: %d events for %d packet-hops, want 622919", events, hops)
 	}
+}
+
+// TestDumbbellBytesPerPacket gates the bytes the WAN dumbbell's whole run —
+// 600 s, its outage included — allocates per delivered packet, a count that
+// repeats from run to run. About 86 % of its packets wait nowhere, and the
+// flows' recorders count those delays in runs instead of storing each:
+// 2.35 B per packet, against 9.27 B while every delay took 8 B of chunk.
+// The count reads the whole process's allocations, so a stray runtime
+// object may land in it: the run is repeated, up to three times, and passes
+// if one count is under the ceiling.
+func TestDumbbellBytesPerPacket(t *testing.T) {
+	const ceiling, attempts = 4.0, 3
+	var per float64
+	for range attempts {
+		if per = dumbbellBytesPerPacket(t); per <= ceiling {
+			return
+		}
+	}
+	t.Errorf("WAN dumbbell: %.2f B allocated per delivered packet in each of %d runs, want at most %.2f",
+		per, attempts, ceiling)
+}
+
+// dumbbellBytesPerPacket compiles the WAN dumbbell, runs it to its horizon
+// and returns the bytes the run allocated per packet its flows delivered.
+func dumbbellBytesPerPacket(t *testing.T) float64 {
+	s := mustCompile(t, wanDumbbell, Options{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Run()
+	runtime.ReadMemStats(&after)
+	var delivered int64
+	for _, f := range s.Flows {
+		delivered += f.Flow.Delivered()
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(delivered)
 }

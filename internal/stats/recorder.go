@@ -26,29 +26,48 @@ const (
 // as touched; a rank placed past them is dropped at the next absorb.
 const maxPlaced = 64
 
+// maxRuns is how many of its smallest distinct values a recorder counts
+// instead of storing each sample of.
+const maxRuns = 32
+
+// run is one of a recorder's smallest distinct values and how many samples
+// of it were added.
+type run struct {
+	v float64
+	c int
+}
+
 // Recorder accumulates a sample set and answers exact order statistics.
-// It keeps every sample — the paper's Table 3 world holds millions — in
-// chunks, so storage costs what it holds: a dozen samples occupy a dozen
-// samples, 400 k occupy 400 k x 8 B, and growing leaves no garbage beyond
-// the first chunk's regrowths. For unbounded runs use P2Quantile instead.
+// It keeps every sample — the paper's Table 3 world holds millions — so
+// storage costs what it holds: its smallest distinct values (a link that is
+// not saturated delivers many packets that waited nowhere, recorded as 0 or
+// a few float residues of it) as sorted runs of (value, count), at most 32,
+// and every other sample in chunks, a dozen samples occupying a dozen
+// samples and 400 k occupying 400 k x 8 B, growing with no garbage beyond
+// the first chunk's regrowths. Every chunked sample but NaN is above every
+// run. For unbounded runs use P2Quantile instead.
 //
-// Percentile selects the wanted rank in place instead of sorting, and
-// remembers the ranks it placed, so a report's 0.50/0.99/0.999 each search
-// only between their already-placed neighbours. A read that follows Adds
-// keeps that partition: it first absorbs the new samples into the segments
+// Percentile answers a rank the runs hold by walking them. Any other rank
+// it selects in place over the chunks instead of sorting, and remembers the
+// ranks it placed, so a report's 0.50/0.99/0.999 each search only between
+// their already-placed neighbours. A read that follows Adds keeps that
+// partition: it first absorbs the new chunked samples into the segments
 // between the ranks the previous reads touched, and every read after the
 // first keeps guard ranks around its answer, so a live reader pays for the
-// samples added since its last read, not for the run so far.
+// samples the chunks took since its last read, not for the run so far.
 //
 // The zero Recorder is empty and ready to use, so one can sit inside a larger
 // struct (a flow's meter) at no allocation until its first sample.
 type Recorder struct {
+	runs     []run       // ascending; grows as an appended slice does, to maxRuns
+	runN     int         // the samples the runs hold
+	bound    float64     // Add's one test: above it, or NaN, to the chunks; the largest run once runs is full, +Inf before (0 until the first sample)
 	chunks   [][]float64 // len == cap each; sample i is chunks[i>>chunkShift][i&(chunkLen-1)]
 	tail     []float64   // the last chunk up to its last sample, so Add reads no chunk table
-	n        int
-	placed   []int  // -1, the ranks placed (see selectRank) among the first placed[len-1] samples, that count
-	touched  uint64 // bit i: placed[i] was answered or kept as a guard since the last absorb
-	absorbed int    // the samples the last absorb took in; 0 before the first, when reads place no guards
+	n        int         // the samples the chunks hold
+	placed   []int       // -1, the ranks placed (see selectRank) among the first placed[len-1] chunked samples, that count
+	touched  uint64      // bit i: placed[i] was answered or kept as a guard since the last absorb
+	absorbed int         // the samples the last absorb took in; 0 before the first, when reads place no guards
 	sum      float64
 	max      float64 // set by the first Add
 }
@@ -90,17 +109,74 @@ func (r *Recorder) grow() {
 	r.chunks = append(r.chunks[:0], r.tail[:cap(r.tail)])
 }
 
-// Add records one sample.
+// Add records one sample. A sample above the runs costs one compare more
+// than appending it to the chunks.
 func (r *Recorder) Add(x float64) {
+	r.sum += x
+	if x <= r.bound || len(r.tail) == cap(r.tail) {
+		r.add(x, 1)
+		return
+	}
+	r.tail = append(r.tail, x) // a chunk sample is held, so max is set
+	r.n++
+	if x > r.max {
+		r.max = x
+	}
+}
+
+// add records c samples of x, but not in the sum: Add's path for a sample
+// that joins the runs or finds the tail full, and Absorb's for a run.
+func (r *Recorder) add(x float64, c int) {
+	if r.Count() == 0 || x > r.max {
+		r.max = x
+	}
+	if x <= r.bound || len(r.runs) < maxRuns && x == x { // NaN aside, a table not full takes all; the zero Recorder's bound is 0, not +Inf
+		r.addRun(x, c)
+		return
+	}
+	for range c {
+		r.push(x)
+	}
+}
+
+// addRun adds c samples of x, at most the largest run's value or while
+// fewer than maxRuns runs exist, to its run. A new run in a full table
+// pushes the largest run into the chunks — all of whose samples lie above
+// it — so the bound only falls and a sample enters the chunks at most once.
+func (r *Recorder) addRun(x float64, c int) {
+	r.runN += c
+	i := 0
+	for i < len(r.runs) && r.runs[i].v < x { // the smallest values are the commonest
+		i++
+	}
+	if i < len(r.runs) && r.runs[i].v == x {
+		r.runs[i].c += c
+		return
+	}
+	if len(r.runs) == maxRuns {
+		top := r.runs[maxRuns-1]
+		r.runs = r.runs[:maxRuns-1]
+		r.runN -= top.c
+		for range top.c {
+			r.push(top.v)
+		}
+	}
+	r.runs = append(r.runs, run{})
+	copy(r.runs[i+1:], r.runs[i:])
+	r.runs[i] = run{x, c}
+	r.bound = math.Inf(1)
+	if len(r.runs) == maxRuns {
+		r.bound = r.runs[maxRuns-1].v
+	}
+}
+
+// push appends x to the chunks.
+func (r *Recorder) push(x float64) {
 	if len(r.tail) == cap(r.tail) {
 		r.grow()
 	}
 	r.tail = append(r.tail, x) // into the room made: never reallocates
-	if r.n == 0 || x > r.max {
-		r.max = x
-	}
 	r.n++
-	r.sum += x
 }
 
 // Absorb merges every sample of src into r (recorders are merged when
@@ -112,6 +188,9 @@ func (r *Recorder) Absorb(src *Recorder) {
 		return
 	}
 	sum := r.sum + src.sum
+	for _, s := range src.runs {
+		r.add(s.v, s.c)
+	}
 	for i, n := 0, src.n; i < n; i++ {
 		r.Add(src.at(i))
 	}
@@ -119,19 +198,19 @@ func (r *Recorder) Absorb(src *Recorder) {
 }
 
 // Count returns the number of samples.
-func (r *Recorder) Count() int { return r.n }
+func (r *Recorder) Count() int { return r.runN + r.n }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (r *Recorder) Mean() float64 {
-	if r.n == 0 {
+	if r.Count() == 0 {
 		return 0
 	}
-	return r.sum / float64(r.n)
+	return r.sum / float64(r.Count())
 }
 
 // Max returns the largest sample, or 0 with no samples.
 func (r *Recorder) Max() float64 {
-	if r.n == 0 {
+	if r.Count() == 0 {
 		return 0
 	}
 	return r.max
@@ -147,33 +226,44 @@ func (r *Recorder) Percentile(p float64) float64 {
 // read is Percentile, also returning the samples it visited: selectRank's
 // count, plus absorb's.
 //
-// The first read places its rank by one quickselect over every sample. A
-// read that follows Adds first absorbs them, so the ranks the last round of
-// reads touched stay placed, each moved up by the new samples below it.
+// A rank below the runs' total count is their value, found by walking
+// them; any other rank, less that count, is a rank of the chunks. The
+// first read there places it by one quickselect over every chunked sample.
+// A read that follows Adds first absorbs the chunks' new samples (those a
+// new run pushed out of the runs among them), so the ranks the last round
+// of reads touched stay placed, each moved up by the new samples below it.
 // From then on a read also keeps two guards on each side of its rank, in
 // units of the most the rank can move against its old placed value in one
-// absorb of the last one's size (p of it up, 1-p down, plus 16): a near
-// one 1..3 units away, placed at 2, and a far one 3..15 units away, placed
-// at 12. So the next read selects between its old answer and a near guard,
-// and re-placing a worn guard searches no farther than the far one. Only a
-// rank that keeps moving one way, 9 units past where its far guard was
-// placed, cuts the segment beyond it — up to the next answered rank's
-// guards, or the end — again.
+// absorb of the last one's size (p of it up, 1-p down, plus 16, p being the
+// rank's share of the chunks): a near one 1..3 units away, placed at 2,
+// and a far one 3..15 units away, placed at 12. So the next read selects
+// between its old answer and a near guard, and re-placing a worn guard
+// searches no farther than the far one. Only a rank that keeps moving one
+// way, 9 units past where its far guard was placed, cuts the segment beyond
+// it — up to the next answered rank's guards, or the end — again.
 func (r *Recorder) read(p float64) (v float64, visits int) {
-	n := r.n
-	if n == 0 {
+	all := r.Count()
+	if all == 0 {
 		return 0, 0
 	}
+	k := min(max(int(math.Ceil(p*float64(all)))-1, 0), all-1)
+	for _, s := range r.runs {
+		if k < s.c {
+			return s.v, 0
+		}
+		k -= s.c
+	}
+	n := r.n
 	if len(r.placed) == 0 {
 		r.placed = append(r.placed, -1, n)
 	} else if r.placed[len(r.placed)-1] != n {
 		visits = r.absorb()
 	}
-	k := min(max(int(math.Ceil(p*float64(n)))-1, 0), n-1)
 	var touchBuf, wantBuf [5]int
 	touch := append(touchBuf[:0], k) // the ranks this read touches
 	if r.absorbed > 0 {
-		pm := int(min(max(p, 0), 1) * float64(r.absorbed))
+		pc := (p*float64(all) - float64(r.runN)) / float64(n)
+		pm := int(min(max(pc, 0), 1) * float64(r.absorbed))
 		for _, g := range [2]struct{ dir, d int }{{-1, r.absorbed - pm + 16}, {1, pm + 16}} {
 			touch = append(touch,
 				r.guardRank(k, g.dir, g.d, 3*g.d, 2*g.d, false),

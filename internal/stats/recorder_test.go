@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRecorderEmpty(t *testing.T) {
@@ -116,10 +117,10 @@ func recorderOf(xs []float64) *Recorder {
 	return r
 }
 
-// storageBytes is what r's sample storage occupies: every chunk at its
-// capacity plus the chunk table.
+// storageBytes is what r's sample storage occupies: the run table, every
+// chunk at its capacity, and the chunk table.
 func storageBytes(r *Recorder) int {
-	b := cap(r.chunks) * 24
+	b := cap(r.runs)*int(unsafe.Sizeof(run{})) + cap(r.chunks)*24
 	for _, c := range r.chunks {
 		b += cap(c) * 8
 	}
@@ -274,6 +275,206 @@ func TestRecorderInterleavedMatchesSort(t *testing.T) {
 	}
 }
 
+// waitShapes are delay streams as measured per workload at seed 1992: the
+// share of samples that waited nowhere, recorded as 0 or one of a few float
+// residues of it (distinct values in all), the rest queueing delays.
+// mesh_sharded's 22 values are at most 6 per flow, and a recorder is a
+// flow's.
+var waitShapes = []struct {
+	name     string
+	share    float64
+	distinct int
+}{
+	{"million_members", 1, 12},
+	{"churn_control", 0.993, 22},
+	{"serve_live", 0.865, 7},
+	{"mesh_sharded", 0.232, 6},
+	{"chain_batch", 0.005, 6},
+}
+
+// waitSample draws one sample of a wait shape: with probability share one
+// of distinct sub-ns values — 0 and residues up to 5e-15 s — else a
+// queueing delay, exponential with mean 1 ms.
+func waitSample(rng *rand.Rand, share float64, distinct int) float64 {
+	if rng.Float64() < share {
+		return float64(rng.Intn(distinct)) * 5e-15 / float64(distinct)
+	}
+	return 1e-3 * rng.ExpFloat64()
+}
+
+// sumOf is xs summed in order, as Add sums them.
+func sumOf(xs []float64) (sum float64) {
+	for _, x := range xs {
+		sum += x
+	}
+	return sum
+}
+
+// checkEveryRank requires r to hold xs, whose sum is sum: Count, Max and
+// Mean, and every rank, asked in shuffled order, against sort-then-index.
+func checkEveryRank(t *testing.T, rng *rand.Rand, r *Recorder, xs []float64, sum float64) {
+	t.Helper()
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	n := len(sorted)
+	if r.Count() != n || r.Max() != sorted[n-1] || r.Mean() != sum/float64(n) {
+		t.Fatalf("Count/Max/Mean = %d/%v/%v, want %d/%v/%v",
+			r.Count(), r.Max(), r.Mean(), n, sorted[n-1], sum/float64(n))
+	}
+	for _, k := range rng.Perm(n) {
+		if got := r.Percentile(rankP(k, n)); got != sorted[k] {
+			t.Fatalf("rank %d of %d = %v, want %v", k, n, got, sorted[k])
+		}
+	}
+}
+
+// addReading adds xs to r and to all, which it returns, and after every
+// step samples reads 0.5, 0.99, 0.999 and a random rank against
+// sort-then-index of all: live reads between the adds.
+func addReading(t *testing.T, rng *rand.Rand, r *Recorder, all, xs []float64, step int) []float64 {
+	t.Helper()
+	for i, x := range xs {
+		r.Add(x)
+		all = append(all, x)
+		if (i+1)%step != 0 {
+			continue
+		}
+		sorted := slices.Clone(all)
+		slices.Sort(sorted)
+		for _, p := range []float64{0.5, 0.99, 0.999, rng.Float64()} {
+			if got, want := r.Percentile(p), nearestRank(sorted, p); got != want {
+				t.Fatalf("after %d samples: Percentile(%v) = %v, want %v", len(all), p, got, want)
+			}
+		}
+	}
+	return all
+}
+
+// Recorders that split their samples between runs and chunks answer every
+// rank as sort-then-index, with live reads between the adds: on the
+// measured wait shapes; on a strictly decreasing stream, where every Add
+// past the first maxRuns makes a new run and pushes the largest out; on a
+// run of 10⁵ samples pushed out at once, after reads have placed ranks in
+// the chunks; with NaN mixed in, where the ranks the runs hold are the
+// smallest of the other samples and no read panics; and across an Absorb
+// of one split recorder into another.
+func TestRecorderRunsMatchSort(t *testing.T) {
+	const n, step = 20_000, 997
+	for _, sh := range waitShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(sh.distinct)))
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = waitSample(rng, sh.share, sh.distinct)
+			}
+			r := NewRecorder()
+			addReading(t, rng, r, nil, xs, step)
+			if r.runN < int(0.95*sh.share*n) {
+				t.Fatalf("runs hold %d samples, want about %.0f", r.runN, sh.share*n)
+			}
+			checkEveryRank(t, rng, r, xs, sumOf(xs))
+		})
+	}
+	t.Run("decreasing", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		r := NewRecorder()
+		xs := make([]float64, 5000)
+		for i := range xs {
+			xs[i] = float64(len(xs) - i)
+			r.Add(xs[i])
+			if len(r.runs) != min(i+1, maxRuns) || r.n != max(i+1-maxRuns, 0) {
+				t.Fatalf("after %d samples: %d runs, %d chunked", i+1, len(r.runs), r.n)
+			}
+		}
+		r = NewRecorder()
+		checkEveryRank(t, rng, r, addReading(t, rng, r, nil, xs, 101), sumOf(xs))
+	})
+	t.Run("evict-1e5", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		var xs []float64
+		for i := 1; i < maxRuns; i++ {
+			xs = append(xs, float64(i))
+		}
+		for range 100_000 {
+			xs = append(xs, maxRuns)
+		}
+		for range 3000 {
+			xs = append(xs, maxRuns+1+rng.ExpFloat64())
+		}
+		r := NewRecorder()
+		all := addReading(t, rng, r, nil, xs, 1999)
+		if r.runN != 100_000+maxRuns-1 {
+			t.Fatalf("runs hold %d samples, want %d", r.runN, 100_000+maxRuns-1)
+		}
+		all = addReading(t, rng, r, all, []float64{0.5}, 1)
+		if r.runN != maxRuns || r.n != 103_000 {
+			t.Fatalf("after the push: %d samples in runs, %d chunked; want %d, %d", r.runN, r.n, maxRuns, 103_000)
+		}
+		checkEveryRank(t, rng, r, all, sumOf(all))
+	})
+	t.Run("NaN", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		for _, share := range []float64{0.001, 0.01, 0.5} {
+			r := NewRecorder()
+			var clean []float64
+			for i := range n {
+				if rng.Float64() < share {
+					r.Add(math.NaN())
+				} else {
+					x := waitSample(rng, 0.865, 7)
+					r.Add(x)
+					clean = append(clean, x)
+				}
+				if i%step == 0 {
+					for _, p := range []float64{0, 0.5, 0.99, 0.999, 1, rng.Float64()} {
+						_ = r.Percentile(p)
+					}
+				}
+			}
+			if r.Count() != n {
+				t.Fatalf("NaN share %v: Count = %d, want %d", share, r.Count(), n)
+			}
+			slices.Sort(clean)
+			for _, k := range rng.Perm(r.runN) {
+				if got := r.Percentile(rankP(k, n)); got != clean[k] {
+					t.Fatalf("NaN share %v: rank %d = %v, want %v", share, k, got, clean[k])
+				}
+			}
+			for k := range n {
+				_ = r.Percentile(rankP(k, n))
+			}
+		}
+	})
+	t.Run("absorb", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		var xs, ys []float64
+		for range n {
+			xs = append(xs, waitSample(rng, 0.232, 6))
+			ys = append(ys, 1e-16+waitSample(rng, 0.865, 7))
+		}
+		dst, src := NewRecorder(), NewRecorder()
+		all := addReading(t, rng, dst, nil, xs, step)
+		addReading(t, rng, src, nil, ys, step)
+		srcMid := src.Percentile(0.5)
+		dst.Absorb(src)
+		if src.Count() != len(ys) || src.Percentile(0.5) != srcMid {
+			t.Fatal("Absorb changed its source")
+		}
+		sum := sumOf(xs) + sumOf(ys)
+		all = append(all, ys...)
+		checkEveryRank(t, rng, dst, all, sum)
+		tail := make([]float64, 3000)
+		for i := range tail {
+			tail[i] = waitSample(rng, 0.5, 9)
+		}
+		all = addReading(t, rng, dst, all, tail, 499)
+		for _, x := range tail {
+			sum += x
+		}
+		checkEveryRank(t, rng, dst, all, sum)
+	})
+}
+
 // medianOf3Killer builds the input that defeats selectRank's pivot rule for
 // a high rank, by playing its passes forward: give the first and middle
 // element of the current span the two smallest values not yet handed out,
@@ -340,7 +541,9 @@ func TestRecorderNaNSamplesAreSafe(t *testing.T) {
 			for _, p := range []float64{0.5, 0.999, 0.01, rng.Float64(), 0, 1} {
 				_ = r.Percentile(p)
 			}
-			r.selectRank(0, n-1, n/2) // over ranks the calls above disordered again
+			if r.n > 0 { // over ranks the calls above disordered again
+				r.selectRank(0, r.n-1, r.n/2)
+			}
 		}
 	}
 }
@@ -366,6 +569,40 @@ func TestRecorderGrowthCopiesNothing(t *testing.T) {
 	}
 }
 
+// A million Adds drawn from 12 distinct sub-ns values — million_members'
+// shape, where no packet queues — allocate the run table and nothing else:
+// what appending 12 runs one at a time allocates, 496 B; before the runs
+// counted them they allocated the 8 MB they held. The count reads the whole
+// process's allocations, so a stray runtime object may land in it: the run
+// is repeated on a fresh recorder, up to three times, and passes if one
+// count is within the table.
+func TestRecorderRepeatedValuesAllocateOnlyRuns(t *testing.T) {
+	const n, distinct, attempts = 1_000_000, 12, 3
+	limit := uint64(0) // append doubles a small slice: capacities 1, 2, 4, 8, 16
+	for c := 1; c < 2*distinct; c *= 2 {
+		limit += uint64(c) * uint64(unsafe.Sizeof(run{}))
+	}
+	var got uint64
+	for range attempts {
+		rng := rand.New(rand.NewSource(12))
+		r := NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			r.Add(waitSample(rng, 1, distinct))
+		}
+		runtime.ReadMemStats(&after)
+		if r.Count() != n || len(r.runs) != distinct {
+			t.Fatalf("Count = %d in %d runs, want %d in %d", r.Count(), len(r.runs), n, distinct)
+		}
+		if got = after.TotalAlloc - before.TotalAlloc; got <= limit {
+			return
+		}
+	}
+	t.Errorf("1M Adds of %d distinct values allocated %d bytes in each of %d runs, want <= %d",
+		distinct, got, attempts, limit)
+}
+
 // A recorder of a dozen samples costs about a dozen samples: a scenario
 // with tens of thousands of short-lived flows has as many of these.
 func TestSmallRecorderStaysSmall(t *testing.T) {
@@ -379,22 +616,34 @@ func TestSmallRecorderStaysSmall(t *testing.T) {
 }
 
 // One operation is one Add; a fresh recorder every million keeps the
-// benchmark's own memory bounded. B/op is the 8 bytes a sample occupies
-// plus whatever growth copies.
+// benchmark's own memory bounded. distinct draws every sample from Exp(1),
+// so all but the smallest go to the chunks: B/op is the 8 bytes a sample
+// occupies plus whatever growth copies. sub-ns is the serve_live shape,
+// 86.5 % of the samples one of 7 sub-ns values that the runs count.
 func BenchmarkRecorderAdd(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 1<<16)
-	for i := range xs {
-		xs[i] = rng.ExpFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var r *Recorder
-	for i := 0; i < b.N; i++ {
-		if i%1_000_000 == 0 {
-			r = NewRecorder()
-		}
-		r.Add(xs[i&(len(xs)-1)])
+	for _, bm := range []struct {
+		name string
+		draw func(rng *rand.Rand) float64
+	}{
+		{"distinct", func(rng *rand.Rand) float64 { return rng.ExpFloat64() }},
+		{"sub-ns", func(rng *rand.Rand) float64 { return waitSample(rng, 0.865, 7) }},
+	} {
+		b.Run(bm.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			xs := make([]float64, 1<<16)
+			for i := range xs {
+				xs[i] = bm.draw(rng)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var r *Recorder
+			for i := 0; i < b.N; i++ {
+				if i%1_000_000 == 0 {
+					r = NewRecorder()
+				}
+				r.Add(xs[i&(len(xs)-1)])
+			}
+		})
 	}
 }
 
@@ -418,24 +667,30 @@ func BenchmarkRecorderPercentiles(b *testing.B) {
 }
 
 // liveStreams are the read-cost contract's streams: what round t (1..40)
-// adds, given the smallest sample so far. The contract's bound holds for the
-// first three; outrun is the most a rank can move, each round's samples
-// above every earlier one, so that the median keeps moving half a round's
-// samples up, past any guard a bounded round can place.
+// adds, given the smallest sample so far, and what the recorder holds before
+// round 1 (nil: Exp(1) samples). The contract's bound holds for all but
+// outrun, the most a rank can move, each round's samples above every earlier
+// one, so that the median keeps moving half a round's samples up, past any
+// guard a bounded round can place. sub-ns is the serve_live shape: 86 % of
+// the samples are one of 7 sub-ns values, which the runs count, so a round
+// adds about 14 % of its samples to the chunks.
 var liveStreams = []struct {
 	name   string
 	outrun bool
 	next   func(rng *rand.Rand, t int, min float64) float64
+	first  func(rng *rand.Rand) float64
 }{
-	{"stationary", false, func(rng *rand.Rand, _ int, _ float64) float64 { return rng.ExpFloat64() }},
-	{"rising", false, func(rng *rand.Rand, t int, _ float64) float64 { return rng.ExpFloat64() + 0.01*float64(t) }},
+	{"stationary", false, func(rng *rand.Rand, _ int, _ float64) float64 { return rng.ExpFloat64() }, nil},
+	{"rising", false, func(rng *rand.Rand, t int, _ float64) float64 { return rng.ExpFloat64() + 0.01*float64(t) }, nil},
 	{"below-minimum", false, func(rng *rand.Rand, t int, min float64) float64 {
 		if t == 20 {
 			return min - 1 - rng.Float64()
 		}
 		return rng.ExpFloat64()
-	}},
-	{"outrun", true, func(rng *rand.Rand, t int, _ float64) float64 { return 100 + float64(t) + rng.Float64() }},
+	}, nil},
+	{"outrun", true, func(rng *rand.Rand, t int, _ float64) float64 { return 100 + float64(t) + rng.Float64() }, nil},
+	{"sub-ns", false, func(rng *rand.Rand, _ int, _ float64) float64 { return waitSample(rng, 0.86, 7) },
+		func(rng *rand.Rand) float64 { return waitSample(rng, 0.86, 7) }},
 }
 
 // mergeSorted merges sorted xs into sorted all, in place from the back.
@@ -461,8 +716,9 @@ func liveBudget(m int) int { return 32*m + 65536 }
 // TestRecorderLiveReadsCostWhatWasAdded is the read-cost contract of a
 // live reader: a recorder of n samples read at 0.5, 0.99 and 0.999, then 40
 // rounds each adding m samples and reading the same ranks. From the second
-// round on a round visits at most 32·m + 65 536 samples — selectRank's
-// count plus absorb's — at n = 2²⁰ and 2²², where a round that re-selected
+// round on a round visits at most 32·c + 65 536 samples — selectRank's
+// count plus absorb's, c being the samples the round's Adds put in the
+// chunks — at n = 2²⁰ and 2²², where a round that re-selected
 // from scratch would visit several times n; every answer is sort-then-index,
 // and the placed-rank list never passes 64 entries. On the outrun stream a
 // round may instead cut one segment between answered ranks again — at most
@@ -476,7 +732,11 @@ func TestRecorderLiveReadsCostWhatWasAdded(t *testing.T) {
 				r := NewRecorder()
 				all := make([]float64, n, n+rounds*m)
 				for i := range all {
-					all[i] = rng.ExpFloat64()
+					if st.first != nil {
+						all[i] = st.first(rng)
+					} else {
+						all[i] = rng.ExpFloat64()
+					}
 					r.Add(all[i])
 				}
 				slices.Sort(all)
@@ -487,6 +747,7 @@ func TestRecorderLiveReadsCostWhatWasAdded(t *testing.T) {
 				per := make([]int, 0, rounds)
 				lastCut := -rounds
 				for round := 1; round <= rounds; round++ {
+					chunked := r.n
 					for i := range xs {
 						xs[i] = st.next(rng, round, all[0])
 						r.Add(xs[i])
@@ -502,14 +763,15 @@ func TestRecorderLiveReadsCostWhatWasAdded(t *testing.T) {
 						}
 					}
 					per = append(per, visits)
+					budget := liveBudget(r.n - chunked)
 					if len(r.placed) > maxPlaced {
 						t.Fatalf("round %d: %d placed ranks", round, len(r.placed))
 					}
-					if round == 1 || visits <= liveBudget(m) {
+					if round == 1 || visits <= budget {
 						continue
 					}
 					if !st.outrun || visits > 2*n || round-lastCut < 5 {
-						t.Errorf("round %d visited %d samples, budget %d", round, visits, liveBudget(m))
+						t.Errorf("round %d visited %d samples, budget %d", round, visits, budget)
 					}
 					lastCut = round
 				}
@@ -519,40 +781,65 @@ func TestRecorderLiveReadsCostWhatWasAdded(t *testing.T) {
 	}
 }
 
-// Storage costs what it holds: past the first chunk the chunks' capacity
-// is at most one chunk more than the count; up to a chunk the first slice
-// has the capacity an appended slice has, but never more than a chunk.
+// Storage costs what it holds: the run table holds at most maxRuns runs;
+// past the first chunk the chunks' capacity is at most one chunk more than
+// the samples they hold; up to a chunk the first slice has the capacity an
+// appended slice of those samples has, but never more than a chunk. The
+// streams are rising ones, whose first maxRuns samples are runs and every
+// later one a chunk's, and the serve_live shape, whose runs count most
+// samples and push one out now and then.
 func TestRecorderSlackBounded(t *testing.T) {
 	check := func(r *Recorder, appended []float64) {
 		t.Helper()
-		n := r.Count()
+		if len(r.runs) > maxRuns || cap(r.runs) > maxRuns {
+			t.Fatalf("%d runs in a table of %d, want <= %d", len(r.runs), cap(r.runs), maxRuns)
+		}
+		n := r.n
 		if n > chunkLen {
 			held := 0
 			for _, c := range r.chunks {
 				held += cap(c)
 			}
 			if held > n+chunkLen {
-				t.Fatalf("%d samples occupy chunks of %d, want <= %d", n, held, n+chunkLen)
+				t.Fatalf("%d chunked samples occupy chunks of %d, want <= %d", n, held, n+chunkLen)
+			}
+			return
+		}
+		if n == 0 {
+			if len(r.chunks) != 0 {
+				t.Fatalf("no chunked samples, %d chunks", len(r.chunks))
 			}
 			return
 		}
 		if got, want := cap(r.chunks[0]), min(cap(appended), chunkLen); got != want {
-			t.Fatalf("%d samples: first slice capacity %d, want %d", n, got, want)
+			t.Fatalf("%d chunked samples: first slice capacity %d, want %d", n, got, want)
 		}
+	}
+	// add adds x to r, and to appended as many samples as r's chunks took.
+	add := func(r *Recorder, appended []float64, x float64) []float64 {
+		r.Add(x)
+		for len(appended) < r.n {
+			appended = append(appended, x)
+		}
+		return appended
 	}
 	r := NewRecorder()
 	var appended []float64
 	for i := 0; i < 3*chunkLen; i++ {
-		r.Add(float64(i))
-		appended = append(appended, float64(i))
+		appended = add(r, appended, float64(i))
 		check(r, appended)
 	}
 	for _, n := range []int{626, 8200, 60_000} {
 		r, appended := NewRecorder(), []float64(nil)
 		for i := 0; i < n; i++ {
-			r.Add(float64(i))
-			appended = append(appended, float64(i))
+			appended = add(r, appended, float64(i))
 		}
+		check(r, appended)
+	}
+	rng := rand.New(rand.NewSource(3))
+	r, appended = NewRecorder(), nil
+	for range 60_000 {
+		appended = add(r, appended, waitSample(rng, 0.865, 7))
 		check(r, appended)
 	}
 }
