@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"ispn/internal/packet"
 	"ispn/internal/routing"
@@ -133,8 +134,9 @@ func TestReleaseForgetsRoute(t *testing.T) {
 // TestCallSetupAllocation keeps call set-up cheap: what one request+release
 // cycle allocates must not depend on how many ids have been issued. The
 // per-node tables this replaced cost 2.5 KB per cycle at 5 000 ids, rising
-// with the id; a call is now one 576-byte Flow, route and all, and the budget
-// is that plus a quarter.
+// with the id; a call is now one Flow, route and all — at most 600 bytes
+// (TestFlowSize), in the 640-byte size class — and the budget, set when a
+// Flow was 576 bytes, is that plus a quarter.
 func TestCallSetupAllocation(t *testing.T) {
 	const calls, budget = 5000, 725
 	n := churnRing(t)
@@ -153,5 +155,13 @@ func TestCallSetupAllocation(t *testing.T) {
 	t.Logf("%.0f B allocated per call", perCall)
 	if perCall > budget {
 		t.Errorf("%.0f B allocated per request+release, budget %d", perCall, budget)
+	}
+}
+
+// A Flow holds its delay recorder by value, so every field the recorder
+// gains is paid once per live flow.
+func TestFlowSize(t *testing.T) {
+	if got := unsafe.Sizeof(Flow{}); got > 600 {
+		t.Fatalf("Flow is %d bytes, want <= 600", got)
 	}
 }

@@ -36,8 +36,8 @@ func (m *teeMeter) Add(q float64) {
 	m.to.Add(q)
 }
 
-// The live path reads every flow's recorder between steps, so each read
-// absorbs what the step added into the partition the last one left: after
+// The live path reads every flow's recorder between steps, so each step's
+// first read re-selects over every sample the step left in the chunks: after
 // each of 64 steps, FlowReports' percentiles are sort-then-index of every
 // delay so far, through the outage and its backlog.
 func TestLiveFlowReportsMatchSort(t *testing.T) {

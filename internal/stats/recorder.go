@@ -11,7 +11,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // chunkLen is the length of every chunk of samples but the first, which
@@ -21,10 +20,6 @@ const (
 	chunkShift = 10
 	chunkLen   = 1 << chunkShift
 )
-
-// maxPlaced is how many placed ranks, sentinels included, one word can mark
-// as touched; a rank placed past them is dropped at the next absorb.
-const maxPlaced = 64
 
 // maxRuns is how many of its smallest distinct values a recorder counts
 // instead of storing each sample of.
@@ -49,27 +44,21 @@ type run struct {
 //
 // Percentile answers a rank the runs hold by walking them. Any other rank
 // it selects in place over the chunks instead of sorting, and remembers the
-// ranks it placed, so a report's 0.50/0.99/0.999 each search only between
-// their already-placed neighbours. A read that follows Adds keeps that
-// partition: it first absorbs the new chunked samples into the segments
-// between the ranks the previous reads touched, and every read after the
-// first keeps guard ranks around its answer, so a live reader pays for the
-// samples the chunks took since its last read, not for the run so far.
+// ranks it placed until the chunks next take a sample, so a report's
+// 0.50/0.99/0.999 each search only between their already-placed neighbours.
 //
 // The zero Recorder is empty and ready to use, so one can sit inside a larger
 // struct (a flow's meter) at no allocation until its first sample.
 type Recorder struct {
-	runs     []run       // ascending; grows as an appended slice does, to maxRuns
-	runN     int         // the samples the runs hold
-	bound    float64     // Add's one test: above it, or NaN, to the chunks; the largest run once runs is full, +Inf before (0 until the first sample)
-	chunks   [][]float64 // len == cap each; sample i is chunks[i>>chunkShift][i&(chunkLen-1)]
-	tail     []float64   // the last chunk up to its last sample, so Add reads no chunk table
-	n        int         // the samples the chunks hold
-	placed   []int       // -1, the ranks placed (see selectRank) among the first placed[len-1] chunked samples, that count
-	touched  uint64      // bit i: placed[i] was answered or kept as a guard since the last absorb
-	absorbed int         // the samples the last absorb took in; 0 before the first, when reads place no guards
-	sum      float64
-	max      float64 // set by the first Add
+	runs   []run       // ascending; grows as an appended slice does, to maxRuns
+	runN   int         // the samples the runs hold
+	bound  float64     // Add's one test: above it, or NaN, to the chunks; the largest run once runs is full, +Inf before (0 until the first sample)
+	chunks [][]float64 // len == cap each; sample i is chunks[i>>chunkShift][i&(chunkLen-1)]
+	tail   []float64   // the last chunk up to its last sample, so Add reads no chunk table
+	n      int         // the samples the chunks hold
+	placed []int       // -1, the ranks placed (see selectRank) since the chunks last took a sample, n
+	sum    float64
+	max    float64 // set by the first Add
 }
 
 // NewRecorder returns an empty recorder.
@@ -223,24 +212,10 @@ func (r *Recorder) Percentile(p float64) float64 {
 	return v
 }
 
-// read is Percentile, also returning the samples it visited: selectRank's
-// count, plus absorb's.
-//
-// A rank below the runs' total count is their value, found by walking
-// them; any other rank, less that count, is a rank of the chunks. The
-// first read there places it by one quickselect over every chunked sample.
-// A read that follows Adds first absorbs the chunks' new samples (those a
-// new run pushed out of the runs among them), so the ranks the last round
-// of reads touched stay placed, each moved up by the new samples below it.
-// From then on a read also keeps two guards on each side of its rank, in
-// units of the most the rank can move against its old placed value in one
-// absorb of the last one's size (p of it up, 1-p down, plus 16, p being the
-// rank's share of the chunks): a near one 1..3 units away, placed at 2,
-// and a far one 3..15 units away, placed at 12. So the next read selects
-// between its old answer and a near guard, and re-placing a worn guard
-// searches no farther than the far one. Only a rank that keeps moving one
-// way, 9 units past where its far guard was placed, cuts the segment beyond
-// it — up to the next answered rank's guards, or the end — again.
+// read is Percentile, also returning the samples selectRank visited. A rank
+// below the runs' total count is their value, found by walking them; any
+// other rank, less that count, is a rank of the chunks, selected between
+// its placed neighbours.
 func (r *Recorder) read(p float64) (v float64, visits int) {
 	all := r.Count()
 	if all == 0 {
@@ -253,175 +228,15 @@ func (r *Recorder) read(p float64) (v float64, visits int) {
 		}
 		k -= s.c
 	}
-	n := r.n
-	if len(r.placed) == 0 {
-		r.placed = append(r.placed, -1, n)
-	} else if r.placed[len(r.placed)-1] != n {
-		visits = r.absorb()
+	if len(r.placed) == 0 || r.placed[len(r.placed)-1] != r.n {
+		r.placed = append(r.placed[:0], -1, r.n) // the chunks took samples: nothing is placed
 	}
-	var touchBuf, wantBuf [5]int
-	touch := append(touchBuf[:0], k) // the ranks this read touches
-	if r.absorbed > 0 {
-		pc := (p*float64(all) - float64(r.runN)) / float64(n)
-		pm := int(min(max(pc, 0), 1) * float64(r.absorbed))
-		for _, g := range [2]struct{ dir, d int }{{-1, r.absorbed - pm + 16}, {1, pm + 16}} {
-			touch = append(touch,
-				r.guardRank(k, g.dir, g.d, 3*g.d, 2*g.d, false),
-				r.guardRank(k, g.dir, 3*g.d+1, 15*g.d, 12*g.d, true))
-		}
-	}
-	w := wantBuf[:0] // those of them not placed yet
-	for _, q := range touch {
-		if _, found := slices.BinarySearch(r.placed, q); !found {
-			w = append(w, q)
-		}
-	}
-	slices.Sort(w)
-	for i := 0; i < len(w); {
-		at, _ := slices.BinarySearch(r.placed, w[i])
-		j := i + 1
-		for j < len(w) && w[j] < r.placed[at] {
-			j++
-		}
-		visits += r.selectRanks(r.placed[at-1]+1, r.placed[at]-1, w[i:j])
-		i = j
-	}
-	for _, q := range touch {
-		r.mark(q)
+	at, found := slices.BinarySearch(r.placed, k)
+	if !found {
+		visits = r.selectRank(r.placed[at-1]+1, r.placed[at]-1, k)
+		r.placed = slices.Insert(r.placed, at, k)
 	}
 	return r.at(k), visits
-}
-
-// guardRank returns the guard of rank k on side dir (+1 above, -1 below) at
-// a distance in lo..hi: the nearest placed rank there — the farthest, for a
-// far guard, so that a small move does not turn it near — or the end of the
-// samples if that is nearer than lo; else the rank at distance mid, which
-// the caller places.
-func (r *Recorder) guardRank(k, dir, lo, hi, mid int, far bool) int {
-	ps := r.placed
-	if dir > 0 {
-		i, _ := slices.BinarySearch(ps, k+lo)
-		switch {
-		case i == len(ps):
-			return ps[i-1]
-		case ps[i] > k+hi:
-			return k + mid
-		case far:
-			j, _ := slices.BinarySearch(ps, k+hi+1)
-			return ps[j-1]
-		}
-		return ps[i]
-	}
-	i, _ := slices.BinarySearch(ps, k-lo+1)
-	switch {
-	case i == 0:
-		return ps[0]
-	case ps[i-1] < k-hi:
-		return k - mid
-	case far:
-		j, _ := slices.BinarySearch(ps, k-hi)
-		return ps[j]
-	}
-	return ps[i-1]
-}
-
-// mark records rank q, placed by now, as placed and as touched by this
-// round of reads.
-func (r *Recorder) mark(q int) {
-	at, found := slices.BinarySearch(r.placed, q)
-	if !found {
-		r.placed = slices.Insert(r.placed, at, q)
-		low := r.touched & (1<<at - 1)
-		r.touched = low | (r.touched^low)<<1
-	}
-	r.touched |= 1 << at
-}
-
-// absorbBufs holds the buffers absorb sorts the new samples into by
-// segment, so a steady reader allocates nothing.
-var absorbBufs = sync.Pool{New: func() any { return new([]float64) }}
-
-// absorb takes the samples added since the last read into the placed
-// partition. It keeps the interior ranks the last round of reads touched
-// and drops the rest; sorts the new samples by the segment between kept
-// ranks whose values hold them (a binary search each); then, from the top
-// segment down, moves each kept rank up by the new samples below it. A
-// segment moving up by s, being unordered, moves only its first s samples
-// (all of them, if fewer) to its end, in block copies, and takes its new
-// samples after them. It returns the samples it compared or moved: two per
-// new sample (classified, written into place), the displaced ones and the
-// kept ranks.
-func (r *Recorder) absorb() (visits int) {
-	old := r.placed[len(r.placed)-1]
-	m := r.n - old
-	r.absorbed = m
-	kept := r.placed[:1]
-	for i, q := range r.placed[1 : len(r.placed)-1] {
-		if r.touched>>(i+1)&1 != 0 {
-			kept = append(kept, q)
-		}
-	}
-	r.touched = 0
-	segs := len(kept)
-	var vals [maxPlaced]float64
-	for i, q := range kept[1:] {
-		vals[i] = r.at(q)
-	}
-	seg := func(x float64) int { return sort.SearchFloat64s(vals[:segs-1], x) } // the kept ranks below x
-	// Segment s takes the new samples b[start[s]:start[s+1]], and moves up by start[s].
-	var start [maxPlaced + 1]int
-	for i := old; i < r.n; i++ {
-		start[seg(r.at(i))+1]++
-	}
-	for s := 1; s <= segs; s++ {
-		start[s] += start[s-1]
-	}
-	buf := absorbBufs.Get().(*[]float64)
-	b := slices.Grow((*buf)[:0], m)[:m]
-	fill := start
-	for i := old; i < r.n; i++ {
-		x := r.at(i)
-		s := seg(x)
-		b[fill[s]] = x
-		fill[s]++
-	}
-	top := old // where segment s ends, before the move
-	for s := segs - 1; s >= 0; s-- {
-		lo, shift := kept[s]+1, start[s]
-		d := min(shift, top-lo)
-		dst := max(top, lo+shift)
-		r.move(dst, lo, d)
-		r.store(dst+d, b[shift:start[s+1]])
-		visits += d
-		if s > 0 {
-			q := kept[s]
-			*r.ref(q + shift) = r.at(q)
-			kept[s] = q + shift
-			top = q
-		}
-	}
-	*buf = b
-	absorbBufs.Put(buf)
-	r.placed = append(kept, r.n)
-	return visits + 2*m + segs
-}
-
-// move copies samples src.. to dst.., k of them; the destination lies
-// above the source and overlaps it nowhere.
-func (r *Recorder) move(dst, src, k int) {
-	for k > 0 {
-		to := r.chunks[dst>>chunkShift][dst&(chunkLen-1):]
-		c := copy(to[:min(len(to), k)], r.chunks[src>>chunkShift][src&(chunkLen-1):])
-		dst, src, k = dst+c, src+c, k-c
-	}
-}
-
-// store writes xs to samples dst.. .
-func (r *Recorder) store(dst int, xs []float64) {
-	for len(xs) > 0 {
-		c := copy(r.chunks[dst>>chunkShift][dst&(chunkLen-1):], xs)
-		dst, xs = dst+c, xs[c:]
-	}
 }
 
 // partition splits samples lo..hi (at least 16) around a median-of-three
@@ -476,26 +291,6 @@ func (r *Recorder) selectRank(lo, hi, k int) (visits int) {
 	}
 	sort.Sort(span{r, lo, hi - lo + 1})
 	return visits + 2*(hi-lo+1)*bits.Len(uint(hi-lo))
-}
-
-// selectRanks places every rank of ks — ascending, inside lo..hi — as
-// selectRank places one, following each side of a pass that still holds a
-// wanted rank, so ranks close together cost about one selection; past the
-// pass budget, or in a span below 16, it places them one by one.
-func (r *Recorder) selectRanks(lo, hi int, ks []int) (visits int) {
-	for depth := 2 * bits.Len(uint(hi-lo)); len(ks) > 1 && hi-lo >= 16 && depth > 0; depth-- {
-		visits += hi - lo + 1
-		j, i := r.partition(lo, hi)
-		a, _ := slices.BinarySearch(ks, j+1) // ks[:a] lie in lo..j
-		b, _ := slices.BinarySearch(ks, i)   // ks[b:] in i..hi; one between holds the pivot, placed
-		visits += r.selectRanks(lo, j, ks[:a])
-		lo, ks = i, ks[b:]
-	}
-	for _, k := range ks {
-		visits += r.selectRank(lo, hi, k)
-		lo = k + 1
-	}
-	return visits
 }
 
 // span is samples lo..lo+n-1 of r as a sort.Interface.
