@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-teeth build unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover experiments-golden library-golden
+.PHONY: ci vet lint lint-teeth build nofma unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover experiments-golden library-golden
 
-ci: fmt-check vet lint lint-teeth build unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check fuzz-smoke serve-smoke
+ci: fmt-check vet lint lint-teeth build nofma unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check fuzz-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -26,9 +26,16 @@ lint-teeth:
 build:
 	$(GO) build ./...
 
+# Cross-build the module for arm64, ppc64le, s390x and riscv64 with
+# -gcflags=-S and fail on any fused multiply-add outside an explicit
+# math.FMA: a fused product rounds once, so the same report would differ
+# there from amd64's bytes (scripts/nofma.sh).
+nofma:
+	./scripts/nofma.sh
+
 # The dead-code gate, a workload census: build ispnsim, ispnvet, the examples
 # and the bench binary with coverage, run the workload set (scenario library,
-# sequential and sharded, every experiment, fuzz, serve-smoke, go vet with
+# every experiment, fuzz, serve-smoke, go vet with
 # ispnvet, the five bench workloads, the examples), and fail on any function
 # that never ran, or that scripts/listfuncs declares and no binary carries,
 # unless scripts/unreached.allow explains it, and on any block that never ran
@@ -82,7 +89,7 @@ scenario-check:
 # The last checks what one unified port costs to build (NewPipeline and
 # ConnectWith, TestPortAllocationBudget). Timing lives in bench/ (see bench/README.md).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SimulatorThroughput|ShardedThroughput|FacadeSmallNetwork|MillionFlows|CallChurn' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'SimulatorThroughput|FacadeSmallNetwork|MillionFlows|CallChurn' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'RecorderAdd|RecorderPercentiles' -benchtime 1x -benchmem ./internal/stats
 	$(GO) test -run '^$$' -bench 'WFQEnqueueDequeue|VirtualClockEnqueueDequeue|UnifiedEnqueueDequeue' -benchtime 1x -benchmem ./internal/sched
 	$(GO) test -run '^$$' -bench 'Hold' -benchtime 1x -benchmem ./internal/sim
@@ -128,8 +135,7 @@ library-golden:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# CPU + heap profile of the scenario library run as written: each file
-# runs on one event heap unless it asks for shards itself.
+# CPU + heap profile of the scenario library run as written.
 # Inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
 profile:
 	$(GO) run ./cmd/ispnsim -cpuprofile cpu.pprof -memprofile mem.pprof \
@@ -139,9 +145,8 @@ profile:
 # Fuzz smoke: a few seconds of coverage-guided fuzzing over the .ispn
 # lexer/parser, compiler and runtime injection (InjectEvents) and over the
 # event engine's firing order against a sorted-slice model, then a
-# randomized scenario fuzz run — every world simulated sequentially and
-# sharded under the invariant oracle with byte-identical reports required
-# (see docs/TESTING.md). The nightly CI job runs the same harnesses much
+# randomized scenario fuzz run — every world simulated under the invariant
+# oracle (see docs/TESTING.md). The nightly CI job runs the same harnesses much
 # longer.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/scenario

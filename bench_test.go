@@ -192,87 +192,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// buildShardMesh builds the generated benchmark mesh: four zero-delay
-// three-switch chains ("clusters") joined in a ring by 5 ms links, with
-// bidirectional local CBR traffic inside every cluster and a CBR flow over
-// every ring link. Zero-delay links fuse each cluster into one partition
-// component, so the partitioner spreads whole clusters across shards and
-// the conservative lookahead is the 5 ms ring delay.
-func buildShardMesh(shards int, seed int64) (*ispn.Network, []*ispn.Flow) {
-	const clusters = 4
-	sw := func(c, j int) string { return fmt.Sprintf("c%d.%d", c, j) }
-	net := ispn.New(ispn.Config{Seed: seed, LinkRate: 10e6})
-	for c := 0; c < clusters; c++ {
-		for j := 0; j < 3; j++ {
-			net.AddSwitch(sw(c, j))
-		}
-		for j := 0; j < 2; j++ {
-			net.Connect(sw(c, j), sw(c, j+1))
-			net.Connect(sw(c, j+1), sw(c, j))
-		}
-	}
-	for c := 0; c < clusters; c++ {
-		next := (c + 1) % clusters
-		net.ConnectWith(sw(c, 2), sw(next, 0), 10e6, 0.005, nil)
-		net.ConnectWith(sw(next, 0), sw(c, 2), 10e6, 0.005, nil)
-	}
-	if shards > 0 {
-		if err := net.SetShards(ispn.PartitionSpec{Shards: shards}); err != nil {
-			panic(err)
-		}
-	}
-	var flows []*ispn.Flow
-	id := uint32(1)
-	addFlow := func(rate float64, path ...string) {
-		f, err := net.AddDatagramFlow(id, path)
-		if err != nil {
-			panic(err)
-		}
-		src := ispn.NewCBRSource(ispn.CBRConfig{
-			SizeBits: 1000, Rate: rate,
-			RNG: ispn.DeriveRNG(seed, fmt.Sprintf("cbr-%d", id)),
-		})
-		ispn.StartSource(net, src, f)
-		flows = append(flows, f)
-		id++
-	}
-	for c := 0; c < clusters; c++ {
-		addFlow(4000, sw(c, 0), sw(c, 1), sw(c, 2))
-		addFlow(4000, sw(c, 2), sw(c, 1), sw(c, 0))
-		addFlow(500, sw(c, 2), sw((c+1)%clusters, 0))
-	}
-	return net, flows
-}
-
-// BenchmarkShardedThroughput runs the windowed multi-heap engine on the
-// generated cluster mesh at 1, 2 and 4 shards — same workload, same
-// (bit-identical) results, one event heap per shard, all on one goroutine.
-// The 1-shard case runs the same coordinator, so the ratio is what
-// splitting the heap and narrowing the windows costs or gains (ROADMAP
-// item 19).
-func BenchmarkShardedThroughput(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			net, flows := buildShardMesh(shards, 1992)
-			net.Run(1) // warm-up: pools and rings sized
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net.Run(2)
-			}
-			b.StopTimer()
-			var delivered int64
-			for _, f := range flows {
-				delivered += f.Delivered()
-			}
-			if delivered == 0 {
-				b.Fatal("mesh delivered nothing")
-			}
-			b.ReportMetric(float64(delivered)/float64(b.N), "pkts/op")
-		})
-	}
-}
-
 // BenchmarkMillionFlows holds one million admitted predicted flows in a
 // single simulation and measures what each one costs: members are spread
 // over ~2000 (class, path) aggregates on a 32-leaf star, so the per-flow

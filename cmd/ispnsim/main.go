@@ -14,7 +14,7 @@
 //
 // where <experiment> is `all` or a name from experiments.Catalogue (run
 // ispnsim without arguments for the list). Independent simulations run on
-// GOMAXPROCS workers; a scenario's shard count is its file's Net(shards N).
+// GOMAXPROCS workers.
 package main
 
 import (
@@ -52,7 +52,7 @@ var verbs = []verbInfo{
 		"parse and validate scenario files without running",
 		"docs/SCENARIO.md"},
 	{"fuzz", "", "-n -seed -corpus",
-		"generate -n random worlds, run each sequentially and sharded\nunder the invariant oracle, minimize failures",
+		"generate -n random worlds, run each under the invariant oracle,\nminimize failures",
 		"docs/TESTING.md"},
 	{"run", "<file.ispn>...", "-seed -horizon -check -cpuprofile -memprofile",
 		"simulate scenario files (in parallel when several)",

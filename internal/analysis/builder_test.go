@@ -17,8 +17,8 @@ import (
 // compiler. Outside internal/core, internal/scenario and the root facade no
 // non-test file of the module calls core.New, and outside internal/core none
 // calls topology.NewNetwork. A study that needs a network generates a .ispn
-// cell and compiles it (experiments.compileCell), so the invariant oracle,
-// sharding and the compiler's checks reach it.
+// cell and compiles it (experiments.compileCell), so the invariant oracle and
+// the compiler's checks reach it.
 func TestNoSecondWorldBuilder(t *testing.T) {
 	const root = "../.." // the module root
 	rules := []struct {

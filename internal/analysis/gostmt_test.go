@@ -13,9 +13,9 @@ import (
 // TestSimulationCoreHasNoGoStatements pins the simulation core as
 // single-threaded: outside internal/serve (the session actors) and
 // internal/experiments (the fan-out of independent runs), no non-test file
-// under internal/ starts a goroutine. A sharded run is N event heaps
-// advanced one after another, so nothing below the runners needs locks,
-// channels or the race detector to be correct.
+// under internal/ starts a goroutine. A run is one event heap, so nothing
+// below the runners needs locks, channels or the race detector to be
+// correct.
 func TestSimulationCoreHasNoGoStatements(t *testing.T) {
 	const root = ".." // internal/
 	fset := token.NewFileSet()

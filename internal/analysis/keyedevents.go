@@ -10,9 +10,10 @@ import (
 // timeline verbs, churn arrivals, oracle sweeps, experiment interventions,
 // HTTP-injected events. There even *relative* unkeyed scheduling
 // (Schedule/ScheduleCall) is flagged: every intervention must carry control
-// ordering (AtControl) or an explicit canonical key (AtCallKeyed), or a
-// sharded run executes it in a different same-instant position than a
-// sequential one.
+// ordering (AtControl) or an explicit canonical key (AtCallKeyed), or its
+// same-instant position depends on when it was scheduled — an injected event
+// would then fire elsewhere in its instant than the same event written in
+// the file.
 var controlPlanePackages = []string{
 	"ispn/internal/scenario",
 	"ispn/internal/core",
@@ -30,8 +31,8 @@ var controlPlanePackages = []string{
 // lands on that instant, and only AtControl/AtCallKeyed pin where it sorts.
 // In control-plane packages the relative forms (Schedule, ScheduleCall) are
 // flagged too. Data-plane self-ticks (a source rescheduling itself with
-// Schedule during its own event) keep their insertion-order key in both
-// modes and stay legal.
+// Schedule during its own event) keep their insertion-order key, which is
+// fixed by the event that schedules them, and stay legal.
 var KeyedEvents = &Analyzer{
 	Name: "keyedevents",
 	Doc:  "require canonical same-instant keys (AtControl/AtCallKeyed) for engine scheduling outside internal/sim",
@@ -58,10 +59,10 @@ func runKeyedEvents(pass *Pass) error {
 			}
 			switch sel.Sel.Name {
 			case "At", "AtCall":
-				pass.Reportf(call.Pos(), "unkeyed absolute-time %s on sim.Engine outside internal/sim: same-instant ordering is undefined across sharded vs sequential runs; use AtControl (interventions) or AtCallKeyed (data deliveries), or justify with //ispnvet:allow keyedevents: <why>", sel.Sel.Name)
+				pass.Reportf(call.Pos(), "unkeyed absolute-time %s on sim.Engine outside internal/sim: same-instant ordering then depends on when it was scheduled; use AtControl (interventions) or AtCallKeyed (data deliveries), or justify with //ispnvet:allow keyedevents: <why>", sel.Sel.Name)
 			case "Schedule", "ScheduleCall":
 				if strict {
-					pass.Reportf(call.Pos(), "unkeyed %s from a control-plane package: interventions must use AtControl/AtCallKeyed so sharded runs replay the sequential same-instant order, or justify with //ispnvet:allow keyedevents: <why>", sel.Sel.Name)
+					pass.Reportf(call.Pos(), "unkeyed %s from a control-plane package: interventions must use AtControl/AtCallKeyed so their same-instant order does not depend on when they were scheduled, or justify with //ispnvet:allow keyedevents: <why>", sel.Sel.Name)
 				}
 			}
 			return true

@@ -29,8 +29,8 @@ var randConstructors = map[string]bool{
 // WallClock forbids ambient nondeterminism in simulation packages: reading
 // the host clock (time.Now/Since/Until), the process-global math/rand
 // source, or the environment (os.Getenv and friends). A simulation result
-// must be a function of (scenario, seed, shards) alone — that is what makes
-// sharded runs byte-identical to sequential and fuzz repros replayable.
+// must be a function of (scenario, seed) alone — that is what makes reports
+// byte-identical across runs and fuzz repros replayable.
 var WallClock = &Analyzer{
 	Name: "wallclock",
 	Doc:  "forbid wall-clock time, global math/rand, and environment reads in simulation packages",

@@ -130,7 +130,7 @@ func (n *Network) RequestPredictedMember(path []string, class uint8, spec Predic
 		rate:   spec.TokenRate,
 		depth:  spec.BucketBits,
 		tokens: spec.BucketBits, // buckets start full, like tokenbucket.New
-		last:   a.carrier.eng.Now(),
+		last:   n.eng.Now(),
 	}
 	if token != 0 {
 		if int(idx) >= len(a.ledgers) { // the column trails the slots until a token needs it
@@ -216,10 +216,10 @@ func (m Member) Inject(p *packet.Packet) bool {
 	a := m.agg
 	s := &a.members[m.idx]
 	c := a.carrier
-	now := c.eng.Now()
+	now := c.net.eng.Now()
 	// Inline refill/take, same arithmetic as tokenbucket.Bucket.Take.
 	if now > s.last {
-		s.tokens += (now - s.last) * s.rate
+		s.tokens += float64((now - s.last) * s.rate)
 		if s.tokens > s.depth {
 			s.tokens = s.depth
 		}

@@ -134,7 +134,7 @@ func TestReleaseForgetsRoute(t *testing.T) {
 // TestCallSetupAllocation keeps call set-up cheap: what one request+release
 // cycle allocates must not depend on how many ids have been issued. The
 // per-node tables this replaced cost 2.5 KB per cycle at 5 000 ids, rising
-// with the id; a call is now one Flow, route and all — at most 600 bytes
+// with the id; a call is now one Flow, route and all — at most 584 bytes
 // (TestFlowSize), in the 640-byte size class — and the budget, set when a
 // Flow was 576 bytes, is that plus a quarter.
 func TestCallSetupAllocation(t *testing.T) {
@@ -161,7 +161,7 @@ func TestCallSetupAllocation(t *testing.T) {
 // A Flow holds its delay recorder by value, so every field the recorder
 // gains is paid once per live flow.
 func TestFlowSize(t *testing.T) {
-	if got := unsafe.Sizeof(Flow{}); got > 600 {
-		t.Fatalf("Flow is %d bytes, want <= 600", got)
+	if got := unsafe.Sizeof(Flow{}); got > 584 {
+		t.Fatalf("Flow is %d bytes, want <= 584", got)
 	}
 }

@@ -64,10 +64,6 @@ type Network struct {
 	reroutes        int64
 	rerouteRefusals int64
 
-	// coord drives sharded execution (see SetShards); nil means the
-	// classic single-engine run.
-	coord *sim.Coordinator
-
 	// flowHooks observe every flow as it is registered (admission already
 	// passed), in the order they were added. The invariant oracle attaches
 	// here.
@@ -117,9 +113,9 @@ func New(cfg Config) *Network {
 // Engine exposes the simulation engine.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// Pool exposes the network's one packet free list, shared by every shard of
-// a sharded run (see packet.Pool for the ownership rules). Attach it to
-// sources so steady-state runs allocate no packets.
+// Pool exposes the network's one packet free list (see packet.Pool for the
+// ownership rules). Attach it to sources so steady-state runs allocate no
+// packets.
 func (n *Network) Pool() *packet.Pool { return n.topo.Pool() }
 
 // Topology exposes the underlying topology.
@@ -339,17 +335,8 @@ func (n *Network) ConnectDuplex(a, b string) {
 	n.Connect(b, a)
 }
 
-// Run advances the simulation by d seconds — on the single engine, or,
-// after SetShards, through the shard coordinator (whose control clock is
-// the network engine's, so Engine().Now() stays the run's reference time in
-// both modes).
-func (n *Network) Run(d float64) {
-	if n.coord != nil {
-		n.coord.Run(n.eng.Now() + d)
-		return
-	}
-	n.eng.RunUntil(n.eng.Now() + d)
-}
+// Run advances the simulation by d seconds.
+func (n *Network) Run(d float64) { n.eng.RunUntil(n.eng.Now() + d) }
 
 // Flow is an admitted flow: its route is installed, reservations (if
 // guaranteed) are in place, edge policing (if predicted) is armed, and a
@@ -370,8 +357,6 @@ type Flow struct {
 
 	net        *Network
 	ingress    *topology.Node // resolved first switch, per-packet fast path
-	eng        *sim.Engine    // the ingress switch's engine (its shard's)
-	sinkEng    *sim.Engine    // the last switch's engine, which timestamps deliveries
 	fixedDelay float64
 	policer    tokenbucket.Bucket
 	policerCnt stats.Counter
@@ -453,27 +438,19 @@ func (f *Flow) GuaranteedSpec() GuaranteedSpec { return f.gspec }
 // must not retain the packet.
 func (f *Flow) Tap(fn func(p *packet.Packet, queueing float64)) { f.taps = append(f.taps, fn) }
 
-// IngressEngine returns the engine of the flow's first switch — the engine
-// the flow's sources must run on. Equal to the network engine when
-// unsharded.
-func (f *Flow) IngressEngine() *sim.Engine { return f.eng }
+// IngressEngine returns the network's engine. Only bench/million.go:139
+// calls it; it goes when bench/ is rewritten (ROADMAP item 7).
+func (f *Flow) IngressEngine() *sim.Engine { return f.net.eng }
 
 // IngressPool returns the packet free list the flow's sources should draw
-// from (the network's one pool, sharded or not).
-func (f *Flow) IngressPool() *packet.Pool { return f.ingress.Pool() }
-
-// EgressEngine returns the engine of the flow's last switch, whose clock
-// timestamps deliveries at the sink.
-func (f *Flow) EgressEngine() *sim.Engine {
-	p := f.Path()
-	return f.net.topo.Node(p[len(p)-1]).Engine()
-}
+// from (the network's one pool).
+func (f *Flow) IngressPool() *packet.Pool { return f.net.Pool() }
 
 // Inject polices (predicted service), stamps service fields and injects the
 // packet at the flow's first switch. It reports whether the packet entered
 // the network. Sources use this as their Inject target.
 func (f *Flow) Inject(p *packet.Packet) bool {
-	now := f.eng.Now()
+	now := f.net.eng.Now()
 	if f.policed {
 		f.policerCnt.Total++
 		if !f.policer.Take(now, float64(p.Size)) {
@@ -496,12 +473,10 @@ func (f *Flow) Inject(p *packet.Packet) bool {
 type flowSink Flow
 
 // Deliver meters a packet that reached the flow's last switch and runs the
-// taps. Delivery timestamps come off the last switch's engine: under
-// sharding the network engine's clock sits at the previous barrier while the
-// egress shard's clock is the packet's true arrival time.
+// taps.
 func (s *flowSink) Deliver(p *packet.Packet) {
 	f := (*Flow)(s)
-	q := f.sinkEng.Now() - p.CreatedAt - f.fixedDelay
+	q := f.net.eng.Now() - p.CreatedAt - f.fixedDelay
 	if q < 0 {
 		q = 0
 	}
@@ -528,14 +503,12 @@ func (n *Network) routeAlong(f *Flow) (last *topology.Node) {
 		last = f.ingress
 	}
 	n.topo.InstallRouteAlong(&f.route, f.ID, f.ingress, ports)
-	f.eng = f.ingress.Engine()
 	f.fixedDelay = topology.FixedDelayAlong(ports, n.cfg.MaxPacketBits)
 	return last
 }
 
 func (n *Network) registerFlow(f *Flow) {
 	last := n.routeAlong(f)
-	f.sinkEng = last.Engine()
 	f.route.SetReceiver(last, (*flowSink)(f))
 	n.flows[f.ID] = f
 	for _, hook := range n.flowHooks {

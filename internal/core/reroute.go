@@ -219,8 +219,7 @@ func (n *Network) rerouteFlow(f *Flow, ch *chooser) (moved bool, err error) {
 			pt.Pipeline().AddGuaranteed(f.ID, f.gspec.ClockRate)
 		}
 	}
-	// Reroutes keep the flow's endpoints, so under sharding the ingress
-	// engine is unchanged, and the terminal keeps its sink.
+	// Reroutes keep the flow's endpoints, so the terminal keeps its sink.
 	f.PathID = newPID
 	n.routeAlong(f)
 	switch f.Class {

@@ -269,7 +269,7 @@ func AblationPlayback(cfg RunConfig) PlaybackResult {
 		InitialPoint: bound,
 		TargetLoss:   0.001,
 	})
-	eng := watched.EgressEngine()
+	eng := s.Net.Engine()
 	watched.Tap(func(_ *packet.Packet, q float64) {
 		rigid.Deliver(eng.Now(), q)
 		adaptive.Deliver(eng.Now(), q)

@@ -51,8 +51,8 @@ const probeLink = "A, B :: Switch\nA -> B\n"
 // walked here.
 var unwritten = map[string]string{
 	"Net(propdelay)":      "bench/gen.go's churn_control world writes it",
-	"Net(shards)":         "bench/gen.go's mesh_sharded world writes it; TestShardNetArgument checks it",
-	"Link(delay)":         "bench/gen.go's mesh_sharded ring links write it: a cross-shard link's delay is the lookahead",
+	"Net(shards)":         "bench/gen.go's mesh_sharded world writes it; checked and ignored until ROADMAP item 7 (TestShardedBitIdentity, TestShardOptionValidation)",
+	"Link(delay)":         "bench/gen.go's mesh_sharded ring links write it: a link's own propagation delay, where Net(propdelay) gives every link one",
 	"Markov(start)":       "bench/gen.go staggers its Markov sources with it",
 	"Poisson(start)":      "bench/gen.go staggers its Poisson sources with it",
 	"Link event(sched)":   "a live swap takes the static Link's profile arguments through one parser; the library swaps sharing, docs/SCENARIO.md a kind",

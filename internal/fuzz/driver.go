@@ -45,9 +45,8 @@ type Summary struct {
 	Failures []Failure
 }
 
-// Run generates Config.N worlds and checks each one: compiled and run
-// sequentially and sharded, both under the invariant oracle, reports
-// compared byte for byte. Failures are minimized and (with Config.Dir set)
+// Run generates Config.N worlds and checks each one: compiled and run under
+// the invariant oracle. Failures are minimized and (with Config.Dir set)
 // written to the corpus. The error is non-nil only for harness problems
 // (e.g. an unwritable corpus dir), never for failing cases.
 func (cfg Config) Run() (*Summary, error) {
@@ -80,9 +79,6 @@ func (cfg Config) fail(w *World, err error) (Failure, error) {
 	}
 	min, minErr := cfg.Minimize(w)
 	f := Failure{Seed: w.Seed, Reason: minErr.Error(), Source: min.Render()}
-	if sharded, ok := minErr.(shardedFailure); ok {
-		f.Source = sharded.src
-	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return f, err
@@ -103,66 +99,24 @@ func (cfg Config) fail(w *World, err error) (Failure, error) {
 	return f, nil
 }
 
-// shardedFailure is a failure only the sharded twin shows. Its repro is the
-// twin's text, Net line and all: the corpus file run alone shows a sharded
-// violation, and run beside its copy without the shards argument, a
-// divergence.
-type shardedFailure struct {
-	error
-	src []byte
-}
-
-// runCase renders one world twice — as generated, and as its sharded twin,
-// the same text with shards 2-4 (derived from the case seed) written into
-// its Net line — then compiles and runs both under the invariant oracle and
-// requires byte-identical reports. Nil means the case passed.
+// runCase renders one world, compiles it and runs it under the invariant
+// oracle. Nil means the case passed.
 func (cfg Config) runCase(w *World) error {
-	name := fmt.Sprintf("fuzz-seed%d", w.Seed)
-	run := func(src []byte) (*scenario.Report, error) {
-		f, err := scenario.Parse(name, src)
-		if err != nil {
-			return nil, fmt.Errorf("generator produced an unparsable world: %w", err)
-		}
-		s, err := scenario.Compile(f, scenario.Options{Check: true})
-		if err != nil {
-			if strings.Contains(err.Error(), "rejected") {
-				return nil, fmt.Errorf("%w: %v", errInadmissible, err)
-			}
-			return nil, fmt.Errorf("generator produced an uncompilable world: %w", err)
-		}
-		return s.Run(), nil
-	}
-	seq, err := run(w.Render())
+	f, err := scenario.Parse(fmt.Sprintf("fuzz-seed%d", w.Seed), w.Render())
 	if err != nil {
-		return err
+		return fmt.Errorf("generator produced an unparsable world: %w", err)
 	}
-	if seq.Check.Failed() {
-		return fmt.Errorf("sequential: %s", seq.Check.Violations[0])
-	}
-	shards := 2 + int(w.Seed%3)
-	src := w.render(shards)
-	shd, err := run(src)
+	s, err := scenario.Compile(f, scenario.Options{Check: true})
 	if err != nil {
-		return shardedFailure{err, src}
+		if strings.Contains(err.Error(), "rejected") {
+			return fmt.Errorf("%w: %v", errInadmissible, err)
+		}
+		return fmt.Errorf("generator produced an uncompilable world: %w", err)
 	}
-	if shd.Check.Failed() {
-		return shardedFailure{fmt.Errorf("%d shards: %s", shards, shd.Check.Violations[0]), src}
-	}
-	if a, b := seq.Format(), shd.Format(); a != b {
-		return shardedFailure{fmt.Errorf("sequential and %d-shard reports diverge: %s", shards, firstDiff(a, b)), src}
+	if rep := s.Run(); rep.Check.Failed() {
+		return fmt.Errorf("%s", rep.Check.Violations[0])
 	}
 	return nil
-}
-
-// firstDiff locates the first differing line of two reports.
-func firstDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d: %q vs %q", i+1, al[i], bl[i])
-		}
-	}
-	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }
 
 // Minimize greedily shrinks a failing world while it keeps failing: drop

@@ -1,8 +1,7 @@
 // Package fuzz is the randomized scenario harness: a seeded generator of
 // whole simulation worlds (topology, flow mix, timeline), a driver that
-// runs each world sequentially and sharded under the invariant oracle and
-// insists on byte-identical reports, and a minimizer that shrinks any
-// failure to a small reproducible .ispn corpus file.
+// runs each world under the invariant oracle, and a minimizer that shrinks
+// any failure to a small reproducible .ispn corpus file.
 //
 // The generator is constrained to worlds whose invariants must hold:
 // guaranteed sources conform to their token buckets (the Parekh-Gallager
@@ -224,7 +223,7 @@ func (w *World) genEvents(rng *sim.RNG) {
 	w.Routing = w.Topo.Reroute && rng.Intn(2) == 0
 	n := rng.Intn(6) // 0..5 events
 	eventAt := func() float64 {
-		return 1 + float64(rng.Intn(int(w.Horizon*2)-3))/2 // 1.0 .. horizon-0.5, halves
+		return 1 + float64(float64(rng.Intn(int(w.Horizon*2)-3))/2) // 1.0 .. horizon-0.5, halves
 	}
 	raised := map[[2]string]bool{}
 	for i := 0; i < n; i++ {
@@ -252,7 +251,7 @@ func (w *World) genEvents(rng *sim.RNG) {
 			l := w.Topo.Links[rng.Intn(len(w.Topo.Links))]
 			w.Events = append(w.Events,
 				Event{At: at, Verb: "fail", Link: l},
-				Event{At: at + 1 + float64(rng.Intn(2))/2, Verb: "restore", Link: l})
+				Event{At: at + 1 + float64(float64(rng.Intn(2))/2), Verb: "restore", Link: l})
 		case 3: // raise a link's rate (never cut: bounds were admitted at the old rate)
 			l := w.Topo.Links[rng.Intn(len(w.Topo.Links))]
 			if raised[l] {
@@ -297,11 +296,7 @@ func (w *World) Clone() *World {
 // Render emits the world as .ispn source. The output is deterministic and
 // self-contained: committing it to the corpus reproduces the case without
 // the generator.
-func (w *World) Render() []byte { return w.render(0) }
-
-// render emits the world with shards written into its Net line when
-// positive; nothing else in the text depends on it.
-func (w *World) render(shards int) []byte {
+func (w *World) Render() []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# fuzz world, case seed %d (replay: ispnsim fuzz -n 1 -seed %d)\n", w.Seed, w.Seed)
 	b.WriteString("net :: Net(rate 1Mbps, classes 2, targets [32ms, 320ms]")
@@ -310,9 +305,6 @@ func (w *World) render(shards int) []byte {
 	}
 	if w.Routing {
 		b.WriteString(", routing auto")
-	}
-	if shards > 0 {
-		fmt.Fprintf(&b, ", shards %d", shards)
 	}
 	b.WriteString(")\n")
 	fmt.Fprintf(&b, "run :: Run(seed %d, horizon %ss)\n\n", w.Seed, secs(w.Horizon))

@@ -30,7 +30,6 @@ import (
 
 	"ispn/internal/core"
 	"ispn/internal/packet"
-	"ispn/internal/sim"
 )
 
 // Checker names, as they appear in violations and reports.
@@ -95,9 +94,8 @@ func Attach(net *core.Network) *Oracle {
 }
 
 // Arm schedules the periodic sweeps plus a final sweep exactly at the
-// horizon. Sweeps are control events: sharded runs execute them at
-// inter-window barriers with every shard parked, so cross-shard reads are
-// the same counter values a sequential run sees.
+// horizon. Sweeps are control events: they read the counters of their
+// instant before any same-time data event moves them.
 func (o *Oracle) Arm(horizon float64) {
 	if o.armed {
 		return
@@ -167,7 +165,7 @@ func (o *Oracle) Sweep(now float64) {
 		if res >= bw {
 			o.record(CheckCapacity, pt.Name(), now, fmt.Sprintf(
 				"reserved %.0f bit/s >= link rate %.0f bit/s", res, bw))
-		} else if limit := (1 - pipe.Profile().Quota()) * bw; res > limit*(1+1e-9)+1e-9 &&
+		} else if limit := (1 - pipe.Profile().Quota()) * bw; res > float64(limit*(1+1e-9))+1e-9 &&
 			res > o.prevReserved[i]+1e-9 {
 			o.record(CheckCapacity, pt.Name(), now, fmt.Sprintf(
 				"admission grew reservations to %.0f bit/s, past the %.0f bit/s reservable share", res, limit))
@@ -226,8 +224,7 @@ func (o *Oracle) CheckLeaks(now float64) {
 }
 
 // Totals summarizes the run: call after it completes. Violations are sorted
-// by (checker, subject), so the summary is deterministic and identical for
-// sequential and sharded runs of the same world.
+// by (checker, subject), so the summary is deterministic.
 func (o *Oracle) Totals() Totals {
 	t := Totals{Sweeps: o.sweeps}
 	for _, fs := range o.flows {
@@ -254,13 +251,11 @@ func (o *Oracle) record(checker, subject string, now float64, detail string) {
 	v.Count++
 }
 
-// flowState is the per-flow bound checker, fed by the delivery tap on the
-// flow's egress engine.
+// flowState is the per-flow bound checker, fed by the flow's delivery tap.
 type flowState struct {
 	o       *Oracle
 	f       *core.Flow
 	checker string
-	eng     *sim.Engine
 
 	checks     int64
 	bound      float64
@@ -286,7 +281,7 @@ func (o *Oracle) watchFlow(f *core.Flow) {
 	default:
 		return // datagram service carries no delay commitment
 	}
-	fs := &flowState{o: o, f: f, checker: checker, eng: f.EgressEngine()}
+	fs := &flowState{o: o, f: f, checker: checker}
 	fs.refresh()
 	o.flows = append(o.flows, fs)
 	f.Tap(fs.onDelivery)
@@ -295,7 +290,7 @@ func (o *Oracle) watchFlow(f *core.Flow) {
 func (fs *flowState) refresh() {
 	fs.bound = fs.f.Bound()
 	fs.rerouted = fs.f.Rerouted()
-	fs.limit = fs.bound + fs.o.slack(fs.f) + 1e-9*(1+fs.bound)
+	fs.limit = fs.bound + fs.o.slack(fs.f) + float64(1e-9*(1+fs.bound))
 }
 
 // slack is the non-preemption allowance added to every advertised bound:
@@ -318,13 +313,13 @@ func (fs *flowState) onDelivery(p *packet.Packet, queueing float64) {
 		// already in flight straddle the old and new commitments, so give
 		// them a pass and hold the new bound from here on.
 		fs.refresh()
-		fs.skipBefore = fs.eng.Now()
+		fs.skipBefore = fs.o.net.Engine().Now()
 	}
 	if math.IsInf(fs.bound, 1) || p.CreatedAt < fs.skipBefore {
 		return
 	}
 	if queueing > fs.limit {
-		fs.o.record(fs.checker, fmt.Sprintf("flow %d", fs.f.ID), fs.eng.Now(), fmt.Sprintf(
+		fs.o.record(fs.checker, fmt.Sprintf("flow %d", fs.f.ID), fs.o.net.Engine().Now(), fmt.Sprintf(
 			"queueing %.3fms exceeds the %.3fms bound (checked limit %.3fms incl. slack)",
 			queueing*1e3, fs.bound*1e3, fs.limit*1e3))
 	}

@@ -126,28 +126,22 @@ func TestLeakDetection(t *testing.T) {
 	}
 }
 
-// TestShardedFloodReusesOnePool: a one-way flood across a shard boundary
-// frees every packet on the far side of the link. With the one shared pool
-// those frees feed the sender's next Get, so fresh allocation stops after
-// warm-up and the leak check balances on that pool alone.
-func TestShardedFloodReusesOnePool(t *testing.T) {
+// TestFloodReusesOnePool: a one-way flood frees every packet on the far side
+// of a delayed link. Those frees feed the sender's next Get, so fresh
+// allocation stops after warm-up and the leak check balances on the
+// network's one pool.
+func TestFloodReusesOnePool(t *testing.T) {
 	n := core.New(core.Config{Seed: 5, LinkRate: 1e6})
 	n.AddSwitch("A")
 	n.AddSwitch("B")
 	n.ConnectWith("A", "B", 1e6, 0.005, nil)
-	if err := n.SetShards(core.PartitionSpec{Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if topo := n.Topology(); topo.Node("A").ShardIndex() == topo.Node("B").ShardIndex() {
-		t.Fatal("A and B share a shard; the flood would not cross")
-	}
 	f, err := n.AddDatagramFlow(1, []string{"A", "B"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := source.NewCBR(source.CBRConfig{FlowID: 1, Class: packet.Datagram, SizeBits: 1000, Rate: 900, RNG: sim.DeriveRNG(n.Config().Seed, "flood")})
 	source.AttachPool(src, f.IngressPool())
-	src.Start(f.IngressEngine(), func(p *packet.Packet) { f.Inject(p) })
+	src.Start(n.Engine(), func(p *packet.Packet) { f.Inject(p) })
 	o := Attach(n)
 	o.Arm(4)
 	n.Run(2)
@@ -163,7 +157,7 @@ func TestShardedFloodReusesOnePool(t *testing.T) {
 	drain(t, n, o, []source.Source{src})
 	o.CheckLeaks(n.Engine().Now())
 	if tot := o.Totals(); len(tot.Violations) > 0 {
-		t.Fatalf("sharded flood reported violations: %v", tot.Violations)
+		t.Fatalf("flood reported violations: %v", tot.Violations)
 	}
 }
 

@@ -5,9 +5,9 @@
 // count, the flow's route, scheduler scratch).
 //
 // Packets on the simulator fast path are recycled through the network's one
-// [Pool] (shared by every shard of a sharded run) rather than garbage
-// collected; see the Pool documentation for the ownership rules (who
-// allocates, who releases, and the obligations of every drop site).
+// [Pool] rather than garbage collected; see the Pool documentation for the
+// ownership rules (who allocates, who releases, and the obligations of every
+// drop site).
 package packet
 
 import "fmt"

@@ -1,9 +1,8 @@
 package packet
 
-// Pool is a single-threaded free list of Packet structs, one per network
-// (shared by every shard of a sharded run), so steady-state simulation
-// allocates zero packets: every packet a
-// source generates is one a sink or drop site released earlier.
+// Pool is a single-threaded free list of Packet structs, one per network, so
+// steady-state simulation allocates zero packets: every packet a source
+// generates is one a sink or drop site released earlier.
 //
 // # Ownership rules
 //

@@ -183,8 +183,7 @@ func (ch *churnRun) schedule(s *Sim) {
 	ch.streams = churnStreams(s.Seed, ch.name)
 	ch.s, ch.depart = s, ch.departCall
 	// Arrivals are control events: admission, source attachment and
-	// departure scheduling all run between shard windows (and in the same
-	// relative order sequentially, thanks to the control key).
+	// departure scheduling run before the data events of their instant.
 	eng := s.Net.Engine()
 	var arrive func()
 	arrive = func() {
@@ -240,7 +239,7 @@ func (ch *churnRun) doArrival(s *Sim) {
 	call.rng.Init(ch.streams.SeedOf(ch.arrivals))
 	call.cbr.Init(source.CBRConfig{SizeBits: ch.size, Rate: ch.pps, RNG: &call.rng})
 	call.cbr.SetPool(f.IngressPool())
-	call.cbr.StartTo(f.IngressEngine(), f)
+	call.cbr.StartTo(eng, f)
 	eng.AtCallKeyed(now+holdFor, sim.KeyControl, ch.depart, call)
 }
 

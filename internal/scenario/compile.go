@@ -49,10 +49,6 @@ type Sim struct {
 	Percentiles []float64
 	Flows       []*SimFlow
 	TCPs        []*SimTCP
-	// Shards is the file's Net shards count (0 = the classic one-heap
-	// engine).
-	Shards int
-
 	// starts are the deferred starts of the TCP connections, then
 	// sourceStarts those of the static attachment chains: compile pass 5
 	// declares every connection before pass 6 attaches any source, so
@@ -207,10 +203,9 @@ func (s *Sim) Start() {
 }
 
 // arm schedules timeline events — Start's whole timeline, or what an
-// injection adds to a running one. They are control events: on a sharded
-// network they run at inter-window barriers on the control engine;
-// sequentially the control key makes them sort before same-time data events
-// — the same order.
+// injection adds to a running one. They are control events: the control key
+// makes them sort before same-time data events, whether they were scheduled
+// at Start or injected later.
 func (s *Sim) arm(events []simEvent) {
 	eng := s.Net.Engine()
 	for _, ev := range events {
@@ -230,11 +225,10 @@ func (s *Sim) Now() float64 { return s.Net.Engine().Now() }
 func (s *Sim) Done() bool { return s.started && s.Now() >= s.Horizon }
 
 // StepTo advances the simulation to absolute time t, clamped to the horizon
-// (calling Start first if needed). Between calls every engine is parked at a
-// barrier, so callers may inspect live state and inject events — the safe
-// external intervention points the serve control plane uses. A run advanced
-// in steps is bit-identical to one advanced in a single Run call, sharded or
-// not.
+// (calling Start first if needed). Between calls the engine is parked, so
+// callers may inspect live state and inject events — the safe external
+// intervention points the serve control plane uses. A run advanced in steps
+// is bit-identical to one advanced in a single Run call.
 func (s *Sim) StepTo(t float64) {
 	s.Start()
 	if t > s.Horizon {
@@ -312,8 +306,6 @@ type compiler struct {
 	traceDt     float64
 
 	net        *core.Network
-	shards     int              // the Net "shards" argument (0 = unsharded)
-	shardsPos  Pos              // where shards was requested, for diagnostics
 	netRouting string           // the Net "routing" argument: "", "static" or "auto"
 	decls      map[string]*Decl // element name -> declaring decl
 	switches   map[string]bool  // includes generator-produced names
@@ -441,27 +433,6 @@ func (c *compiler) compile() *Sim {
 		}
 	}
 
-	// Pass 4.5: partition the network into shards — after the
-	// topology is final, before any flow or connection captures a per-node
-	// engine. Every TCP declaration contributes a Together constraint (a
-	// connection's endpoints must share a shard). Unknown path names are
-	// skipped here — the TCP pass diagnoses them with a proper position.
-	if c.shards > 0 {
-		var together [][2]string
-		for _, d := range c.file.Decls {
-			if d.class() != classTCP {
-				continue
-			}
-			p := c.argsOf(d).path("path", false)
-			if len(p) >= 2 && c.switches[p[0].Text] && c.switches[p[len(p)-1].Text] {
-				together = append(together, [2]string{p[0].Text, p[len(p)-1].Text})
-			}
-		}
-		if err := c.net.SetShards(core.PartitionSpec{Shards: c.shards, Together: together}); err != nil {
-			c.failf(c.shardsPos, "%v", err)
-		}
-	}
-
 	// Pass 5: flows, TCP connections, and churn processes, in declaration
 	// order (ids are assigned sequentially, so reports and random streams
 	// are stable).
@@ -501,7 +472,6 @@ func (c *compiler) compile() *Sim {
 	})
 	c.out.nextID = c.nextID
 	c.out.comp = c
-	c.out.Shards = c.shards
 	return c.out
 }
 

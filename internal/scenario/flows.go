@@ -165,11 +165,9 @@ func (c *compiler) tcpDecl(d *Decl) {
 		})
 		st := &SimTCP{Name: n.Text, Conn: conn, StartAt: startAt}
 		c.out.TCPs = append(c.out.TCPs, st)
-		// The connection's whole state machine runs on the data-ingress
-		// node's engine; its start must be scheduled there too.
-		eng := c.net.Topology().Node(nodes[0]).Engine()
+		eng := c.net.Engine()
 		if startAt > 0 {
-			//ispnvet:allow keyedevents: start events are registered in fixed compile order before the run begins, so the insertion-sequence tiebreak is identical in sequential and sharded modes
+			//ispnvet:allow keyedevents: start events are registered in fixed compile order before the run begins, so the insertion-sequence tiebreak is the same on every run
 			c.out.starts = append(c.out.starts, func() { eng.At(st.StartAt, conn.Start) })
 		} else {
 			c.out.starts = append(c.out.starts, conn.Start)
@@ -310,7 +308,7 @@ func (st *sourceStart) fire(s *Sim) {
 	}
 	f, src := st.flow.Flow, st.src
 	source.AttachPool(src, f.IngressPool())
-	eng := f.IngressEngine()
+	eng := s.Net.Engine()
 	begin := func() {
 		if s.draining {
 			return
@@ -318,7 +316,7 @@ func (st *sourceStart) fire(s *Sim) {
 		src.Start(eng, func(p *packet.Packet) { f.Inject(p) })
 	}
 	if st.startAt > st.at {
-		//ispnvet:allow keyedevents: scheduled from Start in fixed compile order before the run begins, or from inside an already-keyed at-block, which fires at the same point in sequential and sharded runs; either way the insertion-sequence tiebreak matches
+		//ispnvet:allow keyedevents: scheduled from Start in fixed compile order before the run begins, or from inside an already-keyed at-block, which fires at a fixed point of its instant; either way the insertion-sequence tiebreak is the same on every run
 		eng.At(st.startAt, begin)
 	} else {
 		begin()

@@ -7,8 +7,8 @@ package scenario
 // diagnostics. An injection before Start slots into the pending timeline
 // exactly as if the blocks had been appended to the file — a served run
 // with scripted injections is byte-identical to the equivalent batch
-// scenario. An injection after Start schedules straight onto the control
-// engine, where it fires at a shard barrier like every other timeline event.
+// scenario. An injection after Start schedules straight onto the engine as a
+// control event, like every other timeline event.
 
 import "maps"
 

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,38 @@ import (
 
 // libraryDir is the shipped scenario library, relative to this package.
 const libraryDir = "../../scenarios"
+
+// parseLibrary parses one scenario file of the library.
+func parseLibrary(t *testing.T, path string) *File {
+	t.Helper()
+	f, err := ParseFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v", filepath.Base(path), err)
+	}
+	return f
+}
+
+// load compiles f with opts.
+func load(t *testing.T, f *File, opts Options) *Sim {
+	t.Helper()
+	s, err := Compile(f, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", f.Name, err)
+	}
+	return s
+}
+
+// firstDiff renders the first differing line of two reports, the expected
+// one first, for a readable failure message.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n  want: %q\n  got:  %q", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
+}
 
 // TestLibraryMatchesGolden pins every shipped scenario's report byte for
 // byte, run as written and again under the invariant oracle, and requires
@@ -31,13 +64,13 @@ func TestLibraryMatchesGolden(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			f := parseLibrary(t, path)
-			s := loadSharded(t, f, 0, Options{})
+			s := load(t, f, Options{})
 			if s.File.Description == "" {
 				t.Error("library scenario has no description comment block")
 			}
 			// The CLI prints each report with Println.
 			plain := s.Run().Format() + "\n"
-			checked := loadSharded(t, f, 0, Options{Check: true}).Run().Format() + "\n"
+			checked := load(t, f, Options{Check: true}).Run().Format() + "\n"
 			for _, run := range []struct{ golden, got string }{{name + ".txt", plain}, {name + ".check.txt", checked}} {
 				want, err := os.ReadFile(filepath.Join(goldenDir, run.golden))
 				if err != nil {

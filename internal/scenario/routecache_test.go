@@ -146,9 +146,9 @@ at 25s { restore site.hub -> site.leaf2 }
 // TestCachedRunsAreByteIdentical is the route cache's correctness contract
 // at the scenario level: for every shipped scenario, a run with a RouteCache
 // declaration appended must report, cache section aside, exactly what the
-// uncached run does — sequentially and sharded. The cache may only change
-// how fast routes are computed, never which routes. A file's own RouteCache
-// line is dropped from both runs.
+// uncached run does. The cache may only change how fast routes are computed,
+// never which routes. A file's own RouteCache line is dropped from both
+// runs.
 func TestCachedRunsAreByteIdentical(t *testing.T) {
 	entries, err := os.ReadDir(libraryDir)
 	if err != nil {
@@ -168,12 +168,12 @@ func TestCachedRunsAreByteIdentical(t *testing.T) {
 				plain.WriteString(line)
 			}
 		}
-		run := func(t *testing.T, src string, shards int) string {
+		run := func(t *testing.T, src string) string {
 			f, err := Parse("test.ispn", []byte(src))
 			if err != nil {
 				t.Fatalf("Parse: %v", err)
 			}
-			s, err := Compile(withShards(t, f, shards), Options{Horizon: 3})
+			s, err := Compile(f, Options{Horizon: 3})
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
@@ -183,14 +183,11 @@ func TestCachedRunsAreByteIdentical(t *testing.T) {
 		}
 		t.Run(e.Name(), func(t *testing.T) {
 			t.Parallel()
-			for _, shards := range []int{1, 4} {
-				base := run(t, plain.String(), shards)
-				for _, scheme := range []string{"lru", "direct"} {
-					got := run(t, plain.String()+"\nforced :: RouteCache(scheme "+scheme+", size 16)\n", shards)
-					if got != base {
-						t.Errorf("shards=%d scheme=%s: cached report differs: %s",
-							shards, scheme, firstDiff(base, got))
-					}
+			base := run(t, plain.String())
+			for _, scheme := range []string{"lru", "direct"} {
+				got := run(t, plain.String()+"\nforced :: RouteCache(scheme "+scheme+", size 16)\n")
+				if got != base {
+					t.Errorf("scheme=%s: cached report differs: %s", scheme, firstDiff(base, got))
 				}
 			}
 		})

@@ -307,11 +307,8 @@ func (s *Sim) allocID() uint32 {
 }
 
 // tapFlow feeds a flow's deliveries into the trace (when tracing is on).
-// Each flow gets its own series, stamped by its egress engine's clock (the
-// clock that times the delivery) and written only from that engine — so
-// shards never share a series. The report merges the series bin-wise in
-// registration order; TimeBin aggregates are order-independent, so the merge
-// is identical however the windows interleaved.
+// Each flow gets its own series, stamped by the engine's clock at delivery.
+// The report merges the series bin-wise in registration order.
 func (s *Sim) tapFlow(f *core.Flow) {
 	if s.trace == nil {
 		return
@@ -319,7 +316,7 @@ func (s *Sim) tapFlow(f *core.Flow) {
 	tr := s.trace
 	series := stats.NewTimeSeries(tr.dt)
 	tr.delays = append(tr.delays, series)
-	eng := f.EgressEngine()
+	eng := s.Net.Engine()
 	f.Tap(func(_ *packet.Packet, queueing float64) {
 		series.Add(eng.Now(), queueing)
 	})
@@ -404,9 +401,8 @@ func (tr *traceRec) row(k int) TraceRow {
 	return row
 }
 
-// delayBin merges the per-flow delay series for interval i. TimeBin fields
-// are sums and a max, so merging in registration order gives the same bin in
-// sequential and sharded runs.
+// delayBin merges the per-flow delay series for interval i, in registration
+// order.
 func (tr *traceRec) delayBin(i int) stats.TimeBin {
 	var b stats.TimeBin
 	for _, ts := range tr.delays {
@@ -453,9 +449,7 @@ func (tr *traceRec) arm(s *Sim) {
 			eng.AtControl(float64(k+1)*tr.dt, tick)
 		}
 	}
-	// Ticks are control events: on a sharded network the coordinator
-	// barriers at every tick time, so TxBits is read with all shards
-	// parked exactly at the interval boundary — the same counter values a
-	// sequential run reads (control sorts before same-time data events).
+	// Ticks are control events: TxBits is read at the interval boundary
+	// before any same-time transmission adds to it.
 	eng.AtControl(tr.dt, tick)
 }

@@ -48,11 +48,12 @@ func (c *compiler) netConfig(d *Decl) core.Config {
 	cfg.PropDelay = a.duration("propdelay", 0)
 	cfg.AdmissionControl = a.boolean("admission", false)
 	c.netRouting = a.enum("routing", "", "static", "auto")
-	c.shards = a.count("shards", 0)
+	// shards is checked and ignored: every run is on the network's one
+	// engine. bench/gen.go:124 writes it; it goes with bench/'s rewrite
+	// (ROADMAP item 7).
 	if pos, ok := a.given("shards"); ok {
-		c.shardsPos = pos
-		if c.shards < 1 {
-			c.failf(pos, "Net shards must be at least 1, got %d", c.shards)
+		if n := a.count("shards", 0); n < 1 {
+			c.failf(pos, "Net shards must be at least 1, got %d", n)
 		}
 	}
 	p := c.linkProfile(a)

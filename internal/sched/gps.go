@@ -97,7 +97,7 @@ func GPSSimulate(mu float64, rates map[uint32]float64, arrivals []GPSArrival) []
 				if frac > 1 {
 					frac = 1
 				}
-				departures[f.orig[0]] = t + dt*frac
+				departures[f.orig[0]] = t + float64(dt*frac)
 				f.bounds = f.bounds[1:]
 				f.orig = f.orig[1:]
 			}

@@ -33,7 +33,7 @@ func NewStopAndGo(frame float64) *StopAndGo {
 
 // frameStart returns the start of the frame containing t.
 func (s *StopAndGo) frameStart(t float64) float64 {
-	return math.Floor(t/s.frame) * s.frame
+	return float64(math.Floor(t/s.frame) * s.frame)
 }
 
 // Enqueue implements Scheduler: the packet becomes eligible at the start of

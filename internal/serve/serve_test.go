@@ -17,8 +17,7 @@ import (
 
 // identBase is the topology half of the byte-identity scenario: a four-hop
 // chain with a backup path around B->C, admission and rerouting on, every
-// link with real propagation delay so a 4-shard partition genuinely splits
-// the network.
+// link with real propagation delay.
 const identBase = `net :: Net(rate 1Mbps, classes 2, targets [32ms, 320ms], admission on, routing auto)
 run :: Run(seed 7, horizon 8s, trace 2s)
 rr :: Reroute(cost delay)
@@ -62,16 +61,6 @@ d :: Datagram(path A -> B)
 c :: CBR(rate 50pps, size 1000bit)
 c -> d
 `
-
-// withShards writes shards n into src's Net line, which must close the
-// first line of src; n 0 returns src as written.
-func withShards(src string, n int) string {
-	if n == 0 {
-		return src
-	}
-	net, rest, _ := strings.Cut(src, ")\n")
-	return fmt.Sprintf("%s, shards %d)\n%s", net, n, rest)
-}
 
 func newTestServer(t *testing.T) (*httptest.Server, *Manager) {
 	t.Helper()
@@ -135,13 +124,13 @@ func TestSessionLifecycle(t *testing.T) {
 
 	var st status
 	if code := call(t, "POST", ts.URL+"/sessions",
-		createBody{Source: withShards(smallSrc, 4), Name: "small", Paused: true}, &st); code != http.StatusCreated {
+		createBody{Source: smallSrc, Name: "small", Paused: true}, &st); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	if st.ID != "s1" || st.State != "paused" || st.Scenario != "small" {
 		t.Fatalf("create status = %+v", st)
 	}
-	if st.Horizon != 2 || st.Seed != 3 || st.TraceDt != 1 || st.Shards != 4 {
+	if st.Horizon != 2 || st.Seed != 3 || st.TraceDt != 1 {
 		t.Fatalf("file knobs not reflected: %+v", st)
 	}
 
@@ -191,8 +180,6 @@ func TestCreateValidation(t *testing.T) {
 		{"both inputs", createBody{Scenario: "failover", Source: smallSrc}, http.StatusUnprocessableEntity, ""},
 		{"path traversal", createBody{Scenario: "../failover"}, http.StatusUnprocessableEntity, ""},
 		{"unknown field", map[string]any{"sauce": smallSrc}, http.StatusBadRequest, `unknown field "sauce"`},
-		// The shard count is the source's Net(shards N) and nothing else.
-		{"shards field", map[string]any{"source": smallSrc, "shards": 2}, http.StatusBadRequest, `unknown field "shards"`},
 		{"bad source", createBody{Source: "net :: Nut()"}, http.StatusUnprocessableEntity, ""},
 		{"negative pace", createBody{Source: smallSrc, Pace: -1}, http.StatusUnprocessableEntity, ""},
 	}
@@ -379,13 +366,10 @@ func TestLoopedPathInjectionIsARejection(t *testing.T) {
 	}
 }
 
-// TestCrossShardTCPInjectionIsRefused injects a TCP connection whose
-// endpoints the 4-shard partition put on different shards. That used to
-// panic in tcp.NewConnection on the session goroutine and kill the process.
-// A TCP connection is declared only at the top level, so the injection is a
-// positioned 422 and a neighbour session still finishes byte-identically to
-// the batch run.
-func TestCrossShardTCPInjectionIsRefused(t *testing.T) {
+// TestTCPInjectionIsRefused injects a TCP connection. A TCP connection is
+// declared only at the top level, so the injection is a positioned 422 and a
+// neighbour session still finishes byte-identically to the batch run.
+func TestTCPInjectionIsRefused(t *testing.T) {
 	const src = "run :: Run(seed 5, horizon 2s)\nA, B, C, D :: Switch\n" +
 		"A <-> B :: Link(delay 2ms)\nB <-> C :: Link(delay 2ms)\nC <-> D :: Link(delay 2ms)\n" +
 		"d :: Datagram(path A -> B -> C -> D)\nc :: CBR(rate 50pps, size 1000bit)\nc -> d\n"
@@ -402,7 +386,7 @@ func TestCrossShardTCPInjectionIsRefused(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var victim, neighbour status
 	for _, st := range []*status{&victim, &neighbour} {
-		if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: "net :: Net(shards 4)\n" + src, Name: "tcp", Paused: true}, st); code != http.StatusCreated {
+		if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: src, Name: "tcp", Paused: true}, st); code != http.StatusCreated {
 			t.Fatalf("create: %d", code)
 		}
 	}
@@ -511,59 +495,53 @@ func waitSimTime(t *testing.T, base, id string, tmin float64) {
 // TestServedInjectionMatchesBatch is the headline determinism test: a served
 // session that receives its whole timeline over POST /events must produce a
 // final report byte-identical to a batch run of the same scenario with the
-// same verbs written as at blocks — sequentially and on 1 and 4 shards.
+// same verbs written as at blocks.
 func TestServedInjectionMatchesBatch(t *testing.T) {
 	ts, _ := newTestServer(t)
-	for _, shards := range []int{0, 1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			base := withShards(identBase, shards)
-			f, err := scenario.Parse("ident.ispn", []byte(base+identEvents))
-			if err != nil {
-				t.Fatalf("parse batch: %v", err)
-			}
-			sim, err := scenario.Compile(f, scenario.Options{})
-			if err != nil {
-				t.Fatalf("compile batch: %v", err)
-			}
-			batch := sim.Run().Format()
-			if !strings.Contains(batch, "late") {
-				t.Fatalf("batch run lost the injected-arrival flow:\n%s", batch)
-			}
-
-			var st status
-			if code := call(t, "POST", ts.URL+"/sessions",
-				createBody{Source: base, Name: "ident", Paused: true}, &st); code != http.StatusCreated {
-				t.Fatalf("create: %d", code)
-			}
-			id := st.ID
-			var ok struct {
-				Scheduled int `json:"scheduled"`
-			}
-			if code := call(t, "POST", ts.URL+"/sessions/"+id+"/events", identEvents, &ok); code != http.StatusOK {
-				t.Fatalf("inject: %d", code)
-			}
-			if ok.Scheduled == 0 {
-				t.Fatal("nothing scheduled")
-			}
-			call(t, "POST", ts.URL+"/sessions/"+id, map[string]string{"action": "finish"}, &st)
-			code, served := text(t, ts.URL+"/sessions/"+id+"/report")
-			if code != http.StatusOK {
-				t.Fatalf("report: %d", code)
-			}
-			if served != batch {
-				t.Errorf("served report differs from batch: %s", firstDiff(batch, served))
-			}
-			call(t, "DELETE", ts.URL+"/sessions/"+id, nil, nil)
-		})
+	f, err := scenario.Parse("ident.ispn", []byte(identBase+identEvents))
+	if err != nil {
+		t.Fatalf("parse batch: %v", err)
 	}
+	sim, err := scenario.Compile(f, scenario.Options{})
+	if err != nil {
+		t.Fatalf("compile batch: %v", err)
+	}
+	batch := sim.Run().Format()
+	if !strings.Contains(batch, "late") {
+		t.Fatalf("batch run lost the injected-arrival flow:\n%s", batch)
+	}
+
+	var st status
+	if code := call(t, "POST", ts.URL+"/sessions",
+		createBody{Source: identBase, Name: "ident", Paused: true}, &st); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	id := st.ID
+	var ok struct {
+		Scheduled int `json:"scheduled"`
+	}
+	if code := call(t, "POST", ts.URL+"/sessions/"+id+"/events", identEvents, &ok); code != http.StatusOK {
+		t.Fatalf("inject: %d", code)
+	}
+	if ok.Scheduled == 0 {
+		t.Fatal("nothing scheduled")
+	}
+	call(t, "POST", ts.URL+"/sessions/"+id, map[string]string{"action": "finish"}, &st)
+	code, served := text(t, ts.URL+"/sessions/"+id+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("report: %d", code)
+	}
+	if served != batch {
+		t.Errorf("served report differs from batch: %s", firstDiff(batch, served))
+	}
+	call(t, "DELETE", ts.URL+"/sessions/"+id, nil, nil)
 }
 
 // TestSteppedFreeRunMatchesBatch drives the same scenario through the
 // session loop's incremental StepTo quanta (resume + poll) instead of one
 // shot, proving the actor's segmented execution is equally bit-identical.
 func TestSteppedFreeRunMatchesBatch(t *testing.T) {
-	base := withShards(identBase, 2)
-	f, err := scenario.Parse("ident.ispn", []byte(base+identEvents))
+	f, err := scenario.Parse("ident.ispn", []byte(identBase+identEvents))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -576,7 +554,7 @@ func TestSteppedFreeRunMatchesBatch(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var st status
 	call(t, "POST", ts.URL+"/sessions",
-		createBody{Source: base, Name: "ident", Paused: true}, &st)
+		createBody{Source: identBase, Name: "ident", Paused: true}, &st)
 	id := st.ID
 	if code := call(t, "POST", ts.URL+"/sessions/"+id+"/events", identEvents, nil); code != http.StatusOK {
 		t.Fatalf("inject: %d", code)

@@ -2,8 +2,7 @@
 // long-running simulations. A Manager keys sessions by id; each session owns
 // one compiled scenario on its own goroutine and advances it in small steps,
 // so every external touch — status, live stats, event injection — happens
-// between steps, when all engines are parked at a barrier (the same safe
-// points the sharded coordinator uses for timeline events). Injected events
+// between steps, when the engine is parked. Injected events
 // go through the scenario compiler's own timeline passes, so the wire format
 // is the .ispn `at` block users already know, with the same diagnostics, and
 // a served run with scripted injections reports byte-identically to the
@@ -127,7 +126,7 @@ func (s *session) loop() {
 		target := s.sim.Horizon
 		if s.pace > 0 {
 			// One whole quantum, taken once the wall clock reaches its end.
-			target = min(now+s.pace*wallQuantum, target)
+			target = min(now+float64(s.pace*wallQuantum), target)
 			due := s.baseWall.Add(time.Duration((target - s.baseSim) / s.pace * float64(time.Second)))
 			if wait := time.Until(due); wait > 0 {
 				// Ahead of the wall clock: sleep until it catches up, still
@@ -141,7 +140,7 @@ func (s *session) loop() {
 				}
 				continue
 			}
-		} else if q := s.sim.Horizon / freeRunQuanta; target > now+q {
+		} else if q := float64(s.sim.Horizon / freeRunQuanta); target > now+q {
 			target = now + q
 		}
 		s.sim.StepTo(target)
@@ -193,7 +192,6 @@ type status struct {
 	SimTime  float64 `json:"sim_time"`
 	Horizon  float64 `json:"horizon"`
 	Seed     int64   `json:"seed"`
-	Shards   int     `json:"shards"`
 	Pace     float64 `json:"pace"`
 	Check    bool    `json:"check"`
 	TraceDt  float64 `json:"trace_interval"`
@@ -212,7 +210,6 @@ func (s *session) status() status {
 		SimTime:  s.sim.Now(),
 		Horizon:  s.sim.Horizon,
 		Seed:     s.sim.Seed,
-		Shards:   s.sim.Shards,
 		Pace:     s.pace,
 		Check:    s.check,
 		TraceDt:  s.sim.TraceInterval(),

@@ -79,7 +79,6 @@ const wireStatus = `{
   "sim_time": 4,
   "horizon": 4,
   "seed": 7,
-  "shards": 0,
   "pace": 0,
   "check": false,
   "trace_interval": 2,

@@ -4,9 +4,9 @@
 // ordered by (time, ordering key, insertion sequence), so simulations are
 // fully reproducible: two events scheduled for the same instant fire
 // control-before-data-before-delivery, and within one key in the order they
-// were scheduled. The key layer makes same-instant ordering identical
-// whether a run executes on one engine or sharded across several (see
-// Coordinator). Events are cancellable.
+// were scheduled. The key layer fixes where an intervention or a delivery
+// sorts among the events of its instant, whatever order they were scheduled
+// in. Events are cancellable.
 //
 // The fast path is allocation-free and pointer-free in steady state: the
 // pending queue is an index-based 4-ary min-heap of plain-value entries
@@ -65,9 +65,7 @@ type node struct {
 // seq is a composite tie-break: the top 24 bits hold the event's ordering
 // key and the low 40 bits an insertion counter, so same-time events fire
 // control first, then data-path events, then propagation deliveries in
-// port order — and within one key, in insertion order. The key layer makes
-// same-instant ordering independent of *which engine* inserted the event,
-// which is what lets a sharded run replay the sequential order exactly.
+// port order — and within one key, in insertion order.
 type entry struct {
 	tbits uint64
 	seq   uint64
@@ -88,7 +86,7 @@ func lessMask(a, b *entry) uint64 {
 // use KeyData; timeline verbs, churn chains and trace ticks use KeyControl
 // (via AtControl); link-propagation deliveries use KeyDelivery + the
 // receiving port's index (via AtCallKeyed), so deliveries landing at the
-// same instant fire in global port order whichever shard sent them.
+// same instant fire in port order whichever transmission began first.
 const (
 	KeyControl uint32 = 0 // timeline verbs, churn, trace sampling
 	KeyData    uint32 = 1 // sources, transmissions, timers (the default)
@@ -139,12 +137,12 @@ type Engine struct {
 	seq  uint64
 	heap []entry // 4-ary min-heap by (time, seq)
 	// reached is the furthest position the engine has run through: the
-	// largest fired, or the boundary a RunUntil or RunUntilBefore reached
+	// largest fired, or the boundary a RunUntil reached
 	// (seq all ones: every position at that time). It is a running max, not
 	// the position last fired, because an event inserted at the current
 	// instant under a smaller key fires after later-keyed ones did.
 	reached Slot
-	// hole reports that heap[0] is vacant: runThrough popped the root and
+	// hole reports that heap[0] is vacant: RunUntil popped the root and
 	// left the slot for the callback's first insert (see fill).
 	hole      bool
 	free      []*node // recycled nodes
@@ -196,10 +194,11 @@ func (e *Engine) At(t float64, fn func()) Event {
 
 // AtControl arranges for fn to run at absolute time t with control
 // ordering: at one instant, control events fire before every data-path
-// event and delivery. A sharded run executes control events between shard
-// windows with all clocks equal, so scheduling all external intervention
-// (timeline verbs, churn, trace sampling) through AtControl is what keeps
-// the two modes' same-instant interleavings identical.
+// event and delivery. Scheduling all external intervention (timeline verbs,
+// churn, trace sampling) through AtControl puts it at the same place in its
+// instant however it was scheduled, which is what lets an event injected
+// into a running simulation fire where the same event written in the file
+// would.
 func (e *Engine) AtControl(t float64, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event function")
@@ -266,7 +265,7 @@ func (e *Engine) position(key uint32) uint64 {
 // composite tie-break from position. A time not after the clock is clamped
 // to it, which also maps -0 onto the (non-negative) clock and keeps every
 // tbits in the domain where bit order is time order; NaN panics. If
-// runThrough left a hole at the root, the entry takes it and sifts down;
+// RunUntil left a hole at the root, the entry takes it and sifts down;
 // otherwise it is appended and sifts up.
 func (e *Engine) insert(t float64, seq uint64) *node {
 	if !(t > e.now) {
@@ -313,8 +312,7 @@ func (e *Engine) Reserve(t float64, key uint32) Slot {
 }
 
 // Reached reports whether the engine has run through s's position: it
-// fired an event at or after it, or a RunUntil or RunUntilBefore boundary
-// passed it. A Run that empties the heap reaches only the last event it
+// fired an event at or after it, or a RunUntil boundary passed it. A Run that empties the heap reaches only the last event it
 // fired.
 func (e *Engine) Reached(s Slot) bool {
 	r := &e.reached
@@ -377,22 +375,7 @@ func (e *Engine) Run() { e.RunUntil(math.Inf(1)) }
 
 // RunUntil executes events with time <= t, then advances the clock to t
 // (unless the run was stopped early or the horizon is infinite).
-func (e *Engine) RunUntil(t float64) { e.runThrough(t, t) }
-
-// RunUntilBefore executes events with time strictly less than t, then
-// advances the clock to t. It is the shard-window primitive: a shard
-// granted the half-open window [now, t) runs exactly the events it owns in
-// that window, leaving time-t events for after the barrier (where control
-// events and cross-shard deliveries at t are sequenced first).
-func (e *Engine) RunUntilBefore(t float64) {
-	// Event times are floats, so "before t" is "through the float just
-	// below t": one loop serves both forms.
-	e.runThrough(math.Nextafter(t, math.Inf(-1)), t)
-}
-
-// runThrough executes events with time <= through, then advances the clock
-// to t >= through (unless the run was stopped early or t is infinite).
-func (e *Engine) runThrough(through, t float64) {
+func (e *Engine) RunUntil(t float64) {
 	e.stopped = false
 	for !e.stopped {
 		e.fill()
@@ -401,7 +384,7 @@ func (e *Engine) runThrough(through, t float64) {
 		}
 		top := e.heap[0]
 		tt := math.Float64frombits(top.tbits)
-		if tt > through {
+		if tt > t {
 			break
 		}
 		// Pop the root by vacating it: the callback's first insert fills
@@ -435,22 +418,12 @@ func (e *Engine) runThrough(through, t float64) {
 	}
 	// Every position through the boundary has been passed (Abs maps a -0
 	// boundary onto the +0 clock).
-	if through >= math.Float64frombits(e.reached.tbits) {
-		e.reached = Slot{tbits: math.Float64bits(math.Abs(through)), seq: math.MaxUint64}
+	if t >= math.Float64frombits(e.reached.tbits) {
+		e.reached = Slot{tbits: math.Float64bits(math.Abs(t)), seq: math.MaxUint64}
 	}
 	if t > e.now {
 		e.now = t
 	}
-}
-
-// NextEventTime returns the time of the earliest pending event, or +Inf
-// with an empty queue. The shard coordinator uses it to bound each window.
-func (e *Engine) NextEventTime() float64 {
-	e.fill()
-	if len(e.heap) == 0 {
-		return math.Inf(1)
-	}
-	return math.Float64frombits(e.heap[0].tbits)
 }
 
 // String summarizes engine state, for debugging.
@@ -460,7 +433,7 @@ func (e *Engine) String() string {
 
 // --- 4-ary heap of value entries -------------------------------------------
 
-// fill closes a hole left at the root by runThrough's pop: the last entry
+// fill closes a hole left at the root by RunUntil's pop: the last entry
 // moves into it and sifts down.
 func (e *Engine) fill() {
 	if !e.hole {

@@ -224,7 +224,7 @@ func TestSlotReached(t *testing.T) {
 		note()
 		e.AtControl(1, note) // fires next, behind this event in key order
 	})
-	e.RunUntilBefore(1)
+	e.RunUntil(math.Nextafter(1, 0)) // a boundary just short of the slots
 	note()
 	e.RunUntil(1)
 	note()
@@ -313,26 +313,31 @@ func TestNaNTimePanics(t *testing.T) {
 			}()
 			at(e)
 		}()
-		if e.Pending() != 1 || e.NextEventTime() != 1 {
-			t.Errorf("%s(NaN) left Pending() = %d, NextEventTime() = %v; want 1, 1", name, e.Pending(), e.NextEventTime())
+		if e.Pending() != 1 {
+			t.Errorf("%s(NaN) left Pending() = %d, want 1", name, e.Pending())
+		}
+		if e.Run(); e.Now() != 1 {
+			t.Errorf("%s(NaN) moved the pending event to %v, want 1", name, e.Now())
 		}
 	}
 }
 
 // -0 is below no clock but is not the clock either: it is clamped to now, so
 // it fires on the clock in insertion order with everything else due then
-// (its raw bits would sort after every other time), and NextEventTime never
-// reports a negative zero.
+// (its raw bits would sort after every other time), and the clock never
+// reads a negative zero.
 func TestNegativeZeroTimeClampsToClock(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	e := New()
 	var got []string
 	e.At(5, func() { got = append(got, "5") })
-	e.At(negZero, func() { got = append(got, "-0") })
+	e.At(negZero, func() {
+		got = append(got, "-0")
+		if math.Signbit(e.Now()) {
+			t.Error("the clock reads -0")
+		}
+	})
 	e.At(0, func() { got = append(got, "0") })
-	if next := e.NextEventTime(); next != 0 || math.Signbit(next) {
-		t.Fatalf("NextEventTime() = %v (signbit %v), want +0", next, math.Signbit(next))
-	}
 	e.At(2, func() {
 		e.At(negZero, func() {
 			got = append(got, "-0@"+strconv.FormatFloat(e.Now(), 'g', -1, 64))
@@ -515,4 +520,34 @@ func BenchmarkHold(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestSameInstantKeyOrdering pins the canonical same-time order: control,
+// then data in insertion order, then deliveries in port-key order.
+func TestSameInstantKeyOrdering(t *testing.T) {
+	e := New()
+	var got []string
+	rec := func(label string) func(any) {
+		return func(any) { got = append(got, label) }
+	}
+	e.AtCallKeyed(1, KeyDelivery+3, rec("del3"), nil)
+	e.AtCallKeyed(1, KeyDelivery, rec("del0"), nil)
+	e.At(1, func() { got = append(got, "data1") })
+	e.AtControl(1, func() { got = append(got, "ctrl") })
+	e.At(1, func() { got = append(got, "data2") })
+	e.RunUntil(1)
+	want := "[ctrl data1 data2 del0 del3]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("same-instant order = %v, want %v", got, want)
+	}
+}
+
+// TestKeyRangePanics guards the composite tie-break against key overflow.
+func TestKeyRangePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("key above maxKey did not panic")
+		}
+	}()
+	New().AtCallKeyed(1, maxKey+1, func(any) {}, nil)
 }

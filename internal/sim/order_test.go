@@ -14,7 +14,7 @@ import (
 // and the program runs once on an Engine and once on sortedModel, a slice
 // searched linearly for the least (time, key, insertion index). The two logs
 // — every firing with its clock and every slot's Reached, every
-// Pending/NextEventTime read, the clock and every slot's Reached after every
+// Pending read, the clock and every slot's Reached after every
 // window — must be equal. The engine's order is a strict total order, so any
 // correct priority queue produces the model's log exactly.
 
@@ -27,9 +27,7 @@ type orderAPI interface {
 	schedule(kind int, x float64, key uint32, fn func()) int
 	cancel(h int)
 	pending() int
-	next() float64
 	runUntil(t float64)
-	runUntilBefore(t float64)
 	stop()
 	// reserve takes a slot at absolute time t (after the clock) and
 	// returns its handle; slot handles count from 0 in reserve order.
@@ -63,14 +61,12 @@ func (a *engineAPI) schedule(kind int, x float64, key uint32, fn func()) int {
 	return len(a.evs) - 1
 }
 
-func (a *engineAPI) cancel(h int)             { a.e.Cancel(a.evs[h]) }
-func (a *engineAPI) pending() int             { return a.e.Pending() }
-func (a *engineAPI) next() float64            { return a.e.NextEventTime() }
-func (a *engineAPI) runUntil(t float64)       { a.e.RunUntil(t) }
-func (a *engineAPI) runUntilBefore(t float64) { a.e.RunUntilBefore(t) }
-func (a *engineAPI) stop()                    { a.e.Stop() }
-func (a *engineAPI) reached(h int) bool       { return a.e.Reached(a.slots[h]) }
-func (a *engineAPI) claim(h int, fn func())   { a.e.Claim(a.slots[h], func(any) { fn() }, nil) }
+func (a *engineAPI) cancel(h int)           { a.e.Cancel(a.evs[h]) }
+func (a *engineAPI) pending() int           { return a.e.Pending() }
+func (a *engineAPI) runUntil(t float64)     { a.e.RunUntil(t) }
+func (a *engineAPI) stop()                  { a.e.Stop() }
+func (a *engineAPI) reached(h int) bool     { return a.e.Reached(a.slots[h]) }
+func (a *engineAPI) claim(h int, fn func()) { a.e.Claim(a.slots[h], func(any) { fn() }, nil) }
 
 func (a *engineAPI) reserve(t float64, key uint32) int {
 	a.slots = append(a.slots, a.e.Reserve(t, key))
@@ -80,7 +76,7 @@ func (a *engineAPI) reserve(t float64, key uint32) int {
 // sortedModel is the reference: the engine's documented semantics with the
 // pending set kept as an unordered slice. A reserved slot is an entry of
 // that slice that only records it fired; claiming it gives it a callback.
-// Pending and NextEventTime do not see unclaimed slots, and a run with no
+// Pending does not see unclaimed slots, and a run with no
 // horizon stops when only they remain: it reaches the last event it fires.
 type sortedModel struct {
 	clock    float64
@@ -169,13 +165,10 @@ func (m *sortedModel) pending() int {
 }
 
 // least returns the index of the first entry in (time, key, insertion)
-// order — an unclaimed slot only if slots is set — or -1.
-func (m *sortedModel) least(slots bool) int {
+// order, unclaimed slots included, or -1.
+func (m *sortedModel) least() int {
 	best := -1
 	for i, ev := range m.pend {
-		if ev.fn == nil && !slots {
-			continue
-		}
 		if best < 0 {
 			best = i
 			continue
@@ -188,18 +181,11 @@ func (m *sortedModel) least(slots bool) int {
 	return best
 }
 
-func (m *sortedModel) next() float64 {
-	if i := m.least(false); i >= 0 {
-		return m.pend[i].t
-	}
-	return math.Inf(1)
-}
-
-func (m *sortedModel) runThrough(through, t float64) {
+func (m *sortedModel) runUntil(t float64) {
 	m.stopped = false
 	for !m.stopped {
-		i := m.least(true)
-		if i < 0 || m.pend[i].t > through || math.IsInf(through, 1) && m.pending() == 0 {
+		i := m.least()
+		if i < 0 || m.pend[i].t > t || math.IsInf(t, 1) && m.pending() == 0 {
 			break
 		}
 		ev := m.pend[i]
@@ -218,10 +204,6 @@ func (m *sortedModel) runThrough(through, t float64) {
 	}
 }
 
-func (m *sortedModel) runUntil(t float64) { m.runThrough(t, t) }
-func (m *sortedModel) runUntilBefore(t float64) {
-	m.runThrough(math.Nextafter(t, math.Inf(-1)), t)
-}
 func (m *sortedModel) stop() { m.stopped = true }
 
 // orderProgram interprets a byte string against an orderAPI. Bytes are
@@ -323,7 +305,7 @@ func (p *orderProgram) slotsReached() {
 }
 
 // fire is every event's callback: log the firing and every slot's Reached,
-// then act on one byte — read Pending/NextEventTime, cancel a handle (its
+// then act on one byte — read Pending, cancel a handle (its
 // own, or any issued), schedule 0, 1 or 2 events, and perhaps reserve or
 // claim a slot, or Stop.
 func (p *orderProgram) fire(id, self int) {
@@ -369,7 +351,7 @@ func (p *orderProgram) cancelOne(self int) {
 }
 
 func (p *orderProgram) observe() {
-	p.logf("p%d n%s", p.api.pending(), ftoa(p.api.next()))
+	p.logf("p%d", p.api.pending())
 }
 
 func (p *orderProgram) logf(format string, args ...any) {
@@ -396,10 +378,8 @@ func (p *orderProgram) run() string {
 			p.slotOne()
 		case 3:
 			p.cancelOne(-1)
-		case 4:
+		case 4, 5:
 			p.api.runUntil(p.api.now() + quarter(p.next()))
-		case 5:
-			p.api.runUntilBefore(p.api.now() + quarter(p.next()))
 		case 6:
 			p.api.runUntil(math.Inf(1))
 		}

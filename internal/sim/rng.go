@@ -94,7 +94,7 @@ func (g *RNG) Exp(mean float64) float64 {
 	if mean <= 0 {
 		return 0
 	}
-	return g.r.ExpFloat64() * mean
+	return float64(g.r.ExpFloat64() * mean)
 }
 
 // Geometric returns a geometrically distributed value on {1, 2, ...} with the
@@ -105,7 +105,8 @@ func (g *RNG) Geometric(mean float64) int {
 	}
 	p := 1 / mean
 	// Inverse-transform sampling: n = ceil(ln(1-u)/ln(1-p)).
-	u := g.r.Float64()
+	// The conversion keeps Float64's inlined scaling from fusing into 1-u.
+	u := float64(g.r.Float64())
 	n := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
 	if n < 1 {
 		n = 1

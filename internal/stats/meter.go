@@ -26,7 +26,7 @@ func (e *EWMA) Add(x float64) {
 		e.init = true
 		return
 	}
-	e.value += e.gain * (x - e.value)
+	e.value += float64(e.gain * (x - e.value))
 }
 
 // Value returns the current average (0 before any observation).
@@ -72,7 +72,7 @@ func (m *RateMeter) roll(now float64) {
 		// float steps round, so the clear is what drops the last
 		// pre-gap window when only keep−1 follow.
 		if keep := m.recent.keep; now-m.start > float64(keep+1)*m.window {
-			m.start = now - float64(keep)*m.window
+			m.start = now - float64(float64(keep)*m.window)
 			m.recent.clear()
 		}
 	}
@@ -128,7 +128,7 @@ func (w *WindowedMax) roll(now float64) {
 		w.curSet = false
 		w.start += w.window
 		if keep := w.recent.keep; now-w.start > float64(keep+1)*w.window {
-			w.start = now - float64(keep)*w.window
+			w.start = now - float64(float64(keep)*w.window)
 			w.recent.clear()
 		}
 	}

@@ -23,7 +23,7 @@ func NewP2Quantile(p float64) *P2Quantile {
 	}
 	return &P2Quantile{
 		p:       p,
-		desired: [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5},
+		desired: [5]float64{1, 1 + float64(2*p), 1 + float64(4*p), 3 + float64(2*p), 5},
 		inc:     [5]float64{0, p / 2, p, (1 + p) / 2, 1},
 		initial: make([]float64, 0, 5),
 	}
@@ -91,7 +91,7 @@ func (e *P2Quantile) parabolic(i, s int) float64 {
 	qi, qim, qip := e.q[i], e.q[i-1], e.q[i+1]
 	ni, nim, nip := float64(e.pos[i]), float64(e.pos[i-1]), float64(e.pos[i+1])
 	fs := float64(s)
-	return qi + fs/(nip-nim)*((ni-nim+fs)*(qip-qi)/(nip-ni)+(nip-ni-fs)*(qi-qim)/(ni-nim))
+	return qi + float64(fs/(nip-nim)*((ni-nim+fs)*(qip-qi)/(nip-ni)+(nip-ni-fs)*(qi-qim)/(ni-nim)))
 }
 
 func (e *P2Quantile) linear(i, s int) float64 {

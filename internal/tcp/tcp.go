@@ -119,21 +119,14 @@ func NewConnection(net *topology.Network, cfg Config) *Connection {
 		panic("tcp: data and ack flow ids must differ")
 	}
 	// The connection's whole state machine — sender, receiver, timers —
-	// runs on the data ingress node's engine and draws from its pool, so
-	// TCP works unchanged on sharded networks as long as both endpoints
-	// share a shard (validated below; intermediate hops may live anywhere).
+	// runs on the network's engine and draws from its pool.
 	ingress := net.Node(cfg.Path[0])
 	if ingress == nil {
 		panic(fmt.Sprintf("tcp: unknown node %q", cfg.Path[0]))
 	}
 	for _, name := range []string{cfg.Path[len(cfg.Path)-1], cfg.ReversePath[0], cfg.ReversePath[len(cfg.ReversePath)-1]} {
-		nd := net.Node(name)
-		if nd == nil {
+		if net.Node(name) == nil {
 			panic(fmt.Sprintf("tcp: unknown node %q", name))
-		}
-		if nd.Engine() != ingress.Engine() {
-			panic(fmt.Sprintf("tcp: endpoints %q and %q sit on different shards; a connection's endpoints must share a shard (use a Together partition constraint)",
-				cfg.Path[0], name))
 		}
 	}
 	c := &Connection{
@@ -309,7 +302,7 @@ func (c *Connection) onAck(p *packet.Packet) {
 		c.dupAcks = 0
 		// New data acknowledged: clear any exponential backoff.
 		if c.srtt > 0 {
-			c.rto = math.Max(c.srtt+4*c.rttvar, minRTO)
+			c.rto = math.Max(c.srtt+float64(4*c.rttvar), minRTO)
 		}
 		if c.inFR {
 			if ack >= c.recover {
@@ -366,13 +359,13 @@ func (c *Connection) sampleRTT(ack uint64) {
 		c.rttvar = m / 2
 	} else {
 		d := m - c.srtt
-		c.srtt += d / 8
+		c.srtt += float64(d / 8)
 		if d < 0 {
 			d = -d
 		}
-		c.rttvar += (d - c.rttvar) / 4
+		c.rttvar += float64((d - c.rttvar) / 4)
 	}
-	c.rto = math.Max(c.srtt+4*c.rttvar, minRTO)
+	c.rto = math.Max(c.srtt+float64(4*c.rttvar), minRTO)
 }
 
 // --- receiver ---

@@ -48,7 +48,7 @@ func (b *Bucket) Tokens(now float64) float64 {
 
 func (b *Bucket) refill(now float64) {
 	if now > b.last {
-		b.tokens = math.Min(b.depth, b.tokens+(now-b.last)*b.rate)
+		b.tokens = math.Min(b.depth, b.tokens+float64((now-b.last)*b.rate))
 		b.last = now
 	}
 }

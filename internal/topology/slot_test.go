@@ -186,3 +186,41 @@ func TestDelayedPortSlots(t *testing.T) {
 		})
 	}
 }
+
+// TestDelayedDeliveryKey: a delayed port schedules its packet's arrival when
+// the transmission completes, at transmit-complete + propagation delay and
+// with the port's delivery key, so it fires between same-instant events
+// keyed just below and just above it whatever order they were scheduled in;
+// the release lands in the network's pool.
+func TestDelayedDeliveryKey(t *testing.T) {
+	eng := sim.New()
+	n := NewNetwork(eng)
+	n.AddNode("A")
+	n.AddNode("B")
+	n.AddLink("B", "A", fifoPipe(1e6), 1e6, 0.005)
+	pt := n.AddLink("A", "B", fifoPipe(1e6), 1e6, 0.005) // Index 1
+	var order []string
+	r := routeTo(n, 7, []string{"A", "B"}, func(p *packet.Packet) {
+		order = append(order, fmt.Sprintf("deliver@%g", eng.Now()))
+	})
+	p := n.Pool().Get()
+	p.FlowID = 7
+	p.Size = 1000
+	send(n, "A", r, p)
+	// A transmits for 1 ms on 1 Mb/s; at transmit-complete the delivery
+	// is the one event on the heap, 5 ms out.
+	eng.RunUntil(0.001)
+	if got := eng.Pending(); got != 1 {
+		t.Fatalf("after the send: %d event(s) pending, want the delivery alone", got)
+	}
+	key := sim.KeyDelivery + uint32(pt.Index())
+	eng.AtCallKeyed(0.006, key+1, func(any) { order = append(order, "after") }, nil)
+	eng.AtCallKeyed(0.006, key-1, func(any) { order = append(order, "before") }, nil)
+	eng.RunUntil(0.01)
+	if fmt.Sprint(order) != "[before deliver@0.006 after]" {
+		t.Errorf("same-instant order = %v, want [before deliver@0.006 after]", order)
+	}
+	if gets, puts, _ := n.Pool().Stats(); gets != 1 || puts != 1 {
+		t.Errorf("pool gets/puts = %d/%d, want 1/1", gets, puts)
+	}
+}

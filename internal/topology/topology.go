@@ -10,7 +10,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 
 	"ispn/internal/packet"
 	"ispn/internal/sched"
@@ -31,10 +30,7 @@ type Sink func(p *packet.Packet)
 // Deliver implements Receiver.
 func (s Sink) Deliver(p *packet.Packet) { s(p) }
 
-// Network is a collection of nodes and directed links driven by one engine —
-// or, after ConfigureShards, by one engine per shard plus the original
-// engine acting as the control engine (timeline verbs, churn, trace
-// sampling), advanced in lockstep windows by a sim.Coordinator.
+// Network is a collection of nodes and directed links driven by one engine.
 type Network struct {
 	eng   *sim.Engine
 	pool  *packet.Pool
@@ -50,9 +46,6 @@ type Network struct {
 	// and connections own their Routes (InstallRouteAlong) and stamp them
 	// into every packet, so none of them is kept here.
 	byID map[uint32]*Route
-
-	shards    []*Shard
-	lookahead float64 // min cross-shard propagation delay (+Inf if none)
 }
 
 // NewNetwork returns an empty network on the given engine.
@@ -366,8 +359,7 @@ type Node struct {
 	name      string
 	index     int
 	net       *Network
-	eng       *sim.Engine // the engine this node's events run on (its shard's)
-	shard     int
+	eng       *sim.Engine // the network's engine, one load nearer the port's per-packet path
 	ports     map[string]*Port
 	portOrder []*Port
 }
@@ -379,18 +371,12 @@ func (nd *Node) Name() string { return nd.name }
 // (Nodes()[Index()] is the node), the sibling of Port.Index.
 func (nd *Node) Index() int { return nd.index }
 
-// Engine returns the engine this node's events run on: the network engine
-// normally, the owning shard's engine after ConfigureShards. Anything that
-// schedules work at a node — sources, transport timers, sink timestamps —
-// must use this engine, not the network's.
+// Engine returns the engine this node's events run on: the network's.
 func (nd *Node) Engine() *sim.Engine { return nd.eng }
 
 // Pool returns the packet free list for traffic injected at this node: the
-// network's one pool, sharded or not.
+// network's one pool.
 func (nd *Node) Pool() *packet.Pool { return nd.net.pool }
-
-// ShardIndex returns the shard owning this node (0 when unsharded).
-func (nd *Node) ShardIndex() int { return nd.shard }
 
 // Port returns the output port toward the named neighbor, or nil.
 func (nd *Node) Port(to string) *Port { return nd.ports[to] }
@@ -469,7 +455,6 @@ type Port struct {
 	limit      int
 	qlen       int  // mirrors pipe.Len(), avoiding a call into the pipeline per packet
 	retryArmed bool // a wake-up is scheduled for a packet the pipeline holds
-	remote     bool // link crosses a shard boundary (set by ConfigureShards)
 
 	// txArmed reports that the transmit-complete (zero-delay) or wire-free
 	// event is on the heap; wire is the delayed port's wire-free slot,
@@ -573,8 +558,10 @@ func (pt *Port) SetBandwidth(r float64) {
 // PropDelay returns the link's propagation delay in seconds.
 func (pt *Port) PropDelay() float64 { return pt.propDelay }
 
-// Remote reports whether the link crosses a shard boundary.
-func (pt *Port) Remote() bool { return pt.remote }
+// Remote reports false: every port runs on the network's one engine. Only
+// bench/observer.go:143 calls it; it goes with bench/'s rewrite (ROADMAP
+// item 7).
+func (pt *Port) Remote() bool { return false }
 
 // Down reports whether the link is failed.
 func (pt *Port) Down() bool { return pt.down }
@@ -780,15 +767,12 @@ func (pt *Port) transmitNext() {
 	// the far end the propagation delay later.
 	//
 	// Propagation deliveries are keyed by the port index (sim.KeyDelivery
-	// + Index) in sharded AND sequential mode, so same-instant deliveries
-	// fire in global port order regardless of which engine scheduled them
-	// — the tie-break that makes sharded runs bit-identical. A remote port
-	// schedules the delivery on the destination shard's engine: the arrival
-	// lies at or beyond the end of the current window (tx + propDelay >=
-	// lookahead), so it is never in the receiver's past.
+	// + Index), so same-instant deliveries fire after that instant's data
+	// events and in port order, not in the order their transmissions
+	// began: the order the report goldens were recorded under.
 	p.Hops++
 	free := now + tx
-	pt.dst.eng.AtCallKeyed(free+pt.propDelay, sim.KeyDelivery+uint32(pt.index), pt.deliver, p)
+	eng.AtCallKeyed(free+pt.propDelay, sim.KeyDelivery+uint32(pt.index), pt.deliver, p)
 	if pt.qlen > 0 || !(free > now) {
 		// A backlog waits for the wire, or a zero-length transmission
 		// frees it at this instant (a slot must lie after the clock).
@@ -814,83 +798,18 @@ func portTxDone(arg any) {
 	pt.transmitNext()
 }
 
-// --- sharding ---------------------------------------------------------------
+// --- stand-ins for bench/ ----------------------------------------------------
 
-// Shard is one partition of a sharded network: a set of nodes sharing one
-// event heap. Shards are created by ConfigureShards; a sim.Coordinator
-// advances them in lockstep windows.
-type Shard struct {
-	eng  *sim.Engine
-	pool *packet.Pool
-}
+// Shard is an empty stand-in: Shards returns none, so Engine and Pool never
+// run. bench/scenario_run.go:229,247 ranges over Shards() and calls both; all
+// three go with bench/'s rewrite (ROADMAP item 7).
+type Shard struct{}
 
-// Engine returns the shard's engine.
-func (s *Shard) Engine() *sim.Engine { return s.eng }
+// Engine returns nil (see Shard).
+func (*Shard) Engine() *sim.Engine { return nil }
 
-// Pool returns the packet free list the shard's nodes draw from — the
-// network's one pool, which every shard shares.
-func (s *Shard) Pool() *packet.Pool { return s.pool }
+// Pool returns nil (see Shard).
+func (*Shard) Pool() *packet.Pool { return nil }
 
-// ConfigureShards partitions the network: assign maps each node (in
-// creation order, matching Nodes()) to a shard in [0, nshards). Every node
-// in a shard is re-pointed at the shard's fresh engine; the network's
-// original engine becomes the control engine (Engine() still returns it),
-// on which timeline verbs, churn and trace sampling run between shard
-// windows. Links whose endpoints land in different shards become remote
-// ports; each must have a positive propagation delay — the minimum over
-// them is the partition's conservative lookahead, returned by Lookahead().
-// A zero-delay cross-shard link is a configuration error (it would force a
-// zero-width synchronization window), so it is diagnosed here rather than
-// discovered as a hang.
-//
-// Call it after the topology is built and before any flow state, source or
-// transport endpoint captures a node's engine. It may be called at most
-// once.
-func (n *Network) ConfigureShards(assign []int, nshards int) error {
-	if n.shards != nil {
-		return fmt.Errorf("topology: network already sharded")
-	}
-	if nshards < 1 {
-		return fmt.Errorf("topology: need at least 1 shard, got %d", nshards)
-	}
-	if len(assign) != len(n.order) {
-		return fmt.Errorf("topology: shard assignment covers %d nodes, network has %d", len(assign), len(n.order))
-	}
-	for i, s := range assign {
-		if s < 0 || s >= nshards {
-			return fmt.Errorf("topology: node %q assigned to shard %d, want [0,%d)", n.order[i].name, s, nshards)
-		}
-	}
-	shards := make([]*Shard, nshards)
-	for i := range shards {
-		shards[i] = &Shard{eng: sim.New(), pool: n.pool}
-	}
-	for i, nd := range n.order {
-		nd.shard = assign[i]
-		nd.eng = shards[assign[i]].eng
-	}
-	n.lookahead = math.Inf(1)
-	for _, pt := range n.ports {
-		if pt.node.shard == pt.dst.shard {
-			continue
-		}
-		if pt.propDelay <= 0 {
-			return fmt.Errorf("topology: link %s crosses shards %d->%d with zero propagation delay; cross-shard links need positive delay (the conservative lookahead)",
-				pt.name, pt.node.shard, pt.dst.shard)
-		}
-		pt.remote = true
-		n.lookahead = min(n.lookahead, pt.propDelay)
-	}
-	n.shards = shards
-	return nil
-}
-
-// Sharded reports whether ConfigureShards has been applied.
-func (n *Network) Sharded() bool { return n.shards != nil }
-
-// Shards returns the partitions created by ConfigureShards (nil before).
-func (n *Network) Shards() []*Shard { return n.shards }
-
-// Lookahead returns the minimum cross-shard propagation delay that
-// ConfigureShards found (+Inf with no cross-shard links).
-func (n *Network) Lookahead() float64 { return n.lookahead }
+// Shards returns nil (see Shard).
+func (n *Network) Shards() []*Shard { return nil }

@@ -64,11 +64,6 @@ type (
 	// Network.SetRouting): automatic reroute on FailLink, and the link
 	// cost (hops/delay) shortest paths minimize.
 	RoutingConfig = core.RoutingConfig
-	// PartitionSpec configures a sharded run (pass to Network.SetShards
-	// before creating flows): shard count and Together constraints. A
-	// sharded run advances one event heap per shard in lockstep windows on
-	// the calling goroutine, bit-identically to the one-heap engine.
-	PartitionSpec = core.PartitionSpec
 	// Profile is a per-port scheduling profile: discipline kind, sharing
 	// mode, class targets and datagram quota. Pass one to
 	// Network.ConnectWith to deploy heterogeneous pipelines link by link.
@@ -159,11 +154,11 @@ func NewPolicedSource(src Source, rate, depth float64) *source.Policed {
 
 // StartSource attaches src to a flow: generated packets are allocated from
 // the flow's ingress packet pool and injected at the flow's first switch
-// (subject to the flow's edge policing). The source runs on the ingress
-// switch's engine, so it works unchanged on sharded networks.
+// (subject to the flow's edge policing). The source runs on the network's
+// engine.
 func StartSource(n *Network, src Source, f *Flow) {
 	source.AttachPool(src, f.IngressPool())
-	src.Start(f.IngressEngine(), func(p *Packet) { f.Inject(p) })
+	src.Start(n.Engine(), func(p *Packet) { f.Inject(p) })
 }
 
 // TCP (datagram substrate).

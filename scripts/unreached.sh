@@ -6,10 +6,8 @@
 # with every package of the module instrumented for coverage
 # (-cover -coverpkg=ispn/...) and runs the workload set under one GOCOVERDIR:
 #
-#   - the scenario library: run, run -check, run -check of copies with
-#     shards 3 written into each file's Net line (a Net(shards 3) added
-#     where a file has none) and the seed and horizon overridden, check,
-#     and the `scenarios` listing;
+#   - the scenario library: run, run -check, run -check with the seed and
+#     horizon overridden, check, and the `scenarios` listing;
 #   - every catalogue experiment (`all`) at -horizon 30;
 #   - ispnsim fuzz -n 200;
 #   - scripts/serve-smoke.sh against the covered ispnsim;
@@ -79,20 +77,7 @@ workload() {
 sim="$tmp/bin/ispnsim"
 workload "$sim" run scenarios/*.ispn
 workload "$sim" -check run scenarios/*.ispn
-mkdir -p "$tmp/sharded"
-for f in scenarios/*.ispn; do
-	if grep -q ':: Net(' "$f"; then
-		sed 's/\(:: Net(.*\))$/\1, shards 3)/' "$f"
-	else
-		cat "$f"
-		printf '\nnet :: Net(shards 3)\n'
-	fi >"$tmp/sharded/${f##*/}"
-	grep -q 'shards 3)$' "$tmp/sharded/${f##*/}" || {
-		echo "unreached: could not write shards 3 into $f" >&2
-		exit 1
-	}
-done
-workload "$sim" -seed 7 -horizon 20 -check run "$tmp/sharded"/*.ispn
+workload "$sim" -seed 7 -horizon 20 -check run scenarios/*.ispn
 workload "$sim" check scenarios/*.ispn
 workload "$sim" scenarios
 workload "$sim" -horizon 30 all
