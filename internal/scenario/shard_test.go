@@ -80,3 +80,62 @@ c -> d
 		t.Errorf("Net(shards 0) not rejected: %v", err)
 	}
 }
+
+// TestShardNetArgument checks the file-side spelling: Net(shards N) compiles,
+// leaves the network on its one engine (no shards) and changes no byte of
+// the report.
+func TestShardNetArgument(t *testing.T) {
+	const src = `
+net :: Net(rate 1Mbps)
+run :: Run(horizon 1s)
+A, B :: Switch
+A <-> B :: Link(delay 2ms)
+d :: Datagram(path A -> B)
+c :: CBR(rate 50pps)
+c -> d
+`
+	f, err := Parse("netshards.ispn", []byte(src))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	base := load(t, f, Options{}).Run().Format()
+	s := load(t, withShards(t, f, 2), Options{})
+	if sh := s.Net.Topology().Shards(); sh != nil {
+		t.Fatalf("Net(shards 2) built %d shards; the network runs on one engine", len(sh))
+	}
+	if got := s.Run().Format(); got != base {
+		t.Errorf("Net(shards 2) changed the report: %s", firstDiff(base, got))
+	}
+}
+
+// TestShardedTCPTogether compiles a scenario with a TCP connection and
+// shards 2..4 written in: it must compile (tcp.NewConnection used to panic
+// on endpoints put on different shards) and report what the file without
+// the argument reports.
+func TestShardedTCPTogether(t *testing.T) {
+	const src = `
+net :: Net(rate 1Mbps, classes 2)
+run :: Run(horizon 2s)
+A, B, C, D :: Switch
+A <-> B :: Link(delay 2ms)
+B <-> C :: Link(delay 2ms)
+C <-> D :: Link(delay 2ms)
+bulk :: TCP(path A -> B -> C -> D)
+back :: Datagram(path D -> C -> B -> A)
+c :: CBR(rate 20pps)
+c -> back
+`
+	f, err := Parse("tcpshard.ispn", []byte(src))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	seq := load(t, f, Options{}).Run().Format()
+	if !strings.Contains(seq, "bulk") {
+		t.Fatalf("report lost the TCP connection:\n%s", seq)
+	}
+	for n := 2; n <= 4; n++ {
+		if got := load(t, withShards(t, f, n), Options{}).Run().Format(); got != seq {
+			t.Errorf("shards=%d report differs from sequential: %s", n, firstDiff(seq, got))
+		}
+	}
+}

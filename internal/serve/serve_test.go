@@ -62,6 +62,16 @@ c :: CBR(rate 50pps, size 1000bit)
 c -> d
 `
 
+// withShards writes shards n into src's Net line, which must close the
+// first line of src; n 0 returns src as written.
+func withShards(src string, n int) string {
+	if n == 0 {
+		return src
+	}
+	net, rest, _ := strings.Cut(src, ")\n")
+	return fmt.Sprintf("%s, shards %d)\n%s", net, n, rest)
+}
+
 func newTestServer(t *testing.T) (*httptest.Server, *Manager) {
 	t.Helper()
 	m := NewManager(Config{ScenarioDir: "../../scenarios"})
@@ -495,46 +505,52 @@ func waitSimTime(t *testing.T, base, id string, tmin float64) {
 // TestServedInjectionMatchesBatch is the headline determinism test: a served
 // session that receives its whole timeline over POST /events must produce a
 // final report byte-identical to a batch run of the same scenario with the
-// same verbs written as at blocks.
+// same verbs written as at blocks — as written and with Net(shards 1) and
+// Net(shards 4), an argument that is checked and then ignored.
 func TestServedInjectionMatchesBatch(t *testing.T) {
 	ts, _ := newTestServer(t)
-	f, err := scenario.Parse("ident.ispn", []byte(identBase+identEvents))
-	if err != nil {
-		t.Fatalf("parse batch: %v", err)
-	}
-	sim, err := scenario.Compile(f, scenario.Options{})
-	if err != nil {
-		t.Fatalf("compile batch: %v", err)
-	}
-	batch := sim.Run().Format()
-	if !strings.Contains(batch, "late") {
-		t.Fatalf("batch run lost the injected-arrival flow:\n%s", batch)
-	}
+	for _, shards := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			base := withShards(identBase, shards)
+			f, err := scenario.Parse("ident.ispn", []byte(base+identEvents))
+			if err != nil {
+				t.Fatalf("parse batch: %v", err)
+			}
+			sim, err := scenario.Compile(f, scenario.Options{})
+			if err != nil {
+				t.Fatalf("compile batch: %v", err)
+			}
+			batch := sim.Run().Format()
+			if !strings.Contains(batch, "late") {
+				t.Fatalf("batch run lost the injected-arrival flow:\n%s", batch)
+			}
 
-	var st status
-	if code := call(t, "POST", ts.URL+"/sessions",
-		createBody{Source: identBase, Name: "ident", Paused: true}, &st); code != http.StatusCreated {
-		t.Fatalf("create: %d", code)
+			var st status
+			if code := call(t, "POST", ts.URL+"/sessions",
+				createBody{Source: base, Name: "ident", Paused: true}, &st); code != http.StatusCreated {
+				t.Fatalf("create: %d", code)
+			}
+			id := st.ID
+			var ok struct {
+				Scheduled int `json:"scheduled"`
+			}
+			if code := call(t, "POST", ts.URL+"/sessions/"+id+"/events", identEvents, &ok); code != http.StatusOK {
+				t.Fatalf("inject: %d", code)
+			}
+			if ok.Scheduled == 0 {
+				t.Fatal("nothing scheduled")
+			}
+			call(t, "POST", ts.URL+"/sessions/"+id, map[string]string{"action": "finish"}, &st)
+			code, served := text(t, ts.URL+"/sessions/"+id+"/report")
+			if code != http.StatusOK {
+				t.Fatalf("report: %d", code)
+			}
+			if served != batch {
+				t.Errorf("served report differs from batch: %s", firstDiff(batch, served))
+			}
+			call(t, "DELETE", ts.URL+"/sessions/"+id, nil, nil)
+		})
 	}
-	id := st.ID
-	var ok struct {
-		Scheduled int `json:"scheduled"`
-	}
-	if code := call(t, "POST", ts.URL+"/sessions/"+id+"/events", identEvents, &ok); code != http.StatusOK {
-		t.Fatalf("inject: %d", code)
-	}
-	if ok.Scheduled == 0 {
-		t.Fatal("nothing scheduled")
-	}
-	call(t, "POST", ts.URL+"/sessions/"+id, map[string]string{"action": "finish"}, &st)
-	code, served := text(t, ts.URL+"/sessions/"+id+"/report")
-	if code != http.StatusOK {
-		t.Fatalf("report: %d", code)
-	}
-	if served != batch {
-		t.Errorf("served report differs from batch: %s", firstDiff(batch, served))
-	}
-	call(t, "DELETE", ts.URL+"/sessions/"+id, nil, nil)
 }
 
 // TestSteppedFreeRunMatchesBatch drives the same scenario through the
