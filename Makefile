@@ -78,8 +78,9 @@ scenario-check:
 # bytes/flow or on any allocation in its admit+release cycle; the zero-alloc
 # steady state and the per-call allocation budget are gated under `test`
 # (TestFacadeSteadyStateAllocs, internal/core's TestCallSetupAllocation). The second line runs internal/stats' recorder
-# benchmarks (one Add; a report's three ranks of 1 M samples); the
-# recorder's byte and read-cost budgets are tests there. The third line runs
+# benchmarks (one Add; one full chunk sorted and coded as a block; a
+# report's three ranks of 1 M samples); the recorder's byte and read-cost
+# budgets are tests there. The third line runs
 # the rate schedulers over the shared flow table; each fails itself if a
 # warmed-up enqueue+dequeue cycle allocates. The fourth runs internal/sim's hold model (fire one event,
 # schedule one) at three heap sizes; it fails itself if a warmed-up op
@@ -90,7 +91,7 @@ scenario-check:
 # ConnectWith, TestPortAllocationBudget). Timing lives in bench/ (see bench/README.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SimulatorThroughput|FacadeSmallNetwork|MillionFlows|CallChurn' -benchtime 1x -benchmem .
-	$(GO) test -run '^$$' -bench 'RecorderAdd|RecorderPercentiles' -benchtime 1x -benchmem ./internal/stats
+	$(GO) test -run '^$$' -bench 'RecorderAdd|RecorderEncode|RecorderPercentiles' -benchtime 1x -benchmem ./internal/stats
 	$(GO) test -run '^$$' -bench 'WFQEnqueueDequeue|VirtualClockEnqueueDequeue|UnifiedEnqueueDequeue' -benchtime 1x -benchmem ./internal/sched
 	$(GO) test -run '^$$' -bench 'Hold' -benchtime 1x -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'AdmitRelease' -benchtime 1x -benchmem ./internal/admission

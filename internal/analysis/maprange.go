@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // mapRangePackages are the deterministic-simulation packages where an
@@ -27,9 +29,12 @@ var mapRangePackages = []string{
 // simulation packages. Three iteration shapes are recognized as order-
 // independent and allowed without annotation:
 //
-//   - collect-then-sort: every statement in the body is an append (the
-//     invariant Oracle.Totals idiom — gather keys, sort outside the loop);
-//     an empty body is the degenerate case and observes nothing;
+//   - collect-then-sort: every statement in the body appends to a local
+//     slice, and the first statement after the loop that mentions each
+//     such slice sorts it — a call into package sort or a slices.Sort*
+//     function with the slice as its first argument (the invariant
+//     Oracle.Totals idiom: gather keys, sort right after the loop); an
+//     empty body is the degenerate case and observes nothing;
 //   - keyed fill: the body is exactly dst[k] = expr with k the range key —
 //     distinct keys make the writes commute (expr must be call-free);
 //   - integer reduce: every statement accumulates into integer variables
@@ -52,30 +57,79 @@ func runMapRange(pass *Pass) error {
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
+			var list []ast.Stmt // a range statement is always in one of these, so what follows it is known
+			switch b := n.(type) {
+			case *ast.BlockStmt:
+				list = b.List
+			case *ast.CaseClause:
+				list = b.Body
+			case *ast.CommClause:
+				list = b.Body
 			}
-			tv, ok := pass.Info.Types[rs.X]
-			if !ok {
-				return true
+			for i, st := range list {
+				if l, ok := st.(*ast.LabeledStmt); ok {
+					st = l.Stmt
+				}
+				if rs, ok := st.(*ast.RangeStmt); ok {
+					checkMapRange(pass, rs, list[i+1:])
+				}
 			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if orderIndependentBody(pass, rs) {
-				return true
-			}
-			pass.Reportf(rs.Pos(), "range over map %s iterates in nondeterministic order; collect and sort the keys first (see invariant.(*Oracle).Totals), or justify with //ispnvet:allow maprange: <why>", types.ExprString(rs.X))
 			return true
 		})
 	}
 	return nil
 }
 
-// orderIndependentBody recognizes the sanctioned map-iteration idioms.
-func orderIndependentBody(pass *Pass, rs *ast.RangeStmt) bool {
-	return collectBody(rs) || keyedFillBody(rs) || reduceBody(pass, rs)
+// checkMapRange reports rs if it ranges over a map in none of the
+// sanctioned order-independent shapes; after is what follows it.
+func checkMapRange(pass *Pass, rs *ast.RangeStmt, after []ast.Stmt) {
+	tv, ok := pass.Info.Types[rs.X]
+	if !ok {
+		return
+	}
+	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+		return
+	}
+	if collectBody(rs) {
+		for _, st := range rs.Body.List {
+			dst := st.(*ast.AssignStmt).Lhs[0]
+			if id, ok := dst.(*ast.Ident); !ok || !sortedFirst(pass, pass.Info.ObjectOf(id), after) {
+				pass.Reportf(rs.Pos(), "range over map %s collects %s in nondeterministic order and does not sort it before its next use; sort it right after the loop (slices.Sort*, sort.*), or justify with //ispnvet:allow maprange: <why>", types.ExprString(rs.X), types.ExprString(dst))
+				return
+			}
+		}
+		return
+	}
+	if !keyedFillBody(rs) && !reduceBody(pass, rs) {
+		pass.Reportf(rs.Pos(), "range over map %s iterates in nondeterministic order; collect and sort the keys first (see invariant.(*Oracle).Totals), or justify with //ispnvet:allow maprange: <why>", types.ExprString(rs.X))
+	}
+}
+
+// sortedFirst reports whether the first of stmts that mentions obj sorts
+// it: a call into package sort, or to a slices.Sort* function, whose first
+// argument mentions obj.
+func sortedFirst(pass *Pass, obj types.Object, stmts []ast.Stmt) bool {
+	mentions := func(n ast.Node) bool {
+		found := false
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && pass.Info.Uses[id] == obj {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	var fn *types.Func
+	if i := slices.IndexFunc(stmts, func(st ast.Stmt) bool { return mentions(st) }); i >= 0 {
+		if es, ok := stmts[i].(*ast.ExprStmt); ok {
+			if call, ok := es.X.(*ast.CallExpr); ok && len(call.Args) > 0 && mentions(call.Args[0]) {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					fn, _ = pass.Info.Uses[sel.Sel].(*types.Func)
+				}
+			}
+		}
+	}
+	return fn != nil && (fn.Pkg().Path() == "sort" || fn.Pkg().Path() == "slices" && strings.HasPrefix(fn.Name(), "Sort"))
 }
 
 // collectBody: every statement appends to a slice (collect-then-sort). An

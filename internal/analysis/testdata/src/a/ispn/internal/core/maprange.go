@@ -2,6 +2,11 @@
 // idioms, and the allow escape hatch.
 package core
 
+import (
+	"slices"
+	"sort"
+)
+
 func plainRange(m map[string]int) int {
 	total := 0
 	for _, v := range m { // want "range over map m iterates in nondeterministic order"
@@ -33,7 +38,71 @@ func collectThenSort(m map[string]int) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
+	sort.Strings(keys)
 	return keys
+}
+
+func collectThenSlicesSort(m map[string]int) ([]string, []int) {
+	var keys []string
+	var vals []int
+	for k, v := range m {
+		keys = append(keys, k)
+		vals = append(vals, v)
+	}
+	slices.Sort(keys)
+	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	return keys, vals
+}
+
+// The collected slice must be sorted before anything else reads it.
+func collectUnsorted(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m { // want "range over map m collects keys in nondeterministic order and does not sort it"
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+func collectReadBeforeSort(m map[string]int) string {
+	var keys []string
+	for k := range m { // want "collects keys in nondeterministic order"
+		keys = append(keys, k)
+	}
+	first := keys[0]
+	sort.Strings(keys)
+	return first
+}
+
+func collectOneSorted(m map[string]int) ([]string, []int) {
+	var keys []string
+	var vals []int
+	for k, v := range m { // want "collects vals in nondeterministic order"
+		keys = append(keys, k)
+		vals = append(vals, v)
+	}
+	sort.Strings(keys)
+	return keys, vals
+}
+
+// slices.Contains is not a sort.
+func collectNotSorted(m map[string]int) bool {
+	var keys []string
+	for k := range m { // want "collects keys in nondeterministic order"
+		keys = append(keys, k)
+	}
+	return slices.Contains(keys, "a")
+}
+
+func collectInCase(m map[string]int, c bool) []string {
+	switch {
+	case c:
+		var keys []string
+		for k := range m { // want "collects keys in nondeterministic order"
+			keys = append(keys, k)
+		}
+		return keys
+	}
+	return nil
 }
 
 // Deleting every key is order-independent too, but clear(m) says it in one

@@ -10,12 +10,12 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
+	"unsafe"
 )
 
-// chunkLen is the length of every chunk of samples but the first, which
-// grows up to it; a full chunk is never copied or reallocated. At 8 KiB a
-// recorder leaves at most one chunk's room unused.
+// chunkLen is how many samples a block codes. The tail that fills one
+// grows as an appended slice does up to it, and is then reused for the
+// next: a recorder leaves at most one chunk's room unused.
 const (
 	chunkShift = 10
 	chunkLen   = 1 << chunkShift
@@ -25,40 +25,49 @@ const (
 // instead of storing each sample of.
 const maxRuns = 32
 
-// run is one of a recorder's smallest distinct values and how many samples
-// of it were added.
+// bucketShift sizes sortKeys' counting pass and a block's high parts: keys
+// are bucketed by the top bucketShift bits of their offset from the
+// smallest, 2·chunkLen buckets.
+const bucketShift = chunkShift + 1
+
+// gatherMax is how many keys a read's bisection leaves between its bounds
+// before it decodes them and picks its rank among them.
+const gatherMax = 64
+
+// run is one of a recorder's smallest distinct values, as its key, and how
+// many samples of it were added.
 type run struct {
-	v float64
+	k uint64
 	c int
 }
 
 // Recorder accumulates a sample set and answers exact order statistics.
-// It keeps every sample — the paper's Table 3 world holds millions — so
-// storage costs what it holds: its smallest distinct values (a link that is
-// not saturated delivers many packets that waited nowhere, recorded as 0 or
-// a few float residues of it) as sorted runs of (value, count), at most 32,
-// and every other sample in chunks, a dozen samples occupying a dozen
-// samples and 400 k occupying 400 k x 8 B, growing with no garbage beyond
-// the first chunk's regrowths. Every chunked sample but NaN is above every
-// run. For unbounded runs use P2Quantile instead.
+// It keeps every sample — the paper's Table 3 world holds millions — as a
+// multiset: the mean and the maximum are running values, so the order of
+// the samples never reaches an answer. Its smallest distinct values (a link
+// that is not saturated delivers many packets that waited nowhere,
+// recorded as 0 or a few float residues of it) are sorted runs of (value,
+// count), at most 32. Every other sample is a key (see key) in the tail,
+// and a tail that reaches chunkLen keys is sorted and coded as one
+// Elias–Fano block of about 6 B a delay, against the 8 B of a float; the
+// tail is then reused. Every key but NaN's is above every run. For
+// unbounded runs use P2Quantile instead.
 //
 // Percentile answers a rank the runs hold by walking them. Any other rank
-// it selects in place over the chunks instead of sorting, and remembers the
-// ranks it placed until the chunks next take a sample, so a report's
-// 0.50/0.99/0.999 each search only between their already-placed neighbours.
+// it finds by bisecting the key space for the smallest key at or above
+// which enough samples lie, counting each block's without decoding it; the
+// only thing a read moves is the tail, which it sorts in place.
 //
 // The zero Recorder is empty and ready to use, so one can sit inside a larger
 // struct (a flow's meter) at no allocation until its first sample.
 type Recorder struct {
-	runs   []run       // ascending; grows as an appended slice does, to maxRuns
-	runN   int         // the samples the runs hold
-	bound  float64     // Add's one test: above it, or NaN, to the chunks; the largest run once runs is full, +Inf before (0 until the first sample)
-	chunks [][]float64 // len == cap each; sample i is chunks[i>>chunkShift][i&(chunkLen-1)]
-	tail   []float64   // the last chunk up to its last sample, so Add reads no chunk table
-	n      int         // the samples the chunks hold
-	placed []int       // -1, the ranks placed (see selectRank) since the chunks last took a sample, n
+	runs   []run    // ascending; grows as an appended slice does, to maxRuns
+	bound  uint64   // Add's one test: a key above it to the tail; the largest run's once runs is full, the largest key before (0 until the first sample)
+	blocks []block  // every full chunk, coded
+	tail   []uint64 // the keys since the last block; grows as an appended slice does, to chunkLen
 	sum    float64
-	max    float64 // set by the first Add
+	max    float64   // set by the first Add
+	hits   [16]uint8 // 1 + the index of a run whose key hashes here (see hitSlot), 0 for none: Add finds a repeated value without searching
 }
 
 // NewRecorder returns an empty recorder.
@@ -69,125 +78,164 @@ func NewRecorder() *Recorder { return new(Recorder) }
 // the next [benchmark] PR should switch that call and delete this.
 func NewRecorderSize(int) *Recorder { return NewRecorder() }
 
-// ref addresses sample i; at reads it.
-func (r *Recorder) ref(i int) *float64 { return &r.chunks[i>>chunkShift][i&(chunkLen-1)] }
-func (r *Recorder) at(i int) float64   { return *r.ref(i) }
-
-func (r *Recorder) swap(i, j int) {
-	a, b := r.ref(i), r.ref(j)
-	*a, *b = *b, *a
+// key maps a sample to a uint64 whose unsigned order is the samples'
+// numeric order, −0 just below +0: a negative sample's bits are flipped, a
+// positive one's sign bit set. A positive NaN's key is above +Inf's, a
+// negative one's below −Inf's; add maps every NaN to the largest key.
+func key(x float64) uint64 {
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
-// grow makes room in a full tail: the first chunk grows as an appended slice
-// does until it is half full, then — where append would overshoot — to
-// exactly chunkLen; after that the full chunk stays where it is and a new
-// one is started.
-func (r *Recorder) grow() {
-	k := len(r.tail)
-	switch {
-	case k == chunkLen:
-		r.tail = make([]float64, 0, chunkLen)
-		r.chunks = append(r.chunks, r.tail[:chunkLen])
-		return
-	case k > chunkLen/2:
-		r.tail = append(make([]float64, 0, chunkLen), r.tail...)
-	default:
-		t := slices.Grow(r.tail, 1)
-		r.tail = t[:k:min(cap(t), chunkLen)]
-	}
-	r.chunks = append(r.chunks[:0], r.tail[:cap(r.tail)])
+// value inverts key; the largest key, NaN's, is a NaN.
+func value(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
 }
 
 // Add records one sample. A sample above the runs costs one compare more
-// than appending it to the chunks.
+// than appending its key to the tail: a negative NaN's key is below every
+// bound but the zero Recorder's, so it takes add's path, and a positive
+// one's is above every other key already.
 func (r *Recorder) Add(x float64) {
 	r.sum += x
-	if x <= r.bound || len(r.tail) == cap(r.tail) {
-		r.add(x, 1)
+	k := key(x)
+	if k > r.bound && len(r.tail) < cap(r.tail) {
+		r.tail = append(r.tail, k) // a chunked sample is held, so max is set
+		if x > r.max {
+			r.max = x
+		}
 		return
 	}
-	r.tail = append(r.tail, x) // a chunk sample is held, so max is set
-	r.n++
-	if x > r.max {
-		r.max = x
+	if j := int(r.hits[hitSlot(k)]) - 1; j >= 0 && r.runs[j].k == k { // a value the runs hold, so at most max
+		r.runs[j].c++
+		return
 	}
+	r.add(x, k, 1)
 }
 
-// add records c samples of x, but not in the sum: Add's path for a sample
-// that joins the runs or finds the tail full, and Absorb's for a run.
-func (r *Recorder) add(x float64, c int) {
-	if r.Count() == 0 || x > r.max {
+// hitSlot is where in hits a run of key k is remembered.
+func hitSlot(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 >> 60 }
+
+// add records c samples of x, whose key is k, but not in the sum: Add's
+// path for a sample that joins a new run or finds the tail full, and
+// Absorb's for a run.
+func (r *Recorder) add(x float64, k uint64, c int) {
+	if r.bound == 0 { // no sample yet: a run's key is never 0, NaN's only
+		r.max, r.bound = x, math.MaxUint64
+	} else if x > r.max {
 		r.max = x
 	}
-	if x <= r.bound || len(r.runs) < maxRuns && x == x { // NaN aside, a table not full takes all; the zero Recorder's bound is 0, not +Inf
-		r.addRun(x, c)
+	if x != x {
+		k = math.MaxUint64 // above every bound's key but the first sample's
+	} else if k <= r.bound {
+		r.addRun(k, c)
 		return
 	}
 	for range c {
-		r.push(x)
+		r.push(k)
 	}
 }
 
-// addRun adds c samples of x, at most the largest run's value or while
-// fewer than maxRuns runs exist, to its run. A new run in a full table
-// pushes the largest run into the chunks — all of whose samples lie above
-// it — so the bound only falls and a sample enters the chunks at most once.
-func (r *Recorder) addRun(x float64, c int) {
-	r.runN += c
-	i := 0
-	for i < len(r.runs) && r.runs[i].v < x { // the smallest values are the commonest
-		i++
+// addRun adds c samples of key k, at most the largest run's or while fewer
+// than maxRuns runs exist, to its run. A new run in a full table pushes the
+// largest run into the tail — all of whose keys lie above it — so the bound
+// only falls and a sample leaves the runs at most once.
+func (r *Recorder) addRun(k uint64, c int) {
+	i := 0 // the runs below k, found without a branch, which a mix of values mispredicts
+	if n := len(r.runs); n > 0 {
+		for ; n > 1; n -= n >> 1 {
+			_, below := bits.Sub64(r.runs[i+n>>1].k, k, 0)
+			i += n >> 1 & -int(below)
+		}
+		_, below := bits.Sub64(r.runs[i].k, k, 0)
+		i += int(below)
 	}
-	if i < len(r.runs) && r.runs[i].v == x {
+	if i < len(r.runs) && r.runs[i].k == k {
 		r.runs[i].c += c
+		r.hits[hitSlot(k)] = uint8(i + 1)
 		return
 	}
+	r.hits = [16]uint8{}
 	if len(r.runs) == maxRuns {
 		top := r.runs[maxRuns-1]
 		r.runs = r.runs[:maxRuns-1]
-		r.runN -= top.c
 		for range top.c {
-			r.push(top.v)
+			r.push(top.k)
 		}
 	}
 	r.runs = append(r.runs, run{})
 	copy(r.runs[i+1:], r.runs[i:])
-	r.runs[i] = run{x, c}
-	r.bound = math.Inf(1)
+	r.runs[i] = run{k, c}
+	r.bound = math.MaxUint64
 	if len(r.runs) == maxRuns {
-		r.bound = r.runs[maxRuns-1].v
+		r.bound = r.runs[maxRuns-1].k
 	}
 }
 
-// push appends x to the chunks.
-func (r *Recorder) push(x float64) {
-	if len(r.tail) == cap(r.tail) {
-		r.grow()
+// push appends key k to the tail, first making room in a full one: a tail
+// of chunkLen keys becomes a block and starts again, empty, in the same
+// storage; a shorter one grows as an appended slice does until it is half a
+// chunk, then — where append would overshoot — to exactly chunkLen.
+func (r *Recorder) push(k uint64) {
+	if n := len(r.tail); n == cap(r.tail) {
+		switch {
+		case n == chunkLen:
+			r.blocks = append(r.blocks, encode(r.tail))
+			r.tail = r.tail[:0]
+		case n > chunkLen/2:
+			r.tail = append(make([]uint64, 0, chunkLen), r.tail...)
+		default:
+			t := slices.Grow(r.tail, 1)
+			r.tail = t[:n:min(cap(t), chunkLen)]
+		}
 	}
-	r.tail = append(r.tail, x) // into the room made: never reallocates
-	r.n++
+	r.tail = append(r.tail, k) // into the room made: never reallocates
 }
 
 // Absorb merges every sample of src into r (recorders are merged when
 // aggregating per-flow statistics into per-class or per-experiment views).
 // The sum is added as a sum, so the result depends on the order of the
-// merges, not of the samples. src is unchanged.
+// merges, not of the samples. src, which is not r, is unchanged.
 func (r *Recorder) Absorb(src *Recorder) {
 	if src == nil {
 		return
 	}
 	sum := r.sum + src.sum
 	for _, s := range src.runs {
-		r.add(s.v, s.c)
+		r.add(value(s.k), s.k, s.c)
 	}
-	for i, n := 0, src.n; i < n; i++ {
-		r.Add(src.at(i))
+	var keys [chunkLen]uint64
+	for i := range src.blocks {
+		for _, k := range src.blocks[i].decode(0, chunkLen, keys[:0]) {
+			r.Add(value(k))
+		}
+	}
+	for _, k := range src.tail {
+		r.Add(value(k))
 	}
 	r.sum = sum
 }
 
+// Footprint returns how many samples r holds outside its runs and the
+// bytes its sample storage occupies: the run table, the block table and
+// each block's words at their size class, and the tail, each at its
+// capacity.
+func (r *Recorder) Footprint() (chunked, bytes int) {
+	bytes = cap(r.runs)*int(unsafe.Sizeof(run{})) + cap(r.blocks)*int(unsafe.Sizeof(block{})) + cap(r.tail)*8
+	for _, b := range r.blocks {
+		bytes += cap(b.w) * 8
+	}
+	return len(r.blocks)<<chunkShift + len(r.tail), bytes
+}
+
 // Count returns the number of samples.
-func (r *Recorder) Count() int { return r.runN + r.n }
+func (r *Recorder) Count() int {
+	n := len(r.blocks)<<chunkShift + len(r.tail)
+	for _, s := range r.runs {
+		n += s.c
+	}
+	return n
+}
 
 // Mean returns the sample mean, or 0 with no samples.
 func (r *Recorder) Mean() float64 {
@@ -206,17 +254,18 @@ func (r *Recorder) Max() float64 {
 }
 
 // Percentile returns the exact p-quantile (0 <= p <= 1) using the
-// nearest-rank method. With no samples it returns 0. It reorders samples.
+// nearest-rank method, NaN ranking above every other sample. With no
+// samples it returns 0.
 func (r *Recorder) Percentile(p float64) float64 {
 	v, _ := r.read(p)
 	return v
 }
 
-// read is Percentile, also returning the samples selectRank visited. A rank
+// read is Percentile, also returning the block ranks it counted. A rank
 // below the runs' total count is their value, found by walking them; any
-// other rank, less that count, is a rank of the chunks, selected between
-// its placed neighbours.
-func (r *Recorder) read(p float64) (v float64, visits int) {
+// other rank, less that count, is a rank of the keys, which selectKey
+// finds.
+func (r *Recorder) read(p float64) (v float64, probes int) {
 	all := r.Count()
 	if all == 0 {
 		return 0, 0
@@ -224,81 +273,325 @@ func (r *Recorder) read(p float64) (v float64, visits int) {
 	k := min(max(int(math.Ceil(p*float64(all)))-1, 0), all-1)
 	for _, s := range r.runs {
 		if k < s.c {
-			return s.v, 0
+			return value(s.k), 0
 		}
 		k -= s.c
 	}
-	if len(r.placed) == 0 || r.placed[len(r.placed)-1] != r.n {
-		r.placed = append(r.placed[:0], -1, r.n) // the chunks took samples: nothing is placed
+	if !slices.IsSorted(r.tail) {
+		sortKeys(r.tail)
 	}
-	at, found := slices.BinarySearch(r.placed, k)
-	if !found {
-		visits = r.selectRank(r.placed[at-1]+1, r.placed[at]-1, k)
-		r.placed = slices.Insert(r.placed, at, k)
-	}
-	return r.at(k), visits
+	K, probes := r.selectKey(k)
+	return value(K), probes
 }
 
-// partition splits samples lo..hi (at least 16) around a median-of-three
-// pivot with Hoare's scheme and returns j < i, or j == i on an equal of the
-// pivot, with lo..j <= pivot <= i..hi; a sample between them equals the
-// pivot.
-func (r *Recorder) partition(lo, hi int) (j, i int) {
-	mid := int(uint(lo+hi) >> 1)
-	if r.at(mid) < r.at(lo) {
-		r.swap(mid, lo)
-	}
-	if r.at(hi) < r.at(mid) {
-		r.swap(hi, mid)
-		if r.at(mid) < r.at(lo) {
-			r.swap(mid, lo)
-		}
-	}
-	// Neither scan needs a bound: lo and hi, then every swapped pair,
-	// stop it (a NaN stops both), and each swap moves i and j inward.
-	pivot := r.at(mid)
-	i, j = lo+1, hi-1
-	for {
-		for r.at(i) < pivot {
-			i++
-		}
-		for r.at(j) > pivot {
-			j--
-		}
-		if i >= j {
-			return j, i
-		}
-		r.swap(i, j)
-		i, j = i+1, j-1
-	}
-}
+// window is what a search knows of one block: lo of its keys lie below the
+// lower bound, hi at or below the upper, and at at or below the probe.
+type window struct{ lo, hi, at int32 }
 
-// selectRank permutes samples lo..hi until rank k is placed — holds its
-// sorted value, nothing larger to its left, nothing smaller to its right:
-// quickselect by partition passes, then a sort of what is left (an
-// insertion sort, at that size) below 16 samples — or after 2*log2(len)
-// passes, so no input is quadratic. For the tests' comparison budget it
-// returns the samples visited: a pass compares each of its span with the
-// pivot once, and the sort is charged 2*len*log2(len).
-func (r *Recorder) selectRank(lo, hi, k int) (visits int) {
-	for depth := 2 * bits.Len(uint(hi-lo)); hi-lo >= 16 && depth > 0; depth-- {
-		visits += hi - lo + 1
-		if j, i := r.partition(lo, hi); k <= j { // i is j+1, or j on an equal of the pivot: lo..j <= pivot <= i..hi
-			hi = j
+// selectKey returns the key of rank k (from 0) among the blocks' and the
+// sorted tail's: the smallest key K with at least k+1 keys at or below it.
+// It narrows a key interval that holds K, from the smallest key to the
+// largest, by probes: it counts the keys at or below a probe in each block
+// that still has a key in the interval — between that block's counts at the
+// two bounds — and in the tail, and the probe becomes a bound. A probe is
+// the interval's middle; after one that left more than half the interval's
+// keys in it, the next is a key the interval holds (see pivot, and below
+// the upper bound), which ends a run of equal keys that halving would chase
+// for every bit of the key space. So a search takes at most two probes per
+// bit. Once at most gatherMax keys lie in the interval it decodes them and
+// picks the rank among them; bounds that meet are the answer. K is always a
+// stored key, so the answer is exact. It also returns how many block counts
+// it made.
+func (r *Recorder) selectKey(k int) (K uint64, probes int) {
+	if len(r.blocks) == 0 {
+		return r.tail[k], 0
+	}
+	var buf [256]window
+	wins := slices.Grow(buf[:0], len(r.blocks))
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for i := range r.blocks {
+		b := &r.blocks[i]
+		lo, hi = min(lo, b.base), max(hi, b.last())
+		wins = append(wins, window{0, chunkLen, 0})
+	}
+	tlo, thi := 0, len(r.tail) // the tail's keys in the interval
+	if thi > 0 {
+		lo, hi = min(lo, r.tail[0]), max(hi, r.tail[thi-1])
+	}
+	below, between := 0, len(r.blocks)<<chunkShift+thi // keys below lo, and from lo to hi
+	for pivot := false; lo < hi && between > gatherMax; {
+		mid := lo + (hi-lo)/2
+		if pivot {
+			mid = min(r.pivot(wins, tlo, thi), hi-1)
+		}
+		at := below
+		for i := range wins {
+			if w := &wins[i]; w.lo < w.hi {
+				w.at = int32(r.blocks[i].rank(mid))
+				at += int(w.at - w.lo)
+				probes++
+			}
+		}
+		tat, _ := slices.BinarySearch(r.tail[tlo:thi], mid+1) // the tail's keys at or below mid; mid < hi, so mid+1 does not wrap
+		tat += tlo
+		at += tat - tlo
+		if at > k {
+			hi, thi = mid, tat
 		} else {
-			lo = i
+			lo, tlo = mid+1, tat
+		}
+		was := between
+		below, between = tlo, thi-tlo
+		for i := range wins {
+			w := &wins[i]
+			if w.lo < w.hi {
+				if at > k {
+					w.hi = w.at
+				} else {
+					w.lo = w.at
+				}
+			}
+			below += int(w.lo)
+			between += int(w.hi - w.lo)
+		}
+		pivot = !pivot && 2*between > was
+	}
+	if lo == hi {
+		return lo, probes
+	}
+	var keys [gatherMax]uint64
+	got := append(keys[:0], r.tail[tlo:thi]...)
+	for i, w := range wins {
+		if w.lo < w.hi {
+			got = r.blocks[i].decode(int(w.lo), int(w.hi), got)
 		}
 	}
-	sort.Sort(span{r, lo, hi - lo + 1})
-	return visits + 2*(hi-lo+1)*bits.Len(uint(hi-lo))
+	slices.Sort(got)
+	return got[k-below], probes
 }
 
-// span is samples lo..lo+n-1 of r as a sort.Interface.
-type span struct {
-	r     *Recorder
-	lo, n int
+// pivot is a key in the search's interval: the middle one of the block or
+// tail that holds the most keys there.
+func (r *Recorder) pivot(wins []window, tlo, thi int) uint64 {
+	best, most := -1, thi-tlo
+	for i, w := range wins {
+		if int(w.hi-w.lo) > most {
+			best, most = i, int(w.hi-w.lo)
+		}
+	}
+	if best < 0 {
+		return r.tail[tlo+most/2]
+	}
+	var one [1]uint64
+	m := int(wins[best].lo+wins[best].hi) / 2
+	return r.blocks[best].decode(m, m+1, one[:0])[0]
 }
 
-func (s span) Len() int           { return s.n }
-func (s span) Less(i, j int) bool { return s.r.at(s.lo+i) < s.r.at(s.lo+j) }
-func (s span) Swap(i, j int)      { s.r.swap(s.lo+i, s.lo+j) }
+// sortKeys sorts keys, at least one and at most chunkLen, in place: one counting
+// pass places them by the top bucketShift bits of their offset from the
+// smallest — 2·chunkLen buckets at most, over the keys' range — and an
+// insertion sort then orders each bucket, moving no key out of its own.
+// Delays spread over a block put a key or two in a bucket; should the
+// insertions pass a few moves a key, as when one far key leaves nearly all
+// in one bucket, a comparison sort finishes instead. The scratch is on the
+// stack.
+func sortKeys(keys []uint64) {
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	shift := uint(max(bits.Len64(hi-lo)-bucketShift, 0))
+	var starts [1 << bucketShift]uint16
+	buckets := starts[:(hi-lo)>>shift+1]
+	for _, k := range keys {
+		buckets[(k-lo)>>shift]++
+	}
+	n := uint16(0)
+	for i, c := range buckets {
+		buckets[i], n = n, n+c
+	}
+	var placed [chunkLen]uint64
+	for _, k := range keys {
+		h := (k - lo) >> shift
+		placed[buckets[h]] = k
+		buckets[h]++
+	}
+	copy(keys, placed[:len(keys)])
+	for i, moves := 1, 0; i < len(keys); i++ {
+		k, j := keys[i], i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+		if moves += i - j; moves > 4*len(keys) {
+			slices.Sort(keys)
+			return
+		}
+	}
+}
+
+// block is chunkLen keys, sorted and coded as Elias–Fano codes (Elias, JACM
+// 1974; Fano 1971): each key less base is split into its low l bits, packed
+// in key order, and its high part h, written in unary as a one at bit
+// h + (its index) of the high vector, so that a zero ends each high part's
+// bucket. l is the fewest bits that leave the high parts below
+// 2·chunkLen, so a block takes chunkLen·(l+2) to chunkLen·(l+3) bits; l+3
+// never reaches 64.
+type block struct {
+	base uint64    // the smallest key
+	w    []uint64  // 16·l words of low parts, then the high vector; allocated to its size class
+	skip [6]uint16 // the high vector's zeros before words 0, 8, …, 40 (those past its end: every zero of its words)
+	l    uint8
+	hmax uint16 // the largest key's high part
+}
+
+// zeros is what a block's words start from: the most a block takes, 53 low
+// bits a key and a high vector of 3·chunkLen bits. (slices.Grow would make
+// the same allocation, but under the race detector its temporary slice
+// escapes too.)
+var zeros [(64-bucketShift)<<(chunkShift-6) + 3*chunkLen>>6]uint64
+
+// encode sorts keys (chunkLen of them) and codes them as a block.
+func encode(keys []uint64) block {
+	sortKeys(keys)
+	top := keys[chunkLen-1] - keys[0]
+	l := uint(max(bits.Len64(top)-bucketShift, 0))
+	b := block{base: keys[0], l: uint8(l), hmax: uint16(top >> l)}
+	lows := int(l) << (chunkShift - 6)
+	n := lows + (chunkLen+int(b.hmax)+64)>>6
+	b.w = append([]uint64(nil), zeros[:n]...) // append rounds the capacity up to the size class
+	high, mask := b.w[lows:], uint64(1)<<l-1
+	for i, k := range keys {
+		v := k - b.base
+		off := uint(i) * l
+		w, s := off>>6, off&63
+		b.w[w] |= v & mask << s
+		b.w[w+1] |= v & mask >> (64 - s) // nothing, but for a low part that spans two words
+		p := int(v>>l) + i
+		high[p>>6] |= 1 << (p & 63)
+	}
+	for j := 1; j < len(b.skip); j++ {
+		words := high[:min(j<<3, len(high))]
+		b.skip[j] = uint16(len(words) << 6)
+		for _, word := range words {
+			b.skip[j] -= uint16(bits.OnesCount64(word))
+		}
+	}
+	return b
+}
+
+// high is the block's high vector.
+func (b *block) high() []uint64 { return b.w[int(b.l)<<(chunkShift-6):] }
+
+// low is the low part of key i.
+func (b *block) low(i int) uint64 {
+	off := uint(i) * uint(b.l)
+	w, s := off>>6, off&63
+	return (b.w[w]>>s | b.w[w+1]<<(64-s)) & (1<<b.l - 1)
+}
+
+// keyAt is key i, whose one is at bit pos of the high vector.
+func (b *block) keyAt(pos, i int) uint64 {
+	return b.base + (uint64(pos-i)<<b.l | b.low(i))
+}
+
+// last is the block's largest key.
+func (b *block) last() uint64 {
+	return b.base + (uint64(b.hmax)<<b.l | b.low(chunkLen-1))
+}
+
+// bucket returns where high part h's bucket starts in the high vector, just
+// past its h-th zero, and how many keys lie in earlier buckets; h is at
+// most hmax. The skip counts find the group of eight words that holds the
+// zero.
+func (b *block) bucket(h int) (pos, i int) {
+	if h == 0 {
+		return 0, 0
+	}
+	g := 0
+	for _, z := range b.skip[1:] {
+		if int(z) < h {
+			g++
+		}
+	}
+	high := b.high()
+	for w, need := g<<3, h-int(b.skip[g]); ; w++ {
+		z := 64 - bits.OnesCount64(high[w])
+		if need <= z {
+			pos = w<<6 + selectBit(^high[w], need-1) + 1
+			return pos, pos - h
+		}
+		need -= z
+	}
+}
+
+// rank is how many of the block's keys are at or below k, counted without
+// decoding them: every key in a lower bucket, then — by bisection, since
+// one bucket may hold every key — those of k's bucket whose low parts are
+// at most k's.
+func (b *block) rank(k uint64) int {
+	if k < b.base {
+		return 0
+	}
+	v := k - b.base
+	h := v >> b.l
+	if h > uint64(b.hmax) {
+		return chunkLen
+	}
+	pos, i := b.bucket(int(h))
+	high, n := b.high(), 0 // the bucket's keys: the ones from pos on
+	for w, s := pos>>6, uint(pos&63); ; w, s = w+1, 0 {
+		ones := bits.TrailingZeros64(^(high[w] >> s))
+		if n += ones; ones < 64-int(s) {
+			break
+		}
+	}
+	vl := v & (1<<b.l - 1)
+	for n > 0 {
+		if h := n >> 1; b.low(i+h) <= vl {
+			i, n = i+h+1, n-h-1
+		} else {
+			n = h
+		}
+	}
+	return i
+}
+
+// decode appends keys i..j-1 to dst, ascending: the high vector's ones are
+// counted a word at a time up to key i, then walked.
+func (b *block) decode(i, j int, dst []uint64) []uint64 {
+	high := b.high()
+	w, c := 0, i
+	for n := bits.OnesCount64(high[0]); c >= n; n = bits.OnesCount64(high[w]) {
+		c, w = c-n, w+1
+	}
+	word := high[w] &^ (1<<selectBit(high[w], c) - 1) // key i's one and those after it
+	for at := i; at < j; at++ {
+		for word == 0 {
+			w++
+			word = high[w]
+		}
+		dst = append(dst, b.keyAt(w<<6+bits.TrailingZeros64(word), at))
+		word &= word - 1
+	}
+	return dst
+}
+
+// selectBit is the position of the j-th (from 0) set bit of x, which has
+// more than j.
+func selectBit(x uint64, j int) int {
+	s := 0
+	if c := bits.OnesCount32(uint32(x)); j >= c {
+		x, s, j = x>>32, s+32, j-c
+	}
+	if c := bits.OnesCount16(uint16(x)); j >= c {
+		x, s, j = x>>16, s+16, j-c
+	}
+	if c := bits.OnesCount8(uint8(x)); j >= c {
+		x, s, j = x>>8, s+8, j-c
+	}
+	for ; j > 0; j-- {
+		x &= x - 1
+	}
+	return s + bits.TrailingZeros64(x)
+}

@@ -1,9 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -52,7 +52,7 @@ func TestRecorderPercentileNearestRank(t *testing.T) {
 }
 
 func TestRecorderAddAfterPercentile(t *testing.T) {
-	// Percentile reorders in place; adding afterwards must still work.
+	// Percentile sorts the tail in place; adding afterwards must still work.
 	r := NewRecorder()
 	r.Add(3)
 	r.Add(1)
@@ -118,14 +118,21 @@ func recorderOf(xs []float64) *Recorder {
 }
 
 // storageBytes is what r's sample storage occupies: the run table, every
-// chunk at its capacity, and the chunk table.
+// block's words at their size class and the block table, and the tail, each
+// at its capacity.
 func storageBytes(r *Recorder) int {
-	b := cap(r.runs)*int(unsafe.Sizeof(run{})) + cap(r.chunks)*24
-	for _, c := range r.chunks {
-		b += cap(c) * 8
+	b := cap(r.runs)*int(unsafe.Sizeof(run{})) + cap(r.blocks)*int(unsafe.Sizeof(block{})) + cap(r.tail)*8
+	for _, bl := range r.blocks {
+		b += cap(bl.w) * 8
 	}
 	return b
 }
+
+// runN is how many samples r's runs hold.
+func runN(r *Recorder) int { return r.Count() - chunked(r) }
+
+// chunked is how many samples r holds outside its runs.
+func chunked(r *Recorder) int { return len(r.blocks)*chunkLen + len(r.tail) }
 
 var rankShapes = []struct {
 	name string
@@ -169,10 +176,9 @@ var rankShapes = []struct {
 var rankSizes = []int{1, 15, 16, 17, chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 7,
 	4*chunkLen - 1, 4 * chunkLen, 4*chunkLen + 1, 12*chunkLen + 7}
 
-// Every rank of a recorder, asked in shuffled order so each answer is
-// selected between ranks placed by earlier ones, matches sort-then-index;
-// so do the extreme and middle ranks asked first of a fresh recorder, where
-// the selection spans every chunk.
+// Every rank of a recorder, asked in shuffled order, matches
+// sort-then-index; so do the extreme and middle ranks asked first of a
+// fresh recorder, whose tail is not yet sorted.
 func TestRecorderEveryRankMatchesSort(t *testing.T) {
 	for _, shape := range rankShapes {
 		for _, n := range rankSizes {
@@ -211,7 +217,8 @@ func TestRecorderEveryRankMatchesSort(t *testing.T) {
 // Add, Percentile and Absorb interleaved: after every step the recorder
 // agrees with a plain slice of everything it was given. The Absorb sizes
 // cross a chunk boundary of the destination, of the source, and of both,
-// and the source — already reordered by its own Percentile — is unchanged.
+// and the source — its tail already sorted by its own Percentile — is
+// unchanged.
 func TestRecorderInterleavedMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	r := NewRecorder()
@@ -354,10 +361,9 @@ func addReading(t *testing.T, rng *rand.Rand, r *Recorder, all, xs []float64, st
 // rank as sort-then-index, with live reads between the adds: on the
 // measured wait shapes; on a strictly decreasing stream, where every Add
 // past the first maxRuns makes a new run and pushes the largest out; on a
-// run of 10⁵ samples pushed out at once, after reads have placed ranks in
-// the chunks; with NaN mixed in, where the ranks the runs hold are the
-// smallest of the other samples and no read panics; and across an Absorb
-// of one split recorder into another.
+// run of 10⁵ samples pushed out at once, after reads have sorted the tail;
+// with NaN mixed in, which ranks above every other sample; and across an
+// Absorb of one split recorder into another.
 func TestRecorderRunsMatchSort(t *testing.T) {
 	const n, step = 20_000, 997
 	for _, sh := range waitShapes {
@@ -369,8 +375,8 @@ func TestRecorderRunsMatchSort(t *testing.T) {
 			}
 			r := NewRecorder()
 			addReading(t, rng, r, nil, xs, step)
-			if r.runN < int(0.95*sh.share*n) {
-				t.Fatalf("runs hold %d samples, want about %.0f", r.runN, sh.share*n)
+			if runN(r) < int(0.95*sh.share*n) {
+				t.Fatalf("runs hold %d samples, want about %.0f", runN(r), sh.share*n)
 			}
 			checkEveryRank(t, rng, r, xs, sumOf(xs))
 		})
@@ -382,8 +388,8 @@ func TestRecorderRunsMatchSort(t *testing.T) {
 		for i := range xs {
 			xs[i] = float64(len(xs) - i)
 			r.Add(xs[i])
-			if len(r.runs) != min(i+1, maxRuns) || r.n != max(i+1-maxRuns, 0) {
-				t.Fatalf("after %d samples: %d runs, %d chunked", i+1, len(r.runs), r.n)
+			if len(r.runs) != min(i+1, maxRuns) || chunked(r) != max(i+1-maxRuns, 0) {
+				t.Fatalf("after %d samples: %d runs, %d chunked", i+1, len(r.runs), chunked(r))
 			}
 		}
 		r = NewRecorder()
@@ -403,12 +409,12 @@ func TestRecorderRunsMatchSort(t *testing.T) {
 		}
 		r := NewRecorder()
 		all := addReading(t, rng, r, nil, xs, 1999)
-		if r.runN != 100_000+maxRuns-1 {
-			t.Fatalf("runs hold %d samples, want %d", r.runN, 100_000+maxRuns-1)
+		if runN(r) != 100_000+maxRuns-1 {
+			t.Fatalf("runs hold %d samples, want %d", runN(r), 100_000+maxRuns-1)
 		}
 		all = addReading(t, rng, r, all, []float64{0.5}, 1)
-		if r.runN != maxRuns || r.n != 103_000 {
-			t.Fatalf("after the push: %d samples in runs, %d chunked; want %d, %d", r.runN, r.n, maxRuns, 103_000)
+		if runN(r) != maxRuns || chunked(r) != 103_000 {
+			t.Fatalf("after the push: %d samples in runs, %d chunked; want %d, %d", runN(r), chunked(r), maxRuns, 103_000)
 		}
 		checkEveryRank(t, rng, r, all, sumOf(all))
 	})
@@ -435,13 +441,11 @@ func TestRecorderRunsMatchSort(t *testing.T) {
 				t.Fatalf("NaN share %v: Count = %d, want %d", share, r.Count(), n)
 			}
 			slices.Sort(clean)
-			for _, k := range rng.Perm(r.runN) {
-				if got := r.Percentile(rankP(k, n)); got != clean[k] {
-					t.Fatalf("NaN share %v: rank %d = %v, want %v", share, k, got, clean[k])
+			for _, k := range rng.Perm(n) {
+				got := r.Percentile(rankP(k, n))
+				if k < len(clean) && got != clean[k] || k >= len(clean) && !math.IsNaN(got) {
+					t.Fatalf("NaN share %v: rank %d of %d = %v, %d not NaN", share, k, n, got, len(clean))
 				}
-			}
-			for k := range n {
-				_ = r.Percentile(rankP(k, n))
 			}
 		}
 	})
@@ -475,82 +479,12 @@ func TestRecorderRunsMatchSort(t *testing.T) {
 	})
 }
 
-// medianOf3Killer builds the input that defeats selectRank's pivot rule for
-// a high rank, by playing its passes forward: give the first and middle
-// element of the current span the two smallest values not yet handed out,
-// so the median of three is the span's second smallest and the partition
-// peels off two elements — after swapping the span's second element with
-// its middle one, which idx (original index now at each position) tracks.
-// Unbounded quickselect visits about n*n/4 elements on it.
-func medianOf3Killer(n int) []float64 {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(n) // larger than everything handed out below
-	}
-	v := 0.0
-	for lo, hi := 0, n-1; hi-lo >= 16; lo += 2 {
-		mid := (lo + hi) / 2
-		xs[idx[lo]], xs[idx[mid]] = v, v+1
-		v += 2
-		idx[lo+1], idx[mid] = idx[mid], idx[lo+1]
-	}
-	return xs
-}
-
-// The bounded-depth fallback holds on the input built to need it: at most
-// 2*log2(n) partition passes of at most n, then a sort charged
-// 2*n*log2(n) — 4*n*log2(n) element visits, against n*n/4 without it.
-func TestRecorderKillerSequenceStaysInBudget(t *testing.T) {
-	const n = 200_000
-	xs := medianOf3Killer(n)
-	sorted := slices.Clone(xs)
-	slices.Sort(sorted)
-	r := recorderOf(xs)
-	k := n - n/1000
-	visits := r.selectRank(0, n-1, k)
-	if got := r.at(k); got != sorted[k] {
-		t.Fatalf("rank %d = %v, want %v", k, got, sorted[k])
-	}
-	log2 := bits.Len(uint(n))
-	if budget := 4 * n * log2; visits > budget {
-		t.Fatalf("%d element visits, budget %d", visits, budget)
-	}
-	if visits < n*log2 {
-		t.Fatalf("%d element visits: the sequence no longer defeats the pivot rule, so this test proves nothing", visits)
-	}
-}
-
-// NaN compares false with everything, so no ordering invariant holds around
-// it; selection must still end and stay inside the samples.
-func TestRecorderNaNSamplesAreSafe(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{1, 3, 16, 17, 100, chunkLen + 1, 3*chunkLen + 7} {
-		for _, share := range []float64{0.01, 0.5, 1} {
-			r := NewRecorder()
-			for i := 0; i < n; i++ {
-				if rng.Float64() < share {
-					r.Add(math.NaN())
-				} else {
-					r.Add(rng.Float64())
-				}
-			}
-			for _, p := range []float64{0.5, 0.999, 0.01, rng.Float64(), 0, 1} {
-				_ = r.Percentile(p)
-			}
-			if r.n > 0 { // over ranks the calls above disordered again
-				r.selectRank(0, r.n-1, r.n/2)
-			}
-		}
-	}
-}
-
-// Growth copies nothing but the first chunk's regrowths: a million Adds
-// allocate the 8 MB they hold, within 5 % (the chunk table), plus those
-// regrowths. Append-growth of one slice allocated about five times the 8 MB.
+// Growth copies nothing but the tail's first regrowths and the block
+// table's: a million Adds allocate what they hold — the blocks at their
+// size classes and the tail — plus those regrowths, which append's growth
+// keeps under four times the table, and what they hold is under 8 B a
+// sample. Append-growth of one slice of floats allocated about
+// five times 8 MB.
 func TestRecorderGrowthCopiesNothing(t *testing.T) {
 	const n = 1_000_000
 	r := NewRecorder()
@@ -561,8 +495,12 @@ func TestRecorderGrowthCopiesNothing(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(1.05*8*n) + 2*8*chunkLen; got > limit {
+	held := storageBytes(r)
+	if limit := uint64(held + 4*cap(r.blocks)*int(unsafe.Sizeof(block{})) + 2*8*chunkLen); got > limit {
 		t.Fatalf("1M Adds allocated %d bytes, want <= %d", got, limit)
+	}
+	if held > 8*n {
+		t.Fatalf("1M samples occupy %d bytes, want <= %d", held, 8*n)
 	}
 	if r.Count() != n {
 		t.Fatalf("Count = %d", r.Count())
@@ -617,8 +555,9 @@ func TestSmallRecorderStaysSmall(t *testing.T) {
 
 // One operation is one Add; a fresh recorder every million keeps the
 // benchmark's own memory bounded. distinct draws every sample from Exp(1),
-// so all but the smallest go to the chunks: B/op is the 8 bytes a sample
-// occupies plus whatever growth copies. sub-ns is the serve_live shape,
+// so all but the smallest go to the blocks: ns/op carries a block's sort
+// and coding spread over its samples, and B/op is what a block holds per
+// sample plus whatever growth copies. sub-ns is the serve_live shape,
 // 86.5 % of the samples one of 7 sub-ns values that the runs count.
 func BenchmarkRecorderAdd(b *testing.B) {
 	for _, bm := range []struct {
@@ -647,7 +586,25 @@ func BenchmarkRecorderAdd(b *testing.B) {
 	}
 }
 
-var percentileSink float64
+// One operation sorts and codes one chunk of fresh Exp(1) keys, as a full
+// tail is; B/op is the block's words at their size class.
+func BenchmarkRecorderEncode(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var fresh, keys [chunkLen]uint64
+	for i := range fresh {
+		fresh[i] = key(rng.ExpFloat64())
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keys = fresh
+		blockSink = encode(keys[:])
+	}
+}
+
+var (
+	percentileSink float64
+	blockSink      block
+)
 
 // One operation is a report's three ranks of a million fresh samples.
 func BenchmarkRecorderPercentiles(b *testing.B) {
@@ -671,7 +628,9 @@ func BenchmarkRecorderPercentiles(b *testing.B) {
 // (nil: Exp(1) samples). outrun moves the ranks most, each round's samples
 // above every earlier one. sub-ns is the serve_live shape: 86 % of the
 // samples are one of 7 sub-ns values, which the runs count, so a round adds
-// about 14 % of its samples to the chunks.
+// about 14 % of its samples to the blocks. tied is a stream of which half
+// the samples are one value above the runs, so the median's bisection runs
+// until its bounds meet with every block still counted.
 var liveStreams = []struct {
 	name  string
 	next  func(rng *rand.Rand, t int, min float64) float64
@@ -688,6 +647,15 @@ var liveStreams = []struct {
 	{"outrun", func(rng *rand.Rand, t int, _ float64) float64 { return 100 + float64(t) + rng.Float64() }, nil},
 	{"sub-ns", func(rng *rand.Rand, _ int, _ float64) float64 { return waitSample(rng, 0.86, 7) },
 		func(rng *rand.Rand) float64 { return waitSample(rng, 0.86, 7) }},
+	{"tied", func(rng *rand.Rand, _ int, _ float64) float64 { return tiedSample(rng) }, tiedSample},
+}
+
+// tiedSample is 1 with probability one half, else Exp(1).
+func tiedSample(rng *rand.Rand) float64 {
+	if rng.Intn(2) == 0 {
+		return 1
+	}
+	return rng.ExpFloat64()
 }
 
 // mergeSorted merges sorted xs into sorted all, in place from the back.
@@ -707,13 +675,15 @@ func mergeSorted(all, xs []float64) []float64 {
 // liveReadPs are the ranks a report reads.
 var liveReadPs = [...]float64{0.5, 0.99, 0.999}
 
-// TestRecorderLiveReadsCostWhatIsHeld bounds a live reader's reads: a
-// recorder of n = 2²⁰ samples read at 0.5, 0.99 and 0.999, then 40 rounds
-// each adding m = 4 096 samples and reading the same ranks. A round's first
-// read that reaches the chunks selects over every sample they hold, and the
-// others search only between placed neighbours, so a round visits at most
-// 8·c samples, c being the samples the chunks hold; every answer is
-// sort-then-index. A bound in c does not depend on n, so one size is run.
+// TestRecorderLiveReadsCostWhatIsHeld bounds a live reader's reads in
+// blocks: a recorder of n = 2²⁰ samples read at 0.5, 0.99 and 0.999, then
+// 40 rounds each adding m = 4 096 samples and reading the same ranks. A
+// probe counts every block that still has a key in the search's interval,
+// and a read makes at most two probes per bit of the key space, so 128·B
+// block counts a read is the bound by construction, B being the blocks
+// held; on every stream here a round counts at most 3·16·B (11·B a read
+// at most, measured), the tied one's equal keys included. Every answer is
+// sort-then-index.
 func TestRecorderLiveReadsCostWhatIsHeld(t *testing.T) {
 	const n, m, rounds = 1 << 20, 4096, 40
 	for _, st := range liveStreams {
@@ -733,6 +703,7 @@ func TestRecorderLiveReadsCostWhatIsHeld(t *testing.T) {
 			for _, p := range liveReadPs {
 				r.Percentile(p)
 			}
+			const steps = 16
 			xs := make([]float64, m)
 			worst := 0.0
 			for round := 1; round <= rounds; round++ {
@@ -742,62 +713,52 @@ func TestRecorderLiveReadsCostWhatIsHeld(t *testing.T) {
 				}
 				slices.Sort(xs)
 				all = mergeSorted(all, xs)
-				visits := 0
+				probes := 0
 				for _, p := range liveReadPs {
-					got, v := r.read(p)
-					visits += v
+					got, c := r.read(p)
+					probes += c
 					if want := nearestRank(all, p); got != want {
 						t.Fatalf("round %d: Percentile(%v) = %v, want %v", round, p, got, want)
 					}
 				}
-				if visits > 8*r.n {
-					t.Errorf("round %d visited %d samples, budget 8·%d", round, visits, r.n)
+				if b := len(r.blocks); probes > 3*steps*b {
+					t.Errorf("round %d counted %d blocks, budget 3·%d·%d", round, probes, steps, b)
 				}
-				worst = max(worst, float64(visits)/float64(r.n))
+				worst = max(worst, float64(probes)/float64(3*len(r.blocks)))
 			}
-			t.Logf("worst round: %.2f·c visits", worst)
+			t.Logf("worst round: %.2f·B block counts a read", worst)
 		})
 	}
 }
 
 // Storage costs what it holds: the run table holds at most maxRuns runs;
-// past the first chunk the chunks' capacity is at most one chunk more than
-// the samples they hold; up to a chunk the first slice has the capacity an
-// appended slice of those samples has, but never more than a chunk. The
-// streams are rising ones, whose first maxRuns samples are runs and every
-// later one a chunk's, and the serve_live shape, whose runs count most
-// samples and push one out now and then.
+// past the first chunk every chunked sample but the tail's is in a block
+// and the tail has the capacity of a chunk, reused; up to a chunk the tail
+// has the capacity an appended slice of those samples has, but never more
+// than a chunk. The streams are rising ones, whose first maxRuns samples
+// are runs and every later one a chunk's, and the serve_live shape, whose
+// runs count most samples and push one out now and then.
 func TestRecorderSlackBounded(t *testing.T) {
 	check := func(r *Recorder, appended []float64) {
 		t.Helper()
 		if len(r.runs) > maxRuns || cap(r.runs) > maxRuns {
 			t.Fatalf("%d runs in a table of %d, want <= %d", len(r.runs), cap(r.runs), maxRuns)
 		}
-		n := r.n
+		n := chunked(r)
 		if n > chunkLen {
-			held := 0
-			for _, c := range r.chunks {
-				held += cap(c)
-			}
-			if held > n+chunkLen {
-				t.Fatalf("%d chunked samples occupy chunks of %d, want <= %d", n, held, n+chunkLen)
+			if len(r.blocks) != (n-1)/chunkLen || cap(r.tail) != chunkLen {
+				t.Fatalf("%d chunked samples: %d blocks, a tail of %d in %d", n, len(r.blocks), len(r.tail), cap(r.tail))
 			}
 			return
 		}
-		if n == 0 {
-			if len(r.chunks) != 0 {
-				t.Fatalf("no chunked samples, %d chunks", len(r.chunks))
-			}
-			return
-		}
-		if got, want := cap(r.chunks[0]), min(cap(appended), chunkLen); got != want {
-			t.Fatalf("%d chunked samples: first slice capacity %d, want %d", n, got, want)
+		if got, want := cap(r.tail), min(cap(appended), chunkLen); got != want {
+			t.Fatalf("%d chunked samples: tail capacity %d, want %d", n, got, want)
 		}
 	}
-	// add adds x to r, and to appended as many samples as r's chunks took.
+	// add adds x to r, and to appended as many samples as r's tail took.
 	add := func(r *Recorder, appended []float64, x float64) []float64 {
 		r.Add(x)
-		for len(appended) < r.n {
+		for len(appended) < chunked(r) {
 			appended = append(appended, x)
 		}
 		return appended
@@ -820,5 +781,231 @@ func TestRecorderSlackBounded(t *testing.T) {
 	for range 60_000 {
 		appended = add(r, appended, waitSample(rng, 0.865, 7))
 		check(r, appended)
+	}
+}
+
+// sampleOrder is the order Percentile ranks samples in, written apart from
+// key: numeric order, −0 below +0, and every NaN above everything else.
+func sampleOrder(a, b float64) int {
+	switch an, bn := math.IsNaN(a), math.IsNaN(b); {
+	case an || bn:
+		return cmp.Compare(b2i(an), b2i(bn))
+	case a != b:
+		return cmp.Compare(a, b)
+	}
+	return cmp.Compare(b2i(!math.Signbit(a)), b2i(!math.Signbit(b)))
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// same is whether got is want, any NaN being the same as any. −0 is +0
+// here: a run counts equal values, so one run holds both (a block keeps
+// them apart, and TestRecorderBlockCoding decodes its keys to the bit).
+func same(got, want float64) bool {
+	return got == want || math.IsNaN(got) && math.IsNaN(want)
+}
+
+// checkRanks requires every rank of r, asked in shuffled order, to be
+// sort-then-index of xs in sampleOrder.
+func checkRanks(t *testing.T, rng *rand.Rand, r *Recorder, xs []float64) {
+	t.Helper()
+	sorted := slices.Clone(xs)
+	slices.SortFunc(sorted, sampleOrder)
+	n := len(sorted)
+	if r.Count() != n {
+		t.Fatalf("Count = %d, want %d", r.Count(), n)
+	}
+	for _, k := range rng.Perm(n) {
+		if got := r.Percentile(rankP(k, n)); !same(got, sorted[k]) {
+			t.Fatalf("rank %d of %d = %v (%#x), want %v (%#x)", k, n,
+				got, math.Float64bits(got), sorted[k], math.Float64bits(sorted[k]))
+		}
+	}
+}
+
+// distinctRuns are maxRuns distinct values from hi down, which fill the run
+// table so that every later sample above hi goes to the blocks.
+func distinctRuns(hi float64) []float64 {
+	xs := make([]float64, maxRuns)
+	for i := range xs {
+		xs[i], hi = hi, math.Nextafter(hi, math.Inf(-1))
+	}
+	return xs
+}
+
+// blockShapes are streams that exercise a block's coding: the first
+// maxRuns samples of each fill the run table, so the rest are blocks and
+// tail.
+var blockShapes = []struct {
+	name string
+	xs   func(rng *rand.Rand) []float64
+}{
+	// NaN, ±0 and ±Inf among normal samples, both signs in every block:
+	// NaN ranks last, −0 just below +0.
+	{"specials", func(rng *rand.Rand) []float64 {
+		xs := distinctRuns(-1e300)
+		specials := []float64{math.NaN(), -math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+		for range 5*chunkLen + 11 {
+			if rng.Intn(8) == 0 {
+				xs = append(xs, specials[rng.Intn(len(specials))])
+			} else {
+				xs = append(xs, rng.NormFloat64())
+			}
+		}
+		return xs
+	}},
+	{"all-negative", func(rng *rand.Rand) []float64 {
+		xs := distinctRuns(-1e9)
+		for range 3*chunkLen + 5 {
+			xs = append(xs, -rng.ExpFloat64())
+		}
+		return xs
+	}},
+	// Whole blocks of one value: no low bits.
+	{"constant", func(rng *rand.Rand) []float64 {
+		xs := distinctRuns(0)
+		for range 2*chunkLen + 7 {
+			xs = append(xs, 0.5)
+		}
+		return append(xs, 0.75, 0.25)
+	}},
+	// A few keys apart in every block: low bits of none or a few.
+	{"narrow", func(rng *rand.Rand) []float64 {
+		xs := distinctRuns(0)
+		for range 3*chunkLen + 1 {
+			xs = append(xs, math.Nextafter(1, 2)+float64(rng.Intn(3000))*0x1p-52)
+		}
+		return xs
+	}},
+	// Both signs and the whole exponent range in every block: the widest
+	// key range a block can span, the most low bits.
+	{"both-signs", func(rng *rand.Rand) []float64 {
+		xs := distinctRuns(-math.MaxFloat64 / 2)
+		for range 3*chunkLen + 3 {
+			x := math.Float64frombits(rng.Uint64())
+			if math.IsNaN(x) {
+				x = math.MaxFloat64
+			}
+			xs = append(xs, x)
+		}
+		return append(xs, -math.MaxFloat64, math.MaxFloat64)
+	}},
+	// One outlier per block far above a cluster: a bucket of nearly
+	// every key.
+	{"outlier", func(rng *rand.Rand) []float64 {
+		xs := distinctRuns(0)
+		for i := range 3 * chunkLen {
+			x := 1 + float64(rng.Intn(1<<20))*0x1p-52
+			if i%chunkLen == 500 {
+				x = 1e300
+			}
+			xs = append(xs, x)
+		}
+		return xs
+	}},
+}
+
+// Percentile is sort-then-index on streams that exercise a block's coding,
+// read once all is added; after Adds interleaved with reads of every rank
+// across each block boundary; and after Absorbs across blocks, into an
+// empty recorder and into one holding blocks of its own.
+func TestRecorderBlocksMatchSort(t *testing.T) {
+	for _, sh := range blockShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			xs := sh.xs(rng)
+			r := recorderOf(xs)
+			if len(r.blocks) < 2 {
+				t.Fatalf("%d samples made %d blocks, want at least 2", len(xs), len(r.blocks))
+			}
+			checkRanks(t, rng, r, xs)
+
+			r = NewRecorder()
+			for i, x := range xs {
+				r.Add(x)
+				if c := chunked(r); c%chunkLen < 3 || c%chunkLen > chunkLen-3 {
+					checkRanks(t, rng, r, xs[:i+1])
+				}
+			}
+
+			whole := recorderOf(xs)
+			cut := len(xs) / 3
+			dst, src := recorderOf(xs[:cut]), recorderOf(xs[cut:])
+			dst.Absorb(src)
+			checkRanks(t, rng, dst, xs)
+			empty := NewRecorder()
+			empty.Absorb(whole)
+			checkRanks(t, rng, empty, xs)
+			checkRanks(t, rng, whole, xs)
+		})
+	}
+}
+
+// A block takes chunkLen·(l+2) to chunkLen·(l+3) bits and its counts are
+// the sorted keys' own: for every shape's blocks, l is the fewest low bits
+// that leave the high parts under 2·chunkLen, and every key's rank and the
+// block's decoding agree with the sorted keys.
+func TestRecorderBlockCoding(t *testing.T) {
+	for _, sh := range blockShapes {
+		rng := rand.New(rand.NewSource(9))
+		xs := sh.xs(rng)[maxRuns:]
+		for c := 0; c+chunkLen <= len(xs); c += chunkLen {
+			keys := make([]uint64, chunkLen)
+			for i, x := range xs[c : c+chunkLen] {
+				keys[i] = key(x)
+				if math.IsNaN(x) {
+					keys[i] = math.MaxUint64
+				}
+			}
+			b := encode(slices.Clone(keys))
+			slices.Sort(keys)
+			top := keys[chunkLen-1] - keys[0]
+			if l := uint(b.l); top>>l >= 2*chunkLen || l > 0 && top>>(l-1) < 2*chunkLen {
+				t.Fatalf("%s: range %#x coded with %d low bits", sh.name, top, l)
+			}
+			if bits := (len(b.w) * 64); bits > chunkLen*(int(b.l)+3)+63 || len(b.w) > chunkLen {
+				t.Fatalf("%s: %d words for l = %d", sh.name, len(b.w), b.l)
+			}
+			if got := b.decode(0, chunkLen, nil); !slices.Equal(got, keys) {
+				t.Fatalf("%s: block decodes to other keys", sh.name)
+			}
+			if b.last() != keys[chunkLen-1] {
+				t.Fatalf("%s: last = %#x, want %#x", sh.name, b.last(), keys[chunkLen-1])
+			}
+			for i, k := range keys {
+				for _, q := range []uint64{k - 1, k, k + 1} {
+					if q == k-1 && k == 0 || q == k+1 && k == math.MaxUint64 {
+						continue
+					}
+					if got, want := b.rank(q), sort.Search(len(keys), func(i int) bool { return keys[i] > q }); got != want {
+						t.Fatalf("%s: rank of key %d%+d = %d, want %d", sh.name, i, int64(q-k), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// NaN compares false with everything; it ranks above every other sample
+// whatever share of a recorder it is, at sizes straddling the blocks.
+func TestRecorderNaNSamplesAreSafe(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 3, 16, 17, 100, chunkLen + 1, 3*chunkLen + 7} {
+		for _, share := range []float64{0.01, 0.5, 1} {
+			xs := make([]float64, n)
+			for i := range xs {
+				if rng.Float64() < share {
+					xs[i] = math.NaN()
+				} else {
+					xs[i] = rng.Float64()
+				}
+			}
+			checkRanks(t, rng, recorderOf(xs), xs)
+		}
 	}
 }
