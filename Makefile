@@ -74,7 +74,7 @@ scenario-check:
 	$(GO) run ./cmd/ispnsim check scenarios/*.ispn
 
 # One-iteration benchmark smoke run: catches harness regressions without the
-# cost of full timing. MillionFlows fails itself above 64 resident
+# cost of full timing. MillionFlows fails itself above 40 resident
 # bytes/flow or on any allocation in its admit+release cycle; the zero-alloc
 # steady state and the per-call allocation budget are gated under `test`
 # (TestFacadeSteadyStateAllocs, internal/core's TestCallSetupAllocation). The second line runs internal/stats' recorder

@@ -9,10 +9,13 @@ package core
 // (ν̂ sees bits, not flow ids) and per-hop class targets are identical. What
 // must stay per-member is exactly what the paper keeps at the edge — the
 // (r, b) enforcement of Section 8 and the admission bookkeeping of Section 9 —
-// and that is what a member costs: a 32-byte memberSlot (the inline token
-// bucket) plus, only on a network with admission control, an 8-byte warmup-
-// ledger token in the aggregate's ledger column — instead of a registered
-// Flow with its route entry, sink, and recorder.
+// and that is what a member costs: a 16-byte memberSlot (the inline token
+// bucket's level and clock) plus, only on a network with admission control,
+// an 8-byte warmup-ledger token in the aggregate's ledger column — instead of
+// a registered Flow with its route entry, sink, and recorder. The members of
+// one class share one delay, so they almost always declare one (r, b): the
+// aggregate holds it once, and a per-member spec column appears only when a
+// member declares another.
 //
 // Caveat: under SharingRoundRobin the intra-class scheduler serves *flows*
 // round-robin, so members folded into one carrier share a single round-robin
@@ -42,16 +45,21 @@ type aggKey struct {
 	class uint8
 }
 
-// memberSlot is a member's inline token bucket (the Section 8 edge
-// enforcement); rate and depth are also what Release hands back. 32 bytes,
-// pointer-free: two to a cache line, never straddling one. A free slot is the
-// zero slot and a live one has rate != 0 (PredictedSpec.Validate refuses
-// r <= 0). Slots are recycled through a free list.
+// memberSpec is the (r, b) a member declares: what its bucket refills at and
+// holds, and what Release hands back.
+type memberSpec struct {
+	rate  float64 // token rate r (bits/s)
+	depth float64 // bucket depth b (bits)
+}
+
+// memberSlot is the state of a member's inline token bucket (the Section 8
+// edge enforcement); its (r, b) is the aggregate's (see Aggregate.specOf).
+// 16 bytes, pointer-free: four to a cache line, never straddling one. A live
+// slot's last starts at the engine's clock, which is never negative, so a
+// free slot is marked by last < 0. Slots are recycled through a free list.
 type memberSlot struct {
-	rate   float64 // token rate r (bits/s)
-	depth  float64 // bucket depth b (bits)
 	tokens float64
-	last   float64 // last refill time
+	last   float64 // last refill time; < 0 marks a free slot
 }
 
 // Aggregate is one carrier flow plus its member slots.
@@ -60,6 +68,12 @@ type Aggregate struct {
 	key     aggKey
 	carrier *Flow
 	members []memberSlot
+	// spec is the (r, b) the first member declared: every member's while
+	// specs is nil.
+	spec memberSpec
+	// specs holds each member's (r, b), indexed like members; nil until a
+	// member declares one other than spec, and then filled for every slot.
+	specs []memberSpec
 	// ledgers holds the members' warmup-ledger tokens, indexed like members;
 	// nil until a non-zero token is stored (never, with admission off).
 	ledgers []uint64
@@ -127,10 +141,17 @@ func (n *Network) RequestPredictedMember(path []string, class uint8, spec Predic
 	}
 	idx := a.claimSlot()
 	a.members[idx] = memberSlot{
-		rate:   spec.TokenRate,
-		depth:  spec.BucketBits,
 		tokens: spec.BucketBits, // buckets start full, like tokenbucket.New
 		last:   n.eng.Now(),
+	}
+	sp := memberSpec{spec.TokenRate, spec.BucketBits}
+	if a.specs != nil || sp != a.spec {
+		// The column appears with the first member of another (r, b),
+		// holding the aggregate's for every slot, and then trails the slots.
+		for len(a.specs) < len(a.members) {
+			a.specs = append(a.specs, a.spec)
+		}
+		a.specs[idx] = sp
 	}
 	if token != 0 {
 		if int(idx) >= len(a.ledgers) { // the column trails the slots until a token needs it
@@ -173,7 +194,7 @@ func (n *Network) newAggregate(key aggKey, spec PredictedSpec) *Aggregate {
 	}
 	// No carrier policer: enforcement is per member, at the slots.
 	n.registerFlow(c)
-	a := &Aggregate{net: n, key: key, carrier: c}
+	a := &Aggregate{net: n, key: key, carrier: c, spec: memberSpec{spec.TokenRate, spec.BucketBits}}
 	for int(key.path) >= len(n.aggs) {
 		n.aggs = append(n.aggs, nil)
 	}
@@ -208,6 +229,14 @@ func (a *Aggregate) claimSlot() int32 {
 	return int32(len(a.members) - 1)
 }
 
+// specOf returns the (r, b) member idx declared.
+func (a *Aggregate) specOf(idx int32) memberSpec {
+	if a.specs != nil {
+		return a.specs[idx]
+	}
+	return a.spec
+}
+
 // Inject polices the packet against the member's own token bucket and, if it
 // conforms, injects it as the carrier (the network sees one flow). It reports
 // whether the packet entered the network. Enforcement counts land on the
@@ -219,9 +248,10 @@ func (m Member) Inject(p *packet.Packet) bool {
 	now := c.net.eng.Now()
 	// Inline refill/take, same arithmetic as tokenbucket.Bucket.Take.
 	if now > s.last {
-		s.tokens += float64((now - s.last) * s.rate)
-		if s.tokens > s.depth {
-			s.tokens = s.depth
+		sp := a.specOf(m.idx)
+		s.tokens += float64((now - s.last) * sp.rate)
+		if s.tokens > sp.depth {
+			s.tokens = sp.depth
 		}
 		s.last = now
 	}
@@ -249,7 +279,12 @@ func (m Member) Inject(p *packet.Packet) bool {
 func (m Member) Flow() *Flow { return m.agg.carrier }
 
 // Rate returns the member's declared token rate, or 0 once released.
-func (m Member) Rate() float64 { return m.agg.members[m.idx].rate }
+func (m Member) Rate() float64 {
+	if m.agg.members[m.idx].last < 0 {
+		return 0
+	}
+	return m.agg.specOf(m.idx).rate
+}
 
 // Release departs the member: its warmup-ledger claim is handed back, its
 // declared rate and bucket leave the carrier's aggregate spec, and its slot
@@ -259,7 +294,7 @@ func (m Member) Rate() float64 { return m.agg.members[m.idx].rate }
 func (m Member) Release() {
 	a := m.agg
 	s := &a.members[m.idx]
-	if s.rate == 0 {
+	if s.last < 0 {
 		return
 	}
 	n := a.net
@@ -268,10 +303,11 @@ func (m Member) Release() {
 		n.releaseLedger(n.portsOf(c), a.ledgers[m.idx])
 		a.ledgers[m.idx] = 0
 	}
-	a.total -= s.rate
-	c.pspec.BucketBits -= s.depth
+	sp := a.specOf(m.idx)
+	a.total -= sp.rate
+	c.pspec.BucketBits -= sp.depth
 	a.live--
-	*s = memberSlot{}
+	*s = memberSlot{last: -1} // free
 	a.free = append(a.free, m.idx)
 	if a.live == 0 {
 		a.total = 0
@@ -307,7 +343,9 @@ func (a *Aggregate) DeclaredTotal() float64 { return a.total }
 func (a *Aggregate) MemberRateSum() float64 {
 	sum := 0.0
 	for i := range a.members {
-		sum += a.members[i].rate // a free slot adds +0
+		if a.members[i].last >= 0 { // a free slot adds nothing
+			sum += a.specOf(int32(i)).rate
+		}
 	}
 	return sum
 }

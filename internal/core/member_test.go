@@ -37,7 +37,10 @@ func internPath(t testing.TB, n *Network, path []string) PathID {
 // TestMembersMatchTokenBuckets drives seeded admit / inject / release /
 // re-admit traffic over three aggregates and checks every observable against
 // a model that shares nothing with memberSlot: one tokenbucket.Bucket per
-// live member, keyed by its handle.
+// live member, keyed by its handle. For the first uniformSteps steps every
+// member declares one (r, b), so slots are recycled and aggregates re-created
+// with no spec column; after that two specs mix, and the column appears in
+// aggregates that already hold recycled slots.
 func TestMembersMatchTokenBuckets(t *testing.T) {
 	for _, admit := range []bool{false, true} {
 		name := "admission-off"
@@ -49,7 +52,7 @@ func TestMembersMatchTokenBuckets(t *testing.T) {
 }
 
 func membersMatchTokenBuckets(t *testing.T, admit bool) {
-	const steps = 20000
+	const steps, uniformSteps = 20000, 5000
 	n := memberChain(Config{Seed: 1, AdmissionControl: admit})
 	keys := []struct {
 		path  []string
@@ -87,7 +90,7 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 	aggs := make([]agg, len(keys))
 	model := make(map[Member]*member)
 	var live []Member
-	var conformed, policed, refused, reused, recreated int
+	var conformed, policed, refused, reused, recreated, columned int
 
 	// The aggregates column, probed directly: the key's cell, and the
 	// aggregate that last held it.
@@ -198,9 +201,12 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 			check(step, m.key, h)
 		default:
 			k, spec := r.Intn(len(keys)), specs[r.Intn(len(specs))]
-			slots := 0
+			if step < uniformSteps {
+				spec = specs[0]
+			}
+			slots, recycled, hadColumn := 0, 0, false
 			if a := aggOf(k); a != nil {
-				slots = len(a.members)
+				slots, recycled, hadColumn = len(a.members), len(a.free), a.specs != nil
 			}
 			h, err := n.RequestPredictedMember(keys[k].path, keys[k].class, spec)
 			if err != nil {
@@ -222,6 +228,26 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 			aggs[k].live++
 			aggs[k].total += spec.TokenRate
 			check(step, k, h)
+			switch a := h.agg; {
+			case step < uniformSteps && a.specs != nil:
+				t.Fatalf("step %d: aggregate %d grew a spec column while every member declares one (r, b)", step, k)
+			case a.specs != nil && len(a.specs) != len(a.members):
+				t.Fatalf("step %d: spec column has %d entries for %d slots", step, len(a.specs), len(a.members))
+			case a.specs != nil && !hadColumn && recycled > 0:
+				// The column appeared over recycled slots: every live
+				// member's rate must have been carried into it.
+				columned++
+				if a.MemberRateSum() != a.DeclaredTotal() {
+					t.Fatalf("step %d: member rates sum to %v once the spec column appears, aggregate declares %v",
+						step, a.MemberRateSum(), a.DeclaredTotal())
+				}
+				for _, x := range live {
+					if x.agg == a && x.Rate() != model[x].spec.TokenRate {
+						t.Fatalf("step %d: member reports rate %v once the spec column appears, declared %v",
+							step, x.Rate(), model[x].spec.TokenRate)
+					}
+				}
+			}
 		}
 		if step%1000 == 999 {
 			cells := 0
@@ -248,11 +274,11 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 			}
 		}
 	}
-	t.Logf("%d conformed, %d policed, %d refused, %d slot reuses, %d aggregates re-created, %d live at the end",
-		conformed, policed, refused, reused, recreated, len(live))
-	if conformed < steps/20 || policed < steps/20 || reused < steps/20 || recreated < len(keys) {
-		t.Fatalf("run too one-sided to prove anything: %d conformed, %d policed, %d slot reuses, %d re-created",
-			conformed, policed, reused, recreated)
+	t.Logf("%d conformed, %d policed, %d refused, %d slot reuses, %d aggregates re-created, %d spec columns over recycled slots, %d live at the end",
+		conformed, policed, refused, reused, recreated, columned, len(live))
+	if conformed < steps/20 || policed < steps/20 || reused < steps/20 || recreated < len(keys) || columned == 0 {
+		t.Fatalf("run too one-sided to prove anything: %d conformed, %d policed, %d slot reuses, %d re-created, %d spec columns over recycled slots",
+			conformed, policed, reused, recreated, columned)
 	}
 
 	for _, h := range live {
@@ -283,8 +309,82 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 }
 
 func TestMemberSlotSize(t *testing.T) {
-	if got := unsafe.Sizeof(memberSlot{}); got != 32 {
-		t.Fatalf("memberSlot is %d bytes, want 32 (two to a cache line)", got)
+	if got := unsafe.Sizeof(memberSlot{}); got != 16 {
+		t.Fatalf("memberSlot is %d bytes, want 16 (four to a cache line)", got)
+	}
+}
+
+func TestSpecColumnOnlyWhenSpecsDiffer(t *testing.T) {
+	const members = 10000
+	spec := PredictedSpec{TokenRate: 1, BucketBits: 1000, Delay: 0.1}
+	other := PredictedSpec{TokenRate: 3, BucketBits: 500, Delay: 0.1}
+	path := []string{"S1", "S2"}
+	for _, admit := range []bool{false, true} {
+		n := memberChain(Config{Seed: 1, AdmissionControl: admit})
+		request := func(i int, spec PredictedSpec) Member {
+			m, err := n.RequestPredictedMember(path, 0, spec)
+			if err != nil {
+				t.Fatalf("admission %v: member %d refused: %v", admit, i, err)
+			}
+			return m
+		}
+		var handles []Member
+		for i := 0; i < members; i++ {
+			handles = append(handles, request(i, spec))
+		}
+		// Release every third member, then claim half the freed slots
+		// again: recycled slots, both free and reused, in the mix.
+		kept := handles[:0]
+		for i, h := range handles {
+			if i%3 == 2 {
+				h.Release()
+			} else {
+				kept = append(kept, h)
+			}
+		}
+		handles = kept
+		for i := 0; i < members/6; i++ {
+			handles = append(handles, request(i, spec))
+		}
+		a := handles[0].agg
+		if a.specs != nil {
+			t.Fatalf("admission %v: %d members of one (r, b) carry a %d-entry spec column", admit, a.Members(), len(a.specs))
+		}
+		if len(a.free) == 0 {
+			t.Fatalf("admission %v: no recycled slots before the column appears", admit)
+		}
+
+		// The first member of another (r, b) takes a recycled slot and
+		// creates the column over every slot.
+		odd := request(members, other)
+		if len(a.specs) != len(a.members) {
+			t.Fatalf("admission %v: spec column has %d entries for %d slots", admit, len(a.specs), len(a.members))
+		}
+		for _, h := range handles {
+			if got := a.specs[h.idx]; got != a.spec {
+				t.Fatalf("admission %v: slot %d's column entry is %+v, the aggregate declares %+v", admit, h.idx, got, a.spec)
+			}
+		}
+		if odd.Rate() != other.TokenRate || handles[0].Rate() != spec.TokenRate {
+			t.Fatalf("admission %v: rates %v and %v, declared %v and %v",
+				admit, odd.Rate(), handles[0].Rate(), other.TokenRate, spec.TokenRate)
+		}
+		if a.MemberRateSum() != a.DeclaredTotal() {
+			t.Fatalf("admission %v: member rates sum to %v, aggregate declares %v", admit, a.MemberRateSum(), a.DeclaredTotal())
+		}
+
+		// From then on every slot, recycled or appended, keeps its entry.
+		for i := 0; i < members; i++ {
+			s := spec
+			if i%2 == 1 {
+				s = other
+			}
+			request(i, s)
+		}
+		if len(a.specs) != len(a.members) || a.MemberRateSum() != a.DeclaredTotal() {
+			t.Fatalf("admission %v: %d column entries for %d slots, rates sum to %v, aggregate declares %v",
+				admit, len(a.specs), len(a.members), a.MemberRateSum(), a.DeclaredTotal())
+		}
 	}
 }
 

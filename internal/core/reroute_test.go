@@ -263,6 +263,61 @@ func TestRerouteDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestRerouteOrderDecidesTheDetour pins the sweep's order when it decides an
+// admission: two guaranteed flows cross the failed link and the detour's
+// reservation quota has room for one of them, so the flow first in flow-id
+// order gets it and the other is refused — whichever was created first.
+// Each trial uses fresh ids, so a sweep in any other order (a map range)
+// would fail some trial.
+func TestRerouteOrderDecidesTheDetour(t *testing.T) {
+	const trials = 32
+	spec := GuaranteedSpec{ClockRate: 3e5, BucketBits: 1e4}
+	primary, detour := []string{"S1", "S2", "S3"}, []string{"S1", "B", "S3"}
+	for trial := 0; trial < trials; trial++ {
+		n := New(Config{LinkRate: 1e6})
+		for _, s := range []string{"S1", "S2", "S3", "B"} {
+			n.AddSwitch(s)
+		}
+		n.Connect("S1", "S2")
+		n.Connect("S2", "S3")
+		// Half the primary's rate: one 3e5 reservation fits under the
+		// detour's quota, two do not.
+		for _, pr := range [][2]string{{"S1", "B"}, {"B", "S3"}} {
+			if _, err := n.ConnectWith(pr[0], pr[1], 5e5, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.SetRouting(RoutingConfig{Auto: true}); err != nil {
+			t.Fatal(err)
+		}
+		low, high := uint32(1+trial), uint32(1000-7*trial)
+		ids := []uint32{low, high}
+		if trial%2 == 1 {
+			ids = []uint32{high, low} // creation order against id order
+		}
+		flows := make(map[uint32]*Flow)
+		for _, id := range ids {
+			f, err := n.RequestGuaranteed(id, primary, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows[id] = f
+		}
+		if err := n.FailLink("S1", "S2"); err != nil {
+			t.Fatal(err)
+		}
+		won, lost := flows[low], flows[high]
+		if !reflect.DeepEqual(won.Path(), detour) || won.Rerouted() != 1 || won.RerouteRefused() != 0 {
+			t.Fatalf("trial %d: flow %d (first by id) on %v, rerouted %d, refused %d; want the detour",
+				trial, low, won.Path(), won.Rerouted(), won.RerouteRefused())
+		}
+		if !reflect.DeepEqual(lost.Path(), primary) || lost.Rerouted() != 0 || lost.RerouteRefused() != 1 {
+			t.Fatalf("trial %d: flow %d (second by id) on %v, rerouted %d, refused %d; want it refused on the old path",
+				trial, high, lost.Path(), lost.Rerouted(), lost.RerouteRefused())
+		}
+	}
+}
+
 // TestRerouteSplitsPacketsInFlight: a reroute changes the flow's route in
 // place, so where a packet is when the link fails decides its fate. S0 -> S1
 // is fast and S1 is where the old path (via S2) and the detour (via B)

@@ -19,7 +19,7 @@ const (
 	// lazyDraws is how many outputs a stream computes statelessly before it
 	// seeds a real register. A stateless draw costs about four register
 	// draws (10 ns against 2.5), so a stream still drawing after this many
-	// has shown it is worth the 12 us and 4.9 KB; it must stay <= lfTap.
+	// has shown it is worth a register's 5 us and 4864 B; it must stay <= lfTap.
 	lazyDraws = 64
 )
 
@@ -83,9 +83,9 @@ func reduceSeed(seed int64) uint32 {
 
 // lazySource is the rand.Source64 behind a new RNG. It produces bit for bit
 // the stream of rand.NewSource(seed) while holding only the reduced seed and
-// a draw count; on draw lazyDraws it seeds the real register, winds it
-// forward, and re-points the owning RNG at it, so a long stream afterwards
-// runs math/rand's own code with no extra dispatch.
+// a draw count; on draw lazyDraws it seeds a register, winds it forward, and
+// re-points the owning RNG at it, so a long stream afterwards runs the
+// register with no extra dispatch.
 type lazySource struct {
 	owner *RNG
 	x0    uint32
@@ -99,11 +99,12 @@ func (s *lazySource) Uint64() uint64 {
 		return (cooked[i] ^ chainWord(s.x0, i)) + (cooked[i+lfTap] ^ chainWord(s.x0, i+lfTap))
 	}
 	if s.n == lazyDraws {
-		std := rand.NewSource(int64(s.x0))
+		reg := new(register)
+		reg.Seed(int64(s.x0)) // x0 is already reduced, so it reduces to itself
 		for i := 0; i < lazyDraws; i++ {
-			std.Int63()
+			reg.Uint64()
 		}
-		s.owner.r = *rand.New(std)
+		s.owner.r = *rand.New(reg)
 		s.n++
 	}
 	// Reached on the promoting draw, and for the rest of a rand.Rand method
@@ -120,3 +121,37 @@ func (s *lazySource) Seed(seed int64) {
 	}
 	s.x0, s.n = reduceSeed(seed), 0
 }
+
+// register is math/rand's seeded generator, seeded from the closed forms
+// above: the 607 words and two int32 cursors, 4864 bytes, exactly a heap size
+// class. math/rand's own source has int cursors, 4872 bytes, and so takes a
+// 5376-byte object.
+type register struct {
+	vec       [lfLen]uint64
+	tap, feed int32
+}
+
+// Seed fills the register as math/rand seeds seed.
+func (r *register) Seed(seed int64) {
+	x0 := reduceSeed(seed)
+	r.tap, r.feed = 0, lfLen-lfTap
+	for i := range r.vec {
+		r.vec[i] = cooked[i] ^ chainWord(x0, i)
+	}
+}
+
+func (r *register) Uint64() uint64 {
+	tap, feed := r.tap-1, r.feed-1
+	if tap < 0 {
+		tap += lfLen
+	}
+	if feed < 0 {
+		feed += lfLen
+	}
+	r.tap, r.feed = tap, feed
+	x := r.vec[feed] + r.vec[tap]
+	r.vec[feed] = x
+	return x
+}
+
+func (r *register) Int63() int64 { return int64(r.Uint64() &^ (1 << 63)) }

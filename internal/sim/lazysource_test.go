@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // stdRNG is the reference: the RNG methods over an eagerly seeded math/rand
@@ -44,8 +46,40 @@ func drawMixed(g *RNG, k int) uint64 {
 
 func TestLazySourceMatchesStdlib(t *testing.T) {
 	t.Run("differential", testLazyDifferential)
+	t.Run("long", testLazyLongStreams)
 	t.Run("pinned", testLazyPinnedValues)
 	t.Run("reseed", testLazyReseed)
+}
+
+// longDraws is how far past promotion the long streams are compared: the
+// register wraps 164 times.
+const longDraws = 100000
+
+// sameStream compares longDraws mixed draws of got and want.
+func sameStream(t *testing.T, what string, got, want *RNG) {
+	t.Helper()
+	for k := 0; k < longDraws; k++ {
+		if g, w := drawMixed(got, k), drawMixed(want, k); g != w {
+			t.Fatalf("%s: draw %d = %#x, stdlib gives %#x", what, k, g, w)
+		}
+	}
+}
+
+// testLazyLongStreams runs promoted streams far past promotion, from seeds
+// the reduction treats specially (0, negatives, multiples of 2^31-1), and
+// re-seeds promoted streams, which reaches the register's own Seed.
+func testLazyLongStreams(t *testing.T) {
+	const m = math.MaxInt32
+	for _, seed := range []int64{0, -1, -7, m, -m, 2 * m, -3 * m, m - 1, math.MinInt64, 1992} {
+		g := NewRNG(seed)
+		sameStream(t, fmt.Sprintf("seed %d", seed), g, stdRNG(seed))
+		if g.lazy.n != lazyDraws+1 {
+			t.Fatalf("seed %d: stream did not promote", seed)
+		}
+		next := seed*31 + 5
+		g.r.Seed(next)
+		sameStream(t, fmt.Sprintf("seed %d re-seeded %d", seed, next), g, stdRNG(next))
+	}
 }
 
 func testLazyDifferential(t *testing.T) {
@@ -139,6 +173,35 @@ func testLazyReseed(t *testing.T) {
 }
 
 var sinkF float64
+
+// A long-lived stream's register is one 4864-byte object, math/rand's source
+// rounded to 5376 bytes: a promoted stream holds the register and the RNG
+// itself, nothing more.
+func TestPromotedStreamHeap(t *testing.T) {
+	const n = 1000
+	budget := uint64(4864 + unsafe.Sizeof(RNG{}))
+	keep := make([]*RNG, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		g := NewRNG(int64(i))
+		for k := 0; k <= lazyDraws; k++ {
+			g.Int63()
+		}
+		keep[i] = g
+	}
+	runtime.ReadMemStats(&after)
+	for _, g := range keep {
+		if g.lazy.n != lazyDraws+1 {
+			t.Fatal("stream did not promote")
+		}
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > budget {
+		t.Errorf("a promoted stream allocates %d B, want <= %d (the register's 4864 B size class and the RNG)", per, budget)
+	}
+	runtime.KeepAlive(keep)
+}
 
 // A churn run makes tens of thousands of streams that draw one value each:
 // such a stream must stay a few dozen bytes, not a 4.9 KB register.

@@ -16,7 +16,7 @@ import (
 // lazySource), so a stream that draws a handful of values costs a handful of
 // multiplies, not a 607-word seeding.
 type RNG struct {
-	r    rand.Rand // over lazy until the stream promotes itself, then over a math/rand source
+	r    rand.Rand // over lazy until the stream promotes itself, then over its register
 	lazy lazySource
 }
 
