@@ -11,10 +11,12 @@ import (
 	"ispn/internal/topology"
 )
 
-// memberChain is S1 -> S2 -> S3 on fast links, so policing verdicts are the
-// only thing a member's packets can fail.
+// memberChain is S1 -> S2 -> S3, on fast links unless cfg sets a rate, so
+// policing verdicts are the only thing a member's packets can fail.
 func memberChain(cfg Config) *Network {
-	cfg.LinkRate = 1e9
+	if cfg.LinkRate == 0 {
+		cfg.LinkRate = 1e9
+	}
 	n := New(cfg)
 	for _, s := range []string{"S1", "S2", "S3"} {
 		n.AddSwitch(s)
@@ -40,7 +42,9 @@ func internPath(t testing.TB, n *Network, path []string) PathID {
 // live member, keyed by its handle. For the first uniformSteps steps every
 // member declares one (r, b), so slots are recycled and aggregates re-created
 // with no spec column; after that two specs mix, and the column appears in
-// aggregates that already hold recycled slots.
+// aggregates that already hold recycled slots. With admission on the links
+// are slow enough that members are refused, and each refusal must leave its
+// aggregate and the ledgers as they were.
 func TestMembersMatchTokenBuckets(t *testing.T) {
 	for _, admit := range []bool{false, true} {
 		name := "admission-off"
@@ -53,7 +57,11 @@ func TestMembersMatchTokenBuckets(t *testing.T) {
 
 func membersMatchTokenBuckets(t *testing.T, admit bool) {
 	const steps, uniformSteps = 20000, 5000
-	n := memberChain(Config{Seed: 1, AdmissionControl: admit})
+	cfg := Config{Seed: 1, AdmissionControl: admit}
+	if admit {
+		cfg.LinkRate = 20e6 // slow enough that admission refuses members joining live aggregates
+	}
+	n := memberChain(cfg)
 	keys := []struct {
 		path  []string
 		class uint8
@@ -90,7 +98,7 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 	aggs := make([]agg, len(keys))
 	model := make(map[Member]*member)
 	var live []Member
-	var conformed, policed, refused, reused, recreated, columned int
+	var conformed, policed, refused, refusedLive, reused, recreated, columned int
 
 	// The aggregates column, probed directly: the key's cell, and the
 	// aggregate that last held it.
@@ -214,6 +222,9 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 					t.Fatalf("step %d: refused with admission off: %v", step, err)
 				}
 				refused++
+				if aggs[k].live > 0 {
+					refusedLive++
+				}
 				check(step, k, Member{agg: aggOf(k)})
 				continue
 			}
@@ -274,11 +285,12 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 			}
 		}
 	}
-	t.Logf("%d conformed, %d policed, %d refused, %d slot reuses, %d aggregates re-created, %d spec columns over recycled slots, %d live at the end",
-		conformed, policed, refused, reused, recreated, columned, len(live))
-	if conformed < steps/20 || policed < steps/20 || reused < steps/20 || recreated < len(keys) || columned == 0 {
-		t.Fatalf("run too one-sided to prove anything: %d conformed, %d policed, %d slot reuses, %d re-created, %d spec columns over recycled slots",
-			conformed, policed, reused, recreated, columned)
+	t.Logf("%d conformed, %d policed, %d refused (%d by a live aggregate), %d slot reuses, %d aggregates re-created, %d spec columns over recycled slots, %d live at the end",
+		conformed, policed, refused, refusedLive, reused, recreated, columned, len(live))
+	if conformed < steps/20 || policed < steps/20 || reused < steps/20 || recreated < len(keys) || columned == 0 ||
+		admit && refusedLive == 0 {
+		t.Fatalf("run too one-sided to prove anything: %d conformed, %d policed, %d refused by a live aggregate, %d slot reuses, %d re-created, %d spec columns over recycled slots",
+			conformed, policed, refusedLive, reused, recreated, columned)
 	}
 
 	for _, h := range live {

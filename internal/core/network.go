@@ -361,7 +361,7 @@ type Flow struct {
 	policer    tokenbucket.Bucket
 	policerCnt stats.Counter
 	meter      stats.Recorder
-	meterTo    DelayMeter // when set, deliveries are metered here instead (MeterInto)
+	meterTo    *stats.Recorder // when set, deliveries are metered here instead (MeterInto)
 	delivered  int64
 	taps       []func(p *packet.Packet, queueing float64) // delivery observers, in Tap order
 	bound      float64
@@ -385,10 +385,6 @@ type Flow struct {
 	route topology.Route // forwarding state, stamped into every packet (never copied: it points into itself)
 }
 
-// A DelayMeter takes a flow's end-to-end queueing delays, one per delivered
-// packet, in delivery order; *stats.Recorder is one.
-type DelayMeter interface{ Add(queueing float64) }
-
 // Path returns the flow's hop sequence — the interned slice, shared by
 // every flow on this route. Callers must not mutate it.
 func (f *Flow) Path() []string { return f.net.intern.paths[f.PathID] }
@@ -408,7 +404,7 @@ func (f *Flow) Meter() *stats.Recorder { return &f.meter }
 // MeterInto sends the queueing delays of the flow's deliveries from now on to
 // m instead of its own Meter — a caller that keeps the delays beyond the
 // flow's life (a churn call's row) does so without keeping the Flow.
-func (f *Flow) MeterInto(m DelayMeter) { f.meterTo = m }
+func (f *Flow) MeterInto(m *stats.Recorder) { f.meterTo = m }
 
 // Delivered returns packets delivered to the sink.
 func (f *Flow) Delivered() int64 { return f.delivered }
@@ -529,30 +525,6 @@ func (n *Network) Flows() []*Flow { return n.flowsByID() }
 // Flow returns an admitted flow by id, or nil.
 func (n *Network) Flow(id uint32) *Flow { return n.flows[id] }
 
-// sumOrScale adds k per-hop values; when every value is identical it
-// returns the closed form value*k instead, so homogeneous deployments stay
-// bit-identical to the historical one-global-constant formula (repeated
-// addition and multiplication can differ in the last ulp).
-func sumOrScale(vals func(i int) float64, k int) float64 {
-	if k == 0 {
-		return 0
-	}
-	first := vals(0)
-	sum := first
-	uniform := true
-	for i := 1; i < k; i++ {
-		v := vals(i)
-		if v != first {
-			uniform = false
-		}
-		sum += v
-	}
-	if uniform {
-		return float64(k) * first
-	}
-	return sum
-}
-
 // advertisedBound is the a priori bound quoted to a predicted flow of the
 // given class over a path: the sum of the per-switch class targets
 // Dᵢ along the path (Section 7: "the network should not attempt to
@@ -562,9 +534,11 @@ func sumOrScale(vals func(i int) float64, k int) float64 {
 // contributes its lowest-priority target (the same clamp its classifier
 // applies to the packet header).
 func (n *Network) advertisedBound(ports []*topology.Port, class int) float64 {
-	return sumOrScale(func(i int) float64 {
-		return ports[i].Pipeline().Profile().TargetFor(class)
-	}, len(ports))
+	bound := 0.0
+	for _, pt := range ports {
+		bound += pt.Pipeline().Profile().TargetFor(class)
+	}
+	return bound
 }
 
 // pathClasses returns the number of explicitly addressable predicted
@@ -584,9 +558,10 @@ func (n *Network) pathClasses(ports []*topology.Port) int {
 // ports, with each hop after the first contributing its own maximum packet
 // size to the packetization term: D = b/r + (Σ_{k≥2} Lmaxₖ)/r.
 func (n *Network) pgBound(spec GuaranteedSpec, ports []*topology.Port) float64 {
-	sumL := sumOrScale(func(i int) float64 {
-		return float64(ports[i+1].Pipeline().Profile().MaxPacketBits)
-	}, len(ports)-1)
+	sumL := 0.0
+	for i := 1; i < len(ports); i++ {
+		sumL += float64(ports[i].Pipeline().Profile().MaxPacketBits)
+	}
 	return spec.BucketBits/spec.ClockRate + sumL/spec.ClockRate
 }
 

@@ -19,7 +19,9 @@ import (
 // worker pool does.
 //
 // A call costs two allocations, its core.Flow and its churnCall, and a
-// departed call keeps only its callMeter: the churn row's inputs.
+// departed call keeps nothing: its flow meters into the churn's one
+// recorder (core.Flow.MeterInto), so a packet in flight at departure still
+// counts.
 type churnRun struct {
 	name    string
 	every   float64 // mean inter-arrival, seconds
@@ -44,34 +46,11 @@ type churnRun struct {
 
 	arrivals, admitted, rejected, departed int64
 
-	// The row's inputs: every admitted call's meter, in arrival order, in
-	// blocks that never move (flows point into them), and the delays of
-	// every delivered packet.
-	meters [][]callMeter
-	delays stats.Recorder
+	delays stats.Recorder // every call's deliveries, in delivery order: the row's delay columns
 
 	live   []*churnCall // calls not yet departed, in no particular order (quiesce stops their sources)
 	s      *Sim
 	depart func(any) // departCall, bound once
-}
-
-// meterBlock is how many calls' meters one block holds.
-const meterBlock = 512
-
-// callMeter is what a call keeps once it has departed: its flow meters into
-// it (core.Flow.MeterInto), so a packet in flight at departure still counts.
-// The report folds the calls' delay sums in arrival order, as merging their
-// recorders did; the samples go straight to the churn's one recorder, since
-// the maximum and the percentiles do not depend on their order.
-type callMeter struct {
-	sum float64 // the call's queueing delays, summed in delivery order
-	all *stats.Recorder
-}
-
-// Add implements core.DelayMeter.
-func (m *callMeter) Add(q float64) {
-	m.sum += q
-	m.all.Add(q)
 }
 
 // churnCall is an admitted call until it departs: its flow, and its CBR
@@ -232,7 +211,7 @@ func (ch *churnRun) doArrival(s *Sim) {
 		return
 	}
 	ch.admitted++
-	f.MeterInto(ch.newMeter())
+	f.MeterInto(&ch.delays)
 
 	call := &churnCall{flow: f, live: len(ch.live)}
 	ch.live = append(ch.live, call)
@@ -259,45 +238,23 @@ func (ch *churnRun) departCall(arg any) {
 	}
 }
 
-// report is the churn's row: what merging every admitted call's delay
-// recorder in arrival order gives — the calls' sums folded in that order, the
-// maximum and percentiles of all their samples, and as many deliveries as
-// samples.
+// report is the churn's row: the count, mean, maximum and percentiles of
+// every admitted call's deliveries.
 func (ch *churnRun) report(pcts []float64) ChurnReport {
-	sum := 0.0
-	for _, b := range ch.meters {
-		for i := range b {
-			sum += b[i].sum
-		}
-	}
-	mean, n := 0.0, ch.delays.Count()
-	if n > 0 {
-		mean = sum / float64(n)
-	}
 	cr := ChurnReport{
 		Name:      ch.name,
 		Arrivals:  ch.arrivals,
 		Admitted:  ch.admitted,
 		Rejected:  ch.rejected,
 		Departed:  ch.departed,
-		Delivered: int64(n),
-		MeanMS:    mean * 1e3,
+		Delivered: int64(ch.delays.Count()),
+		MeanMS:    ch.delays.Mean() * 1e3,
 		MaxMS:     ch.delays.Max() * 1e3,
 	}
 	for _, p := range pcts {
 		cr.PctMS = append(cr.PctMS, ch.delays.Percentile(p)*1e3)
 	}
 	return cr
-}
-
-// newMeter returns the next admitted call's meter.
-func (ch *churnRun) newMeter() *callMeter {
-	if k := len(ch.meters); k == 0 || len(ch.meters[k-1]) == meterBlock {
-		ch.meters = append(ch.meters, make([]callMeter, 0, meterBlock))
-	}
-	b := &ch.meters[len(ch.meters)-1]
-	*b = append(*b, callMeter{all: &ch.delays})
-	return &(*b)[len(*b)-1]
 }
 
 // drawDest picks a destination index with probability proportional to its

@@ -405,7 +405,7 @@ func (c *compiler) compile() *Sim {
 		c.out.oracle = invariant.Attach(c.net)
 	}
 	if c.traceDt > 0 {
-		c.out.trace = newTraceRec(c.traceDt, c.horizon)
+		c.out.trace = newTraceRec(c.traceDt, c.horizon, c.net.Engine())
 	}
 	c.setupRouting(config["Reroute"])
 	c.setupCache(config["RouteCache"])

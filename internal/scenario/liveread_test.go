@@ -5,7 +5,7 @@ import (
 	"slices"
 	"testing"
 
-	"ispn/internal/stats"
+	"ispn/internal/packet"
 )
 
 // wanLive is a served session's world: a WAN dumbbell with two conference
@@ -24,34 +24,21 @@ at 230s { fail wan.a <-> wan.b }
 at 262s { restore wan.a <-> wan.b }
 `
 
-// teeMeter keeps a copy of every delay it is given and passes each on to
-// the flow's own meter, which the reports read.
-type teeMeter struct {
-	delays []float64
-	to     *stats.Recorder
-}
-
-func (m *teeMeter) Add(q float64) {
-	m.delays = append(m.delays, q)
-	m.to.Add(q)
-}
-
 // The live path reads every flow's recorder between steps, so each step's
 // first read re-selects over every sample the step left in the chunks: after
 // each of 64 steps, FlowReports' percentiles are sort-then-index of every
 // delay so far, through the outage and its backlog.
 func TestLiveFlowReportsMatchSort(t *testing.T) {
 	s := mustCompile(t, wanLive, Options{})
-	tees := make([]*teeMeter, len(s.Flows))
+	delays := make([][]float64, len(s.Flows))
 	for i, f := range s.Flows {
-		tees[i] = &teeMeter{to: f.Flow.Meter()}
-		f.Flow.MeterInto(tees[i])
+		f.Flow.Tap(func(_ *packet.Packet, q float64) { delays[i] = append(delays[i], q) })
 	}
 	const steps = 64
 	for step := 1; step <= steps; step++ {
 		s.StepTo(s.Horizon * float64(step) / steps)
 		for i, fr := range s.FlowReports() {
-			sorted := slices.Sorted(slices.Values(tees[i].delays))
+			sorted := slices.Sorted(slices.Values(delays[i]))
 			for j, p := range s.Percentiles {
 				want := 0.0
 				if n := len(sorted); n > 0 {
@@ -64,8 +51,8 @@ func TestLiveFlowReportsMatchSort(t *testing.T) {
 		}
 	}
 	for i, f := range s.Flows {
-		if len(tees[i].delays) < 10_000 {
-			t.Errorf("%s delivered %d packets; the test wants long recorders", f.Name, len(tees[i].delays))
+		if len(delays[i]) < 10_000 {
+			t.Errorf("%s delivered %d packets; the test wants long recorders", f.Name, len(delays[i]))
 		}
 	}
 }

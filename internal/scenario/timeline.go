@@ -14,8 +14,8 @@ import (
 
 	"ispn/internal/core"
 	"ispn/internal/packet"
+	"ispn/internal/sim"
 	"ispn/internal/source"
-	"ispn/internal/stats"
 	"ispn/internal/topology"
 )
 
@@ -307,31 +307,22 @@ func (s *Sim) allocID() uint32 {
 }
 
 // tapFlow feeds a flow's deliveries into the trace (when tracing is on).
-// Each flow gets its own series, stamped by the engine's clock at delivery.
-// The report merges the series bin-wise in registration order.
 func (s *Sim) tapFlow(f *core.Flow) {
-	if s.trace == nil {
-		return
+	if s.trace != nil {
+		f.Tap(s.trace.tap)
 	}
-	tr := s.trace
-	series := stats.NewTimeSeries(tr.dt)
-	tr.delays = append(tr.delays, series)
-	eng := s.Net.Engine()
-	f.Tap(func(_ *packet.Packet, queueing float64) {
-		series.Add(eng.Now(), queueing)
-	})
 }
 
 func (s *Sim) noteAdmission(now float64, admitted bool) {
 	if admitted {
 		s.adm.Admitted++
 		if s.trace != nil {
-			s.trace.admitted.Add(now, 1)
+			s.trace.bin(now).admitted++
 		}
 	} else {
 		s.adm.Rejected++
 		if s.trace != nil {
-			s.trace.rejected.Add(now, 1)
+			s.trace.bin(now).rejected++
 		}
 	}
 }
@@ -339,7 +330,7 @@ func (s *Sim) noteAdmission(now float64, admitted bool) {
 func (s *Sim) noteDeparture(now float64) {
 	s.adm.Departed++
 	if s.trace != nil {
-		s.trace.departed.Add(now, 1)
+		s.trace.bin(now).departed++
 	}
 }
 
@@ -358,62 +349,65 @@ type traceRec struct {
 	dt    float64
 	nfull int
 
-	delays   []*stats.TimeSeries // per-flow delivery delays, in tap order
-	admitted *stats.TimeSeries   // admission grants (count per interval)
-	rejected *stats.TimeSeries
-	departed *stats.TimeSeries
-	util     []float64 // per-interval busiest-link utilization
+	eng  *sim.Engine
+	tap  func(p *packet.Packet, queueing float64) // deliver, bound once: every traced flow's tap
+	bins []traceBin                               // one per interval, grown on demand
+	util []float64                                // per-interval busiest-link utilization
 
 	ports    []*topology.Port
 	prevBits []float64 // per-port cumulative tx bits at the last tick
 }
 
-func newTraceRec(dt, horizon float64) *traceRec {
+// traceBin is one interval's counts. Its delays are summed in delivery
+// order, whichever flows delivered them.
+type traceBin struct {
+	delivered, admitted, rejected, departed int64
+	sum, max                                float64
+}
+
+func newTraceRec(dt, horizon float64, eng *sim.Engine) *traceRec {
 	// The epsilon keeps float truncation from eating the last interval
 	// (10/0.1 is 99.999… in float64).
-	return &traceRec{
-		dt:       dt,
-		nfull:    int(horizon/dt + 1e-9),
-		admitted: stats.NewTimeSeries(dt),
-		rejected: stats.NewTimeSeries(dt),
-		departed: stats.NewTimeSeries(dt),
+	tr := &traceRec{dt: dt, nfull: int(horizon/dt + 1e-9), eng: eng}
+	tr.tap = tr.deliver
+	return tr
+}
+
+// bin returns the bin of the interval holding time t.
+func (tr *traceRec) bin(t float64) *traceBin {
+	i := int(t / tr.dt)
+	for len(tr.bins) <= i {
+		tr.bins = append(tr.bins, traceBin{})
+	}
+	return &tr.bins[i]
+}
+
+// deliver counts one delivery at the engine's clock.
+func (tr *traceRec) deliver(_ *packet.Packet, q float64) {
+	b := tr.bin(tr.eng.Now())
+	b.delivered++
+	b.sum += q
+	if q > b.max {
+		b.max = q
 	}
 }
 
 // row assembles trace interval k — shared by the final report and the live
 // TraceRows stream, so the two are byte-identical row for row.
 func (tr *traceRec) row(k int) TraceRow {
-	d := tr.delayBin(k)
-	row := TraceRow{
-		Interval:  k,
-		Start:     float64(k) * tr.dt,
-		End:       float64(k+1) * tr.dt,
-		Delivered: d.N,
-		MeanMS:    d.Mean() * 1e3,
-		MaxMS:     d.Max * 1e3,
-		Admitted:  tr.admitted.Bin(k).N,
-		Rejected:  tr.rejected.Bin(k).N,
-		Departed:  tr.departed.Bin(k).N,
+	row := TraceRow{Interval: k, Start: float64(k) * tr.dt, End: float64(k+1) * tr.dt}
+	if k < len(tr.bins) {
+		b := tr.bins[k]
+		row.Delivered, row.MaxMS = b.delivered, b.max*1e3
+		if b.delivered > 0 {
+			row.MeanMS = b.sum / float64(b.delivered) * 1e3
+		}
+		row.Admitted, row.Rejected, row.Departed = b.admitted, b.rejected, b.departed
 	}
 	if k < len(tr.util) {
 		row.Util = tr.util[k]
 	}
 	return row
-}
-
-// delayBin merges the per-flow delay series for interval i, in registration
-// order.
-func (tr *traceRec) delayBin(i int) stats.TimeBin {
-	var b stats.TimeBin
-	for _, ts := range tr.delays {
-		x := ts.Bin(i)
-		b.N += x.N
-		b.Sum += x.Sum
-		if x.Max > b.Max {
-			b.Max = x.Max
-		}
-	}
-	return b
 }
 
 // arm schedules the interval-boundary ticks that sample link utilization.

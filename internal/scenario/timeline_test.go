@@ -3,8 +3,14 @@ package scenario
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"ispn/internal/core"
+	"ispn/internal/packet"
 )
 
 // runSrc compiles and runs one in-memory scenario.
@@ -502,5 +508,76 @@ at 9s {
 `)
 	if d := rep.Flows[0].Delivered; d < 50 || d > 150 {
 		t.Fatalf("delivered = %d, want ~100 (the source must run only from 9s)", d)
+	}
+}
+
+// TestTraceRowsMatchDeliveries: every trace row is its interval's deliveries
+// as a model built from delivery taps sees them — the count and the maximum
+// exactly, and the mean as the delays summed in delivery order over the
+// count, bit for bit — for compile-time flows, at-block flows and churn
+// calls alike.
+func TestTraceRowsMatchDeliveries(t *testing.T) {
+	type bin struct {
+		n        int64
+		sum, max float64
+	}
+	for _, tc := range []struct {
+		file string
+		late bool // flows registered after compile (churn calls, at-block flows) deliver
+	}{{"churn-admission.ispn", true}, {"link-flap.ispn", false}} {
+		t.Run(tc.file, func(t *testing.T) {
+			src, err := os.ReadFile(filepath.Join(libraryDir, tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := mustCompile(t, string(src), Options{})
+			dt, eng := s.TraceInterval(), s.Net.Engine()
+			var model []bin
+			tap := func(_ *packet.Packet, q float64) {
+				k := int(eng.Now() / dt)
+				for len(model) <= k {
+					model = append(model, bin{})
+				}
+				b := &model[k]
+				b.n++
+				b.sum += q
+				b.max = max(b.max, q)
+			}
+			for _, sf := range s.Flows {
+				if sf.Flow != nil { // compile-time flows; later ones register below
+					sf.Flow.Tap(tap)
+				}
+			}
+			late := int64(0)
+			s.Net.OnFlow(func(f *core.Flow) {
+				f.Tap(func(p *packet.Packet, q float64) {
+					late++
+					tap(p, q)
+				})
+			})
+			r := s.Run()
+			if tc.late != (late > 0) {
+				t.Fatalf("%d deliveries from flows registered after compile", late)
+			}
+			busy := 0
+			for _, row := range r.Trace {
+				var want bin
+				if row.Interval < len(model) {
+					want = model[row.Interval]
+				}
+				mean := 0.0
+				if want.n > 0 {
+					busy++
+					mean = want.sum / float64(want.n) * 1e3
+				}
+				if row.Delivered != want.n || row.MaxMS != want.max*1e3 || math.Float64bits(row.MeanMS) != math.Float64bits(mean) {
+					t.Errorf("interval %d: delivered %d, mean %v ms, max %v ms; the taps saw %d, %v ms, %v ms",
+						row.Interval, row.Delivered, row.MeanMS, row.MaxMS, want.n, mean, want.max*1e3)
+				}
+			}
+			if busy < len(r.Trace)/2 {
+				t.Errorf("%d of %d rows delivered anything", busy, len(r.Trace))
+			}
+		})
 	}
 }
