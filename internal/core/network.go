@@ -361,7 +361,7 @@ type Flow struct {
 	policer    tokenbucket.Bucket
 	policerCnt stats.Counter
 	meter      stats.Recorder
-	meterTo    *stats.Recorder // when set, deliveries are metered here instead (MeterInto)
+	meterTo    *stats.Recorder // where deliveries are metered: &meter, or MeterInto's recorder
 	delivered  int64
 	taps       []func(p *packet.Packet, queueing float64) // delivery observers, in Tap order
 	bound      float64
@@ -476,11 +476,7 @@ func (s *flowSink) Deliver(p *packet.Packet) {
 	if q < 0 {
 		q = 0
 	}
-	if f.meterTo != nil {
-		f.meterTo.Add(q)
-	} else {
-		f.meter.Add(q)
-	}
+	f.meterTo.Add(q)
 	f.delivered++
 	for _, tap := range f.taps {
 		tap(p, q)
@@ -504,6 +500,7 @@ func (n *Network) routeAlong(f *Flow) (last *topology.Node) {
 }
 
 func (n *Network) registerFlow(f *Flow) {
+	f.meterTo = &f.meter
 	last := n.routeAlong(f)
 	f.route.SetReceiver(last, (*flowSink)(f))
 	n.flows[f.ID] = f

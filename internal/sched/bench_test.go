@@ -13,7 +13,7 @@ import (
 // quantify the cost of FIFO+ ordered insertion and WFQ tag bookkeeping
 // relative to plain FIFO.
 
-func benchPackets(n int) []*packet.Packet {
+func benchPackets(n int, class packet.Class) []*packet.Packet {
 	rng := rand.New(rand.NewSource(1))
 	ps := make([]*packet.Packet, n)
 	for i := range ps {
@@ -21,7 +21,7 @@ func benchPackets(n int) []*packet.Packet {
 			FlowID:       uint32(rng.Intn(10)),
 			Seq:          uint64(i),
 			Size:         1000,
-			Class:        packet.Predicted,
+			Class:        class,
 			ArrivedAt:    float64(i) * 0.001,
 			JitterOffset: (rng.Float64() - 0.5) * 0.01,
 		}
@@ -30,10 +30,11 @@ func benchPackets(n int) []*packet.Packet {
 }
 
 // benchCycle times one enqueue (and, past 64 queued, one dequeue) per
-// iteration, after enough untimed cycles that every ring and heap has grown
-// to its steady size. It returns the cycle for benchCycleNoAllocs.
-func benchCycle(b *testing.B, s Scheduler) (cycle func()) {
-	ps := benchPackets(1024)
+// iteration of packets of the given class, after enough untimed cycles that
+// every ring and heap has grown to its steady size. It returns the cycle
+// for benchCycleNoAllocs.
+func benchCycle(b *testing.B, s Scheduler, class packet.Class) (cycle func()) {
+	ps := benchPackets(1024, class)
 	now, i := 0.0, 0
 	cycle = func() {
 		now += 0.001
@@ -57,39 +58,38 @@ func benchCycle(b *testing.B, s Scheduler) (cycle func()) {
 // benchCycleNoAllocs is benchCycle for the rate schedulers, whose steady
 // state must not allocate: the benchmark fails itself if a warmed-up cycle
 // does. `make bench-smoke` runs these three at 1x for this check alone.
-func benchCycleNoAllocs(b *testing.B, s Scheduler) {
-	cycle := benchCycle(b, s)
+func benchCycleNoAllocs(b *testing.B, s Scheduler, class packet.Class) {
+	cycle := benchCycle(b, s, class)
 	b.StopTimer()
 	if a := testing.AllocsPerRun(1000, cycle); a != 0 {
 		b.Fatalf("a steady-state enqueue+dequeue cycle allocates %v times, want 0", a)
 	}
 }
 
-func BenchmarkFIFOEnqueueDequeue(b *testing.B) { benchCycle(b, NewFIFO()) }
+func BenchmarkFIFOEnqueueDequeue(b *testing.B) { benchCycle(b, NewFIFO(), packet.Predicted) }
 
-func BenchmarkFIFOPlusEnqueueDequeue(b *testing.B) { benchCycle(b, NewFIFOPlus()) }
+func BenchmarkFIFOPlusEnqueueDequeue(b *testing.B) { benchCycle(b, NewFIFOPlus(), packet.Predicted) }
 
 func BenchmarkPriorityEnqueueDequeue(b *testing.B) {
-	benchCycle(b, NewPriority([]Scheduler{NewFIFOPlus(), NewFIFOPlus(), NewFIFO()}))
+	benchCycle(b, NewPriority([]Scheduler{NewFIFOPlus(), NewFIFOPlus(), NewFIFO()}), packet.Predicted)
 }
 
-func BenchmarkWFQEnqueueDequeue(b *testing.B) {
-	w := NewWFQ(1e6)
-	for f := 0; f < 10; f++ {
-		w.AddFlow(uint32(f), 1e5)
+// benchRated is benchCycleNoAllocs on a pipeline of a reserving kind whose
+// benchmark flows 0–9 all hold reservations, so every packet is stamped on
+// its own clocked flow.
+func benchRated(b *testing.B, kind string) {
+	pl := mustPipeline(Profile{Kind: kind})
+	for f := uint32(0); f < 10; f++ {
+		pl.AddGuaranteed(f, 9e4)
 	}
-	benchCycleNoAllocs(b, w)
+	benchCycleNoAllocs(b, pl, packet.Guaranteed)
 }
 
-func BenchmarkVirtualClockEnqueueDequeue(b *testing.B) {
-	v := NewVirtualClock()
-	for f := 0; f < 10; f++ {
-		v.AddFlow(uint32(f), 1e5)
-	}
-	benchCycleNoAllocs(b, v)
-}
+func BenchmarkWFQEnqueueDequeue(b *testing.B) { benchRated(b, KindWFQ) }
 
-func BenchmarkDRREnqueueDequeue(b *testing.B) { benchCycle(b, NewDRR(1000)) }
+func BenchmarkVirtualClockEnqueueDequeue(b *testing.B) { benchRated(b, KindVirtualClock) }
+
+func BenchmarkDRREnqueueDequeue(b *testing.B) { benchCycle(b, NewDRR(1000), packet.Predicted) }
 
 func BenchmarkUnifiedEnqueueDequeue(b *testing.B) {
 	u := mustPipeline(Profile{})
@@ -98,7 +98,7 @@ func BenchmarkUnifiedEnqueueDequeue(b *testing.B) {
 	u.AddGuaranteed(100, 1.7e5)
 	u.AddGuaranteed(101, 1.7e5)
 	u.AddGuaranteed(102, 0.85e5)
-	benchCycleNoAllocs(b, u)
+	benchCycleNoAllocs(b, u, packet.Predicted)
 }
 
 func BenchmarkGPSSimulate(b *testing.B) {

@@ -74,6 +74,28 @@ func mustPipeline(prof Profile) *Pipeline {
 	return pl
 }
 
+// newRated builds a kind's 1 Mbit/s pipeline with flows 1, 2, … reserved at
+// the given clock rates, in order.
+func newRated(kind string, rates ...float64) *Pipeline {
+	pl := mustPipeline(Profile{Kind: kind})
+	for i, r := range rates {
+		pl.AddGuaranteed(uint32(i+1), r)
+	}
+	return pl
+}
+
+// clockRate returns the clock rate of flow id at pl — under Flow0ID flow
+// 0's leftover share — or 0 if id reserves none there.
+func clockRate(pl *Pipeline, id uint32) float64 {
+	if id == Flow0ID {
+		return pl.table.flow0.rate
+	}
+	if f := pl.reservation(id); f != nil {
+		return f.rate
+	}
+	return 0
+}
+
 // holds reports whether s may hold queued packets past now: Stop-and-Go, or
 // a pipeline of that kind.
 func holds(s Scheduler) bool {
@@ -88,13 +110,26 @@ func pkt(flow uint32, seq uint64, size int) *packet.Packet {
 	return &packet.Packet{FlowID: flow, Seq: seq, Size: size}
 }
 
+// gpkt is a guaranteed packet, served by its flow's reservation where it has
+// one.
+func gpkt(flow uint32, seq uint64, size int) *packet.Packet {
+	return pktClass(flow, seq, size, packet.Guaranteed, 0)
+}
+
 func pktClass(flow uint32, seq uint64, size int, class packet.Class, prio uint8) *packet.Packet {
 	return &packet.Packet{FlowID: flow, Seq: seq, Size: size, Class: class, Priority: prio}
 }
 
+// holder is a scheduler that may hold queued packets past now: Stop-and-Go,
+// or a pipeline of that kind.
+type holder interface {
+	Scheduler
+	NextEligible(now float64) float64
+}
+
 // runLinkNWC is runLink for the non-work-conserving Stop-and-Go: when the
 // scheduler holds packets, the clock jumps to NextEligible.
-func runLinkNWC(s *StopAndGo, mu float64, arrivals []arrival) []delivery {
+func runLinkNWC(s holder, mu float64, arrivals []arrival) []delivery {
 	var out []delivery
 	i := 0
 	now := 0.0

@@ -188,10 +188,11 @@ func (p Profile) Validate() error {
 // crossing them — an incremental deployment really does lose the hard
 // commitment at un-upgraded hops.
 type Pipeline struct {
-	prof  Profile
-	queue Scheduler // what the port serves: the rate scheduler, or the one classless scheduler
-	// rates is the rate scheduler and table its flow table, where Enqueue
-	// resolves a guaranteed packet's flow; both nil on a classless kind.
+	prof Profile
+	// queue is the classless kind's one scheduler; rates is the reserving
+	// kind's rate scheduler and table its flow table, where Enqueue
+	// resolves a packet's flow. A pipeline has queue or rates, not both.
+	queue    Scheduler
 	rates    rateScheduler
 	table    *rateTable
 	linkRate float64
@@ -203,10 +204,10 @@ type Pipeline struct {
 	// The schedulers of the unified, wfq and fifo kinds are held here by
 	// value, so such a port's scheduler is one object plus its classes'
 	// []FIFOPlus: wfq is the rate scheduler, flow0 the unified kind's
-	// priority stack, fifo the unified kind's datagram level, the wfq
-	// kind's flow 0 and the fifo kind's whole queue. The stack's levels and
-	// counts are appended to levelBuf and countBuf, which hold the paper's
-	// two classes and datagram without allocating.
+	// priority stack, fifo the unified kind's datagram level, the wfq and
+	// virtualclock kinds' flow 0 and the fifo kind's whole queue. The
+	// stack's levels and counts are appended to levelBuf and countBuf,
+	// which hold the paper's two classes and datagram without allocating.
 	wfq      WFQ
 	flow0    Priority
 	fifo     FIFO
@@ -217,36 +218,30 @@ type Pipeline struct {
 // inlineLevels is how many priority levels a unified pipeline holds inline.
 const inlineLevels = len(defaultClassTargets) + 1
 
-// rateScheduler is what the pipeline needs of WFQ and VirtualClock beyond
-// their shared flow table: registering a flow and changing its rate (WFQ
-// keeps its backlogged-rate sum in step), and stamping a packet by the
-// discipline's rule.
+// rateScheduler is what the pipeline calls of WFQ and VirtualClock, whose
+// flow table it holds: change a flow's clock rate (WFQ keeps its
+// backlogged-rate sum in step), stamp a packet onto a flow by the
+// discipline's rule, and serve the smallest head tag.
 type rateScheduler interface {
-	Scheduler
-	AddFlow(id uint32, rate float64)
-	SetRate(id uint32, rate float64)
-	// enqueueOn stamps p by the discipline's rule and queues it on f, a
-	// flow of the scheduler's table.
+	setRate(f *rateFlow, rate float64)
 	enqueueOn(f *rateFlow, p *packet.Packet, now float64)
+	Dequeue(now float64) *packet.Packet
 }
 
 // pipelines is the fixed table of pipeline kinds: each entry fills in a
 // pipeline whose normalized profile and link rate are set.
 var pipelines = map[string]func(pl *Pipeline){
 	KindUnified: func(pl *Pipeline) {
-		pl.wfq.init(pl.linkRate)
-		pl.wfq.AddFlowScheduler(Flow0ID, pl.linkRate, pl.unifiedStack())
-		pl.reserving(&pl.wfq, &pl.wfq.rateTable)
+		pl.wfq.linkRate = pl.linkRate
+		pl.reserving(&pl.wfq, &pl.wfq.rateTable, pl.unifiedStack())
 	},
 	KindWFQ: func(pl *Pipeline) {
-		pl.wfq.init(pl.linkRate)
-		pl.wfq.AddFlowScheduler(Flow0ID, pl.linkRate, &pl.fifo)
-		pl.reserving(&pl.wfq, &pl.wfq.rateTable)
+		pl.wfq.linkRate = pl.linkRate
+		pl.reserving(&pl.wfq, &pl.wfq.rateTable, &pl.fifo)
 	},
 	KindVirtualClock: func(pl *Pipeline) {
-		v := NewVirtualClock()
-		v.AddFlow(Flow0ID, pl.linkRate)
-		pl.reserving(v, &v.rateTable)
+		v := new(VirtualClock)
+		pl.reserving(v, &v.rateTable, &pl.fifo)
 	},
 	KindFIFO: func(pl *Pipeline) { pl.queue = &pl.fifo },
 	KindFIFOPlus: func(pl *Pipeline) {
@@ -264,12 +259,12 @@ var pipelines = map[string]func(pl *Pipeline){
 	KindStopAndGo: func(pl *Pipeline) { pl.queue = NewStopAndGo(pl.prof.ClassTargets[0]) },
 }
 
-// reserving makes rs, whose flow table is t and whose flow 0 is registered
-// at the full link rate, the port's queue: flow 0 becomes the fallback for
-// every packet without a reservation.
-func (pl *Pipeline) reserving(rs rateScheduler, t *rateTable) {
-	t.SetFallback(Flow0ID)
-	pl.queue, pl.rates, pl.table = rs, rs, t
+// reserving makes rs, whose flow table is t, the port's rate scheduler, and
+// registers flow 0 in t at the full link rate with its packets ordered by
+// child: the flow of every packet without a reservation here.
+func (pl *Pipeline) reserving(rs rateScheduler, t *rateTable, child Scheduler) {
+	t.init(pl.linkRate, child)
+	pl.rates, pl.table = rs, t
 }
 
 // PipelineKinds returns the kind names, sorted.
@@ -314,25 +309,34 @@ func (pl *Pipeline) Classes() int { return pl.prof.Classes() }
 // still in flight from upstream hops — is demoted into flow 0: the hard
 // commitment ended with the reservation, but the residue is still delivered.
 func (pl *Pipeline) Enqueue(p *packet.Packet, now float64) {
-	if pl.table == nil {
+	if pl.rates == nil {
 		pl.queue.Enqueue(p, now)
 		return
 	}
-	var f *rateFlow
+	f := &pl.table.flow0
 	if p.Class == packet.Guaranteed {
-		f = pl.table.get(p.FlowID)
-	}
-	if f == nil {
-		f = pl.table.fallbackFlow(p)
+		if g := pl.table.byID[p.FlowID]; g != nil {
+			f = g
+		}
 	}
 	pl.rates.enqueueOn(f, p, now)
 }
 
 // Dequeue implements Scheduler.
-func (pl *Pipeline) Dequeue(now float64) *packet.Packet { return pl.queue.Dequeue(now) }
+func (pl *Pipeline) Dequeue(now float64) *packet.Packet {
+	if pl.rates == nil {
+		return pl.queue.Dequeue(now)
+	}
+	return pl.rates.Dequeue(now)
+}
 
 // Len implements Scheduler.
-func (pl *Pipeline) Len() int { return pl.queue.Len() }
+func (pl *Pipeline) Len() int {
+	if pl.rates == nil {
+		return pl.queue.Len()
+	}
+	return pl.table.n
+}
 
 // NextEligible returns the instant the stopandgo kind's next queued packet
 // becomes eligible, or +Inf if it holds none. A port asks it only when
@@ -354,20 +358,34 @@ func (pl *Pipeline) WorkConserving() bool {
 func (pl *Pipeline) SupportsGuaranteed() bool { return pl.rates != nil }
 
 // AddGuaranteed registers a guaranteed flow with clock rate r (bits/second)
-// and shrinks flow 0's share accordingly. It panics on a classless pipeline,
-// or if the link would be oversubscribed (Σ r_α >= µ leaves nothing for
-// flow 0); the core checks both first.
+// and shrinks flow 0's share accordingly. An id still draining after
+// RemoveGuaranteed is revived instead — its queued tail keeps its place —
+// at the new rate. It panics on a classless pipeline, on a rate that is not
+// positive, on an id reserved here already, or if the link would be
+// oversubscribed (Σ r_α >= µ leaves nothing for flow 0); the core checks
+// these first.
 func (pl *Pipeline) AddGuaranteed(id uint32, rate float64) {
 	if pl.rates == nil {
 		panic(fmt.Sprintf("sched: %s pipeline cannot reserve clock rates", pl.prof.Kind))
+	}
+	if rate <= 0 {
+		panic("sched: flow rate must be positive")
 	}
 	if pl.reserved+rate >= pl.linkRate {
 		panic(fmt.Sprintf("sched: guaranteed reservations %.0f+%.0f would exhaust link rate %.0f",
 			pl.reserved, rate, pl.linkRate))
 	}
-	pl.rates.AddFlow(id, rate)
+	switch f := pl.table.byID[id]; {
+	case f == nil:
+		pl.table.add(id, rate)
+	case f.closing:
+		f.closing = false
+		pl.rates.setRate(f, rate)
+	default:
+		panic(fmt.Sprintf("sched: flow %d already registered", id))
+	}
 	pl.reserved += rate
-	pl.rates.SetRate(Flow0ID, pl.linkRate-pl.reserved)
+	pl.leftover()
 }
 
 // RemoveGuaranteed unregisters a guaranteed flow and returns its share to
@@ -377,39 +395,54 @@ func (pl *Pipeline) AddGuaranteed(id uint32, rate float64) {
 // transiently oversubscribed in clock rates — WFQ virtual time tolerates
 // that, and the backlog is bounded by the departing flow's token bucket.
 func (pl *Pipeline) RemoveGuaranteed(id uint32) {
-	rate := pl.clockRate(id)
-	if rate == 0 {
+	f := pl.reservation(id)
+	if f == nil {
 		return
 	}
-	pl.table.RemoveFlow(id)
-	pl.reserved -= rate
-	pl.rates.SetRate(Flow0ID, pl.linkRate-pl.reserved)
+	if f.tags.Len() > 0 {
+		f.closing = true
+	} else {
+		pl.table.unregister(f)
+	}
+	pl.reserved -= f.rate
+	pl.leftover()
 }
 
 // SetGuaranteedRate changes a reserved flow's clock rate. It panics on a
-// flow without a reservation here, or if the link would be oversubscribed.
+// flow without a reservation here, on a rate that is not positive, or if
+// the link would be oversubscribed.
 func (pl *Pipeline) SetGuaranteedRate(id uint32, rate float64) {
-	old := pl.clockRate(id)
-	if old == 0 {
+	f := pl.reservation(id)
+	if f == nil {
 		panic(fmt.Sprintf("sched: SetGuaranteedRate on unreserved flow %d", id))
 	}
-	if pl.reserved-old+rate >= pl.linkRate {
-		panic(fmt.Sprintf("sched: renegotiated reservations %.0f would exhaust link rate %.0f",
-			pl.reserved-old+rate, pl.linkRate))
+	if rate <= 0 {
+		panic("sched: flow rate must be positive")
 	}
-	pl.rates.SetRate(id, rate)
-	pl.reserved += rate - old
-	pl.rates.SetRate(Flow0ID, pl.linkRate-pl.reserved)
+	if pl.reserved-f.rate+rate >= pl.linkRate {
+		panic(fmt.Sprintf("sched: renegotiated reservations %.0f would exhaust link rate %.0f",
+			pl.reserved-f.rate+rate, pl.linkRate))
+	}
+	pl.reserved += rate - f.rate
+	pl.rates.setRate(f, rate)
+	pl.leftover()
 }
 
-// clockRate returns the clock rate of flow id at this port (under Flow0ID,
-// flow 0's leftover share), or 0 if it holds none.
-func (pl *Pipeline) clockRate(id uint32) float64 {
+// reservation returns the flow that id reserves at this port, or nil if it
+// holds none: on a classless kind, for an unknown id, and for a flow that
+// RemoveGuaranteed left draining.
+func (pl *Pipeline) reservation(id uint32) *rateFlow {
 	if pl.table == nil {
-		return 0
+		return nil
 	}
-	return pl.table.Rate(id)
+	if f := pl.table.byID[id]; f != nil && !f.closing {
+		return f
+	}
+	return nil
 }
+
+// leftover gives flow 0 what the reservations leave of the link, µ − Σ r_α.
+func (pl *Pipeline) leftover() { pl.rates.setRate(&pl.table.flow0, pl.linkRate-pl.reserved) }
 
 // Reserved is the sum of guaranteed clock rates (0 on a classless kind).
 func (pl *Pipeline) Reserved() float64 { return pl.reserved }
@@ -426,11 +459,14 @@ func (pl *Pipeline) SetLinkRate(rate, now float64) {
 		panic(fmt.Sprintf("sched: link rate %.0f below reserved %.0f", rate, pl.reserved))
 	}
 	pl.linkRate = rate
-	// Real-time clocks (VirtualClock) only need flow 0's share adjusted.
+	// Virtual time is advanced to now first, so the change only affects
+	// service from now on. Real-time clocks (VirtualClock) only need flow
+	// 0's share adjusted.
 	if w, ok := pl.rates.(*WFQ); ok {
-		w.SetLinkRate(rate, now)
+		w.advance(now)
+		w.linkRate = rate
 	}
-	pl.rates.SetRate(Flow0ID, rate-pl.reserved)
+	pl.leftover()
 }
 
 // ClassDelayEstimate is the conservative measured delay d̂ᵢ of predicted

@@ -8,12 +8,14 @@ import (
 	"ispn/internal/packet"
 )
 
-// The model: the rate schedulers' behaviour with no table at all — one
+// The model: a reserving pipeline's behaviour with no table at all — one
 // slice of stamped packets per flow, flows found by scanning, the backlog
-// counted by summing. "Stamp on arrival, serve the smallest head tag, ties
-// to the flow registered first", with wfq selecting which of the two stamp
-// rules applies (the arithmetic is spelled in the same order as the
-// schedulers', so tags agree to the bit and ties fall the same way).
+// counted by summing, flow 0 first and holding the leftover µ − Σ r.
+// "Stamp on arrival, serve the smallest head tag, ties to the flow
+// registered first", with wfq selecting which of the two stamp rules
+// applies (the arithmetic is spelled in the same order as the pipeline's
+// and the schedulers', so tags agree to the bit and ties fall the same
+// way).
 type modelFlow struct {
 	id         uint32
 	rate, last float64
@@ -27,15 +29,20 @@ type modelPkt struct {
 }
 
 type rateModel struct {
-	flows    []*modelFlow // registration order
-	fallback *modelFlow
+	flows []*modelFlow // registration order, flow 0 first
 
-	wfq                              bool
-	linkRate, vt, lastUpdate, active float64
+	wfq                    bool
+	linkRate, reserved     float64
+	vt, lastUpdate, active float64
 }
 
+func newRateModel(wfq bool, linkRate float64) *rateModel {
+	return &rateModel{flows: []*modelFlow{{id: Flow0ID, rate: linkRate}}, wfq: wfq, linkRate: linkRate}
+}
+
+// find returns the guaranteed flow id, draining or not, or nil.
 func (m *rateModel) find(id uint32) *modelFlow {
-	for _, f := range m.flows {
+	for _, f := range m.flows[1:] {
 		if f.id == id {
 			return f
 		}
@@ -59,28 +66,38 @@ func (m *rateModel) advance(now float64) {
 	}
 }
 
-func (m *rateModel) add(id uint32, rate float64) {
-	if f := m.find(id); f != nil { // still draining: revive
-		f.closing = false
-		m.setRate(id, rate)
-		return
-	}
-	m.flows = append(m.flows, &modelFlow{id: id, rate: rate})
-}
-
-func (m *rateModel) setRate(id uint32, rate float64) {
-	f := m.find(id)
+func (m *rateModel) setRate(f *modelFlow, rate float64) {
 	if m.wfq && len(f.q) > 0 {
 		m.active += rate - f.rate
 	}
 	f.rate = rate
 }
 
-func (m *rateModel) remove(id uint32) {
-	if f := m.find(id); f != nil {
-		f.closing = true
-		m.reap(f)
+// leftover gives flow 0 what the reservations leave of the link.
+func (m *rateModel) leftover() { m.setRate(m.flows[0], m.linkRate-m.reserved) }
+
+func (m *rateModel) add(id uint32, rate float64) {
+	if f := m.find(id); f != nil { // still draining: revive
+		f.closing = false
+		m.setRate(f, rate)
+	} else {
+		m.flows = append(m.flows, &modelFlow{id: id, rate: rate})
 	}
+	m.reserved += rate
+	m.leftover()
+}
+
+func (m *rateModel) changeRate(f *modelFlow, rate float64) {
+	m.reserved += rate - f.rate
+	m.setRate(f, rate)
+	m.leftover()
+}
+
+func (m *rateModel) remove(f *modelFlow) {
+	f.closing = true
+	m.reap(f)
+	m.reserved -= f.rate
+	m.leftover()
 }
 
 // reap forgets a closing flow once it holds nothing.
@@ -94,15 +111,12 @@ func (m *rateModel) reap(f *modelFlow) {
 			break
 		}
 	}
-	if m.fallback == f {
-		m.fallback = nil
-	}
 }
 
 func (m *rateModel) enqueue(p *packet.Packet, now float64) {
-	f := m.find(p.FlowID)
-	if f == nil {
-		f = m.fallback
+	f := m.flows[0]
+	if g := m.find(p.FlowID); g != nil && p.Class == packet.Guaranteed {
+		f = g
 	}
 	start := math.Max(now, f.last) // VirtualClock: the flow's own real-time clock
 	if m.wfq {
@@ -136,7 +150,8 @@ func (m *rateModel) dequeue(now float64) *packet.Packet {
 	p := best.q[0].p
 	best.q = best.q[1:]
 	if m.wfq && len(best.q) == 0 {
-		if m.active -= best.rate; m.active < 1e-9 {
+		m.active -= best.rate
+		if m.len() == 0 {
 			m.active = 0
 		}
 	}
@@ -144,32 +159,26 @@ func (m *rateModel) dequeue(now float64) *packet.Packet {
 	return p
 }
 
-// TestRateTableMatchesNaiveModel drives WFQ and VirtualClock and the model
-// through the same 20 000 seeded operations — registration, removal with a
-// backlog, re-adding an id while it drains, rate and link-rate changes,
-// moving the fallback — and requires the same packet from every dequeue and
-// the same Len after every step. Rates, sizes and arrival instants come
-// from small sets, so equal head tags (the registration-order tie-break)
-// are the common case, not the corner.
+// TestRateTableMatchesNaiveModel drives wfq and virtualclock pipelines and
+// the model through the same 20 000 seeded operations — reservation,
+// removal with a backlog, re-reserving an id while it drains, rate and
+// link-rate changes, guaranteed packets and packets for flow 0 — and
+// requires the same packet from every dequeue, the same Len after every
+// step, and (wfq) the same backlogged-rate sum, which returns to exactly 0
+// whenever the pipeline drains. Rates, sizes and arrival instants come from
+// small sets, so equal head tags (the registration-order tie-break) are the
+// common case, not the corner.
 func TestRateTableMatchesNaiveModel(t *testing.T) {
-	type rateSched interface {
-		Scheduler
-		AddFlow(id uint32, rate float64)
-		RemoveFlow(id uint32)
-		SetRate(id uint32, rate float64)
-		SetFallback(id uint32)
-	}
 	for _, tc := range []struct {
 		name string
-		s    rateSched
-		wfq  bool
+		kind string
 	}{
-		{"WFQ", NewWFQ(1e6), true},
-		{"VirtualClock", NewVirtualClock(), false},
+		{"WFQ", KindWFQ},
+		{"VirtualClock", KindVirtualClock},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1992))
-			s, m := tc.s, &rateModel{wfq: tc.wfq, linkRate: 1e6}
+			s, m := mustPipeline(Profile{Kind: tc.kind}), newRateModel(tc.kind == KindWFQ, 1e6)
 			rates := []float64{1e5, 2e5, 2.5e5}
 			now := 0.0
 			ties := 0
@@ -181,14 +190,15 @@ func TestRateTableMatchesNaiveModel(t *testing.T) {
 				rate := rates[rng.Intn(len(rates))]
 				f := m.find(id)
 				switch op := rng.Intn(20); {
-				case op < 8:
-					if f == nil && m.fallback == nil {
-						continue
+				case op < 9:
+					class := packet.Guaranteed
+					if op == 0 {
+						class = packet.Predicted
 					}
-					p := &packet.Packet{FlowID: id, Seq: uint64(step), Size: 500 * (1 + rng.Intn(2))}
+					p := &packet.Packet{FlowID: id, Seq: uint64(step), Size: 500 * (1 + rng.Intn(2)), Class: class}
 					s.Enqueue(p, now)
 					m.enqueue(p, now)
-				case op < 14:
+				case op < 15:
 					heads := map[float64]bool{}
 					for _, g := range m.flows {
 						if len(g.q) > 0 {
@@ -202,37 +212,41 @@ func TestRateTableMatchesNaiveModel(t *testing.T) {
 					if got := s.Dequeue(now); got != want {
 						t.Fatalf("step %d: Dequeue = %+v, model serves %+v", step, got, want)
 					}
-				case op < 16:
-					if f != nil && !f.closing {
-						continue
-					}
-					s.AddFlow(id, rate)
-					m.add(id, rate)
 				case op < 17:
-					s.RemoveFlow(id)
-					m.remove(id)
+					if f != nil && !f.closing || m.reserved+rate >= m.linkRate {
+						continue
+					}
+					s.AddGuaranteed(id, rate)
+					m.add(id, rate)
 				case op < 18:
-					if f == nil {
-						continue
+					s.RemoveGuaranteed(id)
+					if f != nil && !f.closing {
+						m.remove(f)
 					}
-					s.SetRate(id, rate)
-					m.setRate(id, rate)
 				case op < 19:
-					if f == nil {
+					if f == nil || f.closing || m.reserved-f.rate+rate >= m.linkRate {
 						continue
 					}
-					s.SetFallback(id)
-					m.fallback = f
+					s.SetGuaranteedRate(id, rate)
+					m.changeRate(f, rate)
 				default:
-					if w, ok := s.(*WFQ); ok {
-						mu := 5e5 * float64(1+rng.Intn(3))
-						w.SetLinkRate(mu, now)
-						m.advance(now)
-						m.linkRate = mu
+					mu := 5e5 * float64(1+rng.Intn(3))
+					if mu <= m.reserved {
+						continue
 					}
+					s.SetLinkRate(mu, now)
+					m.advance(now)
+					m.linkRate = mu
+					m.leftover()
 				}
 				if s.Len() != m.len() {
 					t.Fatalf("step %d: Len = %d, model holds %d", step, s.Len(), m.len())
+				}
+				if m.wfq && s.wfq.activeRate != m.active {
+					t.Fatalf("step %d: backlogged-rate sum = %v, model %v", step, s.wfq.activeRate, m.active)
+				}
+				if s.Reserved() != m.reserved {
+					t.Fatalf("step %d: Reserved = %v, model %v", step, s.Reserved(), m.reserved)
 				}
 			}
 			for m.len() > 0 {
@@ -273,7 +287,7 @@ func TestReAddWhileDrainingRevives(t *testing.T) {
 			if got := pl.Reserved(); got != 3e5 {
 				t.Fatalf("Reserved = %v after re-adding at 3e5", got)
 			}
-			if r5, r0 := pl.clockRate(5), pl.clockRate(Flow0ID); r5 != 3e5 || r0 != 7e5 {
+			if r5, r0 := clockRate(pl, 5), clockRate(pl, Flow0ID); r5 != 3e5 || r0 != 7e5 {
 				t.Fatalf("rates after revival: flow 5 = %v, flow 0 = %v; want 3e5 and 7e5", r5, r0)
 			}
 			pl.Enqueue(pktClass(5, 3, 1000, packet.Guaranteed, 0), 0)
@@ -283,12 +297,12 @@ func TestReAddWhileDrainingRevives(t *testing.T) {
 				}
 			}
 			// The revived flow outlives its old tail: it is live, not closing.
-			if got := pl.clockRate(5); got != 3e5 {
+			if got := clockRate(pl, 5); got != 3e5 {
 				t.Fatalf("flow 5 rate = %v once drained, want it still registered at 3e5", got)
 			}
 			pl.RemoveGuaranteed(5)
-			if pl.clockRate(5) != 0 || pl.Reserved() != 0 {
-				t.Fatalf("after final removal: rate %v, reserved %v", pl.clockRate(5), pl.Reserved())
+			if clockRate(pl, 5) != 0 || pl.Reserved() != 0 {
+				t.Fatalf("after final removal: rate %v, reserved %v", clockRate(pl, 5), pl.Reserved())
 			}
 		})
 	}

@@ -15,13 +15,14 @@
 //   - VirtualClock, DRR, DelayEDD and StopAndGo — the Section 10–11
 //     related-work baselines used in ablations and comparisons.
 //
-// WFQ and VirtualClock are one structure with two stamp rules. The shared
-// rateTable holds the flows in registration order, the id map, the fallback
-// flow, a per-flow FIFO of tags beside a child scheduler, and the service
-// rule: smallest head tag first, ties to the flow registered first; a flow
-// removed with a backlog drains before its registration goes, and re-adding
-// its id meanwhile revives it. Each discipline adds only how an arriving
-// packet of size L on a flow of rate r is stamped:
+// WFQ and VirtualClock are one structure with two stamp rules, reached only
+// through a reserving kind's Pipeline. The shared rateTable holds pseudo
+// flow 0 inline, the guaranteed flows after it in registration order with
+// their id map, a per-flow FIFO of tags beside a child scheduler, and the
+// service rule: smallest head tag first, ties to the flow registered first;
+// a flow removed with a backlog drains before its registration goes. Each
+// discipline adds only how an arriving packet of size L on a flow of rate r
+// is stamped:
 //
 //	WFQ           F = max(V, F_prev) + L/r    V: virtual time, advancing at µ / Σ_backlogged r
 //	VirtualClock  VC = max(now, VC) + L/r     a per-flow clock in real time

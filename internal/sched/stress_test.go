@@ -20,24 +20,12 @@ func allSchedulers() map[string]func() Scheduler {
 		"Priority": func() Scheduler {
 			return NewPriority([]Scheduler{NewFIFOPlus(), NewFIFOPlus(), NewFIFO()})
 		},
-		"WFQ": func() Scheduler {
-			w := NewWFQ(1e6)
-			for f := 0; f < 4; f++ {
-				w.AddFlow(uint32(f), 2.5e5)
-			}
-			return w
-		},
-		"VirtualClock": func() Scheduler {
-			v := NewVirtualClock()
-			for f := 0; f < 4; f++ {
-				v.AddFlow(uint32(f), 2.5e5)
-			}
-			return v
-		},
-		"DRR":         func() Scheduler { return NewDRR(1000) },
-		"Delay-EDD":   func() Scheduler { return NewDelayEDD(1/200.0, 0.01) },
-		"Unified":     func() Scheduler { return mustPipeline(Profile{}) },
-		"Stop-and-Go": func() Scheduler { return NewStopAndGo(0.010) },
+		"WFQ":          func() Scheduler { return newRated(KindWFQ, 2e5, 2e5, 2e5, 2e5) },
+		"VirtualClock": func() Scheduler { return newRated(KindVirtualClock, 2e5, 2e5, 2e5, 2e5) },
+		"DRR":          func() Scheduler { return NewDRR(1000) },
+		"Delay-EDD":    func() Scheduler { return NewDelayEDD(1/200.0, 0.01) },
+		"Unified":      func() Scheduler { return mustPipeline(Profile{}) },
+		"Stop-and-Go":  func() Scheduler { return NewStopAndGo(0.010) },
 		// The two related-work pipeline kinds, as a port runs them.
 		"edd pipeline": func() Scheduler {
 			return mustPipeline(Profile{Kind: KindEDD, ClassTargets: []float64{0.030}})
@@ -164,37 +152,73 @@ func TestWorkConservationInvariant(t *testing.T) {
 	}
 }
 
-// Total backlog trajectories agree across work-conserving disciplines when
-// driven by the same arrival trace on the same link — the conservation law
-// behind "the mean delays are about the same for the two algorithms"
-// (uniform packet sizes).
+// TestBacklogInvariance is pathwise work conservation at one link: with
+// uniform packets, a discipline that never idles with a backlog sends its
+// packets at the same instants as FIFO, whatever order it picks — the
+// conservation law behind "the mean delays are about the same for the two
+// algorithms". Every pipeline kind runs one trace of guaranteed, predicted
+// and datagram packets; on the reserving kinds the guaranteed flows hold
+// reservations. Each work-conserving kind must reproduce FIFO's departure
+// instants as a multiset, and stopandgo, which holds packets to the end of
+// their frame, must not.
 func TestBacklogInvariance(t *testing.T) {
+	const mu = 1e6
 	mkTrace := func() []arrival {
 		rng := rand.New(rand.NewSource(31))
+		classes := []packet.Class{packet.Guaranteed, packet.Guaranteed, packet.Guaranteed,
+			packet.Predicted, packet.Predicted, packet.Datagram}
 		var arr []arrival
 		now := 0.0
 		for i := 0; i < 400; i++ {
 			now += rng.ExpFloat64() * 0.0012
-			arr = append(arr, arrival{t: now, p: pkt(uint32(rng.Intn(4)), uint64(i), 1000)})
+			flow := rng.Intn(len(classes))
+			p := pktClass(uint32(flow), uint64(i), 1000, classes[flow], uint8(flow%2))
+			arr = append(arr, arrival{t: now, p: p})
 		}
 		return arr
 	}
-	sum := func(out []delivery) float64 {
-		total := 0.0
+	instants := func(out []delivery) []float64 {
+		var ts []float64
 		for _, d := range out {
-			total += d.finish
+			ts = append(ts, d.finish)
 		}
-		return total
+		sort.Float64s(ts)
+		return ts
 	}
-	w := NewWFQ(1e6)
-	for f := 0; f < 4; f++ {
-		w.AddFlow(uint32(f), 2.5e5)
+	fifo := instants(runLink(NewFIFO(), mu, mkTrace()))
+	if len(fifo) != 400 {
+		t.Fatalf("FIFO delivered %d of 400 packets", len(fifo))
 	}
-	fifoSum := sum(runLink(NewFIFO(), 1e6, mkTrace()))
-	wfqSum := sum(runLink(w, 1e6, mkTrace()))
-	// Completion-time totals are identical for uniform packets under any
-	// work-conserving discipline.
-	if math.Abs(fifoSum-wfqSum) > 1e-6*fifoSum {
-		t.Fatalf("total completion time differs: FIFO %v vs WFQ %v", fifoSum, wfqSum)
+	for _, kind := range PipelineKinds() {
+		t.Run(kind, func(t *testing.T) {
+			pl := mustPipeline(Profile{Kind: kind})
+			if pl.SupportsGuaranteed() {
+				for flow := uint32(0); flow < 3; flow++ {
+					pl.AddGuaranteed(flow, 2e5)
+				}
+			}
+			var out []delivery
+			if pl.WorkConserving() {
+				out = runLink(pl, mu, mkTrace())
+			} else {
+				out = runLinkNWC(pl, mu, mkTrace())
+			}
+			got := instants(out)
+			if len(got) != len(fifo) {
+				t.Fatalf("delivered %d packets, FIFO %d", len(got), len(fifo))
+			}
+			same := true
+			for i := range got {
+				if math.Abs(got[i]-fifo[i]) > 1e-9 {
+					if pl.WorkConserving() {
+						t.Fatalf("departure %d at %v, FIFO's at %v", i, got[i], fifo[i])
+					}
+					same = false
+				}
+			}
+			if !pl.WorkConserving() && same {
+				t.Fatal("a kind that holds packets departed at FIFO's instants; the comparison cannot tell")
+			}
+		})
 	}
 }

@@ -15,7 +15,7 @@ func newTestUnified() *Pipeline { return mustPipeline(Profile{}) }
 
 // levels returns the priority levels under a unified pipeline's flow 0.
 func levels(pl *Pipeline) []Scheduler {
-	return pl.table.get(Flow0ID).child.(*Priority).levels
+	return pl.table.flow0.child.(*Priority).levels
 }
 
 func TestUnifiedGuaranteedIsolatedFromPredictedFlood(t *testing.T) {
@@ -83,14 +83,14 @@ func TestUnifiedReservedAccounting(t *testing.T) {
 	if u.Reserved() != 5e5 {
 		t.Fatalf("Reserved = %v, want 5e5", u.Reserved())
 	}
-	if got := u.clockRate(Flow0ID); math.Abs(got-5e5) > 1e-9 {
+	if got := clockRate(u, Flow0ID); math.Abs(got-5e5) > 1e-9 {
 		t.Fatalf("flow 0 rate = %v, want 5e5", got)
 	}
 	u.RemoveGuaranteed(1)
 	if u.Reserved() != 3e5 {
 		t.Fatalf("Reserved after remove = %v, want 3e5", u.Reserved())
 	}
-	if got := u.clockRate(Flow0ID); math.Abs(got-7e5) > 1e-9 {
+	if got := clockRate(u, Flow0ID); math.Abs(got-7e5) > 1e-9 {
 		t.Fatalf("flow 0 rate after remove = %v, want 7e5", got)
 	}
 	u.RemoveGuaranteed(99) // unknown: no-op
@@ -129,11 +129,11 @@ func TestUnifiedSetLinkAndGuaranteedRate(t *testing.T) {
 	if u.Reserved() != 4e5 {
 		t.Fatalf("Reserved = %v after renegotiation, want 4e5", u.Reserved())
 	}
-	if got := u.clockRate(Flow0ID); got != 6e5 {
+	if got := clockRate(u, Flow0ID); got != 6e5 {
 		t.Fatalf("flow 0 rate = %v, want 6e5", got)
 	}
 	u.SetLinkRate(8e5, 0)
-	if got := u.clockRate(Flow0ID); got != 4e5 {
+	if got := clockRate(u, Flow0ID); got != 4e5 {
 		t.Fatalf("flow 0 rate after link change = %v, want 4e5", got)
 	}
 	defer func() {
@@ -272,7 +272,7 @@ func TestPipelineKinds(t *testing.T) {
 			}
 			pl.RemoveGuaranteed(1) // nothing reserved: a no-op
 			pl.SetLinkRate(2e6, 0)
-			if pl.Reserved() != 0 || pl.clockRate(1) != 0 {
+			if pl.Reserved() != 0 || clockRate(pl, 1) != 0 {
 				t.Fatalf("classless kind reserves %v", pl.Reserved())
 			}
 			defer func() {
@@ -282,5 +282,25 @@ func TestPipelineKinds(t *testing.T) {
 			}()
 			pl.AddGuaranteed(1, 1e5)
 		})
+	}
+}
+
+// TestPipelineAllocations pins the objects building a reserving kind's port
+// pipeline allocates: the Pipeline itself (which holds the wfq kinds' WFQ,
+// flow 0 and its FIFO by value), the unified kind's []FIFOPlus, and the
+// virtualclock kind's VirtualClock, whose flow 0 is the pipeline's own FIFO.
+func TestPipelineAllocations(t *testing.T) {
+	for _, c := range []struct {
+		kind string
+		want float64
+	}{{KindUnified, 2}, {KindWFQ, 1}, {KindVirtualClock, 2}} {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := NewPipeline(Profile{Kind: c.kind}, 1e6); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("NewPipeline(%s) allocates %v objects, want %v", c.kind, got, c.want)
+		}
 	}
 }

@@ -16,27 +16,9 @@ type VirtualClock struct {
 	rateTable
 }
 
-// NewVirtualClock returns an empty VirtualClock scheduler.
-func NewVirtualClock() *VirtualClock { return &VirtualClock{} }
-
-// AddFlow registers a flow with the given clock rate (bits/second), served
-// FIFO within the flow. It panics if the rate is not positive or the id is
-// registered and live; an id still draining after RemoveFlow is revived at
-// the new rate.
-func (v *VirtualClock) AddFlow(id uint32, rate float64) {
-	if v.add(id, rate, NewFIFO()) {
-		v.SetRate(id, rate)
-	}
-}
-
-// SetRate changes a flow's clock rate; packets already stamped keep their
-// tags (the per-flow clock just advances at the new rate from now on).
-func (v *VirtualClock) SetRate(id uint32, rate float64) { v.setRate(id, rate) }
-
-// Enqueue implements Scheduler.
-func (v *VirtualClock) Enqueue(p *packet.Packet, now float64) {
-	v.enqueueOn(v.flowOf(p), p, now)
-}
+// setRate changes f's clock rate; packets already stamped keep their tags
+// (the per-flow clock just advances at the new rate from now on).
+func (v *VirtualClock) setRate(f *rateFlow, rate float64) { f.rate = rate }
 
 // enqueueOn advances f's clock by p, stamps p with it and queues it on f, a
 // flow of v's table.
@@ -44,7 +26,8 @@ func (v *VirtualClock) enqueueOn(f *rateFlow, p *packet.Packet, now float64) {
 	v.push(f, math.Max(now, f.last)+float64(p.Size)/f.rate, p, now)
 }
 
-// Dequeue implements Scheduler.
+// Dequeue serves the flow with the smallest head tag, or returns nil if
+// none is backlogged.
 func (v *VirtualClock) Dequeue(now float64) *packet.Packet {
 	if v.n == 0 {
 		return nil
@@ -52,5 +35,3 @@ func (v *VirtualClock) Dequeue(now float64) *packet.Packet {
 	_, p := v.pop(now)
 	return p
 }
-
-var _ Scheduler = (*VirtualClock)(nil)

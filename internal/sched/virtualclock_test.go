@@ -6,11 +6,10 @@ import (
 )
 
 func TestVirtualClockSingleFlowFIFO(t *testing.T) {
-	v := NewVirtualClock()
-	v.AddFlow(1, 1e6)
+	v := newRated(KindVirtualClock, 9e5)
 	var arr []arrival
 	for i := 0; i < 10; i++ {
-		arr = append(arr, arrival{t: float64(i) * 0.0001, p: pkt(1, uint64(i), 1000)})
+		arr = append(arr, arrival{t: float64(i) * 0.0001, p: gpkt(1, uint64(i), 1000)})
 	}
 	out := runLink(v, 1e6, arr)
 	for i, d := range out {
@@ -21,13 +20,11 @@ func TestVirtualClockSingleFlowFIFO(t *testing.T) {
 }
 
 func TestVirtualClockShares(t *testing.T) {
-	v := NewVirtualClock()
-	v.AddFlow(1, 7.5e5)
-	v.AddFlow(2, 2.5e5)
+	v := newRated(KindVirtualClock, 6e5, 2e5)
 	var arr []arrival
 	for i := 0; i < 400; i++ {
-		arr = append(arr, arrival{t: 0, p: pkt(1, uint64(i), 1000)})
-		arr = append(arr, arrival{t: 0, p: pkt(2, uint64(1000+i), 1000)})
+		arr = append(arr, arrival{t: 0, p: gpkt(1, uint64(i), 1000)})
+		arr = append(arr, arrival{t: 0, p: gpkt(2, uint64(1000+i), 1000)})
 	}
 	out := runLink(v, 1e6, arr)
 	n1 := 0
@@ -47,42 +44,29 @@ func TestVirtualClockPunishesFormerIdler(t *testing.T) {
 	// not build up credit — but one that overdrew in the past is stamped
 	// into the future and suffers when a competitor shows up. Verify the
 	// VC clock advances past real time for an overdriving flow.
-	v := NewVirtualClock()
-	v.AddFlow(1, 1e5) // entitled to 100 kb/s
+	v := newRated(KindVirtualClock, 1e5) // entitled to 100 kb/s
 	// Flow 1 dumps 20 packets at t=0: its VC runs to 20*1000/1e5 = 0.2s.
 	for i := 0; i < 20; i++ {
-		v.Enqueue(pkt(1, uint64(i), 1000), 0)
+		v.Enqueue(gpkt(1, uint64(i), 1000), 0)
 	}
-	f := v.get(1)
+	f := v.table.byID[1]
 	if math.Abs(f.last-0.2) > 1e-9 {
 		t.Fatalf("VC clock = %v, want 0.2", f.last)
 	}
 }
 
-func TestVirtualClockUnknownFlowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown flow did not panic")
-		}
-	}()
-	v := NewVirtualClock()
-	v.Enqueue(pkt(1, 0, 1000), 0)
-}
-
 func TestVirtualClockDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("duplicate AddFlow did not panic")
+			t.Fatal("duplicate AddGuaranteed did not panic")
 		}
 	}()
-	v := NewVirtualClock()
-	v.AddFlow(1, 1)
-	v.AddFlow(1, 1)
+	v := newRated(KindVirtualClock, 1)
+	v.AddGuaranteed(1, 1)
 }
 
 func TestVirtualClockEmpty(t *testing.T) {
-	v := NewVirtualClock()
-	v.AddFlow(1, 1e5)
+	v := newRated(KindVirtualClock, 1e5)
 	if v.Dequeue(0) != nil || v.Len() != 0 {
 		t.Fatal("empty VirtualClock misbehaves")
 	}

@@ -40,16 +40,16 @@ type countSink struct{ n int64 }
 
 func (s *countSink) Deliver(*packet.Packet) { s.n++ }
 
-// TestUnifiedPortSteadyStateAllocs runs one unified port — a guaranteed
-// flow, predicted traffic in both classes and datagram traffic, about 0.85
-// of a 100 kbit/s link with queues building at every burst — for 10⁴
-// simulated seconds after a 100 s warm-up, and counts every object the whole
-// run allocates: a port that has seen its largest backlog must forward for
-// the rest of the run without allocating. Every FIFO+ class rolls its delay
-// meter's 1 s window 10⁴ times here, so a meter that reallocated its
-// retained windows every 30 rolls would show as hundreds of objects. (An
-// average over short runs, testing.AllocsPerRun, divides in integers and
-// reads that as 0.)
+// TestUnifiedPortSteadyStateAllocs runs one port of each reserving kind —
+// a guaranteed flow, predicted traffic in both classes and datagram traffic,
+// about 0.85 of a 100 kbit/s link with queues building at every burst — for
+// 10⁴ simulated seconds after a 100 s warm-up, and counts every object the
+// whole run allocates: a port that has seen its largest backlog must forward
+// for the rest of the run without allocating. Every FIFO+ class of the
+// unified port rolls its delay meter's 1 s window 10⁴ times here, so a meter
+// that reallocated its retained windows every 30 rolls would show as
+// hundreds of objects. (An average over short runs, testing.AllocsPerRun,
+// divides in integers and reads that as 0.)
 //
 // The count reads the whole process's allocations, so a stray object of the
 // runtime or the testing package lands in it now and then. The run is
@@ -57,29 +57,33 @@ func (s *countSink) Deliver(*packet.Packet) { s.n++ }
 // is 0: the simulation is deterministic, so an object the port allocates in
 // the counted window is counted by every attempt.
 func TestUnifiedPortSteadyStateAllocs(t *testing.T) {
-	const attempts = 3
-	var objs, bytes uint64
-	var delivered int64
-	for range attempts {
-		if objs, bytes, delivered = steadyStateRun(t); objs == 0 {
-			return
-		}
+	for _, kind := range []string{sched.KindUnified, sched.KindWFQ, sched.KindVirtualClock} {
+		t.Run(kind, func(t *testing.T) {
+			const attempts = 3
+			var objs, bytes uint64
+			var delivered int64
+			for range attempts {
+				if objs, bytes, delivered = steadyStateRun(t, kind); objs == 0 {
+					return
+				}
+			}
+			t.Errorf("%d packet-hops after the warm-up allocated %d objects (%d B) in each of %d runs, want 0",
+				delivered, objs, bytes, attempts)
+		})
 	}
-	t.Errorf("%d packet-hops after the warm-up allocated %d objects (%d B) in each of %d runs, want 0",
-		delivered, objs, bytes, attempts)
 }
 
-// steadyStateRun builds TestUnifiedPortSteadyStateAllocs's port, runs it
-// through the warm-up and then the counted window, and returns the objects
-// and bytes the window allocated and the packets it delivered.
-func steadyStateRun(t *testing.T) (objs, bytes uint64, delivered int64) {
+// steadyStateRun builds TestUnifiedPortSteadyStateAllocs's port of the given
+// kind, runs it through the warm-up and then the counted window, and returns
+// the objects and bytes the window allocated and the packets it delivered.
+func steadyStateRun(t *testing.T, kind string) (objs, bytes uint64, delivered int64) {
 	t.Helper()
 	const rate, warmup, horizon = 1e5, 100.0, 10_100.0
 	eng := sim.New()
 	n := NewNetwork(eng)
 	n.AddNode("A")
 	n.AddNode("B")
-	pipe, err := sched.NewPipeline(sched.Profile{}, rate)
+	pipe, err := sched.NewPipeline(sched.Profile{Kind: kind}, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,7 @@ func steadyStateRun(t *testing.T) (objs, bytes uint64, delivered int64) {
 	if want := int64(0.8 * rate / 1000 * (horizon - warmup)); delivered < want {
 		t.Fatalf("delivered %d packets after the warm-up, want at least %d", delivered, want)
 	}
-	for class := 0; class < 2; class++ {
+	for class := 0; kind == sched.KindUnified && class < 2; class++ {
 		if pipe.ClassDelayEstimate(class, eng.Now()) <= 0 {
 			t.Fatalf("predicted class %d measured no queueing delay", class)
 		}
