@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-teeth build nofma unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover experiments-golden library-golden
+.PHONY: ci vet lint lint-teeth build nofma unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover counters experiments-golden library-golden
 
 ci: fmt-check vet lint lint-teeth build nofma unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check fuzz-smoke serve-smoke
 
@@ -144,8 +144,9 @@ profile:
 	@echo "wrote cpu.pprof and mem.pprof"
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing over the .ispn
-# lexer/parser, compiler and runtime injection (InjectEvents) and over the
-# event engine's firing order against a sorted-slice model, then a
+# lexer/parser, compiler and runtime injection (InjectEvents), over the
+# event engine's firing order against a sorted-slice model and over the
+# recorder's block coding (arbitrary keys and simulated delays), then a
 # randomized scenario fuzz run — every world simulated under the invariant
 # oracle (see docs/TESTING.md). The nightly CI job runs the same harnesses much
 # longer.
@@ -154,6 +155,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompileScenario -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzInjectEvents -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 5s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzRecorderBlock -fuzztime 5s ./internal/stats
 	$(GO) run ./cmd/ispnsim -n 50 -seed 1 fuzz
 
 # Control-plane smoke: start a real `ispnsim serve`, drive a failover
@@ -161,6 +163,14 @@ fuzz-smoke:
 # fetch the report), and verify clean SIGINT shutdown (docs/OPERATIONS.md).
 serve-smoke:
 	./scripts/serve-smoke.sh
+
+# Print one row of the exact cost counters as JSON (scripts/counters.sh):
+# the Table-3 cell's recorder bytes per chunked sample and its samples in
+# runs, blocks and tails, BenchmarkMillionFlows' bytes per flow and
+# TestChurnRetention's bytes per sample. BENCH_COUNTERS.json keeps a row
+# per change (ROADMAP item 23). A few seconds.
+counters:
+	./scripts/counters.sh
 
 # Aggregate test coverage with a per-function summary.
 cover:

@@ -128,52 +128,41 @@ type holder interface {
 }
 
 // runLinkNWC is runLink for the non-work-conserving Stop-and-Go: when the
-// scheduler holds packets, the clock jumps to NextEligible.
+// scheduler holds packets, the clock jumps to NextEligible. Before each
+// Dequeue every arrival up to now is enqueued at its own instant, those
+// that came during a transmission included.
 func runLinkNWC(s holder, mu float64, arrivals []arrival) []delivery {
 	var out []delivery
 	i := 0
 	now := 0.0
-	for i < len(arrivals) || s.Len() > 0 {
+	for {
+		for ; i < len(arrivals) && arrivals[i].t <= now; i++ {
+			a := arrivals[i]
+			a.p.ArrivedAt = a.t
+			s.Enqueue(a.p, a.t)
+		}
 		nextArr := math.Inf(1)
 		if i < len(arrivals) {
 			nextArr = arrivals[i].t
 		}
-		if s.Len() > 0 {
-			if p := s.Dequeue(now); p != nil {
-				finish := now + float64(p.Size)/mu
-				out = append(out, delivery{p: p, start: now, finish: finish})
-				if finish < nextArr {
-					now = finish
-					continue
-				}
-				now = finish
-			} else {
-				// Everything held: advance to the next event.
-				t := min(s.NextEligible(now), nextArr)
-				if math.IsInf(t, 1) {
-					break
-				}
-				if t > now {
-					now = t
-				}
-				for i < len(arrivals) && arrivals[i].t <= now {
-					arrivals[i].p.ArrivedAt = arrivals[i].t
-					s.Enqueue(arrivals[i].p, now)
-					i++
-				}
-				continue
+		if s.Len() == 0 {
+			if math.IsInf(nextArr, 1) {
+				return out
 			}
+			now = nextArr
+			continue
 		}
-		if s.Len() == 0 && i < len(arrivals) {
-			if nextArr > now {
-				now = nextArr
-			}
-			for i < len(arrivals) && arrivals[i].t <= now {
-				arrivals[i].p.ArrivedAt = arrivals[i].t
-				s.Enqueue(arrivals[i].p, now)
-				i++
-			}
+		if p := s.Dequeue(now); p != nil {
+			finish := now + float64(p.Size)/mu
+			out = append(out, delivery{p: p, start: now, finish: finish})
+			now = finish
+			continue
 		}
+		// Everything held: advance to the next event.
+		t := min(s.NextEligible(now), nextArr)
+		if math.IsInf(t, 1) {
+			return out
+		}
+		now = max(now, t)
 	}
-	return out
 }

@@ -3,6 +3,8 @@ package sched
 import (
 	"math"
 	"testing"
+
+	"ispn/internal/packet"
 )
 
 // --- Delay-EDD -------------------------------------------------------------
@@ -167,7 +169,9 @@ func TestStopAndGoLen(t *testing.T) {
 func TestStopAndGoJitterBoundOnLink(t *testing.T) {
 	// The defining property: per-hop delay is within (0, 2T] regardless
 	// of arrival phase, so jitter across packets is bounded by ~2T.
-	s := NewStopAndGo(0.010)
+	// The link enqueues each packet at its arrival instant, as a port does,
+	// so Stop-and-Go assigns it the frame it arrived in.
+	s := &enqueueClock{holder: NewStopAndGo(0.010)}
 	var arr []arrival
 	for i := 0; i < 50; i++ {
 		arr = append(arr, arrival{t: float64(i) * 0.0037, p: pkt(1, uint64(i), 1000)})
@@ -176,12 +180,28 @@ func TestStopAndGoJitterBoundOnLink(t *testing.T) {
 	if len(out) != 50 {
 		t.Fatalf("delivered %d", len(out))
 	}
+	if s.late > 0 {
+		t.Fatalf("%d of 50 arrivals enqueued after their instant", s.late)
+	}
 	for _, d := range out {
 		delay := d.finish - d.p.ArrivedAt
 		if delay <= 0 || delay > 0.020+0.001+1e-9 {
 			t.Fatalf("packet %d delay %v outside (0, 2T]", d.p.Seq, delay)
 		}
 	}
+}
+
+// enqueueClock counts the packets enqueued later than they arrived.
+type enqueueClock struct {
+	holder
+	late int
+}
+
+func (c *enqueueClock) Enqueue(p *packet.Packet, now float64) {
+	if now > p.ArrivedAt {
+		c.late++
+	}
+	c.holder.Enqueue(p, now)
 }
 
 func TestStopAndGoBadFramePanics(t *testing.T) {

@@ -48,10 +48,11 @@ type run struct {
 // that is not saturated delivers many packets that waited nowhere,
 // recorded as 0 or a few float residues of it) are sorted runs of (value,
 // count), at most 32. Every other sample is a key (see key) in the tail,
-// and a tail that reaches chunkLen keys is sorted and coded as one
-// Elias–Fano block of about 6 B a delay, against the 8 B of a float; the
-// tail is then reused. Every key but NaN's is above every run. For
-// unbounded runs use P2Quantile instead.
+// and a tail that reaches chunkLen keys is sorted and coded as one block,
+// an Elias–Fano code per binade that drops the low bits its keys share:
+// about 4 B a simulated delay, against the 8 B of a float; the tail is
+// then reused. Every key but NaN's is above every run. For unbounded runs
+// use P2Quantile instead.
 //
 // Percentile answers a rank the runs hold by walking them. Any other rank
 // it finds by bisecting the key space for the smallest key at or above
@@ -311,7 +312,7 @@ func (r *Recorder) selectKey(k int) (K uint64, probes int) {
 	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for i := range r.blocks {
 		b := &r.blocks[i]
-		lo, hi = min(lo, b.base), max(hi, b.last())
+		lo, hi = min(lo, b.base()), max(hi, b.last())
 		wins = append(wins, window{0, chunkLen, 0})
 	}
 	tlo, thi := 0, len(r.tail) // the tail's keys in the interval
@@ -430,45 +431,165 @@ func sortKeys(keys []uint64) {
 	}
 }
 
-// block is chunkLen keys, sorted and coded as Elias–Fano codes (Elias, JACM
-// 1974; Fano 1971): each key less base is split into its low l bits, packed
-// in key order, and its high part h, written in unary as a one at bit
-// h + (its index) of the high vector, so that a zero ends each high part's
-// bucket. l is the fewest bits that leave the high parts below
-// 2·chunkLen, so a block takes chunkLen·(l+2) to chunkLen·(l+3) bits; l+3
-// never reaches 64.
+// block is chunkLen keys, sorted and coded as partitioned Elias–Fano codes
+// (Elias, JACM 1974; Fano 1971; Ottaviano and Venturini, SIGIR 2014). The
+// keys fall into segments, each a run of whole binades (keys sharing their
+// top 12 bits, a float's sign and exponent): one per binade the keys
+// occupy, but that the encoder joins a binade to the segment before it when
+// that costs no more bits (see encode). A segment's keys are codes over
+// its smallest key, its base: each key less the base, shifted right by t,
+// the trailing zeros all its offsets share. A simulated delay, now −
+// CreatedAt − a flow's fixed delay, lies on the clock's grid less a
+// constant, so inside one binade its offsets share the grid's low bits,
+// 15.5 of them on average in the Table-3 cell. Each code is split into its
+// low l bits, packed in key order after the previous segment's, and its
+// high part h, written in unary as a one at bit zeros + h + (the key's
+// index in the block) of the block's one high vector, zeros being the high
+// vector's zeros before the segment's buckets; a zero ends each bucket. l
+// is the fewest bits that leave the segment's high parts below twice its
+// count, so a segment of n keys takes n·(l+1) to n·(l+3) bits besides its
+// 128-bit table entry, and the high vector at most 3·chunkLen.
 type block struct {
-	base uint64    // the smallest key
-	w    []uint64  // 16·l words of low parts, then the high vector; allocated to its size class
+	w    []uint64  // the segment table (two words a segment, see seg), the low parts, then the high vector; allocated to its size class
 	skip [6]uint16 // the high vector's zeros before words 0, 8, …, 40 (those past its end: every zero of its words)
-	l    uint8
-	hmax uint16 // the largest key's high part
+	segs uint16    // the segments
+	hw   uint16    // the high vector's first word
 }
 
-// zeros is what a block's words start from: the most a block takes, 53 low
-// bits a key and a high vector of 3·chunkLen bits. (slices.Grow would make
-// the same allocation, but under the race detector its temporary slice
-// escapes too.)
-var zeros [(64-bucketShift)<<(chunkShift-6) + 3*chunkLen>>6]uint64
+// segment is one of a block's segments as its table holds it: its base,
+// then a word packing the rest (see seg).
+type segment struct {
+	base  uint64
+	start int  // its first key's index in the block
+	t, l  uint // the shift and the low bits
+	hmax  int  // the largest high part
+	zeros int  // the high vector's zeros before the segment's buckets
+	off   uint // where in the block's words, in bits, key i's low part is: off + i·l
+}
 
-// encode sorts keys (chunkLen of them) and codes them as a block.
+// Where a segment's table word holds its fields: start, t and l, hmax,
+// zeros and lows take 11, 6, 6, 11, 12 and 16 bits. hmax and zeros are
+// below 2·chunkLen, lows below 62·chunkLen (l ≤ 62 for a segment of two or
+// more keys, 0 for one).
+const (
+	segT     = 11
+	segL     = segT + 6
+	segHmax  = segL + 6
+	segZeros = segHmax + 11
+	segLows  = segZeros + 12
+)
+
+// seg is segment j.
+func (b *block) seg(j int) segment {
+	m := b.w[2*j+1]
+	s := segment{
+		base:  b.w[2*j],
+		start: int(m & (1<<segT - 1)),
+		t:     uint(m >> segT & 63),
+		l:     uint(m >> segL & 63),
+		hmax:  int(m >> segHmax & (1<<11 - 1)),
+		zeros: int(m >> segZeros & (1<<12 - 1)),
+	}
+	s.off = uint(b.segs)<<7 + uint(m>>segLows) - uint(s.start)*s.l // the low parts start after the table; wraps back at key start
+	return s
+}
+
+// start is where segment j's keys start, chunkLen for j = segs.
+func (b *block) start(j int) int {
+	if j < int(b.segs) {
+		return int(b.w[2*j+1] & (1<<segT - 1))
+	}
+	return chunkLen
+}
+
+// part is a segment the encoder plans: the sorted keys [start, end), whose
+// offsets from keys[start] share t trailing zeros (64 if every offset is 0).
+type part struct {
+	start, end int
+	t          uint
+}
+
+// segHeader is what a segment's table entry costs, in bits.
+const segHeader = 128
+
+// shape returns p's low bits and largest high part: l the fewest that leave
+// the high parts of its codes below twice its count.
+func (p part) shape(keys []uint64) (l uint, hmax uint64) {
+	top, n := (keys[p.end-1]-keys[p.start])>>p.t, uint64(2*(p.end-p.start))
+	l = uint(max(bits.Len64(top)-bits.Len64(n), 0))
+	if top>>l >= n {
+		l++
+	}
+	return l, top >> l
+}
+
+// cost is p's bits as a segment, its table entry included.
+func (p part) cost(keys []uint64) int {
+	l, hmax := p.shape(keys)
+	return segHeader + (p.end-p.start)*int(l+1) + int(hmax) + 1
+}
+
+// join is p and q, the part after it, as one part: their offsets from p's
+// base share the trailing zeros of q's own and of q's base less p's.
+func (p part) join(q part, keys []uint64) part {
+	return part{p.start, q.end, min(p.t, q.t, uint(bits.TrailingZeros64(keys[q.start]-keys[p.start])))}
+}
+
+// zeros is what a block's words start from: the most a block takes, one
+// segment's table entry, 53 low bits a key and a high vector of 3·chunkLen
+// bits (encode never codes more words than one segment of every key).
+// (slices.Grow would make the same allocation, but under the race detector
+// its temporary slice escapes too.)
+var zeros [2 + (64-bucketShift)<<(chunkShift-6) + 3*chunkLen>>6]uint64
+
+// encode sorts keys (chunkLen of them) and codes them as a block. It plans
+// one part per binade and joins each to the part before it while one costs
+// no more bits than two; should the plan cost more words than one segment
+// of every key, that is the block instead, so a block never takes more than
+// a single Elias–Fano code of its keys and one table entry.
 func encode(keys []uint64) block {
 	sortKeys(keys)
-	top := keys[chunkLen-1] - keys[0]
-	l := uint(max(bits.Len64(top)-bucketShift, 0))
-	b := block{base: keys[0], l: uint8(l), hmax: uint16(top >> l)}
-	lows := int(l) << (chunkShift - 6)
-	n := lows + (chunkLen+int(b.hmax)+64)>>6
-	b.w = append([]uint64(nil), zeros[:n]...) // append rounds the capacity up to the size class
-	high, mask := b.w[lows:], uint64(1)<<l-1
-	for i, k := range keys {
-		v := k - b.base
-		off := uint(i) * l
-		w, s := off>>6, off&63
-		b.w[w] |= v & mask << s
-		b.w[w+1] |= v & mask >> (64 - s) // nothing, but for a low part that spans two words
-		p := int(v>>l) + i
-		high[p>>6] |= 1 << (p & 63)
+	var buf [32]part
+	parts := buf[:0]
+	whole := part{0, chunkLen, 64}
+	keys = keys[:chunkLen]
+	for i := 0; i < chunkLen; {
+		base, or, end := keys[i], uint64(0), i+1
+		for ; end < chunkLen && (keys[end]^base)>>52 == 0; end++ {
+			or |= keys[end] - base
+		}
+		p := part{i, end, uint(bits.TrailingZeros64(or))}
+		i = end
+		whole.t = min(whole.t, p.t, uint(bits.TrailingZeros64(keys[p.start]-keys[0])))
+		if n := len(parts); n > 0 {
+			if j := parts[n-1].join(p, keys); j.cost(keys) <= parts[n-1].cost(keys)+p.cost(keys) {
+				parts[n-1] = j
+				continue
+			}
+		}
+		parts = append(parts, p)
+	}
+	if len(parts) > 1 && blockWords(parts, keys) >= blockWords([]part{whole}, keys) {
+		parts = append(parts[:0], whole)
+	}
+	b := block{segs: uint16(len(parts))}
+	b.w = append([]uint64(nil), zeros[:blockWords(parts, keys)]...) // append rounds the capacity up to the size class
+	lows, nz := uint(0), 0
+	for j, p := range parts {
+		l, hmax := p.shape(keys)
+		if p.t == 64 {
+			p.t = 0 // every offset is 0: no shift to record
+		}
+		b.w[2*j] = keys[p.start]
+		b.w[2*j+1] = uint64(p.start) | uint64(p.t)<<segT | uint64(l)<<segL | hmax<<segHmax | uint64(nz)<<segZeros | uint64(lows)<<segLows
+		lows += uint(p.end-p.start) * l
+		nz += int(hmax) + 1
+	}
+	b.hw = uint16(2*len(parts) + int(lows+63)>>6)
+	high := b.high()
+	for j, p := range parts {
+		s := b.seg(j)
+		s.code(b.w, high, keys[p.start:p.end])
 	}
 	for j := 1; j < len(b.skip); j++ {
 		words := high[:min(j<<3, len(high))]
@@ -480,75 +601,123 @@ func encode(keys []uint64) block {
 	return b
 }
 
+// code writes keys, all of segment s in order, into a block's words w and
+// its high vector high: each key's low part at its place in w, its one in
+// high.
+func (s *segment) code(w, high, keys []uint64) {
+	base, t, l, mask := s.base, s.t&63, s.l&63, uint64(1)<<s.l-1 // t, l < 64: shifts without the compiler's guard
+	off, one := s.off+uint(s.start)*l, s.zeros+s.start           // where the next key's low part goes, and its one but for its high part
+	for _, k := range keys {
+		v := (k - base) >> t
+		i, sh := off>>6, off&63
+		w[i] |= v & mask << sh
+		w[i+1] |= v & mask >> (64 - sh) // nothing, but for a low part that spans two words
+		h := one + int(v>>l)
+		high[h>>6] |= 1 << (h & 63)
+		off, one = off+l, one+1
+	}
+}
+
+// blockWords is the words a block of parts takes: its table, its low parts
+// and its high vector.
+func blockWords(parts []part, keys []uint64) int {
+	lows, highs := 0, 0
+	for _, p := range parts {
+		l, hmax := p.shape(keys)
+		lows += (p.end - p.start) * int(l)
+		highs += p.end - p.start + int(hmax) + 1
+	}
+	return 2*len(parts) + (lows+63)>>6 + (highs+63)>>6
+}
+
 // high is the block's high vector.
-func (b *block) high() []uint64 { return b.w[int(b.l)<<(chunkShift-6):] }
+func (b *block) high() []uint64 { return b.w[b.hw:] }
 
-// low is the low part of key i.
-func (b *block) low(i int) uint64 {
-	off := uint(i) * uint(b.l)
-	w, s := off>>6, off&63
-	return (b.w[w]>>s | b.w[w+1]<<(64-s)) & (1<<b.l - 1)
+// low is the low part of key i of segment s.
+func (b *block) low(s *segment, i int) uint64 {
+	off := s.off + uint(i)*s.l
+	w, sh := off>>6, off&63
+	return (b.w[w]>>sh | b.w[w+1]<<(64-sh)) & (1<<s.l - 1)
 }
 
-// keyAt is key i, whose one is at bit pos of the high vector.
-func (b *block) keyAt(pos, i int) uint64 {
-	return b.base + (uint64(pos-i)<<b.l | b.low(i))
+// keyAt is key i, of segment s, whose one is at bit pos of the high vector.
+func (b *block) keyAt(s *segment, pos, i int) uint64 {
+	return s.base + (uint64(pos-i-s.zeros)<<s.l|b.low(s, i))<<s.t
 }
+
+// base is the block's smallest key.
+func (b *block) base() uint64 { return b.w[0] }
 
 // last is the block's largest key.
 func (b *block) last() uint64 {
-	return b.base + (uint64(b.hmax)<<b.l | b.low(chunkLen-1))
+	s := b.seg(int(b.segs) - 1)
+	return s.base + (uint64(s.hmax)<<s.l|b.low(&s, chunkLen-1))<<s.t
 }
 
-// bucket returns where high part h's bucket starts in the high vector, just
-// past its h-th zero, and how many keys lie in earlier buckets; h is at
-// most hmax. The skip counts find the group of eight words that holds the
-// zero.
-func (b *block) bucket(h int) (pos, i int) {
-	if h == 0 {
+// find is the segment that holds key k's place: the last whose base is at
+// most k, or -1 if k is below the block.
+func (b *block) find(k uint64) int {
+	i := 0 // without a branch, which probes across a block's segments mispredict
+	for n := int(b.segs); n > 1; n -= n >> 1 {
+		_, above := bits.Sub64(k, b.w[2*(i+n>>1)], 0)
+		i += n >> 1 &^ -int(above)
+	}
+	_, above := bits.Sub64(k, b.w[2*i], 0)
+	return i - int(above)
+}
+
+// bucket returns where bucket g of the high vector starts, just past its
+// g-th zero, and how many keys lie in earlier buckets; g is at most the
+// last segment's zeros + hmax. The skip counts find the group of eight
+// words that holds the zero.
+func (b *block) bucket(g int) (pos, i int) {
+	if g == 0 {
 		return 0, 0
 	}
-	g := 0
+	j := 0
 	for _, z := range b.skip[1:] {
-		if int(z) < h {
-			g++
+		if int(z) < g {
+			j++
 		}
 	}
 	high := b.high()
-	for w, need := g<<3, h-int(b.skip[g]); ; w++ {
+	for w, need := j<<3, g-int(b.skip[j]); ; w++ {
 		z := 64 - bits.OnesCount64(high[w])
 		if need <= z {
 			pos = w<<6 + selectBit(^high[w], need-1) + 1
-			return pos, pos - h
+			return pos, pos - g
 		}
 		need -= z
 	}
 }
 
 // rank is how many of the block's keys are at or below k, counted without
-// decoding them: every key in a lower bucket, then — by bisection, since
-// one bucket may hold every key — those of k's bucket whose low parts are
-// at most k's.
+// decoding them: every key of an earlier segment, then every key in a
+// lower bucket of k's segment, then — by bisection, since one bucket may
+// hold every key — those of k's bucket whose low parts are at most k's
+// code's.
 func (b *block) rank(k uint64) int {
-	if k < b.base {
+	j := b.find(k)
+	if j < 0 {
 		return 0
 	}
-	v := k - b.base
-	h := v >> b.l
-	if h > uint64(b.hmax) {
-		return chunkLen
+	s := b.seg(j)
+	c := (k - s.base) >> s.t // the codes at or below c are the keys at or below k
+	h := c >> s.l
+	if h > uint64(s.hmax) {
+		return b.start(j + 1)
 	}
-	pos, i := b.bucket(int(h))
+	pos, i := b.bucket(s.zeros + int(h))
 	high, n := b.high(), 0 // the bucket's keys: the ones from pos on
-	for w, s := pos>>6, uint(pos&63); ; w, s = w+1, 0 {
-		ones := bits.TrailingZeros64(^(high[w] >> s))
-		if n += ones; ones < 64-int(s) {
+	for w, sh := pos>>6, uint(pos&63); ; w, sh = w+1, 0 {
+		ones := bits.TrailingZeros64(^(high[w] >> sh))
+		if n += ones; ones < 64-int(sh) {
 			break
 		}
 	}
-	vl := v & (1<<b.l - 1)
+	cl := c & (1<<s.l - 1)
 	for n > 0 {
-		if h := n >> 1; b.low(i+h) <= vl {
+		if h := n >> 1; b.low(&s, i+h) <= cl {
 			i, n = i+h+1, n-h-1
 		} else {
 			n = h
@@ -558,8 +727,19 @@ func (b *block) rank(k uint64) int {
 }
 
 // decode appends keys i..j-1 to dst, ascending: the high vector's ones are
-// counted a word at a time up to key i, then walked.
+// counted a word at a time up to key i, then walked, and each key is
+// decoded by the segment it lies in.
 func (b *block) decode(i, j int, dst []uint64) []uint64 {
+	g := 0 // key i's segment: the last that starts at or before it
+	for n := int(b.segs); n > 0; {
+		if h := n >> 1; b.start(g+h) <= i {
+			g, n = g+h+1, n-h-1
+		} else {
+			n = h
+		}
+	}
+	g--
+	s, next := b.seg(g), b.start(g+1)
 	high := b.high()
 	w, c := 0, i
 	for n := bits.OnesCount64(high[0]); c >= n; n = bits.OnesCount64(high[w]) {
@@ -567,31 +747,44 @@ func (b *block) decode(i, j int, dst []uint64) []uint64 {
 	}
 	word := high[w] &^ (1<<selectBit(high[w], c) - 1) // key i's one and those after it
 	for at := i; at < j; at++ {
+		if at == next {
+			g++
+			s, next = b.seg(g), b.start(g+1)
+		}
 		for word == 0 {
 			w++
 			word = high[w]
 		}
-		dst = append(dst, b.keyAt(w<<6+bits.TrailingZeros64(word), at))
+		dst = append(dst, b.keyAt(&s, w<<6+bits.TrailingZeros64(word), at))
 		word &= word - 1
 	}
 	return dst
 }
 
 // selectBit is the position of the j-th (from 0) set bit of x, which has
-// more than j.
+// more than j, found without a branch (Vigna, "Broadword implementation of
+// rank/select queries", WEA 2008): the bytes' running popcounts, compared
+// with j all at once, count the bytes below the one that holds the bit,
+// and a table selects within that byte.
 func selectBit(x uint64, j int) int {
-	s := 0
-	if c := bits.OnesCount32(uint32(x)); j >= c {
-		x, s, j = x>>32, s+32, j-c
-	}
-	if c := bits.OnesCount16(uint16(x)); j >= c {
-		x, s, j = x>>16, s+16, j-c
-	}
-	if c := bits.OnesCount8(uint8(x)); j >= c {
-		x, s, j = x>>8, s+8, j-c
-	}
-	for ; j > 0; j-- {
-		x &= x - 1
-	}
-	return s + bits.TrailingZeros64(x)
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	c := x - x>>1&0x5555555555555555
+	c = c&0x3333333333333333 + c>>2&0x3333333333333333
+	c = (c + c>>4) & 0x0f0f0f0f0f0f0f0f * ones // byte i: the set bits of bytes 0..i
+	below := uint(bits.OnesCount64((uint64(j)*ones|highs-c)&highs)) << 3
+	j -= int(c << 8 >> below & 0xff)
+	return int(below) + int(selectInByte[x>>below&0xff<<3|uint64(j)])
 }
+
+// selectInByte[x<<3 | j] is the position of the j-th set bit of the byte x.
+var selectInByte = func() (t [256 << 3]uint8) {
+	for x := range 256 {
+		for i, j := 0, 0; i < 8; i++ {
+			if x>>i&1 == 1 {
+				t[x<<3|j] = uint8(i)
+				j++
+			}
+		}
+	}
+	return t
+}()

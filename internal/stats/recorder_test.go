@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -586,18 +587,30 @@ func BenchmarkRecorderAdd(b *testing.B) {
 	}
 }
 
-// One operation sorts and codes one chunk of fresh Exp(1) keys, as a full
-// tail is; B/op is the block's words at their size class.
+// One operation sorts and codes one chunk of fresh keys, as a full tail
+// is; B/op is the block's words at their size class. exp draws the keys
+// from Exp(1), grid from the simulator's delays (gridDelay).
 func BenchmarkRecorderEncode(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var fresh, keys [chunkLen]uint64
-	for i := range fresh {
-		fresh[i] = key(rng.ExpFloat64())
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		keys = fresh
-		blockSink = encode(keys[:])
+	for _, bm := range []struct {
+		name string
+		draw func(rng *rand.Rand) float64
+	}{
+		{"exp", func(rng *rand.Rand) float64 { return rng.ExpFloat64() }},
+		{"grid", func(rng *rand.Rand) float64 { return gridDelay(rng, 0.0001234567) }},
+	} {
+		b.Run(bm.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var fresh, keys [chunkLen]uint64
+			for i := range fresh {
+				fresh[i] = key(bm.draw(rng))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				keys = fresh
+				blockSink = encode(keys[:])
+			}
+		})
 	}
 }
 
@@ -895,6 +908,25 @@ var blockShapes = []struct {
 		}
 		return append(xs, -math.MaxFloat64, math.MaxFloat64)
 	}},
+	// Simulated delays, the clock grid less a flow's fixed delay: k·2⁻⁴³
+	// − c over about 8 binades, whose offsets inside one binade share the
+	// grid's low bits.
+	{"grid", func(rng *rand.Rand) []float64 {
+		xs := distinctRuns(0)
+		for range 4*chunkLen + 9 {
+			xs = append(xs, gridDelay(rng, 0.0001234567))
+		}
+		return xs
+	}},
+	// Two fixed delays interleaved, as in a recorder that several calls
+	// share: each binade's offsets share fewer low bits.
+	{"grid-mixed", func(rng *rand.Rand) []float64 {
+		xs := distinctRuns(0)
+		for range 4*chunkLen + 9 {
+			xs = append(xs, gridDelay(rng, []float64{0.0001234567, 0.0000987654321}[rng.Intn(2)]))
+		}
+		return xs
+	}},
 	// One outlier per block far above a cluster: a bucket of nearly
 	// every key.
 	{"outlier", func(rng *rand.Rand) []float64 {
@@ -908,6 +940,13 @@ var blockShapes = []struct {
 		}
 		return xs
 	}},
+}
+
+// gridDelay is a delay as the simulator makes one: a multiple of the
+// clock's grid, 2⁻⁴³ s, spread log-uniformly over [2⁻¹², 2⁻⁴) s, less the
+// constant c.
+func gridDelay(rng *rand.Rand, c float64) float64 {
+	return float64(int64(math.Exp2(31+8*rng.Float64())))*0x1p-43 - c
 }
 
 // Percentile is sort-then-index on streams that exercise a block's coding,
@@ -946,14 +985,15 @@ func TestRecorderBlocksMatchSort(t *testing.T) {
 	}
 }
 
-// A block takes chunkLen·(l+2) to chunkLen·(l+3) bits and its counts are
-// the sorted keys' own: for every shape's blocks, l is the fewest low bits
-// that leave the high parts under 2·chunkLen, and every key's rank and the
-// block's decoding agree with the sorted keys.
+// Each shape's full chunks coded as blocks (see checkBlock); on the grid
+// stream, whose binades keep the clock grid's low bits, the blocks take at
+// most gridShare of the single-l coding's words (0.65 measured).
 func TestRecorderBlockCoding(t *testing.T) {
+	const gridShare = 0.8
 	for _, sh := range blockShapes {
 		rng := rand.New(rand.NewSource(9))
 		xs := sh.xs(rng)[maxRuns:]
+		words, single := 0, 0
 		for c := 0; c+chunkLen <= len(xs); c += chunkLen {
 			keys := make([]uint64, chunkLen)
 			for i, x := range xs[c : c+chunkLen] {
@@ -962,33 +1002,100 @@ func TestRecorderBlockCoding(t *testing.T) {
 					keys[i] = math.MaxUint64
 				}
 			}
-			b := encode(slices.Clone(keys))
-			slices.Sort(keys)
-			top := keys[chunkLen-1] - keys[0]
-			if l := uint(b.l); top>>l >= 2*chunkLen || l > 0 && top>>(l-1) < 2*chunkLen {
-				t.Fatalf("%s: range %#x coded with %d low bits", sh.name, top, l)
+			b := checkBlock(t, sh.name, keys)
+			words, single = words+len(b.w), single+singleWords(keys)
+		}
+		t.Logf("%s: %d words, %d single-l (%.3f)", sh.name, words, single, float64(words)/float64(single))
+		if sh.name == "grid" && float64(words) > gridShare*float64(single) {
+			t.Errorf("%s: blocks take %d words, want at most %.1f of the single-l coding's %d", sh.name, words, gridShare, single)
+		}
+	}
+}
+
+// singleWords is what keys, sorted, take as one Elias–Fano code: the fewest
+// low bits l that leave the high parts of their offsets from the smallest
+// below 2·chunkLen, chunkLen·l bits of low parts and the high vector.
+func singleWords(keys []uint64) int {
+	top := keys[chunkLen-1] - keys[0]
+	l := max(bits.Len64(top)-bucketShift, 0)
+	return l<<(chunkShift-6) + (chunkLen+int(top>>l)+64)>>6
+}
+
+// checkBlock codes chunkLen keys as a block and requires of it: segments
+// that start at the first key and at binade boundaries only, in order, each
+// based at its smallest key with the largest shift its offsets share (0
+// when all are 0) and the fewest low bits that leave its high parts below
+// twice its count, and each but the first apart from the one before only
+// while joining its first binade to that one would cost more bits; at most
+// singleWords and one table entry of words; a
+// decoding, a base and a last key that are the sorted keys'; and every
+// key's rank, and its neighbours', that of a bisection of them.
+func checkBlock(t testing.TB, name string, keys []uint64) block {
+	t.Helper()
+	b := encode(slices.Clone(keys))
+	slices.Sort(keys)
+	if b.segs == 0 || b.seg(0).start != 0 {
+		t.Fatalf("%s: %d segments, the first at key %d", name, b.segs, b.seg(0).start)
+	}
+	for j := range int(b.segs) {
+		s, end := b.seg(j), b.start(j+1)
+		if end <= s.start || j > 0 && keys[s.start-1]>>52 == keys[s.start]>>52 {
+			t.Fatalf("%s: segment %d holds keys [%d, %d), not whole binades", name, j, s.start, end)
+		}
+		if s.base != keys[s.start] {
+			t.Fatalf("%s: segment %d based at %#x, its smallest key %#x", name, j, s.base, keys[s.start])
+		}
+		or := uint64(0)
+		for _, k := range keys[s.start:end] {
+			or |= k - s.base
+		}
+		if or == 0 && s.t != 0 || or != 0 && (or>>s.t&1 == 0 || or&(1<<s.t-1) != 0) {
+			t.Fatalf("%s: segment %d shifted %d, its offsets %#x", name, j, s.t, or)
+		}
+		top, n := (keys[end-1]-s.base)>>s.t, uint64(2*(end-s.start))
+		if top>>s.l >= n || s.l > 0 && top>>(s.l-1) < n || uint64(s.hmax) != top>>s.l {
+			t.Fatalf("%s: segment %d of %d keys, codes to %#x, coded with %d low bits, hmax %d", name, j, end-s.start, top, s.l, s.hmax)
+		}
+	}
+	for j := 1; j < int(b.segs); j++ { // the encoder joins a binade to the segment before it when that costs no more bits
+		prev, next := b.seg(j-1), b.seg(j)
+		bin := part{start: next.start, end: next.start + 1, t: 64}
+		for ; bin.end < chunkLen && keys[bin.end]>>52 == keys[next.start]>>52; bin.end++ {
+			bin.t = min(bin.t, uint(bits.TrailingZeros64(keys[bin.end]-next.base)))
+		}
+		seg := part{start: prev.start, end: next.start, t: 64}
+		for _, k := range keys[prev.start:next.start] {
+			seg.t = min(seg.t, uint(bits.TrailingZeros64(k-prev.base)))
+		}
+		if seg.join(bin, keys).cost(keys) <= seg.cost(keys)+bin.cost(keys) {
+			t.Fatalf("%s: segments %d and %d apart, though joining keys [%d, %d) to the first costs no more", name, j-1, j, bin.start, bin.end)
+		}
+	}
+	if max := singleWords(keys) + 2; len(b.w) > max {
+		t.Fatalf("%s: %d words in %d segments, the single-l coding and one entry take %d", name, len(b.w), b.segs, max)
+	}
+	if got := b.decode(0, chunkLen, nil); !slices.Equal(got, keys) {
+		t.Fatalf("%s: block decodes to other keys", name)
+	}
+	for i := range chunkLen {
+		if got := b.decode(i, i+1, nil); got[0] != keys[i] {
+			t.Fatalf("%s: key %d decodes alone to %#x, want %#x", name, i, got[0], keys[i])
+		}
+	}
+	if b.base() != keys[0] || b.last() != keys[chunkLen-1] {
+		t.Fatalf("%s: base, last = %#x, %#x, want %#x, %#x", name, b.base(), b.last(), keys[0], keys[chunkLen-1])
+	}
+	for i, k := range keys {
+		for _, q := range []uint64{k - 1, k, k + 1} {
+			if q == k-1 && k == 0 || q == k+1 && k == math.MaxUint64 {
+				continue
 			}
-			if bits := (len(b.w) * 64); bits > chunkLen*(int(b.l)+3)+63 || len(b.w) > chunkLen {
-				t.Fatalf("%s: %d words for l = %d", sh.name, len(b.w), b.l)
-			}
-			if got := b.decode(0, chunkLen, nil); !slices.Equal(got, keys) {
-				t.Fatalf("%s: block decodes to other keys", sh.name)
-			}
-			if b.last() != keys[chunkLen-1] {
-				t.Fatalf("%s: last = %#x, want %#x", sh.name, b.last(), keys[chunkLen-1])
-			}
-			for i, k := range keys {
-				for _, q := range []uint64{k - 1, k, k + 1} {
-					if q == k-1 && k == 0 || q == k+1 && k == math.MaxUint64 {
-						continue
-					}
-					if got, want := b.rank(q), sort.Search(len(keys), func(i int) bool { return keys[i] > q }); got != want {
-						t.Fatalf("%s: rank of key %d%+d = %d, want %d", sh.name, i, int64(q-k), got, want)
-					}
-				}
+			if got, want := b.rank(q), sort.Search(len(keys), func(i int) bool { return keys[i] > q }); got != want {
+				t.Fatalf("%s: rank of key %d%+d = %d, want %d", name, i, int64(q-k), got, want)
 			}
 		}
 	}
+	return b
 }
 
 // NaN compares false with everything; it ranks above every other sample
