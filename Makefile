@@ -167,7 +167,8 @@ serve-smoke:
 # Print one row of the exact cost counters as JSON (scripts/counters.sh):
 # the Table-3 cell's recorder bytes per chunked sample and its samples in
 # runs, blocks and tails, BenchmarkMillionFlows' bytes per flow and
-# TestChurnRetention's bytes per sample. BENCH_COUNTERS.json keeps a row
+# TestChurnRetention's bytes per sample, and the sizes of packet.Packet,
+# core.Flow and core.memberSlot. BENCH_COUNTERS.json keeps a row
 # per change (ROADMAP item 23). A few seconds.
 counters:
 	./scripts/counters.sh

@@ -2,7 +2,7 @@
 // service class and priority a packet travels under, the FIFO+ jitter-offset
 // field the paper proposes "be defined as part of the packet header"
 // (Section 12), and the simulator's own bookkeeping (timestamps, the hop
-// count, the flow's route, scheduler scratch).
+// count, the flow's route).
 //
 // Packets on the simulator fast path are recycled through the network's one
 // [Pool] rather than garbage collected; see the Pool documentation for the
@@ -43,7 +43,7 @@ func (c Class) String() string {
 // units (1000-bit packets on 1 Mbit/s links give 1 ms transmission time).
 type Packet struct {
 	// FlowID, Class, Priority and Hops share one word, which keeps the
-	// struct at 96 bytes with Route in it.
+	// struct at 72 bytes with Route in it.
 	FlowID uint32
 	Class  Class
 	// Priority is the predicted-service priority level at the current
@@ -79,14 +79,6 @@ type Packet struct {
 	// stranded. The packet keeps the route alive: a flow released while its
 	// packets are in flight still has them delivered.
 	Route any
-
-	// Tag is scratch space for schedulers (WFQ virtual finish time,
-	// deadline keys).
-	Tag float64
-
-	// Payload carries transport-layer state (e.g. *tcp.Segment). It is
-	// opaque to the network layer.
-	Payload any
 
 	// origin is the Pool the packet was drawn from (nil for packets
 	// allocated outside any pool).

@@ -3,6 +3,7 @@ package packet
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestClassString(t *testing.T) {
@@ -39,5 +40,15 @@ func TestPacketString(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Errorf("String() = %q missing %q", s, frag)
 		}
+	}
+}
+
+// A packet is the one struct every hop touches; its size is a counter
+// (scripts/counters.sh reads the logged figure).
+func TestPacketSize(t *testing.T) {
+	got := unsafe.Sizeof(Packet{})
+	t.Logf("Packet is %d bytes", got)
+	if got > 72 {
+		t.Fatalf("Packet is %d bytes, want <= 72", got)
 	}
 }

@@ -16,7 +16,7 @@ package packet
 //     to pass it on MUST release it.
 //   - Delivery: the topology releases a packet after the flow's sink
 //     callback returns. Sinks and taps therefore must not retain the
-//     *Packet (or its Payload) past their return; copy fields out instead.
+//     *Packet past their return; copy fields out instead.
 //   - Drop sites: every place a packet leaves the simulation other than a
 //     sink must call Release — buffer-full drops and late discards
 //     (internal/topology), edge-policer drops (internal/source.Policed,

@@ -63,7 +63,6 @@ type cacheEntry struct {
 	path []string
 
 	prev, next *cacheEntry // lru/fifo recency/insertion list
-	pos        int         // random: index into the dense key slice
 }
 
 // Cache is a fixed-size route cache with a pluggable eviction scheme.
@@ -205,7 +204,6 @@ func (c *Cache) Insert(from, to, cost string, path []string) {
 	case CacheLRU, CacheFIFO:
 		c.pushFront(e)
 	case CacheRandom:
-		e.pos = len(c.keys)
 		c.keys = append(c.keys, e)
 	}
 }
@@ -246,7 +244,6 @@ func (c *Cache) evict() *cacheEntry {
 		v = c.keys[i]
 		last := len(c.keys) - 1
 		c.keys[i] = c.keys[last]
-		c.keys[i].pos = i
 		c.keys = c.keys[:last]
 	}
 	delete(c.entries, v.key)

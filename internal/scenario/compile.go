@@ -115,7 +115,6 @@ type SimFlow struct {
 	Reason   string
 	Departed bool
 
-	dynamic bool
 	removed bool
 	sources []source.Source   // attached sources (stopped on departure)
 	filters []*source.Policed // TokenBucket elements feeding this flow

@@ -116,7 +116,7 @@ func (c *compiler) flowDecl(d *Decl, at float64, dynamic bool) {
 		}
 		a.finish()
 		sf := one(&c.flowSlab)
-		*sf = SimFlow{Name: n.Text, Kind: d.Kind, At: at, dynamic: dynamic}
+		*sf = SimFlow{Name: n.Text, Kind: d.Kind, At: at}
 		c.flows[n.Text] = sf
 		c.out.Flows = append(c.out.Flows, sf)
 		if dynamic {

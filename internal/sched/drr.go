@@ -20,7 +20,6 @@ type DRR struct {
 }
 
 type drrFlow struct {
-	id       uint32
 	q        queue.Ring
 	deficit  float64
 	queued   bool // on the active list
@@ -42,7 +41,7 @@ func (d *DRR) AddFlow(id uint32) {
 	if _, dup := d.byID[id]; dup {
 		panic(fmt.Sprintf("sched: DRR flow %d already registered", id))
 	}
-	d.byID[id] = &drrFlow{id: id}
+	d.byID[id] = &drrFlow{}
 }
 
 // Enqueue implements Scheduler.

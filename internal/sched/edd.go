@@ -42,8 +42,7 @@ func (e *DelayEDD) Enqueue(p *packet.Packet, now float64) {
 		start = last + e.spacing
 	}
 	e.last[p.FlowID] = start
-	p.Tag = start + e.budget
-	e.q.Push(p, p.Tag)
+	e.q.Push(p, start+e.budget)
 }
 
 // Dequeue implements Scheduler. It forgets the served packet's flow once that

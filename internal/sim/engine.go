@@ -6,7 +6,7 @@
 // control-before-data-before-delivery, and within one key in the order they
 // were scheduled. The key layer fixes where an intervention or a delivery
 // sorts among the events of its instant, whatever order they were scheduled
-// in. Events are cancellable.
+// in.
 //
 // The fast path is allocation-free and pointer-free in steady state: the
 // pending queue is an index-based 4-ary min-heap of plain-value entries
@@ -22,16 +22,20 @@
 // costs one sift instead of two. Callback state lives in engine-owned nodes
 // allocated in stable blocks and recycled through a free list, and the
 // prebound ScheduleCall/AtCall form lets hot callers (an event per
-// packet-hop) schedule without constructing a closure.
+// packet-hop) schedule without constructing a closure; Schedule, At and
+// AtControl are that form with the closure as its argument.
 //
 // A reserved slot (Reserve) is a position in that order with nothing on the
 // heap: it costs no event unless it is claimed (Claim), and Reached answers
-// whether the run has passed it. A port on a delayed link reserves the
-// instant its wire goes free and claims it only if a packet queues behind
-// the one on the wire, so a delayed hop is one event (the delivery) and a
-// backlog adds the wire-free event. The firing loop keeps the furthest
-// position it has run through for Reached; keeping it is the only cost a
-// run without slots pays.
+// whether the run has passed it. Slots are the engine's one way to defer an
+// event that may turn out not to be wanted. A port on a delayed link
+// reserves the instant its wire goes free and claims it only if a packet
+// queues behind the one on the wire, so a delayed hop is one event (the
+// delivery) and a backlog adds the wire-free event; a TCP connection
+// reserves each retransmission deadline and keeps one wake-up claimed at
+// the earliest. The firing loop keeps the furthest position it has run
+// through for Reached; keeping it is the only cost a run without slots
+// pays.
 package sim
 
 import (
@@ -41,16 +45,12 @@ import (
 )
 
 // node carries an event's callback state. Nodes live in fixed blocks (their
-// addresses are stable), are recycled through the engine's free list after
-// firing or cancellation, and carry a generation counter so stale Event
-// handles are inert rather than aliased.
+// addresses are stable) and are recycled through the engine's free list
+// after firing.
 type node struct {
-	fn      func()    // closure form (Schedule/At)
-	call    func(any) // prebound form (ScheduleCall/AtCall)
-	arg     any
-	ni      uint32 // this node's stable index
-	gen     uint32
-	pending bool
+	call func(any)
+	arg  any
+	ni   uint32 // this node's stable index
 }
 
 // entry is one heap slot: the ordering key plus the index of its node. It
@@ -105,23 +105,6 @@ const maxKey = 1<<24 - 1
 // nodeBlockSize is the node-slab allocation unit.
 const nodeBlockSize = 128
 
-// Event is a cancellable handle to a scheduled callback, returned by
-// Schedule and At. It is a small value; the zero Event is a valid "no
-// event" handle for which Cancelled reports true and Cancel is a no-op.
-// Handles stay safe after their event fires: the underlying node may be
-// recycled for a new event, but the generation check makes the stale handle
-// inert rather than aliased.
-type Event struct {
-	n   *node
-	gen uint32
-}
-
-// Cancelled reports whether the event has been cancelled or has already
-// fired (including the zero Event).
-func (e Event) Cancelled() bool {
-	return e.n == nil || e.n.gen != e.gen || !e.n.pending
-}
-
 // Slot is a position in the engine's order — (time, key, insertion
 // counter), the one an event scheduled at Reserve's call would get — with
 // nothing on the heap. The zero Slot is always reached.
@@ -171,26 +154,19 @@ func (e *Engine) Pending() int {
 // Schedule arranges for fn to run delay seconds from now. A negative delay is
 // treated as zero. It panics on NaN delays, which always indicate a
 // simulation bug.
-func (e *Engine) Schedule(delay float64, fn func()) Event {
+func (e *Engine) Schedule(delay float64, fn func()) {
 	if math.IsNaN(delay) {
 		panic("sim: NaN delay")
 	}
 	if delay < 0 {
 		delay = 0
 	}
-	return e.At(e.now+delay, fn)
+	e.At(e.now+delay, fn)
 }
 
 // At arranges for fn to run at absolute time t. Times before the current
 // clock are clamped to now; a NaN time panics.
-func (e *Engine) At(t float64, fn func()) Event {
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	n := e.insert(t, e.position(KeyData))
-	n.fn = fn
-	return Event{n: n, gen: n.gen}
-}
+func (e *Engine) At(t float64, fn func()) { e.atFunc(t, KeyData, fn) }
 
 // AtControl arranges for fn to run at absolute time t with control
 // ordering: at one instant, control events fire before every data-path
@@ -199,20 +175,24 @@ func (e *Engine) At(t float64, fn func()) Event {
 // instant however it was scheduled, which is what lets an event injected
 // into a running simulation fire where the same event written in the file
 // would.
-func (e *Engine) AtControl(t float64, fn func()) Event {
+func (e *Engine) AtControl(t float64, fn func()) { e.atFunc(t, KeyControl, fn) }
+
+// atFunc schedules a closure as the argument of the prebound form. A func
+// value is pointer-shaped, so boxing it allocates nothing.
+func (e *Engine) atFunc(t float64, key uint32, fn func()) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	n := e.insert(t, e.position(KeyControl))
-	n.fn = fn
-	return Event{n: n, gen: n.gen}
+	e.AtCallKeyed(t, key, callFunc, fn)
 }
+
+// callFunc runs a closure scheduled through atFunc.
+func callFunc(fn any) { fn.(func())() }
 
 // ScheduleCall arranges for call(arg) to run delay seconds from now. It is
 // the closure-free fast path for hot, prebound callbacks (e.g. a port's
 // transmit-complete handler with the packet as payload): the callback is
-// bound once at setup and no per-event closure is allocated. The event
-// cannot be cancelled; use Schedule when a handle is needed.
+// bound once at setup and no per-event closure is allocated.
 func (e *Engine) ScheduleCall(delay float64, call func(any), arg any) {
 	if math.IsNaN(delay) {
 		panic("sim: NaN delay")
@@ -287,7 +267,6 @@ func (e *Engine) insert(t float64, seq uint64) *node {
 	n := e.free[k]
 	e.free[k] = nil
 	e.free = e.free[:k]
-	n.pending = true
 	it := entry{tbits: math.Float64bits(t), seq: seq, ni: n.ni}
 	if e.hole {
 		e.hole = false
@@ -321,8 +300,7 @@ func (e *Engine) Reached(s Slot) bool {
 
 // Claim puts call(arg) on the heap at s's position, so it fires exactly where
 // an event scheduled at the Reserve would have. A slot is claimed at most
-// once, and not after it is reached (which panics). Like ScheduleCall, the
-// event has no handle.
+// once, and not after it is reached (which panics).
 func (e *Engine) Claim(s Slot, call func(any), arg any) {
 	if call == nil {
 		panic("sim: nil event function")
@@ -333,37 +311,6 @@ func (e *Engine) Claim(s Slot, call func(any), arg any) {
 	n := e.insert(math.Float64frombits(s.tbits), s.seq)
 	n.call = call
 	n.arg = arg
-}
-
-// recycle returns a node to the free list, invalidating outstanding handles.
-func (e *Engine) recycle(n *node) {
-	n.gen++
-	n.fn = nil
-	n.call = nil
-	n.arg = nil
-	n.pending = false
-	e.free = append(e.free, n)
-}
-
-// Cancel removes a pending event. Cancelling a zero, stale, fired, or
-// already cancelled event is a no-op. It costs a linear scan of the pending
-// queue (which stays small — sources and busy ports each keep one event in
-// flight), a deliberate trade: fire-path sifts carry no per-node back
-// pointers to maintain. Called from a callback that has not scheduled yet,
-// it first closes the root hole the firing event left.
-func (e *Engine) Cancel(ev Event) {
-	n := ev.n
-	if n == nil || n.gen != ev.gen || !n.pending {
-		return
-	}
-	e.fill()
-	for i := range e.heap {
-		if e.heap[i].ni == n.ni {
-			e.removeAt(i)
-			break
-		}
-	}
-	e.recycle(n)
 }
 
 // Stop makes the currently executing Run return once the current event's
@@ -400,17 +347,13 @@ func (e *Engine) RunUntil(t float64) {
 			e.reached = Slot{tbits: top.tbits, seq: top.seq}
 		}
 		e.processed++
-		// Copy the callback out and recycle before invoking: the
-		// callback may schedule (reusing this node) or Cancel its own
-		// now-stale handle, both of which are safe.
+		// Copy the callback out and recycle the node before invoking:
+		// the callback may schedule, reusing it.
 		n := e.nodeAt(top.ni)
-		fn, call, arg := n.fn, n.call, n.arg
-		e.recycle(n)
-		if fn != nil {
-			fn()
-		} else {
-			call(arg)
-		}
+		call, arg := n.call, n.arg
+		n.call, n.arg = nil, nil
+		e.free = append(e.free, n)
+		call(arg)
 	}
 	e.fill()
 	if e.stopped || math.IsInf(t, 1) {
@@ -449,21 +392,6 @@ func (e *Engine) fill() {
 	}
 }
 
-// removeAt deletes the entry at heap index i.
-func (e *Engine) removeAt(i int) {
-	h := e.heap
-	last := len(h) - 1
-	if i != last {
-		h[i] = h[last]
-	}
-	e.heap = h[:last]
-	if i < last {
-		if !e.siftDown(i) {
-			e.siftUp(i)
-		}
-	}
-}
-
 func (e *Engine) siftUp(i int) {
 	h := e.heap
 	it := h[i]
@@ -478,16 +406,14 @@ func (e *Engine) siftUp(i int) {
 	h[i] = it
 }
 
-// siftDown restores the heap below index i and reports whether the entry
-// moved. A full family of four children is reduced to its least member by
-// two pairwise masks and a final one, selecting indices arithmetically; only
-// the test of whether the entry goes lower branches. The partial family at
-// the last level keeps a loop.
-func (e *Engine) siftDown(i int) bool {
+// siftDown restores the heap below index i. A full family of four children
+// is reduced to its least member by two pairwise masks and a final one,
+// selecting indices arithmetically; only the test of whether the entry goes
+// lower branches. The partial family at the last level keeps a loop.
+func (e *Engine) siftDown(i int) {
 	h := e.heap
 	count := len(h)
 	it := h[i]
-	i0 := i
 	for {
 		first := i<<2 + 1
 		var best int
@@ -516,5 +442,4 @@ func (e *Engine) siftDown(i int) bool {
 		i = best
 	}
 	h[i] = it
-	return i != i0
 }

@@ -111,50 +111,6 @@ func TestAtBeforeNowClamps(t *testing.T) {
 	e.Run()
 }
 
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	ev := e.Schedule(1, func() { fired = true })
-	e.Cancel(ev)
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
-}
-
-func TestCancelIsIdempotent(t *testing.T) {
-	e := New()
-	ev := e.Schedule(1, func() {})
-	e.Cancel(ev)
-	e.Cancel(ev) // must not panic
-	e.Cancel(Event{})
-	e.Run()
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	e := New()
-	var got []int
-	var evs []Event
-	for i := 0; i < 20; i++ {
-		i := i
-		evs = append(evs, e.Schedule(float64(i), func() { got = append(got, i) }))
-	}
-	e.Cancel(evs[7])
-	e.Cancel(evs[13])
-	e.Run()
-	if len(got) != 18 {
-		t.Fatalf("ran %d events, want 18", len(got))
-	}
-	for _, v := range got {
-		if v == 7 || v == 13 {
-			t.Fatalf("cancelled event %d fired", v)
-		}
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := New()
 	var got []float64
@@ -411,38 +367,6 @@ func TestScheduleCallInterleavesWithSchedule(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("order %v, want %v", got, want)
 		}
-	}
-}
-
-func TestStaleHandleCancelIsInert(t *testing.T) {
-	// A handle to a fired event must not cancel the event that recycled
-	// its node.
-	e := New()
-	ev := e.Schedule(1, func() {})
-	e.Run()
-	if !ev.Cancelled() {
-		t.Fatal("fired event's handle should report Cancelled")
-	}
-	fired := false
-	e.Schedule(1, func() { fired = true }) // reuses the recycled node
-	e.Cancel(ev)                           // stale: must be a no-op
-	e.Run()
-	if !fired {
-		t.Fatal("stale Cancel removed a recycled node's new event")
-	}
-}
-
-func TestSelfCancelInsideCallback(t *testing.T) {
-	e := New()
-	var ev Event
-	ran := false
-	ev = e.Schedule(1, func() {
-		ran = true
-		e.Cancel(ev) // cancelling the firing event must be a no-op
-	})
-	e.Run()
-	if !ran {
-		t.Fatal("event did not run")
 	}
 }
 

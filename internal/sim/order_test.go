@@ -10,7 +10,7 @@ import (
 )
 
 // The differential order test: a byte string decodes into a program of
-// schedules, cancels, reserved slots and their claims, reads and run windows,
+// schedules, reserved slots and their claims, reads and run windows,
 // and the program runs once on an Engine and once on sortedModel, a slice
 // searched linearly for the least (time, key, insertion index). The two logs
 // — every firing with its clock and every slot's Reached, every
@@ -22,10 +22,8 @@ import (
 type orderAPI interface {
 	now() float64
 	// schedule issues one event by entry point kind (0 Schedule with x a
-	// delay, 1 At, 2 AtControl, 3 AtCallKeyed, x absolute) and returns
-	// its cancel handle, or -1 for the handle-less AtCallKeyed.
-	schedule(kind int, x float64, key uint32, fn func()) int
-	cancel(h int)
+	// delay, 1 At, 2 AtControl, 3 AtCallKeyed, x absolute).
+	schedule(kind int, x float64, key uint32, fn func())
 	pending() int
 	runUntil(t float64)
 	stop()
@@ -38,30 +36,24 @@ type orderAPI interface {
 
 type engineAPI struct {
 	e     *Engine
-	evs   []Event
 	slots []Slot
 }
 
 func (a *engineAPI) now() float64 { return a.e.Now() }
 
-func (a *engineAPI) schedule(kind int, x float64, key uint32, fn func()) int {
-	var ev Event
+func (a *engineAPI) schedule(kind int, x float64, key uint32, fn func()) {
 	switch kind {
 	case 0:
-		ev = a.e.Schedule(x, fn)
+		a.e.Schedule(x, fn)
 	case 1:
-		ev = a.e.At(x, fn)
+		a.e.At(x, fn)
 	case 2:
-		ev = a.e.AtControl(x, fn)
+		a.e.AtControl(x, fn)
 	default:
 		a.e.AtCallKeyed(x, key, func(any) { fn() }, nil)
-		return -1
 	}
-	a.evs = append(a.evs, ev)
-	return len(a.evs) - 1
 }
 
-func (a *engineAPI) cancel(h int)           { a.e.Cancel(a.evs[h]) }
 func (a *engineAPI) pending() int           { return a.e.Pending() }
 func (a *engineAPI) runUntil(t float64)     { a.e.RunUntil(t) }
 func (a *engineAPI) stop()                  { a.e.Stop() }
@@ -81,7 +73,6 @@ func (a *engineAPI) reserve(t float64, key uint32) int {
 type sortedModel struct {
 	clock    float64
 	ins      uint64
-	handles  int
 	stopped  bool
 	pend     []modelEvent
 	reachedB []bool // per slot handle
@@ -91,14 +82,13 @@ type modelEvent struct {
 	t    float64
 	key  uint32
 	ins  uint64
-	h    int
 	slot int    // slot handle, or -1 for a scheduled event
 	fn   func() // nil for an unclaimed slot
 }
 
 func (m *sortedModel) now() float64 { return m.clock }
 
-func (m *sortedModel) schedule(kind int, x float64, key uint32, fn func()) int {
+func (m *sortedModel) schedule(kind int, x float64, key uint32, fn func()) {
 	t := x
 	switch kind {
 	case 0:
@@ -115,20 +105,14 @@ func (m *sortedModel) schedule(kind int, x float64, key uint32, fn func()) int {
 	if t == 0 {
 		t = 0 // -0 fires on the clock
 	}
-	h := -1
-	if kind != 3 {
-		h = m.handles
-		m.handles++
-	}
-	m.pend = append(m.pend, modelEvent{t: t, key: key, ins: m.ins, h: h, slot: -1, fn: fn})
+	m.pend = append(m.pend, modelEvent{t: t, key: key, ins: m.ins, slot: -1, fn: fn})
 	m.ins++
-	return h
 }
 
 func (m *sortedModel) reserve(t float64, key uint32) int {
 	h := len(m.reachedB)
 	m.reachedB = append(m.reachedB, false)
-	m.pend = append(m.pend, modelEvent{t: t, key: key, ins: m.ins, h: -1, slot: h})
+	m.pend = append(m.pend, modelEvent{t: t, key: key, ins: m.ins, slot: h})
 	m.ins++
 	return h
 }
@@ -143,15 +127,6 @@ func (m *sortedModel) claim(h int, fn func()) {
 		}
 	}
 	panic("model: claiming a reached slot")
-}
-
-func (m *sortedModel) cancel(h int) {
-	for i, ev := range m.pend {
-		if ev.h == h {
-			m.pend = append(m.pend[:i], m.pend[i+1:]...)
-			return
-		}
-	}
 }
 
 func (m *sortedModel) pending() int {
@@ -214,7 +189,6 @@ type orderProgram struct {
 	data    []byte
 	pos     int
 	api     orderAPI
-	handles []int  // every cancel handle issued: pending, fired, cancelled
 	claimed []bool // per slot handle
 	serial  int    // events scheduled or claimed so far (the budget)
 	log     strings.Builder
@@ -260,11 +234,7 @@ func (p *orderProgram) scheduleOne() {
 	}
 	id := p.serial
 	p.serial++
-	var self int
-	self = p.api.schedule(kind, x, key, func() { p.fire(id, self) })
-	if self >= 0 {
-		p.handles = append(p.handles, self)
-	}
+	p.api.schedule(kind, x, key, func() { p.fire(id) })
 }
 
 // slotOne decodes one slot operation: reserve a slot a little after the
@@ -288,7 +258,7 @@ func (p *orderProgram) slotOne() {
 	p.claimed[h] = true
 	id := p.serial
 	p.serial++
-	p.api.claim(h, func() { p.fire(id, -1) })
+	p.api.claim(h, func() { p.fire(id) })
 }
 
 // slotsReached logs Reached for every slot, in handle order.
@@ -305,10 +275,9 @@ func (p *orderProgram) slotsReached() {
 }
 
 // fire is every event's callback: log the firing and every slot's Reached,
-// then act on one byte — read Pending, cancel a handle (its
-// own, or any issued), schedule 0, 1 or 2 events, and perhaps reserve or
-// claim a slot, or Stop.
-func (p *orderProgram) fire(id, self int) {
+// then act on one byte — read Pending, schedule 0, 1 or 2 events, and
+// perhaps reserve or claim a slot, or Stop.
+func (p *orderProgram) fire(id int) {
 	p.logf("f%d@%s", id, ftoa(p.api.now()))
 	p.slotsReached()
 	c := p.next()
@@ -316,18 +285,12 @@ func (p *orderProgram) fire(id, self int) {
 	if p.serial+children > orderBudget {
 		children = 0
 	}
-	observe, cancel, cancelLate := c>>2&1 != 0, c>>3&1 != 0, c>>4&1 != 0
+	observe := c>>2&1 != 0
 	if observe {
 		p.observe()
 	}
-	if cancel && !cancelLate {
-		p.cancelOne(self)
-	}
 	for range children {
 		p.scheduleOne()
-	}
-	if cancel && cancelLate {
-		p.cancelOne(self)
 	}
 	if observe {
 		p.observe()
@@ -337,16 +300,6 @@ func (p *orderProgram) fire(id, self int) {
 		p.slotOne()
 	case 7:
 		p.api.stop()
-	}
-}
-
-func (p *orderProgram) cancelOne(self int) {
-	b := p.next()
-	switch {
-	case b == 0 && self >= 0:
-		p.api.cancel(self)
-	case len(p.handles) > 0:
-		p.api.cancel(p.handles[int(b)%len(p.handles)])
 	}
 }
 
@@ -372,12 +325,10 @@ func (p *orderProgram) run() string {
 	for p.pos < len(p.data) {
 		b := p.next()
 		switch b % 9 {
-		case 0, 1, 2:
+		case 0, 1, 2, 3:
 			p.scheduleOne()
 		case 7, 8:
 			p.slotOne()
-		case 3:
-			p.cancelOne(-1)
 		case 4, 5:
 			p.api.runUntil(p.api.now() + quarter(p.next()))
 		case 6:

@@ -6,8 +6,12 @@
 // role — greedy, ACK-clocked, loss-responsive — matters here.
 //
 // Segments are counted in whole packets (one segment = one simulated packet),
-// which matches the paper's uniform 1000-bit packets. The connection's sizes
-// and timer floor are the constants below; no workload needs them to vary.
+// which matches the paper's uniform 1000-bit packets. The header is the
+// packet's own Seq: on a data packet it is the segment number, on an ACK the
+// next segment the receiver expects (the cumulative ACK). The data and ACK
+// routes end at different sinks, so nothing else tells the two apart. The
+// connection's sizes and timer floor are the constants below; no workload
+// needs them to vary.
 package tcp
 
 import (
@@ -18,13 +22,6 @@ import (
 	"ispn/internal/sim"
 	"ispn/internal/topology"
 )
-
-// Segment is the transport header carried in packet.Packet.Payload.
-type Segment struct {
-	Seq   uint64 // segment number (data) — counts segments, not bytes
-	Ack   uint64 // next expected segment (cumulative)
-	IsAck bool
-}
 
 const (
 	segmentBits = 1000  // data packet size, the paper's
@@ -64,7 +61,6 @@ type txRec struct {
 // Connection is a greedy (infinite-data) TCP sender plus its receiver.
 type Connection struct {
 	cfg Config
-	net *topology.Network
 	eng *sim.Engine
 	// Ingress nodes and routes of the data and ACK paths, resolved once;
 	// every segment and ACK is stamped with its route.
@@ -83,8 +79,17 @@ type Connection struct {
 
 	// RTT estimation (Jacobson/Karels).
 	srtt, rttvar, rto float64
-	timer             sim.Event
-	timeoutFn         func() // prebound onTimeout, allocated once
+
+	// Retransmission timer. Arming reserves the deadline's slot, the
+	// position an event scheduled then would take; one wake-up stays
+	// claimed at or before the earliest armed deadline (see onWake).
+	armed    bool      // deadline is set
+	deadline sim.Slot  // the armed timeout's position
+	due      float64   // and its time
+	waking   bool      // the live wake-up is on the heap
+	wake     sim.Slot  // its position
+	wakeAt   float64   // and its time
+	wakeFn   func(any) // prebound onWake, allocated once
 
 	// Per-segment transmission state lives in a seq-indexed ring sized to
 	// the window (entries are tagged with seq+1, so a slot is only
@@ -98,11 +103,9 @@ type Connection struct {
 	// Receiver state.
 	rcvNext uint64
 
-	// Packet structs come from the network pool; Segment payloads are
-	// recycled through this connection-local free list, so a running
-	// connection allocates neither.
-	pool    *packet.Pool
-	segFree []*Segment
+	// Packet structs come from the network pool, so a running
+	// connection allocates nothing.
+	pool *packet.Pool
 
 	stats   Stats
 	started bool
@@ -131,7 +134,6 @@ func NewConnection(net *topology.Network, cfg Config) *Connection {
 	}
 	c := &Connection{
 		cfg:   cfg,
-		net:   net,
 		eng:   ingress.Engine(),
 		cwnd:  1,
 		ssthr: maxCwnd,
@@ -142,7 +144,7 @@ func NewConnection(net *topology.Network, cfg Config) *Connection {
 	c.txWin = make([]txRec, winSize)
 	c.oooWin = make([]uint64, winSize)
 	c.winMask = winSize - 1
-	c.timeoutFn = c.onTimeout
+	c.wakeFn = c.onWake
 	c.dataIngress = ingress
 	c.ackIngress = net.Node(cfg.ReversePath[0])
 	net.InstallRouteAlong(&c.dataRoute, cfg.DataFlowID, c.dataIngress, net.PathPorts(cfg.Path))
@@ -162,12 +164,12 @@ func (c *Connection) Start() {
 }
 
 // Stop silences the connection permanently: the retransmission timer is
-// cancelled and no further segments or ACKs are generated (packets already
+// disarmed and no further segments or ACKs are generated (packets already
 // in flight drain and are released normally). Counters are kept. The
 // leak-check quiesce uses it; there is no restart.
 func (c *Connection) Stop() {
 	c.stopped = true
-	c.eng.Cancel(c.timer)
+	c.armed = false
 }
 
 // Stats returns a copy of the connection statistics.
@@ -202,36 +204,13 @@ func (c *Connection) trySend() {
 	}
 }
 
-// getSeg and putSeg recycle Segment payloads. A segment is returned to the
-// free list by the sink that consumed it (onData/onAck), before the network
-// releases the carrying packet.
-func (c *Connection) getSeg() *Segment {
-	if k := len(c.segFree) - 1; k >= 0 {
-		s := c.segFree[k]
-		c.segFree[k] = nil
-		c.segFree = c.segFree[:k]
-		*s = Segment{}
-		return s
-	}
-	return &Segment{}
-}
-
-func (c *Connection) putSeg(s *Segment) {
-	if s != nil {
-		c.segFree = append(c.segFree, s)
-	}
-}
-
 func (c *Connection) sendSegment(seq uint64, isRexmit bool) {
-	seg := c.getSeg()
-	seg.Seq = seq
 	p := c.pool.Get()
 	p.FlowID = c.cfg.DataFlowID
 	p.Seq = seq
 	p.Size = segmentBits
 	p.Class = packet.Datagram
 	p.CreatedAt = c.eng.Now()
-	p.Payload = seg
 	p.Route = &c.dataRoute
 	c.stats.SegmentsSent++
 	rec := &c.txWin[seq&c.winMask]
@@ -245,20 +224,49 @@ func (c *Connection) sendSegment(seq uint64, isRexmit bool) {
 		*rec = txRec{tag: seq + 1, time: c.eng.Now()}
 	}
 	c.dataIngress.Inject(p)
-	if c.timer.Cancelled() {
+	if !c.armed {
 		c.armTimer()
 	}
 }
 
+// armTimer sets the timeout rto from now, replacing any armed one. A
+// wake-up is claimed at the new deadline unless the live one comes no
+// later.
 func (c *Connection) armTimer() {
-	c.eng.Cancel(c.timer)
-	c.timer = c.eng.Schedule(c.rto, c.timeoutFn)
+	c.due = c.eng.Now() + c.rto
+	c.deadline = c.eng.Reserve(c.due, sim.KeyData)
+	c.armed = true
+	if !c.waking || c.due < c.wakeAt {
+		c.claimWake()
+	}
+}
+
+// claimWake puts the live wake-up at the armed deadline. A wake-up it
+// replaces stays on the heap and does nothing when it fires.
+func (c *Connection) claimWake() {
+	c.eng.Claim(c.deadline, c.wakeFn, nil)
+	c.waking, c.wake, c.wakeAt = true, c.deadline, c.due
+}
+
+// onWake runs at each claimed wake-up. Only the live one acts: a replaced
+// one finds the live wake-up still ahead of it, or none on the heap.
+func (c *Connection) onWake(any) {
+	if !c.waking || !c.eng.Reached(c.wake) {
+		return
+	}
+	c.waking = false
+	if !c.armed {
+		return // disarmed: everything was acked, or Stop
+	}
+	if !c.eng.Reached(c.deadline) {
+		c.claimWake() // re-armed later: wake at the new deadline
+		return
+	}
+	c.armed = false
+	c.onTimeout()
 }
 
 func (c *Connection) onTimeout() {
-	if c.stopped {
-		return
-	}
 	if c.sndUna == c.sndNext {
 		return // nothing outstanding
 	}
@@ -276,16 +284,8 @@ func (c *Connection) onTimeout() {
 }
 
 func (c *Connection) onAck(p *packet.Packet) {
-	seg, ok := p.Payload.(*Segment)
-	if !ok || !seg.IsAck {
-		return
-	}
 	c.stats.AcksReceived++
-	ack := seg.Ack
-	// The segment is consumed here; recycle it before the network
-	// releases the carrying packet.
-	p.Payload = nil
-	c.putSeg(seg)
+	ack := p.Seq
 	if c.stopped {
 		return // late ACKs must not re-arm the timer or send
 	}
@@ -321,7 +321,7 @@ func (c *Connection) onAck(p *packet.Packet) {
 			c.cwnd += float64(acked) / c.cwnd // congestion avoidance
 		}
 		if c.sndUna == c.sndNext {
-			c.eng.Cancel(c.timer)
+			c.armed = false
 		} else {
 			c.armTimer()
 		}
@@ -371,13 +371,7 @@ func (c *Connection) sampleRTT(ack uint64) {
 // --- receiver ---
 
 func (c *Connection) onData(p *packet.Packet) {
-	seg, ok := p.Payload.(*Segment)
-	if !ok || seg.IsAck {
-		return
-	}
-	dataSeq := seg.Seq
-	p.Payload = nil
-	c.putSeg(seg)
+	dataSeq := p.Seq
 	if dataSeq == c.rcvNext {
 		c.rcvNext++
 		c.stats.Delivered++
@@ -393,16 +387,12 @@ func (c *Connection) onData(p *packet.Packet) {
 		return // deliver silently; a stopped endpoint generates no ACKs
 	}
 	// Immediate cumulative ACK.
-	ackSeg := c.getSeg()
-	ackSeg.Ack = c.rcvNext
-	ackSeg.IsAck = true
 	ackPkt := c.pool.Get()
 	ackPkt.FlowID = c.cfg.AckFlowID
-	ackPkt.Seq = dataSeq
+	ackPkt.Seq = c.rcvNext
 	ackPkt.Size = ackBits
 	ackPkt.Class = packet.Datagram
 	ackPkt.CreatedAt = c.eng.Now()
-	ackPkt.Payload = ackSeg
 	ackPkt.Route = &c.ackRoute
 	c.ackIngress.Inject(ackPkt)
 }

@@ -1,7 +1,9 @@
 package tcp
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"ispn/internal/packet"
@@ -235,10 +237,93 @@ func TestTCPIgnoresForeignPayload(t *testing.T) {
 	n := buildDuplex(eng, names, 1e6)
 	c := newConn(n, names)
 	c.Start()
-	// Inject a stray packet with the data flow id but no Segment payload.
+	// A stray packet on the data route reads as a data segment numbered
+	// by its Seq; the connection must keep going.
 	n.Node("A").Inject(&packet.Packet{FlowID: 1000, Size: 1000, Class: packet.Datagram, Route: &c.dataRoute})
 	eng.RunUntil(1)
 	if c.Stats().Delivered == 0 {
 		t.Fatal("connection wedged by foreign packet")
+	}
+}
+
+// The retransmission timer: each timeout fires exactly at the last armed
+// deadline — after an event scheduled for that instant before the arm,
+// before one scheduled after it — whether a re-arm moved the deadline later
+// or earlier, and none fires after a disarm or Stop. A timeout re-arms at
+// twice the rto with nothing outstanding, so that deadline fires uncounted.
+func TestTCPTimerFiresAtLastArmedDeadline(t *testing.T) {
+	eng := sim.New()
+	names := []string{"A", "B"}
+	c := newConn(buildDuplex(eng, names, 1e6), names)
+	c.stopped = true // sends nothing: a timeout only counts and re-arms
+	var log strings.Builder
+	probe := func(label string) func() {
+		return func() { fmt.Fprintf(&log, "%g %s %d\n", eng.Now(), label, c.Stats().Timeouts) }
+	}
+	// arm sets the timer rto from now with one segment outstanding, and
+	// brackets its deadline with probes.
+	arm := func(rto float64) func() {
+		return func() {
+			eng.Schedule(rto, probe("before"))
+			c.sndNext = c.sndUna + 1
+			c.rto = rto
+			c.armTimer()
+			eng.Schedule(rto, probe("after"))
+		}
+	}
+	disarm := func() { c.armed = false } // as an ACK of everything sent does
+	steps := []struct {
+		at float64
+		do func()
+	}{
+		{0, arm(1)},         // deadline 1
+		{0.5, arm(1)},       // later: 1.5
+		{0.625, arm(0.125)}, // earlier: 0.75 fires, re-arms to 1
+		{2, arm(1)},         // 3
+		{2.5, disarm},
+		{4, arm(1)}, // 5
+		{4.5, c.Stop},
+		{6, arm(0.5)}, // 6.5 fires, re-arms to 7.5
+		{8, arm(1)},   // 9
+		{8.25, disarm},
+		{8.5, arm(0.25)}, // before the idle wake-up: 8.75 fires, re-arms to 9.25
+		{10, arm(1)},     // 11
+		{10.25, disarm},
+		{10.5, arm(1)}, // after the idle wake-up: 11.5 fires, re-arms to 13.5
+	}
+	for _, step := range steps {
+		eng.AtControl(step.at, step.do)
+	}
+	eng.RunUntil(20)
+	want := `0.75 before 0
+0.75 after 1
+1 before 1
+1 after 1
+1.5 before 1
+1.5 after 1
+3 before 1
+3 after 1
+5 before 1
+5 after 1
+6.5 before 1
+6.5 after 2
+8.75 before 2
+8.75 after 3
+9 before 3
+9 after 3
+11 before 3
+11 after 3
+11.5 before 3
+11.5 after 4
+`
+	if got := log.String(); got != want {
+		t.Fatalf("probes:\n%s\nwant:\n%s", got, want)
+	}
+	// One wake-up per arm that finds none live at or before its deadline
+	// (1, 0.75, 1 again, 3, 5, 6.5, 7.5, 9, 8.75, 9.25, 11, 13.5) and one
+	// per move to a later deadline (11 to 11.5): a wake-up that was passed
+	// over claims nothing.
+	if wakes := eng.Processed() - uint64(len(steps)+strings.Count(want, "\n")); wakes != 13 || eng.Pending() != 0 {
+		t.Fatalf("%d wake-ups fired, %d events pending; want 13 and 0", wakes, eng.Pending())
 	}
 }

@@ -9,6 +9,9 @@
 #                 and in tails
 #   million_flows_bytes_per_flow      BenchmarkMillionFlows' resident bytes
 #   churn_retention_bytes_per_sample  TestChurnRetention's retained bytes
+#   packet_bytes, flow_bytes, member_slot_bytes  unsafe.Sizeof of
+#                 packet.Packet, core.Flow and core.memberSlot, as
+#                 TestPacketSize and TestFlowSize log them
 # A counter repeats from run to run; a test whose gate fails still prints
 # its counter, so the script also measures a tree that misses a budget.
 # Run from anywhere: `make counters` or `bash scripts/counters.sh`.
@@ -22,10 +25,15 @@ million=$($GO test -count=1 -run '^$' -bench '^BenchmarkMillionFlows$' -benchtim
 	sed -n 's/.* \([0-9.]*\) bytes\/flow.*/\1/p' || true)
 churn=$($GO test -count=1 -v -run '^TestChurnRetention$' ./internal/scenario 2>&1 |
 	sed -n 's/.*(\([0-9.]*\) B per sample).*/\1/p' || true)
-if [ -z "$table3" ] || [ -z "$million" ] || [ -z "$churn" ]; then
-	echo "counters: a counter printed nothing (table3='$table3' million='$million' churn='$churn')" >&2
+packet=$($GO test -count=1 -v -run '^TestPacketSize$' ./internal/packet 2>&1 |
+	sed -n 's/.*Packet is \([0-9]*\) bytes.*/\1/p' || true)
+sizes=$($GO test -count=1 -v -run '^TestFlowSize$' ./internal/core 2>&1 |
+	sed -n 's/.*Flow is \([0-9]*\) bytes, memberSlot \([0-9]*\) bytes.*/\1 \2/p' || true)
+if [ -z "$table3" ] || [ -z "$million" ] || [ -z "$churn" ] || [ -z "$packet" ] || [ -z "$sizes" ]; then
+	echo "counters: a counter printed nothing (table3='$table3' million='$million' churn='$churn' packet='$packet' sizes='$sizes')" >&2
 	exit 1
 fi
 read -r per runs blocks tails <<<"$table3"
-printf '{"commit": "%s", "go": "%s", "table3_bytes_per_chunked_sample": %s, "table3_samples_in_runs": %s, "table3_samples_in_blocks": %s, "table3_samples_in_tails": %s, "million_flows_bytes_per_flow": %s, "churn_retention_bytes_per_sample": %s}\n' \
-	"$(git describe --always --dirty)" "$($GO env GOVERSION)" "$per" "$runs" "$blocks" "$tails" "$million" "$churn"
+read -r flow member <<<"$sizes"
+printf '{"commit": "%s", "go": "%s", "table3_bytes_per_chunked_sample": %s, "table3_samples_in_runs": %s, "table3_samples_in_blocks": %s, "table3_samples_in_tails": %s, "million_flows_bytes_per_flow": %s, "churn_retention_bytes_per_sample": %s, "packet_bytes": %s, "flow_bytes": %s, "member_slot_bytes": %s}\n' \
+	"$(git describe --always --dirty)" "$($GO env GOVERSION)" "$per" "$runs" "$blocks" "$tails" "$million" "$churn" "$packet" "$flow" "$member"
