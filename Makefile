@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-teeth build nofma unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover counters experiments-golden library-golden
+.PHONY: ci vet lint lint-teeth build nofma unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check bench fmt-check profile fuzz-smoke serve-smoke cover counters counters-check experiments-golden library-golden
 
-ci: fmt-check vet lint lint-teeth build nofma unreached unreached-teeth examples test claims scenario-check bench-smoke bench-check fuzz-smoke serve-smoke
+ci: fmt-check vet lint lint-teeth build nofma unreached unreached-teeth examples test claims scenario-check bench-smoke counters-check bench-check fuzz-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -172,6 +172,13 @@ serve-smoke:
 # per change (ROADMAP item 23). A few seconds.
 counters:
 	./scripts/counters.sh
+
+# The counters' gate: measure the same row and fail when a cost counter
+# rises more than 1 % above the newest BENCH_COUNTERS.json row of the same
+# Go release; a counter that falls prints a line asking for a new row. The
+# tests' own budgets stay beside it. About 6 s.
+counters-check:
+	./scripts/counters.sh check
 
 # Aggregate test coverage with a per-function summary.
 cover:

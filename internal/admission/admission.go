@@ -44,7 +44,7 @@ type Controller struct {
 	quota   float64   // real-time cap as a fraction of mu (paper: 0.9)
 	targets []float64 // per-class delay targets D_j (seconds at this switch)
 
-	rt         *stats.RateMeter // measured real-time bits
+	rt         stats.Meter // measured real-time bits
 	classDelay func(class int, now float64) float64
 
 	// ledger[head:] holds the declared rates still counted, oldest first:
@@ -107,13 +107,14 @@ func New(cfg Config) *Controller {
 	if len(cfg.ClassTargets) == 0 {
 		panic("admission: need at least one class target")
 	}
-	return &Controller{
+	c := &Controller{
 		mu:         cfg.LinkRate,
 		quota:      cfg.Quota,
 		targets:    append([]float64(nil), cfg.ClassTargets...),
-		rt:         stats.NewRateMeter(measureWindow, measureKeep),
 		classDelay: cfg.ClassDelay,
 	}
+	c.rt.Init(measureWindow, measureKeep)
+	return c
 }
 
 // ObserveTransmit feeds the utilization measurement; wire it to the port's
@@ -123,7 +124,7 @@ func (c *Controller) ObserveTransmit(p *packet.Packet, now float64) {
 	if p.Class == packet.Datagram {
 		return
 	}
-	c.rt.Add(now, float64(p.Size))
+	c.rt.AddSum(now, float64(p.Size))
 }
 
 // Utilization returns ν̂ at time now: the conservative measured real-time

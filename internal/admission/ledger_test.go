@@ -20,7 +20,7 @@ type sliceLedger struct {
 	quota   float64
 	targets []float64
 
-	rt         *stats.RateMeter
+	rt         stats.Meter
 	classDelay func(class int, now float64) float64
 
 	ledger []ledgerEntry
@@ -30,7 +30,7 @@ func (c *sliceLedger) ObserveTransmit(p *packet.Packet, now float64) {
 	if p.Class == packet.Datagram {
 		return
 	}
-	c.rt.Add(now, float64(p.Size))
+	c.rt.AddSum(now, float64(p.Size))
 }
 
 func (c *sliceLedger) Utilization(now float64) float64 {
@@ -179,8 +179,8 @@ func ledgerMatchesParent(t *testing.T, seed int64) {
 	for step := 0; step < 4000; step++ {
 		if step%400 == 0 {
 			got = New(cfg)
-			want = &sliceLedger{mu: 1e6, quota: 0.9, targets: cfg.ClassTargets,
-				rt: stats.NewRateMeter(measureWindow, measureKeep), classDelay: delay}
+			want = &sliceLedger{mu: 1e6, quota: 0.9, targets: cfg.ClassTargets, classDelay: delay}
+			want.rt.Init(measureWindow, measureKeep)
 			integral, now = step/400%2 == 1, 0
 		}
 		// Advance on a 1/64 s grid through the first window and a 1/8 s

@@ -78,11 +78,12 @@ func membersMatchTokenBuckets(t *testing.T, admit bool) {
 	// sees what the admission controller's sees, so at the end ν̂ minus the
 	// mirror's reading is exactly what the warmup ledger still holds.
 	ports := n.pathPortsByID(internPath(t, n, keys[2].path))
-	mirrors := make(map[*topology.Port]*stats.RateMeter)
+	mirrors := make(map[*topology.Port]*stats.Meter)
 	for _, pt := range ports {
-		m := stats.NewRateMeter(1.0, 10) // admission.New's defaults
+		m := new(stats.Meter)
+		m.Init(1.0, 10) // admission.New's defaults
 		mirrors[pt] = m
-		pt.OnTransmit(func(p *packet.Packet, now float64) { m.Add(now, float64(p.Size)) })
+		pt.OnTransmit(func(p *packet.Packet, now float64) { m.AddSum(now, float64(p.Size)) })
 	}
 
 	type agg struct {

@@ -6,7 +6,8 @@ import (
 	"ispn/internal/stats"
 )
 
-// fifoPlusGain is the EWMA gain of the per-hop class-average delay. The
+// fifoPlusGain is the gain of the per-hop class-average delay, an
+// exponentially weighted moving average: avg += gain·(delay − avg). The
 // offset field encodes how *lucky* a packet was relative to the class
 // baseline, so the baseline must be stable on the timescale of many bursts.
 // Sweeping the gain of Table 2's FIFO+ cell (seeds 1-8, 180 s) moves the mean
@@ -28,14 +29,17 @@ const fifoPlusGain = 3e-4
 // equalizes jitter across the aggregate over the whole path instead of per
 // hop, so the post-facto jitter bound stops growing with hop count.
 //
-// Its queue and meters are held by value, so the K classes of a port are one
+// Its queue and meter are held by value, so the K classes of a port are one
 // []FIFOPlus.
 type FIFOPlus struct {
-	q   queue.DeadlineQueue
-	avg stats.EWMA
+	q queue.DeadlineQueue
+	// avg is the class-average delay at this hop; seen is set once the
+	// first packet has defined it.
+	avg  float64
+	seen bool
 	// maxDelay tracks the class delay distribution at this hop for
 	// admission control (the d̂ of Section 9).
-	maxDelay stats.WindowedMax
+	maxDelay stats.Meter
 }
 
 // NewFIFOPlus returns an empty FIFO+ scheduler.
@@ -47,9 +51,8 @@ func NewFIFOPlus() *FIFOPlus {
 
 // init makes a zero f an empty FIFO+ scheduler, as NewFIFOPlus does; a
 // port's pipeline runs it on each class of its []FIFOPlus. The zero queue is
-// ready; the meters take their parameters.
+// ready, and so is the average; the meter takes its parameters.
 func (f *FIFOPlus) init() {
-	f.avg.Init(fifoPlusGain)
 	f.maxDelay.Init(1.0, 30)
 }
 
@@ -71,15 +74,14 @@ func (f *FIFOPlus) Dequeue(now float64) *packet.Packet {
 	if delay < 0 {
 		delay = 0
 	}
+	if !f.seen {
+		f.avg, f.seen = delay, true // first packet defines the average
+	}
 	// The deviation is measured against the class average *before* this
 	// packet's own delay is folded in.
-	avg := f.avg.Value()
-	if !f.avg.Initialized() {
-		avg = delay // first packet defines the average
-	}
-	p.JitterOffset += delay - avg
-	f.avg.Add(delay)
-	f.maxDelay.Add(now, delay)
+	p.JitterOffset += delay - f.avg
+	f.avg += float64(fifoPlusGain * (delay - f.avg))
+	f.maxDelay.AddMax(now, delay)
 	return p
 }
 

@@ -51,15 +51,15 @@ func TestFIFOPlusFirstPacketGetsZeroDeviation(t *testing.T) {
 	if math.Abs(out.JitterOffset) > 1e-12 {
 		t.Fatalf("first packet offset = %v, want 0", out.JitterOffset)
 	}
-	if math.Abs(f.avg.Value()-0.5) > 1e-12 {
-		t.Fatalf("class average = %v, want 0.5", f.avg.Value())
+	if math.Abs(f.avg-0.5) > 1e-12 {
+		t.Fatalf("class average = %v, want 0.5", f.avg)
 	}
 }
 
 func TestFIFOPlusOffsetAccumulates(t *testing.T) {
 	f := NewFIFOPlus()
-	f.avg.Init(1) // gain 1: average tracks the last delay exactly
-	// First packet establishes average 0.1.
+	// First packet establishes average 0.1, against which the second
+	// packet's deviation is taken at any gain.
 	p1 := pkt(1, 1, 1000)
 	p1.ArrivedAt = 0
 	f.Enqueue(p1, 0)
@@ -78,7 +78,6 @@ func TestFIFOPlusOffsetAccumulates(t *testing.T) {
 
 func TestFIFOPlusNegativeDeviationReducesOffset(t *testing.T) {
 	f := NewFIFOPlus()
-	f.avg.Init(1)
 	p1 := pkt(1, 1, 1000)
 	p1.ArrivedAt = 0
 	f.Enqueue(p1, 0)
@@ -89,6 +88,35 @@ func TestFIFOPlusNegativeDeviationReducesOffset(t *testing.T) {
 	out := f.Dequeue(1.0) // zero delay, deviation -0.4
 	if math.Abs(out.JitterOffset-(-0.4)) > 1e-12 {
 		t.Fatalf("offset = %v, want -0.4", out.JitterOffset)
+	}
+}
+
+// TestFIFOPlusClassAverageAtRealGain pins, bit for bit over three dequeues,
+// the class average at the real gain — a₁ = d₁, then
+// aₖ = aₖ₋₁ + float64(fifoPlusGain·(dₖ − aₖ₋₁)) — and each packet's offset,
+// taken against the average before its own delay is folded in.
+func TestFIFOPlusClassAverageAtRealGain(t *testing.T) {
+	f := NewFIFOPlus()
+	avg := 0.0
+	for k, d := range []float64{0.125, 0.5, 0.0625} {
+		p := pkt(1, uint64(k), 1000)
+		p.ArrivedAt = float64(k)
+		f.Enqueue(p, p.ArrivedAt)
+		out := f.Dequeue(p.ArrivedAt + d)
+		delay := p.ArrivedAt + d - p.ArrivedAt
+		if k == 0 {
+			avg = delay
+		}
+		if want := delay - avg; math.Float64bits(out.JitterOffset) != math.Float64bits(want) {
+			t.Fatalf("dequeue %d: offset = %v, want %v", k+1, out.JitterOffset, want)
+		}
+		avg += float64(fifoPlusGain * (delay - avg))
+		if math.Float64bits(f.avg) != math.Float64bits(avg) {
+			t.Fatalf("dequeue %d: class average = %v, want %v", k+1, f.avg, avg)
+		}
+	}
+	if avg == 0.125 {
+		t.Fatal("the average never moved: the test pins nothing past the first packet")
 	}
 }
 

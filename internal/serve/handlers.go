@@ -46,20 +46,6 @@ func (m *Manager) Handler() http.Handler {
 	return mux
 }
 
-// --- wire types -------------------------------------------------------------
-
-type createBody struct {
-	Scenario string  `json:"scenario,omitempty"`
-	Source   string  `json:"source,omitempty"`
-	Name     string  `json:"name,omitempty"`
-	Seed     *int64  `json:"seed,omitempty"`
-	Horizon  float64 `json:"horizon,omitempty"`
-	Trace    float64 `json:"trace,omitempty"`
-	Check    bool    `json:"check,omitempty"`
-	Pace     float64 `json:"pace,omitempty"`
-	Paused   bool    `json:"paused,omitempty"`
-}
-
 // --- helpers ----------------------------------------------------------------
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -93,24 +79,14 @@ func (m *Manager) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var body createBody
+	var req CreateRequest
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
-	s, err := m.Create(CreateRequest{
-		Scenario: body.Scenario,
-		Source:   body.Source,
-		Name:     body.Name,
-		Seed:     body.Seed,
-		Horizon:  body.Horizon,
-		Trace:    body.Trace,
-		Check:    body.Check,
-		Pace:     body.Pace,
-		Paused:   body.Paused,
-	})
+	s, err := m.Create(req)
 	if err != nil {
 		code := http.StatusUnprocessableEntity
 		if errors.Is(err, errTooManySessions) {

@@ -44,21 +44,22 @@ func NewManager(cfg Config) *Manager {
 	return &Manager{cfg: cfg, sessions: make(map[string]*session)}
 }
 
-// CreateRequest is everything a new session needs. Exactly one of Scenario
-// (a library name, no path or extension) and Source (inline .ispn text) must
-// be set; the overrides mirror the CLI flags of `ispnsim run`.
+// CreateRequest is everything a new session needs, and the JSON body of
+// POST /sessions. Exactly one of Scenario (a library name, no path or
+// extension) and Source (inline .ispn text) must be set; the overrides
+// mirror the CLI flags of `ispnsim run`.
 type CreateRequest struct {
-	Scenario string
-	Source   string
-	Name     string // report label; defaults to the scenario name or "inline"
+	Scenario string `json:"scenario,omitempty"`
+	Source   string `json:"source,omitempty"`
+	Name     string `json:"name,omitempty"` // report label; defaults to the scenario name or "inline"
 
-	Seed    *int64  // override the file's Run seed (nil = file's own)
-	Horizon float64 // override the file's Run horizon when positive
-	Trace   float64 // trace interval override (seconds) when positive
-	Check   bool    // attach the invariant oracle
+	Seed    *int64  `json:"seed,omitempty"`    // override the file's Run seed (nil = file's own)
+	Horizon float64 `json:"horizon,omitempty"` // override the file's Run horizon when positive
+	Trace   float64 `json:"trace,omitempty"`   // trace interval override (seconds) when positive
+	Check   bool    `json:"check,omitempty"`   // attach the invariant oracle
 
-	Pace   float64 // simulated seconds per wall second; 0 = free run
-	Paused bool    // create paused (inject first, then resume)
+	Pace   float64 `json:"pace,omitempty"`   // simulated seconds per wall second; 0 = free run
+	Paused bool    `json:"paused,omitempty"` // create paused (inject first, then resume)
 }
 
 var scenarioNameRe = regexp.MustCompile(`^[A-Za-z0-9._-]+$`)

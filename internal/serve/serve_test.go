@@ -134,7 +134,7 @@ func TestSessionLifecycle(t *testing.T) {
 
 	var st status
 	if code := call(t, "POST", ts.URL+"/sessions",
-		createBody{Source: smallSrc, Name: "small", Paused: true}, &st); code != http.StatusCreated {
+		CreateRequest{Source: smallSrc, Name: "small", Paused: true}, &st); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	if st.ID != "s1" || st.State != "paused" || st.Scenario != "small" {
@@ -186,12 +186,12 @@ func TestCreateValidation(t *testing.T) {
 		want int
 		says string // part of the error message, when it matters
 	}{
-		{"no input", createBody{}, http.StatusUnprocessableEntity, ""},
-		{"both inputs", createBody{Scenario: "failover", Source: smallSrc}, http.StatusUnprocessableEntity, ""},
-		{"path traversal", createBody{Scenario: "../failover"}, http.StatusUnprocessableEntity, ""},
+		{"no input", CreateRequest{}, http.StatusUnprocessableEntity, ""},
+		{"both inputs", CreateRequest{Scenario: "failover", Source: smallSrc}, http.StatusUnprocessableEntity, ""},
+		{"path traversal", CreateRequest{Scenario: "../failover"}, http.StatusUnprocessableEntity, ""},
 		{"unknown field", map[string]any{"sauce": smallSrc}, http.StatusBadRequest, `unknown field "sauce"`},
-		{"bad source", createBody{Source: "net :: Nut()"}, http.StatusUnprocessableEntity, ""},
-		{"negative pace", createBody{Source: smallSrc, Pace: -1}, http.StatusUnprocessableEntity, ""},
+		{"bad source", CreateRequest{Source: "net :: Nut()"}, http.StatusUnprocessableEntity, ""},
+		{"negative pace", CreateRequest{Source: smallSrc, Pace: -1}, http.StatusUnprocessableEntity, ""},
 	}
 	for _, tc := range cases {
 		var e map[string]string
@@ -207,7 +207,7 @@ func TestCreateFromLibrary(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var st status
 	if code := call(t, "POST", ts.URL+"/sessions",
-		createBody{Scenario: "failover", Horizon: 5}, &st); code != http.StatusCreated {
+		CreateRequest{Scenario: "failover", Horizon: 5}, &st); code != http.StatusCreated {
 		t.Fatalf("create from library: %d", code)
 	}
 	if st.Scenario != "failover" || st.Horizon != 5 {
@@ -218,12 +218,24 @@ func TestCreateFromLibrary(t *testing.T) {
 	if !strings.Contains(rep, "scenario failover: 5s simulated") {
 		t.Fatalf("library report header wrong:\n%s", rep)
 	}
+
+	// The wire keys, spelled out: CreateRequest is the body's type, so a
+	// renamed tag must fail here, not only at a client.
+	raw := `{"scenario": "failover", "name": "wire", "seed": 7, "horizon": 5, "trace": 1,
+		"check": true, "pace": 2, "paused": true}`
+	if code := call(t, "POST", ts.URL+"/sessions", raw, &st); code != http.StatusCreated {
+		t.Fatalf("create with every key: %d", code)
+	}
+	if st.Scenario != "wire" || st.Seed != 7 || st.Horizon != 5 || st.TraceDt != 1 ||
+		!st.Check || st.Pace != 2 || st.State != "paused" {
+		t.Fatalf("status after a create with every key = %+v", st)
+	}
 }
 
 func TestLiveFlowsAndLinks(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var st status
-	call(t, "POST", ts.URL+"/sessions", createBody{Source: smallSrc, Paused: true}, &st)
+	call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: smallSrc, Paused: true}, &st)
 	id := st.ID
 	call(t, "POST", ts.URL+"/sessions/"+id, map[string]string{"action": "finish"}, &st)
 
@@ -266,7 +278,7 @@ func TestLiveFlowsAndLinks(t *testing.T) {
 func TestInjectDiagnostics(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var st status
-	call(t, "POST", ts.URL+"/sessions", createBody{Source: identBase, Name: "diag", Paused: true}, &st)
+	call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: identBase, Name: "diag", Paused: true}, &st)
 	id := st.ID
 	url := ts.URL + "/sessions/" + id + "/events"
 
@@ -307,7 +319,7 @@ func TestInjectDiagnostics(t *testing.T) {
 	// enough to pause mid-flight; an event before the live clock must be
 	// refused with a clock-position diagnostic.
 	var st2 status
-	call(t, "POST", ts.URL+"/sessions", createBody{Source: identBase, Name: "paced", Pace: 2}, &st2)
+	call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: identBase, Name: "paced", Pace: 2}, &st2)
 	waitSimTime(t, ts.URL, st2.ID, 4)
 	call(t, "POST", ts.URL+"/sessions/"+st2.ID, map[string]string{"action": "pause"}, nil)
 	var e map[string]string
@@ -348,7 +360,7 @@ func TestLoopedPathInjectionIsARejection(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var victim, neighbour status
 	for _, st := range []*status{&victim, &neighbour} {
-		if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: src, Name: "loop", Paused: true}, st); code != http.StatusCreated {
+		if code := call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: src, Name: "loop", Paused: true}, st); code != http.StatusCreated {
 			t.Fatalf("create: %d", code)
 		}
 	}
@@ -396,7 +408,7 @@ func TestTCPInjectionIsRefused(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var victim, neighbour status
 	for _, st := range []*status{&victim, &neighbour} {
-		if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: src, Name: "tcp", Paused: true}, st); code != http.StatusCreated {
+		if code := call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: src, Name: "tcp", Paused: true}, st); code != http.StatusCreated {
 			t.Fatalf("create: %d", code)
 		}
 	}
@@ -437,7 +449,7 @@ func TestZeroDepthTokenBucketInjectionIsRefused(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var victim, neighbour status
 	for _, st := range []*status{&victim, &neighbour} {
-		if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: smallSrc, Name: "tb", Paused: true}, st); code != http.StatusCreated {
+		if code := call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: smallSrc, Name: "tb", Paused: true}, st); code != http.StatusCreated {
 			t.Fatalf("create: %d", code)
 		}
 	}
@@ -467,7 +479,7 @@ func TestZeroDepthTokenBucketInjectionIsRefused(t *testing.T) {
 func TestPacedSessionSleepsBetweenQuanta(t *testing.T) {
 	ts, m := newTestServer(t)
 	var st status
-	call(t, "POST", ts.URL+"/sessions", createBody{Source: identBase, Pace: 1, Paused: true}, &st)
+	call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: identBase, Pace: 1, Paused: true}, &st)
 	s := m.Get(st.ID)
 	resumed := time.Now()
 	call(t, "POST", ts.URL+"/sessions/"+st.ID, map[string]string{"action": "resume"}, nil)
@@ -527,7 +539,7 @@ func TestServedInjectionMatchesBatch(t *testing.T) {
 
 			var st status
 			if code := call(t, "POST", ts.URL+"/sessions",
-				createBody{Source: base, Name: "ident", Paused: true}, &st); code != http.StatusCreated {
+				CreateRequest{Source: base, Name: "ident", Paused: true}, &st); code != http.StatusCreated {
 				t.Fatalf("create: %d", code)
 			}
 			id := st.ID
@@ -570,7 +582,7 @@ func TestSteppedFreeRunMatchesBatch(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var st status
 	call(t, "POST", ts.URL+"/sessions",
-		createBody{Source: identBase, Name: "ident", Paused: true}, &st)
+		CreateRequest{Source: identBase, Name: "ident", Paused: true}, &st)
 	id := st.ID
 	if code := call(t, "POST", ts.URL+"/sessions/"+id+"/events", identEvents, nil); code != http.StatusOK {
 		t.Fatalf("inject: %d", code)
@@ -606,7 +618,7 @@ func TestConcurrentSessions(t *testing.T) {
 		s := seed
 		var st status
 		if code := call(t, "POST", ts.URL+"/sessions",
-			createBody{Source: identBase, Name: "conc", Seed: &s}, &st); code != http.StatusCreated {
+			CreateRequest{Source: identBase, Name: "conc", Seed: &s}, &st); code != http.StatusCreated {
 			t.Fatalf("create seed %d: %d", seed, code)
 		}
 		ids[i] = st.ID
@@ -646,7 +658,7 @@ func TestConcurrentSessions(t *testing.T) {
 func TestTraceStream(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var st status
-	call(t, "POST", ts.URL+"/sessions", createBody{Source: identBase, Name: "traced"}, &st)
+	call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: identBase, Name: "traced"}, &st)
 	id := st.ID
 
 	resp, err := http.Get(ts.URL + "/sessions/" + id + "/trace")
@@ -698,7 +710,7 @@ func TestTraceRequiresInterval(t *testing.T) {
 	ts, _ := newTestServer(t)
 	src := strings.Replace(smallSrc, ", trace 1s", "", 1)
 	var st status
-	call(t, "POST", ts.URL+"/sessions", createBody{Source: src, Paused: true}, &st)
+	call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: src, Paused: true}, &st)
 	code, body := text(t, ts.URL+"/sessions/"+st.ID+"/trace")
 	if code != http.StatusConflict || !strings.Contains(body, "no trace") {
 		t.Fatalf("traceless session: code %d body %q", code, body)
@@ -706,7 +718,7 @@ func TestTraceRequiresInterval(t *testing.T) {
 
 	// The trace option turns rows on for a scenario that never asked.
 	var st2 status
-	call(t, "POST", ts.URL+"/sessions", createBody{Source: src, Trace: 1, Paused: true}, &st2)
+	call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: src, Trace: 1, Paused: true}, &st2)
 	if st2.TraceDt != 1 {
 		t.Fatalf("trace override ignored: %+v", st2)
 	}
@@ -720,14 +732,14 @@ func TestSessionCap(t *testing.T) {
 	defer m.Close()
 
 	var st status
-	if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: smallSrc, Paused: true}, &st); code != http.StatusCreated {
+	if code := call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: smallSrc, Paused: true}, &st); code != http.StatusCreated {
 		t.Fatalf("first create: %d", code)
 	}
-	if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: smallSrc, Paused: true}, nil); code != http.StatusServiceUnavailable {
+	if code := call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: smallSrc, Paused: true}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("over-cap create: %d", code)
 	}
 	call(t, "DELETE", ts.URL+"/sessions/s1", nil, nil)
-	if code := call(t, "POST", ts.URL+"/sessions", createBody{Source: smallSrc, Paused: true}, nil); code != http.StatusCreated {
+	if code := call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: smallSrc, Paused: true}, nil); code != http.StatusCreated {
 		t.Fatalf("create after delete: %d", code)
 	}
 }
@@ -737,7 +749,7 @@ func TestSessionCap(t *testing.T) {
 func TestCheckedSession(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var st status
-	call(t, "POST", ts.URL+"/sessions", createBody{Source: smallSrc, Check: true, Paused: true}, &st)
+	call(t, "POST", ts.URL+"/sessions", CreateRequest{Source: smallSrc, Check: true, Paused: true}, &st)
 	if !st.Check {
 		t.Fatalf("check flag lost: %+v", st)
 	}

@@ -25,7 +25,7 @@ type streamed struct {
 // goroutine and returns once the handler has issued its two opening commands
 // (the interval, the first batch of rows) — from there on it is parked on the
 // session's news. The result arrives on the channel when the stream ends.
-func openStream(t *testing.T, ts *httptest.Server, m *Manager, body createBody) (*session, <-chan streamed) {
+func openStream(t *testing.T, ts *httptest.Server, m *Manager, body CreateRequest) (*session, <-chan streamed) {
 	t.Helper()
 	body.Paused = true
 	var st status
@@ -87,7 +87,7 @@ func TestTraceStreamEndsWithSession(t *testing.T) {
 	const sessions = 20
 	gaps := make([]time.Duration, 0, sessions)
 	for i := 0; i < sessions; i++ {
-		s, out := openStream(t, ts, m, createBody{Source: identBase})
+		s, out := openStream(t, ts, m, CreateRequest{Source: identBase})
 		url := ts.URL + "/sessions/" + s.id
 		call(t, "POST", url, map[string]string{"action": "resume"}, nil)
 		var done time.Time
@@ -116,7 +116,7 @@ func TestTraceStreamEndsWithSession(t *testing.T) {
 	// 20 simulated seconds per wall second: interval k ends k·100 ms after
 	// the resume, and its row must follow within two step quanta.
 	const pace = 20
-	s, out := openStream(t, ts, m, createBody{Source: identBase, Pace: pace})
+	s, out := openStream(t, ts, m, CreateRequest{Source: identBase, Pace: pace})
 	resumed := time.Now() // no later than the session's own pacing basis
 	call(t, "POST", ts.URL+"/sessions/"+s.id, map[string]string{"action": "resume"}, nil)
 	got := await(t, out)
@@ -138,7 +138,7 @@ func TestTraceStreamEndsWithSession(t *testing.T) {
 // every row and end.
 func TestFinishActionEndsTraceStream(t *testing.T) {
 	ts, m := newTestServer(t)
-	s, out := openStream(t, ts, m, createBody{Source: identBase})
+	s, out := openStream(t, ts, m, CreateRequest{Source: identBase})
 	var st status
 	call(t, "POST", ts.URL+"/sessions/"+s.id, map[string]string{"action": "finish"}, &st)
 	if st.State != "done" {
@@ -160,7 +160,7 @@ func TestFinishActionEndsTraceStream(t *testing.T) {
 // (the 50 ms poll sent four commands in 200 ms).
 func TestPausedStreamIsQuiet(t *testing.T) {
 	ts, m := newTestServer(t)
-	s, out := openStream(t, ts, m, createBody{Source: smallSrc})
+	s, out := openStream(t, ts, m, CreateRequest{Source: smallSrc})
 	opened := s.dos.Load()
 	time.Sleep(200 * time.Millisecond)
 	if n := s.dos.Load() - opened; n != 0 {

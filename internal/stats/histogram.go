@@ -7,41 +7,36 @@ import (
 )
 
 // Histogram is a log-bucketed histogram for positive values (delays). Bucket
-// i covers [min·g^i, min·g^(i+1)) with growth factor g, so a fixed number of
-// buckets spans several orders of magnitude — delay distributions in this
-// system stretch from sub-millisecond to hundreds of milliseconds.
+// i covers [histMin·g^i, histMin·g^(i+1)) with growth factor g = histGrowth,
+// so its histBuckets buckets span 0.1 ms to ~100 s — any delay this system
+// can produce, from sub-millisecond to hundreds of milliseconds.
 type Histogram struct {
-	min    float64
-	growth float64
-	counts []int64
-	under  int64 // values below min
+	counts [histBuckets]int64
+	under  int64 // values below histMin
 	total  int64
 	sum    float64
 }
 
-// NewHistogram builds a histogram with buckets of the given count starting
-// at min and growing by factor growth (> 1) per bucket.
-func NewHistogram(min, growth float64, buckets int) *Histogram {
-	if min <= 0 || growth <= 1 || buckets < 1 {
-		panic("stats: NewHistogram needs min > 0, growth > 1, buckets >= 1")
-	}
-	return &Histogram{min: min, growth: growth, counts: make([]int64, buckets)}
-}
+// The one bucket layout in use: 0.1 ms, growing by √2, 40 buckets.
+const (
+	histMin     = 1e-4
+	histGrowth  = 1.4142135623730951
+	histBuckets = 40
+)
 
-// NewDelayHistogram covers 0.1 ms to ~100 s in 40 buckets — suitable for
-// any delay this system can produce.
-func NewDelayHistogram() *Histogram { return NewHistogram(1e-4, 1.4142135623730951, 40) }
+// NewDelayHistogram returns an empty delay histogram.
+func NewDelayHistogram() *Histogram { return new(Histogram) }
 
 // Add records one value. Non-positive values land in the underflow bucket;
 // values beyond the last bucket are clamped into it.
 func (h *Histogram) Add(x float64) {
 	h.total++
 	h.sum += x
-	if x < h.min {
+	if x < histMin {
 		h.under++
 		return
 	}
-	i := int(math.Log(x/h.min) / math.Log(h.growth))
+	i := int(math.Log(x/histMin) / math.Log(histGrowth))
 	if i >= len(h.counts) {
 		i = len(h.counts) - 1
 	}
@@ -59,10 +54,10 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.total)
 }
 
-// BucketBounds returns the lower bound of bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	lo = h.min * math.Pow(h.growth, float64(i))
-	return lo, lo * h.growth
+// bucketBounds returns the bounds [lo, hi) of bucket i.
+func bucketBounds(i int) (lo, hi float64) {
+	lo = histMin * math.Pow(histGrowth, float64(i))
+	return lo, lo * histGrowth
 }
 
 // Render draws an ASCII bar chart of the non-empty bucket range, with
@@ -86,11 +81,11 @@ func (h *Histogram) Render(unit float64, unitName string) string {
 	}
 	var b strings.Builder
 	if h.under > 0 {
-		fmt.Fprintf(&b, "%11s < %8.3f %s  %7d\n", "", h.min*unit, unitName, h.under)
+		fmt.Fprintf(&b, "%11s < %8.3f %s  %7d\n", "", histMin*unit, unitName, h.under)
 	}
 	const width = 50
 	for i := first; i <= last; i++ {
-		lo, hi := h.BucketBounds(i)
+		lo, hi := bucketBounds(i)
 		bar := int(float64(h.counts[i]) * width / float64(peak))
 		if h.counts[i] > 0 && bar == 0 {
 			bar = 1

@@ -8,33 +8,44 @@ import (
 )
 
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0.001, 2, 10)
-	for _, x := range []float64{0.0005, 0.001, 0.002, 0.003, 0.1} {
+	h := NewDelayHistogram()
+	for _, x := range []float64{0.00005, 0.001, 0.002, 0.003, 0.1} {
 		h.Add(x)
 	}
 	if h.Count() != 5 {
 		t.Fatalf("Count = %d", h.Count())
 	}
-	want := (0.0005 + 0.001 + 0.002 + 0.003 + 0.1) / 5
+	want := (0.00005 + 0.001 + 0.002 + 0.003 + 0.1) / 5
 	if math.Abs(h.Mean()-want) > 1e-12 {
 		t.Fatalf("Mean = %v, want %v", h.Mean(), want)
+	}
+	if h.under != 1 {
+		t.Fatalf("underflow holds %d, want the one sample below 0.1 ms", h.under)
 	}
 }
 
 func TestHistogramBucketBounds(t *testing.T) {
-	h := NewHistogram(1, 2, 8)
-	lo, hi := h.BucketBounds(0)
-	if lo != 1 || hi != 2 {
+	lo, hi := bucketBounds(0)
+	if lo != 1e-4 || hi != 1e-4*math.Sqrt2 {
 		t.Fatalf("bucket 0 = [%v,%v)", lo, hi)
 	}
-	lo, hi = h.BucketBounds(3)
-	if lo != 8 || hi != 16 {
-		t.Fatalf("bucket 3 = [%v,%v)", lo, hi)
+	// Every second bucket doubles: bucket 20 starts at 2¹⁰·0.1 ms.
+	lo, hi = bucketBounds(20)
+	if math.Abs(lo-0.1024) > 1e-12 || math.Abs(hi-0.1024*math.Sqrt2) > 1e-12 {
+		t.Fatalf("bucket 20 = [%v,%v)", lo, hi)
+	}
+	// A sample lands in the bucket whose bounds hold it.
+	h := NewDelayHistogram()
+	h.Add(0.003)
+	for i, c := range h.counts {
+		if lo, hi := bucketBounds(i); (c == 1) != (lo <= 0.003 && 0.003 < hi) {
+			t.Fatalf("bucket %d [%v,%v) holds %d", i, lo, hi, c)
+		}
 	}
 }
 
 func TestHistogramOverflowClamped(t *testing.T) {
-	h := NewHistogram(1, 2, 4) // covers [1, 16)
+	h := NewDelayHistogram() // covers [0.1 ms, ~105 s)
 	h.Add(1e9)
 	if h.Count() != 1 {
 		t.Fatal("overflow sample lost")
@@ -68,22 +79,5 @@ func TestHistogramRender(t *testing.T) {
 	under.Add(1e-5)
 	if got, want := under.Render(1000, "ms"), fmt.Sprintf("%11s < %8.3f ms  %7d\n", "", 0.1, 2); got != want {
 		t.Fatalf("render of underflow only = %q, want %q", got, want)
-	}
-}
-
-func TestHistogramConstructorPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 2, 4) },
-		func() { NewHistogram(1, 1, 4) },
-		func() { NewHistogram(1, 2, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("no panic")
-				}
-			}()
-			f()
-		}()
 	}
 }

@@ -1,70 +1,49 @@
 package stats
 
-// EWMA is an exponentially weighted moving average: avg += gain*(x - avg).
-// FIFO+ uses one per (switch, class) to track the class-average queueing
-// delay.
-type EWMA struct {
-	gain  float64
-	value float64
-	init  bool
+// Meter keeps one value per fixed window of time and retains the keep most
+// recent completed windows, so Section 9's admission control can use a
+// "consistently conservative" estimate — the largest of the recent windows —
+// rather than a plain average. A meter is fed through one of two pairs:
+// AddSum and PeakRate sum each window (bits) and read the peak rate ν̂ of a
+// link's real-time traffic; AddMax and Max keep each window's largest
+// observation and read a class's recent maximal delay d̂ⱼ. One meter uses
+// one pair; AddMax expects observations that are not negative.
+type Meter struct {
+	window float64
+	start  float64
+	cur    float64    // the current window's sum or maximum
+	recent windowRing // the most recent completed windows' values
 }
 
-// Init makes e an empty average with the given gain in (0, 1]. An EWMA is
-// held by value: each FIFO+ class of a port holds one.
-func (e *EWMA) Init(gain float64) {
-	if gain <= 0 || gain > 1 {
-		panic("stats: EWMA gain must be in (0,1]")
-	}
-	*e = EWMA{gain: gain}
-}
-
-// Add folds in one observation. The first observation initializes the
-// average directly.
-func (e *EWMA) Add(x float64) {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	e.value += float64(e.gain * (x - e.value))
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one observation has been folded in.
-func (e *EWMA) Initialized() bool { return e.init }
-
-// RateMeter measures a rate (e.g. bits/second of real-time traffic on a
-// link) over fixed windows, retaining the recent per-window values so
-// admission control can use a conservative (max-of-recent-windows) estimate
-// rather than a plain average, as Section 9 prescribes.
-type RateMeter struct {
-	window  float64
-	start   float64
-	current float64
-	recent  windowRing // most recent completed windows' rates
-}
-
-// NewRateMeter returns a meter with the given window length (seconds) that
-// retains the keep (at least 1) most recent completed windows.
-func NewRateMeter(window float64, keep int) *RateMeter {
+// Init makes m an empty meter with the given window (seconds) retaining
+// keep (at least 1) completed windows. A meter is held by value: each
+// admission controller and each FIFO+ class of a port holds one.
+func (m *Meter) Init(window float64, keep int) {
 	if window <= 0 {
-		panic("stats: RateMeter window must be positive")
+		panic("stats: Meter window must be positive")
 	}
-	return &RateMeter{window: window, recent: windowRing{keep: keep}}
+	*m = Meter{window: window, recent: windowRing{keep: keep}}
 }
 
-// Add records amount (e.g. bits) at time now.
-func (m *RateMeter) Add(now, amount float64) {
+// AddSum adds amount (e.g. bits) to the window holding now.
+func (m *Meter) AddSum(now, amount float64) {
 	m.roll(now)
-	m.current += amount
+	m.cur += amount
 }
 
-func (m *RateMeter) roll(now float64) {
+// AddMax records one observation x ≥ 0 in the window holding now.
+func (m *Meter) AddMax(now, x float64) {
+	m.roll(now)
+	if x > m.cur {
+		m.cur = x
+	}
+}
+
+func (m *Meter) roll(now float64) {
 	for now >= m.start+m.window {
-		m.recent.push(m.current / m.window)
-		m.current = 0
+		// Push even empty windows so stale values age out.
+		m.recent.push(m.cur)
+		m.cur = 0
 		m.start += m.window
 		// Fast-forward across a long idle gap to keep windows before
 		// now, dropping everything retained: it all predates the gap.
@@ -78,71 +57,27 @@ func (m *RateMeter) roll(now float64) {
 	}
 }
 
-// PeakRate returns the maximum per-window rate over the retained windows —
+// PeakRate returns the largest per-window rate over the retained windows —
 // the "consistently conservative" utilization estimate ν̂ used by admission
-// control.
-func (m *RateMeter) PeakRate(now float64) float64 {
+// control — or, before the first window completes, the rate so far. The
+// ring keeps each window's sum and the peak divides the largest by the
+// window as it reads: correctly rounded division by the same positive
+// window is monotone, so that is the largest of the per-window rates bit
+// for bit.
+func (m *Meter) PeakRate(now float64) float64 {
 	m.roll(now)
-	peak := m.recent.max()
 	if m.recent.n == 0 && now > m.start {
-		peak = m.current / (now - m.start)
+		return m.cur / (now - m.start)
 	}
-	return peak
+	return m.recent.max() / m.window
 }
 
-// WindowedMax tracks the maximum of observations over fixed windows,
-// retaining recent windows; admission control uses it for the measured
-// per-class maximal delay d̂ⱼ.
-type WindowedMax struct {
-	window float64
-	start  float64
-	cur    float64
-	curSet bool
-	recent windowRing
-}
-
-// Init makes w an empty tracker with the given window (seconds) retaining
-// keep (at least 1) completed windows. A tracker is held by value: each
-// FIFO+ class of a port holds one.
-func (w *WindowedMax) Init(window float64, keep int) {
-	if window <= 0 {
-		panic("stats: WindowedMax window must be positive")
-	}
-	*w = WindowedMax{window: window, recent: windowRing{keep: keep}}
-}
-
-// Add records one observation at time now.
-func (w *WindowedMax) Add(now, x float64) {
-	w.roll(now)
-	if !w.curSet || x > w.cur {
-		w.cur = x
-		w.curSet = true
-	}
-}
-
-func (w *WindowedMax) roll(now float64) {
-	for now >= w.start+w.window {
-		// Push even empty windows so stale maxima age out.
-		w.recent.push(w.cur)
-		w.cur = 0
-		w.curSet = false
-		w.start += w.window
-		if keep := w.recent.keep; now-w.start > float64(keep+1)*w.window {
-			w.start = now - float64(float64(keep)*w.window)
-			w.recent.clear()
-		}
-	}
-}
-
-// Max returns the maximum over the retained windows and the current partial
-// window at time now. Returns 0 if nothing has been observed recently.
-func (w *WindowedMax) Max(now float64) float64 {
-	w.roll(now)
-	m := w.recent.max()
-	if w.curSet && w.cur > m {
-		m = w.cur
-	}
-	return m
+// Max returns the largest observation over the retained windows and the
+// current partial window at time now, or 0 if nothing has been observed
+// recently.
+func (m *Meter) Max(now float64) float64 {
+	m.roll(now)
+	return max(m.recent.max(), m.cur)
 }
 
 // windowRing holds the values of the keep most recent completed windows of

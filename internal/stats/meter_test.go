@@ -8,72 +8,21 @@ import (
 	"testing"
 )
 
-func TestEWMAFirstObservationInitializes(t *testing.T) {
-	var e EWMA
-	e.Init(0.1)
-	if e.Initialized() {
-		t.Fatal("fresh EWMA reports initialized")
-	}
-	e.Add(10)
-	if !e.Initialized() || e.Value() != 10 {
-		t.Fatalf("Value = %v, want 10", e.Value())
-	}
-}
+// The TestRateMeter tests drive a Meter's AddSum and PeakRate, the ν̂ pair;
+// the TestWindowedMax tests drive its AddMax and Max, the d̂ⱼ pair.
 
-func TestEWMAConverges(t *testing.T) {
-	var e EWMA
-	e.Init(0.1)
-	e.Add(0)
-	for i := 0; i < 500; i++ {
-		e.Add(42)
-	}
-	if math.Abs(e.Value()-42) > 1e-6 {
-		t.Fatalf("Value = %v, want ~42", e.Value())
-	}
-}
-
-func TestEWMAGainOne(t *testing.T) {
-	var e EWMA
-	e.Init(1)
-	e.Add(1)
-	e.Add(7)
-	if e.Value() != 7 {
-		t.Fatalf("gain-1 EWMA should track last value, got %v", e.Value())
-	}
-}
-
-func TestEWMABadGainPanics(t *testing.T) {
-	for _, g := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Init(%v) did not panic", g)
-				}
-			}()
-			new(EWMA).Init(g)
-		}()
-	}
-}
-
-func TestEWMAStep(t *testing.T) {
-	var e EWMA
-	e.Init(0.5)
-	e.Add(0)
-	e.Add(8) // 0 + 0.5*8 = 4
-	if e.Value() != 4 {
-		t.Fatalf("Value = %v, want 4", e.Value())
-	}
-	e.Add(4) // 4 + 0.5*0 = 4
-	if e.Value() != 4 {
-		t.Fatalf("Value = %v, want 4", e.Value())
-	}
+// newMeter returns an empty Meter with the given window and keep.
+func newMeter(window float64, keep int) *Meter {
+	m := new(Meter)
+	m.Init(window, keep)
+	return m
 }
 
 func TestRateMeterSteadyRate(t *testing.T) {
-	m := NewRateMeter(1.0, 5)
+	m := newMeter(1.0, 5)
 	// 100 units per second for 10 seconds.
 	for i := 0; i < 1000; i++ {
-		m.Add(float64(i)*0.01, 1.0)
+		m.AddSum(float64(i)*0.01, 1.0)
 	}
 	if peak := m.PeakRate(10.0); math.Abs(peak-100) > 1 {
 		t.Fatalf("PeakRate = %v, want ~100", peak)
@@ -81,20 +30,20 @@ func TestRateMeterSteadyRate(t *testing.T) {
 }
 
 func TestRateMeterPeakSeesBurst(t *testing.T) {
-	m := NewRateMeter(1.0, 5)
+	m := newMeter(1.0, 5)
 	// 1 unit/s background, with a 50-unit burst in window [2,3).
 	for i := 0; i < 6; i++ {
-		m.Add(float64(i)+0.5, 1.0)
+		m.AddSum(float64(i)+0.5, 1.0)
 	}
-	m.Add(2.6, 50)
+	m.AddSum(2.6, 50)
 	if peak := m.PeakRate(6.0); peak < 50 {
 		t.Fatalf("PeakRate = %v, want >= 50", peak)
 	}
 }
 
 func TestRateMeterIdleGap(t *testing.T) {
-	m := NewRateMeter(1.0, 3)
-	m.Add(0.5, 100)
+	m := newMeter(1.0, 3)
+	m.AddSum(0.5, 100)
 	// Long idle period: rate must decay to 0 once the active window
 	// leaves the retained set.
 	if r := m.PeakRate(100); r != 0 {
@@ -103,8 +52,8 @@ func TestRateMeterIdleGap(t *testing.T) {
 }
 
 func TestRateMeterPartialWindow(t *testing.T) {
-	m := NewRateMeter(10.0, 3)
-	m.Add(1.0, 30)
+	m := newMeter(10.0, 3)
+	m.AddSum(1.0, 30)
 	r := m.PeakRate(3.0)
 	if math.Abs(r-10) > 1e-9 { // 30 units over 3 seconds of partial window
 		t.Fatalf("partial-window PeakRate = %v, want 10", r)
@@ -112,11 +61,11 @@ func TestRateMeterPartialWindow(t *testing.T) {
 }
 
 func TestWindowedMaxTracksRecentMax(t *testing.T) {
-	var w WindowedMax
+	var w Meter
 	w.Init(1.0, 3)
-	w.Add(0.1, 5)
-	w.Add(0.2, 9)
-	w.Add(1.5, 2)
+	w.AddMax(0.1, 5)
+	w.AddMax(0.2, 9)
+	w.AddMax(1.5, 2)
 	if got := w.Max(1.6); got != 9 {
 		t.Fatalf("Max = %v, want 9", got)
 	}
@@ -127,9 +76,9 @@ func TestWindowedMaxTracksRecentMax(t *testing.T) {
 }
 
 func TestWindowedMaxCurrentPartialWindowCounts(t *testing.T) {
-	var w WindowedMax
+	var w Meter
 	w.Init(10.0, 2)
-	w.Add(1.0, 3)
+	w.AddMax(1.0, 3)
 	if got := w.Max(2.0); got != 3 {
 		t.Fatalf("Max = %v, want 3 (current window must count)", got)
 	}
@@ -153,7 +102,7 @@ func TestRateMeterPanicsOnBadWindow(t *testing.T) {
 			t.Fatal("no panic for non-positive window")
 		}
 	}()
-	NewRateMeter(0, 1)
+	new(Meter).Init(0, 1)
 }
 
 func TestWindowedMaxPanicsOnBadWindow(t *testing.T) {
@@ -162,13 +111,14 @@ func TestWindowedMaxPanicsOnBadWindow(t *testing.T) {
 			t.Fatal("no panic for non-positive window")
 		}
 	}()
-	new(WindowedMax).Init(-1, 1)
+	new(Meter).Init(-1, 1)
 }
 
-// sliceRateMeter and sliceWindowedMax are the meters as they were before
-// their windows moved into a fixed ring: append the completed window, then
-// reslice the oldest off the front. They are the reference the ring versions
-// must match bit for bit, and the allocation baseline they must beat.
+// sliceRateMeter and sliceWindowedMax are the two meters as they were before
+// their windows moved into a fixed ring and then into one Meter: append the
+// completed window, then reslice the oldest off the front. They are the
+// reference a Meter's two add paths must match bit for bit, and the
+// allocation baseline they must beat.
 type sliceRateMeter struct {
 	window, start, current float64
 	keep                   int
@@ -254,8 +204,8 @@ func (w *sliceWindowedMax) Max(now float64) float64 {
 	return m
 }
 
-// TestMetersMatchSliceModel drives the ring meters and the slice meters they
-// replaced with the same streams — a fixed one whose idle gap records one
+// TestMetersMatchSliceModel drives a Meter through each add path, and the
+// slice meter it replaced, with the same streams — a fixed one whose idle gap records one
 // empty window short of keep, then seeded bursts of closely spaced
 // observations, gaps inside the retained span, and idle gaps long enough to
 // take the fast-forward — and requires every PeakRate and Max to agree bit
@@ -265,12 +215,11 @@ func TestMetersMatchSliceModel(t *testing.T) {
 	// and five steps of 0.1 from there reach 1.2500000000000002, so only
 	// four empty windows are recorded. The clear is what drops the window
 	// of the Add at 0, which would otherwise read 10000 and 7.
-	m, sm := NewRateMeter(0.1, 5), &sliceRateMeter{window: 0.1, keep: 5}
-	w, sw := new(WindowedMax), &sliceWindowedMax{window: 0.1, keep: 5}
-	w.Init(0.1, 5)
-	m.Add(0, 1000)
+	m, sm := newMeter(0.1, 5), &sliceRateMeter{window: 0.1, keep: 5}
+	w, sw := newMeter(0.1, 5), &sliceWindowedMax{window: 0.1, keep: 5}
+	m.AddSum(0, 1000)
 	sm.Add(0, 1000)
-	w.Add(0, 7)
+	w.AddMax(0, 7)
 	sw.Add(0, 7)
 	if got, want := m.PeakRate(1.25), sm.PeakRate(1.25); got != want || got != 0 {
 		t.Fatalf("PeakRate after the gap = %v, slice model %v, want 0", got, want)
@@ -282,9 +231,8 @@ func TestMetersMatchSliceModel(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		window := []float64{0.25, 1, 3}[r.Intn(3)]
 		keep := []int{1, 3, 10, 30}[r.Intn(4)]
-		m, sm := NewRateMeter(window, keep), &sliceRateMeter{window: window, keep: keep}
-		w, sw := new(WindowedMax), &sliceWindowedMax{window: window, keep: keep}
-		w.Init(window, keep)
+		m, sm := newMeter(window, keep), &sliceRateMeter{window: window, keep: keep}
+		w, sw := newMeter(window, keep), &sliceWindowedMax{window: window, keep: keep}
 		now := 0.0
 		for i := 0; i < 5000; i++ {
 			switch x := r.Float64(); {
@@ -296,9 +244,9 @@ func TestMetersMatchSliceModel(t *testing.T) {
 				now += window * r.Float64() / 8
 			}
 			v := r.ExpFloat64()
-			m.Add(now, v)
+			m.AddSum(now, v)
 			sm.Add(now, v)
-			w.Add(now, v)
+			w.AddMax(now, v)
 			sw.Add(now, v)
 			if r.Intn(4) == 0 {
 				q := now + window*r.Float64()*float64(keep+3)
@@ -314,13 +262,13 @@ func TestMetersMatchSliceModel(t *testing.T) {
 	}
 }
 
-// TestMetersRollWithoutAllocating rolls each meter through 10⁴ windows and
-// counts every object the whole loop allocates: a meter that runs for the
-// whole simulation must not allocate as it goes. An average over single
-// rolls (testing.AllocsPerRun) divides in integers and reads one object per
-// 30 windows as 0, so the count is taken across the loop. The slice model
-// the ring replaced is run the same way and must allocate, or the count
-// would not tell the two apart.
+// TestMetersRollWithoutAllocating rolls a Meter through 10⁴ windows on each
+// add path and counts every object the whole loop allocates: a meter that
+// runs for the whole simulation must not allocate as it goes. An average
+// over single rolls (testing.AllocsPerRun) divides in integers and reads one
+// object per 30 windows as 0, so the count is taken across the loop. The
+// slice model the ring replaced is run the same way and must allocate, or
+// the count would not tell the two apart.
 //
 // The count reads the whole process's allocations, so a stray object of the
 // runtime or the testing package lands in it now and then. It is taken over
@@ -346,14 +294,13 @@ func TestMetersRollWithoutAllocating(t *testing.T) {
 		}
 		return least
 	}
-	m, w := NewRateMeter(1, 10), new(WindowedMax)
-	w.Init(1, 30)
+	m, w := newMeter(1, 10), newMeter(1, 30)
 	for _, c := range []struct {
 		name string
 		add  func(now, x float64)
 	}{
-		{"RateMeter", func(now, x float64) { m.Add(now, x); m.PeakRate(now) }},
-		{"WindowedMax", func(now, x float64) { w.Add(now, x); w.Max(now) }},
+		{"AddSum", func(now, x float64) { m.AddSum(now, x); m.PeakRate(now) }},
+		{"AddMax", func(now, x float64) { w.AddMax(now, x); w.Max(now) }},
 	} {
 		if n := count(c.add); n != 0 {
 			t.Errorf("%s allocated %d objects in every pass of %d windows, want 0", c.name, n, windows)

@@ -1,9 +1,8 @@
 // Package stats provides the measurement machinery the architecture depends
 // on: exact and streaming delay statistics (the paper reports means and
-// 99.9th-percentile delays), exponentially weighted averages (FIFO+ class
-// averages), and windowed rate/delay meters (the Section 9 measurement-based
-// admission control needs "consistently conservative estimates" of link
-// utilization and per-class delay).
+// 99.9th-percentile delays), a delay histogram, and one windowed meter for
+// Section 9's measurement-based admission control, which needs "consistently
+// conservative estimates" of link utilization (ν̂) and per-class delay (d̂ⱼ).
 package stats
 
 import (
